@@ -6,18 +6,20 @@ The paper uses (an NGD extension of) the batch GFD detection algorithm of
 the rule's pattern in the whole graph and keeps those that violate the
 attribute dependency.
 
-The implementation processes the same *work units* as the parallel
-algorithms (a partial solution expanded one pattern node at a time), executed
-on a single processor with a LIFO stack — so the reported ``cost`` is in the
-same units as the simulated parallel makespans and the speedups of Figures
-4(a)–(l) are measured against a consistent yardstick.  The independent
-recursive matcher in :mod:`repro.core.validation` serves as ground truth in
-the tests.
+The search itself is the core of :mod:`repro.matching.search`, seeded with
+the first-step candidates of each rule and drained depth-first by
+:class:`~repro.detect.serial.SerialRun` — the loop IncDect drains its update
+pivots with.  A step is charged what the parallel kernels charge for the same
+step (they run it through :func:`~repro.detect.parallel.workunits.
+expand_work_unit`), so the reported ``cost`` is in the same units as the
+simulated parallel makespans and the speedups of Figures 4(a)–(l) are
+measured against a consistent yardstick.  The independent recursive matcher
+in :mod:`repro.core.validation` serves as ground truth in the tests.
 
 :func:`iter_dect` is the kernel itself: a generator that yields each
-violation the moment its work unit completes and honours an optional
-:class:`~repro.detect.observers.DetectionBudget`.  :func:`dect` is the
-original batch entry point, kept as a thin compatibility shim over the
+violation the moment the step that completes it returns and honours an
+optional :class:`~repro.detect.observers.DetectionBudget`.  :func:`dect` is
+the original batch entry point, kept as a thin compatibility shim over the
 :class:`~repro.detect.session.Detector` session.
 """
 
@@ -27,18 +29,15 @@ import time
 from collections.abc import Iterator, Sequence
 from typing import Optional
 
-from repro import obs
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationSet
 from repro.detect.base import DetectionResult
-from repro.detect.instrument import begin_rule_span, finish_rule, stats_snapshot
-from repro.detect.observers import DetectionBudget, ViolationSink, notify_violation
-from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
+from repro.detect.observers import DetectionBudget, ViolationSink
+from repro.detect.parallel.workunits import rule_search
+from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.matching.adaptive import resolve_adaptive
-from repro.matching.candidates import MatchStatistics
 from repro.matching.compiled import resolve_compiled
-from repro.matching.matchn import match_violates_dependency
 from repro.matching.plan import MatchPlan, first_step_candidates, resolve_plans
 
 __all__ = ["dect", "iter_dect"]
@@ -58,7 +57,7 @@ def iter_dect(
 
     The generator's return value (``StopIteration.value``, or via
     :func:`repro.detect.observers.drain`) is the :class:`DetectionResult`.
-    ``budget`` limits are enforced between work units, so a capped run
+    ``budget`` limits are enforced between expansion steps, so a capped run
     performs strictly less work than a full one; ``sink`` (if given) is
     notified of every violation right before it is yielded.  ``plans``
     carries pre-compiled :class:`~repro.matching.plan.MatchPlan`\\ s (one per
@@ -74,15 +73,9 @@ def iter_dect(
     plans = resolve_plans(graph, rule_list, plans)
     controllers = resolve_adaptive(plans, adaptive)
     compiled_flag = resolve_compiled(compiled)
-    stats = MatchStatistics()
     started = time.perf_counter()
     violations = ViolationSet()
-    cost = 0.0
-    emitted = 0
-    stop_reason: Optional[str] = None
-    # Parent for per-rule spans, captured once at generator start (the
-    # contextvar is only reliable in the consuming thread's context).
-    trace_parent = obs.current_span()
+    run = SerialRun("Dect", budget, sink)
 
     for rule_index, rule in enumerate(rule_list):
         plan = plans[rule_index] if plans is not None else None
@@ -90,79 +83,33 @@ def iter_dect(
         order = plan.order if plan is not None else tuple(rule.pattern.matching_order())
         if not order:
             continue
-        rule_before = stats_snapshot(stats)
-        rule_cost_before = cost
-        rule_emitted_before = emitted
-        rule_span = begin_rule_span(trace_parent, rule.name, "Dect")
-        try:
-            first = order[0]
+        with run.rule(rule.name):
             candidates, scan_cost = first_step_candidates(
-                graph, rule, plan, order, use_literal_pruning, stats, compiled=compiled_flag
+                graph, rule, plan, order, use_literal_pruning, run.stats, compiled=compiled_flag
             )
-            cost += scan_cost
-            if budget is not None and budget.cost_exhausted(cost):
-                stop_reason = "max_cost"
-                break
-            stack: list[WorkUnit] = []
-            for candidate in candidates:
-                unit = WorkUnit(rule_index=rule_index, order=order, assignment=((first, candidate),))
-                if unit.is_complete():
-                    cost += 1.0
-                    if match_violates_dependency(graph, unit.mapping(), rule.premise, rule.conclusion, stats):
-                        violation = Violation.from_mapping(rule.name, unit.mapping(), rule.pattern.variables)
-                        if violation not in violations:
-                            violations.add(violation)
-                            emitted += 1
-                            notify_violation(sink, violation)
-                            yield violation
-                            if budget is not None and budget.violations_exhausted(emitted):
-                                stop_reason = "max_violations"
-                                break
-                else:
-                    stack.append(unit)
-            while stop_reason is None and stack:
-                unit = stack.pop()
-                outcome = expand_work_unit(
-                    graph,
-                    rule,
-                    unit,
-                    use_literal_pruning=use_literal_pruning,
-                    stats=stats,
-                    plan=plan,
-                    adaptive=controller,
-                    compiled=compiled_flag,
+            run.cost += scan_cost
+            if not run.cost_exhausted():
+                # the seeds are a stack: the last candidate's subtree is searched
+                # first; a single-variable pattern has no subtrees and streams in
+                # rank order
+                if len(order) > 1:
+                    candidates.reverse()
+                search = rule_search(rule, plan, use_literal_pruning, run.stats, controller, compiled_flag)
+                yield from run.drain(
+                    search, ((graph, order, (candidate,), violations, True) for candidate in candidates)
                 )
-                cost += max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
-                stack.extend(outcome.new_units)
-                for violation in outcome.violations:
-                    if violation in violations:
-                        continue
-                    violations.add(violation)
-                    emitted += 1
-                    notify_violation(sink, violation)
-                    yield violation
-                    if budget is not None and budget.violations_exhausted(emitted):
-                        stop_reason = "max_violations"
-                        break
-                if stop_reason is None and budget is not None and budget.cost_exhausted(cost):
-                    stop_reason = "max_cost"
-        finally:
-            finish_rule(
-                rule.name, rule_span, rule_before, stats, cost - rule_cost_before, emitted - rule_emitted_before
-            )
-        if stop_reason is not None:
+        if run.stop_reason is not None:
             break
 
-    elapsed = time.perf_counter() - started
     return DetectionResult(
         violations=violations,
-        stats=stats,
-        wall_time=elapsed,
-        cost=cost,
+        stats=run.stats,
+        wall_time=time.perf_counter() - started,
+        cost=run.cost,
         processors=1,
         algorithm="Dect",
-        stopped_early=stop_reason is not None,
-        stop_reason=stop_reason,
+        stopped_early=run.stop_reason is not None,
+        stop_reason=run.stop_reason,
     )
 
 

@@ -15,11 +15,12 @@ The algorithm is *localizable*: the nodes it ever touches lie within the
 dΣ-neighbourhood of the endpoints of ΔG, so its cost is
 ``O(|Σ| · |G_dΣ(ΔG)|^|Σ|)`` independently of |G|.
 
-The expansion is processed through the same work-unit machinery as the
-parallel algorithms, on a single LIFO stack; the reported ``cost`` therefore
-uses the same units as the simulated parallel makespans, making PIncDect's
-relative parallel scalability (Theorem 6) directly observable in the
-benchmarks.  ``restrict_to_neighborhood`` optionally extracts ``G_dΣ(ΔG)``
+The pivots seed the search core of :mod:`repro.matching.search`, drained by
+the loop Dect drains its seeds with (:class:`~repro.detect.serial.SerialRun`)
+and charged per step what the parallel kernels charge; the reported ``cost``
+therefore uses the same units as the simulated parallel makespans, making
+PIncDect's relative parallel scalability (Theorem 6) directly observable in
+the benchmarks.  ``restrict_to_neighborhood`` optionally extracts ``G_dΣ(ΔG)``
 up front to demonstrate locality explicitly.
 
 :func:`iter_inc_dect` is the kernel: a generator yielding a
@@ -35,28 +36,16 @@ import time
 from collections.abc import Iterator, Sequence
 from typing import Optional
 
-from repro import obs
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.detect.base import IncrementalDetectionResult
-from repro.detect.instrument import begin_rule_span, finish_rule, stats_snapshot
-from repro.detect.observers import (
-    DetectionBudget,
-    ViolationEvent,
-    ViolationSink,
-    notify_violation,
-)
-from repro.detect.parallel.workunits import (
-    WorkUnit,
-    expand_work_unit,
-    initial_units_for_pivot,
-    seed_consistent,
-)
+from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink
+from repro.detect.parallel.workunits import initial_units_for_pivot, rule_search, seed_consistent
+from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import multi_source_nodes_within_hops, update_neighborhood
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.adaptive import resolve_adaptive
-from repro.matching.candidates import MatchStatistics
 from repro.matching.compiled import resolve_compiled
 from repro.matching.incmatch import find_update_pivots
 from repro.matching.plan import MatchPlan, resolve_plans
@@ -89,7 +78,6 @@ def iter_inc_dect(
     """
     rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
     rule_list = list(rule_set)
-    stats = MatchStatistics()
     started = time.perf_counter()
 
     updated = graph_after if graph_after is not None else apply_update(graph, delta)
@@ -124,81 +112,48 @@ def iter_inc_dect(
 
     introduced = ViolationSet()
     removed = ViolationSet()
-    cost = float(neighborhood_size)
-    emitted = 0
-    stop_reason: Optional[str] = None
-    trace_parent = obs.current_span()
+    run = SerialRun("IncDect", budget, sink, cost=float(neighborhood_size))
 
     for rule_index, rule in enumerate(rule_list):
         plan = plans[rule_index] if plans is not None else None
         controller = controllers[rule_index] if controllers is not None else None
-        if budget is not None and budget.cost_exhausted(cost):
-            stop_reason = "max_cost"
+        if run.cost_exhausted():
             break
         pivots = find_update_pivots(rule, delta, search_before, search_after)
         if not pivots:
             continue
-        rule_before = stats_snapshot(stats)
-        rule_cost_before = cost
-        rule_emitted_before = emitted
-        rule_span = begin_rule_span(trace_parent, rule.name, "IncDect")
-        try:
-            stack: list[WorkUnit] = []
+        with run.rule(rule.name):
+            seeds = []
             for pivot in pivots:
                 unit = initial_units_for_pivot(
                     rule_index, rule, pivot.seed(), pivot.from_insertion, plan=plan
                 )
-                search_graph = search_after if pivot.from_insertion else search_before
+                # insertion pivots are expanded in G ⊕ ΔG (ΔVio⁺), deletion pivots in G (ΔVio⁻)
+                search_graph, target = (
+                    (search_after, introduced) if pivot.from_insertion else (search_before, removed)
+                )
                 if not seed_consistent(search_graph, rule, unit):
                     continue
-                cost += 1.0
-                stack.append(unit)
-            while stop_reason is None and stack:
-                unit = stack.pop()
-                search_graph = search_after if unit.from_insertion else search_before
-                outcome = expand_work_unit(
-                    search_graph,
-                    rule,
-                    unit,
-                    use_literal_pruning,
-                    stats,
-                    plan=plan,
-                    adaptive=controller,
-                    compiled=compiled_flag,
-                )
-                cost += max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
-                stack.extend(outcome.new_units)
-                target = introduced if unit.from_insertion else removed
-                for violation in outcome.violations:
-                    if violation in target:
-                        continue
-                    target.add(violation)
-                    emitted += 1
-                    notify_violation(sink, violation, introduced=unit.from_insertion)
-                    yield ViolationEvent(violation, introduced=unit.from_insertion)
-                    if budget is not None and budget.violations_exhausted(emitted):
-                        stop_reason = "max_violations"
-                        break
-                if stop_reason is None and budget is not None and budget.cost_exhausted(cost):
-                    stop_reason = "max_cost"
-        finally:
-            finish_rule(
-                rule.name, rule_span, rule_before, stats, cost - rule_cost_before, emitted - rule_emitted_before
-            )
-        if stop_reason is not None:
+                run.cost += 1.0
+                ids = [node for _, node in unit.assignment]
+                seeds.append((search_graph, unit.order, ids, target, pivot.from_insertion))
+            # the pivots are a stack: the last one's subtree is searched first
+            seeds.reverse()
+            search = rule_search(rule, plan, use_literal_pruning, run.stats, controller, compiled_flag)
+            yield from run.drain(search, seeds)
+        if run.stop_reason is not None:
             break
 
-    elapsed = time.perf_counter() - started
     return IncrementalDetectionResult(
         delta=ViolationDelta(introduced=introduced, removed=removed),
-        stats=stats,
-        wall_time=elapsed,
-        cost=cost,
+        stats=run.stats,
+        wall_time=time.perf_counter() - started,
+        cost=run.cost,
         processors=1,
         algorithm="IncDect",
         neighborhood_size=neighborhood_size,
-        stopped_early=stop_reason is not None,
-        stop_reason=stop_reason,
+        stopped_early=run.stop_reason is not None,
+        stop_reason=run.stop_reason,
     )
 
 

@@ -10,7 +10,11 @@ it is expanded against).
 "candidate filtering followed by verification" step of procedure PIncMatch —
 and reports the sizes the cost model needs (the anchor's adjacency list for
 filtering, the candidate's adjacency list for verification) so the scheduler
-can decide whether to split the step across processors.
+can decide whether to split the step across processors.  With a compiled
+plan the step is one step of the search core
+(:class:`~repro.matching.search.RuleSearch`) the serial kernels drain without
+ever building a work unit: a unit is the form a partial match takes only
+where it has to be queued, shed or shipped.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from repro.core.violations import Violation
 from repro.graph.graph import Graph
 from repro.matching.candidates import MatchStatistics, node_satisfies_unary_premise
 from repro.matching.compiled import resolve_compiled
-from repro.matching.matchn import assignment_for_match, match_violates_dependency
+from repro.matching.matchn import match_violates_dependency
+from repro.matching.search import RuleSearch
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.matching.adaptive import AdaptiveController
@@ -33,8 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = [
     "WorkUnit",
     "ExpansionOutcome",
+    "StaticSearch",
     "expand_work_unit",
     "initial_units_for_pivot",
+    "rule_search",
     "seed_consistent",
 ]
 
@@ -103,7 +110,6 @@ class ExpansionOutcome:
     violations: list[Violation]
     filtering_adjacency: int
     verification_adjacency: int
-    candidates_considered: int
 
 
 def initial_units_for_pivot(
@@ -148,23 +154,38 @@ def expand_work_unit(
 ) -> ExpansionOutcome:
     """Expand ``unit`` by matching its next pattern variable.
 
-    With a compiled plan, the step executes the plan's candidate strategy
-    and literal schedule (:func:`_expand_with_plan`); an optional adaptive
-    controller observes the step's candidate count and may re-order the
-    unit's unbound suffix first.  ``compiled`` selects the closure-compiled
-    literal schedule (:mod:`repro.matching.compiled`) on the plan path;
-    ``None`` defers to ``REPRO_COMPILED_EVAL``.  Without a plan, candidates
-    are drawn from the adjacency list of an already-matched neighbour of the
-    next variable (the "anchor"), checked for label and edge consistency
-    against the whole partial solution, and pruned with the premise
-    literals.  Completed matches are checked against X → Y and turned into
-    violations.
+    With a compiled plan this is one :meth:`~repro.matching.search.
+    RuleSearch.step` of the search core the serial kernels drain: the unit's
+    assignment is loaded as a seed, the step runs (an optional adaptive
+    controller observes its candidate count and may re-order the unit's
+    unbound suffix first), and the frames it pushed are serialised back into
+    work units — the form a partial match needs only to be queued, shed or
+    shipped.  ``compiled`` selects the closure-compiled literal schedule
+    (:mod:`repro.matching.compiled`); ``None`` defers to
+    ``REPRO_COMPILED_EVAL``.
+
+    Without a plan (``REPRO_MATCH_PLANNER=off``, to be deleted with that
+    switch), candidates are drawn from the adjacency list of an
+    already-matched neighbour of the next variable (the "anchor"), checked
+    for label and edge consistency against the whole partial solution, and
+    pruned with the premise literals.  Completed matches are checked against
+    X → Y and turned into violations.
     """
     stats = stats if stats is not None else MatchStatistics()
-    if plan is not None and not unit.is_complete():
-        return _expand_with_plan(
-            graph, rule, unit, plan, use_literal_pruning, stats, adaptive, resolve_compiled(compiled)
-        )
+    if plan is not None:
+        search = RuleSearch(rule, plan, use_literal_pruning, stats, adaptive, resolve_compiled(compiled))
+        search.start(graph, unit.order, [node for _, node in unit.assignment])
+        violations = search.step()
+        new_units = [
+            WorkUnit(
+                unit.rule_index,
+                order,
+                unit.assignment + ((order[depth], node),),
+                unit.from_insertion,
+            )
+            for depth, node, _, order in search.stack
+        ]
+        return ExpansionOutcome(new_units, violations, search.filtering, search.verification)
     if unit.is_complete():
         # a pivot can already cover every pattern variable (e.g. a two-node pattern);
         # the only remaining work is the dependency check itself
@@ -173,7 +194,7 @@ def expand_work_unit(
         if match_violates_dependency(graph, match, rule.premise, rule.conclusion, stats):
             stats.matches_emitted += 1
             violations.append(Violation.from_mapping(rule.name, match, rule.pattern.variables))
-        return ExpansionOutcome([], violations, 1, 0, 0)
+        return ExpansionOutcome([], violations, 1, 0)
 
     pattern = rule.pattern
     next_variable = unit.next_variable()
@@ -247,125 +268,48 @@ def expand_work_unit(
         violations=violations,
         filtering_adjacency=filtering_adjacency,
         verification_adjacency=verification_adjacency,
-        candidates_considered=len(candidates),
     )
 
 
-def _expand_with_plan(
-    graph: Graph,
+class StaticSearch:
+    """The planner-off stand-in for :class:`~repro.matching.search.RuleSearch`.
+
+    Same ``start`` / ``step`` / ``stack`` / cost-size surface, so the serial
+    kernels drain it with the loop they drain the core with, but the frames
+    are :class:`WorkUnit`\\ s and a step is the static body of
+    :func:`expand_work_unit`.  Goes when ``REPRO_MATCH_PLANNER`` goes.
+    """
+
+    def __init__(self, rule: NGD, use_literal_pruning: bool, stats: MatchStatistics) -> None:
+        self.rule = rule
+        self.use_literal_pruning = use_literal_pruning
+        self.stats = stats
+        self.graph: Optional[Graph] = None
+        self.stack: list[WorkUnit] = []
+        self.filtering = self.verification = 0
+
+    def start(self, graph: Graph, order: tuple[str, ...], ids) -> None:
+        self.graph = graph
+        self.stack.append(WorkUnit(0, order, tuple(zip(order, ids))))
+
+    def step(self) -> list[Violation]:
+        outcome = expand_work_unit(
+            self.graph, self.rule, self.stack.pop(), self.use_literal_pruning, self.stats
+        )
+        self.stack.extend(outcome.new_units)
+        self.filtering, self.verification = outcome.filtering_adjacency, outcome.verification_adjacency
+        return outcome.violations
+
+
+def rule_search(
     rule: NGD,
-    unit: WorkUnit,
-    plan: "MatchPlan",
+    plan: Optional["MatchPlan"],
     use_literal_pruning: bool,
     stats: MatchStatistics,
     adaptive: Optional["AdaptiveController"] = None,
-    compiled: bool = False,
-) -> ExpansionOutcome:
-    """One plan-driven expansion step.
-
-    The plan's anchored intersection enforces every pattern edge between the
-    next variable and the bound prefix during candidate generation, so the
-    residual per-candidate verification is the self-loop edges plus the
-    scheduled literals — O(1) in the candidate's degree.  Cost-model sizes:
-    ``filtering_adjacency`` is the index scan the strategy performed,
-    ``verification_adjacency`` one unit per surviving candidate.
-
-    When the adaptive controller reports drift it re-orders the unit's
-    unbound suffix before the step executes; the children inherit the
-    revised order, so one replanning decision steers the whole subtree.
-
-    With ``compiled`` the scheduled literals run as pre-compiled closures
-    over a slot list rebuilt from the unit's bound prefix (assignments are
-    always prefixes of the order), billing the same counters as the
-    interpreted loop below.
-    """
-    from repro.matching.plan import step_candidates
-
-    if adaptive is not None:
-        revised = adaptive.order_for(unit.order, unit.depth())
-        if revised != unit.order:
-            unit = WorkUnit(
-                rule_index=unit.rule_index,
-                order=revised,
-                assignment=unit.assignment,
-                from_insertion=unit.from_insertion,
-            )
-    schedule = plan.schedule_for(unit.order)
-    depth = unit.depth()
-    step = schedule[depth]
-    partial = unit.mapping()
-    if compiled and rule is plan.rule:
-        cs = plan.compiled_for(unit.order)
-        entry = cs.steps[depth]
-        slots: list = [None] * len(unit.order)
-        node = graph.node
-        for index, (_, bound_node) in enumerate(unit.assignment):
-            slots[index] = node(bound_node).attributes
-    else:
-        cs = None
-        entry = None
-        slots = []
-    candidates, scanned = step_candidates(graph, plan, step, partial, stats, use_literal_pruning, entry)
-    if adaptive is not None:
-        adaptive.observe(step, len(candidates))
-
-    new_units: list[WorkUnit] = []
-    violations: list[Violation] = []
-    verification = 0
-    conclusion_literals = rule.conclusion.literals()
-    for candidate in candidates:
-        consistent = True
-        for label in step.self_loops:
-            stats.edge_checks += 1
-            if not graph.has_edge(candidate, candidate, label):
-                consistent = False
-                break
-        if not consistent:
-            continue
-        verification += 1
-        partial[step.variable] = candidate
-        if entry is not None:
-            slots[depth] = graph.node(candidate).attributes
-        pruned = False
-        if use_literal_pruning:
-            if entry is not None:
-                pruned = entry.pruned(slots, stats)
-            else:
-                for literal_index in step.premise_checks:
-                    literal = plan.premise_literal(literal_index)
-                    stats.literal_evaluations += 1
-                    assignment = assignment_for_match(graph, partial, literal.variables())
-                    if not literal.holds_for(assignment):
-                        pruned = True
-                        break
-                if not pruned and step.check_conclusion and len(conclusion_literals) == 1:
-                    literal = conclusion_literals[0]
-                    stats.literal_evaluations += 1
-                    assignment = assignment_for_match(graph, partial, literal.variables())
-                    # assignment keys ⊆ literal.variables() by construction
-                    if len(assignment) == len(literal.variables()) and literal.holds_for(assignment):
-                        pruned = True
-        del partial[step.variable]
-        if pruned:
-            continue
-        stats.expansions += 1
-        extended = unit.extended(step.variable, candidate)
-        if extended.is_complete():
-            match = extended.mapping()
-            if cs is not None:
-                violated = cs.violates(slots, stats)
-            else:
-                violated = match_violates_dependency(graph, match, rule.premise, rule.conclusion, stats)
-            if violated:
-                stats.matches_emitted += 1
-                violations.append(Violation.from_mapping(rule.name, match, rule.pattern.variables))
-        else:
-            new_units.append(extended)
-
-    return ExpansionOutcome(
-        new_units=new_units,
-        violations=violations,
-        filtering_adjacency=scanned,
-        verification_adjacency=verification,
-        candidates_considered=len(candidates),
-    )
+    compiled: bool = True,
+):
+    """Return the search a serial kernel drains for ``rule``: the core, or its planner-off stand-in."""
+    if plan is None:
+        return StaticSearch(rule, use_literal_pruning, stats)
+    return RuleSearch(rule, plan, use_literal_pruning, stats, adaptive, compiled)

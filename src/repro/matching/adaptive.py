@@ -91,15 +91,16 @@ class AdaptiveController:
     ``observe`` is on the hot path — a dict update and one ratio compare.
     """
 
-    __slots__ = ("plan", "threshold", "replans", "_samples", "_totals", "_estimates", "_drifted", "_revisions")
+    __slots__ = ("plan", "threshold", "replans", "_cells", "_low", "_drifted", "_revisions")
 
     def __init__(self, plan: "MatchPlan", threshold: Optional[float] = None) -> None:
         self.plan = plan
         self.threshold = threshold if threshold is not None else drift_threshold()
+        self._low = 1.0 / self.threshold
         self.replans = 0
-        self._samples: dict[tuple[str, str], int] = {}
-        self._totals: dict[tuple[str, str], float] = {}
-        self._estimates: dict[tuple[str, str], float] = {}
+        # (variable, strategy) -> [samples, total, estimate]; the estimate a key is
+        # judged against is that of the step observed when the key became trusted
+        self._cells: dict[tuple[str, str], list] = {}
         self._drifted: set[tuple[str, str]] = set()
         self._revisions: dict[tuple[tuple[str, ...], int], tuple[str, ...]] = {}
 
@@ -107,34 +108,28 @@ class AdaptiveController:
 
     def observe(self, step: "PlanStep", count: int) -> None:
         """Record one executed step's observed candidate count."""
-        key = (step.variable, step.strategy)
-        samples = self._samples.get(key, 0) + 1
-        self._samples[key] = samples
-        total = self._totals.get(key, 0.0) + float(count)
-        self._totals[key] = total
+        key = step.key
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = [0, 0.0, None]
+        samples = cell[0] = cell[0] + 1
+        total = cell[1] = cell[1] + count
         if samples < MIN_SAMPLES:
             return
-        self._estimates.setdefault(key, step.estimated_candidates)
-        mean = total / samples
-        estimate = max(self._estimates[key], 1.0)
-        ratio = max(mean, 1.0) / estimate
-        if ratio > self.threshold or ratio < 1.0 / self.threshold:
+        estimate = cell[2]
+        if estimate is None:
+            estimate = cell[2] = max(step.estimated_candidates, 1.0)
+        ratio = max(total / samples, 1.0) / estimate
+        if ratio > self.threshold or ratio < self._low:
             self._drifted.add(key)
         else:
             self._drifted.discard(key)
 
-    def mean(self, key: tuple[str, str]) -> Optional[float]:
-        """Return the observed mean for ``(variable, strategy)``, if sampled."""
-        samples = self._samples.get(key, 0)
-        if samples == 0:
-            return None
-        return self._totals[key] / samples
-
     def observed_means(self) -> dict[tuple[str, str], float]:
         """Return every trusted mean (``>= MIN_SAMPLES`` observations)."""
         return {
-            key: self._totals[key] / samples
-            for key, samples in self._samples.items()
+            key: total / samples
+            for key, (samples, total, _) in self._cells.items()
             if samples >= MIN_SAMPLES
         }
 
@@ -155,9 +150,7 @@ class AdaptiveController:
         if cached is not None:
             return cached
         schedule = self.plan.schedule_for(order)
-        if not any(
-            (step.variable, step.strategy) in self._drifted for step in schedule[depth:]
-        ):
+        if not any(step.key in self._drifted for step in schedule[depth:]):
             return order
         blended: dict[tuple[str, str], float] = dict(self.plan.observed or {})
         blended.update(self.observed_means())
@@ -171,9 +164,7 @@ class AdaptiveController:
 
     def snapshot(self) -> dict[tuple[str, str], tuple[int, float]]:
         """Return ``{(variable, strategy): (samples, total)}`` for history folding."""
-        return {
-            key: (samples, self._totals[key]) for key, samples in self._samples.items()
-        }
+        return {key: (samples, total) for key, (samples, total, _) in self._cells.items()}
 
 
 class CardinalityHistory:

@@ -68,6 +68,7 @@ from repro.expr.expressions import (
 )
 from repro.expr.literals import COMPARISON_OPS, Literal
 from repro.expr.terms import Constant
+from repro.matching.candidates import STEP_COUNT_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.matching.candidates import MatchStatistics
@@ -270,14 +271,21 @@ class CompiledStep:
     ``PlanStep.premise_checks``; ``conclusion_check`` is present exactly
     when the interpreted matcher would test the fully-bound single-literal
     conclusion at this depth.
+
+    ``anchors`` is ``PlanStep.anchors`` by slot — ``(anchor's slot, True for
+    a successor view, edge label)`` — so the search core reads an anchor's
+    node off its id list; ``count_key`` is the step's scan-count key in
+    ``MatchStatistics.extra``, formatted here rather than per executed step.
     """
 
-    __slots__ = ("unary_checks", "premise_checks", "conclusion_check")
+    __slots__ = ("unary_checks", "premise_checks", "conclusion_check", "anchors", "count_key")
 
-    def __init__(self, unary_checks, premise_checks, conclusion_check) -> None:
+    def __init__(self, unary_checks, premise_checks, conclusion_check, anchors, count_key) -> None:
         self.unary_checks = unary_checks
         self.premise_checks = premise_checks
         self.conclusion_check = conclusion_check
+        self.anchors = anchors
+        self.count_key = count_key
 
     def pruned(self, slots, stats: "MatchStatistics") -> bool:
         """Apply the step's bound-literal schedule; mirror of the interpreted path.
@@ -334,7 +342,16 @@ class CompiledSchedule:
                 for index in step.premise_checks
             )
             steps.append(
-                CompiledStep(unary, checks, single_conclusion if step.check_conclusion else None)
+                CompiledStep(
+                    unary,
+                    checks,
+                    single_conclusion if step.check_conclusion else None,
+                    tuple(
+                        (slot_of[anchor.variable], anchor.direction == "succ", anchor.edge_label)
+                        for anchor in step.anchors
+                    ),
+                    f"{STEP_COUNT_PREFIX}{rule.name}\x1f{step.variable}\x1f{step.strategy}",
+                )
             )
         premise_all = tuple(
             compile_literal(literal, slot_of) for literal in rule.premise.literals()

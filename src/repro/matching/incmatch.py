@@ -83,6 +83,8 @@ def find_update_pivots(
         for pattern_edge in pattern_edges:
             if update.label != pattern_edge.label:
                 continue
+            if pattern_edge.source == pattern_edge.target and update.source != update.target:
+                continue  # a pattern self-loop is matched by data self-loops only
             if not pattern.node(pattern_edge.source).matches_label(source_label):
                 continue
             if not pattern.node(pattern_edge.target).matches_label(target_label):

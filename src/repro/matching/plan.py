@@ -23,9 +23,9 @@ expansion.  This module separates *planning* from *execution*:
   so one plan serves batch search, pivot-seeded incremental search, and the
   parallel work-unit kernels alike; resolved schedules are memoised.
 
-Executors (``HomomorphismMatcher``, ``expand_work_unit`` and the four
-detection kernels) take a plan and run it; without one they fall back to the
-pre-plan behaviour.  The process-wide switch is the ``REPRO_MATCH_PLANNER``
+Executors (the search core :class:`~repro.matching.search.RuleSearch` under
+the four detection kernels, and ``HomomorphismMatcher``) take a plan and run
+it; without one they fall back to the pre-plan behaviour.  The process-wide switch is the ``REPRO_MATCH_PLANNER``
 environment variable (``off`` restores the static pipeline end to end, which
 the parity suite uses as the oracle).
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import obs
@@ -123,14 +123,15 @@ class GraphStatistics:
         edge_label_counts: dict[str, int] = {}
         source_pairs: dict[str, dict[str, int]] = {}
         target_pairs: dict[str, dict[str, int]] = {}
+        # an edge's endpoints exist, so their labels are read straight from the store
+        get_node = graph.store.get_node
         for edge in graph.edges():
-            edge_label_counts[edge.label] = edge_label_counts.get(edge.label, 0) + 1
-            source_label = graph.node(edge.source).label
-            target_label = graph.node(edge.target).label
-            by_edge = source_pairs.setdefault(source_label, {})
-            by_edge[edge.label] = by_edge.get(edge.label, 0) + 1
-            by_edge = target_pairs.setdefault(target_label, {})
-            by_edge[edge.label] = by_edge.get(edge.label, 0) + 1
+            label = edge.label
+            edge_label_counts[label] = edge_label_counts.get(label, 0) + 1
+            by_edge = source_pairs.setdefault(get_node(edge.source).label, {})
+            by_edge[label] = by_edge.get(label, 0) + 1
+            by_edge = target_pairs.setdefault(get_node(edge.target).label, {})
+            by_edge[label] = by_edge.get(label, 0) + 1
         return cls(
             node_count=graph.node_count(),
             edge_count=graph.edge_count(),
@@ -275,6 +276,12 @@ class PlanStep:
     premise_checks: tuple[int, ...]
     check_conclusion: bool
     estimated_candidates: float
+    #: ``(variable, strategy)``: what observed cardinalities are keyed by, built
+    #: once here rather than once per observed step
+    key: tuple[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.variable, self.strategy))
 
     def to_dict(self) -> dict:
         """Return the JSON form used by ``repro-detect explain --format json``."""
@@ -911,7 +918,11 @@ def step_candidates(
     if scanned and obs.enabled():
         # plain-dict accumulation: this is the match executor's hottest loop
         # and the registry flush happens once per run (flush_step_counts)
-        key = f"{STEP_COUNT_PREFIX}{plan.rule.name}\x1f{step.variable}\x1f{step.strategy}"
+        key = (
+            compiled_step.count_key
+            if compiled_step is not None
+            else f"{STEP_COUNT_PREFIX}{plan.rule.name}\x1f{step.variable}\x1f{step.strategy}"
+        )
         stats.extra[key] = stats.extra.get(key, 0) + scanned
     return candidates, scanned
 
@@ -956,32 +967,40 @@ def first_step_candidates(
 
     The plan path executes the compiled first step (its scan size is the
     charge); the static path reproduces the original ``candidate_nodes``
-    call charged at the label-index cardinality.  Used by the batch kernels
-    (Dect / PDect) to seed their work-unit queues.
+    call charged at the label-index cardinality.  Either way a seed must
+    carry the first variable's self-loops — the one pattern edge no later
+    step verifies — at one ``edge_checks`` per probe.  Used by the batch
+    kernels (Dect / PDect) to seed their searches.
     """
     from repro.matching.candidates import candidate_nodes
 
+    first = order[0]
     if plan is not None:
         compiled_step = plan.compiled_for(plan.order).steps[0] if compiled else None
         candidates, scanned = step_candidates(
             graph, plan, plan.steps[0], {}, stats, use_literal_pruning, compiled_step
         )
-        return candidates, float(scanned)
-    first = order[0]
-    before = stats.candidates_examined
-    candidates = candidate_nodes(
-        graph,
-        rule.pattern,
-        first,
-        premise=rule.premise if use_literal_pruning else None,
-        use_literal_pruning=use_literal_pruning,
-        stats=stats,
-    )
-    examined = stats.candidates_examined - before
-    if examined and obs.enabled():
-        key = f"{STEP_COUNT_PREFIX}{rule.name}\x1f{first}\x1fstatic"
-        stats.extra[key] = stats.extra.get(key, 0) + examined
-    return candidates, float(len(graph.nodes_with_label(rule.pattern.node(first).label)))
+        charge = float(scanned)
+    else:
+        before = stats.candidates_examined
+        candidates = candidate_nodes(
+            graph,
+            rule.pattern,
+            first,
+            premise=rule.premise if use_literal_pruning else None,
+            use_literal_pruning=use_literal_pruning,
+            stats=stats,
+        )
+        examined = stats.candidates_examined - before
+        if examined and obs.enabled():
+            key = f"{STEP_COUNT_PREFIX}{rule.name}\x1f{first}\x1fstatic"
+            stats.extra[key] = stats.extra.get(key, 0) + examined
+        charge = float(len(graph.nodes_with_label(rule.pattern.node(first).label)))
+    for edge in rule.pattern.out_edges(first):
+        if edge.target == first:
+            stats.edge_checks += len(candidates)
+            candidates = [node for node in candidates if graph.has_edge(node, node, edge.label)]
+    return candidates, charge
 
 
 # ------------------------------------------------------------------ reporting

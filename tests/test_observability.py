@@ -489,14 +489,31 @@ def _get(service, path):
 
 
 class TestServiceObservability:
-    def test_metrics_scrape_during_active_stream(self, service, client):
-        # > JOB_QUEUE_CAPACITY violations, so the producer is guaranteed to
-        # still be mid-stream (slot held, gauge up) when we scrape
+    def test_metrics_scrape_during_active_stream(self, service, client, monkeypatch):
+        # the producer is held after its first record until the mid-stream
+        # scrape is done: the socket buffers swallow a whole stream, so no
+        # stream length guarantees a job is still running when we look
+        scraped = threading.Event()
+        pool = service.manager.job_pool
+        run_stream = pool.run_stream
+
+        def held_run_stream(records, timeout_seconds=None):
+            def held():
+                for index, record in enumerate(records):
+                    yield record
+                    if index == 0:
+                        assert scraped.wait(timeout=30)
+            return run_stream(held(), timeout_seconds)
+
+        monkeypatch.setattr(pool, "run_stream", held_run_stream)
         client.register_graph("areas", multi_area_graph(areas=300))
         records = client.stream_detect("areas", catalog="example", engine="batch")
         first = next(records)
         assert first["type"] == "violation"
-        status, headers, text = _get(service, "/metrics")
+        try:
+            status, headers, text = _get(service, "/metrics")
+        finally:
+            scraped.set()
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         assert "version=0.0.4" in headers["Content-Type"]
@@ -506,16 +523,21 @@ class TestServiceObservability:
         summary = remaining[-1]
         assert summary["type"] == "summary"
         assert summary["trace_id"]
-        # post-run scrape reflects the completed work (the producer thread
-        # decrements the gauge just after handing over the final record)
-        for _ in range(50):
+        # post-run scrape reflects the completed work: the producer thread
+        # counts the run and drops the gauge just after handing over the final
+        # record, so poll (bounded) until every post-run line is there
+        expected = (
+            "repro_jobs_active 0",
+            'repro_detect_runs_total{algorithm="Dect"} 1',
+            'repro_http_requests_total{method="GET",route="/metrics",status="200"}',
+        )
+        for _ in range(100):
             _, _, text = _get(service, "/metrics")
-            if "repro_jobs_active 0" in text:
+            if all(line in text for line in expected):
                 break
             time.sleep(0.05)
-        assert "repro_jobs_active 0" in text
-        assert 'repro_detect_runs_total{algorithm="Dect"} 1' in text
-        assert 'repro_http_requests_total{method="GET",route="/metrics",status="200"}' in text
+        for line in expected:
+            assert line in text
 
     def test_trace_header_matches_summary_trace_id(self, service, client):
         client.register_graph("areas", multi_area_graph(areas=2))
