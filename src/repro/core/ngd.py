@@ -230,10 +230,12 @@ class RuleSet:
     def __init__(self, rules: Iterable[NGD] = (), name: str = "Σ") -> None:
         self.name = name
         self._rules: list[NGD] = list(rules)
+        self._diameter: Optional[int] = None
 
     def add(self, rule: NGD) -> "RuleSet":
         """Append a rule and return self (builder style)."""
         self._rules.append(rule)
+        self._diameter = None
         return self
 
     def __iter__(self) -> Iterator[NGD]:
@@ -253,8 +255,14 @@ class RuleSet:
         return tuple(self._rules)
 
     def diameter(self) -> int:
-        """Return dΣ: the maximum pattern diameter over the rules (Section 6.1)."""
-        return max((rule.diameter() for rule in self._rules), default=0)
+        """Return dΣ: the maximum pattern diameter over the rules (Section 6.1).
+
+        Computed once per rule set (every incremental run asks for it) and
+        recomputed after :meth:`add`.
+        """
+        if self._diameter is None:
+            self._diameter = max((rule.diameter() for rule in self._rules), default=0)
+        return self._diameter
 
     def total_size(self) -> int:
         """Return |Σ|: the sum of the rule sizes (used in the cost analyses)."""

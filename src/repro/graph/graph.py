@@ -323,13 +323,15 @@ class Graph:
         return sub
 
     def copy(self, name: Optional[str] = None) -> "Graph":
-        """Return a deep, independent copy of this graph (same backend).
+        """Return an independent copy of this graph (same backend).
 
-        Uses the engine's bulk clone fast path instead of re-inserting every
-        node and edge through the checked facade operations.
+        Uses the engine's :meth:`~repro.graph.store.GraphStore.clone` instead
+        of re-inserting every node and edge through the checked facade
+        operations.  Writes to either graph never show in the other; the
+        indexed engine shares unmodified adjacency between the two and copies
+        a node's bucket on the first write to it (copy-on-write).
         """
-        clone = Graph(name or self.name, store=self._store.clone())
-        return clone
+        return Graph(name or self.name, store=self._store.clone())
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         """Return True when every node and edge of this graph occurs in ``other``.

@@ -40,26 +40,23 @@ def multi_source_nodes_within_hops(
     """Return the union of ``V_d(v)`` over all sources with a single multi-source BFS.
 
     Equivalent to unioning :func:`nodes_within_hops` per source but costs one
-    pass over the graph, which is what the incremental algorithms are charged
-    for identifying ``G_dΣ(ΔG)``.  Sources absent from the graph are ignored.
+    pass over the reached region, which is what the incremental algorithms
+    are charged for identifying ``G_dΣ(ΔG)``.  Sources absent from the graph
+    are ignored.  The walk goes level by level over the storage engine's
+    adjacency (:meth:`~repro.graph.store.GraphStore.neighbours_of`): one set
+    per level, nothing per node.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    seen: dict[Hashable, int] = {}
-    frontier = deque()
-    for source in sources:
-        if graph.has_node(source) and source not in seen:
-            seen[source] = 0
-            frontier.append(source)
-    while frontier:
-        current = frontier.popleft()
-        depth = seen[current]
-        if depth >= hops:
-            continue
-        for neighbour in graph.neighbours(current):
-            if neighbour not in seen:
-                seen[neighbour] = depth + 1
-                frontier.append(neighbour)
+    store = graph.store
+    seen = {source for source in sources if store.has_node(source)}
+    frontier = seen
+    for _ in range(hops):
+        frontier = store.neighbours_of(frontier)
+        frontier -= seen
+        if not frontier:
+            break
+        seen |= frontier
     return frozenset(seen)
 
 
@@ -69,22 +66,7 @@ def nodes_within_hops(graph: Graph, start: Hashable, hops: int) -> frozenset[Has
     ``start`` itself is always included (distance 0).  Nodes absent from the
     graph are treated as isolated: the result is empty.
     """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    if not graph.has_node(start):
-        return frozenset()
-    seen: dict[Hashable, int] = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        depth = seen[current]
-        if depth >= hops:
-            continue
-        for neighbour in graph.neighbours(current):
-            if neighbour not in seen:
-                seen[neighbour] = depth + 1
-                frontier.append(neighbour)
-    return frozenset(seen)
+    return multi_source_nodes_within_hops(graph, (start,), hops)
 
 
 def d_neighbor(graph: Graph, node: Hashable, hops: int) -> Graph:

@@ -66,6 +66,7 @@ class Pattern:
         self._edge_keys: set[tuple[str, str, str]] = set()
         self._out: dict[str, list[PatternEdge]] = {}
         self._in: dict[str, list[PatternEdge]] = {}
+        self._by_label: Optional[dict[str, list[tuple[PatternEdge, PatternNode, PatternNode]]]] = None
 
     # ----------------------------------------------------------- construction
 
@@ -100,6 +101,7 @@ class Pattern:
         self._edge_keys.add(key)
         self._out[source].append(edge)
         self._in[target].append(edge)
+        self._by_label = None
         return edge
 
     @classmethod
@@ -142,6 +144,20 @@ class Pattern:
     def edges(self) -> tuple[PatternEdge, ...]:
         """Return the pattern edges in insertion order."""
         return tuple(self._edges)
+
+    def edges_by_label(self) -> dict[str, list[tuple[PatternEdge, PatternNode, PatternNode]]]:
+        """Return ``edge label -> [(edge, source node, target node)]`` in edge order.
+
+        What an updated data edge is matched against to find update pivots;
+        built on first use and rebuilt after :meth:`add_edge`.
+        """
+        if self._by_label is None:
+            by_label: dict[str, list[tuple[PatternEdge, PatternNode, PatternNode]]] = {}
+            for edge in self._edges:
+                entry = (edge, self._nodes[edge.source], self._nodes[edge.target])
+                by_label.setdefault(edge.label, []).append(entry)
+            self._by_label = by_label
+        return self._by_label
 
     def out_edges(self, variable: str) -> tuple[PatternEdge, ...]:
         """Return pattern edges leaving ``variable``."""

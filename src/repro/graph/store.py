@@ -34,7 +34,7 @@ import sys
 from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left
-from collections.abc import Hashable, Iterator, Set as AbstractSet
+from collections.abc import Hashable, Iterable, Iterator, Set as AbstractSet
 from typing import Optional, Union
 
 from repro.errors import GraphError
@@ -56,6 +56,8 @@ Signature = tuple[str, str, str]
 _EMPTY_DICT: dict = {}
 #: Shared empty zero-copy view (a keys view over a dict nothing mutates).
 _EMPTY_KEYS = _EMPTY_DICT.keys()
+#: Positions in :attr:`IndexedStore._private`, one key set per bucket index.
+_OUT, _IN, _LABELS, _SIGNATURES = range(4)
 
 
 class _PairsView(AbstractSet):
@@ -249,15 +251,22 @@ class GraphStore(ABC):
     def in_degree(self, node_id: Hashable) -> int:
         """Return the number of incoming edges."""
 
-    def neighbour_ids(self, node_id: Hashable) -> frozenset[Hashable]:
-        """Return ids adjacent to the node, ignoring direction and labels.
+    def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
+        """Return the union of the ids adjacent to any of ``node_ids`` (all stored).
 
-        The BFS primitive of the neighbourhood extraction; backends override
-        it with layouts that avoid materializing ``(neighbour, label)`` pairs.
+        One BFS level of the neighbourhood extraction, direction and labels
+        ignored; backends override it to walk their adjacency layout directly,
+        building one set per level instead of one per node.
         """
-        ids = {nbr for nbr, _ in self.successors(node_id)}
-        ids.update(nbr for nbr, _ in self.predecessors(node_id))
-        return frozenset(ids)
+        ids: set[Hashable] = set()
+        for node_id in node_ids:
+            ids.update(nbr for nbr, _ in self.successors(node_id))
+            ids.update(nbr for nbr, _ in self.predecessors(node_id))
+        return ids
+
+    def neighbour_ids(self, node_id: Hashable) -> frozenset[Hashable]:
+        """Return ids adjacent to the node, ignoring direction and labels."""
+        return frozenset(self.neighbours_of((node_id,)))
 
     def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
         """Yield every stored edge with both endpoints in ``wanted``.
@@ -278,7 +287,11 @@ class GraphStore(ABC):
 
     @abstractmethod
     def clone(self) -> "GraphStore":
-        """Return a deep, independent copy of this store (bulk fast path)."""
+        """Return an independent copy of this store (same backend).
+
+        Writes to either side never show on the other; a backend may share
+        unmodified structure between the two (:class:`IndexedStore` does).
+        """
 
     @abstractmethod
     def validate(self) -> None:
@@ -438,10 +451,12 @@ class DictStore(GraphStore):
     def in_degree(self, node_id: Hashable) -> int:
         return len(self._in[node_id])
 
-    def neighbour_ids(self, node_id: Hashable) -> frozenset[Hashable]:
-        ids = {nbr for nbr, _ in self._out[node_id]}
-        ids.update(nbr for nbr, _ in self._in[node_id])
-        return frozenset(ids)
+    def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
+        ids: set[Hashable] = set()
+        for node_id in node_ids:
+            ids.update(nbr for nbr, _ in self._out[node_id])
+            ids.update(nbr for nbr, _ in self._in[node_id])
+        return ids
 
     def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
         # walk the insertion-ordered adjacency dicts directly: the inherited
@@ -498,7 +513,10 @@ class IndexedStore(GraphStore):
       :class:`_PairsView` for ``(neighbour, label)`` pairs) instead of a
       defensive frozenset copy;
     * degree counters keep ``len(successors(v))`` and the PIncDect cost model's
-      ``|v.adj|`` O(1).
+      ``|v.adj|`` O(1);
+    * :meth:`clone` is copy-on-write: a clone shares every per-node adjacency
+      bucket and every per-label / per-signature id bucket with its parent,
+      and whichever side first writes a shared bucket copies that one bucket.
 
     All inner collections are insertion-ordered dicts, so iteration order —
     and therefore match enumeration order — is deterministic across runs
@@ -525,6 +543,30 @@ class IndexedStore(GraphStore):
         # insertion (replace_node only swaps attributes), so deferring the
         # build is safe.
         self._signatures: Optional[dict[Signature, dict[EdgeKey, None]]] = None
+        # Copy-on-write state.  None until the first clone(): every bucket is
+        # this store's alone and is written in place.  From then on, per
+        # bucket index (_OUT, _IN, _LABELS, _SIGNATURES) the keys of the
+        # buckets this store has copied since its last clone(); any other
+        # bucket may be shared with a snapshot and is copied before a write.
+        self._private: Optional[tuple[set, set, set, set]] = None
+
+    # ---------------------------------------------------------- copy-on-write
+
+    @staticmethod
+    def _unshare_adjacency(index: dict, private: set, node_id: Hashable) -> None:
+        """Replace one node's ``edge label -> neighbours`` buckets by a private copy."""
+        if node_id not in private:
+            index[node_id] = {label: dict(ids) for label, ids in index[node_id].items()}
+            private.add(node_id)
+
+    @staticmethod
+    def _unshare_ids(index: dict, private: set, key: Hashable) -> None:
+        """Replace one flat id bucket (label or signature index) by a private copy."""
+        if key not in private:
+            bucket = index.get(key)
+            if bucket is not None:
+                index[key] = dict(bucket)
+            private.add(key)
 
     # ------------------------------------------------------------------ nodes
 
@@ -540,6 +582,8 @@ class IndexedStore(GraphStore):
         self._in[node_id] = {}
         self._out_degree[node_id] = 0
         self._in_degree[node_id] = 0
+        if self._private is not None:
+            self._unshare_ids(self._label_index, self._private[_LABELS], label)
         bucket = self._label_index.get(label)
         if bucket is None:
             self._label_index[label] = bucket = {}
@@ -555,6 +599,8 @@ class IndexedStore(GraphStore):
         self._in.pop(node_id, None)
         self._out_degree.pop(node_id, None)
         self._in_degree.pop(node_id, None)
+        if self._private is not None:
+            self._unshare_ids(self._label_index, self._private[_LABELS], node.label)
         bucket = self._label_index.get(node.label)
         if bucket is not None:
             bucket.pop(node_id, None)
@@ -598,6 +644,10 @@ class IndexedStore(GraphStore):
         source, target = edge.source, edge.target
         key = (source, target, label)
         self._edges[key] = edge
+        private = self._private
+        if private is not None:
+            self._unshare_adjacency(self._out, private[_OUT], source)
+            self._unshare_adjacency(self._in, private[_IN], target)
         out_buckets = self._out[source]
         bucket = out_buckets.get(label)
         if bucket is None:
@@ -612,6 +662,8 @@ class IndexedStore(GraphStore):
         self._in_degree[target] += 1
         if self._signatures is not None:
             signature = (self._nodes[source].label, label, self._nodes[target].label)
+            if private is not None:
+                self._unshare_ids(self._signatures, private[_SIGNATURES], signature)
             sig_bucket = self._signatures.get(signature)
             if sig_bucket is None:
                 self._signatures[signature] = sig_bucket = {}
@@ -620,6 +672,10 @@ class IndexedStore(GraphStore):
     def remove_edge(self, key: EdgeKey) -> None:
         source, target, label = key
         del self._edges[key]
+        private = self._private
+        if private is not None:
+            self._unshare_adjacency(self._out, private[_OUT], source)
+            self._unshare_adjacency(self._in, private[_IN], target)
         out_bucket = self._out[source].get(label)
         if out_bucket is not None:
             out_bucket.pop(target, None)
@@ -634,6 +690,8 @@ class IndexedStore(GraphStore):
         self._in_degree[target] -= 1
         if self._signatures is not None:
             signature = (self._nodes[source].label, label, self._nodes[target].label)
+            if private is not None:
+                self._unshare_ids(self._signatures, private[_SIGNATURES], signature)
             sig_bucket = self._signatures.get(signature)
             if sig_bucket is not None:
                 sig_bucket.pop(key, None)
@@ -712,13 +770,15 @@ class IndexedStore(GraphStore):
     def in_degree(self, node_id: Hashable) -> int:
         return self._in_degree[node_id]
 
-    def neighbour_ids(self, node_id: Hashable) -> frozenset[Hashable]:
+    def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
         ids: set[Hashable] = set()
-        for bucket in self._out[node_id].values():
-            ids.update(bucket)
-        for bucket in self._in[node_id].values():
-            ids.update(bucket)
-        return frozenset(ids)
+        out, inc = self._out, self._in
+        for node_id in node_ids:
+            for bucket in out[node_id].values():
+                ids.update(bucket)
+            for bucket in inc[node_id].values():
+                ids.update(bucket)
+        return ids
 
     def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
         edges = self._edges
@@ -731,24 +791,27 @@ class IndexedStore(GraphStore):
     # ------------------------------------------------------------- lifecycle
 
     def clone(self) -> "IndexedStore":
+        """Return a copy-on-write clone: flat maps copied, every bucket shared.
+
+        The clone gets its own top-level dicts (pointer copies) and shares
+        each per-node, per-label and per-signature bucket with this store.
+        Both sides forget which buckets they had to themselves: a bucket
+        reachable from two stores must not be written in place by either.
+        """
         other = IndexedStore()
         other._nodes = dict(self._nodes)
         other._rank = dict(self._rank)
         other._next_rank = self._next_rank
         other._edges = dict(self._edges)
-        other._out = {
-            node: {label: dict(nbrs) for label, nbrs in buckets.items()}
-            for node, buckets in self._out.items()
-        }
-        other._in = {
-            node: {label: dict(nbrs) for label, nbrs in buckets.items()}
-            for node, buckets in self._in.items()
-        }
+        other._out = dict(self._out)
+        other._in = dict(self._in)
         other._out_degree = dict(self._out_degree)
         other._in_degree = dict(self._in_degree)
-        other._label_index = {label: dict(ids) for label, ids in self._label_index.items()}
+        other._label_index = dict(self._label_index)
         if self._signatures is not None:
-            other._signatures = {sig: dict(keys) for sig, keys in self._signatures.items()}
+            other._signatures = dict(self._signatures)
+        self._private = (set(), set(), set(), set())
+        other._private = (set(), set(), set(), set())
         return other
 
     def validate(self) -> None:
@@ -1132,19 +1195,18 @@ class CsrStore(GraphStore):
         self._freeze()
         return self._in_degree[self._rank[node_id]]
 
-    def neighbour_ids(self, node_id: Hashable) -> frozenset[Hashable]:
+    def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
         self._freeze()
-        rank = self._rank[node_id]
-        ids = self._ids
-        collected: set[Hashable] = set()
-        for ranks, slices in (
-            (self._out_ranks, self._out_slices[rank]),
-            (self._in_ranks, self._in_slices[rank]),
-        ):
-            for start, stop in slices.values():
-                for position in range(start, stop):
-                    collected.add(ids[ranks[position]])
-        return frozenset(collected)
+        reached: set[int] = set()
+        for node_id in node_ids:
+            rank = self._rank[node_id]
+            for ranks, slices in (
+                (self._out_ranks, self._out_slices[rank]),
+                (self._in_ranks, self._in_slices[rank]),
+            ):
+                for start, stop in slices.values():
+                    reached.update(ranks[start:stop])
+        return set(map(self._ids.__getitem__, reached))
 
     def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
         self._freeze()

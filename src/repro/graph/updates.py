@@ -19,6 +19,7 @@ This module provides:
 from __future__ import annotations
 
 import random
+import weakref
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -96,6 +97,8 @@ class BatchUpdate:
 
     def __init__(self, updates: Iterable[UnitUpdate] = ()) -> None:
         self._updates: list[UnitUpdate] = list(updates)
+        # memo of endpoint_labels(): (ref to G's store, ref to G ⊕ ΔG's store, result)
+        self._endpoint_labels: Optional[tuple] = None
 
     # ----------------------------------------------------------- construction
 
@@ -111,17 +114,24 @@ class BatchUpdate:
         self._updates.append(
             EdgeInsertion(source, target, label, source_payload, target_payload)
         )
+        self._endpoint_labels = None
         return self
 
     def delete(self, source: Hashable, target: Hashable, label: str) -> "BatchUpdate":
         """Append an edge deletion and return self (builder style)."""
         self._updates.append(EdgeDeletion(source, target, label))
+        self._endpoint_labels = None
         return self
 
     def extend(self, updates: Iterable[UnitUpdate]) -> "BatchUpdate":
         """Append several unit updates and return self."""
         self._updates.extend(updates)
+        self._endpoint_labels = None
         return self
+
+    def __reduce__(self):
+        # the endpoint_labels() memo holds weak references, which do not pickle
+        return (BatchUpdate, (self._updates,))
 
     # ---------------------------------------------------------------- queries
 
@@ -160,6 +170,33 @@ class BatchUpdate:
             nodes.add(update.target)
         return frozenset(nodes)
 
+    def endpoint_labels(
+        self, graph_before: Graph, graph_after: Graph
+    ) -> list[tuple[UnitUpdate, str, str]]:
+        """Return ``(update, source label, target label)`` per unit update, in batch order.
+
+        Insertions are resolved in ``graph_after`` (their endpoints may be
+        brand-new nodes), deletions in ``graph_before``; a unit update with
+        an endpoint absent from its reference graph is left out.  The result
+        is remembered for the last ``(G, G ⊕ ΔG)`` pair asked about, so the
+        |Σ| rules of an incremental run share one resolution — two store
+        lookups per unit update per ΔG.  Neither graph may be mutated between
+        calls (IncDect's own precondition on its snapshots).
+        """
+        before, after = graph_before.store, graph_after.store
+        memo = self._endpoint_labels
+        if memo is not None and memo[0]() is before and memo[1]() is after:
+            return memo[2]
+        resolved: list[tuple[UnitUpdate, str, str]] = []
+        for update in self._updates:
+            get_node = after.get_node if update.is_insertion else before.get_node
+            source = get_node(update.source)
+            target = get_node(update.target) if source is not None else None
+            if target is not None:
+                resolved.append((update, source.label, target.label))
+        self._endpoint_labels = (weakref.ref(before), weakref.ref(after), resolved)
+        return resolved
+
     def insertion_deletion_ratio(self) -> float:
         """Return γ = |ΔG⁺| / |ΔG⁻| (``inf`` when there are no deletions)."""
         inserts = len(self.insertions)
@@ -195,10 +232,12 @@ def apply_update(graph: Graph, delta: BatchUpdate, in_place: bool = False) -> Gr
     :class:`UpdateError` — silently ignoring either would let experiment
     drivers measure the wrong workload.
 
-    When ``in_place`` is False the update is applied to a bulk clone of the
-    graph (same storage backend, index structures copied wholesale rather
-    than re-inserted edge by edge), so building ``G ⊕ ΔG`` costs
-    O(|G| + |ΔG|) dictionary copies, not |G| checked insertions.
+    When ``in_place`` is False the update is applied to :meth:`Graph.copy` of
+    the graph (same storage backend) and ``graph`` itself is never written,
+    also when a unit update raises half-way.  On the indexed engine the copy
+    shares every adjacency bucket with ``graph`` and each unit update copies
+    only the buckets it writes, so beyond the flat per-node and per-edge
+    maps building ``G ⊕ ΔG`` costs what ΔG touches, not |G|.
     """
     target = graph if in_place else graph.copy()
     for update in delta:

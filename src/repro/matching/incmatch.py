@@ -66,28 +66,22 @@ def find_update_pivots(
 
     Insertion pivots are label-checked against ``graph_after`` (the inserted
     endpoints may be brand-new nodes); deletion pivots against ``graph_before``.
-    The endpoint labels of each updated edge are resolved once from the store
-    and compared against every pattern edge, so the cost per unit update is
-    O(|pattern edges|) with no repeated node lookups; pivot order follows the
-    batch order of ΔG, which keeps incremental runs deterministic.
+    The endpoint labels of each updated edge are resolved once per ΔG
+    (:meth:`BatchUpdate.endpoint_labels`, shared by every rule asking about
+    the same two snapshots) and probed against the pattern's edge-label index,
+    so a rule costs one dict probe per unit update plus the pattern edges
+    carrying that label, with no node lookups of its own; pivot order follows
+    the batch order of ΔG, which keeps incremental runs deterministic.
     """
     pivots: list[UpdatePivot] = []
-    pattern = rule.pattern
-    pattern_edges = pattern.edges()
-    for update in delta:
-        reference = graph_after if update.is_insertion else graph_before
-        if not reference.has_node(update.source) or not reference.has_node(update.target):
-            continue
-        source_label = reference.node(update.source).label
-        target_label = reference.node(update.target).label
-        for pattern_edge in pattern_edges:
-            if update.label != pattern_edge.label:
-                continue
+    by_label = rule.pattern.edges_by_label()
+    for update, source_label, target_label in delta.endpoint_labels(graph_before, graph_after):
+        for pattern_edge, source_node, target_node in by_label.get(update.label, ()):
             if pattern_edge.source == pattern_edge.target and update.source != update.target:
                 continue  # a pattern self-loop is matched by data self-loops only
-            if not pattern.node(pattern_edge.source).matches_label(source_label):
+            if not source_node.matches_label(source_label):
                 continue
-            if not pattern.node(pattern_edge.target).matches_label(target_label):
+            if not target_node.matches_label(target_label):
                 continue
             pivots.append(
                 UpdatePivot(

@@ -374,8 +374,8 @@ class PersistentStore(GraphStore):
     def in_degree(self, node_id: Hashable) -> int:
         return self._mirror.in_degree(node_id)
 
-    def neighbour_ids(self, node_id: Hashable) -> frozenset[Hashable]:
-        return self._mirror.neighbour_ids(node_id)
+    def neighbours_of(self, node_ids) -> set[Hashable]:
+        return self._mirror.neighbours_of(node_ids)
 
     def edges_between(self, wanted) -> Iterator[Edge]:
         # Delegate to the mirror: its per-process ranks are order-isomorphic
@@ -390,8 +390,9 @@ class PersistentStore(GraphStore):
 
         Clones always land on a private ``:memory:`` database — snapshots
         are transient working copies; only the original remains bound to
-        its file.  The SQLite side copies via the C-level backup API, the
-        mirror via the indexed engine's dict-copy fast path.
+        its file.  The SQLite side copies eagerly via the C-level backup
+        API; the mirror is the indexed engine's copy-on-write clone, so the
+        two mirrors share every bucket neither has written since.
         """
         other = PersistentStore.__new__(PersistentStore)
         other.path = None

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.ngd import NGD, RuleSet
 from repro.core.validation import find_violations, graph_satisfies, satisfies_rule, violations_of_rule
 from repro.expr.parser import parse_literal_set
-from repro.graph.generators import chain_graph, star_graph
+from repro.graph.generators import chain_graph, random_labeled_graph, star_graph
 from repro.graph.graph import WILDCARD, Graph
 from repro.graph.pattern import Pattern
 from repro.matching.candidates import MatchStatistics, candidate_nodes, node_satisfies_unary_premise
 from repro.matching.incmatch import IncrementalMatcher, find_update_pivots
 from repro.matching.matchn import HomomorphismMatcher, assignment_for_match, match_violates_dependency
-from repro.graph.updates import BatchUpdate, apply_update
+from repro.graph.store import IndexedStore
+from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 
 
 class TestCandidates:
@@ -164,7 +167,86 @@ class TestValidation:
         assert graph_satisfies(triangle_graph, [rule])
 
 
+class _CountingStore(IndexedStore):
+    """An indexed store that counts the node lookups made through it."""
+
+    lookups = 0
+
+    def get_node(self, node_id):
+        _CountingStore.lookups += 1
+        return super().get_node(node_id)
+
+    def has_node(self, node_id):
+        _CountingStore.lookups += 1
+        return super().has_node(node_id)
+
+
+def _pivots_by_pattern_scan(rule, delta, graph_before, graph_after):
+    """Pivots by the definition: every unit update against every pattern edge."""
+    found = []
+    for update in delta:
+        reference = graph_after if update.is_insertion else graph_before
+        if not reference.has_node(update.source) or not reference.has_node(update.target):
+            continue
+        for edge in rule.pattern.edges():
+            if (
+                update.label == edge.label
+                and (edge.source != edge.target or update.source == update.target)
+                and rule.pattern.node(edge.source).matches_label(reference.node(update.source).label)
+                and rule.pattern.node(edge.target).matches_label(reference.node(update.target).label)
+            ):
+                found.append((edge, update.source, update.target, update.is_insertion))
+    return found
+
+
+def _pivot_rules(graph: Graph, count: int) -> list[NGD]:
+    """``count`` one- and two-edge rules over the graph's labels, wildcards and a self-loop included."""
+    labels = sorted(graph.labels()) + [WILDCARD]
+    edge_labels = sorted(graph.edge_labels())
+    rules = []
+    for index in range(count):
+        first, second = edge_labels[index % len(edge_labels)], edge_labels[(index + 1) % len(edge_labels)]
+        pattern = Pattern.from_edges(
+            f"q{index}",
+            nodes=[("x", labels[index % len(labels)]), ("y", labels[(index + 2) % len(labels)]), ("z", WILDCARD)],
+            edges=[("x", "y", first), ("y", "z", second)] + ([("z", "z", first)] if index % 3 == 0 else []),
+        )
+        rules.append(NGD.from_text(pattern, "", "x.val >= 0", name=f"r{index}"))
+    return rules
+
+
 class TestIncrementalMatching:
+    @pytest.mark.parametrize("rule_count", [1, 12])
+    def test_endpoints_are_resolved_once_per_delta_whatever_the_rule_count(self, rule_count):
+        plain = random_labeled_graph(60, 240, num_labels=3, num_edge_labels=3, seed=5)
+        delta = UpdateGenerator(seed=9).generate(plain, size=30)
+        loop = next(iter(plain.node_ids()))
+        delta.insert(loop, loop, sorted(plain.edge_labels())[0])
+        before = plain.with_backend(_CountingStore())
+        after = apply_update(plain.with_backend(_CountingStore()), delta, in_place=True)
+        rules = _pivot_rules(plain, rule_count)
+        _CountingStore.lookups = 0
+        pivots = [find_update_pivots(rule, delta, before, after) for rule in rules]
+        assert _CountingStore.lookups <= 2 * len(delta)
+        for rule, found in zip(rules, pivots):
+            assert [
+                (p.pattern_edge, p.source_node, p.target_node, p.from_insertion) for p in found
+            ] == _pivots_by_pattern_scan(rule, delta, before, after)
+        assert any(pivots) and any(p.source_node == p.target_node for found in pivots for p in found)
+
+    def test_endpoint_labels_follow_the_batch_and_the_graphs(self, triangle_graph, knows_rule):
+        delta = BatchUpdate().delete("a", "b", "knows")
+        updated = apply_update(triangle_graph, delta)
+        assert len(find_update_pivots(knows_rule, delta, triangle_graph, updated)) == 1
+        # growing the batch drops what was remembered about the shorter one
+        delta.insert("b", "a", "knows")
+        updated = apply_update(triangle_graph, delta)
+        assert len(find_update_pivots(knows_rule, delta, triangle_graph, updated)) == 2
+        # the same batch against other snapshots is resolved again, not recalled
+        empty = Graph()
+        assert find_update_pivots(knows_rule, delta, empty, empty) == []
+        assert [type(u) for u in pickle.loads(pickle.dumps(delta))] == [type(u) for u in delta]
+
     def test_pivots_found_for_matching_labels(self, triangle_graph, knows_rule):
         delta = BatchUpdate().delete("a", "b", "knows")
         updated = apply_update(triangle_graph, delta)

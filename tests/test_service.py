@@ -26,7 +26,7 @@ from repro.core.violations import Violation, ViolationSet
 from repro.detect import CollectingSink, Detector, FanOutSink
 from repro.errors import SerializationError, ServiceError, UpdateError
 from repro.graph.graph import Graph
-from repro.graph.io import save_graph
+from repro.graph.io import graph_to_dict, save_graph
 from repro.graph.updates import BatchUpdate, NodePayload, apply_update
 from repro.service import (
     DetectionService,
@@ -380,6 +380,86 @@ class TestConcurrentUse:
         state = client.session_state(session["session"])
         assert ViolationSet.from_dict(state).as_set() == expected[1 + self.UPDATES]
 
+    def test_stream_on_a_snapshot_ignores_updates_to_nodes_it_has_not_reached(self):
+        """Snapshots share adjacency buckets with their successors: a stream that is
+        part-way through G_v must keep reading G_v's buckets while 20+ later
+        versions rewrite exactly the nodes it has yet to visit."""
+        areas = 24
+        registry = GraphRegistry()
+        registry.register("areas", multi_area_graph(areas))
+        expected = Detector([phi2()]).run(multi_area_graph(areas)).violations.as_set()
+        assert len(expected) == areas
+        snapshot, _ = registry.get("areas").snapshot()
+        stream = Detector([phi2()]).stream(snapshot)
+        first = next(stream)
+        pending = [i for i in range(areas) if f"area{i}" not in first.nodes]
+        for i in pending:  # each repairs one area the stream has not reported yet
+            registry.apply_update(
+                "areas",
+                BatchUpdate()
+                .delete(f"area{i}", f"t{i}", "populationTotal")
+                .insert(f"area{i}", f"t{i}-fixed", "populationTotal",
+                        target_payload=NodePayload("integer", {"val": 300 + 2 * i})),
+            )
+        assert len(pending) >= 20
+        latest, version = registry.get("areas").snapshot()
+        assert version == 1 + len(pending)
+        assert len(Detector([phi2()]).run(latest).violations) == 1
+        assert frozenset([first, *stream]) == expected
+        snapshot.validate_consistency()
+
+    def test_readers_of_a_snapshot_are_undisturbed_by_a_writer_on_shared_buckets(self):
+        """Four reader threads (more than cores) walk every bucket of G_v while a
+        writer piles 40 versions on top of it; thread switches are forced often."""
+        areas = 12
+        registry = GraphRegistry()
+        registry.register("areas", multi_area_graph(areas))
+        snapshot, _ = registry.get("areas").snapshot()
+
+        def walk(graph: Graph) -> list:
+            return [
+                (node_id, sorted(graph.successors(node_id)), sorted(graph.predecessors(node_id)))
+                for node_id in graph.node_ids()
+            ] + [sorted(graph.nodes_with_label("integer"))]
+
+        reference = walk(snapshot)
+        torn: list[str] = []
+        stop = threading.Event()
+
+        def reader() -> None:
+            while not stop.is_set():
+                if walk(snapshot) != reference:
+                    torn.append("a reader saw G_v change")
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            totals = {i: f"t{i}" for i in range(areas)}
+            for round_ in range(40):
+                i = round_ % areas
+                replacement = f"t{i}-{round_}"
+                registry.apply_update(
+                    "areas",
+                    BatchUpdate()
+                    .delete(f"area{i}", totals[i], "populationTotal")
+                    .insert(f"area{i}", replacement, "populationTotal",
+                            target_payload=NodePayload("integer", {"val": round_})),
+                )
+                totals[i] = replacement
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not torn, torn
+        assert registry.get("areas").version == 41
+        assert walk(snapshot) == reference
+
     def test_budgets_are_enforced_per_request(self, service, client):
         client.register_graph("areas", multi_area_graph(self.AREAS))
         outcomes: dict[str, object] = {}
@@ -525,6 +605,30 @@ class TestRetentionWindow:
         assert registered.snapshot_at(9) is registered.snapshot()[0]
         with pytest.raises(ServiceError, match="no retained snapshot"):
             registered.snapshot_at(2)
+
+    def test_retained_snapshots_keep_their_own_content_as_versions_pile_up(self):
+        """Each pinned snapshot shares buckets with its neighbours in the chain and
+        must still read exactly as it did when it was the current version."""
+        registry = GraphRegistry(retain_versions=3)
+        registry.register("g", multi_area_graph(2))
+        registered = registry.get("g")
+        oracle = multi_area_graph(2).with_backend("dict")
+        reference = {1: graph_to_dict(oracle)}
+        for i in range(8):
+            registry.apply_update("g", self._update(i))
+            apply_update(oracle, self._update(i), in_place=True)
+            reference[registered.version] = graph_to_dict(oracle)
+            for version in registered.retained_versions():
+                retained = registered.snapshot_at(version)
+                assert graph_to_dict(retained) == reference[version]
+                retained.validate_consistency()
+        assert registered.retained_versions() == [7, 8, 9]
+        violations = {
+            version: len(Detector(example_rules()).run(registered.snapshot_at(version)).violations)
+            for version in registered.retained_versions()
+        }
+        # t0 (999, violating) and t0x (a bare node, no value) alternate as area0's total
+        assert violations == {7: 2, 8: 1, 9: 2}
 
     def test_invalid_retention_window_rejected(self):
         with pytest.raises(ServiceError, match="retain_versions"):

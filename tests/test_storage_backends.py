@@ -10,6 +10,8 @@ immune to string-hash randomization).
 
 from __future__ import annotations
 
+import copy
+import json
 import os
 import random
 import subprocess
@@ -17,13 +19,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.ngd import NGD
 from repro.detect import dect, inc_dect
-from repro.errors import GraphError
+from repro.errors import GraphError, UpdateError
 from repro.graph.generators import random_labeled_graph
 from repro.graph.graph import WILDCARD, Graph
-from repro.graph.neighborhood import d_neighbor_of_nodes, update_neighborhood
+from repro.graph.io import graph_to_dict
+from repro.graph.neighborhood import (
+    d_neighbor_of_nodes,
+    multi_source_nodes_within_hops,
+    update_neighborhood,
+)
 from repro.graph.pattern import Pattern
 from repro.graph.store import (
     STORE_REGISTRY,
@@ -32,7 +41,8 @@ from repro.graph.store import (
     default_store_name,
     make_store,
 )
-from repro.graph.updates import UpdateGenerator, apply_update
+from repro.graph.sharded import ShardedStore
+from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.matching.matchn import HomomorphismMatcher
 
 BACKENDS = sorted(STORE_REGISTRY)
@@ -250,7 +260,8 @@ _COSTS_SCRIPT = r"""
 import sys
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
-from repro.graph.updates import UpdateGenerator, apply_update
+from repro.graph.sharded import ShardedStore
+from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.detect import dect, inc_dect, p_dect, pinc_dect
 
 config = KBConfig(
@@ -472,6 +483,234 @@ class TestReadViews:
         anchored = {"a", "b", "zz"}
         anchored.intersection_update(sources)
         assert anchored == {"a", "b"}
+
+
+# ------------------------------------------------------ copy-on-write clones
+
+_COW_NODE_LABELS = ["person", "city", "thing"]
+_COW_EDGE_LABELS = ["knows", "near"]
+
+
+def _signature_buckets(store) -> dict:
+    return {sig: [edge.key() for edge in edges] for sig, edges in store.signature_items()}
+
+
+def _node_rows(store) -> list:
+    return [(node.id, node.label, dict(node.attributes)) for node in store.nodes()]
+
+
+def _assert_same_content(store, oracle, signatures: bool) -> None:
+    """``store`` (indexed, possibly sharing buckets) reads exactly like ``oracle`` (dict)."""
+    store.validate()
+    assert _node_rows(store) == _node_rows(oracle)
+    assert list(store.node_ids()) == list(oracle.node_ids())
+    assert [e.key() for e in store.edges()] == [e.key() for e in oracle.edges()]
+    for node_id in oracle.node_ids():
+        assert store.successors(node_id) == oracle.successors(node_id)
+        assert store.predecessors(node_id) == oracle.predecessors(node_id)
+        assert store.out_degree(node_id) == oracle.out_degree(node_id)
+        assert store.in_degree(node_id) == oracle.in_degree(node_id)
+        for label in _COW_EDGE_LABELS:
+            assert store.successors_by_label(node_id, label) == oracle.successors_by_label(node_id, label)
+            assert store.predecessors_by_label(node_id, label) == oracle.predecessors_by_label(node_id, label)
+    for label in _COW_NODE_LABELS:
+        assert store.nodes_with_label(label) == oracle.nodes_with_label(label)
+    if signatures:
+        assert _signature_buckets(store) == _signature_buckets(oracle)
+
+
+def _assert_same_order(store, twin, signatures: bool) -> None:
+    """Every view of ``store`` iterates in the order of ``twin``, a never-cloned deep copy."""
+    for node_id in twin.node_ids():
+        assert list(store.successors(node_id)) == list(twin.successors(node_id))
+        assert list(store.predecessors(node_id)) == list(twin.predecessors(node_id))
+    for label in _COW_NODE_LABELS:
+        assert list(store.nodes_with_label(label)) == list(twin.nodes_with_label(label))
+    if signatures:
+        assert list(_signature_buckets(store).items()) == list(_signature_buckets(twin).items())
+
+
+class CloneChainMachine(RuleBasedStateMachine):
+    """Interleaved writes on a chain parent -> child -> grandchild of indexed clones.
+
+    Every live graph is shadowed by a ``DictStore`` graph (the semantic
+    oracle) and by an ``IndexedStore`` deep copy that never went through
+    ``clone()`` (the iteration-order oracle); each operation is applied to
+    all three, and after every step every live store must validate and read
+    like its own oracles — whichever of the chain was written to.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        parent = Graph("cow", store="indexed")
+        for index in range(6):
+            parent.add_node(index, _COW_NODE_LABELS[index % 3], {"val": index})
+        for index in range(6):
+            parent.add_edge(index, (index + 1) % 6, _COW_EDGE_LABELS[index % 2])
+        self.live = [parent]
+        self.oracles = [parent.with_backend("dict")]
+        self.twins = [copy.deepcopy(parent)]
+        self.signatures_built = [False]
+        self._clone(0)
+        self._clone(1)
+
+    def _clone(self, which: int) -> None:
+        self.live.append(self.live[which].copy())
+        self.oracles.append(self.oracles[which].copy())
+        self.twins.append(copy.deepcopy(self.twins[which]))
+        self.signatures_built.append(self.signatures_built[which])
+
+    def _each(self, which: int):
+        which %= len(self.live)
+        return self.live[which], self.oracles[which], self.twins[which]
+
+    which = st.integers(min_value=0, max_value=11)
+    node_ids = st.integers(min_value=0, max_value=9)
+
+    @rule(which=which)
+    def clone(self, which):
+        if len(self.live) < 6:
+            self._clone(which % len(self.live))
+
+    @rule(which=which)
+    def build_signatures(self, which):
+        self.signatures_built[which % len(self.live)] = True
+
+    @rule(which=which, node_id=node_ids, label=st.sampled_from(_COW_NODE_LABELS), val=st.integers(0, 5))
+    def add_node(self, which, node_id, label, val):
+        for graph in self._each(which):
+            if not graph.has_node(node_id):
+                graph.add_node(node_id, label, {"val": val})
+
+    @rule(which=which, tail=node_ids, head=node_ids, label=st.sampled_from(_COW_EDGE_LABELS))
+    def add_edge(self, which, tail, head, label):
+        for graph in self._each(which):
+            if graph.has_node(tail) and graph.has_node(head):
+                graph.add_edge(tail, head, label)
+
+    @rule(which=which, pick=st.integers(min_value=0, max_value=99))
+    def remove_edge(self, which, pick):
+        for graph in self._each(which):
+            edges = list(graph.edges())
+            if edges:
+                edge = edges[pick % len(edges)]
+                graph.remove_edge(edge.source, edge.target, edge.label)
+
+    @rule(which=which, node_id=node_ids)
+    def remove_node(self, which, node_id):
+        for graph in self._each(which):
+            if graph.has_node(node_id):
+                graph.remove_node(node_id)
+
+    @rule(which=which, node_id=node_ids, val=st.integers(6, 9))
+    def replace_node(self, which, node_id, val):
+        for graph in self._each(which):
+            if graph.has_node(node_id):
+                graph.set_attribute(node_id, "val", val)
+
+    @invariant()
+    def every_store_reads_like_its_oracles(self):
+        for graph, oracle, twin, signatures in zip(
+            self.live, self.oracles, self.twins, self.signatures_built
+        ):
+            _assert_same_content(graph.store, oracle.store, signatures)
+            _assert_same_order(graph.store, twin.store, signatures)
+
+
+TestCloneChain = CloneChainMachine.TestCase
+TestCloneChain.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
+
+
+def _private_buckets(before: Graph, after: Graph) -> int:
+    """Count the per-node adjacency buckets of ``after`` that are not ``before``'s objects."""
+    old, new = before.store, after.store
+    return sum(
+        new_index[node_id] is not old_index.get(node_id)
+        for old_index, new_index in ((old._out, new._out), (old._in, new._in))
+        for node_id in new_index
+    )
+
+
+def _per_node_bfs(graph: Graph, sources, hops: int) -> frozenset:
+    """The BFS the store-level walk replaced: one ``neighbours`` set per visited node."""
+    seen = {source: 0 for source in sources if graph.has_node(source)}
+    frontier = list(seen)
+    while frontier:
+        current = frontier.pop(0)
+        if seen[current] < hops:
+            for neighbour in graph.neighbours(current):
+                if neighbour not in seen:
+                    seen[neighbour] = seen[current] + 1
+                    frontier.append(neighbour)
+    return frozenset(seen)
+
+
+class TestCopyOnWriteClone:
+    def test_write_to_parent_after_clone_does_not_reach_child(self):
+        parent = random_labeled_graph(60, 150, num_labels=3, num_edge_labels=2, seed=4, store="indexed")
+        child = parent.copy()
+        reference = json.dumps(graph_to_dict(child), sort_keys=True, default=str)
+        adjacency = {n: (set(child.successors(n)), set(child.predecessors(n))) for n in child.node_ids()}
+        edge = next(iter(parent.edges()))
+        parent.remove_edge(edge.source, edge.target, edge.label)
+        parent.add_edge(edge.target, edge.source, "brand-new-label")
+        parent.add_node("late", parent.node(edge.source).label, {"val": 1})
+        parent.remove_node(edge.target)
+        assert json.dumps(graph_to_dict(child), sort_keys=True, default=str) == reference
+        for node_id, (successors, predecessors) in adjacency.items():
+            assert set(child.successors(node_id)) == successors
+            assert set(child.predecessors(node_id)) == predecessors
+        assert "late" not in child.nodes_with_label(parent.node(edge.source).label)
+        child.validate_consistency()
+        parent.validate_consistency()
+
+    @pytest.mark.parametrize("backend", MUTABLE_BACKENDS)
+    def test_failed_apply_update_leaves_graph_before_untouched(self, backend):
+        graph = random_labeled_graph(80, 200, num_labels=3, num_edge_labels=2, seed=6, store=backend)
+        reference = json.dumps(graph_to_dict(graph), sort_keys=True, default=str)
+        delta = UpdateGenerator(seed=2).generate(graph, size=20)
+        first_deletion = delta.deletions[0]
+        # a valid prefix, then unit k deletes an edge the prefix already deleted
+        delta.delete(first_deletion.source, first_deletion.target, first_deletion.label)
+        with pytest.raises(UpdateError):
+            apply_update(graph, delta)
+        assert json.dumps(graph_to_dict(graph), sort_keys=True, default=str) == reference
+        graph.validate_consistency()
+
+    @pytest.mark.parametrize("nodes", [500, 5000])
+    def test_update_copies_only_the_buckets_it_touches(self, nodes):
+        graph = random_labeled_graph(
+            nodes, 2 * nodes, num_labels=5, num_edge_labels=3, seed=1, store="indexed"
+        )
+        delta = UpdateGenerator(seed=3).generate(graph, size=40)
+        updated = apply_update(graph, delta)
+        new_nodes = updated.node_count() - graph.node_count()
+        # out-bucket of the source + in-bucket of the target per unit update, plus
+        # the other bucket of each brand-new node: the same bound at either size
+        assert 0 < _private_buckets(graph, updated) <= 2 * len(delta) + new_nodes
+
+    @pytest.mark.parametrize("backend", BACKENDS + ["sharded"])
+    def test_level_bfs_matches_per_node_bfs(self, backend):
+        source_graph = Graph("bfs", store="indexed")
+        for index in range(40):
+            source_graph.add_node(index, _COW_NODE_LABELS[index % 3])
+        rng = random.Random(11)
+        for _ in range(70):
+            source_graph.add_edge(rng.randrange(40), rng.randrange(40), rng.choice(_COW_EDGE_LABELS))
+        source_graph.add_edge(7, 7, "knows")  # self-loops must not stall or escape the walk
+        if backend == "sharded":
+            graphs = [
+                ShardedStore.build(source_graph, num_shards=3, halo_hops=2).shard(index)
+                for index in range(3)
+            ]
+        else:
+            graphs = [source_graph.with_backend(backend)]
+        for graph in graphs:
+            for sources in ([7], [0, 13, 39], ["absent"], [5, "absent", 5], []):
+                for hops in (0, 1, 2, 5):
+                    assert multi_source_nodes_within_hops(graph, sources, hops) == _per_node_bfs(
+                        graph, sources, hops
+                    )
 
 
 # ------------------------------------------------------------ frozen CSR store
