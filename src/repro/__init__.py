@@ -40,6 +40,13 @@ sessions).  The module-level functions ``dect`` / ``inc_dect`` / ``p_dect``
 / ``pinc_dect`` remain as the compatibility layer over the session API.
 """
 
+import time as _time
+
+#: ``perf_counter`` reading when the package began importing: where the
+#: start-up gauges of ``serve`` and ``run --profile`` count from.
+_import_started = _time.perf_counter()
+
+from repro._lazy import lazy_exports
 from repro.core import (
     NGD,
     RuleSet,
@@ -48,9 +55,6 @@ from repro.core import (
     ViolationSet,
     find_violations,
     graph_satisfies,
-    implies,
-    is_satisfiable,
-    is_strongly_satisfiable,
 )
 from repro.detect import (
     BalancingPolicy,
@@ -63,8 +67,6 @@ from repro.detect import (
     ViolationSink,
     dect,
     inc_dect,
-    p_dect,
-    pinc_dect,
 )
 from repro.errors import ReproError
 from repro.expr import (
@@ -86,6 +88,19 @@ from repro.graph import (
 )
 
 __version__ = "1.2.0"
+
+# no detection calls these: the static analyses bring scipy in, the parallel
+# kernels the cluster simulator (docs/ARCHITECTURE.md, "Start-up path")
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "implies": "repro.core",
+        "is_satisfiable": "repro.core",
+        "is_strongly_satisfiable": "repro.core",
+        "p_dect": "repro.detect",
+        "pinc_dect": "repro.detect",
+    },
+)
 
 __all__ = [
     "BalancingPolicy",

@@ -47,9 +47,11 @@ import argparse
 import json
 import sys
 import threading
+import time
 from collections.abc import Sequence
 from typing import Optional, Union
 
+from repro import _import_started
 from repro.core.builtin_rules import effectiveness_rules, example_rules
 from repro.core.ngd import RuleSet
 from repro.detect import (
@@ -63,6 +65,12 @@ from repro.graph.io import load_graph, load_update
 from repro.graph.store import STORE_REGISTRY, default_store_name
 
 __all__ = ["main", "format_result", "result_to_dict"]
+
+#: Seconds ``import repro.cli`` took, the package included: what every
+#: subcommand has paid before it parses an argument.  A subcommand imports
+#: what only it uses when it is dispatched (``serve``: the service and the
+#: durability manager, before its ready line).
+IMPORT_S = time.perf_counter() - _import_started
 
 #: Stable exit codes (documented in the module docstring).
 EXIT_CLEAN = 0
@@ -482,11 +490,17 @@ def _save_history(detector: Detector, args: argparse.Namespace) -> None:
     print(f"saved observed cardinalities -> {path}", file=sys.stderr)
 
 
-def _print_profile(result: Union[DetectionResult, IncrementalDetectionResult]) -> None:
-    """Print the run's span tree and per-step candidate counts to stderr."""
+def _print_profile(
+    result: Union[DetectionResult, IncrementalDetectionResult], load_s: float
+) -> None:
+    """Print where the time went: start-up phases, span tree, per-step candidate counts."""
     from repro import obs
     from repro.obs.tracing import format_span_tree
 
+    print(
+        f"start-up: import_s={IMPORT_S:.3f} load_s={load_s:.3f} detect_s={result.wall_time:.3f}",
+        file=sys.stderr,
+    )
     trace_id = getattr(result, "trace_id", None)
     if trace_id is None:
         print(
@@ -541,13 +555,15 @@ def _print_profile(result: Union[DetectionResult, IncrementalDetectionResult]) -
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    load_started = time.perf_counter()
     graph = load_graph(args.graph, store=args.store)
+    load_s = time.perf_counter() - load_started
     with _build_detector(args, engine=args.engine) as detector:
         result = detector.run(graph)
         _save_history(detector, args)
     print(format_result(result, args.output_format))
     if args.profile:
-        _print_profile(result)
+        _print_profile(result, load_s)
     if result.violation_count():
         return EXIT_VIOLATIONS
     # a truncated search that found nothing has not verified cleanliness
@@ -555,14 +571,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_incremental(args: argparse.Namespace) -> int:
+    load_started = time.perf_counter()
     graph = load_graph(args.graph, store=args.store)
     delta = load_update(args.update)
+    load_s = time.perf_counter() - load_started
     with _build_detector(args, engine="auto") as detector:
         result = detector.run_incremental(graph, delta)
         _save_history(detector, args)
     print(format_result(result, args.output_format))
     if args.profile:
-        _print_profile(result)
+        _print_profile(result, load_s)
     if result.total_changes():
         return EXIT_VIOLATIONS
     return EXIT_INCOMPLETE if result.stopped_early else EXIT_CLEAN
@@ -671,9 +689,14 @@ def _parse_name_path_specs(specs: list[str], option: str) -> list[tuple[str, str
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Start the detection service and block until interrupted."""
+    service_import_started = time.perf_counter()
     from repro.service import DetectionService
     from repro.service.jobs import DEFAULT_MAX_JOBS
 
+    if args.data_dir is not None:
+        # with the other imports, so that recover_s times recovery alone
+        import repro.storage.manager  # noqa: F401
+    import_s = IMPORT_S + time.perf_counter() - service_import_started
     if args.checkpoint_every is not None and args.data_dir is None:
         raise ReproError("--checkpoint-every requires --data-dir")
     service = DetectionService(
@@ -711,6 +734,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if name not in service.manager.catalogs:
             service.manager.register_catalog(name, RuleSet.load(path))
     with service:
+        service.record_startup(import_s, ready_s=time.perf_counter() - _import_started)
         # the ready line is the contract scripts wait on (tests, CI smoke)
         print(f"repro-detect: serving on {service.url}", flush=True)
         print(

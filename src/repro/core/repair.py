@@ -30,9 +30,6 @@ from fractions import Fraction
 from numbers import Real
 from typing import Optional
 
-import numpy as np
-from scipy.optimize import linprog
-
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationSet
 from repro.errors import ValidationError
@@ -214,18 +211,16 @@ def _solve_minimal_change(
         upper_rows.append(row)
         upper_bounds.append(float(-current[i]))
 
-    objective = np.concatenate([np.zeros(num_values), np.ones(num_values)])
-    integrality = np.concatenate(
-        [np.ones(num_values) if integral else np.zeros(num_values), np.zeros(num_values)]
-    )
+    from scipy.optimize import linprog  # deferred: see core.satisfiability._milp_feasible
+
     result = linprog(
-        c=objective,
-        A_ub=np.array(upper_rows),
-        b_ub=np.array(upper_bounds),
-        A_eq=np.array(equality_rows) if equality_rows else None,
-        b_eq=np.array(equality_bounds) if equality_bounds else None,
+        c=[0.0] * num_values + [1.0] * num_values,
+        A_ub=upper_rows,
+        b_ub=upper_bounds,
+        A_eq=equality_rows or None,
+        b_eq=equality_bounds or None,
         bounds=[(None, None)] * num_values + [(0, None)] * num_values,
-        integrality=integrality,
+        integrality=[int(integral)] * num_values + [0] * num_values,
         method="highs",
     )
     if not result.success:

@@ -37,9 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import numpy as np
-from scipy.optimize import linprog
-
 from repro.core.ngd import NGD, RuleSet
 from repro.errors import SatisfiabilityError
 from repro.expr.literals import Comparison, Literal
@@ -187,14 +184,18 @@ def _milp_feasible(atoms: list[_LinearAtom]) -> Optional[dict[tuple[object, str]
             upper_rows.append([float(v) for v in int_row])
             upper_bounds.append(float(_strict_upper(int_bound)))
 
+    # scipy (and numpy under it) costs 0.8 s to import and no detection path
+    # solves an LP: paid here, by the first satisfiability check, and nowhere else
+    from scipy.optimize import linprog
+
     result = linprog(
-        c=np.zeros(len(variables)),
-        A_ub=np.array(upper_rows) if upper_rows else None,
-        b_ub=np.array(upper_bounds) if upper_bounds else None,
-        A_eq=np.array(equality_rows) if equality_rows else None,
-        b_eq=np.array(equality_bounds) if equality_bounds else None,
+        c=[0.0] * len(variables),
+        A_ub=upper_rows or None,
+        b_ub=upper_bounds or None,
+        A_eq=equality_rows or None,
+        b_eq=equality_bounds or None,
         bounds=[(None, None)] * len(variables),
-        integrality=np.ones(len(variables)),
+        integrality=[1] * len(variables),
         method="highs",
     )
     if not result.success:

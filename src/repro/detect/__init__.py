@@ -7,6 +7,7 @@ module-level functions ``dect`` / ``inc_dect`` / ``p_dect`` / ``pinc_dect``
 are kept as the compatibility layer with their original signatures.
 """
 
+from repro._lazy import lazy_exports
 from repro.detect.base import DetectionResult, IncrementalDetectionResult, WorkerTrace
 from repro.detect.dect import dect, iter_dect
 from repro.detect.incdect import inc_dect, iter_inc_dect
@@ -19,15 +20,18 @@ from repro.detect.observers import (
     ViolationSink,
     drain,
 )
-from repro.detect.parallel import (
-    BalancingPolicy,
-    WarmExecutorPool,
-    iter_p_dect,
-    iter_pinc_dect,
-    p_dect,
-    pinc_dect,
-)
+from repro.detect.parallel.balancing import BalancingPolicy
 from repro.detect.session import ENGINES, EXECUTION_MODES, DetectionOptions, Detector
+
+# a serial run needs none of these: the kernels bring in the cluster
+# simulator, the pool multiprocessing and the sharded store
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    dict.fromkeys(
+        ("WarmExecutorPool", "iter_p_dect", "p_dect", "iter_pinc_dect", "pinc_dect"),
+        "repro.detect.parallel",
+    ),
+)
 
 __all__ = [
     "BalancingPolicy",

@@ -23,7 +23,10 @@ from typing import Optional
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.matching.candidates import MatchStatistics
 
-__all__ = ["DetectionResult", "IncrementalDetectionResult", "WorkerTrace"]
+__all__ = ["DetectionResult", "EXECUTION_MODES", "IncrementalDetectionResult", "WorkerTrace"]
+
+#: The execution regimes the parallel kernels accept (``DetectionOptions.execution``).
+EXECUTION_MODES = ("simulated", "processes")
 
 
 @dataclass

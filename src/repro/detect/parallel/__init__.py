@@ -1,5 +1,7 @@
 """Parallel detection: the simulated cluster and the real process backend."""
 
+from repro._lazy import lazy_exports
+from repro.detect.base import EXECUTION_MODES
 from repro.detect.parallel.balancing import (
     BalancingPolicy,
     plan_rebalancing,
@@ -7,18 +9,26 @@ from repro.detect.parallel.balancing import (
     should_split_planned,
     skewness,
 )
-from repro.detect.parallel.cluster import ClusterSimulator
-from repro.detect.parallel.executor import (
-    EXECUTION_MODES,
-    ExecutionRuntime,
-    WarmExecutorPool,
-    iter_process_execution,
-    resolve_start_method,
-)
-from repro.detect.parallel.pdect import iter_p_dect, p_dect
-from repro.detect.parallel.pincdect import iter_pinc_dect, pinc_dect
-from repro.detect.parallel.threaded import threaded_dect, threaded_inc_dect
 from repro.detect.parallel.workunits import ExpansionOutcome, WorkUnit, expand_work_unit
+
+# the serial kernels import ``workunits`` from this package, so what only a
+# parallel run uses is imported when it is asked for
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ClusterSimulator": "repro.detect.parallel.cluster",
+        "ExecutionRuntime": "repro.detect.parallel.executor",
+        "WarmExecutorPool": "repro.detect.parallel.executor",
+        "iter_process_execution": "repro.detect.parallel.executor",
+        "resolve_start_method": "repro.detect.parallel.executor",
+        "iter_p_dect": "repro.detect.parallel.pdect",
+        "p_dect": "repro.detect.parallel.pdect",
+        "iter_pinc_dect": "repro.detect.parallel.pincdect",
+        "pinc_dect": "repro.detect.parallel.pincdect",
+        "threaded_dect": "repro.detect.parallel.threaded",
+        "threaded_inc_dect": "repro.detect.parallel.threaded",
+    },
+)
 
 __all__ = [
     "BalancingPolicy",

@@ -69,7 +69,7 @@ from typing import Any, Optional
 from repro import obs
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation
-from repro.detect.base import WorkerTrace
+from repro.detect.base import EXECUTION_MODES, WorkerTrace
 from repro.detect.instrument import RuleAttribution
 from repro.detect.observers import DetectionBudget, ViolationSink, notify_violation
 from repro.detect.parallel.balancing import BalancingPolicy, plan_rebalancing, skewness
@@ -99,9 +99,6 @@ __all__ = [
     "fault_tolerance_counters",
     "note_degraded_run",
 ]
-
-#: The execution regimes the parallel kernels accept.
-EXECUTION_MODES = ("simulated", "processes")
 
 #: Environment override for the multiprocessing start method
 #: (``fork`` shares images copy-on-write; ``spawn`` loads spooled images).

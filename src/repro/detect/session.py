@@ -54,12 +54,12 @@ import time
 import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationDelta
-from repro.detect.base import DetectionResult, IncrementalDetectionResult
+from repro.detect.base import EXECUTION_MODES, DetectionResult, IncrementalDetectionResult
 from repro.detect.instrument import flush_step_counts
 from repro.detect.observers import (
     DetectionBudget,
@@ -75,11 +75,13 @@ from repro.detect.parallel.balancing import BalancingPolicy
 from repro.errors import SessionError
 from repro.graph.graph import Graph
 from repro.graph.store import STORE_REGISTRY
-from repro.detect.parallel.executor import EXECUTION_MODES, WarmExecutorPool
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.adaptive import CardinalityHistory, history_from_document, resolve_adaptive
 from repro.matching.compiled import resolve_compiled
 from repro.matching.plan import MatchPlan, compile_plans, load_plans, planner_enabled
+
+if TYPE_CHECKING:  # pragma: no cover - the executor is imported when a process run asks for it
+    from repro.detect.parallel.executor import WarmExecutorPool
 
 __all__ = ["DetectionOptions", "Detector", "ENGINES", "EXECUTION_MODES"]
 
@@ -101,9 +103,9 @@ def _store_token(store) -> Optional[int]:
     except TypeError:  # pragma: no cover - store without weakref support
         return None
 
-#: Sessions keep compiled plans for at most this many distinct graph
-#: snapshots; older entries are evicted first (insertion order).
-PLAN_CACHE_LIMIT = 8
+#: A session recompiles its plans once ``|V| + |E|`` has drifted by more than
+#: this fraction from the graph they were compiled against.
+PLAN_DRIFT_TOLERANCE = 0.2
 
 #: The execution regimes a session can be pinned to.
 ENGINES = ("auto", "batch", "incremental", "parallel")
@@ -257,11 +259,15 @@ class Detector:
         self._file_plans: Optional[tuple[MatchPlan, ...]] = None
         self._sinks: list[ViolationSink] = list(sinks)
         self.last_result: Optional[DetectionResult | IncrementalDetectionResult] = None
-        # plan cache: id(store) -> (node_count, edge_count, plans); a stale
-        # id collision is benign (any plan over this session's rules is a
-        # valid execution order), but count drift forces a recompile so the
-        # cost model never runs on stale statistics
-        self._plan_cache: dict[int, tuple[int, int, tuple[MatchPlan, ...]]] = {}
+        # the last compiled plan set, kept across snapshots: ``apply_update``
+        # returns a new store per ΔG, and any plan over this session's rules
+        # is a valid execution order on any graph, so the plans follow the
+        # graph until its size leaves PLAN_DRIFT_TOLERANCE of ``plan_size``
+        self._plans: Optional[tuple[MatchPlan, ...]] = None
+        #: ``|V| + |E|`` of the graph the kept plans were compiled against.
+        self.plan_size = 0
+        #: How many times this session has compiled its plans.
+        self.plan_compilations = 0
         # observed cardinalities harvested from this session's adaptive
         # controllers; folded into later compile_plans calls as priors and
         # persistable next to the plan document (save_plans(history=...))
@@ -291,13 +297,13 @@ class Detector:
     def compile_plans(self, graph: Graph) -> Optional[tuple[MatchPlan, ...]]:
         """Compile (or fetch cached) :class:`MatchPlan`\\ s for this session's rules.
 
-        Returns ``None`` when the planner is disabled.  Plans are cached per
-        graph snapshot (store identity + node/edge counts) and recompiled
-        when the counts drift, so repeated runs against the same snapshot —
-        the service's per-version detection jobs — compile exactly once.
-        Callers holding a plan set across snapshots (continuous sessions)
-        may pass it back explicitly via the ``plans=`` argument of the run
-        methods instead.
+        Returns ``None`` when the planner is disabled.  The session keeps
+        its last plan set and compiles again only when ``graph.total_size()``
+        has drifted by more than :data:`PLAN_DRIFT_TOLERANCE` from the graph
+        those plans were compiled against (counted in
+        ``plan_compilations``), so a stream of ``run_incremental(G, ΔG)``
+        calls — each on the new store ``apply_update`` returned — pays for
+        statistics and plans once, as a caller passing ``plans=`` does.
         """
         if not self.options.planner_active():
             return None
@@ -312,11 +318,10 @@ class Detector:
                 if embedded is not None:
                     self.history = embedded
             return self._file_plans
-        key = id(graph.store)
-        cached = self._plan_cache.get(key)
-        counts = (graph.node_count(), graph.edge_count())
-        if cached is not None and cached[:2] == counts:
-            return cached[2]
+        size = graph.total_size()
+        drift = abs(size - self.plan_size)
+        if self._plans is not None and drift <= PLAN_DRIFT_TOLERANCE * max(self.plan_size, 1):
+            return self._plans
         with obs.span("detect.compile_plans", store=graph.store_backend) as plan_span:
             plans = compile_plans(
                 graph,
@@ -325,14 +330,13 @@ class Detector:
                 compiled=self.options.compiled,
             )
             plan_span.set(plans=len(plans), compiled=resolve_compiled(self.options.compiled))
-        self._plan_cache[key] = (*counts, plans)
-        while len(self._plan_cache) > PLAN_CACHE_LIMIT:
-            self._plan_cache.pop(next(iter(self._plan_cache)))
+        self._plans, self.plan_size = plans, size
+        self.plan_compilations += 1
         return plans
 
     def clear_plan_cache(self) -> None:
-        """Drop every cached plan (the next run recompiles)."""
-        self._plan_cache.clear()
+        """Drop the kept plans (the next run recompiles)."""
+        self._plans = None
 
     def save_history(self, path: str) -> None:
         """Persist the session's observed-cardinality history as JSON."""
@@ -344,6 +348,8 @@ class Detector:
         """Return the session's warm executor pool, creating an owned one
         on first use when ``options.warm_pool`` asks for it."""
         if self._executor_pool is None and self.options.warm_pool:
+            from repro.detect.parallel.executor import WarmExecutorPool
+
             self._executor_pool = WarmExecutorPool(
                 self._effective_processors(), start_method=self.options.start_method
             )
@@ -622,7 +628,6 @@ class Detector:
         self, graph: Graph, plans: Optional[Sequence[MatchPlan]] = None
     ) -> Iterator[Violation]:
         from repro.detect.dect import iter_dect
-        from repro.detect.parallel.pdect import iter_p_dect
 
         mode = self._resolve_batch_engine()
         graph = self._prepare(graph)
@@ -649,6 +654,8 @@ class Detector:
                 compiled=self.options.compiled,
             )
         else:
+            from repro.detect.parallel.pdect import iter_p_dect
+
             pool = self.executor_pool() if processes else None
             events = iter_p_dect(
                 graph,
@@ -678,7 +685,6 @@ class Detector:
         plans: Optional[Sequence[MatchPlan]] = None,
     ) -> Iterator[ViolationEvent]:
         from repro.detect.incdect import iter_inc_dect
-        from repro.detect.parallel.pincdect import iter_pinc_dect
 
         mode = self._resolve_incremental_engine()
         graph = self._prepare(graph)
@@ -715,6 +721,8 @@ class Detector:
                 return self._harvesting(events, adaptive)
             return events
         if mode == "parallel":
+            from repro.detect.parallel.pincdect import iter_pinc_dect
+
             events = iter_pinc_dect(
                 graph,
                 self.rules,

@@ -1,5 +1,6 @@
 """Property-graph substrate: graphs, patterns, updates, neighbourhoods, partitioning."""
 
+from repro._lazy import lazy_exports
 from repro.graph.graph import WILDCARD, Edge, Graph, Node
 from repro.graph.neighborhood import (
     d_neighbor,
@@ -7,13 +8,6 @@ from repro.graph.neighborhood import (
     nodes_within_hops,
     undirected_distance,
     update_neighborhood,
-)
-from repro.graph.partition import (
-    Fragment,
-    Fragmentation,
-    bfs_edge_cut,
-    greedy_vertex_cut,
-    hash_edge_cut,
 )
 from repro.graph.pattern import Pattern, PatternEdge, PatternNode
 from repro.graph.store import (
@@ -36,6 +30,15 @@ from repro.graph.updates import (
 # importing the durable engine registers "persistent" in STORE_REGISTRY so
 # every store-selection surface (env var, Graph(store=...), --store) sees it
 from repro.storage import persistent as _persistent  # noqa: E402,F401
+
+# fragmentation serves the simulated cluster and the sharded store only
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    dict.fromkeys(
+        ("Fragment", "Fragmentation", "bfs_edge_cut", "greedy_vertex_cut", "hash_edge_cut"),
+        "repro.graph.partition",
+    ),
+)
 
 __all__ = [
     "WILDCARD",

@@ -66,15 +66,27 @@ def graph_from_dict(document: dict, store: StoreSpec = None) -> Graph:
     """Rebuild a :class:`Graph` from the dictionary produced by :func:`graph_to_dict`.
 
     ``store`` selects the storage backend of the rebuilt graph (name,
-    instance, or None for the process default).
+    instance, or None for the process default).  The single funnel of
+    ``load_graph``, ``POST /graphs/{name}``, WAL replay and checkpoint
+    recovery: one :meth:`~repro.graph.store.GraphStore.bulk_load`, which
+    builds the graph ``add_node`` / ``add_edge`` in document order would
+    and raises what they would on a malformed document.
     """
     if "nodes" not in document or "edges" not in document:
         raise GraphError("graph document must contain 'nodes' and 'edges' lists")
     graph = Graph(document.get("name", "G"), store=store)
-    for entry in document["nodes"]:
-        graph.add_node(entry["id"], entry["label"], entry.get("attributes", {}))
-    for entry in document["edges"]:
-        graph.add_edge(entry["source"], entry["target"], entry["label"])
+
+    # generator functions, not expressions: ``document["edges"]`` is looked at
+    # after the last node is in, so a document with two faults raises the first
+    def nodes():
+        for entry in document["nodes"]:
+            yield entry["id"], entry["label"], entry.get("attributes")
+
+    def edges():
+        for entry in document["edges"]:
+            yield entry["source"], entry["target"], entry["label"]
+
+    graph.store.bulk_load(nodes(), edges())
     return graph
 
 

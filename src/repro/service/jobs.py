@@ -34,7 +34,9 @@ from typing import Iterator, Optional
 from repro import obs
 from repro.core.ngd import RuleSet
 from repro.core.violations import ViolationDelta, ViolationSet
-from repro.detect.parallel import WarmExecutorPool
+# the kernels a request may ask for are imported with the service, before the
+# ready line, so that no request handler pays for an import
+from repro.detect.parallel import WarmExecutorPool, iter_p_dect, iter_pinc_dect  # noqa: F401
 from repro.detect.session import DetectionOptions, Detector
 from repro.errors import (
     DeadlineExceededError,
@@ -60,12 +62,6 @@ DEFAULT_MAX_JOBS = 8
 JOB_QUEUE_CAPACITY = 256
 
 
-#: A session's cached plans are recompiled once the graph's |V|+|E| has
-#: drifted by more than this fraction from the statistics they were compiled
-#: against (update-driven invalidation of the cross-version plan reuse).
-PLAN_DRIFT_TOLERANCE = 0.2
-
-
 class ContinuousSession:
     """A long-lived incremental session over one registered graph.
 
@@ -75,12 +71,12 @@ class ContinuousSession:
 
     Two bounded-resource mechanisms ride along:
 
-    * **plan reuse** — the :class:`~repro.matching.plan.MatchPlan`\\ s the
-      detector compiled at the base version are passed back to every
-      ``run_incremental``, so per-update maintenance skips the statistics
-      pass; an update that drifts ``|V| + |E|`` beyond
-      :data:`PLAN_DRIFT_TOLERANCE` invalidates them (recompiled against the
-      new snapshot, counted in ``plan_compilations``);
+    * **plan reuse** — the detector keeps the
+      :class:`~repro.matching.plan.MatchPlan`\\ s it compiled at the base
+      version, so per-update maintenance skips the statistics pass; an
+      update that drifts ``|V| + |E|`` beyond the detector's
+      :data:`~repro.detect.session.PLAN_DRIFT_TOLERANCE` recompiles them
+      against the new snapshot (counted in ``plan_compilations``);
     * **delta-log compaction** — :meth:`compact` squashes deltas older than
       a retention window into one net delta
       (:meth:`~repro.core.violations.ViolationDelta.compose`), so
@@ -96,8 +92,6 @@ class ContinuousSession:
         detector: Detector,
         base_version: int,
         violations: ViolationSet,
-        plans=None,
-        plan_size: int = 0,
         request_document: Optional[dict] = None,
     ) -> None:
         self.session_id = session_id
@@ -108,9 +102,6 @@ class ContinuousSession:
         self.current_version = base_version
         self.violations = violations
         self.deltas: dict[int, ViolationDelta] = {}
-        self.plans = plans
-        self.plan_size = plan_size
-        self.plan_compilations = 1 if plans is not None else 0
         self.compacted_through: Optional[int] = None
         self._squashed: Optional[ViolationDelta] = None
         self._lock = threading.Lock()
@@ -119,16 +110,12 @@ class ContinuousSession:
         self.request_document = request_document
 
     def plans_for(self, graph) -> object:
-        """Return the session's cached plans, recompiling on statistics drift."""
-        if self.plans is None:
-            return None
-        size = graph.total_size()
-        reference = max(self.plan_size, 1)
-        if abs(size - self.plan_size) > PLAN_DRIFT_TOLERANCE * reference:
-            self.plans = self.detector.compile_plans(graph)
-            self.plan_size = size
-            self.plan_compilations += 1
-        return self.plans
+        """Return the detector's kept plans, recompiled if ``graph`` has drifted."""
+        return self.detector.compile_plans(graph)
+
+    @property
+    def plan_compilations(self) -> int:
+        return self.detector.plan_compilations
 
     def advance(self, version: int, delta: ViolationDelta) -> None:
         """Record ΔVio for ``version`` and roll the violation set forward."""
@@ -223,7 +210,7 @@ class ContinuousSession:
                 "squashed": self._squashed.to_dict() if self._squashed is not None else None,
                 "compacted_through": self.compacted_through,
                 "plan_compilations": self.plan_compilations,
-                "plan_size": self.plan_size,
+                "plan_size": self.detector.plan_size,
             }
             return document
 
@@ -242,8 +229,8 @@ class ContinuousSession:
             self.deltas = dict(deltas)
             self._squashed = squashed
             self.compacted_through = compacted_through
-            self.plan_compilations = plan_compilations
-            self.plan_size = plan_size
+            self.detector.plan_compilations = plan_compilations
+            self.detector.plan_size = plan_size
 
     def state_document(self) -> dict:
         """Return the JSON description served by ``GET /sessions/{id}``."""
@@ -679,8 +666,8 @@ class SessionManager:
                 executor_pool=pool,
             )
             # compile the maintenance plans once against the base snapshot;
-            # the session reuses them across versions until statistics drift
-            plans = incremental.compile_plans(graph)
+            # the detector keeps them across versions until statistics drift
+            incremental.compile_plans(graph)
             session = ContinuousSession(
                 session_id=f"s{next(self._session_ids)}",
                 graph_name=graph_name,
@@ -688,8 +675,6 @@ class SessionManager:
                 detector=incremental,
                 base_version=version,
                 violations=violations,
-                plans=plans,
-                plan_size=graph.total_size(),
                 request_document=request.to_document(),
             )
             with self._sessions_lock:

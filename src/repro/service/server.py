@@ -530,6 +530,9 @@ class DetectionService:
         #: restores
         self.access_log = access_log
         self._started_at = time.time()
+        #: the start-up phases, once :meth:`record_startup` has named them
+        self.startup: Optional[dict] = None
+        self._modules_at_ready: frozenset[str] = frozenset()
         self.persistence = None
         if data_dir is not None:
             # recovery runs before the socket binds: by the time any client
@@ -601,6 +604,28 @@ class DetectionService:
 
     # -------------------------------------------------------------- reporting
 
+    def record_startup(self, import_s: float, ready_s: float) -> None:
+        """Name the start-up phases (``serve`` calls this just before its ready line).
+
+        ``import_s`` — importing the package, the CLI and the service;
+        ``recover_s`` — checkpoint load + WAL replay, with the count of
+        ``replayed_records``; ``ready_s`` — from the start of the import to
+        the ready line.  Gauges ``repro_service_startup_seconds{phase=…}``
+        on the registry and the ``startup`` block of ``GET /health``, which
+        also lists every ``repro`` module imported *after* this call — a
+        lazy import that landed inside a request.
+        """
+        recovered = self.persistence.recovered if self.persistence is not None else {}
+        self.startup = {
+            "import_s": round(import_s, 6),
+            "recover_s": recovered.get("seconds", 0.0),
+            "replayed_records": recovered.get("replayed", 0),
+            "ready_s": round(ready_s, 6),
+        }
+        for phase in ("import", "recover", "ready"):
+            obs.gauge_set("repro_service_startup_seconds", {"phase": phase}, self.startup[f"{phase}_s"])
+        self._modules_at_ready = frozenset(sys.modules)
+
     def log_access(
         self,
         method: str,
@@ -649,6 +674,15 @@ class DetectionService:
         }
         if self.persistence is not None:
             document["persistence"] = self.persistence.info()
+        if self.startup is not None:
+            document["startup"] = {
+                **self.startup,
+                "imported_after_ready": sorted(
+                    name
+                    for name in list(sys.modules)
+                    if name.startswith("repro") and name not in self._modules_at_ready
+                ),
+            }
         return document
 
     # ---------------------------------------------------------- convenience

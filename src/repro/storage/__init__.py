@@ -1,15 +1,14 @@
 """Durable storage subsystem: persistent store, WAL, checkpoints, recovery.
 
 Import layering: this package is imported by ``repro.graph`` (to register
-the ``persistent`` engine), so the modules re-exported here must not
-import the service layer.  The service-facing pieces —
-:class:`~repro.storage.manager.PersistenceManager` and friends — live in
-:mod:`repro.storage.manager`, which is resolved lazily to keep the import
-graph acyclic.
+the ``persistent`` engine), so only the engine is imported with it.  The
+log and the service-facing :class:`~repro.storage.manager.PersistenceManager`
+are imported on first use: a process that never journals loads neither, and
+the import graph stays acyclic (the manager imports the service layer).
 """
 
+from repro._lazy import lazy_exports
 from repro.storage.persistent import PersistentStore
-from repro.storage.wal import WalCorruption, WriteAheadLog
 
 __all__ = [
     "PersistentStore",
@@ -18,10 +17,11 @@ __all__ = [
     "PersistenceManager",
 ]
 
-
-def __getattr__(name: str):
-    if name == "PersistenceManager":
-        from repro.storage.manager import PersistenceManager
-
-        return PersistenceManager
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "PersistenceManager": "repro.storage.manager",
+        "WalCorruption": "repro.storage.wal",
+        "WriteAheadLog": "repro.storage.wal",
+    },
+)

@@ -341,7 +341,7 @@ class PersistenceManager:
                 ),
                 executor_pool=pool,
             )
-            plans = incremental.compile_plans(graph)
+            incremental.compile_plans(graph)
             session = ContinuousSession(
                 session_id=document["session"],
                 graph_name=document["graph"],
@@ -349,8 +349,6 @@ class PersistenceManager:
                 detector=incremental,
                 base_version=document["base_version"],
                 violations=ViolationSet.from_dict(document["violations"]),
-                plans=plans,
-                plan_size=graph.total_size(),
                 request_document=dict(document.get("request") or {}),
             )
             session.restore_progress(

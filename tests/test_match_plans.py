@@ -291,6 +291,42 @@ class TestSessionPlanCache:
         graph = _kb_graph()
         detector = _detector(_kb_rules(graph), False)
         assert detector.compile_plans(graph) is None
+        assert detector.plan_compilations == 0
+
+    def test_plans_survive_apply_update(self):
+        """``run_incremental(G, ΔG)`` without ``plans=`` compiles once over a stream of new stores."""
+        graph = _kb_graph()
+        rules = _kb_rules(graph)
+        default = _detector(rules, True, engine="incremental")
+        holding = _detector(rules, True, engine="incremental")
+        held = holding.compile_plans(graph)
+        maintained = _detector(rules, True).run(graph).violations
+        generator = UpdateGenerator(seed=5)
+        for _ in range(60):
+            delta = generator.generate(graph, size=4)
+            after = apply_update(graph, delta)
+            assert after.store is not graph.store
+            result = default.run_incremental(graph, delta, graph_after=after)
+            expected = holding.run_incremental(graph, delta, graph_after=after, plans=held)
+            assert result.delta.to_dict() == expected.delta.to_dict()
+            assert result.cost == expected.cost
+            maintained = maintained.apply_delta(result.delta)
+            graph = after
+        assert default.plan_compilations == 1
+        assert maintained.to_json() == _detector(rules, True).run(graph).violations.to_json()
+
+    def test_plans_recompile_once_the_graph_has_drifted(self):
+        graph = _kb_graph()
+        detector = _detector(_kb_rules(graph), True)
+        first = detector.compile_plans(graph)
+        grown = graph.copy()
+        tolerated = int(0.2 * graph.total_size())
+        for index in range(tolerated):
+            grown.add_node(f"extra{index}", "filler")
+        assert detector.compile_plans(grown) is first
+        grown.add_node("one-too-many", "filler")
+        assert detector.compile_plans(grown) is not first
+        assert (detector.plan_compilations, detector.plan_size) == (2, grown.total_size())
 
     def test_explicit_plans_override(self):
         graph = _kb_graph()

@@ -29,6 +29,7 @@ from repro.detect.parallel.workunits import (
     initial_units_for_pivot,
     seed_consistent,
 )
+from repro.detect.session import PLAN_DRIFT_TOLERANCE, Detector
 from repro.experiments.runner import _correlated_hub_graph, _selftuning_rules
 from repro.expr.expressions import Add, const, var
 from repro.expr.literals import Comparison, Literal
@@ -180,6 +181,26 @@ def test_incdect_maintains_the_reference_along_an_update_stream(graph, rules, da
             maintained[store] = maintained[store].apply_delta(result.delta)
             assert as_pairs(maintained[store]) == after_reference, store
         graph = after
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), rule_sets(allow_isolated=False), st.data())
+def test_a_session_that_keeps_its_plans_maintains_the_reference(graph, rules, data):
+    """The default incremental API: one ``Detector``, no ``plans=``, a new store for every ΔG."""
+    fresh: list = []
+    detector = Detector(rules, engine="incremental")
+    planned = detector.options.planner_active()  # REPRO_MATCH_PLANNER=off compiles nothing
+    maintained = Detector(rules, engine="batch").run(graph).violations
+    batches = data.draw(st.integers(min_value=1, max_value=4), label="batches")
+    for _ in range(batches):
+        delta = draw_batch(data.draw, graph, fresh)
+        result = detector.run_incremental(graph, delta)
+        if planned:  # the kept plans are never further from the graph they ran on than the tolerance
+            assert abs(graph.total_size() - detector.plan_size) <= PLAN_DRIFT_TOLERANCE * max(detector.plan_size, 1)
+        graph = apply_update(graph, delta)
+        maintained = maintained.apply_delta(result.delta)
+        assert as_pairs(maintained) == naive_reference.violations(graph, rules)
+    assert planned <= detector.plan_compilations <= planned * batches
 
 
 def self_loop_rule() -> RuleSet:

@@ -11,6 +11,7 @@ immune to string-hash randomization).
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import os
 import random
@@ -19,15 +20,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.ngd import NGD
 from repro.detect import dect, inc_dect
-from repro.errors import GraphError, UpdateError
+from repro.errors import DuplicateNode, GraphError, NodeNotFound, UpdateError
 from repro.graph.generators import random_labeled_graph
 from repro.graph.graph import WILDCARD, Graph
-from repro.graph.io import graph_to_dict
+from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.neighborhood import (
     d_neighbor_of_nodes,
     multi_source_nodes_within_hops,
@@ -711,6 +712,136 @@ class TestCopyOnWriteClone:
                     assert multi_source_nodes_within_hops(graph, sources, hops) == _per_node_bfs(
                         graph, sources, hops
                     )
+
+
+# ------------------------------------------------------------ one-pass build
+
+
+def _build_by_mutation(document: dict, store: str) -> Graph:
+    """What ``graph_from_dict`` was before the bulk build: one facade mutation per entry."""
+    if "nodes" not in document or "edges" not in document:
+        raise GraphError("graph document must contain 'nodes' and 'edges' lists")
+    graph = Graph(document.get("name", "G"), store=store)
+    for entry in document["nodes"]:
+        graph.add_node(entry["id"], entry["label"], entry.get("attributes", {}))
+    for entry in document["edges"]:
+        graph.add_edge(entry["source"], entry["target"], entry["label"])
+    return graph
+
+
+def _outcome(build, document: dict, store: str):
+    """Return ``(graph, None)`` or ``(None, type of the exception raised)``."""
+    try:
+        return build(document, store), None
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return None, type(exc)
+
+
+#: what the server turns into a 4xx body; a malformed document raises nothing else
+_DOCUMENT_ERRORS = (KeyError, TypeError, ValueError, AttributeError, GraphError)
+
+_node_entries = st.fixed_dictionaries(
+    {"id": st.integers(0, 6), "label": st.sampled_from(_COW_NODE_LABELS)},
+    # few distinct payloads, so that a repeated id is sometimes the same node again
+    optional={"attributes": st.sampled_from([{}, {"val": 1}, {"val": 2, "name": "n"}, None])},
+)
+_edge_entries = st.fixed_dictionaries(
+    {"source": st.integers(0, 7), "target": st.integers(0, 7), "label": st.sampled_from(_COW_EDGE_LABELS)}
+)
+_malformations = st.sampled_from(
+    ["none", "node without label", "edge without label", "edges not a list", "node not an object",
+     "unhashable id", "attributes a string", "label not a string", "no edges key"]
+)  # fmt: skip
+
+
+@st.composite
+def _documents(draw) -> dict:
+    """Graph documents: repeated ids, dangling edges, repeated edges, and at most one malformed entry."""
+    nodes = draw(st.lists(_node_entries, max_size=10))
+    edges = draw(st.lists(_edge_entries, max_size=12))
+    document: dict = {"name": "generated", "nodes": nodes, "edges": edges}
+    malformation = draw(_malformations)
+    position = draw(st.integers(0, 12))
+    if malformation == "node without label" and nodes:
+        del nodes[position % len(nodes)]["label"]
+    elif malformation == "edge without label" and edges:
+        del edges[position % len(edges)]["label"]
+    elif malformation == "edges not a list":
+        document["edges"] = draw(st.sampled_from([None, 5, {"source": 0}]))
+    elif malformation == "node not an object" and nodes:
+        nodes[position % len(nodes)] = draw(st.sampled_from([None, 3, [0, "person"]]))
+    elif malformation == "unhashable id" and nodes:
+        nodes[position % len(nodes)]["id"] = [0]
+    elif malformation == "attributes a string" and nodes:
+        nodes[position % len(nodes)]["attributes"] = "val"
+    elif malformation == "label not a string" and nodes:
+        nodes[position % len(nodes)]["label"] = 7
+    elif malformation == "no edges key":
+        del document["edges"]
+    return document
+
+
+class TestOnePassBuild:
+    """``graph_from_dict`` is one ``GraphStore.bulk_load``; the graph is the one mutation builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_documents())
+    def test_bulk_build_is_the_build_by_mutation(self, document):
+        for backend in BACKENDS:
+            expected, expected_error = _outcome(_build_by_mutation, copy.deepcopy(document), backend)
+            built, error = _outcome(graph_from_dict, copy.deepcopy(document), backend)
+            assert gc.isenabled()
+            assert error is expected_error, backend
+            if error is not None:
+                assert issubclass(error, _DOCUMENT_ERRORS), backend
+                continue
+            _assert_same_content(built.store, expected.store, signatures=True)
+            _assert_same_order(built.store, expected.store, signatures=True)
+            ids = list(expected.node_ids())
+            assert [built.node_rank(i) for i in ids] == [expected.node_rank(i) for i in ids], backend
+            assert graph_to_dict(built) == graph_to_dict(expected), backend
+            assert graph_to_dict(graph_from_dict(graph_to_dict(built), store=backend)) == graph_to_dict(built)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            ({"nodes": [{"id": 1, "label": "a"}, {"id": 1, "label": "b"}], "edges": []}, DuplicateNode),
+            ({"nodes": [{"id": 1, "label": "a"}, {"id": 1, "label": "a", "attributes": {"v": 1}}], "edges": []}, DuplicateNode),
+            ({"nodes": [{"id": 1, "label": "a"}], "edges": [{"source": 1, "target": 2, "label": "p"}]}, NodeNotFound),
+            ({"nodes": [{"id": 1, "label": "a"}], "edges": [{"source": 2, "target": 1, "label": "p"}]}, NodeNotFound),
+            ({"nodes": [{"id": 1}], "edges": []}, KeyError),
+            ({"nodes": [{"id": 1, "label": "a"}], "edges": [{"source": 1, "target": 1}]}, KeyError),
+            ({"nodes": [{"id": 1, "label": "a"}], "edges": 5}, TypeError),
+            ({"nodes": [{"id": 1, "label": "a"}], "edges": None}, TypeError),
+            ({"nodes": []}, GraphError),
+        ],
+    )  # fmt: skip
+    def test_a_malformed_document_raises_what_it_always_raised(self, backend, document, error):
+        with pytest.raises(error) as caught:
+            graph_from_dict(document, store=backend)
+        assert type(caught.value) is error
+        assert gc.isenabled(), "the collector stays paused after a build that raised"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_identical_node_again_is_a_no_op_and_ranks_follow_the_document(self, backend):
+        node = {"id": "b", "label": "person", "attributes": {"val": 1}}
+        document = {
+            "nodes": [node, {"id": "a", "label": "city"}, dict(node), {"id": "b", "label": "person", "attributes": {"val": 1}}],
+            "edges": [{"source": "b", "target": "a", "label": "near"}] * 2,
+        }  # fmt: skip
+        graph = graph_from_dict(document, store=backend)
+        assert [(n.id, graph.node_rank(n.id)) for n in graph.nodes()] == [("b", 0), ("a", 1)]
+        assert [edge.key() for edge in graph.edges()] == [("b", "a", "near")]
+        graph.validate_consistency()
+
+    def test_a_build_leaves_a_paused_collector_paused(self):
+        gc.disable()
+        try:
+            graph_from_dict({"nodes": [{"id": 1, "label": "a"}], "edges": []})
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 # ------------------------------------------------------------ frozen CSR store
