@@ -26,9 +26,9 @@ stays coNP) but whose satisfiability/implication the checkers refuse.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, TypeVar, Union
 
 from repro.errors import DependencyError, NonLinearExpressionError
 from repro.expr.format import format_literal_set
@@ -37,6 +37,8 @@ from repro.expr.parser import parse_literal_set
 from repro.graph.pattern import Pattern
 
 __all__ = ["NGD", "RuleSet", "gfd", "cfd_as_ngd"]
+
+T = TypeVar("T")
 
 
 class NGD:
@@ -230,13 +232,26 @@ class RuleSet:
     def __init__(self, rules: Iterable[NGD] = (), name: str = "Σ") -> None:
         self.name = name
         self._rules: list[NGD] = list(rules)
-        self._diameter: Optional[int] = None
+        # values computed from the whole rule list (dΣ, the pivot index), dropped by add()
+        self._derived: dict[str, object] = {}
 
     def add(self, rule: NGD) -> "RuleSet":
         """Append a rule and return self (builder style)."""
         self._rules.append(rule)
-        self._diameter = None
+        self._derived.clear()
         return self
+
+    def derived(self, key: str, build: Callable[[list[NGD]], T]) -> T:
+        """Return ``build(rules)``, computed once per ``key`` and again after :meth:`add`.
+
+        For what every run over the same Σ would otherwise recompute; the
+        rules themselves are taken to be immutable once in the set.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = build(self._rules)
+            return value
 
     def __iter__(self) -> Iterator[NGD]:
         return iter(self._rules)
@@ -260,9 +275,7 @@ class RuleSet:
         Computed once per rule set (every incremental run asks for it) and
         recomputed after :meth:`add`.
         """
-        if self._diameter is None:
-            self._diameter = max((rule.diameter() for rule in self._rules), default=0)
-        return self._diameter
+        return self.derived("diameter", lambda rules: max((rule.diameter() for rule in rules), default=0))
 
     def total_size(self) -> int:
         """Return |Σ|: the sum of the rule sizes (used in the cost analyses)."""

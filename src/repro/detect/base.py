@@ -5,9 +5,13 @@ through :class:`DetectionResult` / :class:`IncrementalDetectionResult`.  Two
 cost measures are carried side by side:
 
 * ``wall_time`` — elapsed Python time, what pytest-benchmark measures;
-* ``cost`` — the number of algorithmic work units performed (candidate
-  examinations, expansions, edge checks, literal evaluations), plus simulated
-  communication charges for the parallel algorithms.
+* ``cost`` — the work the search performed: per expansion step the anchor's
+  scan plus one unit per candidate verified (Dect also charges its seed
+  scans, IncDect one unit per consistent update pivot), plus simulated
+  communication and ``N_C(ΔG, Σ)`` replication charges for the parallel
+  algorithms.  IncDect's cost leaves out ``|G_dΣ(ΔG)|`` unless
+  ``restrict_to_neighborhood`` extracted that region; the paper's cost model
+  charges it, so the experiment series add ``neighborhood_size`` back.
 
 The paper's figures plot running time on a 20-machine Java cluster; this
 reproduction plots ``cost`` (and, for the parallel algorithms, the simulated
@@ -70,7 +74,14 @@ class DetectionResult:
 
 @dataclass
 class IncrementalDetectionResult:
-    """Outcome of an incremental detection run (IncDect / PIncDect)."""
+    """Outcome of an incremental detection run (IncDect / PIncDect).
+
+    ``neighborhood_size`` is ``|G_dΣ(ΔG)|``, the size of the region the
+    localizability bound of Section 6.2 is stated in.  The kernels that
+    extract that region set it; default IncDect, whose search never needs the
+    region, leaves it to :meth:`measure_neighborhood_on_read`, so the BFS
+    runs only for a caller that reads it.
+    """
 
     delta: ViolationDelta
     stats: MatchStatistics = field(default_factory=MatchStatistics)
@@ -102,3 +113,38 @@ class IncrementalDetectionResult:
     def total_changes(self) -> int:
         """Return |ΔVio⁺| + |ΔVio⁻|."""
         return self.delta.total_changes()
+
+    def measure_neighborhood_on_read(self, graph, sources, hops: int) -> None:
+        """Make ``neighborhood_size`` ``|V_hops(sources)|`` in ``graph``, counted when first read.
+
+        One :func:`~repro.graph.neighborhood.multi_source_nodes_within_hops`
+        then, after which the count is kept and ``graph`` is let go.  ``graph``
+        must not be mutated in between (the run's own ``G ⊕ ΔG`` snapshot).
+        """
+        self.__dict__["_pending_neighborhood"] = (graph, sources, hops)
+
+    def __getstate__(self) -> dict:
+        # a pickled result carries the count, never the snapshot it is counted in
+        _neighborhood_size(self)
+        return self.__dict__
+
+
+def _neighborhood_size(result: IncrementalDetectionResult) -> Optional[int]:
+    pending = result.__dict__.pop("_pending_neighborhood", None)
+    if pending is not None:
+        from repro.graph.neighborhood import multi_source_nodes_within_hops
+
+        result.__dict__["_neighborhood_size"] = len(multi_source_nodes_within_hops(*pending))
+    return result.__dict__["_neighborhood_size"]
+
+
+def _set_neighborhood_size(result: IncrementalDetectionResult, value: Optional[int]) -> None:
+    result.__dict__.pop("_pending_neighborhood", None)
+    result.__dict__["_neighborhood_size"] = value
+
+
+# installed after @dataclass, which keeps neighborhood_size a field (init
+# argument, repr, eq) whose reads and writes now go through the property
+IncrementalDetectionResult.neighborhood_size = property(  # type: ignore[assignment]
+    _neighborhood_size, _set_neighborhood_size, doc="``|G_dΣ(ΔG)|``, or None when not known."
+)

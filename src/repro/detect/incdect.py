@@ -15,13 +15,18 @@ The algorithm is *localizable*: the nodes it ever touches lie within the
 dΣ-neighbourhood of the endpoints of ΔG, so its cost is
 ``O(|Σ| · |G_dΣ(ΔG)|^|Σ|)`` independently of |G|.
 
-The pivots seed the search core of :mod:`repro.matching.search`, drained by
-the loop Dect drains its seeds with (:class:`~repro.detect.serial.SerialRun`)
-and charged per step what the parallel kernels charge; the reported ``cost``
-therefore uses the same units as the simulated parallel makespans, making
-PIncDect's relative parallel scalability (Theorem 6) directly observable in
-the benchmarks.  ``restrict_to_neighborhood`` optionally extracts ``G_dΣ(ΔG)``
-up front to demonstrate locality explicitly.
+The pivots of all of Σ come from one pass over ΔG
+(:func:`~repro.matching.incmatch.pivots_by_rule`) and seed the search core of
+:mod:`repro.matching.search` directly, drained by the loop Dect drains its
+seeds with (:class:`~repro.detect.serial.SerialRun`) and charged per step
+what the parallel kernels charge.  The reported ``cost`` is what the search
+touched — one unit per consistent pivot plus the charged steps — in the units
+of the simulated parallel makespans, making PIncDect's relative parallel
+scalability (Theorem 6) directly observable in the benchmarks.  The search
+never needs ``G_dΣ(ΔG)`` itself: its size, ``neighborhood_size``, is one BFS
+run when the result is first asked for it.  ``restrict_to_neighborhood``
+extracts ``G_dΣ(ΔG)`` up front to demonstrate locality explicitly, and
+charges that extraction to ``cost``.
 
 :func:`iter_inc_dect` is the kernel: a generator yielding a
 :class:`~repro.detect.observers.ViolationEvent` (violation + ΔVio⁺/ΔVio⁻
@@ -40,14 +45,14 @@ from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.detect.base import IncrementalDetectionResult
 from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink
-from repro.detect.parallel.workunits import initial_units_for_pivot, rule_search, seed_consistent
+from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import multi_source_nodes_within_hops, update_neighborhood
+from repro.graph.neighborhood import update_neighborhood
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.adaptive import resolve_adaptive
 from repro.matching.compiled import resolve_compiled
-from repro.matching.incmatch import find_update_pivots
+from repro.matching.incmatch import pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
 
 __all__ = ["inc_dect", "iter_inc_dect"]
@@ -75,21 +80,21 @@ def iter_inc_dect(
     harness reuses it across algorithms); otherwise it is computed here, and
     its construction is not charged to the algorithm's cost (the paper
     likewise assumes the updated graph is maintained by the storage layer).
+
+    The result's ``cost`` is one unit per consistent pivot plus what each
+    search step charged, and, with ``restrict_to_neighborhood``, the size of
+    the extracted region.  Otherwise ``neighborhood_size`` is counted in
+    ``G ⊕ ΔG`` when first read, so that snapshot must not be mutated before.
     """
     rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
     rule_list = list(rule_set)
     started = time.perf_counter()
 
     updated = graph_after if graph_after is not None else apply_update(graph, delta)
-
-    # The update-driven search only ever reads G_dΣ(ΔG); identifying that region
-    # (one multi-source BFS from the endpoints of ΔG) is part of the algorithm's
-    # cost, exactly as in the O(|Σ|·|G_dΣ(ΔG)|^|Σ|) bound of Section 6.2.
     hops = max(rule_set.diameter(), 1)
-    neighborhood_nodes = multi_source_nodes_within_hops(updated, delta.touched_nodes(), hops)
-    neighborhood_size: Optional[int] = len(neighborhood_nodes)
 
     search_before, search_after = graph, updated
+    neighborhood_size: Optional[int] = None
     if restrict_to_neighborhood:
         region_before = update_neighborhood(graph, delta, hops)
         region_after = update_neighborhood(updated, delta, hops)
@@ -112,31 +117,30 @@ def iter_inc_dect(
 
     introduced = ViolationSet()
     removed = ViolationSet()
-    run = SerialRun("IncDect", budget, sink, cost=float(neighborhood_size))
+    # extracting the region up front is work this run did; on the default
+    # path nothing outside what the search touches is charged
+    run = SerialRun("IncDect", budget, sink, cost=float(neighborhood_size or 0))
+    pivots_of = pivots_by_rule(rule_set, delta, search_before, search_after)
 
     for rule_index, rule in enumerate(rule_list):
         plan = plans[rule_index] if plans is not None else None
         controller = controllers[rule_index] if controllers is not None else None
         if run.cost_exhausted():
             break
-        pivots = find_update_pivots(rule, delta, search_before, search_after)
+        pivots = pivots_of[rule_index]
         if not pivots:
             continue
         with run.rule(rule.name):
             seeds = []
-            for pivot in pivots:
-                unit = initial_units_for_pivot(
-                    rule_index, rule, pivot.seed(), pivot.from_insertion, plan=plan
-                )
+            for site, update in pivots:
                 # insertion pivots are expanded in G ⊕ ΔG (ΔVio⁺), deletion pivots in G (ΔVio⁻)
-                search_graph, target = (
-                    (search_after, introduced) if pivot.from_insertion else (search_before, removed)
-                )
-                if not seed_consistent(search_graph, rule, unit):
+                inserted = update.is_insertion
+                search_graph, target = (search_after, introduced) if inserted else (search_before, removed)
+                ids = site.ids(update)
+                if not site.holds_in(search_graph.store, ids):
                     continue
                 run.cost += 1.0
-                ids = [node for _, node in unit.assignment]
-                seeds.append((search_graph, unit.order, ids, target, pivot.from_insertion))
+                seeds.append((search_graph, site.order(plan), ids, target, inserted))
             # the pivots are a stack: the last one's subtree is searched first
             seeds.reverse()
             search = rule_search(rule, plan, use_literal_pruning, run.stats, controller, compiled_flag)
@@ -144,7 +148,7 @@ def iter_inc_dect(
         if run.stop_reason is not None:
             break
 
-    return IncrementalDetectionResult(
+    result = IncrementalDetectionResult(
         delta=ViolationDelta(introduced=introduced, removed=removed),
         stats=run.stats,
         wall_time=time.perf_counter() - started,
@@ -155,6 +159,9 @@ def iter_inc_dect(
         stopped_early=run.stop_reason is not None,
         stop_reason=run.stop_reason,
     )
+    if neighborhood_size is None:
+        result.measure_neighborhood_on_read(updated, delta.touched_nodes(), hops)
+    return result
 
 
 def inc_dect(

@@ -60,15 +60,13 @@ from repro.errors import ExecutionError
 from repro.detect.parallel.workunits import (
     WorkUnit,
     expand_work_unit,
-    initial_units_for_pivot,
-    seed_consistent,
 )
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import multi_source_nodes_within_hops
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.candidates import MatchStatistics
 from repro.matching.compiled import resolve_compiled
-from repro.matching.incmatch import find_update_pivots
+from repro.matching.incmatch import pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
 
 __all__ = ["pinc_dect", "iter_pinc_dect"]
@@ -124,6 +122,28 @@ def iter_pinc_dect(
     )
 
 
+def _pivot_units(
+    rule_set: RuleSet,
+    plans: Optional[tuple[MatchPlan, ...]],
+    delta: BatchUpdate,
+    graph: Graph,
+    updated: Graph,
+) -> list[WorkUnit]:
+    """Return a work unit per consistent update pivot, rule by rule, from one pass over ΔG.
+
+    Seeded as IncDect seeds its search: the pivot's order, its endpoints,
+    and the seed's internal pattern edges probed in the graph it expands in.
+    """
+    units = []
+    for rule_index, found in enumerate(pivots_by_rule(rule_set, delta, graph, updated)):
+        for site, update in found:
+            ids = site.ids(update)
+            if site.holds_in((updated if update.is_insertion else graph).store, ids):
+                order = site.order(plans[rule_index] if plans is not None else None)
+                units.append(WorkUnit(rule_index, order, tuple(zip(order, ids)), update.is_insertion))
+    return units
+
+
 def _iter_pinc_dect_simulated(
     graph: Graph,
     updated: Graph,
@@ -149,10 +169,7 @@ def _iter_pinc_dect_simulated(
     cluster = ClusterSimulator(processors, policy.latency)
 
     # ---------------------------------------------------------- phase 1: pivots
-    pivots: list[tuple[int, dict, bool]] = []
-    for rule_index, rule in enumerate(rule_list):
-        for pivot in find_update_pivots(rule, delta, graph, updated):
-            pivots.append((rule_index, pivot.seed(), pivot.from_insertion))
+    units = _pivot_units(rule_set, plans, delta, graph, updated)
 
     diameter = max(rule_set.diameter(), 1)
     neighborhood_size = len(
@@ -168,20 +185,8 @@ def _iter_pinc_dect_simulated(
     # partitioning of the source endpoint stands in for the fragment owner).
     # Ownership-based placement is what the real system does, and it is what
     # creates the workload skew the balancing machinery then has to fix.
-    for rule_index, seed, from_insertion in pivots:
-        rule = rule_list[rule_index]
-        unit = initial_units_for_pivot(
-            rule_index,
-            rule,
-            seed,
-            from_insertion,
-            plan=plans[rule_index] if plans is not None else None,
-        )
-        reference = updated if from_insertion else graph
-        if not seed_consistent(reference, rule, unit):
-            continue
-        source_node = unit.assignment[0][1] if unit.assignment else 0
-        owner = zlib.crc32(repr(source_node).encode()) % processors
+    for unit in units:
+        owner = zlib.crc32(repr(unit.assignment[0][1]).encode()) % processors
         cluster.enqueue(owner, unit)
 
     introduced = ViolationSet()
@@ -338,10 +343,7 @@ def _iter_pinc_dect_processes(
     stats = MatchStatistics()
     started = time.perf_counter()
 
-    pivots: list[tuple[int, dict, bool]] = []
-    for rule_index, rule in enumerate(rule_list):
-        for pivot in find_update_pivots(rule, delta, graph, updated):
-            pivots.append((rule_index, pivot.seed(), pivot.from_insertion))
+    units = _pivot_units(rule_set, plans, delta, graph, updated)
 
     diameter = max(rule_set.diameter(), 1)
     touched = delta.touched_nodes()
@@ -370,20 +372,8 @@ def _iter_pinc_dect_processes(
         )
 
     seeds: list[tuple[int, int, WorkUnit]] = []
-    for rule_index, seed, from_insertion in pivots:
-        rule = rule_list[rule_index]
-        unit = initial_units_for_pivot(
-            rule_index,
-            rule,
-            seed,
-            from_insertion,
-            plan=plans[rule_index] if plans is not None else None,
-        )
-        reference = updated if from_insertion else graph
-        if not seed_consistent(reference, rule, unit):
-            continue
-        source_node = unit.assignment[0][1] if unit.assignment else 0
-        owner = zlib.crc32(repr(source_node).encode()) % processors
+    for unit in units:
+        owner = zlib.crc32(repr(unit.assignment[0][1]).encode()) % processors
         seeds.append((owner, 0, unit))
 
     introduced = ViolationSet()

@@ -40,31 +40,8 @@ __all__ = [
     "ExpansionOutcome",
     "StaticSearch",
     "expand_work_unit",
-    "initial_units_for_pivot",
     "rule_search",
-    "seed_consistent",
 ]
-
-
-def seed_consistent(graph: Graph, rule: NGD, unit: "WorkUnit") -> bool:
-    """Return True when a seed partial solution is internally consistent in ``graph``.
-
-    Checks node existence, label compatibility, and every pattern edge whose
-    endpoints are both already bound (the expansion step only verifies edges
-    touching the *next* variable, so edges entirely inside the seed must be
-    validated up front).
-    """
-    mapping = unit.mapping()
-    for variable, node in mapping.items():
-        if not graph.has_node(node):
-            return False
-        if not rule.pattern.node(variable).matches_label(graph.node(node).label):
-            return False
-    for edge in rule.pattern.edges():
-        if edge.source in mapping and edge.target in mapping:
-            if not graph.has_edge(mapping[edge.source], mapping[edge.target], edge.label):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -110,27 +87,6 @@ class ExpansionOutcome:
     violations: list[Violation]
     filtering_adjacency: int
     verification_adjacency: int
-
-
-def initial_units_for_pivot(
-    rule_index: int,
-    rule: NGD,
-    seed: dict[str, Hashable],
-    from_insertion: bool,
-    plan: Optional["MatchPlan"] = None,
-) -> WorkUnit:
-    """Build the work unit corresponding to an update pivot (or any seed match).
-
-    With a compiled plan, the remainder of the matching order is chosen by
-    the plan's cost model (seed variables stay first — they are already
-    bound); without one, by the static ``Pattern.matching_order``.
-    """
-    if plan is not None:
-        order = plan.order_for_seed(tuple(seed.keys()))
-    else:
-        order = tuple(rule.pattern.matching_order(seed=list(seed.keys())))
-    assignment = tuple((variable, seed[variable]) for variable in order if variable in seed)
-    return WorkUnit(rule_index=rule_index, order=order, assignment=assignment, from_insertion=from_insertion)
 
 
 def _anchor_variable(rule: NGD, unit: WorkUnit, next_variable: str) -> Optional[str]:

@@ -277,6 +277,9 @@ class Detector:
         self._executor_pool = executor_pool
         self._owns_pool = False
         self._rules_digest: Optional[str] = None
+        # (plan set, its summed root estimate): the trace root's plan_estimate,
+        # summed once per plan set rather than once per run
+        self._plan_estimate: Optional[tuple[Sequence[MatchPlan], float]] = None
 
     # ------------------------------------------------------------------ sinks
 
@@ -595,11 +598,11 @@ class Detector:
             edges=graph.edge_count(),
         )
         if plans:
-            root.set(
-                plan_estimate=round(
-                    sum(plan.estimated_unit_cost(0) for plan in plans), 3
-                )
-            )
+            memo = self._plan_estimate
+            if memo is None or memo[0] is not plans:
+                estimate = round(sum(plan.estimated_unit_cost(0) for plan in plans), 3)
+                memo = self._plan_estimate = (plans, estimate)
+            root.set(plan_estimate=memo[1])
 
     def _adaptive_argument(self, plans, processes: bool):
         """Resolve what the kernels receive as ``adaptive``.

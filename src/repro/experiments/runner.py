@@ -136,11 +136,9 @@ def _cost_row(
         )
     if delta is not None:
         if "IncDect" in wanted:
-            row["IncDect"] = (
-                Detector(rule_set, engine="incremental")
-                .run_incremental(graph, delta, graph_after=updated)
-                .cost
-            )
+            # the paper's cost model charges IncDect for identifying G_dΣ(ΔG) too
+            result = Detector(rule_set, engine="incremental").run_incremental(graph, delta, graph_after=updated)
+            row["IncDect"] = result.cost + result.neighborhood_size
         variants = policies if policies is not None else {"PIncDect": None}
         for name, policy in variants.items():
             if name not in wanted:

@@ -16,14 +16,16 @@ incremental matching).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TypeVar
 
 from repro.errors import PatternError
 from repro.graph.graph import WILDCARD, Graph
 
 __all__ = ["PatternNode", "PatternEdge", "Pattern"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class Pattern:
         self._edge_keys: set[tuple[str, str, str]] = set()
         self._out: dict[str, list[PatternEdge]] = {}
         self._in: dict[str, list[PatternEdge]] = {}
-        self._by_label: Optional[dict[str, list[tuple[PatternEdge, PatternNode, PatternNode]]]] = None
+        # values computed from the whole pattern (its update-pivot sites), dropped by add_node/add_edge
+        self._derived: dict[str, object] = {}
 
     # ----------------------------------------------------------- construction
 
@@ -82,6 +85,7 @@ class Pattern:
                 f"variable {variable!r} is already bound to label {existing.label!r}"
             )
         node = PatternNode(variable, label)
+        self._derived.clear()
         self._nodes[variable] = node
         self._order.append(variable)
         self._out.setdefault(variable, [])
@@ -97,11 +101,11 @@ class Pattern:
         if key in self._edge_keys:
             return next(e for e in self._edges if (e.source, e.target, e.label) == key)
         edge = PatternEdge(source, target, label)
+        self._derived.clear()
         self._edges.append(edge)
         self._edge_keys.add(key)
         self._out[source].append(edge)
         self._in[target].append(edge)
-        self._by_label = None
         return edge
 
     @classmethod
@@ -118,6 +122,14 @@ class Pattern:
         for source, target, label in edges:
             pattern.add_edge(source, target, label)
         return pattern
+
+    def derived(self, key: str, build: Callable[["Pattern"], T]) -> T:
+        """Return ``build(self)``, computed once per ``key`` and again after the pattern grows."""
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
 
     # ---------------------------------------------------------------- queries
 
@@ -144,20 +156,6 @@ class Pattern:
     def edges(self) -> tuple[PatternEdge, ...]:
         """Return the pattern edges in insertion order."""
         return tuple(self._edges)
-
-    def edges_by_label(self) -> dict[str, list[tuple[PatternEdge, PatternNode, PatternNode]]]:
-        """Return ``edge label -> [(edge, source node, target node)]`` in edge order.
-
-        What an updated data edge is matched against to find update pivots;
-        built on first use and rebuilt after :meth:`add_edge`.
-        """
-        if self._by_label is None:
-            by_label: dict[str, list[tuple[PatternEdge, PatternNode, PatternNode]]] = {}
-            for edge in self._edges:
-                entry = (edge, self._nodes[edge.source], self._nodes[edge.target])
-                by_label.setdefault(edge.label, []).append(entry)
-            self._by_label = by_label
-        return self._by_label
 
     def out_edges(self, variable: str) -> tuple[PatternEdge, ...]:
         """Return pattern edges leaving ``variable``."""

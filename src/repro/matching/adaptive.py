@@ -340,7 +340,8 @@ def resolve_adaptive(plans, adaptive=None) -> Optional[tuple[Optional[AdaptiveCo
     if adaptive is False:
         return None
     if adaptive is True:
-        return tuple(AdaptiveController(plan) for plan in plans)
+        threshold = drift_threshold()
+        return tuple(AdaptiveController(plan, threshold) for plan in plans)
     controllers = tuple(adaptive)
     if len(controllers) != len(tuple(plans)):
         from repro.errors import SessionError

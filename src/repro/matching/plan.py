@@ -320,6 +320,7 @@ class MatchPlan:
         "rule",
         "statistics",
         "steps",
+        "order",
         "observed",
         "_premise_literals",
         "_schedules",
@@ -337,6 +338,8 @@ class MatchPlan:
         self.rule = rule
         self.statistics = statistics
         self.steps = steps
+        #: the cost-based root variable order
+        self.order: tuple[str, ...] = tuple(step.variable for step in steps)
         self.observed: Optional[dict[tuple[str, str], float]] = (
             dict(observed) if observed else None
         )
@@ -344,11 +347,6 @@ class MatchPlan:
         self._schedules: dict[tuple[str, ...], tuple[PlanStep, ...]] = {self.order: steps}
         self._seed_orders: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._compiled: dict[tuple[str, ...], CompiledSchedule] = {}
-
-    @property
-    def order(self) -> tuple[str, ...]:
-        """Return the cost-based root variable order."""
-        return tuple(step.variable for step in self.steps)
 
     def premise_literal(self, index: int) -> Literal:
         """Return the premise literal a schedule index refers to."""

@@ -11,9 +11,10 @@ from repro.datasets.rules import benchmark_rules
 from repro.detect import BalancingPolicy, dect, inc_dect, p_dect, pinc_dect
 from repro.detect.parallel.balancing import plan_rebalancing, should_split, skewness
 from repro.detect.parallel.cluster import ClusterSimulator
-from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, initial_units_for_pivot, seed_consistent
+from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
 from repro.errors import ClusterError
-from repro.graph.updates import UpdateGenerator, apply_update
+from repro.graph.updates import EdgeInsertion, UpdateGenerator, apply_update
+from repro.matching.incmatch import PivotSite
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +132,13 @@ class TestBalancingPolicy:
 
 
 class TestWorkUnits:
-    def test_initial_unit_from_pivot(self, kb_rules):
+    def test_pivot_site_seeds_its_edge_first(self, kb_rules):
         rule = kb_rules[1]
-        seed = {variable: f"node-{variable}" for variable in list(rule.pattern.variables)[:2]}
-        unit = initial_units_for_pivot(1, rule, seed, from_insertion=True)
-        assert unit.depth() == len(seed)
-        assert not unit.is_complete() or rule.pattern.node_count() == len(seed)
+        edge = rule.pattern.edges()[0]
+        site = PivotSite(rule.pattern, edge)
+        assert site.ids(EdgeInsertion("s", "t", edge.label)) == (("s",) if site.loop else ("s", "t"))
+        order = site.order(None)
+        assert order[: len(site.seed)] == site.seed and sorted(order) == sorted(rule.pattern.variables)
 
     def test_expand_respects_labels_and_edges(self, triangle_graph, knows_rule):
         unit = WorkUnit(0, order=("x", "y"), assignment=(("x", "a"),))
@@ -149,11 +151,10 @@ class TestWorkUnits:
         outcome = expand_work_unit(triangle_graph, knows_rule, unit)
         assert len(outcome.violations) == 1
 
-    def test_seed_consistent_checks_edges(self, triangle_graph, knows_rule):
-        good = WorkUnit(0, order=("x", "y"), assignment=(("x", "a"), ("y", "b")))
-        bad = WorkUnit(0, order=("x", "y"), assignment=(("x", "b"), ("y", "a")))
-        assert seed_consistent(triangle_graph, knows_rule, good)
-        assert not seed_consistent(triangle_graph, knows_rule, bad)
+    def test_pivot_site_checks_the_edges_inside_its_seed(self, triangle_graph, knows_rule):
+        site = PivotSite(knows_rule.pattern, knows_rule.pattern.edges()[0])
+        assert site.holds_in(triangle_graph.store, ("a", "b"))
+        assert not site.holds_in(triangle_graph.store, ("b", "a"))
 
 
 class TestPDect:

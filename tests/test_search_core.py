@@ -23,23 +23,17 @@ from repro.core.ngd import NGD, RuleSet
 from repro.detect.dect import iter_dect
 from repro.detect.incdect import iter_inc_dect
 from repro.detect.observers import DetectionBudget
-from repro.detect.parallel.workunits import (
-    WorkUnit,
-    expand_work_unit,
-    initial_units_for_pivot,
-    seed_consistent,
-)
+from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
 from repro.detect.session import PLAN_DRIFT_TOLERANCE, Detector
 from repro.experiments.runner import _correlated_hub_graph, _selftuning_rules
 from repro.expr.expressions import Add, const, var
 from repro.expr.literals import Comparison, Literal
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import multi_source_nodes_within_hops
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
 from repro.matching.adaptive import AdaptiveController
 from repro.matching.candidates import MatchStatistics
-from repro.matching.incmatch import find_update_pivots
+from repro.matching.incmatch import UpdatePivot
 from repro.matching.plan import compile_plans, first_step_candidates
 
 STORES = ("indexed", "csr")
@@ -244,10 +238,10 @@ def test_a_pattern_self_loop_pivots_on_data_self_loops_only():
 class Stepped:
     """The serial kernels as they were: a LIFO stack of work units, one ``expand_work_unit`` each."""
 
-    def __init__(self, budget, cost: float = 0.0) -> None:
+    def __init__(self, budget) -> None:
         self.budget = budget
         self.stats = MatchStatistics()
-        self.cost = cost
+        self.cost = 0.0
         self.stream: list = []
         self.stop_reason = None
 
@@ -293,17 +287,49 @@ def stepped_dect(graph, rules, plans, controllers, budget=None) -> Stepped:
     return run
 
 
+def pivots_by_definition(rule: NGD, delta: BatchUpdate, before: Graph, after: Graph) -> list[UpdatePivot]:
+    """One rule's update pivots (Section 6.2), unit update by unit update, then pattern edge by pattern edge."""
+    pivots = []
+    for update in delta:
+        graph = after if update.is_insertion else before
+        if not (graph.has_node(update.source) and graph.has_node(update.target)):
+            continue
+        source_label, target_label = graph.node(update.source).label, graph.node(update.target).label
+        for edge in rule.pattern.edges():
+            if edge.label != update.label or (edge.source == edge.target and update.source != update.target):
+                continue
+            pattern = rule.pattern
+            if pattern.node(edge.source).matches_label(source_label) and pattern.node(edge.target).matches_label(
+                target_label
+            ):
+                pivots.append(UpdatePivot(rule.name, edge, update.source, update.target, update.is_insertion))
+    return pivots
+
+
+def pivot_unit(index: int, rule: NGD, pivot: UpdatePivot, plan, graph: Graph):
+    """The work unit a pivot seeds — its variables first, in the plan's or the static order — or
+    None when a pattern edge between two seed variables is not an edge of ``graph``."""
+    seed = pivot.seed()
+    if plan is not None:
+        order = plan.order_for_seed(tuple(seed))
+    else:
+        order = tuple(rule.pattern.matching_order(seed=list(seed)))
+    for edge in rule.pattern.edges():
+        if edge.source in seed and edge.target in seed and not graph.has_edge(seed[edge.source], seed[edge.target], edge.label):
+            return None
+    return WorkUnit(index, order, tuple((variable, seed[variable]) for variable in order if variable in seed), pivot.from_insertion)
+
+
 def stepped_inc_dect(graph, after, rules, delta, plans, controllers, budget=None) -> Stepped:
-    hops = max(rules.diameter(), 1)
-    run = Stepped(budget, cost=float(len(multi_source_nodes_within_hops(after, delta.touched_nodes(), hops))))
+    run = Stepped(budget)
     graphs, seen = {True: after, False: graph}, {True: set(), False: set()}
     for index, (rule, plan) in enumerate(zip(rules, plans)):
         if run.cost_exhausted():
             break
         stack = []
-        for pivot in find_update_pivots(rule, delta, graph, after):
-            unit = initial_units_for_pivot(index, rule, pivot.seed(), pivot.from_insertion, plan=plan)
-            if seed_consistent(graphs[pivot.from_insertion], rule, unit):
+        for pivot in pivots_by_definition(rule, delta, graph, after):
+            unit = pivot_unit(index, rule, pivot, plan, graphs[pivot.from_insertion])
+            if unit is not None:
                 run.cost += 1.0
                 stack.append(unit)
         run.drain(stack, graphs, rule, plan, controllers[index], seen)
@@ -420,8 +446,7 @@ def test_lockstep_inc_dect(hub_graph, hub_rules, threshold):
     assert full.delta.total_changes() > 2
     changed = list(full.delta.introduced) + list(full.delta.removed)
     assert any(violation.rule == "every_e1_edge" for violation in changed)
-    base = float(full.neighborhood_size)
     for share in (0.1, 0.5, 0.9):
-        capped = both_ways(DetectionBudget(max_cost=base + (full.cost - base) * share))
+        capped = both_ways(DetectionBudget(max_cost=full.cost * share))
         assert capped.stop_reason == "max_cost"
     assert both_ways(DetectionBudget(max_violations=2)).stop_reason == "max_violations"
