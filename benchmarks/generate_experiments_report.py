@@ -35,7 +35,6 @@ from repro.experiments.runner import ExperimentSeries  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_detector_overhead import measure_overhead  # noqa: E402
-from bench_match_plans import measure_match_plans  # noqa: E402
 from bench_service_throughput import measure_service_throughput  # noqa: E402
 
 
@@ -166,36 +165,6 @@ def generate(output_path: Path) -> None:
     ]
     sections.append(
         "*IndexedStore speedups over DictStore:*\n\n" + "\n".join(speedup_lines) + "\n"
-    )
-
-    # ----------------------------------------------------------- match plans
-    sections.append("\n## Match planner — planned vs static ordering (no paper analogue)\n")
-    sections.append(
-        "The matcher is a compile-then-execute pipeline (`docs/ARCHITECTURE.md`, "
-        "\"The matching pipeline\"): `repro.matching.plan` compiles each rule into a "
-        "cost-based `MatchPlan` (variable order from label-cardinality statistics, "
-        "per-variable candidate strategies, pre-resolved literal schedules) that all "
-        "four kernels execute; `REPRO_MATCH_PLANNER=off` restores the static "
-        "pipeline.  `benchmarks/bench_match_plans.py` measures both on the "
-        "skewed-label synthetic workload (acceptance: ≥ 1.5× fewer work units, "
-        "identical violation sets across planner on/off × {dict, indexed, csr}):\n"
-    )
-    plans = measure_match_plans()
-    sections.append(
-        "```\n"
-        f"workload: {plans['workload']}\n"
-        f"planned ordering:   {plans['planned_operations']} work units "
-        f"(cost {plans['planned_cost']:.0f})\n"
-        f"static ordering:    {plans['static_operations']} work units "
-        f"(cost {plans['static_cost']:.0f})\n"
-        f"operations ratio:   {plans['operation_ratio']:.2f}x fewer when planned\n"
-        f"violations: {plans['violations']} "
-        f"(identical across planner x backends: {plans['violations_identical']})\n"
-        + "".join(
-            f"{backend} backend:      {seconds * 1000:.1f} ms (planned batch run)\n"
-            for backend, seconds in plans["seconds"].items()
-        )
-        + "```\n"
     )
 
     # ------------------------------------------------------- session overhead
@@ -336,46 +305,6 @@ def generate(output_path: Path) -> None:
             "*(no BENCH_selftuning.json baseline recorded yet — run "
             "`REPRO_WRITE_BENCH_BASELINE=benchmarks/BENCH_selftuning.json "
             "pytest benchmarks/bench_selftuning.py --benchmark-disable`)*\n"
-        )
-
-    # ------------------------------------------------------ compiled evaluation
-    sections.append("\n## Compiled evaluation — closure-compiled literal schedules (no paper analogue)\n")
-    sections.append(
-        "Literal evaluation is the kernels' innermost loop; "
-        "`repro.matching.compiled` compiles each `(rule, order)` pair once "
-        "into slot-indexed closures — pre-resolved attribute reads, "
-        "specialized operators, folded constants, the comparison baked in "
-        "from a dispatch table — and the CSR backend intersects anchored "
-        "candidates by a sorted-rank merge instead of per-candidate hash "
-        "probes (`docs/ARCHITECTURE.md`, \"Compiled evaluation\").  "
-        "`REPRO_COMPILED_EVAL=off` restores the interpreted AST walk "
-        "byte-identically.  `benchmarks/bench_compiled_eval.py` asserts "
-        "identical violations *and* identical `MatchStatistics` in every "
-        "field, and a ≥ 1.5× wall-clock win on the literal-heavy workload.  "
-        "The committed baseline (`benchmarks/BENCH_compiled.json`):\n"
-    )
-    compiled_path = Path(__file__).resolve().parent / "BENCH_compiled.json"
-    if compiled_path.exists():
-        import json as _json
-
-        compiled = _json.loads(compiled_path.read_text(encoding="utf-8"))
-        sections.append(
-            "```\n"
-            f"workload: {compiled['workload']}\n"
-            f"machine:  {compiled['machine']}\n"
-            f"interpreted evaluator: {compiled['interpreted_wall_seconds']:.3f}s wall "
-            f"(best of {compiled['repeats']})\n"
-            f"compiled schedules:    {compiled['compiled_wall_seconds']:.3f}s wall "
-            f"({compiled['speedup_vs_interpreted']:.2f}x)\n"
-            f"byte-identical sets:   {compiled['byte_identical_violations']}\n"
-            f"identical statistics:  {compiled['identical_statistics']}\n"
-            "```\n"
-        )
-    else:
-        sections.append(
-            "*(no BENCH_compiled.json baseline recorded yet — run "
-            "`REPRO_WRITE_BENCH_BASELINE=benchmarks/BENCH_compiled.json "
-            "pytest benchmarks/bench_compiled_eval.py --benchmark-disable`)*\n"
         )
 
     # ----------------------------------------------------------------- durability

@@ -240,13 +240,6 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: $REPRO_ADAPTIVE_REPLAN, on)",
     )
     parser.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="disable closure-compiled literal schedules and run the "
-        "interpreted evaluator (default: $REPRO_COMPILED_EVAL, on); "
-        "violations and statistics are identical either way",
-    )
-    parser.add_argument(
         "--save-history",
         default=None,
         metavar="HISTORY.json",
@@ -257,8 +250,8 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         "--profile",
         action="store_true",
         help="after the run, print the observability span tree (plan "
-        "compile, per-rule work, per-step candidate counts) to stderr; "
-        "needs REPRO_OBS unset or 'on'",
+        "compile, per-rule work, per-step candidate counts, literal "
+        "evaluations) to stderr; needs REPRO_OBS unset or 'on'",
     )
 
 
@@ -468,7 +461,6 @@ def _build_detector(args: argparse.Namespace, engine: str) -> Detector:
         execution=getattr(args, "execution", "simulated"),
         adaptive=False if getattr(args, "no_adaptive", False) else None,
         warm_pool=getattr(args, "warm_pool", False),
-        compiled=False if getattr(args, "no_compiled", False) else None,
     )
     return Detector(
         _load_rules(args),
@@ -534,17 +526,11 @@ def _print_profile(
                 ),
                 file=sys.stderr,
             )
-    eval_rows = sorted(
-        (
-            (dict(key).get("mode", "?"), value)
-            for name, key, value in snapshot["counters"]
-            if name == "repro_literal_evals_total" and value
-        ),
+    evaluations = sum(
+        value for name, _, value in snapshot["counters"] if name == "repro_literal_evals_total"
     )
-    if eval_rows:
-        print("literal evaluations by evaluator:", file=sys.stderr)
-        for mode, value in eval_rows:
-            print(f"  mode={mode}: {int(value)}", file=sys.stderr)
+    if evaluations:
+        print(f"literal evaluations: {int(evaluations)}", file=sys.stderr)
     schedules = sum(
         value
         for name, _, value in snapshot["counters"]

@@ -52,6 +52,7 @@ from repro.expr.literals import Comparison, LiteralSet
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.matching.matchn import HomomorphismMatcher, assignment_for_match
+from repro.matching.plan import GraphStatistics
 
 __all__ = ["AggregateTerm", "AggregateLiteral", "AggregateRule", "find_aggregate_violations"]
 
@@ -187,8 +188,9 @@ def find_aggregate_violations(
     """Return every match violating the given aggregate rules."""
     rule_list = [rules] if isinstance(rules, AggregateRule) else list(rules)
     result = ViolationSet()
+    statistics = GraphStatistics.from_graph(graph)
     for rule in rule_list:
-        matcher = HomomorphismMatcher(graph, rule.pattern, premise=rule.premise)
+        matcher = HomomorphismMatcher(graph, rule.pattern, premise=rule.premise, statistics=statistics)
         for match in matcher.matches():
             if rule.match_violates(graph, match):
                 result.add(Violation.from_mapping(rule.name, match, rule.pattern.variables))

@@ -42,6 +42,7 @@ from repro.errors import SatisfiabilityError
 from repro.expr.literals import Comparison, Literal
 from repro.graph.graph import WILDCARD, Graph
 from repro.matching.matchn import HomomorphismMatcher
+from repro.matching.plan import GraphStatistics
 
 __all__ = [
     "SatisfiabilityResult",
@@ -313,10 +314,10 @@ class _Requirement:
         return dict(self.match)
 
 
-def _collect_requirements(model: Graph, rules: RuleSet) -> list[_Requirement]:
+def _collect_requirements(model: Graph, rules: RuleSet, statistics: GraphStatistics) -> list[_Requirement]:
     requirements: list[_Requirement] = []
     for rule in rules:
-        matcher = HomomorphismMatcher(model, rule.pattern, use_literal_pruning=False)
+        matcher = HomomorphismMatcher(model, rule.pattern, use_literal_pruning=False, statistics=statistics)
         for match in matcher.matches():
             requirements.append(_Requirement(rule, tuple(sorted(match.items()))))
     return requirements
@@ -457,7 +458,7 @@ def check_satisfiability(rules: RuleSet | list[NGD], strong: bool = False) -> Sa
     for model in candidates:
         if model.node_count() == 0:
             continue
-        requirements = _collect_requirements(model, rule_set)
+        requirements = _collect_requirements(model, rule_set, GraphStatistics.from_graph(model))
         if strong:
             matched = {
                 requirement.rule.name for requirement in requirements
@@ -503,8 +504,9 @@ def implies(rules: RuleSet | list[NGD], candidate: NGD) -> bool:
     for model in witness_models:
         if model.node_count() == 0:
             continue
-        requirements = _collect_requirements(model, rule_set)
-        matcher = HomomorphismMatcher(model, candidate.pattern, use_literal_pruning=False)
+        statistics = GraphStatistics.from_graph(model)
+        requirements = _collect_requirements(model, rule_set, statistics)
+        matcher = HomomorphismMatcher(model, candidate.pattern, use_literal_pruning=False, statistics=statistics)
         for match in matcher.matches():
             witness_requirement = _Requirement(
                 candidate, tuple(sorted(match.items())), must_violate=True

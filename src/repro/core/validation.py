@@ -6,9 +6,10 @@ decision version (the *validation problem*, ``Vio(Σ, G) = ∅``?) is
 coNP-complete, the same as for GFDs — arithmetic adds only per-match constant
 work (Corollary 4).
 
-These functions are the sequential reference implementation used as ground
-truth for the incremental and parallel algorithms; ``repro.detect`` wraps the
-same machinery with the paper's algorithm names (Dect, IncDect, ...).
+These functions are the problem statements over the batch kernel
+(:func:`~repro.detect.dect.iter_dect`, Dect); ``repro.detect`` wraps the same
+kernel in sessions with the paper's algorithm names.  The kernel is imported
+when first called, so importing :mod:`repro.core` stays free of it.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.ngd import NGD, RuleSet
-from repro.core.violations import Violation, ViolationSet
+from repro.core.violations import ViolationSet
 from repro.graph.graph import Graph
 from repro.matching.candidates import MatchStatistics
-from repro.matching.matchn import HomomorphismMatcher
 
 __all__ = [
     "violations_of_rule",
@@ -36,19 +36,7 @@ def violations_of_rule(
     stats: Optional[MatchStatistics] = None,
 ) -> ViolationSet:
     """Return all violations of a single NGD in ``graph``."""
-    matcher = HomomorphismMatcher(
-        graph,
-        rule.pattern,
-        premise=rule.premise,
-        conclusion=rule.conclusion,
-        use_literal_pruning=use_literal_pruning,
-        stats=stats,
-    )
-    result = ViolationSet()
-    order = rule.pattern.variables
-    for match in matcher.violations():
-        result.add(Violation.from_mapping(rule.name, match, order))
-    return result
+    return find_violations(graph, [rule], use_literal_pruning, stats)
 
 
 def find_violations(
@@ -58,26 +46,22 @@ def find_violations(
     stats: Optional[MatchStatistics] = None,
 ) -> ViolationSet:
     """Return ``Vio(Σ, G)``: every violation of every rule in Σ."""
-    rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
-    result = ViolationSet()
-    for rule in rule_set:
-        result.update(violations_of_rule(graph, rule, use_literal_pruning, stats))
-    return result
+    from repro.detect.dect import iter_dect
+    from repro.detect.observers import drain
+
+    result = drain(iter_dect(graph, rules, use_literal_pruning))
+    if stats is not None:
+        stats.merge(result.stats)
+    return result.violations
 
 
 def satisfies_rule(graph: Graph, rule: NGD, use_literal_pruning: bool = True) -> bool:
     """Return True when ``G ⊨ φ`` (no match of the pattern violates X → Y)."""
-    matcher = HomomorphismMatcher(
-        graph,
-        rule.pattern,
-        premise=rule.premise,
-        conclusion=rule.conclusion,
-        use_literal_pruning=use_literal_pruning,
-    )
-    return next(iter(matcher.violations()), None) is None
+    return graph_satisfies(graph, [rule], use_literal_pruning)
 
 
 def graph_satisfies(graph: Graph, rules: RuleSet | list[NGD], use_literal_pruning: bool = True) -> bool:
-    """Return True when ``G ⊨ Σ`` (the validation problem)."""
-    rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
-    return all(satisfies_rule(graph, rule, use_literal_pruning) for rule in rule_set)
+    """Return True when ``G ⊨ Σ`` (the validation problem); stops at the first violation."""
+    from repro.detect.dect import iter_dect
+
+    return next(iter_dect(graph, rules, use_literal_pruning), None) is None

@@ -13,8 +13,7 @@ pivots with.  A step is charged what the parallel kernels charge for the same
 step (they run it through :func:`~repro.detect.parallel.workunits.
 expand_work_unit`), so the reported ``cost`` is in the same units as the
 simulated parallel makespans and the speedups of Figures 4(a)–(l) are
-measured against a consistent yardstick.  The independent recursive matcher
-in :mod:`repro.core.validation` serves as ground truth in the tests.
+measured against a consistent yardstick.
 
 :func:`iter_dect` is the kernel itself: a generator that yields each
 violation the moment the step that completes it returns and honours an
@@ -37,7 +36,6 @@ from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.matching.adaptive import resolve_adaptive
-from repro.matching.compiled import resolve_compiled
 from repro.matching.plan import MatchPlan, first_step_candidates, resolve_plans
 
 __all__ = ["dect", "iter_dect"]
@@ -51,7 +49,6 @@ def iter_dect(
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
     adaptive=None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[Violation]:
     """Run batch detection, yielding each violation as it is confirmed.
 
@@ -61,32 +58,27 @@ def iter_dect(
     performs strictly less work than a full one; ``sink`` (if given) is
     notified of every violation right before it is yielded.  ``plans``
     carries pre-compiled :class:`~repro.matching.plan.MatchPlan`\\ s (one per
-    rule, the session's cache); when omitted they are compiled here unless
-    the planner is disabled.  ``adaptive`` follows
-    :func:`~repro.matching.adaptive.resolve_adaptive` conventions (None =
-    environment default, bool = force, sequence = the caller's controllers).
-    ``compiled`` selects closure-compiled literal schedules on plan-driven
-    steps (None = ``REPRO_COMPILED_EVAL`` default).
+    rule, the session's cache); when omitted they are compiled here.
+    ``adaptive`` follows :func:`~repro.matching.adaptive.resolve_adaptive`
+    conventions (None = environment default, bool = force, sequence = the
+    caller's controllers).
     """
     rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
     rule_list = list(rule_set)
     plans = resolve_plans(graph, rule_list, plans)
     controllers = resolve_adaptive(plans, adaptive)
-    compiled_flag = resolve_compiled(compiled)
     started = time.perf_counter()
     violations = ViolationSet()
     run = SerialRun("Dect", budget, sink)
 
     for rule_index, rule in enumerate(rule_list):
-        plan = plans[rule_index] if plans is not None else None
+        plan = plans[rule_index]
         controller = controllers[rule_index] if controllers is not None else None
-        order = plan.order if plan is not None else tuple(rule.pattern.matching_order())
+        order = plan.order
         if not order:
             continue
         with run.rule(rule.name):
-            candidates, scan_cost = first_step_candidates(
-                graph, rule, plan, order, use_literal_pruning, run.stats, compiled=compiled_flag
-            )
+            candidates, scan_cost = first_step_candidates(graph, rule, plan, order, use_literal_pruning, run.stats)
             run.cost += scan_cost
             if not run.cost_exhausted():
                 # the seeds are a stack: the last candidate's subtree is searched
@@ -94,7 +86,7 @@ def iter_dect(
                 # rank order
                 if len(order) > 1:
                     candidates.reverse()
-                search = rule_search(rule, plan, use_literal_pruning, run.stats, controller, compiled_flag)
+                search = rule_search(rule, plan, use_literal_pruning, run.stats, controller)
                 yield from run.drain(
                     search, ((graph, order, (candidate,), violations, True) for candidate in candidates)
                 )

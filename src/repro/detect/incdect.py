@@ -51,7 +51,6 @@ from repro.graph.graph import Graph
 from repro.graph.neighborhood import update_neighborhood
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.adaptive import resolve_adaptive
-from repro.matching.compiled import resolve_compiled
 from repro.matching.incmatch import pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
 
@@ -69,7 +68,6 @@ def iter_inc_dect(
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
     adaptive=None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[ViolationEvent]:
     """Run incremental detection, yielding each ΔVio event as it is confirmed.
 
@@ -100,10 +98,9 @@ def iter_inc_dect(
         region_after = update_neighborhood(updated, delta, hops)
         neighborhood_size = max(region_before.total_size(), region_after.total_size())
         search_before, search_after = region_before, region_after
-        if plans:
+        if plans is not None:
             # session-cached plans were compiled against the whole graph; the
             # restricted regions have their own statistics, so recompile there
-            # (the empty "planner off" marker passes through untouched)
             plans = None
             if not isinstance(adaptive, (bool, type(None))):
                 # caller-built controllers belong to the discarded plans
@@ -113,7 +110,6 @@ def iter_inc_dect(
     # G and G ⊕ ΔG differ by at most |ΔG|, well within estimate noise)
     plans = resolve_plans(search_after, rule_list, plans)
     controllers = resolve_adaptive(plans, adaptive)
-    compiled_flag = resolve_compiled(compiled)
 
     introduced = ViolationSet()
     removed = ViolationSet()
@@ -123,7 +119,7 @@ def iter_inc_dect(
     pivots_of = pivots_by_rule(rule_set, delta, search_before, search_after)
 
     for rule_index, rule in enumerate(rule_list):
-        plan = plans[rule_index] if plans is not None else None
+        plan = plans[rule_index]
         controller = controllers[rule_index] if controllers is not None else None
         if run.cost_exhausted():
             break
@@ -143,7 +139,7 @@ def iter_inc_dect(
                 seeds.append((search_graph, site.order(plan), ids, target, inserted))
             # the pivots are a stack: the last one's subtree is searched first
             seeds.reverse()
-            search = rule_search(rule, plan, use_literal_pruning, run.stats, controller, compiled_flag)
+            search = rule_search(rule, plan, use_literal_pruning, run.stats, controller)
             yield from run.drain(search, seeds)
         if run.stop_reason is not None:
             break

@@ -23,12 +23,11 @@ A single detection run notifies its sink from one thread: the generator
 kernels call ``on_violation`` from whichever thread is consuming the
 iterator, and the simulated parallel engines (PDect / PIncDect) notify in
 *worker completion order* but still from the consuming thread.  The
-thread-based engine (:mod:`repro.detect.parallel.threaded`) and — more
-importantly — the detection service (:mod:`repro.service`) break that
-assumption: the service shares sinks across concurrently-running sessions
-served by :class:`http.server.ThreadingHTTPServer` worker threads, so a
-sink instance may receive interleaved ``on_violation`` / ``on_finish``
-calls from several threads at once.
+detection service (:mod:`repro.service`) breaks that assumption: it shares
+sinks across concurrently-running sessions served by
+:class:`http.server.ThreadingHTTPServer` worker threads, so a sink instance
+may receive interleaved ``on_violation`` / ``on_finish`` calls from several
+threads at once.
 
 The rule is therefore: a sink attached to exactly one :class:`Detector`
 used from one thread may be as simple as it likes; **any sink shared

@@ -25,8 +25,6 @@ __getattr__, __dir__ = lazy_exports(
         "p_dect": "repro.detect.parallel.pdect",
         "iter_pinc_dect": "repro.detect.parallel.pincdect",
         "pinc_dect": "repro.detect.parallel.pincdect",
-        "threaded_dect": "repro.detect.parallel.threaded",
-        "threaded_inc_dect": "repro.detect.parallel.threaded",
     },
 )
 
@@ -49,6 +47,4 @@ __all__ = [
     "should_split",
     "should_split_planned",
     "skewness",
-    "threaded_dect",
-    "threaded_inc_dect",
 ]

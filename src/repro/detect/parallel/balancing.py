@@ -120,7 +120,7 @@ def should_split_planned(
     talks the scheduler out of a split the raw predicate would take.
 
     Executors charge actual sizes either way — the plan decides, the data
-    pays — and the raw predicate stays the oracle on the planner-off path.
+    pays.
     """
     if processors <= 1:
         return False
@@ -139,21 +139,14 @@ def should_split_step(
 ) -> bool:
     """Decide one expansion step's split — the kernels' shared entry point.
 
-    Plan-guided (:func:`should_split_planned` on the remaining-subtree
-    estimate) when a compiled :class:`~repro.matching.plan.MatchPlan` is
-    executing, the raw adjacency test on the planner-off oracle path.
-    Both simulated kernels call this for their filtering and verification
-    steps so the decision logic cannot diverge between them.
+    :func:`should_split_planned` on the remaining-subtree estimate of the
+    :class:`~repro.matching.plan.MatchPlan` executing.  Both simulated
+    kernels call this for their filtering and verification steps so the
+    decision logic cannot diverge between them.
     """
-    if plan is not None:
-        return should_split_planned(
-            plan.remaining_cost(order, matched_depth),
-            adjacency_size,
-            matched_depth,
-            processors,
-            latency,
-        )
-    return should_split(adjacency_size, matched_depth, processors, latency)
+    return should_split_planned(
+        plan.remaining_cost(order, matched_depth), adjacency_size, matched_depth, processors, latency
+    )
 
 
 def rebalancing_pays(

@@ -240,7 +240,7 @@ class ExecutionRuntime:
     """
 
     rules: list[NGD]
-    plans: Optional[tuple[MatchPlan, ...]]
+    plans: tuple[MatchPlan, ...]
     use_literal_pruning: bool
     shards: ShardedStore
     before_shards: Optional[ShardedStore] = None
@@ -248,12 +248,6 @@ class ExecutionRuntime:
     #: environment default).  Controllers themselves never cross the process
     #: boundary: every worker builds its own from the shipped plans.
     adaptive: Optional[bool] = None
-    #: Compiled-evaluation switch for the workers (True/False force, None =
-    #: ``REPRO_COMPILED_EVAL`` default).  Compiled schedules are closures and
-    #: never cross the process boundary: fork children inherit the parent's
-    #: memoised schedules, spawn workers recompile lazily from the shipped
-    #: plan documents (``MatchPlan.__getstate__`` drops every memo).
-    compiled: Optional[bool] = None
 
     def graph_for(self, shard_id: int, from_insertion: bool):
         """Return the read-only image a work unit expands against."""
@@ -265,7 +259,7 @@ class ExecutionRuntime:
         rule_set = RuleSet(self.rules)
         document = {
             "rules_json": rule_set.to_json(),
-            "plans": plans_to_document(self.plans) if self.plans is not None else None,
+            "plans": plans_to_document(self.plans),
             "use_literal_pruning": self.use_literal_pruning,
             "shards_manifest": self.shards.spool(os.path.join(spool_dir, "after")),
             "before_manifest": (
@@ -274,7 +268,6 @@ class ExecutionRuntime:
                 else None
             ),
             "adaptive": self.adaptive,
-            "compiled": self.compiled,
         }
         return document
 
@@ -282,11 +275,7 @@ class ExecutionRuntime:
     def from_payload(cls, payload: dict) -> "ExecutionRuntime":
         """Rebuild the runtime inside a ``spawn`` worker (no recompilation)."""
         rules = list(RuleSet.from_json(payload["rules_json"]))
-        plans = (
-            plans_from_document(payload["plans"], rules)
-            if payload.get("plans") is not None
-            else None
-        )
+        plans = plans_from_document(payload["plans"], rules)
         before = (
             ShardedStore.load(payload["before_manifest"])
             if payload.get("before_manifest")
@@ -299,13 +288,12 @@ class ExecutionRuntime:
             shards=ShardedStore.load(payload["shards_manifest"]),
             before_shards=before,
             adaptive=payload.get("adaptive"),
-            compiled=payload.get("compiled"),
         )
 
 
 def _worker_controllers(runtime: Optional[ExecutionRuntime]):
     """Build this worker's adaptive controllers for ``runtime`` (or None)."""
-    if runtime is None or runtime.plans is None:
+    if runtime is None:
         return None
     return resolve_adaptive(runtime.plans, runtime.adaptive)
 
@@ -486,7 +474,6 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
                 faults.on_unit()
             shard_id, unit = stack.pop()
             rule = runtime.rules[unit.rule_index]
-            plan = runtime.plans[unit.rule_index] if runtime.plans is not None else None
             graph = runtime.graph_for(shard_id, unit.from_insertion)
             unit_before = attribution.before(stats)
             outcome = expand_work_unit(
@@ -495,9 +482,8 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
                 unit,
                 use_literal_pruning=runtime.use_literal_pruning,
                 stats=stats,
-                plan=plan,
+                plan=runtime.plans[unit.rule_index],
                 adaptive=controllers[unit.rule_index] if controllers is not None else None,
-                compiled=runtime.compiled,
             )
             attribution.after(rule.name, unit_before, stats)
             stack.extend((shard_id, new_unit) for new_unit in outcome.new_units)
@@ -1062,14 +1048,13 @@ def drain_units_serially(
     units: Sequence[tuple[int, WorkUnit]],
     *,
     rules: Sequence[NGD],
-    plans: Optional[Sequence[MatchPlan]],
+    plans: Sequence[MatchPlan],
     use_literal_pruning: bool,
     graph_for: Callable[[int, bool], Any],
     budget: Optional[DetectionBudget] = None,
     sink: Optional[ViolationSink] = None,
     dedupe: Optional[tuple] = None,
     summary: Optional[ProcessRunSummary] = None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[tuple[Violation, bool]]:
     """Finish ``units`` (and their subtrees) in the parent, depth-first.
 
@@ -1096,7 +1081,6 @@ def drain_units_serially(
     while stack and summary.stop_reason is None:
         shard_id, unit = stack.pop()
         rule = rules[unit.rule_index]
-        plan = plans[unit.rule_index] if plans is not None else None
         graph = graph_for(shard_id, unit.from_insertion)
         outcome = expand_work_unit(
             graph,
@@ -1104,9 +1088,7 @@ def drain_units_serially(
             unit,
             use_literal_pruning=use_literal_pruning,
             stats=summary.stats,
-            plan=plan,
-            adaptive=None,
-            compiled=compiled,
+            plan=plans[unit.rule_index],
         )
         stack.extend((shard_id, new_unit) for new_unit in outcome.new_units)
         summary.cost += float(

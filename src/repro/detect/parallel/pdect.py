@@ -45,8 +45,6 @@ from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import resolve_compiled
-from repro.matching.matchn import match_violates_dependency
 from repro.matching.plan import MatchPlan, first_step_candidates, resolve_plans
 
 __all__ = ["p_dect", "iter_p_dect"]
@@ -66,17 +64,15 @@ def iter_p_dect(
     adaptive=None,
     warm_pool=None,
     runtime_key=None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[Violation]:
     """Run parallel batch detection, yielding violations as units complete.
 
     The generator's return value is the :class:`DetectionResult` whose
     ``cost`` is the simulated makespan; ``budget.max_cost`` therefore caps
     the makespan, and ``budget.max_violations`` caps the number of emitted
-    violations.  With compiled plans, seed work units are placed on the
-    least-loaded processor by the plan's candidate estimates (instead of
-    blind round-robin), so the initial distribution already reflects the
-    expected subtree sizes.
+    violations.  Seed work units are placed on the least-loaded processor by
+    the plan's candidate estimates, so the initial distribution already
+    reflects the expected subtree sizes.
 
     ``execution="processes"`` runs the same work units on ``processors``
     real OS processes over a sharded store
@@ -96,35 +92,32 @@ def iter_p_dect(
         return _iter_p_dect_processes(
             graph, rule_set, rule_list, plans, processors, policy,
             use_literal_pruning, budget, sink, start_method, adaptive,
-            warm_pool, runtime_key, compiled,
+            warm_pool, runtime_key,
         )
     if execution != "simulated":
         raise ExecutionError(
             f"unknown execution mode {execution!r}; expected 'simulated' or 'processes'"
         )
     return _iter_p_dect_simulated(
-        graph, rule_list, plans, processors, policy, use_literal_pruning, budget, sink, adaptive,
-        compiled,
+        graph, rule_list, plans, processors, policy, use_literal_pruning, budget, sink, adaptive
     )
 
 
 def _iter_p_dect_simulated(
     graph: Graph,
     rule_list: list[NGD],
-    plans: Optional[tuple[MatchPlan, ...]],
+    plans: tuple[MatchPlan, ...],
     processors: int,
     policy: BalancingPolicy,
     use_literal_pruning: bool,
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
     adaptive=None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[Violation]:
     """The original deterministic kernel: one process, simulated clocks."""
     from repro.matching.adaptive import resolve_adaptive
 
     controllers = resolve_adaptive(plans, adaptive)
-    compiled_flag = resolve_compiled(compiled)
     stats = MatchStatistics()
     started = time.perf_counter()
 
@@ -139,18 +132,16 @@ def _iter_p_dect_simulated(
     position = 0
     estimated_loads = [0.0] * processors
     for rule_index, rule in enumerate(rule_list):
-        plan = plans[rule_index] if plans is not None else None
-        order = plan.order if plan is not None else tuple(rule.pattern.matching_order())
+        plan = plans[rule_index]
+        order = plan.order
         if not order:
             continue
         first = order[0]
         rule_before = attribution.before(stats)
-        candidates, _ = first_step_candidates(
-            graph, rule, plan, order, use_literal_pruning, stats, compiled=compiled_flag
-        )
+        candidates, _ = first_step_candidates(graph, rule, plan, order, use_literal_pruning, stats)
         # the scan of the label index is shared evenly by the processors
         cluster.charge_broadcast(0, len(candidates) / processors, policy.latency)
-        unit_estimate = plan.estimated_unit_cost(1) if plan is not None else 1.0
+        unit_estimate = plan.estimated_unit_cost(1)
         for candidate in candidates:
             unit = WorkUnit(
                 rule_index=rule_index,
@@ -158,10 +149,10 @@ def _iter_p_dect_simulated(
                 assignment=((first, candidate),),
                 from_insertion=True,
             )
-            if unit.is_complete():
+            if len(order) == 1:
                 # single-node pattern: decide the violation immediately
-                if match_violates_dependency(graph, unit.mapping(), rule.premise, rule.conclusion, stats):
-                    violation = Violation.from_mapping(rule.name, unit.mapping(), rule.pattern.variables)
+                outcome = expand_work_unit(graph, rule, unit, use_literal_pruning, stats, plan)
+                for violation in outcome.violations:
                     if violation not in violations:
                         violations.add(violation)
                         emitted += 1
@@ -172,15 +163,13 @@ def _iter_p_dect_simulated(
                 if budget is not None and budget.violations_exhausted(emitted):
                     stop_reason = "max_violations"
                     break
-            elif plan is not None:
+            else:
                 # plan-estimated placement: each seed unit lands on the
                 # processor with the least estimated pending work (first
                 # index wins ties, so placement is deterministic)
                 owner = min(range(processors), key=lambda i: (estimated_loads[i], i))
                 estimated_loads[owner] += unit_estimate
                 cluster.enqueue(owner, unit)
-            else:
-                cluster.enqueue(position % processors, unit)
             position += 1
         attribution.after(rule.name, rule_before, stats)
         if stop_reason is not None:
@@ -219,7 +208,7 @@ def _iter_p_dect_simulated(
             break
         unit: WorkUnit = cluster.pop_unit(worker)
         rule = rule_list[unit.rule_index]
-        plan = plans[unit.rule_index] if plans is not None else None
+        plan = plans[unit.rule_index]
         unit_before = attribution.before(stats)
         outcome = expand_work_unit(
             graph,
@@ -229,15 +218,13 @@ def _iter_p_dect_simulated(
             stats=stats,
             plan=plan,
             adaptive=controllers[unit.rule_index] if controllers is not None else None,
-            compiled=compiled_flag,
         )
         attribution.after(rule.name, unit_before, stats)
 
         depth = unit.depth()
         filtering = max(outcome.filtering_adjacency, 1)
-        # split decision: the plan's remaining-subtree estimate when compiled
-        # plans are executing, the raw adjacency test on the planner-off
-        # oracle path; the charges are actual sizes either way
+        # split decision: the plan's remaining-subtree estimate; the charges
+        # are actual sizes
         if policy.enable_splitting and should_split_step(
             plan, unit.order, filtering, depth, processors, policy.latency
         ):
@@ -288,7 +275,7 @@ def _iter_p_dect_processes(
     graph: Graph,
     rule_set: RuleSet,
     rule_list: list[NGD],
-    plans: Optional[tuple[MatchPlan, ...]],
+    plans: tuple[MatchPlan, ...],
     processors: int,
     policy: BalancingPolicy,
     use_literal_pruning: bool,
@@ -298,7 +285,6 @@ def _iter_p_dect_processes(
     adaptive=None,
     warm_pool=None,
     runtime_key=None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[Violation]:
     """Real multi-process batch detection over a sharded store.
 
@@ -363,7 +349,6 @@ def _iter_p_dect_processes(
             shards=shards if shards is not None else ShardedStore.single(graph),
             # controllers cannot cross process boundaries: workers build their own
             adaptive=adaptive if isinstance(adaptive, (bool, type(None))) else True,
-            compiled=compiled,
         )
 
     seeds: list[tuple[int, int, WorkUnit]] = []
@@ -373,27 +358,24 @@ def _iter_p_dect_processes(
         # performs the first-step scan itself (seeding parallelises across
         # rules and only |Σ| units cross the queue, not one per candidate);
         # skew between rule subtrees is the rebalancer's job
-        for rule_index, rule in enumerate(rule_list):
-            plan = plans[rule_index] if plans is not None else None
-            order = plan.order if plan is not None else tuple(rule.pattern.matching_order())
+        for rule_index, plan in enumerate(plans):
+            order = plan.order
             if not order:
                 continue
             unit = WorkUnit(rule_index=rule_index, order=order, assignment=(), from_insertion=True)
-            rule_estimate = plan.estimated_unit_cost(0) if plan is not None else 1.0
+            rule_estimate = plan.estimated_unit_cost(0)
             owner = min(range(processors), key=lambda i: (estimated_loads[i], i))
             estimated_loads[owner] += rule_estimate
             seeds.append((owner, 0, unit))
     else:
         for rule_index, rule in enumerate(rule_list):
-            plan = plans[rule_index] if plans is not None else None
-            order = plan.order if plan is not None else tuple(rule.pattern.matching_order())
+            plan = plans[rule_index]
+            order = plan.order
             if not order:
                 continue
             first = order[0]
             rule_before = attribution.before(stats)
-            candidates, scan_cost = first_step_candidates(
-                graph, rule, plan, order, use_literal_pruning, stats, compiled=resolve_compiled(compiled)
-            )
+            candidates, scan_cost = first_step_candidates(graph, rule, plan, order, use_literal_pruning, stats)
             base_cost += scan_cost
             for candidate in candidates:
                 unit = WorkUnit(
@@ -402,11 +384,11 @@ def _iter_p_dect_processes(
                     assignment=((first, candidate),),
                     from_insertion=True,
                 )
-                if unit.is_complete():
+                if len(order) == 1:
                     # single-node pattern: decided in the parent, like the simulator
                     base_cost += 1.0
-                    if match_violates_dependency(graph, unit.mapping(), rule.premise, rule.conclusion, stats):
-                        violation = Violation.from_mapping(rule.name, unit.mapping(), rule.pattern.variables)
+                    outcome = expand_work_unit(graph, rule, unit, use_literal_pruning, stats, plan)
+                    for violation in outcome.violations:
                         if violation not in violations:
                             violations.add(violation)
                             emitted += 1
@@ -484,7 +466,6 @@ def _iter_p_dect_processes(
             sink=sink,
             dedupe=(violations, ViolationSet()),
             summary=summary,
-            compiled=compiled,
         )
         for violation, _ in drained:
             attribution.violation(violation.rule)

@@ -65,7 +65,6 @@ from repro.graph.graph import Graph
 from repro.graph.neighborhood import multi_source_nodes_within_hops
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import resolve_compiled
 from repro.matching.incmatch import pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
 
@@ -87,7 +86,6 @@ def iter_pinc_dect(
     start_method: Optional[str] = None,
     adaptive=None,
     warm_pool=None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[ViolationEvent]:
     """Run parallel incremental detection, yielding ΔVio events as they complete.
 
@@ -110,7 +108,6 @@ def iter_pinc_dect(
         return _iter_pinc_dect_processes(
             graph, updated, rule_set, rule_list, plans, delta, processors, policy,
             use_literal_pruning, budget, sink, start_method, adaptive, warm_pool,
-            compiled,
         )
     if execution != "simulated":
         raise ExecutionError(
@@ -118,13 +115,13 @@ def iter_pinc_dect(
         )
     return _iter_pinc_dect_simulated(
         graph, updated, rule_set, rule_list, plans, delta, processors, policy,
-        use_literal_pruning, budget, sink, adaptive, compiled,
+        use_literal_pruning, budget, sink, adaptive,
     )
 
 
 def _pivot_units(
     rule_set: RuleSet,
-    plans: Optional[tuple[MatchPlan, ...]],
+    plans: tuple[MatchPlan, ...],
     delta: BatchUpdate,
     graph: Graph,
     updated: Graph,
@@ -139,7 +136,7 @@ def _pivot_units(
         for site, update in found:
             ids = site.ids(update)
             if site.holds_in((updated if update.is_insertion else graph).store, ids):
-                order = site.order(plans[rule_index] if plans is not None else None)
+                order = site.order(plans[rule_index])
                 units.append(WorkUnit(rule_index, order, tuple(zip(order, ids)), update.is_insertion))
     return units
 
@@ -149,7 +146,7 @@ def _iter_pinc_dect_simulated(
     updated: Graph,
     rule_set: RuleSet,
     rule_list: list[NGD],
-    plans: Optional[tuple[MatchPlan, ...]],
+    plans: tuple[MatchPlan, ...],
     delta: BatchUpdate,
     processors: int,
     policy: BalancingPolicy,
@@ -157,13 +154,11 @@ def _iter_pinc_dect_simulated(
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
     adaptive=None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[ViolationEvent]:
     """The original deterministic kernel: one process, simulated clocks."""
     from repro.matching.adaptive import resolve_adaptive
 
     controllers = resolve_adaptive(plans, adaptive)
-    compiled_flag = resolve_compiled(compiled)
     stats = MatchStatistics()
     started = time.perf_counter()
     cluster = ClusterSimulator(processors, policy.latency)
@@ -230,7 +225,7 @@ def _iter_pinc_dect_simulated(
             break
         unit: WorkUnit = cluster.pop_unit(worker)
         rule = rule_list[unit.rule_index]
-        plan = plans[unit.rule_index] if plans is not None else None
+        plan = plans[unit.rule_index]
         search_graph = updated if unit.from_insertion else graph
 
         unit_before = attribution.before(stats)
@@ -242,14 +237,12 @@ def _iter_pinc_dect_simulated(
             stats=stats,
             plan=plan,
             adaptive=controllers[unit.rule_index] if controllers is not None else None,
-            compiled=compiled_flag,
         )
         attribution.after(rule.name, unit_before, stats)
 
         # candidate filtering cost (possibly split across processors); the
-        # split decision uses the plan's remaining-subtree estimate when
-        # compiled plans execute, the raw adjacency test on the planner-off
-        # oracle path — the charges are actual sizes either way
+        # split decision uses the plan's remaining-subtree estimate, the
+        # charges are actual sizes
         depth = unit.depth()
         filtering = max(outcome.filtering_adjacency, 1)
         if policy.enable_splitting and should_split_step(
@@ -307,7 +300,7 @@ def _iter_pinc_dect_processes(
     updated: Graph,
     rule_set: RuleSet,
     rule_list: list[NGD],
-    plans: Optional[tuple[MatchPlan, ...]],
+    plans: tuple[MatchPlan, ...],
     delta: BatchUpdate,
     processors: int,
     policy: BalancingPolicy,
@@ -317,7 +310,6 @@ def _iter_pinc_dect_processes(
     start_method: Optional[str],
     adaptive=None,
     warm_pool=None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[ViolationEvent]:
     """Real multi-process incremental detection over the replicated N_C(ΔG, Σ).
 
@@ -368,7 +360,6 @@ def _iter_pinc_dect_processes(
             before_shards=ShardedStore.single(before_image),
             # controllers cannot cross process boundaries: workers build their own
             adaptive=adaptive if isinstance(adaptive, (bool, type(None))) else True,
-            compiled=compiled,
         )
 
     seeds: list[tuple[int, int, WorkUnit]] = []
@@ -440,7 +431,6 @@ def _iter_pinc_dect_processes(
                 sink=sink,
                 dedupe=(introduced, removed),
                 summary=summary,
-                compiled=compiled,
             )
             for violation, from_insertion in drained:
                 attribution.violation(violation.rule)

@@ -77,8 +77,7 @@ from repro.graph.graph import Graph
 from repro.graph.store import STORE_REGISTRY
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.adaptive import CardinalityHistory, history_from_document, resolve_adaptive
-from repro.matching.compiled import resolve_compiled
-from repro.matching.plan import MatchPlan, compile_plans, load_plans, planner_enabled
+from repro.matching.plan import MatchPlan, compile_plans, load_plans
 
 if TYPE_CHECKING:  # pragma: no cover - the executor is imported when a process run asks for it
     from repro.detect.parallel.executor import WarmExecutorPool
@@ -144,11 +143,6 @@ class DetectionOptions:
       (the BatchDiff oracle: a capped batch run would make the diff
       unsound); a session configured that way raises :class:`SessionError`
       rather than silently running unbounded;
-    * ``use_planner`` — execute compiled
-      :class:`~repro.matching.plan.MatchPlan`\\ s (cost-based variable
-      orders, pre-resolved literal schedules) instead of the static
-      pipeline.  ``None`` (the default) defers to the
-      ``REPRO_MATCH_PLANNER`` environment switch;
     * ``execution`` — how the parallel engine runs: ``"simulated"`` (the
       deterministic cluster simulator, cost = makespan) or ``"processes"``
       (real OS worker processes over a sharded store, cost = aggregate
@@ -159,22 +153,17 @@ class DetectionOptions:
       ``REPRO_EXECUTION_START_METHOD`` environment variable overrides);
     * ``adaptive`` — adaptive replanning from observed cardinalities
       (:mod:`repro.matching.adaptive`).  ``None`` (the default) defers to
-      the ``REPRO_ADAPTIVE_REPLAN`` environment switch; only meaningful
-      while the planner is active;
+      the ``REPRO_ADAPTIVE_REPLAN`` environment switch;
     * ``warm_pool`` — for ``execution="processes"``, keep the worker
       processes (and their loaded graph images) alive across this
       session's runs in a
       :class:`~repro.detect.parallel.executor.WarmExecutorPool` instead
       of spawning a fresh crew per run.  Close the session (``close()`` or
-      the context-manager form) to stop the workers;
-    * ``compiled`` — execute closure-compiled literal schedules
-      (:mod:`repro.matching.compiled`: slot-based assignments, operator
-      dispatch specialised per literal) on plan-driven kernels.  ``None``
-      (the default) defers to the ``REPRO_COMPILED_EVAL`` environment
-      switch, which is on unless set to ``off``/``0``/``false``/``no``;
-      ``False`` pins the interpreted evaluator (byte-identical violations
-      and statistics, just slower).  Only meaningful while the planner is
-      active.
+      the context-manager form) to stop the workers.
+
+    Every engine runs compiled :class:`~repro.matching.plan.MatchPlan`\\ s
+    (cost-based variable orders, closure-compiled literal schedules) on the
+    one search core.
     """
 
     use_literal_pruning: bool = True
@@ -182,18 +171,10 @@ class DetectionOptions:
     policy: Optional[BalancingPolicy] = None
     max_violations: Optional[int] = None
     max_cost: Optional[float] = None
-    use_planner: Optional[bool] = None
     execution: str = "simulated"
     start_method: Optional[str] = None
     adaptive: Optional[bool] = None
     warm_pool: bool = False
-    compiled: Optional[bool] = None
-
-    def planner_active(self) -> bool:
-        """Return whether sessions should compile and execute match plans."""
-        if self.use_planner is not None:
-            return self.use_planner
-        return planner_enabled()
 
     def budget(self) -> Optional[DetectionBudget]:
         """Return the termination budget, or None when the run is unbounded."""
@@ -297,19 +278,17 @@ class Detector:
 
     # ------------------------------------------------------------------ plans
 
-    def compile_plans(self, graph: Graph) -> Optional[tuple[MatchPlan, ...]]:
+    def compile_plans(self, graph: Graph) -> tuple[MatchPlan, ...]:
         """Compile (or fetch cached) :class:`MatchPlan`\\ s for this session's rules.
 
-        Returns ``None`` when the planner is disabled.  The session keeps
-        its last plan set and compiles again only when ``graph.total_size()``
-        has drifted by more than :data:`PLAN_DRIFT_TOLERANCE` from the graph
-        those plans were compiled against (counted in
-        ``plan_compilations``), so a stream of ``run_incremental(G, ΔG)``
-        calls — each on the new store ``apply_update`` returned — pays for
-        statistics and plans once, as a caller passing ``plans=`` does.
+        The session keeps its last plan set and compiles again only when
+        ``graph.total_size()`` has drifted by more than
+        :data:`PLAN_DRIFT_TOLERANCE` from the graph those plans were compiled
+        against (counted in ``plan_compilations``), so a stream of
+        ``run_incremental(G, ΔG)`` calls — each on the new store
+        ``apply_update`` returned — pays for statistics and plans once, as a
+        caller passing ``plans=`` does.
         """
-        if not self.options.planner_active():
-            return None
         if self.plans_file is not None:
             if self._file_plans is None:
                 self._file_plans = load_plans(self.plans_file, self.rules)
@@ -326,13 +305,8 @@ class Detector:
         if self._plans is not None and drift <= PLAN_DRIFT_TOLERANCE * max(self.plan_size, 1):
             return self._plans
         with obs.span("detect.compile_plans", store=graph.store_backend) as plan_span:
-            plans = compile_plans(
-                graph,
-                self.rules,
-                history=self.history if self.history else None,
-                compiled=self.options.compiled,
-            )
-            plan_span.set(plans=len(plans), compiled=resolve_compiled(self.options.compiled))
+            plans = compile_plans(graph, self.rules, history=self.history if self.history else None)
+            plan_span.set(plans=len(plans))
         self._plans, self.plan_size = plans, size
         self.plan_compilations += 1
         return plans
@@ -391,9 +365,7 @@ class Detector:
             graph.edge_count(),
             self._rules_digest,
             self.options.use_literal_pruning,
-            self.options.planner_active(),
             self.options.adaptive,
-            self.options.compiled,
         )
 
     # ------------------------------------------------------------- resolution
@@ -555,18 +527,7 @@ class Detector:
             root.set(degraded=True)
         obs.counter_inc("repro_detect_runs_total", {"algorithm": result.algorithm})
         if result.stats.literal_evaluations:
-            # compiled schedules only execute on plan-driven kernels, so the
-            # mode label reflects what actually ran, not just the knob
-            eval_mode = (
-                "compiled"
-                if self.options.planner_active() and resolve_compiled(self.options.compiled)
-                else "interpreted"
-            )
-            obs.counter_inc(
-                "repro_literal_evals_total",
-                {"mode": eval_mode},
-                result.stats.literal_evaluations,
-            )
+            obs.counter_inc("repro_literal_evals_total", None, result.stats.literal_evaluations)
         estimate = root.attributes.get("plan_estimate")
         if isinstance(estimate, (int, float)) and estimate > 0:
             ratio = result.cost / estimate
@@ -640,8 +601,6 @@ class Detector:
         sink = self._sink()
         budget = self.options.budget()
         notify_start(sink, self)
-        if not self.options.planner_active():
-            plans = ()  # explicit off marker: the kernel must not recompile
         self._annotate_root(mode, graph, plans)
         processes = mode == "parallel" and self.options.execution == "processes"
         adaptive = self._adaptive_argument(plans, processes)
@@ -654,7 +613,6 @@ class Detector:
                 sink=sink,
                 plans=plans,
                 adaptive=adaptive,
-                compiled=self.options.compiled,
             )
         else:
             from repro.detect.parallel.pdect import iter_p_dect
@@ -674,7 +632,6 @@ class Detector:
                 adaptive=adaptive,
                 warm_pool=pool,
                 runtime_key=self._runtime_key(graph, caller_plans) if pool is not None else None,
-                compiled=self.options.compiled,
             )
         if isinstance(adaptive, tuple):
             return self._harvesting(events, adaptive)
@@ -701,8 +658,6 @@ class Detector:
         sink = self._sink()
         budget = self.options.budget()
         notify_start(sink, self)
-        if not self.options.planner_active():
-            plans = ()  # explicit off marker: the kernel must not recompile
         self._annotate_root(mode, graph, plans)
         processes = mode == "parallel" and self.options.execution == "processes"
         adaptive = self._adaptive_argument(plans, processes)
@@ -718,7 +673,6 @@ class Detector:
                 sink=sink,
                 plans=plans,
                 adaptive=adaptive,
-                compiled=self.options.compiled,
             )
             if isinstance(adaptive, tuple):
                 return self._harvesting(events, adaptive)
@@ -741,7 +695,6 @@ class Detector:
                 start_method=self.options.start_method,
                 adaptive=adaptive,
                 warm_pool=self.executor_pool() if processes else None,
-                compiled=self.options.compiled,
             )
             if isinstance(adaptive, tuple):
                 return self._harvesting(events, adaptive)
@@ -771,8 +724,7 @@ class Detector:
         :meth:`_incremental_events` (a capped batch run would make the diff
         unsound); events stream only after the second run completes.  Each
         batch run receives its own plans (explicit ``plans`` serve both
-        graphs; ``()`` is the session's planner-off marker, which pins the
-        static pipeline regardless of ``REPRO_MATCH_PLANNER``).
+        graphs).
         """
         from repro.detect.dect import iter_dect
 
@@ -783,24 +735,8 @@ class Detector:
             after_plans = self.compile_plans(updated)
         else:
             before_plans = after_plans = plans
-        before = drain(
-            iter_dect(
-                graph,
-                self.rules,
-                self.options.use_literal_pruning,
-                plans=before_plans,
-                compiled=self.options.compiled,
-            )
-        )
-        after = drain(
-            iter_dect(
-                updated,
-                self.rules,
-                self.options.use_literal_pruning,
-                plans=after_plans,
-                compiled=self.options.compiled,
-            )
-        )
+        before = drain(iter_dect(graph, self.rules, self.options.use_literal_pruning, plans=before_plans))
+        after = drain(iter_dect(updated, self.rules, self.options.use_literal_pruning, plans=after_plans))
         violation_delta = ViolationDelta.from_sets(before.violations, after.violations)
         stats = before.stats
         stats.merge(after.stats)

@@ -39,6 +39,7 @@ from repro.expr.literals import Comparison, Literal, LiteralSet
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.matching.matchn import HomomorphismMatcher
+from repro.matching.plan import GraphStatistics
 
 __all__ = ["DiscoveryConfig", "discover_ngds", "mine_frequent_patterns"]
 
@@ -70,9 +71,9 @@ def _edge_signatures(graph: Graph, min_support: int) -> list[tuple[str, str, str
     ]
 
 
-def _count_matches(graph: Graph, pattern: Pattern, cap: int) -> int:
+def _count_matches(graph: Graph, pattern: Pattern, cap: int, statistics: GraphStatistics) -> int:
     """Count matches of ``pattern`` in ``graph``, stopping at ``cap``."""
-    matcher = HomomorphismMatcher(graph, pattern)
+    matcher = HomomorphismMatcher(graph, pattern, statistics=statistics)
     count = 0
     for _ in matcher.matches():
         count += 1
@@ -81,8 +82,15 @@ def _count_matches(graph: Graph, pattern: Pattern, cap: int) -> int:
     return count
 
 
-def mine_frequent_patterns(graph: Graph, config: DiscoveryConfig) -> list[Pattern]:
-    """Vertical levelwise expansion: grow frequent connected patterns edge by edge."""
+def mine_frequent_patterns(
+    graph: Graph, config: DiscoveryConfig, statistics: Optional[GraphStatistics] = None
+) -> list[Pattern]:
+    """Vertical levelwise expansion: grow frequent connected patterns edge by edge.
+
+    ``statistics`` is ``graph``'s plan statistics, computed here when not given.
+    """
+    if statistics is None:
+        statistics = GraphStatistics.from_graph(graph)
     signatures = _edge_signatures(graph, config.min_support)
     if not signatures:
         raise DiscoveryError("the graph has no edge signature meeting the support threshold")
@@ -105,7 +113,7 @@ def mine_frequent_patterns(graph: Graph, config: DiscoveryConfig) -> list[Patter
             for extended in _extensions(pattern, signatures, counter):
                 if extended.diameter() > config.max_diameter:
                     continue
-                if _count_matches(graph, extended, config.min_support) >= config.min_support:
+                if _count_matches(graph, extended, config.min_support, statistics) >= config.min_support:
                     next_level.append(extended)
         if not next_level:
             break
@@ -147,10 +155,10 @@ def _clone_with(pattern: Pattern, index: int) -> Pattern:
 
 
 def _sample_assignments(
-    graph: Graph, pattern: Pattern, sample: int
+    graph: Graph, pattern: Pattern, sample: int, statistics: GraphStatistics
 ) -> list[dict[tuple[str, str], object]]:
     """Collect numeric attribute assignments from up to ``sample`` matches."""
-    matcher = HomomorphismMatcher(graph, pattern)
+    matcher = HomomorphismMatcher(graph, pattern, statistics=statistics)
     assignments: list[dict[tuple[str, str], object]] = []
     for match in matcher.matches():
         assignment: dict[tuple[str, str], object] = {}
@@ -198,12 +206,14 @@ def discover_ngds(graph: Graph, config: Optional[DiscoveryConfig] = None) -> Rul
     """Mine a rule set of NGDs from ``graph`` (vertical + horizontal levelwise expansion)."""
     config = config or DiscoveryConfig()
     rng = random.Random(config.seed)
-    patterns = mine_frequent_patterns(graph, config)
+    # one statistics pass serves the plan of every pattern matched below
+    statistics = GraphStatistics.from_graph(graph)
+    patterns = mine_frequent_patterns(graph, config, statistics)
     rules: list[NGD] = []
     for pattern in patterns:
         if len(rules) >= config.max_rules:
             break
-        assignments = _sample_assignments(graph, pattern, config.match_sample)
+        assignments = _sample_assignments(graph, pattern, config.match_sample, statistics)
         if not assignments:
             continue
         candidates = _candidate_literals(assignments, rng)

@@ -11,7 +11,6 @@ from repro.experiments.runner import (
     run_exp4_vary_interval,
     run_exp4_vary_latency,
     run_exp4_vary_processors,
-    run_compiled_eval,
     run_exp5_effectiveness,
     run_parallel_speedup,
     run_selftuning,
@@ -33,7 +32,6 @@ __all__ = [
     "run_exp4_vary_interval",
     "run_exp4_vary_latency",
     "run_exp4_vary_processors",
-    "run_compiled_eval",
     "run_exp5_effectiveness",
     "run_parallel_speedup",
     "run_selftuning",

@@ -44,7 +44,6 @@ __all__ = [
     "run_exp4_vary_latency",
     "run_exp4_vary_interval",
     "run_exp5_effectiveness",
-    "run_compiled_eval",
     "run_parallel_speedup",
     "run_selftuning",
     "run_storage_backend_comparison",
@@ -402,10 +401,9 @@ def _expansion_kernel(graph: Graph, edge_labels: list[str]) -> int:
 
     For every node and every pattern edge label, fetch the label-matching
     successors and predecessors and enumerate them — exactly the adjacency
-    access pattern of ``HomomorphismMatcher._candidates_for`` when a
-    neighbour of the next variable is already matched, stripped of the
-    backend-neutral matcher bookkeeping that would otherwise dilute the
-    storage-layer difference.
+    access pattern of an anchored search step when a neighbour of the next
+    variable is already matched, stripped of the backend-neutral matcher
+    bookkeeping that would otherwise dilute the storage-layer difference.
     """
     touched = 0
     successors_by_label = graph.successors_by_label
@@ -814,167 +812,6 @@ def run_selftuning(
             "identical_violation_records": True,
         },
         "machine": {"cpus": cpus, "platform": platform.platform()},
-    }
-    baseline = os.environ.get("REPRO_WRITE_BENCH_BASELINE")
-    if baseline:
-        with open(baseline, "w", encoding="utf-8") as handle:
-            _json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
-
-
-def _literal_heavy_graph(products: int, sellers: int, seed: int = 3) -> Graph:
-    """A product/seller marketplace where literal evaluation dominates the
-    search: every candidate pair pays five premise literals (two of them
-    arithmetic) before the single arithmetic conclusion is tested."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    graph = Graph("compiled-eval")
-    for index in range(products):
-        graph.add_node(f"p{index}", "product", {"price": rng.randint(1, 400)})
-    for index in range(sellers):
-        graph.add_node(f"s{index}", "seller", {"rating": rng.randint(0, 5)})
-    seen: set = set()
-    for _ in range(products * 4):
-        edge = (rng.randrange(products), rng.randrange(products))
-        if edge[0] != edge[1] and edge not in seen:
-            seen.add(edge)
-            graph.add_edge(f"p{edge[0]}", f"p{edge[1]}", "variant")
-    for _ in range(sellers * 30):
-        edge = ("s", rng.randrange(sellers), rng.randrange(products))
-        if edge not in seen:
-            seen.add(edge)
-            graph.add_edge(f"s{edge[1]}", f"p{edge[2]}", "sells")
-    return graph
-
-
-def _compiled_eval_rules() -> RuleSet:
-    from repro.core.ngd import NGD
-    from repro.expr.expressions import (
-        AbsoluteValue,
-        Add,
-        Divide,
-        Multiply,
-        Subtract,
-        const,
-        var,
-    )
-    from repro.expr.literals import Comparison, Literal, LiteralSet
-    from repro.graph.pattern import Pattern
-
-    pattern = Pattern("Qce")
-    pattern.add_node("x", "product")
-    pattern.add_node("y", "product")
-    pattern.add_node("z", "seller")
-    pattern.add_edge("x", "y", "variant")
-    pattern.add_edge("z", "x", "sells")
-    premise = LiteralSet(
-        [
-            Literal(var("x", "price"), Comparison.GT, const(0)),
-            Literal(var("y", "price"), Comparison.GT, const(0)),
-            Literal(var("z", "rating"), Comparison.GE, const(1)),
-            Literal(
-                AbsoluteValue(Subtract(var("x", "price"), var("y", "price"))),
-                Comparison.LE,
-                const(400),
-            ),
-            Literal(
-                Add(var("x", "price"), var("y", "price")), Comparison.LE, const(600)
-            ),
-        ]
-    )
-    conclusion = LiteralSet(
-        [
-            Literal(
-                Multiply(var("x", "price"), const(4)),
-                Comparison.GE,
-                Add(var("y", "price"), Divide(var("z", "rating"), const(2))),
-            )
-        ]
-    )
-    rule = NGD(pattern, premise, conclusion, name="ce1")
-    return RuleSet([rule], name="compiled-eval-rules")
-
-
-def run_compiled_eval(products: int = 4000, sellers: int = 400, repeats: int = 3) -> dict:
-    """Measure the closure-compiled literal schedules against the interpreted
-    evaluator.
-
-    One literal-heavy workload (:func:`_literal_heavy_graph` — five premise
-    literals and an arithmetic conclusion per candidate pair) runs serial
-    Dect twice: once with ``DetectionOptions(compiled=False)`` (the
-    interpreted AST walk the compiled path replaces) and once with the
-    default compiled schedules.  Each leg takes the best of ``repeats``
-    runs to shed scheduler noise.  Violation sets and every
-    ``MatchStatistics`` field must be byte-identical — the compiled path is
-    a pure evaluation-strategy change — and the wall-clock ratio is the
-    reported win.
-
-    ``REPRO_WRITE_BENCH_BASELINE=path`` persists the report
-    (``benchmarks/BENCH_compiled.json`` keeps the committed baseline).
-    """
-    import json as _json
-    import os
-    import platform
-
-    graph = _literal_heavy_graph(products, sellers)
-    rules = _compiled_eval_rules()
-
-    def leg(compiled: bool) -> tuple[float, object]:
-        best = None
-        result = None
-        for _ in range(max(repeats, 1)):
-            detector = Detector(
-                rules, engine="batch", options=DetectionOptions(compiled=compiled)
-            )
-            started = time.perf_counter()
-            result = detector.run(graph)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return best, result
-
-    compiled_time, compiled_result = leg(True)
-    interpreted_time, interpreted_result = leg(False)
-    if compiled_result.violations.to_json() != interpreted_result.violations.to_json():
-        raise AssertionError("compiled evaluation changed the violation set")
-    compiled_stats = compiled_result.stats
-    interpreted_stats = interpreted_result.stats
-    statistics_fields = (
-        "candidates_examined",
-        "expansions",
-        "edge_checks",
-        "literal_evaluations",
-        "matches_emitted",
-    )
-    for field_name in statistics_fields:
-        if getattr(compiled_stats, field_name) != getattr(interpreted_stats, field_name):
-            raise AssertionError(
-                f"compiled evaluation changed MatchStatistics.{field_name}"
-            )
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    speedup = interpreted_time / compiled_time if compiled_time else 0.0
-    report = {
-        "workload": {
-            "products": products,
-            "sellers": sellers,
-            "nodes": graph.node_count(),
-            "edges": graph.edge_count(),
-            "rules": len(rules),
-            "violations": len(compiled_result.violations),
-            "literal_evaluations": compiled_stats.literal_evaluations,
-        },
-        "machine": {"cpus": cpus, "platform": platform.platform()},
-        "repeats": repeats,
-        "compiled_wall_seconds": round(compiled_time, 4),
-        "interpreted_wall_seconds": round(interpreted_time, 4),
-        "speedup_vs_interpreted": round(speedup, 3),
-        "byte_identical_violations": True,
-        "identical_statistics": True,
     }
     baseline = os.environ.get("REPRO_WRITE_BENCH_BASELINE")
     if baseline:

@@ -16,7 +16,7 @@ incremental matching).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Optional, TypeVar
 
@@ -251,50 +251,6 @@ class Pattern:
         """Return the eccentricity of ``variable`` within its component."""
         distances = self.distances_from(variable)
         return max(distances.values()) if distances else 0
-
-    # ------------------------------------------------------- matching support
-
-    def matching_order(self, seed: Optional[Sequence[str]] = None) -> list[str]:
-        """Return a connectivity-respecting order over all variables.
-
-        The order starts from ``seed`` (e.g. the endpoints of an update pivot)
-        and repeatedly appends a not-yet-ordered variable adjacent to the
-        ordered prefix; disconnected leftovers (only possible for disconnected
-        patterns) are appended afterwards component by component.  Backtracking
-        matchers use this order so each new variable can be constrained by at
-        least one already-matched neighbour.
-        """
-        order: list[str] = []
-        placed: set[str] = set()
-
-        def place(variable: str) -> None:
-            if variable not in placed:
-                order.append(variable)
-                placed.add(variable)
-
-        for variable in seed or ():
-            if variable not in self._nodes:
-                raise PatternError(f"seed variable {variable!r} is not in the pattern")
-            place(variable)
-
-        def expand_from_prefix() -> bool:
-            for variable in list(order):
-                for neighbour in sorted(self.neighbours(variable)):
-                    if neighbour not in placed:
-                        place(neighbour)
-                        return True
-            return False
-
-        while len(placed) < len(self._nodes):
-            if order and expand_from_prefix():
-                continue
-            # start a new component deterministically
-            for variable in self._order:
-                if variable not in placed:
-                    place(variable)
-                    break
-
-        return order
 
     # ----------------------------------------------------------- serialization
 

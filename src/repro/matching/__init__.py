@@ -1,4 +1,4 @@
-"""Subgraph homomorphism matching: compiled plans, batch (Matchn) and update-driven (IncMatch)."""
+"""Subgraph homomorphism matching: compiled plans, the search core and its matcher view, update pivots."""
 
 from repro.matching.adaptive import (
     AdaptiveController,
@@ -6,13 +6,9 @@ from repro.matching.adaptive import (
     adaptive_enabled,
     resolve_adaptive,
 )
-from repro.matching.candidates import MatchStatistics, candidate_nodes, node_satisfies_unary_premise
-from repro.matching.incmatch import IncrementalMatcher, UpdatePivot, find_update_pivots
-from repro.matching.matchn import (
-    HomomorphismMatcher,
-    assignment_for_match,
-    match_violates_dependency,
-)
+from repro.matching.candidates import MatchStatistics
+from repro.matching.incmatch import UpdatePivot, find_update_pivots
+from repro.matching.matchn import HomomorphismMatcher, assignment_for_match
 from repro.matching.plan import (
     GraphStatistics,
     MatchPlan,
@@ -20,7 +16,6 @@ from repro.matching.plan import (
     compile_plan,
     compile_plans,
     format_plan,
-    planner_enabled,
 )
 
 __all__ = [
@@ -28,20 +23,15 @@ __all__ = [
     "CardinalityHistory",
     "GraphStatistics",
     "HomomorphismMatcher",
-    "IncrementalMatcher",
     "MatchPlan",
     "MatchStatistics",
     "PlanStep",
     "UpdatePivot",
     "adaptive_enabled",
     "assignment_for_match",
-    "candidate_nodes",
     "compile_plan",
     "compile_plans",
     "find_update_pivots",
     "format_plan",
-    "match_violates_dependency",
-    "node_satisfies_unary_premise",
-    "planner_enabled",
     "resolve_adaptive",
 ]

@@ -326,8 +326,8 @@ def history_from_document(document: Mapping) -> Optional[CardinalityHistory]:
 def resolve_adaptive(plans, adaptive=None) -> Optional[tuple[Optional[AdaptiveController], ...]]:
     """Resolve the adaptive controllers a detection kernel should drive.
 
-    ``plans`` is the kernel's *resolved* plan sequence (may be None — the
-    static pipeline never observes).  ``adaptive`` follows the session
+    ``plans`` is the kernel's *resolved* plan sequence (an empty one
+    observes nothing).  ``adaptive`` follows the session
     convention: ``None`` defers to :func:`adaptive_enabled`, a bool forces,
     and a prebuilt controller sequence (the session's, so it can harvest
     observations afterwards) passes through — its controllers must be

@@ -1,36 +1,20 @@
-"""Candidate computation and filtering for homomorphism matching.
+"""The operation counters every search bills its work to.
 
 Backtracking subgraph matchers (the ``Matchn`` framework of Section 6.2)
-start by computing, for each pattern node ``u``, a candidate set ``C(u)`` of
-data nodes that could possibly match ``u``.  For homomorphism semantics the
-necessary conditions are:
-
-* label compatibility (wildcard pattern labels match anything);
-* for every pattern edge leaving/entering ``u``, the data node has at least
-  one outgoing/incoming edge with that label (a cheap degree-signature check);
-* single-variable literals of the premise ``X`` that mention only ``u`` must
-  be satisfiable by the node's attributes (literal-driven pruning, Section
-  6.2, step (3)).
-
-The last filter is optional (``use_literal_pruning``) so the ablation bench
-can quantify its effect.
+compute, for each pattern node ``u``, a candidate set ``C(u)`` of data nodes
+that could match ``u``, then verify and expand.  :class:`MatchStatistics`
+counts that work in the units the cost model charges; the candidate
+strategies themselves are compiled per plan step
+(:func:`repro.matching.plan.step_candidates`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.expr.literals import LiteralSet
-from repro.graph.graph import Graph
-from repro.graph.pattern import Pattern
 
 __all__ = [
     "STEP_COUNT_PREFIX",
     "MatchStatistics",
-    "candidate_nodes",
-    "node_satisfies_unary_premise",
 ]
 
 #: ``MatchStatistics.extra`` key prefix for per-(rule, step, strategy)
@@ -40,7 +24,7 @@ __all__ = [
 #: ``"step_candidates\x1f<rule>\x1f<step>\x1f<strategy>"`` keys and the
 #: detection session flushes them to ``repro_match_candidates_examined`` once
 #: per run (:func:`repro.detect.instrument.flush_step_counts`).  ``extra``
-#: merges additively across threads and worker processes, so the flush sees
+#: merges additively across worker processes, so the flush sees
 #: the whole run in every execution mode.
 STEP_COUNT_PREFIX = "step_candidates\x1f"
 
@@ -79,72 +63,3 @@ class MatchStatistics:
         self.matches_emitted += other.matches_emitted
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0) + value
-
-
-def node_satisfies_unary_premise(
-    graph: Graph,
-    node_id: Hashable,
-    variable: str,
-    premise: LiteralSet,
-    stats: Optional[MatchStatistics] = None,
-) -> bool:
-    """Return False when a premise literal mentioning only ``variable`` rules the node out.
-
-    A literal that mentions exactly one pattern variable can be evaluated as
-    soon as that variable is bound; if it evaluates to false (or needs an
-    attribute the node lacks) no extension of the binding can satisfy ``X``,
-    so the candidate cannot produce a violation.
-    """
-    node = graph.node(node_id)
-    for literal in premise:
-        mentioned = literal.pattern_variables()
-        if len(mentioned) != 1 or variable not in mentioned:
-            continue
-        pairs = literal.variables()
-        assignment = {
-            pair: node.attribute(pair[1]) for pair in pairs if node.has_attribute(pair[1])
-        }
-        if stats is not None:
-            stats.literal_evaluations += 1
-        # assignment keys ⊆ pairs by construction, so completeness is a
-        # length comparison (pairs is the literal's memoised frozenset)
-        if len(assignment) != len(pairs) or not literal.holds_for(assignment):
-            return False
-    return True
-
-
-def candidate_nodes(
-    graph: Graph,
-    pattern: Pattern,
-    variable: str,
-    premise: Optional[LiteralSet] = None,
-    use_literal_pruning: bool = True,
-    stats: Optional[MatchStatistics] = None,
-) -> list[Hashable]:
-    """Return the candidate set ``C(variable)`` for matching ``pattern`` in ``graph``."""
-    pattern_node = pattern.node(variable)
-    out_labels = [edge.label for edge in pattern.out_edges(variable)]
-    in_labels = [edge.label for edge in pattern.in_edges(variable)]
-    candidates: list[Hashable] = []
-    for node_id in graph.nodes_with_label(pattern_node.label):
-        if stats is not None:
-            stats.candidates_examined += 1
-        if out_labels:
-            available = graph.out_edge_labels(node_id)
-            if not all(label in available for label in out_labels):
-                continue
-        if in_labels:
-            available = graph.in_edge_labels(node_id)
-            if not all(label in available for label in in_labels):
-                continue
-        if (
-            use_literal_pruning
-            and premise is not None
-            and not node_satisfies_unary_premise(graph, node_id, variable, premise, stats)
-        ):
-            continue
-        candidates.append(node_id)
-    # rank order makes every consumer (PDect work-unit creation included)
-    # deterministic across runs and identical on every storage backend
-    candidates.sort(key=graph.node_rank)
-    return candidates

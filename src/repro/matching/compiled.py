@@ -1,12 +1,11 @@
 """Closure-compiled literal schedules: the compiled evaluation layer.
 
-Every candidate a kernel examines under the interpreted pipeline pays an
-AST tax: each scheduled literal rebuilds an ``{(variable, attribute):
-value}`` assignment dict, walks the :class:`~repro.expr.expressions.
-Expression` tree through virtual ``evaluate`` calls, and dispatches the
-comparison through :meth:`~repro.expr.literals.Comparison.holds`.  This
-module compiles that work out of the search loop, once per ``(rule,
-order)``:
+Evaluating a literal through its AST (``Literal.holds_for``) rebuilds an
+``{(variable, attribute): value}`` assignment dict, walks the
+:class:`~repro.expr.expressions.Expression` tree through virtual
+``evaluate`` calls, and dispatches the comparison through
+:meth:`~repro.expr.literals.Comparison.holds`.  This module compiles that
+work out of the search loop, once per ``(rule, order)``:
 
 * pattern variables map to *slot indices* in plan order, so a partial
   match becomes a flat list of attribute mappings (``slots[d]`` is the
@@ -17,11 +16,11 @@ order)``:
   with the comparison operator (``operator.eq`` & co.) specialised in, so
   checking a literal is a single ``check(slots)`` call with zero AST
   traversal;
-* the per-depth "all conclusion variables bound" test the interpreted
-  matcher performs as ``set(assignment) == set(literal.variables())`` is
-  free: a missing attribute raises a pre-allocated
+* the "every attribute the literal reads is present" test is free: a
+  missing attribute raises a pre-allocated
   :class:`~repro.errors.EvaluationError` inside the closure, which the
-  literal wrapper turns into ``False`` — exactly the interpreted verdict.
+  literal wrapper turns into ``False`` — exactly ``holds_for``'s verdict
+  on an incomplete assignment.
 
 A compiled check returns ``True`` iff every referenced attribute is
 present *and* evaluation raises nothing *and* the comparison holds —
@@ -34,11 +33,10 @@ excludes its compiled memo from ``__getstate__``; ``spawn``-style worker
 processes recompile lazily from the plan document they already receive,
 ``fork`` workers inherit the parent's closures for free.
 
-The kill switch is ``REPRO_COMPILED_EVAL=off`` (or
-``DetectionOptions(compiled=False)``), which restores the interpreted
-path byte-identically — verdicts *and* :class:`~repro.matching.candidates.
-MatchStatistics` accounting; the parity suite (``tests/test_compiled_eval
-.py``) holds both paths to that.
+Every literal a search evaluates runs through these closures; there is no
+interpreted path beside them.  ``Literal.holds_for`` stays the oracle: the
+literal-parity suite (``tests/test_compiled_eval.py``) holds every closure
+to its verdict on generated assignments.
 
 This module also hosts the sorted-rank candidate intersection for the
 anchored strategy on :class:`~repro.graph.store.CsrStore`: the store's
@@ -50,7 +48,6 @@ order, skipping the final sort.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -75,8 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.matching.plan import MatchPlan, PlanStep
 
 __all__ = [
-    "COMPILED_ENV",
-    "compiled_enabled",
     "resolve_compiled",
     "CompiledStep",
     "CompiledSchedule",
@@ -84,23 +79,14 @@ __all__ = [
     "csr_sorted_intersection",
 ]
 
-#: Environment switch for compiled evaluation; any of ``off``/``0``/
-#: ``false``/``no`` (case-insensitive) restores the interpreted literal
-#: path end to end.  Next to ``REPRO_MATCH_PLANNER`` in spirit: the
-#: interpreted path stays the parity oracle.
-COMPILED_ENV = "REPRO_COMPILED_EVAL"
 
+def resolve_compiled(compiled: Optional[bool] = None) -> bool:
+    """Return True: literal schedules are always closure-compiled; ``compiled`` is ignored.
 
-def compiled_enabled() -> bool:
-    """Return True unless ``REPRO_COMPILED_EVAL`` disables compiled evaluation."""
-    return os.environ.get(COMPILED_ENV, "on").strip().lower() not in ("off", "0", "false", "no")
-
-
-def resolve_compiled(compiled: Optional[bool]) -> bool:
-    """Resolve an explicit override (``DetectionOptions.compiled``) against the env switch."""
-    if compiled is not None:
-        return compiled
-    return compiled_enabled()
+    Kept because the end-to-end benchmark's seed-scan probe still resolves
+    the switch this function used to read and passes the result on.
+    """
+    return True
 
 
 # -------------------------------------------------------- expression compiler
@@ -212,8 +198,8 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
     The returned closure is ``True`` iff every referenced attribute is
     present, evaluation raises neither :class:`EvaluationError` nor
     ``TypeError`` (dirty data), and the comparison holds — i.e. exactly
-    ``literal.holds_for(assignment)`` over the assignment the interpreted
-    matcher would have built, including its implicit completeness test.
+    ``literal.holds_for(assignment)`` over the assignment of the bound
+    nodes' attributes, including its implicit completeness test.
     """
     op = COMPARISON_OPS[literal.comparison]
     try:
@@ -221,7 +207,7 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
         right = _compile_expression(literal.right, slot_of, direct)
     except (EvaluationError, TypeError):
         # a constant subtree that cannot evaluate (e.g. division by the
-        # constant zero): the interpreted evaluator raises on every
+        # constant zero): ``holds_for`` raises on every
         # assignment, so the literal never holds
         return _constant_check(False)
     if not literal.variables():
@@ -230,12 +216,12 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
         except (EvaluationError, TypeError):
             return _constant_check(False)
     # Exceptions other than EvaluationError/TypeError (e.g. ValueError from
-    # Fraction('text')) escape the interpreted evaluator too — but only when
-    # the assignment is *complete*; the kernels skip incomplete literals
-    # before ever evaluating, while the closures discover missing attributes
-    # lazily and could trip over dirty data first.  On a foreign exception,
-    # replay in exact kernel order: incomplete -> False, complete -> re-raise
-    # whatever ``holds_for`` raises.  The hot path pays nothing for this.
+    # Fraction('text')) escape ``holds_for`` too — but only when the
+    # assignment is *complete*; ``holds_for`` is never reached with an
+    # incomplete one, while the closures discover missing attributes lazily
+    # and could trip over dirty data first.  On a foreign exception, replay
+    # in that order: incomplete -> False, complete -> re-raise whatever
+    # ``holds_for`` raises.  The hot path pays nothing for this.
     items = tuple(
         (pair, (None if direct else slot_of[pair[0]]), pair[1])
         for pair in sorted(literal.variables())
@@ -269,8 +255,8 @@ class CompiledStep:
     attribute mapping, parallel (in order) to ``PlanStep.unary_premise``;
     ``premise_checks`` run after the step's variable binds, parallel to
     ``PlanStep.premise_checks``; ``conclusion_check`` is present exactly
-    when the interpreted matcher would test the fully-bound single-literal
-    conclusion at this depth.
+    at the step ``PlanStep.check_conclusion`` marks, where a single-literal
+    conclusion becomes fully bound.
 
     ``anchors`` is ``PlanStep.anchors`` by slot — ``(anchor's slot, True for
     a successor view, edge label)`` — so the search core reads an anchor's
@@ -288,11 +274,10 @@ class CompiledStep:
         self.count_key = count_key
 
     def pruned(self, slots, stats: "MatchStatistics") -> bool:
-        """Apply the step's bound-literal schedule; mirror of the interpreted path.
+        """Apply the step's bound-literal schedule; True when the branch is pruned.
 
-        Billing is identical to ``_pruned_by_schedule``: one
-        ``literal_evaluations`` per check actually reached, short-circuit
-        on the first pruning verdict.
+        Billing: one ``literal_evaluations`` per check actually reached,
+        short-circuit on the first pruning verdict.
         """
         for check in self.premise_checks:
             stats.literal_evaluations += 1
@@ -309,16 +294,15 @@ class CompiledStep:
 class CompiledSchedule:
     """One rule's fully compiled execution schedule for a fixed variable order."""
 
-    __slots__ = ("order", "slot_of", "steps", "premise_all", "conclusion_all", "_flat_bill", "_needed")
+    __slots__ = ("order", "slot_of", "steps", "premise_all", "conclusion_all", "_flat_bill")
 
-    def __init__(self, order, slot_of, steps, premise_all, conclusion_all, needed) -> None:
+    def __init__(self, order, slot_of, steps, premise_all, conclusion_all) -> None:
         self.order = order
         self.slot_of = slot_of
         self.steps = steps
         self.premise_all = premise_all
         self.conclusion_all = conclusion_all
         self._flat_bill = len(premise_all) + len(conclusion_all)
-        self._needed = needed
 
     @classmethod
     def build(cls, plan: "MatchPlan", order, schedule) -> "CompiledSchedule":
@@ -359,23 +343,15 @@ class CompiledSchedule:
         conclusion_all = tuple(
             compile_literal(literal, slot_of) for literal in conclusion_literals
         )
-        needed = tuple(
-            (slot_of[variable], variable)
-            for variable in sorted(
-                rule.premise.pattern_variables() | rule.conclusion.pattern_variables(),
-                key=slot_of.__getitem__,
-            )
-        )
         if obs.enabled():
             obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
-        return cls(tuple(order), slot_of, tuple(steps), premise_all, conclusion_all, needed)
+        return cls(tuple(order), slot_of, tuple(steps), premise_all, conclusion_all)
 
     def violates(self, slots, stats: "MatchStatistics") -> bool:
-        """Dependency check over a complete slot list; mirror of ``match_violates_dependency``.
+        """Dependency check over a complete slot list: True when X holds and Y does not.
 
-        Billing matches the interpreted helper exactly: a flat
-        ``len(premise) + len(conclusion)`` charged up front regardless of
-        where the conjunctions short-circuit.
+        Billing: a flat ``len(premise) + len(conclusion)`` charged up front
+        regardless of where the conjunctions short-circuit.
         """
         stats.literal_evaluations += self._flat_bill
         for check in self.premise_all:
@@ -385,14 +361,6 @@ class CompiledSchedule:
             if not check(slots):
                 return True
         return False
-
-    def violates_mapping(self, graph, match, stats: "MatchStatistics") -> bool:
-        """Dependency check over a ``{variable: node_id}`` match dict."""
-        slots = [None] * len(self.order)
-        node = graph.node
-        for slot, variable in self._needed:
-            slots[slot] = node(match[variable]).attributes
-        return self.violates(slots, stats)
 
 
 # --------------------------------------------------- sorted-rank intersection

@@ -24,20 +24,17 @@ list; :func:`pivots_by_rule` walks ΔG's endpoint labels against it.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.ngd import NGD, RuleSet
 from repro.graph.graph import WILDCARD, Graph
 from repro.graph.pattern import Pattern, PatternEdge
 from repro.graph.updates import BatchUpdate, UnitUpdate
-from repro.matching.candidates import MatchStatistics
-from repro.matching.matchn import HomomorphismMatcher
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.graph.store import GraphStore
-    from repro.matching.adaptive import AdaptiveController
     from repro.matching.plan import MatchPlan
 
 __all__ = [
@@ -46,7 +43,6 @@ __all__ = [
     "find_update_pivots",
     "pivot_index",
     "pivots_by_rule",
-    "IncrementalMatcher",
 ]
 
 
@@ -82,7 +78,7 @@ class PivotSite:
     pivot is searched in.
     """
 
-    __slots__ = ("edge", "source_label", "target_label", "loop", "seed", "internal", "_pattern", "_static_order")
+    __slots__ = ("edge", "source_label", "target_label", "loop", "seed", "internal")
 
     def __init__(self, pattern: Pattern, edge: PatternEdge) -> None:
         self.edge = edge
@@ -99,8 +95,6 @@ class PivotSite:
             for other in pattern.edges()
             if other.source in position and other.target in position
         )
-        self._pattern = pattern
-        self._static_order: Optional[tuple[str, ...]] = None
 
     def ids(self, update: UnitUpdate) -> tuple:
         """Return the data nodes a pivot of ``update`` binds to :attr:`seed`, in seed order."""
@@ -114,17 +108,9 @@ class PivotSite:
                 return False
         return True
 
-    def order(self, plan: Optional["MatchPlan"]) -> tuple[str, ...]:
-        """Return the variable order a pivot's search follows: the seed first.
-
-        The plan's cost-based order for the seed; without a plan, the static
-        connectivity order (``Pattern.matching_order``), kept once computed.
-        """
-        if plan is not None:
-            return plan.order_for_seed(self.seed)
-        if self._static_order is None:
-            self._static_order = tuple(self._pattern.matching_order(seed=self.seed))
-        return self._static_order
+    def order(self, plan: "MatchPlan") -> tuple[str, ...]:
+        """Return the variable order a pivot's search follows: the plan's cost-based order, seed first."""
+        return plan.order_for_seed(self.seed)
 
 
 def _pattern_sites(pattern: Pattern) -> list[PivotSite]:
@@ -191,73 +177,3 @@ def find_update_pivots(
     """Return every update pivot of ``rule`` triggered by ``delta``: :func:`pivots_by_rule` for one rule."""
     (found,) = pivots_by_rule((rule,), delta, graph_before, graph_after)
     return [UpdatePivot(rule.name, site.edge, u.source, u.target, u.is_insertion) for site, u in found]
-
-
-class IncrementalMatcher:
-    """Expands update pivots into update-driven violations for one NGD.
-
-    ``plan`` optionally carries a compiled
-    :class:`~repro.matching.plan.MatchPlan` shared by both directions: pivot
-    seeds are expanded in the plan's cost-based order instead of the static
-    connectivity order (the plan's seeded schedules put the pivot variables
-    first, so the neighbourhood restriction of Section 6.2 is preserved).
-    """
-
-    def __init__(
-        self,
-        rule: NGD,
-        graph_before: Graph,
-        graph_after: Graph,
-        use_literal_pruning: bool = True,
-        stats: Optional[MatchStatistics] = None,
-        plan: Optional["MatchPlan"] = None,
-        adaptive: Optional["AdaptiveController"] = None,
-        compiled: Optional[bool] = None,
-    ) -> None:
-        self.rule = rule
-        self.graph_before = graph_before
-        self.graph_after = graph_after
-        self.use_literal_pruning = use_literal_pruning
-        self.stats = stats if stats is not None else MatchStatistics()
-        self.plan = plan
-        self._matcher_after = HomomorphismMatcher(
-            graph_after,
-            rule.pattern,
-            premise=rule.premise,
-            conclusion=rule.conclusion,
-            use_literal_pruning=use_literal_pruning,
-            stats=self.stats,
-            plan=plan,
-            adaptive=adaptive,
-            compiled=compiled,
-        )
-        self._matcher_before = HomomorphismMatcher(
-            graph_before,
-            rule.pattern,
-            premise=rule.premise,
-            conclusion=rule.conclusion,
-            use_literal_pruning=use_literal_pruning,
-            stats=self.stats,
-            plan=plan,
-            adaptive=adaptive,
-            compiled=compiled,
-        )
-
-    def introduced_violations(self, pivot: UpdatePivot) -> Iterator[dict[str, Hashable]]:
-        """Yield violating matches in ``G ⊕ ΔG`` that extend an insertion pivot."""
-        if not pivot.from_insertion:
-            return
-        yield from self._matcher_after.violations(seed=pivot.seed())
-
-    def removed_violations(self, pivot: UpdatePivot) -> Iterator[dict[str, Hashable]]:
-        """Yield violating matches in the old graph ``G`` that extend a deletion pivot."""
-        if pivot.from_insertion:
-            return
-        yield from self._matcher_before.violations(seed=pivot.seed())
-
-    def violations_for_pivot(self, pivot: UpdatePivot) -> Iterator[dict[str, Hashable]]:
-        """Dispatch on the pivot kind."""
-        if pivot.from_insertion:
-            yield from self.introduced_violations(pivot)
-        else:
-            yield from self.removed_violations(pivot)

@@ -1,46 +1,35 @@
-"""The generic backtracking homomorphism matcher ``Matchn`` / ``SubMatchn``.
+"""The generic homomorphism matcher ``Matchn``, as a view of the search core.
 
 Section 6.2 of the paper describes the framework most subgraph matching
 algorithms follow: compute candidate sets ``C(u)``, then recursively expand a
 partial solution ``M`` one pattern node at a time, checking edge consistency
-against the already-matched nodes, and backtracking when a branch dies.
+against the already-matched nodes, and backtracking when a branch dies.  The
+detection kernels run that framework as :class:`~repro.matching.search.
+RuleSearch`; :class:`HomomorphismMatcher` is the same search for callers that
+want the matches themselves (discovery, satisfiability, aggregates): it
+compiles a plan for the pattern and its premise and drains the core with a
+leaf that keeps every complete binding.
 
-:class:`HomomorphismMatcher` implements that framework for homomorphism
-semantics (two pattern variables may map to the same data node), with two
-extensions the NGD algorithms need:
-
-* *literal-driven pruning* — premise literals are evaluated as soon as all
-  their variables are bound, and conclusion literals when the conclusion is a
-  single literal (Section 6.2, step (3));
-* *seeded search* — a partial solution can be supplied up front, which is how
-  update pivots drive incremental matching (``IncMatch``).
-
-The matcher is a *plan executor*: hand it a compiled
-:class:`~repro.matching.plan.MatchPlan` and it follows the plan's cost-based
-variable order, per-step candidate strategies, and pre-resolved literal
-schedule.  Without a plan it falls back to the static pipeline
-(``Pattern.matching_order`` plus per-expansion literal scans), which is also
-what ``REPRO_MATCH_PLANNER=off`` selects end to end.
-
-The matcher yields matches lazily as ``{variable: node_id}`` dictionaries.
+Matches follow homomorphism semantics (two pattern variables may map to the
+same data node) and are yielded lazily as ``{variable: node_id}``
+dictionaries.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterator, Mapping
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from repro.core.ngd import NGD
 from repro.expr.expressions import Assignment
 from repro.expr.literals import LiteralSet
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
-from repro.matching.candidates import MatchStatistics, candidate_nodes, node_satisfies_unary_premise
+from repro.matching.candidates import MatchStatistics
+from repro.matching.plan import GraphStatistics, compile_plan
+from repro.matching.search import RuleSearch
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.matching.adaptive import AdaptiveController
-    from repro.matching.plan import MatchPlan, PlanStep
-
-__all__ = ["HomomorphismMatcher", "assignment_for_match", "match_violates_dependency"]
+__all__ = ["HomomorphismMatcher", "assignment_for_match"]
 
 
 def assignment_for_match(
@@ -65,370 +54,36 @@ def assignment_for_match(
     return assignment
 
 
-def match_violates_dependency(
-    graph: Graph,
-    match: Mapping[str, Hashable],
-    premise: LiteralSet,
-    conclusion: LiteralSet,
-    stats: Optional[MatchStatistics] = None,
-) -> bool:
-    """Return True when the match satisfies the premise but not the conclusion."""
-    if stats is not None:
-        stats.literal_evaluations += len(premise) + len(conclusion)
-    needed = premise.variables() | conclusion.variables()
-    assignment = assignment_for_match(graph, match, needed)
-    if not premise.satisfied_by(assignment):
-        return False
-    return not conclusion.satisfied_by(assignment)
-
-
 class HomomorphismMatcher:
-    """Backtracking homomorphism search with literal-driven pruning."""
+    """Every match of ``pattern`` in ``graph``; with pruning, those that satisfy ``premise``.
+
+    ``use_literal_pruning`` fires the premise literals during the search
+    (Section 6.2, step (3)), so only matches satisfying the premise come
+    out; without it the premise is ignored and every match comes out.
+    ``statistics`` is the graph's :class:`~repro.matching.plan.
+    GraphStatistics`: a caller building several matchers over one graph
+    passes one snapshot to all of them instead of paying an edge pass each.
+    """
 
     def __init__(
         self,
         graph: Graph,
         pattern: Pattern,
         premise: Optional[LiteralSet] = None,
-        conclusion: Optional[LiteralSet] = None,
         use_literal_pruning: bool = True,
         stats: Optional[MatchStatistics] = None,
-        plan: Optional["MatchPlan"] = None,
-        adaptive: Optional["AdaptiveController"] = None,
-        compiled: Optional[bool] = None,
+        statistics: Optional[GraphStatistics] = None,
     ) -> None:
         self.graph = graph
-        self.pattern = pattern
-        self.premise = premise if premise is not None else LiteralSet()
-        self.conclusion = conclusion if conclusion is not None else LiteralSet()
         self.use_literal_pruning = use_literal_pruning
         self.stats = stats if stats is not None else MatchStatistics()
-        self.plan = plan
-        self.adaptive = adaptive if plan is not None else None
-        # compiled evaluation executes the plan's closure-compiled literal
-        # schedule; it requires a plan whose rule carries exactly this
-        # matcher's premise and conclusion (always true for the kernels,
-        # checked here so ad-hoc matcher constructions stay correct)
-        from repro.matching.compiled import resolve_compiled
+        rule = NGD(pattern, premise or (), name=pattern.name, allow_nonlinear=True)
+        self.plan = compile_plan(graph, rule, statistics)
 
-        self.compiled = (
-            plan is not None
-            and resolve_compiled(compiled)
-            and plan.rule.premise == self.premise
-            and plan.rule.conclusion == self.conclusion
-        )
-
-    # --------------------------------------------------------------- matching
-
-    def matches(self, seed: Optional[Mapping[str, Hashable]] = None) -> Iterator[dict[str, Hashable]]:
-        """Yield every match of the pattern, optionally extending a seed partial solution.
-
-        The seed must be label-consistent; edge consistency between seed
-        variables is verified before the search starts, so an inconsistent
-        seed simply yields nothing.
-        """
-        partial: dict[str, Hashable] = dict(seed or {})
-        for variable, node_id in partial.items():
-            if not self.graph.has_node(node_id):
-                return
-            if not self.pattern.node(variable).matches_label(self.graph.node(node_id).label):
-                return
-        if not self._seed_edges_consistent(partial):
-            return
-        if self.plan is not None:
-            order = self.plan.order_for_seed(tuple(partial.keys()))
-            schedule = self.plan.schedule_for(order)
-            if self.compiled:
-                compiled_schedule = self.plan.compiled_for(order)
-                # slot d is position d of the order; the seed variables are
-                # the order's prefix (order_for_seed guarantees it), so the
-                # seed fills the slot prefix directly
-                slots: list = [None] * len(order)
-                for index in range(len(partial)):
-                    slots[index] = self.graph.node(partial[order[index]]).attributes
-                yield from self._expand_compiled(
-                    partial, order, schedule, len(partial), compiled_schedule, slots
-                )
-                return
-            yield from self._expand_plan(partial, order, schedule, len(partial))
-            return
-        order = self.pattern.matching_order(seed=list(partial.keys()))
-        remaining = [variable for variable in order if variable not in partial]
-        yield from self._expand(partial, remaining)
-
-    def violations(self, seed: Optional[Mapping[str, Hashable]] = None) -> Iterator[dict[str, Hashable]]:
-        """Yield the matches that violate ``premise → conclusion``."""
-        if self.compiled:
-            compiled_schedule = self.plan.compiled_for(self.plan.order)
-            for match in self.matches(seed=seed):
-                if compiled_schedule.violates_mapping(self.graph, match, self.stats):
-                    yield match
-            return
-        for match in self.matches(seed=seed):
-            if match_violates_dependency(self.graph, match, self.premise, self.conclusion, self.stats):
-                yield match
-
-    # ------------------------------------------------------------- internals
-
-    def _seed_edges_consistent(self, partial: Mapping[str, Hashable]) -> bool:
-        for edge in self.pattern.edges():
-            if edge.source in partial and edge.target in partial:
-                self.stats.edge_checks += 1
-                if not self.graph.has_edge(partial[edge.source], partial[edge.target], edge.label):
-                    return False
-        return True
-
-    def _expand_plan(
-        self,
-        partial: dict[str, Hashable],
-        order: tuple[str, ...],
-        schedule: tuple["PlanStep", ...],
-        depth: int,
-    ) -> Iterator[dict[str, Hashable]]:
-        """Plan-mode expansion: candidates, residual checks and literals per the schedule.
-
-        The step's anchored intersection already enforces every pattern edge
-        between the new variable and the bound prefix, so the only residual
-        structural checks are self-loop edges; premise literals fire exactly
-        once, at the depth the plan scheduled them.
-
-        With an adaptive controller attached, each recursion level first asks
-        it whether the observed cardinalities have drifted enough to re-order
-        the unbound suffix; a revised order resolves a fresh schedule (same
-        bound prefix, so literals already fired stay fired exactly once) and
-        the subtree continues under it.
-        """
-        from repro.matching.plan import step_candidates
-
-        if depth >= len(schedule):
-            self.stats.matches_emitted += 1
-            yield dict(partial)
-            return
-        adaptive = self.adaptive
-        if adaptive is not None:
-            revised = adaptive.order_for(order, depth)
-            if revised is not order and revised != order:
-                order = revised
-                schedule = self.plan.schedule_for(order)
-        step = schedule[depth]
-        graph = self.graph
-        candidates, _ = step_candidates(
-            graph, self.plan, step, partial, self.stats, self.use_literal_pruning
-        )
-        if adaptive is not None:
-            adaptive.observe(step, len(candidates))
-        for candidate in candidates:
-            self.stats.expansions += 1
-            consistent = True
-            for label in step.self_loops:
-                self.stats.edge_checks += 1
-                if not graph.has_edge(candidate, candidate, label):
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            partial[step.variable] = candidate
-            if self._pruned_by_schedule(step, partial):
-                del partial[step.variable]
-                continue
-            yield from self._expand_plan(partial, order, schedule, depth + 1)
-            del partial[step.variable]
-
-    def _expand_compiled(
-        self,
-        partial: dict[str, Hashable],
-        order: tuple[str, ...],
-        schedule: tuple["PlanStep", ...],
-        depth: int,
-        compiled_schedule,
-        slots: list,
-    ) -> Iterator[dict[str, Hashable]]:
-        """Plan-mode expansion running the closure-compiled literal schedule.
-
-        Mirrors :meth:`_expand_plan` step for step — candidate strategy,
-        adaptive revision, self-loop checks, counter billing — but the
-        scheduled literals run as single closure calls over the slot list
-        instead of assignment-dict rebuilds and AST walks.  An adaptive
-        suffix replan recompiles only the revised order (memoised on the
-        plan); the bound-slot prefix stays valid because slot ``d`` is
-        always position ``d``.
-        """
-        from repro.matching.plan import step_candidates
-
-        if depth >= len(schedule):
-            self.stats.matches_emitted += 1
-            yield dict(partial)
-            return
-        adaptive = self.adaptive
-        if adaptive is not None:
-            revised = adaptive.order_for(order, depth)
-            if revised is not order and revised != order:
-                order = revised
-                schedule = self.plan.schedule_for(order)
-                compiled_schedule = self.plan.compiled_for(order)
-        step = schedule[depth]
-        entry = compiled_schedule.steps[depth]
-        graph = self.graph
-        stats = self.stats
-        candidates, _ = step_candidates(
-            graph, self.plan, step, partial, stats, self.use_literal_pruning, entry
-        )
-        if adaptive is not None:
-            adaptive.observe(step, len(candidates))
-        prune = self.use_literal_pruning
-        for candidate in candidates:
-            stats.expansions += 1
-            consistent = True
-            for label in step.self_loops:
-                stats.edge_checks += 1
-                if not graph.has_edge(candidate, candidate, label):
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            partial[step.variable] = candidate
-            slots[depth] = graph.node(candidate).attributes
-            if prune and entry.pruned(slots, stats):
-                del partial[step.variable]
-                continue
-            yield from self._expand_compiled(
-                partial, order, schedule, depth + 1, compiled_schedule, slots
-            )
-            del partial[step.variable]
-
-    def _pruned_by_schedule(self, step: "PlanStep", partial: Mapping[str, Hashable]) -> bool:
-        """Apply the plan's literal schedule after binding ``step.variable``."""
-        if not self.use_literal_pruning:
-            return False
-        for literal_index in step.premise_checks:
-            literal = self.plan.premise_literal(literal_index)
-            self.stats.literal_evaluations += 1
-            assignment = assignment_for_match(self.graph, partial, literal.variables())
-            if not literal.holds_for(assignment):
-                return True
-        if step.check_conclusion and len(self.conclusion) == 1:
-            literal = self.conclusion.literals()[0]
-            self.stats.literal_evaluations += 1
-            assignment = assignment_for_match(self.graph, partial, literal.variables())
-            # assignment keys ⊆ literal.variables() by construction, so the
-            # fully-bound test is a length comparison on the memoised frozenset
-            if len(assignment) == len(literal.variables()) and literal.holds_for(assignment):
-                return True
-        return False
-
-    def _expand(
-        self, partial: dict[str, Hashable], remaining: list[str]
-    ) -> Iterator[dict[str, Hashable]]:
-        if not remaining:
-            self.stats.matches_emitted += 1
-            yield dict(partial)
-            return
-        variable = remaining[0]
-        for candidate in self._candidates_for(variable, partial):
-            self.stats.expansions += 1
-            if not self._consistent_with_partial(variable, candidate, partial):
-                continue
-            partial[variable] = candidate
-            if self._pruned_by_literals(variable, partial):
-                del partial[variable]
-                continue
-            yield from self._expand(partial, remaining[1:])
-            del partial[variable]
-
-    def _candidates_for(self, variable: str, partial: Mapping[str, Hashable]) -> list[Hashable]:
-        """Return candidates for ``variable``, preferring expansion from matched neighbours.
-
-        Anchored candidates come from the store's label-filtered adjacency
-        index (O(result) on the indexed engine, not O(degree)); the returned
-        list is ordered by the store's insertion rank, which is deterministic
-        across runs and O(1) per key (unlike the old ``sorted(key=repr)``).
-
-        Accounting matches :func:`~repro.matching.candidates.candidate_nodes`
-        exactly: one ``candidates_examined`` per node drawn from the scanned
-        index (here the smallest anchored adjacency view), *before* label and
-        literal filtering — the parallel benchmarks bill these counters to
-        worker clocks, so the two paths must count in the same unit.
-        """
-        graph = self.graph
-        pattern_node = self.pattern.node(variable)
-        views = []
-        for edge in self.pattern.out_edges(variable):
-            if edge.target in partial:
-                views.append(graph.predecessors_by_label(partial[edge.target], edge.label))
-        for edge in self.pattern.in_edges(variable):
-            if edge.source in partial:
-                views.append(graph.successors_by_label(partial[edge.source], edge.label))
-        if views:
-            base_index = min(range(len(views)), key=lambda i: len(views[i]))
-            base = views[base_index]
-            others = [view for i, view in enumerate(views) if i != base_index]
-            candidates = []
-            for node_id in base:
-                self.stats.candidates_examined += 1
-                if others and not all(node_id in view for view in others):
-                    continue
-                if not pattern_node.matches_label(graph.node(node_id).label):
-                    continue
-                if (
-                    self.use_literal_pruning
-                    and self.premise
-                    and not node_satisfies_unary_premise(graph, node_id, variable, self.premise, self.stats)
-                ):
-                    continue
-                candidates.append(node_id)
-        else:
-            candidates = candidate_nodes(
-                graph,
-                self.pattern,
-                variable,
-                premise=self.premise if self.use_literal_pruning else None,
-                use_literal_pruning=self.use_literal_pruning,
-                stats=self.stats,
-            )
-        candidates.sort(key=graph.node_rank)
-        return candidates
-
-    def _consistent_with_partial(
-        self, variable: str, candidate: Hashable, partial: Mapping[str, Hashable]
-    ) -> bool:
-        """Check every pattern edge between ``variable`` and already-matched variables."""
-        for edge in self.pattern.out_edges(variable):
-            if edge.target in partial:
-                self.stats.edge_checks += 1
-                if not self.graph.has_edge(candidate, partial[edge.target], edge.label):
-                    return False
-        for edge in self.pattern.in_edges(variable):
-            if edge.source in partial:
-                self.stats.edge_checks += 1
-                if not self.graph.has_edge(partial[edge.source], candidate, edge.label):
-                    return False
-        return True
-
-    def _pruned_by_literals(self, variable: str, partial: Mapping[str, Hashable]) -> bool:
-        """Apply literal-driven pruning after binding ``variable``.
-
-        Premise literals whose variables are all bound must hold, otherwise
-        the branch cannot satisfy X.  When the conclusion is a single literal,
-        a fully-bound conclusion that already holds cannot become a violation,
-        so the branch is pruned too (Section 6.2, step (3)).
-        """
-        if not self.use_literal_pruning:
-            return False
-        bound = frozenset(partial.keys())
-        for literal in self.premise:
-            mentioned = literal.pattern_variables()
-            if variable in mentioned and mentioned <= bound:
-                self.stats.literal_evaluations += 1
-                assignment = assignment_for_match(self.graph, partial, literal.variables())
-                if not literal.holds_for(assignment):
-                    return True
-        if len(self.conclusion) == 1:
-            literal = self.conclusion.literals()[0]
-            mentioned = literal.pattern_variables()
-            if variable in mentioned and mentioned <= bound:
-                self.stats.literal_evaluations += 1
-                assignment = assignment_for_match(self.graph, partial, literal.variables())
-                # assignment keys ⊆ literal.variables() by construction
-                if len(assignment) == len(literal.variables()) and literal.holds_for(assignment):
-                    return True
-        return False
+    def matches(self) -> Iterator[dict[str, Hashable]]:
+        """Yield every match, depth-first in the plan's order."""
+        search = RuleSearch(self.plan, self.use_literal_pruning, self.stats, all_matches=True)
+        search.start(self.graph, self.plan.order, ())
+        while search.stack:
+            for leaf in search.step():
+                yield leaf.mapping()

@@ -2,10 +2,8 @@
 
 The ``Matchn`` framework (paper, Section 6.2) leaves two degrees of freedom
 open: the order in which pattern variables are matched, and how the candidate
-set of each variable is generated.  The original matcher fixed both
-statically — ``Pattern.matching_order`` (pure connectivity, blind to the data)
-plus per-call filtering that re-derived the same literal subsets on every
-expansion.  This module separates *planning* from *execution*:
+set of each variable is generated.  This module fixes both from the data, and
+separates *planning* from *execution*:
 
 * :class:`GraphStatistics` snapshots the store statistics the cost model
   reads: label cardinalities (``len(nodes_with_label(l))`` — O(1) on the
@@ -16,30 +14,26 @@ expansion.  This module separates *planning* from *execution*:
   and resolves, per step, the candidate *strategy* (``scan`` over the label
   index vs ``anchored`` intersection of label-filtered adjacency views,
   smallest set first) and the *literal schedule* (which premise literals
-  fire at which binding depth, replacing the per-expansion ``frozenset``
-  scans the old matcher performed);
+  fire at which binding depth);
 * :class:`MatchPlan` is the immutable result.  ``schedule_for(order)``
   resolves a step schedule for any variable order (seeded orders included),
   so one plan serves batch search, pivot-seeded incremental search, and the
   parallel work-unit kernels alike; resolved schedules are memoised.
 
-Executors (the search core :class:`~repro.matching.search.RuleSearch` under
-the four detection kernels, and ``HomomorphismMatcher``) take a plan and run
-it; without one they fall back to the pre-plan behaviour.  The process-wide switch is the ``REPRO_MATCH_PLANNER``
-environment variable (``off`` restores the static pipeline end to end, which
-the parity suite uses as the oracle).
+The one executor is the search core :class:`~repro.matching.search.RuleSearch`:
+the four detection kernels drive it, and ``HomomorphismMatcher`` is its view
+for callers that want matches rather than violations.  Every search runs a
+plan.
 
 Cost accounting is uniform across strategies: every node drawn from an index
 and examined is billed one ``candidates_examined``, each adjacency membership
 probe one ``edge_checks``, each literal evaluation one
-``literal_evaluations`` — the same unit scheme as the static pipeline, so
-planned and static runs are directly comparable through
+``literal_evaluations``, so runs are directly comparable through
 ``MatchStatistics.total_operations()``.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,18 +43,10 @@ from repro.core.ngd import NGD
 from repro.expr.literals import Literal
 from repro.graph.graph import WILDCARD, Graph
 from repro.graph.store import _CsrNeighboursView
-from repro.matching.candidates import STEP_COUNT_PREFIX, MatchStatistics
-from repro.matching.compiled import (
-    CompiledSchedule,
-    CompiledStep,
-    compiled_enabled,
-    csr_sorted_intersection,
-    resolve_compiled,
-)
+from repro.matching.candidates import MatchStatistics
+from repro.matching.compiled import CompiledSchedule, CompiledStep, csr_sorted_intersection
 
 __all__ = [
-    "PLANNER_ENV",
-    "planner_enabled",
     "GraphStatistics",
     "Anchor",
     "PlanStep",
@@ -74,17 +60,6 @@ __all__ = [
     "save_plans",
     "load_plans",
 ]
-
-#: Environment switch for the compile-then-execute pipeline; any of
-#: ``off``/``0``/``false``/``no`` (case-insensitive) restores the static
-#: pre-plan matcher end to end.
-PLANNER_ENV = "REPRO_MATCH_PLANNER"
-
-
-def planner_enabled() -> bool:
-    """Return True unless ``REPRO_MATCH_PLANNER`` disables the planner."""
-    return os.environ.get(PLANNER_ENV, "on").strip().lower() not in ("off", "0", "false", "no")
-
 
 # ------------------------------------------------------------------ statistics
 
@@ -672,26 +647,24 @@ def compile_plan(
     return MatchPlan(rule, stats, _steps_for_order(stats, rule, order, observed), observed)
 
 
-def compile_plans(graph: Graph, rules, history=None, compiled=None) -> tuple[MatchPlan, ...]:
+def compile_plans(graph: Graph, rules, history=None) -> tuple[MatchPlan, ...]:
     """Compile every rule of an iterable/RuleSet, sharing one statistics pass.
 
     ``history`` is duck-typed: anything with ``priors_for(rule_name, stats)``
     returning an observed-cardinality mapping (or None) works — the adaptive
     module's :class:`~repro.matching.adaptive.CardinalityHistory` in practice.
 
-    ``compiled`` (None: the ``REPRO_COMPILED_EVAL`` switch) also builds each
-    plan's root :class:`CompiledSchedule` eagerly, so closure compilation is
-    billed here — inside the session's ``detect.compile_plans`` span — rather
-    than inside the first expansion of the search.
+    Each plan's root :class:`CompiledSchedule` is built here too, so closure
+    compilation is billed inside the session's ``detect.compile_plans`` span
+    rather than inside the first expansion of the search.
     """
     stats = GraphStatistics.from_graph(graph)
     plans = []
     for rule in rules:
         observed = history.priors_for(rule.name, stats) if history is not None else None
         plans.append(compile_plan(graph, rule, statistics=stats, observed=observed))
-    if resolve_compiled(compiled):
-        for plan in plans:
-            plan.compiled_for(plan.order)
+    for plan in plans:
+        plan.compiled_for(plan.order)
     return tuple(plans)
 
 
@@ -760,34 +733,11 @@ def load_plans(path, rules) -> tuple[MatchPlan, ...]:
 # ------------------------------------------------------------------- executor
 
 
-def _literal_rules_out(
-    graph: Graph,
-    node_id: Hashable,
-    variable: str,
-    literal: Literal,
-    stats: MatchStatistics,
-) -> bool:
-    """Return True when a unary premise literal rules the candidate out.
-
-    ``literal.variables()`` is a memoised frozenset, and the assignment's
-    keys are a subset of it by construction, so completeness is a length
-    comparison — no per-candidate set rebuilds.
-    """
-    node = graph.node(node_id)
-    pairs = literal.variables()
-    assignment = {
-        pair: node.attribute(pair[1]) for pair in pairs if node.has_attribute(pair[1])
-    }
-    stats.literal_evaluations += 1
-    return len(assignment) != len(pairs) or not literal.holds_for(assignment)
-
-
 def _unary_rejects(checks, attrs, stats: MatchStatistics) -> bool:
     """Run a step's compiled unary checks over one node's attribute mapping.
 
-    Billing mirrors the interpreted ``any(_literal_rules_out(...))`` loop:
-    one ``literal_evaluations`` per check reached, stop at the first
-    rejection.
+    Billing: one ``literal_evaluations`` per check reached, stop at the
+    first rejection.
     """
     for check in checks:
         stats.literal_evaluations += 1
@@ -802,8 +752,8 @@ def step_candidates(
     step: PlanStep,
     partial: Mapping[str, Hashable],
     stats: MatchStatistics,
-    use_literal_pruning: bool = True,
-    compiled_step: Optional[CompiledStep] = None,
+    use_literal_pruning: bool,
+    compiled_step: CompiledStep,
 ) -> tuple[list[Hashable], int]:
     """Execute one step's candidate strategy.
 
@@ -814,20 +764,15 @@ def step_candidates(
     scanned index — identically for both strategies — plus one ``edge_checks``
     per adjacency membership probe of the anchored intersection.
 
-    With a ``compiled_step`` the unary premise filter runs the compiled
-    closures over the node's attribute mapping instead of building per-literal
-    assignment dicts, and the anchored strategy intersects ``CsrStore`` rank
-    slices by sorted merge (output already in rank order, so the final sort is
-    skipped).  Verdicts and counter totals are identical on both paths.
+    The unary premise filter runs ``compiled_step``'s closures over the
+    node's attribute mapping, and the anchored strategy intersects
+    ``CsrStore`` rank slices by sorted merge (output already in rank order, so
+    the final sort is skipped).
     """
     pattern_node = plan.rule.pattern.node(step.variable)
     candidates: list[Hashable] = []
     presorted = False
-    unary_checks = (
-        compiled_step.unary_checks
-        if compiled_step is not None and use_literal_pruning and compiled_step.unary_checks
-        else None
-    )
+    unary_checks = compiled_step.unary_checks if use_literal_pruning else ()
 
     if step.strategy == "anchored":
         views = [anchor.view(graph, partial[anchor.variable]) for anchor in step.anchors]
@@ -837,8 +782,7 @@ def step_candidates(
         scanned = len(base)
         merged = None
         if (
-            compiled_step is not None
-            and scanned
+            scanned
             and isinstance(base, _CsrNeighboursView)
             and all(isinstance(view, _CsrNeighboursView) for view in others)
         ):
@@ -855,20 +799,7 @@ def step_candidates(
                 node = graph.node(node_id)
                 if not pattern_node.matches_label(node.label):
                     continue
-                if unary_checks is not None and _unary_rejects(unary_checks, node.attributes, stats):
-                    continue
-                candidates.append(node_id)
-        elif compiled_step is not None:
-            for node_id in base:
-                stats.candidates_examined += 1
-                if others:
-                    stats.edge_checks += len(others)
-                    if not all(node_id in view for view in others):
-                        continue
-                node = graph.node(node_id)
-                if not pattern_node.matches_label(node.label):
-                    continue
-                if unary_checks is not None and _unary_rejects(unary_checks, node.attributes, stats):
+                if unary_checks and _unary_rejects(unary_checks, node.attributes, stats):
                     continue
                 candidates.append(node_id)
         else:
@@ -878,12 +809,10 @@ def step_candidates(
                     stats.edge_checks += len(others)
                     if not all(node_id in view for view in others):
                         continue
-                if not pattern_node.matches_label(graph.node(node_id).label):
+                node = graph.node(node_id)
+                if not pattern_node.matches_label(node.label):
                     continue
-                if use_literal_pruning and any(
-                    _literal_rules_out(graph, node_id, step.variable, plan.premise_literal(i), stats)
-                    for i in step.unary_premise
-                ):
+                if unary_checks and _unary_rejects(unary_checks, node.attributes, stats):
                     continue
                 candidates.append(node_id)
     else:
@@ -899,15 +828,7 @@ def step_candidates(
                 available = graph.in_edge_labels(node_id)
                 if not all(label in available for label in step.in_labels):
                     continue
-            if compiled_step is not None:
-                if unary_checks is not None and _unary_rejects(
-                    unary_checks, graph.node(node_id).attributes, stats
-                ):
-                    continue
-            elif use_literal_pruning and any(
-                _literal_rules_out(graph, node_id, step.variable, plan.premise_literal(i), stats)
-                for i in step.unary_premise
-            ):
+            if unary_checks and _unary_rejects(unary_checks, graph.node(node_id).attributes, stats):
                 continue
             candidates.append(node_id)
 
@@ -916,11 +837,7 @@ def step_candidates(
     if scanned and obs.enabled():
         # plain-dict accumulation: this is the match executor's hottest loop
         # and the registry flush happens once per run (flush_step_counts)
-        key = (
-            compiled_step.count_key
-            if compiled_step is not None
-            else f"{STEP_COUNT_PREFIX}{plan.rule.name}\x1f{step.variable}\x1f{step.strategy}"
-        )
+        key = compiled_step.count_key
         stats.extra[key] = stats.extra.get(key, 0) + scanned
     return candidates, scanned
 
@@ -928,25 +845,17 @@ def step_candidates(
 # -------------------------------------------------------------- kernel helpers
 
 
-def resolve_plans(
-    graph: Graph, rule_list, plans, plans_file=None
-) -> Optional[tuple["MatchPlan", ...]]:
+def resolve_plans(graph: Graph, rule_list, plans, plans_file=None) -> tuple["MatchPlan", ...]:
     """Resolve the compiled plans a detection kernel should execute.
 
-    ``plans`` passed by the session (cache hit) wins — an *empty* sequence
-    is the explicit "planner off" marker (``DetectionOptions(use_planner=
-    False)``) and resolves to the static pipeline.  ``plans_file`` names a
-    persisted plan set (:func:`save_plans`) loaded instead of compiling —
+    ``plans`` passed by the session (cache hit) wins.  ``plans_file`` names
+    a persisted plan set (:func:`save_plans`) loaded instead of compiling —
     how service restarts and cold worker processes skip the statistics
-    pass.  Otherwise plans are compiled here when the planner is enabled,
-    and ``None`` (the static pre-plan pipeline) when
-    ``REPRO_MATCH_PLANNER=off``.  Shared by all four kernels so the
-    compatibility shims behave like the session.
+    pass.  Otherwise plans are compiled here.  Shared by all four kernels so
+    the compatibility shims behave like the session.
     """
     if plans is not None:
-        return tuple(plans) or None
-    if not planner_enabled():
-        return None
+        return tuple(plans)
     if plans_file is not None:
         return load_plans(plans_file, rule_list)
     return compile_plans(graph, rule_list)
@@ -955,50 +864,30 @@ def resolve_plans(
 def first_step_candidates(
     graph: Graph,
     rule: NGD,
-    plan: Optional["MatchPlan"],
+    plan: "MatchPlan",
     order: tuple[str, ...],
     use_literal_pruning: bool,
     stats: MatchStatistics,
-    compiled: bool = False,
+    compiled: bool = True,
 ) -> tuple[list, float]:
     """Return the seed candidates of a rule plus the scan cost charged for them.
 
-    The plan path executes the compiled first step (its scan size is the
-    charge); the static path reproduces the original ``candidate_nodes``
-    call charged at the label-index cardinality.  Either way a seed must
-    carry the first variable's self-loops — the one pattern edge no later
-    step verifies — at one ``edge_checks`` per probe.  Used by the batch
-    kernels (Dect / PDect) to seed their searches.
+    Executes the plan's compiled first step; its scan size is the charge.  A
+    seed must also carry the first variable's self-loops — the one pattern
+    edge no later step verifies — at one ``edge_checks`` per probe.  Used by
+    the batch kernels (Dect / PDect) to seed their searches.  ``order`` is
+    the plan's root order; ``compiled`` is ignored (the schedule is always
+    compiled) and stays for callers that still pass it.
     """
-    from repro.matching.candidates import candidate_nodes
-
     first = order[0]
-    if plan is not None:
-        compiled_step = plan.compiled_for(plan.order).steps[0] if compiled else None
-        candidates, scanned = step_candidates(
-            graph, plan, plan.steps[0], {}, stats, use_literal_pruning, compiled_step
-        )
-        charge = float(scanned)
-    else:
-        before = stats.candidates_examined
-        candidates = candidate_nodes(
-            graph,
-            rule.pattern,
-            first,
-            premise=rule.premise if use_literal_pruning else None,
-            use_literal_pruning=use_literal_pruning,
-            stats=stats,
-        )
-        examined = stats.candidates_examined - before
-        if examined and obs.enabled():
-            key = f"{STEP_COUNT_PREFIX}{rule.name}\x1f{first}\x1fstatic"
-            stats.extra[key] = stats.extra.get(key, 0) + examined
-        charge = float(len(graph.nodes_with_label(rule.pattern.node(first).label)))
+    candidates, scanned = step_candidates(
+        graph, plan, plan.steps[0], {}, stats, use_literal_pruning, plan.compiled_for(plan.order).steps[0]
+    )
     for edge in rule.pattern.out_edges(first):
         if edge.target == first:
             stats.edge_checks += len(candidates)
             candidates = [node for node in candidates if graph.has_edge(node, node, edge.label)]
-    return candidates, charge
+    return candidates, float(scanned)
 
 
 # ------------------------------------------------------------------ reporting

@@ -21,7 +21,10 @@ only, so it keeps the invariant; the children carry the revised order.
 
 The serial kernels drain the stack (:class:`~repro.detect.serial.SerialRun`);
 the parallel ones run the same :meth:`RuleSearch.step` one work unit at a
-time through :func:`~repro.detect.parallel.workunits.expand_work_unit`.
+time through :func:`~repro.detect.parallel.workunits.expand_work_unit`; and
+:class:`~repro.matching.matchn.HomomorphismMatcher` drains it with a leaf
+that keeps every complete binding, for the callers that want matches rather
+than violations (discovery, satisfiability, aggregates).
 """
 
 from __future__ import annotations
@@ -35,43 +38,44 @@ from repro.core.violations import Violation
 from repro.graph.graph import WILDCARD, Graph
 from repro.matching.adaptive import AdaptiveController
 from repro.matching.candidates import MatchStatistics
-from repro.matching.matchn import assignment_for_match, match_violates_dependency
 from repro.matching.plan import MatchPlan, PlanStep, step_candidates
 
 __all__ = ["RuleSearch"]
 
 
 class RuleSearch:
-    """Backtracking search for the violations of one rule, one step at a time.
+    """Backtracking search over the rule of ``plan``, one step at a time.
 
-    ``compiled`` runs the scheduled literals as closures over ``slots`` (the
-    default pipeline); without it — or when ``rule`` is not the plan's own
-    rule object — they are interpreted over a variable-keyed mapping rebuilt
-    from ``ids``, with identical verdicts and counter billing.
+    Every complete binding reaches the leaf.  The leaf checks the rule's
+    X → Y over ``slots`` and keeps the binding when X holds and Y does not;
+    with ``all_matches`` it keeps every complete binding, unchecked.  A kept
+    binding comes back as a :class:`Violation` record of the rule (its
+    ``mapping()`` is the match) and is billed one ``matches_emitted``.  The
+    scheduled literals run as the plan's closure-compiled schedule of the
+    order being followed.
     """
 
     __slots__ = (
         "rule", "plan", "stats", "adaptive", "graph", "ids", "slots", "stack", "order",
         "filtering", "verification",
-        "_pruning", "_compiled", "_variables", "_counting", "_schedule", "_program", "_vector",
+        "_pruning", "_check", "_variables", "_counting", "_schedule", "_program", "_vector",
     )  # fmt: skip
 
     def __init__(
         self,
-        rule: NGD,
         plan: MatchPlan,
         use_literal_pruning: bool,
         stats: MatchStatistics,
         adaptive: Optional[AdaptiveController] = None,
-        compiled: bool = True,
+        all_matches: bool = False,
     ) -> None:
-        self.rule = rule
+        self.rule: NGD = plan.rule
         self.plan = plan
         self.stats = stats
         self.adaptive = adaptive
         self._pruning = use_literal_pruning
-        self._compiled = compiled and rule is plan.rule
-        self._variables = rule.pattern.variables
+        self._check = not all_matches
+        self._variables = self.rule.pattern.variables
         self._counting = obs.enabled()
         self.graph: Optional[Graph] = None
         self.ids: list = [None] * len(self._variables)
@@ -106,10 +110,10 @@ class RuleSearch:
         self.stack.append((last, ids[last], get_node(ids[last]).attributes, order))
 
     def step(self) -> list[Violation]:
-        """Expand the top frame; return the violations it completed.
+        """Expand the top frame; return the bindings it completed that the leaf kept.
 
         Children are pushed in rank order, so they pop in descending rank and
-        the violations of a last step come out ascending.  The plan's
+        the leaves of a last step come out ascending.  The plan's
         anchored intersection enforces every pattern edge between the step's
         variable and the bound prefix during candidate generation; what is
         left per candidate is the self-loops and the scheduled literals.
@@ -129,17 +133,16 @@ class RuleSearch:
             self._follow(order)
         if depth == len(ids):
             # a seed can already bind every variable (a pivot covering a
-            # two-node pattern): only the dependency check remains
+            # two-node pattern): only the leaf remains
             self.filtering, self.verification = 1, 0
-            violation = self._violation()
-            return [violation] if violation is not None else []
+            leaf = self._leaf()
+            return [leaf] if leaf is not None else []
 
         step = self._schedule[depth]
-        entry = self._program.steps[depth] if self._program is not None else None
+        entry = self._program.steps[depth]
         pruning = self._pruning
         get_node = store.get_node
-        partial = None
-        if entry is not None and len(entry.anchors) == 1:
+        if len(entry.anchors) == 1:
             # the common step: one bound neighbour, read its label-filtered view directly
             slot, forward, edge_label = entry.anchors[0]
             view = (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
@@ -169,32 +172,24 @@ class RuleSearch:
             adaptive.observe(step, len(candidates))
 
         last = depth + 1 == len(ids)
-        scheduled = pruning and (
-            entry is None or bool(entry.premise_checks) or entry.conclusion_check is not None
-        )
+        scheduled = pruning and (bool(entry.premise_checks) or entry.conclusion_check is not None)
         found: list[Violation] = []
         verification = expanded = 0
         for candidate in candidates:
             if step.self_loops and not self._loops_hold(step, candidate):
                 continue
             verification += 1
-            if entry is not None:
-                attrs = slots[depth] = get_node(candidate).attributes
-                if scheduled and entry.pruned(slots, stats):
-                    continue
-            else:
-                attrs = None
-                partial[step.variable] = candidate
-                if scheduled and self._pruned_interpreted(step, partial):
-                    continue
+            attrs = slots[depth] = get_node(candidate).attributes
+            if scheduled and entry.pruned(slots, stats):
+                continue
             expanded += 1
             if not last:
                 self.stack.append((depth, candidate, attrs, order))
                 continue
             ids[depth] = candidate
-            violation = self._violation()
-            if violation is not None:
-                found.append(violation)
+            leaf = self._leaf()
+            if leaf is not None:
+                found.append(leaf)
         stats.expansions += expanded
         self.filtering, self.verification = scanned, verification
         return found
@@ -203,7 +198,7 @@ class RuleSearch:
         """Switch to the (memoised) schedule of ``order``."""
         self.order = order
         self._schedule = self.plan.schedule_for(order)
-        self._program = self.plan.compiled_for(order) if self._compiled else None
+        self._program = self.plan.compiled_for(order)
         self._vector = tuple(order.index(variable) for variable in self._variables)
 
     def _loops_hold(self, step: PlanStep, candidate: Hashable) -> bool:
@@ -213,32 +208,9 @@ class RuleSearch:
                 return False
         return True
 
-    def _pruned_interpreted(self, step: PlanStep, partial: dict) -> bool:
-        """The step's literal schedule, interpreted; billing mirrors ``CompiledStep.pruned``."""
-        plan, graph, stats = self.plan, self.graph, self.stats
-        for literal_index in step.premise_checks:
-            literal = plan.premise_literal(literal_index)
-            stats.literal_evaluations += 1
-            if not literal.holds_for(assignment_for_match(graph, partial, literal.variables())):
-                return True
-        conclusion_literals = self.rule.conclusion.literals()
-        if step.check_conclusion and len(conclusion_literals) == 1:
-            literal = conclusion_literals[0]
-            stats.literal_evaluations += 1
-            assignment = assignment_for_match(graph, partial, literal.variables())
-            # assignment keys ⊆ literal.variables() by construction
-            if len(assignment) == len(literal.variables()) and literal.holds_for(assignment):
-                return True
-        return False
-
-    def _violation(self) -> Optional[Violation]:
-        """Return the complete binding in ``ids`` / ``slots`` as a violation, if X holds and Y does not."""
-        if self._program is not None:
-            violated = self._program.violates(self.slots, self.stats)
-        else:
-            rule, match = self.rule, dict(zip(self.order, self.ids))
-            violated = match_violates_dependency(self.graph, match, rule.premise, rule.conclusion, self.stats)
-        if not violated:
+    def _leaf(self) -> Optional[Violation]:
+        """Return the complete binding in ``ids`` / ``slots``, if the leaf keeps it."""
+        if self._check and not self._program.violates(self.slots, self.stats):
             return None
         self.stats.matches_emitted += 1
         return Violation(self.rule.name, self._variables, tuple([self.ids[slot] for slot in self._vector]))

@@ -16,6 +16,7 @@ from repro.expr.literals import Comparison, LiteralSet
 from repro.expr.parser import parse_literal_set
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
+from repro.matching.plan import GraphStatistics
 
 
 @pytest.fixture
@@ -127,3 +128,19 @@ class TestAggregateRule:
         region_graph.set_attribute("region", "totalPop", 601)
         violations = find_aggregate_violations(region_graph, [sum_rule, count_rule])
         assert violations.rules_violated() == {"district_sum", "regions_have_districts"}
+
+    def test_the_rules_share_one_statistics_pass(self, region_graph, region_pattern, sum_rule, monkeypatch):
+        passes = []
+        real = GraphStatistics.from_graph.__func__
+        monkeypatch.setattr(
+            GraphStatistics, "from_graph", classmethod(lambda cls, graph: passes.append(graph) or real(cls, graph))
+        )
+        count_rule = AggregateRule(
+            region_pattern,
+            LiteralSet(),
+            [AggregateLiteral(AggregateTerm("count", "z", "hasDistrict"), Comparison.GE, const(1))],
+            name="regions_have_districts",
+        )
+        violations = find_aggregate_violations(region_graph, [sum_rule, count_rule, sum_rule])
+        assert violations.rules_violated() == {"regions_have_districts"}
+        assert passes == [region_graph]

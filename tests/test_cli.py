@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.cli import format_result, main, result_to_dict
 from repro.core.builtin_rules import example_rules
 from repro.datasets.figure1 import figure1_g2, figure1_g4
@@ -215,6 +216,21 @@ class TestDetectionFlags:
         result = Detector(example_rules()).run(figure1_g2())
         assert document["cost"] == result.cost
         assert document["violation_count"] == result.violation_count()
+
+    def test_no_compiled_flag_is_gone(self, g2_path, capsys):
+        assert main(["run", g2_path, "--no-compiled"]) == 2
+        assert "--no-compiled" in capsys.readouterr().err
+
+    def test_profile_prints_one_literal_count(self, g2_path, capsys):
+        result = Detector(example_rules(), engine="batch").run(figure1_g2())
+        obs.configure(True)  # an empty registry, so the profile counts this run alone
+        try:
+            assert main(["run", g2_path, "--engine", "batch", "--profile"]) == 1
+        finally:
+            obs.configure()
+        err = capsys.readouterr().err
+        assert f"\nliteral evaluations: {result.stats.literal_evaluations}\n" in err
+        assert "by evaluator" not in err
 
 
 class TestRulesDiscover:

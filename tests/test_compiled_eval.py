@@ -1,4 +1,4 @@
-"""Compiled rule kernels: closure-compiled schedules vs the interpreted path.
+"""Compiled rule kernels: closure-compiled schedules against their oracles.
 
 Three layers are covered:
 
@@ -7,15 +7,15 @@ Three layers are covered:
   graphs with missing attributes, non-numeric values and tuple node ids;
   the compiled closure's verdict must equal ``Literal.holds_for`` on every
   sample, in both the slot-based and the ``direct`` (unary-filter) modes;
-* end-to-end parity — ``DetectionOptions(compiled=...)`` on/off must
-  produce byte-identical ``ViolationSet``\\ s AND identical
-  ``MatchStatistics`` across every store backend, planner on/off, serial
-  and multi-process execution (spawn workers recompile schedules from the
+* end-to-end — on a literal-heavy workload with dirty attributes, the
+  violations equal the naive reference, and ``ViolationSet``\\ s and
+  ``MatchStatistics`` are identical across every store backend, serial and
+  multi-process execution (spawn workers recompile schedules from the
   shipped plan document), and under adaptive suffix replanning;
 * machinery — ``MatchPlan`` stays picklable after compiling schedules
-  (closures are excluded from its state), the ``REPRO_COMPILED_EVAL``
-  kill switch is honoured, and the CSR sorted-rank intersection returns
-  exactly the set-intersection survivors in ascending rank order.
+  (closures are excluded from its state), and the CSR sorted-rank
+  intersection returns exactly the set-intersection survivors in ascending
+  rank order.
 """
 
 from __future__ import annotations
@@ -26,8 +26,12 @@ import random
 
 import pytest
 
+import naive_reference
 from repro.core.ngd import NGD, RuleSet
 from repro.detect import DetectionOptions, Detector
+from repro.detect.dect import iter_dect
+from repro.detect.observers import drain
+from repro.detect.parallel.workunits import rule_search
 from repro.expr.expressions import (
     AbsoluteValue,
     Add,
@@ -44,16 +48,8 @@ from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import (
-    COMPILED_ENV,
-    CompiledSchedule,
-    compile_literal,
-    compiled_enabled,
-    csr_sorted_intersection,
-    resolve_compiled,
-)
-from repro.matching.matchn import HomomorphismMatcher
-from repro.matching.plan import compile_plans
+from repro.matching.compiled import CompiledSchedule, compile_literal, csr_sorted_intersection, resolve_compiled
+from repro.matching.plan import compile_plans, first_step_candidates
 
 BACKENDS = ("dict", "indexed", "csr", "persistent")
 
@@ -168,7 +164,7 @@ def test_constant_folding_and_poisoning():
     check = compile_literal(Literal(const(3), Comparison.GT, const(5)), {})
     assert check([]) is False
     # a constant subtree that raises poisons the literal to constant-False,
-    # matching the interpreted evaluator (holds_for -> False on every input)
+    # matching holds_for (False on every input)
     poisoned = Literal(Divide(const(1), const(0)), Comparison.EQ, var("x", "a0"))
     check = compile_literal(poisoned, {"x": 0})
     assert check([{"a0": 1}]) is False
@@ -274,45 +270,49 @@ def _stats_tuple(stats: MatchStatistics) -> tuple:
     )
 
 
-def _run(graph, rules, *, compiled, backend=None, engine="batch", processors=None, **options):
+def _run(graph, rules, *, backend=None, engine="batch", processors=None, **options):
     detector = Detector(
         rules,
         engine=engine,
         processors=processors,
         store=backend,
-        options=DetectionOptions(compiled=compiled, **options),
+        options=DetectionOptions(**options),
     )
     return detector.run(graph)
 
 
-# ------------------------------------------------------- end-to-end parity
+def _pairs(violations) -> set:
+    return {(violation.rule, violation.nodes) for violation in violations}
+
+
+# ----------------------------------------------------------------- end to end
+
+
+def test_batch_equals_the_naive_reference(heavy_rules):
+    graph = _product_graph(seed=4, products=40, sellers=8)
+    result = _run(graph, heavy_rules)
+    assert _pairs(result.violations) == naive_reference.violations(graph, heavy_rules)
+    assert result.violation_count() > 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("use_planner", [True, False])
-def test_batch_parity_across_backends(product_graph, heavy_rules, backend, use_planner, tmp_path):
-    kwargs = {}
+@pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
+def test_batch_parity_across_backends(product_graph, heavy_rules, backend, adaptive, tmp_path):
     if backend == "persistent":
         os.environ.setdefault("REPRO_PERSISTENT_DIR", str(tmp_path))
-    on = _run(product_graph, heavy_rules, compiled=True, backend=backend, use_planner=use_planner)
-    off = _run(product_graph, heavy_rules, compiled=False, backend=backend, use_planner=use_planner)
-    assert on.violations.to_json() == off.violations.to_json()
+    on = _run(product_graph, heavy_rules, backend=backend, adaptive=adaptive)
+    reference = _run(product_graph, heavy_rules, backend="dict", adaptive=adaptive)
+    assert on.violations.to_json() == reference.violations.to_json()
     assert on.violation_count() > 0
-    assert _stats_tuple(on.stats) == _stats_tuple(off.stats)
-    assert on.cost == off.cost
+    assert _stats_tuple(on.stats) == _stats_tuple(reference.stats)
+    assert on.cost == reference.cost
 
 
 @pytest.mark.parametrize("execution", ["simulated", "processes"])
 def test_parallel_parity(product_graph, heavy_rules, execution):
-    on = _run(
-        product_graph, heavy_rules, compiled=True, engine="parallel",
-        processors=4, execution=execution,
-    )
-    off = _run(
-        product_graph, heavy_rules, compiled=False, engine="parallel",
-        processors=4, execution=execution,
-    )
-    assert on.violations.to_json() == off.violations.to_json()
+    on = _run(product_graph, heavy_rules, engine="parallel", processors=4, execution=execution)
+    serial = _run(product_graph, heavy_rules)
+    assert on.violations.to_json() == serial.violations.to_json()
     assert on.violation_count() > 0
 
 
@@ -329,10 +329,9 @@ def test_spawn_workers_recompile_parity(heavy_rules):
         flat.add_edge(
             "-".join(map(str, edge.source)), "-".join(map(str, edge.target)), edge.label
         )
-    serial = _run(flat, heavy_rules, compiled=True)
+    serial = _run(flat, heavy_rules)
     spawned = _run(
-        flat, heavy_rules, compiled=True, engine="parallel",
-        processors=2, execution="processes", start_method="spawn",
+        flat, heavy_rules, engine="parallel", processors=2, execution="processes", start_method="spawn"
     )
     assert spawned.violations.to_json() == serial.violations.to_json()
     assert serial.violation_count() > 0
@@ -352,59 +351,41 @@ def test_incremental_parity(product_graph, heavy_rules):
         updates.append(EdgeDeletion(source, target, label))
     delta = BatchUpdate(updates)
     results = {}
-    for engine in ("incremental", "parallel"):
-        for compiled in (True, False):
-            detector = Detector(
-                heavy_rules,
-                engine=engine,
-                processors=4,
-                options=DetectionOptions(compiled=compiled),
-            )
-            result = detector.run_incremental(product_graph, delta)
-            results[(engine, compiled)] = (
-                result.delta.introduced.to_json(),
-                result.delta.removed.to_json(),
-            )
+    for engine in ("incremental", "parallel", "batch"):
+        detector = Detector(heavy_rules, engine=engine, processors=4)
+        result = detector.run_incremental(product_graph, delta)
+        results[engine] = (result.delta.introduced.to_json(), result.delta.removed.to_json())
     assert len(set(results.values())) == 1
 
 
 def test_adaptive_replan_recompiles_suffix(product_graph, heavy_rules):
-    # adaptive on: a drift-triggered suffix replan must recompile only the
-    # revised order and keep parity with the interpreted evaluator
-    on = _run(product_graph, heavy_rules, compiled=True, adaptive=True)
-    off = _run(product_graph, heavy_rules, compiled=False, adaptive=True)
+    # a drift-triggered suffix replan recompiles the revised order's
+    # schedule; the violations stay those of the unreplanned run
+    on = _run(product_graph, heavy_rules, adaptive=True)
+    off = _run(product_graph, heavy_rules, adaptive=False)
     assert on.violations.to_json() == off.violations.to_json()
-    assert _stats_tuple(on.stats) == _stats_tuple(off.stats)
 
 
 def test_matcher_seed_parity(product_graph, heavy_rules):
-    # HomomorphismMatcher.violations(seed=...) drives the compiled branch of
-    # matchn directly (the incremental pivots' code path)
-    rule = list(heavy_rules)[0]
-    plans = compile_plans(product_graph, [rule])
-    plan = plans[0]
-    seed_node = next(iter(product_graph.nodes_with_label("product")))
-    seed = {plan.order[0]: seed_node} if plan.order else {}
-
-    def matcher(compiled):
-        stats = MatchStatistics()
-        return (
-            HomomorphismMatcher(
-                product_graph,
-                rule.pattern,
-                premise=rule.premise,
-                conclusion=rule.conclusion,
-                stats=stats,
-                plan=plan,
-                compiled=compiled,
-            ),
-            stats,
-        )
-
-    on, on_stats = matcher(True)
-    off, off_stats = matcher(False)
-    assert list(on.violations()) == list(off.violations())
-    assert _stats_tuple(on_stats) == _stats_tuple(off_stats)
+    # Dect seeds the core once per first-step candidate; the matcher view
+    # starts it on the empty seed and lets the first step find them.  Both
+    # must reach the same leaves at the same literal and edge bill.
+    plans = compile_plans(product_graph, heavy_rules)
+    seeded = drain(iter_dect(product_graph, heavy_rules, plans=plans, adaptive=False))
+    stats = MatchStatistics()
+    found = []
+    for rule, plan in zip(heavy_rules, plans):
+        search = rule_search(rule, plan, True, stats)
+        search.start(product_graph, plan.order, ())
+        while search.stack:
+            found.extend(search.step())
+    assert set(found) == set(seeded.violations)
+    assert len(found) == len(seeded.violations) > 0
+    assert (stats.literal_evaluations, stats.edge_checks, stats.matches_emitted) == (
+        seeded.stats.literal_evaluations,
+        seeded.stats.edge_checks,
+        seeded.stats.matches_emitted,
+    )
 
 
 # --------------------------------------------------------------- accounting
@@ -412,9 +393,8 @@ def test_matcher_seed_parity(product_graph, heavy_rules):
 
 def test_evaluation_error_accounting_parity():
     # a premise literal whose attribute is present but non-numeric raises
-    # EvaluationError/TypeError mid-candidate on the interpreted path; the
-    # compiled path must bill the same single literal_evaluation and reject
-    # the same candidate (no short-circuit skew)
+    # EvaluationError/TypeError mid-candidate inside the closure: it must
+    # bill one literal_evaluation and reject the candidate
     pattern = Pattern("Q")
     pattern.add_node("x", "item")
     pattern.add_node("y", "item")
@@ -432,13 +412,11 @@ def test_evaluation_error_accounting_parity():
     for source in (0, 1, 2):
         graph.add_edge(source, 3, "rel")
     graph.add_edge(0, 2, "rel")
-    on = _run(graph, rules, compiled=True)
-    off = _run(graph, rules, compiled=False)
-    assert on.violations.to_json() == off.violations.to_json()
+    on = _run(graph, rules)
+    assert _pairs(on.violations) == naive_reference.violations(graph, rules)
     # 0 -> 3 (conclusion numerically false) and 0 -> 2 (conclusion attribute
     # missing) violate; nodes 1 and 2 as premise sources are rejected
     assert on.violation_count() == 2
-    assert _stats_tuple(on.stats) == _stats_tuple(off.stats)
 
 
 # ---------------------------------------------------------------- machinery
@@ -456,26 +434,24 @@ def test_match_plan_pickles_after_compilation(product_graph, heavy_rules):
     assert recompiled.order == schedule.order
 
 
-def test_kill_switch_environment(monkeypatch):
-    monkeypatch.delenv(COMPILED_ENV, raising=False)
-    assert compiled_enabled() is True
+def test_resolve_compiled_reads_no_switch(monkeypatch):
+    # the end-to-end benchmark's seed-scan probe still resolves the old
+    # switch and passes it on; nothing turns compilation off any more
+    monkeypatch.setenv("REPRO_COMPILED_EVAL", "off")
     assert resolve_compiled(None) is True
-    for raw in ("off", "0", "false", "no", "OFF"):
-        monkeypatch.setenv(COMPILED_ENV, raw)
-        assert compiled_enabled() is False
-        assert resolve_compiled(None) is False
-        assert resolve_compiled(True) is True  # explicit argument wins
-    monkeypatch.setenv(COMPILED_ENV, "on")
-    assert resolve_compiled(False) is False
+    assert resolve_compiled(False) is True
+    assert resolve_compiled() is True
 
 
-def test_kill_switch_end_to_end(product_graph, heavy_rules, monkeypatch):
-    monkeypatch.setenv(COMPILED_ENV, "off")
-    off_env = _run(product_graph, heavy_rules, compiled=None)
-    monkeypatch.delenv(COMPILED_ENV, raising=False)
-    on_env = _run(product_graph, heavy_rules, compiled=None)
-    assert off_env.violations.to_json() == on_env.violations.to_json()
-    assert _stats_tuple(off_env.stats) == _stats_tuple(on_env.stats)
+@pytest.mark.parametrize("compiled", (True, False))
+def test_first_step_candidates_ignores_its_compiled_argument(product_graph, heavy_rules, compiled):
+    rule = list(heavy_rules)[0]
+    plan = compile_plans(product_graph, [rule])[0]
+    default_stats, passed_stats = MatchStatistics(), MatchStatistics()
+    default = first_step_candidates(product_graph, rule, plan, plan.order, True, default_stats)
+    passed = first_step_candidates(product_graph, rule, plan, plan.order, True, passed_stats, compiled)
+    assert passed == default and default[0]
+    assert _stats_tuple(passed_stats) == _stats_tuple(default_stats)
 
 
 def test_triangle_multi_anchor_parity():
@@ -502,20 +478,13 @@ def test_triangle_multi_anchor_parity():
         source, target = rng.randrange(size), rng.randrange(size)
         if source != target and not graph.has_edge(source, target, "e"):
             graph.add_edge(source, target, "e")
-    results = {}
-    for backend in ("dict", "csr"):
-        for compiled in (True, False):
-            result = _run(graph, rules, compiled=compiled, backend=backend)
-            results[(backend, compiled)] = (
-                result.violations.to_json(),
-                _stats_tuple(result.stats),
-            )
-    assert len({value[0] for value in results.values()}) == 1
-    assert results[("csr", True)] == results[("csr", False)]
-    assert results[("dict", True)] == results[("dict", False)]
-    on = _run(graph, rules, compiled=True, backend="csr")
-    assert on.stats.edge_checks > 0
-    assert on.violation_count() > 0
+    merged = _run(graph, rules, backend="csr")
+    probed = _run(graph, rules, backend="dict")
+    assert merged.violations.to_json() == probed.violations.to_json()
+    assert _stats_tuple(merged.stats) == _stats_tuple(probed.stats)
+    assert _pairs(merged.violations) == naive_reference.violations(graph, rules)
+    assert merged.stats.edge_checks > 0
+    assert merged.violation_count() > 0
 
 
 def test_csr_sorted_intersection_matches_set_semantics(product_graph):

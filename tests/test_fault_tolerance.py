@@ -4,8 +4,8 @@ The contract under test: a worker SIGKILLed mid-run must not change the
 answer.  The parent re-executes the dead worker's unconfirmed units (on a
 respawned replacement or the survivors) and its dedup sets absorb the
 duplicates, so the recovered run's ``ViolationSet`` is **byte-identical**
-to the serial oracle — under fork and spawn, across storage backends,
-with the planner on and off.  When the restart budget is spent or a unit
+to the serial oracle — under fork and spawn, across storage backends.
+When the restart budget is spent or a unit
 keeps killing its worker, the run *degrades* (finishes on the parent's
 serial path, ``degraded=True``) instead of failing.
 
@@ -129,20 +129,16 @@ class TestFaultPlan:
 
 class TestCrashRecoveryParity:
     @pytest.mark.parametrize("backend", ("indexed", "csr"))
-    @pytest.mark.parametrize("use_planner", (True, False))
-    def test_sigkilled_worker_is_byte_identical_fork(
-        self, kb_graph, kb_rules, backend, use_planner, monkeypatch
-    ):
+    @pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
+    def test_sigkilled_worker_is_byte_identical_fork(self, kb_graph, kb_rules, backend, adaptive, monkeypatch):
         graph = kb_graph.with_backend(backend)
-        serial = Detector(
-            kb_rules, engine="batch", options=DetectionOptions(use_planner=use_planner)
-        ).run(graph)
+        serial = Detector(kb_rules, engine="batch", options=DetectionOptions(adaptive=adaptive)).run(graph)
         monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=3")
         result = Detector(
             kb_rules,
             engine="parallel",
             processors=2,
-            options=_options(use_planner=use_planner, start_method="fork"),
+            options=_options(start_method="fork", adaptive=adaptive),
         ).run(graph)
         assert len(serial.violations) > 0
         assert result.violations.to_json() == serial.violations.to_json()

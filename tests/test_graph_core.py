@@ -236,23 +236,6 @@ class TestPattern:
         pattern = Pattern.from_edges("single", nodes=[("a", "x")])
         assert pattern.diameter() == 0
 
-    def test_matching_order_is_connected(self):
-        pattern = Pattern.from_edges(
-            "star",
-            nodes=[("hub", "x"), ("l1", "y"), ("l2", "y"), ("l3", "y")],
-            edges=[("hub", "l1", "e"), ("hub", "l2", "e"), ("hub", "l3", "e")],
-        )
-        order = pattern.matching_order(seed=["l1"])
-        assert order[0] == "l1"
-        assert set(order) == {"hub", "l1", "l2", "l3"}
-        # every later variable must be adjacent to some earlier one
-        for index in range(1, len(order)):
-            assert pattern.neighbours(order[index]) & set(order[:index])
-
-    def test_matching_order_unknown_seed(self, knows_pattern):
-        with pytest.raises(PatternError):
-            knows_pattern.matching_order(seed=["ghost"])
-
     def test_to_graph_roundtrip(self, knows_pattern):
         graph = knows_pattern.to_graph()
         assert graph.node_count() == 2

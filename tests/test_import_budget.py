@@ -33,7 +33,6 @@ DEFERRED = [
     "multiprocessing",
     "concurrent.futures",
     "repro.detect.parallel.executor",
-    "repro.detect.parallel.threaded",
     "repro.service",
     "repro.storage.manager",
     "repro.discovery",

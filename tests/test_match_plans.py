@@ -1,11 +1,10 @@
-"""The match-planner parity suite and the plan compiler's unit tests.
+"""The plan compiler's unit tests and the planned kernels against their oracles.
 
-Contract of the compile-then-execute refactor: for every dataset rule set,
-every storage backend (the two legacy engines plus the frozen CSR store) and
-every kernel, planner-executed detection yields **byte-identical**
-``ViolationSet``s and deterministic costs compared to the pre-plan matcher,
-which stays reachable via ``REPRO_MATCH_PLANNER=off`` /
-``DetectionOptions(use_planner=False)`` as the oracle.
+For every dataset rule set, every storage backend (the two mutable engines
+plus the frozen CSR store) and every kernel, planned detection yields
+**byte-identical** ``ViolationSet``s and deterministic costs: against the
+naive reference where the graph is small enough, against the dict engine
+across backends, and against the batch-diff oracle for ΔVio.
 """
 
 from __future__ import annotations
@@ -14,11 +13,14 @@ import json
 
 import pytest
 
+import naive_reference
 from repro.core.builtin_rules import example_rules
 from repro.core.ngd import NGD
 from repro.datasets.figure1 import figure1_g1, figure1_g2
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
+from repro.detect.dect import iter_dect
+from repro.detect.observers import drain
 from repro.detect.session import DetectionOptions, Detector
 from repro.graph.graph import WILDCARD, Graph
 from repro.graph.pattern import Pattern
@@ -26,13 +28,13 @@ from repro.graph.updates import UpdateGenerator, apply_update
 from repro.matching.candidates import MatchStatistics
 from repro.matching.matchn import HomomorphismMatcher
 from repro.matching.plan import (
-    PLANNER_ENV,
     GraphStatistics,
+    MatchPlan,
     compile_plan,
     compile_plans,
     format_plan,
-    planner_enabled,
 )
+from repro.matching.search import RuleSearch
 
 BACKENDS = ("dict", "indexed", "csr")
 
@@ -55,9 +57,8 @@ def _kb_rules(graph: Graph):
     return benchmark_rules(graph, count=6, max_diameter=3, seed=0)
 
 
-def _detector(rules, planner: bool, engine="batch", processors=None, **extra) -> Detector:
-    options = DetectionOptions(use_planner=planner, **extra)
-    return Detector(rules, engine=engine, processors=processors, options=options)
+def _detector(rules, engine="batch", processors=None, **extra) -> Detector:
+    return Detector(rules, engine=engine, processors=processors, options=DetectionOptions(**extra))
 
 
 # ------------------------------------------------------------------- compiler
@@ -114,6 +115,9 @@ class TestPlanCompiler:
         order = plan.order_for_seed(seed)
         assert order[:2] == seed
         assert sorted(order) == sorted(variables)
+        # a connected pattern: every later variable is anchored by an earlier one
+        for index in range(2, len(order)):
+            assert plan.rule.pattern.neighbours(order[index]) & set(order[:index])
         schedule = plan.schedule_for(order)
         assert tuple(step.variable for step in schedule) == order
 
@@ -132,45 +136,33 @@ class TestPlanCompiler:
             for variable in plan.rule.pattern.variables:
                 assert f" {variable}:" in rendered
 
-    def test_env_switch(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_ENV, raising=False)
-        assert planner_enabled()
-        for value in ("off", "0", "false", "NO"):
-            monkeypatch.setenv(PLANNER_ENV, value)
-            assert not planner_enabled()
-        monkeypatch.setenv(PLANNER_ENV, "on")
-        assert planner_enabled()
-
 
 # ------------------------------------------------------------- oracle parity
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestPlannerOracleParity:
-    """Planner on vs the pre-plan oracle, on every storage backend."""
+    """Planned runs against their oracles, on every storage backend."""
 
     def test_batch_violations_byte_identical(self, backend):
         base = _kb_graph()
         rules = _kb_rules(base)
-        graph = base.with_backend(backend)
-        planned = _detector(rules, True).run(graph)
-        oracle = _detector(rules, False).run(graph)
-        assert planned.violations.to_json() == oracle.violations.to_json()
-        assert planned.violations.to_json() == _detector(rules, False).run(base).violations.to_json()
+        planned = _detector(rules).run(base.with_backend(backend))
+        assert planned.violations.to_json() == _detector(rules).run(base).violations.to_json()
 
     def test_figure1_rules_byte_identical(self, backend):
         for build in (figure1_g1, figure1_g2):
             graph = build().with_backend(backend)
-            planned = _detector(example_rules(), True).run(graph)
-            oracle = _detector(example_rules(), False).run(graph)
-            assert planned.violations.to_json() == oracle.violations.to_json()
+            planned = _detector(example_rules()).run(graph)
+            expected = naive_reference.violations(build(), example_rules())
+            assert {(v.rule, v.nodes) for v in planned.violations} == expected
 
     def test_parallel_batch_matches_sequential(self, backend):
         base = _kb_graph()
         rules = _kb_rules(base)
         graph = base.with_backend(backend)
-        planned = _detector(rules, True, engine="parallel", processors=4).run(graph)
-        sequential = _detector(rules, True).run(graph)
+        planned = _detector(rules, engine="parallel", processors=4).run(graph)
+        sequential = _detector(rules).run(graph)
         assert planned.violations.to_json() == sequential.violations.to_json()
 
     def test_costs_deterministic_across_repeated_runs(self, backend):
@@ -179,22 +171,22 @@ class TestPlannerOracleParity:
         graph = base.with_backend(backend)
         outcomes = set()
         for _ in range(2):
-            result = _detector(rules, True).run(graph)
+            result = _detector(rules).run(graph)
             outcomes.add((result.cost, result.stats.total_operations()))
         assert len(outcomes) == 1
 
     def test_costs_identical_across_backends(self, backend):
         base = _kb_graph()
         rules = _kb_rules(base)
-        reference = _detector(rules, True).run(base.with_backend("dict"))
-        result = _detector(rules, True).run(base.with_backend(backend))
+        reference = _detector(rules).run(base.with_backend("dict"))
+        result = _detector(rules).run(base.with_backend(backend))
         assert result.cost == reference.cost
         assert result.stats.total_operations() == reference.stats.total_operations()
 
 
 class TestIncrementalPlannerParity:
-    """ΔVio parity planner on/off (the CSR store is frozen, so the two
-    mutable engines carry the incremental legs)."""
+    """Planned ΔVio against the batch-diff oracle (the CSR store is frozen, so
+    the two mutable engines carry the incremental legs)."""
 
     @pytest.mark.parametrize("backend", ("dict", "indexed"))
     @pytest.mark.parametrize("engine,processors", [("incremental", None), ("parallel", 4)])
@@ -203,12 +195,10 @@ class TestIncrementalPlannerParity:
         rules = _kb_rules(base)
         delta = UpdateGenerator(seed=23).generate(base, size=max(1, base.edge_count() // 8))
         updated = apply_update(base, delta)
-        planned = _detector(rules, True, engine=engine, processors=processors).run_incremental(
+        planned = _detector(rules, engine=engine, processors=processors).run_incremental(
             base, delta, graph_after=updated
         )
-        oracle = _detector(rules, False, engine=engine, processors=processors).run_incremental(
-            base, delta, graph_after=updated
-        )
+        oracle = _detector(rules, engine="batch").run_incremental(base, delta, graph_after=updated)
         assert planned.introduced().to_json() == oracle.introduced().to_json()
         assert planned.removed().to_json() == oracle.removed().to_json()
 
@@ -217,9 +207,9 @@ class TestIncrementalPlannerParity:
         rules = _kb_rules(base)
         delta = UpdateGenerator(seed=5).generate(base, size=max(1, base.edge_count() // 10))
         planned = _detector(
-            rules, True, engine="incremental", restrict_to_neighborhood=True
+            rules, engine="incremental", restrict_to_neighborhood=True
         ).run_incremental(base, delta)
-        oracle = _detector(rules, False, engine="batch").run_incremental(base, delta)
+        oracle = _detector(rules, engine="batch").run_incremental(base, delta)
         assert planned.introduced().to_json() == oracle.introduced().to_json()
         assert planned.removed().to_json() == oracle.removed().to_json()
 
@@ -231,8 +221,8 @@ class TestPlannerWins:
     def test_planned_ordering_beats_static_on_skewed_labels(self):
         """The acceptance workload: skewed label cardinalities.
 
-        A pattern declared common-side-first forces the static order to scan
-        the big label bucket; the planner starts from the rare side.
+        A plan pinned to the declaration order (common side first) scans the
+        big label bucket; the cost-based order starts from the rare side.
         """
         graph = Graph()
         for index in range(400):
@@ -245,32 +235,36 @@ class TestPlannerWins:
             "skew", nodes=[("x", "account"), ("y", "flag")], edges=[("x", "y", "flagged")]
         )
         rules = [NGD.from_text(pattern, "x.val >= 0", "y.val < x.val", name="skew_rule")]
-        planned = _detector(rules, True).run(graph)
-        static = _detector(rules, False).run(graph)
+        plan = compile_plan(graph, rules[0])
+        assert plan.order == ("y", "x")
+        declared = MatchPlan.from_dict(dict(plan.to_dict(), order=["x", "y"]), rules[0])
+        planned = drain(iter_dect(graph, rules, plans=(plan,), adaptive=False))
+        static = drain(iter_dect(graph, rules, plans=(declared,), adaptive=False))
         assert planned.violations.to_json() == static.violations.to_json()
         ratio = static.stats.total_operations() / max(1, planned.stats.total_operations())
         assert ratio >= 1.5, f"planned ordering only {ratio:.2f}x better"
 
     def test_matcher_executes_plan_directly(self):
+        """The matcher view runs the cost-based plan of its pattern and premise."""
         graph = _kb_graph()
-        rules = _kb_rules(graph)
-        rule = rules[0]
-        plan = compile_plan(graph, rule)
-        planned_stats = MatchStatistics()
-        static_stats = MatchStatistics()
-        planned = list(
-            HomomorphismMatcher(
-                graph, rule.pattern, premise=rule.premise, conclusion=rule.conclusion,
-                stats=planned_stats, plan=plan,
-            ).violations()
-        )
-        static = list(
-            HomomorphismMatcher(
-                graph, rule.pattern, premise=rule.premise, conclusion=rule.conclusion,
-                stats=static_stats,
-            ).violations()
-        )
-        assert sorted(planned, key=repr) == sorted(static, key=repr)
+        statistics = GraphStatistics.from_graph(graph)
+        reordered = 0
+        for rule in _kb_rules(graph):
+            matcher = HomomorphismMatcher(graph, rule.pattern, rule.premise, statistics=statistics)
+            assert matcher.plan.order == compile_plan(graph, matcher.plan.rule, statistics).order
+            found = [tuple(sorted(match.items())) for match in matcher.matches()]
+            assert len(found) == len(set(found)) > 0
+            # a plan pinned to the reverse order reaches the same bindings
+            backwards = list(reversed(matcher.plan.order))
+            reordered += backwards != list(matcher.plan.order)
+            pinned = MatchPlan.from_dict(dict(matcher.plan.to_dict(), order=backwards), matcher.plan.rule)
+            search = RuleSearch(pinned, True, MatchStatistics(), all_matches=True)
+            search.start(graph, pinned.order, ())
+            reached = set()
+            while search.stack:
+                reached.update(tuple(sorted(leaf.mapping().items())) for leaf in search.step())
+            assert reached == set(found), rule.name
+        assert reordered > 0, "some pattern must have two variables"
 
 
 # --------------------------------------------------------------- plan caching
@@ -280,27 +274,21 @@ class TestSessionPlanCache:
     def test_same_snapshot_compiles_once(self):
         graph = _kb_graph()
         rules = _kb_rules(graph)
-        detector = _detector(rules, True)
+        detector = _detector(rules)
         first = detector.compile_plans(graph)
         second = detector.compile_plans(graph)
         assert first is second
         detector.clear_plan_cache()
         assert detector.compile_plans(graph) is not first
 
-    def test_planner_off_compiles_nothing(self):
-        graph = _kb_graph()
-        detector = _detector(_kb_rules(graph), False)
-        assert detector.compile_plans(graph) is None
-        assert detector.plan_compilations == 0
-
     def test_plans_survive_apply_update(self):
         """``run_incremental(G, ΔG)`` without ``plans=`` compiles once over a stream of new stores."""
         graph = _kb_graph()
         rules = _kb_rules(graph)
-        default = _detector(rules, True, engine="incremental")
-        holding = _detector(rules, True, engine="incremental")
+        default = _detector(rules, engine="incremental")
+        holding = _detector(rules, engine="incremental")
         held = holding.compile_plans(graph)
-        maintained = _detector(rules, True).run(graph).violations
+        maintained = _detector(rules).run(graph).violations
         generator = UpdateGenerator(seed=5)
         for _ in range(60):
             delta = generator.generate(graph, size=4)
@@ -313,11 +301,11 @@ class TestSessionPlanCache:
             maintained = maintained.apply_delta(result.delta)
             graph = after
         assert default.plan_compilations == 1
-        assert maintained.to_json() == _detector(rules, True).run(graph).violations.to_json()
+        assert maintained.to_json() == _detector(rules).run(graph).violations.to_json()
 
     def test_plans_recompile_once_the_graph_has_drifted(self):
         graph = _kb_graph()
-        detector = _detector(_kb_rules(graph), True)
+        detector = _detector(_kb_rules(graph))
         first = detector.compile_plans(graph)
         grown = graph.copy()
         tolerated = int(0.2 * graph.total_size())
@@ -331,10 +319,10 @@ class TestSessionPlanCache:
     def test_explicit_plans_override(self):
         graph = _kb_graph()
         rules = _kb_rules(graph)
-        detector = _detector(rules, True)
+        detector = _detector(rules)
         plans = detector.compile_plans(graph)
         result = detector.run(graph, plans=plans)
-        assert result.violations.to_json() == _detector(rules, True).run(graph).violations.to_json()
+        assert result.violations.to_json() == _detector(rules).run(graph).violations.to_json()
 
 
 # ----------------------------------------------------------------- CLI explain

@@ -2,44 +2,55 @@
 
 from __future__ import annotations
 
+import importlib
 import pickle
 
 import pytest
 
 from repro.core.ngd import NGD, RuleSet
 from repro.core.validation import find_violations, graph_satisfies, satisfies_rule, violations_of_rule
+from repro.detect.incdect import iter_inc_dect
+from repro.detect.observers import drain
+from repro.detect.session import DetectionOptions, Detector
 from repro.expr.parser import parse_literal_set
-from repro.graph.generators import chain_graph, random_labeled_graph, star_graph
+from repro.graph.generators import random_labeled_graph, star_graph
 from repro.graph.graph import WILDCARD, Graph
 from repro.graph.pattern import Pattern
-from repro.matching.candidates import MatchStatistics, candidate_nodes, node_satisfies_unary_premise
-from repro.matching.incmatch import IncrementalMatcher, find_update_pivots
-from repro.matching.matchn import HomomorphismMatcher, assignment_for_match, match_violates_dependency
+from repro.matching.candidates import MatchStatistics
+from repro.matching.incmatch import find_update_pivots
+from repro.matching.matchn import HomomorphismMatcher, assignment_for_match
+from repro.matching.plan import GraphStatistics, compile_plan, first_step_candidates
+from repro.matching.search import RuleSearch
 from repro.graph.store import IndexedStore
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 
 
+def _seed_candidates(graph, pattern, premise="", stats=None):
+    """The candidates of a plan's first step, which scans the label index for ``x``."""
+    plan = compile_plan(graph, NGD.from_text(pattern, premise, "", name="seeds"))
+    assert plan.order[0] == "x"
+    stats = stats if stats is not None else MatchStatistics()
+    return first_step_candidates(graph, plan.rule, plan, plan.order, True, stats)[0]
+
+
 class TestCandidates:
     def test_label_filtering(self, triangle_graph, knows_pattern):
-        candidates = candidate_nodes(triangle_graph, knows_pattern, "x")
+        candidates = _seed_candidates(triangle_graph, knows_pattern)
         assert set(candidates) == {"a"}  # only 'a' has an outgoing "knows" edge
 
     def test_wildcard_candidates(self, triangle_graph):
         pattern = Pattern.from_edges("p", nodes=[("x", WILDCARD)], edges=[])
-        assert len(candidate_nodes(triangle_graph, pattern, "x")) == 3
+        assert len(_seed_candidates(triangle_graph, pattern)) == 3
 
     def test_unary_premise_pruning(self, triangle_graph, knows_pattern):
-        premise = parse_literal_set("x.val > 100")
-        candidates = candidate_nodes(triangle_graph, knows_pattern, "x", premise=premise)
-        assert candidates == []
+        assert _seed_candidates(triangle_graph, knows_pattern, "x.val > 100") == []
 
-    def test_unary_premise_missing_attribute_prunes(self, triangle_graph):
-        premise = parse_literal_set("x.population > 0")
-        assert not node_satisfies_unary_premise(triangle_graph, "a", "x", premise)
+    def test_unary_premise_missing_attribute_prunes(self, triangle_graph, knows_pattern):
+        assert _seed_candidates(triangle_graph, knows_pattern, "x.population > 0") == []
 
     def test_statistics_accumulate(self, triangle_graph, knows_pattern):
         stats = MatchStatistics()
-        candidate_nodes(triangle_graph, knows_pattern, "x", stats=stats)
+        _seed_candidates(triangle_graph, knows_pattern, stats=stats)
         assert stats.candidates_examined > 0
         other = MatchStatistics(expansions=2)
         stats.merge(other)
@@ -77,18 +88,6 @@ class TestHomomorphismMatcher:
         )
         assert list(HomomorphismMatcher(triangle_graph, pattern).matches()) == []
 
-    def test_seeded_search(self, triangle_graph):
-        pattern = Pattern.from_edges(
-            "p", nodes=[("x", "person"), ("y", "city")], edges=[("x", "y", "lives_in")]
-        )
-        matcher = HomomorphismMatcher(triangle_graph, pattern)
-        assert list(matcher.matches(seed={"x": "a"})) == [{"x": "a", "y": "c"}]
-        assert list(matcher.matches(seed={"x": "c"})) == []  # label mismatch
-
-    def test_inconsistent_seed_yields_nothing(self, triangle_graph, knows_pattern):
-        matcher = HomomorphismMatcher(triangle_graph, knows_pattern)
-        assert list(matcher.matches(seed={"x": "b", "y": "a"})) == []
-
     def test_disconnected_pattern(self, triangle_graph):
         pattern = Pattern.from_edges("p", nodes=[("x", "person"), ("y", "city")], edges=[])
         matches = list(HomomorphismMatcher(triangle_graph, pattern).matches())
@@ -99,27 +98,13 @@ class TestHomomorphismMatcher:
         assert len(list(HomomorphismMatcher(triangle_graph, pattern).matches())) == 3
 
     def test_violations_generator(self, triangle_graph, knows_rule):
-        matcher = HomomorphismMatcher(
-            triangle_graph, knows_rule.pattern, premise=knows_rule.premise, conclusion=knows_rule.conclusion
-        )
-        assert list(matcher.violations()) == [{"x": "a", "y": "b"}]
+        violations = violations_of_rule(triangle_graph, knows_rule)
+        assert [violation.mapping() for violation in violations] == [{"x": "a", "y": "b"}]
 
     def test_pruning_equivalence(self, triangle_graph, knows_rule):
-        with_pruning = HomomorphismMatcher(
-            triangle_graph,
-            knows_rule.pattern,
-            premise=knows_rule.premise,
-            conclusion=knows_rule.conclusion,
-            use_literal_pruning=True,
-        )
-        without_pruning = HomomorphismMatcher(
-            triangle_graph,
-            knows_rule.pattern,
-            premise=knows_rule.premise,
-            conclusion=knows_rule.conclusion,
-            use_literal_pruning=False,
-        )
-        assert list(with_pruning.violations()) == list(without_pruning.violations())
+        with_pruning = violations_of_rule(triangle_graph, knows_rule, use_literal_pruning=True)
+        without_pruning = violations_of_rule(triangle_graph, knows_rule, use_literal_pruning=False)
+        assert with_pruning == without_pruning
 
     def test_star_pattern_matches(self):
         graph = star_graph(4)
@@ -132,10 +117,71 @@ class TestHomomorphismMatcher:
         assignment = assignment_for_match(triangle_graph, {"x": "c"}, frozenset({("x", "age")}))
         assert assignment == {}
 
-    def test_match_violates_dependency(self, triangle_graph, knows_rule):
-        assert match_violates_dependency(
-            triangle_graph, {"x": "a", "y": "b"}, knows_rule.premise, knows_rule.conclusion
+    def test_premise_pruning_filters_the_matches(self, triangle_graph):
+        pattern = Pattern.from_edges(
+            "p", nodes=[("x", "person"), ("y", "city")], edges=[("x", "y", "lives_in")]
         )
+        premise = parse_literal_set("x.val > 15")
+        pruned = HomomorphismMatcher(triangle_graph, pattern, premise).matches()
+        assert list(pruned) == [{"x": "b", "y": "c"}]
+        # without pruning the premise is not read: every match comes out
+        unpruned = HomomorphismMatcher(triangle_graph, pattern, premise, use_literal_pruning=False)
+        assert sorted(match["x"] for match in unpruned.matches()) == ["a", "b"]
+
+    def test_matches_are_billed_to_the_callers_counters(self, triangle_graph):
+        pattern = Pattern.from_edges("p", nodes=[("x", "person"), ("y", WILDCARD)], edges=[])
+        stats = MatchStatistics()
+        matcher = HomomorphismMatcher(triangle_graph, pattern, stats=stats)
+        assert matcher.stats is stats
+        assert len(list(matcher.matches())) == 6 == stats.matches_emitted
+        assert stats.candidates_examined > 0
+
+    def test_passed_statistics_spare_the_edge_pass(self, triangle_graph, knows_pattern, monkeypatch):
+        passes = []
+        real = GraphStatistics.from_graph.__func__
+        monkeypatch.setattr(
+            GraphStatistics, "from_graph", classmethod(lambda cls, graph: passes.append(graph) or real(cls, graph))
+        )
+        statistics = GraphStatistics.from_graph(triangle_graph)
+        for _ in range(3):
+            matcher = HomomorphismMatcher(triangle_graph, knows_pattern, statistics=statistics)
+            assert matcher.plan.statistics is statistics
+            assert list(matcher.matches()) == [{"x": "a", "y": "b"}]
+        assert len(passes) == 1
+        HomomorphismMatcher(triangle_graph, knows_pattern)
+        assert len(passes) == 2  # no snapshot given: the matcher takes its own
+
+    def test_seeded_search(self, triangle_graph):
+        # the incremental kernels start the core on a bound prefix (a pivot)
+        pattern = Pattern.from_edges(
+            "p", nodes=[("x", "person"), ("y", "city")], edges=[("x", "y", "lives_in")]
+        )
+        plan = compile_plan(triangle_graph, NGD.from_text(pattern, "", "", name="p"))
+        order = plan.order_for_seed(("x",))
+        search = RuleSearch(plan, True, MatchStatistics(), all_matches=True)
+
+        def drained(seed):
+            search.start(triangle_graph, order, seed)
+            found = []
+            while search.stack:
+                found.extend(violation.mapping() for violation in search.step())
+            return found
+
+        assert drained(["a"]) == [{"x": "a", "y": "c"}]
+        assert drained(["c"]) == []  # c has no lives_in edge to extend along
+
+    def test_match_violates_dependency(self, triangle_graph, knows_rule):
+        # the leaf's X -> Y check over the slots of a complete binding
+        plan = compile_plan(triangle_graph, knows_rule)
+        schedule = plan.compiled_for(plan.order)
+        stats = MatchStatistics()
+
+        def slots(match):
+            return [triangle_graph.node(match[variable]).attributes for variable in plan.order]
+
+        assert schedule.violates(slots({"x": "a", "y": "b"}), stats)  # 10 >= 20 fails
+        assert not schedule.violates(slots({"x": "b", "y": "a"}), stats)  # 20 >= 10 holds
+        assert stats.literal_evaluations == 2
 
 
 class TestValidation:
@@ -165,6 +211,33 @@ class TestValidation:
     def test_missing_attribute_in_premise_is_not_violation(self, triangle_graph, knows_pattern):
         rule = NGD.from_text(knows_pattern, "x.population > 0", "y.val = 999", name="guarded")
         assert graph_satisfies(triangle_graph, [rule])
+
+    @pytest.mark.parametrize("pruning", (True, False), ids=("pruned", "unpruned"))
+    def test_find_violations_is_the_dect_kernel(self, pruning):
+        graph = random_labeled_graph(40, 160, num_labels=2, num_edge_labels=2, seed=3)
+        rules = _ordering_rules(graph)
+        stats = MatchStatistics()
+        found = find_violations(graph, rules, use_literal_pruning=pruning, stats=stats)
+        batch = Detector(rules, engine="batch", options=DetectionOptions(use_literal_pruning=pruning)).run(graph)
+        assert found.to_json() == batch.violations.to_json() and len(found) > 0
+        assert stats.total_operations() == batch.stats.total_operations()
+
+    def test_graph_satisfies_stops_at_the_first_violation(self, monkeypatch):
+        graph = random_labeled_graph(40, 160, num_labels=2, num_edge_labels=2, seed=3)
+        rules = _ordering_rules(graph)
+        assert len(find_violations(graph, rules)) > 1
+        pulled = []
+        dect_module = importlib.import_module("repro.detect.dect")  # the package re-exports a dect() function
+        real = dect_module.iter_dect
+
+        def counting(*args, **kwargs):
+            for violation in real(*args, **kwargs):
+                pulled.append(violation)
+                yield violation
+
+        monkeypatch.setattr(dect_module, "iter_dect", counting)
+        assert not graph_satisfies(graph, rules)
+        assert len(pulled) == 1
 
 
 class _CountingStore(IndexedStore):
@@ -215,6 +288,14 @@ def _pivot_rules(graph: Graph, count: int) -> list[NGD]:
     return rules
 
 
+def _ordering_rules(graph: Graph) -> list[NGD]:
+    """The shapes of :func:`_pivot_rules` under a premise and a conclusion that about half the matches fail."""
+    return [
+        NGD.from_text(rule.pattern, "x.count > 500", "x.val <= y.val", name=rule.name)
+        for rule in _pivot_rules(graph, 4)
+    ]
+
+
 class TestIncrementalMatching:
     @pytest.mark.parametrize("rule_count", [1, 12])
     def test_endpoints_are_resolved_once_per_delta_whatever_the_rule_count(self, rule_count):
@@ -263,16 +344,14 @@ class TestIncrementalMatching:
     def test_insertion_pivot_expands_in_updated_graph(self, triangle_graph, knows_rule):
         delta = BatchUpdate().insert("b", "a", "knows")
         updated = apply_update(triangle_graph, delta)
-        pivots = find_update_pivots(knows_rule, delta, triangle_graph, updated)
-        matcher = IncrementalMatcher(knows_rule, triangle_graph, updated)
-        found = [match for pivot in pivots for match in matcher.violations_for_pivot(pivot)]
+        assert len(find_update_pivots(knows_rule, delta, triangle_graph, updated)) == 1
+        result = drain(iter_inc_dect(triangle_graph, [knows_rule], delta, graph_after=updated))
         # b knows a with 20 >= 10: satisfied, so no new violation
-        assert found == []
+        assert result.delta.total_changes() == 0
 
     def test_deletion_pivot_reports_removed_violation(self, triangle_graph, knows_rule):
         delta = BatchUpdate().delete("a", "b", "knows")
         updated = apply_update(triangle_graph, delta)
-        pivots = find_update_pivots(knows_rule, delta, triangle_graph, updated)
-        matcher = IncrementalMatcher(knows_rule, triangle_graph, updated)
-        found = [match for pivot in pivots for match in matcher.violations_for_pivot(pivot)]
-        assert found == [{"x": "a", "y": "b"}]
+        result = drain(iter_inc_dect(triangle_graph, [knows_rule], delta, graph_after=updated))
+        assert list(result.delta.introduced) == []
+        assert [violation.mapping() for violation in result.delta.removed] == [{"x": "a", "y": "b"}]

@@ -269,11 +269,13 @@ class TestDetectorTraces:
         )
 
     def test_run_counters_cover_detection_families(self, g1, figure1_rules):
-        Detector(figure1_rules, engine="batch").run(g1)
+        result = Detector(figure1_rules, engine="batch").run(g1)
         registry = obs.metrics()
         assert registry.value("repro_detect_runs_total", {"algorithm": "Dect"}) == 1.0
         assert registry.total("repro_detect_candidates_total") > 0
         assert registry.total("repro_match_candidates_examined") > 0
+        # one evaluator, so the literal count carries no label
+        assert registry.value("repro_literal_evals_total") == result.stats.literal_evaluations > 0
 
     def test_incremental_run_is_traced(self, g2, figure1_rules, delta):
         result = Detector(figure1_rules, engine="batch").run_incremental(g2, delta)

@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.ngd import NGD
 from repro.core.validation import find_violations
 from repro.core.violations import ViolationDelta
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
-from repro.detect import BalancingPolicy, dect, inc_dect, p_dect, pinc_dect
+from repro.detect import BalancingPolicy, DetectionOptions, Detector, dect, inc_dect, p_dect, pinc_dect
 from repro.detect.parallel.balancing import plan_rebalancing, should_split, skewness
 from repro.detect.parallel.cluster import ClusterSimulator
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
 from repro.errors import ClusterError
+from repro.graph.graph import Graph
+from repro.graph.pattern import Pattern
 from repro.graph.updates import EdgeInsertion, UpdateGenerator, apply_update
+from repro.matching.candidates import MatchStatistics
 from repro.matching.incmatch import PivotSite
+from repro.matching.plan import compile_plan
 
 
 @pytest.fixture(scope="module")
@@ -137,18 +142,22 @@ class TestWorkUnits:
         edge = rule.pattern.edges()[0]
         site = PivotSite(rule.pattern, edge)
         assert site.ids(EdgeInsertion("s", "t", edge.label)) == (("s",) if site.loop else ("s", "t"))
-        order = site.order(None)
+        order = site.order(compile_plan(Graph(), rule))
         assert order[: len(site.seed)] == site.seed and sorted(order) == sorted(rule.pattern.variables)
 
     def test_expand_respects_labels_and_edges(self, triangle_graph, knows_rule):
         unit = WorkUnit(0, order=("x", "y"), assignment=(("x", "a"),))
-        outcome = expand_work_unit(triangle_graph, knows_rule, unit)
+        outcome = expand_work_unit(
+            triangle_graph, knows_rule, unit, True, MatchStatistics(), compile_plan(triangle_graph, knows_rule)
+        )
         assert outcome.new_units == []  # the only extension completes the match
         assert len(outcome.violations) == 1
 
     def test_expand_complete_unit_checks_violation(self, triangle_graph, knows_rule):
         unit = WorkUnit(0, order=("x", "y"), assignment=(("x", "a"), ("y", "b")))
-        outcome = expand_work_unit(triangle_graph, knows_rule, unit)
+        outcome = expand_work_unit(
+            triangle_graph, knows_rule, unit, True, MatchStatistics(), compile_plan(triangle_graph, knows_rule)
+        )
         assert len(outcome.violations) == 1
 
     def test_pivot_site_checks_the_edges_inside_its_seed(self, triangle_graph, knows_rule):
@@ -168,6 +177,33 @@ class TestPDect:
         few = p_dect(kb_graph, kb_rules, processors=2).cost
         many = p_dect(kb_graph, kb_rules, processors=16).cost
         assert many < few
+
+    @pytest.mark.parametrize("execution", ("simulated", "processes"))
+    def test_single_variable_seeds_are_decided_by_the_core(self, execution):
+        # a one-node pattern's seed is a complete binding: the parent decides
+        # it with the core's violation leaf (self-loop and premise included)
+        graph = Graph("singles")
+        for index, value in enumerate((5, -1, 0, 7, -3)):
+            graph.add_node(index, "item", {"val": value, "cap": 4})
+        graph.add_node(9, "item", {"cap": 4})  # no val: the conclusion cannot hold
+        for node in (0, 1, 2, 9):
+            graph.add_edge(node, node, "self")
+        pattern = Pattern.from_edges("one", nodes=[("x", "item")], edges=[("x", "x", "self")])
+        rules = [NGD.from_text(pattern, "x.cap > 0", "x.val >= 0", name="nonnegative")]
+        expected = find_violations(graph, rules)
+        assert {violation.nodes for violation in expected} == {(1,), (9,)}
+        result = Detector(
+            rules, engine="parallel", processors=3, options=DetectionOptions(execution=execution)
+        ).run(graph)
+        assert result.violations.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("name", ("threaded_dect", "threaded_inc_dect"))
+    def test_there_is_no_thread_backend(self, name):
+        import repro.detect.parallel as parallel
+
+        assert name not in parallel.__all__ and name not in dir(parallel)
+        with pytest.raises(AttributeError):
+            getattr(parallel, name)
 
 
 class TestPIncDect:

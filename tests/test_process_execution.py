@@ -2,8 +2,8 @@
 
 The contract the ISSUE names: the real multi-process backend must produce
 **byte-identical** ``ViolationSet``s to the serial kernel and the cluster
-simulator — across storage backends {dict, indexed, csr} and with the
-match planner on and off — while honouring ``DetectionBudget`` early
+simulator — across storage backends {dict, indexed, csr} — while
+honouring ``DetectionBudget`` early
 cancellation and the ``ViolationSink`` streaming contract under real
 concurrency.  Plan persistence (``save_plans`` / ``load_plans`` /
 ``Detector(plans_file=...)``) and the service's bounded detection job
@@ -84,25 +84,16 @@ def _options(**overrides) -> DetectionOptions:
 
 class TestBatchParity:
     @pytest.mark.parametrize("backend", ("dict", "indexed", "csr"))
-    @pytest.mark.parametrize("use_planner", (True, False))
-    def test_byte_identical_across_backends_and_planner(
-        self, kb_graph, kb_rules, backend, use_planner
-    ):
+    @pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
+    def test_byte_identical_across_backends(self, kb_graph, kb_rules, backend, adaptive):
+        # adaptive: workers replan suffixes from what they observe; static:
+        # every unit follows the compiled order
         graph = kb_graph.with_backend(backend)
-        serial = Detector(
-            kb_rules, engine="batch", options=DetectionOptions(use_planner=use_planner)
-        ).run(graph)
-        simulated = Detector(
-            kb_rules,
-            engine="parallel",
-            processors=4,
-            options=DetectionOptions(use_planner=use_planner),
-        ).run(graph)
+        options = DetectionOptions(adaptive=adaptive)
+        serial = Detector(kb_rules, engine="batch", options=options).run(graph)
+        simulated = Detector(kb_rules, engine="parallel", processors=4, options=options).run(graph)
         processes = Detector(
-            kb_rules,
-            engine="parallel",
-            processors=4,
-            options=_options(use_planner=use_planner),
+            kb_rules, engine="parallel", processors=4, options=_options(adaptive=adaptive)
         ).run(graph)
         assert len(serial.violations) > 0
         assert (
@@ -157,25 +148,16 @@ class TestBatchParity:
 
 class TestIncrementalParity:
     @pytest.mark.parametrize("backend", ("dict", "indexed"))
-    @pytest.mark.parametrize("use_planner", (True, False))
-    def test_delta_identical_across_backends_and_planner(
-        self, kb_graph, kb_rules, kb_delta, backend, use_planner
-    ):
+    @pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
+    def test_delta_identical_across_backends(self, kb_graph, kb_rules, kb_delta, backend, adaptive):
         graph = kb_graph.with_backend(backend)
-        incremental = Detector(
-            kb_rules, engine="incremental", options=DetectionOptions(use_planner=use_planner)
-        ).run_incremental(graph, kb_delta)
+        options = DetectionOptions(adaptive=adaptive)
+        incremental = Detector(kb_rules, engine="incremental", options=options).run_incremental(graph, kb_delta)
         simulated = Detector(
-            kb_rules,
-            engine="parallel",
-            processors=4,
-            options=DetectionOptions(use_planner=use_planner),
+            kb_rules, engine="parallel", processors=4, options=options
         ).run_incremental(graph, kb_delta)
         processes = Detector(
-            kb_rules,
-            engine="parallel",
-            processors=4,
-            options=_options(use_planner=use_planner),
+            kb_rules, engine="parallel", processors=4, options=_options(adaptive=adaptive)
         ).run_incremental(graph, kb_delta)
         assert incremental.delta.total_changes() > 0
         assert processes.delta == simulated.delta == incremental.delta
@@ -282,12 +264,13 @@ class TestPlanGuidedSplitting:
 
     def test_simulated_results_unchanged_by_decision_source(self, kb_graph, kb_rules):
         # the split decision only moves simulated charges around — the
-        # violations of planner-on and planner-off runs stay byte-identical
-        on = Detector(
-            kb_rules, engine="parallel", processors=8, options=DetectionOptions(use_planner=True)
-        ).run(kb_graph)
+        # violations of splitting and non-splitting runs stay byte-identical
+        from repro.detect.parallel.balancing import BalancingPolicy
+
+        on = Detector(kb_rules, engine="parallel", processors=8).run(kb_graph)
         off = Detector(
-            kb_rules, engine="parallel", processors=8, options=DetectionOptions(use_planner=False)
+            kb_rules, engine="parallel", processors=8,
+            options=DetectionOptions(policy=BalancingPolicy.no_splitting()),
         ).run(kb_graph)
         assert on.violations.to_json() == off.violations.to_json()
 

@@ -17,6 +17,7 @@ from repro.core.validation import graph_satisfies
 from repro.errors import SatisfiabilityError
 from repro.graph.graph import WILDCARD
 from repro.graph.pattern import Pattern
+from repro.matching.plan import GraphStatistics
 
 
 def single_node_rule(premise: str, conclusion: str, label: str = WILDCARD, name: str = "r") -> NGD:
@@ -165,3 +166,27 @@ class TestImplication:
             ]
         )
         assert len(minimal_cover(rules)) == 2
+
+
+class TestOneStatisticsPassPerModel:
+    """Every matcher over one model shares that model's plan statistics."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        seen = []
+        real = GraphStatistics.from_graph.__func__
+        monkeypatch.setattr(
+            GraphStatistics, "from_graph", classmethod(lambda cls, graph: seen.append(graph) or real(cls, graph))
+        )
+        return seen
+
+    @pytest.mark.parametrize("strong", (False, True), ids=("satisfiability", "strong"))
+    def test_satisfiability(self, passes, strong):
+        # three rules, so a pass per matcher would be three per model
+        assert not check_satisfiability(RuleSet([phi7(), phi8(), phi9()]), strong=strong).satisfiable
+        assert passes and len({id(model) for model in passes}) == len(passes)
+
+    def test_implication(self, passes):
+        sigma = RuleSet([single_node_rule("", "x.A <= x.B", name="ab"), single_node_rule("", "x.B <= x.C", name="bc")])
+        assert implies(sigma, single_node_rule("", "x.A <= x.C", name="ac"))
+        assert passes and len({id(model) for model in passes}) == len(passes)

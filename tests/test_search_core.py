@@ -6,7 +6,10 @@ Two layers:
   kernels (Dect and IncDect, both thin drivers over
   :class:`~repro.matching.search.RuleSearch`) must equal the naive reference
   of :mod:`naive_reference` — ``Vio(Σ, G)`` on the mutable and the frozen
-  engine, and ``Vio(Σ, G ⊕ ΔG) = Vio(Σ, G) ⊕ ΔVio`` along an update stream;
+  engine, and ``Vio(Σ, G ⊕ ΔG) = Vio(Σ, G) ⊕ ΔVio`` along an update stream —
+  and so must the core's matcher view (``HomomorphismMatcher``), which
+  enumerates homomorphisms rather than violations; over one plan, the core's
+  two leaves split the same bindings;
 * a lock-step check: draining the core gives exactly what stepping
   :func:`~repro.detect.parallel.workunits.expand_work_unit` one work unit at
   a time over the same plans gives — statistics, cost, the order violations
@@ -15,16 +18,21 @@ Two layers:
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_reference
+from repro.core.builtin_rules import example_rules
 from repro.core.ngd import NGD, RuleSet
+from repro.datasets.figure1 import figure1_g2
 from repro.detect.dect import iter_dect
 from repro.detect.incdect import iter_inc_dect
 from repro.detect.observers import DetectionBudget
-from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
+from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, rule_search
 from repro.detect.session import PLAN_DRIFT_TOLERANCE, Detector
+from repro.errors import ExecutionError
 from repro.experiments.runner import _correlated_hub_graph, _selftuning_rules
 from repro.expr.expressions import Add, const, var
 from repro.expr.literals import Comparison, Literal
@@ -34,7 +42,9 @@ from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply
 from repro.matching.adaptive import AdaptiveController
 from repro.matching.candidates import MatchStatistics
 from repro.matching.incmatch import UpdatePivot
-from repro.matching.plan import compile_plans, first_step_candidates
+from repro.matching.matchn import HomomorphismMatcher
+from repro.matching.plan import GraphStatistics, compile_plans, first_step_candidates
+from repro.matching.search import RuleSearch
 
 STORES = ("indexed", "csr")
 NODE_LABELS = ("a", "b")
@@ -183,18 +193,37 @@ def test_a_session_that_keeps_its_plans_maintains_the_reference(graph, rules, da
     """The default incremental API: one ``Detector``, no ``plans=``, a new store for every ΔG."""
     fresh: list = []
     detector = Detector(rules, engine="incremental")
-    planned = detector.options.planner_active()  # REPRO_MATCH_PLANNER=off compiles nothing
     maintained = Detector(rules, engine="batch").run(graph).violations
     batches = data.draw(st.integers(min_value=1, max_value=4), label="batches")
     for _ in range(batches):
         delta = draw_batch(data.draw, graph, fresh)
         result = detector.run_incremental(graph, delta)
-        if planned:  # the kept plans are never further from the graph they ran on than the tolerance
-            assert abs(graph.total_size() - detector.plan_size) <= PLAN_DRIFT_TOLERANCE * max(detector.plan_size, 1)
+        # the kept plans are never further from the graph they ran on than the tolerance
+        assert abs(graph.total_size() - detector.plan_size) <= PLAN_DRIFT_TOLERANCE * max(detector.plan_size, 1)
         graph = apply_update(graph, delta)
         maintained = maintained.apply_delta(result.delta)
         assert as_pairs(maintained) == naive_reference.violations(graph, rules)
-    assert planned <= detector.plan_compilations <= planned * batches
+    assert 1 <= detector.plan_compilations <= batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), rule_sets())
+def test_the_matcher_view_enumerates_the_homomorphisms(graph, rules):
+    """Wildcards, self-loops and disconnected patterns included; premise pruning on and off."""
+    for rule in rules:
+        every = {tuple(sorted(h.items())) for h in naive_reference.matches(graph, rule.pattern)}
+        in_premise = {h for h in every if naive_reference.satisfies(graph, dict(h), rule.premise)}
+        for store in STORES:
+            target = graph.with_backend(store)
+            statistics = GraphStatistics.from_graph(target)
+            for pruning, expected in ((False, every), (True, in_premise)):
+                matcher = HomomorphismMatcher(
+                    target, rule.pattern, rule.premise, use_literal_pruning=pruning, statistics=statistics
+                )
+                stream = [tuple(sorted(match.items())) for match in matcher.matches()]
+                assert set(stream) == expected, (store, pruning)
+                assert len(stream) == len(expected), "a match streamed twice"
+                assert matcher.stats.matches_emitted == len(expected)
 
 
 def self_loop_rule() -> RuleSet:
@@ -230,6 +259,57 @@ def test_a_pattern_self_loop_pivots_on_data_self_loops_only():
     assert result.delta.total_changes() == 0
     result = finish(iter_inc_dect(graph, self_loop_rule(), BatchUpdate().insert(1, 1, "p")))[1]
     assert as_pairs(result.delta.introduced) == {("loop", (1, 1))}
+
+
+def leaves(search: RuleSearch, graph: Graph, order) -> list[tuple]:
+    """Drain ``search`` from the empty seed; the bindings its leaf kept, as ``h(x̄)``."""
+    search.start(graph, order, ())
+    kept = []
+    while search.stack:
+        kept.extend(violation.nodes for violation in search.step())
+    return kept
+
+
+@pytest.mark.parametrize("store", STORES + ("dict",))
+def test_the_two_leaves_split_the_same_bindings(store):
+    """Over one plan, the match leaf keeps every homomorphism and the violation leaf those that fail X → Y."""
+    base = figure1_g2()
+    graph = base.with_backend(store)
+    rules = example_rules()
+    for rule, plan in zip(rules, compile_plans(graph, rules)):
+        every = [h for h in naive_reference.matches(base, rule.pattern)]
+        failing = {
+            tuple(h[variable] for variable in rule.pattern.variables)
+            for h in every
+            if naive_reference.satisfies(base, h, rule.premise) and not naive_reference.satisfies(base, h, rule.conclusion)
+        }
+        stats = MatchStatistics()
+        kept = leaves(RuleSearch(plan, False, stats, all_matches=True), graph, plan.order)
+        assert sorted(kept, key=repr) == sorted((tuple(h[v] for v in rule.pattern.variables) for h in every), key=repr)
+        assert stats.matches_emitted == len(every) and stats.literal_evaluations == 0, "the match leaf reads no literal"
+        for pruning in (True, False):
+            violating = leaves(rule_search(rule, plan, pruning, MatchStatistics()), graph, plan.order)
+            assert set(violating) == failing and len(violating) == len(failing), (rule.name, pruning)
+    assert any(naive_reference.violations(base, rules))
+
+
+def test_a_plan_runs_only_the_rule_it_was_compiled_for():
+    graph = figure1_g2()
+    first, second = list(example_rules())[:2]
+    plan = compile_plans(graph, [first])[0]
+    assert rule_search(first, plan, True, MatchStatistics()).rule is first
+    with pytest.raises(ExecutionError):
+        rule_search(second, plan, True, MatchStatistics())
+    # an equal rule is not the rule: the schedule indexes that object's literals
+    twin = NGD(first.pattern, first.premise, first.conclusion, name=first.name)
+    with pytest.raises(ExecutionError):
+        rule_search(twin, plan, True, MatchStatistics())
+
+
+def test_every_kernel_builds_its_core_through_one_constructor():
+    # module objects: the package re-exports functions under the same names
+    for name in ("repro.detect.dect", "repro.detect.incdect"):
+        assert importlib.import_module(name).rule_search is rule_search, name
 
 
 # ------------------------------------------- (b) the core against its own steps
@@ -307,13 +387,10 @@ def pivots_by_definition(rule: NGD, delta: BatchUpdate, before: Graph, after: Gr
 
 
 def pivot_unit(index: int, rule: NGD, pivot: UpdatePivot, plan, graph: Graph):
-    """The work unit a pivot seeds — its variables first, in the plan's or the static order — or
+    """The work unit a pivot seeds — its variables first, in the plan's order — or
     None when a pattern edge between two seed variables is not an edge of ``graph``."""
     seed = pivot.seed()
-    if plan is not None:
-        order = plan.order_for_seed(tuple(seed))
-    else:
-        order = tuple(rule.pattern.matching_order(seed=list(seed)))
+    order = plan.order_for_seed(tuple(seed))
     for edge in rule.pattern.edges():
         if edge.source in seed and edge.target in seed and not graph.has_edge(seed[edge.source], seed[edge.target], edge.label):
             return None

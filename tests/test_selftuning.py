@@ -136,10 +136,8 @@ class TestAdaptiveParity:
         assert len(static.violations) > 0
 
     def test_adaptive_saves_work_on_misjudged_workload(self, hub_graph, hub_rules):
-        # pinned on: the observe/replan loop rides on compiled plans, so
-        # this test must hold even on the REPRO_MATCH_PLANNER=off CI leg
-        static, _ = _run(hub_graph, hub_rules, adaptive=False, use_planner=True)
-        adaptive, _ = _run(hub_graph, hub_rules, adaptive=True, use_planner=True)
+        static, _ = _run(hub_graph, hub_rules, adaptive=False)
+        adaptive, _ = _run(hub_graph, hub_rules, adaptive=True)
         assert (
             adaptive.stats.total_operations() < static.stats.total_operations()
         ), "the observe/replan loop should cut work on the correlated-hub workload"
@@ -192,7 +190,7 @@ def kb_like():
 
 class TestCardinalityHistory:
     def test_run_harvests_and_round_trips(self, hub_graph, hub_rules, tmp_path):
-        _result, detector = _run(hub_graph, hub_rules, adaptive=True, use_planner=True)
+        _result, detector = _run(hub_graph, hub_rules, adaptive=True)
         assert detector.history, "an adaptive run should harvest observations"
         path = tmp_path / "history.json"
         detector.save_history(path)
@@ -205,7 +203,7 @@ class TestCardinalityHistory:
         assert priors, "persisted observations should resolve as priors"
 
     def test_history_informed_compile_moves_dead_step_first(self, hub_graph, hub_rules):
-        _result, detector = _run(hub_graph, hub_rules, adaptive=True, use_planner=True)
+        _result, detector = _run(hub_graph, hub_rules, adaptive=True)
         cold = compile_plans(hub_graph, hub_rules)[0]
         informed = compile_plans(hub_graph, hub_rules, history=detector.history)[0]
         assert informed.order != cold.order, (
@@ -217,15 +215,11 @@ class TestCardinalityHistory:
         assert informed_result.violations.to_json() == static.violations.to_json()
 
     def test_plans_file_embeds_history(self, hub_graph, hub_rules, tmp_path):
-        _result, detector = _run(hub_graph, hub_rules, adaptive=True, use_planner=True)
+        _result, detector = _run(hub_graph, hub_rules, adaptive=True)
         path = tmp_path / "plans.json"
         plans = compile_plans(hub_graph, hub_rules, history=detector.history)
         save_plans(plans, path, history=detector.history)
-        revived = Detector(
-            hub_rules,
-            plans_file=str(path),
-            options=DetectionOptions(use_planner=True),
-        )
+        revived = Detector(hub_rules, plans_file=str(path))
         revived.compile_plans(hub_graph)  # adoption happens on first plan fetch
         assert revived.history, "a plans file with embedded history should seed the session"
 

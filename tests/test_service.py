@@ -682,8 +682,7 @@ class TestRetentionWindow:
 
 
 class TestSessionPlanReuse:
-    def test_plans_reused_across_versions_until_drift(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MATCH_PLANNER", "on")
+    def test_plans_reused_across_versions_until_drift(self):
         service = DetectionService(port=0)
         service.manager.register_catalog("example", example_rules())
         service.registry.register("g", multi_area_graph(3))
@@ -756,31 +755,3 @@ class TestCompactionCatchUpSafety:
         matching = GraphRegistry(retain_versions=3)
         service = DetectionService(port=0, registry=matching, retain_versions=3)
         assert service.manager.retain_versions == 3
-
-
-class TestBatchDiffPlannerOption:
-    def test_use_planner_false_pins_static_pipeline(self, monkeypatch):
-        """BatchDiff must honour DetectionOptions(use_planner=...) even when
-        the environment switch disagrees (the planner-off oracle contract)."""
-        monkeypatch.setenv("REPRO_MATCH_PLANNER", "on")
-        graph = multi_area_graph(2)
-        delta = BatchUpdate().delete("area0", "t0", "populationTotal")
-        from repro.detect.session import DetectionOptions
-
-        compiled = []
-        off = Detector(
-            example_rules(), engine="batch", options=DetectionOptions(use_planner=False)
-        )
-        monkeypatch.setattr(
-            type(off), "compile_plans",
-            lambda self, g, _orig=type(off).compile_plans: compiled.append(1) or _orig(self, g),
-        )
-        result_off = off.run_incremental(graph, delta)
-        assert compiled == [], "planner-off BatchDiff must not compile plans"
-        on = Detector(
-            example_rules(), engine="batch", options=DetectionOptions(use_planner=True)
-        )
-        result_on = on.run_incremental(graph, delta)
-        assert result_on.removed().to_json() == result_off.removed().to_json()
-        # planner-off costs follow the static pipeline, which here scans more
-        assert result_off.cost >= result_on.cost

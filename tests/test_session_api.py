@@ -76,6 +76,23 @@ class TestEngines:
         # the caller's graph is untouched
         assert graph.store_backend == "indexed"
 
+    @pytest.mark.parametrize("option", ("use_planner", "compiled"))
+    def test_there_is_no_pipeline_option(self, option):
+        # every run is planned and closure-compiled: no other pipeline to pick
+        with pytest.raises(TypeError):
+            DetectionOptions(**{option: False})
+
+    @pytest.mark.parametrize("switch", ("REPRO_MATCH_PLANNER", "REPRO_COMPILED_EVAL"))
+    def test_no_environment_switch_turns_the_pipeline_off(self, switch, monkeypatch):
+        graph = figure1_g2()
+        expected = Detector(example_rules()).run(graph)
+        monkeypatch.setenv(switch, "off")
+        detector = Detector(example_rules())
+        result = detector.run(graph)
+        assert detector.plan_compilations == 1
+        assert result.violations.to_json() == expected.violations.to_json()
+        assert result.stats.total_operations() == expected.stats.total_operations()
+
 
 class TestLegacyShims:
     """The module-level functions must behave exactly like the sessions they wrap."""

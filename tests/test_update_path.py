@@ -2,7 +2,7 @@
 
 * the Σ-wide pivot pass against a per-rule enumeration written from the
   definition — the same pivots in the same order, and the same seeds (order,
-  bound nodes) as the work unit the reference seeds, with and without a plan;
+  bound nodes) as the work unit the reference seeds;
 * ΔVio against :mod:`naive_reference` along generated streams whose batches
   insert and delete the same edge, on the indexed, dict and persistent engines;
 * ``neighborhood_size``: no BFS while a default run drains, one on first read;
@@ -30,7 +30,7 @@ from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
 from repro.matching import adaptive
 from repro.matching.incmatch import find_update_pivots, pivot_index, pivots_by_rule
-from repro.matching.plan import MatchPlan, compile_plans, planner_enabled
+from repro.matching.plan import MatchPlan, compile_plans
 from test_search_core import (
     EDGE_LABELS,
     NODE_LABELS,
@@ -129,41 +129,34 @@ def test_one_pass_over_sigma_gives_every_rules_pivots_and_seeds(graph, rules, da
             (pivot.pattern_edge, pivot.source_node, pivot.target_node, pivot.from_insertion) for pivot in expected
         ]
         assert find_update_pivots(rule, delta, graph, after) == expected
-        for plan in (plans[index], None):  # the planner's order, and the static one
-            seeds = []
-            for site, update in found[index]:
-                ids = site.ids(update)
-                if site.holds_in((after if update.is_insertion else graph).store, ids):
-                    seeds.append((site.order(plan), ids, update.is_insertion))
-            assert seeds == seeds_by_work_unit(index, rule, expected, plan, graph, after)
+        seeds = []
+        for site, update in found[index]:
+            ids = site.ids(update)
+            if site.holds_in((after if update.is_insertion else graph).store, ids):
+                seeds.append((site.order(plans[index]), ids, update.is_insertion))
+        assert seeds == seeds_by_work_unit(index, rule, expected, plans[index], graph, after)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(), shaped_rule_sets(), st.data())
 def test_incdect_maintains_the_reference_through_edges_that_come_and_go(graph, rules, data):
     fresh: list = []
-    maintained = {run: naive_reference.violations(graph, rules) for run in [(s, p) for s in STORES for p in (0, 1)]}
+    maintained = {store: naive_reference.violations(graph, rules) for store in STORES}
     for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="batches")):
         delta = draw_churn_batch(data.draw, graph, fresh)
         after = apply_update(graph, delta)
         before_reference = naive_reference.violations(graph, rules)
         after_reference = naive_reference.violations(after, rules)
-        for store, planned in maintained:
+        for store in maintained:
             _, result = finish(
-                iter_inc_dect(
-                    graph.with_backend(store),
-                    rules,
-                    delta,
-                    graph_after=after.with_backend(store),
-                    plans=None if planned else (),  # () is the planner-off marker
-                )
+                iter_inc_dect(graph.with_backend(store), rules, delta, graph_after=after.with_backend(store))
             )
             introduced, removed = as_pairs(result.delta.introduced), as_pairs(result.delta.removed)
             # an edge deleted and re-inserted may report a violation on both sides; nothing else may
             assert after_reference - before_reference <= introduced <= after_reference, store
             assert before_reference - after_reference <= removed <= before_reference, store
-            maintained[store, planned] = (maintained[store, planned] - removed) | introduced
-            assert maintained[store, planned] == after_reference, store
+            maintained[store] = (maintained[store] - removed) | introduced
+            assert maintained[store] == after_reference, store
         graph = after
 
 
@@ -178,14 +171,13 @@ def test_an_edge_inserted_and_deleted_in_one_update_is_no_match():
     graph.add_node(1, "a", {"val": 0})
     graph.add_edge(1, 0, "p")
     for store in STORES:
-        for plans in (None, ()):
-            churn = BatchUpdate().insert(0, 1, "p").delete(0, 1, "p")
-            result = finish(iter_inc_dect(graph.with_backend(store), edge_rule(), churn, plans=plans))[1]
-            assert result.delta.total_changes() == 0, store
-            # deleted and re-inserted: on both sides, so Vio ⊕ ΔVio keeps it
-            again = BatchUpdate().delete(1, 0, "p").insert(1, 0, "p")
-            result = finish(iter_inc_dect(graph.with_backend(store), edge_rule(), again, plans=plans))[1]
-            assert as_pairs(result.delta.removed) == as_pairs(result.delta.introduced) == {("edge", (1, 0))}
+        churn = BatchUpdate().insert(0, 1, "p").delete(0, 1, "p")
+        result = finish(iter_inc_dect(graph.with_backend(store), edge_rule(), churn))[1]
+        assert result.delta.total_changes() == 0, store
+        # deleted and re-inserted: on both sides, so Vio ⊕ ΔVio keeps it
+        again = BatchUpdate().delete(1, 0, "p").insert(1, 0, "p")
+        result = finish(iter_inc_dect(graph.with_backend(store), edge_rule(), again))[1]
+        assert as_pairs(result.delta.removed) == as_pairs(result.delta.introduced) == {("edge", (1, 0))}
 
 
 def test_the_pivot_index_is_kept_per_rule_set_until_a_rule_is_added():
@@ -205,9 +197,9 @@ def test_the_pivot_index_is_kept_per_rule_set_until_a_rule_is_added():
 # ------------------------------------------------------ the lazy neighbourhood
 
 
-#: what the parent commit reported on :func:`kb`, planner on / off: (IncDect cost,
-#: restricted IncDect cost, PIncDect makespan at four processors)
-PARENT_COSTS = {True: (589.0, 1105.0, 205.75), False: (836.0, 1352.0, 284.75)}
+#: what the parent commit reported on :func:`kb`: (IncDect cost, restricted
+#: IncDect cost, PIncDect makespan at four processors)
+PARENT_COSTS = (589.0, 1105.0, 205.75)
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +252,7 @@ def test_a_default_update_counts_its_neighbourhood_only_when_asked(kb, bfs_calls
     assert len(bfs_calls) == 1
     assert result.neighborhood_size == 459 and len(bfs_calls) == 1
     # what the search touched; the parent charged the 459 BFS nodes on top
-    assert result.cost + 459 == PARENT_COSTS[planner_enabled()][0]
+    assert result.cost + 459 == PARENT_COSTS[0]
 
 
 def test_a_pickled_result_carries_the_count_not_the_snapshot(kb, bfs_calls):
@@ -279,7 +271,7 @@ def test_restricted_and_parallel_runs_measure_it_up_front_as_before(kb, bfs_call
         rules, engine="incremental", options=DetectionOptions(restrict_to_neighborhood=True)
     ).run_incremental(graph, delta)
     assert len(bfs_calls) == 2  # G_dΣ(ΔG) extracted in G and in G ⊕ ΔG
-    _, restricted_cost, parallel_cost = PARENT_COSTS[planner_enabled()]
+    _, restricted_cost, parallel_cost = PARENT_COSTS
     assert (restricted.neighborhood_size, restricted.cost, restricted.total_changes()) == (975, restricted_cost, 4)
     parallel = Detector(rules, engine="parallel", processors=4).run_incremental(graph, delta)
     assert len(bfs_calls) == 3
@@ -308,7 +300,7 @@ def test_resolving_controllers_reads_the_drift_setting_once(kb, monkeypatch):
 
 def test_the_plan_estimate_is_summed_once_per_plan_set(kb, monkeypatch):
     graph, rules, delta = kb
-    detector = Detector(rules, engine="incremental", options=DetectionOptions(use_planner=True))
+    detector = Detector(rules, engine="incremental")
     plans = detector.compile_plans(graph)
     summed = []
     real = MatchPlan.estimated_unit_cost
