@@ -28,7 +28,6 @@ from repro.experiments import (  # noqa: E402
     run_exp4_vary_latency,
     run_exp4_vary_processors,
     run_exp5_effectiveness,
-    run_storage_backend_comparison,
 )
 from repro.experiments.runner import ExperimentSeries  # noqa: E402
 
@@ -146,26 +145,6 @@ def generate(output_path: Path) -> None:
     )
     series = run_exp5_effectiveness(config=config)
     sections.append(_block(series, precision=2))
-
-    # ------------------------------------------------------- storage backends
-    sections.append("\n## Storage backends — DictStore vs IndexedStore (no paper analogue)\n")
-    sections.append(
-        "The graph layer is pluggable (`docs/ARCHITECTURE.md`): `DictStore` preserves the "
-        "original flat copy-on-read adjacency, `IndexedStore` keys adjacency by edge label "
-        "with zero-copy views.  Wall-clock seconds (best of 3) on the synthetic exp2 graphs; "
-        "`expand` is the label-filtered matcher-expansion kernel, `match`/`nbhd` the "
-        "end-to-end detection and neighbourhood-extraction paths.  Both backends are "
-        "verified to produce identical violation sets.\n"
-    )
-    series = run_storage_backend_comparison(config=config)
-    sections.append(_block(series, precision=4))
-    speedup_lines = [
-        f"* {size}: " + ", ".join(f"{metric} {ratio:.2f}×" for metric, ratio in ratios.items())
-        for size, ratios in series.metadata["speedups"].items()
-    ]
-    sections.append(
-        "*IndexedStore speedups over DictStore:*\n\n" + "\n".join(speedup_lines) + "\n"
-    )
 
     # ------------------------------------------------------- session overhead
     sections.append("\n## Detector session API — indirection overhead (no paper analogue)\n")
@@ -305,56 +284,6 @@ def generate(output_path: Path) -> None:
             "*(no BENCH_selftuning.json baseline recorded yet — run "
             "`REPRO_WRITE_BENCH_BASELINE=benchmarks/BENCH_selftuning.json "
             "pytest benchmarks/bench_selftuning.py --benchmark-disable`)*\n"
-        )
-
-    # ----------------------------------------------------------------- durability
-    sections.append("\n## Durability — WAL, checkpoints, crash recovery (no paper analogue)\n")
-    sections.append(
-        "The paper assumes \"the storage layer maintains the updated graph\" and "
-        "never prices it; the reproduction makes that layer explicit "
-        "(`src/repro/storage/`, `docs/ARCHITECTURE.md` \"The durability layer\"): "
-        "a SQLite-backed `persistent` store behind the GraphStore contract, a "
-        "CRC-checked fsync'd write-ahead log with ack-implies-logged semantics, "
-        "and checkpointed recovery for `serve --data-dir` that restores graphs, "
-        "versions, retained snapshots, catalogs, and continuous sessions "
-        "byte-identically after SIGKILL.  `benchmarks/bench_persistence.py` "
-        "bounds the WAL append overhead per accepted update (< 1.25x the "
-        "in-memory apply), measures cold-open (checkpoint + WAL-suffix replay "
-        "vs a plain JSON graph load), and asserts byte-identical violations "
-        "across `indexed`/`csr`/`persistent` engines.  The committed baseline "
-        "(`benchmarks/BENCH_persistence.json`):\n"
-    )
-    persistence_path = Path(__file__).resolve().parent / "BENCH_persistence.json"
-    if persistence_path.exists():
-        import json as _json
-
-        persistence = _json.loads(persistence_path.read_text(encoding="utf-8"))
-        wal = persistence["wal"]
-        cold = persistence["cold_open"]
-        detect_walls = ", ".join(
-            f"{engine}: {seconds:.3f}s"
-            for engine, seconds in sorted(persistence["detect_wall_seconds"].items())
-        )
-        sections.append(
-            "```\n"
-            f"workload: {persistence['workload']}\n"
-            f"machine:  {persistence['machine']}\n"
-            f"WAL append overhead:  {wal['overhead_ratio']:.2f}x vs in-memory apply "
-            f"({wal['updates']} updates, fsync per ack)\n"
-            f"cold open:            {cold['recover_seconds']:.3f}s checkpoint+replay "
-            f"({cold['replayed_records']} WAL records) vs "
-            f"{cold['json_load_seconds']:.3f}s plain JSON load\n"
-            f"detect wall seconds:  {detect_walls}\n"
-            f"persistent/indexed:   {persistence['detect_persistent_vs_indexed']:.2f}x "
-            "(reads served from the in-memory mirror)\n"
-            f"byte-identical sets:  {persistence['byte_identical_violations']}\n"
-            "```\n"
-        )
-    else:
-        sections.append(
-            "*(no BENCH_persistence.json baseline recorded yet — run "
-            "`REPRO_WRITE_BENCH_BASELINE=benchmarks/BENCH_persistence.json "
-            "pytest benchmarks/bench_persistence.py --benchmark-disable`)*\n"
         )
 
     # ------------------------------------------------------------- fault tolerance

@@ -62,7 +62,7 @@ from repro.detect import (
 )
 from repro.errors import ReproError
 from repro.graph.io import load_graph, load_update
-from repro.graph.store import STORE_REGISTRY, default_store_name
+from repro.graph.store import STORE_REGISTRY
 
 __all__ = ["main", "format_result", "result_to_dict"]
 
@@ -179,9 +179,8 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         choices=sorted(STORE_REGISTRY),
         default=None,
         help=(
-            "graph storage backend (default: $REPRO_GRAPH_STORE or "
-            f"{default_store_name()!r}); 'dict' is the reference engine, "
-            "'indexed' the label-indexed optimized one"
+            "graph storage engine (default: indexed, the mutable one); 'csr' "
+            "is the read-only engine, frozen on the first adjacency read"
         ),
     )
     parser.add_argument(
@@ -293,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store",
         choices=sorted(STORE_REGISTRY),
         default=None,
-        help="graph storage backend (default: process default)",
+        help="graph storage engine (default: indexed)",
     )
     explain_parser.add_argument(
         "--format",
@@ -362,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store",
         choices=sorted(STORE_REGISTRY),
         default=None,
-        help="graph storage backend for 'discover' (default: process default)",
+        help="graph storage engine for 'discover' (default: indexed)",
     )
     rules_parser.set_defaults(handler=_cmd_rules)
 
@@ -387,12 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME=RULES.json",
         help="pre-register a rule catalog under NAME (repeatable); "
         "'example' and 'effectiveness' built-ins are always available",
-    )
-    serve_parser.add_argument(
-        "--store",
-        choices=sorted(STORE_REGISTRY),
-        default=None,
-        help="graph storage backend for registered/uploaded graphs",
     )
     serve_parser.add_argument(
         "--retain-versions",
@@ -688,7 +681,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = DetectionService(
         host=args.host,
         port=args.port,
-        store=args.store,
         verbose=args.verbose,
         retain_versions=args.retain_versions,
         max_jobs=args.max_jobs if args.max_jobs is not None else DEFAULT_MAX_JOBS,
@@ -712,7 +704,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # the same names must not 409 the boot, so presence wins over the flags
     for name, path in _parse_name_path_specs(args.graph, "--graph"):
         if name not in service.registry:
-            service.registry.register_file(name, path, store=args.store)
+            service.registry.register_file(name, path)
     for name, rules in (("example", example_rules()), ("effectiveness", effectiveness_rules())):
         if name not in service.manager.catalogs:
             service.manager.register_catalog(name, rules)

@@ -14,7 +14,6 @@ from repro.experiments.runner import (
     run_exp5_effectiveness,
     run_parallel_speedup,
     run_selftuning,
-    run_storage_backend_comparison,
 )
 
 __all__ = [
@@ -35,6 +34,5 @@ __all__ = [
     "run_exp5_effectiveness",
     "run_parallel_speedup",
     "run_selftuning",
-    "run_storage_backend_comparison",
     "speedup_summary",
 ]

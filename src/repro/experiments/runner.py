@@ -31,7 +31,6 @@ from repro.detect import (
 )
 from repro.experiments.config import ExperimentConfig, build_dataset
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import update_neighborhood
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "run_exp5_effectiveness",
     "run_parallel_speedup",
     "run_selftuning",
-    "run_storage_backend_comparison",
 ]
 
 
@@ -396,27 +394,6 @@ def run_exp5_effectiveness(config: Optional[ExperimentConfig] = None) -> Experim
     return series
 
 
-def _expansion_kernel(graph: Graph, edge_labels: list[str]) -> int:
-    """Drive the matcher's label-filtered expansion primitive over the graph.
-
-    For every node and every pattern edge label, fetch the label-matching
-    successors and predecessors and enumerate them — exactly the adjacency
-    access pattern of an anchored search step when a neighbour of the next
-    variable is already matched, stripped of the backend-neutral matcher
-    bookkeeping that would otherwise dilute the storage-layer difference.
-    """
-    touched = 0
-    successors_by_label = graph.successors_by_label
-    predecessors_by_label = graph.predecessors_by_label
-    for node_id in graph.node_ids():
-        for label in edge_labels:
-            for _ in successors_by_label(node_id, label):
-                touched += 1
-            for _ in predecessors_by_label(node_id, label):
-                touched += 1
-    return touched
-
-
 def _best_of(repeats: int, fn: Callable[[], object]) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -424,106 +401,6 @@ def _best_of(repeats: int, fn: Callable[[], object]) -> float:
         fn()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def run_storage_backend_comparison(
-    sizes: Iterable[tuple[int, int]] = ((1000, 2000), (3000, 6000), (8000, 10000)),
-    backends: Iterable[str] = ("dict", "indexed"),
-    config: Optional[ExperimentConfig] = None,
-    repeats: int = 3,
-) -> ExperimentSeries:
-    """Compare graph storage backends on the matcher and neighbourhood hot paths.
-
-    Unlike the other drivers this one measures *wall-clock seconds*: the
-    deterministic work-unit cost model charges both backends identically by
-    construction (they execute the same algorithm on the same data), so only
-    real time can expose the difference between the reference ``DictStore``
-    (flat adjacency, copy-on-read, O(degree) label filtering) and the
-    optimized ``IndexedStore`` (label-keyed adjacency, zero-copy views).
-
-    For each synthetic exp2 graph size the driver builds byte-identical
-    graphs on every backend and times
-
-    * ``expand`` — the label-filtered matcher-expansion kernel
-      (:func:`_expansion_kernel`): the pure storage access pattern of
-      candidate filtering, where the adjacency layout difference shows
-      undiluted;
-    * ``match`` — full batch detection (``find_violations``), which also
-      spends most of its time in backend-neutral literal evaluation and
-      matcher bookkeeping;
-    * ``nbhd`` — ``G_d(ΔG)`` extraction for a 15% batch update, dominated
-      by BFS adjacency reads and induced-subgraph construction.
-
-    Each measurement is the best of ``repeats`` runs.  The driver also
-    asserts the backends agree on the violation set — a drifting backend
-    would silently invalidate every benchmark above — and records per-size
-    speedups in ``series.metadata["speedups"]``.
-    """
-    config = config or ExperimentConfig()
-    backends = list(backends)
-    series = ExperimentSeries(
-        title="Storage backends: matcher expansion & neighbourhood extraction (seconds)",
-        x_label="(|V|, |E|)",
-        metadata={"backends": backends, "repeats": repeats},
-    )
-    speedups: dict[object, dict[str, float]] = {}
-    for num_nodes, num_edges in sizes:
-        row: dict[str, float] = {}
-        violation_sets = {}
-        for backend in backends:
-            graph = synthetic_graph(
-                num_nodes=int(num_nodes * config.scale),
-                num_edges=int(num_edges * config.scale),
-                seed=config.seed + 1,
-                name=f"Synthetic({num_nodes},{num_edges})",
-                store=backend,
-            )
-            rule_set = benchmark_rules(
-                graph, count=config.rules_count, max_diameter=config.max_diameter, seed=config.seed
-            )
-            pattern_edge_labels = sorted(
-                {edge.label for rule in rule_set for edge in rule.pattern.edges()}
-            )
-            generator = UpdateGenerator(seed=config.seed + 7)
-            delta = generator.generate(
-                graph,
-                size=max(1, int(graph.edge_count() * config.delta_fraction)),
-                insert_ratio=config.insert_ratio,
-            )
-
-            row[f"expand[{backend}]"] = _best_of(
-                repeats, lambda: _expansion_kernel(graph, pattern_edge_labels)
-            )
-            found: list = []
-
-            def timed_match(graph=graph, rule_set=rule_set, found=found):
-                found[:] = find_violations(graph, rule_set)
-
-            row[f"match[{backend}]"] = _best_of(repeats, timed_match)
-            violation_sets[backend] = frozenset(found)
-            row[f"nbhd[{backend}]"] = _best_of(
-                repeats, lambda: update_neighborhood(graph, delta, hops=config.max_diameter)
-            )
-
-        first = violation_sets[backends[0]]
-        for backend, found in violation_sets.items():
-            if found != first:
-                raise AssertionError(
-                    f"storage backends disagree on violations at size {(num_nodes, num_edges)}: "
-                    f"{backends[0]} vs {backend}"
-                )
-
-        size_key = (num_nodes, num_edges)
-        series.values[size_key] = row
-        if "dict" in backends and "indexed" in backends:
-            speedups[size_key] = {
-                metric: row[f"{metric}[dict]"] / row[f"{metric}[indexed]"]
-                if row[f"{metric}[indexed]"]
-                else float("inf")
-                for metric in ("expand", "match", "nbhd")
-            }
-    series.metadata["speedups"] = speedups
-    return series
 
 
 def run_parallel_speedup(

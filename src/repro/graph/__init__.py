@@ -10,14 +10,7 @@ from repro.graph.neighborhood import (
     update_neighborhood,
 )
 from repro.graph.pattern import Pattern, PatternEdge, PatternNode
-from repro.graph.store import (
-    STORE_REGISTRY,
-    DictStore,
-    GraphStore,
-    IndexedStore,
-    default_store_name,
-    make_store,
-)
+from repro.graph.store import STORE_REGISTRY, GraphStore, IndexedStore, make_store
 from repro.graph.updates import (
     BatchUpdate,
     EdgeDeletion,
@@ -26,10 +19,6 @@ from repro.graph.updates import (
     UpdateGenerator,
     apply_update,
 )
-
-# importing the durable engine registers "persistent" in STORE_REGISTRY so
-# every store-selection surface (env var, Graph(store=...), --store) sees it
-from repro.storage import persistent as _persistent  # noqa: E402,F401
 
 # fragmentation serves the simulated cluster and the sharded store only
 __getattr__, __dir__ = lazy_exports(
@@ -65,9 +54,7 @@ __all__ = [
     "greedy_vertex_cut",
     "hash_edge_cut",
     "STORE_REGISTRY",
-    "DictStore",
     "GraphStore",
     "IndexedStore",
-    "default_store_name",
     "make_store",
 ]

@@ -24,8 +24,9 @@ algorithms need:
 * a deterministic insertion-order rank (``node_rank``) giving the matchers
   a cheap, stable candidate ordering.
 
-Pick an engine with ``Graph(store="dict")`` / ``Graph(store="indexed")`` or
-the ``REPRO_GRAPH_STORE`` environment variable (default: ``indexed``).
+A graph lives on the mutable ``indexed`` engine unless built with
+``Graph(store="csr")`` (read-only, for batch detection) or handed a store
+instance.
 
 Unlike the formal model, parallel edges with *different labels* between the
 same pair of nodes are allowed (real knowledge graphs have them); a second
@@ -76,7 +77,8 @@ class Graph:
     def with_backend(self, store: Union[str, GraphStore], name: Optional[str] = None) -> "Graph":
         """Return a copy of this graph rebuilt on another storage engine.
 
-        Used by the storage benchmarks to compare engines on identical data.
+        How a graph reaches the read-only ``csr`` engine, and how the tests
+        put identical data on each engine they compare.
         """
         converted = Graph(name or self.name, store=store)
         for node in self._store.nodes():

@@ -1,4 +1,4 @@
-"""Pluggable storage engines behind the :class:`~repro.graph.graph.Graph` facade.
+"""Storage engines behind the :class:`~repro.graph.graph.Graph` facade.
 
 The detection algorithms (``Matchn``, ``Dect``, ``IncDect`` and the simulated
 parallel variants) bottom out in adjacency lookups, so the physical layout of
@@ -8,32 +8,28 @@ layout from the graph *semantics*:
 * :class:`GraphStore` — the storage contract: node/edge CRUD, label-filtered
   adjacency, the label and edge-signature indexes, and a deterministic
   insertion-order rank used by the matchers in place of ``sorted(key=repr)``;
-* :class:`DictStore` — the reference engine, preserving the layout the
-  project started with: one flat ``node -> {(neighbour, edge_label)}``
-  adjacency map per direction, with reads returning defensive frozenset
-  copies and label-filtered lookups scanning the whole adjacency list;
-* :class:`IndexedStore` — the optimized engine: interned labels, adjacency
-  keyed ``node -> edge_label -> neighbour ids`` so a label-filtered lookup is
-  O(result) instead of O(degree), and zero-copy read views instead of
-  per-call copies.
+* :class:`IndexedStore` — the engine every graph gets unless asked
+  otherwise: interned labels, adjacency keyed ``node -> edge_label ->
+  neighbour ids`` so a label-filtered lookup is O(result) instead of
+  O(degree), zero-copy read views, and copy-on-write clones;
+* :class:`CsrStore` — the read-only engine: append-only build, then one pass
+  compacts the adjacency into rank arrays for batch detection.
 
 The facade owns the *semantic* checks of single mutations (missing nodes,
 duplicate edges, wildcard handling); ``add_node`` / ``add_edge`` and the
 other mutators may assume their preconditions hold.  The one exception is
 :meth:`GraphStore.bulk_load`, the build of a whole document, which makes
-those checks itself so that each element is looked up and built once.  Future
-engines (CSR arrays, sharded or remote stores) drop in behind the same
-contract — see ``docs/ARCHITECTURE.md``.
+those checks itself so that each element is looked up and built once.  A new
+engine drops in behind the same contract and is tested against the flat
+reference engine of the test suite — see ``docs/ARCHITECTURE.md``.
 
-Stores are selected by name through :func:`make_store`; the process-wide
-default comes from the ``REPRO_GRAPH_STORE`` environment variable and falls
-back to ``"indexed"``.
+Stores are selected by name through :func:`make_store`; without a name a
+graph is stored on ``"indexed"``.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import sys
 from abc import ABC, abstractmethod
 from array import array
@@ -46,11 +42,9 @@ from repro.graph.model import Edge, Node
 
 __all__ = [
     "GraphStore",
-    "DictStore",
     "IndexedStore",
     "CsrStore",
     "STORE_REGISTRY",
-    "default_store_name",
     "make_store",
 ]
 
@@ -111,7 +105,7 @@ class GraphStore(ABC):
     zero-copy views or defensive copies is up to the backend.
     """
 
-    #: Registry name of the backend (e.g. ``"dict"``, ``"indexed"``).
+    #: Registry name of the backend (``"indexed"`` or ``"csr"``).
     backend: str = "abstract"
 
     #: False for frozen engines (:class:`CsrStore`): mutation raises once the
@@ -348,209 +342,6 @@ class GraphStore(ABC):
     @abstractmethod
     def validate(self) -> None:
         """Check internal index consistency; raise :class:`GraphError` on corruption."""
-
-
-class DictStore(GraphStore):
-    """The reference engine: flat adjacency maps with copy-on-read semantics.
-
-    This preserves the behaviour (and cost profile) of the original in-Graph
-    layout: adjacency is one flat ``{(neighbour, edge_label)}`` collection per
-    node and direction, every read returns a defensive ``frozenset`` copy,
-    and label-filtered lookups scan and filter the whole adjacency list.  It
-    exists as the easy-to-audit baseline the parity suite and the storage
-    benchmarks compare :class:`IndexedStore` against.
-
-    (The flat collections are insertion-ordered dicts used as sets, so edge
-    iteration stays deterministic across interpreter runs; the keying and the
-    read costs are unchanged from the original implementation.)
-    """
-
-    backend = "dict"
-
-    def __init__(self) -> None:
-        self._nodes: dict[Hashable, Node] = {}
-        self._rank: dict[Hashable, int] = {}
-        self._next_rank = 0
-        self._edges: dict[EdgeKey, Edge] = {}
-        # adjacency: node id -> ordered set of (neighbour id, edge label)
-        self._out: dict[Hashable, dict[tuple[Hashable, str], None]] = {}
-        self._in: dict[Hashable, dict[tuple[Hashable, str], None]] = {}
-        self._label_index: dict[str, dict[Hashable, None]] = {}
-        self._signatures: dict[Signature, dict[EdgeKey, None]] = {}
-
-    # ------------------------------------------------------------------ nodes
-
-    def add_node(self, node: Node) -> None:
-        self._nodes[node.id] = node
-        self._rank[node.id] = self._next_rank
-        self._next_rank += 1
-        self._out[node.id] = {}
-        self._in[node.id] = {}
-        self._label_index.setdefault(node.label, {})[node.id] = None
-
-    def replace_node(self, node: Node) -> None:
-        self._nodes[node.id] = node
-
-    def remove_node(self, node_id: Hashable) -> None:
-        node = self._nodes.pop(node_id)
-        del self._rank[node_id]
-        self._out.pop(node_id, None)
-        self._in.pop(node_id, None)
-        bucket = self._label_index.get(node.label)
-        if bucket is not None:
-            bucket.pop(node_id, None)
-            if not bucket:
-                del self._label_index[node.label]
-
-    def get_node(self, node_id: Hashable) -> Optional[Node]:
-        return self._nodes.get(node_id)
-
-    def has_node(self, node_id: Hashable) -> bool:
-        return node_id in self._nodes
-
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def nodes(self) -> Iterator[Node]:
-        return iter(self._nodes.values())
-
-    def node_ids(self) -> Iterator[Hashable]:
-        return iter(self._nodes.keys())
-
-    def all_node_ids(self) -> frozenset[Hashable]:
-        return frozenset(self._nodes.keys())
-
-    def node_rank(self, node_id: Hashable) -> int:
-        return self._rank[node_id]
-
-    def nodes_with_label(self, label: str) -> frozenset[Hashable]:
-        return frozenset(self._label_index.get(label, _EMPTY_DICT))
-
-    def labels(self) -> frozenset[str]:
-        return frozenset(self._label_index.keys())
-
-    # ------------------------------------------------------------------ edges
-
-    def add_edge(self, edge: Edge) -> None:
-        key = edge.key()
-        self._edges[key] = edge
-        self._out[edge.source][(edge.target, edge.label)] = None
-        self._in[edge.target][(edge.source, edge.label)] = None
-        signature = (self._nodes[edge.source].label, edge.label, self._nodes[edge.target].label)
-        self._signatures.setdefault(signature, {})[key] = None
-
-    def remove_edge(self, key: EdgeKey) -> None:
-        source, target, label = key
-        del self._edges[key]
-        self._out[source].pop((target, label), None)
-        self._in[target].pop((source, label), None)
-        signature = (self._nodes[source].label, label, self._nodes[target].label)
-        bucket = self._signatures.get(signature)
-        if bucket is not None:
-            bucket.pop(key, None)
-            if not bucket:
-                del self._signatures[signature]
-
-    def get_edge(self, key: EdgeKey) -> Optional[Edge]:
-        return self._edges.get(key)
-
-    def has_edge_key(self, key: EdgeKey) -> bool:
-        return key in self._edges
-
-    def has_any_edge(self, source: Hashable, target: Hashable) -> bool:
-        return any(nbr == target for nbr, _ in self._out.get(source, _EMPTY_DICT))
-
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    def edges(self) -> Iterator[Edge]:
-        return iter(self._edges.values())
-
-    def edge_labels(self) -> frozenset[str]:
-        return frozenset(edge.label for edge in self._edges.values())
-
-    def edges_with_exact_signature(self, signature: Signature) -> list[Edge]:
-        keys = self._signatures.get(signature, _EMPTY_DICT)
-        return [self._edges[key] for key in keys]
-
-    def signature_items(self) -> Iterator[tuple[Signature, list[Edge]]]:
-        for signature, keys in self._signatures.items():
-            yield signature, [self._edges[key] for key in keys]
-
-    # -------------------------------------------------------------- adjacency
-
-    def successors(self, node_id: Hashable) -> frozenset[tuple[Hashable, str]]:
-        return frozenset(self._out[node_id])
-
-    def predecessors(self, node_id: Hashable) -> frozenset[tuple[Hashable, str]]:
-        return frozenset(self._in[node_id])
-
-    def successors_by_label(self, node_id: Hashable, edge_label: str) -> frozenset[Hashable]:
-        return frozenset(nbr for nbr, label in self._out[node_id] if label == edge_label)
-
-    def predecessors_by_label(self, node_id: Hashable, edge_label: str) -> frozenset[Hashable]:
-        return frozenset(nbr for nbr, label in self._in[node_id] if label == edge_label)
-
-    def out_edge_labels(self, node_id: Hashable) -> frozenset[str]:
-        return frozenset(label for _, label in self._out[node_id])
-
-    def in_edge_labels(self, node_id: Hashable) -> frozenset[str]:
-        return frozenset(label for _, label in self._in[node_id])
-
-    def out_degree(self, node_id: Hashable) -> int:
-        return len(self._out[node_id])
-
-    def in_degree(self, node_id: Hashable) -> int:
-        return len(self._in[node_id])
-
-    def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
-        ids: set[Hashable] = set()
-        for node_id in node_ids:
-            ids.update(nbr for nbr, _ in self._out[node_id])
-            ids.update(nbr for nbr, _ in self._in[node_id])
-        return ids
-
-    def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
-        # walk the insertion-ordered adjacency dicts directly: the inherited
-        # default would iterate the frozenset copies successors() returns,
-        # whose order is hash-dependent
-        edges = self._edges
-        for node_id in sorted(wanted, key=self._rank.__getitem__):
-            for target, label in self._out[node_id]:
-                if target in wanted:
-                    yield edges[(node_id, target, label)]
-
-    # ------------------------------------------------------------- lifecycle
-
-    def clone(self) -> "DictStore":
-        other = DictStore()
-        other._nodes = dict(self._nodes)
-        other._rank = dict(self._rank)
-        other._next_rank = self._next_rank
-        other._edges = dict(self._edges)
-        other._out = {node: dict(pairs) for node, pairs in self._out.items()}
-        other._in = {node: dict(pairs) for node, pairs in self._in.items()}
-        other._label_index = {label: dict(ids) for label, ids in self._label_index.items()}
-        if self._signatures is not None:
-            other._signatures = {sig: dict(keys) for sig, keys in self._signatures.items()}
-        return other
-
-    def validate(self) -> None:
-        for (source, target, label), edge in self._edges.items():
-            if source not in self._nodes or target not in self._nodes:
-                raise GraphError(f"edge {edge!r} references a missing node")
-            if (target, label) not in self._out.get(source, _EMPTY_DICT):
-                raise GraphError(f"out-adjacency missing for {edge!r}")
-            if (source, label) not in self._in.get(target, _EMPTY_DICT):
-                raise GraphError(f"in-adjacency missing for {edge!r}")
-        for label, ids in self._label_index.items():
-            for node_id in ids:
-                node = self._nodes.get(node_id)
-                if node is None or node.label != label:
-                    raise GraphError(f"label index corrupt for label {label!r}, node {node_id!r}")
-        for node_id in self._nodes:
-            if node_id not in self._rank:
-                raise GraphError(f"missing insertion rank for node {node_id!r}")
 
 
 class IndexedStore(GraphStore):
@@ -1312,37 +1103,28 @@ class CsrStore(GraphStore):
                 raise GraphError(f"rank table corrupt for node {node_id!r}")
 
 
-#: Name -> backend class; future engines (sharded, remote) register here.
+#: Name -> backend class: the one mutable engine and the read-only one.
 STORE_REGISTRY: dict[str, type[GraphStore]] = {
-    DictStore.backend: DictStore,
     IndexedStore.backend: IndexedStore,
     CsrStore.backend: CsrStore,
 }
-
-
-def default_store_name() -> str:
-    """Return the process-default backend name.
-
-    Reads ``REPRO_GRAPH_STORE`` (so benchmarks and CI can flip backends
-    without code changes) and falls back to ``"indexed"``.
-    """
-    return os.environ.get("REPRO_GRAPH_STORE", IndexedStore.backend)
 
 
 def make_store(spec: Union[str, GraphStore, None] = None) -> GraphStore:
     """Resolve a backend spec into a store instance.
 
     ``spec`` may be a store instance (used as-is), a registry name, or None
-    (the process default).  Unknown names raise :class:`GraphError` listing
-    the registered backends.
+    (a new :class:`IndexedStore`).  Unknown names raise :class:`GraphError`
+    listing the registered backends.
     """
     if isinstance(spec, GraphStore):
         return spec
-    name = spec if spec is not None else default_store_name()
+    if spec is None:
+        return IndexedStore()
     try:
-        factory = STORE_REGISTRY[name]
+        factory = STORE_REGISTRY[spec]
     except KeyError:
         raise GraphError(
-            f"unknown graph store {name!r}; registered backends: {sorted(STORE_REGISTRY)}"
+            f"unknown graph store {spec!r}; registered backends: {sorted(STORE_REGISTRY)}"
         ) from None
     return factory()

@@ -35,6 +35,7 @@ from typing import Optional
 from repro import obs
 from repro.core.ngd import NGD
 from repro.core.violations import Violation
+from repro.errors import ExecutionError
 from repro.graph.graph import WILDCARD, Graph
 from repro.matching.adaptive import AdaptiveController
 from repro.matching.candidates import MatchStatistics
@@ -53,6 +54,10 @@ class RuleSearch:
     ``mapping()`` is the match) and is billed one ``matches_emitted``.  The
     scheduled literals run as the plan's closure-compiled schedule of the
     order being followed.
+
+    ``all_matches`` needs a rule without conclusion: with pruning on, the
+    schedule would prune on Y and drop the bindings where Y holds, so such a
+    rule raises :class:`ExecutionError`.
     """
 
     __slots__ = (
@@ -69,6 +74,11 @@ class RuleSearch:
         adaptive: Optional[AdaptiveController] = None,
         all_matches: bool = False,
     ) -> None:
+        if all_matches and plan.rule.conclusion:
+            raise ExecutionError(
+                f"all_matches keeps every binding, but rule {plan.rule.name!r} has a conclusion "
+                "the schedule would prune on; match its pattern and premise instead"
+            )
         self.rule: NGD = plan.rule
         self.plan = plan
         self.stats = stats

@@ -200,9 +200,9 @@ class GraphRegistry:
             self._graphs[name] = registered
             return registered
 
-    def register_file(self, name: str, path: PathLike, store: Optional[str] = None) -> RegisteredGraph:
+    def register_file(self, name: str, path: PathLike) -> RegisteredGraph:
         """Load a graph JSON file (:func:`repro.graph.io.load_graph`) and register it."""
-        return self.register(name, load_graph(path, store=store))
+        return self.register(name, load_graph(path))
 
     def get(self, name: str) -> RegisteredGraph:
         """Return the registered graph or raise :class:`ServiceError`."""
@@ -266,9 +266,9 @@ class GraphRegistry:
         return [self.get(name).info() for name in self.names()]
 
 
-def registry_from_specs(specs: Iterable[tuple[str, str]], store: Optional[str] = None) -> GraphRegistry:
+def registry_from_specs(specs: Iterable[tuple[str, str]]) -> GraphRegistry:
     """Build a registry from ``(name, path)`` pairs (the CLI's ``--graph name=path``)."""
     registry = GraphRegistry()
     for name, path in specs:
-        registry.register_file(name, path, store=store)
+        registry.register_file(name, path)
     return registry

@@ -335,7 +335,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         # shapes (a nodes entry missing its label, a non-list edges value);
         # convert them so the tenant gets the documented 4xx error body
         try:
-            graph = graph_from_dict(body, store=self.service.store)
+            graph = graph_from_dict(body)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ServiceError(f"graph document is malformed: {exc!r}") from exc
         registered = self.service.registry.register(name, graph)
@@ -497,7 +497,6 @@ class DetectionService:
         host: str = "127.0.0.1",
         port: int = 0,
         registry: Optional[GraphRegistry] = None,
-        store: Optional[str] = None,
         verbose: bool = False,
         retain_versions: Optional[int] = None,
         max_jobs: int = DEFAULT_MAX_JOBS,
@@ -523,7 +522,6 @@ class DetectionService:
             retain_versions=retain_versions,
             job_pool=DetectionJobPool(max_jobs=max_jobs),
         )
-        self.store = store
         self.verbose = verbose
         #: one structured line per request on stderr (``serve`` turns this
         #: on unless --quiet); independent of the stdlib lines ``verbose``

@@ -1,17 +1,15 @@
-"""Durable storage subsystem: persistent store, WAL, checkpoints, recovery.
+"""Durable service state: write-ahead log, checkpoints, recovery.
 
-Import layering: this package is imported by ``repro.graph`` (to register
-the ``persistent`` engine), so only the engine is imported with it.  The
-log and the service-facing :class:`~repro.storage.manager.PersistenceManager`
-are imported on first use: a process that never journals loads neither, and
-the import graph stays acyclic (the manager imports the service layer).
+Nothing under this package is a graph engine: a served graph lives on the
+in-memory ``indexed`` engine, and its durability comes from the log and the
+JSON checkpoints.  Only ``serve --data-dir`` (and a caller that asks for one
+of the names below) imports it; every name is resolved on first use, so the
+import graph stays acyclic (the manager imports the service layer).
 """
 
 from repro._lazy import lazy_exports
-from repro.storage.persistent import PersistentStore
 
 __all__ = [
-    "PersistentStore",
     "WriteAheadLog",
     "WalCorruption",
     "PersistenceManager",

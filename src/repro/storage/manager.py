@@ -157,13 +157,11 @@ class PersistenceManager:
     # -------------------------------------------------------------- journal
 
     def record_graph_registered(self, registered: "RegisteredGraph") -> None:
-        graph = registered.graph
         self._append(
             {
                 "type": "register_graph",
                 "graph": registered.name,
-                "store": graph.store_backend,
-                "document": graph_to_dict(graph),
+                "document": graph_to_dict(registered.graph),
             }
         )
 
@@ -262,7 +260,6 @@ class PersistenceManager:
                         {
                             "name": graph_name,
                             "version": registered.version,
-                            "store": registered.graph.store_backend,
                             "images": images,
                             "sessions": sessions,
                         }
@@ -300,9 +297,10 @@ class PersistenceManager:
         for catalog_name, rules_doc in sorted((document.get("catalogs") or {}).items()):
             self.manager.register_catalog(catalog_name, RuleSet.from_dict(rules_doc))
         for graph_doc in document.get("graphs") or []:
-            store = graph_doc.get("store")
+            # a "store" key (written by servers that took --store) is ignored:
+            # a served graph takes updates, so it goes on the mutable engine
             snapshots = {
-                int(version): load_graph(directory / filename, store=store)
+                int(version): load_graph(directory / filename)
                 for version, filename in graph_doc["images"].items()
             }
             current = snapshots[graph_doc["version"]]
@@ -373,7 +371,7 @@ class PersistenceManager:
         if kind == "register_graph":
             if record["graph"] in self.registry:
                 return
-            graph = graph_from_dict(record["document"], store=record.get("store"))
+            graph = graph_from_dict(record["document"])  # a recorded "store" is ignored, as above
             self.registry.restore(record["graph"], graph, version=1)
         elif kind == "register_catalog":
             if record["catalog"] in self.manager.catalogs:

@@ -206,9 +206,14 @@ class TestDetectionFlags:
         assert "Dect: 1 violations" in capsys.readouterr().out
 
     def test_store_flag(self, g2_path, capsys):
-        for store in ("dict", "indexed"):
+        for store in ("indexed", "csr"):
             assert main(["run", g2_path, "--store", store, "--format", "json"]) == 1
             assert json.loads(capsys.readouterr().out)["violation_count"] == 1
+
+    @pytest.mark.parametrize("store", ("dict", "persistent"))
+    def test_store_flag_offers_only_the_two_engines(self, g2_path, capsys, store):
+        assert main(["run", g2_path, "--store", store]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_cli_matches_session_api(self, g2_path, capsys):
         assert main(["run", g2_path, "--format", "json"]) == 1

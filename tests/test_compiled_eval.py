@@ -20,7 +20,6 @@ Three layers are covered:
 
 from __future__ import annotations
 
-import os
 import pickle
 import random
 
@@ -51,7 +50,8 @@ from repro.matching.candidates import MatchStatistics
 from repro.matching.compiled import CompiledSchedule, compile_literal, csr_sorted_intersection, resolve_compiled
 from repro.matching.plan import compile_plans, first_step_candidates
 
-BACKENDS = ("dict", "indexed", "csr", "persistent")
+from engines import BACKENDS, new_store
+
 
 
 # ------------------------------------------------------------ literal parity
@@ -271,13 +271,10 @@ def _stats_tuple(stats: MatchStatistics) -> tuple:
 
 
 def _run(graph, rules, *, backend=None, engine="batch", processors=None, **options):
-    detector = Detector(
-        rules,
-        engine=engine,
-        processors=processors,
-        store=backend,
-        options=DetectionOptions(**options),
-    )
+    """Run on ``graph`` rebuilt on the named engine of ``tests/engines.py`` (as given: None)."""
+    if backend is not None:
+        graph = graph.with_backend(new_store(backend))
+    detector = Detector(rules, engine=engine, processors=processors, options=DetectionOptions(**options))
     return detector.run(graph)
 
 
@@ -297,9 +294,7 @@ def test_batch_equals_the_naive_reference(heavy_rules):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
-def test_batch_parity_across_backends(product_graph, heavy_rules, backend, adaptive, tmp_path):
-    if backend == "persistent":
-        os.environ.setdefault("REPRO_PERSISTENT_DIR", str(tmp_path))
+def test_batch_parity_across_backends(product_graph, heavy_rules, backend, adaptive):
     on = _run(product_graph, heavy_rules, backend=backend, adaptive=adaptive)
     reference = _run(product_graph, heavy_rules, backend="dict", adaptive=adaptive)
     assert on.violations.to_json() == reference.violations.to_json()

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ import pytest
 from repro.core.builtin_rules import example_rules, phi2
 from repro.core.ngd import RuleSet
 from repro.graph.graph import Graph
-from repro.graph.io import save_graph
+from repro.graph.io import graph_to_dict, save_graph
 from repro.graph.updates import BatchUpdate, NodePayload
 from repro.service import DetectionService, ServiceClient
 from repro.storage import WriteAheadLog
@@ -153,6 +155,32 @@ class TestWriteAheadLog:
 
 
 # ------------------------------------------------------- in-process recovery
+
+
+def _name_the_store(data_dir: Path, checkpoint_store: str, wal_store: str) -> None:
+    """Rewrite a data dir the way a server started with ``--store`` wrote it.
+
+    Every graph of the current checkpoint and every ``register_graph`` WAL
+    record carries a ``"store"`` key, and each WAL record is re-framed
+    (``<crc32 hex> <sorted compact JSON>``) so that it stays intact.
+    """
+    manifest = json.loads((data_dir / "MANIFEST.json").read_text(encoding="utf-8"))
+    registry_path = data_dir / "checkpoints" / manifest["checkpoint"] / "registry.json"
+    document = json.loads(registry_path.read_text(encoding="utf-8"))
+    for graph_doc in document["graphs"]:
+        graph_doc["store"] = checkpoint_store
+    registry_path.write_text(json.dumps(document), encoding="utf-8")
+    framed = []
+    with WriteAheadLog(data_dir / "wal.log", start_lsn=manifest["cut_lsn"] + 1) as wal:
+        records = list(wal.records())
+    assert any(record["type"] == "register_graph" for record in records)
+    for record in records:
+        if record["type"] == "register_graph":
+            record["store"] = wal_store
+        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        framed.append(f"{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x} {body}\n")
+    (data_dir / "wal.log").write_text("".join(framed), encoding="utf-8")
+
 
 
 def _drive(client: ServiceClient, updates: int, session: bool = True) -> dict:
@@ -289,6 +317,50 @@ class TestInProcessRecovery:
                 "deltas": c2.session_deltas(sid, since=1),
             }
             assert state == acked
+
+    @pytest.mark.parametrize(
+        "checkpoint_store, wal_store", [("persistent", "dict"), ("dict", "persistent")]
+    )
+    def test_a_recorded_store_is_ignored_on_recovery(self, tmp_path, checkpoint_store, wal_store):
+        """A data dir written by a server started with ``--store dict|persistent``.
+
+        Such a server wrote its engine's name into every checkpointed graph
+        and every ``register_graph`` record.  Neither engine exists any more:
+        recovery ignores the name and loads onto ``indexed``, into exactly the
+        state the same directory without the names recovers to.
+        """
+        written = tmp_path / "written"
+        crashed = DetectionService(port=0, data_dir=str(written)).start()
+        client = ServiceClient(crashed.url)
+        sid = _drive(client, updates=3)["session"]["session"]
+        client.checkpoint()
+        # the suffix: a registration and two updates after the cut
+        client.register_graph("later", multi_area_graph(2, name="later"))
+        client.post_update("areas", _update(3))
+        client.post_update("later", _update(1))
+        crashed.stop()
+        named = tmp_path / "named"
+        shutil.copytree(written, named, ignore=shutil.ignore_patterns("LOCK"))
+        _name_the_store(named, checkpoint_store, wal_store)
+
+        recovered = {}
+        for directory in (written, named):
+            service = DetectionService(port=0, data_dir=str(directory))
+            with service:
+                c2 = ServiceClient(service.url)
+                recovered[directory] = {
+                    "graphs": [c2.graph_info(name) for name in ("areas", "later")],
+                    "documents": {
+                        name: json.dumps(graph_to_dict(service.registry.get(name).graph), sort_keys=True)
+                        for name in ("areas", "later")
+                    },
+                    "session": c2.session_state(sid),
+                    "deltas": c2.session_deltas(sid, since=1),
+                    "replayed": service.persistence.recovered["replayed"],
+                }
+        assert recovered[named] == recovered[written]
+        assert recovered[named]["replayed"] > 0, "the WAL suffix was replayed"
+        assert {info["store"] for info in recovered[named]["graphs"]} == {"indexed"}
 
     def test_registrations_survive_without_any_update(self, tmp_path):
         data_dir = tmp_path / "data"

@@ -26,14 +26,17 @@ from repro.service.client import ServiceClient
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: No serial detection imports any of these.
+#: No serial detection imports any of these (``repro.storage`` and ``sqlite3``:
+#: graphs live in memory, and only a server with a data dir journals).
 DEFERRED = [
     "scipy",
     "numpy",
+    "sqlite3",
     "multiprocessing",
     "concurrent.futures",
     "repro.detect.parallel.executor",
     "repro.service",
+    "repro.storage",
     "repro.storage.manager",
     "repro.discovery",
     "repro.experiments",
@@ -95,8 +98,15 @@ LOADED = "import json, sys; print(json.dumps([name for name in {deferred!r} if n
         "from repro.core import example_rules\n"
         "from repro.datasets.figure1 import figure1_g2\n"
         "assert Detector(example_rules()).run(figure1_g2()).violation_count() == 1",
+        "from repro import BatchUpdate, Detector, apply_update\n"
+        "from repro.core import example_rules\n"
+        "from repro.datasets.figure1 import figure1_g2\n"
+        "graph = figure1_g2()\n"
+        "edge = next(iter(graph.edges()))\n"
+        "delta = BatchUpdate().delete(edge.source, edge.target, edge.label)\n"
+        "Detector(example_rules()).run_incremental(graph, delta, graph_after=apply_update(graph, delta))",
     ],
-    ids=["import-repro", "import-repro.cli", "detector-run"],
+    ids=["import-repro", "import-repro.cli", "detector-run", "detector-run-incremental"],
 )
 def test_no_detection_path_imports_the_deferred_modules(statements):
     assert in_fresh_interpreter(statements + "\n" + LOADED.format(deferred=DEFERRED)) == []

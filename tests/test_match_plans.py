@@ -1,10 +1,11 @@
 """The plan compiler's unit tests and the planned kernels against their oracles.
 
-For every dataset rule set, every storage backend (the two mutable engines
-plus the frozen CSR store) and every kernel, planned detection yields
-**byte-identical** ``ViolationSet``s and deterministic costs: against the
-naive reference where the graph is small enough, against the dict engine
-across backends, and against the batch-diff oracle for ΔVio.
+For every dataset rule set, every storage backend (the mutable engine, the
+frozen CSR store and the ``dict`` oracle of ``tests/engines.py``) and every
+kernel, planned detection yields **byte-identical** ``ViolationSet``s and
+deterministic costs: against the naive reference where the graph is small
+enough, against the dict oracle across backends, and against the batch-diff
+oracle for ΔVio.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from repro.matching.plan import (
     format_plan,
 )
 from repro.matching.search import RuleSearch
+
+from engines import new_store
 
 BACKENDS = ("dict", "indexed", "csr")
 
@@ -89,7 +92,7 @@ class TestPlanCompiler:
         rules = _kb_rules(base)
         reference = [plan.to_dict() for plan in compile_plans(base, rules)]
         for backend in BACKENDS:
-            converted = base.with_backend(backend)
+            converted = base.with_backend(new_store(backend))
             assert [p.to_dict() for p in compile_plans(converted, rules)] == reference
 
     def test_literal_schedule_fires_each_premise_literal_once(self):
@@ -147,12 +150,12 @@ class TestPlannerOracleParity:
     def test_batch_violations_byte_identical(self, backend):
         base = _kb_graph()
         rules = _kb_rules(base)
-        planned = _detector(rules).run(base.with_backend(backend))
+        planned = _detector(rules).run(base.with_backend(new_store(backend)))
         assert planned.violations.to_json() == _detector(rules).run(base).violations.to_json()
 
     def test_figure1_rules_byte_identical(self, backend):
         for build in (figure1_g1, figure1_g2):
-            graph = build().with_backend(backend)
+            graph = build().with_backend(new_store(backend))
             planned = _detector(example_rules()).run(graph)
             expected = naive_reference.violations(build(), example_rules())
             assert {(v.rule, v.nodes) for v in planned.violations} == expected
@@ -160,7 +163,7 @@ class TestPlannerOracleParity:
     def test_parallel_batch_matches_sequential(self, backend):
         base = _kb_graph()
         rules = _kb_rules(base)
-        graph = base.with_backend(backend)
+        graph = base.with_backend(new_store(backend))
         planned = _detector(rules, engine="parallel", processors=4).run(graph)
         sequential = _detector(rules).run(graph)
         assert planned.violations.to_json() == sequential.violations.to_json()
@@ -168,7 +171,7 @@ class TestPlannerOracleParity:
     def test_costs_deterministic_across_repeated_runs(self, backend):
         base = _kb_graph()
         rules = _kb_rules(base)
-        graph = base.with_backend(backend)
+        graph = base.with_backend(new_store(backend))
         outcomes = set()
         for _ in range(2):
             result = _detector(rules).run(graph)
@@ -178,8 +181,8 @@ class TestPlannerOracleParity:
     def test_costs_identical_across_backends(self, backend):
         base = _kb_graph()
         rules = _kb_rules(base)
-        reference = _detector(rules).run(base.with_backend("dict"))
-        result = _detector(rules).run(base.with_backend(backend))
+        reference = _detector(rules).run(base.with_backend(new_store("dict")))
+        result = _detector(rules).run(base.with_backend(new_store(backend)))
         assert result.cost == reference.cost
         assert result.stats.total_operations() == reference.stats.total_operations()
 
@@ -191,7 +194,7 @@ class TestIncrementalPlannerParity:
     @pytest.mark.parametrize("backend", ("dict", "indexed"))
     @pytest.mark.parametrize("engine,processors", [("incremental", None), ("parallel", 4)])
     def test_delta_byte_identical(self, backend, engine, processors):
-        base = _kb_graph(store=backend)
+        base = _kb_graph(store=new_store(backend))
         rules = _kb_rules(base)
         delta = UpdateGenerator(seed=23).generate(base, size=max(1, base.edge_count() // 8))
         updated = apply_update(base, delta)

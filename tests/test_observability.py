@@ -34,13 +34,14 @@ from repro.core.builtin_rules import example_rules
 from repro.datasets.figure1 import figure1_g1, figure1_g2
 from repro.detect import DetectionOptions, Detector, ViolationSink
 from repro.graph.graph import Graph
-from repro.graph.store import STORE_REGISTRY
 from repro.graph.updates import UpdateGenerator
 from repro.obs.metrics import MetricsRegistry, NullRegistry, render_prometheus
 from repro.obs.tracing import FlightRecorder, Span, format_span_tree, new_id
 from repro.service import DetectionService, ServiceClient
 
-ALL_STORES = tuple(sorted(STORE_REGISTRY))  # csr, dict, indexed, persistent
+from engines import BACKENDS, new_store
+
+ALL_STORES = tuple(BACKENDS)  # csr, dict (the oracle), indexed
 
 
 @pytest.fixture(autouse=True)
@@ -320,7 +321,7 @@ class TestOnOffParity:
     @pytest.mark.parametrize("backend", ALL_STORES)
     @pytest.mark.parametrize("execution", ("serial", "processes"))
     def test_violations_byte_identical(self, backend, execution):
-        graph = figure1_g2().with_backend(backend)
+        graph = figure1_g2().with_backend(new_store(backend))
         obs.configure(True)
         with_obs = _run(graph, execution)
         assert with_obs.trace_id is not None

@@ -2,7 +2,8 @@
 
 The contract the ISSUE names: the real multi-process backend must produce
 **byte-identical** ``ViolationSet``s to the serial kernel and the cluster
-simulator — across storage backends {dict, indexed, csr} — while
+simulator — across the ``indexed`` and ``csr`` engines and the ``dict``
+oracle of ``tests/engines.py`` — while
 honouring ``DetectionBudget`` early
 cancellation and the ``ViolationSink`` streaming contract under real
 concurrency.  Plan persistence (``save_plans`` / ``load_plans`` /
@@ -43,6 +44,8 @@ from repro.matching.plan import (
 )
 from repro.service import DetectionService, ServiceClient, parse_detect_request
 from repro.service.jobs import DetectionJobPool
+
+from engines import new_store
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +91,7 @@ class TestBatchParity:
     def test_byte_identical_across_backends(self, kb_graph, kb_rules, backend, adaptive):
         # adaptive: workers replan suffixes from what they observe; static:
         # every unit follows the compiled order
-        graph = kb_graph.with_backend(backend)
+        graph = kb_graph.with_backend(new_store(backend))
         options = DetectionOptions(adaptive=adaptive)
         serial = Detector(kb_rules, engine="batch", options=options).run(graph)
         simulated = Detector(kb_rules, engine="parallel", processors=4, options=options).run(graph)
@@ -150,7 +153,7 @@ class TestIncrementalParity:
     @pytest.mark.parametrize("backend", ("dict", "indexed"))
     @pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
     def test_delta_identical_across_backends(self, kb_graph, kb_rules, kb_delta, backend, adaptive):
-        graph = kb_graph.with_backend(backend)
+        graph = kb_graph.with_backend(new_store(backend))
         options = DetectionOptions(adaptive=adaptive)
         incremental = Detector(kb_rules, engine="incremental", options=options).run_incremental(graph, kb_delta)
         simulated = Detector(

@@ -46,6 +46,8 @@ from repro.matching.matchn import HomomorphismMatcher
 from repro.matching.plan import GraphStatistics, compile_plans, first_step_candidates
 from repro.matching.search import RuleSearch
 
+from engines import new_store
+
 STORES = ("indexed", "csr")
 NODE_LABELS = ("a", "b")
 EDGE_LABELS = ("p", "q")
@@ -241,7 +243,7 @@ def test_a_seed_must_carry_the_first_variables_self_loop():
     rules = self_loop_rule()
     assert naive_reference.violations(graph, rules) == {("loop", (0, 0)), ("loop", (0, 1))}
     for store in STORES + ("dict",):
-        result = finish(iter_dect(graph.with_backend(store), rules))[1]
+        result = finish(iter_dect(graph.with_backend(new_store(store)), rules))[1]
         assert as_pairs(result.violations) == {("loop", (0, 0)), ("loop", (0, 1))}, store
     single = RuleSet([NGD.from_text(Pattern.from_edges("one", [("x", "a")], [("x", "x", "p")]), "", "x.val = 1")])
     assert as_pairs(finish(iter_dect(graph, single))[1].violations) == naive_reference.violations(graph, single)
@@ -270,13 +272,20 @@ def leaves(search: RuleSearch, graph: Graph, order) -> list[tuple]:
     return kept
 
 
+def without_conclusion(rule: NGD) -> NGD:
+    """``rule``'s pattern and premise: the rule the match leaf runs (as the matcher view builds it)."""
+    return NGD(rule.pattern, rule.premise, name=rule.name, allow_nonlinear=True)
+
+
 @pytest.mark.parametrize("store", STORES + ("dict",))
 def test_the_two_leaves_split_the_same_bindings(store):
-    """Over one plan, the match leaf keeps every homomorphism and the violation leaf those that fail X → Y."""
+    """Over one pattern, the match leaf keeps every homomorphism and the violation leaf those that fail X → Y."""
     base = figure1_g2()
-    graph = base.with_backend(store)
+    graph = base.with_backend(new_store(store))
     rules = example_rules()
-    for rule, plan in zip(rules, compile_plans(graph, rules)):
+    for rule, plan, match_plan in zip(
+        rules, compile_plans(graph, rules), compile_plans(graph, [without_conclusion(rule) for rule in rules])
+    ):
         every = [h for h in naive_reference.matches(base, rule.pattern)]
         failing = {
             tuple(h[variable] for variable in rule.pattern.variables)
@@ -284,13 +293,32 @@ def test_the_two_leaves_split_the_same_bindings(store):
             if naive_reference.satisfies(base, h, rule.premise) and not naive_reference.satisfies(base, h, rule.conclusion)
         }
         stats = MatchStatistics()
-        kept = leaves(RuleSearch(plan, False, stats, all_matches=True), graph, plan.order)
+        kept = leaves(RuleSearch(match_plan, False, stats, all_matches=True), graph, match_plan.order)
         assert sorted(kept, key=repr) == sorted((tuple(h[v] for v in rule.pattern.variables) for h in every), key=repr)
         assert stats.matches_emitted == len(every) and stats.literal_evaluations == 0, "the match leaf reads no literal"
         for pruning in (True, False):
             violating = leaves(rule_search(rule, plan, pruning, MatchStatistics()), graph, plan.order)
             assert set(violating) == failing and len(violating) == len(failing), (rule.name, pruning)
     assert any(naive_reference.violations(base, rules))
+
+
+@pytest.mark.parametrize("store", STORES + ("dict",))
+@pytest.mark.parametrize("pruning", (True, False), ids=("pruned", "unpruned"))
+def test_the_match_leaf_refuses_a_rule_with_a_conclusion(pruning, store):
+    """With pruning, the schedule of a rule with a conclusion prunes on Y: the match leaf would drop bindings."""
+    graph = Graph("pairs", store=new_store(store))
+    for node_id, val in enumerate((1, 2, 3)):
+        graph.add_node(node_id, "a", {"val": val})
+    for source, target in ((0, 1), (1, 2), (2, 0)):
+        graph.add_edge(source, target, "p")
+    pattern = Pattern.from_edges("pair", [("x", "a"), ("y", "a")], [("x", "y", "p")])
+    rule = NGD.from_text(pattern, "", "x.val < y.val", name="ascending")
+    with pytest.raises(ExecutionError, match="conclusion"):
+        RuleSearch(compile_plans(graph, [rule])[0], pruning, MatchStatistics(), all_matches=True)
+    # the pattern and premise alone keep every binding, the two where Y holds included
+    plan = compile_plans(graph, [without_conclusion(rule)])[0]
+    kept = leaves(RuleSearch(plan, pruning, MatchStatistics(), all_matches=True), graph, plan.order)
+    assert sorted(kept) == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_a_plan_runs_only_the_rule_it_was_compiled_for():

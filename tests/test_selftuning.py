@@ -34,6 +34,8 @@ from repro.matching.adaptive import (
 )
 from repro.matching.plan import compile_plans, save_plans
 
+from engines import new_store
+
 BACKENDS = ("dict", "indexed", "csr")
 
 
@@ -48,11 +50,12 @@ def hub_rules():
 
 
 def _run(graph, rules, *, adaptive, backend=None, engine="batch", processors=None, **options):
+    if backend is not None:
+        graph = graph.with_backend(new_store(backend))
     detector = Detector(
         rules,
         engine=engine,
         processors=processors,
-        store=backend,
         options=DetectionOptions(adaptive=adaptive, **options),
     )
     return detector.run(graph), detector
@@ -146,13 +149,13 @@ class TestAdaptiveParity:
     @pytest.mark.parametrize("engine,processors", [("incremental", None), ("parallel", 4)])
     def test_incremental_deltas_byte_identical(self, kb_like, backend, engine, processors):
         graph, rules, delta = kb_like
+        graph = graph.with_backend(new_store(backend))
         results = {}
         for adaptive in (False, True):
             detector = Detector(
                 rules,
                 engine=engine,
                 processors=processors,
-                store=backend,
                 options=DetectionOptions(adaptive=adaptive),
             )
             results[adaptive] = detector.run_incremental(graph, delta).delta

@@ -37,6 +37,8 @@ from repro.service import (
     parse_detect_request,
 )
 
+from dict_store import DictStore
+
 
 def multi_area_graph(areas: int = 4, name: str = "areas") -> Graph:
     """A graph where every area violates φ2 (female + male ≠ total)."""
@@ -572,6 +574,29 @@ class TestServeCli:
             code = proc.wait(timeout=30)
         assert code == 0
 
+    @pytest.mark.parametrize("store", ("indexed", "dict", "persistent"))
+    def test_serve_has_no_store_option(self, store, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--port", "0", "--store", store]) == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
+
+    def test_a_served_graph_lives_on_the_mutable_engine(self, tmp_path, client):
+        """A served graph takes updates: files, uploads and the service take no engine name."""
+        from repro.service.registry import registry_from_specs
+
+        path = tmp_path / "areas.json"
+        save_graph(multi_area_graph(2), path)
+        registry = registry_from_specs([("areas", str(path))])
+        assert registry.get("areas").info()["store"] == "indexed"
+        with pytest.raises(TypeError):
+            registry.register_file("again", str(path), store="csr")
+        with pytest.raises(TypeError):
+            registry_from_specs([("areas", str(path))], store="csr")
+        with pytest.raises(TypeError):
+            DetectionService(port=0, store="indexed")
+        assert client.register_graph("uploaded", multi_area_graph(1))["store"] == "indexed"
+
 
 # -------------------------------------------- snapshot GC + delta compaction
 
@@ -612,7 +637,7 @@ class TestRetentionWindow:
         registry = GraphRegistry(retain_versions=3)
         registry.register("g", multi_area_graph(2))
         registered = registry.get("g")
-        oracle = multi_area_graph(2).with_backend("dict")
+        oracle = multi_area_graph(2).with_backend(DictStore())
         reference = {1: graph_to_dict(oracle)}
         for i in range(8):
             registry.apply_update("g", self._update(i))

@@ -22,6 +22,8 @@ from repro.errors import SessionError
 from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate
 
+from engines import new_store
+
 
 def _many_violations_graph(copies: int = 6) -> Graph:
     """A graph with ``copies`` independent φ2 violations (wrong population totals)."""
@@ -70,11 +72,16 @@ class TestEngines:
 
     def test_store_conversion(self):
         graph = figure1_g2().with_backend("indexed")
-        detector = Detector(example_rules(), store="dict")
+        detector = Detector(example_rules(), store="csr")
         result = detector.run(graph)
         assert result.violation_count() == 1
         # the caller's graph is untouched
         assert graph.store_backend == "indexed"
+
+    @pytest.mark.parametrize("store", ("dict", "persistent"))
+    def test_a_deleted_engine_is_an_unknown_store(self, store):
+        with pytest.raises(SessionError, match="unknown graph store"):
+            Detector(example_rules(), store=store)
 
     @pytest.mark.parametrize("option", ("use_planner", "compiled"))
     def test_there_is_no_pipeline_option(self, option):
@@ -144,7 +151,7 @@ class TestStreaming:
     def test_stream_matches_dect_on_both_backends(self, backend):
         rules = example_rules()
         for name, graph in figure1_graphs().items():
-            graph = graph.with_backend(backend)
+            graph = graph.with_backend(new_store(backend))
             streamed = ViolationSet(Detector(rules).stream(graph))
             assert streamed == dect(graph, rules).violations, (name, backend)
 

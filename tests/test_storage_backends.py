@@ -1,11 +1,13 @@
-"""Parity and regression tests for the pluggable graph storage engines.
+"""Parity and regression tests for the graph storage engines.
 
-The refactor's contract: every backend behind :class:`repro.graph.store.GraphStore`
-must be observationally identical through the :class:`Graph` facade — same
+The contract: every engine behind :class:`repro.graph.store.GraphStore` must
+be observationally identical through the :class:`Graph` facade — same
 violation sets from ``dect``/``inc_dect``, same subgraphs, same index
 consistency after arbitrary interleaved mutation — while the matcher's
 enumeration order must be deterministic across interpreter runs (and hence
-immune to string-hash randomization).
+immune to string-hash randomization).  The shipped engines (``indexed``,
+``csr``) are checked against the flat ``dict`` oracle of
+``tests/dict_store.py``; the suites take all three from ``tests/engines.py``.
 """
 
 from __future__ import annotations
@@ -35,21 +37,16 @@ from repro.graph.neighborhood import (
     update_neighborhood,
 )
 from repro.graph.pattern import Pattern
-from repro.graph.store import (
-    STORE_REGISTRY,
-    DictStore,
-    IndexedStore,
-    default_store_name,
-    make_store,
-)
+from repro.graph.store import STORE_REGISTRY, IndexedStore, make_store
 from repro.graph.sharded import ShardedStore
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.matching.matchn import HomomorphismMatcher
 
-BACKENDS = sorted(STORE_REGISTRY)
-#: Engines whose stores accept interleaved mutation (the CSR engine is
-#: append-only and freezes on first adjacency read).
-MUTABLE_BACKENDS = [name for name in BACKENDS if STORE_REGISTRY[name].supports_mutation]
+from dict_store import DictStore
+from engines import BACKENDS, MUTABLE_BACKENDS, new_store
+
+_TESTS = str(Path(__file__).resolve().parent)
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # ------------------------------------------------------------- store selection
@@ -57,20 +54,25 @@ MUTABLE_BACKENDS = [name for name in BACKENDS if STORE_REGISTRY[name].supports_m
 
 class TestStoreSelection:
     def test_registry_contains_all_engines(self):
-        assert {"dict", "indexed", "csr"} <= set(STORE_REGISTRY)
+        assert set(STORE_REGISTRY) == {"indexed", "csr"}
+        assert "dict" not in STORE_REGISTRY, "the oracle is the tests' own, not an engine"
 
-    def test_default_backend_is_indexed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRAPH_STORE", raising=False)
-        assert default_store_name() == "indexed"
+    def test_default_backend_is_indexed(self):
+        assert type(make_store(None)) is IndexedStore
         assert Graph().store_backend == "indexed"
 
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_STORE", "dict")
-        assert Graph().store_backend == "dict"
+    def test_the_environment_does_not_pick_the_engine(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GRAPH_STORE", "csr")
+        assert Graph().store_backend == "indexed"
+        assert type(make_store(None)) is IndexedStore
 
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_STORE", "dict")
-        assert Graph(store="indexed").store_backend == "indexed"
+    def test_the_package_ships_no_oracle_and_no_switch(self):
+        import repro.graph
+        import repro.graph.store
+
+        for name in ("DictStore", "default_store_name"):
+            assert name not in repro.graph.__all__
+            assert not hasattr(repro.graph, name) and not hasattr(repro.graph.store, name)
 
     def test_store_instance_is_used_as_is(self):
         store = DictStore()
@@ -81,9 +83,16 @@ class TestStoreSelection:
         with pytest.raises(GraphError):
             make_store("csr-not-yet")
 
+    @pytest.mark.parametrize("name", ["dict", "persistent"])
+    def test_a_deleted_engine_name_is_unknown(self, name):
+        with pytest.raises(GraphError, match="registered backends"):
+            make_store(name)
+        with pytest.raises(GraphError):
+            Graph(store=name)
+
     def test_copy_and_subgraphs_preserve_backend(self):
         for backend in BACKENDS:
-            graph = Graph(store=backend)
+            graph = Graph(store=new_store(backend))
             graph.add_node("a", "x")
             graph.add_node("b", "x")
             graph.add_edge("a", "b", "e")
@@ -91,7 +100,7 @@ class TestStoreSelection:
             assert graph.induced_subgraph(["a", "b"]).store_backend == backend
 
     def test_with_backend_converts_and_preserves_content(self):
-        graph = Graph(store="dict")
+        graph = Graph(store=DictStore())
         graph.add_node("a", "x", {"val": 1})
         graph.add_node("b", "y")
         graph.add_edge("a", "b", "e")
@@ -127,7 +136,7 @@ def _mutated_pair(seed: int, operations: int = 220) -> tuple[Graph, Graph]:
     engines identically.
     """
     rng = random.Random(seed)
-    graphs = (Graph("parity", store="dict"), Graph("parity", store="indexed"))
+    graphs = (Graph("parity", store=DictStore()), Graph("parity", store="indexed"))
     labels = ["person", "city", "thing"]
     edge_labels = ["knows", "likes", "near"]
     next_id = 0
@@ -233,17 +242,45 @@ class TestBackendParity:
             actual = {e.key() for e in indexed_graph.edges_with_signature(WILDCARD, edge_label, WILDCARD)}
             assert expected == actual
 
+    def test_csr_image_of_the_history_reads_like_the_oracle(self, seed):
+        # the read-only engine takes no interleaved writes: it is built from the
+        # oracle's final state, removals' rank gaps included
+        dict_graph, _ = _mutated_pair(seed)
+        csr_graph = dict_graph.with_backend("csr")
+        csr_graph.validate_consistency()
+        assert csr_graph == dict_graph
+        assert list(csr_graph.node_ids()) == list(dict_graph.node_ids())
+        assert [e.key() for e in csr_graph.edges()] == [e.key() for e in dict_graph.edges()]
+        for node in dict_graph.nodes():
+            assert frozenset(csr_graph.successors(node.id)) == dict_graph.successors(node.id)
+            assert frozenset(csr_graph.predecessors(node.id)) == dict_graph.predecessors(node.id)
+            assert csr_graph.degree(node.id) == dict_graph.degree(node.id)
+            for label in dict_graph.edge_labels():
+                assert frozenset(csr_graph.successors_by_label(node.id, label)) == frozenset(
+                    dict_graph.successors_by_label(node.id, label)
+                )
+        assert _signature_buckets(csr_graph.store) == _signature_buckets(dict_graph.store)
+
+    def test_csr_dect_violations_identical(self, seed):
+        dict_graph, _ = _mutated_pair(seed)
+        rules = _random_rules(seed)
+        expected = dect(dict_graph, rules)
+        got = dect(dict_graph.with_backend("csr"), rules)
+        assert frozenset(got.violations) == frozenset(expected.violations)
+        assert got.stats.total_operations() == expected.stats.total_operations()
+
 
 # ------------------------------------------------------- deterministic ordering
 
 
 _ORDER_SCRIPT = r"""
 import sys
+from engines import new_store
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.matching.matchn import HomomorphismMatcher
 
-graph = Graph(store=sys.argv[1])
+graph = Graph(store=new_store(sys.argv[1]))
 for index in range(40):
     graph.add_node(f"p{index}", "person", {"val": index})
 for index in range(40):
@@ -264,12 +301,13 @@ from repro.datasets.rules import benchmark_rules
 from repro.graph.sharded import ShardedStore
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.detect import dect, inc_dect, p_dect, pinc_dect
+from engines import new_store
 
 config = KBConfig(
     name="det", num_entities=120, num_entity_types=4, num_value_relations=3,
     num_link_relations=3, values_per_entity=3, links_per_entity=1.0, seed=5,
 )
-graph = knowledge_graph(config, store=sys.argv[1])
+graph = knowledge_graph(config, store=new_store(sys.argv[1]))
 rules = benchmark_rules(graph, count=6, max_diameter=3, seed=0)
 delta = UpdateGenerator(seed=7).generate(graph, size=max(1, graph.edge_count() // 10))
 updated = apply_update(graph, delta)
@@ -304,10 +342,9 @@ class TestDeterministicEnumeration:
         """
         script = tmp_path / "enumerate_matches.py"
         script.write_text(_ORDER_SCRIPT, encoding="utf-8")
-        src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for hash_seed in ("1", "2", "99"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join((_SRC, _TESTS)))
             result = subprocess.run(
                 [sys.executable, str(script), backend],
                 capture_output=True,
@@ -329,10 +366,9 @@ class TestDeterministicEnumeration:
         """
         script = tmp_path / "costs.py"
         script.write_text(_COSTS_SCRIPT, encoding="utf-8")
-        src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = set()
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join((_SRC, _TESTS)))
             result = subprocess.run(
                 [sys.executable, str(script), backend],
                 capture_output=True,
@@ -363,7 +399,7 @@ class TestDeterministicEnumeration:
 
     def test_node_rank_is_monotonic_and_survives_removal(self):
         for backend in MUTABLE_BACKENDS:
-            graph = Graph(store=backend)
+            graph = Graph(store=new_store(backend))
             graph.add_node("a", "x")
             graph.add_node("b", "x")
             graph.remove_node("a")
@@ -379,7 +415,7 @@ class TestDeterministicEnumeration:
 class TestAdjacencyBuiltSubgraphs:
     def _reference_induced(self, graph: Graph, wanted: set) -> Graph:
         """The old O(|E|) implementation, kept here as the oracle."""
-        sub = Graph(f"{graph.name}[oracle]", store=graph.store_backend)
+        sub = Graph(f"{graph.name}[oracle]", store=graph.store.fresh())
         for node_id in wanted:
             node = graph.node(node_id)
             sub.add_node(node.id, node.label, node.attributes)
@@ -391,7 +427,7 @@ class TestAdjacencyBuiltSubgraphs:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_induced_subgraph_matches_edge_scan_oracle_on_large_sparse_graph(self, backend):
         graph = random_labeled_graph(
-            3000, 4500, num_labels=12, num_edge_labels=6, seed=5, store=backend
+            3000, 4500, num_labels=12, num_edge_labels=6, seed=5, store=new_store(backend)
         )
         rng = random.Random(9)
         wanted = set(rng.sample(sorted(graph.node_ids()), 400))
@@ -403,7 +439,7 @@ class TestAdjacencyBuiltSubgraphs:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_neighborhood_extraction_matches_oracle(self, backend):
         graph = random_labeled_graph(
-            800, 1600, num_labels=6, num_edge_labels=4, seed=3, store=backend
+            800, 1600, num_labels=6, num_edge_labels=4, seed=3, store=new_store(backend)
         )
         seeds = [node_id for node_id in list(graph.node_ids())[:10]]
         fast = d_neighbor_of_nodes(graph, seeds, hops=2)
@@ -417,7 +453,7 @@ class TestAdjacencyBuiltSubgraphs:
 
     @pytest.mark.parametrize("backend", MUTABLE_BACKENDS)
     def test_copy_clone_fast_path_is_equal_and_independent(self, backend):
-        graph = random_labeled_graph(200, 400, num_labels=5, num_edge_labels=3, seed=8, store=backend)
+        graph = random_labeled_graph(200, 400, num_labels=5, num_edge_labels=3, seed=8, store=new_store(backend))
         clone = graph.copy()
         assert clone == graph
         assert clone.store_backend == backend
@@ -429,7 +465,7 @@ class TestAdjacencyBuiltSubgraphs:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_update_neighborhood_consistent(self, backend):
-        graph = random_labeled_graph(400, 900, num_labels=5, num_edge_labels=4, seed=2, store=backend)
+        graph = random_labeled_graph(400, 900, num_labels=5, num_edge_labels=4, seed=2, store=new_store(backend))
         generator = UpdateGenerator(seed=4)
         delta = generator.generate(graph, size=40)
         region = update_neighborhood(graph, delta, hops=2)
@@ -466,7 +502,7 @@ class TestReadViews:
         assert set(view) == {"a", "b", "c"}
 
     def test_dict_store_reads_are_defensive_copies(self):
-        graph = Graph(store="dict")
+        graph = Graph(store=DictStore())
         graph.add_node("a", "person")
         snapshot = graph.nodes_with_label("person")
         graph.add_node("b", "person")
@@ -549,7 +585,7 @@ class CloneChainMachine(RuleBasedStateMachine):
         for index in range(6):
             parent.add_edge(index, (index + 1) % 6, _COW_EDGE_LABELS[index % 2])
         self.live = [parent]
-        self.oracles = [parent.with_backend("dict")]
+        self.oracles = [parent.with_backend(DictStore())]
         self.twins = [copy.deepcopy(parent)]
         self.signatures_built = [False]
         self._clone(0)
@@ -667,7 +703,7 @@ class TestCopyOnWriteClone:
 
     @pytest.mark.parametrize("backend", MUTABLE_BACKENDS)
     def test_failed_apply_update_leaves_graph_before_untouched(self, backend):
-        graph = random_labeled_graph(80, 200, num_labels=3, num_edge_labels=2, seed=6, store=backend)
+        graph = random_labeled_graph(80, 200, num_labels=3, num_edge_labels=2, seed=6, store=new_store(backend))
         reference = json.dumps(graph_to_dict(graph), sort_keys=True, default=str)
         delta = UpdateGenerator(seed=2).generate(graph, size=20)
         first_deletion = delta.deletions[0]
@@ -705,7 +741,7 @@ class TestCopyOnWriteClone:
                 for index in range(3)
             ]
         else:
-            graphs = [source_graph.with_backend(backend)]
+            graphs = [source_graph.with_backend(new_store(backend))]
         for graph in graphs:
             for sources in ([7], [0, 13, 39], ["absent"], [5, "absent", 5], []):
                 for hops in (0, 1, 2, 5):
@@ -721,12 +757,16 @@ def _build_by_mutation(document: dict, store: str) -> Graph:
     """What ``graph_from_dict`` was before the bulk build: one facade mutation per entry."""
     if "nodes" not in document or "edges" not in document:
         raise GraphError("graph document must contain 'nodes' and 'edges' lists")
-    graph = Graph(document.get("name", "G"), store=store)
+    graph = Graph(document.get("name", "G"), store=new_store(store))
     for entry in document["nodes"]:
         graph.add_node(entry["id"], entry["label"], entry.get("attributes", {}))
     for entry in document["edges"]:
         graph.add_edge(entry["source"], entry["target"], entry["label"])
     return graph
+
+
+def _build_in_one_pass(document: dict, store: str) -> Graph:
+    return graph_from_dict(document, store=new_store(store))
 
 
 def _outcome(build, document: dict, store: str):
@@ -781,6 +821,22 @@ def _documents(draw) -> dict:
     return document
 
 
+@st.composite
+def _documents_with_repeats(draw) -> dict:
+    """Well-formed documents whose edge list names some of its edges again."""
+    nodes = draw(st.lists(_node_entries, min_size=1, max_size=10, unique_by=lambda entry: entry["id"]))
+    ids = st.sampled_from([entry["id"] for entry in nodes])
+    edges = draw(
+        st.lists(
+            st.fixed_dictionaries({"source": ids, "target": ids, "label": st.sampled_from(_COW_EDGE_LABELS)}),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    again = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4))
+    return {"name": "repeats", "nodes": nodes, "edges": draw(st.permutations(edges + again))}
+
+
 class TestOnePassBuild:
     """``graph_from_dict`` is one ``GraphStore.bulk_load``; the graph is the one mutation builds."""
 
@@ -789,7 +845,7 @@ class TestOnePassBuild:
     def test_bulk_build_is_the_build_by_mutation(self, document):
         for backend in BACKENDS:
             expected, expected_error = _outcome(_build_by_mutation, copy.deepcopy(document), backend)
-            built, error = _outcome(graph_from_dict, copy.deepcopy(document), backend)
+            built, error = _outcome(_build_in_one_pass, copy.deepcopy(document), backend)
             assert gc.isenabled()
             assert error is expected_error, backend
             if error is not None:
@@ -800,7 +856,17 @@ class TestOnePassBuild:
             ids = list(expected.node_ids())
             assert [built.node_rank(i) for i in ids] == [expected.node_rank(i) for i in ids], backend
             assert graph_to_dict(built) == graph_to_dict(expected), backend
-            assert graph_to_dict(graph_from_dict(graph_to_dict(built), store=backend)) == graph_to_dict(built)
+            assert graph_to_dict(_build_in_one_pass(graph_to_dict(built), backend)) == graph_to_dict(built)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_documents_with_repeats())
+    def test_a_repeated_edge_is_stored_once_on_every_engine(self, document):
+        oracle = _build_by_mutation(copy.deepcopy(document), "dict")
+        distinct = {(entry["source"], entry["target"], entry["label"]) for entry in document["edges"]}
+        assert oracle.edge_count() == len(distinct)
+        for backend in BACKENDS:
+            built = _build_in_one_pass(copy.deepcopy(document), backend)
+            _assert_same_content(built.store, oracle.store, signatures=True)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
@@ -819,7 +885,7 @@ class TestOnePassBuild:
     )  # fmt: skip
     def test_a_malformed_document_raises_what_it_always_raised(self, backend, document, error):
         with pytest.raises(error) as caught:
-            graph_from_dict(document, store=backend)
+            _build_in_one_pass(document, backend)
         assert type(caught.value) is error
         assert gc.isenabled(), "the collector stays paused after a build that raised"
 
@@ -830,7 +896,7 @@ class TestOnePassBuild:
             "nodes": [node, {"id": "a", "label": "city"}, dict(node), {"id": "b", "label": "person", "attributes": {"val": 1}}],
             "edges": [{"source": "b", "target": "a", "label": "near"}] * 2,
         }  # fmt: skip
-        graph = graph_from_dict(document, store=backend)
+        graph = _build_in_one_pass(document, backend)
         assert [(n.id, graph.node_rank(n.id)) for n in graph.nodes()] == [("b", 0), ("a", 1)]
         assert [edge.key() for edge in graph.edges()] == [("b", "a", "near")]
         graph.validate_consistency()
@@ -946,166 +1012,3 @@ class TestCsrStore:
         got = dect(graph.with_backend("csr"), rules)
         assert frozenset(got.violations) == expected
         assert got.violations
-
-
-# ----------------------------------------------------------- persistent engine
-
-
-class TestPersistentStore:
-    """Durability-specific behaviour of the SQLite-backed ``persistent`` engine.
-
-    Cross-backend parity (violations, determinism, index consistency) is
-    covered by the parametrized suites above, which auto-enroll every
-    registered engine; here we exercise what only a disk-backed store has:
-    close/reopen round trips, rank persistence across removals, and clone
-    isolation from the backing file.
-    """
-
-    def _populated(self, path):
-        from repro.storage import PersistentStore
-
-        store = PersistentStore(path)
-        graph = Graph("durable", store=store)
-        graph.add_node("a", "person", {"val": 3})
-        graph.add_node("b", "person", {"val": 5})
-        graph.add_node("c", "city", {"val": -1})
-        graph.add_edge("a", "b", "knows")
-        graph.add_edge("b", "c", "near")
-        return graph
-
-    def test_registered_in_engine_registry(self):
-        assert "persistent" in STORE_REGISTRY
-        assert STORE_REGISTRY["persistent"].supports_mutation
-
-    def test_reopen_round_trip_preserves_content_and_ranks(self, tmp_path):
-        from repro.storage import PersistentStore
-
-        path = str(tmp_path / "graph.db")
-        graph = self._populated(path)
-        graph.remove_node("b")  # leaves a rank gap that must survive reopen
-        graph.add_node("d", "person", {"val": 9})
-        expected_ranks = {n.id: graph.store.node_rank(n.id) for n in graph.nodes()}
-        graph.store.close()
-
-        reopened = Graph("durable", store=PersistentStore.open(path))
-        assert sorted(reopened.node_ids()) == ["a", "c", "d"]
-        assert {n.id: reopened.store.node_rank(n.id) for n in reopened.nodes()} == expected_ranks
-        assert reopened.node("d").attributes["val"] == 9
-        assert not reopened.has_edge("a", "b", "knows")
-        reopened.store.validate()
-
-    def test_reopened_graph_detects_identically(self, tmp_path):
-        from repro.storage import PersistentStore
-
-        path = str(tmp_path / "parity.db")
-        reference, _ = _mutated_pair(3)
-        store = PersistentStore(path)
-        durable = Graph("parity", store=store)
-        for node in reference.nodes():
-            durable.add_node(node.id, node.label, dict(node.attributes))
-        for edge in reference.edges():
-            durable.add_edge(edge.source, edge.target, edge.label)
-        store.flush()
-        store.close()
-        reopened = Graph("parity", store=PersistentStore.open(path))
-        rules = _random_rules(3)
-        assert frozenset(dect(reopened, rules).violations) == frozenset(
-            dect(reference, rules).violations
-        )
-
-    def test_clone_is_independent_of_backing_file(self, tmp_path):
-        graph = self._populated(str(tmp_path / "clone.db"))
-        snapshot = graph.copy()
-        graph.remove_node("a")
-        assert snapshot.has_node("a")
-        assert snapshot.has_edge("a", "b", "knows")
-        assert not graph.has_node("a")
-        snapshot.store.validate()
-        graph.store.validate()
-
-    def test_nested_tuple_node_ids_round_trip(self, tmp_path):
-        from repro.storage import PersistentStore
-
-        path = str(tmp_path / "nested.db")
-        store = PersistentStore(path)
-        graph = Graph("nested", store=store)
-        graph.add_node(("a", (1, 2)), "person", {"val": 1})
-        graph.add_node(("b", ("x", (3,))), "person", {"val": 2})
-        graph.add_edge(("a", (1, 2)), ("b", ("x", (3,))), "knows")
-        store.close()
-
-        # ('a', (1, 2)) must decode back to itself, not the unhashable
-        # ('a', [1, 2]) — the store may not accept ids it cannot read back
-        reopened = Graph("nested", store=PersistentStore.open(path))
-        assert reopened.has_node(("a", (1, 2)))
-        assert reopened.has_edge(("a", (1, 2)), ("b", ("x", (3,))), "knows")
-        assert reopened.node(("a", (1, 2))).attributes["val"] == 1
-        reopened.store.validate()
-
-    def test_non_json_attribute_values_are_rejected(self, tmp_path):
-        from repro.storage import PersistentStore
-
-        graph = Graph("strict", store=PersistentStore(str(tmp_path / "strict.db")))
-        # default=str would silently persist str(object) and reopen with a
-        # different value type than the live process held; fail loudly instead
-        with pytest.raises(GraphError, match="JSON"):
-            graph.add_node("a", "person", {"when": object()})
-
-    def test_file_backed_store_defaults_to_crash_safe_journal(self, tmp_path):
-        from repro.storage import PersistentStore
-
-        safe = PersistentStore(str(tmp_path / "safe.db"))
-        assert safe._connection.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
-        safe.close()
-        fast = PersistentStore(str(tmp_path / "fast.db"), fast_unsafe=True)
-        assert fast._connection.execute("PRAGMA journal_mode").fetchone()[0] == "memory"
-        fast.close()
-
-    def test_csr_image_is_cached_and_invalidated(self, tmp_path):
-        graph = self._populated(str(tmp_path / "csr.db"))
-        first = graph.store.csr_store()
-        assert graph.store.csr_store() is first
-        graph.add_node("z", "person", {"val": 0})
-        rebuilt = graph.store.csr_store()
-        assert rebuilt is not first
-        assert rebuilt.has_node("z")
-
-    def test_non_json_node_ids_are_refused(self, tmp_path):
-        graph = Graph(store="persistent")
-        with pytest.raises(GraphError):
-            graph.add_node(object(), "person")
-
-    def test_detection_parity_across_execution_modes(self):
-        """Acceptance: persistent detection is byte-identical to indexed
-        across serial, simulated and process execution."""
-        from repro.detect import DetectionOptions, Detector
-        from repro.datasets.rules import benchmark_rules
-        from repro.datasets.kb import KBConfig, knowledge_graph
-
-        config = KBConfig(
-            name="persist-parity",
-            num_entities=60,
-            num_entity_types=4,
-            num_value_relations=3,
-            num_link_relations=2,
-            values_per_entity=2,
-            links_per_entity=1.0,
-            seed=11,
-        )
-        base = knowledge_graph(config)
-        rules = benchmark_rules(base, count=4, max_diameter=3, seed=11)
-        reference = frozenset(dect(base, rules).violations)
-        assert reference, "workload must produce violations for parity to mean anything"
-
-        durable = base.with_backend("persistent")
-        serial = Detector(rules, engine="batch").run(durable)
-        assert frozenset(serial.violations) == reference
-        simulated = Detector(rules, engine="parallel", processors=2).run(durable)
-        assert frozenset(simulated.violations) == reference
-        processes = Detector(
-            rules,
-            engine="parallel",
-            processors=2,
-            options=DetectionOptions(execution="processes"),
-        ).run(durable)
-        assert frozenset(processes.violations) == reference

@@ -4,7 +4,7 @@
   definition — the same pivots in the same order, and the same seeds (order,
   bound nodes) as the work unit the reference seeds;
 * ΔVio against :mod:`naive_reference` along generated streams whose batches
-  insert and delete the same edge, on the indexed, dict and persistent engines;
+  insert and delete the same edge, on the indexed engine and the dict oracle;
 * ``neighborhood_size``: no BFS while a default run drains, one on first read;
 * the per-update fixed costs: a stored root order, one drift lookup per
   resolution, one plan-estimate sum per plan set.
@@ -31,6 +31,8 @@ from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply
 from repro.matching import adaptive
 from repro.matching.incmatch import find_update_pivots, pivot_index, pivots_by_rule
 from repro.matching.plan import MatchPlan, compile_plans
+
+from engines import new_store
 from test_search_core import (
     EDGE_LABELS,
     NODE_LABELS,
@@ -44,7 +46,8 @@ from test_search_core import (
     rule_sets,
 )
 
-STORES = ("indexed", "dict", "persistent")
+#: the mutable engine and the ``dict`` oracle (``tests/engines.py``)
+STORES = ("indexed", "dict")
 
 # ----------------------------------------------------------------- strategies
 
@@ -149,7 +152,9 @@ def test_incdect_maintains_the_reference_through_edges_that_come_and_go(graph, r
         after_reference = naive_reference.violations(after, rules)
         for store in maintained:
             _, result = finish(
-                iter_inc_dect(graph.with_backend(store), rules, delta, graph_after=after.with_backend(store))
+                iter_inc_dect(
+                    graph.with_backend(new_store(store)), rules, delta, graph_after=after.with_backend(new_store(store))
+                )
             )
             introduced, removed = as_pairs(result.delta.introduced), as_pairs(result.delta.removed)
             # an edge deleted and re-inserted may report a violation on both sides; nothing else may
@@ -172,11 +177,11 @@ def test_an_edge_inserted_and_deleted_in_one_update_is_no_match():
     graph.add_edge(1, 0, "p")
     for store in STORES:
         churn = BatchUpdate().insert(0, 1, "p").delete(0, 1, "p")
-        result = finish(iter_inc_dect(graph.with_backend(store), edge_rule(), churn))[1]
+        result = finish(iter_inc_dect(graph.with_backend(new_store(store)), edge_rule(), churn))[1]
         assert result.delta.total_changes() == 0, store
         # deleted and re-inserted: on both sides, so Vio ⊕ ΔVio keeps it
         again = BatchUpdate().delete(1, 0, "p").insert(1, 0, "p")
-        result = finish(iter_inc_dect(graph.with_backend(store), edge_rule(), again))[1]
+        result = finish(iter_inc_dect(graph.with_backend(new_store(store)), edge_rule(), again))[1]
         assert as_pairs(result.delta.removed) == as_pairs(result.delta.introduced) == {("edge", (1, 0))}
 
 
