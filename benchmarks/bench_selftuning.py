@@ -1,24 +1,16 @@
-"""Self-tuning execution: adaptive replanning + warm worker pools (no figure analogue).
+"""Warm worker pools against cold ones (no figure analogue).
 
-Two claims of the self-tuning executor are measured by one driver
-(:func:`repro.experiments.run_selftuning`):
+Repeating one detection request through the service path
+(``execution="processes"`` jobs run on pool threads, so workers are spawned,
+the expensive regime), a shared :class:`~repro.detect.parallel.WarmExecutorPool`
+must make the steady-state per-job latency at least
+``REPRO_SELFTUNING_WARM_BOUND`` (default 2.0x) better than paying worker
+start-up + runtime loading per job, with identical violation records
+(:func:`repro.experiments.run_selftuning`).
 
-* **adaptive replanning** — on a correlated-hub workload whose statistics
-  mislead the static planner (a wide, premise-dead expansion step ordered
-  after a narrow, live one), the observe/replan loop must cut
-  ``total_operations()`` by at least ``REPRO_SELFTUNING_OPS_BOUND``
-  (default 1.2x) while producing a byte-identical violation set;
-* **warm worker pools** — repeating one detection request through the
-  service path (``execution="processes"`` jobs run on pool threads, so
-  workers are spawned, the expensive regime), a shared
-  :class:`~repro.detect.parallel.WarmExecutorPool` must make the steady-
-  state per-job latency at least ``REPRO_SELFTUNING_WARM_BOUND`` (default
-  2.0x) better than paying worker start-up + runtime loading per job,
-  with identical violation records.
-
-The adaptive and parity assertions are unconditional (deterministic);
-the wall-clock warm bound is only enforced when the machine has at least
-two CPUs.  ``REPRO_WRITE_BENCH_BASELINE=path`` persists the report JSON —
+The parity assertions are unconditional; the wall-clock warm bound is only
+enforced when the machine has at least two CPUs.
+``REPRO_WRITE_BENCH_BASELINE=path`` persists the report JSON —
 ``benchmarks/BENCH_selftuning.json`` keeps the committed baseline read by
 ``generate_experiments_report.py``.
 """
@@ -33,10 +25,6 @@ import pytest
 from repro.experiments import run_selftuning
 
 
-def _ops_bound() -> float:
-    return float(os.environ.get("REPRO_SELFTUNING_OPS_BOUND", "1.2"))
-
-
 def _warm_bound() -> float:
     return float(os.environ.get("REPRO_SELFTUNING_WARM_BOUND", "2.0"))
 
@@ -49,18 +37,9 @@ def _available_cpus() -> int:
 
 
 @pytest.mark.benchmark(group="selftuning")
-def test_selftuning_adaptive_and_warm_pool(benchmark):
+def test_warm_pool(benchmark):
     report = benchmark.pedantic(run_selftuning, rounds=1, iterations=1)
     print(json.dumps(report, indent=2, sort_keys=True))
-
-    adaptive = report["adaptive"]
-    assert adaptive["byte_identical_violations"] is True
-    assert adaptive["workload"]["violations"] > 0
-    ratio = adaptive["operations_ratio"]
-    assert ratio >= _ops_bound(), (
-        f"adaptive replanning saved only {ratio:.2f}x operations "
-        f"(bound {_ops_bound()}x)"
-    )
 
     warm = report["warm_pool"]
     assert warm["identical_violation_records"] is True
@@ -71,7 +50,7 @@ def test_selftuning_adaptive_and_warm_pool(benchmark):
             f"warm pool reached only {speedup:.2f}x over cold jobs "
             f"(bound {_warm_bound()}x)"
         )
-        print(f"warm pool {speedup:.2f}x, adaptive {ratio:.2f}x fewer operations")
+        print(f"warm pool {speedup:.2f}x")
     else:  # pragma: no cover - single-core runner
         print(
             f"NOTE: single CPU — warm wall-clock bound skipped "

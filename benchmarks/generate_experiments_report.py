@@ -241,42 +241,31 @@ def generate(output_path: Path) -> None:
             "pytest benchmarks/bench_parallel_speedup.py --benchmark-disable`)*\n"
         )
 
-    # ------------------------------------------------------ self-tuning execution
-    sections.append("\n## Self-tuning execution — adaptive replanning + warm pools (no paper analogue)\n")
+    # ------------------------------------------------------------ warm worker pools
+    sections.append("\n## Warm worker pools (no paper analogue)\n")
     sections.append(
-        "The executors observe per-step candidate cardinalities while matching and "
-        "replan a rule's remaining variable order when observations drift from the "
-        "compiled estimates (`docs/ARCHITECTURE.md`, \"Self-tuning execution\"); "
-        "observed cardinalities persist as history documents and feed the next "
-        "compile as priors.  Independently, a `WarmExecutorPool` keeps worker "
-        "processes and their loaded runtime alive across `execution=\"processes\"` "
-        "runs, keyed by (graph snapshot, rules digest) and invalidated on registry "
-        "version bumps.  `benchmarks/bench_selftuning.py` asserts identical "
-        "violation sets for adaptive-on/off and warm/cold, ≥ 1.2× fewer work "
-        "units from replanning on the correlated-hub workload, and a ≥ 2× "
-        "steady-state per-job win from the warm pool on the service path.  The "
-        "committed baseline (`benchmarks/BENCH_selftuning.json`):\n"
+        "A `WarmExecutorPool` keeps worker processes and their loaded runtime "
+        "alive across `execution=\"processes\"` runs, keyed by (graph snapshot, "
+        "rules digest) and invalidated on registry version bumps "
+        "(`docs/ARCHITECTURE.md`, \"Warm worker pools\").  "
+        "`benchmarks/bench_selftuning.py` asserts identical violation records "
+        "for warm and cold jobs and a ≥ 2× steady-state per-job win from the "
+        "warm pool on the service path.  The committed baseline "
+        "(`benchmarks/BENCH_selftuning.json`):\n"
     )
     selftuning_path = Path(__file__).resolve().parent / "BENCH_selftuning.json"
     if selftuning_path.exists():
         import json as _json
 
-        selftuning = _json.loads(selftuning_path.read_text(encoding="utf-8"))
-        adaptive = selftuning["adaptive"]
-        warm = selftuning["warm_pool"]
+        warm = _json.loads(selftuning_path.read_text(encoding="utf-8"))["warm_pool"]
         sections.append(
             "```\n"
-            f"adaptive workload: {adaptive['workload']}\n"
-            f"static ordering:    {adaptive['static_operations']} work units\n"
-            f"adaptive replan:    {adaptive['adaptive_operations']} work units "
-            f"({adaptive['operations_ratio']:.2f}x fewer)\n"
-            f"byte-identical sets: {adaptive['byte_identical_violations']}\n"
-            f"warm-pool workload: {warm['workload']}\n"
-            f"cold jobs:          {warm['cold_seconds_per_job']:.3f}s per job "
+            f"workload:          {warm['workload']}\n"
+            f"cold jobs:         {warm['cold_seconds_per_job']:.3f}s per job "
             f"(fresh workers + runtime every request)\n"
-            f"warm pool:          {warm['warm_seconds_per_job']:.3f}s per job steady-state "
+            f"warm pool:         {warm['warm_seconds_per_job']:.3f}s per job steady-state "
             f"({warm['warm_speedup']:.2f}x; pool {warm['pool']})\n"
-            f"identical records:  {warm['identical_violation_records']}\n"
+            f"identical records: {warm['identical_violation_records']}\n"
             "```\n"
         )
     else:

@@ -223,7 +223,8 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PLANS.json",
         help="load pre-compiled match plans from this file instead of "
-        "compiling (see 'repro-detect explain --save-plans')",
+        "compiling and run them in their stored order (see 'repro-detect "
+        "explain --save-plans')",
     )
     parser.add_argument(
         "--warm-pool",
@@ -231,19 +232,6 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         help="with --execution processes: keep worker processes alive "
         "between runs of this detector (the service reuses one pool "
         "across requests; here the flag mainly exercises the same path)",
-    )
-    parser.add_argument(
-        "--no-adaptive",
-        action="store_true",
-        help="disable adaptive replanning from observed cardinalities "
-        "(default: $REPRO_ADAPTIVE_REPLAN, on)",
-    )
-    parser.add_argument(
-        "--save-history",
-        default=None,
-        metavar="HISTORY.json",
-        help="persist the cardinalities observed during this run; feed "
-        "them back with 'explain --observed' or embed via --save-plans",
     )
     parser.add_argument(
         "--profile",
@@ -307,14 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PLANS.json",
         help="persist the compiled plans to this file (loadable with "
         "run/incremental --plans-file; skips recompilation on restart)",
-    )
-    explain_parser.add_argument(
-        "--observed",
-        default=None,
-        metavar="HISTORY.json",
-        help="fold a persisted cardinality history (run/incremental "
-        "--save-history) into compilation as priors; matching steps are "
-        "marked '(observed prior)' and --save-plans embeds the history",
     )
     explain_parser.set_defaults(handler=_cmd_explain)
 
@@ -452,7 +432,6 @@ def _build_detector(args: argparse.Namespace, engine: str) -> Detector:
         max_violations=args.max_violations,
         max_cost=args.max_cost,
         execution=getattr(args, "execution", "simulated"),
-        adaptive=False if getattr(args, "no_adaptive", False) else None,
         warm_pool=getattr(args, "warm_pool", False),
     )
     return Detector(
@@ -462,17 +441,6 @@ def _build_detector(args: argparse.Namespace, engine: str) -> Detector:
         options=options,
         plans_file=getattr(args, "plans_file", None),
     )
-
-
-def _save_history(detector: Detector, args: argparse.Namespace) -> None:
-    path = getattr(args, "save_history", None)
-    if not path:
-        return
-    if not detector.history:
-        print("no cardinalities observed; history not written", file=sys.stderr)
-        return
-    detector.save_history(path)
-    print(f"saved observed cardinalities -> {path}", file=sys.stderr)
 
 
 def _print_profile(
@@ -539,7 +507,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     load_s = time.perf_counter() - load_started
     with _build_detector(args, engine=args.engine) as detector:
         result = detector.run(graph)
-        _save_history(detector, args)
     print(format_result(result, args.output_format))
     if args.profile:
         _print_profile(result, load_s)
@@ -556,7 +523,6 @@ def _cmd_incremental(args: argparse.Namespace) -> int:
     load_s = time.perf_counter() - load_started
     with _build_detector(args, engine="auto") as detector:
         result = detector.run_incremental(graph, delta)
-        _save_history(detector, args)
     print(format_result(result, args.output_format))
     if args.profile:
         _print_profile(result, load_s)
@@ -568,15 +534,13 @@ def _cmd_incremental(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Compile and print the match plan of every rule (cost-based order,
     per-variable strategy + estimated cardinality, literal schedule)."""
-    from repro.matching.adaptive import CardinalityHistory
     from repro.matching.plan import compile_plans, format_plan, save_plans
 
     graph = load_graph(args.graph, store=args.store)
     rule_set = _load_rules(args)
-    history = CardinalityHistory.load(args.observed) if args.observed else None
-    plans = compile_plans(graph, rule_set, history=history)
+    plans = compile_plans(graph, rule_set)
     if args.save_plans:
-        save_plans(plans, args.save_plans, history=history)
+        save_plans(plans, args.save_plans)
         print(f"saved {len(plans)} compiled plan(s) -> {args.save_plans}", file=sys.stderr)
     if args.output_format == "json":
         document = {

@@ -9,9 +9,9 @@ cost measures are carried side by side:
   scan plus one unit per candidate verified (Dect also charges its seed
   scans, IncDect one unit per consistent update pivot), plus simulated
   communication and ``N_C(ΔG, Σ)`` replication charges for the parallel
-  algorithms.  IncDect's cost leaves out ``|G_dΣ(ΔG)|`` unless
-  ``restrict_to_neighborhood`` extracted that region; the paper's cost model
-  charges it, so the experiment series add ``neighborhood_size`` back.
+  algorithms.  IncDect's cost leaves out ``|G_dΣ(ΔG)|``, which it never
+  extracts; the paper's cost model charges it, so the experiment series add
+  ``neighborhood_size`` back.
 
 The paper's figures plot running time on a 20-machine Java cluster; this
 reproduction plots ``cost`` (and, for the parallel algorithms, the simulated
@@ -77,8 +77,8 @@ class IncrementalDetectionResult:
     """Outcome of an incremental detection run (IncDect / PIncDect).
 
     ``neighborhood_size`` is ``|G_dΣ(ΔG)|``, the size of the region the
-    localizability bound of Section 6.2 is stated in.  The kernels that
-    extract that region set it; default IncDect, whose search never needs the
+    localizability bound of Section 6.2 is stated in.  PIncDect, which
+    replicates that region, sets it; IncDect, whose search never needs the
     region, leaves it to :meth:`measure_neighborhood_on_read`, so the BFS
     runs only for a caller that reads it.
     """

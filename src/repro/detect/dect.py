@@ -35,7 +35,6 @@ from repro.detect.observers import DetectionBudget, ViolationSink
 from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
-from repro.matching.adaptive import resolve_adaptive
 from repro.matching.plan import MatchPlan, first_step_candidates, resolve_plans
 
 __all__ = ["dect", "iter_dect"]
@@ -48,7 +47,6 @@ def iter_dect(
     budget: Optional[DetectionBudget] = None,
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
-    adaptive=None,
 ) -> Iterator[Violation]:
     """Run batch detection, yielding each violation as it is confirmed.
 
@@ -58,22 +56,18 @@ def iter_dect(
     performs strictly less work than a full one; ``sink`` (if given) is
     notified of every violation right before it is yielded.  ``plans``
     carries pre-compiled :class:`~repro.matching.plan.MatchPlan`\\ s (one per
-    rule, the session's cache); when omitted they are compiled here.
-    ``adaptive`` follows :func:`~repro.matching.adaptive.resolve_adaptive`
-    conventions (None = environment default, bool = force, sequence = the
-    caller's controllers).
+    rule, the session's cache); when omitted they are compiled here.  Every
+    rule's search follows its plan's root order as compiled.
     """
     rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
     rule_list = list(rule_set)
     plans = resolve_plans(graph, rule_list, plans)
-    controllers = resolve_adaptive(plans, adaptive)
     started = time.perf_counter()
     violations = ViolationSet()
     run = SerialRun("Dect", budget, sink)
 
     for rule_index, rule in enumerate(rule_list):
         plan = plans[rule_index]
-        controller = controllers[rule_index] if controllers is not None else None
         order = plan.order
         if not order:
             continue
@@ -86,7 +80,7 @@ def iter_dect(
                 # rank order
                 if len(order) > 1:
                     candidates.reverse()
-                search = rule_search(rule, plan, use_literal_pruning, run.stats, controller)
+                search = rule_search(rule, plan, use_literal_pruning, run.stats)
                 yield from run.drain(
                     search, ((graph, order, (candidate,), violations, True) for candidate in candidates)
                 )

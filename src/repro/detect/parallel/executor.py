@@ -76,7 +76,6 @@ from repro.detect.parallel.balancing import BalancingPolicy, plan_rebalancing, s
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
 from repro.errors import ExecutionError, WorkerPoolCollapse
 from repro.graph.sharded import ShardedStore
-from repro.matching.adaptive import resolve_adaptive
 from repro.matching.candidates import MatchStatistics
 from repro.matching.plan import MatchPlan, plans_from_document, plans_to_document
 from repro.testing.faults import resolve_fault_plan
@@ -244,10 +243,6 @@ class ExecutionRuntime:
     use_literal_pruning: bool
     shards: ShardedStore
     before_shards: Optional[ShardedStore] = None
-    #: Adaptive replanning switch for the workers (True/False force, None =
-    #: environment default).  Controllers themselves never cross the process
-    #: boundary: every worker builds its own from the shipped plans.
-    adaptive: Optional[bool] = None
 
     def graph_for(self, shard_id: int, from_insertion: bool):
         """Return the read-only image a work unit expands against."""
@@ -256,9 +251,8 @@ class ExecutionRuntime:
 
     def payload(self, spool_dir: str) -> dict:
         """Return the picklable ``spawn`` form (spools images if needed)."""
-        rule_set = RuleSet(self.rules)
-        document = {
-            "rules_json": rule_set.to_json(),
+        return {
+            "rules_json": RuleSet(self.rules).to_json(),
             "plans": plans_to_document(self.plans),
             "use_literal_pruning": self.use_literal_pruning,
             "shards_manifest": self.shards.spool(os.path.join(spool_dir, "after")),
@@ -267,9 +261,7 @@ class ExecutionRuntime:
                 if self.before_shards is not None
                 else None
             ),
-            "adaptive": self.adaptive,
         }
-        return document
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExecutionRuntime":
@@ -287,15 +279,7 @@ class ExecutionRuntime:
             use_literal_pruning=payload["use_literal_pruning"],
             shards=ShardedStore.load(payload["shards_manifest"]),
             before_shards=before,
-            adaptive=payload.get("adaptive"),
         )
-
-
-def _worker_controllers(runtime: Optional[ExecutionRuntime]):
-    """Build this worker's adaptive controllers for ``runtime`` (or None)."""
-    if runtime is None:
-        return None
-    return resolve_adaptive(runtime.plans, runtime.adaptive)
 
 
 def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_event) -> None:
@@ -351,7 +335,6 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
             runtime = runtime_or_payload
         else:
             runtime = ExecutionRuntime.from_payload(runtime_or_payload)
-        controllers = _worker_controllers(runtime)
         stack: list[tuple[int, WorkUnit]] = []
         stats = MatchStatistics()
         cost_since = 0.0
@@ -427,7 +410,6 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
                                 results.put(("shed_units", worker_id, epoch, []))
                         elif kind == "runtime":
                             runtime = ExecutionRuntime.from_payload(message[1])
-                            controllers = _worker_controllers(runtime)
                             stack.clear()
                         elif kind == "sync":
                             if obs_on:
@@ -448,9 +430,6 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
                             total_cost = 0.0
                             batches_seen = 0
                             idle_announced = False
-                            # fresh controllers per run: observations from one
-                            # request must not replan another's tiny workload
-                            controllers = _worker_controllers(runtime)
                         if stack:
                             break
                 except queue_module.Empty:
@@ -483,7 +462,6 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
                 use_literal_pruning=runtime.use_literal_pruning,
                 stats=stats,
                 plan=runtime.plans[unit.rule_index],
-                adaptive=controllers[unit.rule_index] if controllers is not None else None,
             )
             attribution.after(rule.name, unit_before, stats)
             stack.extend((shard_id, new_unit) for new_unit in outcome.new_units)

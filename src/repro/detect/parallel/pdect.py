@@ -61,7 +61,6 @@ def iter_p_dect(
     plans: Optional[Sequence[MatchPlan]] = None,
     execution: str = "simulated",
     start_method: Optional[str] = None,
-    adaptive=None,
     warm_pool=None,
     runtime_key=None,
 ) -> Iterator[Violation]:
@@ -91,15 +90,14 @@ def iter_p_dect(
     if execution == "processes":
         return _iter_p_dect_processes(
             graph, rule_set, rule_list, plans, processors, policy,
-            use_literal_pruning, budget, sink, start_method, adaptive,
-            warm_pool, runtime_key,
+            use_literal_pruning, budget, sink, start_method, warm_pool, runtime_key,
         )
     if execution != "simulated":
         raise ExecutionError(
             f"unknown execution mode {execution!r}; expected 'simulated' or 'processes'"
         )
     return _iter_p_dect_simulated(
-        graph, rule_list, plans, processors, policy, use_literal_pruning, budget, sink, adaptive
+        graph, rule_list, plans, processors, policy, use_literal_pruning, budget, sink
     )
 
 
@@ -112,12 +110,8 @@ def _iter_p_dect_simulated(
     use_literal_pruning: bool,
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
-    adaptive=None,
 ) -> Iterator[Violation]:
     """The original deterministic kernel: one process, simulated clocks."""
-    from repro.matching.adaptive import resolve_adaptive
-
-    controllers = resolve_adaptive(plans, adaptive)
     stats = MatchStatistics()
     started = time.perf_counter()
 
@@ -217,7 +211,6 @@ def _iter_p_dect_simulated(
             use_literal_pruning=use_literal_pruning,
             stats=stats,
             plan=plan,
-            adaptive=controllers[unit.rule_index] if controllers is not None else None,
         )
         attribution.after(rule.name, unit_before, stats)
 
@@ -282,7 +275,6 @@ def _iter_p_dect_processes(
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
     start_method: Optional[str],
-    adaptive=None,
     warm_pool=None,
     runtime_key=None,
 ) -> Iterator[Violation]:
@@ -347,62 +339,48 @@ def _iter_p_dect_processes(
             plans=plans,
             use_literal_pruning=use_literal_pruning,
             shards=shards if shards is not None else ShardedStore.single(graph),
-            # controllers cannot cross process boundaries: workers build their own
-            adaptive=adaptive if isinstance(adaptive, (bool, type(None))) else True,
         )
 
+    # one depth-0 unit per rule: its step is the first-step scan
+    roots = [
+        (rule_index, WorkUnit(rule_index=rule_index, order=plan.order, assignment=(), from_insertion=True))
+        for rule_index, plan in enumerate(plans)
+        if plan.order
+    ]
     seeds: list[tuple[int, int, WorkUnit]] = []
     estimated_loads = [0.0] * processors
     if not sharded:
-        # shared full image: ship one depth-0 unit per rule — the worker
-        # performs the first-step scan itself (seeding parallelises across
-        # rules and only |Σ| units cross the queue, not one per candidate);
-        # skew between rule subtrees is the rebalancer's job
-        for rule_index, plan in enumerate(plans):
-            order = plan.order
-            if not order:
-                continue
-            unit = WorkUnit(rule_index=rule_index, order=order, assignment=(), from_insertion=True)
-            rule_estimate = plan.estimated_unit_cost(0)
+        # shared full image: ship the root units — the worker performs the
+        # first-step scan itself (seeding parallelises across rules and only
+        # |Σ| units cross the queue, not one per candidate); skew between
+        # rule subtrees is the rebalancer's job
+        for rule_index, unit in roots:
             owner = min(range(processors), key=lambda i: (estimated_loads[i], i))
-            estimated_loads[owner] += rule_estimate
+            estimated_loads[owner] += plans[rule_index].estimated_unit_cost(0)
             seeds.append((owner, 0, unit))
     else:
-        for rule_index, rule in enumerate(rule_list):
-            plan = plans[rule_index]
-            order = plan.order
-            if not order:
-                continue
-            first = order[0]
+        # the parent expands each root against the full graph, billed as a
+        # worker bills it, so that a run's counts do not depend on whether
+        # the start method sharded it; a single-node pattern completes here
+        for rule_index, unit in roots:
+            rule = rule_list[rule_index]
             rule_before = attribution.before(stats)
-            candidates, scan_cost = first_step_candidates(graph, rule, plan, order, use_literal_pruning, stats)
-            base_cost += scan_cost
-            for candidate in candidates:
-                unit = WorkUnit(
-                    rule_index=rule_index,
-                    order=order,
-                    assignment=((first, candidate),),
-                    from_insertion=True,
-                )
-                if len(order) == 1:
-                    # single-node pattern: decided in the parent, like the simulator
-                    base_cost += 1.0
-                    outcome = expand_work_unit(graph, rule, unit, use_literal_pruning, stats, plan)
-                    for violation in outcome.violations:
-                        if violation not in violations:
-                            violations.add(violation)
-                            emitted += 1
-                            attribution.violation(rule.name)
-                            notify_violation(sink, violation)
-                            yield violation
-                    if budget is not None and budget.violations_exhausted(emitted):
-                        stop_reason = "max_violations"
-                        break
-                else:
-                    # shard affinity: the unit expands against the image owning
-                    # its seed node; stealing re-routes the unit, not the data
-                    shard_id = shards.owner(candidate)
-                    seeds.append((shard_id % processors, shard_id, unit))
+            outcome = expand_work_unit(graph, rule, unit, use_literal_pruning, stats, plans[rule_index])
+            base_cost += max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
+            for violation in outcome.violations:
+                violations.add(violation)
+                emitted += 1
+                attribution.violation(rule.name)
+                notify_violation(sink, violation)
+                yield violation
+                if budget is not None and budget.violations_exhausted(emitted):
+                    stop_reason = "max_violations"
+                    break
+            for child in outcome.new_units:
+                # shard affinity: the unit expands against the image owning
+                # its seed node; stealing re-routes the unit, not the data
+                shard_id = shards.owner(child.assignment[0][1])
+                seeds.append((shard_id % processors, shard_id, child))
             attribution.after(rule.name, rule_before, stats)
             if stop_reason is not None:
                 break

@@ -84,7 +84,6 @@ def iter_pinc_dect(
     plans: Optional[Sequence[MatchPlan]] = None,
     execution: str = "simulated",
     start_method: Optional[str] = None,
-    adaptive=None,
     warm_pool=None,
 ) -> Iterator[ViolationEvent]:
     """Run parallel incremental detection, yielding ΔVio events as they complete.
@@ -107,7 +106,7 @@ def iter_pinc_dect(
     if execution == "processes":
         return _iter_pinc_dect_processes(
             graph, updated, rule_set, rule_list, plans, delta, processors, policy,
-            use_literal_pruning, budget, sink, start_method, adaptive, warm_pool,
+            use_literal_pruning, budget, sink, start_method, warm_pool,
         )
     if execution != "simulated":
         raise ExecutionError(
@@ -115,7 +114,7 @@ def iter_pinc_dect(
         )
     return _iter_pinc_dect_simulated(
         graph, updated, rule_set, rule_list, plans, delta, processors, policy,
-        use_literal_pruning, budget, sink, adaptive,
+        use_literal_pruning, budget, sink,
     )
 
 
@@ -153,12 +152,8 @@ def _iter_pinc_dect_simulated(
     use_literal_pruning: bool,
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
-    adaptive=None,
 ) -> Iterator[ViolationEvent]:
     """The original deterministic kernel: one process, simulated clocks."""
-    from repro.matching.adaptive import resolve_adaptive
-
-    controllers = resolve_adaptive(plans, adaptive)
     stats = MatchStatistics()
     started = time.perf_counter()
     cluster = ClusterSimulator(processors, policy.latency)
@@ -236,7 +231,6 @@ def _iter_pinc_dect_simulated(
             use_literal_pruning=use_literal_pruning,
             stats=stats,
             plan=plan,
-            adaptive=controllers[unit.rule_index] if controllers is not None else None,
         )
         attribution.after(rule.name, unit_before, stats)
 
@@ -308,7 +302,6 @@ def _iter_pinc_dect_processes(
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
     start_method: Optional[str],
-    adaptive=None,
     warm_pool=None,
 ) -> Iterator[ViolationEvent]:
     """Real multi-process incremental detection over the replicated N_C(ΔG, Σ).
@@ -358,8 +351,6 @@ def _iter_pinc_dect_processes(
             use_literal_pruning=use_literal_pruning,
             shards=ShardedStore.single(after_image),
             before_shards=ShardedStore.single(before_image),
-            # controllers cannot cross process boundaries: workers build their own
-            adaptive=adaptive if isinstance(adaptive, (bool, type(None))) else True,
         )
 
     seeds: list[tuple[int, int, WorkUnit]] = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.ngd import NGD
 from repro.core.violations import Violation
@@ -32,7 +32,6 @@ from repro.matching.candidates import MatchStatistics
 from repro.matching.search import RuleSearch
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.matching.adaptive import AdaptiveController
     from repro.matching.plan import MatchPlan
 
 __all__ = [
@@ -67,13 +66,7 @@ class ExpansionOutcome:
     verification_adjacency: int
 
 
-def rule_search(
-    rule: NGD,
-    plan: "MatchPlan",
-    use_literal_pruning: bool,
-    stats: MatchStatistics,
-    adaptive: Optional["AdaptiveController"] = None,
-) -> RuleSearch:
+def rule_search(rule: NGD, plan: "MatchPlan", use_literal_pruning: bool, stats: MatchStatistics) -> RuleSearch:
     """Return the search core for the violations of ``rule``, run over ``plan``.
 
     The kernels take rules and plans from separate arguments (``plans=`` is
@@ -83,7 +76,7 @@ def rule_search(
     """
     if plan.rule is not rule:
         raise ExecutionError(f"the plan of rule {plan.rule.name!r} cannot run rule {rule.name!r}")
-    return RuleSearch(plan, use_literal_pruning, stats, adaptive)
+    return RuleSearch(plan, use_literal_pruning, stats)
 
 
 def expand_work_unit(
@@ -93,18 +86,15 @@ def expand_work_unit(
     use_literal_pruning: bool,
     stats: MatchStatistics,
     plan: "MatchPlan",
-    adaptive: Optional["AdaptiveController"] = None,
 ) -> ExpansionOutcome:
     """Expand ``unit`` by matching its next pattern variable.
 
     One :meth:`~repro.matching.search.RuleSearch.step` of the search core
     the serial kernels drain: the unit's assignment is loaded as a seed, the
-    step runs (an optional adaptive controller observes its candidate count
-    and may re-order the unit's unbound suffix first), and the frames it
-    pushed are serialised back into work units.  A unit that already binds
-    every variable gets only the dependency check.
+    step runs, and the frames it pushed are serialised back into work units.
+    A unit that already binds every variable gets only the dependency check.
     """
-    search = rule_search(rule, plan, use_literal_pruning, stats, adaptive)
+    search = rule_search(rule, plan, use_literal_pruning, stats)
     search.start(graph, unit.order, [node for _, node in unit.assignment])
     violations = search.step()
     new_units = [

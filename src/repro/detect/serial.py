@@ -24,17 +24,11 @@ __all__ = ["SerialRun"]
 class SerialRun:
     """What one serial kernel run has spent and emitted, and the loop that advances it."""
 
-    def __init__(
-        self,
-        algorithm: str,
-        budget: Optional[DetectionBudget],
-        sink: Optional[ViolationSink],
-        cost: float = 0.0,
-    ) -> None:
+    def __init__(self, algorithm: str, budget: Optional[DetectionBudget], sink: Optional[ViolationSink]) -> None:
         self.algorithm = algorithm
         self.budget = budget
         self.sink = sink
-        self.cost = cost
+        self.cost = 0.0
         self.stats = MatchStatistics()
         self.emitted = 0
         self.stop_reason: Optional[str] = None

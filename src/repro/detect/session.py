@@ -47,9 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import logging
-import os
 import time
 import weakref
 from collections.abc import Iterable, Iterator, Sequence
@@ -76,7 +74,6 @@ from repro.errors import SessionError
 from repro.graph.graph import Graph
 from repro.graph.store import STORE_REGISTRY
 from repro.graph.updates import BatchUpdate, apply_update
-from repro.matching.adaptive import CardinalityHistory, history_from_document, resolve_adaptive
 from repro.matching.plan import MatchPlan, compile_plans, load_plans
 
 if TYPE_CHECKING:  # pragma: no cover - the executor is imported when a process run asks for it
@@ -111,20 +108,10 @@ ENGINES = ("auto", "batch", "incremental", "parallel")
 
 #: Runs whose observed cost exceeds the planner's estimate by this factor
 #: are logged to ``repro.detect.slowplan`` and counted in
-#: ``repro_slow_plans_total`` (override with ``REPRO_SLOW_PLAN_RATIO``).
+#: ``repro_slow_plans_total``.
 DEFAULT_SLOW_PLAN_RATIO = 25.0
 
 _slow_plan_logger = logging.getLogger("repro.detect.slowplan")
-
-
-def _slow_plan_ratio() -> float:
-    raw = os.environ.get("REPRO_SLOW_PLAN_RATIO")
-    if not raw:
-        return DEFAULT_SLOW_PLAN_RATIO
-    try:
-        return float(raw)
-    except ValueError:
-        return DEFAULT_SLOW_PLAN_RATIO
 
 
 @dataclass(frozen=True)
@@ -133,8 +120,6 @@ class DetectionOptions:
 
     * ``use_literal_pruning`` — discard partial solutions that can no longer
       violate the dependency (Section 6.2's literal-driven pruning);
-    * ``restrict_to_neighborhood`` — have IncDect materialise ``G_dΣ(ΔG)``
-      up front to demonstrate locality explicitly;
     * ``policy`` — the :class:`BalancingPolicy` of the simulated cluster
       (parallel engines only; default: hybrid splitting + rebalancing);
     * ``max_violations`` / ``max_cost`` — early-termination budget, enforced
@@ -151,9 +136,6 @@ class DetectionOptions:
     * ``start_method`` — multiprocessing start method for
       ``execution="processes"`` (``None``: fork where available, the
       ``REPRO_EXECUTION_START_METHOD`` environment variable overrides);
-    * ``adaptive`` — adaptive replanning from observed cardinalities
-      (:mod:`repro.matching.adaptive`).  ``None`` (the default) defers to
-      the ``REPRO_ADAPTIVE_REPLAN`` environment switch;
     * ``warm_pool`` — for ``execution="processes"``, keep the worker
       processes (and their loaded graph images) alive across this
       session's runs in a
@@ -163,17 +145,16 @@ class DetectionOptions:
 
     Every engine runs compiled :class:`~repro.matching.plan.MatchPlan`\\ s
     (cost-based variable orders, closure-compiled literal schedules) on the
-    one search core.
+    one search core, each in the order it was compiled with: one plan per
+    run, which IncDect runs in ``G`` and ``G ⊕ ΔG`` themselves.
     """
 
     use_literal_pruning: bool = True
-    restrict_to_neighborhood: bool = False
     policy: Optional[BalancingPolicy] = None
     max_violations: Optional[int] = None
     max_cost: Optional[float] = None
     execution: str = "simulated"
     start_method: Optional[str] = None
-    adaptive: Optional[bool] = None
     warm_pool: bool = False
 
     def budget(self) -> Optional[DetectionBudget]:
@@ -249,10 +230,6 @@ class Detector:
         self.plan_size = 0
         #: How many times this session has compiled its plans.
         self.plan_compilations = 0
-        # observed cardinalities harvested from this session's adaptive
-        # controllers; folded into later compile_plans calls as priors and
-        # persistable next to the plan document (save_plans(history=...))
-        self.history = CardinalityHistory()
         # warm executor pool: injected (shared, e.g. the service's) or owned
         # (options.warm_pool); only the owned one is stopped by close()
         self._executor_pool = executor_pool
@@ -292,20 +269,13 @@ class Detector:
         if self.plans_file is not None:
             if self._file_plans is None:
                 self._file_plans = load_plans(self.plans_file, self.rules)
-                # a plan document may embed the cardinality history of the
-                # runs that produced it; adopt it so this session's own
-                # observations fold on top
-                with open(self.plans_file, "r", encoding="utf-8") as handle:
-                    embedded = history_from_document(json.load(handle))
-                if embedded is not None:
-                    self.history = embedded
             return self._file_plans
         size = graph.total_size()
         drift = abs(size - self.plan_size)
         if self._plans is not None and drift <= PLAN_DRIFT_TOLERANCE * max(self.plan_size, 1):
             return self._plans
         with obs.span("detect.compile_plans", store=graph.store_backend) as plan_span:
-            plans = compile_plans(graph, self.rules, history=self.history if self.history else None)
+            plans = compile_plans(graph, self.rules)
             plan_span.set(plans=len(plans))
         self._plans, self.plan_size = plans, size
         self.plan_compilations += 1
@@ -314,10 +284,6 @@ class Detector:
     def clear_plan_cache(self) -> None:
         """Drop the kept plans (the next run recompiles)."""
         self._plans = None
-
-    def save_history(self, path: str) -> None:
-        """Persist the session's observed-cardinality history as JSON."""
-        self.history.save(path)
 
     # ------------------------------------------------------------ warm pooling
 
@@ -365,7 +331,6 @@ class Detector:
             graph.edge_count(),
             self._rules_digest,
             self.options.use_literal_pruning,
-            self.options.adaptive,
         )
 
     # ------------------------------------------------------------- resolution
@@ -532,8 +497,7 @@ class Detector:
         if isinstance(estimate, (int, float)) and estimate > 0:
             ratio = result.cost / estimate
             root.set(cost_ratio=round(ratio, 3))
-            threshold = _slow_plan_ratio()
-            if ratio >= threshold:
+            if ratio >= DEFAULT_SLOW_PLAN_RATIO:
                 obs.counter_inc("repro_slow_plans_total", {"algorithm": result.algorithm})
                 _slow_plan_logger.warning(
                     "slow plan: %s run cost %.1f is %.1fx the planner estimate %.1f "
@@ -542,7 +506,7 @@ class Detector:
                     result.cost,
                     ratio,
                     estimate,
-                    threshold,
+                    DEFAULT_SLOW_PLAN_RATIO,
                     root.trace_id,
                 )
 
@@ -565,29 +529,6 @@ class Detector:
                 memo = self._plan_estimate = (plans, estimate)
             root.set(plan_estimate=memo[1])
 
-    def _adaptive_argument(self, plans, processes: bool):
-        """Resolve what the kernels receive as ``adaptive``.
-
-        In-process kernels get session-built controllers (so the session
-        can harvest their observations into ``history`` afterwards); the
-        processes backend only gets the bool/None switch — controllers
-        cannot cross the process boundary, workers build their own.
-        """
-        if processes:
-            return self.options.adaptive
-        if not plans:
-            return self.options.adaptive
-        resolved = resolve_adaptive(plans, self.options.adaptive)
-        if resolved is None:
-            return False
-        return resolved
-
-    def _harvesting(self, events, controllers):
-        """Run ``events`` to completion, then fold controller observations."""
-        result = yield from events
-        self.history.fold_controllers(controllers)
-        return result
-
     def _batch_events(
         self, graph: Graph, plans: Optional[Sequence[MatchPlan]] = None
     ) -> Iterator[Violation]:
@@ -602,40 +543,33 @@ class Detector:
         budget = self.options.budget()
         notify_start(sink, self)
         self._annotate_root(mode, graph, plans)
-        processes = mode == "parallel" and self.options.execution == "processes"
-        adaptive = self._adaptive_argument(plans, processes)
         if mode == "batch":
-            events = iter_dect(
+            return iter_dect(
                 graph,
                 self.rules,
                 use_literal_pruning=self.options.use_literal_pruning,
                 budget=budget,
                 sink=sink,
                 plans=plans,
-                adaptive=adaptive,
             )
-        else:
-            from repro.detect.parallel.pdect import iter_p_dect
+        from repro.detect.parallel.pdect import iter_p_dect
 
-            pool = self.executor_pool() if processes else None
-            events = iter_p_dect(
-                graph,
-                self.rules,
-                processors=self._effective_processors(),
-                policy=self.options.policy,
-                use_literal_pruning=self.options.use_literal_pruning,
-                budget=budget,
-                sink=sink,
-                plans=plans,
-                execution=self.options.execution,
-                start_method=self.options.start_method,
-                adaptive=adaptive,
-                warm_pool=pool,
-                runtime_key=self._runtime_key(graph, caller_plans) if pool is not None else None,
-            )
-        if isinstance(adaptive, tuple):
-            return self._harvesting(events, adaptive)
-        return events
+        processes = self.options.execution == "processes"
+        pool = self.executor_pool() if processes else None
+        return iter_p_dect(
+            graph,
+            self.rules,
+            processors=self._effective_processors(),
+            policy=self.options.policy,
+            use_literal_pruning=self.options.use_literal_pruning,
+            budget=budget,
+            sink=sink,
+            plans=plans,
+            execution=self.options.execution,
+            start_method=self.options.start_method,
+            warm_pool=pool,
+            runtime_key=self._runtime_key(graph, caller_plans) if pool is not None else None,
+        )
 
     def _incremental_events(
         self,
@@ -659,28 +593,22 @@ class Detector:
         budget = self.options.budget()
         notify_start(sink, self)
         self._annotate_root(mode, graph, plans)
-        processes = mode == "parallel" and self.options.execution == "processes"
-        adaptive = self._adaptive_argument(plans, processes)
         if mode == "incremental":
-            events = iter_inc_dect(
+            return iter_inc_dect(
                 graph,
                 self.rules,
                 delta,
                 use_literal_pruning=self.options.use_literal_pruning,
-                restrict_to_neighborhood=self.options.restrict_to_neighborhood,
                 graph_after=graph_after,
                 budget=budget,
                 sink=sink,
                 plans=plans,
-                adaptive=adaptive,
             )
-            if isinstance(adaptive, tuple):
-                return self._harvesting(events, adaptive)
-            return events
         if mode == "parallel":
             from repro.detect.parallel.pincdect import iter_pinc_dect
 
-            events = iter_pinc_dect(
+            processes = self.options.execution == "processes"
+            return iter_pinc_dect(
                 graph,
                 self.rules,
                 delta,
@@ -693,12 +621,8 @@ class Detector:
                 plans=plans,
                 execution=self.options.execution,
                 start_method=self.options.start_method,
-                adaptive=adaptive,
                 warm_pool=self.executor_pool() if processes else None,
             )
-            if isinstance(adaptive, tuple):
-                return self._harvesting(events, adaptive)
-            return events
         if budget is not None:
             raise SessionError(
                 "engine='batch' incremental detection (BatchDiff) cannot honour "

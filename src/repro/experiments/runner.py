@@ -500,65 +500,19 @@ def run_parallel_speedup(
     return report
 
 
-def _correlated_hub_graph(roots: int, wide: int, narrow: int, survivor_stride: int) -> Graph:
-    """A workload the static planner misjudges: every root fans out to
-    ``wide`` ``b``-nodes (edge ``e2``) of which only one in
-    ``survivor_stride`` satisfies the premise literal, and to ``narrow``
-    ``a``-nodes (edge ``e1``) that all survive.  Statistics order the
-    cheap-looking ``a`` step first; the observed cardinalities say the
-    ``b`` step is the near-empty one and should run first."""
-    graph = Graph("kb-selftuning")
-    for index in range(roots):
-        root = f"r{index}"
-        graph.add_node(root, "root", {})
-        for j in range(wide):
-            node = f"b{index}_{j}"
-            survives = (index * wide + j) % survivor_stride == 0
-            graph.add_node(node, "b", {"val": 1 if survives else 0})
-            graph.add_edge(root, node, "e2")
-        for j in range(narrow):
-            node = f"a{index}_{j}"
-            graph.add_node(node, "a", {"val": j})
-            graph.add_edge(root, node, "e1")
-    return graph
-
-
-def _selftuning_rules() -> RuleSet:
-    from repro.core.ngd import NGD
-    from repro.graph.pattern import Pattern
-
-    pattern = Pattern.from_edges(
-        "Qst",
-        nodes=[("x", "root"), ("y", "a"), ("z", "b")],
-        edges=[("x", "y", "e1"), ("x", "z", "e2")],
-    )
-    rule = NGD.from_text(pattern, premise="z.val = 1", conclusion="y.val < 0", name="st1")
-    return RuleSet([rule], name="selftuning-rules")
-
-
 def run_selftuning(
-    roots: int = 120,
-    wide: int = 20,
-    narrow: int = 3,
     jobs: int = 4,
     processors: int = 2,
     entities: int = 600,
 ) -> dict:
-    """Measure both halves of the self-tuning executor.
+    """Measure warm worker pools against cold ones.
 
-    **Adaptive replanning** runs serial Dect twice over a correlated-hub
-    workload whose statistics mislead the static planner (see
-    :func:`_correlated_hub_graph`): once with ``adaptive=False`` (the
-    compiled order executes verbatim) and once with the default observe/
-    replan loop.  Violation sets must be byte-identical; the ratio of
-    ``total_operations()`` is the reported win.
-
-    **Warm worker pools** runs the same detection request ``jobs`` times
-    through the service path (:class:`~repro.service.jobs.SessionManager`
-    with ``execution="processes"``, which runs jobs on pool threads and
-    therefore spawns workers): once with a fresh manager per job (every
-    job pays worker start-up + runtime loading — the cold regime this PR
-    retires) and once through a single shared manager whose
+    Runs the same detection request ``jobs`` times through the service path
+    (:class:`~repro.service.jobs.SessionManager` with
+    ``execution="processes"``, which runs jobs on pool threads and therefore
+    spawns workers): once with a fresh manager per job (every job pays
+    worker start-up + runtime loading, the cold regime) and once through a
+    single shared manager whose
     :class:`~repro.detect.parallel.WarmExecutorPool` keeps the crew alive
     (job 1 misses, jobs 2+ hit).  Violation records must match; per-job
     wall-clock means are reported.
@@ -575,19 +529,6 @@ def run_selftuning(
     from repro.service.protocol import DetectRequest
     from repro.service.registry import GraphRegistry
 
-    # ------------------------------------------------- adaptive replanning
-    graph = _correlated_hub_graph(roots, wide, narrow, survivor_stride=97)
-    rules = _selftuning_rules()
-    static_detector = Detector(rules, engine="batch", options=DetectionOptions(adaptive=False))
-    static_result = static_detector.run(graph)
-    adaptive_detector = Detector(rules, engine="batch", options=DetectionOptions(adaptive=True))
-    adaptive_result = adaptive_detector.run(graph)
-    if static_result.violations.to_json() != adaptive_result.violations.to_json():
-        raise AssertionError("adaptive replanning changed the violation set")
-    static_operations = static_result.stats.total_operations()
-    adaptive_operations = adaptive_result.stats.total_operations()
-
-    # ------------------------------------------------- warm worker pools
     config = KBConfig(
         name="kb-selftuning-service",
         num_entities=entities,
@@ -660,18 +601,6 @@ def run_selftuning(
     except AttributeError:  # pragma: no cover - non-Linux
         cpus = os.cpu_count() or 1
     report = {
-        "adaptive": {
-            "workload": {
-                "roots": roots,
-                "wide_fanout": wide,
-                "narrow_fanout": narrow,
-                "violations": len(static_result.violations),
-            },
-            "static_operations": static_operations,
-            "adaptive_operations": adaptive_operations,
-            "operations_ratio": round(static_operations / max(adaptive_operations, 1), 3),
-            "byte_identical_violations": True,
-        },
         "warm_pool": {
             "workload": {
                 "entities": entities,

@@ -35,7 +35,7 @@ probe one ``edge_checks``, each literal evaluation one
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import obs
@@ -251,12 +251,6 @@ class PlanStep:
     premise_checks: tuple[int, ...]
     check_conclusion: bool
     estimated_candidates: float
-    #: ``(variable, strategy)``: what observed cardinalities are keyed by, built
-    #: once here rather than once per observed step
-    key: tuple[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (self.variable, self.strategy))
 
     def to_dict(self) -> dict:
         """Return the JSON form used by ``repro-detect explain --format json``."""
@@ -282,13 +276,8 @@ class MatchPlan:
     searches (update pivots) ask :meth:`order_for_seed` for a cost-based
     order beginning with the seed variables and :meth:`schedule_for` for the
     matching step schedule.  Schedules are pure functions of
-    ``(statistics, rule, order, observed)``; the internal memo tables only
-    cache their results, so a plan can be shared freely across threads and
-    kernels.
-
-    ``observed`` optionally carries the history-informed cardinality priors
-    the plan was compiled with (``{(variable, strategy): mean}``) — purely a
-    cost-model input; it never changes which matches a plan finds.
+    ``(statistics, rule, order)``; the internal memo tables only cache their
+    results, so a plan can be shared freely across threads and kernels.
     """
 
     __slots__ = (
@@ -296,7 +285,6 @@ class MatchPlan:
         "statistics",
         "steps",
         "order",
-        "observed",
         "_premise_literals",
         "_schedules",
         "_seed_orders",
@@ -308,16 +296,12 @@ class MatchPlan:
         rule: NGD,
         statistics: GraphStatistics,
         steps: tuple[PlanStep, ...],
-        observed: Optional[Mapping[tuple[str, str], float]] = None,
     ) -> None:
         self.rule = rule
         self.statistics = statistics
         self.steps = steps
         #: the cost-based root variable order
         self.order: tuple[str, ...] = tuple(step.variable for step in steps)
-        self.observed: Optional[dict[tuple[str, str], float]] = (
-            dict(observed) if observed else None
-        )
         self._premise_literals: tuple[Literal, ...] = rule.premise.literals()
         self._schedules: dict[tuple[str, ...], tuple[PlanStep, ...]] = {self.order: steps}
         self._seed_orders: dict[tuple[str, ...], tuple[str, ...]] = {}
@@ -334,7 +318,7 @@ class MatchPlan:
             return self.order
         cached = self._seed_orders.get(key)
         if cached is None:
-            cached = _greedy_order(self.statistics, self.rule.pattern, key, self.observed)
+            cached = _greedy_order(self.statistics, self.rule.pattern, key)
             self._seed_orders[key] = cached
         return cached
 
@@ -347,7 +331,7 @@ class MatchPlan:
         """
         cached = self._schedules.get(order)
         if cached is None:
-            cached = _steps_for_order(self.statistics, self.rule, order, self.observed)
+            cached = _steps_for_order(self.statistics, self.rule, order)
             self._schedules[order] = cached
         return cached
 
@@ -355,11 +339,8 @@ class MatchPlan:
         """Return the closure-compiled schedule for ``order`` (memoised).
 
         Compiled schedules are pure functions of ``(rule, order,
-        schedule)``; an adaptive suffix replan therefore recompiles only
-        the revised order it introduces — every other memo entry stays
-        valid, and the bound-prefix slots of in-flight work units stay
-        valid too because slot ``d`` is always position ``d`` of the
-        order.
+        schedule)``: the root order is built by :func:`compile_plans`, each
+        seeded (pivot) order on its first use.
         """
         cached = self._compiled.get(order)
         if cached is None:
@@ -372,27 +353,10 @@ class MatchPlan:
         # workers rebuild plans from the persisted plan document and
         # recompile lazily on first use; fork workers inherit this object
         # (closures included) without pickling
-        return (self.rule, self.statistics, self.steps, self.observed)
+        return (self.rule, self.statistics, self.steps)
 
     def __setstate__(self, state) -> None:
-        rule, statistics, steps, observed = state
-        MatchPlan.__init__(self, rule, statistics, steps, observed)
-
-    def revised_order(
-        self,
-        order: tuple[str, ...],
-        depth: int,
-        observed: Mapping[tuple[str, str], float],
-    ) -> tuple[str, ...]:
-        """Re-order the unbound suffix of ``order`` using observed cardinalities.
-
-        The bound prefix ``order[:depth]`` is kept verbatim (those variables
-        are already matched in-flight); the remaining variables are
-        re-greedily ordered with ``observed`` means standing in for the
-        compile-time estimates.  The adaptive controller calls this when a
-        step's measured candidate counts drift past the threshold.
-        """
-        return _greedy_order(self.statistics, self.rule.pattern, tuple(order[:depth]), observed)
+        MatchPlan.__init__(self, *state)
 
     def estimated_unit_cost(self, depth: int) -> float:
         """Return the estimated subtree size of a work unit bound to ``depth`` variables.
@@ -425,21 +389,15 @@ class MatchPlan:
         The document also carries the exact ``statistics`` snapshot, which
         makes it a complete persistent form: :meth:`from_dict` rebuilds an
         identical plan from it (schedules are pure functions of
-        ``(statistics, rule, order, observed)``, so only those are stored).
+        ``(statistics, rule, order)``, so only those are stored).
         """
-        document = {
+        return {
             "rule": self.rule.name,
             "order": list(self.order),
             "estimated_cost": round(self.estimated_unit_cost(0), 3),
             "steps": [step.to_dict() for step in self.steps],
             "statistics": self.statistics.to_dict(),
         }
-        if self.observed:
-            document["observed"] = [
-                [variable, strategy, self.observed[(variable, strategy)]]
-                for variable, strategy in sorted(self.observed)
-            ]
-        return document
 
     @classmethod
     def from_dict(cls, document: Mapping, rule: NGD) -> "MatchPlan":
@@ -448,7 +406,9 @@ class MatchPlan:
         The stored variable order is authoritative (a persisted plan keeps
         executing the order it was compiled with, even if the compiler
         heuristic changes later); the step schedule is recompiled from the
-        stored statistics, which is exact and costs no graph pass.
+        stored statistics, which is exact and costs no graph pass.  An
+        ``"observed"`` list, which older documents carry, is ignored: it
+        only ever fed the estimates, and the order stays authoritative.
         """
         from repro.errors import SerializationError
 
@@ -465,13 +425,7 @@ class MatchPlan:
                 f"plan order {list(order)} is not a permutation of the "
                 f"variables of {rule.name!r}"
             )
-        observed = {
-            (str(variable), str(strategy)): float(mean)
-            for variable, strategy, mean in document.get("observed", [])
-        } or None
-        return cls(
-            rule, statistics, _steps_for_order(statistics, rule, order, observed), observed
-        )
+        return cls(rule, statistics, _steps_for_order(statistics, rule, order))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"MatchPlan({self.rule.name!r}, order={list(self.order)})"
@@ -492,13 +446,7 @@ def _anchors_for(pattern, variable: str, bound: set) -> tuple[Anchor, ...]:
     return tuple(anchors)
 
 
-def _estimate(
-    stats: GraphStatistics,
-    pattern,
-    variable: str,
-    anchors: tuple[Anchor, ...],
-    observed: Optional[Mapping[tuple[str, str], float]] = None,
-) -> float:
+def _estimate(stats: GraphStatistics, pattern, variable: str, anchors: tuple[Anchor, ...]) -> float:
     """Estimate |C(variable)| given the bound anchors.
 
     An unanchored variable scans its label bucket; an anchored one reads the
@@ -506,16 +454,7 @@ def _estimate(
     anchored co-occurrence fan — the intersection can only be smaller, so the
     minimum over the anchors (capped by the label cardinality) is an
     upper-bound estimate consistent across anchors.
-
-    ``observed`` optionally overrides the model with measured candidate
-    means keyed ``(variable, strategy)`` — how adaptive replanning and the
-    persisted cardinality history inject what an actual run saw.
     """
-    strategy = "anchored" if anchors else "scan"
-    if observed is not None:
-        prior = observed.get((variable, strategy))
-        if prior is not None:
-            return max(float(prior), 0.0)
     candidate_label = pattern.node(variable).label
     label_cardinality = float(stats.label_cardinality(candidate_label))
     if not anchors:
@@ -532,17 +471,12 @@ def _estimate(
     return min(label_cardinality, fan)
 
 
-def _greedy_order(
-    stats: GraphStatistics,
-    pattern,
-    seed: Sequence[str] = (),
-    observed: Optional[Mapping[tuple[str, str], float]] = None,
-) -> tuple[str, ...]:
+def _greedy_order(stats: GraphStatistics, pattern, seed: Sequence[str] = ()) -> tuple[str, ...]:
     """Choose a variable order greedily by estimated candidate cardinality.
 
     Ties break on pattern-variable declaration index, so the order is a
-    deterministic pure function of (statistics, pattern, seed, observed) and
-    identical on every storage backend.
+    deterministic pure function of (statistics, pattern, seed) and identical
+    on every storage backend.
     """
     variables = pattern.variables
     index = {variable: position for position, variable in enumerate(variables)}
@@ -562,7 +496,7 @@ def _greedy_order(
         best = min(
             pool,
             key=lambda v: (
-                _estimate(stats, pattern, v, _anchors_for(pattern, v, bound), observed),
+                _estimate(stats, pattern, v, _anchors_for(pattern, v, bound)),
                 index[v],
             ),
         )
@@ -571,12 +505,7 @@ def _greedy_order(
     return tuple(order)
 
 
-def _steps_for_order(
-    stats: GraphStatistics,
-    rule: NGD,
-    order: tuple[str, ...],
-    observed: Optional[Mapping[tuple[str, str], float]] = None,
-) -> tuple[PlanStep, ...]:
+def _steps_for_order(stats: GraphStatistics, rule: NGD, order: tuple[str, ...]) -> tuple[PlanStep, ...]:
     """Compile the per-step strategies and literal schedule for a fixed order."""
     pattern = rule.pattern
     premise_literals = rule.premise.literals()
@@ -623,46 +552,28 @@ def _steps_for_order(
                 unary_premise=tuple(unary),
                 premise_checks=tuple(checks),
                 check_conclusion=check_conclusion,
-                estimated_candidates=_estimate(stats, pattern, variable, anchors, observed),
+                estimated_candidates=_estimate(stats, pattern, variable, anchors),
             )
         )
         bound = now_bound
     return tuple(steps)
 
 
-def compile_plan(
-    graph: Graph,
-    rule: NGD,
-    statistics: Optional[GraphStatistics] = None,
-    observed: Optional[Mapping[tuple[str, str], float]] = None,
-) -> MatchPlan:
-    """Compile one NGD into a :class:`MatchPlan` against ``graph``'s statistics.
-
-    ``observed`` optionally injects measured per-step candidate means (from
-    a :class:`~repro.matching.adaptive.CardinalityHistory`) as priors over
-    the statistical estimates.
-    """
+def compile_plan(graph: Graph, rule: NGD, statistics: Optional[GraphStatistics] = None) -> MatchPlan:
+    """Compile one NGD into a :class:`MatchPlan` against ``graph``'s statistics."""
     stats = statistics if statistics is not None else GraphStatistics.from_graph(graph)
-    order = _greedy_order(stats, rule.pattern, observed=observed)
-    return MatchPlan(rule, stats, _steps_for_order(stats, rule, order, observed), observed)
+    return MatchPlan(rule, stats, _steps_for_order(stats, rule, _greedy_order(stats, rule.pattern)))
 
 
-def compile_plans(graph: Graph, rules, history=None) -> tuple[MatchPlan, ...]:
+def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
     """Compile every rule of an iterable/RuleSet, sharing one statistics pass.
-
-    ``history`` is duck-typed: anything with ``priors_for(rule_name, stats)``
-    returning an observed-cardinality mapping (or None) works — the adaptive
-    module's :class:`~repro.matching.adaptive.CardinalityHistory` in practice.
 
     Each plan's root :class:`CompiledSchedule` is built here too, so closure
     compilation is billed inside the session's ``detect.compile_plans`` span
     rather than inside the first expansion of the search.
     """
     stats = GraphStatistics.from_graph(graph)
-    plans = []
-    for rule in rules:
-        observed = history.priors_for(rule.name, stats) if history is not None else None
-        plans.append(compile_plan(graph, rule, statistics=stats, observed=observed))
+    plans = [compile_plan(graph, rule, statistics=stats) for rule in rules]
     for plan in plans:
         plan.compiled_for(plan.order)
     return tuple(plans)
@@ -671,32 +582,25 @@ def compile_plans(graph: Graph, rules, history=None) -> tuple[MatchPlan, ...]:
 # ---------------------------------------------------------------- persistence
 
 
-def plans_to_document(plans: Sequence[MatchPlan], history=None) -> dict:
+def plans_to_document(plans: Sequence[MatchPlan]) -> dict:
     """Return the JSON document for a compiled plan set.
 
     Saved next to rule catalogs (``save_plans``) so worker processes and
     service restarts skip recompilation; also the wire form the process
-    executor ships to ``spawn``-style workers.  ``history`` optionally
-    embeds a cardinality-history document (anything with ``to_document()``,
-    or a plain mapping) under the top-level ``"history"`` key; readers that
-    predate it ignore the key.
+    executor ships to ``spawn``-style workers.
     """
-    document = {
+    return {
         "format": "repro-match-plans",
         "plans": [plan.to_dict() for plan in plans],
     }
-    if history is not None:
-        document["history"] = (
-            history.to_document() if hasattr(history, "to_document") else dict(history)
-        )
-    return document
 
 
 def plans_from_document(document: Mapping, rules) -> tuple[MatchPlan, ...]:
     """Rebuild a plan set from :func:`plans_to_document` output.
 
     ``rules`` must carry the same rules, in the same order, as the set the
-    document was compiled from (matched by rule name, checked per plan).
+    document was compiled from (matched by rule name, checked per plan).  A
+    top-level ``"history"`` block, which older documents carry, is ignored.
     """
     from repro.errors import SerializationError
 
@@ -714,12 +618,12 @@ def plans_from_document(document: Mapping, rules) -> tuple[MatchPlan, ...]:
     )
 
 
-def save_plans(plans: Sequence[MatchPlan], path, history=None) -> None:
+def save_plans(plans: Sequence[MatchPlan], path) -> None:
     """Write a compiled plan set to ``path`` as JSON (next to its rule catalog)."""
     import json
 
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(plans_to_document(plans, history=history), handle, indent=2, sort_keys=True)
+        json.dump(plans_to_document(plans), handle, indent=2, sort_keys=True)
 
 
 def load_plans(path, rules) -> tuple[MatchPlan, ...]:
@@ -907,13 +811,7 @@ def format_plan(plan: MatchPlan) -> str:
             strategy = f"anchored intersection ({via})"
         else:
             strategy = f"indexed scan of label {step.label!r}"
-        origin = ""
-        if plan.observed and (step.variable, step.strategy) in plan.observed:
-            origin = " (observed prior)"
-        lines.append(
-            f"  [{depth}] {step.variable}: {strategy}, "
-            f"~{step.estimated_candidates:.1f} candidates{origin}"
-        )
+        lines.append(f"  [{depth}] {step.variable}: {strategy}, ~{step.estimated_candidates:.1f} candidates")
         schedule_bits = []
         if step.unary_premise:
             schedule_bits.append(

@@ -16,8 +16,10 @@ allocated per partial match.
 ``ids[:d]`` / ``slots[:d]`` still hold its parent's path: a frame writes
 position ``d`` only, its descendants positions ``> d`` only, and the stack is
 LIFO, so everything pushed after the parent was expanded is gone before the
-parent's next child comes up.  An adaptive replan re-orders ``order[depth:]``
-only, so it keeps the invariant; the children carry the revised order.
+parent's next child comes up.  A frame carries its order because one rule's
+frames need not share one: IncDect seeds each pivot on an order that starts
+with the pivot's variables (:meth:`~repro.matching.plan.MatchPlan.order_for_seed`),
+and a step follows its frame's order as compiled.
 
 The serial kernels drain the stack (:class:`~repro.detect.serial.SerialRun`);
 the parallel ones run the same :meth:`RuleSearch.step` one work unit at a
@@ -37,7 +39,6 @@ from repro.core.ngd import NGD
 from repro.core.violations import Violation
 from repro.errors import ExecutionError
 from repro.graph.graph import WILDCARD, Graph
-from repro.matching.adaptive import AdaptiveController
 from repro.matching.candidates import MatchStatistics
 from repro.matching.plan import MatchPlan, PlanStep, step_candidates
 
@@ -61,7 +62,7 @@ class RuleSearch:
     """
 
     __slots__ = (
-        "rule", "plan", "stats", "adaptive", "graph", "ids", "slots", "stack", "order",
+        "rule", "plan", "stats", "graph", "ids", "slots", "stack", "order",
         "filtering", "verification",
         "_pruning", "_check", "_variables", "_counting", "_schedule", "_program", "_vector",
     )  # fmt: skip
@@ -71,7 +72,6 @@ class RuleSearch:
         plan: MatchPlan,
         use_literal_pruning: bool,
         stats: MatchStatistics,
-        adaptive: Optional[AdaptiveController] = None,
         all_matches: bool = False,
     ) -> None:
         if all_matches and plan.rule.conclusion:
@@ -82,7 +82,6 @@ class RuleSearch:
         self.rule: NGD = plan.rule
         self.plan = plan
         self.stats = stats
-        self.adaptive = adaptive
         self._pruning = use_literal_pruning
         self._check = not all_matches
         self._variables = self.rule.pattern.variables
@@ -92,7 +91,7 @@ class RuleSearch:
         self.slots: list = [None] * len(self._variables)
         #: pending frames ``(depth, node id, attributes, order)``, expanded last in, first out
         self.stack: list[tuple] = []
-        #: the order the last step followed (its frame's, or the adaptive revision of it)
+        #: the order the last step followed (its frame's)
         self.order: Optional[tuple[str, ...]] = None
         #: cost-model sizes of the last step: the index scan performed, and one
         #: unit per candidate verified
@@ -134,11 +133,6 @@ class RuleSearch:
             ids[depth] = node_id
             slots[depth] = attrs
         depth += 1
-        adaptive = self.adaptive
-        if adaptive is not None:
-            # drift re-orders the unbound suffix before the step runs; the
-            # children inherit it, so one decision steers the whole subtree
-            order = adaptive.order_for(order, depth)
         if order is not self.order:
             self._follow(order)
         if depth == len(ids):
@@ -178,8 +172,6 @@ class RuleSearch:
         else:
             partial = dict(zip(order, ids[:depth]))
             candidates, scanned = step_candidates(self.graph, self.plan, step, partial, stats, pruning, entry)
-        if adaptive is not None:
-            adaptive.observe(step, len(candidates))
 
         last = depth + 1 == len(ids)
         scheduled = pruning and (bool(entry.premise_checks) or entry.conclusion_check is not None)

@@ -10,8 +10,8 @@ Three layers are covered:
 * end-to-end — on a literal-heavy workload with dirty attributes, the
   violations equal the naive reference, and ``ViolationSet``\\ s and
   ``MatchStatistics`` are identical across every store backend, serial and
-  multi-process execution (spawn workers recompile schedules from the
-  shipped plan document), and under adaptive suffix replanning;
+  multi-process execution, and for plans rebuilt from their document (as
+  spawn workers recompile schedules from the shipped plan document);
 * machinery — ``MatchPlan`` stays picklable after compiling schedules
   (closures are excluded from its state), and the CSR sorted-rank
   intersection returns exactly the set-intersection survivors in ascending
@@ -20,6 +20,7 @@ Three layers are covered:
 
 from __future__ import annotations
 
+import json
 import pickle
 import random
 
@@ -48,7 +49,7 @@ from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
 from repro.matching.compiled import CompiledSchedule, compile_literal, csr_sorted_intersection, resolve_compiled
-from repro.matching.plan import compile_plans, first_step_candidates
+from repro.matching.plan import compile_plans, first_step_candidates, plans_from_document, plans_to_document
 
 from engines import BACKENDS, new_store
 
@@ -293,10 +294,17 @@ def test_batch_equals_the_naive_reference(heavy_rules):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
-def test_batch_parity_across_backends(product_graph, heavy_rules, backend, adaptive):
-    on = _run(product_graph, heavy_rules, backend=backend, adaptive=adaptive)
-    reference = _run(product_graph, heavy_rules, backend="dict", adaptive=adaptive)
+@pytest.mark.parametrize("plans", ("compiled", "document"))
+def test_batch_parity_across_backends(product_graph, heavy_rules, backend, plans):
+    # document: plans rebuilt from their JSON document, as a plans file or a
+    # spawn payload carries them, compile their schedules again on first use
+    graph = product_graph.with_backend(new_store(backend))
+    handed = None
+    if plans == "document":
+        document = json.loads(json.dumps(plans_to_document(compile_plans(graph, heavy_rules))))
+        handed = plans_from_document(document, heavy_rules)
+    on = Detector(heavy_rules, engine="batch").run(graph, plans=handed)
+    reference = _run(product_graph, heavy_rules, backend="dict")
     assert on.violations.to_json() == reference.violations.to_json()
     assert on.violation_count() > 0
     assert _stats_tuple(on.stats) == _stats_tuple(reference.stats)
@@ -353,20 +361,12 @@ def test_incremental_parity(product_graph, heavy_rules):
     assert len(set(results.values())) == 1
 
 
-def test_adaptive_replan_recompiles_suffix(product_graph, heavy_rules):
-    # a drift-triggered suffix replan recompiles the revised order's
-    # schedule; the violations stay those of the unreplanned run
-    on = _run(product_graph, heavy_rules, adaptive=True)
-    off = _run(product_graph, heavy_rules, adaptive=False)
-    assert on.violations.to_json() == off.violations.to_json()
-
-
 def test_matcher_seed_parity(product_graph, heavy_rules):
     # Dect seeds the core once per first-step candidate; the matcher view
     # starts it on the empty seed and lets the first step find them.  Both
     # must reach the same leaves at the same literal and edge bill.
     plans = compile_plans(product_graph, heavy_rules)
-    seeded = drain(iter_dect(product_graph, heavy_rules, plans=plans, adaptive=False))
+    seeded = drain(iter_dect(product_graph, heavy_rules, plans=plans))
     stats = MatchStatistics()
     found = []
     for rule, plan in zip(heavy_rules, plans):

@@ -12,6 +12,7 @@ from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
 from repro.detect import dect, inc_dect
 from repro.graph.generators import random_labeled_graph
+from repro.graph.neighborhood import update_neighborhood
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
 
@@ -123,12 +124,14 @@ class TestIncDectCorrectness:
         # deleting the real account's status removes the only violation (Example 6)
         assert len(result.removed()) == 1
 
-    def test_restrict_to_neighborhood_gives_same_answer(self, kb_graph, kb_rules):
+    def test_neighborhood_size_is_that_of_the_update_neighborhood(self, kb_graph, kb_rules):
+        # G_dΣ(ΔG) taken in G ⊕ ΔG, the region the localizability bound is
+        # stated in; the search itself never extracts it
         delta = UpdateGenerator(seed=11).generate(kb_graph, 40, insert_ratio=0.5)
-        full = inc_dect(kb_graph, kb_rules, delta)
-        localized = inc_dect(kb_graph, kb_rules, delta, restrict_to_neighborhood=True)
-        assert full.delta == localized.delta
-        assert localized.neighborhood_size is not None
+        result = inc_dect(kb_graph, kb_rules, delta)
+        region = update_neighborhood(apply_update(kb_graph, delta), delta, max(kb_rules.diameter(), 1))
+        assert result.neighborhood_size == region.node_count() > 0
+        assert result.delta == self._ground_truth(kb_graph, kb_rules, delta)
 
     def test_graph_after_parameter_is_honoured(self, kb_graph, kb_rules):
         delta = UpdateGenerator(seed=13).generate(kb_graph, 30, insert_ratio=0.5)

@@ -129,16 +129,15 @@ class TestFaultPlan:
 
 class TestCrashRecoveryParity:
     @pytest.mark.parametrize("backend", ("indexed", "csr"))
-    @pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
-    def test_sigkilled_worker_is_byte_identical_fork(self, kb_graph, kb_rules, backend, adaptive, monkeypatch):
+    def test_sigkilled_worker_is_byte_identical_fork(self, kb_graph, kb_rules, backend, monkeypatch):
         graph = kb_graph.with_backend(backend)
-        serial = Detector(kb_rules, engine="batch", options=DetectionOptions(adaptive=adaptive)).run(graph)
+        serial = Detector(kb_rules, engine="batch").run(graph)
         monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=3")
         result = Detector(
             kb_rules,
             engine="parallel",
             processors=2,
-            options=_options(start_method="fork", adaptive=adaptive),
+            options=_options(start_method="fork"),
         ).run(graph)
         assert len(serial.violations) > 0
         assert result.violations.to_json() == serial.violations.to_json()

@@ -205,14 +205,17 @@ class TestIncrementalPlannerParity:
         assert planned.introduced().to_json() == oracle.introduced().to_json()
         assert planned.removed().to_json() == oracle.removed().to_json()
 
-    def test_restricted_neighborhood_matches_batch_diff(self):
+    @pytest.mark.parametrize("engine,processors", [("incremental", None), ("parallel", 4)])
+    def test_plans_compiled_before_the_update_match_batch_diff(self, engine, processors):
+        # a continuous session hands back the plans it compiled on G; the
+        # update runs them over G ⊕ ΔG as they are
         base = _kb_graph()
         rules = _kb_rules(base)
-        delta = UpdateGenerator(seed=5).generate(base, size=max(1, base.edge_count() // 10))
-        planned = _detector(
-            rules, engine="incremental", restrict_to_neighborhood=True
-        ).run_incremental(base, delta)
+        delta = UpdateGenerator(seed=1).generate(base, size=max(1, base.edge_count() // 10))
+        plans = compile_plans(base, rules)
+        planned = _detector(rules, engine=engine, processors=processors).run_incremental(base, delta, plans=plans)
         oracle = _detector(rules, engine="batch").run_incremental(base, delta)
+        assert planned.delta.total_changes() > 0
         assert planned.introduced().to_json() == oracle.introduced().to_json()
         assert planned.removed().to_json() == oracle.removed().to_json()
 
@@ -241,8 +244,8 @@ class TestPlannerWins:
         plan = compile_plan(graph, rules[0])
         assert plan.order == ("y", "x")
         declared = MatchPlan.from_dict(dict(plan.to_dict(), order=["x", "y"]), rules[0])
-        planned = drain(iter_dect(graph, rules, plans=(plan,), adaptive=False))
-        static = drain(iter_dect(graph, rules, plans=(declared,), adaptive=False))
+        planned = drain(iter_dect(graph, rules, plans=(plan,)))
+        static = drain(iter_dect(graph, rules, plans=(declared,)))
         assert planned.violations.to_json() == static.violations.to_json()
         ratio = static.stats.total_operations() / max(1, planned.stats.total_operations())
         assert ratio >= 1.5, f"planned ordering only {ratio:.2f}x better"

@@ -33,6 +33,7 @@ from repro import obs
 from repro.core.builtin_rules import example_rules
 from repro.datasets.figure1 import figure1_g1, figure1_g2
 from repro.detect import DetectionOptions, Detector, ViolationSink
+from repro.detect import session as session_module
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateGenerator
 from repro.obs.metrics import MetricsRegistry, NullRegistry, render_prometheus
@@ -292,7 +293,7 @@ class TestDetectorTraces:
         assert result.trace_id is None
 
     def test_slow_plan_log_fires_over_threshold(self, g1, figure1_rules, monkeypatch, caplog):
-        monkeypatch.setenv("REPRO_SLOW_PLAN_RATIO", "0.000001")
+        monkeypatch.setattr(session_module, "DEFAULT_SLOW_PLAN_RATIO", 0.000001)
         with caplog.at_level("WARNING", logger="repro.detect.slowplan"):
             Detector(figure1_rules, engine="batch").run(g1)
         assert any("slow plan" in message for message in caplog.messages)

@@ -87,16 +87,16 @@ def _options(**overrides) -> DetectionOptions:
 
 class TestBatchParity:
     @pytest.mark.parametrize("backend", ("dict", "indexed", "csr"))
-    @pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
-    def test_byte_identical_across_backends(self, kb_graph, kb_rules, backend, adaptive):
-        # adaptive: workers replan suffixes from what they observe; static:
-        # every unit follows the compiled order
+    @pytest.mark.parametrize("start_method", ("fork", "spawn"))
+    def test_byte_identical_across_backends(self, kb_graph, kb_rules, backend, start_method):
+        # fork: workers share the parent's image; spawn: each worker loads
+        # its shard from the spool and recompiles schedules from the plan
+        # document
         graph = kb_graph.with_backend(new_store(backend))
-        options = DetectionOptions(adaptive=adaptive)
-        serial = Detector(kb_rules, engine="batch", options=options).run(graph)
-        simulated = Detector(kb_rules, engine="parallel", processors=4, options=options).run(graph)
+        serial = Detector(kb_rules, engine="batch").run(graph)
+        simulated = Detector(kb_rules, engine="parallel", processors=4).run(graph)
         processes = Detector(
-            kb_rules, engine="parallel", processors=4, options=_options(adaptive=adaptive)
+            kb_rules, engine="parallel", processors=4, options=_options(start_method=start_method)
         ).run(graph)
         assert len(serial.violations) > 0
         assert (
@@ -115,6 +115,42 @@ class TestBatchParity:
             example_rules(), engine="parallel", processors=1, options=_options()
         ).run(graph)
         assert processes.violations.to_json() == serial.violations.to_json()
+
+    @staticmethod
+    def _counts(result) -> tuple:
+        stats = result.stats
+        return (
+            result.cost,
+            stats.candidates_examined,
+            stats.expansions,
+            stats.edge_checks,
+            stats.literal_evaluations,
+            stats.matches_emitted,
+            tuple(sorted(stats.extra.items())),
+        )
+
+    def test_work_counts_do_not_depend_on_timing(self):
+        # whether a run forks (one shared image) or spawns (sharded, seeded in
+        # the parent) depends on the threads alive when it starts, which back
+        # to back runs leave behind; both bill one root step per rule alike
+        counts = {
+            self._counts(
+                Detector(example_rules(), engine="parallel", processors=2, options=_options()).run(figure1_g2())
+            )
+            for _ in range(10)
+        }
+        assert len(counts) == 1, counts
+
+    def test_work_counts_do_not_depend_on_the_start_method(self):
+        counts = {
+            method: self._counts(
+                Detector(
+                    example_rules(), engine="parallel", processors=2, options=_options(start_method=method)
+                ).run(figure1_g2())
+            )
+            for method in ("fork", "spawn")
+        }
+        assert counts["fork"] == counts["spawn"]
 
     def test_worker_traces_account_work(self, kb_graph, kb_rules):
         result = Detector(
@@ -151,16 +187,13 @@ class TestBatchParity:
 
 class TestIncrementalParity:
     @pytest.mark.parametrize("backend", ("dict", "indexed"))
-    @pytest.mark.parametrize("adaptive", (True, False), ids=("adaptive", "static"))
-    def test_delta_identical_across_backends(self, kb_graph, kb_rules, kb_delta, backend, adaptive):
+    @pytest.mark.parametrize("start_method", ("fork", "spawn"))
+    def test_delta_identical_across_backends(self, kb_graph, kb_rules, kb_delta, backend, start_method):
         graph = kb_graph.with_backend(new_store(backend))
-        options = DetectionOptions(adaptive=adaptive)
-        incremental = Detector(kb_rules, engine="incremental", options=options).run_incremental(graph, kb_delta)
-        simulated = Detector(
-            kb_rules, engine="parallel", processors=4, options=options
-        ).run_incremental(graph, kb_delta)
+        incremental = Detector(kb_rules, engine="incremental").run_incremental(graph, kb_delta)
+        simulated = Detector(kb_rules, engine="parallel", processors=4).run_incremental(graph, kb_delta)
         processes = Detector(
-            kb_rules, engine="parallel", processors=4, options=_options(adaptive=adaptive)
+            kb_rules, engine="parallel", processors=4, options=_options(start_method=start_method)
         ).run_incremental(graph, kb_delta)
         assert incremental.delta.total_changes() > 0
         assert processes.delta == simulated.delta == incremental.delta

@@ -33,20 +33,19 @@ from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, rule_search
 from repro.detect.session import PLAN_DRIFT_TOLERANCE, Detector
 from repro.errors import ExecutionError
-from repro.experiments.runner import _correlated_hub_graph, _selftuning_rules
 from repro.expr.expressions import Add, const, var
 from repro.expr.literals import Comparison, Literal
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
-from repro.matching.adaptive import AdaptiveController
 from repro.matching.candidates import MatchStatistics
 from repro.matching.incmatch import UpdatePivot
 from repro.matching.matchn import HomomorphismMatcher
-from repro.matching.plan import GraphStatistics, compile_plans, first_step_candidates
+from repro.matching.plan import GraphStatistics, MatchPlan, compile_plans, first_step_candidates
 from repro.matching.search import RuleSearch
 
 from engines import new_store
+from hub_workload import correlated_hub_graph, hub_rules as build_hub_rules
 
 STORES = ("indexed", "csr")
 NODE_LABELS = ("a", "b")
@@ -358,13 +357,11 @@ class Stepped:
             self.stop_reason = "max_cost"
         return self.stop_reason is not None
 
-    def drain(self, stack, graphs, rule, plan, controller, seen) -> None:
+    def drain(self, stack, graphs, rule, plan, seen) -> None:
         """``graphs`` and ``seen`` are indexed by a unit's ``from_insertion``."""
         while stack and self.stop_reason is None:
             unit = stack.pop()
-            outcome = expand_work_unit(
-                graphs[unit.from_insertion], rule, unit, True, self.stats, plan=plan, adaptive=controller
-            )
+            outcome = expand_work_unit(graphs[unit.from_insertion], rule, unit, True, self.stats, plan=plan)
             self.cost += max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
             stack.extend(outcome.new_units)
             for violation in outcome.violations:
@@ -378,7 +375,7 @@ class Stepped:
             self.cost_exhausted()
 
 
-def stepped_dect(graph, rules, plans, controllers, budget=None) -> Stepped:
+def stepped_dect(graph, rules, plans, budget=None) -> Stepped:
     run = Stepped(budget)
     seen = {True: set()}
     for index, (rule, plan) in enumerate(zip(rules, plans)):
@@ -389,7 +386,7 @@ def stepped_dect(graph, rules, plans, controllers, budget=None) -> Stepped:
         stack = [WorkUnit(index, plan.order, ((plan.order[0], candidate),)) for candidate in candidates]
         if len(plan.order) == 1:
             stack.reverse()  # complete seeds have no subtree: they stream in rank order
-        run.drain(stack, {True: graph}, rule, plan, controllers[index], seen)
+        run.drain(stack, {True: graph}, rule, plan, seen)
         if run.stop_reason is not None:
             break
     return run
@@ -425,7 +422,7 @@ def pivot_unit(index: int, rule: NGD, pivot: UpdatePivot, plan, graph: Graph):
     return WorkUnit(index, order, tuple((variable, seed[variable]) for variable in order if variable in seed), pivot.from_insertion)
 
 
-def stepped_inc_dect(graph, after, rules, delta, plans, controllers, budget=None) -> Stepped:
+def stepped_inc_dect(graph, after, rules, delta, plans, budget=None) -> Stepped:
     run = Stepped(budget)
     graphs, seen = {True: after, False: graph}, {True: set(), False: set()}
     for index, (rule, plan) in enumerate(zip(rules, plans)):
@@ -437,14 +434,10 @@ def stepped_inc_dect(graph, after, rules, delta, plans, controllers, budget=None
             if unit is not None:
                 run.cost += 1.0
                 stack.append(unit)
-        run.drain(stack, graphs, rule, plan, controllers[index], seen)
+        run.drain(stack, graphs, rule, plan, seen)
         if run.stop_reason is not None:
             break
     return run
-
-
-def controllers_for(plans, threshold):
-    return [AdaptiveController(plan, threshold) for plan in plans]
 
 
 def assert_same_run(result, stream, stepped: Stepped) -> None:
@@ -456,56 +449,53 @@ def assert_same_run(result, stream, stepped: Stepped) -> None:
     assert result.stats.extra == stepped.stats.extra
 
 
-def dect_both_ways(graph, rules, budget=None, threshold=None):
-    plans = compile_plans(graph, rules)
-    driven = controllers_for(plans, threshold)
-    stream, result = finish(iter_dect(graph, rules, budget=budget, plans=plans, adaptive=driven))
-    stepped_controllers = controllers_for(plans, threshold)
-    stepped = stepped_dect(graph, list(rules), plans, stepped_controllers, budget)
+def dect_both_ways(graph, rules, budget=None, plans=None):
+    plans = plans or compile_plans(graph, rules)
+    stream, result = finish(iter_dect(graph, rules, budget=budget, plans=plans))
+    stepped = stepped_dect(graph, list(rules), plans, budget)
     assert_same_run(result, [(violation, True) for violation in stream], stepped)
-    assert [c.replans for c in driven] == [c.replans for c in stepped_controllers]
-    assert [c.snapshot() for c in driven] == [c.snapshot() for c in stepped_controllers]
-    return result, driven
+    return result
 
 
 @pytest.fixture(scope="module")
 def hub_graph():
-    return _correlated_hub_graph(roots=40, wide=8, narrow=3, survivor_stride=7)
+    return correlated_hub_graph(roots=40, wide=8, narrow=3, survivor_stride=7)
 
 
 @pytest.fixture(scope="module")
 def hub_rules():
-    return _selftuning_rules()
+    return build_hub_rules()
 
 
 @pytest.mark.parametrize("store", STORES)
 def test_lockstep_dect(hub_graph, hub_rules, store):
-    result, _ = dect_both_ways(hub_graph.with_backend(store), hub_rules)
+    result = dect_both_ways(hub_graph.with_backend(store), hub_rules)
     assert len(result.violations) > 0 and not result.stopped_early
 
 
-def naive_reference_on_hub(graph, rules) -> set[tuple]:
-    """The hub graph is too large for the product enumeration; the static run is its reference."""
-    return as_pairs(finish(iter_dect(graph, rules, adaptive=False))[1].violations)
-
-
-def test_lockstep_dect_with_a_forced_replan(hub_graph, hub_rules):
-    # a drift ratio just above 1: any step whose observed mean is not its estimate re-orders the suffix
-    result, controllers = dect_both_ways(hub_graph, hub_rules, threshold=1.000001)
-    assert sum(controller.replans for controller in controllers) > 0, "the workload must replan"
-    assert as_pairs(result.violations) == naive_reference_on_hub(hub_graph, hub_rules)
-
-
 def test_lockstep_dect_stops_where_the_stepped_run_stops(hub_graph, hub_rules):
-    full, _ = dect_both_ways(hub_graph, hub_rules)
+    full = dect_both_ways(hub_graph, hub_rules)
     for share in (0.05, 0.3, 0.6, 0.95):
-        capped, _ = dect_both_ways(hub_graph, hub_rules, budget=DetectionBudget(max_cost=full.cost * share))
+        capped = dect_both_ways(hub_graph, hub_rules, budget=DetectionBudget(max_cost=full.cost * share))
         assert capped.stop_reason == "max_cost" and capped.cost < full.cost
     for cap in (1, 2, len(full.violations) - 1):
-        capped, _ = dect_both_ways(hub_graph, hub_rules, budget=DetectionBudget(max_violations=cap))
+        capped = dect_both_ways(hub_graph, hub_rules, budget=DetectionBudget(max_violations=cap))
         assert capped.stop_reason == "max_violations" and len(capped.violations) == cap
-    # budgets and replans together
-    dect_both_ways(hub_graph, hub_rules, budget=DetectionBudget(max_cost=full.cost * 0.5), threshold=1.000001)
+
+
+@pytest.mark.parametrize("store", STORES)
+def test_lockstep_dect_with_a_declared_order(hub_graph, hub_rules, store):
+    # a run executes the order it is handed, not the one it would compile
+    graph = hub_graph.with_backend(store)
+    (compiled,) = compile_plans(graph, hub_rules)
+    declared = MatchPlan.from_dict(dict(compiled.to_dict(), order=["z", "x", "y"]), compiled.rule)
+    assert declared.order != compiled.order
+    result = dect_both_ways(graph, hub_rules, plans=(declared,))
+    default = dect_both_ways(graph, hub_rules)
+    assert as_pairs(result.violations) == as_pairs(default.violations)
+    assert result.stats.total_operations() != default.stats.total_operations()
+    capped = dect_both_ways(graph, hub_rules, budget=DetectionBudget(max_cost=result.cost / 2), plans=(declared,))
+    assert capped.stop_reason == "max_cost"
 
 
 def seed_binds_everything_rules() -> RuleSet:
@@ -521,30 +511,26 @@ def seed_binds_everything_rules() -> RuleSet:
 
 def test_lockstep_dect_when_the_seed_binds_every_variable(hub_graph):
     rules = seed_binds_everything_rules()
-    full, _ = dect_both_ways(hub_graph, rules)
+    full = dect_both_ways(hub_graph, rules)
     roots = len(hub_graph.nodes_with_label("root"))
     assert len([v for v in full.violations if v.rule == "every_root"]) == roots
     dect_both_ways(hub_graph, rules, budget=DetectionBudget(max_violations=roots // 2))
     dect_both_ways(hub_graph, rules, budget=DetectionBudget(max_cost=full.cost / 3))
 
 
-@pytest.mark.parametrize("threshold", [None, 1.000001])
-def test_lockstep_inc_dect(hub_graph, hub_rules, threshold):
+@pytest.mark.parametrize("backend", ("dict", "indexed"))  # the CSR store is frozen
+def test_lockstep_inc_dect(hub_graph, hub_rules, backend):
     # the second rule's pivots bind its whole two-variable pattern
     rules = RuleSet(list(hub_rules) + list(seed_binds_everything_rules()))
-    delta = UpdateGenerator(seed=5).generate(hub_graph, 60, insert_ratio=0.5)
-    after = apply_update(hub_graph, delta)
+    graph = hub_graph.with_backend(new_store(backend))
+    delta = UpdateGenerator(seed=5).generate(graph, 60, insert_ratio=0.5)
+    after = apply_update(graph, delta)
     plans = compile_plans(after, rules)
 
     def both_ways(budget=None):
-        driven = controllers_for(plans, threshold)
-        events, result = finish(
-            iter_inc_dect(hub_graph, rules, delta, graph_after=after, budget=budget, plans=plans, adaptive=driven)
-        )
-        stepped_controllers = controllers_for(plans, threshold)
-        stepped = stepped_inc_dect(hub_graph, after, rules, delta, plans, stepped_controllers, budget)
+        events, result = finish(iter_inc_dect(graph, rules, delta, graph_after=after, budget=budget, plans=plans))
+        stepped = stepped_inc_dect(graph, after, rules, delta, plans, budget)
         assert_same_run(result, [(event.violation, event.introduced) for event in events], stepped)
-        assert [c.snapshot() for c in driven] == [c.snapshot() for c in stepped_controllers]
         return result
 
     full = both_ways()

@@ -141,7 +141,7 @@ class TestLegacyShims:
         rules = example_rules()
         delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
         assert dect(graph, rules, False).violation_count() == 1
-        assert inc_dect(graph, rules, delta, True, False, None).total_changes() == 1
+        assert inc_dect(graph, rules, delta, True, None).total_changes() == 1
         assert p_dect(graph, rules, 4, None, True).violation_count() == 1
         assert pinc_dect(graph, rules, delta, 4, None, True, None).total_changes() == 1
 

@@ -22,13 +22,12 @@ from repro import obs
 from repro.core.ngd import NGD, RuleSet
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
-from repro.detect import DetectionOptions, Detector
+from repro.detect import Detector
 from repro.detect.incdect import iter_inc_dect
 from repro.graph import neighborhood
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
-from repro.matching import adaptive
 from repro.matching.incmatch import find_update_pivots, pivot_index, pivots_by_rule
 from repro.matching.plan import MatchPlan, compile_plans
 
@@ -202,9 +201,9 @@ def test_the_pivot_index_is_kept_per_rule_set_until_a_rule_is_added():
 # ------------------------------------------------------ the lazy neighbourhood
 
 
-#: what the parent commit reported on :func:`kb`: (IncDect cost, restricted
-#: IncDect cost, PIncDect makespan at four processors)
-PARENT_COSTS = (589.0, 1105.0, 205.75)
+#: what IncDect reported on :func:`kb` while it still charged the BFS of
+#: ``G_dΣ(ΔG)``, and PIncDect's makespan at four processors
+REFERENCE_COSTS = (589.0, 205.75)
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +255,8 @@ def test_a_default_update_counts_its_neighbourhood_only_when_asked(kb, bfs_calls
     assert result.neighborhood_size == eager == 459
     assert len(bfs_calls) == 1
     assert result.neighborhood_size == 459 and len(bfs_calls) == 1
-    # what the search touched; the parent charged the 459 BFS nodes on top
-    assert result.cost + 459 == PARENT_COSTS[0]
+    # what the search touched; the 459 BFS nodes were once charged on top
+    assert result.cost + 459 == REFERENCE_COSTS[0]
 
 
 def test_a_pickled_result_carries_the_count_not_the_snapshot(kb, bfs_calls):
@@ -270,18 +269,12 @@ def test_a_pickled_result_carries_the_count_not_the_snapshot(kb, bfs_calls):
     assert loaded == result
 
 
-def test_restricted_and_parallel_runs_measure_it_up_front_as_before(kb, bfs_calls):
+def test_parallel_runs_measure_it_up_front_as_before(kb, bfs_calls):
     graph, rules, delta = kb
-    restricted = Detector(
-        rules, engine="incremental", options=DetectionOptions(restrict_to_neighborhood=True)
-    ).run_incremental(graph, delta)
-    assert len(bfs_calls) == 2  # G_dΣ(ΔG) extracted in G and in G ⊕ ΔG
-    _, restricted_cost, parallel_cost = PARENT_COSTS
-    assert (restricted.neighborhood_size, restricted.cost, restricted.total_changes()) == (975, restricted_cost, 4)
     parallel = Detector(rules, engine="parallel", processors=4).run_incremental(graph, delta)
-    assert len(bfs_calls) == 3
-    assert (parallel.neighborhood_size, parallel.cost, parallel.total_changes()) == (459, parallel_cost, 4)
-    assert len(bfs_calls) == 3
+    assert len(bfs_calls) == 1
+    assert (parallel.neighborhood_size, parallel.cost, parallel.total_changes()) == (459, REFERENCE_COSTS[1], 4)
+    assert len(bfs_calls) == 1
 
 
 # ------------------------------------------------------ per-update fixed costs
@@ -292,15 +285,6 @@ def test_a_plan_stores_its_root_order(kb):
     for plan in compile_plans(graph, rules):
         assert plan.order is plan.order == tuple(step.variable for step in plan.steps)
         assert pickle.loads(pickle.dumps(plan)).order == plan.order
-
-
-def test_resolving_controllers_reads_the_drift_setting_once(kb, monkeypatch):
-    graph, rules, _ = kb
-    plans = compile_plans(graph, rules)
-    reads = []
-    monkeypatch.setattr(adaptive, "drift_threshold", lambda: reads.append(1) or 3.0)
-    controllers = adaptive.resolve_adaptive(plans, True)
-    assert len(reads) == 1 and {controller.threshold for controller in controllers} == {3.0}
 
 
 def test_the_plan_estimate_is_summed_once_per_plan_set(kb, monkeypatch):
