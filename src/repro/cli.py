@@ -62,7 +62,6 @@ from repro.detect import (
 )
 from repro.errors import ReproError
 from repro.graph.io import load_graph, load_update
-from repro.graph.store import STORE_REGISTRY
 
 __all__ = ["main", "format_result", "result_to_dict"]
 
@@ -175,15 +174,6 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         help="simulated processors (>1 selects the parallel kernels)",
     )
     parser.add_argument(
-        "--store",
-        choices=sorted(STORE_REGISTRY),
-        default=None,
-        help=(
-            "graph storage engine (default: indexed, the mutable one); 'csr' "
-            "is the read-only engine, frozen on the first adjacency read"
-        ),
-    )
-    parser.add_argument(
         "--format",
         dest="output_format",
         choices=("text", "json"),
@@ -277,12 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     explain_parser.add_argument("graph", help="path to a graph JSON file (see repro.graph.io)")
     _add_rules_arguments(explain_parser)
     explain_parser.add_argument(
-        "--store",
-        choices=sorted(STORE_REGISTRY),
-        default=None,
-        help="graph storage engine (default: indexed)",
-    )
-    explain_parser.add_argument(
         "--format",
         dest="output_format",
         choices=("text", "json"),
@@ -336,12 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rules_parser.add_argument(
         "--seed", type=int, default=0, help="discovery: miner RNG seed (default: 0)"
-    )
-    rules_parser.add_argument(
-        "--store",
-        choices=sorted(STORE_REGISTRY),
-        default=None,
-        help="graph storage engine for 'discover' (default: indexed)",
     )
     rules_parser.set_defaults(handler=_cmd_rules)
 
@@ -503,7 +481,7 @@ def _print_profile(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     load_started = time.perf_counter()
-    graph = load_graph(args.graph, store=args.store)
+    graph = load_graph(args.graph)
     load_s = time.perf_counter() - load_started
     with _build_detector(args, engine=args.engine) as detector:
         result = detector.run(graph)
@@ -518,7 +496,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_incremental(args: argparse.Namespace) -> int:
     load_started = time.perf_counter()
-    graph = load_graph(args.graph, store=args.store)
+    graph = load_graph(args.graph)
     delta = load_update(args.update)
     load_s = time.perf_counter() - load_started
     with _build_detector(args, engine="auto") as detector:
@@ -536,7 +514,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     per-variable strategy + estimated cardinality, literal schedule)."""
     from repro.matching.plan import compile_plans, format_plan, save_plans
 
-    graph = load_graph(args.graph, store=args.store)
+    graph = load_graph(args.graph)
     rule_set = _load_rules(args)
     plans = compile_plans(graph, rule_set)
     if args.save_plans:
@@ -601,7 +579,7 @@ def _cmd_rules_discover(args: argparse.Namespace) -> int:
     if args.graph is None:
         print("repro-detect: error: 'rules discover' needs a graph file", file=sys.stderr)
         return EXIT_USAGE
-    graph = load_graph(args.graph, store=args.store)
+    graph = load_graph(args.graph)
     config = DiscoveryConfig(
         min_support=args.min_support,
         min_confidence=args.min_confidence,

@@ -54,6 +54,7 @@ their errors surfaced should catch and report them on their own channel.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -233,7 +234,8 @@ class DetectionBudget:
 
     Caps must leave the kernel something to do: ``max_violations`` at least
     1, ``max_cost`` positive (the kernels check exhaustion after emitting /
-    charging, so a zero cap could not be honoured exactly).
+    charging, so a zero cap could not be honoured exactly) and finite (NaN
+    compares false with every cost, so it would silently mean "unbounded").
     """
 
     max_violations: Optional[int] = None
@@ -244,8 +246,8 @@ class DetectionBudget:
             raise SessionError(
                 f"max_violations must be >= 1, got {self.max_violations}"
             )
-        if self.max_cost is not None and self.max_cost <= 0:
-            raise SessionError(f"max_cost must be > 0, got {self.max_cost}")
+        if self.max_cost is not None and not 0 < self.max_cost < math.inf:
+            raise SessionError(f"max_cost must be a finite number > 0, got {self.max_cost}")
 
     def violations_exhausted(self, emitted: int) -> bool:
         """Return True once ``emitted`` violations hit the cap."""

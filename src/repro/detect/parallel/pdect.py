@@ -313,7 +313,7 @@ def _iter_p_dect_processes(
     trace_parent = obs.current_span()
 
     # data layout by start method: fork children share the parent's one
-    # frozen image copy-on-write (building per-fragment copies would only
+    # image copy-on-write (building per-fragment copies would only
     # add parent-side work), while spawn workers are shared-nothing — they
     # deserialize their images, so per-fragment halo shards cut each
     # worker's load to its own fragment

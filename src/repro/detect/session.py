@@ -72,7 +72,6 @@ from repro.detect.observers import (
 from repro.detect.parallel.balancing import BalancingPolicy
 from repro.errors import SessionError
 from repro.graph.graph import Graph
-from repro.graph.store import STORE_REGISTRY
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.plan import MatchPlan, compile_plans, load_plans
 
@@ -179,7 +178,6 @@ class Detector:
         rules: RuleSet | list[NGD] | Iterable[NGD],
         engine: str = "auto",
         processors: Optional[int] = None,
-        store: Optional[str] = None,
         options: Optional[DetectionOptions] = None,
         sinks: Iterable[ViolationSink] = (),
         plans_file: Optional[str] = None,
@@ -187,16 +185,11 @@ class Detector:
     ) -> None:
         if engine not in ENGINES:
             raise SessionError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if store is not None and store not in STORE_REGISTRY:
-            raise SessionError(
-                f"unknown graph store {store!r}; expected one of {sorted(STORE_REGISTRY)}"
-            )
         if processors is not None and processors < 1:
             raise SessionError(f"processors must be >= 1, got {processors}")
         self.rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
         self.engine = engine
         self.processors = processors
-        self.store = store
         self.options = options if options is not None else DetectionOptions()
         if self.options.execution not in EXECUTION_MODES:
             raise SessionError(
@@ -357,12 +350,6 @@ class Detector:
                 return "parallel"
             return "parallel" if (self.processors or 1) > 1 else "incremental"
         return self.engine
-
-    def _prepare(self, graph: Graph) -> Graph:
-        """Convert the input graph to the session's preferred storage backend."""
-        if self.store is not None and graph.store_backend != self.store:
-            return graph.with_backend(self.store)
-        return graph
 
     # ------------------------------------------------------------------- runs
 
@@ -535,7 +522,6 @@ class Detector:
         from repro.detect.dect import iter_dect
 
         mode = self._resolve_batch_engine()
-        graph = self._prepare(graph)
         caller_plans = plans is not None
         if plans is None:
             plans = self.compile_plans(graph)
@@ -581,9 +567,6 @@ class Detector:
         from repro.detect.incdect import iter_inc_dect
 
         mode = self._resolve_incremental_engine()
-        graph = self._prepare(graph)
-        if graph_after is not None:
-            graph_after = self._prepare(graph_after)
         if plans is None and mode in ("incremental", "parallel"):
             # plans are compiled against G ⊕ ΔG when it is already
             # materialised (the service always hands it over); otherwise

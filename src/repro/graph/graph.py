@@ -24,9 +24,9 @@ algorithms need:
 * a deterministic insertion-order rank (``node_rank``) giving the matchers
   a cheap, stable candidate ordering.
 
-A graph lives on the mutable ``indexed`` engine unless built with
-``Graph(store="csr")`` (read-only, for batch detection) or handed a store
-instance.
+A graph lives on the mutable ``indexed`` engine unless it is loaded onto the
+read-only ``frozen`` engine (``load_graph(path, store="frozen")`` or
+``graph.with_backend("frozen")``) or handed a store instance.
 
 Unlike the formal model, parallel edges with *different labels* between the
 same pair of nodes are allowed (real knowledge graphs have them); a second
@@ -77,14 +77,16 @@ class Graph:
     def with_backend(self, store: Union[str, GraphStore], name: Optional[str] = None) -> "Graph":
         """Return a copy of this graph rebuilt on another storage engine.
 
-        How a graph reaches the read-only ``csr`` engine, and how the tests
-        put identical data on each engine they compare.
+        One :meth:`~repro.graph.store.GraphStore.bulk_load`, as
+        :func:`~repro.graph.io.graph_from_dict` builds: how a graph reaches
+        the read-only ``frozen`` engine, and how the tests put identical
+        data on each engine they compare.
         """
         converted = Graph(name or self.name, store=store)
-        for node in self._store.nodes():
-            converted._store.add_node(node)
-        for edge in self._store.edges():
-            converted._store.add_edge(edge)
+        converted._store.bulk_load(
+            ((node.id, node.label, node.attributes) for node in self._store.nodes()),
+            (edge.key() for edge in self._store.edges()),
+        )
         return converted
 
     # ------------------------------------------------------------------ nodes
@@ -307,7 +309,9 @@ class Graph:
         the requested set.  Built from the adjacency of the wanted nodes —
         O(sum of their degrees) — rather than scanning all of E, so extracting
         a d-neighbourhood of a large sparse graph costs only the neighbourhood.
-        The result uses the same storage backend as this graph.
+        The result uses the same storage backend as this graph and is built by
+        one :meth:`~repro.graph.store.GraphStore.bulk_load`, so it works on the
+        read-only engine too.
         """
         wanted = set(node_ids)
         store = self._store
@@ -315,13 +319,11 @@ class Graph:
         if missing:
             raise NodeNotFound(sorted(missing, key=repr)[0])
         sub = Graph(name or f"{self.name}[induced]", store=store.fresh())
-        sub_store = sub._store
-        # Node/Edge are immutable value objects, so the subgraph shares them
-        # with this graph instead of re-allocating copies
-        for node_id in sorted(wanted, key=store.node_rank):
-            sub_store.add_node(store.get_node(node_id))
-        for edge in store.edges_between(wanted):
-            sub_store.add_edge(edge)
+        nodes = map(store.get_node, sorted(wanted, key=store.node_rank))
+        sub._store.bulk_load(
+            ((node.id, node.label, node.attributes) for node in nodes),
+            (edge.key() for edge in store.edges_between(wanted)),
+        )
         return sub
 
     def copy(self, name: Optional[str] = None) -> "Graph":

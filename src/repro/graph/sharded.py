@@ -18,19 +18,22 @@ parent.  :class:`ShardedStore` provides that layout:
   match maps pattern paths onto data walks, so every matched node lies
   within dΣ undirected hops of the seed, and the induced halo contains all
   of those nodes and every edge between them;
-* shard images are **frozen** onto the :class:`~repro.graph.store.CsrStore`
-  before any worker starts.  A frozen CSR image is immutable, so under the
-  ``fork`` start method the child processes share the parent's arrays
-  copy-on-write with no churn (fork-safe, zero-copy), and under ``spawn``
-  each image is serialized exactly once (:meth:`ShardedStore.spool`, the
-  :mod:`repro.graph.io` JSON conventions) and memo-loaded at most once per
-  worker process (:func:`load_spooled`).
+* shard images are built on the frozen engine
+  (:class:`~repro.graph.store.FrozenStore`) before any worker starts.  A
+  frozen image is sealed by its one build, so under the ``fork`` start
+  method the child processes share the parent's image copy-on-write
+  (fork-safe), and under ``spawn`` each image is serialized exactly once
+  (:meth:`ShardedStore.spool`, the :mod:`repro.graph.io` JSON conventions,
+  which do not depend on the engine) and memo-loaded onto the frozen engine
+  at most once per worker process (:func:`load_spooled`).  An image links
+  its adjacency on its first read, in the process that reads it: spooling
+  never does.
 
 The sharding contract — what a worker may assume
 ------------------------------------------------
 
-1. Shard images are *read-only*.  Workers must never mutate them (the CSR
-   engine enforces this by raising on every mutator).
+1. Shard images are *read-only*.  Workers must never mutate them (the
+   frozen engine enforces this by raising on every mutator).
 2. A work unit seeded at node ``v`` may be expanded against
    ``shard(owner(v))`` iff every rule pattern is connected and has
    diameter ≤ ``halo_hops`` (checked by :func:`supports_localized_matching`
@@ -63,36 +66,20 @@ from repro.graph.partition import Fragmentation, bfs_edge_cut, hash_edge_cut
 __all__ = [
     "ShardedStore",
     "supports_localized_matching",
-    "freeze_shard_image",
     "spool_graph",
     "load_spooled",
     "clear_spool_cache",
 ]
 
-#: Default storage backend of shard images (frozen, immutable, fork-safe).
-SHARD_BACKEND = "csr"
+#: Storage engine of shard images (sealed, immutable, fork-safe).
+SHARD_BACKEND = "frozen"
 
-#: Per-process memo of spooled images: (resolved path, backend) -> Graph.
+#: Per-process memo of spooled images: resolved path -> Graph.
 #: Worker processes consult this before touching the disk, so each image is
 #: deserialized at most once per process no matter how many work units land
 #: there.  Spool directories are one-shot (a fresh tempdir per run), so the
 #: cache needs no invalidation.
-_SPOOL_CACHE: dict[tuple[str, str], Graph] = {}
-
-
-def freeze_shard_image(graph: Graph) -> Graph:
-    """Force a graph's store into its frozen/read-only form, if it has one.
-
-    The CSR engine freezes lazily on the first adjacency read; a shard
-    image must freeze *before* the workers fork so the compact arrays are
-    built once in the parent and shared copy-on-write, rather than being
-    rebuilt (and re-allocated) inside every child.
-    """
-    store = graph.store
-    freeze = getattr(store, "_freeze", None)
-    if callable(freeze):
-        freeze()
-    return graph
+_SPOOL_CACHE: dict[str, Graph] = {}
 
 
 def supports_localized_matching(rules: Iterable) -> bool:
@@ -128,12 +115,12 @@ def spool_graph(graph: Graph, path: Union[str, Path]) -> str:
     return str(path)
 
 
-def load_spooled(path: Union[str, Path], store: str = SHARD_BACKEND) -> Graph:
-    """Load a spooled image, memoized per process (see ``_SPOOL_CACHE``)."""
-    key = (str(Path(path).resolve()), store)
+def load_spooled(path: Union[str, Path]) -> Graph:
+    """Load a spooled image onto the frozen engine, memoized per process (see ``_SPOOL_CACHE``)."""
+    key = str(Path(path).resolve())
     cached = _SPOOL_CACHE.get(key)
     if cached is None:
-        cached = freeze_shard_image(load_graph(path, store=store))
+        cached = load_graph(path, store=SHARD_BACKEND)
         _SPOOL_CACHE[key] = cached
     return cached
 
@@ -158,7 +145,6 @@ class ShardedStore:
         shard_paths: list[Optional[str]],
         halo_hops: int,
         strategy: str,
-        backend: str = SHARD_BACKEND,
         images: Optional[list[Optional[Graph]]] = None,
         owners: Optional[dict[Hashable, int]] = None,
         manifest_path: Optional[str] = None,
@@ -166,7 +152,6 @@ class ShardedStore:
         self._paths = list(shard_paths)
         self.halo_hops = halo_hops
         self.strategy = strategy
-        self.backend = backend
         self._images: list[Optional[Graph]] = (
             list(images) if images is not None else [None] * len(shard_paths)
         )
@@ -182,7 +167,6 @@ class ShardedStore:
         num_shards: int,
         halo_hops: int,
         strategy: str = "bfs",
-        backend: str = SHARD_BACKEND,
     ) -> "ShardedStore":
         """Partition ``graph`` into ``num_shards`` frozen halo images.
 
@@ -193,7 +177,7 @@ class ShardedStore:
         if num_shards < 1:
             raise PartitionError("a sharded store needs at least one shard")
         if num_shards == 1:
-            return cls.single(graph, backend=backend)
+            return cls.single(graph)
         fragmentation = cls._fragment(graph, num_shards, strategy)
         images: list[Optional[Graph]] = []
         for fragment in fragmentation.fragments:
@@ -204,9 +188,9 @@ class ShardedStore:
                 )
             else:
                 image = Graph(f"{graph.name}[shard{fragment.index}]", store=graph.store.fresh())
-            if image.store_backend != backend:
-                image = image.with_backend(backend)
-            images.append(freeze_shard_image(image))
+            if image.store_backend != SHARD_BACKEND:
+                image = image.with_backend(SHARD_BACKEND)
+            images.append(image)
         owners = {
             node: fragment.index
             for fragment in fragmentation.fragments
@@ -216,30 +200,26 @@ class ShardedStore:
             shard_paths=[None] * num_shards,
             halo_hops=halo_hops,
             strategy=fragmentation.strategy,
-            backend=backend,
             images=images,
             owners=owners,
         )
 
     @classmethod
-    def single(cls, graph: Graph, backend: Optional[str] = None) -> "ShardedStore":
+    def single(cls, graph: Graph) -> "ShardedStore":
         """Wrap the whole graph as one shard (the full-image fallback).
 
         Used when the rule set has disconnected patterns (shard-local
         search would be incomplete) and by incremental runs whose search
-        space is already a replicated neighbourhood.  ``backend=None``
-        keeps the image on its current engine (the fork path shares it
-        copy-on-write as-is); a spooled single-image store is still loaded
-        on the read-only :data:`SHARD_BACKEND` by the workers.
+        space is already a replicated neighbourhood.  The image stays on its
+        current engine (the fork path shares it copy-on-write as-is); a
+        spooled single-image store is loaded on the read-only
+        :data:`SHARD_BACKEND` by the workers.
         """
-        if backend is not None and graph.store_backend != backend:
-            graph = graph.with_backend(backend)
         return cls(
             shard_paths=[None],
             halo_hops=0,
             strategy="single",
-            backend=backend if backend is not None else SHARD_BACKEND,
-            images=[freeze_shard_image(graph)],
+            images=[graph],
             owners=None,
         )
 
@@ -274,7 +254,7 @@ class ShardedStore:
             path = self._paths[index]
             if path is None:
                 raise PartitionError(f"shard {index} has neither an image nor a spool path")
-            image = load_spooled(path, store=self.backend)
+            image = load_spooled(path)
             self._images[index] = image
         return image
 
@@ -308,7 +288,6 @@ class ShardedStore:
             "format": "repro-sharded-store",
             "halo_hops": self.halo_hops,
             "strategy": self.strategy,
-            "backend": self.backend,
             "shards": [os.path.basename(path) for path in self._paths],
         }
         manifest_path = directory / "manifest.json"
@@ -324,9 +303,11 @@ class ShardedStore:
         the same runtime key across warm-pool reloads; when a previous load
         already serialized this store's images there, re-serializing them
         would only burn I/O.  Adoption requires an exact parameter match
-        (shard count, halo radius, strategy, backend) and every shard file
-        on disk — anything else falls through to a fresh spool, which
-        overwrites the stale manifest.
+        (shard count, halo radius, strategy) and every shard file on disk —
+        anything else falls through to a fresh spool, which overwrites the
+        stale manifest.  The images are :mod:`repro.graph.io` JSON, which
+        does not depend on the engine, so the ``"backend"`` entry an older
+        manifest carries is ignored.
         """
         manifest_path = directory / "manifest.json"
         if not manifest_path.is_file():
@@ -341,7 +322,6 @@ class ShardedStore:
             or manifest.get("format") != "repro-sharded-store"
             or manifest.get("halo_hops") != self.halo_hops
             or manifest.get("strategy") != self.strategy
-            or manifest.get("backend") != self.backend
         ):
             return None
         names = manifest.get("shards")
@@ -355,8 +335,8 @@ class ShardedStore:
         return self.manifest_path
 
     @classmethod
-    def load(cls, manifest_path: Union[str, Path], backend: Optional[str] = None) -> "ShardedStore":
-        """Reopen a spooled store lazily (images load on first access)."""
+    def load(cls, manifest_path: Union[str, Path]) -> "ShardedStore":
+        """Reopen a spooled store lazily (images load on the frozen engine on first access)."""
         manifest_path = Path(manifest_path)
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -367,12 +347,11 @@ class ShardedStore:
             shard_paths=[str(directory / name) for name in manifest["shards"]],
             halo_hops=manifest["halo_hops"],
             strategy=manifest["strategy"],
-            backend=backend if backend is not None else manifest.get("backend", SHARD_BACKEND),
             manifest_path=str(manifest_path),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ShardedStore(shards={self.num_shards}, halo={self.halo_hops}, "
-            f"strategy={self.strategy!r}, backend={self.backend!r})"
+            f"strategy={self.strategy!r})"
         )

@@ -8,12 +8,14 @@ layout from the graph *semantics*:
 * :class:`GraphStore` — the storage contract: node/edge CRUD, label-filtered
   adjacency, the label and edge-signature indexes, and a deterministic
   insertion-order rank used by the matchers in place of ``sorted(key=repr)``;
-* :class:`IndexedStore` — the engine every graph gets unless asked
-  otherwise: interned labels, adjacency keyed ``node -> edge_label ->
-  neighbour ids`` so a label-filtered lookup is O(result) instead of
-  O(degree), zero-copy read views, and copy-on-write clones;
-* :class:`CsrStore` — the read-only engine: append-only build, then one pass
-  compacts the adjacency into rank arrays for batch detection.
+* :class:`IndexedStore` — the one layout, and the engine every graph gets
+  unless asked otherwise: interned labels, adjacency keyed ``node ->
+  edge_label -> neighbour ids`` so a label-filtered lookup is O(result)
+  instead of O(degree), zero-copy read views, and copy-on-write clones;
+* :class:`FrozenStore` — the read-only engine: the same layout, filled by one
+  :meth:`~GraphStore.bulk_load` and sealed, so that it can be shared
+  (snapshots, forked shard images) without a copy; its adjacency is linked
+  on the first read.
 
 The facade owns the *semantic* checks of single mutations (missing nodes,
 duplicate edges, wildcard handling); ``add_node`` / ``add_edge`` and the
@@ -32,8 +34,6 @@ from __future__ import annotations
 import gc
 import sys
 from abc import ABC, abstractmethod
-from array import array
-from bisect import bisect_left
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
 from typing import Optional, Union
 
@@ -43,7 +43,7 @@ from repro.graph.model import Edge, Node
 __all__ = [
     "GraphStore",
     "IndexedStore",
-    "CsrStore",
+    "FrozenStore",
     "STORE_REGISTRY",
     "make_store",
 ]
@@ -105,12 +105,12 @@ class GraphStore(ABC):
     zero-copy views or defensive copies is up to the backend.
     """
 
-    #: Registry name of the backend (``"indexed"`` or ``"csr"``).
+    #: Registry name of the backend (``"indexed"`` or ``"frozen"``).
     backend: str = "abstract"
 
-    #: False for frozen engines (:class:`CsrStore`): mutation raises once the
-    #: compact layout is built.  The parity suites use this to scope the
-    #: interleaved-mutation tests to engines that support them.
+    #: False for the read-only engine (:class:`FrozenStore`): every mutator
+    #: raises outside its one bulk build.  The parity suites use this to
+    #: scope the interleaved-mutation tests to engines that support them.
     supports_mutation: bool = True
 
     def fresh(self) -> "GraphStore":
@@ -336,7 +336,8 @@ class GraphStore(ABC):
         """Return an independent copy of this store (same backend).
 
         Writes to either side never show on the other; a backend may share
-        unmodified structure between the two (:class:`IndexedStore` does).
+        unmodified structure between the two (:class:`IndexedStore` does),
+        and one that takes no writes may return itself (:class:`FrozenStore`).
         """
 
     @abstractmethod
@@ -414,6 +415,14 @@ class IndexedStore(GraphStore):
     # ------------------------------------------------------------------ nodes
 
     def add_node(self, node: Node) -> None:
+        node_id = self._store_node(node)
+        self._out[node_id] = {}
+        self._in[node_id] = {}
+        self._out_degree[node_id] = 0
+        self._in_degree[node_id] = 0
+
+    def _store_node(self, node: Node) -> Hashable:
+        """Record a node (label interned), its rank and its label-index entry; return its id."""
         label = sys.intern(node.label)
         if label is not node.label:
             node = Node(node.id, label, node.attributes)
@@ -421,16 +430,13 @@ class IndexedStore(GraphStore):
         self._nodes[node_id] = node
         self._rank[node_id] = self._next_rank
         self._next_rank += 1
-        self._out[node_id] = {}
-        self._in[node_id] = {}
-        self._out_degree[node_id] = 0
-        self._in_degree[node_id] = 0
         if self._private is not None:
             self._unshare_ids(self._label_index, self._private[_LABELS], label)
         bucket = self._label_index.get(label)
         if bucket is None:
             self._label_index[label] = bucket = {}
         bucket[node_id] = None
+        return node_id
 
     def replace_node(self, node: Node) -> None:
         self._nodes[node.id] = node
@@ -689,424 +695,130 @@ class IndexedStore(GraphStore):
                 raise GraphError(f"in-degree counter drifted for node {node_id!r}")
 
 
-class _CsrNeighboursView(AbstractSet):
-    """Zero-copy view of the neighbour ids behind one (node, label) CSR slice.
+#: The four maps a :class:`FrozenStore` links from its edge set on the first read.
+_ADJACENCY = ("_out", "_in", "_out_degree", "_in_degree")
 
-    Backed by a contiguous ``array('q')`` slice of neighbour *ranks* sorted
-    ascending, so ``len`` is O(1), iteration is a sequential array walk (the
-    cache-friendly scan the backend exists for), and membership is a binary
-    search.
+
+class _LinkedOnFirstRead:
+    """One adjacency map of a :class:`FrozenStore`, linked from its edges on the first read.
+
+    A non-data descriptor: the first read links all four maps into the
+    store's ``__dict__``, where every later read finds them by a plain
+    attribute lookup, so the read methods are :class:`IndexedStore`'s own.
     """
 
-    __slots__ = ("_ranks", "_start", "_stop", "_ids", "_index")
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
 
-    def __init__(self, ranks: array, start: int, stop: int, ids: list, index: dict) -> None:
-        self._ranks = ranks
-        self._start = start
-        self._stop = stop
-        self._ids = ids
-        self._index = index
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __iter__(self) -> Iterator[Hashable]:
-        ids = self._ids
-        ranks = self._ranks
-        for position in range(self._start, self._stop):
-            yield ids[ranks[position]]
-
-    def __contains__(self, item: object) -> bool:
-        rank = self._index.get(item)
-        if rank is None:
-            return False
-        position = bisect_left(self._ranks, rank, self._start, self._stop)
-        return position < self._stop and self._ranks[position] == rank
-
-    def rank_slice(self) -> tuple[array, int, int, list]:
-        """Expose ``(ranks, start, stop, ids)`` for sorted-rank intersection.
-
-        ``ranks[start:stop]`` is this view's ascending neighbour-rank slice
-        and ``ids[rank]`` resolves a rank back to a node id — what the
-        compiled anchored strategy merges instead of hash-probing
-        (:func:`repro.matching.compiled.csr_sorted_intersection`).
-        """
-        return self._ranks, self._start, self._stop, self._ids
-
-    @classmethod
-    def _from_iterable(cls, iterable) -> frozenset:
-        return frozenset(iterable)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"CsrNeighboursView({set(self)!r})"
+    def __get__(self, store: Optional["FrozenStore"], owner: Optional[type] = None):
+        if store is None:
+            return self
+        store._link()
+        return store.__dict__[self.name]
 
 
-class _CsrPairsView(AbstractSet):
-    """Zero-copy ``(neighbour, edge_label)`` pairs over one node's CSR slices."""
+class FrozenStore(IndexedStore):
+    """The read-only engine: an :class:`IndexedStore` filled by one bulk load, then sealed.
 
-    __slots__ = ("_slices", "_ranks", "_ids", "_index", "_degree")
+    The one way in is :meth:`bulk_load` (``graph_from_dict`` and
+    ``load_graph``, ``Graph.with_backend``, ``Graph.induced_subgraph``),
+    and the store seals as that build starts: ``add_node`` and ``add_edge``
+    run only inside it, while every other mutator, a single mutation outside
+    it and a second build raise :class:`GraphError`.  Nothing can change a
+    sealed store, so :meth:`clone` returns the store itself: a batch run's
+    snapshot is free, and a process that inherits the store shares it.
 
-    def __init__(self, slices: dict, ranks: array, ids: list, index: dict, degree: int) -> None:
-        self._slices = slices
-        self._ranks = ranks
-        self._ids = ids
-        self._index = index
-        self._degree = degree
-
-    def __len__(self) -> int:
-        return self._degree
-
-    def __iter__(self) -> Iterator[tuple[Hashable, str]]:
-        ids = self._ids
-        ranks = self._ranks
-        for label, (start, stop) in self._slices.items():
-            for position in range(start, stop):
-                yield (ids[ranks[position]], label)
-
-    def __contains__(self, item: object) -> bool:
-        if not isinstance(item, tuple) or len(item) != 2:
-            return False
-        neighbour, label = item
-        bounds = self._slices.get(label)
-        if bounds is None:
-            return False
-        rank = self._index.get(neighbour)
-        if rank is None:
-            return False
-        start, stop = bounds
-        position = bisect_left(self._ranks, rank, start, stop)
-        return position < stop and self._ranks[position] == rank
-
-    @classmethod
-    def _from_iterable(cls, iterable) -> frozenset:
-        return frozenset(iterable)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"CsrPairsView({set(self)!r})"
-
-
-class CsrStore(GraphStore):
-    """A frozen compressed-sparse-row engine for cache-friendly batch detection.
-
-    The build protocol is append-only: load nodes and edges (``Graph.
-    with_backend("csr")``, ``graph/io.load_graph(store="csr")``, or any bulk
-    build that only adds), then the first adjacency read *freezes* the store —
-    one pass over E compacts the adjacency into flat ``array('q')`` rank
-    arrays:
-
-    * per node and direction, a ``{edge_label: (start, stop)}`` slice table
-      into one shared neighbour-rank array, neighbours sorted by rank inside
-      each slice — ``successors_by_label`` is an O(1) table probe returning a
-      zero-copy array-slice view, membership a binary search, iteration a
-      sequential array walk;
-    * node ranks are dense (0..|V|-1 in insertion order, no removals can
-      have happened), so ranks double as array indexes.
-
-    After the freeze every mutator raises :class:`GraphError`; removals are
-    refused even while building (they would break rank density).  ``clone()``
-    of a frozen store returns the store itself — it is immutable, so sharing
-    is safe and free, which is exactly what the planner's repeated batch
-    passes want.  To modify a CSR graph, rebuild it on a mutable engine
+    The build records nodes, ranks, the label index and the edges; the
+    adjacency maps are linked from the edges in one pass on the first
+    adjacency read (:class:`_LinkedOnFirstRead`), so a frozen copy that is
+    loaded and not yet read holds no adjacency.  No read method is
+    overridden: detection on a frozen graph runs :class:`IndexedStore`'s
+    code.  To modify a frozen graph, rebuild it on the mutable engine
     (``graph.with_backend("indexed")``).
     """
 
-    backend = "csr"
+    backend = "frozen"
     supports_mutation = False
 
+    _out = _LinkedOnFirstRead()
+    _in = _LinkedOnFirstRead()
+    _out_degree = _LinkedOnFirstRead()
+    _in_degree = _LinkedOnFirstRead()
+
     def __init__(self) -> None:
-        self._nodes: dict[Hashable, Node] = {}
-        self._rank: dict[Hashable, int] = {}
-        self._edges: dict[EdgeKey, Edge] = {}
-        self._label_index: dict[str, dict[Hashable, None]] = {}
-        self._frozen = False
-        # built by _freeze():
-        self._ids: list[Hashable] = []
-        self._out_ranks: array = array("q")
-        self._in_ranks: array = array("q")
-        self._out_slices: list[dict[str, tuple[int, int]]] = []
-        self._in_slices: list[dict[str, tuple[int, int]]] = []
-        self._out_degree: array = array("q")
-        self._in_degree: array = array("q")
-        # the signature index is lazy, exactly as on IndexedStore
-        self._signatures: Optional[dict[Signature, dict[EdgeKey, None]]] = None
+        super().__init__()
+        self._unlink()
+        self._sealed = False
+        self._loading = False
 
-    # ------------------------------------------------------------- freezing
-
-    def _refuse_mutation(self, operation: str) -> None:
+    def _refuse(self, operation: str) -> None:
         raise GraphError(
-            f"csr store is frozen: {operation} is not supported (rebuild the "
-            "graph on a mutable backend, e.g. graph.with_backend('indexed'))"
+            f"frozen store: {operation} is not supported (rebuild the graph on a "
+            "mutable engine, e.g. graph.with_backend('indexed'))"
         )
 
-    def _freeze(self) -> None:
-        """Compact the adjacency into CSR arrays (first adjacency read)."""
-        if self._frozen:
-            return
-        ids = list(self._nodes.keys())
-        rank = self._rank
-        n = len(ids)
-        out_groups: list[dict[str, list[int]]] = [{} for _ in range(n)]
-        in_groups: list[dict[str, list[int]]] = [{} for _ in range(n)]
-        for edge in self._edges.values():
-            source_rank = rank[edge.source]
-            target_rank = rank[edge.target]
-            out_groups[source_rank].setdefault(edge.label, []).append(target_rank)
-            in_groups[target_rank].setdefault(edge.label, []).append(source_rank)
-        for groups, ranks, slices, degrees in (
-            (out_groups, self._out_ranks, self._out_slices, self._out_degree),
-            (in_groups, self._in_ranks, self._in_slices, self._in_degree),
-        ):
-            for node_rank in range(n):
-                table: dict[str, tuple[int, int]] = {}
-                degree = 0
-                for label, neighbour_ranks in groups[node_rank].items():
-                    neighbour_ranks.sort()
-                    start = len(ranks)
-                    ranks.extend(neighbour_ranks)
-                    table[label] = (start, len(ranks))
-                    degree += len(neighbour_ranks)
-                slices.append(table)
-                degrees.append(degree)
-        self._ids = ids
-        self._frozen = True
+    def _unlink(self) -> None:
+        """Drop the adjacency maps; the next read links them from the edges."""
+        for name in _ADJACENCY:
+            self.__dict__.pop(name, None)
 
-    @property
-    def frozen(self) -> bool:
-        """Return True once the CSR arrays have been built."""
-        return self._frozen
+    def _link(self) -> None:
+        """Build the adjacency maps in edge order, as ``IndexedStore.add_edge`` would.
 
-    # ------------------------------------------------------------------ nodes
+        Built aside and published in one update, so that two threads reading
+        first each build a whole set rather than writing into one.
+        """
+        ids = self._nodes
+        out, inc = {node_id: {} for node_id in ids}, {node_id: {} for node_id in ids}
+        out_degree, in_degree = dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
+        for source, target, label in self._edges:
+            out[source].setdefault(label, {})[target] = None
+            inc[target].setdefault(label, {})[source] = None
+            out_degree[source] += 1
+            in_degree[target] += 1
+        self.__dict__.update(_out=out, _in=inc, _out_degree=out_degree, _in_degree=in_degree)
+
+    def bulk_load(
+        self,
+        nodes: Iterable[tuple[Hashable, str, Optional[Mapping[str, object]]]],
+        edges: Iterable[EdgeKey],
+    ) -> None:
+        if self._sealed:
+            self._refuse("a second bulk_load")
+        self._sealed = self._loading = True
+        self._unlink()  # a read of the empty store may have linked it
+        try:
+            super().bulk_load(nodes, edges)
+        finally:
+            self._loading = False
 
     def add_node(self, node: Node) -> None:
-        if self._frozen:
-            self._refuse_mutation("add_node")
-        label = sys.intern(node.label)
-        if label is not node.label:
-            node = Node(node.id, label, node.attributes)
-        self._nodes[node.id] = node
-        self._rank[node.id] = len(self._rank)
-        bucket = self._label_index.get(label)
-        if bucket is None:
-            self._label_index[label] = bucket = {}
-        bucket[node.id] = None
-
-    def replace_node(self, node: Node) -> None:
-        if self._frozen:
-            self._refuse_mutation("replace_node")
-        self._nodes[node.id] = node
-
-    def remove_node(self, node_id: Hashable) -> None:
-        self._refuse_mutation("remove_node")
-
-    def get_node(self, node_id: Hashable) -> Optional[Node]:
-        return self._nodes.get(node_id)
-
-    def has_node(self, node_id: Hashable) -> bool:
-        return node_id in self._nodes
-
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def nodes(self) -> Iterator[Node]:
-        return iter(self._nodes.values())
-
-    def node_ids(self) -> Iterator[Hashable]:
-        return iter(self._nodes.keys())
-
-    def all_node_ids(self):
-        return self._nodes.keys()
-
-    def node_rank(self, node_id: Hashable) -> int:
-        return self._rank[node_id]
-
-    def nodes_with_label(self, label: str):
-        bucket = self._label_index.get(label)
-        return bucket.keys() if bucket is not None else _EMPTY_KEYS
-
-    def labels(self) -> frozenset[str]:
-        return frozenset(self._label_index.keys())
-
-    # ------------------------------------------------------------------ edges
+        if not self._loading:
+            self._refuse("add_node")
+        self._store_node(node)
 
     def add_edge(self, edge: Edge) -> None:
-        if self._frozen:
-            self._refuse_mutation("add_edge")
-        label = sys.intern(edge.label)
-        if label is not edge.label:
-            edge = Edge(edge.source, edge.target, label)
-        self._edges[(edge.source, edge.target, label)] = edge
+        if not self._loading:
+            self._refuse("add_edge")
+        self._edges[(edge.source, edge.target, sys.intern(edge.label))] = edge
+
+    def replace_node(self, node: Node) -> None:
+        self._refuse("replace_node")
+
+    def remove_node(self, node_id: Hashable) -> None:
+        self._refuse("remove_node")
 
     def remove_edge(self, key: EdgeKey) -> None:
-        self._refuse_mutation("remove_edge")
+        self._refuse("remove_edge")
 
-    def get_edge(self, key: EdgeKey) -> Optional[Edge]:
-        return self._edges.get(key)
-
-    def has_edge_key(self, key: EdgeKey) -> bool:
-        return key in self._edges
-
-    def has_any_edge(self, source: Hashable, target: Hashable) -> bool:
-        if not self._frozen:
-            return any(
-                edge_source == source and edge_target == target
-                for edge_source, edge_target, _ in self._edges
-            )
-        source_rank = self._rank.get(source)
-        target_rank = self._rank.get(target)
-        if source_rank is None or target_rank is None:
-            return False
-        ranks = self._out_ranks
-        for start, stop in self._out_slices[source_rank].values():
-            position = bisect_left(ranks, target_rank, start, stop)
-            if position < stop and ranks[position] == target_rank:
-                return True
-        return False
-
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    def edges(self) -> Iterator[Edge]:
-        return iter(self._edges.values())
-
-    def edge_labels(self) -> frozenset[str]:
-        return frozenset(edge.label for edge in self._edges.values())
-
-    def _built_signatures(self) -> dict[Signature, dict[EdgeKey, None]]:
-        if self._signatures is None:
-            nodes = self._nodes
-            signatures: dict[Signature, dict[EdgeKey, None]] = {}
-            for key, edge in self._edges.items():
-                signature = (nodes[edge.source].label, edge.label, nodes[edge.target].label)
-                bucket = signatures.get(signature)
-                if bucket is None:
-                    signatures[signature] = bucket = {}
-                bucket[key] = None
-            self._signatures = signatures
-        return self._signatures
-
-    def edges_with_exact_signature(self, signature: Signature) -> list[Edge]:
-        keys = self._built_signatures().get(signature, _EMPTY_DICT)
-        return [self._edges[key] for key in keys]
-
-    def signature_items(self) -> Iterator[tuple[Signature, list[Edge]]]:
-        for signature, keys in self._built_signatures().items():
-            yield signature, [self._edges[key] for key in keys]
-
-    # -------------------------------------------------------------- adjacency
-
-    def successors(self, node_id: Hashable) -> _CsrPairsView:
-        self._freeze()
-        rank = self._rank[node_id]
-        return _CsrPairsView(
-            self._out_slices[rank], self._out_ranks, self._ids, self._rank, self._out_degree[rank]
-        )
-
-    def predecessors(self, node_id: Hashable) -> _CsrPairsView:
-        self._freeze()
-        rank = self._rank[node_id]
-        return _CsrPairsView(
-            self._in_slices[rank], self._in_ranks, self._ids, self._rank, self._in_degree[rank]
-        )
-
-    def successors_by_label(self, node_id: Hashable, edge_label: str):
-        self._freeze()
-        bounds = self._out_slices[self._rank[node_id]].get(edge_label)
-        if bounds is None:
-            return _EMPTY_KEYS
-        return _CsrNeighboursView(self._out_ranks, bounds[0], bounds[1], self._ids, self._rank)
-
-    def predecessors_by_label(self, node_id: Hashable, edge_label: str):
-        self._freeze()
-        bounds = self._in_slices[self._rank[node_id]].get(edge_label)
-        if bounds is None:
-            return _EMPTY_KEYS
-        return _CsrNeighboursView(self._in_ranks, bounds[0], bounds[1], self._ids, self._rank)
-
-    def out_edge_labels(self, node_id: Hashable):
-        self._freeze()
-        return self._out_slices[self._rank[node_id]].keys()
-
-    def in_edge_labels(self, node_id: Hashable):
-        self._freeze()
-        return self._in_slices[self._rank[node_id]].keys()
-
-    def out_degree(self, node_id: Hashable) -> int:
-        self._freeze()
-        return self._out_degree[self._rank[node_id]]
-
-    def in_degree(self, node_id: Hashable) -> int:
-        self._freeze()
-        return self._in_degree[self._rank[node_id]]
-
-    def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
-        self._freeze()
-        reached: set[int] = set()
-        for node_id in node_ids:
-            rank = self._rank[node_id]
-            for ranks, slices in (
-                (self._out_ranks, self._out_slices[rank]),
-                (self._in_ranks, self._in_slices[rank]),
-            ):
-                for start, stop in slices.values():
-                    reached.update(ranks[start:stop])
-        return set(map(self._ids.__getitem__, reached))
-
-    def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
-        self._freeze()
-        edges = self._edges
-        ids = self._ids
-        ranks = self._out_ranks
-        for node_id in sorted(wanted, key=self._rank.__getitem__):
-            for label, (start, stop) in self._out_slices[self._rank[node_id]].items():
-                for position in range(start, stop):
-                    target = ids[ranks[position]]
-                    if target in wanted:
-                        yield edges[(node_id, target, label)]
-
-    # ------------------------------------------------------------- lifecycle
-
-    def clone(self) -> "CsrStore":
-        if self._frozen:
-            # a frozen store is immutable: sharing it is safe and free
-            return self
-        other = CsrStore()
-        other._nodes = dict(self._nodes)
-        other._rank = dict(self._rank)
-        other._edges = dict(self._edges)
-        other._label_index = {label: dict(ids) for label, ids in self._label_index.items()}
-        return other
-
-    def validate(self) -> None:
-        self._freeze()
-        for (source, target, label), edge in self._edges.items():
-            if source not in self._nodes or target not in self._nodes:
-                raise GraphError(f"edge {edge!r} references a missing node")
-            bounds = self._out_slices[self._rank[source]].get(label)
-            if bounds is None or target not in _CsrNeighboursView(
-                self._out_ranks, bounds[0], bounds[1], self._ids, self._rank
-            ):
-                raise GraphError(f"out-CSR slice missing for {edge!r}")
-            bounds = self._in_slices[self._rank[target]].get(label)
-            if bounds is None or source not in _CsrNeighboursView(
-                self._in_ranks, bounds[0], bounds[1], self._ids, self._rank
-            ):
-                raise GraphError(f"in-CSR slice missing for {edge!r}")
-        if len(self._out_ranks) != len(self._edges) or len(self._in_ranks) != len(self._edges):
-            raise GraphError("CSR arrays drifted from the edge set")
-        for label, ids in self._label_index.items():
-            for node_id in ids:
-                node = self._nodes.get(node_id)
-                if node is None or node.label != label:
-                    raise GraphError(f"label index corrupt for label {label!r}, node {node_id!r}")
-        for position, node_id in enumerate(self._ids):
-            if self._rank[node_id] != position:
-                raise GraphError(f"rank table corrupt for node {node_id!r}")
+    def clone(self) -> "FrozenStore":
+        return self
 
 
-#: Name -> backend class: the one mutable engine and the read-only one.
+#: Name -> backend class: the one mutable engine and its sealed, read-only form.
 STORE_REGISTRY: dict[str, type[GraphStore]] = {
     IndexedStore.backend: IndexedStore,
-    CsrStore.backend: CsrStore,
+    FrozenStore.backend: FrozenStore,
 }
 
 

@@ -37,13 +37,6 @@ Every literal a search evaluates runs through these closures; there is no
 interpreted path beside them.  ``Literal.holds_for`` stays the oracle: the
 literal-parity suite (``tests/test_compiled_eval.py``) holds every closure
 to its verdict on generated assignments.
-
-This module also hosts the sorted-rank candidate intersection for the
-anchored strategy on :class:`~repro.graph.store.CsrStore`: the store's
-label-filtered adjacency views are ascending ``array('q')`` rank slices,
-so the intersection is a linear merge with per-view bisect cursors
-instead of repeated hash probes — and the output is already in rank
-order, skipping the final sort.
 """
 
 from __future__ import annotations
@@ -76,7 +69,6 @@ __all__ = [
     "CompiledStep",
     "CompiledSchedule",
     "compile_literal",
-    "csr_sorted_intersection",
 ]
 
 
@@ -362,44 +354,3 @@ class CompiledSchedule:
                 return True
         return False
 
-
-# --------------------------------------------------- sorted-rank intersection
-
-
-def csr_sorted_intersection(base, others) -> Optional[list]:
-    """Intersect CSR adjacency views by merging their sorted rank slices.
-
-    ``base`` is the smallest view; every view must be a
-    :class:`~repro.graph.store._CsrNeighboursView` (the caller has already
-    checked).  Returns node ids in ascending rank order — the exact order
-    ``sort(key=graph.node_rank)`` would produce — or None when any view
-    cannot expose a rank slice, in which case the caller falls back to
-    hash-probe membership.
-
-    Each non-base slice keeps a monotone cursor: the base ranks arrive
-    ascending, so every ``bisect_left`` restricts itself to the unseen
-    tail and the whole intersection is a linear merge (galloping via
-    bisect) rather than |base| × |others| hash probes.
-    """
-    from bisect import bisect_left
-
-    try:
-        base_ranks, base_start, base_stop, ids = base.rank_slice()
-        other_slices = [view.rank_slice() for view in others]
-    except AttributeError:  # pragma: no cover - non-CSR view slipped through
-        return None
-    cursors = [start for _, start, _, _ in other_slices]
-    survivors: list = []
-    append = survivors.append
-    for position in range(base_start, base_stop):
-        rank = base_ranks[position]
-        member = True
-        for index, (ranks, _, stop, _) in enumerate(other_slices):
-            cursor = bisect_left(ranks, rank, cursors[index], stop)
-            cursors[index] = cursor
-            if cursor >= stop or ranks[cursor] != rank:
-                member = False
-                break
-        if member:
-            append(ids[rank])
-    return survivors

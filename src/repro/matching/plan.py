@@ -42,9 +42,8 @@ from repro import obs
 from repro.core.ngd import NGD
 from repro.expr.literals import Literal
 from repro.graph.graph import WILDCARD, Graph
-from repro.graph.store import _CsrNeighboursView
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import CompiledSchedule, CompiledStep, csr_sorted_intersection
+from repro.matching.compiled import CompiledSchedule, CompiledStep
 
 __all__ = [
     "GraphStatistics",
@@ -669,13 +668,12 @@ def step_candidates(
     per adjacency membership probe of the anchored intersection.
 
     The unary premise filter runs ``compiled_step``'s closures over the
-    node's attribute mapping, and the anchored strategy intersects
-    ``CsrStore`` rank slices by sorted merge (output already in rank order, so
-    the final sort is skipped).
+    node's attribute mapping; the anchored strategy probes the smallest
+    anchor view's nodes against the others, and the survivors of either
+    strategy are sorted by rank once.
     """
     pattern_node = plan.rule.pattern.node(step.variable)
     candidates: list[Hashable] = []
-    presorted = False
     unary_checks = compiled_step.unary_checks if use_literal_pruning else ()
 
     if step.strategy == "anchored":
@@ -684,41 +682,18 @@ def step_candidates(
         base = views[base_index]
         others = [view for i, view in enumerate(views) if i != base_index]
         scanned = len(base)
-        merged = None
-        if (
-            scanned
-            and isinstance(base, _CsrNeighboursView)
-            and all(isinstance(view, _CsrNeighboursView) for view in others)
-        ):
-            merged = csr_sorted_intersection(base, others)
-        if merged is not None:
-            # billing parity with the probe loop below: every base node is
-            # examined once and charged one probe per other view, whether or
-            # not the merge had to look at it
-            presorted = True
-            stats.candidates_examined += scanned
+        for node_id in base:
+            stats.candidates_examined += 1
             if others:
-                stats.edge_checks += scanned * len(others)
-            for node_id in merged:
-                node = graph.node(node_id)
-                if not pattern_node.matches_label(node.label):
+                stats.edge_checks += len(others)
+                if not all(node_id in view for view in others):
                     continue
-                if unary_checks and _unary_rejects(unary_checks, node.attributes, stats):
-                    continue
-                candidates.append(node_id)
-        else:
-            for node_id in base:
-                stats.candidates_examined += 1
-                if others:
-                    stats.edge_checks += len(others)
-                    if not all(node_id in view for view in others):
-                        continue
-                node = graph.node(node_id)
-                if not pattern_node.matches_label(node.label):
-                    continue
-                if unary_checks and _unary_rejects(unary_checks, node.attributes, stats):
-                    continue
-                candidates.append(node_id)
+            node = graph.node(node_id)
+            if not pattern_node.matches_label(node.label):
+                continue
+            if unary_checks and _unary_rejects(unary_checks, node.attributes, stats):
+                continue
+            candidates.append(node_id)
     else:
         bucket = graph.nodes_with_label(step.label)
         scanned = len(bucket)
@@ -736,8 +711,7 @@ def step_candidates(
                 continue
             candidates.append(node_id)
 
-    if not presorted:
-        candidates.sort(key=graph.node_rank)
+    candidates.sort(key=graph.node_rank)
     if scanned and obs.enabled():
         # plain-dict accumulation: this is the match executor's hottest loop
         # and the registry flush happens once per run (flush_step_counts)

@@ -54,6 +54,7 @@ pool still accepts updates and serves state documents.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -144,8 +145,14 @@ def _optional_positive_number(document: Mapping, key: str) -> Optional[float]:
     value = document.get(key)
     if value is None:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ServiceError(f"{key!r} must be a positive number, got {value!r}")
+    # JSON NaN and 1e999 parse to nan and inf, which would never end a run;
+    # an integer past the float range is refused with them
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise ServiceError(f"{key!r} must be a finite positive number, got {value!r}")
     return float(value)
 
 
@@ -153,7 +160,7 @@ def parse_detect_request(document: object) -> DetectRequest:
     """Validate a request JSON document into a :class:`DetectRequest`.
 
     Raises :class:`~repro.errors.ServiceError` on shape errors: both or
-    neither rule source, unknown engines, non-positive budgets.  An inline
+    neither rule source, unknown engines, non-positive or non-finite budgets.  An inline
     rule document is parsed eagerly so a malformed rule fails the request
     up front, not mid-stream.
     """

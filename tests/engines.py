@@ -1,10 +1,10 @@
 """The storage engines the parity suites run, by name.
 
-``STORE_REGISTRY`` holds the engines ``repro`` ships (``indexed`` and
-``csr``).  The suites also run :class:`~dict_store.DictStore`, the oracle the
-shipped engines are compared against, so they take engines from this table
-instead of from the registry.  A parametrised test keeps the engine *name* as
-its parameter, so test ids read ``[dict]``, ``[indexed]``, ``[csr]``.
+``STORE_REGISTRY`` holds the engines ``repro`` ships (``indexed`` and its
+sealed, read-only form ``frozen``).  The suites also run
+:class:`~dict_store.DictStore`, the oracle the shipped engines are compared
+against, so they take engines from this table instead of from the registry.  A parametrised test keeps the engine *name* as
+its parameter, so test ids read ``[dict]``, ``[frozen]``, ``[indexed]``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.graph.store import STORE_REGISTRY, GraphStore
 ENGINES: dict[str, type[GraphStore]] = {DictStore.backend: DictStore, **STORE_REGISTRY}
 #: every name, sorted (the order the suites parametrise in)
 BACKENDS = sorted(ENGINES)
-#: the engines that accept interleaved mutation (``csr`` freezes on first read)
+#: the engines that accept interleaved mutation (``frozen`` is filled by one bulk load)
 MUTABLE_BACKENDS = [name for name in BACKENDS if ENGINES[name].supports_mutation]
 
 

@@ -108,6 +108,12 @@ class TestExitCodes:
         assert main(["run", g2_path, "--max-violations", "0"]) == 2
         assert "max_violations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cost", ("nan", "inf", "1e999"))
+    def test_a_non_finite_cost_budget_exits_2(self, g2_path, capsys, cost):
+        # NaN compares false with every cost: it would run unbounded and exit 1
+        assert main(["run", g2_path, "--max-cost", cost]) == 2
+        assert "max_cost" in capsys.readouterr().err
+
 
 class TestJsonFormat:
     def test_run_json_schema(self, g2_path, capsys):
@@ -212,15 +218,12 @@ class TestDetectionFlags:
         assert main(["run", g2_path, "--engine", "batch", "--processors", "4"]) == 1
         assert "Dect: 1 violations" in capsys.readouterr().out
 
-    def test_store_flag(self, g2_path, capsys):
-        for store in ("indexed", "csr"):
-            assert main(["run", g2_path, "--store", store, "--format", "json"]) == 1
-            assert json.loads(capsys.readouterr().out)["violation_count"] == 1
-
-    @pytest.mark.parametrize("store", ("dict", "persistent"))
-    def test_store_flag_offers_only_the_two_engines(self, g2_path, capsys, store):
-        assert main(["run", g2_path, "--store", store]) == 2
-        assert "invalid choice" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", (["run"], ["incremental"], ["explain"], ["rules", "discover"]), ids=" ".join)
+    def test_the_store_flag_is_gone(self, g2_path, delta_path, capsys, command):
+        # every graph a command loads is on the one mutable engine
+        update = ["--update", delta_path] if command == ["incremental"] else []
+        assert main([*command, g2_path, *update, "--store", "indexed"]) == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
 
     def test_cli_matches_session_api(self, g2_path, capsys):
         assert main(["run", g2_path, "--format", "json"]) == 1

@@ -9,13 +9,11 @@ Three layers are covered:
   sample, in both the slot-based and the ``direct`` (unary-filter) modes;
 * end-to-end — on a literal-heavy workload with dirty attributes, the
   violations equal the naive reference, and ``ViolationSet``\\ s and
-  ``MatchStatistics`` are identical across every store backend, serial and
+  ``MatchStatistics`` are identical on both store layouts, serial and
   multi-process execution, and for plans rebuilt from their document (as
   spawn workers recompile schedules from the shipped plan document);
 * machinery — ``MatchPlan`` stays picklable after compiling schedules
-  (closures are excluded from its state), and the CSR sorted-rank
-  intersection returns exactly the set-intersection survivors in ascending
-  rank order.
+  (closures are excluded from its state).
 """
 
 from __future__ import annotations
@@ -48,10 +46,10 @@ from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import CompiledSchedule, compile_literal, csr_sorted_intersection, resolve_compiled
+from repro.matching.compiled import CompiledSchedule, compile_literal, resolve_compiled
 from repro.matching.plan import compile_plans, first_step_candidates, plans_from_document, plans_to_document
 
-from engines import BACKENDS, new_store
+from engines import new_store
 
 
 
@@ -293,7 +291,7 @@ def test_batch_equals_the_naive_reference(heavy_rules):
     assert result.violation_count() > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ("dict", "indexed"))
 @pytest.mark.parametrize("plans", ("compiled", "document"))
 def test_batch_parity_across_backends(product_graph, heavy_rules, backend, plans):
     # document: plans rebuilt from their JSON document, as a plans file or a
@@ -451,8 +449,8 @@ def test_first_step_candidates_ignores_its_compiled_argument(product_graph, heav
 
 def test_triangle_multi_anchor_parity():
     # a genuine triangle: the last-placed variable anchors to TWO bound
-    # variables, driving the sorted-rank intersection inside step_candidates
-    # on the csr backend (the other workloads anchor to one variable only)
+    # variables, driving the anchored probe of step_candidates through a
+    # second view (the other workloads anchor to one variable only)
     pattern = Pattern("T")
     for variable in ("x", "y", "z"):
         pattern.add_node(variable, "n")
@@ -473,31 +471,11 @@ def test_triangle_multi_anchor_parity():
         source, target = rng.randrange(size), rng.randrange(size)
         if source != target and not graph.has_edge(source, target, "e"):
             graph.add_edge(source, target, "e")
-    merged = _run(graph, rules, backend="csr")
-    probed = _run(graph, rules, backend="dict")
-    assert merged.violations.to_json() == probed.violations.to_json()
-    assert _stats_tuple(merged.stats) == _stats_tuple(probed.stats)
-    assert _pairs(merged.violations) == naive_reference.violations(graph, rules)
-    assert merged.stats.edge_checks > 0
-    assert merged.violation_count() > 0
+    indexed = _run(graph, rules)
+    oracle = _run(graph, rules, backend="dict")
+    assert indexed.violations.to_json() == oracle.violations.to_json()
+    assert _stats_tuple(indexed.stats) == _stats_tuple(oracle.stats)
+    assert _pairs(indexed.violations) == naive_reference.violations(graph, rules)
+    assert indexed.stats.edge_checks > 0
+    assert indexed.violation_count() > 0
 
-
-def test_csr_sorted_intersection_matches_set_semantics(product_graph):
-    graph = product_graph.with_backend("csr")
-    sellers = list(graph.nodes_with_label("seller"))
-    products = list(graph.nodes_with_label("product"))
-    found = 0
-    for seller in sellers[:10]:
-        base = graph.successors_by_label(seller, "sells")
-        if not hasattr(base, "rank_slice"):
-            continue
-        for product in products[:20]:
-            other = graph.successors_by_label(product, "variant")
-            if not hasattr(other, "rank_slice"):
-                continue
-            merged = csr_sorted_intersection(base, [other])
-            assert merged is not None
-            expected = sorted(set(base) & set(other), key=graph.node_rank)
-            assert merged == expected
-            found += 1
-    assert found > 0

@@ -128,17 +128,15 @@ class TestFaultPlan:
 
 
 class TestCrashRecoveryParity:
-    @pytest.mark.parametrize("backend", ("indexed", "csr"))
-    def test_sigkilled_worker_is_byte_identical_fork(self, kb_graph, kb_rules, backend, monkeypatch):
-        graph = kb_graph.with_backend(backend)
-        serial = Detector(kb_rules, engine="batch").run(graph)
+    def test_sigkilled_worker_is_byte_identical_fork(self, kb_graph, kb_rules, monkeypatch):
+        serial = Detector(kb_rules, engine="batch").run(kb_graph)
         monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=3")
         result = Detector(
             kb_rules,
             engine="parallel",
             processors=2,
             options=_options(start_method="fork"),
-        ).run(graph)
+        ).run(kb_graph)
         assert len(serial.violations) > 0
         assert result.violations.to_json() == serial.violations.to_json()
         assert not result.degraded

@@ -1,8 +1,7 @@
 """The plan compiler's unit tests and the planned kernels against their oracles.
 
-For every dataset rule set, every storage backend (the mutable engine, the
-frozen CSR store and the ``dict`` oracle of ``tests/engines.py``) and every
-kernel, planned detection yields **byte-identical** ``ViolationSet``s and
+For every dataset rule set, both storage layouts (the shipped engine and
+the ``dict`` oracle of ``tests/engines.py``) and every kernel, planned detection yields **byte-identical** ``ViolationSet``s and
 deterministic costs: against the naive reference where the graph is small
 enough, against the dict oracle across backends, and against the batch-diff
 oracle for ΔVio.
@@ -39,7 +38,7 @@ from repro.matching.search import RuleSearch
 
 from engines import new_store
 
-BACKENDS = ("dict", "indexed", "csr")
+BACKENDS = ("dict", "indexed")
 
 
 def _kb_graph(store=None) -> Graph:
@@ -188,10 +187,9 @@ class TestPlannerOracleParity:
 
 
 class TestIncrementalPlannerParity:
-    """Planned ΔVio against the batch-diff oracle (the CSR store is frozen, so
-    the two mutable engines carry the incremental legs)."""
+    """Planned ΔVio against the batch-diff oracle."""
 
-    @pytest.mark.parametrize("backend", ("dict", "indexed"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("engine,processors", [("incremental", None), ("parallel", 4)])
     def test_delta_byte_identical(self, backend, engine, processors):
         base = _kb_graph(store=new_store(backend))

@@ -5,8 +5,8 @@ Two layers:
 * a differential over generated graphs, rules and ΔG batches: the serial
   kernels (Dect and IncDect, both thin drivers over
   :class:`~repro.matching.search.RuleSearch`) must equal the naive reference
-  of :mod:`naive_reference` — ``Vio(Σ, G)`` on the mutable and the frozen
-  engine, and ``Vio(Σ, G ⊕ ΔG) = Vio(Σ, G) ⊕ ΔVio`` along an update stream —
+  of :mod:`naive_reference` — ``Vio(Σ, G)``, and
+  ``Vio(Σ, G ⊕ ΔG) = Vio(Σ, G) ⊕ ΔVio`` along an update stream —
   and so must the core's matcher view (``HomomorphismMatcher``), which
   enumerates homomorphisms rather than violations; over one plan, the core's
   two leaves split the same bindings;
@@ -47,7 +47,8 @@ from repro.matching.search import RuleSearch
 from engines import new_store
 from hub_workload import correlated_hub_graph, hub_rules as build_hub_rules
 
-STORES = ("indexed", "csr")
+#: the shipped layout and the tests' oracle
+STORES = ("indexed", "dict")
 NODE_LABELS = ("a", "b")
 EDGE_LABELS = ("p", "q")
 
@@ -158,33 +159,29 @@ def finish(events):
 
 @settings(max_examples=200, deadline=None)
 @given(graphs(), rule_sets())
-def test_dect_equals_the_reference_on_both_engines(graph, rules):
+def test_dect_equals_the_reference(graph, rules):
     expected = naive_reference.violations(graph, rules)
-    for store in STORES:
-        stream, result = finish(iter_dect(graph.with_backend(store), rules))
-        assert as_pairs(result.violations) == expected, store
-        assert len(stream) == len(expected), "a violation streamed twice"
+    stream, result = finish(iter_dect(graph, rules))
+    assert as_pairs(result.violations) == expected
+    assert len(stream) == len(expected), "a violation streamed twice"
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs(), rule_sets(allow_isolated=False), st.data())
 def test_incdect_maintains_the_reference_along_an_update_stream(graph, rules, data):
     fresh: list = []
-    maintained = {store: finish(iter_dect(graph.with_backend(store), rules))[1].violations for store in STORES}
+    maintained = finish(iter_dect(graph, rules))[1].violations
     for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="batches")):
         delta = draw_batch(data.draw, graph, fresh)
         after = apply_update(graph, delta)
         before_reference = naive_reference.violations(graph, rules)
         after_reference = naive_reference.violations(after, rules)
-        for store in STORES:
-            _, result = finish(
-                iter_inc_dect(graph.with_backend(store), rules, delta, graph_after=after.with_backend(store))
-            )
-            # ΔVio is exact, not merely sufficient: nothing reported that did not change
-            assert as_pairs(result.delta.introduced) == after_reference - before_reference, store
-            assert as_pairs(result.delta.removed) == before_reference - after_reference, store
-            maintained[store] = maintained[store].apply_delta(result.delta)
-            assert as_pairs(maintained[store]) == after_reference, store
+        _, result = finish(iter_inc_dect(graph, rules, delta, graph_after=after))
+        # ΔVio is exact, not merely sufficient: nothing reported that did not change
+        assert as_pairs(result.delta.introduced) == after_reference - before_reference
+        assert as_pairs(result.delta.removed) == before_reference - after_reference
+        maintained = maintained.apply_delta(result.delta)
+        assert as_pairs(maintained) == after_reference
         graph = after
 
 
@@ -214,17 +211,15 @@ def test_the_matcher_view_enumerates_the_homomorphisms(graph, rules):
     for rule in rules:
         every = {tuple(sorted(h.items())) for h in naive_reference.matches(graph, rule.pattern)}
         in_premise = {h for h in every if naive_reference.satisfies(graph, dict(h), rule.premise)}
-        for store in STORES:
-            target = graph.with_backend(store)
-            statistics = GraphStatistics.from_graph(target)
-            for pruning, expected in ((False, every), (True, in_premise)):
-                matcher = HomomorphismMatcher(
-                    target, rule.pattern, rule.premise, use_literal_pruning=pruning, statistics=statistics
-                )
-                stream = [tuple(sorted(match.items())) for match in matcher.matches()]
-                assert set(stream) == expected, (store, pruning)
-                assert len(stream) == len(expected), "a match streamed twice"
-                assert matcher.stats.matches_emitted == len(expected)
+        statistics = GraphStatistics.from_graph(graph)
+        for pruning, expected in ((False, every), (True, in_premise)):
+            matcher = HomomorphismMatcher(
+                graph, rule.pattern, rule.premise, use_literal_pruning=pruning, statistics=statistics
+            )
+            stream = [tuple(sorted(match.items())) for match in matcher.matches()]
+            assert set(stream) == expected, pruning
+            assert len(stream) == len(expected), "a match streamed twice"
+            assert matcher.stats.matches_emitted == len(expected)
 
 
 def self_loop_rule() -> RuleSet:
@@ -241,7 +236,7 @@ def test_a_seed_must_carry_the_first_variables_self_loop():
         graph.add_edge(source, target, "p")
     rules = self_loop_rule()
     assert naive_reference.violations(graph, rules) == {("loop", (0, 0)), ("loop", (0, 1))}
-    for store in STORES + ("dict",):
+    for store in STORES:
         result = finish(iter_dect(graph.with_backend(new_store(store)), rules))[1]
         assert as_pairs(result.violations) == {("loop", (0, 0)), ("loop", (0, 1))}, store
     single = RuleSet([NGD.from_text(Pattern.from_edges("one", [("x", "a")], [("x", "x", "p")]), "", "x.val = 1")])
@@ -276,7 +271,7 @@ def without_conclusion(rule: NGD) -> NGD:
     return NGD(rule.pattern, rule.premise, name=rule.name, allow_nonlinear=True)
 
 
-@pytest.mark.parametrize("store", STORES + ("dict",))
+@pytest.mark.parametrize("store", STORES)
 def test_the_two_leaves_split_the_same_bindings(store):
     """Over one pattern, the match leaf keeps every homomorphism and the violation leaf those that fail X → Y."""
     base = figure1_g2()
@@ -301,7 +296,7 @@ def test_the_two_leaves_split_the_same_bindings(store):
     assert any(naive_reference.violations(base, rules))
 
 
-@pytest.mark.parametrize("store", STORES + ("dict",))
+@pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("pruning", (True, False), ids=("pruned", "unpruned"))
 def test_the_match_leaf_refuses_a_rule_with_a_conclusion(pruning, store):
     """With pruning, the schedule of a rule with a conclusion prunes on Y: the match leaf would drop bindings."""
@@ -467,9 +462,8 @@ def hub_rules():
     return build_hub_rules()
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_lockstep_dect(hub_graph, hub_rules, store):
-    result = dect_both_ways(hub_graph.with_backend(store), hub_rules)
+def test_lockstep_dect(hub_graph, hub_rules):
+    result = dect_both_ways(hub_graph, hub_rules)
     assert len(result.violations) > 0 and not result.stopped_early
 
 
@@ -483,18 +477,16 @@ def test_lockstep_dect_stops_where_the_stepped_run_stops(hub_graph, hub_rules):
         assert capped.stop_reason == "max_violations" and len(capped.violations) == cap
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_lockstep_dect_with_a_declared_order(hub_graph, hub_rules, store):
+def test_lockstep_dect_with_a_declared_order(hub_graph, hub_rules):
     # a run executes the order it is handed, not the one it would compile
-    graph = hub_graph.with_backend(store)
-    (compiled,) = compile_plans(graph, hub_rules)
+    (compiled,) = compile_plans(hub_graph, hub_rules)
     declared = MatchPlan.from_dict(dict(compiled.to_dict(), order=["z", "x", "y"]), compiled.rule)
     assert declared.order != compiled.order
-    result = dect_both_ways(graph, hub_rules, plans=(declared,))
-    default = dect_both_ways(graph, hub_rules)
+    result = dect_both_ways(hub_graph, hub_rules, plans=(declared,))
+    default = dect_both_ways(hub_graph, hub_rules)
     assert as_pairs(result.violations) == as_pairs(default.violations)
     assert result.stats.total_operations() != default.stats.total_operations()
-    capped = dect_both_ways(graph, hub_rules, budget=DetectionBudget(max_cost=result.cost / 2), plans=(declared,))
+    capped = dect_both_ways(hub_graph, hub_rules, budget=DetectionBudget(max_cost=result.cost / 2), plans=(declared,))
     assert capped.stop_reason == "max_cost"
 
 
@@ -518,7 +510,7 @@ def test_lockstep_dect_when_the_seed_binds_every_variable(hub_graph):
     dect_both_ways(hub_graph, rules, budget=DetectionBudget(max_cost=full.cost / 3))
 
 
-@pytest.mark.parametrize("backend", ("dict", "indexed"))  # the CSR store is frozen
+@pytest.mark.parametrize("backend", STORES)
 def test_lockstep_inc_dect(hub_graph, hub_rules, backend):
     # the second rule's pivots bind its whole two-variable pattern
     rules = RuleSet(list(hub_rules) + list(seed_binds_everything_rules()))

@@ -10,6 +10,7 @@ budget enforcement, and clean shutdown.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -102,6 +103,15 @@ class TestProtocol:
     def test_malformed_requests_rejected(self, document):
         with pytest.raises(ServiceError):
             parse_detect_request(document)
+
+    @pytest.mark.parametrize("key", ("max_cost", "timeout_seconds"))
+    @pytest.mark.parametrize(
+        "text", ("NaN", "Infinity", "1e999", "1" + "0" * 400), ids=("NaN", "Infinity", "1e999", "10^400")
+    )
+    def test_a_non_finite_budget_is_rejected(self, key, text):
+        # each parses from JSON; none would ever end a run or reach a deadline
+        with pytest.raises(ServiceError, match="finite"):
+            parse_detect_request(json.loads(f'{{"catalog": "x", "{key}": {text}}}'))
 
     def test_record_round_trip(self):
         record = {"type": "violation", "rule": "r", "variables": ["x"], "nodes": ["a"], "introduced": True}
@@ -209,6 +219,12 @@ class TestServiceEndpoints:
         client.register_graph("g", multi_area_graph(2))
         reply = client.detect("g", rules=RuleSet([phi2()], name="inline"))
         assert len(reply) == 2
+
+    @pytest.mark.parametrize("key", ("max_cost", "timeout_seconds"))
+    def test_a_nan_budget_is_a_400(self, service, client, key):
+        client.register_graph("g", multi_area_graph(1))
+        with pytest.raises(ServiceError, match=f"failed with 400: '{key}' must be a finite"):
+            client.detect("g", catalog="example", **{key: float("nan")})
 
     def test_detect_unknown_graph_is_404_class_error(self, service, client):
         with pytest.raises(ServiceError, match="no graph"):
@@ -590,9 +606,9 @@ class TestServeCli:
         registry = registry_from_specs([("areas", str(path))])
         assert registry.get("areas").info()["store"] == "indexed"
         with pytest.raises(TypeError):
-            registry.register_file("again", str(path), store="csr")
+            registry.register_file("again", str(path), store="frozen")
         with pytest.raises(TypeError):
-            registry_from_specs([("areas", str(path))], store="csr")
+            registry_from_specs([("areas", str(path))], store="frozen")
         with pytest.raises(TypeError):
             DetectionService(port=0, store="indexed")
         assert client.register_graph("uploaded", multi_area_graph(1))["store"] == "indexed"

@@ -45,10 +45,6 @@ class TestEngines:
         with pytest.raises(SessionError):
             Detector(example_rules(), engine="quantum")
 
-    def test_unknown_store_rejected(self):
-        with pytest.raises(SessionError):
-            Detector(example_rules(), store="csr-from-the-future")
-
     def test_bad_processors_rejected(self):
         with pytest.raises(SessionError):
             Detector(example_rules(), processors=0)
@@ -70,17 +66,10 @@ class TestEngines:
         result = Detector([phi2()]).run(figure1_g2())
         assert result.violation_count() == 1
 
-    def test_store_conversion(self):
-        graph = figure1_g2().with_backend("indexed")
-        detector = Detector(example_rules(), store="csr")
-        result = detector.run(graph)
-        assert result.violation_count() == 1
-        # the caller's graph is untouched
-        assert graph.store_backend == "indexed"
-
-    @pytest.mark.parametrize("store", ("dict", "persistent"))
-    def test_a_deleted_engine_is_an_unknown_store(self, store):
-        with pytest.raises(SessionError, match="unknown graph store"):
+    @pytest.mark.parametrize("store", ("indexed", "frozen"))
+    def test_there_is_no_store_option(self, store):
+        # a session runs on the graph it is handed: it converts nothing
+        with pytest.raises(TypeError):
             Detector(example_rules(), store=store)
 
     @pytest.mark.parametrize("option", ("use_planner", "compiled"))
@@ -252,10 +241,20 @@ class TestBudgets:
             DetectionBudget(max_violations=0)
         with pytest.raises(SessionError):
             DetectionBudget(max_cost=0.0)
+        for cost in (float("nan"), float("inf")):
+            with pytest.raises(SessionError, match="finite"):
+                DetectionBudget(max_cost=cost)
         with pytest.raises(SessionError):
             Detector(example_rules(), options=DetectionOptions(max_violations=-1)).run(
                 figure1_g2()
             )
+
+    @pytest.mark.parametrize("max_cost", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_a_non_finite_cost_budget_is_refused_not_unbounded(self, max_cost):
+        # no cost ever reaches NaN or ∞: the run would never stop on either
+        detector = Detector(example_rules(), options=DetectionOptions(max_cost=max_cost))
+        with pytest.raises(SessionError, match="max_cost"):
+            detector.run(figure1_g2())
 
     def test_budget_applies_to_parallel_engine(self):
         graph = _many_violations_graph(copies=6)

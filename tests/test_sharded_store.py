@@ -16,7 +16,7 @@ import pytest
 from repro.core.builtin_rules import example_rules
 from repro.core.ngd import NGD
 from repro.datasets.kb import KBConfig, knowledge_graph
-from repro.errors import PartitionError
+from repro.errors import GraphError, PartitionError
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import multi_source_nodes_within_hops
 from repro.graph.pattern import Pattern
@@ -72,9 +72,7 @@ class TestBuild:
     def test_images_are_frozen_read_only(self, kb):
         shards = ShardedStore.build(kb, num_shards=2, halo_hops=1)
         image = shards.shard(0)
-        assert image.store_backend == "csr"
-        from repro.errors import GraphError
-
+        assert image.store_backend == "frozen"
         with pytest.raises(GraphError):
             image.add_node("new", "label")
 
@@ -136,6 +134,27 @@ class TestSpool:
         first = load_spooled(path)
         second = load_spooled(path)
         assert first is second
+        assert first.store_backend == "frozen"
+
+    def test_a_manifest_naming_the_removed_csr_engine_reloads(self, kb, tmp_path):
+        # images are graph/io JSON whatever engine the manifest names
+        directory = tmp_path / "spool"
+        shards = ShardedStore.build(kb, num_shards=2, halo_hops=1)
+        manifest = shards.spool(directory)
+        with open(manifest, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["backend"] = "csr"
+        with open(manifest, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        clear_spool_cache()
+        reloaded = ShardedStore.load(manifest)
+        adopted = ShardedStore.build(kb, num_shards=2, halo_hops=1)
+        assert adopted.spool(directory) == manifest
+        for index in range(2):
+            image = reloaded.shard(index)
+            assert image.store_backend == "frozen"
+            assert set(map(str, image.node_ids())) == set(map(str, shards.shard(index).node_ids()))
+            assert image.edge_count() == shards.shard(index).edge_count()
 
 
 class TestLocalizedMatchingSupport:
