@@ -191,56 +191,6 @@ def generate(output_path: Path) -> None:
         "```\n"
     )
 
-    # ------------------------------------------------------ process execution
-    sections.append("\n## Process execution — measured wall-clock speedup (no paper analogue)\n")
-    sections.append(
-        "`execution=\"processes\"` runs the parallel kernels on real OS worker "
-        "processes over sharded read-only graph images (`docs/ARCHITECTURE.md`, "
-        "\"The execution layer\") — the first *measured* parallelism of the "
-        "reproduction, with the cluster simulator retained as the deterministic "
-        "cost-model oracle.  `benchmarks/bench_parallel_speedup.py` asserts "
-        "byte-identical violation sets across serial / simulated / process "
-        "execution on every machine and enforces the wall-clock bound where "
-        "enough CPUs exist (CI: ≥ 1.3× at 4 workers).  The committed baseline "
-        "(`benchmarks/BENCH_parallel.json`):\n"
-    )
-    baseline_path = Path(__file__).resolve().parent / "BENCH_parallel.json"
-    if baseline_path.exists():
-        import json as _json
-
-        baseline = _json.loads(baseline_path.read_text(encoding="utf-8"))
-        process_walls = ", ".join(
-            f"p={workers}: {seconds:.2f}s"
-            for workers, seconds in sorted(
-                baseline["process_wall_seconds"].items(), key=lambda item: int(item[0])
-            )
-        )
-        sections.append(
-            "```\n"
-            f"workload: {baseline['workload']}\n"
-            f"machine:  {baseline['machine']}\n"
-            f"serial Dect:          {baseline['serial_wall_seconds']:.2f}s wall\n"
-            f"process backend:      {process_walls}\n"
-            f"speedup vs serial:    {baseline['speedup_vs_serial']:.2f}x at "
-            f"{baseline['processors']} workers\n"
-            f"simulated makespan:   {baseline['simulated_makespan']:.0f} work units (oracle)\n"
-            f"byte-identical sets:  {baseline['byte_identical_violations']}\n"
-            "```\n"
-        )
-        if baseline["machine"].get("cpus", 1) < baseline.get("processors", 4):
-            sections.append(
-                "*The committed baseline was recorded on a "
-                f"{baseline['machine'].get('cpus', 1)}-CPU container, where wall-clock "
-                "parallel speedup is physically impossible — it documents overhead and "
-                "parity; CI enforces the ≥ 1.3× bound on multi-core runners.*\n"
-            )
-    else:
-        sections.append(
-            "*(no BENCH_parallel.json baseline recorded yet — run "
-            "`REPRO_WRITE_BENCH_BASELINE=benchmarks/BENCH_parallel.json "
-            "pytest benchmarks/bench_parallel_speedup.py --benchmark-disable`)*\n"
-        )
-
     # ------------------------------------------------------------ warm worker pools
     sections.append("\n## Warm worker pools (no paper analogue)\n")
     sections.append(

@@ -17,7 +17,8 @@ Installed as ``repro-detect``.  Subcommands::
                        [--graph NAME=GRAPH.json ...] [--catalog NAME=RULES.json ...]
 
 ``--execution processes`` runs the parallel engine on real OS worker
-processes (wall-clock parallelism over a sharded store) instead of the
+processes (wall-clock parallelism, each worker reading one read-only
+graph image) instead of the
 deterministic cluster simulator; ``--plans-file`` / ``--save-plans``
 persist compiled match plans next to their rule catalog so restarts and
 worker processes skip recompilation.
@@ -205,7 +206,8 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         default="simulated",
         help="parallel execution backend: 'simulated' = deterministic cluster "
         "simulator (cost = makespan), 'processes' = real OS worker processes "
-        "over a sharded store (cost = aggregate work, wall-clock speedup); "
+        "each reading one read-only graph image (cost = aggregate work, "
+        "wall-clock speedup); "
         "implies the parallel engine",
     )
     parser.add_argument(

@@ -24,7 +24,7 @@ from repro.detect.parallel.balancing import BalancingPolicy
 from repro.detect.session import ENGINES, EXECUTION_MODES, DetectionOptions, Detector
 
 # a serial run needs none of these: the kernels bring in the cluster
-# simulator, the pool multiprocessing and the sharded store
+# simulator and the pool multiprocessing
 __getattr__, __dir__ = lazy_exports(
     globals(),
     dict.fromkeys(

@@ -7,25 +7,26 @@ is the wall-clock counterpart: ``execution="processes"`` runs the same
 :func:`~repro.detect.parallel.workunits.expand_work_unit` kernel inside N
 OS processes, so N cores really do N expansions at once.  The simulator is
 retained as the deterministic cost-model oracle; this backend is measured
-(``benchmarks/bench_parallel_speedup.py``), not modeled.
+(``detect_par_s`` in ``benchmarks/e2e``), not modeled.
 
 Execution model
 ---------------
 
 * The **parent** owns the full graph(s).  It computes the seed work units
-  exactly as the simulated kernels do (first-variable candidates for
-  PDect, update pivots for PIncDect), then places them on workers — by the
-  shard that owns the seed node when the run is sharded, else on the
-  least-loaded worker by the compiled plan's ``estimated_unit_cost``.
+  — one root unit per rule for PDect (the worker performs the first-step
+  scan), the update pivots for PIncDect — and places them on workers:
+  roots on the least-loaded worker by the compiled plan's
+  ``estimated_unit_cost``, pivots by the simulator's ownership hash.
 * Each **worker process** owns a LIFO stack of work units and expands them
-  depth-first against a read-only graph image from a
-  :class:`~repro.graph.sharded.ShardedStore` — inherited copy-on-write
+  depth-first against one read-only *image* per graph it searches (``G``,
+  or ``N_C(ΔG)`` before and after the update) — inherited copy-on-write
   under the ``fork`` start method, spooled once and memo-loaded per
-  process under ``spawn``.  Children of a unit stay on the worker that
-  produced them; violations stream back over the shared result queue the
-  moment their unit completes, so the parent generator yields (and
-  notifies :class:`~repro.detect.observers.ViolationSink`\\ s) while
-  workers are still searching.
+  process under ``spawn`` (:func:`resolve_start_method` picks).  Children
+  of a unit stay on the worker that produced them; violations stream back
+  over the shared result queue the moment their unit completes, so the
+  parent generator yields (and notifies
+  :class:`~repro.detect.observers.ViolationSink`\\ s) while workers are
+  still searching.
 * **Balancing** uses the same :class:`BalancingPolicy` thresholds as the
   simulator: workers piggyback queue lengths on every report, the parent
   computes the η/η′ skewness test and tells overloaded workers to shed
@@ -47,24 +48,27 @@ The ``cost`` of a process run is the *aggregate* work performed (the sum
 of the per-unit filtering + verification charges, same units as the
 sequential kernels), not a simulated makespan — real wall-clock lives in
 ``wall_time``.  Violations are byte-identical to the serial and simulated
-paths; per-unit cost counters can differ on sharded runs because border
-nodes have truncated adjacency (see :mod:`repro.graph.sharded`).
+paths, and since every worker reads a whole image, ``cost`` and the
+match statistics do not depend on the start method either.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
 import queue as queue_module
 import shutil
+import tempfile
 import threading
 import time
 import traceback
 import weakref
 from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from pathlib import Path
+from typing import Any, Optional, Union
 
 from repro import obs
 from repro.core.ngd import NGD, RuleSet
@@ -75,14 +79,14 @@ from repro.detect.observers import DetectionBudget, ViolationSink, notify_violat
 from repro.detect.parallel.balancing import BalancingPolicy, plan_rebalancing, skewness
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
 from repro.errors import ExecutionError, WorkerPoolCollapse
-from repro.graph.sharded import ShardedStore
+from repro.graph.graph import Graph
+from repro.graph.io import load_graph, save_graph
 from repro.matching.candidates import MatchStatistics
 from repro.matching.plan import MatchPlan, plans_from_document, plans_to_document
 from repro.testing.faults import resolve_fault_plan
 
 __all__ = [
     "EXECUTION_MODES",
-    "START_METHOD_ENV",
     "WORKER_RESTARTS_ENV",
     "UNIT_RETRIES_ENV",
     "HEARTBEAT_PERIOD_ENV",
@@ -95,13 +99,12 @@ __all__ = [
     "WarmExecutorPool",
     "iter_process_execution",
     "drain_units_serially",
+    "spool_image",
+    "load_spooled",
+    "clear_spool_cache",
     "fault_tolerance_counters",
     "note_degraded_run",
 ]
-
-#: Environment override for the multiprocessing start method
-#: (``fork`` shares images copy-on-write; ``spawn`` loads spooled images).
-START_METHOD_ENV = "REPRO_EXECUTION_START_METHOD"
 
 #: Parent-side minimum wall-clock seconds between skewness checks.
 REBALANCE_PERIOD_SECONDS = 0.05
@@ -153,13 +156,19 @@ DEFAULT_HEARTBEAT_TIMEOUT_SECONDS = 30.0
 
 
 def _env_float(name: str, default: float) -> float:
+    """Read a non-negative, finite number of seconds; anything else is the default.
+
+    ``nan`` would never expire a deadline and ``inf`` would wait forever,
+    so neither may reach the supervision loops.
+    """
     raw = os.environ.get(name)
     if not raw:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         return default
+    return value if math.isfinite(value) and value >= 0.0 else default
 
 
 def _env_int(name: str, default: int) -> int:
@@ -196,32 +205,69 @@ def note_degraded_run() -> None:
     obs.counter_inc("repro_degraded_runs_total")
 
 
-def resolve_start_method(start_method: Optional[str] = None) -> str:
+def resolve_start_method() -> str:
     """Return the multiprocessing start method a run should use.
 
-    Explicit argument beats the ``REPRO_EXECUTION_START_METHOD``
-    environment override beats the platform default: ``fork`` where
-    available (zero-copy image inheritance) — but only while the parent
-    is single-threaded.  Forking a multi-threaded parent (the detection
-    service runs kernels on job threads inside a ThreadingHTTPServer) can
-    clone a lock held by another thread and deadlock the child, so there
-    the default degrades to ``spawn``; an explicit choice is honoured
-    as given.
+    ``fork`` (zero-copy image inheritance) where the platform has it and
+    the parent is single-threaded, ``spawn`` otherwise.  Forking a
+    multi-threaded parent (the detection service runs kernels on job
+    threads inside a ThreadingHTTPServer) can clone a lock held by another
+    thread and deadlock the child.  This is the one place the choice is
+    made; there is no override.
     """
-    import threading
+    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
 
-    chosen = start_method or os.environ.get(START_METHOD_ENV) or None
-    available = multiprocessing.get_all_start_methods()
-    if chosen is None:
-        if "fork" in available and threading.active_count() == 1:
-            return "fork"
-        return "spawn"
-    if chosen not in available:
-        raise ExecutionError(
-            f"start method {chosen!r} is not available on this platform "
-            f"(expected one of {available})"
-        )
-    return chosen
+
+# ------------------------------------------------------------- graph images
+
+#: Per-process memo of spooled images: resolved path -> Graph.  A worker
+#: consults it before touching the disk, so each image is deserialized at
+#: most once per process no matter how many work units or runtime reloads
+#: name it.  A spool path names one image for its whole life (a fresh
+#: tempdir per run, or a segment-cache directory per runtime key), so the
+#: memo needs no invalidation.
+_SPOOL_CACHE: dict[str, Graph] = {}
+
+
+def spool_image(graph: Graph, path: Union[str, Path]) -> str:
+    """Write one read-only image to ``path`` (the graph/io JSON format) once.
+
+    A file already at ``path`` is adopted as it is: the durable segment
+    cache hands a warm pool the same directory for the same runtime key,
+    and re-serializing the image would only burn I/O.  The image is written
+    under a temporary name and renamed into place, so a file at ``path``
+    is always complete — a crash mid-write leaves only the temporary file,
+    which is never adopted.
+    """
+    path = str(path)
+    if not os.path.isfile(path):
+        directory, name = os.path.split(path)
+        handle, partial = tempfile.mkstemp(prefix=f".{name}.", suffix=".partial", dir=directory)
+        os.close(handle)
+        try:
+            save_graph(graph, partial)
+            os.replace(partial, path)
+        except BaseException:
+            os.unlink(partial)
+            raise
+    return path
+
+
+def load_spooled(path: Union[str, Path]) -> Graph:
+    """Load a spooled image onto the frozen engine, memoized per process (see ``_SPOOL_CACHE``)."""
+    key = str(Path(path).resolve())
+    cached = _SPOOL_CACHE.get(key)
+    if cached is None:
+        cached = load_graph(path, store="frozen")
+        _SPOOL_CACHE[key] = cached
+    return cached
+
+
+def clear_spool_cache() -> None:
+    """Drop every memoized image (tests re-spooling to the same paths)."""
+    _SPOOL_CACHE.clear()
 
 
 # ---------------------------------------------------------------- worker side
@@ -231,35 +277,41 @@ def resolve_start_method(start_method: Optional[str] = None) -> str:
 class ExecutionRuntime:
     """Everything a worker needs to expand units: rules, plans, graph images.
 
-    Built once per run in the parent.  Under ``fork`` the object itself is
-    inherited by the children (nothing is pickled); under ``spawn`` each
-    worker rebuilds it from :meth:`payload` — rules travel as their JSON
-    rule-file form, plans as their persisted document (so workers skip the
-    statistics pass entirely), and graph images by spool manifest path.
+    Built once per run in the parent.  ``image`` is the graph every unit
+    searches (``G``, or ``N_C`` after ΔG); ``before_image`` is ``N_C``
+    before ΔG, which an incremental run's deletion units search.  Under
+    ``fork`` the object itself is inherited by the children (nothing is
+    pickled); under ``spawn`` each worker rebuilds it from :meth:`payload`
+    — rules travel as their JSON rule-file form, plans as their persisted
+    document (so workers skip the statistics pass entirely), and each
+    image as a spool path, loaded on the worker's first unit that reads it.
     """
 
     rules: list[NGD]
     plans: tuple[MatchPlan, ...]
     use_literal_pruning: bool
-    shards: ShardedStore
-    before_shards: Optional[ShardedStore] = None
+    image: Union[Graph, str]
+    before_image: Union[Graph, str, None] = None
 
-    def graph_for(self, shard_id: int, from_insertion: bool):
+    def graph_for(self, from_insertion: bool) -> Graph:
         """Return the read-only image a work unit expands against."""
-        store = self.shards if from_insertion or self.before_shards is None else self.before_shards
-        return store.shard(shard_id)
+        name = "image" if from_insertion or self.before_image is None else "before_image"
+        image = getattr(self, name)
+        if isinstance(image, str):
+            image = load_spooled(image)
+            setattr(self, name, image)
+        return image
 
     def payload(self, spool_dir: str) -> dict:
-        """Return the picklable ``spawn`` form (spools images if needed)."""
+        """Return the picklable ``spawn`` form, spooling each image into ``spool_dir``."""
+        before = self.before_image
         return {
             "rules_json": RuleSet(self.rules).to_json(),
             "plans": plans_to_document(self.plans),
             "use_literal_pruning": self.use_literal_pruning,
-            "shards_manifest": self.shards.spool(os.path.join(spool_dir, "after")),
-            "before_manifest": (
-                self.before_shards.spool(os.path.join(spool_dir, "before"))
-                if self.before_shards is not None
-                else None
+            "image": spool_image(self.image, os.path.join(spool_dir, "image.json")),
+            "before_image": (
+                spool_image(before, os.path.join(spool_dir, "before.json")) if before is not None else None
             ),
         }
 
@@ -267,33 +319,27 @@ class ExecutionRuntime:
     def from_payload(cls, payload: dict) -> "ExecutionRuntime":
         """Rebuild the runtime inside a ``spawn`` worker (no recompilation)."""
         rules = list(RuleSet.from_json(payload["rules_json"]))
-        plans = plans_from_document(payload["plans"], rules)
-        before = (
-            ShardedStore.load(payload["before_manifest"])
-            if payload.get("before_manifest")
-            else None
-        )
         return cls(
             rules=rules,
-            plans=plans,
+            plans=plans_from_document(payload["plans"], rules),
             use_literal_pruning=payload["use_literal_pruning"],
-            shards=ShardedStore.load(payload["shards_manifest"]),
-            before_shards=before,
+            image=payload["image"],
+            before_image=payload["before_image"],
         )
 
 
 def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_event) -> None:
     """Entry point of one worker process (one *incarnation* of a slot).
 
-    Message protocol (parent → worker): ``("units", epoch, [(shard_id,
-    unit), ...])``, ``("shed", epoch, count)``, ``("runtime", payload)``,
+    Message protocol (parent → worker): ``("units", epoch, [unit, ...])``,
+    ``("shed", epoch, count)``, ``("runtime", payload)``,
     ``("sync",)``, ``("exit",)``.  Worker → parent — every message starts
     ``(kind, wid, epoch, ...)``:
     ``("found", wid, epoch, [(violation, from_insertion), ...], cost,
     queue_len, obs)``, ``("status", wid, epoch, queue_len, cost, obs)``,
     ``("idle", wid, epoch, cost, batches_seen, obs)``, ``("heartbeat",
-    wid, epoch, queue_len)``, ``("shed_units", wid, epoch, [(shard_id,
-    unit), ...])``, ``("synced", wid, epoch, stats, cost,
+    wid, epoch, queue_len)``, ``("shed_units", wid, epoch, [unit, ...])``,
+    ``("synced", wid, epoch, stats, cost,
     units_processed, obs)``, ``("exited", wid, epoch, stats, cost,
     units_processed, obs)``, ``("error", wid, epoch, traceback_text)``.
     The trailing ``obs`` field piggybacks this worker's observability
@@ -335,7 +381,7 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
             runtime = runtime_or_payload
         else:
             runtime = ExecutionRuntime.from_payload(runtime_or_payload)
-        stack: list[tuple[int, WorkUnit]] = []
+        stack: list[WorkUnit] = []
         stats = MatchStatistics()
         cost_since = 0.0
         expansions_since = 0
@@ -451,9 +497,9 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
                 continue
             if faults is not None:
                 faults.on_unit()
-            shard_id, unit = stack.pop()
+            unit = stack.pop()
             rule = runtime.rules[unit.rule_index]
-            graph = runtime.graph_for(shard_id, unit.from_insertion)
+            graph = runtime.graph_for(unit.from_insertion)
             unit_before = attribution.before(stats)
             outcome = expand_work_unit(
                 graph,
@@ -464,7 +510,7 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
                 plan=runtime.plans[unit.rule_index],
             )
             attribution.after(rule.name, unit_before, stats)
-            stack.extend((shard_id, new_unit) for new_unit in outcome.new_units)
+            stack.extend(outcome.new_units)
             charge = float(max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency)
             cost_since += charge
             total_cost += charge
@@ -509,8 +555,8 @@ class ProcessRunSummary:
     restarts: int = 0
     #: Work units re-shipped (or quarantined) after a worker death.
     units_retried: int = 0
-    #: ``(shard_id, unit)`` pairs that exceeded the per-unit retry cap —
-    #: poison units the kernel must finish on the serial path.
+    #: Units that exceeded the per-unit retry cap — poison units the
+    #: kernel must finish on the serial path.
     quarantined: list = field(default_factory=list)
     #: Set by the kernel when part of the run was drained serially.
     degraded: bool = False
@@ -609,7 +655,7 @@ def _spawn_crew(processors: int, worker_argument, method: str) -> _WorkerCrew:
 
 def _drive_run(
     crew: _WorkerCrew,
-    seeds: Sequence[tuple[int, int, WorkUnit]],
+    seeds: Sequence[tuple[int, WorkUnit]],
     policy: BalancingPolicy,
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
@@ -671,9 +717,9 @@ def _drive_run(
     )
 
     # initial distribution: one batch message per worker keeps startup cheap
-    batches: list[list[tuple[int, WorkUnit]]] = [[] for _ in range(processors)]
-    for worker_index, shard_id, unit in seeds:
-        batches[worker_index].append((shard_id, unit))
+    batches: list[list[WorkUnit]] = [[] for _ in range(processors)]
+    for worker_index, unit in seeds:
+        batches[worker_index].append(unit)
     for worker_index, batch in enumerate(batches):
         if batch:
             inboxes[worker_index].put(("units", crew.epochs[worker_index], batch))
@@ -704,7 +750,7 @@ def _drive_run(
             requested += 1
         return requested
 
-    def _redistribute(units: list[tuple[int, WorkUnit]], origin: int) -> None:
+    def _redistribute(units: list[WorkUnit], origin: int) -> None:
         if not units:
             return
         receivers = sorted(
@@ -766,7 +812,7 @@ def _drive_run(
             pending_shed_by[w] = 0
             batches_sent[w] = 0
             idle[w] = True
-            reship: list[tuple[int, WorkUnit]] = []
+            reship: list[WorkUnit] = []
             for item in lost:
                 count = retries.get(item, 0) + 1
                 retries[item] = count
@@ -927,7 +973,7 @@ def _shutdown_crew(crew: _WorkerCrew, summary: Optional[ProcessRunSummary]) -> N
         except Exception:  # pragma: no cover - queue already torn down
             pass
     exited = [False] * crew.processors
-    grace = max(0.0, _env_float(SHUTDOWN_GRACE_ENV, SHUTDOWN_GRACE_SECONDS))
+    grace = _env_float(SHUTDOWN_GRACE_ENV, SHUTDOWN_GRACE_SECONDS)
     deadline = time.monotonic() + grace
     while not all(exited) and time.monotonic() < deadline:
         try:
@@ -974,35 +1020,34 @@ def _shutdown_crew(crew: _WorkerCrew, summary: Optional[ProcessRunSummary]) -> N
 
 def iter_process_execution(
     runtime: ExecutionRuntime,
-    seeds: Sequence[tuple[int, int, WorkUnit]],
+    seeds: Sequence[tuple[int, WorkUnit]],
     processors: int,
     policy: BalancingPolicy,
     budget: Optional[DetectionBudget] = None,
     sink: Optional[ViolationSink] = None,
     dedupe: Optional[tuple] = None,
     base_cost: float = 0.0,
-    start_method: Optional[str] = None,
     summary: Optional[ProcessRunSummary] = None,
 ) -> Iterator[tuple[Violation, bool]]:
     """Run ``seeds`` on a one-shot pool of ``processors`` worker processes.
 
-    ``seeds`` are ``(worker_index, shard_id, unit)`` triples — placement is
-    the caller's policy (shard affinity / plan-estimated least-loaded).
+    ``seeds`` are ``(worker_index, unit)`` pairs — placement is the
+    caller's policy (plan-estimated least-loaded, or pivot ownership).
     Yields ``(violation, from_insertion)`` pairs as workers report them
     (deduplicated against ``dedupe = (introduced_set, removed_set)``,
     which the caller shares so parent-side seed results participate);
     ``summary`` (if supplied) is filled in before the generator returns,
     so callers that stop consuming early still see cost/stats/traces.
-    ``base_cost`` counts the parent-side seeding charges toward the
-    ``max_cost`` budget.  The generator's return value is the same
+    ``base_cost`` counts the parent-side charges (PIncDect's
+    neighbourhood extraction) toward the ``max_cost`` budget.  The generator's return value is the same
     :class:`ProcessRunSummary`.
 
-    The spool directory (spawn mode: full serialized images) is removed on
+    The spool directory (spawn mode: the serialized images) is removed on
     *every* exit path — clean end, worker crash, budget cancellation, and
     failures during payload spooling or worker startup — so a service
     handling repeated requests never leaks graph copies to disk.
     """
-    method = resolve_start_method(start_method)
+    method = resolve_start_method()
     summary = summary if summary is not None else ProcessRunSummary()
     spool_dir: Optional[str] = None
     crew: Optional[_WorkerCrew] = None
@@ -1023,12 +1068,12 @@ def iter_process_execution(
 
 
 def drain_units_serially(
-    units: Sequence[tuple[int, WorkUnit]],
+    units: Sequence[WorkUnit],
     *,
     rules: Sequence[NGD],
     plans: Sequence[MatchPlan],
     use_literal_pruning: bool,
-    graph_for: Callable[[int, bool], Any],
+    graph_for: Callable[[bool], Graph],
     budget: Optional[DetectionBudget] = None,
     sink: Optional[ViolationSink] = None,
     dedupe: Optional[tuple] = None,
@@ -1039,9 +1084,9 @@ def drain_units_serially(
     The graceful-degradation tail of a process run: the kernels hand the
     unconfirmed units here after a :class:`~repro.errors.WorkerPoolCollapse`
     (restart budget spent, no survivors) and for every quarantined poison
-    unit.  The parent owns the *full* graph(s) — ``graph_for(shard_id,
-    from_insertion)`` returns them — which is always a superset of any
-    worker's shard image, so expansion yields the exact same matches; the
+    unit.  The parent owns the *full* graph(s) — ``graph_for(from_insertion)``
+    returns them — which are supersets of any worker's image, so expansion
+    yields the exact same matches; the
     shared ``dedupe`` sets absorb whatever the workers already reported.
     Fault injection hooks live only in worker processes, so a unit that
     reliably killed workers completes here.
@@ -1057,9 +1102,9 @@ def drain_units_serially(
     emitted = len(introduced) + len(removed)
     stack = list(dict.fromkeys(units))  # drop duplicates, keep order
     while stack and summary.stop_reason is None:
-        shard_id, unit = stack.pop()
+        unit = stack.pop()
         rule = rules[unit.rule_index]
-        graph = graph_for(shard_id, unit.from_insertion)
+        graph = graph_for(unit.from_insertion)
         outcome = expand_work_unit(
             graph,
             rule,
@@ -1068,7 +1113,7 @@ def drain_units_serially(
             stats=summary.stats,
             plan=plans[unit.rule_index],
         )
-        stack.extend((shard_id, new_unit) for new_unit in outcome.new_units)
+        stack.extend(outcome.new_units)
         summary.cost += float(
             max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
         )
@@ -1096,7 +1141,7 @@ class WarmExecutorPool:
     """Worker processes kept alive across runs, with their loaded runtime.
 
     A cold ``execution="processes"`` run pays process startup plus (under
-    ``spawn``) a full graph spool/reload before the first expansion.  A
+    ``spawn``) an image spool/reload before the first expansion.  A
     service answering repeated detection requests over the same graph
     version pays that once here: the pool keeps one crew of ``processors``
     workers alive and remembers which runtime they have loaded, keyed by
@@ -1112,7 +1157,7 @@ class WarmExecutorPool:
     reusable.  Lifecycle: :meth:`invalidate` on graph-version bumps (the
     registry listener), :meth:`maintain` for idle-TTL eviction (call it
     opportunistically — the pool runs no background threads, which would
-    flip :func:`resolve_start_method`'s fork default), :meth:`shutdown`
+    flip :func:`resolve_start_method` to spawn), :meth:`shutdown`
     to stop for good.  Spool directories are finalizer-backstopped so an
     abandoned pool cannot leak them.
     """
@@ -1120,13 +1165,11 @@ class WarmExecutorPool:
     def __init__(
         self,
         processors: int,
-        start_method: Optional[str] = None,
         idle_ttl: float = DEFAULT_IDLE_TTL_SECONDS,
         spool_cache=None,
     ) -> None:
         self.processors = processors
         self.idle_ttl = idle_ttl
-        self._start_method = start_method
         #: Optional durable spool-directory provider (``directory_for(key)``,
         #: the service's --data-dir segment cache).  Cache-provided
         #: directories are owned by the cache — the pool never deletes
@@ -1151,7 +1194,7 @@ class WarmExecutorPool:
         self,
         runtime_key: Optional[Hashable],
         runtime_factory: Callable[[], ExecutionRuntime],
-        seeds: Sequence[tuple[int, int, WorkUnit]],
+        seeds: Sequence[tuple[int, WorkUnit]],
         processors: int,
         policy: BalancingPolicy,
         budget: Optional[DetectionBudget] = None,
@@ -1164,7 +1207,7 @@ class WarmExecutorPool:
         :func:`iter_process_execution`.
 
         ``runtime_factory`` is only called on a key miss (or fallback), so
-        a warm hit skips building shard stores entirely; ``runtime_key`` of
+        a warm hit skips building the runtime entirely; ``runtime_key`` of
         None forces a miss.  Requests for a different processor count, or
         arriving while another run holds the pool, fall back to a one-shot
         crew rather than queueing.
@@ -1181,7 +1224,6 @@ class WarmExecutorPool:
                 sink=sink,
                 dedupe=dedupe,
                 base_cost=base_cost,
-                start_method=self._start_method,
                 summary=summary,
             )
             return summary
@@ -1288,7 +1330,7 @@ class WarmExecutorPool:
     # -------------------------------------------------------------- internals
 
     def _spawn_locked(self) -> _WorkerCrew:
-        method = resolve_start_method(self._start_method)
+        method = resolve_start_method()
         # workers bootstrap without a runtime; it arrives by message
         crew = _spawn_crew(self.processors, None, method)
         self._crew = crew
@@ -1395,6 +1437,4 @@ def _remove_spool(path: str) -> None:
 
 def _spool_directory() -> str:
     """Return a fresh spool directory for one run's ``spawn`` payload."""
-    import tempfile
-
     return tempfile.mkdtemp(prefix="repro-exec-")

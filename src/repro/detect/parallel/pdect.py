@@ -60,7 +60,6 @@ def iter_p_dect(
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
     execution: str = "simulated",
-    start_method: Optional[str] = None,
     warm_pool=None,
     runtime_key=None,
 ) -> Iterator[Violation]:
@@ -74,11 +73,10 @@ def iter_p_dect(
     reflects the expected subtree sizes.
 
     ``execution="processes"`` runs the same work units on ``processors``
-    real OS processes over a sharded store
+    real OS processes, each reading one image of ``G``
     (:mod:`repro.detect.parallel.executor`): violations are byte-identical,
-    ``cost`` becomes the aggregate work performed (wall-clock lives in
-    ``wall_time``), and ``start_method`` picks the multiprocessing start
-    method (default: fork where available).  ``warm_pool`` (a
+    and ``cost`` becomes the aggregate work performed (wall-clock lives in
+    ``wall_time``).  ``warm_pool`` (a
     :class:`~repro.detect.parallel.executor.WarmExecutorPool`) reuses live
     workers across runs: ``runtime_key`` identifies the graph/rules
     snapshot the workers may already have loaded.
@@ -89,8 +87,8 @@ def iter_p_dect(
     policy = policy if policy is not None else BalancingPolicy.hybrid()
     if execution == "processes":
         return _iter_p_dect_processes(
-            graph, rule_set, rule_list, plans, processors, policy,
-            use_literal_pruning, budget, sink, start_method, warm_pool, runtime_key,
+            graph, rule_list, plans, processors, policy,
+            use_literal_pruning, budget, sink, warm_pool, runtime_key,
         )
     if execution != "simulated":
         raise ExecutionError(
@@ -266,7 +264,6 @@ def _iter_p_dect_simulated(
 
 def _iter_p_dect_processes(
     graph: Graph,
-    rule_set: RuleSet,
     rule_list: list[NGD],
     plans: tuple[MatchPlan, ...],
     processors: int,
@@ -274,22 +271,19 @@ def _iter_p_dect_processes(
     use_literal_pruning: bool,
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
-    start_method: Optional[str],
     warm_pool=None,
     runtime_key=None,
 ) -> Iterator[Violation]:
-    """Real multi-process batch detection over a sharded store.
+    """Real multi-process batch detection over one shared image of ``G``.
 
-    The parent seeds exactly the work units of the simulated kernel; when
-    every rule pattern is connected, the graph is partitioned into
-    per-fragment halo images (:class:`~repro.graph.sharded.ShardedStore`)
-    and each seed is routed to the worker owning its shard, otherwise all
-    workers share one full image.  Violations are byte-identical to the
-    simulated and serial paths; ``cost`` is the aggregate work performed.
+    The parent ships one root unit per rule — the worker performs the
+    first-step scan itself, so seeding parallelises across rules and only
+    |Σ| units cross the queue — each placed on the worker with the least
+    plan-estimated pending work; skew between rule subtrees is the
+    rebalancer's job.  Violations are byte-identical to the simulated and
+    serial paths; ``cost`` is the aggregate work performed.
 
-    With a ``warm_pool`` the run always uses the shared-full-image layout
-    (one runtime serves every request, so per-run fragment shards would
-    defeat reuse) and the runtime is built lazily — a pool hit on
+    With a ``warm_pool`` the runtime is built lazily — a pool hit on
     ``runtime_key`` never touches the store at all.
     """
     from repro.detect.parallel.executor import (
@@ -298,96 +292,33 @@ def _iter_p_dect_processes(
         drain_units_serially,
         iter_process_execution,
         note_degraded_run,
-        resolve_start_method,
     )
     from repro.errors import WorkerPoolCollapse
-    from repro.graph.sharded import ShardedStore, supports_localized_matching
 
-    stats = MatchStatistics()
     started = time.perf_counter()
     violations = ViolationSet()
-    emitted = 0
-    base_cost = 0.0
     stop_reason: Optional[str] = None
     attribution = RuleAttribution("PDect")
     trace_parent = obs.current_span()
 
-    # data layout by start method: fork children share the parent's one
-    # image copy-on-write (building per-fragment copies would only
-    # add parent-side work), while spawn workers are shared-nothing — they
-    # deserialize their images, so per-fragment halo shards cut each
-    # worker's load to its own fragment
-    if warm_pool is not None:
-        sharded = False
-    else:
-        start_method = resolve_start_method(start_method)
-        sharded = (
-            start_method != "fork"
-            and processors > 1
-            and graph.node_count() > 0
-            and supports_localized_matching(rule_list)
-        )
-    shards: Optional[ShardedStore] = None
-    if sharded:
-        shards = ShardedStore.build(
-            graph, num_shards=processors, halo_hops=max(rule_set.diameter(), 1)
-        )
-
     def runtime_factory() -> ExecutionRuntime:
         return ExecutionRuntime(
-            rules=rule_list,
-            plans=plans,
-            use_literal_pruning=use_literal_pruning,
-            shards=shards if shards is not None else ShardedStore.single(graph),
+            rules=rule_list, plans=plans, use_literal_pruning=use_literal_pruning, image=graph
         )
 
-    # one depth-0 unit per rule: its step is the first-step scan
-    roots = [
-        (rule_index, WorkUnit(rule_index=rule_index, order=plan.order, assignment=(), from_insertion=True))
-        for rule_index, plan in enumerate(plans)
-        if plan.order
-    ]
-    seeds: list[tuple[int, int, WorkUnit]] = []
+    seeds: list[tuple[int, WorkUnit]] = []
     estimated_loads = [0.0] * processors
-    if not sharded:
-        # shared full image: ship the root units — the worker performs the
-        # first-step scan itself (seeding parallelises across rules and only
-        # |Σ| units cross the queue, not one per candidate); skew between
-        # rule subtrees is the rebalancer's job
-        for rule_index, unit in roots:
-            owner = min(range(processors), key=lambda i: (estimated_loads[i], i))
-            estimated_loads[owner] += plans[rule_index].estimated_unit_cost(0)
-            seeds.append((owner, 0, unit))
-    else:
-        # the parent expands each root against the full graph, billed as a
-        # worker bills it, so that a run's counts do not depend on whether
-        # the start method sharded it; a single-node pattern completes here
-        for rule_index, unit in roots:
-            rule = rule_list[rule_index]
-            rule_before = attribution.before(stats)
-            outcome = expand_work_unit(graph, rule, unit, use_literal_pruning, stats, plans[rule_index])
-            base_cost += max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
-            for violation in outcome.violations:
-                violations.add(violation)
-                emitted += 1
-                attribution.violation(rule.name)
-                notify_violation(sink, violation)
-                yield violation
-                if budget is not None and budget.violations_exhausted(emitted):
-                    stop_reason = "max_violations"
-                    break
-            for child in outcome.new_units:
-                # shard affinity: the unit expands against the image owning
-                # its seed node; stealing re-routes the unit, not the data
-                shard_id = shards.owner(child.assignment[0][1])
-                seeds.append((shard_id % processors, shard_id, child))
-            attribution.after(rule.name, rule_before, stats)
-            if stop_reason is not None:
-                break
+    for rule_index, plan in enumerate(plans):
+        if not plan.order:
+            continue
+        owner = min(range(processors), key=lambda i: (estimated_loads[i], i))
+        estimated_loads[owner] += plan.estimated_unit_cost(0)
+        # a depth-0 unit: its step is the first-step scan
+        seeds.append((owner, WorkUnit(rule_index, plan.order, (), from_insertion=True)))
 
     summary = ProcessRunSummary()
-    leftovers: list[tuple[int, WorkUnit]] = []
-    if stop_reason is None and seeds:
+    leftovers: list[WorkUnit] = []
+    if seeds:
         if warm_pool is not None:
             events = warm_pool.execute(
                 runtime_key,
@@ -398,7 +329,6 @@ def _iter_p_dect_processes(
                 budget=budget,
                 sink=sink,
                 dedupe=(violations, ViolationSet()),
-                base_cost=base_cost,
                 summary=summary,
             )
         else:
@@ -410,8 +340,6 @@ def _iter_p_dect_processes(
                 budget=budget,
                 sink=sink,
                 dedupe=(violations, ViolationSet()),
-                base_cost=base_cost,
-                start_method=start_method,
                 summary=summary,
             )
         try:
@@ -423,8 +351,6 @@ def _iter_p_dect_processes(
         finally:
             events.close()
         stop_reason = summary.stop_reason
-    else:
-        summary.cost = base_cost
     leftovers.extend(summary.quarantined)
     if leftovers and stop_reason is None:
         # graceful degradation: the pool is gone (or quarantined poison
@@ -439,7 +365,7 @@ def _iter_p_dect_processes(
             rules=rule_list,
             plans=plans,
             use_literal_pruning=use_literal_pruning,
-            graph_for=lambda shard_id, from_insertion: graph,
+            graph_for=lambda from_insertion: graph,
             budget=budget,
             sink=sink,
             dedupe=(violations, ViolationSet()),
@@ -451,13 +377,12 @@ def _iter_p_dect_processes(
         stop_reason = summary.stop_reason
         if stop_reason is None and summary.quarantined:
             stop_reason = "units_quarantined"
-    stats.merge(summary.stats)
 
     attribution.emit(trace_parent)
     elapsed = time.perf_counter() - started
     return DetectionResult(
         violations=violations,
-        stats=stats,
+        stats=summary.stats,
         wall_time=elapsed,
         cost=summary.cost,
         processors=processors,

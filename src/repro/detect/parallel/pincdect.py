@@ -83,7 +83,6 @@ def iter_pinc_dect(
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
     execution: str = "simulated",
-    start_method: Optional[str] = None,
     warm_pool=None,
 ) -> Iterator[ViolationEvent]:
     """Run parallel incremental detection, yielding ΔVio events as they complete.
@@ -106,7 +105,7 @@ def iter_pinc_dect(
     if execution == "processes":
         return _iter_pinc_dect_processes(
             graph, updated, rule_set, rule_list, plans, delta, processors, policy,
-            use_literal_pruning, budget, sink, start_method, warm_pool,
+            use_literal_pruning, budget, sink, warm_pool,
         )
     if execution != "simulated":
         raise ExecutionError(
@@ -301,7 +300,6 @@ def _iter_pinc_dect_processes(
     use_literal_pruning: bool,
     budget: Optional[DetectionBudget],
     sink: Optional[ViolationSink],
-    start_method: Optional[str],
     warm_pool=None,
 ) -> Iterator[ViolationEvent]:
     """Real multi-process incremental detection over the replicated N_C(ΔG, Σ).
@@ -323,23 +321,19 @@ def _iter_pinc_dect_processes(
         note_degraded_run,
     )
     from repro.errors import WorkerPoolCollapse
-    from repro.graph.sharded import ShardedStore, supports_localized_matching
 
-    stats = MatchStatistics()
     started = time.perf_counter()
 
     units = _pivot_units(rule_set, plans, delta, graph, updated)
 
     diameter = max(rule_set.diameter(), 1)
     touched = delta.touched_nodes()
-    localized = supports_localized_matching(rule_list)
-    if localized:
-        after_nodes = multi_source_nodes_within_hops(updated, touched, diameter)
+    after_nodes = multi_source_nodes_within_hops(updated, touched, diameter)
+    if all(rule.pattern.is_connected() for rule in rule_list):
         before_nodes = multi_source_nodes_within_hops(graph, touched, diameter)
         after_image = updated.induced_subgraph(after_nodes, name=f"{updated.name}[N_C]")
         before_image = graph.induced_subgraph(before_nodes, name=f"{graph.name}[N_C]")
     else:
-        after_nodes = multi_source_nodes_within_hops(updated, touched, diameter)
         after_image, before_image = updated, graph
     neighborhood_size = len(after_nodes)
     base_cost = float(neighborhood_size)  # extraction + replication charge
@@ -349,14 +343,13 @@ def _iter_pinc_dect_processes(
             rules=rule_list,
             plans=plans,
             use_literal_pruning=use_literal_pruning,
-            shards=ShardedStore.single(after_image),
-            before_shards=ShardedStore.single(before_image),
+            image=after_image,
+            before_image=before_image,
         )
 
-    seeds: list[tuple[int, int, WorkUnit]] = []
-    for unit in units:
-        owner = zlib.crc32(repr(unit.assignment[0][1]).encode()) % processors
-        seeds.append((owner, 0, unit))
+    seeds = [
+        (zlib.crc32(repr(unit.assignment[0][1]).encode()) % processors, unit) for unit in units
+    ]
 
     introduced = ViolationSet()
     removed = ViolationSet()
@@ -389,10 +382,9 @@ def _iter_pinc_dect_processes(
                 sink=sink,
                 dedupe=(introduced, removed),
                 base_cost=base_cost,
-                start_method=start_method,
                 summary=summary,
             )
-        leftovers: list[tuple[int, WorkUnit]] = []
+        leftovers: list[WorkUnit] = []
         try:
             for violation, from_insertion in events:
                 attribution.violation(violation.rule)
@@ -415,9 +407,7 @@ def _iter_pinc_dect_processes(
                 rules=rule_list,
                 plans=plans,
                 use_literal_pruning=use_literal_pruning,
-                graph_for=lambda shard_id, from_insertion: (
-                    updated if from_insertion else graph
-                ),
+                graph_for=lambda from_insertion: updated if from_insertion else graph,
                 budget=budget,
                 sink=sink,
                 dedupe=(introduced, removed),
@@ -430,13 +420,12 @@ def _iter_pinc_dect_processes(
                 summary.stop_reason = "units_quarantined"
     else:
         summary.cost = base_cost
-    stats.merge(summary.stats)
 
     attribution.emit(trace_parent)
     elapsed = time.perf_counter() - started
     return IncrementalDetectionResult(
         delta=ViolationDelta(introduced=introduced, removed=removed),
-        stats=stats,
+        stats=summary.stats,
         wall_time=elapsed,
         cost=summary.cost,
         processors=processors,

@@ -105,6 +105,9 @@ PLAN_DRIFT_TOLERANCE = 0.2
 #: The execution regimes a session can be pinned to.
 ENGINES = ("auto", "batch", "incremental", "parallel")
 
+#: The processor count of a parallel run whose session names none.
+DEFAULT_PROCESSORS = 8
+
 #: Runs whose observed cost exceeds the planner's estimate by this factor
 #: are logged to ``repro.detect.slowplan`` and counted in
 #: ``repro_slow_plans_total``.
@@ -129,12 +132,13 @@ class DetectionOptions:
       rather than silently running unbounded;
     * ``execution`` — how the parallel engine runs: ``"simulated"`` (the
       deterministic cluster simulator, cost = makespan) or ``"processes"``
-      (real OS worker processes over a sharded store, cost = aggregate
-      work, wall-clock in ``wall_time``).  ``engine="auto"`` resolves to
-      the parallel engine whenever ``execution="processes"`` is asked for;
-    * ``start_method`` — multiprocessing start method for
-      ``execution="processes"`` (``None``: fork where available, the
-      ``REPRO_EXECUTION_START_METHOD`` environment variable overrides);
+      (real OS worker processes, each reading one image of the graph it
+      searches; cost = aggregate work, wall-clock in ``wall_time``).  The
+      workers fork while the parent is single-threaded and spawn otherwise
+      (:func:`~repro.detect.parallel.executor.resolve_start_method`), with
+      the same answer and the same counts either way.  ``engine="auto"``
+      resolves to the parallel engine whenever ``execution="processes"``
+      is asked for;
     * ``warm_pool`` — for ``execution="processes"``, keep the worker
       processes (and their loaded graph images) alive across this
       session's runs in a
@@ -153,7 +157,6 @@ class DetectionOptions:
     max_violations: Optional[int] = None
     max_cost: Optional[float] = None
     execution: str = "simulated"
-    start_method: Optional[str] = None
     warm_pool: bool = False
 
     def budget(self) -> Optional[DetectionBudget]:
@@ -286,9 +289,7 @@ class Detector:
         if self._executor_pool is None and self.options.warm_pool:
             from repro.detect.parallel.executor import WarmExecutorPool
 
-            self._executor_pool = WarmExecutorPool(
-                self._effective_processors(), start_method=self.options.start_method
-            )
+            self._executor_pool = WarmExecutorPool(self._effective_processors())
             self._owns_pool = True
         return self._executor_pool
 
@@ -329,7 +330,7 @@ class Detector:
     # ------------------------------------------------------------- resolution
 
     def _effective_processors(self) -> int:
-        return self.processors if self.processors is not None else 8
+        return self.processors if self.processors is not None else DEFAULT_PROCESSORS
 
     def _resolve_batch_engine(self) -> str:
         if self.engine == "incremental":
@@ -552,7 +553,6 @@ class Detector:
             sink=sink,
             plans=plans,
             execution=self.options.execution,
-            start_method=self.options.start_method,
             warm_pool=pool,
             runtime_key=self._runtime_key(graph, caller_plans) if pool is not None else None,
         )
@@ -603,7 +603,6 @@ class Detector:
                 sink=sink,
                 plans=plans,
                 execution=self.options.execution,
-                start_method=self.options.start_method,
                 warm_pool=self.executor_pool() if processes else None,
             )
         if budget is not None:

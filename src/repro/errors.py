@@ -152,7 +152,7 @@ class ClusterError(ReproError):
 class ExecutionError(ReproError):
     """The multi-process execution backend failed or was misconfigured.
 
-    Raised for unknown execution modes / start methods and when a worker
+    Raised for unknown execution modes and when a worker
     process dies or reports an exception; the message carries the worker's
     traceback text when one is available.
     """
@@ -162,7 +162,7 @@ class WorkerPoolCollapse(ExecutionError):
     """Every worker of a process pool is gone and the restart budget is spent.
 
     Carries the work units whose completion was never confirmed
-    (``outstanding``: ``(shard_id, WorkUnit)`` pairs), so the kernel that
+    (``outstanding``, a list of ``WorkUnit``), so the kernel that
     drove the run can finish them on the serial path — graceful
     degradation instead of a failed run.  Only callers driving
     :func:`~repro.detect.parallel.executor.iter_process_execution`

@@ -12,7 +12,6 @@ from repro.experiments.runner import (
     run_exp4_vary_latency,
     run_exp4_vary_processors,
     run_exp5_effectiveness,
-    run_parallel_speedup,
     run_selftuning,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "run_exp4_vary_latency",
     "run_exp4_vary_processors",
     "run_exp5_effectiveness",
-    "run_parallel_speedup",
     "run_selftuning",
     "speedup_summary",
 ]

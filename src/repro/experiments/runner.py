@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.core.builtin_rules import effectiveness_rules, example_rules
 from repro.core.ngd import RuleSet
@@ -43,7 +43,6 @@ __all__ = [
     "run_exp4_vary_latency",
     "run_exp4_vary_interval",
     "run_exp5_effectiveness",
-    "run_parallel_speedup",
     "run_selftuning",
 ]
 
@@ -394,112 +393,6 @@ def run_exp5_effectiveness(config: Optional[ExperimentConfig] = None) -> Experim
     return series
 
 
-def _best_of(repeats: int, fn: Callable[[], object]) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def run_parallel_speedup(
-    processors: int = 4,
-    entities: int = 4000,
-    rules_count: int = 36,
-    repeats: int = 2,
-    seed: int = 8,
-) -> dict:
-    """Measure wall-clock speedup of ``execution="processes"`` over serial Dect.
-
-    The first *measured* (rather than simulated) performance number of the
-    reproduction: a skewed Exp-4-style knowledge-graph workload (hub
-    entities concentrate adjacency, so rule subtrees are uneven) is
-    detected serially, on the simulated cluster (the deterministic
-    cost-model oracle — reported for the record), and on the real
-    multi-process backend at 1 and ``processors`` workers.  Violation sets
-    are asserted byte-identical across all four runs; the wall-clock
-    numbers are environment-dependent by design.
-
-    Returns a JSON-ready report (``benchmarks/BENCH_parallel.json`` keeps
-    the committed baseline).
-    """
-    import json as _json
-    import os
-    import platform
-
-    from repro.datasets.kb import KBConfig, knowledge_graph
-
-    config = KBConfig(
-        name="kb-speedup",
-        num_entities=entities,
-        num_entity_types=6,
-        num_value_relations=5,
-        num_link_relations=4,
-        values_per_entity=3,
-        links_per_entity=3.0,
-        error_rate=0.05,
-        seed=seed,
-        hub_link_fraction=0.5,
-        num_hubs=4,
-    )
-    graph = knowledge_graph(config)
-    rule_set = benchmark_rules(graph, count=rules_count, max_diameter=5, seed=2)
-
-    serial_detector = Detector(rule_set, engine="batch")
-    serial_time = _best_of(repeats, lambda: serial_detector.run(graph))
-    serial = serial_detector.last_result
-
-    simulated = Detector(rule_set, engine="parallel", processors=processors).run(graph)
-
-    process_times: dict[int, float] = {}
-    process_results: dict[int, object] = {}
-    for workers in sorted({1, processors}):
-        detector = Detector(
-            rule_set,
-            engine="parallel",
-            processors=workers,
-            options=DetectionOptions(execution="processes"),
-        )
-        process_times[workers] = _best_of(repeats, lambda d=detector: d.run(graph))
-        process_results[workers] = detector.last_result
-
-    reference = serial.violations.to_json()
-    for label, result in (("simulated", simulated), *(
-        (f"processes[{w}]", r) for w, r in process_results.items()
-    )):
-        if result.violations.to_json() != reference:
-            raise AssertionError(f"{label} violations differ from serial Dect")
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    speedup = serial_time / process_times[processors] if process_times[processors] else 0.0
-    report = {
-        "workload": {
-            "entities": entities,
-            "nodes": graph.node_count(),
-            "edges": graph.edge_count(),
-            "rules": len(rule_set),
-            "violations": len(serial.violations),
-        },
-        "machine": {"cpus": cpus, "platform": platform.platform()},
-        "processors": processors,
-        "serial_wall_seconds": round(serial_time, 4),
-        "process_wall_seconds": {str(w): round(t, 4) for w, t in process_times.items()},
-        "speedup_vs_serial": round(speedup, 3),
-        "simulated_makespan": simulated.cost,
-        "byte_identical_violations": True,
-    }
-    baseline = os.environ.get("REPRO_WRITE_BENCH_BASELINE")
-    if baseline:
-        with open(baseline, "w", encoding="utf-8") as handle:
-            _json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
-
-
 def run_selftuning(
     jobs: int = 4,
     processors: int = 2,
@@ -526,7 +419,7 @@ def run_selftuning(
 
     from repro.datasets.kb import KBConfig, knowledge_graph
     from repro.service.jobs import SessionManager
-    from repro.service.protocol import DetectRequest
+    from repro.service.protocol import DetectRequest, usable_cpus
     from repro.service.registry import GraphRegistry
 
     config = KBConfig(
@@ -576,7 +469,7 @@ def run_selftuning(
         for _ in range(jobs):
             elapsed, warm_records = job(warm_manager)
             warm_times.append(elapsed)
-        pool_stats = warm_manager.executor_pool(processors).stats()
+        pool_stats = warm_manager.executor_pool(warm_manager.process_count(processors)).stats()
     finally:
         warm_manager.shutdown()
 
@@ -596,10 +489,6 @@ def run_selftuning(
     warm_steady = warm_times[1:] if len(warm_times) > 1 else warm_times
     warm_per_job = sum(warm_steady) / len(warm_steady)
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
     report = {
         "warm_pool": {
             "workload": {
@@ -617,7 +506,7 @@ def run_selftuning(
             "pool": pool_stats,
             "identical_violation_records": True,
         },
-        "machine": {"cpus": cpus, "platform": platform.platform()},
+        "machine": {"cpus": usable_cpus(), "platform": platform.platform()},
     }
     baseline = os.environ.get("REPRO_WRITE_BENCH_BASELINE")
     if baseline:

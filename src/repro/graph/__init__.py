@@ -20,7 +20,8 @@ from repro.graph.updates import (
     apply_update,
 )
 
-# fragmentation serves the simulated cluster and the sharded store only
+# public fragmentation names, imported on first use: no detection path
+# partitions a graph (the process backend ships whole images)
 __getattr__, __dir__ = lazy_exports(
     globals(),
     dict.fromkeys(

@@ -37,13 +37,14 @@ from repro.core.violations import ViolationDelta, ViolationSet
 # the kernels a request may ask for are imported with the service, before the
 # ready line, so that no request handler pays for an import
 from repro.detect.parallel import WarmExecutorPool, iter_p_dect, iter_pinc_dect  # noqa: F401
-from repro.detect.session import DetectionOptions, Detector
+from repro.detect.session import DEFAULT_PROCESSORS, DetectionOptions, Detector
 from repro.errors import (
     DeadlineExceededError,
     PoolSaturatedError,
     ServiceError,
     WorkerPoolCollapse,
 )
+from repro.service import protocol
 from repro.service.protocol import (
     DetectRequest,
     error_record,
@@ -468,7 +469,17 @@ class SessionManager:
 
     # ---------------------------------------------------- warm executor pools
 
-    def executor_pool(self, processors: Optional[int]) -> WarmExecutorPool:
+    def process_count(self, processors: Optional[int]) -> int:
+        """Return how many workers a ``processes`` request runs on here.
+
+        An omitted count takes the detector's default, and every count is
+        clamped to :func:`~repro.service.protocol.usable_cpus`: the server
+        refuses a *new* request above it, but a session recorded by a
+        server with more CPUs must still recover and run on this one.
+        """
+        return min(processors or DEFAULT_PROCESSORS, protocol.usable_cpus())
+
+    def executor_pool(self, processors: int) -> WarmExecutorPool:
         """Return the shared warm pool for ``processors``, creating it lazily.
 
         Pools are keyed by processor count (a :class:`WarmExecutorPool`
@@ -478,12 +489,11 @@ class SessionManager:
         same ``(snapshot, rules)`` skip worker start-up and runtime
         loading entirely.
         """
-        count = max(1, processors or 1)
         with self._executor_pools_lock:
-            pool = self._executor_pools.get(count)
+            pool = self._executor_pools.get(processors)
             if pool is None:
-                pool = WarmExecutorPool(count, spool_cache=self.spool_cache)
-                self._executor_pools[count] = pool
+                pool = WarmExecutorPool(processors, spool_cache=self.spool_cache)
+                self._executor_pools[processors] = pool
             return pool
 
     def maintain_pools(self) -> None:
@@ -571,10 +581,11 @@ class SessionManager:
         rules = self.resolve_rules(request)
         graph, version = self.registry.get(graph_name).snapshot()
         processes = request.execution == "processes"
+        processors = self.process_count(request.processors) if processes else request.processors
         detector = Detector(
             rules,
             engine=request.engine,
-            processors=request.processors,
+            processors=processors,
             options=DetectionOptions(
                 use_literal_pruning=request.use_literal_pruning,
                 max_violations=request.max_violations,
@@ -584,7 +595,7 @@ class SessionManager:
             # process-backed jobs draw workers from the manager's shared
             # warm pool: repeated requests against the same snapshot reuse
             # live crews instead of paying runtime setup per request
-            executor_pool=self.executor_pool(request.processors) if processes else None,
+            executor_pool=self.executor_pool(processors) if processes else None,
         )
 
         # the trace id is fixed before the job starts so the HTTP handler
@@ -637,13 +648,14 @@ class SessionManager:
         rules = self.resolve_rules(request)
         registered = self.registry.get(graph_name)
         processes = request.execution == "processes"
-        pool = self.executor_pool(request.processors) if processes else None
+        processors = self.process_count(request.processors) if processes else request.processors
+        pool = self.executor_pool(processors) if processes else None
         with registered.lock:
             graph, version = registered.snapshot()
             batch = Detector(
                 rules,
                 engine=request.engine,
-                processors=request.processors,
+                processors=processors,
                 options=DetectionOptions(
                     use_literal_pruning=request.use_literal_pruning,
                     execution=request.execution,
@@ -658,7 +670,7 @@ class SessionManager:
             incremental = Detector(
                 rules,
                 engine="auto" if processes else "incremental",
-                processors=request.processors if processes else None,
+                processors=processors if processes else None,
                 options=DetectionOptions(
                     use_literal_pruning=request.use_literal_pruning,
                     execution=request.execution,

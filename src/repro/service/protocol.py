@@ -32,7 +32,13 @@ does actual parallel matching work on ``processors`` OS processes).
 
 :func:`parse_detect_request` validates the document into a
 :class:`DetectRequest`; resolution of catalog names against the server's
-registry happens in :mod:`repro.service.jobs`.
+registry happens in :mod:`repro.service.jobs`.  :func:`admit_detect_request`
+is the server's check on a *new* request: a ``processes`` request may ask for
+at most as many workers as the server has CPUs (:func:`usable_cpus`), a
+simulated one for at most :data:`MAX_SIMULATED_PROCESSORS`; a larger count is
+refused with 400.  Recovery re-parses recorded requests without that check,
+so state written on a larger machine still loads; the session manager clamps
+every ``processes`` count, an omitted one included, to :func:`usable_cpus`.
 
 Admission control
 -----------------
@@ -54,6 +60,7 @@ pool still accepts updates and serves state documents.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -68,6 +75,8 @@ __all__ = [
     "MIME_JSON",
     "DetectRequest",
     "parse_detect_request",
+    "admit_detect_request",
+    "usable_cpus",
     "violation_record",
     "summary_record",
     "error_record",
@@ -84,6 +93,19 @@ REQUEST_ENGINES = ("auto", "batch", "parallel")
 
 #: Execution modes a detection request may ask for (see module docstring).
 REQUEST_EXECUTION_MODES = ("simulated", "processes")
+
+#: The largest simulated cluster a request may ask for.  The paper's runs use
+#: up to 20 processors; the simulator builds one worker record per processor,
+#: so the count is capped well above that rather than left to the client.
+MAX_SIMULATED_PROCESSORS = 1024
+
+
+def usable_cpus() -> int:
+    """Return how many CPUs this process may run on: the cap on a ``processes`` request."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity masks
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -199,6 +221,29 @@ def parse_detect_request(document: object) -> DetectRequest:
         execution=execution,
         timeout_seconds=_optional_positive_number(document, "timeout_seconds"),
     )
+
+
+def admit_detect_request(request: DetectRequest) -> DetectRequest:
+    """Return ``request`` if the server can host its processor count.
+
+    Raises :class:`~repro.errors.ServiceError` (400) before any worker
+    starts when a ``processes`` request asks for more workers than
+    :func:`usable_cpus`, or a simulated one for more than
+    :data:`MAX_SIMULATED_PROCESSORS`.  Only new requests go through this
+    check; recovery must load whatever an earlier server accepted.
+    """
+    if request.processors is None:
+        return request
+    if request.execution == "processes":
+        limit, what = usable_cpus(), "the CPUs this server may use"
+    else:
+        limit, what = MAX_SIMULATED_PROCESSORS, "the simulated-cluster cap"
+    if request.processors > limit:
+        raise ServiceError(
+            f"'processors' is {request.processors}, above {what} ({limit}) "
+            f"for execution={request.execution!r}"
+        )
+    return request
 
 
 # ------------------------------------------------------------------ records

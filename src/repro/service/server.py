@@ -77,6 +77,7 @@ from repro.service.jobs import DEFAULT_MAX_JOBS, DetectionJobPool, SessionManage
 from repro.service.protocol import (
     MIME_JSON,
     MIME_NDJSON,
+    admit_detect_request,
     encode_record,
     error_record,
     parse_detect_request,
@@ -369,7 +370,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         )
 
     def _create_session(self, name: str, body: object) -> None:
-        request = parse_detect_request(body)
+        request = admit_detect_request(parse_detect_request(body))
         session = self.service.manager.create_session(name, request)
         self._send_json(session.state_document(), status=201)
 
@@ -413,7 +414,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(persistence.checkpoint())
 
     def _stream_detect(self, name: str, body: object) -> None:
-        request = parse_detect_request(body)
+        request = admit_detect_request(parse_detect_request(body))
         records = self.service.manager.stream_detection(name, request)
         self._trace_id = getattr(records, "trace_id", None)
         self._job_id = getattr(records, "job_id", None)

@@ -12,7 +12,7 @@ A ``--data-dir`` given to ``repro-detect serve`` has this shape::
           <graph>-v<k>.json  # one graph image per retained version
       segments/
         run-<pid>/           # executor spool cache for the live process
-          k<digest>/...      # one sharded-store spool per runtime key
+          k<digest>/...      # one worker-image spool per runtime key
 
 The manifest is the recovery root and is always written atomically
 (:func:`repro.graph.io.atomic_write_json`): a crash mid-checkpoint leaves
@@ -166,9 +166,10 @@ class SegmentCache:
 
     ``directory_for(key)`` maps a detector runtime key to a stable
     directory under ``segments/run-<pid>/``, so a warm-pool reload with the
-    same key finds the sharded-store images already serialized there and
-    adopts them (``ShardedStore.spool`` manifest adoption) instead of
-    re-spooling the whole graph.
+    same key finds the worker image already serialized there and adopts it
+    (:func:`~repro.detect.parallel.executor.spool_image` writes under a
+    temporary name and renames, so only a complete image is ever adopted)
+    instead of re-spooling the whole graph.
 
     Runtime keys embed a process-unique store token, so a cached spool is
     only meaningful to the process that wrote it: the cache scopes its

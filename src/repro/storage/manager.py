@@ -326,13 +326,15 @@ class PersistenceManager:
         rules = self.manager.resolve_rules(request)
         registered = self.registry.get(document["graph"])
         processes = request.execution == "processes"
-        pool = self.manager.executor_pool(request.processors) if processes else None
+        # the recorded count may exceed this machine's CPUs: clamp, not refuse
+        processors = self.manager.process_count(request.processors) if processes else None
+        pool = self.manager.executor_pool(processors) if processes else None
         with registered.lock:
             graph, _version = registered.snapshot()
             incremental = Detector(
                 rules,
                 engine="auto" if processes else "incremental",
-                processors=request.processors if processes else None,
+                processors=processors,
                 options=DetectionOptions(
                     use_literal_pruning=request.use_literal_pruning,
                     execution=request.execution,

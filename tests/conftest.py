@@ -83,3 +83,19 @@ def knows_pattern() -> Pattern:
 def knows_rule(knows_pattern) -> NGD:
     """Rule: if x knows y then x.val >= y.val — violated by the triangle fixture (10 < 20)."""
     return NGD.from_text(knows_pattern, "", "x.val >= y.val", name="val_order")
+
+
+@pytest.fixture
+def force_start_method(monkeypatch):
+    """Return ``force(method)``, which pins the process backend to ``fork`` or ``spawn``.
+
+    The backend picks its start method in one place,
+    :func:`~repro.detect.parallel.executor.resolve_start_method`; patching
+    that is how a test reaches the path the thread count would pick.
+    """
+    from repro.detect.parallel import executor
+
+    def force(method: str) -> None:
+        monkeypatch.setattr(executor, "resolve_start_method", lambda: method)
+
+    return force

@@ -317,7 +317,7 @@ def test_parallel_parity(product_graph, heavy_rules, execution):
     assert on.violation_count() > 0
 
 
-def test_spawn_workers_recompile_parity(heavy_rules):
+def test_spawn_workers_recompile_parity(heavy_rules, force_start_method):
     # spawn workers get the plan document only (closures don't pickle);
     # they must rebuild compiled schedules and still match byte for byte.
     # (string node ids: the spawn path spools graphs through JSON, which
@@ -331,9 +331,8 @@ def test_spawn_workers_recompile_parity(heavy_rules):
             "-".join(map(str, edge.source)), "-".join(map(str, edge.target)), edge.label
         )
     serial = _run(flat, heavy_rules)
-    spawned = _run(
-        flat, heavy_rules, engine="parallel", processors=2, execution="processes", start_method="spawn"
-    )
+    force_start_method("spawn")
+    spawned = _run(flat, heavy_rules, engine="parallel", processors=2, execution="processes")
     assert spawned.violations.to_json() == serial.violations.to_json()
     assert serial.violation_count() > 0
 

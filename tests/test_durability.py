@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.builtin_rules import example_rules, phi2
 from repro.core.ngd import RuleSet
+from repro.errors import ServiceError
 from repro.graph.graph import Graph
 from repro.graph.io import graph_to_dict, save_graph
 from repro.graph.updates import BatchUpdate, NodePayload
@@ -362,6 +363,55 @@ class TestInProcessRecovery:
         assert recovered[named]["replayed"] > 0, "the WAL suffix was replayed"
         assert {info["store"] for info in recovered[named]["graphs"]} == {"indexed"}
 
+    def test_a_recorded_worker_count_above_the_cpus_still_recovers(self, tmp_path, monkeypatch):
+        """A ``processes`` session recorded by a server with more CPUs.
+
+        One session sits in the checkpoint and one only in a WAL
+        ``session_open`` record, both asking for two workers.  The server
+        that recovers them may use one CPU: a new request for two workers
+        is refused there, but recovery must load both sessions, run them on
+        one worker and replay their deltas.
+        """
+        from repro.service import protocol
+        from repro.service.protocol import parse_detect_request
+
+        monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+        data_dir = tmp_path / "data"
+        request = {"catalog": "mine", "execution": "processes", "processors": 2}
+        service = DetectionService(port=0, data_dir=str(data_dir)).start()
+        try:
+            client = ServiceClient(service.url)
+            client.register_graph("areas", multi_area_graph())
+            client.register_rules("mine", example_rules())
+            opened = service.manager.create_session("areas", parse_detect_request(request))
+            client.post_update("areas", _update(0))
+            client.checkpoint()
+            logged = service.manager.create_session("areas", parse_detect_request(request))
+            for i in range(1, 4):
+                client.post_update("areas", _update(i))
+            sids = (opened.session_id, logged.session_id)
+            acked = {sid: (client.session_state(sid), client.session_deltas(sid, since=1)) for sid in sids}
+        finally:
+            service.stop()
+            manifest = json.loads((data_dir / "MANIFEST.json").read_text(encoding="utf-8"))
+        with WriteAheadLog(data_dir / "wal.log", start_lsn=manifest["cut_lsn"] + 1) as wal:
+            opens = [record for record in wal.records() if record["type"] == "session_open"]
+        assert [record["session"] for record in opens] == [logged.session_id]
+        assert opens[0]["request"]["processors"] == 2
+
+        monkeypatch.setattr(protocol, "usable_cpus", lambda: 1)
+        recovered = DetectionService(port=0, data_dir=str(data_dir))
+        with recovered:
+            assert recovered.persistence.recovered["replayed"] > 0
+            c2 = ServiceClient(recovered.url)
+            for sid in sids:
+                assert (c2.session_state(sid), c2.session_deltas(sid, since=1)) == acked[sid]
+            assert set(recovered.manager.describe_pools()) == {"1"}
+            with pytest.raises(ServiceError, match="CPUs"):
+                c2.detect("areas", catalog="mine", processors=2, execution="processes")
+            reply = c2.post_update("areas", _update(4))
+            assert reply["sessions_advanced"] == 2
+
     def test_registrations_survive_without_any_update(self, tmp_path):
         data_dir = tmp_path / "data"
         service = DetectionService(port=0, data_dir=str(data_dir)).start()
@@ -502,35 +552,45 @@ class TestSegmentCache:
         assert not stale.exists()
         cache.close()
 
-    def test_sharded_store_adopts_cached_spool(self, tmp_path):
-        from repro.graph.sharded import ShardedStore, clear_spool_cache
+    def test_spooled_image_adopts_cached_spool(self, tmp_path):
+        from repro.detect.parallel.executor import clear_spool_cache, load_spooled, spool_image
 
         graph = multi_area_graph(4)
         directory = tmp_path / "segment"
-        first = ShardedStore.build(graph, num_shards=2, halo_hops=1)
-        manifest = first.spool(directory)
+        directory.mkdir()
+        path = spool_image(graph, directory / "image.json")
         mtimes = {p.name: p.stat().st_mtime_ns for p in directory.iterdir()}
 
         clear_spool_cache()
-        second = ShardedStore.build(graph, num_shards=2, halo_hops=1)
-        assert second.spool(directory) == manifest
+        assert spool_image(multi_area_graph(4), directory / "image.json") == path
         # adoption must not have re-serialized a single byte
         assert {p.name: p.stat().st_mtime_ns for p in directory.iterdir()} == mtimes
-        # and the adopted store still loads every shard correctly
-        reloaded = ShardedStore.load(manifest)
-        assert reloaded.num_shards == 2
-        assert sum(reloaded.shard(i).node_count() for i in range(2)) >= graph.node_count()
+        # and the adopted image still loads in full
+        assert load_spooled(path).node_count() == graph.node_count()
 
-    def test_mismatched_manifest_is_respooled(self, tmp_path):
-        from repro.graph.sharded import ShardedStore
+    def test_torn_image_is_not_adopted(self, tmp_path, monkeypatch):
+        from repro.detect.parallel import executor
 
         graph = multi_area_graph(4)
         directory = tmp_path / "segment"
-        ShardedStore.build(graph, num_shards=2, halo_hops=1).spool(directory)
-        different = ShardedStore.build(graph, num_shards=2, halo_hops=2)
-        manifest = different.spool(directory)
-        with open(manifest, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["halo_hops"] == 2
+        directory.mkdir()
+        target = directory / "image.json"
+
+        def torn_write(image, path):
+            Path(path).write_text('{"name": "torn", "nodes": [', encoding="utf-8")
+            raise OSError("disk full mid-write")
+
+        monkeypatch.setattr(executor, "save_graph", torn_write)
+        with pytest.raises(OSError):
+            executor.spool_image(graph, target)
+        # the half-written bytes never reached the adoptable name
+        assert list(directory.iterdir()) == []
+        # a SIGKILL skips the clean-up: its temporary file stays, unadopted
+        (directory / ".image.json.killed.partial").write_text("{", encoding="utf-8")
+        monkeypatch.undo()
+        executor.clear_spool_cache()
+        assert executor.spool_image(graph, target) == str(target)
+        assert executor.load_spooled(target).node_count() == graph.node_count()
 
 
 # --------------------------------------------------------- kill -9 survival

@@ -124,34 +124,48 @@ class TestFaultPlan:
         assert resolve_fault_plan().for_worker(0, 0) is None  # wal-only plan
 
 
+class TestSupervisionSettings:
+    # the heartbeat period/timeout and the shutdown grace are read through
+    # one helper; a value a deadline cannot use must never reach the loops
+    @pytest.mark.parametrize("raw", ("nan", "inf", "-inf", "-1", "soon"))
+    def test_unusable_seconds_fall_back_to_the_default(self, monkeypatch, raw):
+        from repro.detect.parallel import executor
+
+        monkeypatch.setenv(executor.SHUTDOWN_GRACE_ENV, raw)
+        assert executor._env_float(executor.SHUTDOWN_GRACE_ENV, 3.0) == 3.0
+
+    def test_finite_non_negative_seconds_are_kept(self, monkeypatch):
+        from repro.detect.parallel import executor
+
+        for raw, seconds in (("0", 0.0), ("2.5", 2.5), ("1e3", 1000.0)):
+            monkeypatch.setenv(executor.HEARTBEAT_TIMEOUT_ENV, raw)
+            assert executor._env_float(executor.HEARTBEAT_TIMEOUT_ENV, 30.0) == seconds
+        monkeypatch.delenv(executor.HEARTBEAT_TIMEOUT_ENV)
+        assert executor._env_float(executor.HEARTBEAT_TIMEOUT_ENV, 30.0) == 30.0
+
+
 # --------------------------------------------------- crash recovery parity
 
 
 class TestCrashRecoveryParity:
-    def test_sigkilled_worker_is_byte_identical_fork(self, kb_graph, kb_rules, monkeypatch):
+    def test_sigkilled_worker_is_byte_identical_fork(
+        self, kb_graph, kb_rules, monkeypatch, force_start_method
+    ):
         serial = Detector(kb_rules, engine="batch").run(kb_graph)
         monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=3")
-        result = Detector(
-            kb_rules,
-            engine="parallel",
-            processors=2,
-            options=_options(start_method="fork"),
-        ).run(kb_graph)
+        force_start_method("fork")
+        result = Detector(kb_rules, engine="parallel", processors=2, options=_options()).run(kb_graph)
         assert len(serial.violations) > 0
         assert result.violations.to_json() == serial.violations.to_json()
         assert not result.degraded
         assert not result.stopped_early
 
     def test_sigkilled_worker_is_byte_identical_spawn(
-        self, kb_graph, kb_rules, serial_result, monkeypatch
+        self, kb_graph, kb_rules, serial_result, monkeypatch, force_start_method
     ):
         monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=3")
-        result = Detector(
-            kb_rules,
-            engine="parallel",
-            processors=2,
-            options=_options(start_method="spawn"),
-        ).run(kb_graph)
+        force_start_method("spawn")
+        result = Detector(kb_rules, engine="parallel", processors=2, options=_options()).run(kb_graph)
         assert result.violations.to_json() == serial_result.violations.to_json()
         assert not result.degraded
 
@@ -241,6 +255,45 @@ class TestGracefulDegradation:
         assert result.stopped_early
         assert result.stop_reason == "max_cost"
         assert elapsed < 30.0
+
+    @pytest.mark.parametrize("grace", ("nan", "inf"))
+    def test_non_finite_shutdown_grace_falls_back_to_the_default(
+        self, kb_graph, kb_rules, monkeypatch, force_start_method, grace
+    ):
+        # a hung warm worker never answers the end-of-run sync: a nan grace
+        # would make that deadline never expire and an inf one would wait
+        # forever, so both must fall back to the (here shortened) default.
+        # fork starts both workers at once, so worker 0 is wedged on its
+        # first unit long before worker 1's reports exhaust the budget
+        from repro.detect.parallel import executor
+
+        force_start_method("fork")
+        monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,after=1")
+        monkeypatch.setenv(executor.SHUTDOWN_GRACE_ENV, grace)
+        monkeypatch.setattr(executor, "SHUTDOWN_GRACE_SECONDS", 1.0)
+        pool = WarmExecutorPool(2)
+        outcome: dict = {}
+
+        def run() -> None:
+            detector = Detector(
+                kb_rules,
+                engine="parallel",
+                processors=2,
+                options=_options(max_cost=50.0),
+                executor_pool=pool,
+            )
+            outcome["result"] = detector.run(kb_graph)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        try:
+            assert not thread.is_alive(), f"REPRO_SHUTDOWN_GRACE={grace} hung the request thread"
+            assert outcome["result"].stop_reason == "max_cost"
+            assert not pool.stats()["warm"], "a crew that missed the sync barrier is torn down"
+        finally:
+            if not thread.is_alive():
+                pool.shutdown()
 
     def test_warm_pool_evicts_dead_crews(self, kb_graph, kb_rules, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)

@@ -217,12 +217,14 @@ class TestPattern:
         assert knows_pattern.neighbours("x") == frozenset({"y"})
         assert len(knows_pattern.incident_edges("x")) == 1
 
-    def test_connectivity(self):
+    def test_connectivity(self, figure1_rules):
         pattern = Pattern.from_edges(
             "p", nodes=[("a", "x"), ("b", "x"), ("c", "x")], edges=[("a", "b", "e")]
         )
         assert not pattern.is_connected()
         assert len(pattern.connected_components()) == 2
+        # the test PIncDect's process path applies before shipping N_C(ΔG)
+        assert all(rule.pattern.is_connected() for rule in figure1_rules)
 
     def test_diameter_of_chain(self):
         pattern = Pattern.from_edges(

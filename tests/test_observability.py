@@ -347,13 +347,14 @@ class TestOnOffParity:
 
 class TestCrossProcessShipping:
     @pytest.mark.parametrize("start_method", ("fork", "spawn"))
-    def test_worker_spans_and_metrics_ship_home(self, start_method):
+    def test_worker_spans_and_metrics_ship_home(self, start_method, force_start_method):
         graph = figure1_g2()
+        force_start_method(start_method)
         result = Detector(
             example_rules(),
             engine="parallel",
             processors=2,
-            options=DetectionOptions(execution="processes", start_method=start_method),
+            options=DetectionOptions(execution="processes"),
         ).run(graph)
         assert result.algorithm == "PDect"
         assert len(result.violations) > 0
@@ -370,14 +371,15 @@ class TestCrossProcessShipping:
         assert worker_labelled, "worker counter deltas must be absorbed with a worker label"
         assert obs.metrics().total("repro_executor_units_total") > 0
 
-    def test_fork_worker_spans_join_the_run_trace(self):
+    def test_fork_worker_spans_join_the_run_trace(self, force_start_method):
         """fork children inherit the contextvar: their spans join the run tree."""
         graph = figure1_g2()
+        force_start_method("fork")
         result = Detector(
             example_rules(),
             engine="parallel",
             processors=2,
-            options=DetectionOptions(execution="processes", start_method="fork"),
+            options=DetectionOptions(execution="processes"),
         ).run(graph)
         worker_spans = [span for span in obs.traces() if span["name"] == "executor.worker"]
         assert worker_spans

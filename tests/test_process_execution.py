@@ -15,8 +15,12 @@ pool (429 admission control) ride along.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +35,8 @@ from repro.detect import (
     Detector,
 )
 from repro.detect.parallel.balancing import should_split, should_split_planned
-from repro.detect.parallel.executor import ExecutionRuntime, resolve_start_method
-from repro.errors import ExecutionError, PoolSaturatedError, ServiceError, SessionError
-from repro.graph.sharded import ShardedStore
+from repro.detect.parallel.executor import ExecutionRuntime
+from repro.errors import PoolSaturatedError, ServiceError, SessionError
 from repro.graph.updates import UpdateGenerator
 from repro.matching.plan import (
     MatchPlan,
@@ -47,6 +50,8 @@ from repro.service import DetectionService, ServiceClient, parse_detect_request
 from repro.service.jobs import DetectionJobPool
 
 from engines import new_store
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +94,16 @@ def _options(**overrides) -> DetectionOptions:
 class TestBatchParity:
     @pytest.mark.parametrize("backend", ("dict", "indexed"))
     @pytest.mark.parametrize("start_method", ("fork", "spawn"))
-    def test_byte_identical_across_backends(self, kb_graph, kb_rules, backend, start_method):
+    def test_byte_identical_across_backends(
+        self, kb_graph, kb_rules, backend, start_method, force_start_method
+    ):
         # fork: workers share the parent's image; spawn: each worker loads
-        # its shard from the spool and recompiles schedules from the plan
-        # document
+        # the spooled image and recompiles schedules from the plan document
         graph = kb_graph.with_backend(new_store(backend))
         serial = Detector(kb_rules, engine="batch").run(graph)
         simulated = Detector(kb_rules, engine="parallel", processors=4).run(graph)
-        processes = Detector(
-            kb_rules, engine="parallel", processors=4, options=_options(start_method=start_method)
-        ).run(graph)
+        force_start_method(start_method)
+        processes = Detector(kb_rules, engine="parallel", processors=4, options=_options()).run(graph)
         assert len(serial.violations) > 0
         assert (
             processes.violations.to_json()
@@ -131,9 +136,9 @@ class TestBatchParity:
         )
 
     def test_work_counts_do_not_depend_on_timing(self):
-        # whether a run forks (one shared image) or spawns (sharded, seeded in
-        # the parent) depends on the threads alive when it starts, which back
-        # to back runs leave behind; both bill one root step per rule alike
+        # whether a run forks or spawns depends on the threads alive when it
+        # starts, which back to back runs leave behind; either way every
+        # worker reads a whole image and bills one root step per rule
         counts = {
             self._counts(
                 Detector(example_rules(), engine="parallel", processors=2, options=_options()).run(figure1_g2())
@@ -142,15 +147,13 @@ class TestBatchParity:
         }
         assert len(counts) == 1, counts
 
-    def test_work_counts_do_not_depend_on_the_start_method(self):
-        counts = {
-            method: self._counts(
-                Detector(
-                    example_rules(), engine="parallel", processors=2, options=_options(start_method=method)
-                ).run(figure1_g2())
+    def test_work_counts_do_not_depend_on_the_start_method(self, force_start_method):
+        counts = {}
+        for method in ("fork", "spawn"):
+            force_start_method(method)
+            counts[method] = self._counts(
+                Detector(example_rules(), engine="parallel", processors=2, options=_options()).run(figure1_g2())
             )
-            for method in ("fork", "spawn")
-        }
         assert counts["fork"] == counts["spawn"]
 
     def test_worker_traces_account_work(self, kb_graph, kb_rules):
@@ -178,9 +181,25 @@ class TestBatchParity:
         with pytest.raises(SessionError):
             Detector(kb_rules, engine=engine, options=_options())
 
-    def test_unknown_start_method_is_refused(self):
-        with pytest.raises(ExecutionError):
-            resolve_start_method("not-a-method")
+    def test_start_method_follows_the_thread_count(self):
+        # a fresh interpreter, so no thread another test left behind counts
+        probe = (
+            "import threading\n"
+            "from repro.detect.parallel.executor import resolve_start_method\n"
+            "print(resolve_start_method())\n"
+            "release = threading.Event()\n"
+            "thread = threading.Thread(target=release.wait)\n"
+            "thread.start()\n"
+            "print(resolve_start_method())\n"
+            "release.set()\n"
+            "thread.join()\n"
+            "print(resolve_start_method())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        assert done.stdout.split() == ["fork", "spawn", "fork"]
 
 
 # -------------------------------------------------------- incremental parity
@@ -189,12 +208,15 @@ class TestBatchParity:
 class TestIncrementalParity:
     @pytest.mark.parametrize("backend", ("dict", "indexed"))
     @pytest.mark.parametrize("start_method", ("fork", "spawn"))
-    def test_delta_identical_across_backends(self, kb_graph, kb_rules, kb_delta, backend, start_method):
+    def test_delta_identical_across_backends(
+        self, kb_graph, kb_rules, kb_delta, backend, start_method, force_start_method
+    ):
         graph = kb_graph.with_backend(new_store(backend))
         incremental = Detector(kb_rules, engine="incremental").run_incremental(graph, kb_delta)
         simulated = Detector(kb_rules, engine="parallel", processors=4).run_incremental(graph, kb_delta)
+        force_start_method(start_method)
         processes = Detector(
-            kb_rules, engine="parallel", processors=4, options=_options(start_method=start_method)
+            kb_rules, engine="parallel", processors=4, options=_options()
         ).run_incremental(graph, kb_delta)
         assert incremental.delta.total_changes() > 0
         assert processes.delta == simulated.delta == incremental.delta
@@ -356,7 +378,7 @@ class TestPlanPersistence:
             rules=list(kb_rules),
             plans=plans,
             use_literal_pruning=True,
-            shards=ShardedStore.single(kb_graph),
+            image=kb_graph,
         )
         import tempfile
 
@@ -365,14 +387,10 @@ class TestPlanPersistence:
         assert [p.order for p in rebuilt.plans] == [p.order for p in plans]
         assert [r.name for r in rebuilt.rules] == [r.name for r in kb_rules]
 
-    def test_spawn_start_method_parity(self, kb_graph, kb_rules):
+    def test_spawn_start_method_parity(self, kb_graph, kb_rules, force_start_method):
         serial = Detector(kb_rules, engine="batch").run(kb_graph)
-        spawned = Detector(
-            kb_rules,
-            engine="parallel",
-            processors=2,
-            options=_options(start_method="spawn"),
-        ).run(kb_graph)
+        force_start_method("spawn")
+        spawned = Detector(kb_rules, engine="parallel", processors=2, options=_options()).run(kb_graph)
         assert spawned.violations.to_json() == serial.violations.to_json()
 
 
@@ -484,11 +502,70 @@ class TestServiceAdmissionControl:
         request = parse_detect_request({"catalog": "example", "execution": "processes"})
         assert request.execution == "processes"
 
-    def test_kernel_start_failure_maps_to_400(self, service, monkeypatch):
+    def test_processor_counts_are_capped(self, service, monkeypatch):
+        # one request must not be able to start more processes than the
+        # server has CPUs, nor build an arbitrarily large simulated cluster
+        from repro.service import protocol
+
+        def admit(count: int, execution: str = "processes"):
+            document = {"catalog": "example", "execution": execution, "processors": count}
+            return protocol.admit_detect_request(parse_detect_request(document))
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with pytest.raises(ServiceError, match="CPUs"):
+            admit(cpus + 1)
+        assert admit(cpus).processors == cpus
+        cap = protocol.MAX_SIMULATED_PROCESSORS
+        assert cap > 20
+        with pytest.raises(ServiceError, match="simulated"):
+            admit(cap + 1, "simulated")
+        assert admit(cap, "simulated").processors == cap
+        # parsing alone keeps any positive count: recovery re-reads what an
+        # earlier server accepted (see test_durability)
+        document = {"catalog": "example", "execution": "processes", "processors": cpus + 1}
+        assert parse_detect_request(document).processors == cpus + 1
+
+        monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as excinfo:
+            client.detect("fig1", catalog="example", engine="parallel", processors=3, execution="processes")
+        assert "400" in str(excinfo.value)
+        reply = client.detect("fig1", catalog="example", engine="parallel", processors=2, execution="processes")
+        assert reply.summary["processors"] == 2
+        assert reply.violations
+
+    def test_an_omitted_worker_count_is_capped_too(self, service, monkeypatch):
+        # a processes request without a count takes the detector's default
+        # (8), clamped to the CPUs: it never starts more workers than an
+        # explicit count may ask for
+        from repro.service import protocol
+
+        monkeypatch.setattr(protocol, "usable_cpus", lambda: 1)
+        client = ServiceClient(service.url)
+        reply = client.detect("fig1", catalog="example", engine="parallel", execution="processes")
+        assert reply.summary["processors"] == 1
+        assert set(service.manager.describe_pools()) == {"1"}
+        assert {str(v) for v in reply.violations} == {
+            str(v) for v in client.detect("fig1", catalog="example").violations
+        }
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        from repro.service import protocol
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert protocol.usable_cpus() == 3
+        # platforms without affinity masks fall back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert protocol.usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert protocol.usable_cpus() == 1
+
+    def test_kernel_start_failure_maps_to_400(self, service, force_start_method):
         # a detection that fails before streaming anything (here: a bogus
         # start method raising at kernel start on the job thread) must come
         # back as a JSON error response, not 200 + an in-band error record
-        monkeypatch.setenv("REPRO_EXECUTION_START_METHOD", "bogus")
+        force_start_method("bogus")
         client = ServiceClient(service.url)
         with pytest.raises(ServiceError) as excinfo:
             list(

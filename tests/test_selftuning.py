@@ -132,9 +132,9 @@ def _spool_dirs() -> set[str]:
 
 
 class TestSpoolCleanup:
-    def test_abandoned_run_removes_spool(self, kb_like, monkeypatch):
+    def test_abandoned_run_removes_spool(self, kb_like, force_start_method):
         graph, rules, _delta = kb_like
-        monkeypatch.setenv("REPRO_EXECUTION_START_METHOD", "spawn")
+        force_start_method("spawn")
         before = _spool_dirs()
         detector = Detector(
             rules,
@@ -147,9 +147,9 @@ class TestSpoolCleanup:
         stream.close()  # consumer walks away mid-run
         assert _spool_dirs() == before, "abandoning a run must not leak its spool"
 
-    def test_completed_run_removes_spool(self, kb_like, monkeypatch):
+    def test_completed_run_removes_spool(self, kb_like, force_start_method):
         graph, rules, _delta = kb_like
-        monkeypatch.setenv("REPRO_EXECUTION_START_METHOD", "spawn")
+        force_start_method("spawn")
         before = _spool_dirs()
         Detector(
             rules,
@@ -159,11 +159,11 @@ class TestSpoolCleanup:
         ).run(graph)
         assert _spool_dirs() == before
 
-    def test_warm_pool_shutdown_removes_spool(self, kb_like, monkeypatch):
+    def test_warm_pool_shutdown_removes_spool(self, kb_like, force_start_method):
         graph, rules, _delta = kb_like
-        monkeypatch.setenv("REPRO_EXECUTION_START_METHOD", "spawn")
+        force_start_method("spawn")
         before = _spool_dirs()
-        pool = WarmExecutorPool(2, start_method="spawn")
+        pool = WarmExecutorPool(2)
         try:
             with Detector(
                 rules,

@@ -39,7 +39,6 @@ from repro.graph.neighborhood import (
 )
 from repro.graph.pattern import Pattern
 from repro.graph.store import STORE_REGISTRY, FrozenStore, IndexedStore, make_store
-from repro.graph.sharded import ShardedStore
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.matching.matchn import HomomorphismMatcher
 
@@ -307,7 +306,6 @@ _COSTS_SCRIPT = r"""
 import sys
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
-from repro.graph.sharded import ShardedStore
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.detect import dect, inc_dect, p_dect, pinc_dect
 from engines import new_store
@@ -735,7 +733,7 @@ class TestCopyOnWriteClone:
         # the other bucket of each brand-new node: the same bound at either size
         assert 0 < _private_buckets(graph, updated) <= 2 * len(delta) + new_nodes
 
-    @pytest.mark.parametrize("backend", BACKENDS + ["sharded"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_level_bfs_matches_per_node_bfs(self, backend):
         source_graph = Graph("bfs", store="indexed")
         for index in range(40):
@@ -744,19 +742,12 @@ class TestCopyOnWriteClone:
         for _ in range(70):
             source_graph.add_edge(rng.randrange(40), rng.randrange(40), rng.choice(_COW_EDGE_LABELS))
         source_graph.add_edge(7, 7, "knows")  # self-loops must not stall or escape the walk
-        if backend == "sharded":
-            graphs = [
-                ShardedStore.build(source_graph, num_shards=3, halo_hops=2).shard(index)
-                for index in range(3)
-            ]
-        else:
-            graphs = [source_graph.with_backend(new_store(backend))]
-        for graph in graphs:
-            for sources in ([7], [0, 13, 39], ["absent"], [5, "absent", 5], []):
-                for hops in (0, 1, 2, 5):
-                    assert multi_source_nodes_within_hops(graph, sources, hops) == _per_node_bfs(
-                        graph, sources, hops
-                    )
+        graph = source_graph.with_backend(new_store(backend))
+        for sources in ([7], [0, 13, 39], ["absent"], [5, "absent", 5], []):
+            for hops in (0, 1, 2, 5):
+                assert multi_source_nodes_within_hops(graph, sources, hops) == _per_node_bfs(
+                    graph, sources, hops
+                )
 
 
 # ------------------------------------------------------------ one-pass build
