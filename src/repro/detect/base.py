@@ -119,7 +119,9 @@ class IncrementalDetectionResult:
 
         One :func:`~repro.graph.neighborhood.multi_source_nodes_within_hops`
         then, after which the count is kept and ``graph`` is let go.  ``graph``
-        must not be mutated in between (the run's own ``G ⊕ ΔG`` snapshot).
+        (the run's own ``G ⊕ ΔG`` snapshot) must not be written in place in
+        between; copying it is fine — the next ``apply_update`` makes the copy
+        the head, and ``graph`` reads on unchanged as a past version.
         """
         self.__dict__["_pending_neighborhood"] = (graph, sources, hops)
 

@@ -66,27 +66,29 @@ def iter_dect(
     violations = ViolationSet()
     run = SerialRun("Dect", budget, sink)
 
-    for rule_index, rule in enumerate(rule_list):
-        plan = plans[rule_index]
-        order = plan.order
-        if not order:
-            continue
-        with run.rule(rule.name):
-            candidates, scan_cost = first_step_candidates(graph, rule, plan, order, use_literal_pruning, run.stats)
-            run.cost += scan_cost
-            if not run.cost_exhausted():
-                # the seeds are a stack: the last candidate's subtree is searched
-                # first; a single-variable pattern has no subtrees and streams in
-                # rank order
-                if len(order) > 1:
-                    candidates.reverse()
-                search = rule_search(rule, plan, use_literal_pruning, run.stats)
-                yield from run.drain(
-                    search, ((graph, order, (candidate,), violations, True) for candidate in candidates)
-                )
-        if run.stop_reason is not None:
-            break
-
+    try:
+        for rule_index, rule in enumerate(rule_list):
+            plan = plans[rule_index]
+            order = plan.order
+            if not order:
+                continue
+            with run.rule(rule.name):
+                candidates, scan_cost = first_step_candidates(graph, rule, plan, order, use_literal_pruning, run.stats)
+                run.cost += scan_cost
+                if not run.cost_exhausted():
+                    # the seeds are a stack: the last candidate's subtree is searched
+                    # first; a single-variable pattern has no subtrees and streams in
+                    # rank order
+                    if len(order) > 1:
+                        candidates.reverse()
+                    search = rule_search(rule, plan, use_literal_pruning, run.stats)
+                    yield from run.drain(
+                        search, ((graph, order, (candidate,), violations, True) for candidate in candidates)
+                    )
+            if run.stop_reason is not None:
+                break
+    finally:
+        run.flush()
     return DetectionResult(
         violations=violations,
         stats=run.stats,

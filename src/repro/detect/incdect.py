@@ -77,7 +77,8 @@ def iter_inc_dect(
 
     The result's ``cost`` is one unit per consistent pivot plus what each
     search step charged.  ``neighborhood_size`` is counted in ``G ⊕ ΔG`` when
-    first read, so that snapshot must not be mutated before.
+    first read, so that snapshot must not be written in place before (a copy
+    of it may be).
     """
     rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
     rule_list = list(rule_set)
@@ -95,31 +96,33 @@ def iter_inc_dect(
     run = SerialRun("IncDect", budget, sink)
     pivots_of = pivots_by_rule(rule_set, delta, graph, updated)
 
-    for rule_index, rule in enumerate(rule_list):
-        plan = plans[rule_index]
-        if run.cost_exhausted():
-            break
-        pivots = pivots_of[rule_index]
-        if not pivots:
-            continue
-        with run.rule(rule.name):
-            seeds = []
-            for site, update in pivots:
-                # insertion pivots are expanded in G ⊕ ΔG (ΔVio⁺), deletion pivots in G (ΔVio⁻)
-                inserted = update.is_insertion
-                search_graph, target = (updated, introduced) if inserted else (graph, removed)
-                ids = site.ids(update)
-                if not site.holds_in(search_graph.store, ids):
-                    continue
-                run.cost += 1.0
-                seeds.append((search_graph, site.order(plan), ids, target, inserted))
-            # the pivots are a stack: the last one's subtree is searched first
-            seeds.reverse()
-            search = rule_search(rule, plan, use_literal_pruning, run.stats)
-            yield from run.drain(search, seeds)
-        if run.stop_reason is not None:
-            break
-
+    try:
+        for rule_index, rule in enumerate(rule_list):
+            plan = plans[rule_index]
+            if run.cost_exhausted():
+                break
+            pivots = pivots_of[rule_index]
+            if not pivots:
+                continue
+            with run.rule(rule.name):
+                seeds = []
+                for site, update in pivots:
+                    # insertion pivots are expanded in G ⊕ ΔG (ΔVio⁺), deletion pivots in G (ΔVio⁻)
+                    inserted = update.is_insertion
+                    search_graph, target = (updated, introduced) if inserted else (graph, removed)
+                    ids = site.ids(update)
+                    if not site.holds_in(search_graph.store, ids):
+                        continue
+                    run.cost += 1.0
+                    seeds.append((search_graph, site.order(plan), ids, target, inserted))
+                # the pivots are a stack: the last one's subtree is searched first
+                seeds.reverse()
+                search = rule_search(rule, plan, use_literal_pruning, run.stats)
+                yield from run.drain(search, seeds)
+            if run.stop_reason is not None:
+                break
+    finally:
+        run.flush()
     result = IncrementalDetectionResult(
         delta=ViolationDelta(introduced=introduced, removed=removed),
         stats=run.stats,

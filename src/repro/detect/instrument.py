@@ -1,28 +1,31 @@
-"""Shared per-rule instrumentation helpers for the detection kernels.
+"""Per-rule attribution, shared by the four detection kernels.
 
 All four kernels (Dect, IncDect, PDect, PIncDect) attribute their work the
-same way: snapshot the run's :class:`~repro.matching.candidates.MatchStatistics`
-before a rule starts, diff after it ends, and emit the delta as per-rule
-counters plus one ``detect.rule`` span whose attributes carry the exact
-counter deltas.  Summing the rule spans of one trace therefore reproduces
-the run's ``MatchStatistics`` — the invariant ``repro-detect run --profile``
-and the observability tests rely on.
+same way, through one :class:`RuleAttribution` per run: snapshot the run's
+:class:`~repro.matching.candidates.MatchStatistics` before a stretch of one
+rule's work, add the difference after it, count the rule's violations, and
+flush once when the run ends — per-rule counters, plus one ``detect.rule``
+span per rule whose attributes carry the exact counter deltas.  Summing the
+rule spans of one trace therefore reproduces the run's ``MatchStatistics``
+— the invariant ``repro-detect run --profile`` and the observability tests
+rely on.
 
-Helpers here are cheap (a tuple of five int reads per rule) and fully
-inert when observability is disabled.
+The per-rule work is plain list arithmetic; the flush builds the counters'
+label keys itself, takes the recorder lock once and draws span ids without
+a system call.  Everything is inert when observability is disabled.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Tuple
 
 from repro import obs
 from repro.matching.candidates import STEP_COUNT_PREFIX, MatchStatistics
+from repro.obs.tracing import new_id
 
 __all__ = [
     "stats_snapshot",
-    "begin_rule_span",
-    "finish_rule",
     "flush_step_counts",
     "RuleAttribution",
 ]
@@ -46,42 +49,8 @@ def stats_snapshot(stats: MatchStatistics) -> Tuple[int, int, int, int, int]:
     )
 
 
-def begin_rule_span(
-    trace_parent: Optional[obs.Span], rule_name: str, algorithm: str
-) -> Optional[obs.Span]:
-    """Open a ``detect.rule`` span under the run's root span (if any)."""
-    if trace_parent is None:
-        return None
-    span = obs.Span(
-        "detect.rule",
-        trace_id=trace_parent.trace_id,
-        parent_id=trace_parent.span_id,
-        attributes={"rule": rule_name, "algorithm": algorithm},
-    )
-    return span
-
-
-def finish_rule(
-    rule_name: str,
-    span: Optional[obs.Span],
-    before: Tuple[int, int, int, int, int],
-    stats: MatchStatistics,
-    cost_delta: float,
-    violations_delta: int,
-) -> None:
-    """Emit one rule's counter deltas and close its span."""
-    if not obs.enabled():
-        return
-    after = stats_snapshot(stats)
-    delta = {field: after[i] - before[i] for i, field in enumerate(STAT_FIELDS)}
-    labels = {"rule": rule_name}
-    obs.counter_inc("repro_detect_candidates_total", labels, delta["candidates_examined"])
-    obs.counter_inc("repro_detect_matches_total", labels, delta["matches_emitted"])
-    obs.counter_inc("repro_detect_violations_total", labels, violations_delta)
-    if span is not None:
-        span.set(cost=round(cost_delta, 6), violations=violations_delta, **delta)
-        span.finish()
-        obs.recorder().record(span)
+#: scan-count key of ``stats.extra`` -> the registry key of its counter (built once per key)
+_STEP_KEYS: dict[str, tuple] = {}
 
 
 def flush_step_counts(stats: MatchStatistics) -> None:
@@ -96,35 +65,88 @@ def flush_step_counts(stats: MatchStatistics) -> None:
     """
     if not obs.enabled():
         return
+    samples = []
     for key, scanned in stats.extra.items():
-        if not key.startswith(STEP_COUNT_PREFIX) or not scanned:
+        if not scanned or not key.startswith(STEP_COUNT_PREFIX):
             continue
-        _, rule_name, step, strategy = key.split("\x1f")
-        obs.counter_inc(
-            "repro_match_candidates_examined",
-            {"rule": rule_name, "step": step, "strategy": strategy},
-            scanned,
-        )
+        counter = _STEP_KEYS.get(key)
+        if counter is None:
+            _, rule_name, step, strategy = key.split("\x1f")
+            labels = (("rule", rule_name), ("step", step), ("strategy", strategy))
+            counter = _STEP_KEYS[key] = ("repro_match_candidates_examined", labels)
+        samples.append((counter, scanned))
+    obs.metrics().counter_add_many(samples)
+
+
+#: rule name -> the registry keys of its three counters (built once per name)
+_RULE_KEYS: dict[str, tuple] = {}
+_RULE_COUNTERS = ("repro_detect_candidates_total", "repro_detect_matches_total", "repro_detect_violations_total")
+
+
+def _rule_keys(rule_name: str) -> tuple:
+    keys = _RULE_KEYS.get(rule_name)
+    if keys is None:
+        labels = (("rule", rule_name),)
+        keys = _RULE_KEYS[rule_name] = tuple((family, labels) for family in _RULE_COUNTERS)
+    return keys
+
+
+class _RuleSpan:
+    """A ``detect.rule`` span as a flush records it: its dict form is built when it is read."""
+
+    __slots__ = ("trace_id", "parent_id", "rule", "algorithm", "row", "start_time", "_span_id")
+
+    def __init__(self, trace_parent: obs.Span, rule: str, algorithm: str, row: list, start_time: float) -> None:
+        self.trace_id = trace_parent.trace_id
+        self.parent_id = trace_parent.span_id
+        self.rule, self.algorithm, self.row, self.start_time = rule, algorithm, row, start_time
+        self._span_id: Optional[str] = None
+
+    def to_dict(self) -> dict:
+        if self._span_id is None:
+            self._span_id = new_id()
+        row = self.row
+        attributes = {"rule": self.rule, "algorithm": self.algorithm}
+        if row[6] is not None:
+            attributes["cost"] = round(row[6], 6)
+        attributes["violations"] = row[5]
+        attributes.update(zip(STAT_FIELDS, row))
+        return {
+            "trace_id": self.trace_id,
+            "span_id": self._span_id,
+            "parent_id": self.parent_id,
+            "name": "detect.rule",
+            "start_time": self.start_time if row[7] is None else row[7],
+            "duration": row[8],
+            "attributes": attributes,
+        }
 
 
 class RuleAttribution:
-    """Per-rule accumulator for kernels whose units interleave across rules.
+    """The per-rule rows of one kernel run, emitted once when the run ends.
 
-    The parallel kernels pop work units in completion order, so rules are
-    not contiguous; instead of one live span per rule, deltas are
-    accumulated per rule (plain dict arithmetic, no registry traffic in the
-    hot loop) and emitted once at the end of the run.  The emitted
-    counters and ``detect.rule`` span attributes carry the same field set
-    as :func:`finish_rule`, so profile consumers see one shape everywhere.
+    A row holds a rule's five statistic deltas, its violations, and — for the
+    serial kernels, which run each rule once in one stretch and hand over a
+    whole row (:meth:`record`) — its cost and its time.  The parallel
+    kernels pop work units of every rule in completion order, so their rows
+    add up per unit (:meth:`before` / :meth:`after`, :meth:`violation`) and
+    their spans carry no cost.  The executor's workers emit counters only,
+    once per shipment, and the row set is reusable after each :meth:`emit`.
     """
 
-    __slots__ = ("enabled", "algorithm", "_acc")
+    __slots__ = ("enabled", "algorithm", "_rows")
 
     def __init__(self, algorithm: str) -> None:
         self.enabled = obs.enabled()
         self.algorithm = algorithm
-        # rule_name -> [5 stat deltas, violations]
-        self._acc: dict = {}
+        # rule name -> [5 stat deltas, violations, cost or None, start time or None, duration]
+        self._rows: dict[str, list] = {}
+
+    def _row(self, rule_name: str) -> list:
+        row = self._rows.get(rule_name)
+        if row is None:
+            row = self._rows[rule_name] = [0, 0, 0, 0, 0, 0, None, None, 0.0]
+        return row
 
     def before(self, stats: MatchStatistics):
         if not self.enabled:
@@ -135,32 +157,37 @@ class RuleAttribution:
         if before is None:
             return
         after = stats_snapshot(stats)
-        cell = self._acc.setdefault(rule_name, [0, 0, 0, 0, 0, 0])
+        row = self._row(rule_name)
         for index in range(5):
-            cell[index] += after[index] - before[index]
+            row[index] += after[index] - before[index]
 
     def violation(self, rule_name: str, count: int = 1) -> None:
         if not self.enabled:
             return
-        cell = self._acc.setdefault(rule_name, [0, 0, 0, 0, 0, 0])
-        cell[5] += count
+        self._row(rule_name)[5] += count
+
+    def record(self, rule_name: str, before, stats: MatchStatistics, violations: int,
+               cost: float, start_time: float, duration: float) -> None:  # fmt: skip
+        """Record the whole row of a rule run in one stretch since ``before``."""
+        after = stats_snapshot(stats)
+        self._rows[rule_name] = [
+            after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3] - before[3],
+            after[4] - before[4], violations, cost, start_time, duration,
+        ]  # fmt: skip
 
     def emit(self, trace_parent: Optional[obs.Span] = None) -> None:
-        """Flush the accumulators to the registry (reusable after)."""
-        if not self.enabled:
+        """Flush the rows to the registry, and as ``detect.rule`` spans under ``trace_parent``."""
+        if not self.enabled or not self._rows:
             return
-        for rule_name, cell in self._acc.items():
-            labels = {"rule": rule_name}
-            obs.counter_inc("repro_detect_candidates_total", labels, cell[0])
-            obs.counter_inc("repro_detect_matches_total", labels, cell[4])
-            obs.counter_inc("repro_detect_violations_total", labels, cell[5])
+        samples = []
+        spans = []
+        now = time.time()
+        for rule_name, row in self._rows.items():
+            candidates, matches, violations = _rule_keys(rule_name)
+            samples += ((candidates, row[0]), (matches, row[4]), (violations, row[5]))
             if trace_parent is not None:
-                span = begin_rule_span(trace_parent, rule_name, self.algorithm)
-                if span is not None:
-                    span.set(
-                        violations=cell[5],
-                        **{field: cell[i] for i, field in enumerate(STAT_FIELDS)},
-                    )
-                    span.finish()
-                    obs.recorder().record(span)
-        self._acc.clear()
+                spans.append(_RuleSpan(trace_parent, rule_name, self.algorithm, row, now))
+        obs.metrics().counter_add_many(samples)
+        if spans:
+            obs.recorder().record_many(spans)
+        self._rows = {}

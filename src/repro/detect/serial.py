@@ -9,12 +9,12 @@ a seed's findings are new against, so the rest lives here, once.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from typing import Optional
 
 from repro import obs
-from repro.detect.instrument import begin_rule_span, finish_rule, stats_snapshot
+from repro.detect.instrument import RuleAttribution
 from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink, notify_violation
 from repro.matching.candidates import MatchStatistics
 
@@ -32,6 +32,8 @@ class SerialRun:
         self.stats = MatchStatistics()
         self.emitted = 0
         self.stop_reason: Optional[str] = None
+        self.attribution = RuleAttribution(algorithm)
+        self._open_rule: Optional[tuple] = None
         # parent of the per-rule spans, captured where the generator starts (the
         # contextvar is only reliable in the consuming thread's context)
         self._trace_parent = obs.current_span()
@@ -43,15 +45,27 @@ class SerialRun:
             return True
         return False
 
-    @contextmanager
-    def rule(self, rule_name: str) -> Iterator[None]:
-        """Attribute the counters, cost and violations of the enclosed block to one rule."""
-        before, cost, emitted = stats_snapshot(self.stats), self.cost, self.emitted
-        span = begin_rule_span(self._trace_parent, rule_name, self.algorithm)
-        try:
-            yield
-        finally:
-            finish_rule(rule_name, span, before, self.stats, self.cost - cost, self.emitted - emitted)
+    def rule(self, rule_name: str) -> "SerialRun":
+        """Attribute the counters, cost, violations and time of the enclosed ``with`` block to one rule."""
+        before = self.attribution.before(self.stats)
+        if before is not None:
+            before = (rule_name, before, self.cost, self.emitted, time.time(), time.monotonic())
+        self._open_rule = before
+        return self
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> None:
+        if self._open_rule is not None:
+            rule_name, before, cost, emitted, started, clock = self._open_rule
+            self.attribution.record(
+                rule_name, before, self.stats, self.emitted - emitted, self.cost - cost, started, time.monotonic() - clock
+            )
+
+    def flush(self) -> None:
+        """Emit the rules' rows: once per run, also when its consumer stops early."""
+        self.attribution.emit(self._trace_parent)
 
     def drain(self, search, seeds: Iterable[tuple]) -> Iterator:
         """Expand every seed's subtree depth-first, yielding each new violation.

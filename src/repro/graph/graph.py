@@ -19,8 +19,6 @@ algorithms need:
   matchers use so candidate filtering costs O(result), not O(degree);
 * a label index over nodes (``nodes_with_label``) used for candidate
   selection in pattern matching;
-* an edge-label index keyed by ``(source_label, edge_label, target_label)``
-  triples used by update-driven matching to locate update pivots quickly;
 * a deterministic insertion-order rank (``node_rank``) giving the matchers
   a cheap, stable candidate ordering.
 
@@ -211,25 +209,6 @@ class Graph:
         """Iterate over all edges in insertion order."""
         return self._store.edges()
 
-    def edges_with_signature(self, source_label: str, edge_label: str, target_label: str) -> list[Edge]:
-        """Return edges whose endpoint labels and edge label match the signature.
-
-        Wildcards in ``source_label``/``target_label`` match any node label.
-        Used by update-driven matching to find update pivots.
-        """
-        if source_label != WILDCARD and target_label != WILDCARD:
-            return self._store.edges_with_exact_signature((source_label, edge_label, target_label))
-        matches: list[Edge] = []
-        for (s_label, e_label, t_label), edges in self._store.signature_items():
-            if e_label != edge_label:
-                continue
-            if source_label != WILDCARD and s_label != source_label:
-                continue
-            if target_label != WILDCARD and t_label != target_label:
-                continue
-            matches.extend(edges)
-        return matches
-
     def remove_edge(self, source: Hashable, target: Hashable, label: str) -> None:
         """Remove an edge; raises :class:`EdgeNotFound` when absent."""
         key = (source, target, label)
@@ -331,9 +310,11 @@ class Graph:
 
         Uses the engine's :meth:`~repro.graph.store.GraphStore.clone` instead
         of re-inserting every node and edge through the checked facade
-        operations.  Writes to either graph never show in the other; the
-        indexed engine shares unmodified adjacency between the two and copies
-        a node's bucket on the first write to it (copy-on-write).
+        operations.  Writes to either graph never show in the other.  On the
+        indexed engine the copy is O(1): the copy becomes the head and takes
+        the maps, and this graph becomes a past version that reads them
+        through an undo log (writing to it, or scanning all of it, first
+        rebuilds it in maps of its own).
         """
         return Graph(name or self.name, store=self._store.clone())
 

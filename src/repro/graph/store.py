@@ -6,12 +6,13 @@ the adjacency indexes dominates the hot path.  This module separates that
 layout from the graph *semantics*:
 
 * :class:`GraphStore` — the storage contract: node/edge CRUD, label-filtered
-  adjacency, the label and edge-signature indexes, and a deterministic
-  insertion-order rank used by the matchers in place of ``sorted(key=repr)``;
+  adjacency, the label index, and a deterministic insertion-order rank used
+  by the matchers in place of ``sorted(key=repr)``;
 * :class:`IndexedStore` — the one layout, and the engine every graph gets
   unless asked otherwise: interned labels, adjacency keyed ``node ->
   edge_label -> neighbour ids`` so a label-filtered lookup is O(result)
-  instead of O(degree), zero-copy read views, and copy-on-write clones;
+  instead of O(degree), zero-copy read views, and O(1) clones (the clone
+  takes the maps; the original reads them through an undo log);
 * :class:`FrozenStore` — the read-only engine: the same layout, filled by one
   :meth:`~GraphStore.bulk_load` and sealed, so that it can be shared
   (snapshots, forked shard images) without a copy; its adjacency is linked
@@ -33,8 +34,11 @@ from __future__ import annotations
 
 import gc
 import sys
+import weakref
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
+from itertools import islice
 from typing import Optional, Union
 
 from repro.errors import DuplicateNode, GraphError, NodeNotFound
@@ -49,29 +53,33 @@ __all__ = [
 ]
 
 EdgeKey = tuple[Hashable, Hashable, str]
-Signature = tuple[str, str, str]
 
 _EMPTY_DICT: dict = {}
 #: Shared empty zero-copy view (a keys view over a dict nothing mutates).
 _EMPTY_KEYS = _EMPTY_DICT.keys()
-#: Positions in :attr:`IndexedStore._private`, one key set per bucket index.
-_OUT, _IN, _LABELS, _SIGNATURES = range(4)
+#: Positions in :attr:`IndexedStore._private`: per direction, the nodes whose
+#: ``edge label -> neighbours`` map, and the ``(node, edge label)`` buckets,
+#: the head has copied since its last clone.
+_OUT, _IN, _OUT_BUCKETS, _IN_BUCKETS = range(4)
+#: Slots of an :class:`_UndoLog`, one per live map of an :class:`IndexedStore`.
+_NODES, _RANKS, _EDGES, _EDGE_RANKS, _OUTS, _INS, _OUT_DEGREES, _IN_DEGREES, _LABELS = range(9)
+#: The undo-log value of a key the past version did not hold.
+_ABSENT = object()
+#: The ``(ids, count)`` label bucket of a label no node carries.
+_NO_IDS: tuple = ((), 0)
 
 
 class _PairsView(AbstractSet):
     """Zero-copy view of ``(neighbour, edge_label)`` pairs over label-keyed adjacency.
 
     Backed by one node's ``{edge_label: {neighbour: None}}`` mapping of the
-    :class:`IndexedStore`; the pair count is tracked by the store's degree
-    counters and injected so ``len`` stays O(1).
+    :class:`IndexedStore`.
     """
 
-    __slots__ = ("_buckets", "_degrees", "_node_id")
+    __slots__ = ("_buckets",)
 
-    def __init__(self, buckets: dict, degrees: dict, node_id: Hashable) -> None:
+    def __init__(self, buckets: dict) -> None:
         self._buckets = buckets
-        self._degrees = degrees
-        self._node_id = node_id
 
     def __contains__(self, item: object) -> bool:
         if not isinstance(item, tuple) or len(item) != 2:
@@ -85,7 +93,7 @@ class _PairsView(AbstractSet):
                 yield (neighbour, label)
 
     def __len__(self) -> int:
-        return self._degrees.get(self._node_id, 0)
+        return sum(map(len, self._buckets.values()))
 
     @classmethod
     def _from_iterable(cls, iterable) -> frozenset:
@@ -93,6 +101,39 @@ class _PairsView(AbstractSet):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PairsView({set(self)!r})"
+
+
+class _LabelView(AbstractSet):
+    """The ids carrying one node label, in rank order, as the store holds them when read.
+
+    Backed by the label's id list, which a newer version only ever appends
+    to: the view reads the store's ``(ids, count)`` afresh on every call, so
+    it is live on the head and frozen on a past version.
+    """
+
+    __slots__ = ("_store", "_label")
+
+    def __init__(self, store: "IndexedStore", label: str) -> None:
+        self._store = store
+        self._label = label
+
+    def __contains__(self, node_id: object) -> bool:
+        node = self._store.get_node(node_id)
+        return node is not None and node.label == self._label
+
+    def __iter__(self) -> Iterator[Hashable]:
+        ids, count = self._store._label_bucket(self._label)
+        return islice(ids, count)
+
+    def __len__(self) -> int:
+        return self._store._label_bucket(self._label)[1]
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"LabelView({self._label!r}, {list(self)!r})"
 
 
 class GraphStore(ABC):
@@ -206,14 +247,6 @@ class GraphStore(ABC):
     @abstractmethod
     def edge_labels(self) -> frozenset[str]:
         """Return the edge labels present."""
-
-    @abstractmethod
-    def edges_with_exact_signature(self, signature: Signature) -> list[Edge]:
-        """Return edges matching a fully-specified (src label, edge label, dst label)."""
-
-    @abstractmethod
-    def signature_items(self) -> Iterator[tuple[Signature, list[Edge]]]:
-        """Iterate the signature index (for wildcard queries in the facade)."""
 
     # -------------------------------------------------------------- adjacency
 
@@ -336,13 +369,79 @@ class GraphStore(ABC):
         """Return an independent copy of this store (same backend).
 
         Writes to either side never show on the other; a backend may share
-        unmodified structure between the two (:class:`IndexedStore` does),
-        and one that takes no writes may return itself (:class:`FrozenStore`).
+        structure between the two (:class:`IndexedStore` hands its maps to
+        the copy), and one that takes no writes may return itself
+        (:class:`FrozenStore`).
         """
 
     @abstractmethod
     def validate(self) -> None:
         """Check internal index consistency; raise :class:`GraphError` on corruption."""
+
+
+class _UndoLog:
+    """What a past version of an :class:`IndexedStore` held where a newer version has written.
+
+    One dict per live map (the ``_NODES`` … ``_LABELS`` slots): key -> the
+    value this version held before the newer version's first overwrite of
+    the key, or ``_ABSENT``.  The head records the old value *before* it
+    overwrites the live map.  ``newer`` is the log of the next version once
+    that one became past as well, so a version ``k`` snapshots behind the head
+    reads through ``k`` logs, its own first.  The counts and rank counters
+    are the version's own, fixed when it became past.
+    """
+
+    __slots__ = ("entries", "newer", "nodes", "edges", "next_rank", "next_edge_rank", "__weakref__")
+
+    def __init__(self, store: "IndexedStore") -> None:
+        self.entries: tuple[dict, ...] = tuple({} for _ in range(_LABELS + 1))
+        self.newer: Optional[_UndoLog] = None
+        self.nodes = len(store._nodes)
+        self.edges = len(store._edges)
+        self.next_rank = store._next_rank
+        self.next_edge_rank = store._next_edge_rank
+
+    def get(self, slot: int, key: Hashable, live: object, absent: object = None) -> object:
+        """Return the version's value of ``key``, given ``live``, read from the live map just before.
+
+        Reading the live map first and the logs second is what makes the
+        lookup safe against a head writing in another thread: a value the
+        head overwrote after the live read is in a log by the time it is
+        checked.
+        """
+        log: Optional[_UndoLog] = self
+        while log is not None:
+            entries = log.entries[slot]
+            if key in entries:
+                value = entries[key]
+                return absent if value is _ABSENT else value
+            log = log.newer
+        return live
+
+    def keys(self, slot: int) -> dict:
+        """Every key a newer version has written to the live map of ``slot``."""
+        keys: dict = {}
+        log: Optional[_UndoLog] = self
+        while log is not None:
+            keys.update(dict.fromkeys(log.entries[slot]))
+            log = log.newer
+        return keys
+
+
+def _in_rank_order(entries: dict, ranks: dict, restored: set) -> dict:
+    """Return ``entries`` in rank order, given that only the ``restored`` keys may be out of it."""
+    if not restored:
+        return entries
+    order = [key for key in entries if key not in restored]
+    for key in sorted(restored, key=ranks.__getitem__):
+        order.insert(bisect_right(order, ranks[key], key=ranks.__getitem__), key)
+    return dict(zip(order, map(entries.__getitem__, order)))
+
+
+def _remember(entries: dict, live: dict, key: Hashable) -> None:
+    """Record the live value of ``key`` (or its absence) in an undo log, unless already there."""
+    if key not in entries:
+        entries[key] = live.get(key, _ABSENT)
 
 
 class IndexedStore(GraphStore):
@@ -353,17 +452,22 @@ class IndexedStore(GraphStore):
     * adjacency is ``node -> edge_label -> {neighbour: None}``, making
       ``successors_by_label`` O(result) instead of O(degree) — the lookup the
       matcher's candidate filtering performs per expansion step;
-    * every read returns a live zero-copy view (a dict keys view, or
-      :class:`_PairsView` for ``(neighbour, label)`` pairs) instead of a
-      defensive frozenset copy;
-    * degree counters keep ``len(successors(v))`` and the PIncDect cost model's
-      ``|v.adj|`` O(1);
-    * :meth:`clone` is copy-on-write: a clone shares every per-node adjacency
-      bucket and every per-label / per-signature id bucket with its parent,
-      and whichever side first writes a shared bucket copies that one bucket.
+    * every read returns a live zero-copy view (a dict keys view,
+      :class:`_PairsView` for ``(neighbour, label)`` pairs, :class:`_LabelView`
+      for a label's ids) instead of a defensive frozenset copy;
+    * degree counters keep the PIncDect cost model's ``|v.adj|`` O(1);
+    * :meth:`clone` is O(1) (Baker's rerooted persistent arrays): the clone
+      becomes the *head* and takes the live maps, and this store becomes a
+      *past version* that reads them through an :class:`_UndoLog`.  The head
+      records a key's old value before it overwrites it, copies a per-node
+      adjacency map or a ``(node, label)`` bucket the first time it writes one
+      after the clone (never one reachable from a past version), and only
+      appends to label id lists.  A write to a past version, a clone of one
+      or a full scan of one first materializes it, in its exact former order
+      (nodes by ``_rank``, edges by ``_edge_rank``).
 
-    All inner collections are insertion-ordered dicts, so iteration order —
-    and therefore match enumeration order — is deterministic across runs
+    All inner collections are insertion-ordered, so iteration order — and
+    therefore match enumeration order — is deterministic across runs
     regardless of string-hash randomization.
     """
 
@@ -374,115 +478,244 @@ class IndexedStore(GraphStore):
         self._rank: dict[Hashable, int] = {}
         self._next_rank = 0
         self._edges: dict[EdgeKey, Edge] = {}
+        self._edge_rank: dict[EdgeKey, int] = {}
+        self._next_edge_rank = 0
         # adjacency: node id -> edge label -> ordered set of neighbour ids
         self._out: dict[Hashable, dict[str, dict[Hashable, None]]] = {}
         self._in: dict[Hashable, dict[str, dict[Hashable, None]]] = {}
         self._out_degree: dict[Hashable, int] = {}
         self._in_degree: dict[Hashable, int] = {}
-        self._label_index: dict[str, dict[Hashable, None]] = {}
-        # The signature index is built lazily on the first signature query
-        # (None = not built) and maintained incrementally afterwards; batch
-        # loads and subgraph extractions that never ask for signatures skip
-        # its maintenance cost entirely.  Node labels never change after
-        # insertion (replace_node only swaps attributes), so deferring the
-        # build is safe.
-        self._signatures: Optional[dict[Signature, dict[EdgeKey, None]]] = None
-        # Copy-on-write state.  None until the first clone(): every bucket is
-        # this store's alone and is written in place.  From then on, per
-        # bucket index (_OUT, _IN, _LABELS, _SIGNATURES) the keys of the
-        # buckets this store has copied since its last clone(); any other
-        # bucket may be shared with a snapshot and is copied before a write.
+        # node label -> its node ids in rank order
+        self._label_index: dict[str, list[Hashable]] = {}
+        # A past version's undo log (None on the head and on a store never cloned).
+        self._undo: Optional[_UndoLog] = None
+        # On a head: a weak reference to the log of the version it superseded
+        # (None while no past version reads its maps), and per position (_OUT …
+        # _IN_BUCKETS) what it copied since (None while nothing else reads its
+        # adjacency maps and buckets).
+        self._log: Optional[weakref.ref] = None
         self._private: Optional[tuple[set, set, set, set]] = None
+        # On a store materialized from a past version, and on its clones: the
+        # logs of the lineage it shares adjacency maps and buckets with, kept
+        # alive so that the lineage's head keeps copying them before a write.
+        self._pin: Optional[tuple] = None
+        # A past version's materialization, read by its full scans.
+        self._scan: Optional[IndexedStore] = None
 
-    # ---------------------------------------------------------- copy-on-write
+    # ------------------------------------------------------------ versions
 
-    @staticmethod
-    def _unshare_adjacency(index: dict, private: set, node_id: Hashable) -> None:
-        """Replace one node's ``edge label -> neighbours`` buckets by a private copy."""
-        if node_id not in private:
-            index[node_id] = {label: dict(ids) for label, ids in index[node_id].items()}
-            private.add(node_id)
+    def _writer(self) -> Optional[_UndoLog]:
+        """Prepare a write: materialize a past version; return the log that keeps old values."""
+        if self._undo is not None:
+            vars(self).update(vars(self._materialized()))
+        if self._log is None:
+            return None
+        log = self._log()
+        if log is None:  # the superseded versions are gone: nothing else reads the maps
+            self._log = None
+            if self._pin is None:
+                self._private = None
+        return log
 
-    @staticmethod
-    def _unshare_ids(index: dict, private: set, key: Hashable) -> None:
-        """Replace one flat id bucket (label or signature index) by a private copy."""
-        if key not in private:
-            bucket = index.get(key)
-            if bucket is not None:
-                index[key] = dict(bucket)
-            private.add(key)
+    def _materialized(self) -> "IndexedStore":
+        """Return this past version built as a store of its own (memoised; never written)."""
+        scan = self._scan
+        if scan is None:
+            scan = self._scan = self._materialize()
+        return scan
+
+    def _materialize(self) -> "IndexedStore":
+        """Build this past version as a store of its own, in its exact former order.
+
+        The live maps are copied, then the logs laid over the copies, this
+        version's own last so that it wins, and nodes and edges put back in
+        rank order.  The adjacency maps and buckets are shared, not copied:
+        the new store copies one before its first write to it, and pins the
+        logs so that the head of this lineage keeps doing the same.
+        """
+        # the live maps are read before the logs (see _UndoLog.get)
+        maps = [dict(getattr(self, name)) for name in _LIVE_MAPS[:-1]]
+        maps.append({label: (ids, len(ids)) for label, ids in list(self._label_index.items())})
+        logs = []
+        log = self._undo
+        while log is not None:
+            logs.append(log)
+            log = log.newer
+        restored: tuple[set, ...] = tuple(set() for _ in maps)  # keys a log put back with a value
+        for log in reversed(logs):
+            for target, entries, values in zip(maps, log.entries, restored):
+                for key, value in list(entries.items()):
+                    if value is _ABSENT:
+                        target.pop(key, None)
+                        values.discard(key)
+                    else:
+                        target[key] = value
+                        values.add(key)
+        nodes, ranks, edges, edge_ranks, store_out, store_in, out_degree, in_degree, labels = maps
+        store = IndexedStore()
+        store._nodes = _in_rank_order(nodes, ranks, restored[_NODES])
+        store._edges = _in_rank_order(edges, edge_ranks, restored[_EDGES])
+        store._rank, store._edge_rank, store._out, store._in = ranks, edge_ranks, store_out, store_in
+        store._out_degree, store._in_degree = out_degree, in_degree
+        store._label_index = {label: ids[:count] for label, (ids, count) in labels.items()}
+        store._next_rank, store._next_edge_rank = self._undo.next_rank, self._undo.next_edge_rank
+        store._private = (set(), set(), set(), set())
+        store._pin = (self._undo, self._pin)
+        return store
+
+    def _adjacency(self, index: dict, slot: int, node_id: Hashable) -> dict:
+        """Return the node's ``edge label -> neighbours`` map in this version."""
+        buckets = index.get(node_id)
+        if self._undo is not None:
+            buckets = self._undo.get(slot, node_id, buckets)
+        if buckets is None:
+            raise KeyError(node_id)
+        return buckets
+
+    def _label_bucket(self, label: str) -> tuple:
+        """Return ``(ids, count)``: this version's ids with ``label`` are ``ids[:count]``."""
+        ids = self._label_index.get(label)
+        bucket = (ids, len(ids)) if ids is not None else _NO_IDS
+        if self._undo is not None:
+            bucket = self._undo.get(_LABELS, label, bucket, _NO_IDS)
+        return bucket
+
+    def _edge_rank_of(self, key: EdgeKey) -> int:
+        rank = self._edge_rank.get(key)
+        if self._undo is not None:
+            rank = self._undo.get(_EDGE_RANKS, key, rank)
+        return rank
+
+    def _writable_bucket(self, index: dict, slot: int, side: int, node_id: Hashable, label: str, log) -> dict:
+        """Return the head's ``node -> label`` bucket for a write, copying what a past version reads."""
+        buckets = index[node_id]
+        private = self._private
+        if private is None:
+            bucket = buckets.get(label)
+            if bucket is None:
+                buckets[label] = bucket = {}
+            return bucket
+        nodes, copied = private[side], private[side + 2]
+        if node_id not in nodes:
+            if log is not None:
+                _remember(log.entries[slot], index, node_id)
+            buckets = index[node_id] = dict(buckets)
+            nodes.add(node_id)
+        bucket = buckets.get(label)
+        if bucket is None or (node_id, label) not in copied:
+            buckets[label] = bucket = dict(bucket or _EMPTY_DICT)
+            copied.add((node_id, label))
+        return bucket
 
     # ------------------------------------------------------------------ nodes
 
     def add_node(self, node: Node) -> None:
-        node_id = self._store_node(node)
+        log = self._writer() if self._log is not None or self._undo is not None else None
+        node_id = self._store_node(node, log)
+        if log is not None:
+            entries = log.entries
+            _remember(entries[_OUTS], self._out, node_id)
+            _remember(entries[_INS], self._in, node_id)
+            _remember(entries[_OUT_DEGREES], self._out_degree, node_id)
+            _remember(entries[_IN_DEGREES], self._in_degree, node_id)
+        if self._private is not None:
+            self._private[_OUT].add(node_id)
+            self._private[_IN].add(node_id)
         self._out[node_id] = {}
         self._in[node_id] = {}
         self._out_degree[node_id] = 0
         self._in_degree[node_id] = 0
 
-    def _store_node(self, node: Node) -> Hashable:
+    def _store_node(self, node: Node, log: Optional[_UndoLog] = None) -> Hashable:
         """Record a node (label interned), its rank and its label-index entry; return its id."""
         label = sys.intern(node.label)
         if label is not node.label:
             node = Node(node.id, label, node.attributes)
         node_id = node.id
+        ids = self._label_index.get(label)
+        if log is not None:
+            entries = log.entries
+            _remember(entries[_NODES], self._nodes, node_id)
+            _remember(entries[_RANKS], self._rank, node_id)
+            if label not in entries[_LABELS]:
+                entries[_LABELS][label] = (ids, len(ids)) if ids is not None else _ABSENT
         self._nodes[node_id] = node
         self._rank[node_id] = self._next_rank
         self._next_rank += 1
-        if self._private is not None:
-            self._unshare_ids(self._label_index, self._private[_LABELS], label)
-        bucket = self._label_index.get(label)
-        if bucket is None:
-            self._label_index[label] = bucket = {}
-        bucket[node_id] = None
+        if ids is None:
+            self._label_index[label] = [node_id]
+        else:
+            ids.append(node_id)  # a past version reads a prefix of the list: appending is safe
         return node_id
 
     def replace_node(self, node: Node) -> None:
+        log = self._writer() if self._log is not None or self._undo is not None else None
+        if log is not None:
+            _remember(log.entries[_NODES], self._nodes, node.id)
         self._nodes[node.id] = node
 
     def remove_node(self, node_id: Hashable) -> None:
-        node = self._nodes.pop(node_id)
-        del self._rank[node_id]
-        self._out.pop(node_id, None)
-        self._in.pop(node_id, None)
-        self._out_degree.pop(node_id, None)
-        self._in_degree.pop(node_id, None)
-        if self._private is not None:
-            self._unshare_ids(self._label_index, self._private[_LABELS], node.label)
-        bucket = self._label_index.get(node.label)
-        if bucket is not None:
-            bucket.pop(node_id, None)
-            if not bucket:
-                del self._label_index[node.label]
+        log = self._writer() if self._log is not None or self._undo is not None else None
+        label = self._nodes[node_id].label
+        ids = self._label_index[label]
+        if log is not None:
+            entries = log.entries
+            for slot, live in ((_NODES, self._nodes), (_RANKS, self._rank), (_OUTS, self._out), (_INS, self._in),
+                               (_OUT_DEGREES, self._out_degree), (_IN_DEGREES, self._in_degree)):  # fmt: skip
+                _remember(entries[slot], live, node_id)
+            if label not in entries[_LABELS]:
+                entries[_LABELS][label] = (ids, len(ids))
+        del self._nodes[node_id], self._rank[node_id]
+        del self._out[node_id], self._in[node_id], self._out_degree[node_id], self._in_degree[node_id]
+        if self._private is None:
+            ids.remove(node_id)
+        else:  # a past version may be reading the list: replace it
+            ids = self._label_index[label] = [other for other in ids if other != node_id]
+        if not ids:
+            del self._label_index[label]
 
     def get_node(self, node_id: Hashable) -> Optional[Node]:
-        return self._nodes.get(node_id)
+        node = self._nodes.get(node_id)
+        if self._undo is not None:
+            return self._undo.get(_NODES, node_id, node)
+        return node
 
     def has_node(self, node_id: Hashable) -> bool:
-        return node_id in self._nodes
+        found = node_id in self._nodes
+        if self._undo is not None:
+            return self._undo.get(_NODES, node_id, found or None) is not None
+        return found
 
     def node_count(self) -> int:
-        return len(self._nodes)
+        count = len(self._nodes)
+        return self._undo.nodes if self._undo is not None else count
 
     def nodes(self) -> Iterator[Node]:
-        return iter(self._nodes.values())
+        nodes = list(self._nodes.values())
+        return self._materialized().nodes() if self._undo is not None else iter(nodes)
 
     def node_ids(self) -> Iterator[Hashable]:
-        return iter(self._nodes.keys())
+        ids = list(self._nodes)
+        return self._materialized().node_ids() if self._undo is not None else iter(ids)
 
     def all_node_ids(self):
-        return self._nodes.keys()
+        ids = dict.fromkeys(self._nodes).keys()
+        return self._materialized().all_node_ids() if self._undo is not None else ids
 
     def node_rank(self, node_id: Hashable) -> int:
-        return self._rank[node_id]
+        rank = self._rank.get(node_id)
+        if self._undo is not None:
+            rank = self._undo.get(_RANKS, node_id, rank)
+        if rank is None:
+            raise KeyError(node_id)
+        return rank
 
-    def nodes_with_label(self, label: str):
-        bucket = self._label_index.get(label)
-        return bucket.keys() if bucket is not None else _EMPTY_KEYS
+    def nodes_with_label(self, label: str) -> _LabelView:
+        return _LabelView(self, label)
 
     def labels(self) -> frozenset[str]:
-        return frozenset(self._label_index.keys())
+        labels = frozenset(self._label_index)
+        return self._materialized().labels() if self._undo is not None else labels
 
     # ------------------------------------------------------------------ edges
 
@@ -492,178 +725,175 @@ class IndexedStore(GraphStore):
             edge = Edge(edge.source, edge.target, label)
         source, target = edge.source, edge.target
         key = (source, target, label)
+        log = self._writer() if self._log is not None or self._undo is not None else None
+        if log is not None:
+            entries = log.entries
+            _remember(entries[_EDGES], self._edges, key)
+            _remember(entries[_EDGE_RANKS], self._edge_rank, key)
+            _remember(entries[_OUT_DEGREES], self._out_degree, source)
+            _remember(entries[_IN_DEGREES], self._in_degree, target)
         self._edges[key] = edge
-        private = self._private
-        if private is not None:
-            self._unshare_adjacency(self._out, private[_OUT], source)
-            self._unshare_adjacency(self._in, private[_IN], target)
-        out_buckets = self._out[source]
-        bucket = out_buckets.get(label)
-        if bucket is None:
-            out_buckets[label] = bucket = {}
-        bucket[target] = None
-        in_buckets = self._in[target]
-        bucket = in_buckets.get(label)
-        if bucket is None:
-            in_buckets[label] = bucket = {}
-        bucket[source] = None
+        self._edge_rank[key] = self._next_edge_rank
+        self._next_edge_rank += 1
+        self._writable_bucket(self._out, _OUTS, _OUT, source, label, log)[target] = None
+        self._writable_bucket(self._in, _INS, _IN, target, label, log)[source] = None
         self._out_degree[source] += 1
         self._in_degree[target] += 1
-        if self._signatures is not None:
-            signature = (self._nodes[source].label, label, self._nodes[target].label)
-            if private is not None:
-                self._unshare_ids(self._signatures, private[_SIGNATURES], signature)
-            sig_bucket = self._signatures.get(signature)
-            if sig_bucket is None:
-                self._signatures[signature] = sig_bucket = {}
-            sig_bucket[key] = None
 
     def remove_edge(self, key: EdgeKey) -> None:
         source, target, label = key
-        del self._edges[key]
-        private = self._private
-        if private is not None:
-            self._unshare_adjacency(self._out, private[_OUT], source)
-            self._unshare_adjacency(self._in, private[_IN], target)
-        out_bucket = self._out[source].get(label)
-        if out_bucket is not None:
-            out_bucket.pop(target, None)
-            if not out_bucket:
-                del self._out[source][label]
-        in_bucket = self._in[target].get(label)
-        if in_bucket is not None:
-            in_bucket.pop(source, None)
-            if not in_bucket:
-                del self._in[target][label]
+        log = self._writer() if self._log is not None or self._undo is not None else None
+        if log is not None:
+            entries = log.entries
+            _remember(entries[_EDGES], self._edges, key)
+            _remember(entries[_EDGE_RANKS], self._edge_rank, key)
+            _remember(entries[_OUT_DEGREES], self._out_degree, source)
+            _remember(entries[_IN_DEGREES], self._in_degree, target)
+        del self._edges[key], self._edge_rank[key]
+        for index, slot, side, node_id, neighbour in (
+            (self._out, _OUTS, _OUT, source, target),
+            (self._in, _INS, _IN, target, source),
+        ):
+            bucket = self._writable_bucket(index, slot, side, node_id, label, log)
+            del bucket[neighbour]
+            if not bucket:
+                del index[node_id][label]
         self._out_degree[source] -= 1
         self._in_degree[target] -= 1
-        if self._signatures is not None:
-            signature = (self._nodes[source].label, label, self._nodes[target].label)
-            if private is not None:
-                self._unshare_ids(self._signatures, private[_SIGNATURES], signature)
-            sig_bucket = self._signatures.get(signature)
-            if sig_bucket is not None:
-                sig_bucket.pop(key, None)
-                if not sig_bucket:
-                    del self._signatures[signature]
 
     def get_edge(self, key: EdgeKey) -> Optional[Edge]:
-        return self._edges.get(key)
+        edge = self._edges.get(key)
+        if self._undo is not None:
+            return self._undo.get(_EDGES, key, edge)
+        return edge
 
     def has_edge_key(self, key: EdgeKey) -> bool:
-        return key in self._edges
+        found = key in self._edges
+        if self._undo is not None:
+            return self._undo.get(_EDGES, key, found or None) is not None
+        return found
 
     def has_any_edge(self, source: Hashable, target: Hashable) -> bool:
         buckets = self._out.get(source, _EMPTY_DICT)
+        if self._undo is not None:
+            buckets = self._undo.get(_OUTS, source, buckets, _EMPTY_DICT)
         return any(target in neighbours for neighbours in buckets.values())
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        count = len(self._edges)
+        return self._undo.edges if self._undo is not None else count
 
     def edges(self) -> Iterator[Edge]:
-        return iter(self._edges.values())
+        edges = list(self._edges.values())
+        return self._materialized().edges() if self._undo is not None else iter(edges)
 
     def edge_labels(self) -> frozenset[str]:
+        adjacency = list(self._out.values())
+        if self._undo is not None:
+            return self._materialized().edge_labels()
         labels: set[str] = set()
-        for buckets in self._out.values():
+        for buckets in adjacency:
             labels.update(buckets)
         return frozenset(labels)
-
-    def _built_signatures(self) -> dict[Signature, dict[EdgeKey, None]]:
-        """Build the signature index on first use (one O(|E|) pass)."""
-        if self._signatures is None:
-            nodes = self._nodes
-            signatures: dict[Signature, dict[EdgeKey, None]] = {}
-            for key, edge in self._edges.items():
-                signature = (nodes[edge.source].label, edge.label, nodes[edge.target].label)
-                bucket = signatures.get(signature)
-                if bucket is None:
-                    signatures[signature] = bucket = {}
-                bucket[key] = None
-            self._signatures = signatures
-        return self._signatures
-
-    def edges_with_exact_signature(self, signature: Signature) -> list[Edge]:
-        keys = self._built_signatures().get(signature, _EMPTY_DICT)
-        return [self._edges[key] for key in keys]
-
-    def signature_items(self) -> Iterator[tuple[Signature, list[Edge]]]:
-        for signature, keys in self._built_signatures().items():
-            yield signature, [self._edges[key] for key in keys]
 
     # -------------------------------------------------------------- adjacency
 
     def successors(self, node_id: Hashable) -> _PairsView:
-        return _PairsView(self._out[node_id], self._out_degree, node_id)
+        return _PairsView(self._adjacency(self._out, _OUTS, node_id))
 
     def predecessors(self, node_id: Hashable) -> _PairsView:
-        return _PairsView(self._in[node_id], self._in_degree, node_id)
+        return _PairsView(self._adjacency(self._in, _INS, node_id))
 
     def successors_by_label(self, node_id: Hashable, edge_label: str):
-        bucket = self._out[node_id].get(edge_label)
+        buckets = self._out.get(node_id)
+        if self._undo is not None:
+            buckets = self._undo.get(_OUTS, node_id, buckets)
+        bucket = buckets.get(edge_label)
         return bucket.keys() if bucket is not None else _EMPTY_KEYS
 
     def predecessors_by_label(self, node_id: Hashable, edge_label: str):
-        bucket = self._in[node_id].get(edge_label)
+        buckets = self._in.get(node_id)
+        if self._undo is not None:
+            buckets = self._undo.get(_INS, node_id, buckets)
+        bucket = buckets.get(edge_label)
         return bucket.keys() if bucket is not None else _EMPTY_KEYS
 
     def out_edge_labels(self, node_id: Hashable):
-        return self._out[node_id].keys()
+        return self._adjacency(self._out, _OUTS, node_id).keys()
 
     def in_edge_labels(self, node_id: Hashable):
-        return self._in[node_id].keys()
+        return self._adjacency(self._in, _INS, node_id).keys()
 
     def out_degree(self, node_id: Hashable) -> int:
-        return self._out_degree[node_id]
+        degree = self._out_degree.get(node_id)
+        if self._undo is not None:
+            degree = self._undo.get(_OUT_DEGREES, node_id, degree)
+        if degree is None:
+            raise KeyError(node_id)
+        return degree
 
     def in_degree(self, node_id: Hashable) -> int:
-        return self._in_degree[node_id]
+        degree = self._in_degree.get(node_id)
+        if self._undo is not None:
+            degree = self._undo.get(_IN_DEGREES, node_id, degree)
+        if degree is None:
+            raise KeyError(node_id)
+        return degree
 
     def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
         ids: set[Hashable] = set()
-        out, inc = self._out, self._in
+        adjacency, out, inc = self._adjacency, self._out, self._in
         for node_id in node_ids:
-            for bucket in out[node_id].values():
+            for bucket in adjacency(out, _OUTS, node_id).values():
                 ids.update(bucket)
-            for bucket in inc[node_id].values():
+            for bucket in adjacency(inc, _INS, node_id).values():
                 ids.update(bucket)
         return ids
 
     def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
-        edges = self._edges
-        for node_id in sorted(wanted, key=self._rank.__getitem__):
-            for label, bucket in self._out[node_id].items():
+        get_edge = self.get_edge
+        for node_id in sorted(wanted, key=self.node_rank):
+            for label, bucket in self._adjacency(self._out, _OUTS, node_id).items():
                 for target in bucket:
                     if target in wanted:
-                        yield edges[(node_id, target, label)]
+                        yield get_edge((node_id, target, label))
 
     # ------------------------------------------------------------- lifecycle
 
     def clone(self) -> "IndexedStore":
-        """Return a copy-on-write clone: flat maps copied, every bucket shared.
+        """Return the new head in O(1): it takes the live maps, and this store becomes past.
 
-        The clone gets its own top-level dicts (pointer copies) and shares
-        each per-node, per-label and per-signature bucket with this store.
-        Both sides forget which buckets they had to themselves: a bucket
-        reachable from two stores must not be written in place by either.
+        A past version is cloned by materializing it (O(|G|)), so that two
+        heads never write one set of maps.
         """
+        if self._undo is not None:
+            return self._materialize()
+        log = _UndoLog(self)
+        superseded = self._log() if self._log is not None else None
+        if superseded is not None:
+            superseded.newer = log
         other = IndexedStore()
-        other._nodes = dict(self._nodes)
-        other._rank = dict(self._rank)
-        other._next_rank = self._next_rank
-        other._edges = dict(self._edges)
-        other._out = dict(self._out)
-        other._in = dict(self._in)
-        other._out_degree = dict(self._out_degree)
-        other._in_degree = dict(self._in_degree)
-        other._label_index = dict(self._label_index)
-        if self._signatures is not None:
-            other._signatures = dict(self._signatures)
-        self._private = (set(), set(), set(), set())
+        for name in _LIVE_MAPS:
+            setattr(other, name, getattr(self, name))
+        other._next_rank, other._next_edge_rank = self._next_rank, self._next_edge_rank
+        other._log = weakref.ref(log)
         other._private = (set(), set(), set(), set())
+        other._pin = self._pin
+        # past from here on: set before the head's first write
+        self._undo = log
+        self._log = self._private = None
         return other
 
+    def __getstate__(self) -> dict:
+        # a pickled or deep-copied version is a store of its own: no log, nothing shared
+        state = dict(vars(self._materialized() if self._undo is not None else self))
+        state.update(_undo=None, _log=None, _private=None, _pin=None, _scan=None)
+        return state
+
     def validate(self) -> None:
+        if self._undo is not None:
+            self._materialized().validate()
+            return
         for (source, target, label), edge in self._edges.items():
             if source not in self._nodes or target not in self._nodes:
                 raise GraphError(f"edge {edge!r} references a missing node")
@@ -671,19 +901,19 @@ class IndexedStore(GraphStore):
                 raise GraphError(f"out-adjacency missing for {edge!r}")
             if source not in self._in.get(target, _EMPTY_DICT).get(label, _EMPTY_DICT):
                 raise GraphError(f"in-adjacency missing for {edge!r}")
-        if self._signatures is not None:
-            total = sum(len(keys) for keys in self._signatures.values())
-            if total != len(self._edges):
-                raise GraphError("signature index drifted from the edge set")
-            for signature, keys in self._signatures.items():
-                for key in keys:
-                    if key not in self._edges:
-                        raise GraphError(f"signature index holds stale edge {key!r}")
+        if self._edge_rank.keys() != self._edges.keys():
+            raise GraphError("edge ranks drifted from the edge set")
         for label, ids in self._label_index.items():
+            if not ids or len(set(ids)) != len(ids):
+                raise GraphError(f"label index corrupt for label {label!r}")
             for node_id in ids:
                 node = self._nodes.get(node_id)
                 if node is None or node.label != label:
                     raise GraphError(f"label index corrupt for label {label!r}, node {node_id!r}")
+            if [self._rank[node_id] for node_id in ids] != sorted(self._rank[node_id] for node_id in ids):
+                raise GraphError(f"label index out of rank order for label {label!r}")
+        if sum(map(len, self._label_index.values())) != len(self._nodes):
+            raise GraphError("label index drifted from the node set")
         for node_id in self._nodes:
             if node_id not in self._rank:
                 raise GraphError(f"missing insertion rank for node {node_id!r}")
@@ -693,6 +923,12 @@ class IndexedStore(GraphStore):
                 raise GraphError(f"out-degree counter drifted for node {node_id!r}")
             if in_total != self._in_degree[node_id]:
                 raise GraphError(f"in-degree counter drifted for node {node_id!r}")
+
+
+#: The maps a clone takes over from the store it supersedes.
+_LIVE_MAPS = (
+    "_nodes", "_rank", "_edges", "_edge_rank", "_out", "_in", "_out_degree", "_in_degree", "_label_index",
+)  # fmt: skip
 
 
 #: The four maps a :class:`FrozenStore` links from its edge set on the first read.
@@ -800,7 +1036,10 @@ class FrozenStore(IndexedStore):
     def add_edge(self, edge: Edge) -> None:
         if not self._loading:
             self._refuse("add_edge")
-        self._edges[(edge.source, edge.target, sys.intern(edge.label))] = edge
+        key = (edge.source, edge.target, sys.intern(edge.label))
+        self._edges[key] = edge
+        self._edge_rank[key] = self._next_edge_rank
+        self._next_edge_rank += 1
 
     def replace_node(self, node: Node) -> None:
         self._refuse("replace_node")

@@ -228,47 +228,50 @@ def apply_update(graph: Graph, delta: BatchUpdate, in_place: bool = False) -> Gr
 
     Insertions create missing endpoint nodes using their payloads (wildcard
     label, empty attributes when no payload is given).  Deleting an edge that
-    is absent, or inserting one whose endpoints cannot be created, raises
-    :class:`UpdateError` — silently ignoring either would let experiment
-    drivers measure the wrong workload.
+    is absent, or inserting one that is present, raises :class:`UpdateError`
+    — silently ignoring either would let experiment drivers measure the
+    wrong workload.  The whole of ΔG is checked against ``graph`` before the
+    first write, so a ΔG that raises leaves ``graph`` as it was, in place or
+    not, and a rejected copy is never taken.
 
     When ``in_place`` is False the update is applied to :meth:`Graph.copy` of
-    the graph (same storage backend) and ``graph`` itself is never written,
-    also when a unit update raises half-way.  On the indexed engine the copy
-    shares every adjacency bucket with ``graph`` and each unit update copies
-    only the buckets it writes, so beyond the flat per-node and per-edge
-    maps building ``G ⊕ ΔG`` costs what ΔG touches, not |G|.
+    the graph (same storage backend) and ``graph`` itself is never written.
+    On the indexed engine the copy is O(1) — it takes the maps, and ``graph``
+    reads them through an undo log that each write extends by the old value
+    it replaces — so building ``G ⊕ ΔG`` costs what ΔG touches, not |G|.
     """
+    _check_update(graph, delta)
     target = graph if in_place else graph.copy()
     for update in delta:
         if isinstance(update, EdgeInsertion):
-            _apply_insertion(target, update)
+            for node_id, payload in (
+                (update.source, update.source_payload),
+                (update.target, update.target_payload),
+            ):
+                if not target.has_node(node_id):
+                    payload = payload or NodePayload()
+                    target.add_node(node_id, payload.label, payload.attributes)
+            target.add_edge(update.source, update.target, update.label)
         else:
-            _apply_deletion(target, update)
+            target.remove_edge(update.source, update.target, update.label)
     return target
 
 
-def _apply_insertion(graph: Graph, update: EdgeInsertion) -> None:
-    for node_id, payload in (
-        (update.source, update.source_payload),
-        (update.target, update.target_payload),
-    ):
-        if not graph.has_node(node_id):
-            payload = payload or NodePayload()
-            graph.add_node(node_id, payload.label, payload.attributes)
-    if graph.has_edge(update.source, update.target, update.label):
-        raise UpdateError(
-            f"cannot insert duplicate edge {update.source!r} -[{update.label}]-> {update.target!r}"
-        )
-    graph.add_edge(update.source, update.target, update.label)
-
-
-def _apply_deletion(graph: Graph, update: EdgeDeletion) -> None:
-    if not graph.has_edge(update.source, update.target, update.label):
-        raise UpdateError(
-            f"cannot delete missing edge {update.source!r} -[{update.label}]-> {update.target!r}"
-        )
-    graph.remove_edge(update.source, update.target, update.label)
+def _check_update(graph: Graph, delta: BatchUpdate) -> None:
+    """Raise :class:`UpdateError` at the first unit update that ``graph ⊕`` its prefix rejects."""
+    written: dict[tuple, bool] = {}  # edge key -> present after the units so far
+    for update in delta:
+        key = update.edge_key()
+        present = written[key] if key in written else graph.has_edge(*key)
+        if update.is_insertion and present:
+            raise UpdateError(
+                f"cannot insert duplicate edge {update.source!r} -[{update.label}]-> {update.target!r}"
+            )
+        if not update.is_insertion and not present:
+            raise UpdateError(
+                f"cannot delete missing edge {update.source!r} -[{update.label}]-> {update.target!r}"
+            )
+        written[key] = update.is_insertion
 
 
 class UpdateGenerator:

@@ -138,6 +138,20 @@ class MetricsRegistry:
         counters = self._shard().counters
         counters[key] = counters.get(key, 0.0) + amount
 
+    def counter_add_many(self, samples: Iterable[Tuple[Tuple[str, LabelItems], float]]) -> None:
+        """Add ``((name, label items), amount)`` samples keyed as the shards key them.
+
+        The label items must be in the form :func:`_label_key` builds
+        (sorted ``(str, str)`` pairs): a caller that keeps its keys skips
+        that per-sample work.
+        """
+        families = self._families
+        counters = self._shard().counters
+        for key, amount in samples:
+            if key[0] not in families:
+                self._family(key[0], "counter")
+            counters[key] = counters.get(key, 0.0) + amount
+
     def gauge_set(
         self, name: str, labels: Optional[Mapping[str, object]] = None, value: float = 0.0
     ) -> None:
@@ -279,6 +293,9 @@ class NullRegistry:
         pass
 
     def counter_inc(self, *args, **kwargs) -> None:
+        pass
+
+    def counter_add_many(self, *args, **kwargs) -> None:
         pass
 
     def gauge_set(self, *args, **kwargs) -> None:

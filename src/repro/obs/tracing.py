@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import random
 import threading
 import time
 from collections import deque
@@ -32,9 +33,15 @@ from typing import Dict, Iterator, List, Optional
 __all__ = ["Span", "NullSpan", "NULL_SPAN", "FlightRecorder", "current_span_var", "new_id"]
 
 
+#: The generator behind :func:`new_id`: seeded from the OS once per process,
+#: and again in every forked child, so that ids cost no system call.
+_ids = random.Random()
+os.register_at_fork(after_in_child=_ids.seed)
+
+
 def new_id() -> str:
     """A 16-hex-char random identifier (cheap, collision-safe enough)."""
-    return os.urandom(8).hex()
+    return f"{_ids.getrandbits(64):016x}"
 
 
 class Span:
@@ -132,6 +139,12 @@ class FlightRecorder:
         with self._lock:
             self._spans.append(span.to_dict())
 
+    def record_many(self, spans: list) -> None:
+        """Record completed spans under one lock, each turned into a dict by its
+        ``to_dict()`` only when it is read."""
+        with self._lock:
+            self._spans.extend(spans)
+
     def record_dict(self, payload: dict) -> None:
         """Replay a completed span shipped from another process."""
         if payload:
@@ -144,12 +157,11 @@ class FlightRecorder:
             spans = list(self._spans)
         if limit is not None and limit >= 0:
             spans = spans[-limit:]
-        return spans
+        return [span if type(span) is dict else span.to_dict() for span in spans]
 
     def trace(self, trace_id: str) -> List[dict]:
         """Every recorded span of one trace, in recording order."""
-        with self._lock:
-            return [span for span in self._spans if span.get("trace_id") == trace_id]
+        return [span for span in self.snapshot() if span.get("trace_id") == trace_id]
 
     def clear(self) -> None:
         with self._lock:

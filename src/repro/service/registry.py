@@ -2,14 +2,15 @@
 
 The service treats every registered graph as an *immutable snapshot chain*:
 ``POST /graphs/{name}/updates`` never mutates the current graph object in
-place — it builds ``G ⊕ ΔG`` on a copy-on-write clone
+place — it builds ``G ⊕ ΔG`` on an O(1) clone
 (:func:`repro.graph.updates.apply_update` with ``in_place=False``), bumps
 the monotonic version, and swaps the reference, all under the graph's lock.
-Consecutive snapshots share every adjacency bucket ΔG did not write; a
-bucket ΔG does write is copied first, so the writer never touches an object
-reachable from an older snapshot.  Detection jobs therefore snapshot
-``(graph, version)`` once and run lock-free: a stream started at version
-``v`` sees exactly ``G_v`` even while updates land, which is the
+The clone takes the maps and becomes the head; the version it supersedes
+becomes a past version that reads them through an undo log, in which the
+head records every value before it overwrites it, and the head never
+mutates an object a past version can reach.  Detection jobs therefore
+snapshot ``(graph, version)`` once and run lock-free: a stream started at
+version ``v`` sees exactly ``G_v`` even while updates land, which is the
 version-isolation guarantee the concurrency tests assert.
 
 Update listeners (the session manager) are invoked *inside* the graph lock,
@@ -236,9 +237,9 @@ class GraphRegistry:
 
         The whole transition happens under the graph's lock.  A delta that
         cannot be applied (:class:`~repro.errors.UpdateError`) leaves the
-        graph and its version untouched — the half-written clone is dropped
-        (every bucket it wrote was its own copy) and ``apply_update`` raises
-        before the swap, so readers never observe a half-applied batch.
+        graph and its version untouched — ``apply_update`` checks all of ΔG
+        before it clones or writes anything, and raises before the swap, so
+        readers never observe a half-applied batch.
         """
         registered = self.get(name)
         with registered.lock:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.errors import GraphError
 from repro.graph.model import Edge, Node
-from repro.graph.store import EdgeKey, GraphStore, Signature
+from repro.graph.store import EdgeKey, GraphStore
 
 __all__ = ["DictStore"]
 
@@ -48,7 +48,6 @@ class DictStore(GraphStore):
         self._out: dict[Hashable, dict[tuple[Hashable, str], None]] = {}
         self._in: dict[Hashable, dict[tuple[Hashable, str], None]] = {}
         self._label_index: dict[str, dict[Hashable, None]] = {}
-        self._signatures: dict[Signature, dict[EdgeKey, None]] = {}
 
     # ------------------------------------------------------------------ nodes
 
@@ -108,20 +107,12 @@ class DictStore(GraphStore):
         self._edges[key] = edge
         self._out[edge.source][(edge.target, edge.label)] = None
         self._in[edge.target][(edge.source, edge.label)] = None
-        signature = (self._nodes[edge.source].label, edge.label, self._nodes[edge.target].label)
-        self._signatures.setdefault(signature, {})[key] = None
 
     def remove_edge(self, key: EdgeKey) -> None:
         source, target, label = key
         del self._edges[key]
         self._out[source].pop((target, label), None)
         self._in[target].pop((source, label), None)
-        signature = (self._nodes[source].label, label, self._nodes[target].label)
-        bucket = self._signatures.get(signature)
-        if bucket is not None:
-            bucket.pop(key, None)
-            if not bucket:
-                del self._signatures[signature]
 
     def get_edge(self, key: EdgeKey) -> Optional[Edge]:
         return self._edges.get(key)
@@ -140,14 +131,6 @@ class DictStore(GraphStore):
 
     def edge_labels(self) -> frozenset[str]:
         return frozenset(edge.label for edge in self._edges.values())
-
-    def edges_with_exact_signature(self, signature: Signature) -> list[Edge]:
-        keys = self._signatures.get(signature, _EMPTY_DICT)
-        return [self._edges[key] for key in keys]
-
-    def signature_items(self) -> Iterator[tuple[Signature, list[Edge]]]:
-        for signature, keys in self._signatures.items():
-            yield signature, [self._edges[key] for key in keys]
 
     # -------------------------------------------------------------- adjacency
 
@@ -203,8 +186,6 @@ class DictStore(GraphStore):
         other._out = {node: dict(pairs) for node, pairs in self._out.items()}
         other._in = {node: dict(pairs) for node, pairs in self._in.items()}
         other._label_index = {label: dict(ids) for label, ids in self._label_index.items()}
-        if self._signatures is not None:
-            other._signatures = {sig: dict(keys) for sig, keys in self._signatures.items()}
         return other
 
     def validate(self) -> None:

@@ -124,20 +124,6 @@ class TestGraphEdges:
         with pytest.raises(EdgeNotFound):
             triangle_graph.remove_edge("a", "b", "likes")
 
-    def test_edges_with_signature(self, triangle_graph):
-        edges = triangle_graph.edges_with_signature("person", "knows", "person")
-        assert len(edges) == 1
-        assert edges[0].source == "a"
-
-    def test_edges_with_signature_wildcards(self, triangle_graph):
-        edges = triangle_graph.edges_with_signature(WILDCARD, "lives_in", "city")
-        assert {e.source for e in edges} == {"a", "b"}
-
-    def test_signature_index_follows_removal(self, triangle_graph):
-        triangle_graph.remove_edge("a", "b", "knows")
-        assert triangle_graph.edges_with_signature("person", "knows", "person") == []
-        triangle_graph.validate_consistency()
-
 
 class TestGraphAdjacencyAndStats:
     def test_successors_and_predecessors(self, triangle_graph):

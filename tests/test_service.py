@@ -24,11 +24,13 @@ import pytest
 from repro.core.builtin_rules import example_rules, phi2
 from repro.core.ngd import RuleSet
 from repro.core.violations import Violation, ViolationSet
+from repro.datasets.kb import yago_like
+from repro.datasets.rules import benchmark_rules
 from repro.detect import CollectingSink, Detector, FanOutSink
 from repro.errors import SerializationError, ServiceError, UpdateError
 from repro.graph.graph import Graph
 from repro.graph.io import graph_to_dict, save_graph
-from repro.graph.updates import BatchUpdate, NodePayload, apply_update
+from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
 from repro.service import (
     DetectionService,
     GraphRegistry,
@@ -399,7 +401,7 @@ class TestConcurrentUse:
         assert ViolationSet.from_dict(state).as_set() == expected[1 + self.UPDATES]
 
     def test_stream_on_a_snapshot_ignores_updates_to_nodes_it_has_not_reached(self):
-        """Snapshots share adjacency buckets with their successors: a stream that is
+        """Snapshots share their maps with their successors: a stream that is
         part-way through G_v must keep reading G_v's buckets while 20+ later
         versions rewrite exactly the nodes it has yet to visit."""
         areas = 24
@@ -477,6 +479,58 @@ class TestConcurrentUse:
         assert not torn, torn
         assert registry.get("areas").version == 41
         assert walk(snapshot) == reference
+
+    def test_readers_of_an_old_version_are_isolated_from_a_writer_without_a_lock(self):
+        """Three threads drain Dect on version v while a fourth applies 30 ΔG on top of it
+        (more threads than cores); v becomes a past version mid-run and is read through
+        its undo log."""
+        graph = yago_like(scale=0.3)
+        rules = benchmark_rules(graph, count=12, max_diameter=3, seed=2)
+        registry = GraphRegistry()
+        registry.register("kb", graph)
+        snapshot, _ = registry.get("kb").snapshot()
+        document = graph_to_dict(snapshot)
+        expected = list(Detector(rules, engine="batch").stream(snapshot.with_backend("indexed")))
+        generator = UpdateGenerator(seed=4)
+        deltas = []
+        latest = snapshot.with_backend("indexed")
+        for _ in range(30):
+            deltas.append(generator.generate(latest, 10))
+            latest = apply_update(latest, deltas[-1])
+        started = threading.Barrier(4, timeout=30)
+        seen: dict[int, list] = {reader: [] for reader in range(3)}
+        failures: list = []
+
+        def reader(index: int) -> None:
+            try:
+                stream = Detector(rules, engine="batch").stream(snapshot)
+                seen[index].append(next(stream))
+                started.wait()
+                seen[index].extend(stream)
+            except BaseException as exc:  # noqa: BLE001 - reported by the assertion below
+                failures.append(exc)
+                started.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader, args=(index,)) for index in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            started.wait()
+            for delta in deltas:
+                registry.apply_update("kb", delta)
+            overlapped = any(thread.is_alive() for thread in threads)
+        finally:
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert overlapped, "the writer finished its 30 ΔG before the readers their one Dect"
+        assert all(found == expected for found in seen.values())
+        assert registry.get("kb").version == 31
+        assert graph_to_dict(snapshot) == document
 
     def test_budgets_are_enforced_per_request(self, service, client):
         client.register_graph("areas", multi_area_graph(self.AREAS))

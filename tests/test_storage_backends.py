@@ -20,6 +20,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.ngd import NGD
 from repro.detect import dect, inc_dect
+from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.errors import DuplicateNode, GraphError, NodeNotFound, UpdateError
 from repro.graph.generators import random_labeled_graph
 from repro.graph.graph import WILDCARD, Edge, Graph, Node
@@ -38,7 +40,7 @@ from repro.graph.neighborhood import (
     update_neighborhood,
 )
 from repro.graph.pattern import Pattern
-from repro.graph.store import STORE_REGISTRY, FrozenStore, IndexedStore, make_store
+from repro.graph.store import _INS, _OUTS, STORE_REGISTRY, FrozenStore, IndexedStore, make_store
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.matching.matchn import HomomorphismMatcher
 
@@ -227,22 +229,6 @@ class TestBackendParity:
         updated_indexed.validate_consistency()
         assert updated_dict == updated_indexed
 
-    def test_signature_index_parity_after_mutations(self, seed):
-        dict_graph, indexed_graph = _mutated_pair(seed)
-        signatures = {
-            (dict_graph.node(e.source).label, e.label, dict_graph.node(e.target).label)
-            for e in dict_graph.edges()
-        }
-        for source_label, edge_label, target_label in signatures:
-            expected = {e.key() for e in dict_graph.edges_with_signature(source_label, edge_label, target_label)}
-            actual = {e.key() for e in indexed_graph.edges_with_signature(source_label, edge_label, target_label)}
-            assert expected == actual
-        # wildcard endpoint queries go through the generic signature walk
-        for edge_label in dict_graph.edge_labels():
-            expected = {e.key() for e in dict_graph.edges_with_signature(WILDCARD, edge_label, WILDCARD)}
-            actual = {e.key() for e in indexed_graph.edges_with_signature(WILDCARD, edge_label, WILDCARD)}
-            assert expected == actual
-
     def test_frozen_image_of_the_history_reads_like_the_oracle(self, seed, tmp_path):
         # the read-only engine takes no interleaved writes: it is built from the
         # oracle's final state, removals' rank gaps included, by each of its builds
@@ -266,7 +252,6 @@ class TestBackendParity:
                     assert frozenset(frozen_graph.successors_by_label(node.id, label)) == frozenset(
                         dict_graph.successors_by_label(node.id, label)
                     )
-            assert _signature_buckets(frozen_graph.store) == _signature_buckets(dict_graph.store)
 
     def test_frozen_dect_violations_identical(self, seed):
         dict_graph, _ = _mutated_pair(seed)
@@ -529,21 +514,17 @@ class TestReadViews:
         assert anchored == {"a", "b"}
 
 
-# ------------------------------------------------------ copy-on-write clones
+# ------------------------------------------- clones: head and past versions
 
 _COW_NODE_LABELS = ["person", "city", "thing"]
 _COW_EDGE_LABELS = ["knows", "near"]
-
-
-def _signature_buckets(store) -> dict:
-    return {sig: [edge.key() for edge in edges] for sig, edges in store.signature_items()}
 
 
 def _node_rows(store) -> list:
     return [(node.id, node.label, dict(node.attributes)) for node in store.nodes()]
 
 
-def _assert_same_content(store, oracle, signatures: bool) -> None:
+def _assert_same_content(store, oracle) -> None:
     """``store`` (indexed, possibly sharing buckets) reads exactly like ``oracle`` (dict)."""
     store.validate()
     assert _node_rows(store) == _node_rows(oracle)
@@ -559,19 +540,15 @@ def _assert_same_content(store, oracle, signatures: bool) -> None:
             assert store.predecessors_by_label(node_id, label) == oracle.predecessors_by_label(node_id, label)
     for label in _COW_NODE_LABELS:
         assert store.nodes_with_label(label) == oracle.nodes_with_label(label)
-    if signatures:
-        assert _signature_buckets(store) == _signature_buckets(oracle)
 
 
-def _assert_same_order(store, twin, signatures: bool) -> None:
+def _assert_same_order(store, twin) -> None:
     """Every view of ``store`` iterates in the order of ``twin``, a never-cloned deep copy."""
     for node_id in twin.node_ids():
         assert list(store.successors(node_id)) == list(twin.successors(node_id))
         assert list(store.predecessors(node_id)) == list(twin.predecessors(node_id))
     for label in _COW_NODE_LABELS:
         assert list(store.nodes_with_label(label)) == list(twin.nodes_with_label(label))
-    if signatures:
-        assert list(_signature_buckets(store).items()) == list(_signature_buckets(twin).items())
 
 
 class CloneChainMachine(RuleBasedStateMachine):
@@ -581,7 +558,8 @@ class CloneChainMachine(RuleBasedStateMachine):
     oracle) and by an ``IndexedStore`` deep copy that never went through
     ``clone()`` (the iteration-order oracle); each operation is applied to
     all three, and after every step every live store must validate and read
-    like its own oracles — whichever of the chain was written to.
+    like its own oracles — whichever of the chain was written to, read from
+    point by point (a past version reads through its undo log) or dropped.
     """
 
     def __init__(self) -> None:
@@ -594,7 +572,6 @@ class CloneChainMachine(RuleBasedStateMachine):
         self.live = [parent]
         self.oracles = [parent.with_backend(DictStore())]
         self.twins = [copy.deepcopy(parent)]
-        self.signatures_built = [False]
         self._clone(0)
         self._clone(1)
 
@@ -602,7 +579,6 @@ class CloneChainMachine(RuleBasedStateMachine):
         self.live.append(self.live[which].copy())
         self.oracles.append(self.oracles[which].copy())
         self.twins.append(copy.deepcopy(self.twins[which]))
-        self.signatures_built.append(self.signatures_built[which])
 
     def _each(self, which: int):
         which %= len(self.live)
@@ -617,8 +593,36 @@ class CloneChainMachine(RuleBasedStateMachine):
             self._clone(which % len(self.live))
 
     @rule(which=which)
-    def build_signatures(self, which):
-        self.signatures_built[which % len(self.live)] = True
+    def drop(self, which):
+        """Forget one version of the chain: the versions it shared maps with read on unchanged."""
+        if len(self.live) > 1:
+            which %= len(self.live)
+            for versions in (self.live, self.oracles, self.twins):
+                del versions[which]
+            gc.collect()
+
+    @rule(which=which, node_id=node_ids)
+    def read(self, which, node_id):
+        """Point reads, no full scan: a past version answers them through its undo log."""
+        graph, oracle, _ = self._each(which)
+        store, expected = graph.store, oracle.store
+        assert store.has_node(node_id) == expected.has_node(node_id)
+        assert store.get_node(node_id) == expected.get_node(node_id)
+        assert store.node_count() == expected.node_count()
+        assert store.edge_count() == expected.edge_count()
+        for label in _COW_NODE_LABELS:
+            assert (node_id in store.nodes_with_label(label)) == (node_id in expected.nodes_with_label(label))
+            assert len(store.nodes_with_label(label)) == len(expected.nodes_with_label(label))
+        if expected.has_node(node_id):
+            assert store.node_rank(node_id) == expected.node_rank(node_id)
+            assert store.out_degree(node_id) == expected.out_degree(node_id)
+            assert store.in_degree(node_id) == expected.in_degree(node_id)
+            for label in _COW_EDGE_LABELS:
+                assert store.successors_by_label(node_id, label) == expected.successors_by_label(node_id, label)
+                assert store.predecessors_by_label(node_id, label) == expected.predecessors_by_label(node_id, label)
+            for target in range(10):
+                for label in _COW_EDGE_LABELS:
+                    assert store.has_edge_key((node_id, target, label)) == expected.has_edge_key((node_id, target, label))
 
     @rule(which=which, node_id=node_ids, label=st.sampled_from(_COW_NODE_LABELS), val=st.integers(0, 5))
     def add_node(self, which, node_id, label, val):
@@ -654,11 +658,9 @@ class CloneChainMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_store_reads_like_its_oracles(self):
-        for graph, oracle, twin, signatures in zip(
-            self.live, self.oracles, self.twins, self.signatures_built
-        ):
-            _assert_same_content(graph.store, oracle.store, signatures)
-            _assert_same_order(graph.store, twin.store, signatures)
+        for graph, oracle, twin in zip(self.live, self.oracles, self.twins):
+            _assert_same_content(graph.store, oracle.store)
+            _assert_same_order(graph.store, twin.store)
 
 
 TestCloneChain = CloneChainMachine.TestCase
@@ -666,11 +668,11 @@ TestCloneChain.settings = settings(max_examples=60, stateful_step_count=30, dead
 
 
 def _private_buckets(before: Graph, after: Graph) -> int:
-    """Count the per-node adjacency buckets of ``after`` that are not ``before``'s objects."""
+    """Count the per-node adjacency maps of ``after`` that ``before`` (now a past version) does not read."""
     old, new = before.store, after.store
     return sum(
-        new_index[node_id] is not old_index.get(node_id)
-        for old_index, new_index in ((old._out, new._out), (old._in, new._in))
+        new_index[node_id] is not old._undo.get(slot, node_id, new_index[node_id])
+        for new_index, slot in ((new._out, _OUTS), (new._in, _INS))
         for node_id in new_index
     )
 
@@ -720,6 +722,47 @@ class TestCopyOnWriteClone:
             apply_update(graph, delta)
         assert json.dumps(graph_to_dict(graph), sort_keys=True, default=str) == reference
         graph.validate_consistency()
+
+    @pytest.mark.parametrize("backend", MUTABLE_BACKENDS)
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_a_rejected_update_writes_nothing(self, backend, in_place):
+        graph = Graph(store=new_store(backend))
+        for node_id in "abc":
+            graph.add_node(node_id, "person", {"val": 1})
+        graph.add_edge("a", "b", "knows")
+        reference = json.dumps(graph_to_dict(graph), sort_keys=True, default=str)
+        # the first unit is valid on its own; the last deletes an edge that is not there
+        delta = BatchUpdate().insert("b", "a", "knows").insert("c", "d", "knows").delete("a", "c", "knows")
+        with pytest.raises(UpdateError):
+            apply_update(graph, delta, in_place=in_place)
+        assert json.dumps(graph_to_dict(graph), sort_keys=True, default=str) == reference
+        graph.validate_consistency()
+        if backend == IndexedStore.backend:
+            assert graph.store._undo is None, "a rejected copy is never taken: the graph is still the head"
+
+    def test_apply_update_allocates_the_same_at_any_size(self):
+        """A 10-unit ΔG on 2.4k and on 19k nodes: the clone and the undo log cost what ΔG touches."""
+
+        def allocated(entities: int) -> int:
+            config = KBConfig("kb", entities, num_entity_types=6, num_value_relations=3,
+                              num_link_relations=6, values_per_entity=3, links_per_entity=0.6,
+                              seed=3, hub_link_fraction=0.3, num_hubs=3)  # fmt: skip
+            graph = knowledge_graph(config)
+            generator = UpdateGenerator(seed=7)
+            sizes = []
+            for _ in range(3):
+                delta = generator.generate(graph, 10)
+                tracemalloc.start()
+                try:
+                    after = apply_update(graph, delta)
+                    sizes.append(tracemalloc.get_traced_memory()[0])
+                finally:
+                    tracemalloc.stop()
+                graph = after
+            return sorted(sizes)[1]
+
+        small, large = allocated(600), allocated(4800)
+        assert max(small, large) <= 1.5 * min(small, large), (small, large)
 
     @pytest.mark.parametrize("nodes", [500, 5000])
     def test_update_copies_only_the_buckets_it_touches(self, nodes):
@@ -860,8 +903,8 @@ class TestOnePassBuild:
             if error is not None:
                 assert issubclass(error, _DOCUMENT_ERRORS), backend
                 continue
-            _assert_same_content(built.store, expected.store, signatures=True)
-            _assert_same_order(built.store, expected.store, signatures=True)
+            _assert_same_content(built.store, expected.store)
+            _assert_same_order(built.store, expected.store)
             ids = list(expected.node_ids())
             assert [built.node_rank(i) for i in ids] == [expected.node_rank(i) for i in ids], backend
             assert graph_to_dict(built) == graph_to_dict(expected), backend
@@ -875,7 +918,7 @@ class TestOnePassBuild:
         assert oracle.edge_count() == len(distinct)
         for backend in BACKENDS:
             built = _build_in_one_pass(copy.deepcopy(document), backend)
-            _assert_same_content(built.store, oracle.store, signatures=True)
+            _assert_same_content(built.store, oracle.store)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
@@ -986,8 +1029,8 @@ class TestFrozenStore:
         assert store.edge_labels() == frozenset()  # what this read links, the build must drop
         store.bulk_load(((n.id, n.label, n.attributes) for n in graph.nodes()), (e.key() for e in graph.edges()))
         assert "_out" not in vars(store), "a loaded copy holds no adjacency until it is read"
-        _assert_same_content(store, graph.store, signatures=True)
-        _assert_same_order(store, graph.store, signatures=True)
+        _assert_same_content(store, graph.store)
+        _assert_same_order(store, graph.store)
 
     def test_single_mutations_never_fill_it(self):
         graph = Graph(store="frozen")
@@ -1002,21 +1045,13 @@ class TestFrozenStore:
         with pytest.raises(GraphError):
             apply_update(graph, delta)
 
-    def test_induced_subgraph_and_signature_queries(self):
+    def test_induced_subgraph_stays_frozen(self):
         graph = self._sample_graph()
         frozen = graph.with_backend("frozen")
         wanted = sorted(graph.node_ids())[:60]
         sub = frozen.induced_subgraph(wanted)
         assert sub.store_backend == "frozen"
         assert sub == graph.induced_subgraph(wanted)
-        for edge in list(graph.edges())[:25]:
-            signature = (
-                graph.node(edge.source).label,
-                edge.label,
-                graph.node(edge.target).label,
-            )
-            expected = {e.key() for e in graph.edges_with_signature(*signature)}
-            assert {e.key() for e in frozen.edges_with_signature(*signature)} == expected
 
     def test_detection_matches_mutable_backends(self):
         graph = self._sample_graph()
