@@ -391,11 +391,13 @@ class _UndoLog:
     are the version's own, fixed when it became past.
     """
 
-    __slots__ = ("entries", "newer", "nodes", "edges", "next_rank", "next_edge_rank", "__weakref__")
+    __slots__ = ("entries", "newer", "backlog", "nodes", "edges", "next_rank", "next_edge_rank", "__weakref__")
 
     def __init__(self, store: "IndexedStore") -> None:
         self.entries: tuple[dict, ...] = tuple({} for _ in range(_LABELS + 1))
         self.newer: Optional[_UndoLog] = None
+        #: entries the older logs of the chain hold, while a version can read them
+        self.backlog = 0
         self.nodes = len(store._nodes)
         self.edges = len(store._edges)
         self.next_rank = store._next_rank
@@ -417,15 +419,6 @@ class _UndoLog:
                 return absent if value is _ABSENT else value
             log = log.newer
         return live
-
-    def keys(self, slot: int) -> dict:
-        """Every key a newer version has written to the live map of ``slot``."""
-        keys: dict = {}
-        log: Optional[_UndoLog] = self
-        while log is not None:
-            keys.update(dict.fromkeys(log.entries[slot]))
-            log = log.newer
-        return keys
 
 
 def _in_rank_order(entries: dict, ranks: dict, restored: set) -> dict:
@@ -491,14 +484,10 @@ class IndexedStore(GraphStore):
         self._undo: Optional[_UndoLog] = None
         # On a head: a weak reference to the log of the version it superseded
         # (None while no past version reads its maps), and per position (_OUT …
-        # _IN_BUCKETS) what it copied since (None while nothing else reads its
-        # adjacency maps and buckets).
+        # _IN_BUCKETS) what it copied since its last clone (None on a store
+        # that never shared its adjacency maps and buckets).
         self._log: Optional[weakref.ref] = None
         self._private: Optional[tuple[set, set, set, set]] = None
-        # On a store materialized from a past version, and on its clones: the
-        # logs of the lineage it shares adjacency maps and buckets with, kept
-        # alive so that the lineage's head keeps copying them before a write.
-        self._pin: Optional[tuple] = None
         # A past version's materialization, read by its full scans.
         self._scan: Optional[IndexedStore] = None
 
@@ -511,11 +500,19 @@ class IndexedStore(GraphStore):
         if self._log is None:
             return None
         log = self._log()
-        if log is None:  # the superseded versions are gone: nothing else reads the maps
-            self._log = None
-            if self._pin is None:
-                self._private = None
-        return log
+        if log is not None and 2 * log.backlog <= len(self._nodes) + len(self._edges):
+            return log
+        if log is not None:
+            # The past versions read through more undo entries than half the
+            # graph's elements: move to maps of this store's own, which they do
+            # not read, so that the chain they keep alive stops growing.  O(|G|)
+            # once per |G|/2 logged entries; the adjacency maps and buckets are
+            # still shared, and still copied before a write.
+            for name in _LIVE_MAPS[:-1]:
+                setattr(self, name, dict(getattr(self, name)))
+            self._label_index = {label: list(ids) for label, ids in self._label_index.items()}
+        self._log = None
+        return None
 
     def _materialized(self) -> "IndexedStore":
         """Return this past version built as a store of its own (memoised; never written)."""
@@ -530,8 +527,8 @@ class IndexedStore(GraphStore):
         The live maps are copied, then the logs laid over the copies, this
         version's own last so that it wins, and nodes and edges put back in
         rank order.  The adjacency maps and buckets are shared, not copied:
-        the new store copies one before its first write to it, and pins the
-        logs so that the head of this lineage keeps doing the same.
+        the new store copies one before its first write to it, as the head of
+        this lineage does.
         """
         # the live maps are read before the logs (see _UndoLog.get)
         maps = [dict(getattr(self, name)) for name in _LIVE_MAPS[:-1]]
@@ -560,7 +557,6 @@ class IndexedStore(GraphStore):
         store._label_index = {label: ids[:count] for label, (ids, count) in labels.items()}
         store._next_rank, store._next_edge_rank = self._undo.next_rank, self._undo.next_edge_rank
         store._private = (set(), set(), set(), set())
-        store._pin = (self._undo, self._pin)
         return store
 
     def _adjacency(self, index: dict, slot: int, node_id: Hashable) -> dict:
@@ -579,12 +575,6 @@ class IndexedStore(GraphStore):
         if self._undo is not None:
             bucket = self._undo.get(_LABELS, label, bucket, _NO_IDS)
         return bucket
-
-    def _edge_rank_of(self, key: EdgeKey) -> int:
-        rank = self._edge_rank.get(key)
-        if self._undo is not None:
-            rank = self._undo.get(_EDGE_RANKS, key, rank)
-        return rank
 
     def _writable_bucket(self, index: dict, slot: int, side: int, node_id: Hashable, label: str, log) -> dict:
         """Return the head's ``node -> label`` bucket for a write, copying what a past version reads."""
@@ -872,13 +862,13 @@ class IndexedStore(GraphStore):
         superseded = self._log() if self._log is not None else None
         if superseded is not None:
             superseded.newer = log
+            log.backlog = superseded.backlog + sum(map(len, superseded.entries))
         other = IndexedStore()
         for name in _LIVE_MAPS:
             setattr(other, name, getattr(self, name))
         other._next_rank, other._next_edge_rank = self._next_rank, self._next_edge_rank
         other._log = weakref.ref(log)
         other._private = (set(), set(), set(), set())
-        other._pin = self._pin
         # past from here on: set before the head's first write
         self._undo = log
         self._log = self._private = None
@@ -887,7 +877,7 @@ class IndexedStore(GraphStore):
     def __getstate__(self) -> dict:
         # a pickled or deep-copied version is a store of its own: no log, nothing shared
         state = dict(vars(self._materialized() if self._undo is not None else self))
-        state.update(_undo=None, _log=None, _private=None, _pin=None, _scan=None)
+        state.update(_undo=None, _log=None, _private=None, _scan=None)
         return state
 
     def validate(self) -> None:

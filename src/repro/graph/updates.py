@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.errors import UpdateError
-from repro.graph.graph import Graph, WILDCARD
+from repro.graph.graph import Edge, Graph, WILDCARD
 
 __all__ = [
     "EdgeInsertion",
@@ -242,18 +242,19 @@ def apply_update(graph: Graph, delta: BatchUpdate, in_place: bool = False) -> Gr
     """
     _check_update(graph, delta)
     target = graph if in_place else graph.copy()
+    store = target.store  # ΔG is checked: the edge writes skip the facade's checks
     for update in delta:
         if isinstance(update, EdgeInsertion):
             for node_id, payload in (
                 (update.source, update.source_payload),
                 (update.target, update.target_payload),
             ):
-                if not target.has_node(node_id):
+                if not store.has_node(node_id):
                     payload = payload or NodePayload()
                     target.add_node(node_id, payload.label, payload.attributes)
-            target.add_edge(update.source, update.target, update.label)
+            store.add_edge(Edge(update.source, update.target, update.label))
         else:
-            target.remove_edge(update.source, update.target, update.label)
+            store.remove_edge(update.edge_key())
     return target
 
 

@@ -200,8 +200,8 @@ class RuleSearch:
         """Switch to the (memoised) schedule of ``order``."""
         self.order = order
         self._schedule = self.plan.schedule_for(order)
-        self._program = self.plan.compiled_for(order)
-        self._vector = tuple(order.index(variable) for variable in self._variables)
+        self._program = program = self.plan.compiled_for(order)
+        self._vector = tuple(map(program.slot_of.__getitem__, self._variables))
 
     def _loops_hold(self, step: PlanStep, candidate: Hashable) -> bool:
         for label in step.self_loops:

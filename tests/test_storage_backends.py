@@ -764,6 +764,22 @@ class TestCopyOnWriteClone:
         small, large = allocated(600), allocated(4800)
         assert max(small, large) <= 1.5 * min(small, large), (small, large)
 
+    def test_an_old_version_kept_alive_holds_a_bounded_undo_chain(self):
+        """The first version outlives 200 ΔG: the logs it reads through stay O(|G|), and it reads the same."""
+        graph = random_labeled_graph(200, 500, num_labels=3, num_edge_labels=2, seed=8, store="indexed")
+        first, document = graph, json.dumps(graph_to_dict(graph), sort_keys=True, default=str)
+        generator = UpdateGenerator(seed=9)
+        for _ in range(200):
+            graph = apply_update(graph, generator.generate(graph, 10))
+        held, log = 0, first.store._undo
+        while log is not None:
+            held += sum(map(len, log.entries))
+            log = log.newer
+        assert 0 < held <= graph.node_count() + graph.edge_count()
+        assert json.dumps(graph_to_dict(first), sort_keys=True, default=str) == document
+        first.validate_consistency()
+        graph.validate_consistency()
+
     @pytest.mark.parametrize("nodes", [500, 5000])
     def test_update_copies_only_the_buckets_it_touches(self, nodes):
         graph = random_labeled_graph(
