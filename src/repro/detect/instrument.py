@@ -94,19 +94,19 @@ def _rule_keys(rule_name: str) -> tuple:
 class _RuleSpan:
     """A ``detect.rule`` span as a flush records it: its dict form is built when it is read."""
 
-    __slots__ = ("trace_id", "parent_id", "rule", "algorithm", "row", "start_time", "_span_id")
+    __slots__ = ("trace_id", "parent_id", "algorithm", "row", "start_time", "_span_id")
 
-    def __init__(self, trace_parent: obs.Span, rule: str, algorithm: str, row: list, start_time: float) -> None:
+    def __init__(self, trace_parent: obs.Span, algorithm: str, row: list, start_time: float) -> None:
         self.trace_id = trace_parent.trace_id
         self.parent_id = trace_parent.span_id
-        self.rule, self.algorithm, self.row, self.start_time = rule, algorithm, row, start_time
+        self.algorithm, self.row, self.start_time = algorithm, row, start_time
         self._span_id: Optional[str] = None
 
     def to_dict(self) -> dict:
         if self._span_id is None:
             self._span_id = new_id()
         row = self.row
-        attributes = {"rule": self.rule, "algorithm": self.algorithm}
+        attributes = {"rule": row[9], "algorithm": self.algorithm}
         if row[6] is not None:
             attributes["cost"] = round(row[6], 6)
         attributes["violations"] = row[5]
@@ -139,13 +139,14 @@ class RuleAttribution:
     def __init__(self, algorithm: str) -> None:
         self.enabled = obs.enabled()
         self.algorithm = algorithm
-        # rule name -> [5 stat deltas, violations, cost or None, start time or None, duration]
-        self._rows: dict[str, list] = {}
+        # rule name (added up per unit) or record number (one per stretch) ->
+        # [5 stat deltas, violations, cost or None, start time or None, duration, rule name]
+        self._rows: dict[object, list] = {}
 
     def _row(self, rule_name: str) -> list:
         row = self._rows.get(rule_name)
         if row is None:
-            row = self._rows[rule_name] = [0, 0, 0, 0, 0, 0, None, None, 0.0]
+            row = self._rows[rule_name] = [0, 0, 0, 0, 0, 0, None, None, 0.0, rule_name]
         return row
 
     def before(self, stats: MatchStatistics):
@@ -168,11 +169,11 @@ class RuleAttribution:
 
     def record(self, rule_name: str, before, stats: MatchStatistics, violations: int,
                cost: float, start_time: float, duration: float) -> None:  # fmt: skip
-        """Record the whole row of a rule run in one stretch since ``before``."""
+        """Record the whole row of a rule run in one stretch since ``before`` (one span each)."""
         after = stats_snapshot(stats)
-        self._rows[rule_name] = [
+        self._rows[len(self._rows)] = [
             after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3] - before[3],
-            after[4] - before[4], violations, cost, start_time, duration,
+            after[4] - before[4], violations, cost, start_time, duration, rule_name,
         ]  # fmt: skip
 
     def emit(self, trace_parent: Optional[obs.Span] = None) -> None:
@@ -182,11 +183,11 @@ class RuleAttribution:
         samples = []
         spans = []
         now = time.time()
-        for rule_name, row in self._rows.items():
-            candidates, matches, violations = _rule_keys(rule_name)
+        for row in self._rows.values():
+            candidates, matches, violations = _rule_keys(row[9])
             samples += ((candidates, row[0]), (matches, row[4]), (violations, row[5]))
             if trace_parent is not None:
-                spans.append(_RuleSpan(trace_parent, rule_name, self.algorithm, row, now))
+                spans.append(_RuleSpan(trace_parent, self.algorithm, row, now))
         obs.metrics().counter_add_many(samples)
         if spans:
             obs.recorder().record_many(spans)
