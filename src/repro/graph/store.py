@@ -863,10 +863,8 @@ class IndexedStore(GraphStore):
         if superseded is not None:
             superseded.newer = log
             log.backlog = superseded.backlog + sum(map(len, superseded.entries))
-        other = IndexedStore()
-        for name in _LIVE_MAPS:
-            setattr(other, name, getattr(self, name))
-        other._next_rank, other._next_edge_rank = self._next_rank, self._next_edge_rank
+        other = IndexedStore.__new__(IndexedStore)
+        vars(other).update(vars(self))  # the live maps and the rank counters
         other._log = weakref.ref(log)
         other._private = (set(), set(), set(), set())
         # past from here on: set before the head's first write

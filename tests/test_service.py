@@ -482,8 +482,9 @@ class TestConcurrentUse:
 
     def test_readers_of_an_old_version_are_isolated_from_a_writer_without_a_lock(self):
         """Three threads drain Dect on version v while a fourth applies 30 ΔG on top of it
-        (more threads than cores); v becomes a past version mid-run and is read through
-        its undo log."""
+        (more threads than cores).  Each reader takes one violation, waits for the first 15
+        ΔG, and drains the rest while the last 15 land: v became a past version mid-run
+        and is read through its undo log."""
         graph = yago_like(scale=0.3)
         rules = benchmark_rules(graph, count=12, max_diameter=3, seed=2)
         registry = GraphRegistry()
@@ -498,6 +499,7 @@ class TestConcurrentUse:
             deltas.append(generator.generate(latest, 10))
             latest = apply_update(latest, deltas[-1])
         started = threading.Barrier(4, timeout=30)
+        halfway = threading.Event()
         seen: dict[int, list] = {reader: [] for reader in range(3)}
         failures: list = []
 
@@ -506,6 +508,7 @@ class TestConcurrentUse:
                 stream = Detector(rules, engine="batch").stream(snapshot)
                 seen[index].append(next(stream))
                 started.wait()
+                assert halfway.wait(timeout=30)
                 seen[index].extend(stream)
             except BaseException as exc:  # noqa: BLE001 - reported by the assertion below
                 failures.append(exc)
@@ -518,16 +521,17 @@ class TestConcurrentUse:
             for thread in threads:
                 thread.start()
             started.wait()
-            for delta in deltas:
+            for number, delta in enumerate(deltas):
+                if number == 15:
+                    halfway.set()
                 registry.apply_update("kb", delta)
-            overlapped = any(thread.is_alive() for thread in threads)
         finally:
+            halfway.set()
             for thread in threads:
                 thread.join(timeout=60)
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
-        assert overlapped, "the writer finished its 30 ΔG before the readers their one Dect"
         assert all(found == expected for found in seen.values())
         assert registry.get("kb").version == 31
         assert graph_to_dict(snapshot) == document
