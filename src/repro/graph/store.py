@@ -62,7 +62,7 @@ _EMPTY_KEYS = _EMPTY_DICT.keys()
 #: the head has copied since its last clone.
 _OUT, _IN, _OUT_BUCKETS, _IN_BUCKETS = range(4)
 #: Slots of an :class:`_UndoLog`, one per live map of an :class:`IndexedStore`.
-_NODES, _RANKS, _EDGES, _EDGE_RANKS, _OUTS, _INS, _OUT_DEGREES, _IN_DEGREES, _LABELS = range(9)
+_NODES, _RANKS, _EDGES, _EDGE_RANKS, _OUTS, _INS, _LABELS = range(7)
 #: The undo-log value of a key the past version did not hold.
 _ABSENT = object()
 #: The ``(ids, count)`` label bucket of a label no node carries.
@@ -448,7 +448,6 @@ class IndexedStore(GraphStore):
     * every read returns a live zero-copy view (a dict keys view,
       :class:`_PairsView` for ``(neighbour, label)`` pairs, :class:`_LabelView`
       for a label's ids) instead of a defensive frozenset copy;
-    * degree counters keep the PIncDect cost model's ``|v.adj|`` O(1);
     * :meth:`clone` is O(1) (Baker's rerooted persistent arrays): the clone
       becomes the *head* and takes the live maps, and this store becomes a
       *past version* that reads them through an :class:`_UndoLog`.  The head
@@ -476,8 +475,6 @@ class IndexedStore(GraphStore):
         # adjacency: node id -> edge label -> ordered set of neighbour ids
         self._out: dict[Hashable, dict[str, dict[Hashable, None]]] = {}
         self._in: dict[Hashable, dict[str, dict[Hashable, None]]] = {}
-        self._out_degree: dict[Hashable, int] = {}
-        self._in_degree: dict[Hashable, int] = {}
         # node label -> its node ids in rank order
         self._label_index: dict[str, list[Hashable]] = {}
         # A past version's undo log (None on the head and on a store never cloned).
@@ -548,12 +545,11 @@ class IndexedStore(GraphStore):
                     else:
                         target[key] = value
                         values.add(key)
-        nodes, ranks, edges, edge_ranks, store_out, store_in, out_degree, in_degree, labels = maps
+        nodes, ranks, edges, edge_ranks, store_out, store_in, labels = maps
         store = IndexedStore()
         store._nodes = _in_rank_order(nodes, ranks, restored[_NODES])
         store._edges = _in_rank_order(edges, edge_ranks, restored[_EDGES])
         store._rank, store._edge_rank, store._out, store._in = ranks, edge_ranks, store_out, store_in
-        store._out_degree, store._in_degree = out_degree, in_degree
         store._label_index = {label: ids[:count] for label, (ids, count) in labels.items()}
         store._next_rank, store._next_edge_rank = self._undo.next_rank, self._undo.next_edge_rank
         store._private = (set(), set(), set(), set())
@@ -606,15 +602,11 @@ class IndexedStore(GraphStore):
             entries = log.entries
             _remember(entries[_OUTS], self._out, node_id)
             _remember(entries[_INS], self._in, node_id)
-            _remember(entries[_OUT_DEGREES], self._out_degree, node_id)
-            _remember(entries[_IN_DEGREES], self._in_degree, node_id)
         if self._private is not None:
             self._private[_OUT].add(node_id)
             self._private[_IN].add(node_id)
         self._out[node_id] = {}
         self._in[node_id] = {}
-        self._out_degree[node_id] = 0
-        self._in_degree[node_id] = 0
 
     def _store_node(self, node: Node, log: Optional[_UndoLog] = None) -> Hashable:
         """Record a node (label interned), its rank and its label-index entry; return its id."""
@@ -650,13 +642,12 @@ class IndexedStore(GraphStore):
         ids = self._label_index[label]
         if log is not None:
             entries = log.entries
-            for slot, live in ((_NODES, self._nodes), (_RANKS, self._rank), (_OUTS, self._out), (_INS, self._in),
-                               (_OUT_DEGREES, self._out_degree), (_IN_DEGREES, self._in_degree)):  # fmt: skip
+            for slot, live in ((_NODES, self._nodes), (_RANKS, self._rank), (_OUTS, self._out), (_INS, self._in)):
                 _remember(entries[slot], live, node_id)
             if label not in entries[_LABELS]:
                 entries[_LABELS][label] = (ids, len(ids))
         del self._nodes[node_id], self._rank[node_id]
-        del self._out[node_id], self._in[node_id], self._out_degree[node_id], self._in_degree[node_id]
+        del self._out[node_id], self._in[node_id]
         if self._private is None:
             ids.remove(node_id)
         else:  # a past version may be reading the list: replace it
@@ -720,15 +711,11 @@ class IndexedStore(GraphStore):
             entries = log.entries
             _remember(entries[_EDGES], self._edges, key)
             _remember(entries[_EDGE_RANKS], self._edge_rank, key)
-            _remember(entries[_OUT_DEGREES], self._out_degree, source)
-            _remember(entries[_IN_DEGREES], self._in_degree, target)
         self._edges[key] = edge
         self._edge_rank[key] = self._next_edge_rank
         self._next_edge_rank += 1
         self._writable_bucket(self._out, _OUTS, _OUT, source, label, log)[target] = None
         self._writable_bucket(self._in, _INS, _IN, target, label, log)[source] = None
-        self._out_degree[source] += 1
-        self._in_degree[target] += 1
 
     def remove_edge(self, key: EdgeKey) -> None:
         source, target, label = key
@@ -737,8 +724,6 @@ class IndexedStore(GraphStore):
             entries = log.entries
             _remember(entries[_EDGES], self._edges, key)
             _remember(entries[_EDGE_RANKS], self._edge_rank, key)
-            _remember(entries[_OUT_DEGREES], self._out_degree, source)
-            _remember(entries[_IN_DEGREES], self._in_degree, target)
         del self._edges[key], self._edge_rank[key]
         for index, slot, side, node_id, neighbour in (
             (self._out, _OUTS, _OUT, source, target),
@@ -748,8 +733,6 @@ class IndexedStore(GraphStore):
             del bucket[neighbour]
             if not bucket:
                 del index[node_id][label]
-        self._out_degree[source] -= 1
-        self._in_degree[target] -= 1
 
     def get_edge(self, key: EdgeKey) -> Optional[Edge]:
         edge = self._edges.get(key)
@@ -815,20 +798,10 @@ class IndexedStore(GraphStore):
         return self._adjacency(self._in, _INS, node_id).keys()
 
     def out_degree(self, node_id: Hashable) -> int:
-        degree = self._out_degree.get(node_id)
-        if self._undo is not None:
-            degree = self._undo.get(_OUT_DEGREES, node_id, degree)
-        if degree is None:
-            raise KeyError(node_id)
-        return degree
+        return sum(map(len, self._adjacency(self._out, _OUTS, node_id).values()))
 
     def in_degree(self, node_id: Hashable) -> int:
-        degree = self._in_degree.get(node_id)
-        if self._undo is not None:
-            degree = self._undo.get(_IN_DEGREES, node_id, degree)
-        if degree is None:
-            raise KeyError(node_id)
-        return degree
+        return sum(map(len, self._adjacency(self._in, _INS, node_id).values()))
 
     def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
         ids: set[Hashable] = set()
@@ -905,28 +878,25 @@ class IndexedStore(GraphStore):
         for node_id in self._nodes:
             if node_id not in self._rank:
                 raise GraphError(f"missing insertion rank for node {node_id!r}")
-            out_total = sum(len(bucket) for bucket in self._out[node_id].values())
-            in_total = sum(len(bucket) for bucket in self._in[node_id].values())
-            if out_total != self._out_degree[node_id]:
-                raise GraphError(f"out-degree counter drifted for node {node_id!r}")
-            if in_total != self._in_degree[node_id]:
-                raise GraphError(f"in-degree counter drifted for node {node_id!r}")
+        for index in (self._out, self._in):
+            if index.keys() != self._nodes.keys():
+                raise GraphError("adjacency drifted from the node set")
+            if sum(len(bucket) for buckets in index.values() for bucket in buckets.values()) != len(self._edges):
+                raise GraphError("adjacency holds pairs no edge accounts for")
 
 
 #: The maps a clone takes over from the store it supersedes.
-_LIVE_MAPS = (
-    "_nodes", "_rank", "_edges", "_edge_rank", "_out", "_in", "_out_degree", "_in_degree", "_label_index",
-)  # fmt: skip
+_LIVE_MAPS = ("_nodes", "_rank", "_edges", "_edge_rank", "_out", "_in", "_label_index")
 
 
-#: The four maps a :class:`FrozenStore` links from its edge set on the first read.
-_ADJACENCY = ("_out", "_in", "_out_degree", "_in_degree")
+#: The two maps a :class:`FrozenStore` links from its edge set on the first read.
+_ADJACENCY = ("_out", "_in")
 
 
 class _LinkedOnFirstRead:
     """One adjacency map of a :class:`FrozenStore`, linked from its edges on the first read.
 
-    A non-data descriptor: the first read links all four maps into the
+    A non-data descriptor: the first read links both maps into the
     store's ``__dict__``, where every later read finds them by a plain
     attribute lookup, so the read methods are :class:`IndexedStore`'s own.
     """
@@ -966,8 +936,6 @@ class FrozenStore(IndexedStore):
 
     _out = _LinkedOnFirstRead()
     _in = _LinkedOnFirstRead()
-    _out_degree = _LinkedOnFirstRead()
-    _in_degree = _LinkedOnFirstRead()
 
     def __init__(self) -> None:
         super().__init__()
@@ -994,13 +962,10 @@ class FrozenStore(IndexedStore):
         """
         ids = self._nodes
         out, inc = {node_id: {} for node_id in ids}, {node_id: {} for node_id in ids}
-        out_degree, in_degree = dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
         for source, target, label in self._edges:
             out[source].setdefault(label, {})[target] = None
             inc[target].setdefault(label, {})[source] = None
-            out_degree[source] += 1
-            in_degree[target] += 1
-        self.__dict__.update(_out=out, _in=inc, _out_degree=out_degree, _in_degree=in_degree)
+        self.__dict__.update(_out=out, _in=inc)
 
     def bulk_load(
         self,
