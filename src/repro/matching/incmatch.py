@@ -149,30 +149,21 @@ def pivots_by_rule(
     endpoints may be brand-new nodes); deletion pivots against
     ``graph_before``.  The endpoint labels of each updated edge are resolved
     once per ΔG (:meth:`BatchUpdate.endpoint_labels`) and probed against
-    :func:`pivot_index`, whose sites are filtered once per label triple and
-    kept on the rule set, so all of Σ costs one dict probe per unit update
-    plus the pattern edges its labels match.  Each rule's list follows the batch
+    :func:`pivot_index`, so all of Σ costs one dict probe per unit update plus
+    the pattern edges carrying its label.  Each rule's list follows the batch
     order of ΔG, then the rule's pattern-edge order, which keeps incremental
     runs deterministic.
     """
     index = pivot_index(rules)
-    # (edge label, source label, target label) -> the sites those labels match, in index order
-    matching = rules.derived("pivot_matches", lambda _: {}) if isinstance(rules, RuleSet) else {}
     found: list[list[tuple[PivotSite, UnitUpdate]]] = [[] for _ in range(len(rules))]
     for update, source_label, target_label in delta.endpoint_labels(graph_before, graph_after):
-        key = (update.label, source_label, target_label)
-        sites = matching.get(key)
-        if sites is None:
-            sites = matching[key] = tuple(
-                (rule_index, site)
-                for rule_index, site in index.get(update.label, ())
-                if (site.source_label is None or site.source_label == source_label)
-                and (site.target_label is None or site.target_label == target_label)
-            )
-        loop = update.source == update.target
-        for rule_index, site in sites:
-            if site.loop and not loop:
+        for rule_index, site in index.get(update.label, ()):
+            if site.loop and update.source != update.target:
                 continue  # a pattern self-loop is matched by data self-loops only
+            if site.source_label is not None and site.source_label != source_label:
+                continue
+            if site.target_label is not None and site.target_label != target_label:
+                continue
             found[rule_index].append((site, update))
     return found
 
