@@ -3,8 +3,8 @@
 The package implements numeric graph dependencies (NGDs), their static
 analyses, and the (incremental, parallel) error-detection algorithms of the
 paper, together with the substrates they need: a property-graph store,
-pattern matching by homomorphism, graph partitioning, a cluster simulator, a
-rule miner, and synthetic analogues of the evaluation datasets.
+pattern matching by homomorphism, a cluster simulator, a rule miner, and
+synthetic analogues of the evaluation datasets.
 
 Typical usage — a :class:`Detector` session unifies the paper's four
 algorithms (Dect / IncDect / PDect / PIncDect) behind one configuration

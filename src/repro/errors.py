@@ -17,7 +17,6 @@ __all__ = [
     "AttributeMissing",
     "PatternError",
     "UpdateError",
-    "PartitionError",
     "ExpressionError",
     "NonLinearExpressionError",
     "ParseError",
@@ -88,10 +87,6 @@ class PatternError(ReproError):
 
 class UpdateError(ReproError):
     """A batch update cannot be applied to the graph it targets."""
-
-
-class PartitionError(ReproError):
-    """Graph fragmentation failed or was asked for an invalid layout."""
 
 
 class ExpressionError(ReproError):

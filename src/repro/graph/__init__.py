@@ -1,6 +1,5 @@
-"""Property-graph substrate: graphs, patterns, updates, neighbourhoods, partitioning."""
+"""Property-graph substrate: graphs, patterns, updates, neighbourhoods."""
 
-from repro._lazy import lazy_exports
 from repro.graph.graph import WILDCARD, Edge, Graph, Node
 from repro.graph.neighborhood import (
     d_neighbor,
@@ -18,16 +17,6 @@ from repro.graph.updates import (
     NodePayload,
     UpdateGenerator,
     apply_update,
-)
-
-# public fragmentation names, imported on first use: no detection path
-# partitions a graph (the process backend ships whole images)
-__getattr__, __dir__ = lazy_exports(
-    globals(),
-    dict.fromkeys(
-        ("Fragment", "Fragmentation", "bfs_edge_cut", "greedy_vertex_cut", "hash_edge_cut"),
-        "repro.graph.partition",
-    ),
 )
 
 __all__ = [
@@ -49,11 +38,6 @@ __all__ = [
     "nodes_within_hops",
     "undirected_distance",
     "update_neighborhood",
-    "Fragment",
-    "Fragmentation",
-    "bfs_edge_cut",
-    "greedy_vertex_cut",
-    "hash_edge_cut",
     "STORE_REGISTRY",
     "GraphStore",
     "IndexedStore",

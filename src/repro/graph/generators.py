@@ -152,8 +152,7 @@ def community_graph(
 ) -> Graph:
     """Return a planted-partition graph: dense communities, sparse cross links.
 
-    Social graphs (Pokec in the paper) have exactly this structure; it gives
-    BFS edge-cut partitioning something meaningful to exploit and keeps
+    Social graphs (Pokec in the paper) have exactly this structure; it keeps
     dΣ-neighbourhoods compact.
     """
     if num_communities < 1 or community_size < 1:

@@ -1,10 +1,10 @@
-"""Unit tests for updates, neighbourhoods, partitioning, generators and graph IO."""
+"""Unit tests for updates, neighbourhoods, generators and graph IO."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import GraphError, PartitionError, UpdateError
+from repro.errors import GraphError, UpdateError
 from repro.graph.generators import chain_graph, community_graph, power_law_graph, random_labeled_graph, star_graph
 from repro.graph.graph import Graph
 from repro.graph.io import (
@@ -24,7 +24,6 @@ from repro.graph.neighborhood import (
     undirected_distance,
     update_neighborhood,
 )
-from repro.graph.partition import bfs_edge_cut, greedy_vertex_cut, hash_edge_cut
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion, NodePayload, UpdateGenerator, apply_update
 
 
@@ -135,49 +134,6 @@ class TestNeighborhood:
         assert undirected_distance(graph, "n0", "n0") == 0
         graph.add_node("isolated", "n")
         assert undirected_distance(graph, "n0", "isolated") == float("inf")
-
-
-class TestPartitioning:
-    @pytest.mark.parametrize("partitioner", [hash_edge_cut, bfs_edge_cut, greedy_vertex_cut])
-    def test_every_node_assigned(self, partitioner):
-        graph = random_labeled_graph(60, 150, num_labels=4, num_edge_labels=3, seed=5)
-        fragmentation = partitioner(graph, 4)
-        assigned = set()
-        for fragment in fragmentation.fragments:
-            assigned |= fragment.nodes
-        assert assigned == set(graph.node_ids())
-
-    @pytest.mark.parametrize("partitioner", [hash_edge_cut, bfs_edge_cut, greedy_vertex_cut])
-    def test_every_edge_assigned_once(self, partitioner):
-        graph = random_labeled_graph(60, 150, num_labels=4, num_edge_labels=3, seed=5)
-        fragmentation = partitioner(graph, 4)
-        total = sum(fragment.edge_count() for fragment in fragmentation.fragments)
-        assert total == graph.edge_count()
-
-    def test_balance_is_reasonable(self):
-        graph = random_labeled_graph(100, 200, num_labels=4, num_edge_labels=3, seed=6)
-        fragmentation = hash_edge_cut(graph, 5)
-        assert fragmentation.balance() < 1.6
-
-    def test_bfs_cut_beats_hash_cut_on_communities(self):
-        graph = community_graph(4, 20, intra_probability=0.2, inter_probability=0.002, seed=3)
-        bfs_fraction = bfs_edge_cut(graph, 4).edge_cut_fraction()
-        hash_fraction = hash_edge_cut(graph, 4).edge_cut_fraction()
-        assert bfs_fraction < hash_fraction
-
-    def test_owner_lookup_and_local_subgraph(self):
-        graph = random_labeled_graph(40, 80, num_labels=4, num_edge_labels=3, seed=7)
-        fragmentation = bfs_edge_cut(graph, 3)
-        some_node = next(iter(graph.node_ids()))
-        index = fragmentation.owner_of(some_node)
-        assert some_node in fragmentation.fragments[index].nodes
-        local = fragmentation.local_subgraph(index)
-        assert set(fragmentation.fragments[index].nodes) <= set(local.node_ids())
-
-    def test_invalid_fragment_count(self):
-        graph = random_labeled_graph(10, 10, seed=0)
-        with pytest.raises(PartitionError):
-            hash_edge_cut(graph, 0)
 
 
 class TestGenerators:

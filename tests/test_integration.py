@@ -21,7 +21,6 @@ from repro.datasets.rules import benchmark_rules
 from repro.detect import BalancingPolicy, dect, inc_dect, p_dect, pinc_dect
 from repro.discovery import DiscoveryConfig, discover_ngds
 from repro.graph.io import load_graph, load_update, save_graph, save_update
-from repro.graph.partition import bfs_edge_cut
 from repro.graph.updates import UpdateGenerator, apply_update
 
 
@@ -94,17 +93,6 @@ class TestFullPipeline:
         assert inc_dect(reloaded_graph, rules, reloaded_delta).delta == inc_dect(
             pipeline_graph, rules, delta
         ).delta
-
-    def test_partitioned_local_detection_is_a_subset(self, pipeline_graph):
-        """Fragment-local detection finds a subset of the global violations (the rest need crossing edges)."""
-        rules = benchmark_rules(pipeline_graph, count=6, max_diameter=2, seed=11)
-        fragmentation = bfs_edge_cut(pipeline_graph, 4)
-        global_violations = find_violations(pipeline_graph, rules)
-        local_union = set()
-        for index in range(fragmentation.num_fragments):
-            local = find_violations(fragmentation.local_subgraph(index), rules)
-            local_union |= set(local.as_set())
-        assert local_union <= set(global_violations.as_set())
 
     def test_figure1_graphs_full_workflow(self):
         rules = example_rules()

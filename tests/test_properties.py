@@ -17,7 +17,6 @@ from repro.expr.parser import parse_expression
 from repro.graph.graph import Graph
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.neighborhood import multi_source_nodes_within_hops, nodes_within_hops
-from repro.graph.partition import bfs_edge_cut, greedy_vertex_cut, hash_edge_cut
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 
@@ -97,18 +96,6 @@ def test_multi_source_bfs_equals_union(graph, hops):
     sources = list(graph.node_ids())[:3]
     union = frozenset().union(*[nodes_within_hops(graph, s, hops) for s in sources])
     assert multi_source_nodes_within_hops(graph, sources, hops) == union
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_graphs(), st.integers(min_value=1, max_value=4))
-def test_partitioners_cover_graph(graph, parts):
-    for partitioner in (hash_edge_cut, bfs_edge_cut, greedy_vertex_cut):
-        fragmentation = partitioner(graph, parts)
-        covered = set()
-        for fragment in fragmentation.fragments:
-            covered |= fragment.nodes
-        assert covered == set(graph.node_ids())
-        assert sum(f.edge_count() for f in fragmentation.fragments) == graph.edge_count()
 
 
 # ----------------------------------------------------------- expression invariants

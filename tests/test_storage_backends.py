@@ -309,15 +309,12 @@ print("inc", inc_dect(graph, rules, delta, graph_after=updated).cost)
 print("pinc", pinc_dect(graph, rules, delta, processors=4, graph_after=updated).cost)
 print("delta", [(u.is_insertion, str(u.source), str(u.target), u.label) for u in delta])
 
-# induced-subgraph edge order feeds the vertex-cut partitioner: both must be
-# hash-seed independent (edges_between walks insertion-ordered adjacency)
+# induced-subgraph edge order must be hash-seed independent (edges_between
+# walks insertion-ordered adjacency)
 from repro.graph.neighborhood import d_neighbor_of_nodes
-from repro.graph.partition import greedy_vertex_cut
 
 region = d_neighbor_of_nodes(graph, list(graph.node_ids())[:8], hops=2)
 print("region_edges", [e.key() for e in region.edges()])
-cut = greedy_vertex_cut(region, 3)
-print("fragments", [sorted(map(str, f.nodes)) for f in cut.fragments])
 """
 
 
