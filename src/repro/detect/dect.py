@@ -82,9 +82,8 @@ def iter_dect(
                     if len(order) > 1:
                         candidates.reverse()
                     search = rule_search(rule, plan, use_literal_pruning, run.stats)
-                    yield from run.drain(
-                        search, ((graph, order, (candidate,), violations, True) for candidate in candidates)
-                    )
+                    seeds = ((search, order, (candidate,), True) for candidate in candidates)
+                    yield from run.drain(seeds, lambda _: graph, (violations, violations))
             if run.stop_reason is not None:
                 break
     finally:

@@ -96,6 +96,10 @@ def iter_inc_dect(
     run = SerialRun("IncDect", budget, sink)
     pivots_of = pivots_by_rule(rule_set, delta, graph, updated)
 
+    def graph_for(inserted: bool) -> Graph:
+        # insertion pivots are expanded in G ⊕ ΔG (ΔVio⁺), deletion pivots in G (ΔVio⁻)
+        return updated if inserted else graph
+
     try:
         for rule_index, rule in enumerate(rule_list):
             plan = plans[rule_index]
@@ -105,20 +109,18 @@ def iter_inc_dect(
             if not pivots:
                 continue
             with run.rule(rule.name):
+                search = rule_search(rule, plan, use_literal_pruning, run.stats)
                 seeds = []
                 for site, update in pivots:
-                    # insertion pivots are expanded in G ⊕ ΔG (ΔVio⁺), deletion pivots in G (ΔVio⁻)
                     inserted = update.is_insertion
-                    search_graph, target = (updated, introduced) if inserted else (graph, removed)
                     ids = site.ids(update)
-                    if not site.holds_in(search_graph.store, ids):
+                    if not site.holds_in(graph_for(inserted).store, ids):
                         continue
                     run.cost += 1.0
-                    seeds.append((search_graph, site.order(plan), ids, target, inserted))
+                    seeds.append((search, site.order(plan), ids, inserted))
                 # the pivots are a stack: the last one's subtree is searched first
                 seeds.reverse()
-                search = rule_search(rule, plan, use_literal_pruning, run.stats)
-                yield from run.drain(search, seeds)
+                yield from run.drain(seeds, graph_for, (introduced, removed))
             if run.stop_reason is not None:
                 break
     finally:

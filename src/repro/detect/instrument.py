@@ -127,11 +127,15 @@ class RuleAttribution:
 
     A row holds a rule's five statistic deltas, its violations, and — for the
     serial kernels, which run each rule once in one stretch and hand over a
-    whole row (:meth:`record`) — its cost and its time.  The parallel
-    kernels pop work units of every rule in completion order, so their rows
-    add up per unit (:meth:`before` / :meth:`after`, :meth:`violation`) and
-    their spans carry no cost.  The executor's workers emit counters only,
-    once per shipment, and the row set is reusable after each :meth:`emit`.
+    whole row (:meth:`record`) — its cost and its time.  A simulated parallel
+    run (:class:`~repro.detect.parallel.cluster.SimulatedRun`) pops work
+    units of every rule in completion order, so its rows add up per unit
+    (:meth:`before` / :meth:`after`, :meth:`violation`) and their spans carry
+    no cost; a process run (:class:`~repro.detect.parallel.executor.
+    ProcessRun`) counts its violations only.  Every run flushes in a
+    ``finally``, so a consumer that stops early still gets the rows of the
+    work done.  The executor's workers emit counters only, once per
+    shipment, and the row set is reusable after each :meth:`emit`.
     """
 
     __slots__ = ("enabled", "algorithm", "_rows")

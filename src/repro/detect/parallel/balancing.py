@@ -28,7 +28,6 @@ __all__ = [
     "rebalancing_pays",
     "should_split",
     "should_split_planned",
-    "should_split_step",
     "skewness",
     "plan_rebalancing",
 ]
@@ -127,26 +126,6 @@ def should_split_planned(
     workload = max(remaining_estimate, float(adjacency_size))
     parallel = latency * (matched_depth + 1) + workload / processors
     return parallel < workload
-
-
-def should_split_step(
-    plan,
-    order: tuple,
-    adjacency_size: int,
-    matched_depth: int,
-    processors: int,
-    latency: float,
-) -> bool:
-    """Decide one expansion step's split — the kernels' shared entry point.
-
-    :func:`should_split_planned` on the remaining-subtree estimate of the
-    :class:`~repro.matching.plan.MatchPlan` executing.  Both simulated
-    kernels call this for their filtering and verification steps so the
-    decision logic cannot diverge between them.
-    """
-    return should_split_planned(
-        plan.remaining_cost(order, matched_depth), adjacency_size, matched_depth, processors, latency
-    )
 
 
 def rebalancing_pays(

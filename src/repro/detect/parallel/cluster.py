@@ -15,16 +15,37 @@ algorithm, the makespan reproduces the shapes of Figures 4(i)–(n): more
 processors → shorter makespan, skewed work without splitting/balancing →
 longer makespan, too-small latency / balancing interval → communication
 overhead dominates.
+
+:class:`SimulatedRun` is the one scheduling loop over the simulator that
+PDect and PIncDect share: the cost budget, the periodic η/η′
+redistribution, the split charging of each step, child enqueueing,
+deduplication, the sink, the violation budget and the per-rule attribution.
+The two kernels differ only in their seeds — every first-step candidate of
+``G``, or the update pivots of ΔG — and in the graph a seed is searched in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import Optional
 
+from repro import obs
 from repro.detect.base import WorkerTrace
+from repro.detect.instrument import RuleAttribution
+from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink, notify_violation
+from repro.detect.parallel.balancing import (
+    BalancingPolicy,
+    plan_rebalancing,
+    rebalancing_pays,
+    should_split_planned,
+    skewness,
+)
+from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
 from repro.errors import ClusterError
+from repro.matching.candidates import MatchStatistics
 
-__all__ = ["ClusterSimulator"]
+__all__ = ["ClusterSimulator", "SimulatedRun"]
 
 
 @dataclass
@@ -113,10 +134,6 @@ class ClusterSimulator:
         self._workers[worker].queue.append(unit)
         self._workers[worker].trace.units_received += 1
 
-    def queue_length(self, worker: int) -> int:
-        """Return |BVio_i| for worker ``i``."""
-        return len(self._workers[worker].queue)
-
     def queue_lengths(self) -> list[int]:
         """Return every worker's queue length."""
         return [len(worker.queue) for worker in self._workers]
@@ -157,10 +174,6 @@ class ClusterSimulator:
                 self.total_messages += 1
         return moved
 
-    def busiest_worker(self) -> int:
-        """Return the index of the worker with the most pending units."""
-        return max(range(self.processors), key=lambda i: len(self._workers[i].queue))
-
     def next_busy_worker(self) -> int | None:
         """Return the worker with pending work and the smallest clock, or None when all queues are empty."""
         candidates = [w for w in self._workers if w.queue]
@@ -175,3 +188,173 @@ class ClusterSimulator:
     def traces(self) -> list[WorkerTrace]:
         """Return per-worker accounting for the balancing analyses."""
         return [worker.trace for worker in self._workers]
+
+
+class SimulatedRun:
+    """One parallel kernel run on a :class:`ClusterSimulator`: its clocks, its loop, what it emitted.
+
+    The run's ``cost`` is the makespan.  ``rules``, ``plans`` and ``use_literal_pruning``
+    are what a work unit is expanded with; every expansion's statistics go
+    to ``stats``, and to its rule's row of the run's attribution.
+    """
+
+    def __init__(
+        self,
+        algorithm: str,
+        rules,
+        plans,
+        use_literal_pruning: bool,
+        processors: int,
+        policy: BalancingPolicy,
+        budget: Optional[DetectionBudget],
+        sink: Optional[ViolationSink],
+    ) -> None:
+        self.cluster = ClusterSimulator(processors, policy.latency)
+        self.rules, self.plans, self.use_literal_pruning = rules, plans, use_literal_pruning
+        self.processors, self.policy = processors, policy
+        self.budget, self.sink = budget, sink
+        # PIncDect streams ViolationEvents, PDect bare violations
+        self.incremental = "IncDect" in algorithm
+        self.stats = MatchStatistics()
+        self.emitted = 0
+        self.stop_reason: Optional[str] = None
+        self.attribution = RuleAttribution(algorithm)
+        self._trace_parent = obs.current_span()
+
+    def outcome(self) -> dict:
+        """The result fields the run decides: its statistics, makespan, worker traces and stop."""
+        return dict(
+            stats=self.stats,
+            cost=self.cluster.makespan(),
+            worker_traces=self.cluster.traces(),
+            stopped_early=self.stop_reason is not None,
+            stop_reason=self.stop_reason,
+        )
+
+    def drain(self, seeds: Iterable[tuple[int, WorkUnit, bool]], graph_for, dedupe: tuple) -> Iterator:
+        """Place every seed, then run the cluster until its queues drain, yielding each new violation.
+
+        ``seeds`` are ``(worker, unit, queued)``: a queued unit joins
+        ``worker``'s queue; any other is decided at once on ``worker`` and
+        charged its one step (PDect's single-variable candidates).  A unit is
+        expanded in ``graph_for(unit.from_insertion)`` and its findings are
+        new against ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed).
+        The cost budget is tested after each decided seed, when seeding ends
+        and before each unit the loop pops; the violation budget after each
+        violation.  The rules' attribution is flushed when the run ends, also
+        when its consumer stops early.
+        """
+        cluster = self.cluster
+        try:
+            for worker, unit, queued in seeds:
+                if queued:
+                    cluster.enqueue(worker, unit)
+                    continue
+                outcome = self._expand(unit, graph_for)
+                cluster.charge(worker, float(max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency))
+                if (yield from self._emit(outcome.violations, unit, dedupe)) or self._cost_exhausted():
+                    return
+            if not self._cost_exhausted():
+                yield from self._schedule(graph_for, dedupe)
+        finally:
+            self.attribution.emit(self._trace_parent)
+
+    def _cost_exhausted(self) -> bool:
+        """Record and return whether the makespan has reached the cost budget."""
+        if self.budget is not None and self.budget.cost_exhausted(self.cluster.makespan()):
+            self.stop_reason = "max_cost"
+            return True
+        return False
+
+    def _schedule(self, graph_for, dedupe: tuple) -> Iterator:
+        """Pop the least-advanced worker's next unit until every queue is empty or a cap is reached."""
+        cluster, policy = self.cluster, self.policy
+        last_balance = 0.0
+        work_done = 0.0
+        units_done = 0
+        while cluster.has_pending_work():
+            if self._cost_exhausted():
+                return
+            if policy.enable_rebalancing and cluster.global_time() - last_balance >= policy.interval:
+                last_balance = cluster.global_time()
+                self._rebalance(work_done / units_done if units_done else 0.0)
+            worker = cluster.next_busy_worker()
+            unit: WorkUnit = cluster.pop_unit(worker)
+            outcome = self._expand(unit, graph_for)
+            depth = unit.depth()
+            filtering = max(outcome.filtering_adjacency, 1)
+            self._charge(worker, unit, filtering, depth)
+            # verification may be split as well, with a k+2 broadcast term
+            verification = outcome.verification_adjacency
+            if verification:
+                self._charge(worker, unit, verification, depth + 1)
+            work_done += filtering + verification
+            units_done += 1
+            for new_unit in outcome.new_units:
+                cluster.enqueue(worker, new_unit)
+            if (yield from self._emit(outcome.violations, unit, dedupe)):
+                return
+
+    def _charge(self, worker: int, unit: WorkUnit, size: int, depth: int) -> None:
+        """Charge ``size`` to ``worker``, or split it across the cluster when that pays.
+
+        The split decision weighs the plan's remaining-subtree estimate
+        (:func:`~repro.detect.parallel.balancing.should_split_planned`); the
+        charges are actual sizes.
+        """
+        policy, processors = self.policy, self.processors
+        if policy.enable_splitting and should_split_planned(
+            self.plans[unit.rule_index].remaining_cost(unit.order, depth), size, depth, processors, policy.latency
+        ):
+            self.cluster.charge_broadcast(worker, size / processors, policy.latency * (depth + 1))
+        else:
+            self.cluster.charge(worker, float(size))
+
+    def _rebalance(self, average_unit_cost: float) -> None:
+        """Move units from queues above η to queues below η′ when shipping them pays.
+
+        Redistributing a near-empty system only buys message latency, so it
+        runs only when some queue holds a meaningful batch of pending units
+        and the move beats the per-participant message cost at the observed
+        average unit cost.
+        """
+        cluster, policy = self.cluster, self.policy
+        lengths = cluster.queue_lengths()
+        if max(lengths) < 4 or not any(value > policy.eta for value in skewness(lengths)):
+            return
+        moves = plan_rebalancing(lengths, policy.eta, policy.eta_prime)
+        if not rebalancing_pays(moves, policy.latency, average_unit_cost):
+            return
+        participants: set[int] = set()
+        for origin, destination, count in moves:
+            if cluster.move_units(origin, destination, count, charge=False):
+                participants.add(origin)
+                participants.add(destination)
+                if self.attribution.enabled:
+                    obs.counter_inc("repro_executor_steals_total", {"mode": "simulated"}, count)
+        for worker_index in participants:
+            cluster.charge(worker_index, policy.latency)
+
+    def _expand(self, unit: WorkUnit, graph_for):
+        rule, plan, stats = self.rules[unit.rule_index], self.plans[unit.rule_index], self.stats
+        before = self.attribution.before(stats)
+        outcome = expand_work_unit(graph_for(unit.from_insertion), rule, unit, self.use_literal_pruning, stats, plan)
+        self.attribution.after(rule.name, before, stats)
+        return outcome
+
+    def _emit(self, violations, unit: WorkUnit, dedupe: tuple):
+        """Yield the violations new against their ΔVio side; return True once the violation budget is spent."""
+        introduced = unit.from_insertion
+        seen = dedupe[not introduced]
+        for violation in violations:
+            if violation in seen:
+                continue
+            seen.add(violation)
+            self.emitted += 1
+            self.attribution.violation(violation.rule)
+            notify_violation(self.sink, violation, introduced)
+            yield ViolationEvent(violation, introduced) if self.incremental else violation
+            if self.budget is not None and self.budget.violations_exhausted(self.emitted):
+                self.stop_reason = "max_violations"
+                return True
+        return False

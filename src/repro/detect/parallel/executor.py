@@ -12,11 +12,11 @@ retained as the deterministic cost-model oracle; this backend is measured
 Execution model
 ---------------
 
-* The **parent** owns the full graph(s).  It computes the seed work units
-  — one root unit per rule for PDect (the worker performs the first-step
-  scan), the update pivots for PIncDect — and places them on workers:
-  roots on the least-loaded worker by the compiled plan's
-  ``estimated_unit_cost``, pivots by the simulator's ownership hash.
+* The **parent** owns the full graph(s).  PDect and PIncDect hand their
+  seed work units — one root unit per rule for PDect (the worker performs
+  the first-step scan), the update pivots for PIncDect, each placed on a
+  worker — to one :class:`ProcessRun`, the process backend's one loop:
+  the warm-pool or one-shot crew, and the degradation tail below.
 * Each **worker process** owns a LIFO stack of work units and expands them
   depth-first against one read-only *image* per graph it searches (``G``,
   or ``N_C(ΔG)`` before and after the update) — inherited copy-on-write
@@ -50,10 +50,16 @@ sequential kernels), not a simulated makespan — real wall-clock lives in
 ``wall_time``.  Violations are byte-identical to the serial and simulated
 paths, and since every worker reads a whole image, ``cost`` and the
 match statistics do not depend on the start method either.
+
+When the pool collapses or a poison unit is quarantined, the run
+*degrades*: :class:`ProcessRun` finishes every unconfirmed unit in the
+parent with :meth:`SerialRun.drain <repro.detect.serial.SerialRun.drain>`,
+the loop Dect and IncDect run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -75,9 +81,10 @@ from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation
 from repro.detect.base import EXECUTION_MODES, WorkerTrace
 from repro.detect.instrument import RuleAttribution
-from repro.detect.observers import DetectionBudget, ViolationSink, notify_violation
+from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink, notify_violation
 from repro.detect.parallel.balancing import BalancingPolicy, plan_rebalancing, skewness
-from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
+from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, rule_search
+from repro.detect.serial import SerialRun
 from repro.errors import ExecutionError, WorkerPoolCollapse
 from repro.graph.graph import Graph
 from repro.graph.io import load_graph, save_graph
@@ -95,10 +102,10 @@ __all__ = [
     "DEFAULT_IDLE_TTL_SECONDS",
     "resolve_start_method",
     "ExecutionRuntime",
+    "ProcessRun",
     "ProcessRunSummary",
     "WarmExecutorPool",
     "iter_process_execution",
-    "drain_units_serially",
     "spool_image",
     "load_spooled",
     "clear_spool_cache",
@@ -545,7 +552,7 @@ def _worker_main(worker_id, epoch, runtime_or_payload, inbox, results, stop_even
 
 @dataclass
 class ProcessRunSummary:
-    """What a finished (or cancelled) process run reports to its kernel."""
+    """What a finished (or cancelled) process run reports: :class:`ProcessRun` is one."""
 
     cost: float = 0.0
     stats: MatchStatistics = field(default_factory=MatchStatistics)
@@ -556,9 +563,9 @@ class ProcessRunSummary:
     #: Work units re-shipped (or quarantined) after a worker death.
     units_retried: int = 0
     #: Units that exceeded the per-unit retry cap — poison units the
-    #: kernel must finish on the serial path.
+    #: run finishes on the serial path.
     quarantined: list = field(default_factory=list)
-    #: Set by the kernel when part of the run was drained serially.
+    #: Set when part of the run was drained serially.
     degraded: bool = False
 
 
@@ -658,12 +665,9 @@ def _drive_run(
     seeds: Sequence[tuple[int, WorkUnit]],
     policy: BalancingPolicy,
     budget: Optional[DetectionBudget],
-    sink: Optional[ViolationSink],
-    dedupe: Optional[tuple],
-    base_cost: float,
     summary: ProcessRunSummary,
 ) -> Iterator[tuple[Violation, bool]]:
-    """Distribute ``seeds`` over a live crew and stream back violations.
+    """Distribute ``seeds`` over a live crew and stream back what the workers find.
 
     The shared drive loop of one run — identical for a one-shot crew
     (:func:`iter_process_execution`) and a warm one
@@ -680,29 +684,26 @@ def _drive_run(
     (``is_alive`` false) or goes silent past the heartbeat timeout (then
     it is killed), its outstanding units are re-executed: on a respawned
     replacement while the ``REPRO_WORKER_RESTARTS`` budget lasts, on
-    survivors after.  Units are deterministic and the parent dedups every
-    violation against ``introduced``/``removed`` before yielding, so this
-    at-least-once re-execution still yields each violation exactly once —
-    byte-identical output to an undisturbed run.  A unit that out-lives
-    ``REPRO_UNIT_RETRIES`` worker deaths is poison: it is quarantined on
-    ``summary.quarantined`` for the kernel's serial path instead of being
-    re-shipped forever.  With no restart budget left *and* no survivor to
-    absorb the load, :class:`~repro.errors.WorkerPoolCollapse` carries
-    every unconfirmed unit to the kernel for serial completion.
+    survivors after.  Units are deterministic, so this at-least-once
+    re-execution reports some violations twice; :class:`ProcessRun`
+    deduplicates them, so its output is byte-identical to an undisturbed
+    run.  A unit that out-lives ``REPRO_UNIT_RETRIES`` worker deaths is
+    poison: it is quarantined on ``summary.quarantined`` for the serial
+    path instead of being re-shipped forever.  With no restart budget left
+    *and* no survivor to absorb the load,
+    :class:`~repro.errors.WorkerPoolCollapse` carries every unconfirmed
+    unit to the serial path.  The cost budget is enforced here, where the
+    aggregate cost arrives; the violation budget by the consumer, which
+    closes the stream.
     """
-    from repro.core.violations import ViolationSet
-
     processors = crew.processors
     inboxes, results, workers = crew.inboxes, crew.results, crew.workers
     stop_event = crew.stop_event
-    introduced, removed = dedupe if dedupe is not None else (ViolationSet(), ViolationSet())
-    summary.cost = base_cost
     queue_lens = [0] * processors
     idle = [False] * processors
     batches_sent = [0] * processors
     pending_shed = 0
     pending_shed_by = [0] * processors
-    emitted = len(introduced) + len(removed)
     now = time.monotonic()
     last_balance = now
     last_liveness = now
@@ -899,18 +900,8 @@ def _drive_run(
             summary.cost += cost_delta
             queue_lens[worker_id] = queue_len
             idle[worker_id] = False
-            for violation, from_insertion in found:
-                target = introduced if from_insertion else removed
-                if violation in target:
-                    continue
-                target.add(violation)
-                emitted += 1
-                notify_violation(sink, violation, introduced=from_insertion)
-                yield violation, from_insertion
-                if budget is not None and budget.violations_exhausted(emitted):
-                    summary.stop_reason = "max_violations"
-                    break
-            if summary.stop_reason is None and budget is not None and budget.cost_exhausted(summary.cost):
+            yield from found
+            if budget is not None and budget.cost_exhausted(summary.cost):
                 summary.stop_reason = "max_cost"
         elif kind == "status":
             queue_len, cost_delta, obs_delta = message[3:]
@@ -1024,22 +1015,18 @@ def iter_process_execution(
     processors: int,
     policy: BalancingPolicy,
     budget: Optional[DetectionBudget] = None,
-    sink: Optional[ViolationSink] = None,
-    dedupe: Optional[tuple] = None,
-    base_cost: float = 0.0,
     summary: Optional[ProcessRunSummary] = None,
 ) -> Iterator[tuple[Violation, bool]]:
     """Run ``seeds`` on a one-shot pool of ``processors`` worker processes.
 
     ``seeds`` are ``(worker_index, unit)`` pairs — placement is the
     caller's policy (plan-estimated least-loaded, or pivot ownership).
-    Yields ``(violation, from_insertion)`` pairs as workers report them
-    (deduplicated against ``dedupe = (introduced_set, removed_set)``,
-    which the caller shares so parent-side seed results participate);
+    Yields ``(violation, from_insertion)`` pairs as workers report them;
+    a violation a recovered worker found again is reported again.
     ``summary`` (if supplied) is filled in before the generator returns,
-    so callers that stop consuming early still see cost/stats/traces.
-    ``base_cost`` counts the parent-side charges (PIncDect's
-    neighbourhood extraction) toward the ``max_cost`` budget.  The generator's return value is the same
+    so callers that stop consuming early still see cost/stats/traces; the
+    cost it starts with (PIncDect's neighbourhood extraction) counts toward
+    the ``max_cost`` budget.  The generator's return value is the same
     :class:`ProcessRunSummary`.
 
     The spool directory (spawn mode: the serialized images) is removed on
@@ -1058,7 +1045,7 @@ def iter_process_execution(
             spool_dir = _spool_directory()
             worker_argument = runtime.payload(spool_dir)
         crew = _spawn_crew(processors, worker_argument, method)
-        yield from _drive_run(crew, seeds, policy, budget, sink, dedupe, base_cost, summary)
+        yield from _drive_run(crew, seeds, policy, budget, summary)
     finally:
         if crew is not None:
             _shutdown_crew(crew, summary)
@@ -1067,71 +1054,137 @@ def iter_process_execution(
     return summary
 
 
-def drain_units_serially(
-    units: Sequence[WorkUnit],
-    *,
-    rules: Sequence[NGD],
-    plans: Sequence[MatchPlan],
-    use_literal_pruning: bool,
-    graph_for: Callable[[bool], Graph],
-    budget: Optional[DetectionBudget] = None,
-    sink: Optional[ViolationSink] = None,
-    dedupe: Optional[tuple] = None,
-    summary: Optional[ProcessRunSummary] = None,
-) -> Iterator[tuple[Violation, bool]]:
-    """Finish ``units`` (and their subtrees) in the parent, depth-first.
+class ProcessRun(ProcessRunSummary):
+    """One parallel kernel run on worker processes: the crew, its failures, the serial tail.
 
-    The graceful-degradation tail of a process run: the kernels hand the
-    unconfirmed units here after a :class:`~repro.errors.WorkerPoolCollapse`
-    (restart budget spent, no survivors) and for every quarantined poison
-    unit.  The parent owns the *full* graph(s) — ``graph_for(from_insertion)``
-    returns them — which are supersets of any worker's image, so expansion
-    yields the exact same matches; the
-    shared ``dedupe`` sets absorb whatever the workers already reported.
-    Fault injection hooks live only in worker processes, so a unit that
-    reliably killed workers completes here.
-
-    Charges accrue to ``summary.cost`` and stats to ``summary.stats``
-    under the same accounting as the worker loop; ``budget`` is enforced
-    between expansions exactly like the parent's message loop.
+    The run is its own summary: the crew fills in ``cost``, ``stats``,
+    ``worker_traces`` and the supervision tallies as it goes.  ``images``
+    are the runtime's ``(image, before_image)``, what the workers search
+    (:class:`ExecutionRuntime`).  ``base_cost`` counts the parent-side
+    charges (PIncDect's neighbourhood extraction) toward ``cost`` and the
+    ``max_cost`` budget.  With a ``warm_pool`` the runtime is built only on
+    a miss of ``runtime_key``, so a pool hit never touches the store at all.
     """
-    from repro.core.violations import ViolationSet
 
-    summary = summary if summary is not None else ProcessRunSummary()
-    introduced, removed = dedupe if dedupe is not None else (ViolationSet(), ViolationSet())
-    emitted = len(introduced) + len(removed)
-    stack = list(dict.fromkeys(units))  # drop duplicates, keep order
-    while stack and summary.stop_reason is None:
-        unit = stack.pop()
-        rule = rules[unit.rule_index]
-        graph = graph_for(unit.from_insertion)
-        outcome = expand_work_unit(
-            graph,
-            rule,
-            unit,
-            use_literal_pruning=use_literal_pruning,
-            stats=summary.stats,
-            plan=plans[unit.rule_index],
+    def __init__(
+        self,
+        algorithm: str,
+        rules: Sequence[NGD],
+        plans: Sequence[MatchPlan],
+        use_literal_pruning: bool,
+        processors: int,
+        policy: BalancingPolicy,
+        budget: Optional[DetectionBudget],
+        sink: Optional[ViolationSink],
+        images: tuple,
+        warm_pool: Optional["WarmExecutorPool"] = None,
+        runtime_key: Optional[Hashable] = None,
+        base_cost: float = 0.0,
+    ) -> None:
+        super().__init__(cost=base_cost)
+        self.algorithm = algorithm
+        self.rules, self.plans, self.use_literal_pruning = rules, plans, use_literal_pruning
+        self.processors, self.policy = processors, policy
+        self.budget, self.sink = budget, sink
+        self.runtime = functools.partial(ExecutionRuntime, rules, plans, use_literal_pruning, *images)
+        self.warm_pool, self.runtime_key = warm_pool, runtime_key
+        # PIncDect streams ViolationEvents, PDect bare violations
+        self.incremental = "IncDect" in algorithm
+        self.emitted = 0
+        self.attribution = RuleAttribution(algorithm)
+        self._trace_parent = obs.current_span()
+
+    def outcome(self) -> dict:
+        """The result fields the run decides: its statistics, aggregate cost, worker traces and stop."""
+        return dict(
+            stats=self.stats,
+            cost=self.cost,
+            worker_traces=self.worker_traces,
+            stopped_early=self.stop_reason in ("max_violations", "max_cost"),
+            stop_reason=self.stop_reason,
+            degraded=self.degraded,
         )
-        stack.extend(outcome.new_units)
-        summary.cost += float(
-            max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
-        )
-        for violation in outcome.violations:
-            target = introduced if unit.from_insertion else removed
-            if violation in target:
-                continue
-            target.add(violation)
-            emitted += 1
-            notify_violation(sink, violation, introduced=unit.from_insertion)
-            yield violation, unit.from_insertion
-            if budget is not None and budget.violations_exhausted(emitted):
-                summary.stop_reason = "max_violations"
-                break
-        if summary.stop_reason is None and budget is not None and budget.cost_exhausted(
-            summary.cost
-        ):
-            summary.stop_reason = "max_cost"
+
+    def drain(self, seeds: Sequence[tuple[int, WorkUnit]], graph_for, dedupe: tuple) -> Iterator:
+        """Run ``seeds`` on the workers, then finish what they could not, yielding each new violation.
+
+        ``seeds`` are ``(worker, unit)`` placements.  Findings are new against
+        ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed); the parent's
+        sets absorb the duplicates a recovered worker reports again.  When
+        the pool collapses (:class:`~repro.errors.WorkerPoolCollapse`: the
+        restart budget is spent and no survivor is left) or poison units
+        were quarantined, the run *degrades*: every unconfirmed unit is
+        finished by :meth:`SerialRun.drain <repro.detect.serial.SerialRun.drain>`
+        against the parent's full graphs, ``graph_for(from_insertion)`` —
+        supersets of any worker's image, so expansion yields the same
+        matches.  Fault injection lives only in worker processes, so a unit
+        that reliably killed workers completes there.  The rules'
+        attribution is flushed when the run ends, also when its consumer
+        stops early.
+        """
+        budget, incremental = self.budget, self.incremental
+        leftovers: list[WorkUnit] = []
+        try:
+            if seeds:
+                if self.warm_pool is not None:
+                    events = self.warm_pool.execute(
+                        self.runtime_key, self.runtime, seeds, self.processors, self.policy, budget=budget, summary=self
+                    )
+                else:
+                    events = iter_process_execution(
+                        self.runtime(), seeds, self.processors, self.policy, budget=budget, summary=self
+                    )
+                try:
+                    for violation, inserted in events:
+                        seen = dedupe[not inserted]
+                        if violation in seen:
+                            continue
+                        seen.add(violation)
+                        self.emitted += 1
+                        self.attribution.violation(violation.rule)
+                        notify_violation(self.sink, violation, inserted)
+                        yield ViolationEvent(violation, inserted) if incremental else violation
+                        if budget is not None and budget.violations_exhausted(self.emitted):
+                            self.stop_reason = "max_violations"
+                            break
+                except WorkerPoolCollapse as collapse:
+                    leftovers = list(collapse.outstanding)
+                finally:
+                    events.close()
+            leftovers.extend(self.quarantined)
+            if leftovers and self.stop_reason is None:
+                self.degraded = True
+                note_degraded_run()
+                for found in self._finish_serially(leftovers, graph_for, dedupe):
+                    self.attribution.violation((found.violation if incremental else found).rule)
+                    yield found
+                if self.stop_reason is None and self.quarantined:
+                    self.stop_reason = "units_quarantined"
+        finally:
+            self.attribution.emit(self._trace_parent)
+
+    def _finish_serially(self, units: Sequence[WorkUnit], graph_for, dedupe: tuple) -> Iterator:
+        """Drain ``units`` and their subtrees in the parent, depth-first, last unit first.
+
+        The budget counts what the workers already reported, and the work
+        adds to the run's ``cost`` and ``stats``.
+        """
+        run = SerialRun(self.algorithm, self.budget, self.sink)
+        run.stats, run.cost, run.emitted = self.stats, self.cost, self.emitted
+        searches: dict[int, Any] = {}
+
+        def seeds():
+            for unit in reversed(list(dict.fromkeys(units))):
+                index = unit.rule_index
+                if index not in searches:
+                    rule, plan = self.rules[index], self.plans[index]
+                    searches[index] = rule_search(rule, plan, self.use_literal_pruning, run.stats)
+                yield searches[index], unit.order, [node for _, node in unit.assignment], unit.from_insertion
+
+        try:
+            yield from run.drain(seeds(), graph_for, dedupe)
+        finally:
+            self.cost, self.stop_reason = run.cost, run.stop_reason
 
 
 # ---------------------------------------------------------------- warm pool
@@ -1198,9 +1251,6 @@ class WarmExecutorPool:
         processors: int,
         policy: BalancingPolicy,
         budget: Optional[DetectionBudget] = None,
-        sink: Optional[ViolationSink] = None,
-        dedupe: Optional[tuple] = None,
-        base_cost: float = 0.0,
         summary: Optional[ProcessRunSummary] = None,
     ) -> Iterator[tuple[Violation, bool]]:
         """Run ``seeds`` on the warm crew; same contract as
@@ -1216,15 +1266,7 @@ class WarmExecutorPool:
         if processors != self.processors or not self._lock.acquire(blocking=False):
             self.fallbacks += 1
             yield from iter_process_execution(
-                runtime_factory(),
-                seeds,
-                processors,
-                policy,
-                budget=budget,
-                sink=sink,
-                dedupe=dedupe,
-                base_cost=base_cost,
-                summary=summary,
+                runtime_factory(), seeds, processors, policy, budget=budget, summary=summary
             )
             return summary
         try:
@@ -1248,9 +1290,7 @@ class WarmExecutorPool:
                 self.hits += 1
             run_failed = False
             try:
-                yield from _drive_run(
-                    crew, seeds, policy, budget, sink, dedupe, base_cost, summary
-                )
+                yield from _drive_run(crew, seeds, policy, budget, summary)
             except (ExecutionError, OSError):
                 run_failed = True
                 raise

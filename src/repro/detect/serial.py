@@ -3,8 +3,12 @@
 Both kernels seed a rule's search (:func:`~repro.detect.parallel.workunits.
 rule_search`), expand it depth-first, deduplicate what it finds, notify the
 sink, charge the cost model, test the budget and attribute the work to the
-rule.  They differ only in where the seeds come from and which violation set
-a seed's findings are new against, so the rest lives here, once.
+rule.  They differ only in where the seeds come from and which graph a seed
+is searched in, so the rest lives here, once.  A degraded process run
+(:class:`~repro.detect.parallel.executor.ProcessRun`) finishes the units its
+workers could not on this loop too.  The parallel backends have one loop
+each, of the same ``drain(seeds, graph_for, dedupe)`` shape:
+:class:`~repro.detect.parallel.cluster.SimulatedRun` and ``ProcessRun``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ class SerialRun:
 
     def __init__(self, algorithm: str, budget: Optional[DetectionBudget], sink: Optional[ViolationSink]) -> None:
         self.algorithm = algorithm
+        # IncDect and PIncDect stream ViolationEvents, Dect and PDect bare violations
+        self.incremental = "IncDect" in algorithm
         self.budget = budget
         self.sink = sink
         self.cost = 0.0
@@ -67,21 +73,24 @@ class SerialRun:
         """Emit the rules' rows: once per run, also when its consumer stops early."""
         self.attribution.emit(self._trace_parent)
 
-    def drain(self, search, seeds: Iterable[tuple]) -> Iterator:
+    def drain(self, seeds: Iterable[tuple], graph_for, dedupe: tuple) -> Iterator:
         """Expand every seed's subtree depth-first, yielding each new violation.
 
-        ``seeds`` are ``(graph, order, ids, seen, introduced)`` in the order
-        they are to be expanded: the bound prefix of ``order``, the violation
-        set a finding must be new against, and its ΔVio direction.  Every
-        step is charged ``max(filtering, 1) + verification``; the budget is
-        tested after each violation and after each step, and the run stops
-        (``stop_reason`` set) the moment either cap is reached.  IncDect
-        streams :class:`ViolationEvent`\\ s, Dect bare violations.
+        ``seeds`` are ``(search, order, ids, introduced)`` in the order they
+        are to be expanded: the rule's search core, the bound prefix of
+        ``order``, and the ΔVio direction.  A seed is searched in
+        ``graph_for(introduced)`` and its findings are new against
+        ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed).  Every step is
+        charged ``max(filtering, 1) + verification``; the budget is tested
+        after each violation and after each step, and the run stops
+        (``stop_reason`` set) the moment either cap is reached.
         """
-        budget, sink, stack = self.budget, self.sink, search.stack
-        incremental = self.algorithm == "IncDect"
-        for graph, order, ids, seen, introduced in seeds:
-            search.start(graph, order, ids)
+        budget, sink, incremental = self.budget, self.sink, self.incremental
+        graphs = (graph_for(False), graph_for(True))
+        for search, order, ids, introduced in seeds:
+            seen = dedupe[not introduced]
+            stack = search.stack
+            search.start(graphs[introduced], order, ids)
             while stack:
                 found = search.step()
                 self.cost += max(search.filtering, 1) + search.verification

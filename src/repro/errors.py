@@ -157,9 +157,10 @@ class WorkerPoolCollapse(ExecutionError):
     """Every worker of a process pool is gone and the restart budget is spent.
 
     Carries the work units whose completion was never confirmed
-    (``outstanding``, a list of ``WorkUnit``), so the kernel that
-    drove the run can finish them on the serial path — graceful
-    degradation instead of a failed run.  Only callers driving
+    (``outstanding``, a list of ``WorkUnit``), so the
+    :class:`~repro.detect.parallel.executor.ProcessRun` that drove the run
+    can finish them on the serial path — graceful degradation instead of a
+    failed run.  Only callers driving
     :func:`~repro.detect.parallel.executor.iter_process_execution`
     directly ever see this escape.
     """

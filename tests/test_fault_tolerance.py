@@ -31,7 +31,7 @@ from repro.detect.parallel.executor import (
     fault_tolerance_counters,
 )
 from repro.errors import DeadlineExceededError, ReproError, ServiceError
-from repro.graph.updates import UpdateGenerator
+from repro.graph.updates import BatchUpdate, UpdateGenerator
 from repro.service import DetectionService, ServiceClient
 from repro.service.jobs import DetectionJobPool
 from repro.service.protocol import error_record, parse_detect_request
@@ -76,6 +76,26 @@ def kb_delta(kb_graph):
 @pytest.fixture(scope="module")
 def serial_result(kb_graph, kb_rules):
     return Detector(kb_rules, engine="batch").run(kb_graph)
+
+
+@pytest.fixture(scope="module")
+def kb_match_deletions(kb_graph, kb_rules, serial_result):
+    """A ΔG that deletes every edge of a few violating matches: ΔVio⁻ is found only by searching G."""
+    patterns = {rule.name: rule.pattern for rule in kb_rules}
+    delta = BatchUpdate()
+    deleted: set = set()
+    for violation in sorted(serial_result.violations, key=str):
+        edges = patterns[violation.rule].edges()
+        binding = violation.mapping()
+        keys = [(binding[edge.source], binding[edge.target], edge.label) for edge in edges]
+        if len(edges) < 2 or deleted.intersection(keys):
+            continue
+        for key in keys:
+            delta.delete(*key)
+        deleted.update(keys)
+        if len(deleted) > 12:
+            break
+    return delta
 
 
 def _options(**overrides) -> DetectionOptions:
@@ -226,6 +246,36 @@ class TestGracefulDegradation:
         assert result.violations.to_json() == serial_result.violations.to_json()
         assert result.degraded
         assert after["degraded_runs"] > before["degraded_runs"]
+
+    def test_incremental_poison_unit_is_quarantined(self, kb_graph, kb_rules, kb_delta, monkeypatch):
+        # the serial tail searches each unit in its own direction's graph:
+        # insertion pivots in G ⊕ ΔG, deletion pivots in G
+        reference = Detector(kb_rules, engine="incremental").run_incremental(kb_graph, kb_delta)
+        monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,after=1")
+        result = Detector(
+            kb_rules, engine="parallel", processors=2, options=_options()
+        ).run_incremental(kb_graph, kb_delta)
+        assert result.introduced().to_json() == reference.introduced().to_json()
+        assert result.removed().to_json() == reference.removed().to_json()
+        assert result.degraded
+        assert result.stop_reason == "units_quarantined"
+        assert not result.stopped_early
+
+    @pytest.mark.parametrize("delta_fixture", ("kb_delta", "kb_match_deletions"))
+    def test_incremental_restart_budget_exhaustion_degrades(
+        self, kb_graph, kb_rules, delta_fixture, request, monkeypatch
+    ):
+        delta = request.getfixturevalue(delta_fixture)
+        reference = Detector(kb_rules, engine="incremental").run_incremental(kb_graph, delta)
+        assert reference.total_changes() > 0
+        monkeypatch.setenv(FAULTS_ENV, "worker_death:after=2")
+        monkeypatch.setenv("REPRO_WORKER_RESTARTS", "0")
+        result = Detector(
+            kb_rules, engine="parallel", processors=2, options=_options()
+        ).run_incremental(kb_graph, delta)
+        assert result.introduced().to_json() == reference.introduced().to_json()
+        assert result.removed().to_json() == reference.removed().to_json()
+        assert result.degraded
 
     def test_hung_worker_is_recovered_by_heartbeat(
         self, kb_graph, kb_rules, serial_result, monkeypatch

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ngd import NGD
+from repro import obs
+from repro.core.builtin_rules import phi7
+from repro.core.ngd import NGD, RuleSet
 from repro.core.validation import find_violations
 from repro.core.violations import ViolationDelta
-from repro.datasets.kb import KBConfig, knowledge_graph
+from repro.datasets.kb import KBConfig, knowledge_graph, yago_like
 from repro.datasets.rules import benchmark_rules
 from repro.detect import BalancingPolicy, DetectionOptions, Detector, dect, inc_dect, p_dect, pinc_dect
 from repro.detect.parallel.balancing import plan_rebalancing, should_split, skewness
@@ -260,3 +262,52 @@ class TestPIncDect:
 
         result = pinc_dect(kb_graph, kb_rules, BatchUpdate(), processors=4)
         assert result.delta.is_empty()
+
+
+@pytest.fixture(scope="module")
+def yago():
+    return yago_like(scale=0.3)
+
+
+class TestEarlyStops:
+    @pytest.fixture(autouse=True)
+    def fresh_observability(self):
+        yield
+        obs.configure()
+
+    @pytest.mark.parametrize(
+        "incremental, execution",
+        [(False, "simulated"), (True, "simulated"), (False, "processes")],
+        ids=["PDect", "PIncDect", "PDect-processes"],
+    )
+    def test_a_stream_closed_early_keeps_its_rule_attribution(self, yago, incremental, execution):
+        # a consumer that takes one violation and closes the stream (a take(n),
+        # a disconnected NDJSON client) still gets the rows of the work done
+        obs.configure(True)
+        options = DetectionOptions(execution=execution)
+        detector = Detector(benchmark_rules(yago, count=12), engine="parallel", processors=2, options=options)
+        if incremental:
+            stream = detector.stream_incremental(yago, UpdateGenerator(seed=5).generate(yago, 40))
+        else:
+            stream = detector.stream(yago)
+        next(stream)
+        stream.close()
+        spans = [span["attributes"] for span in obs.traces() if span["name"] == "detect.rule"]
+        assert sum(span["violations"] for span in spans) == 1
+        if execution == "simulated":
+            counters = obs.metrics().snapshot()["counters"]
+            assert sum(value for name, _, value in counters if name == "repro_detect_candidates_total") > 0
+
+    @pytest.mark.parametrize("pruning", (True, False), ids=["pruned", "unpruned"])
+    def test_max_cost_stops_single_variable_rules(self, yago, pruning):
+        # PDect decides a single-variable rule's candidates while seeding; the
+        # cost budget holds there as it does for Dect
+        rules = RuleSet([phi7()])
+        capped = DetectionOptions(use_literal_pruning=pruning, max_cost=5)
+        serial = Detector(rules, engine="batch", options=capped).run(yago)
+        assert serial.stop_reason == "max_cost"
+        result = Detector(rules, engine="parallel", processors=4, options=capped).run(yago)
+        assert result.stopped_early and result.stop_reason == "max_cost"
+        unbounded = DetectionOptions(use_literal_pruning=pruning)
+        full = Detector(rules, engine="parallel", processors=4, options=unbounded).run(yago)
+        assert result.cost <= full.cost
