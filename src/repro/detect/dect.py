@@ -64,7 +64,7 @@ def iter_dect(
     plans = resolve_plans(graph, rule_list, plans)
     started = time.perf_counter()
     violations = ViolationSet()
-    run = SerialRun("Dect", budget, sink)
+    run = SerialRun("Dect", False, budget, sink)
 
     try:
         for rule_index, rule in enumerate(rule_list):
@@ -90,13 +90,10 @@ def iter_dect(
         run.flush()
     return DetectionResult(
         violations=violations,
-        stats=run.stats,
         wall_time=time.perf_counter() - started,
-        cost=run.cost,
         processors=1,
         algorithm="Dect",
-        stopped_early=run.stop_reason is not None,
-        stop_reason=run.stop_reason,
+        **run.outcome(),
     )
 
 

@@ -93,7 +93,7 @@ def iter_inc_dect(
     introduced = ViolationSet()
     removed = ViolationSet()
     # nothing outside what the search touches is charged
-    run = SerialRun("IncDect", budget, sink)
+    run = SerialRun("IncDect", True, budget, sink)
     pivots_of = pivots_by_rule(rule_set, delta, graph, updated)
 
     def graph_for(inserted: bool) -> Graph:
@@ -127,13 +127,10 @@ def iter_inc_dect(
         run.flush()
     result = IncrementalDetectionResult(
         delta=ViolationDelta(introduced=introduced, removed=removed),
-        stats=run.stats,
         wall_time=time.perf_counter() - started,
-        cost=run.cost,
         processors=1,
         algorithm="IncDect",
-        stopped_early=run.stop_reason is not None,
-        stop_reason=run.stop_reason,
+        **run.outcome(),
     )
     result.measure_neighborhood_on_read(updated, delta.touched_nodes(), max(rule_set.diameter(), 1))
     return result

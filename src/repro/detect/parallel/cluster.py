@@ -32,8 +32,7 @@ from typing import Optional
 
 from repro import obs
 from repro.detect.base import WorkerTrace
-from repro.detect.instrument import RuleAttribution
-from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink, notify_violation
+from repro.detect.observers import DetectionBudget, ViolationSink
 from repro.detect.parallel.balancing import (
     BalancingPolicy,
     plan_rebalancing,
@@ -42,8 +41,8 @@ from repro.detect.parallel.balancing import (
     skewness,
 )
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
+from repro.detect.serial import KernelRun
 from repro.errors import ClusterError
-from repro.matching.candidates import MatchStatistics
 
 __all__ = ["ClusterSimulator", "SimulatedRun"]
 
@@ -190,7 +189,7 @@ class ClusterSimulator:
         return [worker.trace for worker in self._workers]
 
 
-class SimulatedRun:
+class SimulatedRun(KernelRun):
     """One parallel kernel run on a :class:`ClusterSimulator`: its clocks, its loop, what it emitted.
 
     The run's ``cost`` is the makespan.  ``rules``, ``plans`` and ``use_literal_pruning``
@@ -201,6 +200,7 @@ class SimulatedRun:
     def __init__(
         self,
         algorithm: str,
+        incremental: bool,
         rules,
         plans,
         use_literal_pruning: bool,
@@ -209,27 +209,19 @@ class SimulatedRun:
         budget: Optional[DetectionBudget],
         sink: Optional[ViolationSink],
     ) -> None:
+        super().__init__(algorithm, incremental, budget, sink)
         self.cluster = ClusterSimulator(processors, policy.latency)
         self.rules, self.plans, self.use_literal_pruning = rules, plans, use_literal_pruning
         self.processors, self.policy = processors, policy
-        self.budget, self.sink = budget, sink
-        # PIncDect streams ViolationEvents, PDect bare violations
-        self.incremental = "IncDect" in algorithm
-        self.stats = MatchStatistics()
-        self.emitted = 0
-        self.stop_reason: Optional[str] = None
-        self.attribution = RuleAttribution(algorithm)
-        self._trace_parent = obs.current_span()
+
+    @property
+    def cost(self) -> float:
+        """The makespan so far."""
+        return self.cluster.makespan()
 
     def outcome(self) -> dict:
         """The result fields the run decides: its statistics, makespan, worker traces and stop."""
-        return dict(
-            stats=self.stats,
-            cost=self.cluster.makespan(),
-            worker_traces=self.cluster.traces(),
-            stopped_early=self.stop_reason is not None,
-            stop_reason=self.stop_reason,
-        )
+        return dict(super().outcome(), worker_traces=self.cluster.traces())
 
     def drain(self, seeds: Iterable[tuple[int, WorkUnit, bool]], graph_for, dedupe: tuple) -> Iterator:
         """Place every seed, then run the cluster until its queues drain, yielding each new violation.
@@ -252,19 +244,12 @@ class SimulatedRun:
                     continue
                 outcome = self._expand(unit, graph_for)
                 cluster.charge(worker, float(max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency))
-                if (yield from self._emit(outcome.violations, unit, dedupe)) or self._cost_exhausted():
+                if (yield from self.emit(outcome.violations, unit.from_insertion, dedupe)) or self.cost_exhausted():
                     return
-            if not self._cost_exhausted():
+            if not self.cost_exhausted():
                 yield from self._schedule(graph_for, dedupe)
         finally:
-            self.attribution.emit(self._trace_parent)
-
-    def _cost_exhausted(self) -> bool:
-        """Record and return whether the makespan has reached the cost budget."""
-        if self.budget is not None and self.budget.cost_exhausted(self.cluster.makespan()):
-            self.stop_reason = "max_cost"
-            return True
-        return False
+            self.flush()
 
     def _schedule(self, graph_for, dedupe: tuple) -> Iterator:
         """Pop the least-advanced worker's next unit until every queue is empty or a cap is reached."""
@@ -273,7 +258,7 @@ class SimulatedRun:
         work_done = 0.0
         units_done = 0
         while cluster.has_pending_work():
-            if self._cost_exhausted():
+            if self.cost_exhausted():
                 return
             if policy.enable_rebalancing and cluster.global_time() - last_balance >= policy.interval:
                 last_balance = cluster.global_time()
@@ -292,7 +277,7 @@ class SimulatedRun:
             units_done += 1
             for new_unit in outcome.new_units:
                 cluster.enqueue(worker, new_unit)
-            if (yield from self._emit(outcome.violations, unit, dedupe)):
+            if (yield from self.emit(outcome.violations, unit.from_insertion, dedupe)):
                 return
 
     def _charge(self, worker: int, unit: WorkUnit, size: int, depth: int) -> None:
@@ -341,20 +326,3 @@ class SimulatedRun:
         outcome = expand_work_unit(graph_for(unit.from_insertion), rule, unit, self.use_literal_pruning, stats, plan)
         self.attribution.after(rule.name, before, stats)
         return outcome
-
-    def _emit(self, violations, unit: WorkUnit, dedupe: tuple):
-        """Yield the violations new against their ΔVio side; return True once the violation budget is spent."""
-        introduced = unit.from_insertion
-        seen = dedupe[not introduced]
-        for violation in violations:
-            if violation in seen:
-                continue
-            seen.add(violation)
-            self.emitted += 1
-            self.attribution.violation(violation.rule)
-            notify_violation(self.sink, violation, introduced)
-            yield ViolationEvent(violation, introduced) if self.incremental else violation
-            if self.budget is not None and self.budget.violations_exhausted(self.emitted):
-                self.stop_reason = "max_violations"
-                return True
-        return False

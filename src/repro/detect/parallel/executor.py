@@ -81,7 +81,7 @@ from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation
 from repro.detect.base import EXECUTION_MODES, WorkerTrace
 from repro.detect.instrument import RuleAttribution
-from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink, notify_violation
+from repro.detect.observers import DetectionBudget, ViolationSink
 from repro.detect.parallel.balancing import BalancingPolicy, plan_rebalancing, skewness
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, rule_search
 from repro.detect.serial import SerialRun
@@ -1023,6 +1023,8 @@ def iter_process_execution(
     caller's policy (plan-estimated least-loaded, or pivot ownership).
     Yields ``(violation, from_insertion)`` pairs as workers report them;
     a violation a recovered worker found again is reported again.
+    ``budget`` enforces ``max_cost`` only: the caller deduplicates the
+    stream and caps its violations (:class:`ProcessRun` does both).
     ``summary`` (if supplied) is filled in before the generator returns,
     so callers that stop consuming early still see cost/stats/traces; the
     cost it starts with (PIncDect's neighbourhood extraction) counts toward
@@ -1054,7 +1056,7 @@ def iter_process_execution(
     return summary
 
 
-class ProcessRun(ProcessRunSummary):
+class ProcessRun(SerialRun, ProcessRunSummary):
     """One parallel kernel run on worker processes: the crew, its failures, the serial tail.
 
     The run is its own summary: the crew fills in ``cost``, ``stats``,
@@ -1063,12 +1065,17 @@ class ProcessRun(ProcessRunSummary):
     (:class:`ExecutionRuntime`).  ``base_cost`` counts the parent-side
     charges (PIncDect's neighbourhood extraction) toward ``cost`` and the
     ``max_cost`` budget.  With a ``warm_pool`` the runtime is built only on
-    a miss of ``runtime_key``, so a pool hit never touches the store at all.
+    a miss of ``runtime_key`` (None always misses), so a pool hit never
+    touches the store at all.  The run is a :class:`SerialRun` too: its
+    serial loop is the degradation tail.
     """
+
+    counts_each_violation = True
 
     def __init__(
         self,
         algorithm: str,
+        incremental: bool,
         rules: Sequence[NGD],
         plans: Sequence[MatchPlan],
         use_literal_pruning: bool,
@@ -1081,29 +1088,16 @@ class ProcessRun(ProcessRunSummary):
         runtime_key: Optional[Hashable] = None,
         base_cost: float = 0.0,
     ) -> None:
-        super().__init__(cost=base_cost)
-        self.algorithm = algorithm
+        SerialRun.__init__(self, algorithm, incremental, budget, sink)
+        ProcessRunSummary.__init__(self, cost=base_cost, stats=self.stats)
         self.rules, self.plans, self.use_literal_pruning = rules, plans, use_literal_pruning
         self.processors, self.policy = processors, policy
-        self.budget, self.sink = budget, sink
         self.runtime = functools.partial(ExecutionRuntime, rules, plans, use_literal_pruning, *images)
         self.warm_pool, self.runtime_key = warm_pool, runtime_key
-        # PIncDect streams ViolationEvents, PDect bare violations
-        self.incremental = "IncDect" in algorithm
-        self.emitted = 0
-        self.attribution = RuleAttribution(algorithm)
-        self._trace_parent = obs.current_span()
 
     def outcome(self) -> dict:
-        """The result fields the run decides: its statistics, aggregate cost, worker traces and stop."""
-        return dict(
-            stats=self.stats,
-            cost=self.cost,
-            worker_traces=self.worker_traces,
-            stopped_early=self.stop_reason in ("max_violations", "max_cost"),
-            stop_reason=self.stop_reason,
-            degraded=self.degraded,
-        )
+        """The result fields the run decides: its statistics, aggregate cost, worker traces, stop and degradation."""
+        return dict(super().outcome(), worker_traces=self.worker_traces, degraded=self.degraded)
 
     def drain(self, seeds: Sequence[tuple[int, WorkUnit]], graph_for, dedupe: tuple) -> Iterator:
         """Run ``seeds`` on the workers, then finish what they could not, yielding each new violation.
@@ -1113,39 +1107,31 @@ class ProcessRun(ProcessRunSummary):
         sets absorb the duplicates a recovered worker reports again.  When
         the pool collapses (:class:`~repro.errors.WorkerPoolCollapse`: the
         restart budget is spent and no survivor is left) or poison units
-        were quarantined, the run *degrades*: every unconfirmed unit is
-        finished by :meth:`SerialRun.drain <repro.detect.serial.SerialRun.drain>`
+        were quarantined, the run *degrades*: every unconfirmed unit, last
+        first, is finished by the serial loop (:meth:`SerialRun.drain`)
         against the parent's full graphs, ``graph_for(from_insertion)`` —
         supersets of any worker's image, so expansion yields the same
-        matches.  Fault injection lives only in worker processes, so a unit
-        that reliably killed workers completes there.  The rules'
-        attribution is flushed when the run ends, also when its consumer
-        stops early.
+        matches.  Its budget counts what the workers already reported, and
+        its work adds to the run's ``cost`` and ``stats``.  Fault injection
+        lives only in worker processes, so a unit that reliably killed
+        workers completes there.  The rules' attribution is flushed when the
+        run ends, also when its consumer stops early.
         """
-        budget, incremental = self.budget, self.incremental
         leftovers: list[WorkUnit] = []
         try:
             if seeds:
                 if self.warm_pool is not None:
                     events = self.warm_pool.execute(
-                        self.runtime_key, self.runtime, seeds, self.processors, self.policy, budget=budget, summary=self
+                        self.runtime_key, self.runtime, seeds, self.processors, self.policy,
+                        budget=self.budget, summary=self,
                     )
                 else:
                     events = iter_process_execution(
-                        self.runtime(), seeds, self.processors, self.policy, budget=budget, summary=self
+                        self.runtime(), seeds, self.processors, self.policy, budget=self.budget, summary=self
                     )
                 try:
                     for violation, inserted in events:
-                        seen = dedupe[not inserted]
-                        if violation in seen:
-                            continue
-                        seen.add(violation)
-                        self.emitted += 1
-                        self.attribution.violation(violation.rule)
-                        notify_violation(self.sink, violation, inserted)
-                        yield ViolationEvent(violation, inserted) if incremental else violation
-                        if budget is not None and budget.violations_exhausted(self.emitted):
-                            self.stop_reason = "max_violations"
+                        if (yield from self.emit((violation,), inserted, dedupe)):
                             break
                 except WorkerPoolCollapse as collapse:
                     leftovers = list(collapse.outstanding)
@@ -1155,36 +1141,21 @@ class ProcessRun(ProcessRunSummary):
             if leftovers and self.stop_reason is None:
                 self.degraded = True
                 note_degraded_run()
-                for found in self._finish_serially(leftovers, graph_for, dedupe):
-                    self.attribution.violation((found.violation if incremental else found).rule)
-                    yield found
+                yield from super().drain(self._serial_seeds(leftovers), graph_for, dedupe)
                 if self.stop_reason is None and self.quarantined:
                     self.stop_reason = "units_quarantined"
         finally:
-            self.attribution.emit(self._trace_parent)
+            self.flush()
 
-    def _finish_serially(self, units: Sequence[WorkUnit], graph_for, dedupe: tuple) -> Iterator:
-        """Drain ``units`` and their subtrees in the parent, depth-first, last unit first.
-
-        The budget counts what the workers already reported, and the work
-        adds to the run's ``cost`` and ``stats``.
-        """
-        run = SerialRun(self.algorithm, self.budget, self.sink)
-        run.stats, run.cost, run.emitted = self.stats, self.cost, self.emitted
+    def _serial_seeds(self, units: Sequence[WorkUnit]) -> Iterator[tuple]:
+        """The serial loop's seeds for ``units``, last unit first, one search per rule."""
         searches: dict[int, Any] = {}
-
-        def seeds():
-            for unit in reversed(list(dict.fromkeys(units))):
-                index = unit.rule_index
-                if index not in searches:
-                    rule, plan = self.rules[index], self.plans[index]
-                    searches[index] = rule_search(rule, plan, self.use_literal_pruning, run.stats)
-                yield searches[index], unit.order, [node for _, node in unit.assignment], unit.from_insertion
-
-        try:
-            yield from run.drain(seeds(), graph_for, dedupe)
-        finally:
-            self.cost, self.stop_reason = run.cost, run.stop_reason
+        for unit in reversed(list(dict.fromkeys(units))):
+            index = unit.rule_index
+            if index not in searches:
+                rule, plan = self.rules[index], self.plans[index]
+                searches[index] = rule_search(rule, plan, self.use_literal_pruning, self.stats)
+            yield searches[index], unit.order, [node for _, node in unit.assignment], unit.from_insertion
 
 
 # ---------------------------------------------------------------- warm pool
@@ -1254,7 +1225,8 @@ class WarmExecutorPool:
         summary: Optional[ProcessRunSummary] = None,
     ) -> Iterator[tuple[Violation, bool]]:
         """Run ``seeds`` on the warm crew; same contract as
-        :func:`iter_process_execution`.
+        :func:`iter_process_execution` (``budget`` enforces ``max_cost``
+        only; the caller deduplicates and caps violations).
 
         ``runtime_factory`` is only called on a key miss (or fallback), so
         a warm hit skips building the runtime entirely; ``runtime_key`` of

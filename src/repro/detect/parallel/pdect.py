@@ -83,7 +83,7 @@ def iter_p_dect(
     plans = resolve_plans(graph, rule_list, plans)
     policy = policy if policy is not None else BalancingPolicy.hybrid()
     started = time.perf_counter()
-    arguments = ("PDect", rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
+    arguments = ("PDect", False, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
     if execution == "processes":
         from repro.detect.parallel.executor import ProcessRun
 

@@ -110,7 +110,7 @@ def iter_pinc_dect(
     after_nodes = multi_source_nodes_within_hops(updated, touched, diameter)
     neighborhood_size = len(after_nodes)
     algorithm = f"PIncDect{policy.variant_suffix()}"
-    arguments = (algorithm, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
+    arguments = (algorithm, True, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
     if execution == "processes":
         from repro.detect.parallel.executor import ProcessRun
 
@@ -122,8 +122,9 @@ def iter_pinc_dect(
             )
         else:
             images = (updated, graph)
-        # extraction and replication of N_C(ΔG, Σ) is charged to the run's aggregate cost
-        run = ProcessRun(*arguments, images=images, base_cost=float(neighborhood_size))
+        # extraction and replication of N_C(ΔG, Σ) is charged to the run's aggregate cost;
+        # the images are delta-specific, so a warm pool reloads them (no runtime key)
+        run = ProcessRun(*arguments, images=images, warm_pool=warm_pool, base_cost=float(neighborhood_size))
         seeds = list(zip(owners, units))
     else:
         run = SimulatedRun(*arguments)

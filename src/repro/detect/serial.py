@@ -5,16 +5,18 @@ rule_search`), expand it depth-first, deduplicate what it finds, notify the
 sink, charge the cost model, test the budget and attribute the work to the
 rule.  They differ only in where the seeds come from and which graph a seed
 is searched in, so the rest lives here, once.  A degraded process run
-(:class:`~repro.detect.parallel.executor.ProcessRun`) finishes the units its
-workers could not on this loop too.  The parallel backends have one loop
-each, of the same ``drain(seeds, graph_for, dedupe)`` shape:
-:class:`~repro.detect.parallel.cluster.SimulatedRun` and ``ProcessRun``.
+(:class:`~repro.detect.parallel.executor.ProcessRun`, a :class:`SerialRun`)
+finishes the units its workers could not on this loop too.  The parallel
+backends have one loop each, of the same ``drain(seeds, graph_for,
+dedupe)`` shape: :class:`~repro.detect.parallel.cluster.SimulatedRun` and
+``ProcessRun``.  All three share :class:`KernelRun`: what a run has emitted,
+its budget tests, its emit step and its rule attribution.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 from typing import Optional
 
 from repro import obs
@@ -22,24 +24,33 @@ from repro.detect.instrument import RuleAttribution
 from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink, notify_violation
 from repro.matching.candidates import MatchStatistics
 
-__all__ = ["SerialRun"]
+__all__ = ["KernelRun", "SerialRun"]
 
 
-class SerialRun:
-    """What one serial kernel run has spent and emitted, and the loop that advances it."""
+class KernelRun:
+    """What one kernel run has spent and emitted, and the emit step every backend's loop shares.
 
-    def __init__(self, algorithm: str, budget: Optional[DetectionBudget], sink: Optional[ViolationSink]) -> None:
+    An ``incremental`` run (IncDect, PIncDect) streams
+    :class:`~repro.detect.observers.ViolationEvent` objects, the others bare
+    violations.  Subclasses supply ``cost``.
+    """
+
+    #: Attribute each violation to its rule as it is emitted.  The serial
+    #: kernels count a rule's violations with the rest of its row instead
+    #: (:meth:`SerialRun.rule`).
+    counts_each_violation = True
+
+    def __init__(
+        self, algorithm: str, incremental: bool, budget: Optional[DetectionBudget], sink: Optional[ViolationSink]
+    ) -> None:
         self.algorithm = algorithm
-        # IncDect and PIncDect stream ViolationEvents, Dect and PDect bare violations
-        self.incremental = "IncDect" in algorithm
+        self.incremental = incremental
         self.budget = budget
         self.sink = sink
-        self.cost = 0.0
         self.stats = MatchStatistics()
         self.emitted = 0
         self.stop_reason: Optional[str] = None
         self.attribution = RuleAttribution(algorithm)
-        self._open_rule: Optional[tuple] = None
         # parent of the per-rule spans, captured where the generator starts (the
         # contextvar is only reliable in the consuming thread's context)
         self._trace_parent = obs.current_span()
@@ -50,6 +61,49 @@ class SerialRun:
             self.stop_reason = "max_cost"
             return True
         return False
+
+    def emit(self, violations: Iterable, introduced: bool, dedupe: tuple) -> Generator:
+        """Yield the violations new against ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed).
+
+        Each is counted, attributed, passed to the sink and yielded.  The
+        generator returns True (``stop_reason`` set) the moment the
+        violation budget is spent, else False.
+        """
+        seen = dedupe[not introduced]
+        for violation in violations:
+            if violation in seen:
+                continue
+            seen.add(violation)
+            self.emitted += 1
+            if self.counts_each_violation:
+                self.attribution.violation(violation.rule)
+            notify_violation(self.sink, violation, introduced)
+            yield ViolationEvent(violation, introduced) if self.incremental else violation
+            if self.budget is not None and self.budget.violations_exhausted(self.emitted):
+                self.stop_reason = "max_violations"
+                return True
+        return False
+
+    def flush(self) -> None:
+        """Emit the rules' rows: once per run, also when its consumer stops early."""
+        self.attribution.emit(self._trace_parent)
+
+    def outcome(self) -> dict:
+        """The result fields every run decides: its statistics, cost and stop."""
+        return dict(
+            stats=self.stats,
+            cost=self.cost,
+            stopped_early=self.stop_reason in ("max_violations", "max_cost"),
+            stop_reason=self.stop_reason,
+        )
+
+
+class SerialRun(KernelRun):
+    """One serial kernel run: its cost so far, its rules' rows and the loop that advances it."""
+
+    counts_each_violation = False
+    cost = 0.0
+    _open_rule: Optional[tuple] = None
 
     def rule(self, rule_name: str) -> "SerialRun":
         """Attribute the counters, cost, violations and time of the enclosed ``with`` block to one rule."""
@@ -69,10 +123,6 @@ class SerialRun:
                 rule_name, before, self.stats, self.emitted - emitted, self.cost - cost, started, time.monotonic() - clock
             )
 
-    def flush(self) -> None:
-        """Emit the rules' rows: once per run, also when its consumer stops early."""
-        self.attribution.emit(self._trace_parent)
-
     def drain(self, seeds: Iterable[tuple], graph_for, dedupe: tuple) -> Iterator:
         """Expand every seed's subtree depth-first, yielding each new violation.
 
@@ -85,24 +135,14 @@ class SerialRun:
         after each violation and after each step, and the run stops
         (``stop_reason`` set) the moment either cap is reached.
         """
-        budget, sink, incremental = self.budget, self.sink, self.incremental
         graphs = (graph_for(False), graph_for(True))
         for search, order, ids, introduced in seeds:
-            seen = dedupe[not introduced]
             stack = search.stack
             search.start(graphs[introduced], order, ids)
             while stack:
                 found = search.step()
                 self.cost += max(search.filtering, 1) + search.verification
-                for violation in found:
-                    if violation in seen:
-                        continue
-                    seen.add(violation)
-                    self.emitted += 1
-                    notify_violation(sink, violation, introduced)
-                    yield ViolationEvent(violation, introduced) if incremental else violation
-                    if budget is not None and budget.violations_exhausted(self.emitted):
-                        self.stop_reason = "max_violations"
-                        return
+                if found and (yield from self.emit(found, introduced, dedupe)):
+                    return
                 if self.cost_exhausted():
                     return

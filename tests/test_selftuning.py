@@ -80,6 +80,32 @@ class TestWarmPool:
             assert result.violations.to_json() == cold.violations.to_json()
         assert detector.executor_pool().stats()["warm"] is False
 
+    def test_incremental_runs_reuse_the_warm_crew(self, kb_like):
+        graph, rules, _delta = kb_like
+        delta = UpdateGenerator(seed=2).generate(graph, 60, insert_ratio=0.5)
+        cold = Detector(
+            rules,
+            engine="parallel",
+            processors=2,
+            options=DetectionOptions(execution="processes"),
+        ).run_incremental(graph, delta)
+        assert len(cold.delta.removed) > 0
+        with Detector(
+            rules,
+            engine="parallel",
+            processors=2,
+            options=DetectionOptions(execution="processes", warm_pool=True),
+        ) as detector:
+            results = [detector.run_incremental(graph, delta) for _ in range(2)]
+            # the neighbourhood images are delta-specific: every run reloads
+            # them, but on the same live crew
+            stats = detector.executor_pool().stats()
+            assert stats["misses"] == 2 and stats["hits"] == 0 and stats["fallbacks"] == 0
+            assert stats["warm"]
+        for result in results:
+            assert result.delta.introduced.to_json() == cold.delta.introduced.to_json()
+            assert result.delta.removed.to_json() == cold.delta.removed.to_json()
+
     def test_service_pool_survives_version_bump(self, kb_like):
         from repro.service.jobs import SessionManager
         from repro.service.protocol import DetectRequest
