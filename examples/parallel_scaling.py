@@ -9,8 +9,8 @@ Run with::
 
     python examples/parallel_scaling.py [dataset]
 
-where ``dataset`` is one of DBpedia, YAGO2, Pokec, Synthetic (default Pokec —
-the most skewed workload, where balancing matters most).
+where ``dataset`` is one of DBpedia, YAGO2, Pokec (default Pokec — the most
+skewed workload, where balancing matters most).
 """
 
 from __future__ import annotations
@@ -19,16 +19,19 @@ import os
 import sys
 
 from repro import UpdateGenerator, apply_update, inc_dect, pinc_dect
+from repro.datasets.kb import dbpedia_like, pokec_like, yago_like
 from repro.datasets.rules import benchmark_rules
 from repro.detect import BalancingPolicy, DetectionOptions, Detector
 from repro.detect.parallel.executor import fault_tolerance_counters
-from repro.experiments import build_dataset
+
+#: the knowledge-base analogues of the paper's graphs, by their paper names
+DATASETS = {"DBpedia": dbpedia_like, "YAGO2": yago_like, "Pokec": pokec_like}
 
 
 def main() -> None:
     dataset = sys.argv[1] if len(sys.argv) > 1 else "Pokec"
     print(f"building the {dataset} analogue ...")
-    graph = build_dataset(dataset)
+    graph = DATASETS[dataset]()
     rules = benchmark_rules(graph, count=24, max_diameter=5)
     delta = UpdateGenerator(seed=7).generate(graph, size=max(1, graph.edge_count() * 15 // 100))
     updated = apply_update(graph, delta)

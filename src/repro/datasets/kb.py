@@ -19,7 +19,7 @@ tractable for a pure-Python matcher anyway, so this module generates
   types, the Pokec analogue is denser in entity-entity links.
 
 Every generator is deterministic given its seed, and ``scale`` rescales node
-counts so benchmarks can be enlarged (``REPRO_SCALE``) without touching code.
+counts.
 """
 
 from __future__ import annotations

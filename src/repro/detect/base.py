@@ -4,14 +4,14 @@ All detection algorithms (batch, incremental, parallel) report their outcome
 through :class:`DetectionResult` / :class:`IncrementalDetectionResult`.  Two
 cost measures are carried side by side:
 
-* ``wall_time`` — elapsed Python time, what pytest-benchmark measures;
+* ``wall_time`` — elapsed Python time;
 * ``cost`` — the work the search performed: per expansion step the anchor's
   scan plus one unit per candidate verified (Dect also charges its seed
   scans, IncDect one unit per consistent update pivot), plus simulated
   communication and ``N_C(ΔG, Σ)`` replication charges for the parallel
   algorithms.  IncDect's cost leaves out ``|G_dΣ(ΔG)|``, which it never
-  extracts; the paper's cost model charges it, so the experiment series add
-  ``neighborhood_size`` back.
+  extracts; the paper's cost model charges it, so ``benchmarks/sweeps.py``
+  adds ``neighborhood_size`` back.
 
 The paper's figures plot running time on a 20-machine Java cluster; this
 reproduction plots ``cost`` (and, for the parallel algorithms, the simulated

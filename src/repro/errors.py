@@ -14,7 +14,6 @@ __all__ = [
     "NodeNotFound",
     "EdgeNotFound",
     "DuplicateNode",
-    "AttributeMissing",
     "PatternError",
     "UpdateError",
     "ExpressionError",
@@ -25,7 +24,6 @@ __all__ = [
     "ValidationError",
     "SatisfiabilityError",
     "DiscoveryError",
-    "ExperimentError",
     "ClusterError",
     "ExecutionError",
     "WorkerPoolCollapse",
@@ -70,15 +68,6 @@ class DuplicateNode(GraphError, ValueError):
     def __init__(self, node_id: object) -> None:
         super().__init__(f"node {node_id!r} already exists with different data")
         self.node_id = node_id
-
-
-class AttributeMissing(GraphError, KeyError):
-    """A node lacks an attribute required by a literal."""
-
-    def __init__(self, node_id: object, attribute: str) -> None:
-        super().__init__(f"node {node_id!r} has no attribute {attribute!r}")
-        self.node_id = node_id
-        self.attribute = attribute
 
 
 class PatternError(ReproError):
@@ -134,10 +123,6 @@ class SatisfiabilityError(ReproError):
 
 class DiscoveryError(ReproError):
     """Problems in the levelwise NGD discovery process."""
-
-
-class ExperimentError(ReproError):
-    """An experiment/benchmark configuration is invalid."""
 
 
 class ClusterError(ReproError):

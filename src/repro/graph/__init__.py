@@ -5,7 +5,6 @@ from repro.graph.neighborhood import (
     d_neighbor,
     d_neighbor_of_nodes,
     nodes_within_hops,
-    undirected_distance,
     update_neighborhood,
 )
 from repro.graph.pattern import Pattern, PatternEdge, PatternNode
@@ -36,7 +35,6 @@ __all__ = [
     "d_neighbor",
     "d_neighbor_of_nodes",
     "nodes_within_hops",
-    "undirected_distance",
     "update_neighborhood",
     "STORE_REGISTRY",
     "GraphStore",

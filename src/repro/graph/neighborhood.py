@@ -17,7 +17,6 @@ replicates across processors.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Hashable, Iterable
 
 from repro.graph.graph import Graph
@@ -29,8 +28,6 @@ __all__ = [
     "d_neighbor",
     "d_neighbor_of_nodes",
     "update_neighborhood",
-    "undirected_distance",
-    "average_component_diameter",
 ]
 
 
@@ -96,72 +93,3 @@ def update_neighborhood(graph: Graph, delta: BatchUpdate, hops: int) -> Graph:
     whether that is ``G`` or ``G ⊕ ΔG⁺``.
     """
     return d_neighbor_of_nodes(graph, delta.touched_nodes(), hops)
-
-
-def undirected_distance(graph: Graph, source: Hashable, target: Hashable) -> float:
-    """Return ``dist(source, target)`` treating the graph as undirected.
-
-    Returns ``inf`` when the nodes are in different components or absent.
-    """
-    if not graph.has_node(source) or not graph.has_node(target):
-        return float("inf")
-    if source == target:
-        return 0.0
-    seen = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        current = frontier.popleft()
-        for neighbour in graph.neighbours(current):
-            if neighbour in seen:
-                continue
-            seen[neighbour] = seen[current] + 1
-            if neighbour == target:
-                return float(seen[neighbour])
-            frontier.append(neighbour)
-    return float("inf")
-
-
-def average_component_diameter(graph: Graph, sample_size: int = 32, seed: int = 0) -> float:
-    """Estimate the average diameter of connected components (Section 7 statistic).
-
-    Exact diameters are quadratic; for the synthetic dataset statistics we use
-    the standard double-BFS estimate per component, sampling at most
-    ``sample_size`` components (deterministic given ``seed``).
-    """
-    import random
-
-    rng = random.Random(seed)
-    unvisited = set(graph.node_ids())
-    diameters: list[int] = []
-    components: list[set[Hashable]] = []
-    while unvisited:
-        start = next(iter(unvisited))
-        component = set(nodes_within_hops(graph, start, graph.node_count()))
-        components.append(component)
-        unvisited -= component
-    if not components:
-        return 0.0
-    if len(components) > sample_size:
-        components = rng.sample(components, sample_size)
-    for component in components:
-        start = next(iter(component))
-        far, _ = _farthest(graph, start)
-        _, depth = _farthest(graph, far)
-        diameters.append(depth)
-    return sum(diameters) / len(diameters)
-
-
-def _farthest(graph: Graph, start: Hashable) -> tuple[Hashable, int]:
-    """Return the node farthest from ``start`` (undirected BFS) and its distance."""
-    seen = {start: 0}
-    frontier = deque([start])
-    best, best_depth = start, 0
-    while frontier:
-        current = frontier.popleft()
-        for neighbour in graph.neighbours(current):
-            if neighbour not in seen:
-                seen[neighbour] = seen[current] + 1
-                if seen[neighbour] > best_depth:
-                    best, best_depth = neighbour, seen[neighbour]
-                frontier.append(neighbour)
-    return best, best_depth

@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import time
 from typing import Iterator, List, Mapping, Optional, Union
 
 from repro.obs.metrics import (
@@ -62,7 +61,6 @@ __all__ = [
     "drain_for_shipping",
     "counter_inc",
     "current_span",
-    "current_trace_id",
     "dump",
     "enabled",
     "exposition",
@@ -72,13 +70,11 @@ __all__ = [
     "histogram_observe",
     "metrics",
     "new_id",
-    "record_remote_span",
     "recorder",
     "render_prometheus",
     "reset_for_worker",
     "snapshot",
     "span",
-    "time_block",
     "traces",
 ]
 
@@ -232,20 +228,6 @@ def exposition() -> str:
     return _registry.exposition()
 
 
-@contextlib.contextmanager
-def time_block(name: str, labels: Optional[Mapping[str, object]] = None) -> Iterator[None]:
-    """Observe the wall time of a ``with`` block into a histogram."""
-    _ensure_configured()
-    if not _enabled:
-        yield
-        return
-    start = time.monotonic()
-    try:
-        yield
-    finally:
-        _registry.histogram_observe(name, labels, time.monotonic() - start)
-
-
 # ------------------------------------------------------------------- tracing
 
 
@@ -270,18 +252,6 @@ def current_span() -> Optional[Span]:
     if not _enabled:
         return None
     return current_span_var.get()
-
-
-def current_trace_id() -> Optional[str]:
-    active = current_span()
-    return active.trace_id if active is not None else None
-
-
-def record_remote_span(payload: Optional[dict]) -> None:
-    """Replay a completed span dict shipped from a worker process."""
-    _ensure_configured()
-    if _enabled and payload:
-        _recorder.record_dict(payload)
 
 
 def traces(limit: Optional[int] = None) -> List[dict]:

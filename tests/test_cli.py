@@ -334,3 +334,42 @@ class TestRulesDiscover:
     def test_list_with_graph_argument_exits_2(self, g2_path, capsys):
         assert main(["rules", "list", g2_path]) == 2
         assert "only valid with 'discover'" in capsys.readouterr().err
+
+
+class TestCLI:
+    """Basic drive-through of the subcommand CLI on the Figure 1 graphs."""
+
+    def test_batch_mode(self, tmp_path, capsys):
+        graph_path = tmp_path / "g4.json"
+        save_graph(figure1_g4(), graph_path)
+        assert main(["run", str(graph_path)]) == 1
+        output = capsys.readouterr().out
+        assert "Dect: 1 violations" in output
+        assert "phi4" in output
+
+    def test_incremental_mode(self, tmp_path, capsys):
+        graph_path = tmp_path / "g4.json"
+        update_path = tmp_path / "delta.json"
+        save_graph(figure1_g4(), graph_path)
+        save_update(BatchUpdate().delete("NatWest Help", "NatWest Help/status", "status"), update_path)
+        assert main(["incremental", str(graph_path), "--update", str(update_path)]) == 1
+        output = capsys.readouterr().out
+        assert "IncDect" in output
+        assert "-1 violations" in output or "/ -1" in output
+
+    def test_parallel_incremental_mode(self, tmp_path, capsys):
+        graph_path = tmp_path / "g2.json"
+        update_path = tmp_path / "delta.json"
+        save_graph(figure1_g2(), graph_path)
+        save_update(BatchUpdate().delete("Bhonpur", "total", "populationTotal"), update_path)
+        exit_code = main(
+            ["incremental", str(graph_path), "--update", str(update_path), "--processors", "4"]
+        )
+        assert exit_code == 1
+        assert "PIncDect" in capsys.readouterr().out
+
+    def test_effectiveness_rule_choice(self, tmp_path, capsys):
+        graph_path = tmp_path / "g2.json"
+        save_graph(figure1_g2(), graph_path)
+        assert main(["run", str(graph_path), "--rules", "effectiveness"]) == 0
+        assert "0 violations" in capsys.readouterr().out

@@ -53,10 +53,20 @@ class TestDect:
         result = dect(g4, RuleSet([phi4()]))
         assert result.violation_count() == 1
 
-    def test_literal_pruning_does_not_change_answers(self, kb_graph, kb_rules):
-        with_pruning = dect(kb_graph, kb_rules, use_literal_pruning=True)
-        without_pruning = dect(kb_graph, kb_rules, use_literal_pruning=False)
-        assert with_pruning.violations == without_pruning.violations
+    @pytest.mark.parametrize("algorithm", ["Dect", "IncDect"])
+    def test_literal_pruning_does_not_change_answers(self, kb_graph, kb_rules, algorithm):
+        delta = UpdateGenerator(seed=2).generate(kb_graph, 120)
+        pruned, unpruned = (
+            dect(kb_graph, kb_rules, use_literal_pruning=pruning)
+            if algorithm == "Dect"
+            else inc_dect(kb_graph, kb_rules, delta, use_literal_pruning=pruning)
+            for pruning in (True, False)
+        )
+        if algorithm == "Dect":
+            assert pruned.violations == unpruned.violations and pruned.violation_count() > 0
+        else:
+            assert pruned.delta == unpruned.delta and pruned.total_changes() > 0
+        assert pruned.cost <= unpruned.cost * 1.05
 
     def test_single_node_pattern_rules(self, triangle_graph):
         pattern = Pattern.from_edges("single", nodes=[("x", "person")])

@@ -189,6 +189,12 @@ class TestCrashRecoveryParity:
         assert result.violations.to_json() == serial_result.violations.to_json()
         assert not result.degraded
 
+    def test_a_run_without_heartbeats_is_byte_identical(self, kb_graph, kb_rules, serial_result, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_PERIOD", "0")
+        result = Detector(kb_rules, engine="parallel", processors=2, options=_options()).run(kb_graph)
+        assert result.violations.to_json() == serial_result.violations.to_json()
+        assert not result.degraded
+
     def test_restarts_are_counted(self, kb_graph, kb_rules, serial_result, monkeypatch):
         before = fault_tolerance_counters()
         monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=2")

@@ -21,7 +21,6 @@ from repro.graph.neighborhood import (
     d_neighbor,
     multi_source_nodes_within_hops,
     nodes_within_hops,
-    undirected_distance,
     update_neighborhood,
 )
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion, NodePayload, UpdateGenerator, apply_update
@@ -127,13 +126,6 @@ class TestNeighborhood:
         delta = BatchUpdate().delete("n3", "n4", "next")
         region = update_neighborhood(graph, delta, 1)
         assert set(region.node_ids()) == {"n2", "n3", "n4", "n5"}
-
-    def test_undirected_distance(self):
-        graph = chain_graph(5)
-        assert undirected_distance(graph, "n0", "n4") == 4
-        assert undirected_distance(graph, "n0", "n0") == 0
-        graph.add_node("isolated", "n")
-        assert undirected_distance(graph, "n0", "isolated") == float("inf")
 
 
 class TestGenerators:

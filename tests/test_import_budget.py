@@ -39,7 +39,6 @@ DEFERRED = [
     "repro.storage",
     "repro.storage.manager",
     "repro.discovery",
-    "repro.experiments",
     "repro.theory",
 ]
 

@@ -14,10 +14,12 @@ from repro.detect import (
     DetectionOptions,
     Detector,
     dect,
+    drain,
     inc_dect,
     p_dect,
     pinc_dect,
 )
+from repro.detect.dect import iter_dect
 from repro.errors import SessionError
 from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate
@@ -175,10 +177,14 @@ class TestStreaming:
 
 class TestSinks:
     def test_collecting_sink_observes_batch_run(self):
+        graph = _many_violations_graph()
         sink = CollectingSink()
-        result = Detector(example_rules(), sinks=[sink]).run(_many_violations_graph())
+        result = Detector(example_rules(), sinks=[sink]).run(graph)
         assert sink.violations == result.violations
         assert sink.results == [result]
+        # the session and its sink add nothing to the bill of the kernel they drive
+        kernel = drain(iter_dect(graph, example_rules()))
+        assert (kernel.cost, kernel.violations) == (result.cost, result.violations)
 
     def test_callback_sink_sees_stream_order(self):
         seen: list = []
