@@ -4,23 +4,16 @@ Run every sweep, or the ones named, at the benchmark configuration::
 
     python benchmarks/sweeps.py [SWEEP ...]
 
-It prints one header line (git SHA, ``nproc``, Python version and the base
-configuration), then one table per sweep, followed by every cell that breaks
-one of the directions the paper leads us to expect, with its parameter
-values, its algorithm and the two costs compared.  Findings are reported, not
-gated on: the command exits non-zero only on an exception.
+It prints a header line (git SHA, ``nproc``, Python, base configuration),
+then per sweep one table and every cell that breaks a direction the paper
+leads us to expect, with its parameter values, algorithm and both costs.
+Findings are reported, not gated on: the command fails only on an exception.
 
-Each sweep is a grid: named parameters with value lists, outermost first.  The
-reset hook builds what the cells share — the graph, Σ and ΔG — once for each
-value of the first parameter (the input); the job then returns the cost per
-algorithm for one cell, and every (cell, algorithm) becomes one flat row.
-
-Cost is the deterministic measure of ``repro.detect.base``: work units for
-Dect and IncDect (IncDect also pays for identifying G_dΣ(ΔG)) and the
-simulated cluster makespan for PDect and PIncDect.  It stands in for the
-paper's seconds on a 20-machine cluster; the shapes and orderings are what is
-reproduced.  ``benchmarks/test_sweeps.py`` holds every sweep, at a small base
-configuration, to the rows recorded in ``benchmarks/sweeps_golden.ndjson``.
+Cost is the deterministic measure of ``repro.detect.base`` (work units, and
+the simulated makespan for PDect and PIncDect).  It stands in for the
+paper's seconds on a 20-machine cluster, so the shapes and orderings are
+what is reproduced.  ``benchmarks/test_sweeps.py`` holds every sweep, at a
+small base configuration, to ``benchmarks/sweeps_golden.ndjson``.
 """
 
 from __future__ import annotations
@@ -116,7 +109,7 @@ def _batch(graph, rules, processors: int) -> dict[str, float]:
     }
 
 
-def _incremental(graph, rules, delta, updated, processors: int, names=("PIncDect",), latency=LATENCY, interval=INTERVAL):
+def _incremental(graph, rules, delta, updated, processors: int, names, latency=LATENCY, interval=INTERVAL):
     """IncDect (if named) and the named PIncDect variants on one ΔG."""
     row = {}
     if "IncDect" in names:
