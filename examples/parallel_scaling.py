@@ -10,7 +10,8 @@ Run with::
     python examples/parallel_scaling.py [dataset]
 
 where ``dataset`` is one of DBpedia, YAGO2, Pokec (default Pokec — the most
-skewed workload, where balancing matters most).
+skewed workload, where balancing matters most).  The script exits non-zero
+when a process run's violations differ from serial Dect's.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def main() -> None:
     serial_batch = Detector(rules, engine="batch")
     serial_result = serial_batch.run(graph)
     print(f"  serial Dect:     {serial_result.wall_time:6.2f}s wall")
+    mismatches = []
     for processors in (1, 4):
         detector = Detector(
             rules,
@@ -72,6 +74,8 @@ def main() -> None:
         )
         result = detector.run(graph)
         same = result.violations == serial_result.violations
+        if not same:
+            mismatches.append(f"processes p = {processors}")
         print(
             f"  processes p = {processors}: {result.wall_time:6.2f}s wall "
             f"(violations identical: {same})"
@@ -92,12 +96,16 @@ def main() -> None:
         result = detector.run(graph)
         restarts = fault_tolerance_counters()["worker_restarts"] - before
         same = result.violations == serial_result.violations
+        if not same:
+            mismatches.append("processes p = 2 with a worker crash")
         print(
-            f"  worker 0 SIGKILLed after 3 units: {restarts} restart(s), "
+            f"  worker 0 SIGKILLed at its 3rd seed: {restarts} restart(s), "
             f"degraded={result.degraded}, violations identical: {same}"
         )
     finally:
         del os.environ["REPRO_FAULTS"]
+    if mismatches:
+        sys.exit(f"violations differ from serial Dect: {', '.join(mismatches)}")
 
 
 if __name__ == "__main__":

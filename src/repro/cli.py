@@ -219,13 +219,6 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         "explain --save-plans')",
     )
     parser.add_argument(
-        "--warm-pool",
-        action="store_true",
-        help="with --execution processes: keep worker processes alive "
-        "between runs of this detector (the service reuses one pool "
-        "across requests; here the flag mainly exercises the same path)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="after the run, print the observability span tree (plan "
@@ -412,7 +405,6 @@ def _build_detector(args: argparse.Namespace, engine: str) -> Detector:
         max_violations=args.max_violations,
         max_cost=args.max_cost,
         execution=getattr(args, "execution", "simulated"),
-        warm_pool=getattr(args, "warm_pool", False),
     )
     return Detector(
         _load_rules(args),
@@ -485,8 +477,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     load_started = time.perf_counter()
     graph = load_graph(args.graph)
     load_s = time.perf_counter() - load_started
-    with _build_detector(args, engine=args.engine) as detector:
-        result = detector.run(graph)
+    result = _build_detector(args, engine=args.engine).run(graph)
     print(format_result(result, args.output_format))
     if args.profile:
         _print_profile(result, load_s)
@@ -501,8 +492,7 @@ def _cmd_incremental(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     delta = load_update(args.update)
     load_s = time.perf_counter() - load_started
-    with _build_detector(args, engine="auto") as detector:
-        result = detector.run_incremental(graph, delta)
+    result = _build_detector(args, engine="auto").run_incremental(graph, delta)
     print(format_result(result, args.output_format))
     if args.profile:
         _print_profile(result, load_s)

@@ -28,7 +28,7 @@ from repro.detect.session import ENGINES, EXECUTION_MODES, DetectionOptions, Det
 __getattr__, __dir__ = lazy_exports(
     globals(),
     dict.fromkeys(
-        ("WarmExecutorPool", "iter_p_dect", "p_dect", "iter_pinc_dect", "pinc_dect"),
+        ("iter_p_dect", "p_dect", "iter_pinc_dect", "pinc_dect"),
         "repro.detect.parallel",
     ),
 )
@@ -47,7 +47,6 @@ __all__ = [
     "IncrementalDetectionResult",
     "ViolationEvent",
     "ViolationSink",
-    "WarmExecutorPool",
     "WorkerTrace",
     "dect",
     "drain",

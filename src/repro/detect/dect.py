@@ -10,7 +10,7 @@ The search itself is the core of :mod:`repro.matching.search`, seeded with
 the first-step candidates of each rule and drained depth-first by
 :class:`~repro.detect.serial.SerialRun` — the loop IncDect drains its update
 pivots with.  A step is charged what the parallel kernels charge for the same
-step (they run it through :func:`~repro.detect.parallel.workunits.
+step (the simulator runs it through :func:`~repro.detect.parallel.workunits.
 expand_work_unit`), so the reported ``cost`` is in the same units as the
 simulated parallel makespans and the speedups of Figures 4(a)–(l) are
 measured against a consistent yardstick.

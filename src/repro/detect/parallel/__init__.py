@@ -9,7 +9,7 @@ from repro.detect.parallel.balancing import (
     should_split_planned,
     skewness,
 )
-from repro.detect.parallel.workunits import ExpansionOutcome, WorkUnit, expand_work_unit
+from repro.detect.parallel.workunits import WorkUnit
 
 # the serial kernels import ``workunits`` from this package, so what only a
 # parallel run uses is imported when it is asked for
@@ -18,8 +18,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         "ClusterSimulator": "repro.detect.parallel.cluster",
         "ExecutionRuntime": "repro.detect.parallel.executor",
-        "WarmExecutorPool": "repro.detect.parallel.executor",
-        "iter_process_execution": "repro.detect.parallel.executor",
         "resolve_start_method": "repro.detect.parallel.executor",
         "iter_p_dect": "repro.detect.parallel.pdect",
         "p_dect": "repro.detect.parallel.pdect",
@@ -33,13 +31,9 @@ __all__ = [
     "ClusterSimulator",
     "EXECUTION_MODES",
     "ExecutionRuntime",
-    "ExpansionOutcome",
-    "WarmExecutorPool",
     "WorkUnit",
-    "expand_work_unit",
     "iter_p_dect",
     "iter_pinc_dect",
-    "iter_process_execution",
     "p_dect",
     "pinc_dect",
     "plan_rebalancing",

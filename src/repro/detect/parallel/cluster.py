@@ -219,6 +219,10 @@ class SimulatedRun(KernelRun):
         """The makespan so far."""
         return self.cluster.makespan()
 
+    def charge_scan(self, candidates: int, scanned: float) -> None:
+        """Charge a first-step scan of ``candidates`` seeds: shared evenly by the processors, one broadcast."""
+        self.cluster.charge_broadcast(0, candidates / self.processors, self.policy.latency)
+
     def outcome(self) -> dict:
         """The result fields the run decides: its statistics, makespan, worker traces and stop."""
         return dict(super().outcome(), worker_traces=self.cluster.traces())

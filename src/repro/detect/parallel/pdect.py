@@ -5,10 +5,11 @@ uses it as the batch baseline of the parallel experiments.  PDect is
 PIncDect with another seed source: its initial work units come from the
 *whole graph* rather than from update pivots.  Both kernels hand their seeds
 to the same run of a backend — :class:`~repro.detect.parallel.cluster.
-SimulatedRun` on the simulated cluster, :class:`~repro.detect.parallel.
-executor.ProcessRun` on worker processes — which owns splitting, dynamic
-redistribution, budgets and attribution, so PDect supplies only its seeds,
-the graph they are searched in and its result type.
+SimulatedRun` on the simulated cluster (splitting and dynamic
+redistribution), :class:`~repro.detect.parallel.executor.ProcessRun` on
+worker processes (a supervised map of the seeds) — which owns budgets and
+attribution, so PDect supplies only its one seed list, the graph it is
+searched in and its result type.
 
 Because batch detection visits every candidate in ``G`` regardless of ΔG, its
 makespan is essentially flat across update sizes — which is exactly the
@@ -23,6 +24,7 @@ early termination (``max_cost`` caps the simulated makespan).
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections.abc import Iterator, Sequence
 from typing import Optional
@@ -51,29 +53,23 @@ def iter_p_dect(
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
     execution: str = "simulated",
-    warm_pool=None,
-    runtime_key=None,
 ) -> Iterator[Violation]:
     """Run parallel batch detection, yielding violations as units complete.
 
     The generator's return value is the :class:`DetectionResult` whose
     ``cost`` is the simulated makespan; ``budget.max_cost`` therefore caps
     the makespan, and ``budget.max_violations`` caps the number of emitted
-    violations.  On the simulator every first-step candidate seeds one unit,
-    placed on the least-loaded processor by the plan's candidate estimates,
-    so the initial distribution already reflects the expected subtree sizes;
-    a single-variable rule's candidates are decided while seeding.
+    violations.  Every first-step candidate seeds one unit, placed on the
+    least-loaded processor by the plan's candidate estimates, so the initial
+    distribution already reflects the expected subtree sizes; on the
+    simulator a single-variable rule's candidates are decided while seeding.
 
-    ``execution="processes"`` runs the work on ``processors`` real OS
-    processes, each reading one image of ``G``
-    (:mod:`repro.detect.parallel.executor`): the parent ships one depth-0
-    root unit per rule, so the workers perform the first-step scans and
-    only |Σ| units cross the queue.  Violations are byte-identical, and
-    ``cost`` becomes the aggregate work performed (wall-clock lives in
-    ``wall_time``).  ``warm_pool`` (a
-    :class:`~repro.detect.parallel.executor.WarmExecutorPool`) reuses live
-    workers across runs: ``runtime_key`` identifies the graph/rules
-    snapshot the workers may already have loaded.
+    ``execution="processes"`` maps the same seed list over ``processors``
+    real OS processes, each reading one image of ``G``
+    (:mod:`repro.detect.parallel.executor`); the parent runs the first-step
+    scans.  Violations are byte-identical, and ``cost`` becomes the
+    aggregate work performed, which equals Dect's (wall-clock lives in
+    ``wall_time``).
     """
     if execution not in EXECUTION_MODES:
         raise ExecutionError(
@@ -83,17 +79,16 @@ def iter_p_dect(
     plans = resolve_plans(graph, rule_list, plans)
     policy = policy if policy is not None else BalancingPolicy.hybrid()
     started = time.perf_counter()
-    arguments = ("PDect", False, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
     if execution == "processes":
         from repro.detect.parallel.executor import ProcessRun
 
-        run = ProcessRun(*arguments, images=(graph, None), warm_pool=warm_pool, runtime_key=runtime_key)
-        seeds = _rule_roots(plans, processors)
+        run = ProcessRun(
+            "PDect", False, rule_list, plans, use_literal_pruning, processors, budget, sink, images=(graph, None)
+        )
     else:
-        run = SimulatedRun(*arguments)
-        seeds = _candidate_seeds(run, graph)
+        run = SimulatedRun("PDect", False, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
     violations = ViolationSet()
-    yield from run.drain(seeds, lambda _: graph, (violations, violations))
+    yield from run.drain(_candidate_seeds(run, graph), lambda _: graph, (violations, violations))
     return DetectionResult(
         violations=violations,
         wall_time=time.perf_counter() - started,
@@ -103,16 +98,19 @@ def iter_p_dect(
     )
 
 
-def _candidate_seeds(run: SimulatedRun, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
+def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
     """One unit per candidate of the first variable of every rule, placed as it is scanned.
 
-    The scan of the label index is shared evenly by the processors.  A
-    multi-variable unit lands on the processor with the least estimated
-    pending work (first index wins ties, so placement is deterministic); a
-    single-variable one is decided at once, round-robin.
+    The same placement on both backends: a multi-variable unit lands on the
+    processor with the least estimated pending work (first index wins ties,
+    so placement is deterministic) and is queued; a single-variable one goes
+    round-robin and is not (the simulator decides it at once).  Each rule's
+    scan is charged to ``run`` (:meth:`charge_scan`): a broadcast shared by
+    the simulated processors, or Dect's scan cost on processes.
     """
-    processors, latency = run.processors, run.policy.latency
-    estimated_loads = [0.0] * processors
+    processors = run.processors
+    # (estimated pending work, processor): the heap's head is the least-loaded processor, lowest index first
+    loads = [(0.0, index) for index in range(processors)]
     position = 0
     for rule_index, rule in enumerate(run.rules):
         plan = run.plans[rule_index]
@@ -120,32 +118,19 @@ def _candidate_seeds(run: SimulatedRun, graph: Graph) -> Iterator[tuple[int, Wor
         if not order:
             continue
         before = run.attribution.before(run.stats)
-        candidates, _ = first_step_candidates(graph, rule, plan, order, run.use_literal_pruning, run.stats)
+        candidates, scanned = first_step_candidates(graph, rule, plan, order, run.use_literal_pruning, run.stats)
         run.attribution.after(rule.name, before, run.stats)
-        run.cluster.charge_broadcast(0, len(candidates) / processors, latency)
+        run.charge_scan(len(candidates), scanned)
         unit_estimate = plan.estimated_unit_cost(1)
         for candidate in candidates:
             unit = WorkUnit(rule_index, order, ((order[0], candidate),), from_insertion=True)
             if len(order) == 1:
                 yield position % processors, unit, False
             else:
-                owner = min(range(processors), key=lambda i: (estimated_loads[i], i))
-                estimated_loads[owner] += unit_estimate
+                load, owner = loads[0]
+                heapq.heapreplace(loads, (load + unit_estimate, owner))
                 yield owner, unit, True
             position += 1
-
-
-def _rule_roots(plans: Sequence[MatchPlan], processors: int) -> list[tuple[int, WorkUnit]]:
-    """One depth-0 root unit per rule (its step is the first-step scan), on the least plan-estimated load."""
-    seeds = []
-    estimated_loads = [0.0] * processors
-    for rule_index, plan in enumerate(plans):
-        if not plan.order:
-            continue
-        owner = min(range(processors), key=lambda i: (estimated_loads[i], i))
-        estimated_loads[owner] += plan.estimated_unit_cost(0)
-        seeds.append((owner, WorkUnit(rule_index, plan.order, (), from_insertion=True)))
-    return seeds
 
 
 def p_dect(

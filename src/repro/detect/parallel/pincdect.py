@@ -71,7 +71,6 @@ def iter_pinc_dect(
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
     execution: str = "simulated",
-    warm_pool=None,
 ) -> Iterator[ViolationEvent]:
     """Run parallel incremental detection, yielding ΔVio events as they complete.
 
@@ -86,12 +85,10 @@ def iter_pinc_dect(
     ``execution="processes"`` replicates the candidate neighbourhood
     ``N_C(ΔG, Σ)`` — the dΣ-neighbourhood of the touched nodes in ``G`` and
     in ``G ⊕ ΔG`` — to ``processors`` real worker processes and expands the
-    pivot work units there (byte-identical ΔVio; ``cost`` becomes the
-    aggregate work performed).  A rule set with a disconnected pattern
+    pivots there, each on its owner (byte-identical ΔVio; ``cost`` becomes
+    the aggregate work performed).  A rule set with a disconnected pattern
     replicates the full graphs instead (neighbourhood-local search would
-    miss its detached component).  ``warm_pool`` reuses live worker
-    processes between runs; the neighbourhood images differ per delta, so
-    every run reloads its runtime but skips process startup.
+    miss its detached component).
     """
     if execution not in EXECUTION_MODES:
         raise ExecutionError(
@@ -110,7 +107,6 @@ def iter_pinc_dect(
     after_nodes = multi_source_nodes_within_hops(updated, touched, diameter)
     neighborhood_size = len(after_nodes)
     algorithm = f"PIncDect{policy.variant_suffix()}"
-    arguments = (algorithm, True, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
     if execution == "processes":
         from repro.detect.parallel.executor import ProcessRun
 
@@ -122,17 +118,18 @@ def iter_pinc_dect(
             )
         else:
             images = (updated, graph)
-        # extraction and replication of N_C(ΔG, Σ) is charged to the run's aggregate cost;
-        # the images are delta-specific, so a warm pool reloads them (no runtime key)
-        run = ProcessRun(*arguments, images=images, warm_pool=warm_pool, base_cost=float(neighborhood_size))
-        seeds = list(zip(owners, units))
+        # extraction and replication of N_C(ΔG, Σ) is charged to the run's aggregate cost
+        run = ProcessRun(
+            algorithm, True, rule_list, plans, use_literal_pruning, processors, budget, sink,
+            images=images, base_cost=float(neighborhood_size),
+        )
     else:
-        run = SimulatedRun(*arguments)
+        run = SimulatedRun(algorithm, True, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
         # extraction and replication of N_C(ΔG, Σ): O(|G_dΣ(ΔG)|) work shared
         # by p workers, plus one broadcast round
         if neighborhood_size:
             run.cluster.charge_broadcast(0, neighborhood_size / processors, policy.latency)
-        seeds = [(owner, unit, True) for owner, unit in zip(owners, units)]
+    seeds = [(owner, unit, True) for owner, unit in zip(owners, units)]
     introduced, removed = ViolationSet(), ViolationSet()
     yield from run.drain(seeds, lambda inserted: updated if inserted else graph, (introduced, removed))
     return IncrementalDetectionResult(

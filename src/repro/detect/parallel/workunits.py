@@ -13,16 +13,16 @@ one unit per verified candidate) so the scheduler can decide whether to split
 the step across processors.  The step is one step of the search core
 (:class:`~repro.matching.search.RuleSearch`) the serial kernels drain without
 ever building a work unit: a unit is the form a partial match takes only
-where it has to be queued, shed or shipped.  :func:`rule_search` is the one
-constructor of that core the serial kernels and :func:`expand_work_unit`
-share.
+where it has to be queued or shipped — the simulator's queues, and the
+seeds a process run hands its workers.  :func:`rule_search` is the one
+constructor of that core every kernel and :func:`expand_work_unit` share.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.ngd import NGD
 from repro.core.violations import Violation
@@ -42,9 +42,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WorkUnit:
-    """A partial solution awaiting expansion at some processor."""
+class WorkUnit(NamedTuple):
+    """A partial solution awaiting expansion at some processor (a tuple: PDect builds one per candidate)."""
 
     rule_index: int
     order: tuple[str, ...]

@@ -45,14 +45,11 @@ The module-level functions ``dect`` / ``inc_dect`` / ``p_dect`` /
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import logging
 import time
-import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro import obs
 from repro.core.ngd import NGD, RuleSet
@@ -75,28 +72,7 @@ from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.plan import MatchPlan, compile_plans, load_plans
 
-if TYPE_CHECKING:  # pragma: no cover - the executor is imported when a process run asks for it
-    from repro.detect.parallel.executor import WarmExecutorPool
-
 __all__ = ["DetectionOptions", "Detector", "ENGINES", "EXECUTION_MODES"]
-
-#: Process-wide identity tokens for graph stores: a warm-pool runtime key
-#: must never alias two different stores the way a recycled ``id()`` can,
-#: and must not keep dead stores alive the way a strong map would.
-_STORE_TOKENS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_STORE_TOKEN_COUNTER = itertools.count(1)
-
-
-def _store_token(store) -> Optional[int]:
-    """Return a stable process-unique token for ``store`` (None: not weakref-able)."""
-    try:
-        token = _STORE_TOKENS.get(store)
-        if token is None:
-            token = next(_STORE_TOKEN_COUNTER)
-            _STORE_TOKENS[store] = token
-        return token
-    except TypeError:  # pragma: no cover - store without weakref support
-        return None
 
 #: A session recompiles its plans once ``|V| + |E|`` has drifted by more than
 #: this fraction from the graph they were compiled against.
@@ -138,13 +114,8 @@ class DetectionOptions:
       (:func:`~repro.detect.parallel.executor.resolve_start_method`), with
       the same answer and the same counts either way.  ``engine="auto"``
       resolves to the parallel engine whenever ``execution="processes"``
-      is asked for;
-    * ``warm_pool`` — for ``execution="processes"``, keep the worker
-      processes (and their loaded graph images) alive across this
-      session's runs in a
-      :class:`~repro.detect.parallel.executor.WarmExecutorPool` instead
-      of spawning a fresh crew per run.  Close the session (``close()`` or
-      the context-manager form) to stop the workers.
+      is asked for.  Every run starts its own workers and stops them
+      before it returns.
 
     Every engine runs compiled :class:`~repro.matching.plan.MatchPlan`\\ s
     (cost-based variable orders, closure-compiled literal schedules) on the
@@ -157,7 +128,6 @@ class DetectionOptions:
     max_violations: Optional[int] = None
     max_cost: Optional[float] = None
     execution: str = "simulated"
-    warm_pool: bool = False
 
     def budget(self) -> Optional[DetectionBudget]:
         """Return the termination budget, or None when the run is unbounded."""
@@ -184,7 +154,6 @@ class Detector:
         options: Optional[DetectionOptions] = None,
         sinks: Iterable[ViolationSink] = (),
         plans_file: Optional[str] = None,
-        executor_pool: Optional[WarmExecutorPool] = None,
     ) -> None:
         if engine not in ENGINES:
             raise SessionError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -205,11 +174,6 @@ class Detector:
                 "is single-process by definition — use engine='auto' or 'parallel' "
                 "(or drop execution='processes')"
             )
-        if self.options.warm_pool and self.options.execution != "processes":
-            raise SessionError(
-                "warm_pool keeps OS worker processes alive and therefore "
-                "requires execution='processes'"
-            )
         # a persisted plan set (matching.plan.save_plans, written next to its
         # rule catalog) pins this session's plans: loaded once lazily, reused
         # for every run, no statistics pass, no drift invalidation
@@ -226,11 +190,6 @@ class Detector:
         self.plan_size = 0
         #: How many times this session has compiled its plans.
         self.plan_compilations = 0
-        # warm executor pool: injected (shared, e.g. the service's) or owned
-        # (options.warm_pool); only the owned one is stopped by close()
-        self._executor_pool = executor_pool
-        self._owns_pool = False
-        self._rules_digest: Optional[str] = None
         # (plan set, its summed root estimate): the trace root's plan_estimate,
         # summed once per plan set rather than once per run
         self._plan_estimate: Optional[tuple[Sequence[MatchPlan], float]] = None
@@ -280,52 +239,6 @@ class Detector:
     def clear_plan_cache(self) -> None:
         """Drop the kept plans (the next run recompiles)."""
         self._plans = None
-
-    # ------------------------------------------------------------ warm pooling
-
-    def executor_pool(self) -> Optional[WarmExecutorPool]:
-        """Return the session's warm executor pool, creating an owned one
-        on first use when ``options.warm_pool`` asks for it."""
-        if self._executor_pool is None and self.options.warm_pool:
-            from repro.detect.parallel.executor import WarmExecutorPool
-
-            self._executor_pool = WarmExecutorPool(self._effective_processors())
-            self._owns_pool = True
-        return self._executor_pool
-
-    def close(self) -> None:
-        """Release session resources (the owned warm pool's workers)."""
-        if self._owns_pool and self._executor_pool is not None:
-            self._executor_pool.shutdown()
-
-    def __enter__(self) -> "Detector":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _runtime_key(self, graph: Graph, caller_plans: bool) -> Optional[tuple]:
-        """Identify a batch runtime for warm-pool reuse, or None to force a miss.
-
-        The key pins everything the workers' loaded runtime is a function
-        of: the graph snapshot (store identity token + node/edge counts —
-        graphs the session detects over are treated as immutable
-        snapshots, which is how the registry publishes them) and this
-        session's rules/flags.  Caller-supplied plans bypass the session's
-        deterministic compile, so they force a reload.
-        """
-        token = _store_token(graph.store)
-        if token is None or caller_plans:
-            return None
-        if self._rules_digest is None:
-            self._rules_digest = hashlib.sha1(self.rules.to_json().encode("utf-8")).hexdigest()
-        return (
-            token,
-            graph.node_count(),
-            graph.edge_count(),
-            self._rules_digest,
-            self.options.use_literal_pruning,
-        )
 
     # ------------------------------------------------------------- resolution
 
@@ -475,7 +388,7 @@ class Detector:
             processors=result.processors,
         )
         if getattr(result, "degraded", False):
-            # the worker pool degraded to the serial path mid-run; the
+            # a process run finished seeds on the serial path; the
             # violations are still exact but the trace should say so
             root.set(degraded=True)
         obs.counter_inc("repro_detect_runs_total", {"algorithm": result.algorithm})
@@ -523,7 +436,6 @@ class Detector:
         from repro.detect.dect import iter_dect
 
         mode = self._resolve_batch_engine()
-        caller_plans = plans is not None
         if plans is None:
             plans = self.compile_plans(graph)
         sink = self._sink()
@@ -541,8 +453,6 @@ class Detector:
             )
         from repro.detect.parallel.pdect import iter_p_dect
 
-        processes = self.options.execution == "processes"
-        pool = self.executor_pool() if processes else None
         return iter_p_dect(
             graph,
             self.rules,
@@ -553,8 +463,6 @@ class Detector:
             sink=sink,
             plans=plans,
             execution=self.options.execution,
-            warm_pool=pool,
-            runtime_key=self._runtime_key(graph, caller_plans) if pool is not None else None,
         )
 
     def _incremental_events(
@@ -590,7 +498,6 @@ class Detector:
         if mode == "parallel":
             from repro.detect.parallel.pincdect import iter_pinc_dect
 
-            processes = self.options.execution == "processes"
             return iter_pinc_dect(
                 graph,
                 self.rules,
@@ -603,7 +510,6 @@ class Detector:
                 sink=sink,
                 plans=plans,
                 execution=self.options.execution,
-                warm_pool=self.executor_pool() if processes else None,
             )
         if budget is not None:
             raise SessionError(

@@ -26,7 +26,6 @@ __all__ = [
     "DiscoveryError",
     "ClusterError",
     "ExecutionError",
-    "WorkerPoolCollapse",
     "SessionError",
     "SerializationError",
     "ServiceError",
@@ -132,27 +131,9 @@ class ClusterError(ReproError):
 class ExecutionError(ReproError):
     """The multi-process execution backend failed or was misconfigured.
 
-    Raised for unknown execution modes and when a worker
-    process dies or reports an exception; the message carries the worker's
-    traceback text when one is available.
+    Raised for unknown execution modes and for a plan handed a rule it was
+    not compiled for.  A dying worker raises nothing: its seeds are re-run.
     """
-
-
-class WorkerPoolCollapse(ExecutionError):
-    """Every worker of a process pool is gone and the restart budget is spent.
-
-    Carries the work units whose completion was never confirmed
-    (``outstanding``, a list of ``WorkUnit``), so the
-    :class:`~repro.detect.parallel.executor.ProcessRun` that drove the run
-    can finish them on the serial path — graceful degradation instead of a
-    failed run.  Only callers driving
-    :func:`~repro.detect.parallel.executor.iter_process_execution`
-    directly ever see this escape.
-    """
-
-    def __init__(self, message: str, outstanding=()) -> None:
-        super().__init__(message)
-        self.outstanding = list(outstanding)
 
 
 class SessionError(ReproError):

@@ -21,9 +21,10 @@ frames need not share one: IncDect seeds each pivot on an order that starts
 with the pivot's variables (:meth:`~repro.matching.plan.MatchPlan.order_for_seed`),
 and a step follows its frame's order as compiled.
 
-The serial kernels drain the stack (:class:`~repro.detect.serial.SerialRun`);
-the parallel ones run the same :meth:`RuleSearch.step` one work unit at a
-time through :func:`~repro.detect.parallel.workunits.expand_work_unit`; and
+The serial kernels and the process backend's workers drain the stack
+(:class:`~repro.detect.serial.SerialRun`); the cluster simulator runs the
+same :meth:`RuleSearch.step` one work unit at a time through
+:func:`~repro.detect.parallel.workunits.expand_work_unit`; and
 :class:`~repro.matching.matchn.HomomorphismMatcher` drains it with a leaf
 that keeps every complete binding, for the callers that want matches rather
 than violations (discovery, satisfiability, aggregates).

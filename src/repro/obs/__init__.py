@@ -190,7 +190,7 @@ def drain_for_shipping() -> Optional[dict]:
     """Worker-side: snapshot metrics + completed spans, then reset both.
 
     Returns a plain picklable dict (``{"metrics": ..., "spans": [...]}``)
-    for piggybacking on an executor result-queue message, or None when
+    for piggybacking on an executor worker report, or None when
     disabled or nothing accumulated.  Because the registry is reset after
     every drain, consecutive payloads are disjoint deltas — the parent can
     absorb each one additively.

@@ -16,8 +16,8 @@ index operations.
 
 Cross-process flow: executor worker processes build a *fresh* registry
 (:func:`repro.obs.reset_for_worker`), accumulate deltas locally, and ship
-``registry.dump()`` — a plain JSON-serializable dict — back over the
-existing result queue.  The parent merges with
+``registry.dump()`` — a plain JSON-serializable dict — back in the
+reports they already send.  The parent merges with
 ``registry.absorb(dump, extra_labels={"worker": wid})`` so per-worker
 attribution survives both ``fork`` and ``spawn`` start methods.
 

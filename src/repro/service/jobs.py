@@ -36,13 +36,12 @@ from repro.core.ngd import RuleSet
 from repro.core.violations import ViolationDelta, ViolationSet
 # the kernels a request may ask for are imported with the service, before the
 # ready line, so that no request handler pays for an import
-from repro.detect.parallel import WarmExecutorPool, iter_p_dect, iter_pinc_dect  # noqa: F401
+from repro.detect.parallel import iter_p_dect, iter_pinc_dect  # noqa: F401
 from repro.detect.session import DEFAULT_PROCESSORS, DetectionOptions, Detector
 from repro.errors import (
     DeadlineExceededError,
     PoolSaturatedError,
     ServiceError,
-    WorkerPoolCollapse,
 )
 from repro.service import protocol
 from repro.service.protocol import (
@@ -329,10 +328,7 @@ class DetectionJobPool:
         Raises :class:`PoolSaturatedError` without starting anything when
         every slot is busy.  A mid-stream exception inside the producer is
         converted to the protocol's ``error`` record (the HTTP status line
-        is long gone by then), matching the handler-thread behaviour; a
-        :class:`~repro.errors.WorkerPoolCollapse` escaping the kernel marks
-        its error record ``retryable`` (transient — a retry gets a fresh
-        crew).
+        is long gone by then), matching the handler-thread behaviour.
 
         ``timeout_seconds`` arms a per-request deadline measured from
         admission: when it elapses the consumer raises
@@ -370,9 +366,7 @@ class DetectionJobPool:
                 # same backpressure loop as ordinary records: a full buffer
                 # must delay the error record, not drop it — the client is
                 # owed a terminal record (summary or error) on every stream
-                _put_until_cancelled(
-                    error_record(f"{exc!r}", retryable=isinstance(exc, WorkerPoolCollapse))
-                )
+                _put_until_cancelled(error_record(f"{exc!r}"))
             finally:
                 # nothing below may be skipped: the sentinel unblocks the
                 # consumer and the release frees the slot, so a close() that
@@ -455,19 +449,13 @@ class SessionManager:
         self._sessions: dict[str, ContinuousSession] = {}
         self._sessions_lock = threading.Lock()
         self._session_ids = itertools.count(1)
-        self._executor_pools: dict[int, WarmExecutorPool] = {}
-        self._executor_pools_lock = threading.Lock()
         #: Durability hook (duck-typed, see ``GraphRegistry.journal``):
         #: catalog registrations and session open/close are logged through
         #: it; attached after recovery so replayed state is not re-logged.
         self.journal = None
-        #: Optional provider of durable spool directories for the warm
-        #: executor pools (the ``--data-dir`` segment cache); None keeps
-        #: the tempdir behaviour.
-        self.spool_cache = None
         registry.add_listener(self._on_update)
 
-    # ---------------------------------------------------- warm executor pools
+    # ------------------------------------------------------------- processes
 
     def process_count(self, processors: Optional[int]) -> int:
         """Return how many workers a ``processes`` request runs on here.
@@ -479,47 +467,12 @@ class SessionManager:
         """
         return min(processors or DEFAULT_PROCESSORS, protocol.usable_cpus())
 
-    def executor_pool(self, processors: int) -> WarmExecutorPool:
-        """Return the shared warm pool for ``processors``, creating it lazily.
-
-        Pools are keyed by processor count (a :class:`WarmExecutorPool`
-        pins its crew size), shared by every ``execution="processes"`` job
-        and continuous session of this manager, and live until
-        :meth:`shutdown` — that is what lets the second request for the
-        same ``(snapshot, rules)`` skip worker start-up and runtime
-        loading entirely.
-        """
-        with self._executor_pools_lock:
-            pool = self._executor_pools.get(processors)
-            if pool is None:
-                pool = WarmExecutorPool(processors, spool_cache=self.spool_cache)
-                self._executor_pools[processors] = pool
-            return pool
-
-    def maintain_pools(self) -> None:
-        """Opportunistic upkeep: evict warm crews idle past their TTL."""
-        with self._executor_pools_lock:
-            pools = list(self._executor_pools.values())
-        for pool in pools:
-            pool.maintain()
-
-    def describe_pools(self) -> dict[str, dict]:
-        """Warm/cold hit counters per executor pool, keyed by crew size.
-
-        The ``GET /health`` payload surfaces this so operators can see
-        whether process-backed requests are actually reusing warm crews.
-        """
-        with self._executor_pools_lock:
-            pools = dict(self._executor_pools)
-        return {str(count): pool.stats() for count, pool in sorted(pools.items())}
-
     def shutdown(self) -> None:
-        """Stop every warm worker crew owned by this manager."""
-        with self._executor_pools_lock:
-            pools = list(self._executor_pools.values())
-            self._executor_pools.clear()
-        for pool in pools:
-            pool.shutdown()
+        """Stop what the manager runs between requests, on the server's way down.
+
+        Every ``processes`` run starts its own workers and stops them before
+        it returns, so the manager holds no process or thread of its own.
+        """
 
     # -------------------------------------------------------------- catalogs
 
@@ -592,10 +545,6 @@ class SessionManager:
                 max_cost=request.max_cost,
                 execution=request.execution,
             ),
-            # process-backed jobs draw workers from the manager's shared
-            # warm pool: repeated requests against the same snapshot reuse
-            # live crews instead of paying runtime setup per request
-            executor_pool=self.executor_pool(processors) if processes else None,
         )
 
         # the trace id is fixed before the job starts so the HTTP handler
@@ -603,22 +552,18 @@ class SessionManager:
         trace_id = obs.new_id() if obs.enabled() else None
 
         def generate() -> Iterator[dict]:
-            try:
-                with obs.span(
-                    "service.detect",
-                    trace_id=trace_id,
-                    graph=graph_name,
-                    graph_version=version,
-                    execution=request.execution,
-                ):
-                    # the detector's root span parents under service.detect
-                    # via the job thread's contextvar, joining this trace
-                    for violation in detector.stream(graph):
-                        yield violation_record(violation, introduced=True)
-                yield summary_record(detector.last_result, graph_name, version)
-            finally:
-                if processes:
-                    self.maintain_pools()
+            with obs.span(
+                "service.detect",
+                trace_id=trace_id,
+                graph=graph_name,
+                graph_version=version,
+                execution=request.execution,
+            ):
+                # the detector's root span parents under service.detect
+                # via the job thread's contextvar, joining this trace
+                for violation in detector.stream(graph):
+                    yield violation_record(violation, introduced=True)
+            yield summary_record(detector.last_result, graph_name, version)
 
         stream = self.job_pool.run_stream(
             generate(), timeout_seconds=request.timeout_seconds
@@ -649,7 +594,6 @@ class SessionManager:
         registered = self.registry.get(graph_name)
         processes = request.execution == "processes"
         processors = self.process_count(request.processors) if processes else request.processors
-        pool = self.executor_pool(processors) if processes else None
         with registered.lock:
             graph, version = registered.snapshot()
             batch = Detector(
@@ -660,13 +604,11 @@ class SessionManager:
                     use_literal_pruning=request.use_literal_pruning,
                     execution=request.execution,
                 ),
-                executor_pool=pool,
             )
             violations = batch.run(graph).violations
             # the maintenance detector keeps the per-version incremental
             # regime; under execution="processes" it routes through the
-            # parallel kernel and reuses the manager's warm crew across
-            # version bumps (processes survive, delta images reload)
+            # parallel kernel
             incremental = Detector(
                 rules,
                 engine="auto" if processes else "incremental",
@@ -675,7 +617,6 @@ class SessionManager:
                     use_literal_pruning=request.use_literal_pruning,
                     execution=request.execution,
                 ),
-                executor_pool=pool,
             )
             # compile the maintenance plans once against the base snapshot;
             # the detector keeps them across versions until statistics drift
@@ -786,11 +727,3 @@ class SessionManager:
             session.advance(outcome.version, result.delta)
             if self.retain_versions is not None:
                 session.compact(self.retain_versions)
-        # a version bump obsoletes every batch runtime the warm crews hold
-        # (their images describe the pre-update snapshot); invalidate() is
-        # non-blocking, so this is safe inside the graph lock even while a
-        # pool is mid-run on a job thread
-        with self._executor_pools_lock:
-            pools = list(self._executor_pools.values())
-        for pool in pools:
-            pool.invalidate()

@@ -274,7 +274,7 @@ def summary_record(
         "stop_reason": result.stop_reason,
         "graph": graph_name,
         "graph_version": graph_version,
-        # True when the worker pool collapsed or poison units were
+        # True when the restart budget ran out or poison seeds were
         # quarantined and the run was completed on the parent's serial
         # path — the violations are still exact (see docs/ARCHITECTURE.md,
         # "Fault tolerance")
@@ -295,8 +295,8 @@ def summary_record(
 def error_record(message: str, retryable: bool = False) -> dict:
     """Return the terminal record of a stream that failed mid-flight.
 
-    ``retryable=True`` marks transient conditions (worker pool collapse,
-    per-request deadline) where an identical retry may succeed; if the
+    ``retryable=True`` marks transient conditions (a per-request
+    deadline) where an identical retry may succeed; if the
     failure surfaces before the first record was written the HTTP layer
     turns it into ``503`` + ``Retry-After`` instead of a ``400``.
     """

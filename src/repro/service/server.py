@@ -432,15 +432,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             close = getattr(records, "close", None)
             if close is not None:
                 close()
-            if first.get("retryable"):
-                # transient (worker pool collapse): 503 + Retry-After so
-                # well-behaved clients back off and retry on a fresh crew
-                self._send_json(
-                    {"error": f"detection failed to start: {first.get('error')}"},
-                    status=503,
-                    headers={"Retry-After": "1"},
-                )
-                return
             raise ServiceError(f"detection failed to start: {first.get('error')}")
         self.send_response(200)
         self.send_header("Content-Type", MIME_NDJSON)
@@ -653,9 +644,8 @@ class DetectionService:
         """The ``GET /health`` document.
 
         Beyond liveness it carries an operational snapshot: process uptime,
-        the job pool's occupancy, per-size warm-executor-pool hit/miss
-        counters, and (with a durability layer) the WAL LSN and the age of
-        the last checkpoint.
+        the job pool's occupancy, the supervision counters, and (with a
+        durability layer) the WAL LSN and the age of the last checkpoint.
         """
         pool = self.manager.job_pool
         document = {
@@ -665,7 +655,6 @@ class DetectionService:
             "graphs": len(self.registry),
             "sessions": self.manager.session_count(),
             "jobs": {"active": pool.active_jobs(), "max": pool.max_jobs},
-            "executor_pools": self.manager.describe_pools(),
             # process-wide supervision counters (worker_restarts,
             # units_retried, degraded_runs) — kept outside the obs registry
             # so they are visible even with REPRO_OBS=off

@@ -1,4 +1,4 @@
-"""Data-directory layout: checkpoints, manifest, and the segment cache.
+"""Data-directory layout: checkpoints and the manifest.
 
 A ``--data-dir`` given to ``repro-detect serve`` has this shape::
 
@@ -10,9 +10,6 @@ A ``--data-dir`` given to ``repro-detect serve`` has this shape::
         ckpt-3/
           registry.json      # graphs, catalogs, sessions (one document)
           <graph>-v<k>.json  # one graph image per retained version
-      segments/
-        run-<pid>/           # executor spool cache for the live process
-          k<digest>/...      # one worker-image spool per runtime key
 
 The manifest is the recovery root and is always written atomically
 (:func:`repro.graph.io.atomic_write_json`): a crash mid-checkpoint leaves
@@ -29,7 +26,6 @@ documents from live service state.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 from pathlib import Path
@@ -43,7 +39,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.errors import ReproError
 from repro.graph.io import atomic_write_json, load_json_document
 
-__all__ = ["DataDirectory", "SegmentCache", "DATA_DIR_FORMAT"]
+__all__ = ["DataDirectory", "DATA_DIR_FORMAT"]
 
 DATA_DIR_FORMAT = "repro-data-dir"
 
@@ -54,11 +50,10 @@ class DataDirectory:
     Construction takes an exclusive advisory lock (``fcntl.lockf``) on a
     ``LOCK`` file in the directory and fails fast when another *process*
     already holds it: two servers appending to the same ``wal.log`` would
-    interleave LSNs, and each boot's :class:`SegmentCache` deletes every
-    ``run-*`` spool directory — including the other live process's.  POSIX
-    record locks are per-process, so the in-process recovery tests (which
-    abandon a crashed service object and reopen the same directory) still
-    work, and the kernel releases the lock automatically on ``kill -9``.
+    interleave LSNs.  POSIX record locks are per-process, so the in-process
+    recovery tests (which abandon a crashed service object and reopen the
+    same directory) still work, and the kernel releases the lock
+    automatically on ``kill -9``.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -109,10 +104,6 @@ class DataDirectory:
     def checkpoints_root(self) -> Path:
         return self.root / "checkpoints"
 
-    @property
-    def segments_root(self) -> Path:
-        return self.root / "segments"
-
     def checkpoint_dir(self, name: str) -> Path:
         return self.checkpoints_root / name
 
@@ -159,46 +150,3 @@ class DataDirectory:
         for entry in self.checkpoints_root.iterdir():
             if entry.is_dir() and entry.name != keep:
                 shutil.rmtree(entry, ignore_errors=True)
-
-
-class SegmentCache:
-    """Durable spool directories for the executor's warm worker pools.
-
-    ``directory_for(key)`` maps a detector runtime key to a stable
-    directory under ``segments/run-<pid>/``, so a warm-pool reload with the
-    same key finds the worker image already serialized there and adopts it
-    (:func:`~repro.detect.parallel.executor.spool_image` writes under a
-    temporary name and renames, so only a complete image is ever adopted)
-    instead of re-spooling the whole graph.
-
-    Runtime keys embed a process-unique store token, so a cached spool is
-    only meaningful to the process that wrote it: the cache scopes its
-    directories per run and deletes every ``run-*`` leftover at
-    construction — which is also how spools orphaned by a SIGKILL get
-    cleaned up on the next boot.  ``close()`` removes the live run's
-    directory on clean shutdown.
-    """
-
-    def __init__(self, data_dir: DataDirectory) -> None:
-        self._root = data_dir.segments_root
-        self._root.mkdir(exist_ok=True)
-        for entry in self._root.iterdir():
-            if entry.is_dir() and entry.name.startswith("run-"):
-                shutil.rmtree(entry, ignore_errors=True)
-        self._run_dir = self._root / f"run-{os.getpid()}"
-        self._run_dir.mkdir(exist_ok=True)
-
-    @property
-    def run_dir(self) -> Path:
-        return self._run_dir
-
-    def directory_for(self, runtime_key: object) -> str:
-        """Return (creating if needed) the spool directory for ``runtime_key``."""
-        digest = hashlib.sha256(repr(runtime_key).encode("utf-8")).hexdigest()[:16]
-        directory = self._run_dir / f"k{digest}"
-        directory.mkdir(exist_ok=True)
-        return str(directory)
-
-    def close(self) -> None:
-        """Remove this run's spool directories (clean shutdown)."""
-        shutil.rmtree(self._run_dir, ignore_errors=True)

@@ -56,7 +56,7 @@ from repro.graph.io import (
     update_from_list,
     update_to_list,
 )
-from repro.storage.checkpoint import DataDirectory, SegmentCache
+from repro.storage.checkpoint import DataDirectory
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -85,7 +85,6 @@ class PersistenceManager:
         self.registry = registry
         self.manager = manager
         self.checkpoint_every = checkpoint_every
-        self.segments = SegmentCache(self.data)
         #: Serialises WAL appends (listeners fire under per-graph locks, so
         #: two graphs' updates may journal concurrently) and excludes them
         #: from checkpoint truncation.
@@ -109,10 +108,7 @@ class PersistenceManager:
         graph/catalog registration from the CLI; attaches the journal
         hooks on success, so everything that happens afterwards is logged.
         """
-        # durable spool directories are useful during replay too (session
-        # restores with execution="processes" warm their pools from them)
         recovery_started = time.monotonic()
-        self.manager.spool_cache = self.segments
         manifest = self.data.read_manifest()
         cut_lsn = 0
         checkpoint_name: Optional[str] = None
@@ -148,10 +144,9 @@ class PersistenceManager:
         return self.recovered
 
     def close(self) -> None:
-        """Release the WAL handle, segment directories, and data-dir lock."""
+        """Release the WAL handle and the data-dir lock."""
         if self.wal is not None:
             self.wal.close()
-        self.segments.close()
         self.data.release()
 
     # -------------------------------------------------------------- journal
@@ -328,7 +323,6 @@ class PersistenceManager:
         processes = request.execution == "processes"
         # the recorded count may exceed this machine's CPUs: clamp, not refuse
         processors = self.manager.process_count(request.processors) if processes else None
-        pool = self.manager.executor_pool(processors) if processes else None
         with registered.lock:
             graph, _version = registered.snapshot()
             incremental = Detector(
@@ -339,7 +333,6 @@ class PersistenceManager:
                     use_literal_pruning=request.use_literal_pruning,
                     execution=request.execution,
                 ),
-                executor_pool=pool,
             )
             incremental.compile_plans(graph)
             session = ContinuousSession(

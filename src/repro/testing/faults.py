@@ -2,7 +2,7 @@
 
 Every fault-tolerance path in the executor and the storage layer is driven
 by events that are rare in development and routine in production: a worker
-SIGKILLed by the OOM killer, a result queue that cannot accept a message, a
+SIGKILLed by the OOM killer, a worker pipe that cannot take a report, a
 disk that refuses an fsync.  This module makes those events *schedulable*:
 a :class:`FaultPlan` describes exactly which fault fires, in which process,
 at which deterministic point — so tests, benchmarks, and the CI chaos job
@@ -31,26 +31,26 @@ Fields (all optional):
     restart increments it.  Default: every incarnation, which makes a
     repeatedly-dying worker (a *poison* workload) out of ``worker_death``.
 ``after``
-    Fire at the ``after``-th eligible event **in that process** — work
-    units expanded for worker faults, result-queue puts for ``queue_put``,
-    fsyncs for ``wal_fsync``.  When omitted it is derived from ``seed`` by
+    Fire at the ``after``-th eligible event **in that process** — seeds
+    started for worker faults, reports sent for ``queue_put``, fsyncs for
+    ``wal_fsync``.  When omitted it is derived from ``seed`` by
     a stable hash, so the same spec + seed always fails at the same point.
 ``times``
     How many times a repeatable fault (``queue_put``, ``wal_fsync``) fires
     (default 1, ``-1`` = unlimited).  One-shot faults ignore it.
 ``delay``
-    Seconds slept per unit by ``slow_worker`` (default 0.01).
+    Seconds slept per seed by ``slow_worker`` (default 0.01).
 ``seed``
     Determinism seed used when ``after`` is omitted (default 0).
 
-Trigger points count *deterministic events* (units expanded, queue puts,
+Trigger points count *deterministic events* (seeds started, reports sent,
 fsyncs), never wall-clock, so the same spec reproduces the same failure on
 any machine.  Example specs::
 
     worker_death:worker=0,epoch=0,after=5    # kill worker 0's first
-                                             # incarnation at its 5th unit
+                                             # incarnation at its 5th seed
     worker_death:worker=1,after=3            # poison: every incarnation of
-                                             # worker 1 dies at unit 3
+                                             # worker 1 dies at seed 3
     slow_worker:worker=2,after=1,delay=0.02  # straggler from the start
     wal_fsync:after=1                        # first WAL fsync fails once
 """
@@ -234,7 +234,7 @@ class WorkerFaultInjector:
         self._on_put = [_Armed(s) for s in specs if s.kind == "queue_put"]
 
     def on_unit(self) -> None:
-        """Called before each work-unit expansion; may kill/hang/slow."""
+        """Called before each seed a worker starts; may kill/hang/slow."""
         self._units += 1
         for armed in self._on_unit:
             kind = armed.spec.kind
@@ -254,13 +254,13 @@ class WorkerFaultInjector:
                         time.sleep(0.25)
 
     def on_put(self) -> None:
-        """Called before result-queue puts; may raise an injected OSError."""
+        """Called before each report a worker sends; may raise an injected OSError."""
         self._puts += 1
         for armed in self._on_put:
             if self._puts >= armed.point and armed.may_fire():
                 armed.fired += 1
                 raise OSError(
-                    f"injected result-queue put failure (put #{self._puts})"
+                    f"injected report failure (report #{self._puts})"
                 )
 
 

@@ -30,7 +30,7 @@ from repro.graph.io import graph_to_dict, save_graph
 from repro.graph.updates import BatchUpdate, NodePayload
 from repro.service import DetectionService, ServiceClient
 from repro.storage import WriteAheadLog
-from repro.storage.checkpoint import DataDirectory, SegmentCache
+from repro.storage.checkpoint import DataDirectory
 
 
 def multi_area_graph(areas: int = 3, name: str = "areas") -> Graph:
@@ -406,7 +406,8 @@ class TestInProcessRecovery:
             c2 = ServiceClient(recovered.url)
             for sid in sids:
                 assert (c2.session_state(sid), c2.session_deltas(sid, since=1)) == acked[sid]
-            assert set(recovered.manager.describe_pools()) == {"1"}
+            # recovery clamps the recorded count: both sessions run on one worker
+            assert {recovered.manager.session(sid).detector.processors for sid in sids} == {1}
             with pytest.raises(ServiceError, match="CPUs"):
                 c2.detect("areas", catalog="mine", processors=2, execution="processes")
             reply = c2.post_update("areas", _update(4))
@@ -528,69 +529,6 @@ class TestDataDirectoryLock:
         second = DataDirectory(tmp_path / "data")
         second.release()
         first.release()
-
-
-# ----------------------------------------------------------- segment cache
-
-
-class TestSegmentCache:
-    def test_directory_for_is_stable_per_key(self, tmp_path):
-        cache = SegmentCache(DataDirectory(tmp_path / "data"))
-        first = cache.directory_for(("token", 10, 20))
-        assert first == cache.directory_for(("token", 10, 20))
-        assert first != cache.directory_for(("token", 10, 21))
-        assert Path(first).is_dir()
-        cache.close()
-        assert not Path(first).exists()
-
-    def test_stale_run_directories_are_pruned_at_boot(self, tmp_path):
-        data = DataDirectory(tmp_path / "data")
-        stale = data.segments_root / "run-99999"
-        stale.mkdir(parents=True)
-        (stale / "leftover.json").write_text("{}")
-        cache = SegmentCache(data)
-        assert not stale.exists()
-        cache.close()
-
-    def test_spooled_image_adopts_cached_spool(self, tmp_path):
-        from repro.detect.parallel.executor import clear_spool_cache, load_spooled, spool_image
-
-        graph = multi_area_graph(4)
-        directory = tmp_path / "segment"
-        directory.mkdir()
-        path = spool_image(graph, directory / "image.json")
-        mtimes = {p.name: p.stat().st_mtime_ns for p in directory.iterdir()}
-
-        clear_spool_cache()
-        assert spool_image(multi_area_graph(4), directory / "image.json") == path
-        # adoption must not have re-serialized a single byte
-        assert {p.name: p.stat().st_mtime_ns for p in directory.iterdir()} == mtimes
-        # and the adopted image still loads in full
-        assert load_spooled(path).node_count() == graph.node_count()
-
-    def test_torn_image_is_not_adopted(self, tmp_path, monkeypatch):
-        from repro.detect.parallel import executor
-
-        graph = multi_area_graph(4)
-        directory = tmp_path / "segment"
-        directory.mkdir()
-        target = directory / "image.json"
-
-        def torn_write(image, path):
-            Path(path).write_text('{"name": "torn", "nodes": [', encoding="utf-8")
-            raise OSError("disk full mid-write")
-
-        monkeypatch.setattr(executor, "save_graph", torn_write)
-        with pytest.raises(OSError):
-            executor.spool_image(graph, target)
-        # the half-written bytes never reached the adoptable name
-        assert list(directory.iterdir()) == []
-        # a SIGKILL skips the clean-up: its temporary file stays, unadopted
-        (directory / ".image.json.killed.partial").write_text("{", encoding="utf-8")
-        monkeypatch.undo()
-        executor.clear_spool_cache()
-        assert executor.spool_image(graph, target) == str(target)
-        assert executor.load_spooled(target).node_count() == graph.node_count()
 
 
 # --------------------------------------------------------- kill -9 survival

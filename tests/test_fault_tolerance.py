@@ -26,10 +26,7 @@ import pytest
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
 from repro.detect import DetectionOptions, Detector
-from repro.detect.parallel.executor import (
-    WarmExecutorPool,
-    fault_tolerance_counters,
-)
+from repro.detect.parallel.executor import fault_tolerance_counters
 from repro.errors import DeadlineExceededError, ReproError, ServiceError
 from repro.graph.updates import BatchUpdate, UpdateGenerator
 from repro.service import DetectionService, ServiceClient
@@ -316,63 +313,28 @@ class TestGracefulDegradation:
     def test_non_finite_shutdown_grace_falls_back_to_the_default(
         self, kb_graph, kb_rules, monkeypatch, force_start_method, grace
     ):
-        # a hung warm worker never answers the end-of-run sync: a nan grace
-        # would make that deadline never expire and an inf one would wait
-        # forever, so both must fall back to the (here shortened) default.
-        # fork starts both workers at once, so worker 0 is wedged on its
-        # first unit long before worker 1's reports exhaust the budget
+        # a hung worker never exits when the budget stops the run: a nan
+        # grace would make the shutdown deadline never expire and an inf one
+        # would wait forever, so both must fall back to the (here shortened)
+        # default.  fork starts both workers at once, so worker 0 is wedged
+        # on its first seed long before worker 1's reports exhaust the budget
         from repro.detect.parallel import executor
 
         force_start_method("fork")
         monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,after=1")
         monkeypatch.setenv(executor.SHUTDOWN_GRACE_ENV, grace)
         monkeypatch.setattr(executor, "SHUTDOWN_GRACE_SECONDS", 1.0)
-        pool = WarmExecutorPool(2)
         outcome: dict = {}
 
         def run() -> None:
-            detector = Detector(
-                kb_rules,
-                engine="parallel",
-                processors=2,
-                options=_options(max_cost=50.0),
-                executor_pool=pool,
-            )
+            detector = Detector(kb_rules, engine="parallel", processors=2, options=_options(max_cost=50.0))
             outcome["result"] = detector.run(kb_graph)
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
         thread.join(timeout=30.0)
-        try:
-            assert not thread.is_alive(), f"REPRO_SHUTDOWN_GRACE={grace} hung the request thread"
-            assert outcome["result"].stop_reason == "max_cost"
-            assert not pool.stats()["warm"], "a crew that missed the sync barrier is torn down"
-        finally:
-            if not thread.is_alive():
-                pool.shutdown()
-
-    def test_warm_pool_evicts_dead_crews(self, kb_graph, kb_rules, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        pool = WarmExecutorPool(2)
-        try:
-            detector = Detector(
-                kb_rules,
-                engine="parallel",
-                processors=2,
-                options=_options(),
-                executor_pool=pool,
-            )
-            detector.run(kb_graph)
-            assert pool.stats()["warm"]
-            # kill the warm crew out from under the pool
-            for worker in pool._crew.workers:
-                worker.kill()
-                worker.join(5.0)
-            assert pool.maintain() is True
-            assert pool.stats()["evictions"] == 1
-            assert not pool.stats()["warm"]
-        finally:
-            pool.shutdown()
+        assert not thread.is_alive(), f"REPRO_SHUTDOWN_GRACE={grace} hung the request thread"
+        assert outcome["result"].stop_reason == "max_cost"
 
 
 # ------------------------------------------------------------- WAL faults

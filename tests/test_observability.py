@@ -591,7 +591,6 @@ class TestServiceObservability:
         assert health["status"] == "ok"
         assert health["observability"] is True
         assert health["uptime_seconds"] >= 0
-        assert "executor_pools" in health
 
     def test_access_log_line_per_request(self, capfd):
         svc = DetectionService(port=0, access_log=True)

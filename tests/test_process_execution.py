@@ -136,9 +136,8 @@ class TestBatchParity:
         )
 
     def test_work_counts_do_not_depend_on_timing(self):
-        # whether a run forks or spawns depends on the threads alive when it
-        # starts, which back to back runs leave behind; either way every
-        # worker reads a whole image and bills one root step per rule
+        # however the seeds interleave on the workers, every seed's subtree
+        # is searched once, in a whole image, and billed as Dect bills it
         counts = {
             self._counts(
                 Detector(example_rules(), engine="parallel", processors=2, options=_options()).run(figure1_g2())
@@ -147,14 +146,51 @@ class TestBatchParity:
         }
         assert len(counts) == 1, counts
 
-    def test_work_counts_do_not_depend_on_the_start_method(self, force_start_method):
-        counts = {}
-        for method in ("fork", "spawn"):
-            force_start_method(method)
-            counts[method] = self._counts(
-                Detector(example_rules(), engine="parallel", processors=2, options=_options()).run(figure1_g2())
-            )
-        assert counts["fork"] == counts["spawn"]
+    @pytest.mark.parametrize("processors", (1, 2, 4))
+    @pytest.mark.parametrize("start_method", ("fork", "spawn"))
+    def test_work_counts_do_not_depend_on_the_start_method(
+        self, kb_graph, kb_rules, start_method, processors, force_start_method
+    ):
+        # the parent runs Dect's first-step scans and the workers drain the
+        # seeds with Dect's loop, so PDect's aggregate cost and statistics are
+        # Dect's at every worker count, forked or spawned
+        serial = Detector(kb_rules, engine="batch").run(kb_graph)
+        force_start_method(start_method)
+        processes = Detector(kb_rules, engine="parallel", processors=processors, options=_options()).run(kb_graph)
+        assert self._counts(processes) == self._counts(serial)
+        assert processes.violations.to_json() == serial.violations.to_json()
+
+    def test_back_to_back_runs_keep_forking(self):
+        # a run starts no thread (its channels are pipes), during the run or
+        # after it, so the next run from the same single-threaded caller forks
+        # again; the graph and rules are this module's kb_graph and kb_rules,
+        # in a fresh interpreter
+        probe = (
+            "import threading\n"
+            "from repro.datasets.kb import KBConfig, knowledge_graph\n"
+            "from repro.datasets.rules import benchmark_rules\n"
+            "from repro.detect import CallbackSink, DetectionOptions, Detector\n"
+            "from repro.detect.parallel import executor\n"
+            "resolve = executor.resolve_start_method\n"
+            "methods = []\n"
+            "executor.resolve_start_method = lambda: methods.append(resolve()) or methods[-1]\n"
+            "graph = knowledge_graph(KBConfig(name='kb-processes', num_entities=150, num_entity_types=4,\n"
+            "    num_value_relations=4, num_link_relations=3, values_per_entity=3, links_per_entity=2.0,\n"
+            "    error_rate=0.08, seed=8, hub_link_fraction=0.4, num_hubs=2))\n"
+            "rules = benchmark_rules(graph, count=12, max_diameter=4, seed=2)\n"
+            "options = DetectionOptions(execution='processes')\n"
+            "during = []\n"
+            "sink = CallbackSink(lambda violation, introduced: during.append(threading.active_count()))\n"
+            "for _ in range(5):\n"
+            "    before = threading.active_count()\n"
+            "    Detector(rules, engine='parallel', processors=2, options=options, sinks=[sink]).run(graph)\n"
+            "    print(methods[-1], before, max(during), threading.active_count())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
+        assert done.stdout.splitlines() == ["fork 1 1 1"] * 5, done.stdout + done.stderr
 
     def test_worker_traces_account_work(self, kb_graph, kb_rules):
         result = Detector(
@@ -538,13 +574,22 @@ class TestServiceAdmissionControl:
         # a processes request without a count takes the detector's default
         # (8), clamped to the CPUs: it never starts more workers than an
         # explicit count may ask for
+        from repro.detect.parallel import executor
         from repro.service import protocol
 
+        started = []
+        start = executor._Crew.start
+
+        def record(crew, index, epoch, pending):
+            started.append(index)
+            start(crew, index, epoch, pending)
+
+        monkeypatch.setattr(executor._Crew, "start", record)
         monkeypatch.setattr(protocol, "usable_cpus", lambda: 1)
         client = ServiceClient(service.url)
         reply = client.detect("fig1", catalog="example", engine="parallel", execution="processes")
         assert reply.summary["processors"] == 1
-        assert set(service.manager.describe_pools()) == {"1"}
+        assert started == [0], "one worker slot, started once"
         assert {str(v) for v in reply.violations} == {
             str(v) for v in client.detect("fig1", catalog="example").violations
         }

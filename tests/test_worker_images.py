@@ -3,8 +3,8 @@
 The image contract the executor relies on: a spooled image round-trips
 through the graph/io JSON format onto the sealed ``frozen`` engine, is
 loaded at most once per process, and an :class:`ExecutionRuntime` rebuilt
-from its spawn payload reads the same images its parent holds.  PDect
-seeds one root unit per rule on the least plan-estimated-loaded worker;
+from its spawn payload reads the same images its parent holds.  Process
+PDect places the simulator's seed list, one unit per first-step candidate;
 PIncDect seeds each pivot by the simulator's ownership hash.  PIncDect
 replicates ``N_C(ΔG)`` only when every pattern is connected; a rule set
 with a disconnected pattern ships the full graphs and still finds the same
@@ -24,7 +24,7 @@ from repro.datasets.rules import benchmark_rules
 from repro.detect import DetectionOptions, Detector
 from repro.detect.parallel.executor import (
     ExecutionRuntime,
-    clear_spool_cache,
+    clear_loaded_images,
     load_spooled,
     spool_image,
 )
@@ -61,22 +61,22 @@ def _same_content(left, right) -> bool:
 class TestSpool:
     def test_spool_and_load_round_trip(self, kb, tmp_path):
         path = spool_image(kb, tmp_path / "image.json")
-        clear_spool_cache()
+        clear_loaded_images()
         loaded = load_spooled(path)
         assert _same_content(loaded, kb)
         assert loaded.node_count() == kb.node_count()
 
     def test_spooled_images_memoize_per_process(self, kb, tmp_path):
         path = spool_image(kb, tmp_path / "image.json")
-        clear_spool_cache()
+        clear_loaded_images()
         first = load_spooled(path)
         assert load_spooled(str(tmp_path / "." / "image.json")) is first
-        clear_spool_cache()
+        clear_loaded_images()
         assert load_spooled(path) is not first
 
     def test_loaded_images_are_frozen_read_only(self, kb, tmp_path):
         path = spool_image(kb, tmp_path / "image.json")
-        clear_spool_cache()
+        clear_loaded_images()
         image = load_spooled(path)
         assert image.store_backend == "frozen"
         with pytest.raises(GraphError):
@@ -88,7 +88,7 @@ class TestSpool:
 
     def test_empty_graph_round_trips(self, tmp_path):
         path = spool_image(Graph("empty"), tmp_path / "image.json")
-        clear_spool_cache()
+        clear_loaded_images()
         image = load_spooled(path)
         assert image.node_count() == 0
         assert image.store_backend == "frozen"
@@ -96,7 +96,7 @@ class TestSpool:
     def test_a_foreign_file_is_refused_and_not_memoized(self, kb, tmp_path):
         target = tmp_path / "image.json"
         target.write_text('{"hello": "world"}', encoding="utf-8")
-        clear_spool_cache()
+        clear_loaded_images()
         with pytest.raises(GraphError):
             load_spooled(target)
         target.unlink()
@@ -118,7 +118,7 @@ class TestRuntimePayload:
         )
         payload = runtime.payload(str(tmp_path))
         assert sorted(entry.name for entry in tmp_path.iterdir()) == ["before.json", "image.json"]
-        clear_spool_cache()
+        clear_loaded_images()
         rebuilt = ExecutionRuntime.from_payload(payload)
         assert [plan.order for plan in rebuilt.plans] == [plan.order for plan in runtime.plans]
         after_image = rebuilt.graph_for(True)
@@ -153,15 +153,16 @@ class TestSeeding:
 
     @pytest.fixture
     def captured(self, monkeypatch):
-        from repro.detect.parallel import executor
+        from repro.detect.parallel.executor import ProcessRun
 
         calls = []
 
-        def execute(runtime, seeds, processors, policy, **kwargs):
-            calls.append((runtime, list(seeds), processors))
-            return (event for event in ())
+        def drain(run, seeds, graph_for, dedupe):
+            calls.append((run.runtime(), [(owner, unit) for owner, unit, _ in seeds], run.processors))
+            return
+            yield
 
-        monkeypatch.setattr(executor, "iter_process_execution", execute)
+        monkeypatch.setattr(ProcessRun, "drain", drain)
         return calls
 
     @staticmethod
@@ -170,21 +171,27 @@ class TestSeeding:
             rules, engine="parallel", processors=2, options=DetectionOptions(execution="processes")
         )
 
-    def test_batch_roots_are_placed_least_loaded(self, kb, captured):
+    def test_process_and_simulated_pdect_place_the_same_seeds(self, kb, captured, monkeypatch):
+        from repro.detect.parallel.cluster import SimulatedRun
+
+        simulated = []
+        drain = SimulatedRun.drain
+
+        def record(run, seeds, graph_for, dedupe):
+            seeds = list(seeds)
+            simulated.append([(owner, unit) for owner, unit, _ in seeds])
+            return (yield from drain(run, seeds, graph_for, dedupe))
+
+        monkeypatch.setattr(SimulatedRun, "drain", record)
         rules = benchmark_rules(kb, count=6, max_diameter=3, seed=0)
         self._detector(rules).run(kb)
+        Detector(rules, engine="parallel", processors=2).run(kb)
         [(runtime, seeds, processors)] = captured
         assert runtime.before_image is None
         assert _same_content(runtime.graph_for(True), kb)
-        # one depth-0 root per rule: the worker runs the first-step scan
-        assert sorted(unit.rule_index for _, unit in seeds) == [
-            index for index, plan in enumerate(runtime.plans) if plan.order
-        ]
-        assert all(unit.assignment == () and unit.from_insertion for _, unit in seeds)
-        loads = [0.0] * processors
-        for owner, unit in seeds:
-            assert loads[owner] == min(loads)
-            loads[owner] += runtime.plans[unit.rule_index].estimated_unit_cost(0)
+        # one seed list: a unit per first-step candidate, on the same worker
+        assert seeds == simulated[0]
+        assert all(len(unit.assignment) == 1 and unit.from_insertion for _, unit in seeds)
         assert {owner for owner, _ in seeds} == set(range(processors))
 
     def test_connected_rules_ship_the_candidate_neighbourhood(self, kb, captured):
