@@ -24,8 +24,9 @@ Execution model
   after the update): inherited copy-on-write under ``fork``, spooled once
   and memo-loaded per process under ``spawn`` (:func:`resolve_start_method`
   picks).  It keeps one :class:`~repro.matching.search.RuleSearch` per rule
-  and drains its seeds in order.  Nothing travels from the parent to a
-  worker after it starts: shares are never rebalanced.
+  and drains its seeds last first, as Dect drains a rule's candidates.
+  Nothing travels from the parent to a worker after it starts: shares are
+  never rebalanced.
 * Every **report** (worker → parent, over the worker's own pipe) carries
   the violations found, the cost spent and the seeds finished since the
   last one.  A worker reports every ``REPORT_EVERY_SEEDS`` seeds or
