@@ -216,6 +216,21 @@ class TestCrashRecoveryParity:
         assert result.removed().to_json() == serial.removed().to_json()
         assert not result.degraded
 
+    def test_incremental_crash_parity_spawn(self, kb_graph, kb_rules, kb_delta, monkeypatch, force_start_method):
+        # a spawned replacement reloads both spooled images and re-runs the
+        # dead worker's unfinished pivots in their own direction's graph
+        serial = Detector(kb_rules, engine="incremental").run_incremental(kb_graph, kb_delta)
+        before = fault_tolerance_counters()
+        monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=3")
+        force_start_method("spawn")
+        result = Detector(
+            kb_rules, engine="parallel", processors=2, options=_options()
+        ).run_incremental(kb_graph, kb_delta)
+        assert fault_tolerance_counters()["worker_restarts"] > before["worker_restarts"]
+        assert result.introduced().to_json() == serial.introduced().to_json()
+        assert result.removed().to_json() == serial.removed().to_json()
+        assert not result.degraded
+
 
 # -------------------------------------------------- degradation and quarantine
 
@@ -290,6 +305,36 @@ class TestGracefulDegradation:
             kb_rules, engine="parallel", processors=2, options=_options()
         ).run(kb_graph)
         assert result.violations.to_json() == serial_result.violations.to_json()
+
+    def test_hung_worker_is_recovered_by_heartbeat_spawn(
+        self, kb_graph, kb_rules, serial_result, monkeypatch, force_start_method
+    ):
+        before = fault_tolerance_counters()
+        monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,epoch=0,after=2")
+        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_PERIOD", "0.2")
+        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_TIMEOUT", "2.0")
+        force_start_method("spawn")
+        result = Detector(
+            kb_rules, engine="parallel", processors=2, options=_options()
+        ).run(kb_graph)
+        # the silent worker was killed and its seeds re-run on a replacement
+        assert fault_tolerance_counters()["worker_restarts"] > before["worker_restarts"]
+        assert result.violations.to_json() == serial_result.violations.to_json()
+
+    def test_incremental_hung_worker_is_recovered_by_heartbeat(
+        self, kb_graph, kb_rules, kb_delta, monkeypatch
+    ):
+        reference = Detector(kb_rules, engine="incremental").run_incremental(kb_graph, kb_delta)
+        before = fault_tolerance_counters()
+        monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,epoch=0,after=2")
+        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_PERIOD", "0.2")
+        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_TIMEOUT", "2.0")
+        result = Detector(
+            kb_rules, engine="parallel", processors=2, options=_options()
+        ).run_incremental(kb_graph, kb_delta)
+        assert fault_tolerance_counters()["worker_restarts"] > before["worker_restarts"]
+        assert result.introduced().to_json() == reference.introduced().to_json()
+        assert result.removed().to_json() == reference.removed().to_json()
 
     def test_stuck_worker_shutdown_is_bounded(self, kb_graph, kb_rules, monkeypatch):
         # worker 0 hangs (ignoring SIGTERM) while the cost budget stops the

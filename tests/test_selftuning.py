@@ -73,3 +73,19 @@ class TestSpoolCleanup:
             options=DetectionOptions(execution="processes"),
         ).run(graph)
         assert _spool_dirs() == before
+
+    def test_completed_incremental_run_removes_spool(self, kb_like, force_start_method):
+        # PIncDect spools two images, G and G ⊕ ΔG; neither outlives the run
+        from repro.graph.updates import UpdateGenerator
+
+        graph, rules = kb_like
+        delta = UpdateGenerator(seed=21).generate(graph, 40, insert_ratio=0.5)
+        force_start_method("spawn")
+        before = _spool_dirs()
+        Detector(
+            rules,
+            engine="auto",
+            processors=2,
+            options=DetectionOptions(execution="processes"),
+        ).run_incremental(graph, delta)
+        assert _spool_dirs() == before

@@ -194,6 +194,27 @@ class TestSeeding:
         assert all(len(unit.assignment) == 1 and unit.from_insertion for _, unit in seeds)
         assert {owner for owner, _ in seeds} == set(range(processors))
 
+    def test_process_and_simulated_pincdect_place_the_same_seeds(self, kb, captured, monkeypatch):
+        from repro.detect.parallel.cluster import SimulatedRun
+
+        simulated = []
+        drain = SimulatedRun.drain
+
+        def record(run, seeds, graph_for, dedupe):
+            seeds = list(seeds)
+            simulated.append([(owner, unit) for owner, unit, _ in seeds])
+            return (yield from drain(run, seeds, graph_for, dedupe))
+
+        monkeypatch.setattr(SimulatedRun, "drain", record)
+        rules = benchmark_rules(kb, count=6, max_diameter=2, seed=0)
+        delta = UpdateGenerator(seed=5).generate(kb, 10, insert_ratio=0.5)
+        self._detector(rules).run_incremental(kb, delta)
+        Detector(rules, engine="parallel", processors=2).run_incremental(kb, delta)
+        [(_, seeds, _)] = captured
+        # one seed list: a unit per update pivot, on the worker that owns it
+        assert seeds
+        assert seeds == simulated[0]
+
     def test_connected_rules_ship_the_candidate_neighbourhood(self, kb, captured):
         rules = benchmark_rules(kb, count=6, max_diameter=2, seed=0)
         assert all(rule.pattern.is_connected() for rule in rules)
