@@ -15,9 +15,8 @@ The script exercises the observability subsystem (`src/repro/obs/`,
    scrape ``GET /metrics`` (Prometheus text) and ``GET /debug/traces``
    while correlating the stream via its ``X-Repro-Trace`` trace id.
 
-Everything is stdlib-only and observe-only: set ``REPRO_OBS=off`` and the
-same script still detects the same violations — just with no-op stubs in
-place of the registry and recorder.
+Everything is stdlib-only and observe-only: no metric or span changes what
+a run detects.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.service import DetectionService, ServiceClient
 
 
 def main() -> None:
-    obs.configure(True)  # fresh registry + recorder (normally REPRO_OBS decides)
+    obs.configure()  # fresh registry + recorder, so the counts below are this script's
 
     # -- 1. a traced detection run and its span tree ------------------------
     print("=== span tree of one Detector.run (repro-detect run --profile) ===")
@@ -93,7 +92,7 @@ def main() -> None:
 
         health = client.health()
         print(
-            f"\n/health: observability={health['observability']} "
+            f"\n/health: fault_tolerance={health['fault_tolerance']} "
             f"uptime={health['uptime_seconds']:.1f}s"
         )
 

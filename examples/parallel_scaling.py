@@ -19,11 +19,10 @@ from __future__ import annotations
 import os
 import sys
 
-from repro import UpdateGenerator, apply_update, inc_dect, pinc_dect
+from repro import UpdateGenerator, apply_update, inc_dect, obs, pinc_dect
 from repro.datasets.kb import dbpedia_like, pokec_like, yago_like
 from repro.datasets.rules import benchmark_rules
 from repro.detect import BalancingPolicy, DetectionOptions, Detector
-from repro.detect.parallel.executor import fault_tolerance_counters
 
 #: the knowledge-base analogues of the paper's graphs, by their paper names
 DATASETS = {"DBpedia": dbpedia_like, "YAGO2": yago_like, "Pokec": pokec_like}
@@ -86,7 +85,7 @@ def main() -> None:
     print("\nSurviving a worker crash (REPRO_FAULTS=worker_death, same answer):")
     os.environ["REPRO_FAULTS"] = "worker_death:worker=0,epoch=0,after=3"
     try:
-        before = fault_tolerance_counters()["worker_restarts"]
+        before = obs.metrics().total("repro_worker_restarts_total")
         detector = Detector(
             rules,
             engine="parallel",
@@ -94,7 +93,7 @@ def main() -> None:
             options=DetectionOptions(execution="processes"),
         )
         result = detector.run(graph)
-        restarts = fault_tolerance_counters()["worker_restarts"] - before
+        restarts = int(obs.metrics().total("repro_worker_restarts_total") - before)
         same = result.violations == serial_result.violations
         if not same:
             mismatches.append("processes p = 2 with a worker crash")

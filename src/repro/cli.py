@@ -196,11 +196,6 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         help="stop once the cost measure reaches C work units",
     )
     parser.add_argument(
-        "--no-literal-pruning",
-        action="store_true",
-        help="disable literal-driven pruning of partial solutions",
-    )
-    parser.add_argument(
         "--execution",
         choices=("simulated", "processes"),
         default="simulated",
@@ -223,7 +218,7 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="after the run, print the observability span tree (plan "
         "compile, per-rule work, per-step candidate counts, literal "
-        "evaluations) to stderr; needs REPRO_OBS unset or 'on'",
+        "evaluations) to stderr",
     )
 
 
@@ -401,7 +396,6 @@ def _load_rules(args: argparse.Namespace) -> RuleSet:
 
 def _build_detector(args: argparse.Namespace, engine: str) -> Detector:
     options = DetectionOptions(
-        use_literal_pruning=not args.no_literal_pruning,
         max_violations=args.max_violations,
         max_cost=args.max_cost,
         execution=getattr(args, "execution", "simulated"),
@@ -426,12 +420,7 @@ def _print_profile(
         f"start-up: import_s={IMPORT_S:.3f} load_s={load_s:.3f} detect_s={result.wall_time:.3f}",
         file=sys.stderr,
     )
-    trace_id = getattr(result, "trace_id", None)
-    if trace_id is None:
-        print(
-            "repro-detect: no trace recorded (is REPRO_OBS off?)", file=sys.stderr
-        )
-        return
+    trace_id = result.trace_id
     print(f"profile (trace {trace_id}):", file=sys.stderr)
     print(format_span_tree(obs.traces(), trace_id), file=sys.stderr)
     snapshot = obs.snapshot()

@@ -317,7 +317,7 @@ class _Requirement:
 def _collect_requirements(model: Graph, rules: RuleSet, statistics: GraphStatistics) -> list[_Requirement]:
     requirements: list[_Requirement] = []
     for rule in rules:
-        matcher = HomomorphismMatcher(model, rule.pattern, use_literal_pruning=False, statistics=statistics)
+        matcher = HomomorphismMatcher(model, rule.pattern, statistics=statistics)
         for match in matcher.matches():
             requirements.append(_Requirement(rule, tuple(sorted(match.items()))))
     return requirements
@@ -506,7 +506,7 @@ def implies(rules: RuleSet | list[NGD], candidate: NGD) -> bool:
             continue
         statistics = GraphStatistics.from_graph(model)
         requirements = _collect_requirements(model, rule_set, statistics)
-        matcher = HomomorphismMatcher(model, candidate.pattern, use_literal_pruning=False, statistics=statistics)
+        matcher = HomomorphismMatcher(model, candidate.pattern, statistics=statistics)
         for match in matcher.matches():
             witness_requirement = _Requirement(
                 candidate, tuple(sorted(match.items())), must_violate=True

@@ -29,39 +29,33 @@ __all__ = [
 ]
 
 
-def violations_of_rule(
-    graph: Graph,
-    rule: NGD,
-    use_literal_pruning: bool = True,
-    stats: Optional[MatchStatistics] = None,
-) -> ViolationSet:
+def violations_of_rule(graph: Graph, rule: NGD, stats: Optional[MatchStatistics] = None) -> ViolationSet:
     """Return all violations of a single NGD in ``graph``."""
-    return find_violations(graph, [rule], use_literal_pruning, stats)
+    return find_violations(graph, [rule], stats)
 
 
 def find_violations(
     graph: Graph,
     rules: RuleSet | list[NGD],
-    use_literal_pruning: bool = True,
     stats: Optional[MatchStatistics] = None,
 ) -> ViolationSet:
     """Return ``Vio(Σ, G)``: every violation of every rule in Σ."""
     from repro.detect.dect import iter_dect
     from repro.detect.observers import drain
 
-    result = drain(iter_dect(graph, rules, use_literal_pruning))
+    result = drain(iter_dect(graph, rules))
     if stats is not None:
         stats.merge(result.stats)
     return result.violations
 
 
-def satisfies_rule(graph: Graph, rule: NGD, use_literal_pruning: bool = True) -> bool:
+def satisfies_rule(graph: Graph, rule: NGD) -> bool:
     """Return True when ``G ⊨ φ`` (no match of the pattern violates X → Y)."""
-    return graph_satisfies(graph, [rule], use_literal_pruning)
+    return graph_satisfies(graph, [rule])
 
 
-def graph_satisfies(graph: Graph, rules: RuleSet | list[NGD], use_literal_pruning: bool = True) -> bool:
+def graph_satisfies(graph: Graph, rules: RuleSet | list[NGD]) -> bool:
     """Return True when ``G ⊨ Σ`` (the validation problem); stops at the first violation."""
     from repro.detect.dect import iter_dect
 
-    return next(iter_dect(graph, rules, use_literal_pruning), None) is None
+    return next(iter_dect(graph, rules), None) is None

@@ -64,7 +64,7 @@ class DetectionResult:
     #: parallelism degraded.
     degraded: bool = False
     #: trace id of the observability span tree covering this run (None when
-    #: the run was not driven through a Detector session or REPRO_OBS=off)
+    #: the run was not driven through a Detector session)
     trace_id: Optional[str] = None
 
     def violation_count(self) -> int:
@@ -99,7 +99,7 @@ class IncrementalDetectionResult:
     #: degraded.
     degraded: bool = False
     #: trace id of the observability span tree covering this run (None when
-    #: the run was not driven through a Detector session or REPRO_OBS=off)
+    #: the run was not driven through a Detector session)
     trace_id: Optional[str] = None
 
     def introduced(self) -> ViolationSet:

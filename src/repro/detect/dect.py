@@ -35,7 +35,7 @@ from repro.detect.observers import DetectionBudget, ViolationSink
 from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
-from repro.matching.plan import MatchPlan, first_step_candidates, resolve_plans
+from repro.matching.plan import MatchPlan, resolve_plans, seed_candidates
 
 __all__ = ["dect", "iter_dect"]
 
@@ -43,7 +43,6 @@ __all__ = ["dect", "iter_dect"]
 def iter_dect(
     graph: Graph,
     rules: RuleSet | list[NGD],
-    use_literal_pruning: bool = True,
     budget: Optional[DetectionBudget] = None,
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
@@ -73,7 +72,7 @@ def iter_dect(
             if not order:
                 continue
             with run.rule(rule.name):
-                candidates, scan_cost = first_step_candidates(graph, rule, plan, order, use_literal_pruning, run.stats)
+                candidates, scan_cost = seed_candidates(graph, rule, plan, run.stats)
                 run.cost += scan_cost
                 if not run.cost_exhausted():
                     # the seeds are a stack: the last candidate's subtree is searched
@@ -81,7 +80,7 @@ def iter_dect(
                     # rank order
                     if len(order) > 1:
                         candidates.reverse()
-                    search = rule_search(rule, plan, use_literal_pruning, run.stats)
+                    search = rule_search(rule, plan, run.stats)
                     seeds = ((search, order, (candidate,), True) for candidate in candidates)
                     yield from run.drain(seeds, lambda _: graph, (violations, violations))
             if run.stop_reason is not None:
@@ -97,11 +96,7 @@ def iter_dect(
     )
 
 
-def dect(
-    graph: Graph,
-    rules: RuleSet | list[NGD],
-    use_literal_pruning: bool = True,
-) -> DetectionResult:
+def dect(graph: Graph, rules: RuleSet | list[NGD]) -> DetectionResult:
     """Run batch detection of ``Vio(Σ, G)`` over the whole graph.
 
     Compatibility shim: equivalent to
@@ -109,7 +104,6 @@ def dect(
     the :class:`~repro.detect.session.Detector` session, which adds
     streaming, sinks, and budgets on the same kernel.
     """
-    from repro.detect.session import DetectionOptions, Detector
+    from repro.detect.session import Detector
 
-    options = DetectionOptions(use_literal_pruning=use_literal_pruning)
-    return Detector(rules, engine="batch", options=options).run(graph)
+    return Detector(rules, engine="batch").run(graph)

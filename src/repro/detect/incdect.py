@@ -59,7 +59,6 @@ def iter_inc_dect(
     graph: Graph,
     rules: RuleSet | list[NGD],
     delta: BatchUpdate,
-    use_literal_pruning: bool = True,
     graph_after: Optional[Graph] = None,
     budget: Optional[DetectionBudget] = None,
     sink: Optional[ViolationSink] = None,
@@ -109,7 +108,7 @@ def iter_inc_dect(
             if not pivots:
                 continue
             with run.rule(rule.name):
-                search = rule_search(rule, plan, use_literal_pruning, run.stats)
+                search = rule_search(rule, plan, run.stats)
                 seeds = []
                 for site, update in pivots:
                     inserted = update.is_insertion
@@ -140,7 +139,6 @@ def inc_dect(
     graph: Graph,
     rules: RuleSet | list[NGD],
     delta: BatchUpdate,
-    use_literal_pruning: bool = True,
     graph_after: Optional[Graph] = None,
 ) -> IncrementalDetectionResult:
     """Compute ΔVio(Σ, G, ΔG) with the update-driven sequential algorithm.
@@ -149,8 +147,7 @@ def inc_dect(
     engine="incremental").run_incremental(graph, delta, graph_after)``; new
     code should prefer the :class:`~repro.detect.session.Detector` session.
     """
-    from repro.detect.session import DetectionOptions, Detector
+    from repro.detect.session import Detector
 
-    options = DetectionOptions(use_literal_pruning=use_literal_pruning)
-    detector = Detector(rules, engine="incremental", options=options)
+    detector = Detector(rules, engine="incremental")
     return detector.run_incremental(graph, delta, graph_after=graph_after)

@@ -12,7 +12,7 @@ rely on.
 
 The per-rule work is plain list arithmetic; the flush builds the counters'
 label keys itself, takes the recorder lock once and draws span ids without
-a system call.  Everything is inert when observability is disabled.
+a system call.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ def flush_step_counts(stats: MatchStatistics) -> None:
     completed run.  ``extra`` merges additively across threads and worker
     processes, so one flush covers every execution mode.
     """
-    if not obs.enabled():
-        return
     samples = []
     for key, scanned in stats.extra.items():
         if not scanned or not key.startswith(STEP_COUNT_PREFIX):
@@ -138,10 +136,9 @@ class RuleAttribution:
     shipment, and the row set is reusable after each :meth:`emit`.
     """
 
-    __slots__ = ("enabled", "algorithm", "_rows")
+    __slots__ = ("algorithm", "_rows")
 
     def __init__(self, algorithm: str) -> None:
-        self.enabled = obs.enabled()
         self.algorithm = algorithm
         # rule name (added up per unit) or record number (one per stretch) ->
         # [5 stat deltas, violations, cost or None, start time or None, duration, rule name]
@@ -153,22 +150,16 @@ class RuleAttribution:
             row = self._rows[rule_name] = [0, 0, 0, 0, 0, 0, None, None, 0.0, rule_name]
         return row
 
-    def before(self, stats: MatchStatistics):
-        if not self.enabled:
-            return None
+    def before(self, stats: MatchStatistics) -> Tuple[int, int, int, int, int]:
         return stats_snapshot(stats)
 
-    def after(self, rule_name: str, before, stats: MatchStatistics) -> None:
-        if before is None:
-            return
+    def after(self, rule_name: str, before: Tuple[int, int, int, int, int], stats: MatchStatistics) -> None:
         after = stats_snapshot(stats)
         row = self._row(rule_name)
         for index in range(5):
             row[index] += after[index] - before[index]
 
     def violation(self, rule_name: str, count: int = 1) -> None:
-        if not self.enabled:
-            return
         self._row(rule_name)[5] += count
 
     def record(self, rule_name: str, before, stats: MatchStatistics, violations: int,
@@ -182,7 +173,7 @@ class RuleAttribution:
 
     def emit(self, trace_parent: Optional[obs.Span] = None) -> None:
         """Flush the rows to the registry, and as ``detect.rule`` spans under ``trace_parent``."""
-        if not self.enabled or not self._rows:
+        if not self._rows:
             return
         samples = []
         spans = []

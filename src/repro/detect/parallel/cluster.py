@@ -192,8 +192,8 @@ class ClusterSimulator:
 class SimulatedRun(KernelRun):
     """One parallel kernel run on a :class:`ClusterSimulator`: its clocks, its loop, what it emitted.
 
-    The run's ``cost`` is the makespan.  ``rules``, ``plans`` and ``use_literal_pruning``
-    are what a work unit is expanded with; every expansion's statistics go
+    The run's ``cost`` is the makespan.  ``rules`` and ``plans`` are what a
+    work unit is expanded with; every expansion's statistics go
     to ``stats``, and to its rule's row of the run's attribution.
     """
 
@@ -203,7 +203,6 @@ class SimulatedRun(KernelRun):
         incremental: bool,
         rules,
         plans,
-        use_literal_pruning: bool,
         processors: int,
         policy: BalancingPolicy,
         budget: Optional[DetectionBudget],
@@ -211,7 +210,7 @@ class SimulatedRun(KernelRun):
     ) -> None:
         super().__init__(algorithm, incremental, budget, sink)
         self.cluster = ClusterSimulator(processors, policy.latency)
-        self.rules, self.plans, self.use_literal_pruning = rules, plans, use_literal_pruning
+        self.rules, self.plans = rules, plans
         self.processors, self.policy = processors, policy
 
     @property
@@ -319,14 +318,13 @@ class SimulatedRun(KernelRun):
             if cluster.move_units(origin, destination, count, charge=False):
                 participants.add(origin)
                 participants.add(destination)
-                if self.attribution.enabled:
-                    obs.counter_inc("repro_executor_steals_total", {"mode": "simulated"}, count)
+                obs.counter_inc("repro_executor_steals_total", {"mode": "simulated"}, count)
         for worker_index in participants:
             cluster.charge(worker_index, policy.latency)
 
     def _expand(self, unit: WorkUnit, graph_for):
         rule, plan, stats = self.rules[unit.rule_index], self.plans[unit.rule_index], self.stats
         before = self.attribution.before(stats)
-        outcome = expand_work_unit(graph_for(unit.from_insertion), rule, unit, self.use_literal_pruning, stats, plan)
+        outcome = expand_work_unit(graph_for(unit.from_insertion), rule, unit, stats, plan)
         self.attribution.after(rule.name, before, stats)
         return outcome

@@ -101,7 +101,6 @@ __all__ = [
     "spool_image",
     "load_spooled",
     "clear_loaded_images",
-    "fault_tolerance_counters",
     "note_degraded_run",
 ]
 
@@ -171,27 +170,8 @@ def _env_int(name: str, default: int) -> int:
         return default
 
 
-# Process-wide fault-tolerance tallies surfaced by the service's /health
-# endpoint.  Plain locked integers, deliberately independent of the obs
-# registry: supervision telemetry must survive REPRO_OBS=off.
-_FT_LOCK = threading.Lock()
-_FT_COUNTERS = {"worker_restarts": 0, "units_retried": 0, "degraded_runs": 0}
-
-
-def fault_tolerance_counters() -> dict:
-    """Snapshot of this process's supervision tallies (for ``/health``)."""
-    with _FT_LOCK:
-        return dict(_FT_COUNTERS)
-
-
-def _ft_count(key: str, amount: int = 1) -> None:
-    with _FT_LOCK:
-        _FT_COUNTERS[key] += amount
-
-
 def note_degraded_run() -> None:
     """Record one run that finished on the serial path after pool trouble."""
-    _ft_count("degraded_runs")
     obs.counter_inc("repro_degraded_runs_total")
 
 
@@ -261,7 +241,6 @@ class ExecutionRuntime:
 
     rules: list[NGD]
     plans: tuple[MatchPlan, ...]
-    use_literal_pruning: bool
     image: Union[Graph, str]
     before_image: Union[Graph, str, None] = None
 
@@ -280,7 +259,6 @@ class ExecutionRuntime:
         return {
             "rules_json": RuleSet(self.rules).to_json(),
             "plans": plans_to_document(self.plans),
-            "use_literal_pruning": self.use_literal_pruning,
             "image": spool_image(self.image, os.path.join(spool_dir, "image.json")),
             "before_image": (
                 spool_image(before, os.path.join(spool_dir, "before.json")) if before is not None else None
@@ -294,7 +272,6 @@ class ExecutionRuntime:
         return cls(
             rules=rules,
             plans=plans_from_document(payload["plans"], rules),
-            use_literal_pruning=payload["use_literal_pruning"],
             image=payload["image"],
             before_image=payload["before_image"],
         )
@@ -308,7 +285,7 @@ class _Worker:
     spent and finished since the last report — then ``("exited", stats,
     cost, seeds, obs)`` once, or ``("error", traceback_text)``.  The
     trailing ``obs`` field piggybacks this worker's observability delta
-    (:func:`repro.obs.drain_for_shipping`, or None when disabled).  Reports
+    (:func:`repro.obs.drain_for_shipping`, or None when empty).  Reports
     go out only between seeds, so a seed's violations and its finished mark
     travel in one report: a seed the parent saw finish never runs again.
     """
@@ -317,7 +294,6 @@ class _Worker:
         self.runtime, self.channel, self.stop_event = runtime, channel, stop_event
         # incremental: every event carries its direction
         self.run = SerialRun("executor", True, None, None)
-        self.obs_on = obs.enabled()
         plan = resolve_fault_plan()
         self.faults = plan.for_worker(worker_id, epoch) if plan is not None else None
         self.found: list = []
@@ -334,9 +310,8 @@ class _Worker:
         for event in self.run.drain(self._seeds(share), self.runtime.graph_for, (set(), set())):
             self.found.append((event.violation, event.introduced))
         self._report()
-        if self.obs_on:
-            with obs.span("executor.worker", units_processed=self.seeds, cost=round(self.run.cost, 3)):
-                pass
+        with obs.span("executor.worker", units_processed=self.seeds, cost=round(self.run.cost, 3)):
+            pass
         self.channel.send(("exited", self.run.stats, self.run.cost, self.seeds, self._ship()))
 
     def _seeds(self, share: Iterable[tuple[int, WorkUnit]]) -> Iterator[tuple]:
@@ -366,7 +341,7 @@ class _Worker:
                 search = searches.get(index)
                 if search is None:
                     rule, plan = runtime.rules[index], runtime.plans[index]
-                    search = searches[index] = rule_search(rule, plan, runtime.use_literal_pruning, stats)
+                    search = searches[index] = rule_search(rule, plan, stats)
                 self._attribute(search)
             previous = position
             yield search, unit.order, list(map(node_of, unit.assignment)), unit.from_insertion
@@ -382,8 +357,6 @@ class _Worker:
 
     def _ship(self) -> Optional[dict]:
         """Flush the per-rule counters and drain this worker's observability delta."""
-        if not self.obs_on:
-            return None
         self._attribute(self.open_search)
         self.run.attribution.emit()
         return obs.drain_for_shipping()
@@ -392,7 +365,7 @@ class _Worker:
         if self.faults is not None:
             self.faults.on_put()
         self.seeds += len(self.finished)
-        if self.obs_on and self.finished:
+        if self.finished:
             obs.counter_inc("repro_executor_units_total", None, len(self.finished))
         cost = self.run.cost
         self.channel.send(("report", self.found, cost - self.reported_cost, self.finished, self._ship()))
@@ -414,9 +387,8 @@ def _worker_main(worker_id: int, epoch: int, runtime, share, channel, stop_event
     """
     try:
         # fresh per-worker observability state: fork children must not carry
-        # the parent's shards (their dumps would double-count), spawn
-        # children re-resolve REPRO_OBS from the inherited environment
-        obs.reset_for_worker()
+        # the parent's samples (their dumps would double-count)
+        obs.configure()
         if not isinstance(runtime, ExecutionRuntime):
             runtime = ExecutionRuntime.from_payload(runtime)
         _Worker(worker_id, epoch, runtime, channel, stop_event).drain(reversed(share.items()))
@@ -544,7 +516,6 @@ class ProcessRun(SerialRun):
         incremental: bool,
         rules: Sequence[NGD],
         plans: Sequence[MatchPlan],
-        use_literal_pruning: bool,
         processors: int,
         budget: Optional[DetectionBudget],
         sink: Optional[ViolationSink],
@@ -552,7 +523,7 @@ class ProcessRun(SerialRun):
         base_cost: float = 0.0,
     ) -> None:
         super().__init__(algorithm, incremental, budget, sink)
-        self.rules, self.plans, self.use_literal_pruning = rules, plans, use_literal_pruning
+        self.rules, self.plans = rules, plans
         self.processors, self.images = processors, images
         self.cost = base_cost
         self.worker_traces = [WorkerTrace(worker=index) for index in range(processors)]
@@ -568,7 +539,7 @@ class ProcessRun(SerialRun):
 
     def runtime(self) -> ExecutionRuntime:
         """What every worker of this run searches with."""
-        return ExecutionRuntime(list(self.rules), tuple(self.plans), self.use_literal_pruning, *self.images)
+        return ExecutionRuntime(list(self.rules), tuple(self.plans), *self.images)
 
     def charge_scan(self, candidates: int, scanned: float) -> None:
         """Charge a first-step scan the parent ran: its size, as Dect charges it."""
@@ -683,14 +654,12 @@ class ProcessRun(SerialRun):
                 reship[position] = unit
         if slot.pending:
             self.units_retried += len(slot.pending)
-            _ft_count("units_retried", len(slot.pending))
             obs.counter_inc("repro_units_retried_total", None, len(slot.pending))
         if not reship:
             return []
         if self.restarts >= restart_budget:
             return list(reship.values())
         self.restarts += 1
-        _ft_count("worker_restarts")
         obs.counter_inc("repro_worker_restarts_total")
         crew.start(slot.index, slot.epoch + 1, reship)
         return []
@@ -713,5 +682,5 @@ class ProcessRun(SerialRun):
             index = unit.rule_index
             if index not in searches:
                 rule, plan = self.rules[index], self.plans[index]
-                searches[index] = rule_search(rule, plan, self.use_literal_pruning, self.stats)
+                searches[index] = rule_search(rule, plan, self.stats)
             yield searches[index], unit.order, [node for _, node in unit.assignment], unit.from_insertion

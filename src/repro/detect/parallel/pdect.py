@@ -38,7 +38,7 @@ from repro.detect.parallel.cluster import SimulatedRun
 from repro.detect.parallel.workunits import WorkUnit
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph
-from repro.matching.plan import MatchPlan, first_step_candidates, resolve_plans
+from repro.matching.plan import MatchPlan, resolve_plans, seed_candidates
 
 __all__ = ["p_dect", "iter_p_dect"]
 
@@ -48,7 +48,6 @@ def iter_p_dect(
     rules: RuleSet | list[NGD],
     processors: int = 8,
     policy: Optional[BalancingPolicy] = None,
-    use_literal_pruning: bool = True,
     budget: Optional[DetectionBudget] = None,
     sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
@@ -82,11 +81,9 @@ def iter_p_dect(
     if execution == "processes":
         from repro.detect.parallel.executor import ProcessRun
 
-        run = ProcessRun(
-            "PDect", False, rule_list, plans, use_literal_pruning, processors, budget, sink, images=(graph, None)
-        )
+        run = ProcessRun("PDect", False, rule_list, plans, processors, budget, sink, images=(graph, None))
     else:
-        run = SimulatedRun("PDect", False, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
+        run = SimulatedRun("PDect", False, rule_list, plans, processors, policy, budget, sink)
     violations = ViolationSet()
     yield from run.drain(_candidate_seeds(run, graph), lambda _: graph, (violations, violations))
     return DetectionResult(
@@ -118,7 +115,7 @@ def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
         if not order:
             continue
         before = run.attribution.before(run.stats)
-        candidates, scanned = first_step_candidates(graph, rule, plan, order, run.use_literal_pruning, run.stats)
+        candidates, scanned = seed_candidates(graph, rule, plan, run.stats)
         run.attribution.after(rule.name, before, run.stats)
         run.charge_scan(len(candidates), scanned)
         unit_estimate = plan.estimated_unit_cost(1)
@@ -138,7 +135,6 @@ def p_dect(
     rules: RuleSet | list[NGD],
     processors: int = 8,
     policy: Optional[BalancingPolicy] = None,
-    use_literal_pruning: bool = True,
 ) -> DetectionResult:
     """Run parallel batch detection of ``Vio(Σ, G)`` on a simulated cluster.
 
@@ -148,6 +144,6 @@ def p_dect(
     """
     from repro.detect.session import DetectionOptions, Detector
 
-    options = DetectionOptions(use_literal_pruning=use_literal_pruning, policy=policy)
+    options = DetectionOptions(policy=policy)
     detector = Detector(rules, engine="parallel", processors=processors, options=options)
     return detector.run(graph)

@@ -65,7 +65,6 @@ def iter_pinc_dect(
     delta: BatchUpdate,
     processors: int = 8,
     policy: Optional[BalancingPolicy] = None,
-    use_literal_pruning: bool = True,
     graph_after: Optional[Graph] = None,
     budget: Optional[DetectionBudget] = None,
     sink: Optional[ViolationSink] = None,
@@ -120,11 +119,11 @@ def iter_pinc_dect(
             images = (updated, graph)
         # extraction and replication of N_C(ΔG, Σ) is charged to the run's aggregate cost
         run = ProcessRun(
-            algorithm, True, rule_list, plans, use_literal_pruning, processors, budget, sink,
+            algorithm, True, rule_list, plans, processors, budget, sink,
             images=images, base_cost=float(neighborhood_size),
         )
     else:
-        run = SimulatedRun(algorithm, True, rule_list, plans, use_literal_pruning, processors, policy, budget, sink)
+        run = SimulatedRun(algorithm, True, rule_list, plans, processors, policy, budget, sink)
         # extraction and replication of N_C(ΔG, Σ): O(|G_dΣ(ΔG)|) work shared
         # by p workers, plus one broadcast round
         if neighborhood_size:
@@ -170,7 +169,6 @@ def pinc_dect(
     delta: BatchUpdate,
     processors: int = 8,
     policy: Optional[BalancingPolicy] = None,
-    use_literal_pruning: bool = True,
     graph_after: Optional[Graph] = None,
 ) -> IncrementalDetectionResult:
     """Run parallel incremental detection on a simulated ``processors``-worker cluster.
@@ -181,6 +179,6 @@ def pinc_dect(
     """
     from repro.detect.session import DetectionOptions, Detector
 
-    options = DetectionOptions(use_literal_pruning=use_literal_pruning, policy=policy)
+    options = DetectionOptions(policy=policy)
     detector = Detector(rules, engine="parallel", processors=processors, options=options)
     return detector.run_incremental(graph, delta, graph_after=graph_after)

@@ -65,7 +65,7 @@ class ExpansionOutcome:
     verification_adjacency: int
 
 
-def rule_search(rule: NGD, plan: "MatchPlan", use_literal_pruning: bool, stats: MatchStatistics) -> RuleSearch:
+def rule_search(rule: NGD, plan: "MatchPlan", stats: MatchStatistics) -> RuleSearch:
     """Return the search core for the violations of ``rule``, run over ``plan``.
 
     The kernels take rules and plans from separate arguments (``plans=`` is
@@ -75,14 +75,13 @@ def rule_search(rule: NGD, plan: "MatchPlan", use_literal_pruning: bool, stats: 
     """
     if plan.rule is not rule:
         raise ExecutionError(f"the plan of rule {plan.rule.name!r} cannot run rule {rule.name!r}")
-    return RuleSearch(plan, use_literal_pruning, stats)
+    return RuleSearch(plan, stats)
 
 
 def expand_work_unit(
     graph: Graph,
     rule: NGD,
     unit: WorkUnit,
-    use_literal_pruning: bool,
     stats: MatchStatistics,
     plan: "MatchPlan",
 ) -> ExpansionOutcome:
@@ -93,7 +92,7 @@ def expand_work_unit(
     step runs, and the frames it pushed are serialised back into work units.
     A unit that already binds every variable gets only the dependency check.
     """
-    search = rule_search(rule, plan, use_literal_pruning, stats)
+    search = rule_search(rule, plan, stats)
     search.start(graph, unit.order, [node for _, node in unit.assignment])
     violations = search.step()
     new_units = [

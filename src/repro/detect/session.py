@@ -96,8 +96,6 @@ _slow_plan_logger = logging.getLogger("repro.detect.slowplan")
 class DetectionOptions:
     """Tuning knobs shared by every engine of a :class:`Detector` session.
 
-    * ``use_literal_pruning`` — discard partial solutions that can no longer
-      violate the dependency (Section 6.2's literal-driven pruning);
     * ``policy`` — the :class:`BalancingPolicy` of the simulated cluster
       (parallel engines only; default: hybrid splitting + rebalancing);
     * ``max_violations`` / ``max_cost`` — early-termination budget, enforced
@@ -120,10 +118,11 @@ class DetectionOptions:
     Every engine runs compiled :class:`~repro.matching.plan.MatchPlan`\\ s
     (cost-based variable orders, closure-compiled literal schedules) on the
     one search core, each in the order it was compiled with: one plan per
-    run, which IncDect runs in ``G`` and ``G ⊕ ΔG`` themselves.
+    run, which IncDect runs in ``G`` and ``G ⊕ ΔG`` themselves.  Every
+    engine applies Section 6.2's literal-driven pruning: a partial solution
+    that can no longer violate the dependency is discarded.
     """
 
-    use_literal_pruning: bool = True
     policy: Optional[BalancingPolicy] = None
     max_violations: Optional[int] = None
     max_cost: Optional[float] = None
@@ -341,12 +340,8 @@ class Detector:
         ``obs.current_span()`` at generator start) parent their spans —
         and hence the whole run's trace — under it.  On completion the
         result gains the ``trace_id`` and the run is counted and checked
-        against the slow-plan threshold.  With observability off this is
-        a plain pass-through.
+        against the slow-plan threshold.
         """
-        if not obs.enabled():
-            result = yield from factory()
-            return result
         enclosing = obs.current_span_var.get()
         if enclosing is not None:
             # e.g. the service's per-job span: the whole run joins its trace
@@ -446,7 +441,6 @@ class Detector:
             return iter_dect(
                 graph,
                 self.rules,
-                use_literal_pruning=self.options.use_literal_pruning,
                 budget=budget,
                 sink=sink,
                 plans=plans,
@@ -458,7 +452,6 @@ class Detector:
             self.rules,
             processors=self._effective_processors(),
             policy=self.options.policy,
-            use_literal_pruning=self.options.use_literal_pruning,
             budget=budget,
             sink=sink,
             plans=plans,
@@ -489,7 +482,6 @@ class Detector:
                 graph,
                 self.rules,
                 delta,
-                use_literal_pruning=self.options.use_literal_pruning,
                 graph_after=graph_after,
                 budget=budget,
                 sink=sink,
@@ -504,7 +496,6 @@ class Detector:
                 delta,
                 processors=self._effective_processors(),
                 policy=self.options.policy,
-                use_literal_pruning=self.options.use_literal_pruning,
                 graph_after=graph_after,
                 budget=budget,
                 sink=sink,
@@ -547,8 +538,8 @@ class Detector:
             after_plans = self.compile_plans(updated)
         else:
             before_plans = after_plans = plans
-        before = drain(iter_dect(graph, self.rules, self.options.use_literal_pruning, plans=before_plans))
-        after = drain(iter_dect(updated, self.rules, self.options.use_literal_pruning, plans=after_plans))
+        before = drain(iter_dect(graph, self.rules, plans=before_plans))
+        after = drain(iter_dect(updated, self.rules, plans=after_plans))
         violation_delta = ViolationDelta.from_sets(before.violations, after.violations)
         stats = before.stats
         stats.merge(after.stats)

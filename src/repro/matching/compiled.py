@@ -335,8 +335,7 @@ class CompiledSchedule:
         conclusion_all = tuple(
             compile_literal(literal, slot_of) for literal in conclusion_literals
         )
-        if obs.enabled():
-            obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
+        obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
         return cls(tuple(order), slot_of, tuple(steps), premise_all, conclusion_all)
 
     def violates(self, slots, stats: "MatchStatistics") -> bool:

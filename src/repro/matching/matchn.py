@@ -55,12 +55,11 @@ def assignment_for_match(
 
 
 class HomomorphismMatcher:
-    """Every match of ``pattern`` in ``graph``; with pruning, those that satisfy ``premise``.
+    """Every match of ``pattern`` in ``graph`` that satisfies ``premise``.
 
-    ``use_literal_pruning`` fires the premise literals during the search
-    (Section 6.2, step (3)), so only matches satisfying the premise come
-    out; without it the premise is ignored and every match comes out.
-    ``statistics`` is the graph's :class:`~repro.matching.plan.
+    The premise literals fire during the search (Section 6.2, step (3)), so
+    only matches satisfying the premise come out; with no premise every
+    match does.  ``statistics`` is the graph's :class:`~repro.matching.plan.
     GraphStatistics`: a caller building several matchers over one graph
     passes one snapshot to all of them instead of paying an edge pass each.
     """
@@ -70,19 +69,17 @@ class HomomorphismMatcher:
         graph: Graph,
         pattern: Pattern,
         premise: Optional[LiteralSet] = None,
-        use_literal_pruning: bool = True,
         stats: Optional[MatchStatistics] = None,
         statistics: Optional[GraphStatistics] = None,
     ) -> None:
         self.graph = graph
-        self.use_literal_pruning = use_literal_pruning
         self.stats = stats if stats is not None else MatchStatistics()
         rule = NGD(pattern, premise or (), name=pattern.name, allow_nonlinear=True)
         self.plan = compile_plan(graph, rule, statistics)
 
     def matches(self) -> Iterator[dict[str, Hashable]]:
         """Yield every match, depth-first in the plan's order."""
-        search = RuleSearch(self.plan, self.use_literal_pruning, self.stats, all_matches=True)
+        search = RuleSearch(self.plan, self.stats, all_matches=True)
         search.start(self.graph, self.plan.order, ())
         while search.stack:
             for leaf in search.step():

@@ -38,7 +38,6 @@ from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import obs
 from repro.core.ngd import NGD
 from repro.expr.literals import Literal
 from repro.graph.graph import WILDCARD, Graph
@@ -655,7 +654,6 @@ def step_candidates(
     step: PlanStep,
     partial: Mapping[str, Hashable],
     stats: MatchStatistics,
-    use_literal_pruning: bool,
     compiled_step: CompiledStep,
 ) -> tuple[list[Hashable], int]:
     """Execute one step's candidate strategy.
@@ -674,7 +672,7 @@ def step_candidates(
     """
     pattern_node = plan.rule.pattern.node(step.variable)
     candidates: list[Hashable] = []
-    unary_checks = compiled_step.unary_checks if use_literal_pruning else ()
+    unary_checks = compiled_step.unary_checks
 
     if step.strategy == "anchored":
         views = [anchor.view(graph, partial[anchor.variable]) for anchor in step.anchors]
@@ -712,7 +710,7 @@ def step_candidates(
             candidates.append(node_id)
 
     candidates.sort(key=graph.node_rank)
-    if scanned and obs.enabled():
+    if scanned:
         # plain-dict accumulation: this is the match executor's hottest loop
         # and the registry flush happens once per run (flush_step_counts)
         key = compiled_step.count_key
@@ -739,6 +737,23 @@ def resolve_plans(graph: Graph, rule_list, plans, plans_file=None) -> tuple["Mat
     return compile_plans(graph, rule_list)
 
 
+def seed_candidates(graph: Graph, rule: NGD, plan: "MatchPlan", stats: MatchStatistics) -> tuple[list, float]:
+    """Return the seed candidates of a rule plus the scan cost charged for them.
+
+    Executes the compiled first step of the plan's root order; its scan size
+    is the charge.  A seed must also carry the first variable's self-loops —
+    the one pattern edge no later step verifies — at one ``edge_checks`` per
+    probe.  Used by the batch kernels (Dect / PDect) to seed their searches.
+    """
+    first = plan.order[0]
+    candidates, scanned = step_candidates(graph, plan, plan.steps[0], {}, stats, plan.compiled_for(plan.order).steps[0])
+    for edge in rule.pattern.out_edges(first):
+        if edge.target == first:
+            stats.edge_checks += len(candidates)
+            candidates = [node for node in candidates if graph.has_edge(node, node, edge.label)]
+    return candidates, float(scanned)
+
+
 def first_step_candidates(
     graph: Graph,
     rule: NGD,
@@ -748,24 +763,14 @@ def first_step_candidates(
     stats: MatchStatistics,
     compiled: bool = True,
 ) -> tuple[list, float]:
-    """Return the seed candidates of a rule plus the scan cost charged for them.
+    """:func:`seed_candidates` under its old signature.
 
-    Executes the plan's compiled first step; its scan size is the charge.  A
-    seed must also carry the first variable's self-loops — the one pattern
-    edge no later step verifies — at one ``edge_checks`` per probe.  Used by
-    the batch kernels (Dect / PDect) to seed their searches.  ``order`` is
-    the plan's root order; ``compiled`` is ignored (the schedule is always
-    compiled) and stays for callers that still pass it.
+    ``order`` must be the plan's root order.  ``use_literal_pruning`` and
+    ``compiled`` are ignored: the premise always prunes and the schedule is
+    always compiled.  The signature stays because the end-to-end
+    benchmark's seed-scan probe (``benchmarks/e2e/layers.py``) passes both.
     """
-    first = order[0]
-    candidates, scanned = step_candidates(
-        graph, plan, plan.steps[0], {}, stats, use_literal_pruning, plan.compiled_for(plan.order).steps[0]
-    )
-    for edge in rule.pattern.out_edges(first):
-        if edge.target == first:
-            stats.edge_checks += len(candidates)
-            candidates = [node for node in candidates if graph.has_edge(node, node, edge.label)]
-    return candidates, float(scanned)
+    return seed_candidates(graph, rule, plan, stats)
 
 
 # ------------------------------------------------------------------ reporting

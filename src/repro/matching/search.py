@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from typing import Optional
 
-from repro import obs
 from repro.core.ngd import NGD
 from repro.core.violations import Violation
 from repro.errors import ExecutionError
@@ -57,21 +56,20 @@ class RuleSearch:
     scheduled literals run as the plan's closure-compiled schedule of the
     order being followed.
 
-    ``all_matches`` needs a rule without conclusion: with pruning on, the
-    schedule would prune on Y and drop the bindings where Y holds, so such a
-    rule raises :class:`ExecutionError`.
+    ``all_matches`` needs a rule without conclusion: the schedule would
+    prune on Y and drop the bindings where Y holds, so such a rule raises
+    :class:`ExecutionError`.
     """
 
     __slots__ = (
         "rule", "plan", "stats", "graph", "ids", "slots", "stack", "order",
         "filtering", "verification",
-        "_pruning", "_check", "_variables", "_counting", "_schedule", "_program", "_vector",
+        "_check", "_variables", "_schedule", "_program", "_vector",
     )  # fmt: skip
 
     def __init__(
         self,
         plan: MatchPlan,
-        use_literal_pruning: bool,
         stats: MatchStatistics,
         all_matches: bool = False,
     ) -> None:
@@ -83,10 +81,8 @@ class RuleSearch:
         self.rule: NGD = plan.rule
         self.plan = plan
         self.stats = stats
-        self._pruning = use_literal_pruning
         self._check = not all_matches
         self._variables = self.rule.pattern.variables
-        self._counting = obs.enabled()
         self.graph: Optional[Graph] = None
         self.ids: list = [None] * len(self._variables)
         self.slots: list = [None] * len(self._variables)
@@ -145,7 +141,6 @@ class RuleSearch:
 
         step = self._schedule[depth]
         entry = self._program.steps[depth]
-        pruning = self._pruning
         get_node = store.get_node
         if len(entry.anchors) == 1:
             # the common step: one bound neighbour, read its label-filtered view directly
@@ -154,13 +149,12 @@ class RuleSearch:
             scanned = len(view)
             stats.candidates_examined += scanned
             label = None if step.label == WILDCARD else step.label
-            unary = entry.unary_checks if pruning else ()
             candidates = []
             for candidate in view:
                 node = get_node(candidate)
                 if label is not None and node.label != label:
                     continue
-                for check in unary:
+                for check in entry.unary_checks:
                     stats.literal_evaluations += 1
                     if not check(node.attributes):
                         break
@@ -168,14 +162,14 @@ class RuleSearch:
                     candidates.append(candidate)
             if len(candidates) > 1:
                 candidates.sort(key=store.node_rank)
-            if scanned and self._counting:
+            if scanned:
                 stats.extra[entry.count_key] = stats.extra.get(entry.count_key, 0) + scanned
         else:
             partial = dict(zip(order, ids[:depth]))
-            candidates, scanned = step_candidates(self.graph, self.plan, step, partial, stats, pruning, entry)
+            candidates, scanned = step_candidates(self.graph, self.plan, step, partial, stats, entry)
 
         last = depth + 1 == len(ids)
-        scheduled = pruning and (bool(entry.premise_checks) or entry.conclusion_check is not None)
+        scheduled = bool(entry.premise_checks) or entry.conclusion_check is not None
         found: list[Violation] = []
         verification = expanded = 0
         for candidate in candidates:

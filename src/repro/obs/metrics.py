@@ -1,29 +1,26 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The registry is the write side of the observability subsystem
-(:mod:`repro.obs`).  Hot paths — per-step candidate counts inside the
-match executor, per-unit expansion in the parallel kernels — increment
-counters at high frequency, so writes go to *per-thread shards*: each
-thread owns a plain dict it mutates without taking any lock, and readers
-merge every shard under the registry lock when a snapshot or exposition
-is requested.  Gauges are the exception (``set`` is not additive across
-threads) and live in a single locked map.
+(:mod:`repro.obs`).  Every sample lives in one map per kind, guarded by the
+registry lock: a write takes the lock once, and a snapshot copies the maps
+under it, so a reader's cost follows the number of label sets, not the
+number of threads that ever wrote.  No caller writes per candidate: the
+match executor's hot loop counts into ``MatchStatistics.extra`` and the
+session flushes that once per run.
 
-Histograms use fixed bucket boundaries declared up front (per family),
-stored as cumulative-style counts at merge time only; the shard keeps a
-plain per-bucket count list plus sum/count so the observe path is two
-index operations.
+Histograms use fixed bucket boundaries declared up front (per family); a
+cell list holds the per-bucket counts plus sum and count, so the observe
+path is two index operations.
 
-Cross-process flow: executor worker processes build a *fresh* registry
-(:func:`repro.obs.reset_for_worker`), accumulate deltas locally, and ship
+Cross-process flow: executor worker processes start a *fresh* registry
+(:func:`repro.obs.configure`), accumulate deltas locally, and ship
 ``registry.dump()`` — a plain JSON-serializable dict — back in the
 reports they already send.  The parent merges with
 ``registry.absorb(dump, extra_labels={"worker": wid})`` so per-worker
 attribution survives both ``fork`` and ``spawn`` start methods.
 
 Everything here is observe-only: no metric ever influences detection
-order, planning, or output.  ``REPRO_OBS=off`` swaps the module-level
-singleton for :class:`NullRegistry`, whose methods are empty.
+order, planning, or output.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsRegistry",
-    "NullRegistry",
     "render_prometheus",
 ]
 
@@ -68,28 +64,18 @@ def _label_key(labels: Optional[Mapping[str, object]]) -> LabelItems:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class _Shard:
-    """One thread's unshared write buffer."""
-
-    __slots__ = ("counters", "histograms")
-
-    def __init__(self) -> None:
-        # (name, label_items) -> float
-        self.counters: Dict[Tuple[str, LabelItems], float] = {}
-        # (name, label_items) -> [bucket_counts..., sum, count]
-        self.histograms: Dict[Tuple[str, LabelItems], List[float]] = {}
-
-
 class MetricsRegistry:
     """Counters, gauges, and fixed-bucket histograms with label sets."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._shards: List[_Shard] = []
         # family name -> (kind, help, buckets-or-None)
         self._families: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {}
+        # (name, label_items) -> float
+        self._counters: Dict[Tuple[str, LabelItems], float] = {}
         self._gauges: Dict[Tuple[str, LabelItems], float] = {}
+        # (name, label_items) -> [bucket_counts..., sum, count]
+        self._histograms: Dict[Tuple[str, LabelItems], List[float]] = {}
 
     # ------------------------------------------------------------- metadata
 
@@ -117,15 +103,6 @@ class MetricsRegistry:
 
     # ---------------------------------------------------------------- writes
 
-    def _shard(self) -> _Shard:
-        shard = getattr(self._local, "shard", None)
-        if shard is None:
-            shard = _Shard()
-            self._local.shard = shard
-            with self._lock:
-                self._shards.append(shard)
-        return shard
-
     def counter_inc(
         self,
         name: str,
@@ -135,22 +112,24 @@ class MetricsRegistry:
         if name not in self._families:
             self._family(name, "counter")
         key = (name, _label_key(labels))
-        counters = self._shard().counters
-        counters[key] = counters.get(key, 0.0) + amount
+        with self._lock:
+            self._counters[key] = self._counters.get(key, 0.0) + amount
 
     def counter_add_many(self, samples: Iterable[Tuple[Tuple[str, LabelItems], float]]) -> None:
-        """Add ``((name, label items), amount)`` samples keyed as the shards key them.
+        """Add ``((name, label items), amount)`` samples under one lock.
 
         The label items must be in the form :func:`_label_key` builds
         (sorted ``(str, str)`` pairs): a caller that keeps its keys skips
         that per-sample work.
         """
-        families = self._families
-        counters = self._shard().counters
-        for key, amount in samples:
-            if key[0] not in families:
+        samples = list(samples)
+        for key, _ in samples:
+            if key[0] not in self._families:
                 self._family(key[0], "counter")
-            counters[key] = counters.get(key, 0.0) + amount
+        with self._lock:
+            counters = self._counters
+            for key, amount in samples:
+                counters[key] = counters.get(key, 0.0) + amount
 
     def gauge_set(
         self, name: str, labels: Optional[Mapping[str, object]] = None, value: float = 0.0
@@ -176,23 +155,22 @@ class MetricsRegistry:
         if kind != "histogram" or buckets is None:
             return
         key = (name, _label_key(labels))
-        histograms = self._shard().histograms
-        cells = histograms.get(key)
-        if cells is None:
-            # bucket counts + [sum, count] appended at the end
-            cells = [0.0] * (len(buckets) + 2)
-            histograms[key] = cells
-        for index, bound in enumerate(buckets):
-            if value <= bound:
-                cells[index] += 1.0
-                break
-        cells[-2] += value
-        cells[-1] += 1.0
+        with self._lock:
+            cells = self._histograms.get(key)
+            if cells is None:
+                # bucket counts + [sum, count] appended at the end
+                cells = self._histograms[key] = [0.0] * (len(buckets) + 2)
+            for index, bound in enumerate(buckets):
+                if value <= bound:
+                    cells[index] += 1.0
+                    break
+            cells[-2] += value
+            cells[-1] += 1.0
 
     # ----------------------------------------------------------------- reads
 
     def snapshot(self) -> dict:
-        """Merge every shard into one plain dict (also the wire ``dump``).
+        """Copy every sample into one plain dict (also the wire ``dump``).
 
         Shape::
 
@@ -202,32 +180,18 @@ class MetricsRegistry:
              "histograms": [[name, [[k, v]...], [bucket_counts..., sum, count]], ...]}
         """
         with self._lock:
-            shards = list(self._shards)
             families = {
                 name: {"kind": kind, "help": help_text, "buckets": list(buckets) if buckets else None}
                 for name, (kind, help_text, buckets) in self._families.items()
             }
-            gauges = dict(self._gauges)
-        counters: Dict[Tuple[str, LabelItems], float] = {}
-        histograms: Dict[Tuple[str, LabelItems], List[float]] = {}
-        for shard in shards:
-            for key, value in list(shard.counters.items()):
-                counters[key] = counters.get(key, 0.0) + value
-            for key, cells in list(shard.histograms.items()):
-                merged = histograms.get(key)
-                if merged is None:
-                    histograms[key] = list(cells)
-                else:
-                    for index, cell in enumerate(cells):
-                        merged[index] += cell
+            counters = list(self._counters.items())
+            gauges = list(self._gauges.items())
+            histograms = [(key, list(cells)) for key, cells in self._histograms.items()]
         return {
             "families": families,
-            "counters": [[name, [list(kv) for kv in key], value] for (name, key), value in counters.items()],
-            "gauges": [[name, [list(kv) for kv in key], value] for (name, key), value in gauges.items()],
-            "histograms": [
-                [name, [list(kv) for kv in key], list(cells)]
-                for (name, key), cells in histograms.items()
-            ],
+            "counters": [[name, [list(kv) for kv in key], value] for (name, key), value in counters],
+            "gauges": [[name, [list(kv) for kv in key], value] for (name, key), value in gauges],
+            "histograms": [[name, [list(kv) for kv in key], cells] for (name, key), cells in histograms],
         }
 
     dump = snapshot  # the worker->parent wire form is just the snapshot
@@ -241,91 +205,42 @@ class MetricsRegistry:
         """
         if not dump:
             return
-        extra = _label_key(extra_labels)
+        extra = list(_label_key(extra_labels))
+
+        def keyed(name: str, key_items) -> Tuple[str, LabelItems]:
+            return (name, tuple(sorted(tuple(map(str, kv)) for kv in key_items) + extra))
+
         for name, meta in dump.get("families", {}).items():
             self.describe(name, meta.get("kind", "counter"), meta.get("help", ""), meta.get("buckets"))
-        shard = self._shard()
-        for name, key_items, value in dump.get("counters", []):
-            key = (name, tuple(sorted(tuple(map(str, kv)) for kv in key_items) + list(extra)))
-            shard.counters[key] = shard.counters.get(key, 0.0) + value
-        for name, key_items, cells in dump.get("histograms", []):
-            key = (name, tuple(sorted(tuple(map(str, kv)) for kv in key_items) + list(extra)))
-            merged = shard.histograms.get(key)
-            if merged is None:
-                shard.histograms[key] = list(cells)
-            else:
-                for index, cell in enumerate(cells):
-                    merged[index] += cell
         with self._lock:
+            for name, key_items, value in dump.get("counters", []):
+                key = keyed(name, key_items)
+                self._counters[key] = self._counters.get(key, 0.0) + value
             for name, key_items, value in dump.get("gauges", []):
-                key = (name, tuple(sorted(tuple(map(str, kv)) for kv in key_items) + list(extra)))
+                key = keyed(name, key_items)
                 self._gauges[key] = self._gauges.get(key, 0.0) + value
+            for name, key_items, cells in dump.get("histograms", []):
+                key = keyed(name, key_items)
+                merged = self._histograms.get(key)
+                if merged is None:
+                    self._histograms[key] = list(cells)
+                else:
+                    for index, cell in enumerate(cells):
+                        merged[index] += cell
 
     def value(self, name: str, labels: Optional[Mapping[str, object]] = None) -> float:
-        """Read one counter/gauge value from a fresh snapshot (tests, /health)."""
-        wanted = _label_key(labels)
-        snap = self.snapshot()
-        for metric_name, key_items, value in snap["counters"] + snap["gauges"]:
-            if metric_name == name and tuple(tuple(kv) for kv in key_items) == wanted:
-                return value
-        return 0.0
+        """Read one counter/gauge value (tests)."""
+        key = (name, _label_key(labels))
+        with self._lock:
+            return self._counters.get(key, self._gauges.get(key, 0.0))
 
     def total(self, name: str) -> float:
         """Sum a counter family across every label set."""
-        snap = self.snapshot()
-        return sum(value for metric_name, _, value in snap["counters"] if metric_name == name)
+        with self._lock:
+            return sum(value for (metric_name, _), value in self._counters.items() if metric_name == name)
 
     def exposition(self) -> str:
         return render_prometheus(self.snapshot())
-
-    def reset(self) -> None:
-        """Drop all recorded samples (tests; worker bootstrap)."""
-        with self._lock:
-            self._shards = []
-            self._gauges = {}
-        self._local = threading.local()
-
-
-class NullRegistry:
-    """``REPRO_OBS=off``: every write is a no-op, every read is empty."""
-
-    def describe(self, *args, **kwargs) -> None:
-        pass
-
-    def counter_inc(self, *args, **kwargs) -> None:
-        pass
-
-    def counter_add_many(self, *args, **kwargs) -> None:
-        pass
-
-    def gauge_set(self, *args, **kwargs) -> None:
-        pass
-
-    def gauge_add(self, *args, **kwargs) -> None:
-        pass
-
-    def histogram_observe(self, *args, **kwargs) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"families": {}, "counters": [], "gauges": [], "histograms": []}
-
-    dump = snapshot
-
-    def absorb(self, *args, **kwargs) -> None:
-        pass
-
-    def value(self, *args, **kwargs) -> float:
-        return 0.0
-
-    def total(self, *args, **kwargs) -> float:
-        return 0.0
-
-    def exposition(self) -> str:
-        return "# observability disabled (REPRO_OBS=off)\n"
-
-    def reset(self) -> None:
-        pass
 
 
 # ------------------------------------------------------------------ exposition

@@ -15,8 +15,7 @@ ship completed spans back as plain dicts (:meth:`Span.to_dict`), which
 the parent replays into its recorder.
 
 Like the metrics registry, tracing is observe-only and must never perturb
-detection output; with ``REPRO_OBS=off`` :func:`repro.obs.span` yields a
-shared :data:`NULL_SPAN` and records nothing.
+detection output.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from collections import deque
 from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional
 
-__all__ = ["Span", "NullSpan", "NULL_SPAN", "FlightRecorder", "current_span_var", "new_id"]
+__all__ = ["Span", "FlightRecorder", "current_span_var", "new_id"]
 
 
 #: The generator behind :func:`new_id`: seeded from the OS once per process,
@@ -100,31 +99,6 @@ class Span:
         return f"Span({self.name!r}, trace={self.trace_id}, dur={self.duration})"
 
 
-class NullSpan:
-    """Shared no-op stand-in when observability is disabled."""
-
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
-    parent_id: Optional[str] = None
-    name = ""
-    duration: Optional[float] = None
-    attributes: Dict[str, object] = {}
-
-    def set(self, **attributes: object) -> None:
-        pass
-
-    def add(self, key: str, amount: float) -> None:
-        pass
-
-    def finish(self) -> float:
-        return 0.0
-
-    def to_dict(self) -> dict:
-        return {}
-
-
-NULL_SPAN = NullSpan()
-
 current_span_var: ContextVar[Optional[Span]] = ContextVar("repro_current_span", default=None)
 
 
@@ -188,7 +162,7 @@ def span_scope(
     """
     if parent is None:
         parent = current_span_var.get()
-    if parent is not None and not isinstance(parent, NullSpan):
+    if parent is not None:
         span = Span(name, trace_id=parent.trace_id, parent_id=parent.span_id, attributes=attributes)
     else:
         span = Span(name, trace_id=trace_id, attributes=attributes)

@@ -174,15 +174,10 @@ class ServiceClient:
         processors: Optional[int],
         max_violations: Optional[int],
         max_cost: Optional[float],
-        use_literal_pruning: bool,
         execution: str = "simulated",
         timeout_seconds: Optional[float] = None,
     ) -> dict:
-        body: dict = {
-            "engine": engine,
-            "use_literal_pruning": use_literal_pruning,
-            "execution": execution,
-        }
+        body: dict = {"engine": engine, "execution": execution}
         if timeout_seconds is not None:
             body["timeout_seconds"] = timeout_seconds
         if rules is not None:
@@ -264,7 +259,6 @@ class ServiceClient:
         processors: Optional[int] = None,
         max_violations: Optional[int] = None,
         max_cost: Optional[float] = None,
-        use_literal_pruning: bool = True,
         execution: str = "simulated",
         timeout_seconds: Optional[float] = None,
     ) -> Iterator[dict]:
@@ -289,7 +283,6 @@ class ServiceClient:
             processors,
             max_violations,
             max_cost,
-            use_literal_pruning,
             execution,
             timeout_seconds,
         )
@@ -339,10 +332,9 @@ class ServiceClient:
         catalog: Optional[str] = None,
         engine: str = "auto",
         processors: Optional[int] = None,
-        use_literal_pruning: bool = True,
     ) -> dict:
         """Open a continuous session; returns its initial state document."""
-        body = self._detect_body(rules, catalog, engine, processors, None, None, use_literal_pruning)
+        body = self._detect_body(rules, catalog, engine, processors, None, None)
         return self._json("POST", f"/graphs/{graph}/sessions", body)
 
     def list_sessions(self) -> list[dict]:

@@ -255,7 +255,7 @@ class JobStream:
     """An NDJSON record iterator plus the job metadata the handler logs.
 
     ``job_id`` identifies the pool slot's job thread; ``trace_id`` is the
-    observability trace the detection runs under (None with REPRO_OBS=off).
+    observability trace the detection runs under (set on every detect stream).
     The HTTP handler surfaces both: the trace id as the ``X-Repro-Trace``
     response header, both in the access-log line.
     """
@@ -540,7 +540,6 @@ class SessionManager:
             engine=request.engine,
             processors=processors,
             options=DetectionOptions(
-                use_literal_pruning=request.use_literal_pruning,
                 max_violations=request.max_violations,
                 max_cost=request.max_cost,
                 execution=request.execution,
@@ -549,7 +548,7 @@ class SessionManager:
 
         # the trace id is fixed before the job starts so the HTTP handler
         # can send it as X-Repro-Trace while the stream is still running
-        trace_id = obs.new_id() if obs.enabled() else None
+        trace_id = obs.new_id()
 
         def generate() -> Iterator[dict]:
             with obs.span(
@@ -600,10 +599,7 @@ class SessionManager:
                 rules,
                 engine=request.engine,
                 processors=processors,
-                options=DetectionOptions(
-                    use_literal_pruning=request.use_literal_pruning,
-                    execution=request.execution,
-                ),
+                options=DetectionOptions(execution=request.execution),
             )
             violations = batch.run(graph).violations
             # the maintenance detector keeps the per-version incremental
@@ -613,10 +609,7 @@ class SessionManager:
                 rules,
                 engine="auto" if processes else "incremental",
                 processors=processors if processes else None,
-                options=DetectionOptions(
-                    use_literal_pruning=request.use_literal_pruning,
-                    execution=request.execution,
-                ),
+                options=DetectionOptions(execution=request.execution),
             )
             # compile the maintenance plans once against the base snapshot;
             # the detector keeps them across versions until statistics drift

@@ -23,8 +23,7 @@ registered with the server (``{"catalog": "name"}``); budgets, engine,
 processor count and execution mode ride along::
 
     {"catalog": "example", "engine": "auto", "processors": 1,
-     "max_violations": 10, "max_cost": null, "use_literal_pruning": true,
-     "execution": "simulated"}
+     "max_violations": 10, "max_cost": null, "execution": "simulated"}
 
 ``execution`` is ``"simulated"`` (default — the deterministic cluster
 simulator) or ``"processes"`` (the real multi-process backend; the server
@@ -118,7 +117,6 @@ class DetectRequest:
     processors: Optional[int] = None
     max_violations: Optional[int] = None
     max_cost: Optional[float] = None
-    use_literal_pruning: bool = True
     execution: str = "simulated"
     #: per-request deadline in seconds; ``None`` means no deadline.  When it
     #: elapses before the first record the request fails with 503 +
@@ -136,7 +134,6 @@ class DetectRequest:
         """
         document: dict = {
             "engine": self.engine,
-            "use_literal_pruning": self.use_literal_pruning,
             "execution": self.execution,
         }
         if self.rules is not None:
@@ -184,7 +181,9 @@ def parse_detect_request(document: object) -> DetectRequest:
     Raises :class:`~repro.errors.ServiceError` on shape errors: both or
     neither rule source, unknown engines, non-positive or non-finite budgets.  An inline
     rule document is parsed eagerly so a malformed rule fails the request
-    up front, not mid-stream.
+    up front, not mid-stream.  Other keys are ignored, among them the
+    literal-pruning switch that requests carried before pruning became
+    unconditional: recovery re-parses recorded requests with this function.
     """
     if document is None:
         document = {}
@@ -217,7 +216,6 @@ def parse_detect_request(document: object) -> DetectRequest:
         processors=_optional_positive_int(document, "processors"),
         max_violations=_optional_positive_int(document, "max_violations"),
         max_cost=_optional_positive_number(document, "max_cost"),
-        use_literal_pruning=bool(document.get("use_literal_pruning", True)),
         execution=execution,
         timeout_seconds=_optional_positive_number(document, "timeout_seconds"),
     )
@@ -279,8 +277,8 @@ def summary_record(
         # path — the violations are still exact (see docs/ARCHITECTURE.md,
         # "Fault tolerance")
         "degraded": getattr(result, "degraded", False),
-        # the run's observability trace (GET /debug/traces); null with
-        # REPRO_OBS=off or when the result predates the traced session API
+        # the run's observability trace (GET /debug/traces); null when the
+        # result predates the traced session API
         "trace_id": getattr(result, "trace_id", None),
     }
     if isinstance(result, IncrementalDetectionResult):

@@ -64,7 +64,6 @@ from typing import Optional
 
 from repro import obs
 from repro.core.ngd import RuleSet
-from repro.detect.parallel.executor import fault_tolerance_counters
 from repro.errors import (
     DeadlineExceededError,
     PoolSaturatedError,
@@ -89,6 +88,23 @@ __all__ = ["DetectionService"]
 #: Refuse request bodies beyond this size (a malformed client should not be
 #: able to balloon server memory; 64 MiB comfortably fits every test graph).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: ``/health``'s ``fault_tolerance`` keys and the supervision counters they total.
+FAULT_TOLERANCE_COUNTERS = {
+    "worker_restarts": "repro_worker_restarts_total",
+    "units_retried": "repro_units_retried_total",
+    "degraded_runs": "repro_degraded_runs_total",
+}
+
+
+def _fault_tolerance(snapshot: dict) -> dict:
+    """Total each supervision counter of one registry snapshot over its label sets."""
+    totals = dict.fromkeys(FAULT_TOLERANCE_COUNTERS, 0)
+    keys = {family: key for key, family in FAULT_TOLERANCE_COUNTERS.items()}
+    for name, _, value in snapshot["counters"]:
+        if name in keys:
+            totals[keys[name]] += int(value)
+    return totals
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
@@ -220,12 +236,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         finally:
             duration = time.monotonic() - started
             route = self._route_label()
-            if obs.enabled():
-                obs.counter_inc(
-                    "repro_http_requests_total",
-                    {"method": self.command, "route": route, "status": str(self._last_status)},
-                )
-                obs.histogram_observe("repro_http_request_seconds", {"route": route}, duration)
+            obs.counter_inc(
+                "repro_http_requests_total",
+                {"method": self.command, "route": route, "status": str(self._last_status)},
+            )
+            obs.histogram_observe("repro_http_request_seconds", {"route": route}, duration)
             self.service.log_access(
                 method=self.command,
                 path=self.path,
@@ -403,7 +418,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if limit < 1:
             raise ServiceError(f"'limit' must be >= 1, got {limit}")
         spans = obs.traces(limit)
-        self._send_json({"enabled": obs.enabled(), "count": len(spans), "spans": spans})
+        self._send_json({"count": len(spans), "spans": spans})
 
     def _force_checkpoint(self) -> None:
         persistence = self.service.persistence
@@ -651,14 +666,10 @@ class DetectionService:
         document = {
             "status": "ok",
             "uptime_seconds": round(time.time() - self._started_at, 3),
-            "observability": obs.enabled(),
             "graphs": len(self.registry),
             "sessions": self.manager.session_count(),
             "jobs": {"active": pool.active_jobs(), "max": pool.max_jobs},
-            # process-wide supervision counters (worker_restarts,
-            # units_retried, degraded_runs) — kept outside the obs registry
-            # so they are visible even with REPRO_OBS=off
-            "fault_tolerance": fault_tolerance_counters(),
+            "fault_tolerance": _fault_tolerance(obs.snapshot()),
         }
         if self.persistence is not None:
             document["persistence"] = self.persistence.info()

@@ -138,9 +138,8 @@ class PersistenceManager:
         }
         elapsed = time.monotonic() - recovery_started
         self.recovered["seconds"] = round(elapsed, 6)
-        if obs.enabled():
-            obs.gauge_set("repro_recovery_seconds", None, elapsed)
-            obs.counter_inc("repro_recovery_replayed_total", None, replayed)
+        obs.gauge_set("repro_recovery_seconds", None, elapsed)
+        obs.counter_inc("repro_recovery_replayed_total", None, replayed)
         return self.recovered
 
     def close(self) -> None:
@@ -276,12 +275,9 @@ class PersistenceManager:
             self._updates_since_checkpoint = 0
             self.checkpoints += 1
             self.last_checkpoint_at = time.time()
-            if obs.enabled():
-                obs.counter_inc("repro_checkpoints_total")
-                obs.histogram_observe(
-                    "repro_checkpoint_seconds", None, time.monotonic() - checkpoint_started
-                )
-                ckpt_span.set(checkpoint=name, cut_lsn=cut_lsn, graphs=len(graphs))
+            obs.counter_inc("repro_checkpoints_total")
+            obs.histogram_observe("repro_checkpoint_seconds", None, time.monotonic() - checkpoint_started)
+            ckpt_span.set(checkpoint=name, cut_lsn=cut_lsn, graphs=len(graphs))
             return {"checkpoint": name, "cut_lsn": cut_lsn, "graphs": len(graphs)}
 
     # ------------------------------------------------------------- recovery
@@ -329,10 +325,7 @@ class PersistenceManager:
                 rules,
                 engine="auto" if processes else "incremental",
                 processors=processors,
-                options=DetectionOptions(
-                    use_literal_pruning=request.use_literal_pruning,
-                    execution=request.execution,
-                ),
+                options=DetectionOptions(execution=request.execution),
             )
             incremental.compile_plans(graph)
             session = ContinuousSession(

@@ -181,19 +181,15 @@ class WriteAheadLog:
             # a clean error.  The log object stays usable — a later append
             # may succeed (transient ENOSPC/EIO) and recovery sees no gap.
             self._rollback_append(offset)
-            if obs.enabled():
-                obs.counter_inc("repro_wal_fsync_failures_total")
+            obs.counter_inc("repro_wal_fsync_failures_total")
             raise ReproError(
                 f"WAL append could not be made durable ({exc}); the log was "
                 f"rolled back to its last acknowledged record (lsn "
                 f"{self._last_lsn}) and no state was lost"
             ) from exc
-        if obs.enabled():
-            obs.histogram_observe(
-                "repro_wal_fsync_seconds", None, time.monotonic() - started
-            )
-            obs.counter_inc("repro_wal_appends_total", None, len(payloads))
-            obs.counter_inc("repro_wal_bytes_total", None, len(chunk))
+        obs.histogram_observe("repro_wal_fsync_seconds", None, time.monotonic() - started)
+        obs.counter_inc("repro_wal_appends_total", None, len(payloads))
+        obs.counter_inc("repro_wal_bytes_total", None, len(chunk))
         self._last_lsn = lsn
         return lsn
 

@@ -10,23 +10,38 @@ of ``X`` mentions exists on its node and every comparison evaluates to true
 
 from __future__ import annotations
 
-from itertools import product
-
 from repro.errors import EvaluationError
 from repro.graph.graph import WILDCARD
 
 
 def matches(graph, pattern):
-    """Yield every homomorphism of ``pattern`` into ``graph`` as ``{variable: node id}``."""
+    """Yield every homomorphism of ``pattern`` into ``graph`` as ``{variable: node id}``.
+
+    Variables are bound in pattern order, each to every node its label
+    admits; a pattern edge is checked once both its ends are bound, so a
+    prefix that already misses an edge is not extended.
+    """
     variables = pattern.variables
     pools = [
         [node.id for node in graph.nodes() if pattern.node(variable).label in (WILDCARD, node.label)]
         for variable in variables
     ]
-    for nodes in product(*pools):
-        h = dict(zip(variables, nodes))
-        if all(graph.has_edge(h[edge.source], h[edge.target], edge.label) for edge in pattern.edges()):
-            yield h
+    position = {variable: index for index, variable in enumerate(variables)}
+    closing = [[] for _ in variables]
+    for edge in pattern.edges():
+        closing[max(position[edge.source], position[edge.target])].append(edge)
+
+    def extend(h, index):
+        if index == len(variables):
+            yield dict(h)
+            return
+        for node in pools[index]:
+            h[variables[index]] = node
+            if all(graph.has_edge(h[edge.source], h[edge.target], edge.label) for edge in closing[index]):
+                yield from extend(h, index + 1)
+        h.pop(variables[index], None)
+
+    yield from extend({}, 0)
 
 
 def satisfies(graph, h, literals) -> bool:

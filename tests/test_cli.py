@@ -267,7 +267,7 @@ class TestDetectionFlags:
 
     def test_profile_prints_one_literal_count(self, g2_path, capsys):
         result = Detector(example_rules(), engine="batch").run(figure1_g2())
-        obs.configure(True)  # an empty registry, so the profile counts this run alone
+        obs.configure()  # an empty registry, so the profile counts this run alone
         try:
             assert main(["run", g2_path, "--engine", "batch", "--profile"]) == 1
         finally:

@@ -47,7 +47,13 @@ from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
 from repro.matching.compiled import CompiledSchedule, compile_literal, resolve_compiled
-from repro.matching.plan import compile_plans, first_step_candidates, plans_from_document, plans_to_document
+from repro.matching.plan import (
+    compile_plans,
+    first_step_candidates,
+    plans_from_document,
+    plans_to_document,
+    seed_candidates,
+)
 
 from engines import new_store
 
@@ -367,7 +373,7 @@ def test_matcher_seed_parity(product_graph, heavy_rules):
     stats = MatchStatistics()
     found = []
     for rule, plan in zip(heavy_rules, plans):
-        search = rule_search(rule, plan, True, stats)
+        search = rule_search(rule, plan, stats)
         search.start(product_graph, plan.order, ())
         while search.stack:
             found.extend(search.step())
@@ -444,6 +450,17 @@ def test_first_step_candidates_ignores_its_compiled_argument(product_graph, heav
     passed = first_step_candidates(product_graph, rule, plan, plan.order, True, passed_stats, compiled)
     assert passed == default and default[0]
     assert _stats_tuple(passed_stats) == _stats_tuple(default_stats)
+
+
+def test_first_step_candidates_ignores_its_pruning_argument(product_graph, heavy_rules):
+    # the old signature's pruning flag no longer turns the unary premise filter off
+    for rule, plan in zip(heavy_rules, compile_plans(product_graph, heavy_rules)):
+        seeded_stats, passed_stats = MatchStatistics(), MatchStatistics()
+        seeded = seed_candidates(product_graph, rule, plan, seeded_stats)
+        passed = first_step_candidates(product_graph, rule, plan, plan.order, False, passed_stats)
+        assert passed == seeded
+        assert _stats_tuple(passed_stats) == _stats_tuple(seeded_stats)
+    assert any(plan.compiled_for(plan.order).steps[0].unary_checks for plan in compile_plans(product_graph, heavy_rules))
 
 
 def test_triangle_multi_anchor_parity():

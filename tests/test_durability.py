@@ -183,6 +183,38 @@ def _name_the_store(data_dir: Path, checkpoint_store: str, wal_store: str) -> No
     (data_dir / "wal.log").write_text("".join(framed), encoding="utf-8")
 
 
+def _record_literal_pruning(data_dir: Path, value: bool) -> list[str]:
+    """Rewrite a data dir the way a server whose requests carried ``use_literal_pruning`` wrote it.
+
+    Every checkpointed session's request and every ``session_open`` WAL
+    record gain the key (WAL records re-framed as :func:`_name_the_store`
+    does).  Returns where each rewritten session sits: ``"checkpoint"`` or
+    ``"wal"``.
+    """
+    rewritten = []
+    manifest_path = data_dir / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path.exists() else None
+    if manifest is not None and manifest["checkpoint"] is not None:
+        registry_path = data_dir / "checkpoints" / manifest["checkpoint"] / "registry.json"
+        document = json.loads(registry_path.read_text(encoding="utf-8"))
+        for graph_doc in document["graphs"]:
+            for session_doc in graph_doc.get("sessions") or []:
+                session_doc["request"]["use_literal_pruning"] = value
+                rewritten.append("checkpoint")
+        registry_path.write_text(json.dumps(document), encoding="utf-8")
+    start_lsn = manifest["cut_lsn"] + 1 if manifest is not None else 1
+    with WriteAheadLog(data_dir / "wal.log", start_lsn=start_lsn) as wal:
+        records = list(wal.records())
+    framed = []
+    for record in records:
+        if record["type"] == "session_open":
+            record["request"]["use_literal_pruning"] = value
+            rewritten.append("wal")
+        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        framed.append(f"{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x} {body}\n")
+    (data_dir / "wal.log").write_text("".join(framed), encoding="utf-8")
+    return rewritten
+
 
 def _drive(client: ServiceClient, updates: int, session: bool = True) -> dict:
     """Register graph + catalog, open a session, apply updates; return acked state."""
@@ -362,6 +394,41 @@ class TestInProcessRecovery:
         assert recovered[named] == recovered[written]
         assert recovered[named]["replayed"] > 0, "the WAL suffix was replayed"
         assert {info["store"] for info in recovered[named]["graphs"]} == {"indexed"}
+
+    @pytest.mark.parametrize("where", ("wal", "checkpoint"))
+    @pytest.mark.parametrize("value", (True, False), ids=("true", "false"))
+    def test_a_recorded_literal_pruning_key_still_recovers(self, tmp_path, where, value):
+        """A session opened by a server whose requests carried ``use_literal_pruning``.
+
+        Pruning no longer has a switch, and never changed an answer: recovery
+        ignores the key, and the session's delta log is the one a session
+        opened fresh on a server that never stopped keeps.
+        """
+        data_dir = tmp_path / "data"
+        service = DetectionService(port=0, data_dir=str(data_dir)).start()
+        try:
+            client = ServiceClient(service.url)
+            if where == "checkpoint":
+                sid = _drive(client, updates=2)["session"]["session"]
+                client.checkpoint()
+                for i in range(2, 5):
+                    client.post_update("areas", _update(i))
+            else:
+                sid = _drive(client, updates=5)["session"]["session"]
+        finally:
+            service.stop()
+        assert _record_literal_pruning(data_dir, value) == [where]
+
+        control = DetectionService(port=0).start()
+        try:
+            expected = _drive(ServiceClient(control.url), updates=5)
+        finally:
+            control.stop()
+        with DetectionService(port=0, data_dir=str(data_dir)) as recovered:
+            assert recovered.persistence.recovered["replayed"] > 0
+            c2 = ServiceClient(recovered.url)
+            assert c2.session_deltas(sid, since=1) == expected["deltas"]
+            assert c2.session_state(sid) == expected["session"]
 
     def test_a_recorded_worker_count_above_the_cpus_still_recovers(self, tmp_path, monkeypatch):
         """A ``processes`` session recorded by a server with more CPUs.

@@ -23,15 +23,16 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
 from repro.detect import DetectionOptions, Detector
-from repro.detect.parallel.executor import fault_tolerance_counters
 from repro.errors import DeadlineExceededError, ReproError, ServiceError
 from repro.graph.updates import BatchUpdate, UpdateGenerator
 from repro.service import DetectionService, ServiceClient
 from repro.service.jobs import DetectionJobPool
 from repro.service.protocol import error_record, parse_detect_request
+from repro.service.server import FAULT_TOLERANCE_COUNTERS
 from repro.storage.wal import WriteAheadLog
 from repro.testing.faults import (
     FAULTS_ENV,
@@ -40,6 +41,12 @@ from repro.testing.faults import (
     resolve_fault_plan,
     wal_fault_injector,
 )
+
+
+def fault_tolerance_counters() -> dict:
+    """The supervision tallies ``/health`` reports, totalled from the metrics registry."""
+    registry = obs.metrics()
+    return {key: registry.total(family) for key, family in FAULT_TOLERANCE_COUNTERS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -495,6 +502,21 @@ class TestServiceFaultSurface:
             assert health["fault_tolerance"]["worker_restarts"] > before
             assert health["fault_tolerance"]["degraded_runs"] >= 1
 
+    def test_health_restarts_equal_the_metrics_counter(self, kb_graph, kb_rules, monkeypatch):
+        # /health totals the registry's counters: the two surfaces cannot drift apart
+        monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=2")
+        service = DetectionService(port=0)
+        service.register_graph("kb", kb_graph)
+        service.manager.register_catalog("bench", kb_rules)
+        with service:
+            client = ServiceClient(service.url)
+            reply = client.detect("kb", catalog="bench", execution="processes", processors=2)
+            assert reply.summary["degraded"] is False
+            restarts = client.health()["fault_tolerance"]["worker_restarts"]
+            [line] = [line for line in client.metrics().splitlines() if line.startswith("repro_worker_restarts_total ")]
+        assert restarts >= 1
+        assert float(line.split()[1]) == restarts
+
     def test_summary_degraded_defaults_false(self, kb_graph, kb_rules):
         service = DetectionService(port=0)
         service.register_graph("kb", kb_graph)
@@ -591,6 +613,7 @@ class TestZeroOverheadDefault:
         assert resolve_fault_plan() is None
 
     def test_counters_snapshot_shape(self):
-        counters = fault_tolerance_counters()
+        with DetectionService(port=0) as service:
+            counters = ServiceClient(service.url).health()["fault_tolerance"]
         assert set(counters) == {"worker_restarts", "units_retried", "degraded_runs"}
         assert all(isinstance(value, int) for value in counters.values())

@@ -262,7 +262,7 @@ class TestPlannerWins:
             backwards = list(reversed(matcher.plan.order))
             reordered += backwards != list(matcher.plan.order)
             pinned = MatchPlan.from_dict(dict(matcher.plan.to_dict(), order=backwards), matcher.plan.rule)
-            search = RuleSearch(pinned, True, MatchStatistics(), all_matches=True)
+            search = RuleSearch(pinned, MatchStatistics(), all_matches=True)
             search.start(graph, pinned.order, ())
             reached = set()
             while search.stack:

@@ -11,7 +11,7 @@ from repro.core.ngd import NGD, RuleSet
 from repro.core.validation import find_violations, graph_satisfies, satisfies_rule, violations_of_rule
 from repro.detect.incdect import iter_inc_dect
 from repro.detect.observers import drain
-from repro.detect.session import DetectionOptions, Detector
+from repro.detect.session import Detector
 from repro.expr.parser import parse_literal_set
 from repro.graph.generators import random_labeled_graph, star_graph
 from repro.graph.graph import WILDCARD, Graph
@@ -23,6 +23,8 @@ from repro.matching.plan import GraphStatistics, compile_plan, first_step_candid
 from repro.matching.search import RuleSearch
 from repro.graph.store import IndexedStore
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
+
+import naive_reference
 
 
 def _seed_candidates(graph, pattern, premise="", stats=None):
@@ -101,10 +103,18 @@ class TestHomomorphismMatcher:
         violations = violations_of_rule(triangle_graph, knows_rule)
         assert [violation.mapping() for violation in violations] == [{"x": "a", "y": "b"}]
 
-    def test_pruning_equivalence(self, triangle_graph, knows_rule):
-        with_pruning = violations_of_rule(triangle_graph, knows_rule, use_literal_pruning=True)
-        without_pruning = violations_of_rule(triangle_graph, knows_rule, use_literal_pruning=False)
-        assert with_pruning == without_pruning
+    def test_pruning_equivalence(self, triangle_graph):
+        # the premise prunes during the search: what comes out is every naive match that satisfies it
+        pattern = Pattern.from_edges("p", nodes=[("x", "person"), ("y", WILDCARD)], edges=[("x", "y", "lives_in")])
+        for premise in ("", "x.age < 28", "x.val >= y.val", "y.age > 0"):
+            literals = parse_literal_set(premise)
+            expected = sorted(
+                sorted(h.items())
+                for h in naive_reference.matches(triangle_graph, pattern)
+                if naive_reference.satisfies(triangle_graph, h, literals)
+            )
+            pruned = HomomorphismMatcher(triangle_graph, pattern, literals).matches()
+            assert sorted(sorted(match.items()) for match in pruned) == expected, premise
 
     def test_star_pattern_matches(self):
         graph = star_graph(4)
@@ -124,9 +134,9 @@ class TestHomomorphismMatcher:
         premise = parse_literal_set("x.val > 15")
         pruned = HomomorphismMatcher(triangle_graph, pattern, premise).matches()
         assert list(pruned) == [{"x": "b", "y": "c"}]
-        # without pruning the premise is not read: every match comes out
-        unpruned = HomomorphismMatcher(triangle_graph, pattern, premise, use_literal_pruning=False)
-        assert sorted(match["x"] for match in unpruned.matches()) == ["a", "b"]
+        # with no premise every match comes out
+        unfiltered = HomomorphismMatcher(triangle_graph, pattern)
+        assert sorted(match["x"] for match in unfiltered.matches()) == ["a", "b"]
 
     def test_matches_are_billed_to_the_callers_counters(self, triangle_graph):
         pattern = Pattern.from_edges("p", nodes=[("x", "person"), ("y", WILDCARD)], edges=[])
@@ -158,7 +168,7 @@ class TestHomomorphismMatcher:
         )
         plan = compile_plan(triangle_graph, NGD.from_text(pattern, "", "", name="p"))
         order = plan.order_for_seed(("x",))
-        search = RuleSearch(plan, True, MatchStatistics(), all_matches=True)
+        search = RuleSearch(plan, MatchStatistics(), all_matches=True)
 
         def drained(seed):
             search.start(triangle_graph, order, seed)
@@ -212,13 +222,12 @@ class TestValidation:
         rule = NGD.from_text(knows_pattern, "x.population > 0", "y.val = 999", name="guarded")
         assert graph_satisfies(triangle_graph, [rule])
 
-    @pytest.mark.parametrize("pruning", (True, False), ids=("pruned", "unpruned"))
-    def test_find_violations_is_the_dect_kernel(self, pruning):
+    def test_find_violations_is_the_dect_kernel(self):
         graph = random_labeled_graph(40, 160, num_labels=2, num_edge_labels=2, seed=3)
         rules = _ordering_rules(graph)
         stats = MatchStatistics()
-        found = find_violations(graph, rules, use_literal_pruning=pruning, stats=stats)
-        batch = Detector(rules, engine="batch", options=DetectionOptions(use_literal_pruning=pruning)).run(graph)
+        found = find_violations(graph, rules, stats=stats)
+        batch = Detector(rules, engine="batch").run(graph)
         assert found.to_json() == batch.violations.to_json() and len(found) > 0
         assert stats.total_operations() == batch.stats.total_operations()
 

@@ -3,25 +3,28 @@
 Covers the ISSUE's hard requirements:
 
 * metrics registry units — counters/gauges/histograms with label sets,
-  per-thread shard merging, Prometheus exposition, worker-dump absorption;
+  exact totals under many short-lived threads with no per-thread state
+  left behind, Prometheus exposition, worker-dump absorption;
 * span tracing — parent/child correctness via the contextvar under nested
   scopes and concurrent threads, the flight-recorder ring bound;
-* the **observe, never steer** invariant: byte-identical ``ViolationSet``s
-  with ``REPRO_OBS`` on and off across every storage backend × execution
-  mode, including the real multi-process backend under both ``fork`` and
-  ``spawn`` start methods;
+* the **observe, never steer** invariant: every traced run's violations
+  equal the naive reference detector's, across every storage backend ×
+  execution mode, the real multi-process backend included;
 * the ``--profile`` invariant: summing the ``detect.rule`` spans of one
   trace reproduces the run's ``MatchStatistics``;
 * the sink error contract on all four kernels (a raising sink is logged
   and counted, never aborts the run, never changes its output);
 * the service surfaces: ``/metrics`` scrape-able during an active NDJSON
   stream, ``/debug/traces``, ``X-Repro-Trace`` + summary ``trace_id``
-  agreement, the structured access log, and the extended ``/health``.
+  agreement, the structured access log, and the extended ``/health``,
+  whose ``fault_tolerance`` block totals the registry's supervision
+  counters.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -36,10 +39,11 @@ from repro.detect import DetectionOptions, Detector, ViolationSink
 from repro.detect import session as session_module
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateGenerator
-from repro.obs.metrics import MetricsRegistry, NullRegistry, render_prometheus
+from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.tracing import FlightRecorder, Span, format_span_tree, new_id
 from repro.service import DetectionService, ServiceClient
 
+import naive_reference
 from engines import new_store
 
 ALL_STORES = ("dict", "indexed")  # the oracle and the shipped layout
@@ -47,10 +51,10 @@ ALL_STORES = ("dict", "indexed")  # the oracle and the shipped layout
 
 @pytest.fixture(autouse=True)
 def fresh_observability():
-    """Every test starts from an empty, enabled registry/recorder pair."""
-    obs.configure(True)
+    """Every test starts from an empty registry/recorder pair, and leaves one behind."""
+    obs.configure()
     yield
-    obs.configure()  # restore the REPRO_OBS-driven default for later suites
+    obs.configure()
 
 
 @pytest.fixture
@@ -107,6 +111,34 @@ class TestMetricsRegistry:
             thread.join()
         assert registry.value("hits", {"k": "v"}) == 8000.0
 
+    def test_short_lived_threads_leave_exact_totals_and_no_per_thread_state(self):
+        """One thread per request or job: 2,000 writers, and the registry keeps only their samples."""
+        registry = MetricsRegistry()
+        registry.describe("wait", "histogram", buckets=(0.5, 1.0))
+
+        def request():
+            registry.counter_inc("requests_total", {"route": "/health"})
+            registry.histogram_observe("wait", value=0.25)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+        try:
+            for _ in range(20):
+                batch = [threading.Thread(target=request) for _ in range(100)]
+                for thread in batch:
+                    thread.start()
+                for thread in batch:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert registry.value("requests_total", {"route": "/health"}) == 2000.0
+        [(name, _, cells)] = registry.snapshot()["histograms"]
+        assert name == "wait" and cells == [2000.0, 0.0, 500.0, 2000.0]
+        # what the registry holds is its lock, the family table and one map per kind
+        assert set(vars(registry)) == {"_lock", "_families", "_counters", "_gauges", "_histograms"}
+        assert len(registry._counters) == len(registry._histograms) == 1
+
     def test_exposition_is_valid_prometheus_text(self):
         registry = MetricsRegistry()
         registry.describe("req_total", "counter", "requests served")
@@ -151,14 +183,6 @@ class TestMetricsRegistry:
             worker.counter_inc("units_total", amount=2)
             parent.absorb(worker.dump(), extra_labels={"worker": 0})
         assert parent.value("units_total", {"worker": 0}) == 6.0
-
-    def test_null_registry_is_inert(self):
-        null = NullRegistry()
-        null.counter_inc("anything", {"a": "b"}, 5)
-        null.histogram_observe("h", value=1.0)
-        assert null.snapshot() == {"families": {}, "counters": [], "gauges": [], "histograms": []}
-        assert null.value("anything") == 0.0
-        assert "disabled" in null.exposition()
 
     def test_render_prometheus_of_empty_snapshot(self):
         text = render_prometheus({"families": {}, "counters": [], "gauges": [], "histograms": []})
@@ -224,14 +248,6 @@ class TestTracing:
         assert lines[0].startswith("- parent") and "graph=g1" in lines[0]
         assert lines[1].startswith("  - child")
 
-    def test_disabled_span_is_null(self):
-        obs.configure(False)
-        with obs.span("ignored") as span:
-            assert span.trace_id is None
-            span.set(anything=1)
-        assert obs.traces() == []
-        assert obs.current_span() is None
-
 
 # ------------------------------------------------- detector trace correctness
 
@@ -287,11 +303,6 @@ class TestDetectorTraces:
         }
         assert "detect.run_incremental" in names
 
-    def test_trace_id_is_none_when_disabled(self, g1, figure1_rules):
-        obs.configure(False)
-        result = Detector(figure1_rules, engine="batch").run(g1)
-        assert result.trace_id is None
-
     def test_slow_plan_log_fires_over_threshold(self, g1, figure1_rules, monkeypatch, caplog):
         monkeypatch.setattr(session_module, "DEFAULT_SLOW_PLAN_RATIO", 0.000001)
         with caplog.at_level("WARNING", logger="repro.detect.slowplan"):
@@ -316,30 +327,32 @@ def _run(graph: Graph, execution: str):
     return detector.run(graph)
 
 
+def _pairs(violations) -> set[tuple]:
+    return {(violation.rule, violation.nodes) for violation in violations}
+
+
 class TestOnOffParity:
-    """Hard requirement: byte-identical ViolationSets with obs on and off."""
+    """Observe, never steer: every run records its trace, and its answer is the naive reference's."""
 
     @pytest.mark.parametrize("backend", ALL_STORES)
     @pytest.mark.parametrize("execution", ("serial", "processes"))
     def test_violations_byte_identical(self, backend, execution):
         graph = figure1_g2().with_backend(new_store(backend))
-        obs.configure(True)
-        with_obs = _run(graph, execution)
-        assert with_obs.trace_id is not None
-        obs.configure(False)
-        without_obs = _run(graph, execution)
-        assert without_obs.trace_id is None
-        assert with_obs.violations.to_json() == without_obs.violations.to_json()
-        assert len(with_obs.violations) > 0
-        assert with_obs.cost == without_obs.cost
+        result = _run(graph, execution)
+        assert result.trace_id is not None
+        assert any(span["trace_id"] == result.trace_id for span in obs.traces())
+        assert len(result.violations) > 0
+        assert _pairs(result.violations) == naive_reference.violations(figure1_g2(), example_rules())
 
     def test_incremental_byte_identical(self, g2, figure1_rules, delta):
-        obs.configure(True)
-        with_obs = Detector(figure1_rules, engine="batch").run_incremental(g2, delta)
-        obs.configure(False)
-        without_obs = Detector(figure1_rules, engine="batch").run_incremental(g2, delta)
-        assert with_obs.introduced().to_json() == without_obs.introduced().to_json()
-        assert with_obs.removed().to_json() == without_obs.removed().to_json()
+        from repro.graph.updates import apply_update
+
+        result = Detector(figure1_rules, engine="incremental").run_incremental(g2, delta)
+        assert result.trace_id is not None
+        before = naive_reference.violations(g2, figure1_rules)
+        after = naive_reference.violations(apply_update(g2, delta), figure1_rules)
+        assert _pairs(result.introduced()) == after - before
+        assert _pairs(result.removed()) == before - after
 
 
 # ------------------------------------------ cross-process metric/span shipping
@@ -573,7 +586,7 @@ class TestServiceObservability:
         status, _, text = _get(service, "/debug/traces?limit=50")
         assert status == 200
         document = json.loads(text)
-        assert document["enabled"] is True
+        assert set(document) == {"count", "spans"}
         assert document["count"] == len(document["spans"]) > 0
         names = {span["name"] for span in document["spans"]}
         assert "detect.run" in names
@@ -589,7 +602,9 @@ class TestServiceObservability:
     def test_health_reports_observability_and_uptime(self, service, client):
         health = client.health()
         assert health["status"] == "ok"
-        assert health["observability"] is True
+        assert "observability" not in health
+        # the supervision tallies, totalled from the metrics registry
+        assert health["fault_tolerance"] == {"worker_restarts": 0, "units_retried": 0, "degraded_runs": 0}
         assert health["uptime_seconds"] >= 0
 
     def test_access_log_line_per_request(self, capfd):
@@ -609,11 +624,3 @@ class TestServiceObservability:
             ServiceClient(svc.url).health()
         err = capfd.readouterr().err
         assert "path=/health" not in err
-
-    def test_metrics_endpoint_with_obs_disabled(self, service):
-        obs.configure(False)
-        status, _, text = _get(service, "/metrics")
-        assert status == 200
-        assert "disabled" in text
-        _, _, body = _get(service, "/debug/traces")
-        assert json.loads(body)["enabled"] is False

@@ -150,7 +150,7 @@ class TestWorkUnits:
     def test_expand_respects_labels_and_edges(self, triangle_graph, knows_rule):
         unit = WorkUnit(0, order=("x", "y"), assignment=(("x", "a"),))
         outcome = expand_work_unit(
-            triangle_graph, knows_rule, unit, True, MatchStatistics(), compile_plan(triangle_graph, knows_rule)
+            triangle_graph, knows_rule, unit, MatchStatistics(), compile_plan(triangle_graph, knows_rule)
         )
         assert outcome.new_units == []  # the only extension completes the match
         assert len(outcome.violations) == 1
@@ -158,7 +158,7 @@ class TestWorkUnits:
     def test_expand_complete_unit_checks_violation(self, triangle_graph, knows_rule):
         unit = WorkUnit(0, order=("x", "y"), assignment=(("x", "a"), ("y", "b")))
         outcome = expand_work_unit(
-            triangle_graph, knows_rule, unit, True, MatchStatistics(), compile_plan(triangle_graph, knows_rule)
+            triangle_graph, knows_rule, unit, MatchStatistics(), compile_plan(triangle_graph, knows_rule)
         )
         assert len(outcome.violations) == 1
 
@@ -283,7 +283,7 @@ class TestEarlyStops:
     def test_a_stream_closed_early_keeps_its_rule_attribution(self, yago, incremental, execution):
         # a consumer that takes one violation and closes the stream (a take(n),
         # a disconnected NDJSON client) still gets the rows of the work done
-        obs.configure(True)
+        obs.configure()
         options = DetectionOptions(execution=execution)
         detector = Detector(benchmark_rules(yago, count=12), engine="parallel", processors=2, options=options)
         if incremental:
@@ -298,16 +298,14 @@ class TestEarlyStops:
             counters = obs.metrics().snapshot()["counters"]
             assert sum(value for name, _, value in counters if name == "repro_detect_candidates_total") > 0
 
-    @pytest.mark.parametrize("pruning", (True, False), ids=["pruned", "unpruned"])
-    def test_max_cost_stops_single_variable_rules(self, yago, pruning):
+    def test_max_cost_stops_single_variable_rules(self, yago):
         # PDect decides a single-variable rule's candidates while seeding; the
         # cost budget holds there as it does for Dect
         rules = RuleSet([phi7()])
-        capped = DetectionOptions(use_literal_pruning=pruning, max_cost=5)
+        capped = DetectionOptions(max_cost=5)
         serial = Detector(rules, engine="batch", options=capped).run(yago)
         assert serial.stop_reason == "max_cost"
         result = Detector(rules, engine="parallel", processors=4, options=capped).run(yago)
         assert result.stopped_early and result.stop_reason == "max_cost"
-        unbounded = DetectionOptions(use_literal_pruning=pruning)
-        full = Detector(rules, engine="parallel", processors=4, options=unbounded).run(yago)
+        full = Detector(rules, engine="parallel", processors=4).run(yago)
         assert result.cost <= full.cost

@@ -413,7 +413,6 @@ class TestPlanPersistence:
         runtime = ExecutionRuntime(
             rules=list(kb_rules),
             plans=plans,
-            use_literal_pruning=True,
             image=kb_graph,
         )
         import tempfile

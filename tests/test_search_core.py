@@ -207,17 +207,15 @@ def test_a_session_that_keeps_its_plans_maintains_the_reference(graph, rules, da
 @settings(max_examples=200, deadline=None)
 @given(graphs(), rule_sets())
 def test_the_matcher_view_enumerates_the_homomorphisms(graph, rules):
-    """Wildcards, self-loops and disconnected patterns included; premise pruning on and off."""
+    """Wildcards, self-loops and disconnected patterns included; with and without a premise."""
     for rule in rules:
         every = {tuple(sorted(h.items())) for h in naive_reference.matches(graph, rule.pattern)}
         in_premise = {h for h in every if naive_reference.satisfies(graph, dict(h), rule.premise)}
         statistics = GraphStatistics.from_graph(graph)
-        for pruning, expected in ((False, every), (True, in_premise)):
-            matcher = HomomorphismMatcher(
-                graph, rule.pattern, rule.premise, use_literal_pruning=pruning, statistics=statistics
-            )
+        for premise, expected in ((None, every), (rule.premise, in_premise)):
+            matcher = HomomorphismMatcher(graph, rule.pattern, premise, statistics=statistics)
             stream = [tuple(sorted(match.items())) for match in matcher.matches()]
-            assert set(stream) == expected, pruning
+            assert set(stream) == expected, premise
             assert len(stream) == len(expected), "a match streamed twice"
             assert matcher.stats.matches_emitted == len(expected)
 
@@ -266,9 +264,9 @@ def leaves(search: RuleSearch, graph: Graph, order) -> list[tuple]:
     return kept
 
 
-def without_conclusion(rule: NGD) -> NGD:
-    """``rule``'s pattern and premise: the rule the match leaf runs (as the matcher view builds it)."""
-    return NGD(rule.pattern, rule.premise, name=rule.name, allow_nonlinear=True)
+def pattern_only(rule: NGD) -> NGD:
+    """``rule``'s pattern alone: the rule the match leaf runs for a matcher view given no premise."""
+    return NGD(rule.pattern, (), name=rule.name, allow_nonlinear=True)
 
 
 @pytest.mark.parametrize("store", STORES)
@@ -278,7 +276,7 @@ def test_the_two_leaves_split_the_same_bindings(store):
     graph = base.with_backend(new_store(store))
     rules = example_rules()
     for rule, plan, match_plan in zip(
-        rules, compile_plans(graph, rules), compile_plans(graph, [without_conclusion(rule) for rule in rules])
+        rules, compile_plans(graph, rules), compile_plans(graph, [pattern_only(rule) for rule in rules])
     ):
         every = [h for h in naive_reference.matches(base, rule.pattern)]
         failing = {
@@ -287,19 +285,17 @@ def test_the_two_leaves_split_the_same_bindings(store):
             if naive_reference.satisfies(base, h, rule.premise) and not naive_reference.satisfies(base, h, rule.conclusion)
         }
         stats = MatchStatistics()
-        kept = leaves(RuleSearch(match_plan, False, stats, all_matches=True), graph, match_plan.order)
+        kept = leaves(RuleSearch(match_plan, stats, all_matches=True), graph, match_plan.order)
         assert sorted(kept, key=repr) == sorted((tuple(h[v] for v in rule.pattern.variables) for h in every), key=repr)
         assert stats.matches_emitted == len(every) and stats.literal_evaluations == 0, "the match leaf reads no literal"
-        for pruning in (True, False):
-            violating = leaves(rule_search(rule, plan, pruning, MatchStatistics()), graph, plan.order)
-            assert set(violating) == failing and len(violating) == len(failing), (rule.name, pruning)
+        violating = leaves(rule_search(rule, plan, MatchStatistics()), graph, plan.order)
+        assert set(violating) == failing and len(violating) == len(failing), rule.name
     assert any(naive_reference.violations(base, rules))
 
 
 @pytest.mark.parametrize("store", STORES)
-@pytest.mark.parametrize("pruning", (True, False), ids=("pruned", "unpruned"))
-def test_the_match_leaf_refuses_a_rule_with_a_conclusion(pruning, store):
-    """With pruning, the schedule of a rule with a conclusion prunes on Y: the match leaf would drop bindings."""
+def test_the_match_leaf_refuses_a_rule_with_a_conclusion(store):
+    """The schedule of a rule with a conclusion prunes on Y: the match leaf would drop bindings."""
     graph = Graph("pairs", store=new_store(store))
     for node_id, val in enumerate((1, 2, 3)):
         graph.add_node(node_id, "a", {"val": val})
@@ -308,10 +304,10 @@ def test_the_match_leaf_refuses_a_rule_with_a_conclusion(pruning, store):
     pattern = Pattern.from_edges("pair", [("x", "a"), ("y", "a")], [("x", "y", "p")])
     rule = NGD.from_text(pattern, "", "x.val < y.val", name="ascending")
     with pytest.raises(ExecutionError, match="conclusion"):
-        RuleSearch(compile_plans(graph, [rule])[0], pruning, MatchStatistics(), all_matches=True)
+        RuleSearch(compile_plans(graph, [rule])[0], MatchStatistics(), all_matches=True)
     # the pattern and premise alone keep every binding, the two where Y holds included
-    plan = compile_plans(graph, [without_conclusion(rule)])[0]
-    kept = leaves(RuleSearch(plan, pruning, MatchStatistics(), all_matches=True), graph, plan.order)
+    plan = compile_plans(graph, [pattern_only(rule)])[0]
+    kept = leaves(RuleSearch(plan, MatchStatistics(), all_matches=True), graph, plan.order)
     assert sorted(kept) == [(0, 1), (1, 2), (2, 0)]
 
 
@@ -319,13 +315,13 @@ def test_a_plan_runs_only_the_rule_it_was_compiled_for():
     graph = figure1_g2()
     first, second = list(example_rules())[:2]
     plan = compile_plans(graph, [first])[0]
-    assert rule_search(first, plan, True, MatchStatistics()).rule is first
+    assert rule_search(first, plan, MatchStatistics()).rule is first
     with pytest.raises(ExecutionError):
-        rule_search(second, plan, True, MatchStatistics())
+        rule_search(second, plan, MatchStatistics())
     # an equal rule is not the rule: the schedule indexes that object's literals
     twin = NGD(first.pattern, first.premise, first.conclusion, name=first.name)
     with pytest.raises(ExecutionError):
-        rule_search(twin, plan, True, MatchStatistics())
+        rule_search(twin, plan, MatchStatistics())
 
 
 def test_every_kernel_builds_its_core_through_one_constructor():
@@ -356,7 +352,7 @@ class Stepped:
         """``graphs`` and ``seen`` are indexed by a unit's ``from_insertion``."""
         while stack and self.stop_reason is None:
             unit = stack.pop()
-            outcome = expand_work_unit(graphs[unit.from_insertion], rule, unit, True, self.stats, plan=plan)
+            outcome = expand_work_unit(graphs[unit.from_insertion], rule, unit, self.stats, plan=plan)
             self.cost += max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
             stack.extend(outcome.new_units)
             for violation in outcome.violations:

@@ -86,6 +86,15 @@ class TestProtocol:
         with pytest.raises(ServiceError):
             parse_detect_request({"rules": {"bad": "shape"}})
 
+    def test_a_recorded_literal_pruning_key_is_accepted_and_not_written(self):
+        # session records written before pruning lost its switch carry the key
+        fresh = parse_detect_request({"catalog": "example"})
+        for value in (True, False):
+            old = parse_detect_request({"catalog": "example", "use_literal_pruning": value})
+            assert old == fresh
+            assert "use_literal_pruning" not in old.to_document()
+        assert parse_detect_request(fresh.to_document()) == fresh
+
     def test_both_rule_sources_rejected(self):
         with pytest.raises(ServiceError):
             parse_detect_request({"catalog": "a", "rules": RuleSet([phi2()]).to_dict()})

@@ -131,10 +131,10 @@ class TestLegacyShims:
         graph = figure1_g2()
         rules = example_rules()
         delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
-        assert dect(graph, rules, False).violation_count() == 1
-        assert inc_dect(graph, rules, delta, True, None).total_changes() == 1
-        assert p_dect(graph, rules, 4, None, True).violation_count() == 1
-        assert pinc_dect(graph, rules, delta, 4, None, True, None).total_changes() == 1
+        assert dect(graph, rules).violation_count() == 1
+        assert inc_dect(graph, rules, delta, None).total_changes() == 1
+        assert p_dect(graph, rules, 4, None).violation_count() == 1
+        assert pinc_dect(graph, rules, delta, 4, None, None).total_changes() == 1
 
 
 class TestStreaming:

@@ -34,7 +34,7 @@ def _inputs():
 
 def capture() -> dict:
     """Run one Dect and a 20-ΔG IncDect stream; return their counters and rule-span attributes."""
-    obs.configure(True)
+    obs.configure()
     graph, rules = _inputs()
     Detector(rules, engine="batch").run(graph)
     detector = Detector(rules, engine="incremental")
@@ -68,7 +68,7 @@ def test_counters_and_rule_spans_match_the_recording():
     ids=["Dect", "IncDect", "PDect", "PIncDect"],
 )
 def test_rule_spans_sum_to_match_statistics(engine, processors, incremental):
-    obs.configure(True)
+    obs.configure()
     graph, rules = _inputs()
     detector = Detector(rules, engine=engine, processors=processors)
     if incremental:

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_reference
-from repro import obs
 from repro.core.ngd import NGD, RuleSet
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
@@ -296,4 +295,4 @@ def test_the_plan_estimate_is_summed_once_per_plan_set(kb, monkeypatch):
     monkeypatch.setattr(MatchPlan, "estimated_unit_cost", lambda plan, depth: summed.append(depth) or real(plan, depth))
     for _ in range(3):
         detector.run_incremental(graph, delta)
-    assert len(summed) == (len(plans) if obs.enabled() else 0)
+    assert len(summed) == len(plans)

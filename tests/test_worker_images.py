@@ -112,7 +112,6 @@ class TestRuntimePayload:
         runtime = ExecutionRuntime(
             rules=rules,
             plans=compile_plans(kb, rules),
-            use_literal_pruning=True,
             image=kb,
             before_image=before,
         )
@@ -131,7 +130,7 @@ class TestRuntimePayload:
     def test_a_batch_runtime_serves_every_unit_from_its_one_image(self, kb, tmp_path):
         rules = list(example_rules())
         runtime = ExecutionRuntime(
-            rules=rules, plans=compile_plans(kb, rules), use_literal_pruning=True, image=kb
+            rules=rules, plans=compile_plans(kb, rules), image=kb
         )
         payload = runtime.payload(str(tmp_path))
         assert payload["before_image"] is None
