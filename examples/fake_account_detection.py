@@ -7,7 +7,8 @@ counts) with a comparison threshold — beyond GFDs and CFDs.
 
 The script builds a small Twitter-like graph with a handful of companies and
 their genuine support accounts, then streams in new accounts (some fake) and
-uses ``inc_dect`` to flag the fakes as soon as their edges arrive.
+runs incremental detection (``Detector.run_incremental``) to flag the fakes
+as soon as their edges arrive.
 
 Run with::
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from repro import BatchUpdate, Graph, RuleSet, apply_update, dect, inc_dect
+from repro import BatchUpdate, Detector, Graph, RuleSet, apply_update
 from repro.core import phi4
 from repro.graph.updates import NodePayload
 
@@ -62,7 +63,8 @@ def main() -> None:
     rules = RuleSet([phi4(threshold=50_000)], name="fake-account-rule")
 
     print("--- initial state: only the genuine support accounts exist ---")
-    print(f"initial violations: {dect(graph, rules).violation_count()}")
+    initial = Detector(rules, engine="batch").run(graph)
+    print(f"initial violations: {initial.violation_count()}")
 
     stream = [
         ("company0", "cheap_phish_0", 3, 12),                  # obvious fake
@@ -76,7 +78,8 @@ def main() -> None:
     flagged: list[str] = []
     for company, name, following, followers in stream:
         delta = new_account_update(company, name, following, followers)
-        result = inc_dect(graph, rules, delta)
+        # a session per graph version: each run plans against the graph it searches
+        result = Detector(rules, engine="incremental").run_incremental(graph, delta)
         suspicious = sorted({violation.mapping()["y"] for violation in result.introduced()})
         verdict = f"FLAGGED {suspicious}" if suspicious else "looks fine"
         print(f"  new account {name!r} keyed to {company}: {verdict}")
@@ -85,7 +88,7 @@ def main() -> None:
 
     print("\n--- summary ---")
     print(f"accounts flagged as likely fake: {sorted(set(flagged))}")
-    final = dect(graph, rules)
+    final = Detector(rules, engine="batch").run(graph)
     print(f"total violations in the final graph (batch re-check): {final.violation_count()}")
 
 

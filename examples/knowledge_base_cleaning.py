@@ -12,7 +12,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import UpdateGenerator, apply_update, dect, inc_dect
+from repro import Detector, UpdateGenerator, apply_update
 from repro.datasets.kb import dbpedia_like
 from repro.datasets.rules import benchmark_rules
 
@@ -26,7 +26,7 @@ def main() -> None:
     print(f"  using {len(rules)} data-quality NGDs (dΣ = {rules.diameter()})")
 
     print("\n--- initial batch detection (Dect) ---")
-    batch = dect(graph, rules)
+    batch = Detector(rules, engine="batch").run(graph)
     print(f"  violations found: {batch.violation_count()}  (cost {batch.cost:.0f} work units)")
 
     print("\n--- the knowledge base evolves: three rounds of updates ---")
@@ -36,7 +36,9 @@ def main() -> None:
     for round_number in range(1, 4):
         delta = generator.generate(current, size=max(1, current.edge_count() // 20))
         updated = apply_update(current, delta)
-        incremental = inc_dect(current, rules, delta, graph_after=updated)
+        # a session per round: each run plans against the graph it searches
+        inc_dect = Detector(rules, engine="incremental")
+        incremental = inc_dect.run_incremental(current, delta, graph_after=updated)
         violations = violations.apply_delta(incremental.delta)
         ratio = batch.cost / incremental.cost if incremental.cost else float("inf")
         print(
@@ -47,7 +49,7 @@ def main() -> None:
         current = updated
 
     print("\n--- sanity check: incremental bookkeeping matches recomputation ---")
-    recomputed = dect(current, rules).violations
+    recomputed = Detector(rules, engine="batch").run(current).violations
     print(f"  maintained violation set size: {len(violations)}")
     print(f"  recomputed violation set size: {len(recomputed)}")
     print(f"  identical: {violations == recomputed}")

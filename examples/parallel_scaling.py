@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import sys
 
-from repro import UpdateGenerator, apply_update, inc_dect, obs, pinc_dect
+from repro import UpdateGenerator, apply_update, obs
 from repro.datasets.kb import dbpedia_like, pokec_like, yago_like
 from repro.datasets.rules import benchmark_rules
 from repro.detect import BalancingPolicy, DetectionOptions, Detector
@@ -37,14 +37,16 @@ def main() -> None:
     updated = apply_update(graph, delta)
     print(f"  |V|={graph.node_count()}  |E|={graph.edge_count()}  |ΔG|={len(delta)}  ‖Σ‖={len(rules)}")
 
-    sequential = inc_dect(graph, rules, delta, graph_after=updated)
+    inc_dect = Detector(rules, engine="incremental")
+    sequential = inc_dect.run_incremental(graph, delta, graph_after=updated)
     # PIncDect's makespan includes replicating G_dΣ(ΔG); charge IncDect for finding it too
     yardstick = sequential.cost + sequential.neighborhood_size
     print(f"\nIncDect (sequential yardstick): cost {yardstick:.0f}, ΔVio = {sequential.total_changes()}")
 
     print("\nPIncDect makespan vs number of processors (hybrid balancing):")
     for processors in (4, 8, 12, 16, 20):
-        result = pinc_dect(graph, rules, delta, processors=processors, graph_after=updated)
+        pinc_dect = Detector(rules, engine="parallel", processors=processors)
+        result = pinc_dect.run_incremental(graph, delta, graph_after=updated)
         speedup = yardstick / result.cost if result.cost else float("inf")
         print(f"  p = {processors:>2}: makespan {result.cost:10.0f}   ({speedup:4.1f}x vs IncDect)")
 
@@ -56,7 +58,8 @@ def main() -> None:
         "PIncDect_NO (neither)": BalancingPolicy.none(),
     }
     for name, policy in policies.items():
-        result = pinc_dect(graph, rules, delta, processors=8, policy=policy, graph_after=updated)
+        pinc_dect = Detector(rules, engine="parallel", processors=8, options=DetectionOptions(policy=policy))
+        result = pinc_dect.run_incremental(graph, delta, graph_after=updated)
         print(f"  {name:<30} makespan {result.cost:10.0f}")
 
     print("\nReal multi-process execution (execution='processes', wall-clock):")

@@ -19,7 +19,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import RuleSet, dect
+from repro import Detector, RuleSet
 from repro.core.implication import minimal_cover
 from repro.core.satisfiability import is_satisfiable
 from repro.datasets.kb import KBConfig, knowledge_graph
@@ -59,7 +59,7 @@ def main() -> None:
 
     dirty_graph = knowledge_graph(clean_config.replace(name="dirty-kb", error_rate=0.1, seed=4))
     print(f"\napplying the cover to a dirty copy (error rate 10%) ...")
-    result = dect(dirty_graph, cover)
+    result = Detector(cover, engine="batch").run(dirty_graph)
     print(f"  violations detected: {result.violation_count()}")
     rules_hit = sorted(result.violations.rules_violated())
     print(f"  rules that caught something: {rules_hit}")

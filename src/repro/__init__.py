@@ -36,8 +36,9 @@ everything from the shell.  Violations are data too —
 output and the streaming detection server in :mod:`repro.service`
 (``repro-detect serve``: a graph registry with versioned updates, NDJSON
 violation streams with per-request budgets, and continuous incremental
-sessions).  The module-level functions ``dect`` / ``inc_dect`` / ``p_dect``
-/ ``pinc_dect`` remain as the compatibility layer over the session API.
+sessions).  :class:`Detector` is the one way in: ``run`` /
+``run_incremental`` return a result, ``stream`` / ``stream_incremental``
+yield what the same run finds, as it finds it.
 """
 
 import time as _time
@@ -58,15 +59,10 @@ from repro.core import (
 )
 from repro.detect import (
     BalancingPolicy,
-    CallbackSink,
-    CollectingSink,
     DetectionBudget,
     DetectionOptions,
     Detector,
     ViolationEvent,
-    ViolationSink,
-    dect,
-    inc_dect,
 )
 from repro.errors import ReproError
 from repro.expr import (
@@ -89,24 +85,20 @@ from repro.graph import (
 
 __version__ = "1.2.0"
 
-# no detection calls these: the static analyses bring scipy in, the parallel
-# kernels the cluster simulator (docs/ARCHITECTURE.md, "Start-up path")
+# no detection calls these: the static analyses bring scipy in
+# (docs/ARCHITECTURE.md, "Start-up path")
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "implies": "repro.core",
         "is_satisfiable": "repro.core",
         "is_strongly_satisfiable": "repro.core",
-        "p_dect": "repro.detect",
-        "pinc_dect": "repro.detect",
     },
 )
 
 __all__ = [
     "BalancingPolicy",
     "BatchUpdate",
-    "CallbackSink",
-    "CollectingSink",
     "Comparison",
     "DetectionBudget",
     "DetectionOptions",
@@ -123,21 +115,16 @@ __all__ = [
     "ViolationDelta",
     "ViolationEvent",
     "ViolationSet",
-    "ViolationSink",
     "__version__",
     "apply_update",
-    "dect",
     "find_violations",
     "format_literal",
     "format_literal_set",
     "graph_satisfies",
     "implies",
-    "inc_dect",
     "is_satisfiable",
     "is_strongly_satisfiable",
-    "p_dect",
     "parse_expression",
     "parse_literal",
     "parse_literal_set",
-    "pinc_dect",
 ]

@@ -7,9 +7,10 @@ coNP-complete, the same as for GFDs — arithmetic adds only per-match constant
 work (Corollary 4).
 
 These functions are the problem statements over the batch kernel
-(:func:`~repro.detect.dect.iter_dect`, Dect); ``repro.detect`` wraps the same
-kernel in sessions with the paper's algorithm names.  The kernel is imported
-when first called, so importing :mod:`repro.core` stays free of it.
+(:func:`~repro.detect.dect.iter_dect`, Dect), drained without a session: no
+plan cache, no trace root.  ``Detector(rules, engine="batch")`` runs the same
+kernel as a traced, budgeted session.  The kernel is imported when first
+called, so importing :mod:`repro.core` stays free of it.
 """
 
 from __future__ import annotations

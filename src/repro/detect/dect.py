@@ -17,9 +17,9 @@ measured against a consistent yardstick.
 
 :func:`iter_dect` is the kernel itself: a generator that yields each
 violation the moment the step that completes it returns and honours an
-optional :class:`~repro.detect.observers.DetectionBudget`.  :func:`dect` is
-the original batch entry point, kept as a thin compatibility shim over the
-:class:`~repro.detect.session.Detector` session.
+optional :class:`~repro.detect.observers.DetectionBudget`.  Callers reach it
+through the :class:`~repro.detect.session.Detector` session
+(``engine="batch"``), which hands it the plans the session keeps.
 """
 
 from __future__ import annotations
@@ -31,20 +31,19 @@ from typing import Optional
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationSet
 from repro.detect.base import DetectionResult
-from repro.detect.observers import DetectionBudget, ViolationSink
+from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.matching.plan import MatchPlan, resolve_plans, seed_candidates
 
-__all__ = ["dect", "iter_dect"]
+__all__ = ["iter_dect"]
 
 
 def iter_dect(
     graph: Graph,
     rules: RuleSet | list[NGD],
     budget: Optional[DetectionBudget] = None,
-    sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
 ) -> Iterator[Violation]:
     """Run batch detection, yielding each violation as it is confirmed.
@@ -52,8 +51,7 @@ def iter_dect(
     The generator's return value (``StopIteration.value``, or via
     :func:`repro.detect.observers.drain`) is the :class:`DetectionResult`.
     ``budget`` limits are enforced between expansion steps, so a capped run
-    performs strictly less work than a full one; ``sink`` (if given) is
-    notified of every violation right before it is yielded.  ``plans``
+    performs strictly less work than a full one.  ``plans``
     carries pre-compiled :class:`~repro.matching.plan.MatchPlan`\\ s (one per
     rule, the session's cache); when omitted they are compiled here.  Every
     rule's search follows its plan's root order as compiled.
@@ -63,7 +61,7 @@ def iter_dect(
     plans = resolve_plans(graph, rule_list, plans)
     started = time.perf_counter()
     violations = ViolationSet()
-    run = SerialRun("Dect", False, budget, sink)
+    run = SerialRun("Dect", False, budget)
 
     try:
         for rule_index, rule in enumerate(rule_list):
@@ -94,16 +92,3 @@ def iter_dect(
         algorithm="Dect",
         **run.outcome(),
     )
-
-
-def dect(graph: Graph, rules: RuleSet | list[NGD]) -> DetectionResult:
-    """Run batch detection of ``Vio(Σ, G)`` over the whole graph.
-
-    Compatibility shim: equivalent to
-    ``Detector(rules, engine="batch").run(graph)``; new code should prefer
-    the :class:`~repro.detect.session.Detector` session, which adds
-    streaming, sinks, and budgets on the same kernel.
-    """
-    from repro.detect.session import Detector
-
-    return Detector(rules, engine="batch").run(graph)

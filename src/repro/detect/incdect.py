@@ -30,9 +30,9 @@ asked for it.
 
 :func:`iter_inc_dect` is the kernel: a generator yielding a
 :class:`~repro.detect.observers.ViolationEvent` (violation + ΔVio⁺/ΔVio⁻
-direction) per finding, with optional sink notification and budget-capped
-early termination.  :func:`inc_dect` keeps the original signature as a
-compatibility shim over the :class:`~repro.detect.session.Detector` session.
+direction) per finding, with budget-capped early termination.  Callers reach
+it through the :class:`~repro.detect.session.Detector` session
+(``engine="incremental"``, :meth:`~repro.detect.session.Detector.run_incremental`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Optional
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.detect.base import IncrementalDetectionResult
-from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink
+from repro.detect.observers import DetectionBudget, ViolationEvent
 from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
@@ -52,7 +52,7 @@ from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.incmatch import pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
 
-__all__ = ["inc_dect", "iter_inc_dect"]
+__all__ = ["iter_inc_dect"]
 
 
 def iter_inc_dect(
@@ -61,7 +61,6 @@ def iter_inc_dect(
     delta: BatchUpdate,
     graph_after: Optional[Graph] = None,
     budget: Optional[DetectionBudget] = None,
-    sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
 ) -> Iterator[ViolationEvent]:
     """Run incremental detection, yielding each ΔVio event as it is confirmed.
@@ -92,7 +91,7 @@ def iter_inc_dect(
     introduced = ViolationSet()
     removed = ViolationSet()
     # nothing outside what the search touches is charged
-    run = SerialRun("IncDect", True, budget, sink)
+    run = SerialRun("IncDect", True, budget)
     pivots_of = pivots_by_rule(rule_set, delta, graph, updated)
 
     def graph_for(inserted: bool) -> Graph:
@@ -133,21 +132,3 @@ def iter_inc_dect(
     )
     result.measure_neighborhood_on_read(updated, delta.touched_nodes(), max(rule_set.diameter(), 1))
     return result
-
-
-def inc_dect(
-    graph: Graph,
-    rules: RuleSet | list[NGD],
-    delta: BatchUpdate,
-    graph_after: Optional[Graph] = None,
-) -> IncrementalDetectionResult:
-    """Compute ΔVio(Σ, G, ΔG) with the update-driven sequential algorithm.
-
-    Compatibility shim: equivalent to ``Detector(rules,
-    engine="incremental").run_incremental(graph, delta, graph_after)``; new
-    code should prefer the :class:`~repro.detect.session.Detector` session.
-    """
-    from repro.detect.session import Detector
-
-    detector = Detector(rules, engine="incremental")
-    return detector.run_incremental(graph, delta, graph_after=graph_after)

@@ -1,120 +1,34 @@
-"""Streaming observers and termination budgets for the detection kernels.
+"""The stream's event type and the termination budget the detection kernels share.
 
 The paper's four algorithms (Dect, IncDect, PDect, PIncDect) compute
 ``Vio(Σ, G)`` (or its delta) as one monolithic batch; downstream consumers —
-repair pipelines, dashboards, the CLI — usually want violations *as they are
-found* and often only need the first few.  This module supplies the two
-building blocks the kernels share to support that natively:
+repair pipelines, dashboards, the CLI, the service — usually want violations
+*as they are found* and often only need the first few.  The kernels are
+generators, so :meth:`Detector.stream <repro.detect.session.Detector.stream>`
+yields each violation the moment it is confirmed, and this module supplies
+what they share around that stream:
 
-* :class:`ViolationSink` — an observer notified of every violation the
-  moment its work unit completes (before the run finishes);
+* :class:`ViolationEvent` — one incremental finding and its ΔVio direction;
 * :class:`DetectionBudget` — early-termination limits (``max_violations``,
   ``max_cost``) enforced *inside* the kernels, so a capped run really does
-  less work instead of discarding surplus results.
+  less work instead of discarding surplus results;
+* :func:`drain` — the batch consumer that runs a kernel to its result.
 
-Both are threaded through the kernels as optional keyword arguments; the
-:class:`~repro.detect.session.Detector` session wires them up from
+The :class:`~repro.detect.session.Detector` session builds the budget from
 :class:`~repro.detect.session.DetectionOptions`.
-
-Threading contract
-------------------
-
-A single detection run notifies its sink from one thread: the generator
-kernels call ``on_violation`` from whichever thread is consuming the
-iterator, and the simulated parallel engines (PDect / PIncDect) notify in
-*worker completion order* but still from the consuming thread.  The
-detection service (:mod:`repro.service`) breaks that assumption: it shares
-sinks across concurrently-running sessions served by
-:class:`http.server.ThreadingHTTPServer` worker threads, so a sink instance
-may receive interleaved ``on_violation`` / ``on_finish`` calls from several
-threads at once.
-
-The rule is therefore: a sink attached to exactly one :class:`Detector`
-used from one thread may be as simple as it likes; **any sink shared
-between sessions or threads must serialise its own state changes**.  The
-sinks shipped here follow it — :class:`CollectingSink` guards its violation
-sets and :class:`FanOutSink` holds an internal lock across each broadcast
-so children observe every event atomically and in a consistent order.
-
-Exception contract
-------------------
-
-A sink is an *observer*: it must never be able to abort the detection that
-feeds it.  Every kernel therefore notifies sinks through the
-``notify_start`` / ``notify_violation`` / ``notify_finish`` helpers below,
-which catch any exception the sink raises, log it once (logger
-``repro.detect.sink``), count it in the ``repro_sink_errors_total{method}``
-metric, and carry on.  The stream the consumer sees — violations yielded,
-the final result — is byte-identical whether a sink raises or not.
-(Before this contract, a raising sink had kernel-dependent behavior:
-some kernels crashed mid-run, others lost violations.)  Sinks that need
-their errors surfaced should catch and report them on their own channel.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import obs
-from repro.core.violations import Violation, ViolationSet
+from repro.core.violations import Violation
 from repro.errors import SessionError
 
-__all__ = [
-    "ViolationSink",
-    "CollectingSink",
-    "CallbackSink",
-    "FanOutSink",
-    "ViolationEvent",
-    "DetectionBudget",
-    "drain",
-    "notify_start",
-    "notify_violation",
-    "notify_finish",
-]
-
-_logger = logging.getLogger("repro.detect.sink")
-
-
-def _sink_error(method: str, exc: BaseException) -> None:
-    obs.counter_inc("repro_sink_errors_total", {"method": method})
-    _logger.warning("violation sink raised in %s (ignored): %r", method, exc)
-
-
-def notify_start(sink: Optional["ViolationSink"], detector: object) -> None:
-    """Call ``sink.on_start``; a raising sink is logged + counted, never fatal."""
-    if sink is None:
-        return
-    try:
-        sink.on_start(detector)
-    except Exception as exc:
-        _sink_error("on_start", exc)
-
-
-def notify_violation(
-    sink: Optional["ViolationSink"], violation: Violation, introduced: bool = True
-) -> None:
-    """Call ``sink.on_violation``; a raising sink is logged + counted, never fatal."""
-    if sink is None:
-        return
-    try:
-        sink.on_violation(violation, introduced)
-    except Exception as exc:
-        _sink_error("on_violation", exc)
-
-
-def notify_finish(sink: Optional["ViolationSink"], result: object) -> None:
-    """Call ``sink.on_finish``; a raising sink is logged + counted, never fatal."""
-    if sink is None:
-        return
-    try:
-        sink.on_finish(result)
-    except Exception as exc:
-        _sink_error("on_finish", exc)
+__all__ = ["ViolationEvent", "DetectionBudget", "drain"]
 
 
 @dataclass(frozen=True)
@@ -127,94 +41,6 @@ class ViolationEvent:
 
     violation: Violation
     introduced: bool = True
-
-
-class ViolationSink:
-    """Observer protocol for streaming detection.
-
-    Subclass and override any subset; the base methods are no-ops so sinks
-    only pay for what they watch.  ``on_violation`` is invoked by the
-    detection kernels the moment a violating match is confirmed — i.e. before
-    the run completes — so sinks must not mutate the graph being searched.
-    """
-
-    def on_start(self, detector: object) -> None:
-        """Called once by the session before the kernel starts."""
-
-    def on_violation(self, violation: Violation, introduced: bool = True) -> None:
-        """Called for every violation as its work unit completes."""
-
-    def on_finish(self, result: object) -> None:
-        """Called once with the final result object (including early stops)."""
-
-
-class CollectingSink(ViolationSink):
-    """A sink that accumulates streamed violations into violation sets.
-
-    Safe to share between concurrently-running detections: additions to the
-    violation sets and the results list are serialised by an internal lock
-    (see the module's threading contract).
-    """
-
-    def __init__(self) -> None:
-        self.introduced = ViolationSet()
-        self.removed = ViolationSet()
-        self.results: list[object] = []
-        self._lock = threading.Lock()
-
-    @property
-    def violations(self) -> ViolationSet:
-        """The violations of a batch run (alias for ``introduced``)."""
-        return self.introduced
-
-    def on_violation(self, violation: Violation, introduced: bool = True) -> None:
-        with self._lock:
-            (self.introduced if introduced else self.removed).add(violation)
-
-    def on_finish(self, result: object) -> None:
-        with self._lock:
-            self.results.append(result)
-
-
-class CallbackSink(ViolationSink):
-    """Adapt a plain callable ``fn(violation, introduced)`` into a sink."""
-
-    def __init__(self, callback: Callable[[Violation, bool], object]) -> None:
-        self._callback = callback
-
-    def on_violation(self, violation: Violation, introduced: bool = True) -> None:
-        self._callback(violation, introduced)
-
-
-class FanOutSink(ViolationSink):
-    """Broadcast every notification to a list of child sinks, in order.
-
-    Thread-safe: an internal lock is held across each whole broadcast, so
-    when the fan-out is shared between sessions (as the detection service
-    does) every child sink sees each event exactly once, events are never
-    interleaved mid-broadcast, and all children observe the same order.
-    Child sinks therefore need no locking of their own *against siblings*,
-    though a child also attached elsewhere must still guard itself.
-    """
-
-    def __init__(self, sinks: Iterable[ViolationSink]) -> None:
-        self._sinks = tuple(sinks)
-        self._lock = threading.Lock()
-
-    def on_start(self, detector: object) -> None:
-        with self._lock:
-            for sink in self._sinks:
-                sink.on_start(detector)
-
-    def on_violation(self, violation: Violation, introduced: bool = True) -> None:
-        with self._lock:
-            for sink in self._sinks:
-                sink.on_violation(violation, introduced)
-
-    def on_finish(self, result: object) -> None:
-        with self._lock:
-            for sink in self._sinks:
-                sink.on_finish(result)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,7 @@ __getattr__, __dir__ = lazy_exports(
         "ExecutionRuntime": "repro.detect.parallel.executor",
         "resolve_start_method": "repro.detect.parallel.executor",
         "iter_p_dect": "repro.detect.parallel.pdect",
-        "p_dect": "repro.detect.parallel.pdect",
         "iter_pinc_dect": "repro.detect.parallel.pincdect",
-        "pinc_dect": "repro.detect.parallel.pincdect",
     },
 )
 
@@ -34,8 +32,6 @@ __all__ = [
     "WorkUnit",
     "iter_p_dect",
     "iter_pinc_dect",
-    "p_dect",
-    "pinc_dect",
     "plan_rebalancing",
     "resolve_start_method",
     "should_split",

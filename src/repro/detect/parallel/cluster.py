@@ -19,7 +19,7 @@ overhead dominates.
 :class:`SimulatedRun` is the one scheduling loop over the simulator that
 PDect and PIncDect share: the cost budget, the periodic η/η′
 redistribution, the split charging of each step, child enqueueing,
-deduplication, the sink, the violation budget and the per-rule attribution.
+deduplication, the violation budget and the per-rule attribution.
 The two kernels differ only in their seeds — every first-step candidate of
 ``G``, or the update pivots of ΔG — and in the graph a seed is searched in.
 """
@@ -32,7 +32,7 @@ from typing import Optional
 
 from repro import obs
 from repro.detect.base import WorkerTrace
-from repro.detect.observers import DetectionBudget, ViolationSink
+from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.balancing import (
     BalancingPolicy,
     plan_rebalancing,
@@ -206,9 +206,8 @@ class SimulatedRun(KernelRun):
         processors: int,
         policy: BalancingPolicy,
         budget: Optional[DetectionBudget],
-        sink: Optional[ViolationSink],
     ) -> None:
-        super().__init__(algorithm, incremental, budget, sink)
+        super().__init__(algorithm, incremental, budget)
         self.cluster = ClusterSimulator(processors, policy.latency)
         self.rules, self.plans = rules, plans
         self.processors, self.policy = processors, policy

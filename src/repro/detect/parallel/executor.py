@@ -80,7 +80,7 @@ from typing import Any, Optional, Union
 from repro import obs
 from repro.core.ngd import NGD, RuleSet
 from repro.detect.base import EXECUTION_MODES, WorkerTrace
-from repro.detect.observers import DetectionBudget, ViolationSink
+from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.workunits import WorkUnit, rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
@@ -293,7 +293,7 @@ class _Worker:
     def __init__(self, worker_id: int, epoch: int, runtime: ExecutionRuntime, channel, stop_event) -> None:
         self.runtime, self.channel, self.stop_event = runtime, channel, stop_event
         # incremental: every event carries its direction
-        self.run = SerialRun("executor", True, None, None)
+        self.run = SerialRun("executor", True, None)
         plan = resolve_fault_plan()
         self.faults = plan.for_worker(worker_id, epoch) if plan is not None else None
         self.found: list = []
@@ -518,11 +518,10 @@ class ProcessRun(SerialRun):
         plans: Sequence[MatchPlan],
         processors: int,
         budget: Optional[DetectionBudget],
-        sink: Optional[ViolationSink],
         images: tuple,
         base_cost: float = 0.0,
     ) -> None:
-        super().__init__(algorithm, incremental, budget, sink)
+        super().__init__(algorithm, incremental, budget)
         self.rules, self.plans = rules, plans
         self.processors, self.images = processors, images
         self.cost = base_cost

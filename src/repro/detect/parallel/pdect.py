@@ -16,10 +16,9 @@ makespan is essentially flat across update sizes — which is exactly the
 behaviour Figures 4(a)–(d) show for PDect.
 
 :func:`iter_p_dect` is the kernel: a generator yielding each violation as
-its work unit completes, with optional sink notification and budget-capped
-early termination (``max_cost`` caps the simulated makespan).
-:func:`p_dect` keeps the original signature as a compatibility shim over the
-:class:`~repro.detect.session.Detector` session.
+its work unit completes, with budget-capped early termination (``max_cost``
+caps the simulated makespan).  Callers reach it through the
+:class:`~repro.detect.session.Detector` session (``engine="parallel"``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Optional
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationSet
 from repro.detect.base import EXECUTION_MODES, DetectionResult
-from repro.detect.observers import DetectionBudget, ViolationSink
+from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.balancing import BalancingPolicy
 from repro.detect.parallel.cluster import SimulatedRun
 from repro.detect.parallel.workunits import WorkUnit
@@ -40,7 +39,7 @@ from repro.errors import ExecutionError
 from repro.graph.graph import Graph
 from repro.matching.plan import MatchPlan, resolve_plans, seed_candidates
 
-__all__ = ["p_dect", "iter_p_dect"]
+__all__ = ["iter_p_dect"]
 
 
 def iter_p_dect(
@@ -49,7 +48,6 @@ def iter_p_dect(
     processors: int = 8,
     policy: Optional[BalancingPolicy] = None,
     budget: Optional[DetectionBudget] = None,
-    sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
     execution: str = "simulated",
 ) -> Iterator[Violation]:
@@ -81,9 +79,9 @@ def iter_p_dect(
     if execution == "processes":
         from repro.detect.parallel.executor import ProcessRun
 
-        run = ProcessRun("PDect", False, rule_list, plans, processors, budget, sink, images=(graph, None))
+        run = ProcessRun("PDect", False, rule_list, plans, processors, budget, images=(graph, None))
     else:
-        run = SimulatedRun("PDect", False, rule_list, plans, processors, policy, budget, sink)
+        run = SimulatedRun("PDect", False, rule_list, plans, processors, policy, budget)
     violations = ViolationSet()
     yield from run.drain(_candidate_seeds(run, graph), lambda _: graph, (violations, violations))
     return DetectionResult(
@@ -128,22 +126,3 @@ def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
                 heapq.heapreplace(loads, (load + unit_estimate, owner))
                 yield owner, unit, True
             position += 1
-
-
-def p_dect(
-    graph: Graph,
-    rules: RuleSet | list[NGD],
-    processors: int = 8,
-    policy: Optional[BalancingPolicy] = None,
-) -> DetectionResult:
-    """Run parallel batch detection of ``Vio(Σ, G)`` on a simulated cluster.
-
-    Compatibility shim: equivalent to ``Detector(rules, engine="parallel",
-    processors=processors).run(graph)``; new code should prefer the
-    :class:`~repro.detect.session.Detector` session.
-    """
-    from repro.detect.session import DetectionOptions, Detector
-
-    options = DetectionOptions(policy=policy)
-    detector = Detector(rules, engine="parallel", processors=processors, options=options)
-    return detector.run(graph)

@@ -29,10 +29,10 @@ shrinking roughly linearly in ``p`` (Figures 4(i)–(l)).
 
 :func:`iter_pinc_dect` is the kernel: a generator yielding a
 :class:`~repro.detect.observers.ViolationEvent` per ΔVio finding as its work
-unit completes, with optional sink notification and budget-capped early
-termination (``max_cost`` caps the simulated makespan).  :func:`pinc_dect`
-keeps the original signature as a compatibility shim over the
-:class:`~repro.detect.session.Detector` session.
+unit completes, with budget-capped early termination (``max_cost`` caps the
+simulated makespan).  Callers reach it through the
+:class:`~repro.detect.session.Detector` session (``engine="parallel"``,
+:meth:`~repro.detect.session.Detector.run_incremental`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Optional
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.detect.base import EXECUTION_MODES, IncrementalDetectionResult
-from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink
+from repro.detect.observers import DetectionBudget, ViolationEvent
 from repro.detect.parallel.balancing import BalancingPolicy
 from repro.detect.parallel.cluster import SimulatedRun
 from repro.detect.parallel.workunits import WorkUnit
@@ -56,7 +56,7 @@ from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.incmatch import pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
 
-__all__ = ["pinc_dect", "iter_pinc_dect"]
+__all__ = ["iter_pinc_dect"]
 
 
 def iter_pinc_dect(
@@ -67,7 +67,6 @@ def iter_pinc_dect(
     policy: Optional[BalancingPolicy] = None,
     graph_after: Optional[Graph] = None,
     budget: Optional[DetectionBudget] = None,
-    sink: Optional[ViolationSink] = None,
     plans: Optional[Sequence[MatchPlan]] = None,
     execution: str = "simulated",
 ) -> Iterator[ViolationEvent]:
@@ -119,11 +118,11 @@ def iter_pinc_dect(
             images = (updated, graph)
         # extraction and replication of N_C(ΔG, Σ) is charged to the run's aggregate cost
         run = ProcessRun(
-            algorithm, True, rule_list, plans, processors, budget, sink,
+            algorithm, True, rule_list, plans, processors, budget,
             images=images, base_cost=float(neighborhood_size),
         )
     else:
-        run = SimulatedRun(algorithm, True, rule_list, plans, processors, policy, budget, sink)
+        run = SimulatedRun(algorithm, True, rule_list, plans, processors, policy, budget)
         # extraction and replication of N_C(ΔG, Σ): O(|G_dΣ(ΔG)|) work shared
         # by p workers, plus one broadcast round
         if neighborhood_size:
@@ -161,24 +160,3 @@ def _pivot_units(
                 order = site.order(plans[rule_index])
                 units.append(WorkUnit(rule_index, order, tuple(zip(order, ids)), update.is_insertion))
     return units
-
-
-def pinc_dect(
-    graph: Graph,
-    rules: RuleSet | list[NGD],
-    delta: BatchUpdate,
-    processors: int = 8,
-    policy: Optional[BalancingPolicy] = None,
-    graph_after: Optional[Graph] = None,
-) -> IncrementalDetectionResult:
-    """Run parallel incremental detection on a simulated ``processors``-worker cluster.
-
-    Compatibility shim: equivalent to ``Detector(rules, engine="parallel",
-    processors=processors).run_incremental(graph, delta, graph_after)``; new
-    code should prefer the :class:`~repro.detect.session.Detector` session.
-    """
-    from repro.detect.session import DetectionOptions, Detector
-
-    options = DetectionOptions(policy=policy)
-    detector = Detector(rules, engine="parallel", processors=processors, options=options)
-    return detector.run_incremental(graph, delta, graph_after=graph_after)

@@ -1,10 +1,10 @@
 """The serial drain loop: how Dect and IncDect advance one search, step by step.
 
 Both kernels seed a rule's search (:func:`~repro.detect.parallel.workunits.
-rule_search`), expand it depth-first, deduplicate what it finds, notify the
-sink, charge the cost model, test the budget and attribute the work to the
-rule.  They differ only in where the seeds come from and which graph a seed
-is searched in, so the rest lives here, once.  A degraded process run
+rule_search`), expand it depth-first, deduplicate what it finds, charge the
+cost model, test the budget and attribute the work to the rule.  They differ
+only in where the seeds come from and which graph a seed is searched in, so
+the rest lives here, once.  A degraded process run
 (:class:`~repro.detect.parallel.executor.ProcessRun`, a :class:`SerialRun`)
 finishes the units its workers could not on this loop too.  The parallel
 backends have one loop each, of the same ``drain(seeds, graph_for,
@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro import obs
 from repro.detect.instrument import RuleAttribution
-from repro.detect.observers import DetectionBudget, ViolationEvent, ViolationSink, notify_violation
+from repro.detect.observers import DetectionBudget, ViolationEvent
 from repro.matching.candidates import MatchStatistics
 
 __all__ = ["KernelRun", "SerialRun"]
@@ -40,13 +40,10 @@ class KernelRun:
     #: (:meth:`SerialRun.rule`).
     counts_each_violation = True
 
-    def __init__(
-        self, algorithm: str, incremental: bool, budget: Optional[DetectionBudget], sink: Optional[ViolationSink]
-    ) -> None:
+    def __init__(self, algorithm: str, incremental: bool, budget: Optional[DetectionBudget]) -> None:
         self.algorithm = algorithm
         self.incremental = incremental
         self.budget = budget
-        self.sink = sink
         self.stats = MatchStatistics()
         self.emitted = 0
         self.stop_reason: Optional[str] = None
@@ -65,9 +62,9 @@ class KernelRun:
     def emit(self, violations: Iterable, introduced: bool, dedupe: tuple) -> Generator:
         """Yield the violations new against ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed).
 
-        Each is counted, attributed, passed to the sink and yielded.  The
-        generator returns True (``stop_reason`` set) the moment the
-        violation budget is spent, else False.
+        Each is counted, attributed and yielded.  The generator returns True
+        (``stop_reason`` set) the moment the violation budget is spent, else
+        False.
         """
         seen = dedupe[not introduced]
         for violation in violations:
@@ -77,7 +74,6 @@ class KernelRun:
             self.emitted += 1
             if self.counts_each_violation:
                 self.attribution.violation(violation.rule)
-            notify_violation(self.sink, violation, introduced)
             yield ViolationEvent(violation, introduced) if self.incremental else violation
             if self.budget is not None and self.budget.violations_exhausted(self.emitted):
                 self.stop_reason = "max_violations"
@@ -103,25 +99,21 @@ class SerialRun(KernelRun):
 
     counts_each_violation = False
     cost = 0.0
-    _open_rule: Optional[tuple] = None
 
     def rule(self, rule_name: str) -> "SerialRun":
         """Attribute the counters, cost, violations and time of the enclosed ``with`` block to one rule."""
         before = self.attribution.before(self.stats)
-        if before is not None:
-            before = (rule_name, before, self.cost, self.emitted, time.time(), time.monotonic())
-        self._open_rule = before
+        self._open_rule = (rule_name, before, self.cost, self.emitted, time.time(), time.monotonic())
         return self
 
     def __enter__(self) -> None:
         return None
 
     def __exit__(self, *exc_info) -> None:
-        if self._open_rule is not None:
-            rule_name, before, cost, emitted, started, clock = self._open_rule
-            self.attribution.record(
-                rule_name, before, self.stats, self.emitted - emitted, self.cost - cost, started, time.monotonic() - clock
-            )
+        rule_name, before, cost, emitted, started, clock = self._open_rule
+        self.attribution.record(
+            rule_name, before, self.stats, self.emitted - emitted, self.cost - cost, started, time.monotonic() - clock
+        )
 
     def drain(self, seeds: Iterable[tuple], graph_for, dedupe: tuple) -> Iterator:
         """Expand every seed's subtree depth-first, yielding each new violation.

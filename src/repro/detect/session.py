@@ -34,13 +34,12 @@ Engines
 
 Streaming and early termination are native: the kernels are generators, so
 :meth:`Detector.stream` yields each violation the moment its work unit
-completes, sinks (:class:`~repro.detect.observers.ViolationSink`) observe
-every run mode, and :class:`~repro.detect.observers.DetectionBudget` limits
-(``max_violations`` / ``max_cost``) stop the kernels mid-search rather than
-filtering afterwards.
-
-The module-level functions ``dect`` / ``inc_dect`` / ``p_dect`` /
-``pinc_dect`` remain as thin compatibility shims over this session.
+completes — the one way out, which ``run`` drains — and
+:class:`~repro.detect.observers.DetectionBudget` limits (``max_violations`` /
+``max_cost``) stop the kernels mid-search rather than filtering afterwards.
+The session is the one way in: the CLI, the service and the examples all
+construct a :class:`Detector`; only the problem statements of
+:mod:`repro.core.validation` drain the batch kernel without one.
 """
 
 from __future__ import annotations
@@ -56,16 +55,7 @@ from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationDelta
 from repro.detect.base import EXECUTION_MODES, DetectionResult, IncrementalDetectionResult
 from repro.detect.instrument import flush_step_counts
-from repro.detect.observers import (
-    DetectionBudget,
-    FanOutSink,
-    ViolationEvent,
-    ViolationSink,
-    drain,
-    notify_finish,
-    notify_start,
-    notify_violation,
-)
+from repro.detect.observers import DetectionBudget, ViolationEvent, drain
 from repro.detect.parallel.balancing import BalancingPolicy
 from repro.errors import SessionError
 from repro.graph.graph import Graph
@@ -136,7 +126,7 @@ class DetectionOptions:
 
 
 class Detector:
-    """A reusable detection session: rules + engine + options + sinks.
+    """A reusable detection session: rules + engine + options.
 
     The session owns no graph: pass one to each :meth:`run` /
     :meth:`run_incremental` / :meth:`stream` call and reuse the session
@@ -151,7 +141,6 @@ class Detector:
         engine: str = "auto",
         processors: Optional[int] = None,
         options: Optional[DetectionOptions] = None,
-        sinks: Iterable[ViolationSink] = (),
         plans_file: Optional[str] = None,
     ) -> None:
         if engine not in ENGINES:
@@ -178,7 +167,6 @@ class Detector:
         # for every run, no statistics pass, no drift invalidation
         self.plans_file = plans_file
         self._file_plans: Optional[tuple[MatchPlan, ...]] = None
-        self._sinks: list[ViolationSink] = list(sinks)
         self.last_result: Optional[DetectionResult | IncrementalDetectionResult] = None
         # the last compiled plan set, kept across snapshots: ``apply_update``
         # returns a new store per ΔG, and any plan over this session's rules
@@ -192,20 +180,6 @@ class Detector:
         # (plan set, its summed root estimate): the trace root's plan_estimate,
         # summed once per plan set rather than once per run
         self._plan_estimate: Optional[tuple[Sequence[MatchPlan], float]] = None
-
-    # ------------------------------------------------------------------ sinks
-
-    def add_sink(self, sink: ViolationSink) -> "Detector":
-        """Attach a sink (builder style); it observes every subsequent run."""
-        self._sinks.append(sink)
-        return self
-
-    def _sink(self) -> Optional[ViolationSink]:
-        if not self._sinks:
-            return None
-        if len(self._sinks) == 1:
-            return self._sinks[0]
-        return FanOutSink(self._sinks)
 
     # ------------------------------------------------------------------ plans
 
@@ -273,7 +247,7 @@ class Detector:
         sessions hand back the plans they compiled at an earlier version).
         """
         result = drain(self._traced_events(lambda: self._batch_events(graph, plans), "detect.run"))
-        self._finish(result)
+        self.last_result = result
         return result
 
     def stream(
@@ -281,14 +255,13 @@ class Detector:
     ) -> Iterator[Violation]:
         """Yield violations of ``Vio(Σ, G)`` as their work units complete.
 
-        The same violations, in the same deterministic order, as the sinks
-        observe during :meth:`run`; after exhaustion the full
-        :class:`DetectionResult` is available as ``last_result``.
+        The same violations, in the same deterministic order, as :meth:`run`
+        finds; after exhaustion the full :class:`DetectionResult` is
+        available as ``last_result``.
         """
-        result = yield from self._traced_events(
+        self.last_result = yield from self._traced_events(
             lambda: self._batch_events(graph, plans), "detect.run"
         )
-        self._finish(result)
 
     def run_incremental(
         self,
@@ -309,7 +282,7 @@ class Detector:
                 "detect.run_incremental",
             )
         )
-        self._finish(result)
+        self.last_result = result
         return result
 
     def stream_incremental(
@@ -320,17 +293,12 @@ class Detector:
         plans: Optional[Sequence[MatchPlan]] = None,
     ) -> Iterator[ViolationEvent]:
         """Yield :class:`ViolationEvent`\\ s of ΔVio(Σ, G, ΔG) as found."""
-        result = yield from self._traced_events(
+        self.last_result = yield from self._traced_events(
             lambda: self._incremental_events(graph, delta, graph_after, plans),
             "detect.run_incremental",
         )
-        self._finish(result)
 
     # ------------------------------------------------------------- internals
-
-    def _finish(self, result: DetectionResult | IncrementalDetectionResult) -> None:
-        self.last_result = result
-        notify_finish(self._sink(), result)
 
     def _traced_events(self, factory: Callable[[], Iterator], name: str):
         """Drive ``factory()``'s event stream under one root span.
@@ -407,10 +375,8 @@ class Detector:
                 )
 
     def _annotate_root(self, mode: str, graph: Graph, plans) -> None:
-        """Stamp run context onto the root span (no-op outside a traced run)."""
+        """Stamp run context onto the root span :meth:`_traced_events` opened."""
         root = obs.current_span()
-        if root is None:
-            return
         root.set(
             mode=mode,
             execution=self.options.execution,
@@ -433,18 +399,10 @@ class Detector:
         mode = self._resolve_batch_engine()
         if plans is None:
             plans = self.compile_plans(graph)
-        sink = self._sink()
         budget = self.options.budget()
-        notify_start(sink, self)
         self._annotate_root(mode, graph, plans)
         if mode == "batch":
-            return iter_dect(
-                graph,
-                self.rules,
-                budget=budget,
-                sink=sink,
-                plans=plans,
-            )
+            return iter_dect(graph, self.rules, budget=budget, plans=plans)
         from repro.detect.parallel.pdect import iter_p_dect
 
         return iter_p_dect(
@@ -453,7 +411,6 @@ class Detector:
             processors=self._effective_processors(),
             policy=self.options.policy,
             budget=budget,
-            sink=sink,
             plans=plans,
             execution=self.options.execution,
         )
@@ -473,19 +430,11 @@ class Detector:
             # materialised (the service always hands it over); otherwise
             # against G — the statistics differ by at most |ΔG|
             plans = self.compile_plans(graph_after if graph_after is not None else graph)
-        sink = self._sink()
         budget = self.options.budget()
-        notify_start(sink, self)
         self._annotate_root(mode, graph, plans)
         if mode == "incremental":
             return iter_inc_dect(
-                graph,
-                self.rules,
-                delta,
-                graph_after=graph_after,
-                budget=budget,
-                sink=sink,
-                plans=plans,
+                graph, self.rules, delta, graph_after=graph_after, budget=budget, plans=plans
             )
         if mode == "parallel":
             from repro.detect.parallel.pincdect import iter_pinc_dect
@@ -498,7 +447,6 @@ class Detector:
                 policy=self.options.policy,
                 graph_after=graph_after,
                 budget=budget,
-                sink=sink,
                 plans=plans,
                 execution=self.options.execution,
             )
@@ -509,14 +457,13 @@ class Detector:
                 "diff unsound; drop max_violations/max_cost or use "
                 "engine='incremental'/'parallel'"
             )
-        return self._batch_diff_events(graph, delta, graph_after, sink, plans)
+        return self._batch_diff_events(graph, delta, graph_after, plans)
 
     def _batch_diff_events(
         self,
         graph: Graph,
         delta: BatchUpdate,
         graph_after: Optional[Graph],
-        sink: Optional[ViolationSink],
         plans: Optional[Sequence[MatchPlan]] = None,
     ) -> Iterator[ViolationEvent]:
         """Ground-truth incremental mode for ``engine="batch"``.
@@ -552,9 +499,7 @@ class Detector:
             algorithm="BatchDiff",
         )
         for violation in sorted(violation_delta.introduced, key=str):
-            notify_violation(sink, violation, introduced=True)
             yield ViolationEvent(violation, introduced=True)
         for violation in sorted(violation_delta.removed, key=str):
-            notify_violation(sink, violation, introduced=False)
             yield ViolationEvent(violation, introduced=False)
         return result

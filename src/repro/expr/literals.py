@@ -64,10 +64,6 @@ class Comparison(enum.Enum):
         """Return the truth of ``left ⊗ right`` under standard semantics."""
         return COMPARISON_OPS[self](left, right)
 
-    def is_equality_only(self) -> bool:
-        """Return True for ``=``; the GFD fragment of NGDs uses only this predicate."""
-        return self is Comparison.EQ
-
     @classmethod
     def from_symbol(cls, symbol: str) -> "Comparison":
         """Parse a predicate symbol (accepts ASCII and the Unicode variants ≠ ≤ ≥ ==)."""

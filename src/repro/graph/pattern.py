@@ -145,10 +145,6 @@ class Pattern:
         except KeyError:
             raise PatternError(f"pattern variable {variable!r} is not defined") from None
 
-    def has_variable(self, variable: str) -> bool:
-        """Return True when ``variable`` is bound in this pattern."""
-        return variable in self._nodes
-
     def nodes(self) -> Iterator[PatternNode]:
         """Iterate over pattern nodes in variable order."""
         return (self._nodes[v] for v in self._order)
@@ -246,11 +242,6 @@ class Pattern:
             if distances:
                 best = max(best, max(distances.values()))
         return best
-
-    def radius_from(self, variable: str) -> int:
-        """Return the eccentricity of ``variable`` within its component."""
-        distances = self.distances_from(variable)
-        return max(distances.values()) if distances else 0
 
     # ----------------------------------------------------------- serialization
 

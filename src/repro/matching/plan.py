@@ -721,19 +721,15 @@ def step_candidates(
 # -------------------------------------------------------------- kernel helpers
 
 
-def resolve_plans(graph: Graph, rule_list, plans, plans_file=None) -> tuple["MatchPlan", ...]:
+def resolve_plans(graph: Graph, rule_list, plans) -> tuple["MatchPlan", ...]:
     """Resolve the compiled plans a detection kernel should execute.
 
-    ``plans`` passed by the session (cache hit) wins.  ``plans_file`` names
-    a persisted plan set (:func:`save_plans`) loaded instead of compiling —
-    how service restarts and cold worker processes skip the statistics
-    pass.  Otherwise plans are compiled here.  Shared by all four kernels so
-    the compatibility shims behave like the session.
+    ``plans`` passed by the caller (the session's cache, or a loaded plans
+    file) win; otherwise plans are compiled here.  Shared by all four
+    kernels.
     """
     if plans is not None:
         return tuple(plans)
-    if plans_file is not None:
-        return load_plans(plans_file, rule_list)
     return compile_plans(graph, rule_list)
 
 

@@ -141,10 +141,6 @@ class WriteAheadLog:
         """LSN of the most recently appended record (start_lsn - 1 if none)."""
         return self._last_lsn
 
-    @property
-    def next_lsn(self) -> int:
-        return self._last_lsn + 1
-
     # ----------------------------------------------------------------- append
 
     def append(self, payload: dict) -> int:

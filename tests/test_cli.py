@@ -11,7 +11,7 @@ from repro import obs
 from repro.cli import format_result, main, result_to_dict
 from repro.core.builtin_rules import example_rules
 from repro.datasets.figure1 import figure1_g2, figure1_g4
-from repro.detect import Detector, dect, inc_dect
+from repro.detect import Detector
 from repro.graph.graph import Graph
 from repro.graph.io import save_graph, save_update
 from repro.graph.updates import BatchUpdate
@@ -138,7 +138,7 @@ class TestJsonFormat:
         assert document["removed"][0]["rule"] == "phi2"
 
     def test_format_result_text_and_json_agree(self):
-        result = dect(figure1_g4(), example_rules())
+        result = Detector(example_rules(), engine="batch").run(figure1_g4())
         text = format_result(result, "text")
         document = json.loads(format_result(result, "json"))
         assert f"{result.violation_count()} violations" in text
@@ -148,7 +148,7 @@ class TestJsonFormat:
     def test_format_result_incremental_text(self):
         graph = figure1_g2()
         delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
-        result = inc_dect(graph, example_rules(), delta)
+        result = Detector(example_rules(), engine="incremental").run_incremental(graph, delta)
         text = format_result(result, "text")
         assert "+0 / -1 violations" in text
         assert "- [phi2]" in text

@@ -42,15 +42,14 @@ DEFERRED = [
     "repro.theory",
 ]
 
-#: ``repro.__all__`` and ``repro.core.__all__`` as they were before any name became lazy.
+#: ``repro.__all__`` and ``repro.core.__all__``: the public names, eager and lazy alike.
 REPRO_ALL = [
-    "BalancingPolicy", "BatchUpdate", "CallbackSink", "CollectingSink", "Comparison",
-    "DetectionBudget", "DetectionOptions", "Detector", "Graph", "Literal", "LiteralSet", "NGD",
-    "Pattern", "ReproError", "RuleSet", "UpdateGenerator", "Violation", "ViolationDelta",
-    "ViolationEvent", "ViolationSet", "ViolationSink", "__version__", "apply_update", "dect",
-    "find_violations", "format_literal", "format_literal_set", "graph_satisfies", "implies",
-    "inc_dect", "is_satisfiable", "is_strongly_satisfiable", "p_dect", "parse_expression",
-    "parse_literal", "parse_literal_set", "pinc_dect",
+    "BalancingPolicy", "BatchUpdate", "Comparison", "DetectionBudget", "DetectionOptions",
+    "Detector", "Graph", "Literal", "LiteralSet", "NGD", "Pattern", "ReproError", "RuleSet",
+    "UpdateGenerator", "Violation", "ViolationDelta", "ViolationEvent", "ViolationSet",
+    "__version__", "apply_update", "find_violations", "format_literal", "format_literal_set",
+    "graph_satisfies", "implies", "is_satisfiable", "is_strongly_satisfiable",
+    "parse_expression", "parse_literal", "parse_literal_set",
 ]  # fmt: skip
 CORE_ALL = [
     "AttributeRepair", "NGD", "RepairPlan", "RuleSet", "apply_repairs", "plan_repairs",

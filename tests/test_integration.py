@@ -18,7 +18,7 @@ from repro.core.builtin_rules import example_rules
 from repro.datasets.figure1 import figure1_graphs
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
-from repro.detect import BalancingPolicy, dect, inc_dect, p_dect, pinc_dect
+from repro.detect import BalancingPolicy, DetectionOptions, Detector
 from repro.discovery import DiscoveryConfig, discover_ngds
 from repro.graph.io import load_graph, load_update, save_graph, save_update
 from repro.graph.updates import UpdateGenerator, apply_update
@@ -48,13 +48,15 @@ class TestFullPipeline:
         delta = UpdateGenerator(seed=99).generate(pipeline_graph, 100, insert_ratio=0.5)
         updated = apply_update(pipeline_graph, delta)
 
-        batch_before = dect(pipeline_graph, rules)
-        batch_after = dect(updated, rules)
+        batch_before = Detector(rules, engine="batch").run(pipeline_graph)
+        batch_after = Detector(rules, engine="batch").run(updated)
         expected_delta = ViolationDelta.from_sets(batch_before.violations, batch_after.violations)
 
-        incremental = inc_dect(pipeline_graph, rules, delta, graph_after=updated)
-        parallel = pinc_dect(pipeline_graph, rules, delta, processors=6, graph_after=updated)
-        parallel_batch = p_dect(updated, rules, processors=6)
+        inc_dect = Detector(rules, engine="incremental")
+        incremental = inc_dect.run_incremental(pipeline_graph, delta, graph_after=updated)
+        pinc_dect = Detector(rules, engine="parallel", processors=6)
+        parallel = pinc_dect.run_incremental(pipeline_graph, delta, graph_after=updated)
+        parallel_batch = Detector(rules, engine="parallel", processors=6).run(updated)
 
         assert incremental.delta == expected_delta
         assert parallel.delta == expected_delta
@@ -70,7 +72,7 @@ class TestFullPipeline:
         )
         assert len(mined) > 0
         assert is_satisfiable(RuleSet([mined[0]]))
-        result = dect(pipeline_graph, mined)
+        result = Detector(mined, engine="batch").run(pipeline_graph)
         assert result.violations == find_violations(pipeline_graph, mined)
 
     def test_minimal_cover_preserves_violations(self, pipeline_graph):
@@ -90,25 +92,25 @@ class TestFullPipeline:
         save_update(delta, update_path)
         reloaded_graph = load_graph(graph_path)
         reloaded_delta = load_update(update_path)
-        assert inc_dect(reloaded_graph, rules, reloaded_delta).delta == inc_dect(
-            pipeline_graph, rules, delta
-        ).delta
+        reloaded = Detector(rules, engine="incremental").run_incremental(reloaded_graph, reloaded_delta)
+        assert reloaded.delta == Detector(rules, engine="incremental").run_incremental(pipeline_graph, delta).delta
 
     def test_figure1_graphs_full_workflow(self):
         rules = example_rules()
         for name, graph in figure1_graphs().items():
-            result = dect(graph, rules)
+            result = Detector(rules, engine="batch").run(graph)
             assert result.violation_count() == 1, name
 
     def test_balancing_variants_agree_under_skewed_workload(self, pipeline_graph):
         rules = benchmark_rules(pipeline_graph, count=10, max_diameter=4, seed=13)
         delta = UpdateGenerator(seed=77).generate(pipeline_graph, 120, insert_ratio=0.6)
-        reference = inc_dect(pipeline_graph, rules, delta)
+        reference = Detector(rules, engine="incremental").run_incremental(pipeline_graph, delta)
         for policy in (
             BalancingPolicy.hybrid(),
             BalancingPolicy.no_splitting(),
             BalancingPolicy.no_rebalancing(),
             BalancingPolicy.none(),
         ):
-            result = pinc_dect(pipeline_graph, rules, delta, processors=5, policy=policy)
+            options = DetectionOptions(policy=policy)
+            result = Detector(rules, engine="parallel", processors=5, options=options).run_incremental(pipeline_graph, delta)
             assert result.delta == reference.delta

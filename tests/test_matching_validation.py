@@ -236,7 +236,7 @@ class TestValidation:
         rules = _ordering_rules(graph)
         assert len(find_violations(graph, rules)) > 1
         pulled = []
-        dect_module = importlib.import_module("repro.detect.dect")  # the package re-exports a dect() function
+        dect_module = importlib.import_module("repro.detect.dect")
         real = dect_module.iter_dect
 
         def counting(*args, **kwargs):

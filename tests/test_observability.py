@@ -35,7 +35,7 @@ import pytest
 from repro import obs
 from repro.core.builtin_rules import example_rules
 from repro.datasets.figure1 import figure1_g1, figure1_g2
-from repro.detect import DetectionOptions, Detector, ViolationSink
+from repro.detect import DetectionOptions, Detector
 from repro.detect import session as session_module
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateGenerator
@@ -397,79 +397,6 @@ class TestCrossProcessShipping:
         worker_spans = [span for span in obs.traces() if span["name"] == "executor.worker"]
         assert worker_spans
         assert {span["trace_id"] for span in worker_spans} == {result.trace_id}
-
-
-# ------------------------------------------------------- sink error contract
-
-
-class ExplodingSink(ViolationSink):
-    """Raises in every callback; the kernels must shrug it off."""
-
-    def __init__(self):
-        self.calls = []
-
-    def on_start(self, detector):
-        self.calls.append("on_start")
-        raise RuntimeError("boom in on_start")
-
-    def on_violation(self, violation, introduced=True):
-        self.calls.append("on_violation")
-        raise RuntimeError("boom in on_violation")
-
-    def on_finish(self, result):
-        self.calls.append("on_finish")
-        raise RuntimeError("boom in on_finish")
-
-
-class TestSinkErrorContract:
-    """A raising sink never aborts the stream or changes the output — on all
-    four kernels — and every swallowed exception is logged and counted."""
-
-    @pytest.mark.parametrize("engine,processors,algorithm", [
-        ("batch", None, "Dect"),
-        ("parallel", 2, "PDect"),
-    ])
-    def test_batch_kernels_survive_raising_sink(self, g2, figure1_rules, engine, processors, algorithm):
-        clean = Detector(figure1_rules, engine=engine, processors=processors).run(g2)
-        sink = ExplodingSink()
-        noisy = Detector(
-            figure1_rules, engine=engine, processors=processors, sinks=[sink]
-        ).run(g2)
-        assert noisy.algorithm == algorithm
-        assert noisy.violations.to_json() == clean.violations.to_json()
-        assert "on_start" in sink.calls and "on_finish" in sink.calls
-        assert sink.calls.count("on_violation") == len(clean.violations)
-        registry = obs.metrics()
-        assert registry.value("repro_sink_errors_total", {"method": "on_start"}) == 1.0
-        assert registry.value("repro_sink_errors_total", {"method": "on_finish"}) == 1.0
-        assert registry.value("repro_sink_errors_total", {"method": "on_violation"}) == float(
-            len(clean.violations)
-        )
-
-    @pytest.mark.parametrize("engine,processors,algorithm", [
-        ("incremental", None, "IncDect"),
-        ("parallel", 2, "PIncDect"),
-    ])
-    def test_incremental_kernels_survive_raising_sink(
-        self, g2, figure1_rules, delta, engine, processors, algorithm
-    ):
-        clean = Detector(figure1_rules, engine=engine, processors=processors).run_incremental(
-            g2, delta
-        )
-        sink = ExplodingSink()
-        noisy = Detector(
-            figure1_rules, engine=engine, processors=processors, sinks=[sink]
-        ).run_incremental(g2, delta)
-        assert noisy.algorithm == algorithm
-        assert noisy.introduced().to_json() == clean.introduced().to_json()
-        assert noisy.removed().to_json() == clean.removed().to_json()
-        assert "on_start" in sink.calls and "on_finish" in sink.calls
-        assert obs.metrics().total("repro_sink_errors_total") >= 2.0
-
-    def test_sink_errors_are_logged(self, g1, figure1_rules, caplog):
-        with caplog.at_level("WARNING", logger="repro.detect.sink"):
-            Detector(figure1_rules, engine="batch", sinks=[ExplodingSink()]).run(g1)
-        assert any("violation sink raised" in message for message in caplog.messages)
 
 
 # ------------------------------------------------------------ service surface

@@ -11,7 +11,7 @@ from repro.core.validation import find_violations
 from repro.core.violations import ViolationDelta
 from repro.datasets.kb import KBConfig, knowledge_graph, yago_like
 from repro.datasets.rules import benchmark_rules
-from repro.detect import BalancingPolicy, DetectionOptions, Detector, dect, inc_dect, p_dect, pinc_dect
+from repro.detect import BalancingPolicy, DetectionOptions, Detector
 from repro.detect.parallel.balancing import plan_rebalancing, should_split, skewness
 from repro.detect.parallel.cluster import ClusterSimulator
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
@@ -172,12 +172,12 @@ class TestPDect:
     def test_matches_sequential_batch(self, kb_graph, kb_rules):
         expected = find_violations(kb_graph, kb_rules)
         for processors in (1, 4, 8):
-            result = p_dect(kb_graph, kb_rules, processors=processors)
+            result = Detector(kb_rules, engine="parallel", processors=processors).run(kb_graph)
             assert result.violations == expected
 
     def test_makespan_decreases_with_processors(self, kb_graph, kb_rules):
-        few = p_dect(kb_graph, kb_rules, processors=2).cost
-        many = p_dect(kb_graph, kb_rules, processors=16).cost
+        few = Detector(kb_rules, engine="parallel", processors=2).run(kb_graph).cost
+        many = Detector(kb_rules, engine="parallel", processors=16).run(kb_graph).cost
         assert many < few
 
     @pytest.mark.parametrize("execution", ("simulated", "processes"))
@@ -217,8 +217,8 @@ class TestPIncDect:
     @pytest.mark.parametrize("processors", [1, 2, 8, 16])
     def test_matches_ground_truth(self, kb_graph, kb_rules, kb_delta, processors):
         expected = self._ground_truth(kb_graph, kb_rules, kb_delta)
-        result = pinc_dect(kb_graph, kb_rules, kb_delta, processors=processors)
-        assert result.delta == expected
+        pinc_dect = Detector(kb_rules, engine="parallel", processors=processors)
+        assert pinc_dect.run_incremental(kb_graph, kb_delta).delta == expected
 
     @pytest.mark.parametrize(
         "policy_factory",
@@ -226,41 +226,42 @@ class TestPIncDect:
     )
     def test_all_variants_are_correct(self, kb_graph, kb_rules, kb_delta, policy_factory):
         expected = self._ground_truth(kb_graph, kb_rules, kb_delta)
-        result = pinc_dect(kb_graph, kb_rules, kb_delta, processors=8, policy=policy_factory())
-        assert result.delta == expected
+        options = DetectionOptions(policy=policy_factory())
+        pinc_dect = Detector(kb_rules, engine="parallel", processors=8, options=options)
+        assert pinc_dect.run_incremental(kb_graph, kb_delta).delta == expected
 
     def test_variant_names_follow_policy(self, kb_graph, kb_rules, kb_delta):
-        assert pinc_dect(kb_graph, kb_rules, kb_delta, processors=4).algorithm == "PIncDect"
-        assert (
-            pinc_dect(kb_graph, kb_rules, kb_delta, processors=4, policy=BalancingPolicy.none()).algorithm
-            == "PIncDectNO"
-        )
+        hybrid = Detector(kb_rules, engine="parallel", processors=4)
+        assert hybrid.run_incremental(kb_graph, kb_delta).algorithm == "PIncDect"
+        options = DetectionOptions(policy=BalancingPolicy.none())
+        neither = Detector(kb_rules, engine="parallel", processors=4, options=options)
+        assert neither.run_incremental(kb_graph, kb_delta).algorithm == "PIncDectNO"
 
     def test_makespan_decreases_with_processors(self, kb_graph, kb_rules, kb_delta):
-        p4 = pinc_dect(kb_graph, kb_rules, kb_delta, processors=4).cost
-        p16 = pinc_dect(kb_graph, kb_rules, kb_delta, processors=16).cost
+        p4 = Detector(kb_rules, engine="parallel", processors=4).run_incremental(kb_graph, kb_delta).cost
+        p16 = Detector(kb_rules, engine="parallel", processors=16).run_incremental(kb_graph, kb_delta).cost
         assert p16 < p4
 
     def test_parallel_beats_sequential_yardstick(self, kb_graph, kb_rules, kb_delta):
-        sequential = inc_dect(kb_graph, kb_rules, kb_delta).cost
-        parallel = pinc_dect(kb_graph, kb_rules, kb_delta, processors=8).cost
+        sequential = Detector(kb_rules, engine="incremental").run_incremental(kb_graph, kb_delta).cost
+        parallel = Detector(kb_rules, engine="parallel", processors=8).run_incremental(kb_graph, kb_delta).cost
         assert parallel < sequential
 
     def test_incremental_parallel_beats_batch_parallel_for_small_updates(self, kb_graph, kb_rules):
         delta = UpdateGenerator(seed=5).generate(kb_graph, max(1, kb_graph.edge_count() // 20))
-        incremental = pinc_dect(kb_graph, kb_rules, delta, processors=8).cost
-        batch = p_dect(kb_graph, kb_rules, processors=8).cost
+        incremental = Detector(kb_rules, engine="parallel", processors=8).run_incremental(kb_graph, delta).cost
+        batch = Detector(kb_rules, engine="parallel", processors=8).run(kb_graph).cost
         assert incremental < batch
 
     def test_worker_traces_account_all_units(self, kb_graph, kb_rules, kb_delta):
-        result = pinc_dect(kb_graph, kb_rules, kb_delta, processors=8)
+        result = Detector(kb_rules, engine="parallel", processors=8).run_incremental(kb_graph, kb_delta)
         assert len(result.worker_traces) == 8
         assert sum(trace.work_units_processed for trace in result.worker_traces) > 0
 
     def test_empty_delta(self, kb_graph, kb_rules):
         from repro.graph.updates import BatchUpdate
 
-        result = pinc_dect(kb_graph, kb_rules, BatchUpdate(), processors=4)
+        result = Detector(kb_rules, engine="parallel", processors=4).run_incremental(kb_graph, BatchUpdate())
         assert result.delta.is_empty()
 
 

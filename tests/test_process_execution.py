@@ -6,7 +6,7 @@ simulator — on the ``indexed`` engine and the ``dict`` oracle of
 ``tests/engines.py``, with worker images on the read-only ``frozen`` engine
 either way — while
 honouring ``DetectionBudget`` early
-cancellation and the ``ViolationSink`` streaming contract under real
+cancellation and streaming what the serial run finds under real
 concurrency.  Plan persistence (``save_plans`` / ``load_plans`` /
 ``Detector(plans_file=...)``) and the service's bounded detection job
 pool (429 admission control) ride along.
@@ -28,12 +28,7 @@ from repro.core.builtin_rules import example_rules
 from repro.datasets.figure1 import figure1_g2
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
-from repro.detect import (
-    CallbackSink,
-    CollectingSink,
-    DetectionOptions,
-    Detector,
-)
+from repro.detect import DetectionOptions, Detector
 from repro.detect.parallel.balancing import should_split, should_split_planned
 from repro.detect.parallel.executor import ExecutionRuntime
 from repro.errors import PoolSaturatedError, ServiceError, SessionError
@@ -169,7 +164,7 @@ class TestBatchParity:
             "import threading\n"
             "from repro.datasets.kb import KBConfig, knowledge_graph\n"
             "from repro.datasets.rules import benchmark_rules\n"
-            "from repro.detect import CallbackSink, DetectionOptions, Detector\n"
+            "from repro.detect import DetectionOptions, Detector\n"
             "from repro.detect.parallel import executor\n"
             "resolve = executor.resolve_start_method\n"
             "methods = []\n"
@@ -180,10 +175,10 @@ class TestBatchParity:
             "rules = benchmark_rules(graph, count=12, max_diameter=4, seed=2)\n"
             "options = DetectionOptions(execution='processes')\n"
             "during = []\n"
-            "sink = CallbackSink(lambda violation, introduced: during.append(threading.active_count()))\n"
             "for _ in range(5):\n"
             "    before = threading.active_count()\n"
-            "    Detector(rules, engine='parallel', processors=2, options=options, sinks=[sink]).run(graph)\n"
+            "    for _violation in Detector(rules, engine='parallel', processors=2, options=options).stream(graph):\n"
+            "        during.append(threading.active_count())\n"
             "    print(methods[-1], before, max(during), threading.active_count())\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
@@ -306,28 +301,17 @@ class TestBudgetCancellation:
         assert capped.violations.as_set() <= full.violations.as_set()
 
 
-# ------------------------------------------------------------- sink streaming
+# ------------------------------------------------------------------ streaming
 
 
-class TestSinkStreaming:
-    def test_sink_sees_yielded_order_and_finish(self, kb_graph, kb_rules):
-        streamed: list = []
-        observed: list = []
-        collecting = CollectingSink()
-        detector = Detector(
-            kb_rules,
-            engine="parallel",
-            processors=4,
-            options=_options(),
-            sinks=[CallbackSink(lambda v, introduced: observed.append(v)), collecting],
-        )
-        for violation in detector.stream(kb_graph):
-            streamed.append(violation)
-        assert streamed == observed  # sink notified right before each yield
-        assert collecting.violations.as_set() == set(streamed)
-        assert len(collecting.results) == 1  # on_finish exactly once
+class TestStreaming:
+    def test_stream_yields_the_serial_answer_then_sets_last_result(self, kb_graph, kb_rules):
+        detector = Detector(kb_rules, engine="parallel", processors=4, options=_options())
+        streamed = list(detector.stream(kb_graph))
         serial = Detector(kb_rules, engine="batch").run(kb_graph)
         assert set(streamed) == serial.violations.as_set()
+        # the result is set once the stream is exhausted, and counts what it yielded
+        assert detector.last_result.violation_count() == len(streamed)
 
     def test_stream_can_be_abandoned(self, kb_graph, kb_rules):
         detector = Detector(kb_rules, engine="parallel", processors=4, options=_options())

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ngd import NGD, RuleSet
 from repro.core.validation import find_violations
 from repro.core.violations import ViolationDelta
-from repro.detect import inc_dect
+from repro.detect import Detector
 from repro.expr.expressions import Add, Divide, Multiply, Subtract, const, var
 from repro.expr.literals import Comparison, Literal
 from repro.expr.parser import parse_expression
@@ -185,7 +185,7 @@ def test_incremental_detection_matches_recomputation(data):
     before = find_violations(graph, rules)
     after = find_violations(apply_update(graph, delta), rules)
     expected = ViolationDelta.from_sets(before, after)
-    assert inc_dect(graph, rules, delta).delta == expected
+    assert Detector(rules, engine="incremental").run_incremental(graph, delta).delta == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.builtin_rules import effectiveness_rules, example_rules, phi4
 from repro.core.ngd import NGD, RuleSet
 from repro.datasets.figure1 import figure1_g2
-from repro.detect import Detector, dect
+from repro.detect import Detector
 from repro.errors import DependencyError, ExpressionError, ParseError
 from repro.expr.expressions import const
 from repro.expr.format import format_expression, format_literal, format_literal_set
@@ -137,5 +137,6 @@ class TestRuleSetSerialization:
         graph = figure1_g2()
         rules = example_rules()
         rebuilt = RuleSet.from_json(rules.to_json())
-        assert dect(graph, rebuilt).violations == dect(graph, rules).violations
+        rebuilt_result = Detector(rebuilt, engine="batch").run(graph)
+        assert rebuilt_result.violations == Detector(rules, engine="batch").run(graph).violations
         assert Detector(rebuilt).run(graph).cost == Detector(rules).run(graph).cost

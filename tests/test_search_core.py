@@ -325,7 +325,6 @@ def test_a_plan_runs_only_the_rule_it_was_compiled_for():
 
 
 def test_every_kernel_builds_its_core_through_one_constructor():
-    # module objects: the package re-exports functions under the same names
     for name in ("repro.detect.dect", "repro.detect.incdect"):
         assert importlib.import_module(name).rule_search is rule_search, name
 

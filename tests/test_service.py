@@ -23,10 +23,10 @@ import pytest
 
 from repro.core.builtin_rules import example_rules, phi2
 from repro.core.ngd import RuleSet
-from repro.core.violations import Violation, ViolationSet
+from repro.core.violations import ViolationSet
 from repro.datasets.kb import yago_like
 from repro.datasets.rules import benchmark_rules
-from repro.detect import CollectingSink, Detector, FanOutSink
+from repro.detect import Detector
 from repro.errors import SerializationError, ServiceError, UpdateError
 from repro.graph.graph import Graph
 from repro.graph.io import graph_to_dict, save_graph
@@ -585,29 +585,6 @@ class TestConcurrentUse:
             client.health()
         # idempotent and restartable-by-construction: stop again is a no-op
         service.stop()
-
-
-class TestSinkThreadSafety:
-    def test_fanout_and_collecting_sinks_survive_concurrent_notification(self):
-        collecting = CollectingSink()
-        fan_out = FanOutSink([collecting, CollectingSink()])
-        per_thread, threads = 250, 8
-
-        def hammer(worker: int) -> None:
-            for i in range(per_thread):
-                fan_out.on_violation(Violation("r", ("x",), (f"{worker}-{i}",)), introduced=True)
-                fan_out.on_violation(Violation("r", ("x",), (f"{worker}-{i}",)), introduced=False)
-            fan_out.on_finish(object())
-
-        workers = [threading.Thread(target=hammer, args=(n,)) for n in range(threads)]
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join(timeout=30)
-
-        assert len(collecting.introduced) == per_thread * threads
-        assert len(collecting.removed) == per_thread * threads
-        assert len(collecting.results) == threads
 
 
 # ------------------------------------------------------------ CLI `serve`

@@ -1,4 +1,4 @@
-"""Tests for the unified ``Detector`` session API: engines, streaming, sinks, budgets."""
+"""Tests for the unified ``Detector`` session API: engines, streaming, budgets."""
 
 from __future__ import annotations
 
@@ -8,17 +8,7 @@ from repro.core.builtin_rules import example_rules, phi2
 from repro.core.validation import find_violations
 from repro.core.violations import ViolationSet
 from repro.datasets.figure1 import figure1_g2, figure1_graphs
-from repro.detect import (
-    CallbackSink,
-    CollectingSink,
-    DetectionOptions,
-    Detector,
-    dect,
-    drain,
-    inc_dect,
-    p_dect,
-    pinc_dect,
-)
+from repro.detect import DetectionOptions, Detector, drain
 from repro.detect.dect import iter_dect
 from repro.errors import SessionError
 from repro.graph.graph import Graph
@@ -92,51 +82,6 @@ class TestEngines:
         assert result.stats.total_operations() == expected.stats.total_operations()
 
 
-class TestLegacyShims:
-    """The module-level functions must behave exactly like the sessions they wrap."""
-
-    def test_dect_matches_detector_on_figure1(self):
-        rules = example_rules()
-        for name, graph in figure1_graphs().items():
-            legacy = dect(graph, rules)
-            session = Detector(rules, engine="batch").run(graph)
-            assert legacy.violations == session.violations, name
-            assert legacy.cost == session.cost, name
-            assert legacy.algorithm == session.algorithm == "Dect"
-
-    def test_p_dect_matches_detector_on_figure1(self):
-        rules = example_rules()
-        for name, graph in figure1_graphs().items():
-            legacy = p_dect(graph, rules, processors=4)
-            session = Detector(rules, engine="parallel", processors=4).run(graph)
-            assert legacy.violations == session.violations, name
-            assert legacy.cost == session.cost, name
-
-    def test_incremental_shims_match_detector(self):
-        rules = example_rules()
-        graph = figure1_g2()
-        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
-
-        legacy = inc_dect(graph, rules, delta)
-        session = Detector(rules, engine="incremental").run_incremental(graph, delta)
-        assert legacy.delta == session.delta
-        assert legacy.cost == session.cost
-
-        legacy_p = pinc_dect(graph, rules, delta, processors=4)
-        session_p = Detector(rules, engine="parallel", processors=4).run_incremental(graph, delta)
-        assert legacy_p.delta == session_p.delta
-        assert legacy_p.cost == session_p.cost
-
-    def test_legacy_positional_signatures_still_work(self):
-        graph = figure1_g2()
-        rules = example_rules()
-        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
-        assert dect(graph, rules).violation_count() == 1
-        assert inc_dect(graph, rules, delta, None).total_changes() == 1
-        assert p_dect(graph, rules, 4, None).violation_count() == 1
-        assert pinc_dect(graph, rules, delta, 4, None, None).total_changes() == 1
-
-
 class TestStreaming:
     @pytest.mark.parametrize("backend", ["dict", "indexed"])
     def test_stream_matches_dect_on_both_backends(self, backend):
@@ -144,7 +89,7 @@ class TestStreaming:
         for name, graph in figure1_graphs().items():
             graph = graph.with_backend(new_store(backend))
             streamed = ViolationSet(Detector(rules).stream(graph))
-            assert streamed == dect(graph, rules).violations, (name, backend)
+            assert streamed == Detector(rules, engine="batch").run(graph).violations, (name, backend)
 
     def test_stream_sets_last_result(self):
         graph = figure1_g2()
@@ -172,41 +117,20 @@ class TestStreaming:
         graph = _many_violations_graph()
         rules = example_rules()
         streamed = ViolationSet(Detector(rules, engine="parallel", processors=4).stream(graph))
-        assert streamed == p_dect(graph, rules, processors=4).violations
+        assert streamed == Detector(rules, engine="parallel", processors=4).run(graph).violations
 
 
-class TestSinks:
-    def test_collecting_sink_observes_batch_run(self):
+class TestStreamBilling:
+    def test_stream_yields_the_result_and_bills_the_kernel(self):
         graph = _many_violations_graph()
-        sink = CollectingSink()
-        result = Detector(example_rules(), sinks=[sink]).run(graph)
-        assert sink.violations == result.violations
-        assert sink.results == [result]
-        # the session and its sink add nothing to the bill of the kernel they drive
+        detector = Detector(example_rules())
+        streamed = ViolationSet(detector.stream(graph))
+        result = detector.last_result
+        assert streamed == result.violations
+        assert result.violation_count() == 6
+        # the session adds nothing to the bill of the kernel it drives
         kernel = drain(iter_dect(graph, example_rules()))
         assert (kernel.cost, kernel.violations) == (result.cost, result.violations)
-
-    def test_callback_sink_sees_stream_order(self):
-        seen: list = []
-        detector = Detector(example_rules()).add_sink(
-            CallbackSink(lambda violation, introduced: seen.append(violation))
-        )
-        streamed = list(detector.stream(_many_violations_graph()))
-        assert seen == streamed
-
-    def test_sink_observes_incremental_directions(self):
-        graph = figure1_g2()
-        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
-        sink = CollectingSink()
-        result = Detector(example_rules(), sinks=[sink]).run_incremental(graph, delta)
-        assert sink.removed == result.removed()
-        assert not sink.introduced
-
-    def test_multiple_sinks_fan_out(self):
-        first, second = CollectingSink(), CollectingSink()
-        Detector(example_rules(), sinks=[first, second]).run(figure1_g2())
-        assert first.violations == second.violations
-        assert len(first.violations) == 1
 
 
 class TestBudgets:
@@ -289,7 +213,7 @@ class TestBatchDiffMode:
         rules = example_rules()
         delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
         oracle = Detector(rules, engine="batch").run_incremental(graph, delta)
-        incremental = inc_dect(graph, rules, delta)
+        incremental = Detector(rules, engine="incremental").run_incremental(graph, delta)
         assert oracle.delta == incremental.delta
         assert oracle.algorithm == "BatchDiff"
 

@@ -2,7 +2,7 @@
 
 The contract: every engine behind :class:`repro.graph.store.GraphStore` must
 be observationally identical through the :class:`Graph` facade — same
-violation sets from ``dect``/``inc_dect``, same subgraphs, same index
+violation sets from Dect and IncDect, same subgraphs, same index
 consistency after arbitrary interleaved mutation — while the matcher's
 enumeration order must be deterministic across interpreter runs (and hence
 immune to string-hash randomization).  The shipped engines (``indexed``
@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.ngd import NGD
-from repro.detect import dect, inc_dect
+from repro.detect import Detector
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.errors import DuplicateNode, GraphError, NodeNotFound, UpdateError
 from repro.graph.generators import random_labeled_graph
@@ -198,8 +198,8 @@ class TestBackendParity:
     def test_dect_violations_identical(self, seed):
         dict_graph, indexed_graph = _mutated_pair(seed)
         rules = _random_rules(seed)
-        dict_result = frozenset(dect(dict_graph, rules).violations)
-        indexed_result = frozenset(dect(indexed_graph, rules).violations)
+        dict_result = frozenset(Detector(rules, engine="batch").run(dict_graph).violations)
+        indexed_result = frozenset(Detector(rules, engine="batch").run(indexed_graph).violations)
         assert dict_result == indexed_result
 
     def test_inc_dect_deltas_identical(self, seed):
@@ -211,7 +211,7 @@ class TestBackendParity:
         delta = generator.generate(dict_graph, size=max(1, dict_graph.edge_count() // 5))
         results = []
         for graph in (dict_graph, indexed_graph):
-            outcome = inc_dect(graph, rules, delta)
+            outcome = Detector(rules, engine="incremental").run_incremental(graph, delta)
             results.append(
                 (frozenset(outcome.introduced()), frozenset(outcome.removed()))
             )
@@ -256,8 +256,8 @@ class TestBackendParity:
     def test_frozen_dect_violations_identical(self, seed):
         dict_graph, _ = _mutated_pair(seed)
         rules = _random_rules(seed)
-        expected = dect(dict_graph, rules)
-        got = dect(dict_graph.with_backend("frozen"), rules)
+        expected = Detector(rules, engine="batch").run(dict_graph)
+        got = Detector(rules, engine="batch").run(dict_graph.with_backend("frozen"))
         assert frozenset(got.violations) == frozenset(expected.violations)
         assert got.stats.total_operations() == expected.stats.total_operations()
 
@@ -292,7 +292,7 @@ import sys
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
-from repro.detect import dect, inc_dect, p_dect, pinc_dect
+from repro.detect import Detector
 from engines import new_store
 
 config = KBConfig(
@@ -303,10 +303,11 @@ graph = knowledge_graph(config, store=new_store(sys.argv[1]))
 rules = benchmark_rules(graph, count=6, max_diameter=3, seed=0)
 delta = UpdateGenerator(seed=7).generate(graph, size=max(1, graph.edge_count() // 10))
 updated = apply_update(graph, delta)
-print("dect", dect(graph, rules).cost)
-print("pdect", p_dect(graph, rules, processors=4).cost)
-print("inc", inc_dect(graph, rules, delta, graph_after=updated).cost)
-print("pinc", pinc_dect(graph, rules, delta, processors=4, graph_after=updated).cost)
+print("dect", Detector(rules, engine="batch").run(graph).cost)
+print("pdect", Detector(rules, engine="parallel", processors=4).run(graph).cost)
+print("inc", Detector(rules, engine="incremental").run_incremental(graph, delta, graph_after=updated).cost)
+pinc_dect = Detector(rules, engine="parallel", processors=4)
+print("pinc", pinc_dect.run_incremental(graph, delta, graph_after=updated).cost)
 print("delta", [(u.is_insertion, str(u.source), str(u.target), u.label) for u in delta])
 
 # induced-subgraph edge order must be hash-seed independent (edges_between
@@ -1073,7 +1074,7 @@ class TestFrozenStore:
             "link", nodes=[("x", WILDCARD), ("y", WILDCARD)], edges=[("x", "y", "e0")]
         )
         rules = [NGD.from_text(pattern, "", "x.val >= y.val", name="wild_order")]
-        expected = frozenset(dect(graph, rules).violations)
-        got = dect(graph.with_backend("frozen"), rules)
+        expected = frozenset(Detector(rules, engine="batch").run(graph).violations)
+        got = Detector(rules, engine="batch").run(graph.with_backend("frozen"))
         assert frozenset(got.violations) == expected
         assert got.violations

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.validation import find_violations, graph_satisfies
-from repro.detect import inc_dect
+from repro.detect import Detector
 from repro.errors import SatisfiabilityError
 from repro.graph.graph import Graph
 from repro.theory.coloring import ColoringInstance, coloring_to_incremental_instance, is_three_colorable
@@ -71,7 +71,7 @@ class TestColoringReduction:
     )
     def test_incremental_detection_agrees_with_colorability(self, instance):
         graph, rules, delta = coloring_to_incremental_instance(instance)
-        result = inc_dect(graph, rules, delta)
+        result = Detector(rules, engine="incremental").run_incremental(graph, delta)
         assert (not result.delta.is_empty()) == is_three_colorable(instance)
 
     def test_constant_size_artifacts(self):
