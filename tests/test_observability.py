@@ -12,8 +12,10 @@ Covers the ISSUE's hard requirements:
   execution mode, the real multi-process backend included;
 * the ``--profile`` invariant: summing the ``detect.rule`` spans of one
   trace reproduces the run's ``MatchStatistics``;
-* the sink error contract on all four kernels (a raising sink is logged
-  and counted, never aborts the run, never changes its output);
+* the stream consumer contract on all four kernels (a consumer that
+  raises mid-stream gets its own exception back, the abandoned run is
+  traced as an error and counted as no run, and the session's next run
+  gives the clean answer);
 * the service surfaces: ``/metrics`` scrape-able during an active NDJSON
   stream, ``/debug/traces``, ``X-Repro-Trace`` + summary ``trace_id``
   agreement, the structured access log, and the extended ``/health``,
@@ -397,6 +399,74 @@ class TestCrossProcessShipping:
         worker_spans = [span for span in obs.traces() if span["name"] == "executor.worker"]
         assert worker_spans
         assert {span["trace_id"] for span in worker_spans} == {result.trace_id}
+
+
+# --------------------------------------------------- stream consumer contract
+
+
+class ConsumerError(Exception):
+    """Raised by a test's stream consumer after the first event."""
+
+
+def _abandon_after_first(stream) -> None:
+    with pytest.raises(ConsumerError):
+        for _event in stream:
+            raise ConsumerError("consumer gave up")
+    stream.close()
+
+
+class TestStreamConsumerErrors:
+    """A consumer that raises mid-stream, on all four kernels, abandons that run
+    only: the abandoned run's root span records the error, no completed run is
+    counted, ``last_result`` keeps its old value, and the session's next run
+    gives the clean answer."""
+
+    @staticmethod
+    def _check_abandoned_run(detector, algorithm, root_name):
+        assert detector.last_result is None
+        registry = obs.metrics()
+        assert registry.value("repro_detect_runs_total", {"algorithm": algorithm}) == 0.0
+        roots = [span for span in obs.traces() if span["name"] == root_name]
+        assert len(roots) == 1
+        assert roots[0]["attributes"]["error"] == "GeneratorExit"
+
+    @pytest.mark.parametrize("engine,processors,algorithm", [
+        ("batch", None, "Dect"),
+        ("parallel", 2, "PDect"),
+    ])
+    def test_batch_kernels_survive_raising_consumer(self, g2, figure1_rules, engine, processors, algorithm):
+        clean = Detector(figure1_rules, engine=engine, processors=processors).run(g2)
+        obs.configure()
+        detector = Detector(figure1_rules, engine=engine, processors=processors)
+        _abandon_after_first(detector.stream(g2))
+        self._check_abandoned_run(detector, algorithm, "detect.run")
+        again = detector.run(g2)
+        assert again.algorithm == algorithm
+        assert again.violations.to_json() == clean.violations.to_json()
+        assert again.cost == clean.cost
+        assert obs.metrics().value("repro_detect_runs_total", {"algorithm": algorithm}) == 1.0
+        assert detector.last_result is again
+
+    @pytest.mark.parametrize("engine,processors,algorithm", [
+        ("incremental", None, "IncDect"),
+        ("parallel", 2, "PIncDect"),
+    ])
+    def test_incremental_kernels_survive_raising_consumer(
+        self, g2, figure1_rules, delta, engine, processors, algorithm
+    ):
+        clean = Detector(figure1_rules, engine=engine, processors=processors).run_incremental(
+            g2, delta
+        )
+        obs.configure()
+        detector = Detector(figure1_rules, engine=engine, processors=processors)
+        _abandon_after_first(detector.stream_incremental(g2, delta))
+        self._check_abandoned_run(detector, algorithm, "detect.run_incremental")
+        again = detector.run_incremental(g2, delta)
+        assert again.algorithm == algorithm
+        assert again.introduced().to_json() == clean.introduced().to_json()
+        assert again.removed().to_json() == clean.removed().to_json()
+        assert again.cost == clean.cost
+        assert obs.metrics().value("repro_detect_runs_total", {"algorithm": algorithm}) == 1.0
 
 
 # ------------------------------------------------------------ service surface

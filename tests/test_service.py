@@ -587,6 +587,31 @@ class TestConcurrentUse:
         service.stop()
 
 
+class TestConcurrentStreams:
+    def test_sessions_streaming_one_graph_from_many_threads_each_see_every_violation(self):
+        # the service's jobs run one Detector each, on threads, over a shared graph
+        graph = multi_area_graph(12)
+        expected = Detector(example_rules()).run(graph).violations.as_set()
+        threads, rounds = 8, 5
+        seen: list[list[frozenset]] = [[] for _ in range(threads)]
+        start = threading.Barrier(threads)
+
+        def stream(worker: int) -> None:
+            detector = Detector(example_rules())
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                seen[worker].append(frozenset(detector.stream(graph)))
+
+        workers = [threading.Thread(target=stream, args=(n,)) for n in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=30)
+
+        assert len(expected) == 12
+        assert seen == [[expected] * rounds] * threads
+
+
 # ------------------------------------------------------------ CLI `serve`
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+
 import pytest
 
 from repro.core.builtin_rules import example_rules, phi2
@@ -10,9 +13,12 @@ from repro.core.violations import ViolationSet
 from repro.datasets.figure1 import figure1_g2, figure1_graphs
 from repro.detect import DetectionOptions, Detector, drain
 from repro.detect.dect import iter_dect
+from repro.detect.incdect import iter_inc_dect
+from repro.detect.parallel.pdect import iter_p_dect
+from repro.detect.parallel.pincdect import iter_pinc_dect
 from repro.errors import SessionError
 from repro.graph.graph import Graph
-from repro.graph.updates import BatchUpdate
+from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 
 from engines import new_store
 
@@ -113,6 +119,23 @@ class TestStreaming:
         assert events[0].introduced is False
         assert events[0].violation.rule == "phi2"
 
+    def test_stream_order_is_the_kernel_order(self):
+        graph = _many_violations_graph()
+        detector = Detector(example_rules())
+        first = list(detector.stream(graph))
+        assert first == list(detector.stream(graph))
+        assert first == list(iter_dect(graph, example_rules()))
+
+    def test_stream_incremental_directions_match_run_incremental(self):
+        graph = figure1_g2()
+        delta = UpdateGenerator(seed=21).generate(graph, 12, insert_ratio=0.5)
+        detector = Detector(example_rules(), engine="incremental")
+        events = list(detector.stream_incremental(graph, delta))
+        result = detector.run_incremental(graph, delta)
+        assert events
+        assert ViolationSet(e.violation for e in events if e.introduced) == result.introduced()
+        assert ViolationSet(e.violation for e in events if not e.introduced) == result.removed()
+
     def test_parallel_stream_matches_p_dect(self):
         graph = _many_violations_graph()
         rules = example_rules()
@@ -131,6 +154,80 @@ class TestStreamBilling:
         # the session adds nothing to the bill of the kernel it drives
         kernel = drain(iter_dect(graph, example_rules()))
         assert (kernel.cost, kernel.violations) == (result.cost, result.violations)
+
+
+class TestSessionDrivesTheKernels:
+    """Each engine's session answers and bills exactly as the kernel it drains."""
+
+    def test_batch_engine_bills_like_iter_dect_on_figure1(self):
+        rules = example_rules()
+        for name, graph in figure1_graphs().items():
+            kernel = drain(iter_dect(graph, rules))
+            session = Detector(rules, engine="batch").run(graph)
+            assert session.violations == kernel.violations, name
+            assert session.cost == kernel.cost, name
+            assert session.algorithm == kernel.algorithm == "Dect"
+
+    def test_parallel_engine_bills_like_iter_p_dect_on_figure1(self):
+        rules = example_rules()
+        for name, graph in figure1_graphs().items():
+            kernel = drain(iter_p_dect(graph, rules, processors=4))
+            session = Detector(rules, engine="parallel", processors=4).run(graph)
+            assert session.violations == kernel.violations, name
+            assert session.cost == kernel.cost, name
+            assert session.algorithm == kernel.algorithm == "PDect"
+
+    def test_incremental_engine_bills_like_iter_inc_dect(self):
+        rules = example_rules()
+        graph = figure1_g2()
+        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
+        kernel = drain(iter_inc_dect(graph, rules, delta))
+        session = Detector(rules, engine="incremental").run_incremental(graph, delta)
+        assert session.delta == kernel.delta
+        assert session.cost == kernel.cost
+        assert session.total_changes() == 1
+
+    def test_parallel_incremental_engine_bills_like_iter_pinc_dect(self):
+        rules = example_rules()
+        graph = figure1_g2()
+        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
+        kernel = drain(iter_pinc_dect(graph, rules, delta, processors=4))
+        session = Detector(rules, engine="parallel", processors=4).run_incremental(graph, delta)
+        assert session.delta == kernel.delta
+        assert session.cost == kernel.cost
+        assert session.algorithm == kernel.algorithm == "PIncDect"
+
+    def test_kernels_take_plans_and_graph_after_as_keywords(self):
+        # the keyword form the end-to-end benchmark layers call the kernels with
+        rules = example_rules()
+        graph = figure1_g2()
+        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
+        detector = Detector(rules, engine="incremental")
+        plans = detector.compile_plans(graph)
+        batch = drain(iter_dect(graph, rules, plans=plans))
+        assert batch.violations == Detector(rules, engine="batch").run(graph).violations
+        incremental = drain(
+            iter_inc_dect(
+                graph, rules, delta, graph_after=apply_update(graph, delta), plans=plans
+            )
+        )
+        assert incremental.delta == detector.run_incremental(graph, delta).delta
+
+
+class TestOneWayIn:
+    """Detection has one entry point: the kernel shims stay gone."""
+
+    @pytest.mark.parametrize("package", ("repro", "repro.detect", "repro.detect.parallel"))
+    def test_no_package_exports_a_kernel_shim(self, package):
+        module = importlib.import_module(package)
+        for name in ("dect", "inc_dect", "p_dect", "pinc_dect"):
+            assert name not in module.__all__, (package, name)
+            # ``repro.detect.dect`` is the module that holds ``iter_dect``
+            assert not inspect.isfunction(getattr(module, name, None)), (package, name)
+
+    def test_detector_takes_five_parameters(self):
+        parameters = list(inspect.signature(Detector.__init__).parameters)
+        assert parameters == ["self", "rules", "engine", "processors", "options", "plans_file"]
 
 
 class TestBudgets:
