@@ -5,11 +5,9 @@ Installed as ``repro-detect``.  Subcommands::
     repro-detect run GRAPH.json [--rules example] [--rules-file RULES.json]
                                 [--engine auto|batch|parallel] [--processors 8]
                                 [--execution simulated|processes]
-                                [--plans-file PLANS.json]
                                 [--format text|json] [--max-violations N]
     repro-detect incremental GRAPH.json --update UPDATE.json [--processors 8] [...]
     repro-detect explain GRAPH.json [--rules example] [--format text|json]
-                                [--save-plans PLANS.json]
     repro-detect rules list|export [--rules effectiveness] [--output RULES.json]
     repro-detect rules discover GRAPH.json [-o RULES.json] [--min-support N]
                                 [--min-confidence C] [--max-rules N]
@@ -18,10 +16,7 @@ Installed as ``repro-detect``.  Subcommands::
 
 ``--execution processes`` runs the parallel engine on real OS worker
 processes (wall-clock parallelism, each worker reading one read-only
-graph image) instead of the
-deterministic cluster simulator; ``--plans-file`` / ``--save-plans``
-persist compiled match plans next to their rule catalog so restarts and
-worker processes skip recompilation.
+graph image) instead of the deterministic cluster simulator.
 
 ``run`` performs batch detection of ``Vio(Σ, G)``; ``incremental`` computes
 ΔVio(Σ, G, ΔG) against the batch update stored in ``--update``; ``explain``
@@ -206,14 +201,6 @@ def _add_detection_arguments(parser: argparse.ArgumentParser) -> None:
         "implies the parallel engine",
     )
     parser.add_argument(
-        "--plans-file",
-        default=None,
-        metavar="PLANS.json",
-        help="load pre-compiled match plans from this file instead of "
-        "compiling and run them in their stored order (see 'repro-detect "
-        "explain --save-plans')",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="after the run, print the observability span tree (plan "
@@ -262,13 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    explain_parser.add_argument(
-        "--save-plans",
-        default=None,
-        metavar="PLANS.json",
-        help="persist the compiled plans to this file (loadable with "
-        "run/incremental --plans-file; skips recompilation on restart)",
     )
     explain_parser.set_defaults(handler=_cmd_explain)
 
@@ -405,7 +385,6 @@ def _build_detector(args: argparse.Namespace, engine: str) -> Detector:
         engine=engine,
         processors=args.processors,
         options=options,
-        plans_file=getattr(args, "plans_file", None),
     )
 
 
@@ -493,14 +472,11 @@ def _cmd_incremental(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Compile and print the match plan of every rule (cost-based order,
     per-variable strategy + estimated cardinality, literal schedule)."""
-    from repro.matching.plan import compile_plans, format_plan, save_plans
+    from repro.matching.plan import compile_plans, format_plan
 
     graph = load_graph(args.graph)
     rule_set = _load_rules(args)
     plans = compile_plans(graph, rule_set)
-    if args.save_plans:
-        save_plans(plans, args.save_plans)
-        print(f"saved {len(plans)} compiled plan(s) -> {args.save_plans}", file=sys.stderr)
     if args.output_format == "json":
         document = {
             "graph": args.graph,

@@ -18,12 +18,13 @@ Execution model
   PIncDect's are the update pivots, on the worker a crc32 of the updated
   edge's source names.  The parent runs PDect's first-step scans itself,
   exactly as Dect does.
-* Each **worker process** receives its share as its process argument —
-  inherited under ``fork``, pickled under ``spawn`` — together with one
-  read-only *image* per graph it searches (``G``, or ``N_C(ΔG)`` before and
-  after the update): inherited copy-on-write under ``fork``, spooled once
-  and memo-loaded per process under ``spawn`` (:func:`resolve_start_method`
-  picks).  It keeps one :class:`~repro.matching.search.RuleSearch` per rule
+* Each **worker process** receives its share, the rules and their compiled
+  plans as its process arguments — inherited under ``fork``, pickled under
+  ``spawn`` (a plan recompiles its closures on first use) — together with
+  one read-only *image* per graph it searches (``G``, or ``N_C(ΔG)``
+  before and after the update): inherited copy-on-write under ``fork``,
+  spooled once and memo-loaded per process under ``spawn``
+  (:func:`resolve_start_method` picks).  It keeps one :class:`~repro.matching.search.RuleSearch` per rule
   and drains its seeds last first, as Dect drains a rule's candidates.
   Nothing travels from the parent to a worker after it starts: shares are
   never rebalanced.
@@ -72,20 +73,20 @@ import threading
 import time
 import traceback
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro import obs
-from repro.core.ngd import NGD, RuleSet
+from repro.core.ngd import NGD
 from repro.detect.base import EXECUTION_MODES, WorkerTrace
 from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.workunits import WorkUnit, rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.graph.io import load_graph, save_graph
-from repro.matching.plan import MatchPlan, plans_from_document, plans_to_document
+from repro.matching.plan import MatchPlan
 from repro.testing.faults import resolve_fault_plan
 
 __all__ = [
@@ -233,10 +234,11 @@ class ExecutionRuntime:
     (or batch) seed searches (``G``, or ``N_C`` after ΔG); ``before_image``
     is ``N_C`` before ΔG, which an incremental run's deletion seeds search.
     Under ``fork`` the object itself is inherited by the children (nothing
-    is pickled); under ``spawn`` each worker rebuilds it from
-    :meth:`payload` — rules travel as their JSON rule-file form, plans as
-    their persisted document (so workers skip the statistics pass
-    entirely), and each image as a spool path, loaded on first use.
+    is pickled); under ``spawn`` each worker receives the pickled copy
+    :meth:`spooled` returns — rules and plans as they are (a plan drops its
+    closures and recompiles them on first use, so workers skip the
+    statistics pass entirely), and each image as a spool path, loaded on
+    first use.
     """
 
     rules: list[NGD]
@@ -253,27 +255,15 @@ class ExecutionRuntime:
             setattr(self, name, image)
         return image
 
-    def payload(self, spool_dir: str) -> dict:
-        """Return the picklable ``spawn`` form, spooling each image into ``spool_dir``."""
+    def spooled(self, spool_dir: str) -> "ExecutionRuntime":
+        """Return the ``spawn`` form: this runtime with each image spooled into ``spool_dir``."""
         before = self.before_image
-        return {
-            "rules_json": RuleSet(self.rules).to_json(),
-            "plans": plans_to_document(self.plans),
-            "image": spool_image(self.image, os.path.join(spool_dir, "image.json")),
-            "before_image": (
+        return replace(
+            self,
+            image=spool_image(self.image, os.path.join(spool_dir, "image.json")),
+            before_image=(
                 spool_image(before, os.path.join(spool_dir, "before.json")) if before is not None else None
             ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ExecutionRuntime":
-        """Rebuild the runtime inside a ``spawn`` worker (no recompilation)."""
-        rules = list(RuleSet.from_json(payload["rules_json"]))
-        return cls(
-            rules=rules,
-            plans=plans_from_document(payload["plans"], rules),
-            image=payload["image"],
-            before_image=payload["before_image"],
         )
 
 
@@ -376,21 +366,20 @@ class _Worker:
         self.last_report = time.monotonic()
 
 
-def _worker_main(worker_id: int, epoch: int, runtime, share, channel, stop_event) -> None:
+def _worker_main(worker_id: int, epoch: int, runtime: ExecutionRuntime, share, channel, stop_event) -> None:
     """Entry point of one worker process (one *incarnation* of a slot).
 
-    ``runtime`` is the :class:`ExecutionRuntime` (fork) or its payload
-    (spawn); ``share`` maps the position of each seed this incarnation
-    drains to its unit, and the worker drains it last seed first, as Dect
-    drains a rule's candidates; ``epoch`` counts the slot's supervised
-    respawns and selects the faults a ``REPRO_FAULTS`` plan arms here.
+    ``runtime`` is the :class:`ExecutionRuntime`, inherited (fork) or
+    unpickled with spooled images (spawn); ``share`` maps the position of
+    each seed this incarnation drains to its unit, and the worker drains it
+    last seed first, as Dect drains a rule's candidates; ``epoch`` counts
+    the slot's supervised respawns and selects the faults a
+    ``REPRO_FAULTS`` plan arms here.
     """
     try:
         # fresh per-worker observability state: fork children must not carry
         # the parent's samples (their dumps would double-count)
         obs.configure()
-        if not isinstance(runtime, ExecutionRuntime):
-            runtime = ExecutionRuntime.from_payload(runtime)
         _Worker(worker_id, epoch, runtime, channel, stop_event).drain(reversed(share.items()))
     except Exception:  # noqa: BLE001 - ship the traceback to the parent
         try:
@@ -426,11 +415,11 @@ class _Crew:
         self.slots: dict[int, _Slot] = {}
         self.spool_dir: Optional[str] = None
         if method == "fork":
-            self.argument: Any = runtime
+            self.argument = runtime
             return
         self.spool_dir = tempfile.mkdtemp(prefix="repro-exec-")
         try:
-            self.argument = runtime.payload(self.spool_dir)
+            self.argument = runtime.spooled(self.spool_dir)
         except BaseException:
             shutil.rmtree(self.spool_dir, ignore_errors=True)
             raise

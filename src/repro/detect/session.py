@@ -60,7 +60,7 @@ from repro.detect.parallel.balancing import BalancingPolicy
 from repro.errors import SessionError
 from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate, apply_update
-from repro.matching.plan import MatchPlan, compile_plans, load_plans
+from repro.matching.plan import MatchPlan, compile_plans
 
 __all__ = ["DetectionOptions", "Detector", "ENGINES", "EXECUTION_MODES"]
 
@@ -141,7 +141,6 @@ class Detector:
         engine: str = "auto",
         processors: Optional[int] = None,
         options: Optional[DetectionOptions] = None,
-        plans_file: Optional[str] = None,
     ) -> None:
         if engine not in ENGINES:
             raise SessionError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -162,11 +161,6 @@ class Detector:
                 "is single-process by definition — use engine='auto' or 'parallel' "
                 "(or drop execution='processes')"
             )
-        # a persisted plan set (matching.plan.save_plans, written next to its
-        # rule catalog) pins this session's plans: loaded once lazily, reused
-        # for every run, no statistics pass, no drift invalidation
-        self.plans_file = plans_file
-        self._file_plans: Optional[tuple[MatchPlan, ...]] = None
         self.last_result: Optional[DetectionResult | IncrementalDetectionResult] = None
         # the last compiled plan set, kept across snapshots: ``apply_update``
         # returns a new store per ΔG, and any plan over this session's rules
@@ -194,10 +188,6 @@ class Detector:
         ``apply_update`` returned — pays for statistics and plans once, as a
         caller passing ``plans=`` does.
         """
-        if self.plans_file is not None:
-            if self._file_plans is None:
-                self._file_plans = load_plans(self.plans_file, self.rules)
-            return self._file_plans
         size = graph.total_size()
         drift = abs(size - self.plan_size)
         if self._plans is not None and drift <= PLAN_DRIFT_TOLERANCE * max(self.plan_size, 1):
@@ -208,10 +198,6 @@ class Detector:
         self._plans, self.plan_size = plans, size
         self.plan_compilations += 1
         return plans
-
-    def clear_plan_cache(self) -> None:
-        """Drop the kept plans (the next run recompiles)."""
-        self._plans = None
 
     # ------------------------------------------------------------- resolution
 
@@ -243,8 +229,10 @@ class Detector:
     def run(self, graph: Graph, plans: Optional[Sequence[MatchPlan]] = None) -> DetectionResult:
         """Compute ``Vio(Σ, G)`` (subject to the session's budget).
 
-        ``plans`` overrides the session's compiled-plan cache (continuous
-        sessions hand back the plans they compiled at an earlier version).
+        ``plans`` overrides the session's compiled-plan cache: a caller that
+        holds plans compiled for these rules (pinned to an order with
+        :meth:`~repro.matching.plan.MatchPlan.schedule_for`, say) runs them
+        as they are.
         """
         result = drain(self._traced_events(lambda: self._batch_events(graph, plans), "detect.run"))
         self.last_result = result

@@ -30,8 +30,8 @@ assignment, which lets one closure serve premise checks (prune on
 
 Closures do not pickle.  :class:`~repro.matching.plan.MatchPlan` therefore
 excludes its compiled memo from ``__getstate__``; ``spawn``-style worker
-processes recompile lazily from the plan document they already receive,
-``fork`` workers inherit the parent's closures for free.
+processes recompile lazily from the pickled plan they receive, ``fork``
+workers inherit the parent's closures for free.
 
 Every literal a search evaluates runs through these closures; there is no
 interpreted path beside them.  ``Literal.holds_for`` stays the oracle: the

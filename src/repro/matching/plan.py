@@ -7,7 +7,7 @@ separates *planning* from *execution*:
 
 * :class:`GraphStatistics` snapshots the store statistics the cost model
   reads: label cardinalities (``len(nodes_with_label(l))`` — O(1) on the
-  indexed engines) and per-edge-label average fan-out;
+  indexed engines) and per-(node-label, edge-label) edge counts;
 * :func:`compile_plan` chooses a variable order greedily by estimated
   candidate cardinality — start from the rarest label, then repeatedly bind
   the frontier variable whose anchored candidate set is estimated smallest —
@@ -53,10 +53,6 @@ __all__ = [
     "compile_plans",
     "step_candidates",
     "format_plan",
-    "plans_to_document",
-    "plans_from_document",
-    "save_plans",
-    "load_plans",
 ]
 
 # ------------------------------------------------------------------ statistics
@@ -74,18 +70,17 @@ class GraphStatistics:
     ``source_pairs`` / ``target_pairs`` record per-(node-label, edge-label)
     co-occurrence: how many ``edge_label`` edges *leave* (resp. *enter*)
     nodes of each label.  They sharpen the anchored-fan estimate for
-    correlated hub patterns — a graph-wide ``average_fan`` dilutes a hub
+    correlated hub patterns — a graph-wide average fan would dilute a hub
     label's true fan-out across every node — and are gathered in the same
-    O(|E|) pass.  Both stay optional so statistics snapshots persisted by
-    older plan documents keep producing exactly their old estimates.
+    O(|E|) pass.
     """
 
     node_count: int
     edge_count: int
     label_counts: Mapping[str, int]
     edge_label_counts: Mapping[str, int]
-    source_pairs: Optional[Mapping[str, Mapping[str, int]]] = None
-    target_pairs: Optional[Mapping[str, Mapping[str, int]]] = None
+    source_pairs: Mapping[str, Mapping[str, int]]
+    target_pairs: Mapping[str, Mapping[str, int]]
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "GraphStatistics":
@@ -115,45 +110,15 @@ class GraphStatistics:
         )
 
     def to_dict(self) -> dict:
-        """Return the JSON form used by plan persistence (exact values)."""
-        document = {
+        """Return the JSON form ``repro-detect explain --format json`` prints."""
+        return {
             "node_count": self.node_count,
             "edge_count": self.edge_count,
             "label_counts": dict(self.label_counts),
             "edge_label_counts": dict(self.edge_label_counts),
+            "source_pairs": {label: dict(pairs) for label, pairs in self.source_pairs.items()},
+            "target_pairs": {label: dict(pairs) for label, pairs in self.target_pairs.items()},
         }
-        if self.source_pairs is not None:
-            document["source_pairs"] = {
-                label: dict(pairs) for label, pairs in self.source_pairs.items()
-            }
-        if self.target_pairs is not None:
-            document["target_pairs"] = {
-                label: dict(pairs) for label, pairs in self.target_pairs.items()
-            }
-        return document
-
-    @classmethod
-    def from_dict(cls, document: Mapping) -> "GraphStatistics":
-        """Rebuild a statistics snapshot from :meth:`to_dict` output.
-
-        Documents written before co-occurrence statistics existed simply
-        lack the keys; the rebuilt snapshot then falls back to the
-        ``average_fan`` estimates it was compiled with.
-        """
-        source_pairs = document.get("source_pairs")
-        target_pairs = document.get("target_pairs")
-        return cls(
-            node_count=int(document["node_count"]),
-            edge_count=int(document["edge_count"]),
-            label_counts=dict(document["label_counts"]),
-            edge_label_counts=dict(document["edge_label_counts"]),
-            source_pairs={label: dict(pairs) for label, pairs in source_pairs.items()}
-            if source_pairs is not None
-            else None,
-            target_pairs={label: dict(pairs) for label, pairs in target_pairs.items()}
-            if target_pairs is not None
-            else None,
-        )
 
     def label_cardinality(self, label: str) -> int:
         """Return |{v : L(v) = label}| (the wildcard matches every node)."""
@@ -161,26 +126,18 @@ class GraphStatistics:
             return self.node_count
         return self.label_counts.get(label, 0)
 
-    def average_fan(self, edge_label: str) -> float:
-        """Return the expected number of ``edge_label`` neighbours of one node."""
-        if self.node_count == 0:
-            return 0.0
-        return self.edge_label_counts.get(edge_label, 0) / self.node_count
-
     def anchored_fan(
         self, anchor_label: str, edge_label: str, direction: str, candidate_label: str
     ) -> float:
         """Estimate the ``edge_label`` fan from one ``anchor_label`` node.
 
-        Uses the co-occurrence counts when available: only edges whose
-        source *and* target labels are compatible with the pattern edge can
-        contribute, and the compatible count is spread over the anchor
-        label's population rather than the whole node set.  ``direction``
+        Uses the co-occurrence counts: only edges whose source *and* target
+        labels are compatible with the pattern edge can contribute, and the
+        compatible count is spread over the anchor label's population
+        rather than the whole node set.  ``direction``
         follows :class:`Anchor` semantics: ``"succ"`` means the data edge
         runs anchor → candidate, ``"pred"`` candidate → anchor.
         """
-        if self.source_pairs is None or self.target_pairs is None:
-            return self.average_fan(edge_label)
         total = self.edge_label_counts.get(edge_label, 0)
         if direction == "succ":
             source_label, target_label = anchor_label, candidate_label
@@ -347,10 +304,10 @@ class MatchPlan:
         return cached
 
     def __getstate__(self):
-        # the compiled memo holds closures, which do not pickle: spawn
-        # workers rebuild plans from the persisted plan document and
-        # recompile lazily on first use; fork workers inherit this object
-        # (closures included) without pickling
+        # the compiled memo holds closures, which do not pickle: a plan
+        # pickled to a spawn worker keeps its rule, statistics and root
+        # steps and recompiles lazily on first use; fork workers inherit
+        # this object (closures included) without pickling
         return (self.rule, self.statistics, self.steps)
 
     def __setstate__(self, state) -> None:
@@ -382,13 +339,7 @@ class MatchPlan:
         return cost
 
     def to_dict(self) -> dict:
-        """Return the JSON description used by ``repro-detect explain``.
-
-        The document also carries the exact ``statistics`` snapshot, which
-        makes it a complete persistent form: :meth:`from_dict` rebuilds an
-        identical plan from it (schedules are pure functions of
-        ``(statistics, rule, order)``, so only those are stored).
-        """
+        """Return the JSON description ``repro-detect explain --format json`` prints."""
         return {
             "rule": self.rule.name,
             "order": list(self.order),
@@ -396,34 +347,6 @@ class MatchPlan:
             "steps": [step.to_dict() for step in self.steps],
             "statistics": self.statistics.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, document: Mapping, rule: NGD) -> "MatchPlan":
-        """Rebuild a plan from :meth:`to_dict` output and its rule.
-
-        The stored variable order is authoritative (a persisted plan keeps
-        executing the order it was compiled with, even if the compiler
-        heuristic changes later); the step schedule is recompiled from the
-        stored statistics, which is exact and costs no graph pass.  An
-        ``"observed"`` list, which older documents carry, is ignored: it
-        only ever fed the estimates, and the order stays authoritative.
-        """
-        from repro.errors import SerializationError
-
-        if document.get("rule") != rule.name:
-            raise SerializationError(
-                f"plan document is for rule {document.get('rule')!r}, not {rule.name!r}"
-            )
-        statistics = GraphStatistics.from_dict(document["statistics"])
-        order = tuple(document["order"])
-        if len(order) != len(rule.pattern.variables) or set(order) != set(
-            rule.pattern.variables
-        ):
-            raise SerializationError(
-                f"plan order {list(order)} is not a permutation of the "
-                f"variables of {rule.name!r}"
-            )
-        return cls(rule, statistics, _steps_for_order(statistics, rule, order))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"MatchPlan({self.rule.name!r}, order={list(self.order)})"
@@ -577,61 +500,6 @@ def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
     return tuple(plans)
 
 
-# ---------------------------------------------------------------- persistence
-
-
-def plans_to_document(plans: Sequence[MatchPlan]) -> dict:
-    """Return the JSON document for a compiled plan set.
-
-    Saved next to rule catalogs (``save_plans``) so worker processes and
-    service restarts skip recompilation; also the wire form the process
-    executor ships to ``spawn``-style workers.
-    """
-    return {
-        "format": "repro-match-plans",
-        "plans": [plan.to_dict() for plan in plans],
-    }
-
-
-def plans_from_document(document: Mapping, rules) -> tuple[MatchPlan, ...]:
-    """Rebuild a plan set from :func:`plans_to_document` output.
-
-    ``rules`` must carry the same rules, in the same order, as the set the
-    document was compiled from (matched by rule name, checked per plan).  A
-    top-level ``"history"`` block, which older documents carry, is ignored.
-    """
-    from repro.errors import SerializationError
-
-    if not isinstance(document, Mapping) or document.get("format") != "repro-match-plans":
-        raise SerializationError("not a match-plan document (missing repro-match-plans format tag)")
-    entries = document.get("plans")
-    rule_list = list(rules)
-    if not isinstance(entries, list) or len(entries) != len(rule_list):
-        raise SerializationError(
-            f"plan document has {len(entries) if isinstance(entries, list) else '??'} plans "
-            f"for {len(rule_list)} rules"
-        )
-    return tuple(
-        MatchPlan.from_dict(entry, rule) for entry, rule in zip(entries, rule_list)
-    )
-
-
-def save_plans(plans: Sequence[MatchPlan], path) -> None:
-    """Write a compiled plan set to ``path`` as JSON (next to its rule catalog)."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(plans_to_document(plans), handle, indent=2, sort_keys=True)
-
-
-def load_plans(path, rules) -> tuple[MatchPlan, ...]:
-    """Load a plan set previously written by :func:`save_plans`."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        return plans_from_document(json.load(handle), rules)
-
-
 # ------------------------------------------------------------------- executor
 
 
@@ -724,8 +592,8 @@ def step_candidates(
 def resolve_plans(graph: Graph, rule_list, plans) -> tuple["MatchPlan", ...]:
     """Resolve the compiled plans a detection kernel should execute.
 
-    ``plans`` passed by the caller (the session's cache, or a loaded plans
-    file) win; otherwise plans are compiled here.  Shared by all four
+    ``plans`` passed by the caller (the session's cache) win; otherwise
+    plans are compiled here.  Shared by all four
     kernels.
     """
     if plans is not None:

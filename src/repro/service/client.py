@@ -21,10 +21,9 @@ rebuilt as :class:`~repro.core.violations.Violation` objects.
 Timeouts and retries
 --------------------
 
-``connect_timeout`` bounds TCP connection establishment; ``read_timeout``
-bounds each socket read after the connection is up (a streaming detect can
-legitimately idle between records while the kernel searches, so it defaults
-much higher).  Both default to the legacy single ``timeout``.
+``timeout`` bounds TCP connection establishment and each socket read
+after the connection is up (a streaming detect can legitimately idle
+between records while the kernel searches, so it defaults to a minute).
 
 ``retries=N`` opts into automatic retry with exponential backoff + jitter —
 **for idempotent GET requests only** (``health``, ``metrics``,
@@ -52,7 +51,7 @@ from repro.errors import ServiceError
 from repro.graph.graph import Graph
 from repro.graph.io import graph_to_dict, update_to_list
 from repro.graph.updates import BatchUpdate
-from repro.service.protocol import decode_record
+from repro.service.protocol import DetectRequest, decode_record
 from repro.service.registry import validate_resource_name
 
 __all__ = ["ServiceClient", "DetectReply"]
@@ -83,8 +82,7 @@ class DetectReply:
 class ServiceClient:
     """Talks the service wire protocol; raises :class:`ServiceError` on 4xx/5xx.
 
-    ``connect_timeout`` / ``read_timeout`` split the legacy ``timeout`` into
-    its two phases (both default to ``timeout``); ``retries`` opts into
+    ``timeout`` bounds the connect and every read; ``retries`` opts into
     backoff-retry on transient failures **for idempotent GETs only** — see
     the module docstring for the idempotency rule.
     """
@@ -97,8 +95,6 @@ class ServiceClient:
         self,
         base_url: str,
         timeout: float = 60.0,
-        connect_timeout: Optional[float] = None,
-        read_timeout: Optional[float] = None,
         retries: int = 0,
         retry_backoff: float = 0.1,
     ) -> None:
@@ -110,26 +106,19 @@ class ServiceClient:
         self.host = parsed.hostname
         self.port = parsed.port or 80
         self.timeout = timeout
-        self.connect_timeout = connect_timeout if connect_timeout is not None else timeout
-        self.read_timeout = read_timeout if read_timeout is not None else timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
 
     # -------------------------------------------------------------- plumbing
 
     def _request(self, method: str, path: str, body: Optional[object] = None) -> HTTPResponse:
-        # the HTTPConnection timeout governs connect(); once the socket is
-        # up, the (usually longer) read_timeout takes over so a slow search
-        # streaming records is not killed by an aggressive connect bound
-        connection = HTTPConnection(self.host, self.port, timeout=self.connect_timeout)
+        # the HTTPConnection timeout bounds connect() and every socket read
+        connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
         payload = None
         headers = {}
         if body is not None:
             payload = json.dumps(body, default=str).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        connection.connect()
-        if connection.sock is not None:
-            connection.sock.settimeout(self.read_timeout)
         connection.request(method, path, body=payload, headers=headers)
         return connection.getresponse()
 
@@ -165,32 +154,6 @@ class ServiceClient:
             return document
         assert failure is not None
         raise failure
-
-    @staticmethod
-    def _detect_body(
-        rules: Optional[RuleSet],
-        catalog: Optional[str],
-        engine: str,
-        processors: Optional[int],
-        max_violations: Optional[int],
-        max_cost: Optional[float],
-        execution: str = "simulated",
-        timeout_seconds: Optional[float] = None,
-    ) -> dict:
-        body: dict = {"engine": engine, "execution": execution}
-        if timeout_seconds is not None:
-            body["timeout_seconds"] = timeout_seconds
-        if rules is not None:
-            body["rules"] = rules.to_dict()
-        if catalog is not None:
-            body["catalog"] = catalog
-        if processors is not None:
-            body["processors"] = processors
-        if max_violations is not None:
-            body["max_violations"] = max_violations
-        if max_cost is not None:
-            body["max_cost"] = max_cost
-        return body
 
     # ---------------------------------------------------------------- basics
 
@@ -276,16 +239,16 @@ class ServiceClient:
         server aborts the job when it elapses (503 before any record, an
         in-band error record after).
         """
-        body = self._detect_body(
-            rules,
-            catalog,
-            engine,
-            processors,
-            max_violations,
-            max_cost,
-            execution,
-            timeout_seconds,
-        )
+        body = DetectRequest(
+            rules=rules,
+            catalog=catalog,
+            engine=engine,
+            processors=processors,
+            max_violations=max_violations,
+            max_cost=max_cost,
+            execution=execution,
+            timeout_seconds=timeout_seconds,
+        ).to_document()
         response = self._request("POST", f"/graphs/{graph}/detect", body)
         try:
             if response.status >= 400:
@@ -334,7 +297,7 @@ class ServiceClient:
         processors: Optional[int] = None,
     ) -> dict:
         """Open a continuous session; returns its initial state document."""
-        body = self._detect_body(rules, catalog, engine, processors, None, None)
+        body = DetectRequest(rules=rules, catalog=catalog, engine=engine, processors=processors).to_document()
         return self._json("POST", f"/graphs/{graph}/sessions", body)
 
     def list_sessions(self) -> list[dict]:

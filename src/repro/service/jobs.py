@@ -109,10 +109,6 @@ class ContinuousSession:
         #: layer persists it so recovery can rebuild an identical detector.
         self.request_document = request_document
 
-    def plans_for(self, graph) -> object:
-        """Return the detector's kept plans, recompiled if ``graph`` has drifted."""
-        return self.detector.compile_plans(graph)
-
     @property
     def plan_compilations(self) -> int:
         return self.detector.plan_compilations
@@ -467,6 +463,38 @@ class SessionManager:
         """
         return min(processors or DEFAULT_PROCESSORS, protocol.usable_cpus())
 
+    def batch_detector(self, request: DetectRequest, rules: RuleSet) -> Detector:
+        """Return the detector of one full detection: the request's engine and budget."""
+        processes = request.execution == "processes"
+        return Detector(
+            rules,
+            engine=request.engine,
+            processors=self.process_count(request.processors) if processes else request.processors,
+            options=DetectionOptions(
+                max_violations=request.max_violations,
+                max_cost=request.max_cost,
+                execution=request.execution,
+            ),
+        )
+
+    def maintenance_detector(self, request: DetectRequest, rules: RuleSet, graph) -> Detector:
+        """Return a continuous session's per-update detector, its plans compiled against ``graph``.
+
+        The incremental kernel, or the parallel one under
+        ``execution="processes"``.  Live and recovered sessions are both
+        built here, so a recovered session runs exactly as the live one did.
+        """
+        processes = request.execution == "processes"
+        detector = Detector(
+            rules,
+            engine="auto" if processes else "incremental",
+            processors=self.process_count(request.processors) if processes else None,
+            options=DetectionOptions(execution=request.execution),
+        )
+        # the detector keeps these plans across versions until statistics drift
+        detector.compile_plans(graph)
+        return detector
+
     def shutdown(self) -> None:
         """Stop what the manager runs between requests, on the server's way down.
 
@@ -533,18 +561,7 @@ class SessionManager:
         """
         rules = self.resolve_rules(request)
         graph, version = self.registry.get(graph_name).snapshot()
-        processes = request.execution == "processes"
-        processors = self.process_count(request.processors) if processes else request.processors
-        detector = Detector(
-            rules,
-            engine=request.engine,
-            processors=processors,
-            options=DetectionOptions(
-                max_violations=request.max_violations,
-                max_cost=request.max_cost,
-                execution=request.execution,
-            ),
-        )
+        detector = self.batch_detector(request, rules)
 
         # the trace id is fixed before the job starts so the HTTP handler
         # can send it as X-Repro-Trace while the stream is still running
@@ -591,34 +608,14 @@ class SessionManager:
             )
         rules = self.resolve_rules(request)
         registered = self.registry.get(graph_name)
-        processes = request.execution == "processes"
-        processors = self.process_count(request.processors) if processes else request.processors
         with registered.lock:
             graph, version = registered.snapshot()
-            batch = Detector(
-                rules,
-                engine=request.engine,
-                processors=processors,
-                options=DetectionOptions(execution=request.execution),
-            )
-            violations = batch.run(graph).violations
-            # the maintenance detector keeps the per-version incremental
-            # regime; under execution="processes" it routes through the
-            # parallel kernel
-            incremental = Detector(
-                rules,
-                engine="auto" if processes else "incremental",
-                processors=processors if processes else None,
-                options=DetectionOptions(execution=request.execution),
-            )
-            # compile the maintenance plans once against the base snapshot;
-            # the detector keeps them across versions until statistics drift
-            incremental.compile_plans(graph)
+            violations = self.batch_detector(request, rules).run(graph).violations
             session = ContinuousSession(
                 session_id=f"s{next(self._session_ids)}",
                 graph_name=graph_name,
                 rules=rules,
-                detector=incremental,
+                detector=self.maintenance_detector(request, rules, graph),
                 base_version=version,
                 violations=violations,
                 request_document=request.to_document(),
@@ -715,7 +712,6 @@ class SessionManager:
                 outcome.graph_before,
                 outcome.delta,
                 graph_after=outcome.graph_after,
-                plans=session.plans_for(outcome.graph_after),
             )
             session.advance(outcome.version, result.delta)
             if self.retain_versions is not None:

@@ -304,35 +304,25 @@ class PersistenceManager:
     def _restore_session(self, document: dict) -> None:
         """Rebuild one continuous session from its durable document.
 
-        The detector and compiled plans are reconstructed exactly the way
-        ``SessionManager.create_session`` builds them — from the original
-        request document against the graph's current snapshot — while the
-        violation set and delta log come verbatim from the document.
+        The detector and compiled plans come from
+        ``SessionManager.maintenance_detector``, the builder live sessions
+        use — from the original request document against the graph's
+        current snapshot — while the violation set and delta log come
+        verbatim from the document.
         """
-        from repro.detect.session import DetectionOptions, Detector
         from repro.service.jobs import ContinuousSession
         from repro.service.protocol import parse_detect_request
 
         request = parse_detect_request(document.get("request") or {})
         rules = self.manager.resolve_rules(request)
         registered = self.registry.get(document["graph"])
-        processes = request.execution == "processes"
-        # the recorded count may exceed this machine's CPUs: clamp, not refuse
-        processors = self.manager.process_count(request.processors) if processes else None
         with registered.lock:
             graph, _version = registered.snapshot()
-            incremental = Detector(
-                rules,
-                engine="auto" if processes else "incremental",
-                processors=processors,
-                options=DetectionOptions(execution=request.execution),
-            )
-            incremental.compile_plans(graph)
             session = ContinuousSession(
                 session_id=document["session"],
                 graph_name=document["graph"],
                 rules=rules,
-                detector=incremental,
+                detector=self.manager.maintenance_detector(request, rules, graph),
                 base_version=document["base_version"],
                 violations=ViolationSet.from_dict(document["violations"]),
                 request_document=dict(document.get("request") or {}),

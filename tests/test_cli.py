@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -15,12 +14,6 @@ from repro.detect import Detector
 from repro.graph.graph import Graph
 from repro.graph.io import save_graph, save_update
 from repro.graph.updates import BatchUpdate
-from repro.matching.plan import load_plans
-
-from hub_workload import correlated_hub_graph, hub_rules
-
-#: a plans file that still carries ``"observed"`` and ``"history"`` blocks
-PLANS_WITH_HISTORY = Path(__file__).parent / "data" / "plans_with_history.json"
 
 
 @pytest.fixture
@@ -243,27 +236,24 @@ class TestDetectionFlags:
             ("run", ["--save-history", "history.json"]),
             ("incremental", ["--save-history", "history.json"]),
             ("explain", ["--observed", "history.json"]),
+            ("run", ["--plans-file", "plans.json"]),
+            ("incremental", ["--plans-file", "plans.json"]),
+            ("explain", ["--save-plans", "plans.json"]),
         ],
-        ids=("run-no-adaptive", "run-save-history", "incremental-save-history", "explain-observed"),
+        ids=(
+            "run-no-adaptive",
+            "run-save-history",
+            "incremental-save-history",
+            "explain-observed",
+            "run-plans-file",
+            "incremental-plans-file",
+            "explain-save-plans",
+        ),
     )
     def test_replanning_flags_are_gone(self, g2_path, delta_path, capsys, command, flag):
         update = ["--update", delta_path] if command == "incremental" else []
         assert main([command, g2_path, *update, *flag]) == 2
         assert flag[0] in capsys.readouterr().err
-
-    def test_a_plans_file_with_observations_runs_its_stored_order(self, tmp_path, capsys):
-        graph = correlated_hub_graph(roots=120, wide=20, narrow=3, survivor_stride=97)
-        rules = hub_rules()
-        save_graph(graph, tmp_path / "hub.json")
-        rules.save(tmp_path / "rules.json")
-        run = ["run", str(tmp_path / "hub.json"), "--rules-file", str(tmp_path / "rules.json"), "--format", "json"]
-        assert main([*run, "--plans-file", str(PLANS_WITH_HISTORY)]) == 1
-        from_file = json.loads(capsys.readouterr().out)
-        assert main(run) == 1
-        compiled = json.loads(capsys.readouterr().out)
-        assert from_file["violation_count"] == compiled["violation_count"] == 75
-        stored = Detector(rules).run(graph, plans=load_plans(PLANS_WITH_HISTORY, rules))
-        assert from_file["cost"] == stored.cost != compiled["cost"]
 
     def test_profile_prints_one_literal_count(self, g2_path, capsys):
         result = Detector(example_rules(), engine="batch").run(figure1_g2())

@@ -18,7 +18,6 @@ Three layers are covered:
 
 from __future__ import annotations
 
-import json
 import pickle
 import random
 
@@ -50,8 +49,6 @@ from repro.matching.compiled import CompiledSchedule, compile_literal, resolve_c
 from repro.matching.plan import (
     compile_plans,
     first_step_candidates,
-    plans_from_document,
-    plans_to_document,
     seed_candidates,
 )
 
@@ -298,16 +295,15 @@ def test_batch_equals_the_naive_reference(heavy_rules):
 
 
 @pytest.mark.parametrize("backend", ("dict", "indexed"))
-@pytest.mark.parametrize("plans", ("compiled", "document"))
+@pytest.mark.parametrize("plans", ("compiled", "pickled"))
 def test_batch_parity_across_backends(product_graph, heavy_rules, backend, plans):
-    # document: plans rebuilt from their JSON document, as a plans file or a
-    # spawn payload carries them, compile their schedules again on first use
+    # pickled: rules and plans as a spawn worker receives them, one pickle,
+    # the plans compiling their schedules again on first use
     graph = product_graph.with_backend(new_store(backend))
-    handed = None
-    if plans == "document":
-        document = json.loads(json.dumps(plans_to_document(compile_plans(graph, heavy_rules))))
-        handed = plans_from_document(document, heavy_rules)
-    on = Detector(heavy_rules, engine="batch").run(graph, plans=handed)
+    rules, handed = heavy_rules, None
+    if plans == "pickled":
+        rules, handed = pickle.loads(pickle.dumps((heavy_rules, compile_plans(graph, heavy_rules))))
+    on = Detector(rules, engine="batch").run(graph, plans=handed)
     reference = _run(product_graph, heavy_rules, backend="dict")
     assert on.violations.to_json() == reference.violations.to_json()
     assert on.violation_count() > 0
@@ -324,8 +320,9 @@ def test_parallel_parity(product_graph, heavy_rules, execution):
 
 
 def test_spawn_workers_recompile_parity(heavy_rules, force_start_method):
-    # spawn workers get the plan document only (closures don't pickle);
-    # they must rebuild compiled schedules and still match byte for byte.
+    # spawn workers get pickled plans without their closures (closures
+    # don't pickle); they must rebuild compiled schedules and still match
+    # byte for byte.
     # (string node ids: the spawn path spools graphs through JSON, which
     # does not round-trip tuple ids — a pre-existing spool limitation)
     graph = _product_graph(seed=7, products=80, sellers=12)

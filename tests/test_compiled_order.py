@@ -9,23 +9,14 @@ would show it, because its compiled order is not its cheapest one.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.detect import DetectionOptions, Detector
 from repro.graph.updates import BatchUpdate, UpdateGenerator
-from repro.matching.plan import compile_plans, load_plans, save_plans
+from repro.matching.plan import MatchPlan, compile_plans
 
 from engines import new_store
 from hub_workload import correlated_hub_graph, hub_rules
-
-#: A plan document in the format that still carried observations: the hub
-#: rule's plan compiled with an observed prior, so its stored order is
-#: ``x, z, y`` where a cold compile orders ``x, y, z``, with that prior as a
-#: per-plan ``"observed"`` list and the observations as a ``"history"`` block.
-PLANS_WITH_HISTORY = Path(__file__).parent / "data" / "plans_with_history.json"
 
 
 @pytest.fixture(scope="module")
@@ -61,44 +52,51 @@ def test_every_engine_and_backend_bills_the_compiled_order(hub_graph, rules, eng
     assert result.stats.total_operations() == 15_900
 
 
-def test_a_plan_document_with_observations_runs_its_stored_order(hub_graph, rules, tmp_path):
-    document = json.loads(PLANS_WITH_HISTORY.read_text(encoding="utf-8"))
-    assert "history" in document and "observed" in document["plans"][0]
-    (plan,) = load_plans(PLANS_WITH_HISTORY, rules)
-    assert plan.order == ("x", "z", "y") != compile_plans(hub_graph, rules)[0].order
-    # the estimates come from the stored statistics alone
-    assert [step.estimated_candidates for step in plan.steps] == [120.0, 20.0, 3.0]
+@pytest.fixture(scope="module")
+def pinned_plan(hub_graph, rules):
+    """The hub rule's plan pinned to ``x, z, y``, where a compile orders ``x, y, z``."""
+    (plan,) = compile_plans(hub_graph, rules)
+    return MatchPlan(plan.rule, plan.statistics, plan.schedule_for(("x", "z", "y")))
 
-    from_file = Detector(rules, engine="batch", plans_file=str(PLANS_WITH_HISTORY)).run(hub_graph)
-    handed = Detector(rules, engine="batch").run(hub_graph, plans=(plan,))
+
+def test_a_pinned_plan_runs_its_order(hub_graph, rules, pinned_plan):
+    assert pinned_plan.order == ("x", "z", "y") != compile_plans(hub_graph, rules)[0].order
+    # the estimates come from the statistics alone
+    assert [step.estimated_candidates for step in pinned_plan.steps] == [120.0, 20.0, 3.0]
+
+    handed = Detector(rules, engine="batch").run(hub_graph, plans=(pinned_plan,))
     default = Detector(rules, engine="batch").run(hub_graph)
-    assert _counts(from_file) == _counts(handed)
-    assert from_file.violations.to_json() == default.violations.to_json()
-    assert from_file.stats.total_operations() < default.stats.total_operations()
-
-    # saved again, it keeps its order and drops both blocks
-    path = tmp_path / "plans.json"
-    save_plans((plan,), path)
-    document = json.loads(path.read_text(encoding="utf-8"))
-    assert "history" not in document and "observed" not in document["plans"][0]
-    assert document["plans"][0]["order"] == ["x", "z", "y"]
+    assert (handed.cost, handed.stats.total_operations()) == (2695.0, 5395)
+    assert handed.violations.to_json() == default.violations.to_json()
+    assert handed.stats.total_operations() < default.stats.total_operations()
 
 
 @pytest.mark.parametrize("backend", ("dict", "indexed"))
-@pytest.mark.parametrize("engine,processors", [("incremental", None), ("parallel", 4)])
-def test_a_plan_document_with_observations_updates_like_the_batch_diff(hub_graph, rules, engine, processors, backend):
+@pytest.mark.parametrize("engine,processors,cost", [("incremental", None, 14.0), ("parallel", 4, 84.0)])
+def test_a_pinned_plan_updates_like_the_batch_diff(hub_graph, rules, pinned_plan, engine, processors, cost, backend):
     graph = hub_graph.with_backend(new_store(backend))
     # b0_0 and b4_17 are premise survivors: r1 gains one, r4 loses its only one
     delta = BatchUpdate().insert("r1", "b0_0", "e2").delete("r4", "b4_17", "e2")
-    (plan,) = load_plans(PLANS_WITH_HISTORY, rules)
-    from_file = Detector(
-        rules, engine=engine, processors=processors, plans_file=str(PLANS_WITH_HISTORY)
-    ).run_incremental(graph, delta)
-    handed = Detector(rules, engine=engine, processors=processors).run_incremental(graph, delta, plans=(plan,))
+    handed = Detector(rules, engine=engine, processors=processors).run_incremental(
+        graph, delta, plans=(pinned_plan,)
+    )
     oracle = Detector(rules, engine="batch").run_incremental(graph, delta)
-    assert (len(from_file.delta.introduced), len(from_file.delta.removed)) == (3, 3)
-    assert from_file.delta == oracle.delta
-    assert (from_file.cost, from_file.stats, from_file.delta) == (handed.cost, handed.stats, handed.delta)
+    assert (len(handed.delta.introduced), len(handed.delta.removed)) == (3, 3)
+    assert handed.delta == oracle.delta
+    assert (handed.cost, handed.stats.total_operations()) == (cost, 36)
+
+
+@pytest.mark.parametrize("method", ("fork", "spawn"))
+def test_a_pinned_plan_ships_to_process_workers(hub_graph, rules, pinned_plan, force_start_method, method):
+    # a spawned worker receives the plan pickled, its order and steps included
+    serial = Detector(rules, engine="batch").run(hub_graph, plans=(pinned_plan,))
+    force_start_method(method)
+    processes = Detector(
+        rules, engine="parallel", processors=2, options=DetectionOptions(execution="processes")
+    ).run(hub_graph, plans=(pinned_plan,))
+    assert processes.violations.to_json() == serial.violations.to_json()
+    assert (processes.cost, processes.stats) == (serial.cost, serial.stats)
+    assert processes.stats.total_operations() == 5395
 
 
 @pytest.mark.parametrize("option", ["adaptive", "restrict_to_neighborhood"])

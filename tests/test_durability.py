@@ -480,6 +480,41 @@ class TestInProcessRecovery:
             reply = c2.post_update("areas", _update(4))
             assert reply["sessions_advanced"] == 2
 
+    @pytest.mark.parametrize("where", ("wal", "checkpoint"))
+    @pytest.mark.parametrize(
+        "request_document",
+        (
+            {"catalog": "mine", "engine": "auto", "processors": 3},
+            # above the CPUs: the live and the recovered session both clamp it
+            {"catalog": "mine", "execution": "processes", "processors": 4},
+        ),
+        ids=("simulated", "processes"),
+    )
+    def test_a_recovered_session_builds_the_live_detector(self, tmp_path, monkeypatch, request_document, where):
+        from repro.service import protocol
+        from repro.service.protocol import parse_detect_request
+
+        monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+        data_dir = tmp_path / "data"
+        service = DetectionService(port=0, data_dir=str(data_dir)).start()
+        try:
+            client = ServiceClient(service.url)
+            client.register_graph("areas", multi_area_graph())
+            client.register_rules("mine", example_rules())
+            live = service.manager.create_session("areas", parse_detect_request(request_document))
+            if where == "checkpoint":
+                client.checkpoint()
+        finally:
+            service.stop()
+
+        def configuration(detector):
+            return (detector.engine, detector.processors, detector.options)
+
+        with DetectionService(port=0, data_dir=str(data_dir)) as recovered:
+            restored = recovered.manager.session(live.session_id)
+            assert configuration(restored.detector) == configuration(live.detector)
+            assert restored.detector.rules.to_dict() == live.detector.rules.to_dict()
+
     def test_registrations_survive_without_any_update(self, tmp_path):
         data_dir = tmp_path / "data"
         service = DetectionService(port=0, data_dir=str(data_dir)).start()

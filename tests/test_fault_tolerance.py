@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 
@@ -593,11 +594,16 @@ class TestClientRetries:
             client.checkpoint()
         assert counters["detect"] == 1
 
-    def test_split_timeouts_accepted(self, flaky_server):
-        url, _ = flaky_server
-        client = ServiceClient(url, connect_timeout=1.0, read_timeout=7.5, retries=3)
-        assert client.connect_timeout == 1.0
-        assert client.read_timeout == 7.5
+    def test_one_timeout_bounds_connect_and_read(self):
+        # a listener that never answers: the connect completes, the read times out
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = ServiceClient(f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=0.2)
+            started = time.monotonic()
+            with pytest.raises(OSError):
+                client.health()
+            assert time.monotonic() - started < 5
+        with pytest.raises(TypeError):
+            ServiceClient("http://127.0.0.1:1", connect_timeout=1.0, read_timeout=7.5)
 
     def test_negative_retries_refused(self):
         with pytest.raises(ServiceError):

@@ -241,7 +241,7 @@ class TestPlannerWins:
         rules = [NGD.from_text(pattern, "x.val >= 0", "y.val < x.val", name="skew_rule")]
         plan = compile_plan(graph, rules[0])
         assert plan.order == ("y", "x")
-        declared = MatchPlan.from_dict(dict(plan.to_dict(), order=["x", "y"]), rules[0])
+        declared = MatchPlan(rules[0], plan.statistics, plan.schedule_for(("x", "y")))
         planned = drain(iter_dect(graph, rules, plans=(plan,)))
         static = drain(iter_dect(graph, rules, plans=(declared,)))
         assert planned.violations.to_json() == static.violations.to_json()
@@ -259,9 +259,10 @@ class TestPlannerWins:
             found = [tuple(sorted(match.items())) for match in matcher.matches()]
             assert len(found) == len(set(found)) > 0
             # a plan pinned to the reverse order reaches the same bindings
-            backwards = list(reversed(matcher.plan.order))
-            reordered += backwards != list(matcher.plan.order)
-            pinned = MatchPlan.from_dict(dict(matcher.plan.to_dict(), order=backwards), matcher.plan.rule)
+            plan = matcher.plan
+            backwards = tuple(reversed(plan.order))
+            reordered += backwards != plan.order
+            pinned = MatchPlan(plan.rule, plan.statistics, plan.schedule_for(backwards))
             search = RuleSearch(pinned, MatchStatistics(), all_matches=True)
             search.start(graph, pinned.order, ())
             reached = set()
@@ -282,8 +283,6 @@ class TestSessionPlanCache:
         first = detector.compile_plans(graph)
         second = detector.compile_plans(graph)
         assert first is second
-        detector.clear_plan_cache()
-        assert detector.compile_plans(graph) is not first
 
     def test_plans_survive_apply_update(self):
         """``run_incremental(G, ΔG)`` without ``plans=`` compiles once over a stream of new stores."""

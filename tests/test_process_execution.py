@@ -7,15 +7,14 @@ simulator — on the ``indexed`` engine and the ``dict`` oracle of
 either way — while
 honouring ``DetectionBudget`` early
 cancellation and streaming what the serial run finds under real
-concurrency.  Plan persistence (``save_plans`` / ``load_plans`` /
-``Detector(plans_file=...)``) and the service's bounded detection job
-pool (429 admission control) ride along.
+concurrency.  The pickled runtime a spawned worker receives and the
+service's bounded detection job pool (429 admission control) ride along.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -33,14 +32,7 @@ from repro.detect.parallel.balancing import should_split, should_split_planned
 from repro.detect.parallel.executor import ExecutionRuntime
 from repro.errors import PoolSaturatedError, ServiceError, SessionError
 from repro.graph.updates import UpdateGenerator
-from repro.matching.plan import (
-    MatchPlan,
-    compile_plans,
-    load_plans,
-    plans_from_document,
-    plans_to_document,
-    save_plans,
-)
+from repro.matching.plan import compile_plans
 from repro.service import DetectionService, ServiceClient, parse_detect_request
 from repro.service.jobs import DetectionJobPool
 
@@ -354,57 +346,20 @@ class TestPlanGuidedSplitting:
         assert on.violations.to_json() == off.violations.to_json()
 
 
-# ------------------------------------------------------------ plan persistence
+# ------------------------------------------------------------ spawned plans
 
 
-class TestPlanPersistence:
-    def test_save_load_round_trip(self, kb_graph, kb_rules, tmp_path):
+class TestSpawnedPlans:
+    def test_process_workers_accept_pickled_plans(self, kb_graph, kb_rules, tmp_path):
+        # a spawn worker unpickles the runtime with its images spooled:
+        # rules and plans arrive as they are, the plans without closures
         plans = compile_plans(kb_graph, kb_rules)
-        path = tmp_path / "plans.json"
-        save_plans(plans, path)
-        loaded = load_plans(path, kb_rules)
-        assert [p.to_dict() for p in loaded] == [p.to_dict() for p in plans]
-
-    def test_document_round_trip(self, kb_graph, kb_rules):
-        plans = compile_plans(kb_graph, kb_rules)
-        document = json.loads(json.dumps(plans_to_document(plans)))
-        rebuilt = plans_from_document(document, kb_rules)
-        for original, copy in zip(plans, rebuilt):
-            assert copy.order == original.order
-            assert copy.estimated_unit_cost(0) == original.estimated_unit_cost(0)
-            assert copy.statistics.to_dict() == original.statistics.to_dict()
-
-    def test_plan_from_dict_checks_rule(self, kb_graph, kb_rules):
-        from repro.errors import SerializationError
-
-        plans = compile_plans(kb_graph, kb_rules)
-        rules = list(kb_rules)
-        with pytest.raises(SerializationError):
-            MatchPlan.from_dict(plans[0].to_dict(), rules[1])
-
-    def test_detector_plans_file_matches_compiled(self, kb_graph, kb_rules, tmp_path):
-        path = tmp_path / "plans.json"
-        save_plans(compile_plans(kb_graph, kb_rules), path)
-        from_file = Detector(kb_rules, engine="batch", plans_file=str(path)).run(kb_graph)
-        compiled = Detector(kb_rules, engine="batch").run(kb_graph)
-        assert from_file.violations.to_json() == compiled.violations.to_json()
-        assert from_file.cost == compiled.cost
-
-    def test_process_workers_accept_plan_documents(self, kb_graph, kb_rules):
-        # the spawn payload ships plans as documents; reconstruct one and
-        # check the runtime round-trip the workers perform
-        plans = compile_plans(kb_graph, kb_rules)
-        runtime = ExecutionRuntime(
-            rules=list(kb_rules),
-            plans=plans,
-            image=kb_graph,
-        )
-        import tempfile
-
-        payload = runtime.payload(tempfile.mkdtemp(prefix="repro-test-spool-"))
-        rebuilt = ExecutionRuntime.from_payload(payload)
+        runtime = ExecutionRuntime(rules=list(kb_rules), plans=plans, image=kb_graph)
+        rebuilt = pickle.loads(pickle.dumps(runtime.spooled(str(tmp_path))))
         assert [p.order for p in rebuilt.plans] == [p.order for p in plans]
         assert [r.name for r in rebuilt.rules] == [r.name for r in kb_rules]
+        assert all(plan.rule is rule for plan, rule in zip(rebuilt.plans, rebuilt.rules))
+        assert rebuilt.image == str(tmp_path / "image.json")
 
     def test_spawn_start_method_parity(self, kb_graph, kb_rules, force_start_method):
         serial = Detector(kb_rules, engine="batch").run(kb_graph)

@@ -475,7 +475,7 @@ def test_lockstep_dect_stops_where_the_stepped_run_stops(hub_graph, hub_rules):
 def test_lockstep_dect_with_a_declared_order(hub_graph, hub_rules):
     # a run executes the order it is handed, not the one it would compile
     (compiled,) = compile_plans(hub_graph, hub_rules)
-    declared = MatchPlan.from_dict(dict(compiled.to_dict(), order=["z", "x", "y"]), compiled.rule)
+    declared = MatchPlan(compiled.rule, compiled.statistics, compiled.schedule_for(("z", "x", "y")))
     assert declared.order != compiled.order
     result = dect_both_ways(hub_graph, hub_rules, plans=(declared,))
     default = dect_both_ways(hub_graph, hub_rules)

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from repro.graph.graph import Graph
 from repro.graph.io import graph_to_dict, save_graph
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
 from repro.service import (
+    DetectRequest,
     DetectionService,
     GraphRegistry,
     ServiceClient,
@@ -123,6 +125,48 @@ class TestProtocol:
         # each parses from JSON; none would ever end a run or reach a deadline
         with pytest.raises(ServiceError, match="finite"):
             parse_detect_request(json.loads(f'{{"catalog": "x", "{key}": {text}}}'))
+
+    @pytest.mark.parametrize(
+        "call,arguments",
+        [
+            ("stream_detect", {"catalog": "example"}),
+            (
+                "stream_detect",
+                {
+                    "rules": RuleSet([phi2()]),
+                    "engine": "parallel",
+                    "processors": 4,
+                    "max_violations": 5,
+                    "max_cost": 250.0,
+                    "execution": "processes",
+                    "timeout_seconds": 2.5,
+                },
+            ),
+            ("create_session", {"catalog": "example", "engine": "batch"}),
+            ("create_session", {"rules": RuleSet([phi2()]), "processors": 3}),
+        ],
+        ids=("detect-catalog", "detect-every-field", "session-catalog", "session-inline"),
+    )
+    def test_the_client_body_parses_back_to_its_request(self, monkeypatch, call, arguments):
+        sent = []
+
+        class Sent(Exception):
+            pass
+
+        def capture(self, method, path, body=None):
+            sent.append(json.loads(json.dumps(body)))
+            raise Sent
+
+        monkeypatch.setattr(ServiceClient, "_request", capture)
+        with pytest.raises(Sent):
+            reply = getattr(ServiceClient("http://127.0.0.1:1"), call)("g", **arguments)
+            next(reply)  # the detect stream sends on its first record
+        parsed = parse_detect_request(sent[0])
+        expected = DetectRequest(**arguments)
+        assert replace(parsed, rules=None) == replace(expected, rules=None)
+        assert (parsed.rules is None) == (expected.rules is None)
+        if expected.rules is not None:
+            assert list(parsed.rules) == list(expected.rules)
 
     def test_record_round_trip(self):
         record = {"type": "violation", "rule": "r", "variables": ["x"], "nodes": ["a"], "introduced": True}

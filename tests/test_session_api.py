@@ -225,9 +225,9 @@ class TestOneWayIn:
             # ``repro.detect.dect`` is the module that holds ``iter_dect``
             assert not inspect.isfunction(getattr(module, name, None)), (package, name)
 
-    def test_detector_takes_five_parameters(self):
+    def test_detector_takes_four_parameters(self):
         parameters = list(inspect.signature(Detector.__init__).parameters)
-        assert parameters == ["self", "rules", "engine", "processors", "options", "plans_file"]
+        assert parameters == ["self", "rules", "engine", "processors", "options"]
 
 
 class TestBudgets:

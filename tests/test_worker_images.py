@@ -2,8 +2,8 @@
 
 The image contract the executor relies on: a spooled image round-trips
 through the graph/io JSON format onto the sealed ``frozen`` engine, is
-loaded at most once per process, and an :class:`ExecutionRuntime` rebuilt
-from its spawn payload reads the same images its parent holds.  Process
+loaded at most once per process, and an :class:`ExecutionRuntime`
+unpickled with its images spooled reads the same images its parent holds.  Process
 PDect places the simulator's seed list, one unit per first-step candidate;
 PIncDect seeds each pivot by the simulator's ownership hash.  PIncDect
 replicates ``N_C(ΔG)`` only when every pattern is connected; a rule set
@@ -13,6 +13,7 @@ with a disconnected pattern ships the full graphs and still finds the same
 
 from __future__ import annotations
 
+import pickle
 import zlib
 
 import pytest
@@ -115,10 +116,12 @@ class TestRuntimePayload:
             image=kb,
             before_image=before,
         )
-        payload = runtime.payload(str(tmp_path))
+        spooled = runtime.spooled(str(tmp_path))
         assert sorted(entry.name for entry in tmp_path.iterdir()) == ["before.json", "image.json"]
+        # the parent's runtime keeps its graphs
+        assert (runtime.image, runtime.before_image) == (kb, before)
         clear_loaded_images()
-        rebuilt = ExecutionRuntime.from_payload(payload)
+        rebuilt = pickle.loads(pickle.dumps(spooled))
         assert [plan.order for plan in rebuilt.plans] == [plan.order for plan in runtime.plans]
         after_image = rebuilt.graph_for(True)
         before_image = rebuilt.graph_for(False)
@@ -132,8 +135,9 @@ class TestRuntimePayload:
         runtime = ExecutionRuntime(
             rules=rules, plans=compile_plans(kb, rules), image=kb
         )
-        payload = runtime.payload(str(tmp_path))
-        assert payload["before_image"] is None
+        spooled = runtime.spooled(str(tmp_path))
+        assert spooled.before_image is None
+        assert [entry.name for entry in tmp_path.iterdir()] == ["image.json"]
         assert runtime.graph_for(True) is kb
         assert runtime.graph_for(False) is kb
 
