@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from repro.core.ngd import RuleSet
 from repro.core.violations import Violation, ViolationSet
 from repro.errors import DependencyError, EvaluationError
 from repro.expr.expressions import Expression, as_expression

@@ -33,7 +33,7 @@ from typing import Optional
 from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationSet
 from repro.errors import ValidationError
-from repro.expr.literals import Comparison, Literal
+from repro.expr.literals import Comparison
 from repro.graph.graph import Graph
 
 __all__ = ["AttributeRepair", "RepairPlan", "plan_repairs", "apply_repairs", "repair_graph"]

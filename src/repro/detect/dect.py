@@ -70,7 +70,7 @@ def iter_dect(
             if not order:
                 continue
             with run.rule(rule.name):
-                candidates, scan_cost = seed_candidates(graph, rule, plan, run.stats)
+                candidates, scan_cost = seed_candidates(graph, plan, run.stats)
                 run.cost += scan_cost
                 if not run.cost_exhausted():
                     # the seeds are a stack: the last candidate's subtree is searched

@@ -5,7 +5,6 @@ from repro.detect.base import EXECUTION_MODES
 from repro.detect.parallel.balancing import (
     BalancingPolicy,
     plan_rebalancing,
-    should_split,
     should_split_planned,
     skewness,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "iter_pinc_dect",
     "plan_rebalancing",
     "resolve_start_method",
-    "should_split",
     "should_split_planned",
     "skewness",
 ]

@@ -7,7 +7,9 @@ units is much longer than the others'.  PIncDect combats skew at two levels:
    partial solution whose anchor has a huge adjacency list is parallelised
    across all processors when the estimated parallel cost
    ``C·(k+1) + |adj|/p`` beats the sequential cost ``|adj|``.
-   :func:`should_split` implements that test.
+   :func:`should_split_planned` implements that test, with the plan's
+   estimate of the remaining subtree as a second workload measure (an
+   estimate of ``0.0`` gives the paper's test on ``|adj|`` alone).
 2. **Periodic redistribution**: every ``intvl`` time units the skewness
    ``|BVio_i| / avg_t |BVio_t|`` of each processor is computed; processors
    above the threshold η (3 in the paper's experiments) shed work units
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 __all__ = [
     "BalancingPolicy",
     "rebalancing_pays",
-    "should_split",
     "should_split_planned",
     "skewness",
     "plan_rebalancing",
@@ -84,19 +85,6 @@ class BalancingPolicy:
         return "NO"
 
 
-def should_split(adjacency_size: int, matched_depth: int, processors: int, latency: float) -> bool:
-    """Return True when the parallel cost estimate beats the sequential one.
-
-    Sequential cost: ``|adj|``.  Parallel cost: ``C·(k+1) + |adj|/p`` where
-    ``k`` is the number of already-matched pattern nodes (Section 6.3).
-    """
-    if processors <= 1:
-        return False
-    sequential = float(adjacency_size)
-    parallel = latency * (matched_depth + 1) + adjacency_size / processors
-    return parallel < sequential
-
-
 def should_split_planned(
     remaining_estimate: float,
     adjacency_size: int,
@@ -106,17 +94,20 @@ def should_split_planned(
 ) -> bool:
     """Plan-guided split test: workload = the plan's remaining-subtree estimate.
 
-    The raw predicate (:func:`should_split`) only sees the *immediate*
-    adjacency scan, so it splits a step whose anchor is a hub even when the
-    subtree below it dies out one level later, and refuses to split a small
-    scan that fans out enormously below.  With a compiled
+    The paper's test — sequential cost ``|adj|`` against parallel cost
+    ``C·(k+1) + |adj|/p``, ``k`` the number of already-matched pattern nodes
+    (Section 6.3) — only sees the *immediate* adjacency scan, so it splits a
+    step whose anchor is a hub even when the subtree below it dies out one
+    level later, and refuses to split a small scan that fans out enormously
+    below.  With a compiled
     :class:`~repro.matching.plan.MatchPlan` the expected size of the whole
     remaining subtree is known (``MatchPlan.remaining_cost``); the same
     cost comparison — ``C·(k+1) + W/p < W`` — is applied to that estimate
     instead.  The workload measure ``W`` is the larger of the estimate and
     the actual adjacency size: the scan in front of us is a *lower bound*
     on the remaining work, so an estimate the data has already beaten never
-    talks the scheduler out of a split the raw predicate would take.
+    talks the scheduler out of a split the paper's test would take, and an
+    estimate of ``0.0`` leaves exactly that test.
 
     Executors charge actual sizes either way — the plan decides, the data
     pays.

@@ -113,7 +113,7 @@ def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
         if not order:
             continue
         before = run.attribution.before(run.stats)
-        candidates, scanned = seed_candidates(graph, rule, plan, run.stats)
+        candidates, scanned = seed_candidates(graph, plan, run.stats)
         run.attribution.after(rule.name, before, run.stats)
         run.charge_scan(len(candidates), scanned)
         unit_estimate = plan.estimated_unit_cost(1)

@@ -231,8 +231,7 @@ class Detector:
 
         ``plans`` overrides the session's compiled-plan cache: a caller that
         holds plans compiled for these rules (pinned to an order with
-        :meth:`~repro.matching.plan.MatchPlan.schedule_for`, say) runs them
-        as they are.
+        ``MatchPlan(rule, statistics, order)``, say) runs them as they are.
         """
         result = drain(self._traced_events(lambda: self._batch_events(graph, plans), "detect.run"))
         self.last_result = result

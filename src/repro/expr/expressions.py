@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Mapping, Union
+from typing import Mapping
 
 from repro.errors import EvaluationError, ExpressionError
 from repro.expr.terms import AttributeTerm, Constant, Term, as_term

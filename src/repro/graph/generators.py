@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from typing import Optional
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph

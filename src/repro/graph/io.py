@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import GraphError, UpdateError
 from repro.graph.graph import Graph

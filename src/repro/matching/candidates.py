@@ -3,9 +3,9 @@
 Backtracking subgraph matchers (the ``Matchn`` framework of Section 6.2)
 compute, for each pattern node ``u``, a candidate set ``C(u)`` of data nodes
 that could match ``u``, then verify and expand.  :class:`MatchStatistics`
-counts that work in the units the cost model charges; the candidate
-strategies themselves are compiled per plan step
-(:func:`repro.matching.plan.step_candidates`).
+counts that work in the units the cost model charges; candidates are
+generated, one plan step at a time, by
+:func:`repro.matching.plan.step_candidates`.
 """
 
 from __future__ import annotations

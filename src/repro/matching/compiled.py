@@ -1,11 +1,13 @@
-"""Closure-compiled literal schedules: the compiled evaluation layer.
+"""Closure-compiled literals: the compiled evaluation layer.
 
 Evaluating a literal through its AST (``Literal.holds_for``) rebuilds an
 ``{(variable, attribute): value}`` assignment dict, walks the
 :class:`~repro.expr.expressions.Expression` tree through virtual
 ``evaluate`` calls, and dispatches the comparison through
-:meth:`~repro.expr.literals.Comparison.holds`.  This module compiles that
-work out of the search loop, once per ``(rule, order)``:
+:meth:`~repro.expr.literals.Comparison.holds`.  :func:`compile_literal`
+compiles that work out of the search loop; the plan compiler
+(:meth:`~repro.matching.plan.MatchPlan.schedule_for`) calls it once per
+literal per ``(rule, order)`` and keeps the closures on the plan's steps:
 
 * pattern variables map to *slot indices* in plan order, so a partial
   match becomes a flat list of attribute mappings (``slots[d]`` is the
@@ -29,9 +31,9 @@ assignment, which lets one closure serve premise checks (prune on
 ``False``) and conclusion checks (prune on ``True``) alike.
 
 Closures do not pickle.  :class:`~repro.matching.plan.MatchPlan` therefore
-excludes its compiled memo from ``__getstate__``; ``spawn``-style worker
-processes recompile lazily from the pickled plan they receive, ``fork``
-workers inherit the parent's closures for free.
+pickles as ``(rule, statistics, order)``; ``spawn``-style worker processes
+compile the schedules again from the plan they receive, ``fork`` workers
+inherit the parent's closures for free.
 
 Every literal a search evaluates runs through these closures; there is no
 interpreted path beside them.  ``Literal.holds_for`` stays the oracle: the
@@ -42,9 +44,8 @@ to its verdict on generated assignments.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
-from repro import obs
 from repro.errors import EvaluationError
 from repro.expr.expressions import (
     AbsoluteValue,
@@ -58,16 +59,9 @@ from repro.expr.expressions import (
 )
 from repro.expr.literals import COMPARISON_OPS, Literal
 from repro.expr.terms import Constant
-from repro.matching.candidates import STEP_COUNT_PREFIX
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.matching.candidates import MatchStatistics
-    from repro.matching.plan import MatchPlan, PlanStep
 
 __all__ = [
     "resolve_compiled",
-    "CompiledStep",
-    "CompiledSchedule",
     "compile_literal",
 ]
 
@@ -235,121 +229,3 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
         except Exception:
             return _slow(env)
     return check
-
-
-# ----------------------------------------------------------- compiled schedule
-
-
-class CompiledStep:
-    """The compiled literal schedule of one plan step.
-
-    ``unary_checks`` run during candidate filtering over a single node's
-    attribute mapping, parallel (in order) to ``PlanStep.unary_premise``;
-    ``premise_checks`` run after the step's variable binds, parallel to
-    ``PlanStep.premise_checks``; ``conclusion_check`` is present exactly
-    at the step ``PlanStep.check_conclusion`` marks, where a single-literal
-    conclusion becomes fully bound.
-
-    ``anchors`` is ``PlanStep.anchors`` by slot — ``(anchor's slot, True for
-    a successor view, edge label)`` — so the search core reads an anchor's
-    node off its id list; ``count_key`` is the step's scan-count key in
-    ``MatchStatistics.extra``, formatted here rather than per executed step.
-    """
-
-    __slots__ = ("unary_checks", "premise_checks", "conclusion_check", "anchors", "count_key")
-
-    def __init__(self, unary_checks, premise_checks, conclusion_check, anchors, count_key) -> None:
-        self.unary_checks = unary_checks
-        self.premise_checks = premise_checks
-        self.conclusion_check = conclusion_check
-        self.anchors = anchors
-        self.count_key = count_key
-
-    def pruned(self, slots, stats: "MatchStatistics") -> bool:
-        """Apply the step's bound-literal schedule; True when the branch is pruned.
-
-        Billing: one ``literal_evaluations`` per check actually reached,
-        short-circuit on the first pruning verdict.
-        """
-        for check in self.premise_checks:
-            stats.literal_evaluations += 1
-            if not check(slots):
-                return True
-        conclusion = self.conclusion_check
-        if conclusion is not None:
-            stats.literal_evaluations += 1
-            if conclusion(slots):
-                return True
-        return False
-
-
-class CompiledSchedule:
-    """One rule's fully compiled execution schedule for a fixed variable order."""
-
-    __slots__ = ("order", "slot_of", "steps", "premise_all", "conclusion_all", "_flat_bill")
-
-    def __init__(self, order, slot_of, steps, premise_all, conclusion_all) -> None:
-        self.order = order
-        self.slot_of = slot_of
-        self.steps = steps
-        self.premise_all = premise_all
-        self.conclusion_all = conclusion_all
-        self._flat_bill = len(premise_all) + len(conclusion_all)
-
-    @classmethod
-    def build(cls, plan: "MatchPlan", order, schedule) -> "CompiledSchedule":
-        """Compile the literal schedule of ``plan`` resolved for ``order``."""
-        rule = plan.rule
-        slot_of = {variable: index for index, variable in enumerate(order)}
-        conclusion_literals = rule.conclusion.literals()
-        single_conclusion = (
-            compile_literal(conclusion_literals[0], slot_of)
-            if len(conclusion_literals) == 1
-            else None
-        )
-        steps = []
-        for step in schedule:
-            unary = tuple(
-                compile_literal(plan.premise_literal(index), slot_of, direct=True)
-                for index in step.unary_premise
-            )
-            checks = tuple(
-                compile_literal(plan.premise_literal(index), slot_of)
-                for index in step.premise_checks
-            )
-            steps.append(
-                CompiledStep(
-                    unary,
-                    checks,
-                    single_conclusion if step.check_conclusion else None,
-                    tuple(
-                        (slot_of[anchor.variable], anchor.direction == "succ", anchor.edge_label)
-                        for anchor in step.anchors
-                    ),
-                    f"{STEP_COUNT_PREFIX}{rule.name}\x1f{step.variable}\x1f{step.strategy}",
-                )
-            )
-        premise_all = tuple(
-            compile_literal(literal, slot_of) for literal in rule.premise.literals()
-        )
-        conclusion_all = tuple(
-            compile_literal(literal, slot_of) for literal in conclusion_literals
-        )
-        obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
-        return cls(tuple(order), slot_of, tuple(steps), premise_all, conclusion_all)
-
-    def violates(self, slots, stats: "MatchStatistics") -> bool:
-        """Dependency check over a complete slot list: True when X holds and Y does not.
-
-        Billing: a flat ``len(premise) + len(conclusion)`` charged up front
-        regardless of where the conjunctions short-circuit.
-        """
-        stats.literal_evaluations += self._flat_bill
-        for check in self.premise_all:
-            if not check(slots):
-                return False
-        for check in self.conclusion_all:
-            if not check(slots):
-                return True
-        return False
-

@@ -10,15 +10,20 @@ separates *planning* from *execution*:
   indexed engines) and per-(node-label, edge-label) edge counts;
 * :func:`compile_plan` chooses a variable order greedily by estimated
   candidate cardinality — start from the rarest label, then repeatedly bind
-  the frontier variable whose anchored candidate set is estimated smallest —
-  and resolves, per step, the candidate *strategy* (``scan`` over the label
-  index vs ``anchored`` intersection of label-filtered adjacency views,
-  smallest set first) and the *literal schedule* (which premise literals
-  fire at which binding depth);
-* :class:`MatchPlan` is the immutable result.  ``schedule_for(order)``
-  resolves a step schedule for any variable order (seeded orders included),
-  so one plan serves batch search, pivot-seeded incremental search, and the
-  parallel work-unit kernels alike; resolved schedules are memoised.
+  the frontier variable whose anchored candidate set is estimated smallest;
+* :class:`MatchPlan` is the immutable result, ``(rule, statistics, order)``.
+  ``schedule_for(order)`` resolves and compiles, in one pass, the
+  :class:`Schedule` of any variable order (seeded orders included): one
+  :class:`PlanStep` per variable, holding its candidate *strategy*
+  (``scan`` over the label index vs ``anchored`` intersection of
+  label-filtered adjacency views, smallest set first), its *literal
+  schedule* (which premise literals fire at which binding depth) and those
+  literals as closures (:mod:`repro.matching.compiled`).  One plan serves
+  batch search, pivot-seeded incremental search, and the parallel work-unit
+  kernels alike; schedules are memoised;
+* :func:`step_candidates` is the one candidate generator: it executes a
+  step's strategy against the store, for the search's steps and the batch
+  kernels' seed scans alike.
 
 The one executor is the search core :class:`~repro.matching.search.RuleSearch`:
 the four detection kernels drive it, and ``HomomorphismMatcher`` is its view
@@ -36,18 +41,22 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from repro import obs
 from repro.core.ngd import NGD
-from repro.expr.literals import Literal
 from repro.graph.graph import WILDCARD, Graph
-from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import CompiledSchedule, CompiledStep
+from repro.matching.candidates import STEP_COUNT_PREFIX, MatchStatistics
+from repro.matching.compiled import compile_literal
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.graph.store import GraphStore
 
 __all__ = [
     "GraphStatistics",
     "Anchor",
     "PlanStep",
+    "Schedule",
     "MatchPlan",
     "compile_plan",
     "compile_plans",
@@ -172,16 +181,10 @@ class Anchor:
     edge_label: str
     direction: str
 
-    def view(self, graph: Graph, anchor_node: Hashable):
-        """Return the label-filtered adjacency view this anchor contributes."""
-        if self.direction == "succ":
-            return graph.successors_by_label(anchor_node, self.edge_label)
-        return graph.predecessors_by_label(anchor_node, self.edge_label)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class PlanStep:
-    """One variable binding of a compiled schedule.
+    """One variable binding of a compiled schedule: the ``Matchn`` step of Section 6.2.
 
     ``strategy`` is ``"scan"`` (enumerate the label index, filtered by the
     degree signature) or ``"anchored"`` (intersect the anchors' label-filtered
@@ -193,6 +196,15 @@ class PlanStep:
     single-literal conclusion is fully bound (a bound conclusion that already
     holds cannot become a violation, so the branch is pruned — Section 6.2,
     step (3)).
+
+    The step is also what runs: ``unary_checks``, ``checks`` and
+    ``conclusion_check`` are those literals closure-compiled against the
+    schedule's slots (:mod:`repro.matching.compiled`), in the order of
+    ``unary_premise`` and ``premise_checks``; ``anchor_slots`` is
+    ``anchors`` by slot — ``(anchor's slot, True for a successor view, edge
+    label)`` — so :func:`step_candidates` reads an anchor's node off the id
+    list; ``count_key`` is the step's scan-count key in
+    ``MatchStatistics.extra``.
     """
 
     variable: str
@@ -206,6 +218,28 @@ class PlanStep:
     premise_checks: tuple[int, ...]
     check_conclusion: bool
     estimated_candidates: float
+    anchor_slots: tuple[tuple[int, bool, str], ...]
+    unary_checks: tuple[Callable, ...]
+    checks: tuple[Callable, ...]
+    conclusion_check: Optional[Callable]
+    count_key: str
+
+    def pruned(self, slots, stats: MatchStatistics) -> bool:
+        """Apply the step's bound-literal schedule; True when the branch is pruned.
+
+        Billing: one ``literal_evaluations`` per check actually reached,
+        short-circuit on the first pruning verdict.
+        """
+        for check in self.checks:
+            stats.literal_evaluations += 1
+            if not check(slots):
+                return True
+        conclusion = self.conclusion_check
+        if conclusion is not None:
+            stats.literal_evaluations += 1
+            if conclusion(slots):
+                return True
+        return False
 
     def to_dict(self) -> dict:
         """Return the JSON form used by ``repro-detect explain --format json``."""
@@ -224,47 +258,70 @@ class PlanStep:
         }
 
 
+class Schedule:
+    """One rule's compiled steps for a fixed variable order, and its leaf check.
+
+    ``steps[d]`` binds ``order[d]`` to slot ``d``; ``declared_slots`` is the
+    slot of each pattern variable in declaration order, the order a
+    :class:`~repro.core.violations.Violation` lists its nodes in.
+    """
+
+    __slots__ = ("order", "steps", "declared_slots", "_premise", "_conclusion", "_flat_bill")
+
+    def __init__(self, order, steps, declared_slots, premise, conclusion) -> None:
+        self.order = order
+        self.steps = steps
+        self.declared_slots = declared_slots
+        self._premise = premise
+        self._conclusion = conclusion
+        self._flat_bill = len(premise) + len(conclusion)
+
+    def violates(self, slots, stats: MatchStatistics) -> bool:
+        """Dependency check over a complete slot list: True when X holds and Y does not.
+
+        Billing: a flat ``len(premise) + len(conclusion)`` charged up front
+        regardless of where the conjunctions short-circuit.
+        """
+        stats.literal_evaluations += self._flat_bill
+        for check in self._premise:
+            if not check(slots):
+                return False
+        for check in self._conclusion:
+            if not check(slots):
+                return True
+        return False
+
+
 class MatchPlan:
     """An immutable compiled execution plan for one NGD over one graph snapshot.
 
-    The root schedule (``steps`` / ``order``) drives batch search; seeded
-    searches (update pivots) ask :meth:`order_for_seed` for a cost-based
-    order beginning with the seed variables and :meth:`schedule_for` for the
-    matching step schedule.  Schedules are pure functions of
-    ``(statistics, rule, order)``; the internal memo tables only cache their
-    results, so a plan can be shared freely across threads and kernels.
+    A plan is ``(rule, statistics, order)``: ``order`` is the root variable
+    order batch search follows — the greedy cost-based one unless the caller
+    pins another — and ``steps`` its compiled schedule.  Seeded searches
+    (update pivots) ask :meth:`order_for_seed` for a cost-based order
+    beginning with the seed variables and :meth:`schedule_for` for its
+    schedule.  Schedules are pure functions of ``(statistics, rule, order)``;
+    the internal memo tables only cache their results, so a plan can be
+    shared freely across threads and kernels.
     """
 
-    __slots__ = (
-        "rule",
-        "statistics",
-        "steps",
-        "order",
-        "_premise_literals",
-        "_schedules",
-        "_seed_orders",
-        "_compiled",
-    )
+    __slots__ = ("rule", "statistics", "order", "steps", "_schedules", "_seed_orders")
 
     def __init__(
         self,
         rule: NGD,
         statistics: GraphStatistics,
-        steps: tuple[PlanStep, ...],
+        order: Optional[Sequence[str]] = None,
     ) -> None:
         self.rule = rule
         self.statistics = statistics
-        self.steps = steps
-        #: the cost-based root variable order
-        self.order: tuple[str, ...] = tuple(step.variable for step in steps)
-        self._premise_literals: tuple[Literal, ...] = rule.premise.literals()
-        self._schedules: dict[tuple[str, ...], tuple[PlanStep, ...]] = {self.order: steps}
+        self._schedules: dict[tuple[str, ...], Schedule] = {}
         self._seed_orders: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._compiled: dict[tuple[str, ...], CompiledSchedule] = {}
-
-    def premise_literal(self, index: int) -> Literal:
-        """Return the premise literal a schedule index refers to."""
-        return self._premise_literals[index]
+        #: the root variable order
+        self.order: tuple[str, ...] = (
+            _greedy_order(statistics, rule.pattern) if order is None else tuple(order)
+        )
+        self.steps: tuple[PlanStep, ...] = self.schedule_for(self.order).steps
 
     def order_for_seed(self, seed: Sequence[str]) -> tuple[str, ...]:
         """Return a cost-based order starting with ``seed`` (in the given order)."""
@@ -277,38 +334,27 @@ class MatchPlan:
             self._seed_orders[key] = cached
         return cached
 
-    def schedule_for(self, order: tuple[str, ...]) -> tuple[PlanStep, ...]:
-        """Return the step schedule for an arbitrary complete variable order.
+    def schedule_for(self, order: tuple[str, ...]) -> Schedule:
+        """Return the compiled schedule for an arbitrary complete variable order.
 
         Step ``d`` is compiled against the bound prefix ``order[:d]``, so the
         same schedule serves every work unit following ``order`` regardless
-        of how many leading variables its seed already bound.
+        of how many leading variables its seed already bound.  The root
+        order's schedule is built with the plan, each seeded (pivot) order's
+        on its first use.
         """
         cached = self._schedules.get(order)
         if cached is None:
-            cached = _steps_for_order(self.statistics, self.rule, order)
+            cached = _compile_schedule(self.statistics, self.rule, order)
             self._schedules[order] = cached
         return cached
 
-    def compiled_for(self, order: tuple[str, ...]) -> CompiledSchedule:
-        """Return the closure-compiled schedule for ``order`` (memoised).
-
-        Compiled schedules are pure functions of ``(rule, order,
-        schedule)``: the root order is built by :func:`compile_plans`, each
-        seeded (pivot) order on its first use.
-        """
-        cached = self._compiled.get(order)
-        if cached is None:
-            cached = CompiledSchedule.build(self, order, self.schedule_for(order))
-            self._compiled[order] = cached
-        return cached
-
     def __getstate__(self):
-        # the compiled memo holds closures, which do not pickle: a plan
-        # pickled to a spawn worker keeps its rule, statistics and root
-        # steps and recompiles lazily on first use; fork workers inherit
-        # this object (closures included) without pickling
-        return (self.rule, self.statistics, self.steps)
+        # the schedules hold closures, which do not pickle: a plan pickled to
+        # a spawn worker keeps its rule, statistics and order and compiles its
+        # schedules again there; fork workers inherit this object (closures
+        # included) without pickling
+        return (self.rule, self.statistics, self.order)
 
     def __setstate__(self, state) -> None:
         MatchPlan.__init__(self, *state)
@@ -330,7 +376,7 @@ class MatchPlan:
         Seeded (pivot) orders resolve through the memoised schedule, so the
         estimate is exact for incremental work units too.
         """
-        steps = self.steps if order == self.order else self.schedule_for(order)
+        steps = self.steps if order == self.order else self.schedule_for(order).steps
         cost = 1.0
         for step in steps[depth:]:
             cost *= max(step.estimated_candidates, 1.0)
@@ -426,9 +472,10 @@ def _greedy_order(stats: GraphStatistics, pattern, seed: Sequence[str] = ()) -> 
     return tuple(order)
 
 
-def _steps_for_order(stats: GraphStatistics, rule: NGD, order: tuple[str, ...]) -> tuple[PlanStep, ...]:
-    """Compile the per-step strategies and literal schedule for a fixed order."""
+def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...]) -> Schedule:
+    """Resolve and compile every step of ``order``: strategy, anchors, literal schedule, closures."""
     pattern = rule.pattern
+    slot_of = {variable: index for index, variable in enumerate(order)}
     premise_literals = rule.premise.literals()
     conclusion_literals = rule.conclusion.literals()
     single_conclusion = conclusion_literals[0] if len(conclusion_literals) == 1 else None
@@ -461,11 +508,12 @@ def _steps_for_order(stats: GraphStatistics, rule: NGD, order: tuple[str, ...]) 
             if single_conclusion.pattern_variables() <= now_bound:
                 check_conclusion = True
                 conclusion_done = True
+        strategy = "anchored" if anchors else "scan"
         steps.append(
             PlanStep(
                 variable=variable,
                 label=pattern.node(variable).label,
-                strategy="anchored" if anchors else "scan",
+                strategy=strategy,
                 anchors=anchors,
                 self_loops=self_loops,
                 out_labels=tuple(edge.label for edge in pattern.out_edges(variable)),
@@ -474,114 +522,145 @@ def _steps_for_order(stats: GraphStatistics, rule: NGD, order: tuple[str, ...]) 
                 premise_checks=tuple(checks),
                 check_conclusion=check_conclusion,
                 estimated_candidates=_estimate(stats, pattern, variable, anchors),
+                anchor_slots=tuple(
+                    (slot_of[anchor.variable], anchor.direction == "succ", anchor.edge_label)
+                    for anchor in anchors
+                ),
+                unary_checks=tuple(
+                    compile_literal(premise_literals[index], slot_of, direct=True) for index in unary
+                ),
+                checks=tuple(compile_literal(premise_literals[index], slot_of) for index in checks),
+                conclusion_check=(
+                    compile_literal(single_conclusion, slot_of) if check_conclusion else None
+                ),
+                count_key=f"{STEP_COUNT_PREFIX}{rule.name}\x1f{variable}\x1f{strategy}",
             )
         )
         bound = now_bound
-    return tuple(steps)
+    obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
+    return Schedule(
+        tuple(order),
+        tuple(steps),
+        tuple(slot_of[variable] for variable in pattern.variables),
+        tuple(compile_literal(literal, slot_of) for literal in premise_literals),
+        tuple(compile_literal(literal, slot_of) for literal in conclusion_literals),
+    )
 
 
 def compile_plan(graph: Graph, rule: NGD, statistics: Optional[GraphStatistics] = None) -> MatchPlan:
     """Compile one NGD into a :class:`MatchPlan` against ``graph``'s statistics."""
     stats = statistics if statistics is not None else GraphStatistics.from_graph(graph)
-    return MatchPlan(rule, stats, _steps_for_order(stats, rule, _greedy_order(stats, rule.pattern)))
+    return MatchPlan(rule, stats)
 
 
 def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
     """Compile every rule of an iterable/RuleSet, sharing one statistics pass.
 
-    Each plan's root :class:`CompiledSchedule` is built here too, so closure
+    Each plan's root schedule is closure-compiled here too, so closure
     compilation is billed inside the session's ``detect.compile_plans`` span
     rather than inside the first expansion of the search.
     """
     stats = GraphStatistics.from_graph(graph)
-    plans = [compile_plan(graph, rule, statistics=stats) for rule in rules]
-    for plan in plans:
-        plan.compiled_for(plan.order)
-    return tuple(plans)
+    return tuple(compile_plan(graph, rule, statistics=stats) for rule in rules)
 
 
 # ------------------------------------------------------------------- executor
 
 
-def _unary_rejects(checks, attrs, stats: MatchStatistics) -> bool:
-    """Run a step's compiled unary checks over one node's attribute mapping.
-
-    Billing: one ``literal_evaluations`` per check reached, stop at the
-    first rejection.
-    """
-    for check in checks:
-        stats.literal_evaluations += 1
-        if not check(attrs):
-            return True
-    return False
-
-
 def step_candidates(
-    graph: Graph,
-    plan: MatchPlan,
-    step: PlanStep,
-    partial: Mapping[str, Hashable],
-    stats: MatchStatistics,
-    compiled_step: CompiledStep,
+    store: GraphStore, step: PlanStep, ids: Sequence[Hashable], stats: MatchStatistics
 ) -> tuple[list[Hashable], int]:
-    """Execute one step's candidate strategy.
+    """Generate, filter and rank-sort the candidates of one step.
 
-    Returns ``(candidates, scanned)`` where ``candidates`` is rank-sorted and
-    already label- and unary-literal-filtered, and ``scanned`` is the size of
-    the index scan performed (the filtering cost the parallel cost model
-    charges).  Billing: one ``candidates_examined`` per node drawn from the
-    scanned index — identically for both strategies — plus one ``edge_checks``
-    per adjacency membership probe of the anchored intersection.
+    ``ids[slot]`` is the data node bound at each slot of the prefix the step
+    is anchored to.  Returns ``(candidates, scanned)``: ``candidates`` match
+    the step's label, unary premise literals and self-loops, and are sorted
+    by rank; ``scanned`` is the size of the index read (the filtering cost
+    the parallel cost model charges).  The step picks one of three branches:
 
-    The unary premise filter runs ``compiled_step``'s closures over the
-    node's attribute mapping; the anchored strategy probes the smallest
-    anchor view's nodes against the others, and the survivors of either
-    strategy are sorted by rank once.
+    * one anchor: the anchor's label-filtered adjacency view, as it is;
+    * several: the smallest anchor view, probed against the others;
+    * no anchor: scan the label index, filtered by the degree signature.
+
+    Billing: one ``candidates_examined`` per node drawn from the index read,
+    one ``edge_checks`` per adjacency membership probe of the intersection
+    and per self-loop probe, one ``literal_evaluations`` per unary check
+    reached (stopping at the first rejection).
     """
-    pattern_node = plan.rule.pattern.node(step.variable)
-    candidates: list[Hashable] = []
-    unary_checks = compiled_step.unary_checks
-
-    if step.strategy == "anchored":
-        views = [anchor.view(graph, partial[anchor.variable]) for anchor in step.anchors]
-        base_index = min(range(len(views)), key=lambda i: len(views[i]))
+    anchors = step.anchor_slots
+    label = None if step.label == WILDCARD else step.label
+    if len(anchors) == 1:
+        # the common step: one bound neighbour, whose view is the candidate set
+        slot, forward, edge_label = anchors[0]
+        pool = (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
+        scanned = len(pool)
+    elif anchors:
+        views = [
+            (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
+            for slot, forward, edge_label in anchors
+        ]
+        base_index = min(range(len(views)), key=lambda index: len(views[index]))
         base = views[base_index]
-        others = [view for i, view in enumerate(views) if i != base_index]
+        others = [view for index, view in enumerate(views) if index != base_index]
         scanned = len(base)
-        for node_id in base:
-            stats.candidates_examined += 1
-            if others:
-                stats.edge_checks += len(others)
-                if not all(node_id in view for view in others):
-                    continue
-            node = graph.node(node_id)
-            if not pattern_node.matches_label(node.label):
-                continue
-            if unary_checks and _unary_rejects(unary_checks, node.attributes, stats):
-                continue
-            candidates.append(node_id)
+        stats.edge_checks += scanned * len(others)
+        pool = [node_id for node_id in base if all(node_id in view for view in others)]
     else:
-        bucket = graph.nodes_with_label(step.label)
-        scanned = len(bucket)
-        for node_id in bucket:
-            stats.candidates_examined += 1
-            if step.out_labels:
-                available = graph.out_edge_labels(node_id)
-                if not all(label in available for label in step.out_labels):
-                    continue
-            if step.in_labels:
-                available = graph.in_edge_labels(node_id)
-                if not all(label in available for label in step.in_labels):
-                    continue
-            if unary_checks and _unary_rejects(unary_checks, graph.node(node_id).attributes, stats):
-                continue
-            candidates.append(node_id)
+        pool = store.all_node_ids() if label is None else store.nodes_with_label(label)
+        scanned = len(pool)
+        # the index is the label's, so only the degree signature remains
+        label = None
+        out_labels, in_labels = step.out_labels, step.in_labels
+        if out_labels or in_labels:
+            out_of, into = store.out_edge_labels, store.in_edge_labels
+            signed = []
+            for node_id in pool:
+                if out_labels:
+                    available = out_of(node_id)
+                    if not all(edge_label in available for edge_label in out_labels):
+                        continue
+                if in_labels:
+                    available = into(node_id)
+                    if not all(edge_label in available for edge_label in in_labels):
+                        continue
+                signed.append(node_id)
+            pool = signed
+    stats.candidates_examined += scanned
 
-    candidates.sort(key=graph.node_rank)
+    unary_checks = step.unary_checks
+    if label is None and not unary_checks:
+        candidates = list(pool)
+    else:
+        get_node = store.get_node
+        candidates = []
+        for candidate in pool:
+            node = get_node(candidate)
+            if label is not None and node.label != label:
+                continue
+            for check in unary_checks:
+                stats.literal_evaluations += 1
+                if not check(node.attributes):
+                    break
+            else:
+                candidates.append(candidate)
+    if step.self_loops:
+        # the one pattern edge no anchor covers: probe each candidate's loops in order
+        has_edge_key = store.has_edge_key
+        looped = []
+        for candidate in candidates:
+            for loop_label in step.self_loops:
+                stats.edge_checks += 1
+                if not has_edge_key((candidate, candidate, loop_label)):
+                    break
+            else:
+                looped.append(candidate)
+        candidates = looped
+    if len(candidates) > 1:
+        candidates.sort(key=store.node_rank)
     if scanned:
         # plain-dict accumulation: this is the match executor's hottest loop
         # and the registry flush happens once per run (flush_step_counts)
-        key = compiled_step.count_key
+        key = step.count_key
         stats.extra[key] = stats.extra.get(key, 0) + scanned
     return candidates, scanned
 
@@ -601,20 +680,14 @@ def resolve_plans(graph: Graph, rule_list, plans) -> tuple["MatchPlan", ...]:
     return compile_plans(graph, rule_list)
 
 
-def seed_candidates(graph: Graph, rule: NGD, plan: "MatchPlan", stats: MatchStatistics) -> tuple[list, float]:
+def seed_candidates(graph: Graph, plan: MatchPlan, stats: MatchStatistics) -> tuple[list, float]:
     """Return the seed candidates of a rule plus the scan cost charged for them.
 
-    Executes the compiled first step of the plan's root order; its scan size
-    is the charge.  A seed must also carry the first variable's self-loops —
-    the one pattern edge no later step verifies — at one ``edge_checks`` per
-    probe.  Used by the batch kernels (Dect / PDect) to seed their searches.
+    Executes the first step of the plan's root order, self-loops included;
+    its scan size is the charge.  Used by the batch kernels (Dect / PDect)
+    to seed their searches.
     """
-    first = plan.order[0]
-    candidates, scanned = step_candidates(graph, plan, plan.steps[0], {}, stats, plan.compiled_for(plan.order).steps[0])
-    for edge in rule.pattern.out_edges(first):
-        if edge.target == first:
-            stats.edge_checks += len(candidates)
-            candidates = [node for node in candidates if graph.has_edge(node, node, edge.label)]
+    candidates, scanned = step_candidates(graph.store, plan.steps[0], (), stats)
     return candidates, float(scanned)
 
 
@@ -629,12 +702,13 @@ def first_step_candidates(
 ) -> tuple[list, float]:
     """:func:`seed_candidates` under its old signature.
 
-    ``order`` must be the plan's root order.  ``use_literal_pruning`` and
-    ``compiled`` are ignored: the premise always prunes and the schedule is
-    always compiled.  The signature stays because the end-to-end
-    benchmark's seed-scan probe (``benchmarks/e2e/layers.py``) passes both.
+    ``rule`` must be the plan's rule and ``order`` its root order.
+    ``use_literal_pruning`` and ``compiled`` are ignored: the premise always
+    prunes and the schedule is always compiled.  The signature stays because
+    the end-to-end benchmark's seed-scan probe (``benchmarks/e2e/layers.py``)
+    passes all of them.
     """
-    return seed_candidates(graph, rule, plan, stats)
+    return seed_candidates(graph, plan, stats)
 
 
 # ------------------------------------------------------------------ reporting
@@ -643,6 +717,7 @@ def first_step_candidates(
 def format_plan(plan: MatchPlan) -> str:
     """Render a compiled plan for the terminal (``repro-detect explain``)."""
     lines = [f"{plan.rule.name}: order {' -> '.join(plan.order)}"]
+    premise = plan.rule.premise.literals()
     for depth, step in enumerate(plan.steps):
         if step.strategy == "anchored":
             via = ", ".join(
@@ -659,13 +734,13 @@ def format_plan(plan: MatchPlan) -> str:
         if step.unary_premise:
             schedule_bits.append(
                 "premise "
-                + "; ".join(str(plan.premise_literal(i)) for i in step.unary_premise)
+                + "; ".join(str(premise[i]) for i in step.unary_premise)
                 + " (during filtering)"
             )
         if step.premise_checks:
             schedule_bits.append(
                 "premise "
-                + "; ".join(str(plan.premise_literal(i)) for i in step.premise_checks)
+                + "; ".join(str(premise[i]) for i in step.premise_checks)
                 + " (on binding)"
             )
         if step.check_conclusion:

@@ -4,10 +4,13 @@ Dect and IncDect are the same search (Section 6.2): pick the next variable
 of the matching order, generate its candidates from the bound prefix, verify
 them, fire the literals that became fully bound, descend.
 :class:`RuleSearch` is that loop written once over a compiled
-:class:`~repro.matching.plan.MatchPlan`.  The partial match lives in two
-mutable lists — ``ids[d]`` the data node bound at position ``d`` of the
-order, ``slots[d]`` its attribute mapping, which the closure-compiled
-literals read — and the pending work in an explicit LIFO stack of *frames*
+:class:`~repro.matching.plan.MatchPlan`: each step runs one
+:class:`~repro.matching.plan.PlanStep` of the schedule of its order, whose
+candidates come from :func:`~repro.matching.plan.step_candidates`.  The
+partial match lives in two mutable lists — ``ids[d]`` the data node bound at
+position ``d`` of the order, ``slots[d]`` its attribute mapping, which the
+closure-compiled literals read — and the pending work in an explicit LIFO
+stack of *frames*
 ``(depth, node id, attributes, order)``: "bind this node at this depth, then
 run step ``depth + 1`` of the schedule of ``order``".  Nothing else is
 allocated per partial match.
@@ -38,9 +41,9 @@ from typing import Optional
 from repro.core.ngd import NGD
 from repro.core.violations import Violation
 from repro.errors import ExecutionError
-from repro.graph.graph import WILDCARD, Graph
+from repro.graph.graph import Graph
 from repro.matching.candidates import MatchStatistics
-from repro.matching.plan import MatchPlan, PlanStep, step_candidates
+from repro.matching.plan import MatchPlan, step_candidates
 
 __all__ = ["RuleSearch"]
 
@@ -64,7 +67,7 @@ class RuleSearch:
     __slots__ = (
         "rule", "plan", "stats", "graph", "ids", "slots", "stack", "order",
         "filtering", "verification",
-        "_check", "_variables", "_schedule", "_program", "_vector",
+        "_check", "_variables", "_schedule",
     )  # fmt: skip
 
     def __init__(
@@ -119,10 +122,11 @@ class RuleSearch:
         """Expand the top frame; return the bindings it completed that the leaf kept.
 
         Children are pushed in rank order, so they pop in descending rank and
-        the leaves of a last step come out ascending.  The plan's
-        anchored intersection enforces every pattern edge between the step's
-        variable and the bound prefix during candidate generation; what is
-        left per candidate is the self-loops and the scheduled literals.
+        the leaves of a last step come out ascending.  The step's candidates
+        come from :func:`~repro.matching.plan.step_candidates`, which enforces
+        every pattern edge between the step's variable and the bound prefix,
+        its self-loops included; what is left per candidate is the scheduled
+        literals.
         """
         depth, node_id, attrs, order = self.stack.pop()
         ids, slots, stats, store = self.ids, self.slots, self.stats, self.graph.store
@@ -139,45 +143,16 @@ class RuleSearch:
             leaf = self._leaf()
             return [leaf] if leaf is not None else []
 
-        step = self._schedule[depth]
-        entry = self._program.steps[depth]
-        get_node = store.get_node
-        if len(entry.anchors) == 1:
-            # the common step: one bound neighbour, read its label-filtered view directly
-            slot, forward, edge_label = entry.anchors[0]
-            view = (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
-            scanned = len(view)
-            stats.candidates_examined += scanned
-            label = None if step.label == WILDCARD else step.label
-            candidates = []
-            for candidate in view:
-                node = get_node(candidate)
-                if label is not None and node.label != label:
-                    continue
-                for check in entry.unary_checks:
-                    stats.literal_evaluations += 1
-                    if not check(node.attributes):
-                        break
-                else:
-                    candidates.append(candidate)
-            if len(candidates) > 1:
-                candidates.sort(key=store.node_rank)
-            if scanned:
-                stats.extra[entry.count_key] = stats.extra.get(entry.count_key, 0) + scanned
-        else:
-            partial = dict(zip(order, ids[:depth]))
-            candidates, scanned = step_candidates(self.graph, self.plan, step, partial, stats, entry)
-
+        step = self._schedule.steps[depth]
+        candidates, scanned = step_candidates(store, step, ids, stats)
         last = depth + 1 == len(ids)
-        scheduled = bool(entry.premise_checks) or entry.conclusion_check is not None
+        scheduled = bool(step.checks) or step.conclusion_check is not None
+        get_node = store.get_node
         found: list[Violation] = []
-        verification = expanded = 0
+        expanded = 0
         for candidate in candidates:
-            if step.self_loops and not self._loops_hold(step, candidate):
-                continue
-            verification += 1
             attrs = slots[depth] = get_node(candidate).attributes
-            if scheduled and entry.pruned(slots, stats):
+            if scheduled and step.pruned(slots, stats):
                 continue
             expanded += 1
             if not last:
@@ -188,26 +163,18 @@ class RuleSearch:
             if leaf is not None:
                 found.append(leaf)
         stats.expansions += expanded
-        self.filtering, self.verification = scanned, verification
+        self.filtering, self.verification = scanned, len(candidates)
         return found
 
     def _follow(self, order: tuple[str, ...]) -> None:
         """Switch to the (memoised) schedule of ``order``."""
         self.order = order
         self._schedule = self.plan.schedule_for(order)
-        self._program = program = self.plan.compiled_for(order)
-        self._vector = tuple(map(program.slot_of.__getitem__, self._variables))
-
-    def _loops_hold(self, step: PlanStep, candidate: Hashable) -> bool:
-        for label in step.self_loops:
-            self.stats.edge_checks += 1
-            if not self.graph.store.has_edge_key((candidate, candidate, label)):
-                return False
-        return True
 
     def _leaf(self) -> Optional[Violation]:
         """Return the complete binding in ``ids`` / ``slots``, if the leaf keeps it."""
-        if self._check and not self._program.violates(self.slots, self.stats):
+        schedule = self._schedule
+        if self._check and not schedule.violates(self.slots, self.stats):
             return None
         self.stats.matches_emitted += 1
-        return Violation(self.rule.name, self._variables, tuple([self.ids[slot] for slot in self._vector]))
+        return Violation(self.rule.name, self._variables, tuple([self.ids[slot] for slot in schedule.declared_slots]))

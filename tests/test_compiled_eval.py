@@ -45,8 +45,9 @@ from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import CompiledSchedule, compile_literal, resolve_compiled
+from repro.matching.compiled import compile_literal, resolve_compiled
 from repro.matching.plan import (
+    Schedule,
     compile_plans,
     first_step_candidates,
     seed_candidates,
@@ -420,13 +421,13 @@ def test_evaluation_error_accounting_parity():
 def test_match_plan_pickles_after_compilation(product_graph, heavy_rules):
     rule = list(heavy_rules)[0]
     plan = compile_plans(product_graph, [rule])[0]
-    schedule = plan.compiled_for(plan.order)
-    assert isinstance(schedule, CompiledSchedule)
+    schedule = plan.schedule_for(plan.order)
+    assert isinstance(schedule, Schedule)
     clone = pickle.loads(pickle.dumps(plan))
     assert clone.order == plan.order
-    # the clone starts memo-free and recompiles on demand
-    recompiled = clone.compiled_for(clone.order)
-    assert recompiled.order == schedule.order
+    # the clone compiles its root schedule again from (rule, statistics, order)
+    recompiled = clone.schedule_for(clone.order)
+    assert recompiled is not schedule and recompiled.order == schedule.order
 
 
 def test_resolve_compiled_reads_no_switch(monkeypatch):
@@ -453,11 +454,11 @@ def test_first_step_candidates_ignores_its_pruning_argument(product_graph, heavy
     # the old signature's pruning flag no longer turns the unary premise filter off
     for rule, plan in zip(heavy_rules, compile_plans(product_graph, heavy_rules)):
         seeded_stats, passed_stats = MatchStatistics(), MatchStatistics()
-        seeded = seed_candidates(product_graph, rule, plan, seeded_stats)
+        seeded = seed_candidates(product_graph, plan, seeded_stats)
         passed = first_step_candidates(product_graph, rule, plan, plan.order, False, passed_stats)
         assert passed == seeded
         assert _stats_tuple(passed_stats) == _stats_tuple(seeded_stats)
-    assert any(plan.compiled_for(plan.order).steps[0].unary_checks for plan in compile_plans(product_graph, heavy_rules))
+    assert any(plan.steps[0].unary_checks for plan in compile_plans(product_graph, heavy_rules))
 
 
 def test_triangle_multi_anchor_parity():

@@ -56,7 +56,7 @@ def test_every_engine_and_backend_bills_the_compiled_order(hub_graph, rules, eng
 def pinned_plan(hub_graph, rules):
     """The hub rule's plan pinned to ``x, z, y``, where a compile orders ``x, y, z``."""
     (plan,) = compile_plans(hub_graph, rules)
-    return MatchPlan(plan.rule, plan.statistics, plan.schedule_for(("x", "z", "y")))
+    return MatchPlan(plan.rule, plan.statistics, ("x", "z", "y"))
 
 
 def test_a_pinned_plan_runs_its_order(hub_graph, rules, pinned_plan):

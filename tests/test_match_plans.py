@@ -10,6 +10,7 @@ oracle for ΔVio.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,7 +122,7 @@ class TestPlanCompiler:
         for index in range(2, len(order)):
             assert plan.rule.pattern.neighbours(order[index]) & set(order[:index])
         schedule = plan.schedule_for(order)
-        assert tuple(step.variable for step in schedule) == order
+        assert tuple(step.variable for step in schedule.steps) == order
 
     def test_statistics_snapshot(self):
         graph = figure1_g2()
@@ -241,7 +242,7 @@ class TestPlannerWins:
         rules = [NGD.from_text(pattern, "x.val >= 0", "y.val < x.val", name="skew_rule")]
         plan = compile_plan(graph, rules[0])
         assert plan.order == ("y", "x")
-        declared = MatchPlan(rules[0], plan.statistics, plan.schedule_for(("x", "y")))
+        declared = MatchPlan(rules[0], plan.statistics, ("x", "y"))
         planned = drain(iter_dect(graph, rules, plans=(plan,)))
         static = drain(iter_dect(graph, rules, plans=(declared,)))
         assert planned.violations.to_json() == static.violations.to_json()
@@ -262,7 +263,7 @@ class TestPlannerWins:
             plan = matcher.plan
             backwards = tuple(reversed(plan.order))
             reordered += backwards != plan.order
-            pinned = MatchPlan(plan.rule, plan.statistics, plan.schedule_for(backwards))
+            pinned = MatchPlan(plan.rule, plan.statistics, backwards)
             search = RuleSearch(pinned, MatchStatistics(), all_matches=True)
             search.start(graph, pinned.order, ())
             reached = set()
@@ -356,3 +357,22 @@ class TestExplainCli:
         for plan in document["plans"]:
             assert plan["order"]
             assert all("strategy" in step for step in plan["steps"])
+
+    @pytest.mark.parametrize("output_format", ("text", "json"))
+    @pytest.mark.parametrize("rules", ("example", "effectiveness"))
+    def test_output_matches_the_recording(self, tmp_path, monkeypatch, capsys, rules, output_format):
+        """``explain`` on Figure-1 G2 prints exactly the recorded bytes.
+
+        The recordings in ``tests/data/explain_g2_*`` are the output of
+        ``repro-detect explain g2.json --rules RULES [--format json]`` run in
+        the directory holding ``g2.json``; regenerate them only on purpose.
+        """
+        from repro.cli import main
+        from repro.graph.io import save_graph
+
+        monkeypatch.chdir(tmp_path)
+        save_graph(figure1_g2(), "g2.json")
+        assert main(["explain", "g2.json", "--rules", rules, "--format", output_format]) == 0
+        suffix = "txt" if output_format == "text" else "json"
+        recording = Path(__file__).parent / "data" / f"explain_g2_{rules}.{suffix}"
+        assert capsys.readouterr().out == recording.read_text(encoding="utf-8")

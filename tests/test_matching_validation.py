@@ -183,7 +183,7 @@ class TestHomomorphismMatcher:
     def test_match_violates_dependency(self, triangle_graph, knows_rule):
         # the leaf's X -> Y check over the slots of a complete binding
         plan = compile_plan(triangle_graph, knows_rule)
-        schedule = plan.compiled_for(plan.order)
+        schedule = plan.schedule_for(plan.order)
         stats = MatchStatistics()
 
         def slots(match):

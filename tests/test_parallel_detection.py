@@ -12,7 +12,7 @@ from repro.core.violations import ViolationDelta
 from repro.datasets.kb import KBConfig, knowledge_graph, yago_like
 from repro.datasets.rules import benchmark_rules
 from repro.detect import BalancingPolicy, DetectionOptions, Detector
-from repro.detect.parallel.balancing import plan_rebalancing, should_split, skewness
+from repro.detect.parallel.balancing import plan_rebalancing, should_split_planned, skewness
 from repro.detect.parallel.cluster import ClusterSimulator
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
 from repro.errors import ClusterError
@@ -110,12 +110,13 @@ class TestBalancingPolicy:
         assert BalancingPolicy.none().variant_suffix() == "NO"
 
     def test_should_split_threshold(self):
+        # an estimate of 0.0 leaves the paper's test on the adjacency alone:
         # sequential cost 1000 vs parallel 60*(1+1) + 1000/8 = 245 → split
-        assert should_split(1000, matched_depth=1, processors=8, latency=60)
+        assert should_split_planned(0.0, 1000, matched_depth=1, processors=8, latency=60)
         # tiny adjacency is never worth a broadcast
-        assert not should_split(10, matched_depth=1, processors=8, latency=60)
+        assert not should_split_planned(0.0, 10, matched_depth=1, processors=8, latency=60)
         # a single processor can never split
-        assert not should_split(10_000, matched_depth=1, processors=1, latency=60)
+        assert not should_split_planned(0.0, 10_000, matched_depth=1, processors=1, latency=60)
 
     def test_skewness(self):
         values = skewness([9, 1, 1, 1])

@@ -28,7 +28,7 @@ from repro.datasets.figure1 import figure1_g2
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
 from repro.detect import DetectionOptions, Detector
-from repro.detect.parallel.balancing import should_split, should_split_planned
+from repro.detect.parallel.balancing import should_split_planned
 from repro.detect.parallel.executor import ExecutionRuntime
 from repro.errors import PoolSaturatedError, ServiceError, SessionError
 from repro.graph.updates import UpdateGenerator
@@ -318,16 +318,16 @@ class TestStreaming:
 
 class TestPlanGuidedSplitting:
     def test_subsumes_raw_predicate(self):
-        # whenever the raw test splits, the planned test (workload = max of
-        # estimate and actual) splits too
+        # whenever the raw test (estimate 0.0: the adjacency alone) splits,
+        # the planned test (workload = max of estimate and actual) splits too
         for adjacency in (10, 100, 1000, 10_000):
             for estimate in (0.0, 5.0, 500.0, 1e6):
-                if should_split(adjacency, 1, 8, 60.0):
+                if should_split_planned(0.0, adjacency, 1, 8, 60.0):
                     assert should_split_planned(estimate, adjacency, 1, 8, 60.0)
 
     def test_large_subtree_small_scan_splits(self):
         # raw predicate refuses (scan of 8 is tiny); the subtree estimate knows better
-        assert not should_split(8, 1, 8, 60.0)
+        assert not should_split_planned(0.0, 8, 1, 8, 60.0)
         assert should_split_planned(10_000.0, 8, 1, 8, 60.0)
 
     def test_single_processor_never_splits(self):

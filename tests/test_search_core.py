@@ -225,6 +225,16 @@ def self_loop_rule() -> RuleSet:
     return RuleSet([NGD.from_text(pattern, "", "y.val = 1", name="loop")])
 
 
+def later_self_loop_rule() -> RuleSet:
+    pattern = Pattern.from_edges("later", nodes=[("x", "a"), ("y", "a")], edges=[("x", "y", "p"), ("y", "y", "p")])
+    return RuleSet([NGD.from_text(pattern, "", "y.val = 1", name="later")])
+
+
+def billed(result) -> tuple:
+    """``(cost, edge_checks, candidates_examined, expansions)`` of a kernel result."""
+    return result.cost, result.stats.edge_checks, result.stats.candidates_examined, result.stats.expansions
+
+
 def test_a_seed_must_carry_the_first_variables_self_loop():
     # found by the differential above: no later step verifies that pattern edge
     graph = Graph("loops")
@@ -234,9 +244,25 @@ def test_a_seed_must_carry_the_first_variables_self_loop():
         graph.add_edge(source, target, "p")
     rules = self_loop_rule()
     assert naive_reference.violations(graph, rules) == {("loop", (0, 0)), ("loop", (0, 1))}
+    # the loop on the first variable (a seed) and on a later one (a step's
+    # candidates): one edge_checks per self-loop probe, either way
+    later = later_self_loop_rule()
+    assert naive_reference.violations(graph, later) == {("later", (0, 0))}
+    inserted = BatchUpdate().insert(1, 1, "p")
     for store in STORES:
-        result = finish(iter_dect(graph.with_backend(new_store(store)), rules))[1]
+        backed = graph.with_backend(new_store(store))
+        result = finish(iter_dect(backed, rules))[1]
         assert as_pairs(result.violations) == {("loop", (0, 0)), ("loop", (0, 1))}, store
+        assert billed(result) == (7.0, 2, 5, 2), store
+        result = finish(iter_dect(backed, later))[1]
+        assert as_pairs(result.violations) == {("later", (0, 0))}, store
+        assert billed(result) == (7.0, 3, 6, 1), store
+        result = finish(iter_inc_dect(backed, rules, inserted))[1]
+        assert as_pairs(result.delta.introduced) == {("loop", (1, 1)), ("loop", (1, 2))}, store
+        assert billed(result) == (7.0, 0, 2, 2), store
+        result = finish(iter_inc_dect(backed, later, inserted))[1]
+        assert as_pairs(result.delta.introduced) == {("later", (0, 1)), ("later", (1, 1))}, store
+        assert billed(result) == (7.0, 0, 2, 2), store
     single = RuleSet([NGD.from_text(Pattern.from_edges("one", [("x", "a")], [("x", "x", "p")]), "", "x.val = 1")])
     assert as_pairs(finish(iter_dect(graph, single))[1].violations) == naive_reference.violations(graph, single)
 
@@ -475,7 +501,7 @@ def test_lockstep_dect_stops_where_the_stepped_run_stops(hub_graph, hub_rules):
 def test_lockstep_dect_with_a_declared_order(hub_graph, hub_rules):
     # a run executes the order it is handed, not the one it would compile
     (compiled,) = compile_plans(hub_graph, hub_rules)
-    declared = MatchPlan(compiled.rule, compiled.statistics, compiled.schedule_for(("z", "x", "y")))
+    declared = MatchPlan(compiled.rule, compiled.statistics, ("z", "x", "y"))
     assert declared.order != compiled.order
     result = dect_both_ways(hub_graph, hub_rules, plans=(declared,))
     default = dect_both_ways(hub_graph, hub_rules)
