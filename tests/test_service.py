@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,7 @@ from repro.datasets.rules import benchmark_rules
 from repro.detect import Detector
 from repro.errors import SerializationError, ServiceError, UpdateError
 from repro.graph.graph import Graph
-from repro.graph.io import graph_to_dict, save_graph
+from repro.graph.io import graph_to_dict, save_graph, update_to_list
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
 from repro.service import (
     DetectRequest,
@@ -368,6 +370,158 @@ class TestServiceEndpoints:
         assert len(reply) == 3
         assert reply.summary["algorithm"] == "PDect"
         assert reply.summary["processors"] == 4
+
+
+# ------------------------------------------------------------ status matrix
+
+
+def _exact(text: str) -> str:
+    return re.escape(text)
+
+
+def _prefix(text: str) -> str:
+    return re.escape(text) + ".*"
+
+
+_GRAPH_DOC = graph_to_dict(multi_area_graph(1))
+_UPDATE_DOC = update_to_list(BatchUpdate().delete("area0", "f0", "femalePopulation"))
+_RULES_DOC = RuleSet([phi2()], name="more").to_dict()
+_NOT_JSON = b"{not json"
+_NO_DURABILITY = "no durability layer: the service was started without --data-dir"
+
+#: ``(method, path, body, status, error)``: ``body`` is None (no body), raw
+#: bytes, or a document sent as JSON; ``error`` is None on success, else a
+#: pattern the whole ``error`` text of the JSON reply must match.
+STATUS_MATRIX = [
+    # every route's success status
+    ("GET", "/health", None, 200, None),
+    ("GET", "/health?probe=1", None, 200, None),
+    ("GET", "/graphs", None, 200, None),
+    ("POST", "/graphs/h", _GRAPH_DOC, 201, None),
+    ("GET", "/graphs/g", None, 200, None),
+    ("GET", "/graphs/g/", None, 200, None),
+    ("POST", "/graphs/g/updates", _UPDATE_DOC, 200, None),
+    ("POST", "/graphs/g/detect", {"catalog": "example"}, 200, None),
+    ("POST", "/graphs/g/sessions", {"catalog": "example"}, 201, None),
+    ("GET", "/sessions", None, 200, None),
+    ("GET", "/sessions/s1", None, 200, None),
+    ("GET", "/sessions/s1/deltas?since=0", None, 200, None),
+    ("DELETE", "/sessions/s1", None, 200, None),
+    ("GET", "/rules", None, 200, None),
+    ("POST", "/rules/more", _RULES_DOC, 201, None),
+    ("GET", "/metrics", None, 200, None),
+    ("GET", "/debug/traces", None, 200, None),
+    ("GET", "/debug/traces?limit=5", None, 200, None),
+    # unknown graph, session or catalog
+    ("GET", "/graphs/missing", None, 404, _exact("no graph registered under 'missing'")),
+    ("POST", "/graphs/missing/updates", [], 404, _exact("no graph registered under 'missing'")),
+    ("POST", "/graphs/missing/detect", {"catalog": "example"}, 404, _exact("no graph registered under 'missing'")),
+    ("POST", "/graphs/missing/sessions", {"catalog": "example"}, 404, _exact("no graph registered under 'missing'")),
+    ("GET", "/sessions/nope", None, 404, _exact("no session 'nope'")),
+    ("GET", "/sessions/nope/deltas", None, 404, _exact("no session 'nope'")),
+    ("DELETE", "/sessions/nope", None, 404, _exact("no session 'nope'")),
+    ("POST", "/graphs/g/detect", {"catalog": "nope"}, 404, _exact("no rule catalog registered under 'nope'")),
+    ("POST", "/graphs/g/sessions", {"catalog": "nope"}, 404, _exact("no rule catalog registered under 'nope'")),
+    # duplicate registrations
+    ("POST", "/graphs/g", _GRAPH_DOC, 409, _exact("graph 'g' is already registered")),
+    ("POST", "/rules/example", _RULES_DOC, 409, _exact("rule catalog 'example' is already registered")),
+    # malformed-but-JSON bodies and bad parameters
+    ("POST", "/graphs/bad", {"nodes": 5, "edges": []}, 400, _prefix("graph document is malformed: ")),
+    ("POST", "/graphs/bad", [], 400, _exact("graph registration body must be a graph JSON document")),
+    ("POST", "/graphs/g/updates", ["notadict"], 400, _prefix("update document is malformed: ")),
+    ("POST", "/graphs/g/updates", {}, 400, _exact("update body must be a list of unit-update objects")),
+    ("POST", "/rules/bad", {"rules": [42]}, 400, _exact("NGD document must be a dict with a 'pattern' entry")),
+    ("POST", "/rules/bad", {"rules": 5}, 400, _exact("rule-set document must be a dict with a 'rules' list")),
+    ("POST", "/rules/bad", [], 400, _exact("catalog body must be a RuleSet JSON document")),
+    ("POST", "/graphs/g/detect", {}, 400, _exact("detect request must carry inline 'rules' or name a 'catalog'")),
+    ("POST", "/graphs/g/sessions", {"catalog": "example", "max_violations": 1}, 400,
+     _prefix("continuous sessions cannot run under a budget")),
+    ("GET", "/sessions/s1/deltas?since=x", None, 400, _exact("'since' must be an integer version, got 'x'")),
+    ("GET", "/debug/traces?limit=0", None, 400, _exact("'limit' must be >= 1, got 0")),
+    ("GET", "/debug/traces?limit=x", None, 400, _exact("'limit' must be an integer, got 'x'")),
+    # invalid JSON is refused before routing, on a known and an unknown path
+    ("POST", "/graphs/g/updates", _NOT_JSON, 400, _prefix("request body is not valid JSON: ")),
+    ("POST", "/nowhere", _NOT_JSON, 400, _prefix("request body is not valid JSON: ")),
+    # no route matches
+    ("GET", "/", None, 404, _exact("no resource at '/'")),
+    ("GET", "/nowhere", None, 404, _exact("no resource at '/nowhere'")),
+    ("POST", "/nowhere", {}, 404, _exact("no resource at '/nowhere'")),
+    ("GET", "/health/x", None, 404, _exact("no resource at '/health/x'")),
+    ("POST", "/health", None, 404, _exact("no resource at '/health'")),
+    ("GET", "/graphs/g/x", None, 404, _exact("no resource at '/graphs/g/x'")),
+    ("POST", "/graphs/g/x", {}, 404, _exact("no resource at '/graphs/g/x'")),
+    ("GET", "/graphs/g/updates", None, 404, _exact("no resource at '/graphs/g/updates'")),
+    ("DELETE", "/graphs/g", None, 404, _exact("no resource at '/graphs/g'")),
+    ("GET", "/sessions/s1/x", None, 404, _exact("no resource at '/sessions/s1/x'")),
+    ("DELETE", "/sessions", None, 404, _exact("no resource at '/sessions'")),
+    ("DELETE", "/sessions/s1/deltas", None, 404, _exact("no resource at '/sessions/s1/deltas'")),
+    ("GET", "/rules/example", None, 404, _exact("no resource at '/rules/example'")),
+    ("GET", "/rules/example/x", None, 404, _exact("no resource at '/rules/example/x'")),
+    ("GET", "/metrics/x?y=1", None, 404, _exact("no resource at '/metrics/x?y=1'")),
+    ("GET", "/debug/x", None, 404, _exact("no resource at '/debug/x'")),
+    ("GET", "/debug/traces/x", None, 404, _exact("no resource at '/debug/traces/x'")),
+    ("GET", "/admin/checkpoint", None, 404, _exact("no resource at '/admin/checkpoint'")),
+    ("POST", "/admin/x", None, 404, _exact("no resource at '/admin/x'")),
+    ("POST", "/admin/checkpoint", None, 404, _exact(_NO_DURABILITY)),
+]
+
+
+class TestStatusMatrix:
+    """Every route's status and ``error`` text, on the wire.
+
+    Each case runs against a fresh service holding graph ``g`` (one φ2
+    area), the ``example`` catalog and session ``s1`` on ``g``.
+    """
+
+    @staticmethod
+    def _serve(data_dir=None) -> DetectionService:
+        svc = DetectionService(port=0, data_dir=data_dir)
+        svc.manager.register_catalog("example", example_rules())
+        svc.registry.register("g", multi_area_graph(1))
+        svc.start()
+        ServiceClient(svc.url).create_session("g", catalog="example")
+        return svc
+
+    @staticmethod
+    def _call(svc: DetectionService, method: str, path: str, body: object) -> tuple[int, object]:
+        """Send one request; return its status and its JSON document (None if not JSON)."""
+        host, port = svc.address
+        connection = HTTPConnection(host, port, timeout=30)
+        payload = body if isinstance(body, bytes) or body is None else json.dumps(body).encode()
+        try:
+            connection.request(method, path, body=payload)
+            response = connection.getresponse()
+            raw = response.read()
+            is_json = response.getheader("Content-Type", "").startswith("application/json")
+            return response.status, json.loads(raw) if is_json else None
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "method, path, body, status, error",
+        STATUS_MATRIX,
+        ids=[f"{m} {p} {s}#{i}" for i, (m, p, _, s, _) in enumerate(STATUS_MATRIX)],
+    )
+    def test_status_and_error_text(self, method, path, body, status, error):
+        svc = self._serve()
+        try:
+            got, document = self._call(svc, method, path, body)
+        finally:
+            svc.stop()
+        assert got == status, document
+        if error is None:
+            assert not (isinstance(document, dict) and "error" in document), document
+        else:
+            assert re.fullmatch(error, document["error"]), document
+
+    def test_checkpoint_succeeds_with_a_data_dir(self, tmp_path):
+        svc = self._serve(data_dir=str(tmp_path))
+        try:
+            got, document = self._call(svc, "POST", "/admin/checkpoint", None)
+        finally:
+            svc.stop()
+        assert got == 200
+        assert "error" not in document
 
 
 # ------------------------------------------------- concurrency / isolation
