@@ -33,7 +33,6 @@ from repro.expr.expressions import (
     AbsoluteValue,
     Add,
     Divide,
-    EvaluationError,
     Multiply,
     Negate,
     Subtract,

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.validation import find_violations, graph_satisfies
+from repro.core.validation import find_violations
 from repro.datasets.figure1 import figure1_graphs
-from repro.datasets.kb import DBPEDIA_CONFIG, KBConfig, dbpedia_like, knowledge_graph, pokec_like, yago_like
+from repro.datasets.kb import KBConfig, dbpedia_like, knowledge_graph, pokec_like, yago_like
 from repro.datasets.rules import benchmark_rules, graph_schema, rules_with_diameter
 from repro.datasets.synthetic import synthetic_graph
 from repro.discovery import DiscoveryConfig, discover_ngds, mine_frequent_patterns

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.builtin_rules import example_rules, phi4
+from repro.core.builtin_rules import phi4
 from repro.core.ngd import NGD, RuleSet
 from repro.core.validation import find_violations
 from repro.core.violations import ViolationDelta

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import EvaluationError, ExpressionError
-from repro.expr.expressions import AbsoluteValue, Add, Divide, Multiply, Negate, Subtract, as_expression, const, var
+from repro.expr.expressions import AbsoluteValue, Add, Divide, Multiply, Negate, Subtract, as_expression, var
 from repro.expr.terms import AttributeTerm, Constant, as_term
 
 

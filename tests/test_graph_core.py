@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DuplicateNode, EdgeNotFound, GraphError, NodeNotFound, PatternError
+from repro.errors import DuplicateNode, EdgeNotFound, NodeNotFound, PatternError
 from repro.graph.graph import WILDCARD, Graph, Node
 from repro.graph.pattern import Pattern
 

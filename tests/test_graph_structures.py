@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import GraphError, UpdateError
 from repro.graph.generators import chain_graph, community_graph, power_law_graph, random_labeled_graph, star_graph
-from repro.graph.graph import Graph
 from repro.graph.io import (
     graph_from_dict,
     graph_to_dict,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.implication import minimal_cover
-from repro.core.ngd import NGD, RuleSet
+from repro.core.ngd import RuleSet
 from repro.core.satisfiability import is_satisfiable
 from repro.core.validation import find_violations
 from repro.core.violations import ViolationDelta

@@ -15,14 +15,12 @@ from repro.core.builtin_rules import (
     phi3,
     phi4,
 )
-from repro.core.ngd import NGD, RuleSet, cfd_as_ngd, gfd
+from repro.core.ngd import NGD, cfd_as_ngd, gfd
 from repro.core.validation import find_violations, graph_satisfies
 from repro.core.violations import Violation, ViolationDelta, ViolationSet
 from repro.datasets.figure1 import days_since_epoch
 from repro.errors import DependencyError, NonLinearExpressionError
-from repro.expr.parser import parse_literal_set
 from repro.graph.graph import Graph
-from repro.graph.pattern import Pattern
 
 
 class TestNGDConstruction:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ngd import NGD, RuleSet

@@ -10,7 +10,6 @@ from repro.core.repair import apply_repairs, plan_repairs, repair_graph
 from repro.core.validation import find_violations, graph_satisfies
 from repro.core.violations import ViolationSet
 from repro.datasets.figure1 import figure1_g2, figure1_g3
-from repro.graph.pattern import Pattern
 
 
 class TestRepairFigure1:
