@@ -349,11 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 64); checkpoints can also be forced via POST /admin/checkpoint",
     )
     serve_parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also emit the stdlib http.server per-request lines to stderr",
-    )
-    serve_parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress the structured access log (one "
@@ -580,7 +575,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = DetectionService(
         host=args.host,
         port=args.port,
-        verbose=args.verbose,
         retain_versions=args.retain_versions,
         max_jobs=args.max_jobs if args.max_jobs is not None else DEFAULT_MAX_JOBS,
         data_dir=args.data_dir,

@@ -29,6 +29,8 @@ __all__ = [
     "SessionError",
     "SerializationError",
     "ServiceError",
+    "NotFoundError",
+    "ConflictError",
     "PoolSaturatedError",
     "DeadlineExceededError",
 ]
@@ -156,26 +158,44 @@ class SerializationError(ReproError):
 class ServiceError(ReproError):
     """A request to the detection service cannot be honoured.
 
-    Raised for unknown graph/session/catalog names, duplicate registrations,
-    and malformed request documents; the HTTP layer maps it to a 4xx response
-    with the message in the JSON error body.
+    Raised for malformed request documents and the other refusals below;
+    the HTTP layer answers with the class's ``status`` and the message in
+    the JSON error body.
     """
+
+    status = 400
+
+
+class NotFoundError(ServiceError):
+    """The request names a graph, session, catalog or route that does not exist."""
+
+    status = 404
+
+
+class ConflictError(ServiceError):
+    """The request registers a graph, catalog or session under a name already taken."""
+
+    status = 409
 
 
 class PoolSaturatedError(ServiceError):
     """The service's detection job pool has no free slot for a new stream.
 
-    Admission control, not failure: the HTTP layer maps it to ``429 Too
-    Many Requests`` with a JSON error record, and the client should retry
-    after a backoff.  See :class:`repro.service.jobs.DetectionJobPool`.
+    Admission control, not failure: the HTTP layer answers ``429 Too Many
+    Requests`` with a JSON error record, and the client should retry after
+    a backoff.  See :class:`repro.service.jobs.DetectionJobPool`.
     """
+
+    status = 429
 
 
 class DeadlineExceededError(ServiceError):
     """A detection request's ``timeout_seconds`` deadline elapsed.
 
     Raised while consuming a job stream: before the first record the HTTP
-    layer maps it to ``503 Service Unavailable`` with a ``Retry-After``
+    layer answers ``503 Service Unavailable`` with a ``Retry-After``
     header; after streaming has begun it becomes a terminal in-band error
     record (the status line is already committed).
     """
+
+    status = 503

@@ -3,7 +3,11 @@
 One :class:`ServiceClient` per server URL; every call opens its own
 connection (the server speaks HTTP/1.0, one request per connection), so a
 single client instance may be shared freely between threads — the
-concurrency tests hammer one client from N threads.
+concurrency tests hammer one client from N threads.  Every call goes
+through one request loop (``ServiceClient._request``): it sends, retries
+what may be retried, and turns any status >= 400 into one
+:class:`~repro.errors.ServiceError` reading ``"{method} {path} failed with
+{status}: {error}"``.
 
 The streaming call is a generator::
 
@@ -112,48 +116,54 @@ class ServiceClient:
     # -------------------------------------------------------------- plumbing
 
     def _request(self, method: str, path: str, body: Optional[object] = None) -> HTTPResponse:
-        # the HTTPConnection timeout bounds connect() and every socket read
-        connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        """Send one request and return its open response; the one request loop.
+
+        Only idempotent GETs are retried, on :attr:`RETRYABLE_STATUSES` or an
+        ``OSError``: re-sending a POST would repeat a mutation or re-run real
+        detection work (module docstring).  Any status >= 400 raises one
+        :class:`ServiceError` naming the request, the status and the server's
+        ``error`` text; a connection failure keeps its ``OSError`` type, so
+        callers can tell "server gone" from a protocol-level error.
+        """
         payload = None
         headers = {}
         if body is not None:
             payload = json.dumps(body, default=str).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        connection.request(method, path, body=payload, headers=headers)
-        return connection.getresponse()
-
-    def _json(self, method: str, path: str, body: Optional[object] = None) -> dict:
-        # only idempotent GETs are ever retried — re-sending a POST would
-        # repeat a mutation or re-run real detection work (module docstring)
         attempts = 1 + (self.retries if method == "GET" else 0)
-        failure: Optional[Exception] = None
+        failure: Exception
         for attempt in range(attempts):
             if attempt:
                 # exponential backoff with full jitter: 0..backoff*2^(n-1)
                 time.sleep(random.uniform(0, self.retry_backoff * (2 ** (attempt - 1))))
+            # the HTTPConnection timeout bounds connect() and every socket read
+            connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
             try:
-                response = self._request(method, path, body)
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
             except OSError as exc:
-                # connection failures keep their OSError type (callers
-                # distinguish "server gone" from a protocol-level error)
                 failure = exc
                 continue
+            if response.status < 400:
+                return response
+            with response:
+                raw = response.read().decode("utf-8", "replace")
             try:
-                raw = response.read()
-            finally:
-                response.close()
-            document = json.loads(raw.decode("utf-8")) if raw else {}
-            if response.status >= 400:
-                failure = ServiceError(
-                    f"{method} {path} failed with {response.status}: "
-                    f"{document.get('error', raw.decode('utf-8', 'replace'))}"
-                )
-                if method == "GET" and response.status in self.RETRYABLE_STATUSES:
-                    continue
-                raise failure
-            return document
-        assert failure is not None
+                error = json.loads(raw).get("error", raw)
+            except (json.JSONDecodeError, AttributeError):
+                error = raw
+            failure = ServiceError(f"{method} {path} failed with {response.status}: {error}")
+            if response.status not in self.RETRYABLE_STATUSES:
+                break
         raise failure
+
+    def _read(self, method: str, path: str, body: Optional[object] = None) -> bytes:
+        with self._request(method, path, body) as response:
+            return response.read()
+
+    def _json(self, method: str, path: str, body: Optional[object] = None) -> dict:
+        raw = self._read(method, path, body)
+        return json.loads(raw.decode("utf-8")) if raw else {}
 
     # ---------------------------------------------------------------- basics
 
@@ -162,28 +172,7 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """Return the raw Prometheus text exposition of ``GET /metrics``."""
-        attempts = 1 + self.retries
-        failure: Optional[Exception] = None
-        for attempt in range(attempts):
-            if attempt:
-                time.sleep(random.uniform(0, self.retry_backoff * (2 ** (attempt - 1))))
-            try:
-                response = self._request("GET", "/metrics")
-            except OSError as exc:
-                failure = exc
-                continue
-            try:
-                raw = response.read()
-            finally:
-                response.close()
-            if response.status >= 400:
-                failure = ServiceError(f"GET /metrics failed with {response.status}")
-                if response.status in self.RETRYABLE_STATUSES:
-                    continue
-                raise failure
-            return raw.decode("utf-8")
-        assert failure is not None
-        raise failure
+        return self._read("GET", "/metrics").decode("utf-8")
 
     def list_graphs(self) -> list[dict]:
         return self._json("GET", "/graphs")["graphs"]
@@ -249,15 +238,7 @@ class ServiceClient:
             execution=execution,
             timeout_seconds=timeout_seconds,
         ).to_document()
-        response = self._request("POST", f"/graphs/{graph}/detect", body)
-        try:
-            if response.status >= 400:
-                raw = response.read().decode("utf-8", "replace")
-                try:
-                    message = json.loads(raw).get("error", raw)
-                except json.JSONDecodeError:
-                    message = raw
-                raise ServiceError(f"detect on {graph!r} failed with {response.status}: {message}")
+        with self._request("POST", f"/graphs/{graph}/detect", body) as response:
             finished = False
             for line in response:
                 line = line.strip()
@@ -271,8 +252,6 @@ class ServiceClient:
                     finished = True
             if not finished:
                 raise ServiceError("detection stream ended without a summary record")
-        finally:
-            response.close()
 
     def detect(self, graph: str, **kwargs) -> DetectReply:
         """Run one detection request to completion; buffered convenience."""

@@ -39,7 +39,9 @@ from repro.core.violations import ViolationDelta, ViolationSet
 from repro.detect.parallel import iter_p_dect, iter_pinc_dect  # noqa: F401
 from repro.detect.session import DEFAULT_PROCESSORS, DetectionOptions, Detector
 from repro.errors import (
+    ConflictError,
     DeadlineExceededError,
+    NotFoundError,
     PoolSaturatedError,
     ServiceError,
 )
@@ -318,7 +320,7 @@ class DetectionJobPool:
 
     def run_stream(
         self, records: Iterator[dict], timeout_seconds: Optional[float] = None
-    ) -> Iterator[dict]:
+    ) -> JobStream:
         """Run ``records`` on a job thread; return the consuming iterator.
 
         Raises :class:`PoolSaturatedError` without starting anything when
@@ -509,18 +511,18 @@ class SessionManager:
         validate_resource_name(name, "catalog")
         with self._catalog_lock:
             if name in self.catalogs:
-                raise ServiceError(f"rule catalog {name!r} is already registered")
+                raise ConflictError(f"rule catalog {name!r} is already registered")
             self.catalogs[name] = rules
         if self.journal is not None:
             self.journal.record_catalog_registered(name, rules)
 
     def catalog(self, name: str) -> RuleSet:
-        """Return a registered catalog or raise :class:`ServiceError`."""
+        """Return a registered catalog or raise :class:`NotFoundError`."""
         with self._catalog_lock:
             try:
                 return self.catalogs[name]
             except KeyError:
-                raise ServiceError(f"no rule catalog registered under {name!r}") from None
+                raise NotFoundError(f"no rule catalog registered under {name!r}") from None
 
     def describe_catalogs(self) -> list[dict]:
         """Return ``{"name", "rules", "diameter"}`` for every catalog."""
@@ -545,7 +547,7 @@ class SessionManager:
 
     # -------------------------------------------------------- one-shot jobs
 
-    def stream_detection(self, graph_name: str, request: DetectRequest) -> Iterator[dict]:
+    def stream_detection(self, graph_name: str, request: DetectRequest) -> JobStream:
         """Return the NDJSON record stream of one budgeted detection request.
 
         Request validation — rule resolution and the graph snapshot —
@@ -637,7 +639,7 @@ class SessionManager:
         """
         with self._sessions_lock:
             if session.session_id in self._sessions:
-                raise ServiceError(f"session {session.session_id!r} is already registered")
+                raise ConflictError(f"session {session.session_id!r} is already registered")
             self._sessions[session.session_id] = session
             numeric = session.session_id.lstrip("s")
             if numeric.isdigit():
@@ -655,18 +657,18 @@ class SessionManager:
             )
 
     def session(self, session_id: str) -> ContinuousSession:
-        """Return a live session or raise :class:`ServiceError`."""
+        """Return a live session or raise :class:`NotFoundError`."""
         with self._sessions_lock:
             try:
                 return self._sessions[session_id]
             except KeyError:
-                raise ServiceError(f"no session {session_id!r}") from None
+                raise NotFoundError(f"no session {session_id!r}") from None
 
     def close_session(self, session_id: str) -> None:
         """Drop a session (its recorded deltas go with it)."""
         with self._sessions_lock:
             if self._sessions.pop(session_id, None) is None:
-                raise ServiceError(f"no session {session_id!r}")
+                raise NotFoundError(f"no session {session_id!r}")
         if self.journal is not None:
             self.journal.record_session_closed(session_id)
 

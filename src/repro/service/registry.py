@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from repro.errors import ServiceError
+from repro.errors import ConflictError, NotFoundError, ServiceError
 from repro.graph.graph import Graph
 from repro.graph.io import PathLike, load_graph
 from repro.graph.updates import BatchUpdate, apply_update
@@ -170,7 +170,7 @@ class GraphRegistry:
         validate_resource_name(name, "graph")
         with self._lock:
             if name in self._graphs:
-                raise ServiceError(f"graph {name!r} is already registered")
+                raise ConflictError(f"graph {name!r} is already registered")
             registered = RegisteredGraph(name, graph, retain_versions=self.retain_versions)
             self._graphs[name] = registered
         if self.journal is not None:
@@ -193,7 +193,7 @@ class GraphRegistry:
         validate_resource_name(name, "graph")
         with self._lock:
             if name in self._graphs:
-                raise ServiceError(f"graph {name!r} is already registered")
+                raise ConflictError(f"graph {name!r} is already registered")
             registered = RegisteredGraph(name, graph, retain_versions=self.retain_versions)
             registered.version = version
             if self.retain_versions:
@@ -206,12 +206,12 @@ class GraphRegistry:
         return self.register(name, load_graph(path))
 
     def get(self, name: str) -> RegisteredGraph:
-        """Return the registered graph or raise :class:`ServiceError`."""
+        """Return the registered graph or raise :class:`NotFoundError`."""
         with self._lock:
             try:
                 return self._graphs[name]
             except KeyError:
-                raise ServiceError(f"no graph registered under {name!r}") from None
+                raise NotFoundError(f"no graph registered under {name!r}") from None
 
     def names(self) -> list[str]:
         """Return the registered names, sorted."""

@@ -1,7 +1,8 @@
 """The HTTP detection server (stdlib ``http.server.ThreadingHTTPServer``).
 
 Endpoints (all request/response bodies are JSON; detection streams are
-NDJSON, flushed per record):
+NDJSON, flushed per record).  This table mirrors :data:`ROUTES`, the one
+declaration dispatch, the ``route`` metric label and the 404 are read from:
 
 ========  ================================  =====================================
 Method    Path                              Meaning
@@ -14,9 +15,9 @@ POST      /graphs/{name}/updates            apply a BatchUpdate, bump version
 POST      /graphs/{name}/detect             stream one budgeted detection (NDJSON)
 POST      /graphs/{name}/sessions           open a continuous session
 GET       /sessions                         list live sessions
-GET       /sessions/{id}                    current ViolationSet + version
-GET       /sessions/{id}/deltas?since=V     per-version ViolationDeltas after V
-DELETE    /sessions/{id}                    close a session
+GET       /sessions/{name}                  current ViolationSet + version
+GET       /sessions/{name}/deltas?since=V   per-version ViolationDeltas after V
+DELETE    /sessions/{name}                  close a session
 GET       /rules                            list rule catalogs
 POST      /rules/{name}                     register a catalog (RuleSet document)
 POST      /admin/checkpoint                 force a durability checkpoint
@@ -31,12 +32,14 @@ and a checkpoint runs every ``checkpoint_every`` accepted updates (or on
 demand via ``POST /admin/checkpoint``).  See :mod:`repro.storage.manager`.
 
 Error mapping: malformed requests and unknown names raise
-:class:`~repro.errors.ReproError` subclasses, which become a 4xx JSON body
-``{"error": message}`` (404 for unknown resources, 409 for duplicate
-registrations, 429 when the detection job pool is saturated — see below —
-and 400 otherwise).  A failure *after* a stream has started cannot change
-the status line any more, so the stream is terminated with an ``error``
-record instead (see :mod:`repro.service.protocol`).
+:class:`~repro.errors.ReproError` subclasses, which become a JSON body
+``{"error": message}`` whose status is the exception's type: a
+:class:`~repro.errors.ServiceError` carries its own ``status`` (404
+``NotFoundError``, 409 ``ConflictError``, 429 ``PoolSaturatedError`` — see
+below — 503 ``DeadlineExceededError``, 400 otherwise), any other
+``ReproError`` is a 400.  A failure *after* a stream has started cannot
+change the status line any more, so the stream is terminated with an
+``error`` record instead (see :mod:`repro.service.protocol`).
 
 Detection streams do **not** run on the HTTP handler thread: each detect
 request is admitted to a bounded :class:`~repro.service.jobs.
@@ -60,17 +63,11 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import obs
 from repro.core.ngd import RuleSet
-from repro.errors import (
-    DeadlineExceededError,
-    PoolSaturatedError,
-    ReproError,
-    ServiceError,
-)
-from repro.graph.graph import Graph
+from repro.errors import DeadlineExceededError, NotFoundError, ReproError, ServiceError
 from repro.graph.io import graph_from_dict, update_from_list
 from repro.service.jobs import DEFAULT_MAX_JOBS, DetectionJobPool, SessionManager
 from repro.service.protocol import (
@@ -108,7 +105,7 @@ def _fault_tolerance(snapshot: dict) -> dict:
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the service's registry and session manager.
+    """Serves one HTTP request from :data:`ROUTES` on the service's state.
 
     One instance per request (http.server semantics); the shared state lives
     on ``self.server.service``.  Request handling must stay re-entrant: the
@@ -127,11 +124,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        # BaseHTTPRequestHandler's default per-request noise is replaced by
-        # the service's structured access log (one line per request, written
-        # from _observe); --verbose restores the stdlib lines on top.
-        if self.service.verbose:
-            super().log_message(format, *args)
+        # BaseHTTPRequestHandler's per-request noise is replaced by the
+        # service's structured access log (one line per request, from _dispatch)
+        pass
 
     def send_response(self, code: int, message: Optional[str] = None) -> None:
         self._last_status = code
@@ -173,23 +168,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, exc: Exception) -> None:
-        message = str(exc)
-        status = 400
-        headers: Optional[dict[str, str]] = None
-        if isinstance(exc, PoolSaturatedError):
-            status = 429
-        elif isinstance(exc, DeadlineExceededError):
-            # transient: the deadline elapsed before anything streamed, a
-            # retry (ideally with a larger timeout_seconds) may succeed
-            status = 503
-            headers = {"Retry-After": "1"}
-        elif isinstance(exc, ServiceError):
-            if message.startswith("no "):
-                status = 404
-            elif "already registered" in message:
-                status = 409
-        self._send_json({"error": message}, status=status, headers=headers)
+    def _send_error_json(self, exc: ReproError) -> None:
+        # the status is the exception's type; a deadline is transient, so a
+        # retry (ideally with a larger timeout_seconds) may succeed
+        status = exc.status if isinstance(exc, ServiceError) else 400
+        headers = {"Retry-After": "1"} if isinstance(exc, DeadlineExceededError) else None
+        self._send_json({"error": str(exc)}, status=status, headers=headers)
 
     def _path_parts(self) -> tuple[list[str], dict[str, str]]:
         path, _, query = self.path.partition("?")
@@ -203,39 +187,33 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------- dispatch
 
-    def _route_label(self) -> str:
-        """Collapse the request path to a bounded metric label.
+    def _dispatch(self) -> None:
+        """Serve one request from :data:`ROUTES`; time it, count it, log it.
 
-        Resource names become ``{name}`` placeholders so the
-        ``repro_http_requests_total`` label set stays small no matter how
-        many graphs or sessions a tenant creates.
+        The matched template is the ``route`` label of the HTTP metrics, so
+        the label set stays bounded however many names tenants create;
+        every unmatched request is ``/unknown`` and answered 404.  A POST
+        body is read before routing, so invalid JSON is a 400 on any path.
         """
-        parts, _ = self._path_parts()
-        if not parts:
-            return "/"
-        head = parts[0]
-        if head in ("health", "metrics", "rules", "graphs", "sessions"):
-            pattern = [head]
-            if len(parts) >= 2:
-                pattern.append("{name}" if head in ("graphs", "sessions", "rules") else parts[1])
-            if len(parts) >= 3:
-                pattern.append(parts[2])
-            return "/" + "/".join(pattern[:3])
-        if head in ("admin", "debug") and len(parts) >= 2:
-            return f"/{head}/{parts[1]}"
-        return "/unknown"
-
-    def _observe(self, handler) -> None:
-        """Time one request, emit HTTP metrics, write the access-log line."""
         self._last_status = 0
         self._trace_id: Optional[str] = None
         self._job_id: Optional[str] = None
         started = time.monotonic()
+        parts, params = self._path_parts()
+        route, handler, name = _match(self.command, parts)
         try:
-            handler()
+            body = self._read_json_body() if self.command == "POST" else None
+            if handler is None:
+                raise NotFoundError(f"no resource at {self.path!r}")
+            handler(self, name, params, body)
+        except ReproError as exc:
+            self._send_error_json(exc)
+        except Exception as exc:  # noqa: BLE001 - a crashed handler drops the connection
+            # _stream_detect never lets non-socket errors escape once the
+            # 200 is committed, so replying here is always still possible
+            self._send_json({"error": f"internal error: {exc!r}"}, status=500)
         finally:
             duration = time.monotonic() - started
-            route = self._route_label()
             obs.counter_inc(
                 "repro_http_requests_total",
                 {"method": self.command, "route": route, "status": str(self._last_status)},
@@ -250,120 +228,41 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 job_id=self._job_id,
             )
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._observe(self._handle_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._observe(self._handle_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._observe(self._handle_delete)
-
-    def _handle_get(self) -> None:
-        parts, params = self._path_parts()
-        try:
-            if parts == ["health"]:
-                self._send_json(self.service.health())
-            elif parts == ["graphs"]:
-                self._send_json({"graphs": self.service.registry.describe()})
-            elif len(parts) == 2 and parts[0] == "graphs":
-                self._send_json(self.service.registry.get(parts[1]).info())
-            elif parts == ["sessions"]:
-                self._send_json({"sessions": self.service.manager.describe_sessions()})
-            elif len(parts) == 2 and parts[0] == "sessions":
-                self._send_json(self.service.manager.session(parts[1]).state_document())
-            elif len(parts) == 3 and parts[0] == "sessions" and parts[2] == "deltas":
-                session = self.service.manager.session(parts[1])
-                since = self._parse_since(params)
-                self._send_json(
-                    {
-                        "session": session.session_id,
-                        "since": since,
-                        "current_version": session.current_version,
-                        "deltas": session.deltas_since(since),
-                    }
-                )
-            elif parts == ["rules"]:
-                self._send_json({"catalogs": self.service.manager.describe_catalogs()})
-            elif parts == ["metrics"]:
-                self._send_metrics()
-            elif parts == ["debug", "traces"]:
-                self._send_traces(params)
-            else:
-                raise ServiceError(f"no resource at {self.path!r}")
-        except ReproError as exc:
-            self._send_error_json(exc)
-        except Exception as exc:  # noqa: BLE001 - a crashed handler drops the connection
-            self._send_json({"error": f"internal error: {exc!r}"}, status=500)
-
-    def _handle_post(self) -> None:
-        parts, _ = self._path_parts()
-        try:
-            body = self._read_json_body()
-            if len(parts) == 2 and parts[0] == "graphs":
-                self._register_graph(parts[1], body)
-            elif len(parts) == 3 and parts[0] == "graphs" and parts[2] == "updates":
-                self._apply_update(parts[1], body)
-            elif len(parts) == 3 and parts[0] == "graphs" and parts[2] == "detect":
-                self._stream_detect(parts[1], body)
-            elif len(parts) == 3 and parts[0] == "graphs" and parts[2] == "sessions":
-                self._create_session(parts[1], body)
-            elif len(parts) == 2 and parts[0] == "rules":
-                self._register_catalog(parts[1], body)
-            elif parts == ["admin", "checkpoint"]:
-                self._force_checkpoint()
-            else:
-                raise ServiceError(f"no resource at {self.path!r}")
-        except ReproError as exc:
-            self._send_error_json(exc)
-        except Exception as exc:  # noqa: BLE001 - a crashed handler drops the connection
-            # _stream_detect never lets non-socket errors escape once the
-            # 200 is committed, so replying here is always still possible
-            self._send_json({"error": f"internal error: {exc!r}"}, status=500)
-
-    def _handle_delete(self) -> None:
-        parts, _ = self._path_parts()
-        try:
-            if len(parts) == 2 and parts[0] == "sessions":
-                self.service.manager.close_session(parts[1])
-                self._send_json({"closed": parts[1]})
-            else:
-                raise ServiceError(f"no resource at {self.path!r}")
-        except ReproError as exc:
-            self._send_error_json(exc)
-        except Exception as exc:  # noqa: BLE001 - a crashed handler drops the connection
-            self._send_json({"error": f"internal error: {exc!r}"}, status=500)
+    do_GET = do_POST = do_DELETE = _dispatch
 
     # ------------------------------------------------------------- handlers
 
-    @staticmethod
-    def _parse_since(params: dict[str, str]) -> int:
+    def _session_deltas(self, name: str, params: dict[str, str], body: object) -> None:
+        session = self.service.manager.session(name)
         raw = params.get("since", "0")
         try:
-            return int(raw)
+            since = int(raw)
         except ValueError:
             raise ServiceError(f"'since' must be an integer version, got {raw!r}") from None
+        self._send_json(
+            {
+                "session": session.session_id,
+                "since": since,
+                "current_version": session.current_version,
+                "deltas": session.deltas_since(since),
+            }
+        )
 
-    def _register_graph(self, name: str, body: object) -> None:
-        if not isinstance(body, dict):
-            raise ServiceError("graph registration body must be a graph JSON document")
-        # the io decoders raise builtin exceptions on malformed-but-JSON
-        # shapes (a nodes entry missing its label, a non-list edges value);
-        # convert them so the tenant gets the documented 4xx error body
-        try:
-            graph = graph_from_dict(body)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ServiceError(f"graph document is malformed: {exc!r}") from exc
+    def _close_session(self, name: str, params: dict[str, str], body: object) -> None:
+        self.service.manager.close_session(name)
+        self._send_json({"closed": name})
+
+    def _register_graph(self, name: str, params: dict[str, str], body: object) -> None:
+        graph = _decode(
+            body, dict, graph_from_dict, "graph registration body must be a graph JSON document", "graph"
+        )
         registered = self.service.registry.register(name, graph)
         self._send_json(registered.info(), status=201)
 
-    def _apply_update(self, name: str, body: object) -> None:
-        if not isinstance(body, list):
-            raise ServiceError("update body must be a list of unit-update objects")
-        try:
-            delta = update_from_list(body)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ServiceError(f"update document is malformed: {exc!r}") from exc
+    def _apply_update(self, name: str, params: dict[str, str], body: object) -> None:
+        delta = _decode(
+            body, list, update_from_list, "update body must be a list of unit-update objects", "update"
+        )
         outcome = self.service.registry.apply_update(name, delta)
         # the update (and its session deltas) is WAL-logged by the time
         # apply_update returns; the periodic checkpoint runs here, after
@@ -384,31 +283,28 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             }
         )
 
-    def _create_session(self, name: str, body: object) -> None:
+    def _create_session(self, name: str, params: dict[str, str], body: object) -> None:
         request = admit_detect_request(parse_detect_request(body))
         session = self.service.manager.create_session(name, request)
         self._send_json(session.state_document(), status=201)
 
-    def _register_catalog(self, name: str, body: object) -> None:
-        if not isinstance(body, dict):
-            raise ServiceError("catalog body must be a RuleSet JSON document")
-        try:
-            rules = RuleSet.from_dict(body)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ServiceError(f"rule-set document is malformed: {exc!r}") from exc
+    def _register_catalog(self, name: str, params: dict[str, str], body: object) -> None:
+        rules = _decode(
+            body, dict, RuleSet.from_dict, "catalog body must be a RuleSet JSON document", "rule-set"
+        )
         self.service.manager.register_catalog(name, rules)
         self._send_json({"catalog": name, "rules": len(rules)}, status=201)
 
-    def _send_metrics(self) -> None:
+    def _send_metrics(self, *_: object) -> None:
         """``GET /metrics``: the process-wide registry in Prometheus text form."""
-        body = obs.exposition().encode("utf-8")
+        text = obs.exposition().encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(text)))
         self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(text)
 
-    def _send_traces(self, params: dict[str, str]) -> None:
+    def _send_traces(self, name: Optional[str], params: dict[str, str], body: object) -> None:
         """``GET /debug/traces?limit=N``: recent completed spans, newest last."""
         raw = params.get("limit", "200")
         try:
@@ -420,33 +316,26 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         spans = obs.traces(limit)
         self._send_json({"count": len(spans), "spans": spans})
 
-    def _force_checkpoint(self) -> None:
+    def _force_checkpoint(self, *_: object) -> None:
         persistence = self.service.persistence
         if persistence is None:
-            raise ServiceError(
-                "no durability layer: the service was started without --data-dir"
-            )
+            raise NotFoundError("no durability layer: the service was started without --data-dir")
         self._send_json(persistence.checkpoint())
 
-    def _stream_detect(self, name: str, body: object) -> None:
+    def _stream_detect(self, name: str, params: dict[str, str], body: object) -> None:
         request = admit_detect_request(parse_detect_request(body))
         records = self.service.manager.stream_detection(name, request)
-        self._trace_id = getattr(records, "trace_id", None)
-        self._job_id = getattr(records, "job_id", None)
+        self._trace_id = records.trace_id
+        self._job_id = records.job_id
         # pull the first record before committing the 200: a bad catalog
         # name or unknown graph still gets a clean JSON error response
-        try:
-            first = next(records)
-        except StopIteration:
-            first = None
+        first = next(records, None)
         if first is not None and first.get("type") == "error":
             # the job thread converts kernel exceptions to in-band error
             # records; one arriving before anything streamed means the
             # detection failed to start — the status line is still ours
             # to set, so report it as a proper error response
-            close = getattr(records, "close", None)
-            if close is not None:
-                close()
+            records.close()
             raise ServiceError(f"detection failed to start: {first.get('error')}")
         self.send_response(200)
         self.send_header("Content-Type", MIME_NDJSON)
@@ -477,9 +366,73 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         finally:
             # closing the consumer iterator signals the job pool to cancel
             # the producing detection job and free its slot promptly
-            close = getattr(records, "close", None)
-            if close is not None:
-                close()
+            records.close()
+
+
+def _decode(
+    body: object, shape: type, decode: Callable[[object], object], wrong_shape: str, what: str
+) -> object:
+    """Decode a JSON request body into ``decode``'s object, or raise ServiceError.
+
+    The io decoders raise builtin exceptions on malformed-but-JSON shapes
+    (a nodes entry missing its label, a non-list edges value); they become
+    the documented 400 body instead of a 500.
+    """
+    if not isinstance(body, shape):
+        raise ServiceError(wrong_shape)
+    try:
+        return decode(body)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ServiceError(f"{what} document is malformed: {exc!r}") from exc
+
+
+def _reply(document: Callable[["DetectionService", Optional[str]], object]) -> Callable[..., None]:
+    """A route handler that sends ``document(service, name)`` as a 200 JSON body."""
+    return lambda handler, name, params, body: handler._send_json(document(handler.service, name))
+
+
+#: The HTTP surface, declared once: ``(method, path template, handler)``.
+#: ``{name}`` matches one path segment and is handed to the handler as
+#: ``name``.  Dispatch, the ``route`` metric label and the 404 for an
+#: unmatched request all come from this table (:meth:`_ServiceHandler._dispatch`).
+ROUTES = (
+    ("GET", "/health", _reply(lambda service, name: service.health())),
+    ("GET", "/graphs", _reply(lambda service, name: {"graphs": service.registry.describe()})),
+    ("POST", "/graphs/{name}", _ServiceHandler._register_graph),
+    ("GET", "/graphs/{name}", _reply(lambda service, name: service.registry.get(name).info())),
+    ("POST", "/graphs/{name}/updates", _ServiceHandler._apply_update),
+    ("POST", "/graphs/{name}/detect", _ServiceHandler._stream_detect),
+    ("POST", "/graphs/{name}/sessions", _ServiceHandler._create_session),
+    ("GET", "/sessions", _reply(lambda service, name: {"sessions": service.manager.describe_sessions()})),
+    ("GET", "/sessions/{name}", _reply(lambda service, name: service.manager.session(name).state_document())),
+    ("GET", "/sessions/{name}/deltas", _ServiceHandler._session_deltas),
+    ("DELETE", "/sessions/{name}", _ServiceHandler._close_session),
+    ("GET", "/rules", _reply(lambda service, name: {"catalogs": service.manager.describe_catalogs()})),
+    ("POST", "/rules/{name}", _ServiceHandler._register_catalog),
+    ("POST", "/admin/checkpoint", _ServiceHandler._force_checkpoint),
+    ("GET", "/metrics", _ServiceHandler._send_metrics),
+    ("GET", "/debug/traces", _ServiceHandler._send_traces),
+)
+
+
+def _match(method: str, parts: list[str]) -> tuple[str, Optional[Callable[..., None]], Optional[str]]:
+    """Return ``(template, handler, name)`` of the route serving a request.
+
+    An unmatched request gets ``("/unknown", None, None)``.
+    """
+    for route_method, template, handler in ROUTES:
+        segments = template.split("/")[1:]
+        if route_method != method or len(segments) != len(parts):
+            continue
+        name = None
+        for segment, part in zip(segments, parts):
+            if segment == "{name}":
+                name = part
+            elif segment != part:
+                break
+        else:
+            return template, handler, name
+    return "/unknown", None, None
 
 
 class DetectionService:
@@ -504,7 +457,6 @@ class DetectionService:
         host: str = "127.0.0.1",
         port: int = 0,
         registry: Optional[GraphRegistry] = None,
-        verbose: bool = False,
         retain_versions: Optional[int] = None,
         max_jobs: int = DEFAULT_MAX_JOBS,
         data_dir: Optional[str] = None,
@@ -529,10 +481,8 @@ class DetectionService:
             retain_versions=retain_versions,
             job_pool=DetectionJobPool(max_jobs=max_jobs),
         )
-        self.verbose = verbose
         #: one structured line per request on stderr (``serve`` turns this
-        #: on unless --quiet); independent of the stdlib lines ``verbose``
-        #: restores
+        #: on unless --quiet)
         self.access_log = access_log
         self._started_at = time.time()
         #: the start-up phases, once :meth:`record_startup` has named them
@@ -683,9 +633,3 @@ class DetectionService:
                 ),
             }
         return document
-
-    # ---------------------------------------------------------- convenience
-
-    def register_graph(self, name: str, graph: Graph) -> None:
-        """Register an in-process graph (the HTTP-free path for embedding)."""
-        self.registry.register(name, graph)

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro import obs
 from repro.core.ngd import RuleSet
 from repro.core.violations import ViolationDelta, ViolationSet
-from repro.errors import ServiceError
+from repro.errors import ConflictError, ServiceError
 from repro.graph.io import (
     atomic_write_json,
     graph_from_dict,
@@ -366,11 +366,8 @@ class PersistenceManager:
         elif kind == "session_open":
             try:
                 self._restore_session(record)
-            except ServiceError as exc:
-                if "already registered" not in str(exc):
-                    raise
-                # the checkpoint captured this session after its open
-                # record was cut — nothing to do
+            except ConflictError:
+                pass  # the checkpoint captured this session after its open record was cut
         elif kind == "session_delta":
             # belt-and-braces: normally redundant (the update replay above
             # recomputed it); applies only if a session somehow sits one

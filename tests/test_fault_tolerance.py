@@ -17,7 +17,6 @@ timing races.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
@@ -491,7 +490,7 @@ class TestServiceFaultSurface:
         monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,after=1")
         before = fault_tolerance_counters()["worker_restarts"]
         service = DetectionService(port=0)
-        service.register_graph("kb", kb_graph)
+        service.registry.register("kb", kb_graph)
         service.manager.register_catalog("bench", kb_rules)
         with service:
             client = ServiceClient(service.url)
@@ -507,7 +506,7 @@ class TestServiceFaultSurface:
         # /health totals the registry's counters: the two surfaces cannot drift apart
         monkeypatch.setenv(FAULTS_ENV, "worker_death:worker=0,epoch=0,after=2")
         service = DetectionService(port=0)
-        service.register_graph("kb", kb_graph)
+        service.registry.register("kb", kb_graph)
         service.manager.register_catalog("bench", kb_rules)
         with service:
             client = ServiceClient(service.url)
@@ -520,7 +519,7 @@ class TestServiceFaultSurface:
 
     def test_summary_degraded_defaults_false(self, kb_graph, kb_rules):
         service = DetectionService(port=0)
-        service.register_graph("kb", kb_graph)
+        service.registry.register("kb", kb_graph)
         service.manager.register_catalog("bench", kb_rules)
         with service:
             client = ServiceClient(service.url)

@@ -36,7 +36,7 @@ import pytest
 
 from repro import obs
 from repro.core.builtin_rules import example_rules
-from repro.datasets.figure1 import figure1_g1, figure1_g2
+from repro.datasets.figure1 import figure1_g2
 from repro.detect import DetectionOptions, Detector
 from repro.detect import session as session_module
 from repro.graph.graph import Graph
@@ -621,3 +621,30 @@ class TestServiceObservability:
             ServiceClient(svc.url).health()
         err = capfd.readouterr().err
         assert "path=/health" not in err
+
+    def test_unknown_paths_share_one_route_label(self, service):
+        # a label per path would let any client grow the registry without bound
+        paths = [
+            f"/{family}/{i}"
+            for i in range(10)
+            for family in ("health", "metrics", "graphs/g", "sessions/s1", "nowhere")
+        ]
+        for path in paths:
+            with pytest.raises(urllib.error.HTTPError):
+                _get(service, path)
+        families = ("repro_http_requests_total", "repro_http_request_seconds")
+        # the handler counts a request after its reply is sent: poll (bounded)
+        for _ in range(100):
+            snapshot = obs.snapshot()
+            counted = sum(value for name, _, value in snapshot["counters"] if name == families[0])
+            if counted >= len(paths):
+                break
+            time.sleep(0.05)
+        assert counted == len(paths)
+        routes = {
+            dict(labels)["route"]
+            for kind in ("counters", "histograms")
+            for name, labels, _ in snapshot[kind]
+            if name in families
+        }
+        assert routes == {"/unknown"}
