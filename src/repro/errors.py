@@ -158,9 +158,10 @@ class SerializationError(ReproError):
 class ServiceError(ReproError):
     """A request to the detection service cannot be honoured.
 
-    Raised for malformed request documents and the other refusals below;
-    the HTTP layer answers with the class's ``status`` and the message in
-    the JSON error body.
+    Raised for malformed request documents and bad settings; the subclasses
+    below mark the refusals that take another status.  The HTTP layer
+    answers with the exception's ``status`` and the message in the JSON
+    error body.
     """
 
     status = 400
@@ -181,9 +182,9 @@ class ConflictError(ServiceError):
 class PoolSaturatedError(ServiceError):
     """The service's detection job pool has no free slot for a new stream.
 
-    Admission control, not failure: the HTTP layer answers ``429 Too Many
-    Requests`` with a JSON error record, and the client should retry after
-    a backoff.  See :class:`repro.service.jobs.DetectionJobPool`.
+    Admission control, not failure: the HTTP layer maps it to ``429 Too
+    Many Requests`` with a JSON error record, and the client should retry
+    after a backoff.  See :class:`repro.service.jobs.DetectionJobPool`.
     """
 
     status = 429
@@ -193,7 +194,7 @@ class DeadlineExceededError(ServiceError):
     """A detection request's ``timeout_seconds`` deadline elapsed.
 
     Raised while consuming a job stream: before the first record the HTTP
-    layer answers ``503 Service Unavailable`` with a ``Retry-After``
+    layer maps it to ``503 Service Unavailable`` with a ``Retry-After``
     header; after streaming has begun it becomes a terminal in-band error
     record (the status line is already committed).
     """
