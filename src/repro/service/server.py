@@ -86,6 +86,11 @@ __all__ = ["DetectionService"]
 #: able to balloon server memory; 64 MiB comfortably fits every test graph).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds the serving thread waits for a connection before it looks for a
+#: stop request again; ``stop()`` waits out at most one such wait
+#: (``socketserver``'s own default is 0.5 s).
+STOP_POLL_S = 0.02
+
 #: ``/health``'s ``fault_tolerance`` keys and the supervision counters they total.
 FAULT_TOLERANCE_COUNTERS = {
     "worker_restarts": "repro_worker_restarts_total",
@@ -529,6 +534,7 @@ class DetectionService:
             raise ServiceError("service is already running")
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(STOP_POLL_S,),
             name=f"repro-service:{self.address[1]}",
             daemon=True,
         )

@@ -7,6 +7,10 @@ Three layers are covered:
   graphs with missing attributes, non-numeric values and tuple node ids;
   the compiled closure's verdict must equal ``Literal.holds_for`` on every
   sample, in both the slot-based and the ``direct`` (unary-filter) modes;
+  a second generator, of literals that divide, mixes floats (nan and inf
+  among them), bools, ints beyond 2**53, ``Fraction`` values and float
+  constants, so the integer-ratio closures hand over to the general ones
+  with the same verdict or exception type;
 * end-to-end — on a literal-heavy workload with dirty attributes, the
   violations equal the naive reference, and ``ViolationSet``\\ s and
   ``MatchStatistics`` are identical on both store layouts, serial and
@@ -18,8 +22,12 @@ Three layers are covered:
 
 from __future__ import annotations
 
+import gc
+import math
 import pickle
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -29,10 +37,12 @@ from repro.detect import DetectionOptions, Detector
 from repro.detect.dect import iter_dect
 from repro.detect.observers import drain
 from repro.detect.parallel.workunits import rule_search
+from repro.errors import ExpressionError
 from repro.expr.expressions import (
     AbsoluteValue,
     Add,
     Divide,
+    Expression,
     Multiply,
     Negate,
     Subtract,
@@ -40,6 +50,7 @@ from repro.expr.expressions import (
     var,
 )
 from repro.expr.literals import COMPARISON_OPS, Comparison, Literal, LiteralSet
+from repro.expr.parser import parse_literal
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
@@ -159,18 +170,108 @@ def test_randomized_literal_parity_direct_mode():
     assert checked == 1200
 
 
+#: Values of every type a property can hold side by side: floats that are
+#: exact, signed, not a number or infinite, bools, ints a float cannot
+#: hold, fractions, dirty values, and small ints (zero included).
+_MIXED_VALUES = (
+    0.5, -0.0, 0.1, -2.5, math.nan, math.inf, -math.inf,
+    True, False,
+    2**53 + 1, -(2**60) + 3, 10**40,
+    Fraction(1, 3), Fraction(-7, 2),
+    "text", None,
+    0, 1, -1, 2, -3, 7,
+)
+_MIXED_CONSTANTS = (0, 1, 2, -3, 7, 0.5, -0.0, 2.5, math.nan, math.inf, Fraction(2, 3))
+
+
+def _mixed_expression(rng: random.Random, variables: list[str], depth: int):
+    """A random expression over attrs b0..b2 that divides half the time."""
+    if depth <= 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return const(rng.choice(_MIXED_CONSTANTS))
+        return var(rng.choice(variables), f"b{rng.randrange(3)}")
+    left = _mixed_expression(rng, variables, depth - 1)
+    right = _mixed_expression(rng, variables, depth - 1)
+    shape = rng.randrange(8)
+    if shape < 4:
+        return Divide(left, right)
+    if shape == 4:
+        return Add(left, right)
+    if shape == 5:
+        return Subtract(left, right)
+    if shape == 6:
+        return Multiply(left, right)
+    return AbsoluteValue(left) if rng.random() < 0.5 else Negate(left)
+
+
+def _mixed_attrs(rng: random.Random) -> dict:
+    attrs = {}
+    for name in ("b0", "b1", "b2"):
+        roll = rng.random()
+        if roll < 0.1:
+            continue  # missing attribute
+        if roll < 0.55:
+            attrs[name] = rng.choice(_MIXED_VALUES)
+        else:
+            attrs[name] = rng.randint(-9, 9)  # the ratio path's own inputs
+    return attrs
+
+
+@pytest.mark.parametrize("direct", (False, True), ids=("slot", "direct"))
+def test_randomized_mixed_type_parity(direct):
+    # every literal divides on at least one side, so it compiles to the
+    # integer-ratio check; every value of another type must reach the
+    # verdict, or the exception type, that holds_for gives
+    rng = random.Random(0x5EED41 + direct)
+    variables = ["x"] if direct else ["x", "y"]
+    slot_of = {variable: index for index, variable in enumerate(variables)}
+    checked = 0
+    for _ in range(500):
+        left = Divide(
+            _mixed_expression(rng, variables, rng.randrange(3)),
+            _mixed_expression(rng, variables, rng.randrange(3)),
+        )
+        right = _mixed_expression(rng, variables, rng.randrange(3))
+        if rng.random() < 0.5:
+            left, right = right, left
+        literal = Literal(left, rng.choice(list(Comparison)), right)
+        check = compile_literal(literal, slot_of, direct=direct)
+        for _ in range(6):
+            slots = [_mixed_attrs(rng) for _ in variables]
+            assignment = {
+                (variable, key): value
+                for variable, slot in slot_of.items()
+                for key, value in slots[slot].items()
+                if (variable, key) in literal.variables()
+            }
+            complete = len(assignment) == len(literal.variables())
+            expected = _outcome(lambda: complete and literal.holds_for(assignment))
+            got = _outcome(lambda: check(slots[0] if direct else slots))
+            assert got == expected, (literal, slots)
+            checked += 1
+    assert checked == 3000
+
+
 def test_constant_folding_and_poisoning():
     # fully constant literal folds to its verdict
     check = compile_literal(Literal(const(3), Comparison.LT, const(5)), {})
     assert check([]) is True
     check = compile_literal(Literal(const(3), Comparison.GT, const(5)), {})
     assert check([]) is False
-    # a constant subtree that raises poisons the literal to constant-False,
-    # matching holds_for (False on every input)
+    # a constant subtree that raises: False on every input here, as holds_for
     poisoned = Literal(Divide(const(1), const(0)), Comparison.EQ, var("x", "a0"))
     check = compile_literal(poisoned, {"x": 0})
     assert check([{"a0": 1}]) is False
     assert not poisoned.holds_for({("x", "a0"): 1})
+    # ... but an operand evaluated before it can raise first, as holds_for
+    # does: the check replays holds_for instead of folding to False
+    poisoned = Literal(Divide(var("x", "a0"), const(2)), Comparison.EQ, Divide(const(1), const(0)))
+    check = compile_literal(poisoned, {"x": 0})
+    assert check([{"a0": 1}]) is False
+    with pytest.raises(ValueError):
+        poisoned.holds_for({("x", "a0"): math.nan})
+    with pytest.raises(ValueError):
+        check([{"a0": math.nan}])
 
 
 def test_exact_arithmetic_division():
@@ -182,6 +283,90 @@ def test_exact_arithmetic_division():
     check = compile_literal(literal, {})
     assert check([]) is True
     assert literal.holds_for({})
+
+
+def _runtime_verdicts(literal: Literal, values: dict) -> tuple:
+    """``(slot, direct, holds_for)`` verdicts of ``literal`` over ``values``.
+
+    ``values`` maps ``(variable, attribute)`` to a value.  Slot mode gives
+    each variable its own slot; direct mode renames every variable to ``x``
+    (distinct attributes keep the values apart) and reads one mapping.
+    """
+    variables = sorted({variable for variable, _ in values})
+    slot_of = {variable: index for index, variable in enumerate(variables)}
+    slots = [{} for _ in variables]
+    for (variable, attribute), value in values.items():
+        slots[slot_of[variable]][attribute] = value
+    slot_verdict = compile_literal(literal, slot_of)(slots)
+    flat = {f"{variable}_{attribute}": value for (variable, attribute), value in values.items()}
+    direct_literal = parse_literal(re.sub(r"\b([a-z])\.([a-z]\w*)", r"x.\1_\2", str(literal)))
+    direct_verdict = compile_literal(direct_literal, {"x": 0}, direct=True)(flat)
+    return slot_verdict, direct_verdict, literal.holds_for(values)
+
+
+@pytest.mark.parametrize(
+    "text, values, expected",
+    [
+        ("x.a / 3 * 3 = x.a", {("x", "a"): 1}, True),
+        ("x.a / x.b = y.a / y.b", {("x", "a"): 1, ("x", "b"): 3, ("y", "a"): 2, ("y", "b"): 6}, True),
+        ("x.a / x.b < 0", {("x", "a"): 1, ("x", "b"): -3}, True),
+        ("x.a / x.b < y.a / y.b", {("x", "a"): 1, ("x", "b"): -3, ("y", "a"): -1, ("y", "b"): -3}, True),
+        ("x.a / x.b >= y.a / y.b", {("x", "a"): 1, ("x", "b"): -3, ("y", "a"): -1, ("y", "b"): -3}, False),
+        ("|x.a / x.b| = 1 / 3", {("x", "a"): 1, ("x", "b"): -3}, True),
+        ("x.a / x.b = 0", {("x", "a"): 1, ("x", "b"): 0}, False),
+        ("x.a / x.b != 0", {("x", "a"): 1, ("x", "b"): 0}, False),
+        ("x.a / 3 > x.b / 3", {("x", "a"): 10**40 + 1, ("x", "b"): 10**40}, True),
+        ("x.a / 7 = x.b / 7", {("x", "a"): 10**40 + 1, ("x", "b"): 10**40}, False),
+        ("x.a / x.b = 1", {("x", "a"): True, ("x", "b"): True}, True),
+        ("x.a / x.b > y.a", {("x", "a"): True, ("x", "b"): False, ("y", "a"): 0}, False),
+    ],
+)
+def test_runtime_division_is_exact(text, values, expected):
+    # variable operands: the division runs per check, in both modes
+    assert _runtime_verdicts(parse_literal(text), values) == (expected, expected, expected)
+
+
+def test_an_expression_type_without_a_closure_is_refused():
+    # neither EvaluationError nor TypeError, which compile_literal would
+    # turn into a verdict
+    class Square(Expression):
+        def __init__(self, operand):
+            self.operand = operand
+
+        def variables(self):
+            return self.operand.variables()
+
+    literal = Literal(Square(var("x", "a")), Comparison.EQ, const(4))
+    with pytest.raises(ExpressionError, match="Square") as raised:
+        compile_literal(literal, {"x": 0})
+    assert raised.type is ExpressionError
+
+
+def test_reraised_errors_keep_no_frames():
+    # the closures raise one pre-allocated exception per leaf or division
+    # (and one hand-over signal) again and again; a raise must not chain
+    # its frames onto the last one's traceback
+    checks = [
+        (compile_literal(parse_literal("x.a / x.b > y.a"), {"x": 0, "y": 1}), slots)
+        for slots in (
+            [{"a": 1}, {"a": 0}],  # missing x.b
+            [{"a": 1, "b": 0}, {"a": 0}],  # zero divisor
+            [{"a": 1, "b": True}, {"a": 0}],  # hand-over to the general closure
+        )
+    ]
+    checks.append((compile_literal(parse_literal("x.a + 1 > 0"), {"x": 0}), [{}]))
+    for _ in range(50):
+        for check, slots in checks:
+            check(slots)
+    depths = []
+    for error in gc.get_objects():
+        if isinstance(error, Exception) and type(error).__module__ in ("repro.errors", "repro.matching.compiled"):
+            depth, tb = 0, error.__traceback__
+            while tb is not None:
+                depth, tb = depth + 1, tb.tb_next
+            depths.append(depth)
+    # chained, 50 rounds would leave 100 frames on each
+    assert depths and max(depths) < 10, max(depths)
 
 
 def test_comparison_dispatch_table_matches_enum():

@@ -235,6 +235,20 @@ class TestRegistry:
 
 
 class TestServiceEndpoints:
+    def test_stop_does_not_wait_out_a_poll(self):
+        # the serving thread sits in its selector between connections; stop()
+        # must not wait socketserver's default 0.5 s poll for it to notice
+        timings = []
+        for _ in range(3):
+            service = DetectionService(port=0).start()
+            ServiceClient(service.url).health()
+            time.sleep(0.05)
+            began = time.perf_counter()
+            service.stop()
+            timings.append(time.perf_counter() - began)
+            assert not service.running
+        assert min(timings) <= 0.05, timings
+
     def test_health_and_listings(self, service, client):
         assert client.health()["status"] == "ok"
         assert client.list_graphs() == []
