@@ -21,7 +21,7 @@ import naive_reference
 from repro.core.ngd import NGD, RuleSet
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
-from repro.detect import Detector
+from repro.detect import DetectionOptions, Detector
 from repro.detect.incdect import iter_inc_dect
 from repro.graph import neighborhood
 from repro.graph.graph import Graph
@@ -29,6 +29,7 @@ from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
 from repro.matching.incmatch import find_update_pivots, pivot_index, pivots_by_rule
 from repro.matching.plan import MatchPlan, compile_plans
+from repro.service import DetectionService, ServiceClient
 
 from engines import new_store
 from test_search_core import (
@@ -195,6 +196,64 @@ def test_the_pivot_index_is_kept_per_rule_set_until_a_rule_is_added():
     assert rule_index == 1 and site.seed == ("x",) and site.internal == ((0, 0, "q"),)
     assert rebuilt["p"][0][1] is index["p"][0][1], "a pattern keeps its sites"
     assert rules.diameter() == 1
+
+
+# ------------------------------------------------- nodes that ΔG introduces
+
+
+def introduced_node_probe() -> tuple[Graph, RuleSet, BatchUpdate]:
+    """One person ``a``; ΔG links it to a new person ``b`` that breaks two rules with an edge-less component.
+
+    ``nonneg`` is a one-node pattern and ``spread`` two variables with no
+    edge between them, so no update pivot lands on either: only the node
+    ΔG introduces can seed their search.
+    """
+    graph = Graph("probe")
+    graph.add_node("a", "person", {"age": 5})
+    one = Pattern.from_edges("one", [("x", "person")])
+    two = Pattern.from_edges("two", [("x", "person"), ("y", "person")])
+    rules = RuleSet(
+        [
+            NGD.from_text(one, "", "x.age >= 0", name="nonneg"),
+            NGD.from_text(two, "", "x.age <= y.age + 3", name="spread"),
+        ]
+    )
+    delta = BatchUpdate().insert("a", "b", "knows", target_payload=NodePayload("person", {"age": -1}))
+    return graph, rules, delta
+
+
+def probe_over_http(graph: Graph, rules: RuleSet, delta: BatchUpdate) -> tuple[set, set]:
+    """ΔVio as a continuous service session reports it for the one posted update."""
+    with DetectionService(port=0) as service:
+        client = ServiceClient(service.url)
+        client.register_graph("probe", graph)
+        session = client.create_session("probe", rules=rules)["session"]
+        client.post_update("probe", delta)
+        (reported,) = client.session_deltas(session)["deltas"]
+    return tuple({(v["rule"], tuple(v["nodes"])) for v in reported[side]} for side in ("introduced", "removed"))
+
+
+def probe_through(path: str, graph: Graph, rules: RuleSet, delta: BatchUpdate) -> tuple[set, set]:
+    if path == "http-session":
+        return probe_over_http(graph, rules, delta)
+    detector = {
+        "incdect": lambda: Detector(rules, engine="incremental"),
+        "simulated-pincdect": lambda: Detector(rules, engine="parallel", processors=2),
+        "process-pincdect": lambda: Detector(
+            rules, engine="parallel", processors=2, options=DetectionOptions(execution="processes")
+        ),
+    }[path]()
+    result = detector.run_incremental(graph, delta)
+    return as_pairs(result.delta.introduced), as_pairs(result.delta.removed)
+
+
+@pytest.mark.parametrize("path", ("incdect", "simulated-pincdect", "process-pincdect", "http-session"))
+def test_a_node_that_delta_introduces_seeds_every_edgeless_component_it_fits(path):
+    graph, rules, delta = introduced_node_probe()
+    after = apply_update(graph, delta)
+    expected = naive_reference.violations(after, rules) - naive_reference.violations(graph, rules)
+    assert expected == {("nonneg", ("b",)), ("spread", ("a", "b"))}
+    assert probe_through(path, graph, rules, delta) == (expected, set())
 
 
 # ------------------------------------------------------ the lazy neighbourhood
