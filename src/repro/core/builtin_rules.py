@@ -53,7 +53,7 @@ __all__ = [
 
 def pattern_q1() -> Pattern:
     """Q1: an entity with creation and destruction dates (Yago)."""
-    return Pattern.from_edges(
+    return Pattern(
         "Q1",
         nodes=[("x", WILDCARD), ("y", "date"), ("z", "date")],
         edges=[("x", "y", "wasCreatedOnDate"), ("x", "z", "wasDestroyedOnDate")],
@@ -62,7 +62,7 @@ def pattern_q1() -> Pattern:
 
 def pattern_q2() -> Pattern:
     """Q2: an area with female, male and total population counts (Yago)."""
-    return Pattern.from_edges(
+    return Pattern(
         "Q2",
         nodes=[("x", "area"), ("y", "integer"), ("z", "integer"), ("w", "integer")],
         edges=[
@@ -75,7 +75,7 @@ def pattern_q2() -> Pattern:
 
 def pattern_q3() -> Pattern:
     """Q3: two places in the same region with populations and population ranks (DBpedia)."""
-    return Pattern.from_edges(
+    return Pattern(
         "Q3",
         nodes=[
             ("x", "place"),
@@ -99,7 +99,7 @@ def pattern_q3() -> Pattern:
 
 def pattern_q4() -> Pattern:
     """Q4: two accounts referring to the same company, with status/follower/following counts (Twitter)."""
-    return Pattern.from_edges(
+    return Pattern(
         "Q4",
         nodes=[
             ("x", "account"),
@@ -130,7 +130,7 @@ def pattern_q4() -> Pattern:
 
 def pattern_q5() -> Pattern:
     """Q5: a person with a birth year and a category (DBpedia)."""
-    return Pattern.from_edges(
+    return Pattern(
         "Q5",
         nodes=[("x", "person"), ("y", "integer"), ("z", "string")],
         edges=[("x", "y", "birthYear"), ("x", "z", "category")],
@@ -139,7 +139,7 @@ def pattern_q5() -> Pattern:
 
 def pattern_q6() -> Pattern:
     """Q6: a major event including a competition with nation and competitor counts."""
-    return Pattern.from_edges(
+    return Pattern(
         "Q6",
         nodes=[("w", "major_event"), ("x", "competition"), ("y", "integer"), ("z", "integer")],
         edges=[("w", "x", "includes"), ("x", "y", "competitors"), ("x", "z", "nations")],
@@ -148,7 +148,7 @@ def pattern_q6() -> Pattern:
 
 def pattern_q7() -> Pattern:
     """Q7: an F1 team and two of its drivers in the same year."""
-    return Pattern.from_edges(
+    return Pattern(
         "Q7",
         nodes=[("x", "team"), ("w1", "driver"), ("w2", "driver"), ("y", "year")],
         edges=[
@@ -211,7 +211,7 @@ def phi4(weight_following: int = 1, weight_follower: int = 1, threshold: int = 5
 
 
 def _single_node_pattern(label: str = WILDCARD, name: str = "Q") -> Pattern:
-    return Pattern.from_edges(name, nodes=[("x", label)])
+    return Pattern(name, nodes=[("x", label)])
 
 
 def phi5(label: str = WILDCARD) -> NGD:

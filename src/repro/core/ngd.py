@@ -17,6 +17,11 @@ The classes here also expose the special cases the paper relates NGDs to:
   single-node "tuple pattern" whose attributes model relation columns —
   :func:`cfd_as_ngd` builds that embedding.
 
+An :class:`NGD` and a :class:`RuleSet` are values, like their patterns:
+each is built in one constructor call and never changes, so what is
+derived from a rule set (dΣ, the Σ-wide pivot index) is computed once and
+kept (:meth:`RuleSet.derived`).
+
 By default NGD construction enforces the *linear* fragment (the decidable
 class of Theorems 1 and 2).  Passing ``allow_nonlinear=True`` opts into the
 extended class of Theorem 3, which the library accepts for validation (which
@@ -30,6 +35,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Optional, TypeVar, Union
 
+from repro._frozen import Frozen
 from repro.errors import DependencyError, NonLinearExpressionError
 from repro.expr.format import format_literal_set
 from repro.expr.literals import Literal, LiteralSet
@@ -41,7 +47,7 @@ __all__ = ["NGD", "RuleSet", "gfd", "cfd_as_ngd"]
 T = TypeVar("T")
 
 
-class NGD:
+class NGD(Frozen):
     """A numeric graph dependency ``Q[x̄](X → Y)``."""
 
     def __init__(
@@ -52,13 +58,13 @@ class NGD:
         name: Optional[str] = None,
         allow_nonlinear: bool = False,
     ) -> None:
-        self.pattern = pattern
-        self.premise = premise if isinstance(premise, LiteralSet) else LiteralSet(premise)
-        self.conclusion = (
-            conclusion if isinstance(conclusion, LiteralSet) else LiteralSet(conclusion)
+        vars(self).update(
+            pattern=pattern,
+            premise=premise if isinstance(premise, LiteralSet) else LiteralSet(premise),
+            conclusion=conclusion if isinstance(conclusion, LiteralSet) else LiteralSet(conclusion),
+            name=name or f"ngd_{pattern.name}",
+            allow_nonlinear=allow_nonlinear,
         )
-        self.name = name or f"ngd_{pattern.name}"
-        self.allow_nonlinear = allow_nonlinear
         self._check_well_formed()
 
     # ------------------------------------------------------------ validation
@@ -153,15 +159,6 @@ class NGD:
         """Return the pattern variable list x̄."""
         return self.pattern.variables
 
-    def attributes_of(self, variable: str) -> frozenset[str]:
-        """Return the attribute names the literals read from ``variable``."""
-        return frozenset(
-            attribute
-            for literal in self.all_literals()
-            for var_name, attribute in literal.variables()
-            if var_name == variable
-        )
-
     def diameter(self) -> int:
         """Return d_Q, the diameter of the pattern (Section 6.1)."""
         return self.pattern.diameter()
@@ -177,16 +174,6 @@ class NGD:
     def is_linear(self) -> bool:
         """Return True when every literal is linear (the decidable NGD class)."""
         return all(literal.is_linear() for literal in self.all_literals())
-
-    def uses_comparison_beyond_equality(self) -> bool:
-        """Return True when some literal uses a predicate other than ``=``."""
-        from repro.expr.literals import Comparison
-
-        return any(literal.comparison is not Comparison.EQ for literal in self.all_literals())
-
-    def max_expression_degree(self) -> int:
-        """Return the maximum degree over all literals (0 when there are none)."""
-        return max((literal.degree() for literal in self.all_literals()), default=0)
 
     # -------------------------------------------------------------- semantics
 
@@ -226,26 +213,17 @@ class NGD:
         return f"NGD({self.name!r}, |Q|={self.pattern.size()}, |X|={len(self.premise)}, |Y|={len(self.conclusion)})"
 
 
-class RuleSet:
-    """A set Σ of NGDs used as data quality rules."""
+class RuleSet(Frozen):
+    """A set Σ of NGDs used as data quality rules, in declaration order."""
 
     def __init__(self, rules: Iterable[NGD] = (), name: str = "Σ") -> None:
-        self.name = name
-        self._rules: list[NGD] = list(rules)
-        # values computed from the whole rule list (dΣ, the pivot index), dropped by add()
-        self._derived: dict[str, object] = {}
+        # values computed from the whole rule tuple (dΣ, the pivot index) go in _derived
+        vars(self).update(name=name, _rules=tuple(rules), _derived={})
 
-    def add(self, rule: NGD) -> "RuleSet":
-        """Append a rule and return self (builder style)."""
-        self._rules.append(rule)
-        self._derived.clear()
-        return self
+    def derived(self, key: str, build: Callable[[tuple[NGD, ...]], T]) -> T:
+        """Return ``build(rules)``, computed once per ``key``.
 
-    def derived(self, key: str, build: Callable[[list[NGD]], T]) -> T:
-        """Return ``build(rules)``, computed once per ``key`` and again after :meth:`add`.
-
-        For what every run over the same Σ would otherwise recompute; the
-        rules themselves are taken to be immutable once in the set.
+        For what every run over the same Σ would otherwise recompute.
         """
         try:
             return self._derived[key]  # type: ignore[return-value]
@@ -267,23 +245,18 @@ class RuleSet:
 
     def rules(self) -> tuple[NGD, ...]:
         """Return the rules in declaration order."""
-        return tuple(self._rules)
+        return self._rules
 
     def diameter(self) -> int:
         """Return dΣ: the maximum pattern diameter over the rules (Section 6.1).
 
-        Computed once per rule set (every incremental run asks for it) and
-        recomputed after :meth:`add`.
+        Computed once per rule set: every incremental run asks for it.
         """
         return self.derived("diameter", lambda rules: max((rule.diameter() for rule in rules), default=0))
 
     def total_size(self) -> int:
         """Return |Σ|: the sum of the rule sizes (used in the cost analyses)."""
         return sum(rule.size() for rule in self._rules)
-
-    def max_pattern_nodes(self) -> int:
-        """Return |V_Σ|: the largest number of pattern nodes in any rule."""
-        return max((rule.pattern.node_count() for rule in self._rules), default=0)
 
     def is_linear(self) -> bool:
         """Return True when every rule is in the linear (decidable) fragment."""
@@ -292,13 +265,6 @@ class RuleSet:
     def restrict(self, count: int) -> "RuleSet":
         """Return a rule set containing the first ``count`` rules (used by ‖Σ‖ sweeps)."""
         return RuleSet(self._rules[:count], name=f"{self.name}[:{count}]")
-
-    def by_name(self, name: str) -> NGD:
-        """Return the rule with the given name; raises :class:`DependencyError` when absent."""
-        for rule in self._rules:
-            if rule.name == name:
-                return rule
-        raise DependencyError(f"no rule named {name!r} in {self.name}")
 
     # ----------------------------------------------------------- serialization
 
@@ -382,5 +348,5 @@ def cfd_as_ngd(
     over ``t.column``.  This is the embedding the paper uses to argue NGDs
     subsume CFDs.
     """
-    pattern = Pattern.from_edges(f"cfd_{relation}", nodes=[("t", relation)])
+    pattern = Pattern(f"cfd_{relation}", nodes=[("t", relation)])
     return NGD.from_text(pattern, premise, conclusion, name=name or f"cfd_{relation}")

@@ -61,7 +61,7 @@ def _value_star(entity_type: str, relations: list[str], arms: int, name: str) ->
     """A pattern: one entity of ``entity_type`` with ``arms`` value nodes (diameter 2)."""
     nodes = [("x", entity_type)] + [(f"a{i}", "integer") for i in range(arms)]
     edges = [("x", f"a{i}", relations[i % len(relations)]) for i in range(arms)]
-    return Pattern.from_edges(name, nodes=nodes, edges=edges)
+    return Pattern(name, nodes=nodes, edges=edges)
 
 
 def _link_path(
@@ -84,7 +84,7 @@ def _link_path(
         ("x0", "a", value_relations[0]),
         (f"x{hops}", "b", value_relations[1 % len(value_relations)]),
     ]
-    return Pattern.from_edges(name, nodes=nodes, edges=edges)
+    return Pattern(name, nodes=nodes, edges=edges)
 
 
 def _template_rules(schema: dict[str, list[str]], seed: int) -> list[NGD]:
@@ -103,7 +103,7 @@ def _template_rules(schema: dict[str, list[str]], seed: int) -> list[NGD]:
 
     for entity_type in entity_types:
         # diameter 1: a single value edge, sanity literal (no violations, pure matching work)
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             f"Q_{entity_type}_single",
             nodes=[("x", entity_type), ("a", "integer")],
             edges=[("x", "a", value_relations[0])],

@@ -4,7 +4,9 @@ Section 6.2.  Given a graph ``G``, a rule set Σ and a batch update ΔG,
 IncDect computes ΔVio(Σ, G, ΔG) by update-driven evaluation:
 
 1. For every rule and every unit update, build the *update pivots*: partial
-   solutions mapping a pattern edge onto the updated data edge.
+   solutions mapping a pattern edge onto the updated data edge, and the
+   variable of a pattern component with no edge onto a node the update
+   introduces (a *node pivot*, searched in ``G ⊕ ΔG``).
 2. Expand each pivot with the same backtracking expansion as ``Matchn``,
    restricted to the pivot's neighbourhood — insertion pivots in ``G ⊕ ΔG``
    (candidates for ΔVio⁺), deletion pivots in ``G`` (candidates for ΔVio⁻).
@@ -22,9 +24,10 @@ The pivots of all of Σ come from one pass over ΔG
 :mod:`repro.matching.search` directly, drained by the loop Dect drains its
 seeds with (:class:`~repro.detect.serial.SerialRun`) and charged per step
 what the parallel kernels charge.  The reported ``cost`` is what the search
-touched — one unit per consistent pivot plus the charged steps — in the units
-of the simulated parallel makespans, making PIncDect's relative parallel
-scalability (Theorem 6) directly observable in the benchmarks.  The size of
+touched — one unit per consistent pivot, node pivots included, plus the
+charged steps — in the units of the simulated parallel makespans, making
+PIncDect's relative parallel scalability (Theorem 6) directly observable in
+the benchmarks.  The size of
 ``G_dΣ(ΔG)``, ``neighborhood_size``, is one BFS run when the result is first
 asked for it.
 
@@ -109,9 +112,7 @@ def iter_inc_dect(
             with run.rule(rule.name):
                 search = rule_search(rule, plan, run.stats)
                 seeds = []
-                for site, update in pivots:
-                    inserted = update.is_insertion
-                    ids = site.ids(update)
+                for site, ids, inserted in pivots:
                     if not site.holds_in(graph_for(inserted).store, ids):
                         continue
                     run.cost += 1.0

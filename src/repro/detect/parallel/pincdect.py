@@ -154,9 +154,8 @@ def _pivot_units(
     """
     units = []
     for rule_index, found in enumerate(pivots_by_rule(rule_set, delta, graph, updated)):
-        for site, update in found:
-            ids = site.ids(update)
-            if site.holds_in((updated if update.is_insertion else graph).store, ids):
+        for site, ids, inserted in found:
+            if site.holds_in((updated if inserted else graph).store, ids):
                 order = site.order(plans[rule_index])
-                units.append(WorkUnit(rule_index, order, tuple(zip(order, ids)), update.is_insertion))
+                units.append(WorkUnit(rule_index, order, tuple(zip(order, ids)), inserted))
     return units

@@ -99,7 +99,7 @@ def mine_frequent_patterns(
     counter = itertools.count()
     for source_label, edge_label, target_label, _ in signatures:
         index = next(counter)
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             f"mined_{index}",
             nodes=[("x0", source_label), ("x1", target_label)],
             edges=[("x0", "x1", edge_label)],
@@ -128,30 +128,19 @@ def _extensions(
     pattern: Pattern, signatures: list[tuple[str, str, str, int]], counter: Iterator[int]
 ) -> Iterator[Pattern]:
     """Yield patterns extending ``pattern`` with one new edge to a fresh variable."""
-    for variable in pattern.variables:
-        anchor_label = pattern.node(variable).label
+    nodes = [(node.variable, node.label) for node in pattern.nodes()]
+    edges = [(edge.source, edge.target, edge.label) for edge in pattern.edges()]
+    fresh = f"x{len(nodes)}"
+    for variable, anchor_label in nodes:
         for source_label, edge_label, target_label, _ in signatures:
             if source_label == anchor_label:
-                fresh = f"x{pattern.node_count()}"
-                extended = _clone_with(pattern, next(counter))
-                extended.add_node(fresh, target_label)
-                extended.add_edge(variable, fresh, edge_label)
-                yield extended
+                yield Pattern(
+                    f"mined_{next(counter)}", [*nodes, (fresh, target_label)], [*edges, (variable, fresh, edge_label)]
+                )
             if target_label == anchor_label:
-                fresh = f"x{pattern.node_count()}"
-                extended = _clone_with(pattern, next(counter))
-                extended.add_node(fresh, source_label)
-                extended.add_edge(fresh, variable, edge_label)
-                yield extended
-
-
-def _clone_with(pattern: Pattern, index: int) -> Pattern:
-    clone = Pattern(f"mined_{index}")
-    for variable in pattern.variables:
-        clone.add_node(variable, pattern.node(variable).label)
-    for edge in pattern.edges():
-        clone.add_edge(edge.source, edge.target, edge.label)
-    return clone
+                yield Pattern(
+                    f"mined_{next(counter)}", [*nodes, (fresh, source_label)], [*edges, (fresh, variable, edge_label)]
+                )
 
 
 def _sample_assignments(

@@ -6,11 +6,12 @@ same alphabet as data graphs, plus the wildcard ``_`` which matches any node
 label.  A *match* of ``Q[x̄]`` in a data graph ``G`` is a homomorphism ``h``
 preserving labels and edges; the match is reported as the vector ``h(x̄)``.
 
-:class:`Pattern` stores the pattern graph together with the variable order
-``x̄`` and provides the structural queries the matcher and the satisfiability
-checker need: diameters, connectivity, adjacency of pattern nodes, and a
-deterministic matching order seeded from a pivot edge (used by update-driven
-incremental matching).
+:class:`Pattern` is a value: its nodes, the variable order ``x̄`` and its
+edges are given to one constructor call and never change, so whatever is
+derived from a pattern (its update-pivot sites, say) is computed once and
+kept (:meth:`Pattern.derived`).  It provides the structural queries the
+matcher and the satisfiability checker need: diameters, connectivity and
+the adjacency of pattern nodes.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from typing import Optional, TypeVar
+from typing import TypeVar
 
+from repro._frozen import Frozen
 from repro.errors import PatternError
-from repro.graph.graph import WILDCARD, Graph
 
 __all__ = ["PatternNode", "PatternEdge", "Pattern"]
 
@@ -35,10 +36,6 @@ class PatternNode:
     variable: str
     label: str
 
-    def matches_label(self, label: str) -> bool:
-        """Return True when a data node carrying ``label`` can match this pattern node."""
-        return self.label == WILDCARD or self.label == label
-
 
 @dataclass(frozen=True)
 class PatternEdge:
@@ -48,83 +45,58 @@ class PatternEdge:
     target: str
     label: str
 
-    def endpoints(self) -> tuple[str, str]:
-        """Return ``(source variable, target variable)``."""
-        return (self.source, self.target)
 
-
-class Pattern:
+class Pattern(Frozen):
     """A graph pattern ``Q[x̄]`` with a fixed variable order.
 
     Variables are strings; the bijection ``µ`` of the paper is implicit in the
     one-to-one correspondence between variables and pattern nodes.
     """
 
-    def __init__(self, name: str = "Q") -> None:
-        self.name = name
-        self._nodes: dict[str, PatternNode] = {}
-        self._order: list[str] = []
-        self._edges: list[PatternEdge] = []
-        self._edge_keys: set[tuple[str, str, str]] = set()
-        self._out: dict[str, list[PatternEdge]] = {}
-        self._in: dict[str, list[PatternEdge]] = {}
-        # values computed from the whole pattern (its update-pivot sites), dropped by add_node/add_edge
-        self._derived: dict[str, object] = {}
-
-    # ----------------------------------------------------------- construction
-
-    def add_node(self, variable: str, label: str = WILDCARD) -> PatternNode:
-        """Add a pattern node bound to ``variable``; duplicate variables are rejected."""
-        if not variable:
-            raise PatternError("pattern variables must be non-empty strings")
-        if variable in self._nodes:
-            existing = self._nodes[variable]
-            if existing.label == label:
-                return existing
-            raise PatternError(
-                f"variable {variable!r} is already bound to label {existing.label!r}"
-            )
-        node = PatternNode(variable, label)
-        self._derived.clear()
-        self._nodes[variable] = node
-        self._order.append(variable)
-        self._out.setdefault(variable, [])
-        self._in.setdefault(variable, [])
-        return node
-
-    def add_edge(self, source: str, target: str, label: str) -> PatternEdge:
-        """Add a pattern edge; both endpoint variables must exist."""
-        for variable in (source, target):
-            if variable not in self._nodes:
-                raise PatternError(f"pattern variable {variable!r} is not defined")
-        key = (source, target, label)
-        if key in self._edge_keys:
-            return next(e for e in self._edges if (e.source, e.target, e.label) == key)
-        edge = PatternEdge(source, target, label)
-        self._derived.clear()
-        self._edges.append(edge)
-        self._edge_keys.add(key)
-        self._out[source].append(edge)
-        self._in[target].append(edge)
-        return edge
-
-    @classmethod
-    def from_edges(
-        cls,
+    def __init__(
+        self,
         name: str,
         nodes: Iterable[tuple[str, str]],
         edges: Iterable[tuple[str, str, str]] = (),
-    ) -> "Pattern":
-        """Build a pattern from ``(variable, label)`` pairs and ``(src, dst, label)`` triples."""
-        pattern = cls(name)
+    ) -> None:
+        """Build a pattern from ``(variable, label)`` pairs and ``(source, target, label)`` triples.
+
+        The variable order x̄ is the order of first appearance in ``nodes``.
+        A node or edge given twice is kept once; a variable given two labels,
+        an empty variable, or an edge naming an undefined variable raises
+        :class:`PatternError`.
+        """
+        bound: dict[str, PatternNode] = {}
         for variable, label in nodes:
-            pattern.add_node(variable, label)
+            if not variable:
+                raise PatternError("pattern variables must be non-empty strings")
+            node = bound.setdefault(variable, PatternNode(variable, label))
+            if node.label != label:
+                raise PatternError(f"variable {variable!r} is already bound to label {node.label!r}")
+        kept: dict[PatternEdge, None] = {}
         for source, target, label in edges:
-            pattern.add_edge(source, target, label)
-        return pattern
+            for variable in (source, target):
+                if variable not in bound:
+                    raise PatternError(f"pattern variable {variable!r} is not defined")
+            kept[PatternEdge(source, target, label)] = None
+        out: dict[str, list[PatternEdge]] = {variable: [] for variable in bound}
+        inc: dict[str, list[PatternEdge]] = {variable: [] for variable in bound}
+        for edge in kept:
+            out[edge.source].append(edge)
+            inc[edge.target].append(edge)
+        vars(self).update(
+            name=name,
+            variables=tuple(bound),
+            _nodes=bound,
+            _edges=tuple(kept),
+            _out={variable: tuple(edges) for variable, edges in out.items()},
+            _in={variable: tuple(edges) for variable, edges in inc.items()},
+            # values computed from the whole pattern (its update-pivot sites)
+            _derived={},
+        )
 
     def derived(self, key: str, build: Callable[["Pattern"], T]) -> T:
-        """Return ``build(self)``, computed once per ``key`` and again after the pattern grows."""
+        """Return ``build(self)``, computed once per ``key``."""
         try:
             return self._derived[key]  # type: ignore[return-value]
         except KeyError:
@@ -132,11 +104,6 @@ class Pattern:
             return value
 
     # ---------------------------------------------------------------- queries
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        """Return the variable list x̄ in insertion order."""
-        return tuple(self._order)
 
     def node(self, variable: str) -> PatternNode:
         """Return the pattern node bound to ``variable``."""
@@ -147,23 +114,19 @@ class Pattern:
 
     def nodes(self) -> Iterator[PatternNode]:
         """Iterate over pattern nodes in variable order."""
-        return (self._nodes[v] for v in self._order)
+        return iter(self._nodes.values())
 
     def edges(self) -> tuple[PatternEdge, ...]:
-        """Return the pattern edges in insertion order."""
-        return tuple(self._edges)
+        """Return the pattern edges in the order they were given."""
+        return self._edges
 
     def out_edges(self, variable: str) -> tuple[PatternEdge, ...]:
         """Return pattern edges leaving ``variable``."""
-        return tuple(self._out.get(variable, ()))
+        return self._out.get(variable, ())
 
     def in_edges(self, variable: str) -> tuple[PatternEdge, ...]:
         """Return pattern edges entering ``variable``."""
-        return tuple(self._in.get(variable, ()))
-
-    def incident_edges(self, variable: str) -> tuple[PatternEdge, ...]:
-        """Return all pattern edges touching ``variable``."""
-        return tuple(self._out.get(variable, ())) + tuple(self._in.get(variable, ()))
+        return self._in.get(variable, ())
 
     def neighbours(self, variable: str) -> frozenset[str]:
         """Return variables adjacent to ``variable`` ignoring direction."""
@@ -187,34 +150,16 @@ class Pattern:
 
     def is_connected(self) -> bool:
         """Return True when the pattern is connected as an undirected graph."""
-        if not self._nodes:
-            return True
-        seen = {self._order[0]}
-        frontier = deque(seen)
-        while frontier:
-            current = frontier.popleft()
-            for neighbour in self.neighbours(current):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return len(seen) == len(self._nodes)
+        return len(self.connected_components()) <= 1
 
     def connected_components(self) -> list[frozenset[str]]:
-        """Return the variable sets of the undirected connected components."""
-        remaining = set(self._order)
+        """Return the variable sets of the undirected connected components, in variable order."""
         components: list[frozenset[str]] = []
-        while remaining:
-            start = next(iter(remaining))
-            seen = {start}
-            frontier = deque([start])
-            while frontier:
-                current = frontier.popleft()
-                for neighbour in self.neighbours(current):
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        frontier.append(neighbour)
-            components.append(frozenset(seen))
-            remaining -= seen
+        placed: set[str] = set()
+        for variable in self.variables:
+            if variable not in placed:
+                components.append(frozenset(self.distances_from(variable)))
+                placed |= components[-1]
         return components
 
     def distances_from(self, variable: str) -> dict[str, int]:
@@ -237,7 +182,7 @@ class Pattern:
         empty pattern has diameter 0.
         """
         best = 0
-        for variable in self._order:
+        for variable in self.variables:
             distances = self.distances_from(variable)
             if distances:
                 best = max(best, max(distances.values()))
@@ -250,12 +195,12 @@ class Pattern:
 
         Shape: ``{"name": ..., "nodes": [[variable, label], ...],
         "edges": [[source, target, label], ...]}`` with nodes in variable
-        order and edges in insertion order, so :meth:`from_dict` rebuilds an
+        order and edges in the order given, so :meth:`from_dict` rebuilds an
         ``==``-identical pattern.
         """
         return {
             "name": self.name,
-            "nodes": [[variable, self._nodes[variable].label] for variable in self._order],
+            "nodes": [[node.variable, node.label] for node in self._nodes.values()],
             "edges": [[edge.source, edge.target, edge.label] for edge in self._edges],
         }
 
@@ -280,44 +225,21 @@ class Pattern:
                 "pattern document entries must be [variable, label] node pairs "
                 f"and [source, target, label] edge triples: {exc}"
             ) from exc
-        return cls.from_edges(document.get("name", "Q"), nodes=nodes, edges=edges)
-
-    def to_graph(self, label_attributes: Optional[dict[str, dict[str, object]]] = None) -> Graph:
-        """Materialise the pattern as a data graph (used by the satisfiability checker).
-
-        Each pattern node becomes a data node whose id is the variable name;
-        wildcard labels are kept verbatim.  ``label_attributes`` optionally
-        supplies attribute tuples per variable.
-        """
-        graph = Graph(f"{self.name}-canonical")
-        attrs = label_attributes or {}
-        for variable in self._order:
-            node = self._nodes[variable]
-            graph.add_node(variable, node.label, attrs.get(variable, {}))
-        for edge in self._edges:
-            graph.add_edge(edge.source, edge.target, edge.label)
-        return graph
+        return cls(document.get("name", "Q"), nodes, edges)
 
     # ---------------------------------------------------------------- dunders
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pattern):
             return NotImplemented
-        return (
-            self._order == other._order
-            and {v: n.label for v, n in self._nodes.items()}
-            == {v: n.label for v, n in other._nodes.items()}
-            and self._edge_keys == other._edge_keys
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                tuple(self._order),
-                tuple(sorted((v, n.label) for v, n in self._nodes.items())),
-                tuple(sorted(self._edge_keys)),
-            )
-        )
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        # the name is no part of the pattern: x̄ with its labels, and the edge set
+        return tuple(self._nodes.values()), frozenset(self._edges)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Pattern({self.name!r}, vars={self._order}, edges={len(self._edges)})"
+        return f"Pattern({self.name!r}, vars={list(self.variables)}, edges={len(self._edges)})"

@@ -12,14 +12,23 @@ pivot) yields exactly the matches that involve an updated edge:
 * pivots triggered by **deletions** are expanded in the *old* graph ``G`` and
   produce candidates for ``ΔVio⁻`` (violations destroyed by the update).
 
-Matches that do not touch any updated edge are unaffected by ΔG (edge updates
-never change node attributes), which is why pivot-driven search is complete.
+An insertion may also bring a new endpoint node.  A pattern component with
+no edge (a one-node pattern, or the lone variable of a disconnected one) is
+never reached through an edge, so every node ΔG introduces whose label such
+a component's variable admits seeds that variable: a *node pivot*, expanded
+in ``G ⊕ ΔG`` like an insertion pivot.
+
+Any other match is unaffected by ΔG: it uses no updated edge and no new
+node, and edge updates never change node attributes.  That is why
+pivot-driven search is complete.
 
 Pivots are found for all of Σ in one pass over ΔG: :func:`pivot_index` maps
 each edge label to every place an updated edge with that label can land in
-Σ (a rule and a :class:`PivotSite`, kept per pattern), built once per rule
-list; :func:`pivots_by_rule` walks ΔG's endpoint labels against it.
-:func:`find_update_pivots` is the same walk over a one-rule index.
+Σ (a rule and a :class:`PivotSite`), and ``None`` to every place a new node
+can land (a rule and a :class:`NodeSite`).  The sites are kept per pattern
+and the index per rule set, each built once; :func:`pivots_by_rule` walks
+ΔG's endpoint labels against it.  :func:`find_update_pivots` is the same
+walk over a one-rule index.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.matching.plan import MatchPlan
 
 __all__ = [
+    "NodeSite",
     "PivotSite",
     "UpdatePivot",
     "find_update_pivots",
@@ -48,22 +58,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UpdatePivot:
-    """An initial partial solution seeded by a unit update.
+    """An initial partial solution seeded by ΔG: the seed ``variables`` bound to data ``nodes``.
 
-    ``pattern_edge`` is the pattern edge matched by the updated data edge;
-    ``source_node`` / ``target_node`` are the data endpoints; ``from_insertion``
-    records which side of ΔG triggered the pivot.
+    An edge pivot binds the endpoints of a pattern edge (the one variable of
+    a self-loop) to those of an updated data edge; a node pivot binds the
+    variable of an edge-less component to a node that ΔG introduces.
+    ``from_insertion`` records which side of ΔG triggered the pivot.
     """
 
     rule: str
-    pattern_edge: PatternEdge
-    source_node: Hashable
-    target_node: Hashable
+    variables: tuple[str, ...]
+    nodes: tuple[Hashable, ...]
     from_insertion: bool
 
     def seed(self) -> dict[str, Hashable]:
         """Return the seed partial solution ``{u: v, u': v'}``."""
-        return {self.pattern_edge.source: self.source_node, self.pattern_edge.target: self.target_node}
+        return dict(zip(self.variables, self.nodes))
 
 
 class PivotSite:
@@ -113,24 +123,63 @@ class PivotSite:
         return plan.order_for_seed(self.seed)
 
 
-def _pattern_sites(pattern: Pattern) -> list[PivotSite]:
-    return [PivotSite(pattern, edge) for edge in pattern.edges()]
+class NodeSite:
+    """One place a node that ΔG introduces can land in a pattern: a component with no edge.
+
+    Such a component is one variable that no pattern edge touches, so no
+    updated edge ever lands on it.  ``seed`` is that variable, bound to a new
+    node whose label ``label`` admits (None: the wildcard admits any); with
+    no pattern edge inside the seed, :meth:`holds_in` has nothing to probe.
+    """
+
+    __slots__ = ("label", "seed")
+
+    def __init__(self, pattern: Pattern, variable: str) -> None:
+        label = pattern.node(variable).label
+        self.label = None if label == WILDCARD else label
+        self.seed = (variable,)
+
+    def holds_in(self, store: "GraphStore", ids: Sequence[Hashable]) -> bool:
+        """Return True: a node pivot binds no pattern edge."""
+        return True
+
+    def order(self, plan: "MatchPlan") -> tuple[str, ...]:
+        """Return the variable order a pivot's search follows: the plan's cost-based order, seed first."""
+        return plan.order_for_seed(self.seed)
 
 
-def _build_pivot_index(rules: Sequence[NGD]) -> dict[str, list[tuple[int, PivotSite]]]:
-    index: dict[str, list[tuple[int, PivotSite]]] = {}
+#: A pivot index: edge label -> the places an updated edge with it lands, and
+#: None -> the places a node that ΔG introduces lands; each as (rule index, site).
+PivotIndex = dict[str | None, list[tuple[int, PivotSite | NodeSite]]]
+
+
+def _pattern_sites(pattern: Pattern) -> list[PivotSite | NodeSite]:
+    """Every pattern edge's site, then the site of every component with no edge, in variable order."""
+    sites: list[PivotSite | NodeSite] = [PivotSite(pattern, edge) for edge in pattern.edges()]
+    for component in pattern.connected_components():
+        if not any(pattern.neighbours(variable) for variable in component):
+            (variable,) = component
+            sites.append(NodeSite(pattern, variable))
+    return sites
+
+
+def _build_pivot_index(rules: Sequence[NGD]) -> PivotIndex:
+    index: PivotIndex = {}
     for rule_index, rule in enumerate(rules):
         for site in rule.pattern.derived("pivot_sites", _pattern_sites):
-            index.setdefault(site.edge.label, []).append((rule_index, site))
+            key = site.edge.label if isinstance(site, PivotSite) else None
+            index.setdefault(key, []).append((rule_index, site))
     return index
 
 
-def pivot_index(rules: RuleSet | Sequence[NGD]) -> dict[str, list[tuple[int, PivotSite]]]:
-    """Return ``edge label -> [(rule index, PivotSite)]`` over Σ, in rule order, then pattern-edge order.
+def pivot_index(rules: RuleSet | Sequence[NGD]) -> PivotIndex:
+    """Return ``edge label -> [(rule index, PivotSite)]`` over Σ, plus ``None -> [(rule index, NodeSite)]``.
 
-    Kept on a :class:`~repro.core.ngd.RuleSet` (built on first use, dropped
-    by ``RuleSet.add``); a plain rule sequence gets a fresh index.  The sites
-    themselves are kept on each pattern (``Pattern.derived``).
+    Each list is in rule order, then in the pattern's site order.  The index
+    is kept on a :class:`~repro.core.ngd.RuleSet`, built on its first use: a
+    rule set never changes, so neither does its index.  A plain rule
+    sequence gets a fresh index.  The sites themselves are kept on each
+    pattern (``Pattern.derived``).
     """
     if isinstance(rules, RuleSet):
         return rules.derived("pivot_index", _build_pivot_index)
@@ -142,21 +191,29 @@ def pivots_by_rule(
     delta: BatchUpdate,
     graph_before: Graph,
     graph_after: Graph,
-) -> list[list[tuple[PivotSite, UnitUpdate]]]:
-    """Return every rule's update pivots, one ``(site, unit update)`` each, from one pass over ΔG.
+) -> list[list[tuple[PivotSite | NodeSite, tuple, bool]]]:
+    """Return every rule's pivots, one ``(site, seed nodes, from insertion)`` each, from one pass over ΔG.
 
     Insertion pivots are label-checked against ``graph_after`` (the inserted
     endpoints may be brand-new nodes); deletion pivots against
     ``graph_before``.  The endpoint labels of each updated edge are resolved
     once per ΔG (:meth:`BatchUpdate.endpoint_labels`) and probed against
     :func:`pivot_index`, so all of Σ costs one dict probe per unit update plus
-    the pattern edges carrying its label.  Each rule's list follows the batch
-    order of ΔG, then the rule's pattern-edge order, which keeps incremental
-    runs deterministic.
+    the pattern edges carrying its label.  An inserted endpoint absent from
+    ``graph_before`` is a node ΔG introduces: the first insertion naming it
+    gives it a node pivot on every :class:`NodeSite` whose label admits it.
+    A Σ without such a site skips that test.  Each rule's list follows the
+    batch order of ΔG; within one unit update, its edge pivots come in the
+    rule's pattern-edge order, then its new source's node pivots, then its
+    new target's.  That keeps incremental runs deterministic.
     """
     index = pivot_index(rules)
-    found: list[list[tuple[PivotSite, UnitUpdate]]] = [[] for _ in range(len(rules))]
+    node_sites = index.get(None)
+    existed = graph_before.store.has_node
+    introduced: set[Hashable] = set()
+    found: list[list[tuple[PivotSite | NodeSite, tuple, bool]]] = [[] for _ in range(len(rules))]
     for update, source_label, target_label in delta.endpoint_labels(graph_before, graph_after):
+        inserted = update.is_insertion
         for rule_index, site in index.get(update.label, ()):
             if site.loop and update.source != update.target:
                 continue  # a pattern self-loop is matched by data self-loops only
@@ -164,7 +221,15 @@ def pivots_by_rule(
                 continue
             if site.target_label is not None and site.target_label != target_label:
                 continue
-            found[rule_index].append((site, update))
+            found[rule_index].append((site, site.ids(update), inserted))
+        if node_sites and inserted:
+            for node, label in ((update.source, source_label), (update.target, target_label)):
+                if node in introduced or existed(node):
+                    continue
+                introduced.add(node)
+                for rule_index, node_site in node_sites:
+                    if node_site.label is None or node_site.label == label:
+                        found[rule_index].append((node_site, (node,), True))
     return found
 
 
@@ -174,6 +239,6 @@ def find_update_pivots(
     graph_before: Graph,
     graph_after: Graph,
 ) -> list[UpdatePivot]:
-    """Return every update pivot of ``rule`` triggered by ``delta``: :func:`pivots_by_rule` for one rule."""
+    """Return every pivot of ``rule`` triggered by ``delta``: :func:`pivots_by_rule` for one rule."""
     (found,) = pivots_by_rule((rule,), delta, graph_before, graph_after)
-    return [UpdatePivot(rule.name, site.edge, u.source, u.target, u.is_insertion) for site, u in found]
+    return [UpdatePivot(rule.name, site.seed, ids, inserted) for site, ids, inserted in found]

@@ -84,6 +84,6 @@ def coloring_to_incremental_instance(
     for u, v in instance.edges:
         pattern_edges.append((f"x{u}", f"x{v}", _EDGE_LABEL))
         pattern_edges.append((f"x{v}", f"x{u}", _EDGE_LABEL))
-    pattern = Pattern.from_edges("Q_coloring", nodes=nodes, edges=pattern_edges)
+    pattern = Pattern("Q_coloring", nodes=nodes, edges=pattern_edges)
     rule = NGD.from_text(pattern, "", "x0.A = 3", name="coloring_rule")
     return graph, RuleSet([rule], name="coloring"), delta

@@ -82,7 +82,7 @@ def gssp_to_ngds(instance: GSSPInstance) -> RuleSet:
     universal_zero = [(f"z{j}", f"u{j}") for j in range(n)]
     universal_one = [(f"o{j}", f"u{j}") for j in range(n)]
 
-    base_pattern = Pattern.from_edges("Q_gssp", nodes=existential_nodes + universal_zero + universal_one)
+    base_pattern = Pattern("Q_gssp", nodes=existential_nodes + universal_zero + universal_one)
 
     boolean_literals = []
     for i in range(m):
@@ -104,7 +104,7 @@ def gssp_to_ngds(instance: GSSPInstance) -> RuleSet:
 
     # wildcard pattern matching one node per universal position — either the 0-node or the 1-node
     wildcard_nodes = [(f"w{j}", f"u{j}") for j in range(n)]
-    check_pattern = Pattern.from_edges(
+    check_pattern = Pattern(
         "Q_gssp_check", nodes=existential_nodes + wildcard_nodes
     )
     linear_form: Expression = const(0)

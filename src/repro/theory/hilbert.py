@@ -80,7 +80,7 @@ def diophantine_to_ngd(equation: DiophantineEquation) -> NGD:
     the satisfiability/implication checkers, reflecting Theorem 3.
     """
     nodes = [(f"x{j}", "var") for j in range(equation.num_variables)]
-    pattern = Pattern.from_edges("Q_diophantine", nodes=nodes)
+    pattern = Pattern("Q_diophantine", nodes=nodes)
 
     polynomial: Expression = const(0)
     for coefficient, exponents in equation.terms:

@@ -72,7 +72,7 @@ def rule_phi4() -> NGD:
 @pytest.fixture
 def knows_pattern() -> Pattern:
     """Pattern: person --knows--> person."""
-    return Pattern.from_edges(
+    return Pattern(
         "knows",
         nodes=[("x", "person"), ("y", "person")],
         edges=[("x", "y", "knows")],

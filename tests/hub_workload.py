@@ -34,7 +34,7 @@ def correlated_hub_graph(roots: int, wide: int, narrow: int, survivor_stride: in
 
 def hub_rules() -> RuleSet:
     """One rule over the hub star: ``x -e1-> y``, ``x -e2-> z``, ``z.val = 1 → y.val < 0``."""
-    pattern = Pattern.from_edges(
+    pattern = Pattern(
         "Qst",
         nodes=[("x", "root"), ("y", "a"), ("z", "b")],
         edges=[("x", "y", "e1"), ("x", "z", "e2")],

@@ -33,7 +33,7 @@ def region_graph() -> Graph:
 
 @pytest.fixture
 def region_pattern() -> Pattern:
-    return Pattern.from_edges("region_pattern", nodes=[("z", "region")])
+    return Pattern("region_pattern", nodes=[("z", "region")])
 
 
 @pytest.fixture

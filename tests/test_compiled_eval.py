@@ -381,12 +381,9 @@ def test_comparison_dispatch_table_matches_enum():
 
 
 def _literal_heavy_rules() -> RuleSet:
-    pattern = Pattern("Q")
-    pattern.add_node("x", "product")
-    pattern.add_node("y", "product")
-    pattern.add_node("z", "seller")
-    pattern.add_edge("x", "y", "variant")
-    pattern.add_edge("z", "x", "sells")
+    pattern = Pattern(
+        "Q", [("x", "product"), ("y", "product"), ("z", "seller")], [("x", "y", "variant"), ("z", "x", "sells")]
+    )
     premise = LiteralSet(
         [
             Literal(var("x", "price"), Comparison.GT, const(0)),
@@ -575,10 +572,7 @@ def test_evaluation_error_accounting_parity():
     # a premise literal whose attribute is present but non-numeric raises
     # EvaluationError/TypeError mid-candidate inside the closure: it must
     # bill one literal_evaluation and reject the candidate
-    pattern = Pattern("Q")
-    pattern.add_node("x", "item")
-    pattern.add_node("y", "item")
-    pattern.add_edge("x", "y", "rel")
+    pattern = Pattern("Q", [("x", "item"), ("y", "item")], [("x", "y", "rel")])
     premise = LiteralSet(
         [Literal(Add(var("x", "v"), const(1)), Comparison.GT, const(0))]
     )
@@ -649,12 +643,7 @@ def test_triangle_multi_anchor_parity():
     # a genuine triangle: the last-placed variable anchors to TWO bound
     # variables, driving the anchored probe of step_candidates through a
     # second view (the other workloads anchor to one variable only)
-    pattern = Pattern("T")
-    for variable in ("x", "y", "z"):
-        pattern.add_node(variable, "n")
-    pattern.add_edge("x", "y", "e")
-    pattern.add_edge("y", "z", "e")
-    pattern.add_edge("x", "z", "e")
+    pattern = Pattern("T", [(variable, "n") for variable in "xyz"], [("x", "y", "e"), ("y", "z", "e"), ("x", "z", "e")])
     premise = LiteralSet([Literal(var("x", "w"), Comparison.GT, const(0))])
     conclusion = LiteralSet(
         [Literal(Add(var("y", "w"), var("z", "w")), Comparison.GE, var("x", "w"))]

@@ -75,7 +75,7 @@ class TestDect:
             assert result.total_changes() > 0
 
     def test_single_node_pattern_rules(self, triangle_graph):
-        pattern = Pattern.from_edges("single", nodes=[("x", "person")])
+        pattern = Pattern("single", nodes=[("x", "person")])
         rule = NGD.from_text(pattern, "", "x.val < 15", name="small_val")
         result = Detector(RuleSet([rule]), engine="batch").run(triangle_graph)
         assert result.violation_count() == 1  # node b has val 20
@@ -97,7 +97,7 @@ class TestIncDectCorrectness:
 
     def test_agrees_on_random_graph(self):
         graph = random_labeled_graph(150, 450, num_labels=6, num_edge_labels=4, seed=9)
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "p", nodes=[("a", "L0"), ("b", "L1")], edges=[("a", "b", "e0")]
         )
         rules = RuleSet([NGD.from_text(pattern, "", "a.val <= b.val", name="order")])

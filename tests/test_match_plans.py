@@ -75,7 +75,7 @@ class TestPlanCompiler:
         graph.add_node("r", "rare", {"val": 1})
         for index in range(50):
             graph.add_edge(f"c{index}", "r", "points")
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "Q", nodes=[("x", "common"), ("y", "rare")], edges=[("x", "y", "points")]
         )
         rule = NGD.from_text(pattern, "", "x.val < y.val", name="r")
@@ -236,7 +236,7 @@ class TestPlannerWins:
             graph.add_node(f"flag{index}", "flag", {"val": index})
         for index in range(0, 400, 25):
             graph.add_edge(f"acct{index}", f"flag{(index // 25) % 8}", "flagged")
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "skew", nodes=[("x", "account"), ("y", "flag")], edges=[("x", "y", "flagged")]
         )
         rules = [NGD.from_text(pattern, "x.val >= 0", "y.val < x.val", name="skew_rule")]

@@ -41,7 +41,7 @@ class TestCandidates:
         assert set(candidates) == {"a"}  # only 'a' has an outgoing "knows" edge
 
     def test_wildcard_candidates(self, triangle_graph):
-        pattern = Pattern.from_edges("p", nodes=[("x", WILDCARD)], edges=[])
+        pattern = Pattern("p", nodes=[("x", WILDCARD)], edges=[])
         assert len(_seed_candidates(triangle_graph, pattern)) == 3
 
     def test_unary_premise_pruning(self, triangle_graph, knows_pattern):
@@ -72,7 +72,7 @@ class TestHomomorphismMatcher:
         graph.add_node("b", "t")
         graph.add_edge("a", "b", "e")
         graph.add_edge("b", "a", "e")
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "p",
             nodes=[("x", "t"), ("y", "t"), ("z", "t")],
             edges=[("x", "y", "e"), ("y", "z", "e")],
@@ -85,18 +85,18 @@ class TestHomomorphismMatcher:
         }
 
     def test_edge_labels_must_match(self, triangle_graph):
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "p", nodes=[("x", "person"), ("y", "person")], edges=[("x", "y", "likes")]
         )
         assert list(HomomorphismMatcher(triangle_graph, pattern).matches()) == []
 
     def test_disconnected_pattern(self, triangle_graph):
-        pattern = Pattern.from_edges("p", nodes=[("x", "person"), ("y", "city")], edges=[])
+        pattern = Pattern("p", nodes=[("x", "person"), ("y", "city")], edges=[])
         matches = list(HomomorphismMatcher(triangle_graph, pattern).matches())
         assert len(matches) == 2  # two persons × one city
 
     def test_wildcard_pattern_matches_all(self, triangle_graph):
-        pattern = Pattern.from_edges("p", nodes=[("x", WILDCARD)], edges=[])
+        pattern = Pattern("p", nodes=[("x", WILDCARD)], edges=[])
         assert len(list(HomomorphismMatcher(triangle_graph, pattern).matches())) == 3
 
     def test_violations_generator(self, triangle_graph, knows_rule):
@@ -105,7 +105,7 @@ class TestHomomorphismMatcher:
 
     def test_pruning_equivalence(self, triangle_graph):
         # the premise prunes during the search: what comes out is every naive match that satisfies it
-        pattern = Pattern.from_edges("p", nodes=[("x", "person"), ("y", WILDCARD)], edges=[("x", "y", "lives_in")])
+        pattern = Pattern("p", nodes=[("x", "person"), ("y", WILDCARD)], edges=[("x", "y", "lives_in")])
         for premise in ("", "x.age < 28", "x.val >= y.val", "y.age > 0"):
             literals = parse_literal_set(premise)
             expected = sorted(
@@ -118,7 +118,7 @@ class TestHomomorphismMatcher:
 
     def test_star_pattern_matches(self):
         graph = star_graph(4)
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "p", nodes=[("h", "hub"), ("l", "leaf")], edges=[("h", "l", "link")]
         )
         assert len(list(HomomorphismMatcher(graph, pattern).matches())) == 4
@@ -128,7 +128,7 @@ class TestHomomorphismMatcher:
         assert assignment == {}
 
     def test_premise_pruning_filters_the_matches(self, triangle_graph):
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "p", nodes=[("x", "person"), ("y", "city")], edges=[("x", "y", "lives_in")]
         )
         premise = parse_literal_set("x.val > 15")
@@ -139,7 +139,7 @@ class TestHomomorphismMatcher:
         assert sorted(match["x"] for match in unfiltered.matches()) == ["a", "b"]
 
     def test_matches_are_billed_to_the_callers_counters(self, triangle_graph):
-        pattern = Pattern.from_edges("p", nodes=[("x", "person"), ("y", WILDCARD)], edges=[])
+        pattern = Pattern("p", nodes=[("x", "person"), ("y", WILDCARD)], edges=[])
         stats = MatchStatistics()
         matcher = HomomorphismMatcher(triangle_graph, pattern, stats=stats)
         assert matcher.stats is stats
@@ -163,7 +163,7 @@ class TestHomomorphismMatcher:
 
     def test_seeded_search(self, triangle_graph):
         # the incremental kernels start the core on a bound prefix (a pivot)
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "p", nodes=[("x", "person"), ("y", "city")], edges=[("x", "y", "lives_in")]
         )
         plan = compile_plan(triangle_graph, NGD.from_text(pattern, "", "", name="p"))
@@ -274,10 +274,11 @@ def _pivots_by_pattern_scan(rule, delta, graph_before, graph_after):
             if (
                 update.label == edge.label
                 and (edge.source != edge.target or update.source == update.target)
-                and rule.pattern.node(edge.source).matches_label(reference.node(update.source).label)
-                and rule.pattern.node(edge.target).matches_label(reference.node(update.target).label)
+                and rule.pattern.node(edge.source).label in (WILDCARD, reference.node(update.source).label)
+                and rule.pattern.node(edge.target).label in (WILDCARD, reference.node(update.target).label)
             ):
-                found.append((edge, update.source, update.target, update.is_insertion))
+                seed = (edge.source,) if edge.source == edge.target else (edge.source, edge.target)
+                found.append((seed, update.source, update.target, update.is_insertion))
     return found
 
 
@@ -288,7 +289,7 @@ def _pivot_rules(graph: Graph, count: int) -> list[NGD]:
     rules = []
     for index in range(count):
         first, second = edge_labels[index % len(edge_labels)], edge_labels[(index + 1) % len(edge_labels)]
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             f"q{index}",
             nodes=[("x", labels[index % len(labels)]), ("y", labels[(index + 2) % len(labels)]), ("z", WILDCARD)],
             edges=[("x", "y", first), ("y", "z", second)] + ([("z", "z", first)] if index % 3 == 0 else []),
@@ -320,9 +321,9 @@ class TestIncrementalMatching:
         assert _CountingStore.lookups <= 2 * len(delta)
         for rule, found in zip(rules, pivots):
             assert [
-                (p.pattern_edge, p.source_node, p.target_node, p.from_insertion) for p in found
+                (p.variables, p.nodes[0], p.nodes[-1], p.from_insertion) for p in found
             ] == _pivots_by_pattern_scan(rule, delta, before, after)
-        assert any(pivots) and any(p.source_node == p.target_node for found in pivots for p in found)
+        assert any(pivots) and any(len(p.nodes) == 1 for found in pivots for p in found)
 
     def test_endpoint_labels_follow_the_batch_and_the_graphs(self, triangle_graph, knows_rule):
         delta = BatchUpdate().delete("a", "b", "knows")

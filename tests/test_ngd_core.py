@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.builtin_rules import (
@@ -15,12 +18,14 @@ from repro.core.builtin_rules import (
     phi3,
     phi4,
 )
-from repro.core.ngd import NGD, cfd_as_ngd, gfd
+from repro.core.ngd import NGD, RuleSet, cfd_as_ngd, gfd
 from repro.core.validation import find_violations, graph_satisfies
 from repro.core.violations import Violation, ViolationDelta, ViolationSet
 from repro.datasets.figure1 import days_since_epoch
 from repro.errors import DependencyError, NonLinearExpressionError
 from repro.graph.graph import Graph
+from repro.matching.incmatch import pivot_index
+from repro.matching.plan import compile_plans
 
 
 class TestNGDConstruction:
@@ -41,23 +46,15 @@ class TestNGDConstruction:
     def test_nonlinear_allowed_with_flag(self, knows_pattern):
         rule = NGD.from_text(knows_pattern, "", "x.val * y.val = 1", allow_nonlinear=True)
         assert not rule.is_linear()
-        assert rule.max_expression_degree() == 2
+        assert max(literal.degree() for literal in rule.all_literals()) == 2
 
     def test_is_gfd(self, knows_pattern):
         assert NGD.from_text(knows_pattern, "x.val = 1", "y.val = 2").is_gfd()
         assert not NGD.from_text(knows_pattern, "", "x.val < y.val").is_gfd()
 
-    def test_uses_comparison_beyond_equality(self, knows_pattern):
-        assert NGD.from_text(knows_pattern, "", "x.val <= y.val").uses_comparison_beyond_equality()
-        assert not NGD.from_text(knows_pattern, "", "x.val = y.val").uses_comparison_beyond_equality()
-
     def test_size_and_diameter(self, rule_phi2):
         assert rule_phi2.diameter() == 2
         assert rule_phi2.size() == rule_phi2.pattern.size() + 1
-
-    def test_attributes_of(self, rule_phi4):
-        assert rule_phi4.attributes_of("s1") == frozenset({"val"})
-        assert rule_phi4.attributes_of("w") == frozenset()
 
     def test_match_satisfies_semantics(self, knows_pattern):
         rule = NGD.from_text(knows_pattern, "x.val > 0", "y.val > x.val")
@@ -86,9 +83,8 @@ class TestNGDConstruction:
 class TestRuleSet:
     def test_iteration_and_lookup(self, figure1_rules):
         assert len(figure1_rules) == 4
-        assert figure1_rules.by_name("phi3").name == "phi3"
-        with pytest.raises(DependencyError):
-            figure1_rules.by_name("missing")
+        assert [rule.name for rule in figure1_rules] == ["phi1", "phi2", "phi3", "phi4"]
+        assert figure1_rules[2] is figure1_rules.rules()[2]
 
     def test_diameter_is_max(self, figure1_rules):
         assert figure1_rules.diameter() == 4
@@ -98,10 +94,63 @@ class TestRuleSet:
 
     def test_total_size_and_max_nodes(self, figure1_rules):
         assert figure1_rules.total_size() > 0
-        assert figure1_rules.max_pattern_nodes() == 9  # Q4 has nine pattern nodes
+        assert max(rule.pattern.node_count() for rule in figure1_rules) == 9  # Q4 has nine pattern nodes
 
     def test_is_linear(self, figure1_rules):
         assert figure1_rules.is_linear()
+
+
+class TestRulesAreValues:
+    """A pattern, an NGD and a rule set are built in one call and never change."""
+
+    @pytest.mark.parametrize(
+        "target, attribute",
+        [("rule", "pattern"), ("rule", "name"), ("rule", "premise"), ("rules", "name"), ("pattern", "name")],
+    )
+    def test_assigning_or_deleting_an_attribute_raises(self, figure1_rules, target, attribute):
+        rule = figure1_rules[0]
+        value = {"rule": rule, "rules": figure1_rules, "pattern": rule.pattern}[target]
+        before = getattr(value, attribute)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, attribute, before)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, attribute)
+        assert getattr(value, attribute) is before
+
+    def test_a_pattern_offers_no_way_to_grow(self, knows_pattern):
+        for name in ("add_node", "add_edge", "from_edges"):
+            assert not hasattr(knows_pattern, name), name
+        assert not hasattr(RuleSet, "add")
+        assert isinstance(knows_pattern.edges(), tuple) and isinstance(knows_pattern.variables, tuple)
+        assert isinstance(knows_pattern.out_edges("x"), tuple)
+
+    def test_what_is_derived_from_a_rule_set_is_computed_once(self, figure1_rules, monkeypatch):
+        index = pivot_index(figure1_rules)
+        assert pivot_index(figure1_rules) is index
+        measured = []
+        real = NGD.diameter
+        monkeypatch.setattr(NGD, "diameter", lambda rule: measured.append(rule.name) or real(rule))
+        rules = RuleSet(figure1_rules)
+        assert rules.diameter() == rules.diameter() == 4
+        assert measured == [rule.name for rule in figure1_rules]
+
+    @pytest.mark.parametrize(
+        "clone", [lambda rules: pickle.loads(pickle.dumps(rules)), copy.deepcopy], ids=("pickle", "deepcopy")
+    )
+    def test_pickle_and_deepcopy_round_trip_a_rule_set(self, figure1_rules, clone):
+        pivot_index(figure1_rules)  # a filled memo travels too, and stays right
+        copied = clone(figure1_rules)
+        assert copied is not figure1_rules and copied.to_json() == figure1_rules.to_json()
+        assert list(copied) == list(figure1_rules) and copied.diameter() == figure1_rules.diameter()
+        assert sorted(pivot_index(copied)) == sorted(pivot_index(figure1_rules))
+        with pytest.raises(AttributeError):
+            copied[0].name = "renamed"
+
+    def test_a_plan_reaches_a_spawned_worker_by_pickle(self, g2, figure1_rules):
+        for plan in compile_plans(g2, figure1_rules):
+            restored = pickle.loads(pickle.dumps(plan))
+            assert restored.rule == plan.rule and restored.rule.name == plan.rule.name
+            assert restored.order == plan.order
 
 
 class TestViolations:

@@ -191,7 +191,7 @@ class TestPDect:
         graph.add_node(9, "item", {"cap": 4})  # no val: the conclusion cannot hold
         for node in (0, 1, 2, 9):
             graph.add_edge(node, node, "self")
-        pattern = Pattern.from_edges("one", nodes=[("x", "item")], edges=[("x", "x", "self")])
+        pattern = Pattern("one", nodes=[("x", "item")], edges=[("x", "x", "self")])
         rules = [NGD.from_text(pattern, "x.cap > 0", "x.val >= 0", name="nonnegative")]
         expected = find_violations(graph, rules)
         assert {violation.nodes for violation in expected} == {(1,), (9,)}

@@ -167,7 +167,7 @@ def graphs_and_updates(draw):
 
 
 _RULE = NGD.from_text(
-    Pattern.from_edges(
+    Pattern(
         "hyp_rule", nodes=[("x", "person"), ("y", "person")], edges=[("x", "y", "knows")]
     ),
     "",

@@ -21,7 +21,7 @@ from repro.matching.plan import GraphStatistics
 
 
 def single_node_rule(premise: str, conclusion: str, label: str = WILDCARD, name: str = "r") -> NGD:
-    pattern = Pattern.from_edges(f"Q_{name}", nodes=[("x", label)])
+    pattern = Pattern(f"Q_{name}", nodes=[("x", label)])
     return NGD.from_text(pattern, premise, conclusion, name=name)
 
 
@@ -104,7 +104,7 @@ class TestSatisfiabilityGeneral:
         assert is_strongly_satisfiable(rules)
 
     def test_nonlinear_rules_are_rejected(self):
-        pattern = Pattern.from_edges("Qnl", nodes=[("x", WILDCARD)])
+        pattern = Pattern("Qnl", nodes=[("x", WILDCARD)])
         rule = NGD.from_text(pattern, "", "x.A * x.A = 4", allow_nonlinear=True, name="square")
         with pytest.raises(SatisfiabilityError):
             is_satisfiable(RuleSet([rule]))

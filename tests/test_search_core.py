@@ -24,18 +24,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_reference
-from repro.core.builtin_rules import example_rules
+from repro.core.builtin_rules import example_rules, phi5, phi6, phi7, phi8, phi9
 from repro.core.ngd import NGD, RuleSet
 from repro.datasets.figure1 import figure1_g2
 from repro.detect.dect import iter_dect
 from repro.detect.incdect import iter_inc_dect
 from repro.detect.observers import DetectionBudget
+from repro.detect.parallel.pincdect import iter_pinc_dect
 from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, rule_search
 from repro.detect.session import PLAN_DRIFT_TOLERANCE, Detector
 from repro.errors import ExecutionError
 from repro.expr.expressions import Add, const, var
 from repro.expr.literals import Comparison, Literal
-from repro.graph.graph import Graph
+from repro.graph.graph import WILDCARD, Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply_update
 from repro.matching.candidates import MatchStatistics
@@ -84,32 +85,18 @@ def literals(draw, variables):
 
 
 @st.composite
-def rule_sets(draw, allow_isolated: bool = True):
-    """One to three rules of one to four variables; cycles, self-loops and wildcards included.
+def rule_sets(draw):
+    """One to three rules of one to four variables.
 
-    ``allow_isolated=False`` gives every variable an incident pattern edge:
-    edge-driven incremental detection can only see a new node through the
-    edges inserted with it.
+    Cycles, self-loops, wildcards and variables that no pattern edge touches
+    are all included; an edge drawn twice is kept once.
     """
     rules = []
     for index in range(draw(st.integers(min_value=1, max_value=3))):
         variables = [f"x{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
-        pattern = Pattern(f"q{index}")
-        for variable in variables:
-            pattern.add_node(variable, draw(st.sampled_from(NODE_LABELS + ("_",))))
-        edges = set(
-            draw(
-                st.lists(
-                    st.tuples(st.sampled_from(variables), st.sampled_from(variables), st.sampled_from(EDGE_LABELS)),
-                    max_size=5,
-                )
-            )
-        )
-        if not allow_isolated:
-            touched = {endpoint for source, target, _ in edges for endpoint in (source, target)}
-            edges |= {(variable, draw(st.sampled_from(variables)), "p") for variable in variables if variable not in touched}
-        for edge in sorted(edges):
-            pattern.add_edge(*edge)
+        nodes = [(variable, draw(st.sampled_from(NODE_LABELS + ("_",)))) for variable in variables]
+        edge = st.tuples(st.sampled_from(variables), st.sampled_from(variables), st.sampled_from(EDGE_LABELS))
+        pattern = Pattern(f"q{index}", nodes, draw(st.lists(edge, max_size=5)))
         premise = draw(st.lists(literals(variables), max_size=2))
         conclusion = draw(st.lists(literals(variables), min_size=1, max_size=2))
         rules.append(NGD(pattern, premise, conclusion, name=f"r{index}"))
@@ -166,27 +153,65 @@ def test_dect_equals_the_reference(graph, rules):
     assert len(stream) == len(expected), "a violation streamed twice"
 
 
+#: the incremental kernels, each drained to its result
+INCREMENTAL_KERNELS = {
+    "IncDect": lambda graph, rules, delta, after: finish(iter_inc_dect(graph, rules, delta, graph_after=after))[1],
+    "PIncDect": lambda graph, rules, delta, after: finish(
+        iter_pinc_dect(graph, rules, delta, processors=3, graph_after=after)
+    )[1],
+}
+
+
 @settings(max_examples=200, deadline=None)
-@given(graphs(), rule_sets(allow_isolated=False), st.data())
+@given(graphs(), rule_sets(), st.data())
 def test_incdect_maintains_the_reference_along_an_update_stream(graph, rules, data):
+    """IncDect and simulated PIncDect, on ΔG batches that bring new nodes."""
     fresh: list = []
-    maintained = finish(iter_dect(graph, rules))[1].violations
+    maintained = dict.fromkeys(INCREMENTAL_KERNELS, finish(iter_dect(graph, rules))[1].violations)
     for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="batches")):
         delta = draw_batch(data.draw, graph, fresh)
         after = apply_update(graph, delta)
         before_reference = naive_reference.violations(graph, rules)
         after_reference = naive_reference.violations(after, rules)
-        _, result = finish(iter_inc_dect(graph, rules, delta, graph_after=after))
-        # ΔVio is exact, not merely sufficient: nothing reported that did not change
-        assert as_pairs(result.delta.introduced) == after_reference - before_reference
-        assert as_pairs(result.delta.removed) == before_reference - after_reference
-        maintained = maintained.apply_delta(result.delta)
-        assert as_pairs(maintained) == after_reference
+        for kernel, run in INCREMENTAL_KERNELS.items():
+            result = run(graph, rules, delta, after)
+            # ΔVio is exact, not merely sufficient: nothing reported that did not change
+            assert as_pairs(result.delta.introduced) == after_reference - before_reference, kernel
+            assert as_pairs(result.delta.removed) == before_reference - after_reference, kernel
+            maintained[kernel] = maintained[kernel].apply_delta(result.delta)
+            assert as_pairs(maintained[kernel]) == after_reference, kernel
         graph = after
 
 
+def test_the_papers_one_node_rules_see_every_node_that_delta_introduces():
+    """Σ = φ5–φ9 (Example 5): one-node patterns, so only node pivots reach what ΔG adds.
+
+    φ7 and φ8 admit ``item`` nodes only; the others any node.
+    """
+    rules = RuleSet([phi5(), phi6(), phi7("item"), phi8("item"), phi9()])
+    graph = Graph("items")
+    graph.add_node(0, "item", {"A": 7, "B": 7})
+    graph.add_node(1, "item", {"A": 2, "B": 9})
+    graph.add_node(2, "tag", {"A": 5})
+    graph.add_edge(0, 1, "rel")
+    delta = (
+        BatchUpdate()
+        .insert(0, "n1", "has", target_payload=NodePayload("item", {"A": 5, "B": 1}))
+        .insert("n2", 2, "has", source_payload=NodePayload("tag", {"A": 0, "B": 3}))
+        .insert("n1", "n1", "rel")
+        .delete(0, 1, "rel")
+    )
+    after = apply_update(graph, delta)
+    expected = naive_reference.violations(after, rules) - naive_reference.violations(graph, rules)
+    assert {nodes for _, nodes in expected} == {("n1",), ("n2",)}
+    assert ("phi8", ("n1",)) in expected and ("phi7", ("n2",)) not in expected
+    for kernel, run in INCREMENTAL_KERNELS.items():
+        result = run(graph, rules, delta, after)
+        assert (as_pairs(result.delta.introduced), as_pairs(result.delta.removed)) == (expected, set()), kernel
+
+
 @settings(max_examples=100, deadline=None)
-@given(graphs(), rule_sets(allow_isolated=False), st.data())
+@given(graphs(), rule_sets(), st.data())
 def test_a_session_that_keeps_its_plans_maintains_the_reference(graph, rules, data):
     """The default incremental API: one ``Detector``, no ``plans=``, a new store for every ΔG."""
     fresh: list = []
@@ -221,12 +246,12 @@ def test_the_matcher_view_enumerates_the_homomorphisms(graph, rules):
 
 
 def self_loop_rule() -> RuleSet:
-    pattern = Pattern.from_edges("loop", nodes=[("x", "a"), ("y", "a")], edges=[("x", "x", "p"), ("x", "y", "p")])
+    pattern = Pattern("loop", nodes=[("x", "a"), ("y", "a")], edges=[("x", "x", "p"), ("x", "y", "p")])
     return RuleSet([NGD.from_text(pattern, "", "y.val = 1", name="loop")])
 
 
 def later_self_loop_rule() -> RuleSet:
-    pattern = Pattern.from_edges("later", nodes=[("x", "a"), ("y", "a")], edges=[("x", "y", "p"), ("y", "y", "p")])
+    pattern = Pattern("later", nodes=[("x", "a"), ("y", "a")], edges=[("x", "y", "p"), ("y", "y", "p")])
     return RuleSet([NGD.from_text(pattern, "", "y.val = 1", name="later")])
 
 
@@ -263,7 +288,7 @@ def test_a_seed_must_carry_the_first_variables_self_loop():
         result = finish(iter_inc_dect(backed, later, inserted))[1]
         assert as_pairs(result.delta.introduced) == {("later", (0, 1)), ("later", (1, 1))}, store
         assert billed(result) == (7.0, 0, 2, 2), store
-    single = RuleSet([NGD.from_text(Pattern.from_edges("one", [("x", "a")], [("x", "x", "p")]), "", "x.val = 1")])
+    single = RuleSet([NGD.from_text(Pattern("one", [("x", "a")], [("x", "x", "p")]), "", "x.val = 1")])
     assert as_pairs(finish(iter_dect(graph, single))[1].violations) == naive_reference.violations(graph, single)
 
 
@@ -327,7 +352,7 @@ def test_the_match_leaf_refuses_a_rule_with_a_conclusion(store):
         graph.add_node(node_id, "a", {"val": val})
     for source, target in ((0, 1), (1, 2), (2, 0)):
         graph.add_edge(source, target, "p")
-    pattern = Pattern.from_edges("pair", [("x", "a"), ("y", "a")], [("x", "y", "p")])
+    pattern = Pattern("pair", [("x", "a"), ("y", "a")], [("x", "y", "p")])
     rule = NGD.from_text(pattern, "", "x.val < y.val", name="ascending")
     with pytest.raises(ExecutionError, match="conclusion"):
         RuleSearch(compile_plans(graph, [rule])[0], MatchStatistics(), all_matches=True)
@@ -409,22 +434,41 @@ def stepped_dect(graph, rules, plans, budget=None) -> Stepped:
 
 
 def pivots_by_definition(rule: NGD, delta: BatchUpdate, before: Graph, after: Graph) -> list[UpdatePivot]:
-    """One rule's update pivots (Section 6.2), unit update by unit update, then pattern edge by pattern edge."""
+    """One rule's pivots (Section 6.2), unit update by unit update.
+
+    First the unit's edge pivots, pattern edge by pattern edge; then, for an
+    insertion, a node pivot per variable that no pattern edge touches and
+    whose label admits the unit's new source, then its new target.
+    """
+    pattern = rule.pattern
+    lone = [variable for variable in pattern.variables if not pattern.neighbours(variable)]
+    introduced = set()
     pivots = []
     for update in delta:
         graph = after if update.is_insertion else before
         if not (graph.has_node(update.source) and graph.has_node(update.target)):
             continue
-        source_label, target_label = graph.node(update.source).label, graph.node(update.target).label
-        for edge in rule.pattern.edges():
+        for edge in pattern.edges():
             if edge.label != update.label or (edge.source == edge.target and update.source != update.target):
                 continue
-            pattern = rule.pattern
-            if pattern.node(edge.source).matches_label(source_label) and pattern.node(edge.target).matches_label(
-                target_label
-            ):
-                pivots.append(UpdatePivot(rule.name, edge, update.source, update.target, update.is_insertion))
+            if fits(pattern, edge.source, graph.node(update.source)) and fits(pattern, edge.target, graph.node(update.target)):
+                seed = (edge.source,) if edge.source == edge.target else (edge.source, edge.target)
+                pivots.append(UpdatePivot(rule.name, seed, (update.source, update.target)[: len(seed)], update.is_insertion))
+        if update.is_insertion:
+            for node in dict.fromkeys((update.source, update.target)):
+                if node not in introduced and not before.has_node(node):
+                    introduced.add(node)
+                    pivots.extend(
+                        UpdatePivot(rule.name, (variable,), (node,), True)
+                        for variable in lone
+                        if fits(pattern, variable, after.node(node))
+                    )
     return pivots
+
+
+def fits(pattern, variable: str, node) -> bool:
+    """Return True when ``variable``'s label admits the data ``node``."""
+    return pattern.node(variable).label in (WILDCARD, node.label)
 
 
 def pivot_unit(index: int, rule: NGD, pivot: UpdatePivot, plan, graph: Graph):
@@ -512,8 +556,8 @@ def test_lockstep_dect_with_a_declared_order(hub_graph, hub_rules):
 
 
 def seed_binds_everything_rules() -> RuleSet:
-    single = Pattern.from_edges("single", nodes=[("x", "root")])
-    pair = Pattern.from_edges("pair", nodes=[("x", "root"), ("y", "_")], edges=[("x", "y", "e1")])
+    single = Pattern("single", nodes=[("x", "root")])
+    pair = Pattern("pair", nodes=[("x", "root"), ("y", "_")], edges=[("x", "y", "e1")])
     return RuleSet(
         [
             NGD.from_text(single, "", "x.val < 0", name="every_root"),

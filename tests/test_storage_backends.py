@@ -117,10 +117,10 @@ class TestStoreSelection:
 
 def _random_rules(seed: int) -> list[NGD]:
     """Two small NGDs over the random-graph schema of ``_mutated_pair``."""
-    knows = Pattern.from_edges(
+    knows = Pattern(
         "knows", nodes=[("x", "person"), ("y", "person")], edges=[("x", "y", "knows")]
     )
-    chain = Pattern.from_edges(
+    chain = Pattern(
         "chain",
         nodes=[("x", "person"), ("y", "city"), ("z", WILDCARD)],
         edges=[("x", "y", "near"), ("y", "z", "likes")],
@@ -279,7 +279,7 @@ for index in range(40):
     graph.add_edge(f"p{index}", f"p{(index * 7 + 3) % 40}", "knows")
     graph.add_edge(f"p{index}", f"p{(index * 11 + 5) % 40}", "knows")
 graph = graph.with_backend(new_store(sys.argv[1]))
-pattern = Pattern.from_edges(
+pattern = Pattern(
     "knows", nodes=[("x", "person"), ("y", "person")], edges=[("x", "y", "knows")]
 )
 for match in HomomorphismMatcher(graph, pattern).matches():
@@ -378,7 +378,7 @@ class TestDeterministicEnumeration:
             for target in ("mm", "zz", "aa"):
                 if source != target:
                     graph.add_edge(source, target, "knows")
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "knows", nodes=[("x", "person"), ("y", "person")], edges=[("x", "y", "knows")]
         )
         xs = list(dict.fromkeys(m["x"] for m in HomomorphismMatcher(graph, pattern).matches()))
@@ -1070,7 +1070,7 @@ class TestFrozenStore:
     def test_detection_matches_mutable_backends(self):
         graph = self._sample_graph()
         # the random schema has no 'person' labels here; use label-wildcard rules
-        pattern = Pattern.from_edges(
+        pattern = Pattern(
             "link", nodes=[("x", WILDCARD), ("y", WILDCARD)], edges=[("x", "y", "e0")]
         )
         rules = [NGD.from_text(pattern, "", "x.val >= y.val", name="wild_order")]

@@ -53,7 +53,7 @@ STORES = ("indexed", "dict")
 
 def shaped_rule(draw, name: str, nodes, edges, wildcard: bool = False) -> NGD:
     labels = st.just("_") if wildcard else st.sampled_from(NODE_LABELS + ("_",))
-    pattern = Pattern.from_edges(name, [(variable, draw(labels)) for variable in nodes], edges)
+    pattern = Pattern(name, [(variable, draw(labels)) for variable in nodes], edges)
     premise = draw(st.lists(literals(list(nodes)), max_size=1))
     conclusion = draw(st.lists(literals(list(nodes)), min_size=1, max_size=1))
     return NGD(pattern, premise, conclusion, name=name)
@@ -69,7 +69,7 @@ def shaped_rule_sets(draw):
     so rules share labels throughout.
     """
     label = st.sampled_from(EDGE_LABELS)
-    rules = list(draw(rule_sets(allow_isolated=False)))
+    rules = list(draw(rule_sets()))
     rules.append(shaped_rule(draw, "loop", ("x", "y"), [("x", "x", draw(label)), ("x", "y", draw(label))]))
     rules.append(shaped_rule(draw, "both_ways", ("x", "y"), [("x", "y", "p"), ("y", "x", "p"), ("x", "y", "q")]))
     rules.append(shaped_rule(draw, "wild", ("x", "y"), [("x", "y", draw(label))], wildcard=True))
@@ -127,15 +127,14 @@ def test_one_pass_over_sigma_gives_every_rules_pivots_and_seeds(graph, rules, da
     assert len(found) == len(rules)
     for index, rule in enumerate(rules):
         expected = pivots_by_definition(rule, delta, graph, after)
-        assert [(site.edge, u.source, u.target, u.is_insertion) for site, u in found[index]] == [
-            (pivot.pattern_edge, pivot.source_node, pivot.target_node, pivot.from_insertion) for pivot in expected
+        assert [(site.seed, ids, inserted) for site, ids, inserted in found[index]] == [
+            (pivot.variables, pivot.nodes, pivot.from_insertion) for pivot in expected
         ]
         assert find_update_pivots(rule, delta, graph, after) == expected
         seeds = []
-        for site, update in found[index]:
-            ids = site.ids(update)
-            if site.holds_in((after if update.is_insertion else graph).store, ids):
-                seeds.append((site.order(plans[index]), ids, update.is_insertion))
+        for site, ids, inserted in found[index]:
+            if site.holds_in((after if inserted else graph).store, ids):
+                seeds.append((site.order(plans[index]), ids, inserted))
         assert seeds == seeds_by_work_unit(index, rule, expected, plans[index], graph, after)
 
 
@@ -165,7 +164,7 @@ def test_incdect_maintains_the_reference_through_edges_that_come_and_go(graph, r
 
 
 def edge_rule() -> RuleSet:
-    pattern = Pattern.from_edges("edge", [("x", "a"), ("y", "a")], [("x", "y", "p")])
+    pattern = Pattern("edge", [("x", "a"), ("y", "a")], [("x", "y", "p")])
     return RuleSet([NGD.from_text(pattern, "", "y.val = 1", name="edge")])
 
 
@@ -184,17 +183,21 @@ def test_an_edge_inserted_and_deleted_in_one_update_is_no_match():
         assert as_pairs(result.delta.removed) == as_pairs(result.delta.introduced) == {("edge", (1, 0))}
 
 
-def test_the_pivot_index_is_kept_per_rule_set_until_a_rule_is_added():
-    rules = edge_rule()
+def test_the_pivot_index_is_built_once_per_rule_set():
+    loop = Pattern("loop", [("x", "a")], [("x", "x", "q")])
+    lone = Pattern("lone", [("x", "a"), ("y", "_")], [("x", "x", "p")])
+    rules = RuleSet(
+        [*edge_rule(), NGD.from_text(loop, "", "x.val = 1", name="loop"), NGD.from_text(lone, "", "y.val = 1", name="lone")]
+    )
     index = pivot_index(rules)
-    assert pivot_index(rules) is index and list(index) == ["p"]
-    loop = Pattern.from_edges("loop", [("x", "a")], [("x", "x", "q")])
-    rules.add(NGD.from_text(loop, "", "x.val = 1", name="loop"))
-    rebuilt = pivot_index(rules)
-    assert rebuilt is not index and sorted(rebuilt) == ["p", "q"]
-    [(rule_index, site)] = rebuilt["q"]
+    assert pivot_index(rules) is index and list(index) == ["p", "q", None]
+    [(rule_index, site)] = index["q"]
     assert rule_index == 1 and site.seed == ("x",) and site.internal == ((0, 0, "q"),)
-    assert rebuilt["p"][0][1] is index["p"][0][1], "a pattern keeps its sites"
+    # the component without an edge: a new node of any label seeds y
+    [(rule_index, node_site)] = index[None]
+    assert rule_index == 2 and node_site.seed == ("y",) and node_site.label is None
+    again = pivot_index(RuleSet(rules))
+    assert again is not index and again["p"][0][1] is index["p"][0][1], "a pattern keeps its sites"
     assert rules.diameter() == 1
 
 
@@ -210,8 +213,8 @@ def introduced_node_probe() -> tuple[Graph, RuleSet, BatchUpdate]:
     """
     graph = Graph("probe")
     graph.add_node("a", "person", {"age": 5})
-    one = Pattern.from_edges("one", [("x", "person")])
-    two = Pattern.from_edges("two", [("x", "person"), ("y", "person")])
+    one = Pattern("one", [("x", "person")])
+    two = Pattern("two", [("x", "person"), ("y", "person")])
     rules = RuleSet(
         [
             NGD.from_text(one, "", "x.age >= 0", name="nonneg"),
@@ -254,6 +257,13 @@ def test_a_node_that_delta_introduces_seeds_every_edgeless_component_it_fits(pat
     expected = naive_reference.violations(after, rules) - naive_reference.violations(graph, rules)
     assert expected == {("nonneg", ("b",)), ("spread", ("a", "b"))}
     assert probe_through(path, graph, rules, delta) == (expected, set())
+
+
+def test_spawned_workers_seed_the_new_node_from_pickled_plans(force_start_method):
+    force_start_method("spawn")
+    graph, rules, delta = introduced_node_probe()
+    introduced, _ = probe_through("process-pincdect", graph, rules, delta)
+    assert introduced == {("nonneg", ("b",)), ("spread", ("a", "b"))}
 
 
 # ------------------------------------------------------ the lazy neighbourhood

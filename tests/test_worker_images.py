@@ -143,7 +143,7 @@ class TestRuntimePayload:
 
 
 def _disconnected_rule() -> NGD:
-    pattern = Pattern.from_edges(
+    pattern = Pattern(
         "disconnected",
         nodes=[("x", "type_0"), ("a", "integer"), ("y", "type_1"), ("b", "integer")],
         edges=[("x", "a", "rel_0"), ("y", "b", "rel_0")],
