@@ -2,19 +2,33 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import TypeVar
+
 __all__ = ["Frozen"]
+
+T = TypeVar("T")
+F = TypeVar("F", bound="Frozen")
 
 
 class Frozen:
-    """Refuse every attribute write after construction.
+    """Refuse every attribute write after construction, and keep what is derived from the value.
 
     A subclass's ``__init__`` sets its attributes with ``vars(self).update(...)``.
-    A value derived from the object may be memoised in a dict the object
-    owns: nothing it is derived from can change, so nothing invalidates it.
     Pickling and ``copy`` restore ``__dict__`` directly and need no hook.
     """
 
     __slots__ = ()
+
+    def derived(self: F, key: str, build: Callable[[F], T]) -> T:
+        """Return ``build(self)``, computed on the first call per ``key`` and kept.
+
+        Nothing it is derived from can change, so nothing invalidates it.
+        """
+        memo = vars(self).setdefault("_derived", {})
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")

@@ -20,7 +20,7 @@ The classes here also expose the special cases the paper relates NGDs to:
 An :class:`NGD` and a :class:`RuleSet` are values, like their patterns:
 each is built in one constructor call and never changes, so what is
 derived from a rule set (dΣ, the Σ-wide pivot index) is computed once and
-kept (:meth:`RuleSet.derived`).
+kept (``RuleSet.derived``).
 
 By default NGD construction enforces the *linear* fragment (the decidable
 class of Theorems 1 and 2).  Passing ``allow_nonlinear=True`` opts into the
@@ -31,9 +31,9 @@ stays coNP) but whose satisfiability/implication the checkers refuse.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
-from typing import Optional, TypeVar, Union
+from typing import Optional, Union
 
 from repro._frozen import Frozen
 from repro.errors import DependencyError, NonLinearExpressionError
@@ -43,8 +43,6 @@ from repro.expr.parser import parse_literal_set
 from repro.graph.pattern import Pattern
 
 __all__ = ["NGD", "RuleSet", "gfd", "cfd_as_ngd"]
-
-T = TypeVar("T")
 
 
 class NGD(Frozen):
@@ -217,19 +215,7 @@ class RuleSet(Frozen):
     """A set Σ of NGDs used as data quality rules, in declaration order."""
 
     def __init__(self, rules: Iterable[NGD] = (), name: str = "Σ") -> None:
-        # values computed from the whole rule tuple (dΣ, the pivot index) go in _derived
-        vars(self).update(name=name, _rules=tuple(rules), _derived={})
-
-    def derived(self, key: str, build: Callable[[tuple[NGD, ...]], T]) -> T:
-        """Return ``build(rules)``, computed once per ``key``.
-
-        For what every run over the same Σ would otherwise recompute.
-        """
-        try:
-            return self._derived[key]  # type: ignore[return-value]
-        except KeyError:
-            value = self._derived[key] = build(self._rules)
-            return value
+        vars(self).update(name=name, _rules=tuple(rules))
 
     def __iter__(self) -> Iterator[NGD]:
         return iter(self._rules)

@@ -9,7 +9,7 @@ preserving labels and edges; the match is reported as the vector ``h(x̄)``.
 :class:`Pattern` is a value: its nodes, the variable order ``x̄`` and its
 edges are given to one constructor call and never change, so whatever is
 derived from a pattern (its update-pivot sites, say) is computed once and
-kept (:meth:`Pattern.derived`).  It provides the structural queries the
+kept (``Pattern.derived``).  It provides the structural queries the
 matcher and the satisfiability checker need: diameters, connectivity and
 the adjacency of pattern nodes.
 """
@@ -17,16 +17,13 @@ the adjacency of pattern nodes.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import TypeVar
 
 from repro._frozen import Frozen
 from repro.errors import PatternError
 
 __all__ = ["PatternNode", "PatternEdge", "Pattern"]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -79,29 +76,14 @@ class Pattern(Frozen):
                 if variable not in bound:
                     raise PatternError(f"pattern variable {variable!r} is not defined")
             kept[PatternEdge(source, target, label)] = None
-        out: dict[str, list[PatternEdge]] = {variable: [] for variable in bound}
-        inc: dict[str, list[PatternEdge]] = {variable: [] for variable in bound}
-        for edge in kept:
-            out[edge.source].append(edge)
-            inc[edge.target].append(edge)
         vars(self).update(
             name=name,
             variables=tuple(bound),
             _nodes=bound,
             _edges=tuple(kept),
-            _out={variable: tuple(edges) for variable, edges in out.items()},
-            _in={variable: tuple(edges) for variable, edges in inc.items()},
-            # values computed from the whole pattern (its update-pivot sites)
-            _derived={},
+            _out={variable: tuple(edge for edge in kept if edge.source == variable) for variable in bound},
+            _in={variable: tuple(edge for edge in kept if edge.target == variable) for variable in bound},
         )
-
-    def derived(self, key: str, build: Callable[["Pattern"], T]) -> T:
-        """Return ``build(self)``, computed once per ``key``."""
-        try:
-            return self._derived[key]  # type: ignore[return-value]
-        except KeyError:
-            value = self._derived[key] = build(self)
-            return value
 
     # ---------------------------------------------------------------- queries
 

@@ -154,13 +154,13 @@ PivotIndex = dict[str | None, list[tuple[int, PivotSite | NodeSite]]]
 
 
 def _pattern_sites(pattern: Pattern) -> list[PivotSite | NodeSite]:
-    """Every pattern edge's site, then the site of every component with no edge, in variable order."""
-    sites: list[PivotSite | NodeSite] = [PivotSite(pattern, edge) for edge in pattern.edges()]
-    for component in pattern.connected_components():
-        if not any(pattern.neighbours(variable) for variable in component):
-            (variable,) = component
-            sites.append(NodeSite(pattern, variable))
-    return sites
+    """Every pattern edge's site, then, in variable order, the site of every component with no edge.
+
+    Such a component is a variable without a neighbour.
+    """
+    edge_sites = [PivotSite(pattern, edge) for edge in pattern.edges()]
+    lone = [variable for variable in pattern.variables if not pattern.neighbours(variable)]
+    return edge_sites + [NodeSite(pattern, variable) for variable in lone]
 
 
 def _build_pivot_index(rules: Sequence[NGD]) -> PivotIndex:

@@ -6,8 +6,9 @@ Two layers:
   kernels (Dect and IncDect, both thin drivers over
   :class:`~repro.matching.search.RuleSearch`) must equal the naive reference
   of :mod:`naive_reference` — ``Vio(Σ, G)``, and
-  ``Vio(Σ, G ⊕ ΔG) = Vio(Σ, G) ⊕ ΔVio`` along an update stream —
-  and so must the core's matcher view (``HomomorphismMatcher``), which
+  ``Vio(Σ, G ⊕ ΔG) = Vio(Σ, G) ⊕ ΔVio`` along an update stream whose
+  batches bring new nodes, for simulated PIncDect too — and so must the
+  core's matcher view (``HomomorphismMatcher``), which
   enumerates homomorphisms rather than violations; over one plan, the core's
   two leaves split the same bindings;
 * a lock-step check: draining the core gives exactly what stepping
