@@ -192,28 +192,26 @@ def pivots_by_rule(
     graph_before: Graph,
     graph_after: Graph,
 ) -> list[list[tuple[PivotSite | NodeSite, tuple, bool]]]:
-    """Return every rule's pivots, one ``(site, seed nodes, from insertion)`` each, from one pass over ΔG.
+    """Return every rule's pivots, one ``(site, seed nodes, from insertion)`` each, from a pass over ΔG.
 
     Insertion pivots are label-checked against ``graph_after`` (the inserted
     endpoints may be brand-new nodes); deletion pivots against
     ``graph_before``.  The endpoint labels of each updated edge are resolved
     once per ΔG (:meth:`BatchUpdate.endpoint_labels`) and probed against
     :func:`pivot_index`, so all of Σ costs one dict probe per unit update plus
-    the pattern edges carrying its label.  An inserted endpoint absent from
-    ``graph_before`` is a node ΔG introduces: the first insertion naming it
-    gives it a node pivot on every :class:`NodeSite` whose label admits it.
-    A Σ without such a site skips that test.  Each rule's list follows the
-    batch order of ΔG; within one unit update, its edge pivots come in the
-    rule's pattern-edge order, then its new source's node pivots, then its
-    new target's.  That keeps incremental runs deterministic.
+    the pattern edges carrying its label.  Each rule's edge pivots follow
+    the batch order of ΔG, then the rule's pattern-edge order.
+
+    Only a Σ with a :class:`NodeSite` then makes a second pass, for the
+    nodes ΔG introduces: the inserted endpoints absent from
+    ``graph_before``, each once, in the order ΔG first names them.  Each
+    gets a node pivot on every node site whose label admits it, after the
+    rule's edge pivots.  Both orders keep incremental runs deterministic.
     """
     index = pivot_index(rules)
-    node_sites = index.get(None)
-    existed = graph_before.store.has_node
-    introduced: set[Hashable] = set()
+    labelled = delta.endpoint_labels(graph_before, graph_after)
     found: list[list[tuple[PivotSite | NodeSite, tuple, bool]]] = [[] for _ in range(len(rules))]
-    for update, source_label, target_label in delta.endpoint_labels(graph_before, graph_after):
-        inserted = update.is_insertion
+    for update, source_label, target_label in labelled:
         for rule_index, site in index.get(update.label, ()):
             if site.loop and update.source != update.target:
                 continue  # a pattern self-loop is matched by data self-loops only
@@ -221,15 +219,21 @@ def pivots_by_rule(
                 continue
             if site.target_label is not None and site.target_label != target_label:
                 continue
-            found[rule_index].append((site, site.ids(update), inserted))
-        if node_sites and inserted:
+            found[rule_index].append((site, site.ids(update), update.is_insertion))
+    node_sites = index.get(None)
+    if node_sites:
+        existed = graph_before.store.has_node
+        introduced: set[Hashable] = set()
+        for update, source_label, target_label in labelled:
+            if not update.is_insertion:
+                continue
             for node, label in ((update.source, source_label), (update.target, target_label)):
                 if node in introduced or existed(node):
                     continue
                 introduced.add(node)
-                for rule_index, node_site in node_sites:
-                    if node_site.label is None or node_site.label == label:
-                        found[rule_index].append((node_site, (node,), True))
+                for rule_index, site in node_sites:
+                    if site.label is None or site.label == label:
+                        found[rule_index].append((site, (node,), True))
     return found
 
 

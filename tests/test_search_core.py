@@ -435,15 +435,14 @@ def stepped_dect(graph, rules, plans, budget=None) -> Stepped:
 
 
 def pivots_by_definition(rule: NGD, delta: BatchUpdate, before: Graph, after: Graph) -> list[UpdatePivot]:
-    """One rule's pivots (Section 6.2), unit update by unit update.
+    """One rule's pivots (Section 6.2).
 
-    First the unit's edge pivots, pattern edge by pattern edge; then, for an
-    insertion, a node pivot per variable that no pattern edge touches and
-    whose label admits the unit's new source, then its new target.
+    Its edge pivots, unit update by unit update, then pattern edge by pattern
+    edge; then its node pivots: every node an insertion brings that ``before``
+    lacks, in the order ΔG first names it, on every variable that no pattern
+    edge touches and whose label admits the node.
     """
     pattern = rule.pattern
-    lone = [variable for variable in pattern.variables if not pattern.neighbours(variable)]
-    introduced = set()
     pivots = []
     for update in delta:
         graph = after if update.is_insertion else before
@@ -455,15 +454,12 @@ def pivots_by_definition(rule: NGD, delta: BatchUpdate, before: Graph, after: Gr
             if fits(pattern, edge.source, graph.node(update.source)) and fits(pattern, edge.target, graph.node(update.target)):
                 seed = (edge.source,) if edge.source == edge.target else (edge.source, edge.target)
                 pivots.append(UpdatePivot(rule.name, seed, (update.source, update.target)[: len(seed)], update.is_insertion))
-        if update.is_insertion:
-            for node in dict.fromkeys((update.source, update.target)):
-                if node not in introduced and not before.has_node(node):
-                    introduced.add(node)
-                    pivots.extend(
-                        UpdatePivot(rule.name, (variable,), (node,), True)
-                        for variable in lone
-                        if fits(pattern, variable, after.node(node))
-                    )
+    named = [node for update in delta.insertions for node in (update.source, update.target)]
+    lone = [variable for variable in pattern.variables if not pattern.neighbours(variable)]
+    for node in dict.fromkeys(node for node in named if not before.has_node(node)):
+        pivots.extend(
+            UpdatePivot(rule.name, (variable,), (node,), True) for variable in lone if fits(pattern, variable, after.node(node))
+        )
     return pivots
 
 
