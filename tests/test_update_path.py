@@ -5,6 +5,8 @@
   bound nodes) as the work unit the reference seeds;
 * ΔVio against :mod:`naive_reference` along generated streams whose batches
   insert and delete the same edge, on the indexed engine and the dict oracle;
+* a node ΔG introduces reaching the rules with an edge-less component, through
+  IncDect, simulated and process PIncDect and a service session over HTTP;
 * ``neighborhood_size``: no BFS while a default run drains, one on first read;
 * the per-update fixed costs: a stored root order, one drift lookup per
   resolution, one plan-estimate sum per plan set.
