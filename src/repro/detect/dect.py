@@ -76,11 +76,11 @@ def iter_dect(
                     # the seeds are a stack: the last candidate's subtree is searched
                     # first; a single-variable pattern has no subtrees and streams in
                     # rank order
-                    if len(order) > 1:
+                    if len(order) == 1:
                         candidates.reverse()
                     search = rule_search(rule, plan, run.stats)
-                    seeds = ((search, order, (candidate,), True) for candidate in candidates)
-                    yield from run.drain(seeds, lambda _: graph, (violations, violations))
+                    search.seed(graph, order, candidates)
+                    yield from run.expand(search, True, (violations, violations))
             if run.stop_reason is not None:
                 break
     finally:

@@ -21,7 +21,7 @@ import time
 from typing import Optional, Tuple
 
 from repro import obs
-from repro.matching.candidates import STEP_COUNT_PREFIX, MatchStatistics
+from repro.matching.candidates import REJECT_COUNT_PREFIX, STEP_COUNT_PREFIX, MatchStatistics
 from repro.obs.tracing import new_id
 
 __all__ = [
@@ -49,30 +49,40 @@ def stats_snapshot(stats: MatchStatistics) -> Tuple[int, int, int, int, int]:
     )
 
 
-#: scan-count key of ``stats.extra`` -> the registry key of its counter (built once per key)
+#: count key prefix of ``stats.extra`` -> (counter family, name of its third label)
+_STEP_FAMILIES = {
+    STEP_COUNT_PREFIX: ("repro_match_candidates_examined", "strategy"),
+    REJECT_COUNT_PREFIX: ("repro_match_candidates_rejected_total", "reason"),
+}
+#: count key of ``stats.extra`` -> the registry key of its counter (built once per key)
 _STEP_KEYS: dict[str, tuple] = {}
 
 
 def flush_step_counts(stats: MatchStatistics) -> None:
-    """Emit the run's per-(rule, step, strategy) candidate-scan counters.
+    """Emit the run's per-step candidate counters: scanned by strategy, rejected by reason.
 
     ``step_candidates`` accumulates scan counts under
-    :data:`~repro.matching.candidates.STEP_COUNT_PREFIX` keys in
-    ``stats.extra`` (plain dict arithmetic — registry label handling is too
-    slow for the per-expansion hot path); the session calls this once per
+    :data:`~repro.matching.candidates.STEP_COUNT_PREFIX` keys and rejection
+    counts under :data:`~repro.matching.candidates.REJECT_COUNT_PREFIX` keys
+    in ``stats.extra`` (plain dict arithmetic — registry label handling is
+    too slow for the per-expansion hot path); the session calls this once per
     completed run.  ``extra`` merges additively across threads and worker
     processes, so one flush covers every execution mode.
     """
     samples = []
-    for key, scanned in stats.extra.items():
-        if not scanned or not key.startswith(STEP_COUNT_PREFIX):
+    for key, count in stats.extra.items():
+        if not count:
             continue
         counter = _STEP_KEYS.get(key)
         if counter is None:
-            _, rule_name, step, strategy = key.split("\x1f")
-            labels = (("rule", rule_name), ("step", step), ("strategy", strategy))
-            counter = _STEP_KEYS[key] = ("repro_match_candidates_examined", labels)
-        samples.append((counter, scanned))
+            head, separator, rest = key.partition("\x1f")
+            family = _STEP_FAMILIES.get(head + separator)
+            if family is None:
+                continue
+            rule_name, step, last = rest.split("\x1f")
+            labels = (("rule", rule_name), ("step", step), (family[1], last))
+            counter = _STEP_KEYS[key] = (family[0], labels)
+        samples.append((counter, count))
     obs.metrics().counter_add_many(samples)
 
 

@@ -118,7 +118,7 @@ def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
         run.charge_scan(len(candidates), scanned)
         unit_estimate = plan.estimated_unit_cost(1)
         for candidate in candidates:
-            unit = WorkUnit(rule_index, order, ((order[0], candidate),), from_insertion=True)
+            unit = WorkUnit(rule_index, order, ((order[0], candidate.id),), from_insertion=True)
             if len(order) == 1:
                 yield position % processors, unit, False
             else:

@@ -122,19 +122,30 @@ class SerialRun(KernelRun):
         are to be expanded: the rule's search core, the bound prefix of
         ``order``, and the ΔVio direction.  A seed is searched in
         ``graph_for(introduced)`` and its findings are new against
-        ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed).  Every step is
-        charged ``max(filtering, 1) + verification``; the budget is tested
-        after each violation and after each step, and the run stops
-        (``stop_reason`` set) the moment either cap is reached.
+        ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed); each seed's
+        stack is run by :meth:`expand`, the next seed started once it is
+        empty.
         """
         graphs = (graph_for(False), graph_for(True))
         for search, order, ids, introduced in seeds:
-            stack = search.stack
             search.start(graphs[introduced], order, ids)
-            while stack:
-                found = search.step()
-                self.cost += max(search.filtering, 1) + search.verification
-                if found and (yield from self.emit(found, introduced, dedupe)):
-                    return
-                if self.cost_exhausted():
-                    return
+            if (yield from self.expand(search, introduced, dedupe)):
+                return
+
+    def expand(self, search, introduced: bool, dedupe: tuple) -> Generator:
+        """Run ``search``'s stack until it is empty, yielding each new violation.
+
+        Every step is charged ``max(filtering, 1) + verification``; the budget
+        is tested after each violation and after each step, and the run
+        stops (``stop_reason`` set, the generator returns True) the moment
+        either cap is reached.
+        """
+        stack, step, budget = search.stack, search.step, self.budget
+        while stack:
+            found = step()
+            self.cost += max(search.filtering, 1) + search.verification
+            if found and (yield from self.emit(found, introduced, dedupe)):
+                return True
+            if budget is not None and self.cost_exhausted():
+                return True
+        return False

@@ -39,7 +39,6 @@ from repro.expr.literals import Comparison, Literal, LiteralSet
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.matching.matchn import HomomorphismMatcher
-from repro.matching.plan import GraphStatistics
 
 __all__ = ["DiscoveryConfig", "discover_ngds", "mine_frequent_patterns"]
 
@@ -71,9 +70,9 @@ def _edge_signatures(graph: Graph, min_support: int) -> list[tuple[str, str, str
     ]
 
 
-def _count_matches(graph: Graph, pattern: Pattern, cap: int, statistics: GraphStatistics) -> int:
+def _count_matches(graph: Graph, pattern: Pattern, cap: int) -> int:
     """Count matches of ``pattern`` in ``graph``, stopping at ``cap``."""
-    matcher = HomomorphismMatcher(graph, pattern, statistics=statistics)
+    matcher = HomomorphismMatcher(graph, pattern)
     count = 0
     for _ in matcher.matches():
         count += 1
@@ -82,15 +81,8 @@ def _count_matches(graph: Graph, pattern: Pattern, cap: int, statistics: GraphSt
     return count
 
 
-def mine_frequent_patterns(
-    graph: Graph, config: DiscoveryConfig, statistics: Optional[GraphStatistics] = None
-) -> list[Pattern]:
-    """Vertical levelwise expansion: grow frequent connected patterns edge by edge.
-
-    ``statistics`` is ``graph``'s plan statistics, computed here when not given.
-    """
-    if statistics is None:
-        statistics = GraphStatistics.from_graph(graph)
+def mine_frequent_patterns(graph: Graph, config: DiscoveryConfig) -> list[Pattern]:
+    """Vertical levelwise expansion: grow frequent connected patterns edge by edge."""
     signatures = _edge_signatures(graph, config.min_support)
     if not signatures:
         raise DiscoveryError("the graph has no edge signature meeting the support threshold")
@@ -113,7 +105,7 @@ def mine_frequent_patterns(
             for extended in _extensions(pattern, signatures, counter):
                 if extended.diameter() > config.max_diameter:
                     continue
-                if _count_matches(graph, extended, config.min_support, statistics) >= config.min_support:
+                if _count_matches(graph, extended, config.min_support) >= config.min_support:
                     next_level.append(extended)
         if not next_level:
             break
@@ -143,11 +135,9 @@ def _extensions(
                 )
 
 
-def _sample_assignments(
-    graph: Graph, pattern: Pattern, sample: int, statistics: GraphStatistics
-) -> list[dict[tuple[str, str], object]]:
+def _sample_assignments(graph: Graph, pattern: Pattern, sample: int) -> list[dict[tuple[str, str], object]]:
     """Collect numeric attribute assignments from up to ``sample`` matches."""
-    matcher = HomomorphismMatcher(graph, pattern, statistics=statistics)
+    matcher = HomomorphismMatcher(graph, pattern)
     assignments: list[dict[tuple[str, str], object]] = []
     for match in matcher.matches():
         assignment: dict[tuple[str, str], object] = {}
@@ -195,14 +185,12 @@ def discover_ngds(graph: Graph, config: Optional[DiscoveryConfig] = None) -> Rul
     """Mine a rule set of NGDs from ``graph`` (vertical + horizontal levelwise expansion)."""
     config = config or DiscoveryConfig()
     rng = random.Random(config.seed)
-    # one statistics pass serves the plan of every pattern matched below
-    statistics = GraphStatistics.from_graph(graph)
-    patterns = mine_frequent_patterns(graph, config, statistics)
+    patterns = mine_frequent_patterns(graph, config)
     rules: list[NGD] = []
     for pattern in patterns:
         if len(rules) >= config.max_rules:
             break
-        assignments = _sample_assignments(graph, pattern, config.match_sample, statistics)
+        assignments = _sample_assignments(graph, pattern, config.match_sample)
         if not assignments:
             continue
         candidates = _candidate_literals(assignments, rng)

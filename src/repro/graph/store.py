@@ -194,7 +194,7 @@ class GraphStore(ABC):
 
     @abstractmethod
     def all_node_ids(self):
-        """Return a read-only set-like collection of every node id."""
+        """Return a read-only set-like collection of every node id, iterated in rank order."""
 
     @abstractmethod
     def node_rank(self, node_id: Hashable) -> int:
@@ -208,7 +208,7 @@ class GraphStore(ABC):
 
     @abstractmethod
     def nodes_with_label(self, label: str):
-        """Return a read-only set-like collection of ids carrying ``label``."""
+        """Return a read-only set-like collection of ids carrying ``label``, iterated in rank order."""
 
     @abstractmethod
     def labels(self) -> frozenset[str]:
@@ -247,6 +247,25 @@ class GraphStore(ABC):
     @abstractmethod
     def edge_labels(self) -> frozenset[str]:
         """Return the edge labels present."""
+
+    def label_counts(self) -> tuple[dict[str, int], dict[tuple[str, str], int], dict[tuple[str, str], int]]:
+        """Return the counts the plan statistics read, as new dicts.
+
+        ``(nodes per node label, edges per (source label, edge label), edges
+        per (target label, edge label))``; a pair is listed in the order of
+        the first edge it counts, and a count is never 0.  This is one pass
+        over E with two node reads per edge; :class:`IndexedStore` keeps the
+        three under its writes instead.
+        """
+        nodes = {label: len(self.nodes_with_label(label)) for label in self.labels()}
+        sources: dict[tuple[str, str], int] = {}
+        targets: dict[tuple[str, str], int] = {}
+        get_node = self.get_node
+        for edge in self.edges():
+            for counts, node_id in ((sources, edge.source), (targets, edge.target)):
+                key = (get_node(node_id).label, edge.label)
+                counts[key] = counts.get(key, 0) + 1
+        return nodes, sources, targets
 
     # -------------------------------------------------------------- adjacency
 
@@ -431,6 +450,15 @@ def _in_rank_order(entries: dict, ranks: dict, restored: set) -> dict:
     return dict(zip(order, map(entries.__getitem__, order)))
 
 
+def _count(counts: dict, key: Hashable, change: int) -> None:
+    """Add ``change`` to a count, dropping the key at 0."""
+    count = counts.get(key, 0) + change
+    if count:
+        counts[key] = count
+    else:
+        del counts[key]
+
+
 def _remember(entries: dict, live: dict, key: Hashable) -> None:
     """Record the live value of ``key`` (or its absence) in an undo log, unless already there."""
     if key not in entries:
@@ -456,7 +484,11 @@ class IndexedStore(GraphStore):
       after the clone (never one reachable from a past version), and only
       appends to label id lists.  A write to a past version, a clone of one
       or a full scan of one first materializes it, in its exact former order
-      (nodes by ``_rank``, edges by ``_edge_rank``).
+      (nodes by ``_rank``, edges by ``_edge_rank``);
+    * it counts nodes per label and edges per ``(source label, edge label)``
+      and ``(target label, edge label)`` as it is written, so
+      :meth:`label_counts` reads no node or edge.  A clone copies these
+      small maps for the new head, and the past version keeps its own.
 
     All inner collections are insertion-ordered, so iteration order — and
     therefore match enumeration order — is deterministic across runs
@@ -477,6 +509,11 @@ class IndexedStore(GraphStore):
         self._in: dict[Hashable, dict[str, dict[Hashable, None]]] = {}
         # node label -> its node ids in rank order
         self._label_index: dict[str, list[Hashable]] = {}
+        # what label_counts() returns: nodes per label, edges per (source label,
+        # edge label) and per (target label, edge label); never written on a past version
+        self._label_counts: dict[str, int] = {}
+        self._source_pairs: dict[tuple[str, str], int] = {}
+        self._target_pairs: dict[tuple[str, str], int] = {}
         # A past version's undo log (None on the head and on a store never cloned).
         self._undo: Optional[_UndoLog] = None
         # On a head: a weak reference to the log of the version it superseded
@@ -552,8 +589,15 @@ class IndexedStore(GraphStore):
         store._rank, store._edge_rank, store._out, store._in = ranks, edge_ranks, store_out, store_in
         store._label_index = {label: ids[:count] for label, (ids, count) in labels.items()}
         store._next_rank, store._next_edge_rank = self._undo.next_rank, self._undo.next_edge_rank
+        store._copy_counts(self)
         store._private = (set(), set(), set(), set())
         return store
+
+    def _copy_counts(self, other: "IndexedStore") -> None:
+        """Take copies of ``other``'s label counts (O(labels + label pairs))."""
+        self._label_counts = dict(other._label_counts)
+        self._source_pairs = dict(other._source_pairs)
+        self._target_pairs = dict(other._target_pairs)
 
     def _adjacency(self, index: dict, slot: int, node_id: Hashable) -> dict:
         """Return the node's ``edge label -> neighbours`` map in this version."""
@@ -624,6 +668,7 @@ class IndexedStore(GraphStore):
         self._nodes[node_id] = node
         self._rank[node_id] = self._next_rank
         self._next_rank += 1
+        _count(self._label_counts, label, 1)
         if ids is None:
             self._label_index[label] = [node_id]
         else:
@@ -648,6 +693,7 @@ class IndexedStore(GraphStore):
                 entries[_LABELS][label] = (ids, len(ids))
         del self._nodes[node_id], self._rank[node_id]
         del self._out[node_id], self._in[node_id]
+        _count(self._label_counts, label, -1)
         if self._private is None:
             ids.remove(node_id)
         else:  # a past version may be reading the list: replace it
@@ -714,6 +760,7 @@ class IndexedStore(GraphStore):
         self._edges[key] = edge
         self._edge_rank[key] = self._next_edge_rank
         self._next_edge_rank += 1
+        self._count_edge(source, target, label, 1)
         self._writable_bucket(self._out, _OUTS, _OUT, source, label, log)[target] = None
         self._writable_bucket(self._in, _INS, _IN, target, label, log)[source] = None
 
@@ -725,6 +772,7 @@ class IndexedStore(GraphStore):
             _remember(entries[_EDGES], self._edges, key)
             _remember(entries[_EDGE_RANKS], self._edge_rank, key)
         del self._edges[key], self._edge_rank[key]
+        self._count_edge(source, target, label, -1)
         for index, slot, side, node_id, neighbour in (
             (self._out, _OUTS, _OUT, source, target),
             (self._in, _INS, _IN, target, source),
@@ -733,6 +781,16 @@ class IndexedStore(GraphStore):
             del bucket[neighbour]
             if not bucket:
                 del index[node_id][label]
+
+    def _count_edge(self, source: Hashable, target: Hashable, label: str, change: int) -> None:
+        """Count an edge in (or out of) the label pairs of its endpoints."""
+        nodes = self._nodes
+        _count(self._source_pairs, (nodes[source].label, label), change)
+        _count(self._target_pairs, (nodes[target].label, label), change)
+
+    def label_counts(self) -> tuple[dict[str, int], dict[tuple[str, str], int], dict[tuple[str, str], int]]:
+        # a past version's counts are its own, so nothing is materialized
+        return dict(self._label_counts), dict(self._source_pairs), dict(self._target_pairs)
 
     def get_edge(self, key: EdgeKey) -> Optional[Edge]:
         edge = self._edges.get(key)
@@ -838,6 +896,7 @@ class IndexedStore(GraphStore):
             log.backlog = superseded.backlog + sum(map(len, superseded.entries))
         other = IndexedStore.__new__(IndexedStore)
         vars(other).update(vars(self))  # the live maps and the rank counters
+        other._copy_counts(self)
         other._log = weakref.ref(log)
         other._private = (set(), set(), set(), set())
         # past from here on: set before the head's first write
@@ -883,6 +942,8 @@ class IndexedStore(GraphStore):
                 raise GraphError("adjacency drifted from the node set")
             if sum(len(bucket) for buckets in index.values() for bucket in buckets.values()) != len(self._edges):
                 raise GraphError("adjacency holds pairs no edge accounts for")
+        if self.label_counts() != GraphStore.label_counts(self):
+            raise GraphError("label counts drifted from the nodes and edges")
 
 
 #: The maps a clone takes over from the store it supersedes.
@@ -993,6 +1054,7 @@ class FrozenStore(IndexedStore):
         self._edges[key] = edge
         self._edge_rank[key] = self._next_edge_rank
         self._next_edge_rank += 1
+        self._count_edge(*key, 1)
 
     def replace_node(self, node: Node) -> None:
         self._refuse("replace_node")

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "STEP_COUNT_PREFIX",
+    "REJECT_COUNT_PREFIX",
+    "REJECT_REASONS",
     "MatchStatistics",
 ]
 
@@ -27,6 +29,14 @@ __all__ = [
 #: merges additively across worker processes, so the flush sees
 #: the whole run in every execution mode.
 STEP_COUNT_PREFIX = "step_candidates\x1f"
+#: ``MatchStatistics.extra`` key prefix for per-(rule, step, reason) counts of
+#: examined candidates a step rejected, keyed and flushed like the scan counts
+#: (to ``repro_match_candidates_rejected_total``).  A candidate is rejected
+#: for its ``label``, for a ``unary`` premise literal, or for a pattern
+#: ``edge`` it lacks (the degree signature of a scan, another anchor, a
+#: self-loop); a step keeps examined − rejected.
+REJECT_COUNT_PREFIX = "step_rejected\x1f"
+REJECT_REASONS = ("label", "unary", "edge")
 
 
 @dataclass

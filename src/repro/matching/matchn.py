@@ -26,7 +26,7 @@ from repro.expr.literals import LiteralSet
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.matching.candidates import MatchStatistics
-from repro.matching.plan import GraphStatistics, compile_plan
+from repro.matching.plan import compile_plan
 from repro.matching.search import RuleSearch
 
 __all__ = ["HomomorphismMatcher", "assignment_for_match"]
@@ -59,9 +59,8 @@ class HomomorphismMatcher:
 
     The premise literals fire during the search (Section 6.2, step (3)), so
     only matches satisfying the premise come out; with no premise every
-    match does.  ``statistics`` is the graph's :class:`~repro.matching.plan.
-    GraphStatistics`: a caller building several matchers over one graph
-    passes one snapshot to all of them instead of paying an edge pass each.
+    match does.  The plan reads the statistics the graph's store keeps, so a
+    matcher costs no pass over the graph.
     """
 
     def __init__(
@@ -70,12 +69,11 @@ class HomomorphismMatcher:
         pattern: Pattern,
         premise: Optional[LiteralSet] = None,
         stats: Optional[MatchStatistics] = None,
-        statistics: Optional[GraphStatistics] = None,
     ) -> None:
         self.graph = graph
         self.stats = stats if stats is not None else MatchStatistics()
         rule = NGD(pattern, premise or (), name=pattern.name, allow_nonlinear=True)
-        self.plan = compile_plan(graph, rule, statistics)
+        self.plan = compile_plan(graph, rule)
 
     def matches(self) -> Iterator[dict[str, Hashable]]:
         """Yield every match, depth-first in the plan's order."""

@@ -6,8 +6,8 @@ set of each variable is generated.  This module fixes both from the data, and
 separates *planning* from *execution*:
 
 * :class:`GraphStatistics` snapshots the store statistics the cost model
-  reads: label cardinalities (``len(nodes_with_label(l))`` — O(1) on the
-  indexed engines) and per-(node-label, edge-label) edge counts;
+  reads: label cardinalities and per-(node-label, edge-label) edge counts,
+  which the store keeps as it is written (O(label pairs), no edge pass);
 * :func:`compile_plan` chooses a variable order greedily by estimated
   candidate cardinality — start from the rarest label, then repeatedly bind
   the frontier variable whose anchored candidate set is estimated smallest;
@@ -46,10 +46,11 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro import obs
 from repro.core.ngd import NGD
 from repro.graph.graph import WILDCARD, Graph
-from repro.matching.candidates import STEP_COUNT_PREFIX, MatchStatistics
+from repro.matching.candidates import REJECT_COUNT_PREFIX, REJECT_REASONS, STEP_COUNT_PREFIX, MatchStatistics
 from repro.matching.compiled import compile_literal
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.graph.model import Node
     from repro.graph.store import GraphStore
 
 __all__ = [
@@ -71,17 +72,18 @@ __all__ = [
 class GraphStatistics:
     """The store statistics the plan cost model reads, snapshotted once.
 
-    Label cardinalities come straight from the label index
-    (``len(nodes_with_label(l))``); edge-label counts from one pass over E.
-    Both are pure functions of the graph content, independent of the storage
-    backend, so the same graph compiles to the same plan on every engine.
+    Label cardinalities, edge-label counts and the per-(node-label,
+    edge-label) pairs all come from :meth:`~repro.graph.store.GraphStore.
+    label_counts`, which the indexed engines keep under their writes, so a
+    snapshot reads no node and no edge.  They are pure functions of the graph
+    content, independent of the storage backend, so the same graph compiles
+    to the same plan on every engine.
 
     ``source_pairs`` / ``target_pairs`` record per-(node-label, edge-label)
     co-occurrence: how many ``edge_label`` edges *leave* (resp. *enter*)
     nodes of each label.  They sharpen the anchored-fan estimate for
     correlated hub patterns — a graph-wide average fan would dilute a hub
-    label's true fan-out across every node — and are gathered in the same
-    O(|E|) pass.
+    label's true fan-out across every node.
     """
 
     node_count: int
@@ -93,26 +95,20 @@ class GraphStatistics:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "GraphStatistics":
-        """Snapshot the statistics of ``graph`` (one O(|E|) pass)."""
-        label_counts = {
-            label: len(graph.nodes_with_label(label)) for label in sorted(graph.labels())
-        }
+        """Snapshot the statistics of ``graph`` from the counts its store keeps (O(label pairs))."""
+        label_counts, sources, targets = graph.store.label_counts()
         edge_label_counts: dict[str, int] = {}
         source_pairs: dict[str, dict[str, int]] = {}
         target_pairs: dict[str, dict[str, int]] = {}
-        # an edge's endpoints exist, so their labels are read straight from the store
-        get_node = graph.store.get_node
-        for edge in graph.edges():
-            label = edge.label
-            edge_label_counts[label] = edge_label_counts.get(label, 0) + 1
-            by_edge = source_pairs.setdefault(get_node(edge.source).label, {})
-            by_edge[label] = by_edge.get(label, 0) + 1
-            by_edge = target_pairs.setdefault(get_node(edge.target).label, {})
-            by_edge[label] = by_edge.get(label, 0) + 1
+        for (node_label, edge_label), count in sources.items():
+            edge_label_counts[edge_label] = edge_label_counts.get(edge_label, 0) + count
+            source_pairs.setdefault(node_label, {})[edge_label] = count
+        for (node_label, edge_label), count in targets.items():
+            target_pairs.setdefault(node_label, {})[edge_label] = count
         return cls(
             node_count=graph.node_count(),
             edge_count=graph.edge_count(),
-            label_counts=label_counts,
+            label_counts=dict(sorted(label_counts.items())),
             edge_label_counts=edge_label_counts,
             source_pairs=source_pairs,
             target_pairs=target_pairs,
@@ -203,7 +199,13 @@ class PlanStep:
     ``unary_premise`` and ``premise_checks``; ``anchor_slots`` is
     ``anchors`` by slot — ``(anchor's slot, True for a successor view, edge
     label)`` — so :func:`step_candidates` reads an anchor's node off the id
-    list; ``count_key`` is the step's scan-count key in
+    list, and ``anchor`` is that triple when it is the only one (the step
+    :meth:`~repro.matching.search.RuleSearch.step` runs inline);
+    ``label_filter`` is the label a pooled node must carry (None when the
+    pool holds only such nodes: a scan of the label index, or a wildcard);
+    ``out_labels`` / ``in_labels`` are the degree signature a scanned node
+    must cover; ``count_key`` and ``reject_keys`` are the step's scan-count
+    key and its rejection-count keys (by ``REJECT_REASONS``) in
     ``MatchStatistics.extra``.
     """
 
@@ -212,17 +214,20 @@ class PlanStep:
     strategy: str
     anchors: tuple[Anchor, ...]
     self_loops: tuple[str, ...]
-    out_labels: tuple[str, ...]
-    in_labels: tuple[str, ...]
+    out_labels: frozenset[str]
+    in_labels: frozenset[str]
     unary_premise: tuple[int, ...]
     premise_checks: tuple[int, ...]
     check_conclusion: bool
     estimated_candidates: float
     anchor_slots: tuple[tuple[int, bool, str], ...]
+    anchor: Optional[tuple[int, bool, str]]
+    label_filter: Optional[str]
     unary_checks: tuple[Callable, ...]
     checks: tuple[Callable, ...]
     conclusion_check: Optional[Callable]
     count_key: str
+    reject_keys: tuple[str, ...]
 
     def pruned(self, slots, stats: MatchStatistics) -> bool:
         """Apply the step's bound-literal schedule; True when the branch is pruned.
@@ -509,23 +514,26 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
                 check_conclusion = True
                 conclusion_done = True
         strategy = "anchored" if anchors else "scan"
+        label = pattern.node(variable).label
+        anchor_slots = tuple(
+            (slot_of[anchor.variable], anchor.direction == "succ", anchor.edge_label) for anchor in anchors
+        )
         steps.append(
             PlanStep(
                 variable=variable,
-                label=pattern.node(variable).label,
+                label=label,
                 strategy=strategy,
                 anchors=anchors,
                 self_loops=self_loops,
-                out_labels=tuple(edge.label for edge in pattern.out_edges(variable)),
-                in_labels=tuple(edge.label for edge in pattern.in_edges(variable)),
+                out_labels=frozenset(edge.label for edge in pattern.out_edges(variable)),
+                in_labels=frozenset(edge.label for edge in pattern.in_edges(variable)),
                 unary_premise=tuple(unary),
                 premise_checks=tuple(checks),
                 check_conclusion=check_conclusion,
                 estimated_candidates=_estimate(stats, pattern, variable, anchors),
-                anchor_slots=tuple(
-                    (slot_of[anchor.variable], anchor.direction == "succ", anchor.edge_label)
-                    for anchor in anchors
-                ),
+                anchor_slots=anchor_slots,
+                anchor=anchor_slots[0] if len(anchor_slots) == 1 else None,
+                label_filter=label if anchors and label != WILDCARD else None,
                 unary_checks=tuple(
                     compile_literal(premise_literals[index], slot_of, direct=True) for index in unary
                 ),
@@ -534,6 +542,7 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
                     compile_literal(single_conclusion, slot_of) if check_conclusion else None
                 ),
                 count_key=f"{STEP_COUNT_PREFIX}{rule.name}\x1f{variable}\x1f{strategy}",
+                reject_keys=tuple(f"{REJECT_COUNT_PREFIX}{rule.name}\x1f{variable}\x1f{reason}" for reason in REJECT_REASONS),
             )
         )
         bound = now_bound
@@ -547,21 +556,20 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
     )
 
 
-def compile_plan(graph: Graph, rule: NGD, statistics: Optional[GraphStatistics] = None) -> MatchPlan:
+def compile_plan(graph: Graph, rule: NGD) -> MatchPlan:
     """Compile one NGD into a :class:`MatchPlan` against ``graph``'s statistics."""
-    stats = statistics if statistics is not None else GraphStatistics.from_graph(graph)
-    return MatchPlan(rule, stats)
+    return MatchPlan(rule, GraphStatistics.from_graph(graph))
 
 
 def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
-    """Compile every rule of an iterable/RuleSet, sharing one statistics pass.
+    """Compile every rule of an iterable/RuleSet against one statistics snapshot.
 
     Each plan's root schedule is closure-compiled here too, so closure
     compilation is billed inside the session's ``detect.compile_plans`` span
     rather than inside the first expansion of the search.
     """
     stats = GraphStatistics.from_graph(graph)
-    return tuple(compile_plan(graph, rule, statistics=stats) for rule in rules)
+    return tuple(MatchPlan(rule, stats) for rule in rules)
 
 
 # ------------------------------------------------------------------- executor
@@ -569,100 +577,97 @@ def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
 
 def step_candidates(
     store: GraphStore, step: PlanStep, ids: Sequence[Hashable], stats: MatchStatistics
-) -> tuple[list[Hashable], int]:
+) -> tuple[list[Node], int]:
     """Generate, filter and rank-sort the candidates of one step.
 
     ``ids[slot]`` is the data node bound at each slot of the prefix the step
-    is anchored to.  Returns ``(candidates, scanned)``: ``candidates`` match
-    the step's label, unary premise literals and self-loops, and are sorted
-    by rank; ``scanned`` is the size of the index read (the filtering cost
-    the parallel cost model charges).  The step picks one of three branches:
-
-    * one anchor: the anchor's label-filtered adjacency view, as it is;
-    * several: the smallest anchor view, probed against the others;
-    * no anchor: scan the label index, filtered by the degree signature.
+    is anchored to.  Returns ``(candidates, scanned)``: ``candidates`` are the
+    nodes (each read once) that match the step's label, unary premise
+    literals and self-loops, in rank order; ``scanned`` is the size of the
+    index read (the filtering cost the parallel cost model charges).  The
+    pool is the smallest anchor view, probed against the others, or with no
+    anchor a scan of the label index filtered by the degree signature.  A
+    step with one anchor reads that anchor's view as it is; the search runs
+    it inline (:meth:`~repro.matching.search.RuleSearch.step`).
 
     Billing: one ``candidates_examined`` per node drawn from the index read,
     one ``edge_checks`` per adjacency membership probe of the intersection
     and per self-loop probe, one ``literal_evaluations`` per unary check
     reached (stopping at the first rejection).
     """
-    anchors = step.anchor_slots
-    label = None if step.label == WILDCARD else step.label
-    if len(anchors) == 1:
-        # the common step: one bound neighbour, whose view is the candidate set
-        slot, forward, edge_label = anchors[0]
-        pool = (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
-        scanned = len(pool)
-    elif anchors:
+    if step.anchor_slots:
         views = [
             (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
-            for slot, forward, edge_label in anchors
+            for slot, forward, edge_label in step.anchor_slots
         ]
-        base_index = min(range(len(views)), key=lambda index: len(views[index]))
-        base = views[base_index]
-        others = [view for index, view in enumerate(views) if index != base_index]
+        views.sort(key=len)  # stable: the first smallest view is the base
+        base, others = views[0], views[1:]
         scanned = len(base)
         stats.edge_checks += scanned * len(others)
         pool = [node_id for node_id in base if all(node_id in view for view in others)]
     else:
-        pool = store.all_node_ids() if label is None else store.nodes_with_label(label)
+        pool = store.all_node_ids() if step.label == WILDCARD else store.nodes_with_label(step.label)
         scanned = len(pool)
         # the index is the label's, so only the degree signature remains
-        label = None
-        out_labels, in_labels = step.out_labels, step.in_labels
-        if out_labels or in_labels:
-            out_of, into = store.out_edge_labels, store.in_edge_labels
-            signed = []
-            for node_id in pool:
-                if out_labels:
-                    available = out_of(node_id)
-                    if not all(edge_label in available for edge_label in out_labels):
-                        continue
-                if in_labels:
-                    available = into(node_id)
-                    if not all(edge_label in available for edge_label in in_labels):
-                        continue
-                signed.append(node_id)
-            pool = signed
-    stats.candidates_examined += scanned
+        if step.out_labels:
+            out_of = store.out_edge_labels
+            pool = [node_id for node_id in pool if step.out_labels <= out_of(node_id)]
+        if step.in_labels:
+            into = store.in_edge_labels
+            pool = [node_id for node_id in pool if step.in_labels <= into(node_id)]
+    return admitted(store, step, pool, scanned, stats), scanned
 
-    unary_checks = step.unary_checks
+
+def admitted(store: GraphStore, step: PlanStep, pool, scanned: int, stats: MatchStatistics) -> list[Node]:
+    """Bill a step's ``scanned`` candidates; return the nodes of ``pool`` it keeps, each read once, in rank order.
+
+    A label index iterates in rank order; an anchor's view is sorted here.
+    The rejected candidates (``scanned`` less those kept) are counted by
+    reason under ``step.reject_keys``, on the rejecting branch only.
+    """
+    stats.candidates_examined += scanned
+    extra = stats.extra
+    if scanned:
+        # plain-dict accumulation: this is the match executor's hottest loop
+        # and the registry flush happens once per run (flush_step_counts)
+        extra[step.count_key] = extra.get(step.count_key, 0) + scanned
+        if step.anchor_slots and len(pool) > 1:
+            pool = sorted(pool, key=store.node_rank)
+    get_node, label, unary_checks = store.get_node, step.label_filter, step.unary_checks
+    by_label = by_unary = 0
     if label is None and not unary_checks:
-        candidates = list(pool)
+        nodes = list(map(get_node, pool))
     else:
-        get_node = store.get_node
-        candidates = []
-        for candidate in pool:
-            node = get_node(candidate)
+        nodes = []
+        for node_id in pool:
+            node = get_node(node_id)
             if label is not None and node.label != label:
+                by_label += 1
                 continue
             for check in unary_checks:
                 stats.literal_evaluations += 1
                 if not check(node.attributes):
+                    by_unary += 1
                     break
             else:
-                candidates.append(candidate)
+                nodes.append(node)
     if step.self_loops:
         # the one pattern edge no anchor covers: probe each candidate's loops in order
         has_edge_key = store.has_edge_key
         looped = []
-        for candidate in candidates:
+        for node in nodes:
             for loop_label in step.self_loops:
                 stats.edge_checks += 1
-                if not has_edge_key((candidate, candidate, loop_label)):
+                if not has_edge_key((node.id, node.id, loop_label)):
                     break
             else:
-                looped.append(candidate)
-        candidates = looped
-    if len(candidates) > 1:
-        candidates.sort(key=store.node_rank)
-    if scanned:
-        # plain-dict accumulation: this is the match executor's hottest loop
-        # and the registry flush happens once per run (flush_step_counts)
-        key = step.count_key
-        stats.extra[key] = stats.extra.get(key, 0) + scanned
-    return candidates, scanned
+                looped.append(node)
+        nodes = looped
+    if len(nodes) != scanned:
+        for key, count in zip(step.reject_keys, (by_label, by_unary, scanned - len(nodes) - by_label - by_unary)):
+            if count:
+                extra[key] = extra.get(key, 0) + count
+    return nodes
 
 
 # -------------------------------------------------------------- kernel helpers

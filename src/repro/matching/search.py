@@ -41,9 +41,9 @@ from typing import Optional
 from repro.core.ngd import NGD
 from repro.core.violations import Violation
 from repro.errors import ExecutionError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, Node
 from repro.matching.candidates import MatchStatistics
-from repro.matching.plan import MatchPlan, step_candidates
+from repro.matching.plan import MatchPlan, admitted, step_candidates
 
 __all__ = ["RuleSearch"]
 
@@ -118,15 +118,22 @@ class RuleSearch:
             self.slots[slot] = get_node(ids[slot]).attributes
         self.stack.append((last, ids[last], get_node(ids[last]).attributes, order))
 
+    def seed(self, graph: Graph, order: tuple[str, ...], nodes: Sequence[Node]) -> None:
+        """Push one depth-0 frame per node of ``graph`` (first-step candidates), the last node on top."""
+        self.graph = graph
+        self.stack.extend([(0, node.id, node.attributes, order) for node in nodes])
+
     def step(self) -> list[Violation]:
         """Expand the top frame; return the bindings it completed that the leaf kept.
 
         Children are pushed in rank order, so they pop in descending rank and
-        the leaves of a last step come out ascending.  The step's candidates
-        come from :func:`~repro.matching.plan.step_candidates`, which enforces
-        every pattern edge between the step's variable and the bound prefix,
-        its self-loops included; what is left per candidate is the scheduled
-        literals.
+        the leaves of a last step come out ascending.  The candidates of a
+        step with one anchor are that anchor's view, read here; any other
+        step's come from :func:`~repro.matching.plan.step_candidates`.
+        Either way every pattern edge between the step's variable and the
+        bound prefix, its self-loops included, is enforced, and each
+        candidate arrives as its node; what is left per candidate is the
+        scheduled literals.
         """
         depth, node_id, attrs, order = self.stack.pop()
         ids, slots, stats, store = self.ids, self.slots, self.stats, self.graph.store
@@ -144,21 +151,27 @@ class RuleSearch:
             return [leaf] if leaf is not None else []
 
         step = self._schedule.steps[depth]
-        candidates, scanned = step_candidates(store, step, ids, stats)
+        if step.anchor is None:
+            candidates, scanned = step_candidates(store, step, ids, stats)
+        else:
+            slot, forward, edge_label = step.anchor
+            pool = (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
+            scanned = len(pool)
+            candidates = admitted(store, step, pool, scanned, stats)
         last = depth + 1 == len(ids)
         scheduled = bool(step.checks) or step.conclusion_check is not None
-        get_node = store.get_node
+        push = self.stack.append
         found: list[Violation] = []
         expanded = 0
-        for candidate in candidates:
-            attrs = slots[depth] = get_node(candidate).attributes
+        for node in candidates:
+            attrs = slots[depth] = node.attributes
             if scheduled and step.pruned(slots, stats):
                 continue
             expanded += 1
             if not last:
-                self.stack.append((depth, candidate, attrs, order))
+                push((depth, node.id, attrs, order))
                 continue
-            ids[depth] = candidate
+            ids[depth] = node.id
             leaf = self._leaf()
             if leaf is not None:
                 found.append(leaf)

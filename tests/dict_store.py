@@ -3,7 +3,7 @@
 :class:`DictStore` is the layout the project started with, kept because it
 is simple enough to check by reading: one flat ``{(neighbour, edge_label)}``
 map per node and direction, label-filtered reads that scan and filter,
-defensive ``frozenset`` copies and an eager ``clone``.  It is not registered
+defensive copies and an eager ``clone``.  It is not registered
 in :data:`repro.graph.store.STORE_REGISTRY`; a test builds one directly
 (``Graph(store=DictStore())``) or by name through :mod:`engines`.
 """
@@ -27,8 +27,10 @@ class DictStore(GraphStore):
 
     This preserves the behaviour (and cost profile) of the original in-Graph
     layout: adjacency is one flat ``{(neighbour, edge_label)}`` collection per
-    node and direction, every read returns a defensive ``frozenset`` copy,
-    and label-filtered lookups scan and filter the whole adjacency list.  It
+    node and direction, every read returns a defensive copy (a ``frozenset``,
+    or for the label index a fresh dict's keys, which keep the rank order the
+    contract asks for), and label-filtered lookups scan and filter the whole
+    adjacency list.  It
     exists as the easy-to-audit baseline the parity suite and the storage
     benchmarks compare :class:`IndexedStore` against.
 
@@ -88,14 +90,14 @@ class DictStore(GraphStore):
     def node_ids(self) -> Iterator[Hashable]:
         return iter(self._nodes.keys())
 
-    def all_node_ids(self) -> frozenset[Hashable]:
-        return frozenset(self._nodes.keys())
+    def all_node_ids(self):
+        return dict.fromkeys(self._nodes).keys()
 
     def node_rank(self, node_id: Hashable) -> int:
         return self._rank[node_id]
 
-    def nodes_with_label(self, label: str) -> frozenset[Hashable]:
-        return frozenset(self._label_index.get(label, _EMPTY_DICT))
+    def nodes_with_label(self, label: str):
+        return dict.fromkeys(self._label_index.get(label, _EMPTY_DICT)).keys()
 
     def labels(self) -> frozenset[str]:
         return frozenset(self._label_index.keys())

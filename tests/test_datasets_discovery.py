@@ -12,7 +12,7 @@ from repro.datasets.synthetic import synthetic_graph
 from repro.discovery import DiscoveryConfig, discover_ngds, mine_frequent_patterns
 from repro.errors import DiscoveryError
 from repro.graph.generators import chain_graph
-from repro.matching.plan import GraphStatistics
+from repro.graph.store import GraphStore
 
 
 class TestFigure1:
@@ -162,15 +162,10 @@ class TestDiscovery:
         with pytest.raises(DiscoveryError):
             mine_frequent_patterns(chain_graph(3), DiscoveryConfig(min_support=100))
 
-    def test_one_statistics_pass_serves_every_pattern(self, monkeypatch):
-        passes = []
-        real = GraphStatistics.from_graph.__func__
-        monkeypatch.setattr(
-            GraphStatistics, "from_graph", classmethod(lambda cls, graph: passes.append(graph) or real(cls, graph))
-        )
+    def test_mining_reads_the_counts_the_store_keeps(self, monkeypatch):
+        # GraphStore's own label_counts is the edge pass the indexed store replaces
+        monkeypatch.setattr(GraphStore, "label_counts", lambda store: pytest.fail("an edge pass ran"))
         graph = knowledge_graph(KBConfig("sup", 80, 2, 3, 2, 3, 1.0, seed=7))
         config = DiscoveryConfig(max_pattern_edges=2, max_rules=6, min_support=10, seed=1)
         assert len(mine_frequent_patterns(graph, config)) > 1
-        assert passes == [graph]
         assert len(discover_ngds(graph, config)) > 0
-        assert passes == [graph, graph]

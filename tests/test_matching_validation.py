@@ -21,18 +21,18 @@ from repro.matching.incmatch import find_update_pivots
 from repro.matching.matchn import HomomorphismMatcher, assignment_for_match
 from repro.matching.plan import GraphStatistics, compile_plan, first_step_candidates
 from repro.matching.search import RuleSearch
-from repro.graph.store import IndexedStore
+from repro.graph.store import GraphStore, IndexedStore
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 
 import naive_reference
 
 
 def _seed_candidates(graph, pattern, premise="", stats=None):
-    """The candidates of a plan's first step, which scans the label index for ``x``."""
+    """The ids of the candidates of a plan's first step, which scans the label index for ``x``."""
     plan = compile_plan(graph, NGD.from_text(pattern, premise, "", name="seeds"))
     assert plan.order[0] == "x"
     stats = stats if stats is not None else MatchStatistics()
-    return first_step_candidates(graph, plan.rule, plan, plan.order, True, stats)[0]
+    return [node.id for node in first_step_candidates(graph, plan.rule, plan, plan.order, True, stats)[0]]
 
 
 class TestCandidates:
@@ -146,20 +146,22 @@ class TestHomomorphismMatcher:
         assert len(list(matcher.matches())) == 6 == stats.matches_emitted
         assert stats.candidates_examined > 0
 
-    def test_passed_statistics_spare_the_edge_pass(self, triangle_graph, knows_pattern, monkeypatch):
-        passes = []
-        real = GraphStatistics.from_graph.__func__
-        monkeypatch.setattr(
-            GraphStatistics, "from_graph", classmethod(lambda cls, graph: passes.append(graph) or real(cls, graph))
-        )
+    def test_statistics_need_no_edge_list(self, triangle_graph, knows_pattern, monkeypatch):
+        # the store keeps the counts, so a snapshot (one per matcher) never walks E
+        edge_pass = GraphStore.label_counts(triangle_graph.store)
+
+        def refuse():
+            raise AssertionError("the statistics walked the edge list")
+
+        monkeypatch.setattr(triangle_graph.store, "edges", refuse)
         statistics = GraphStatistics.from_graph(triangle_graph)
-        for _ in range(3):
-            matcher = HomomorphismMatcher(triangle_graph, knows_pattern, statistics=statistics)
-            assert matcher.plan.statistics is statistics
-            assert list(matcher.matches()) == [{"x": "a", "y": "b"}]
-        assert len(passes) == 1
-        HomomorphismMatcher(triangle_graph, knows_pattern)
-        assert len(passes) == 2  # no snapshot given: the matcher takes its own
+        assert triangle_graph.store.label_counts() == edge_pass
+        assert statistics.edge_label_counts == {"knows": 1, "lives_in": 2}
+        assert statistics.source_pairs == {"person": {"knows": 1, "lives_in": 2}}
+        assert statistics.target_pairs == {"person": {"knows": 1}, "city": {"lives_in": 2}}
+        matcher = HomomorphismMatcher(triangle_graph, knows_pattern)
+        assert matcher.plan.statistics == statistics
+        assert list(matcher.matches()) == [{"x": "a", "y": "b"}]
 
     def test_seeded_search(self, triangle_graph):
         # the incremental kernels start the core on a bound prefix (a pivot)

@@ -17,7 +17,7 @@ from repro.core.validation import graph_satisfies
 from repro.errors import SatisfiabilityError
 from repro.graph.graph import WILDCARD
 from repro.graph.pattern import Pattern
-from repro.matching.plan import GraphStatistics
+from repro.graph.store import GraphStore
 
 
 def single_node_rule(premise: str, conclusion: str, label: str = WILDCARD, name: str = "r") -> NGD:
@@ -168,25 +168,18 @@ class TestImplication:
         assert len(minimal_cover(rules)) == 2
 
 
-class TestOneStatisticsPassPerModel:
-    """Every matcher over one model shares that model's plan statistics."""
+class TestStatisticsFromKeptCounts:
+    """Every matcher over a model reads the counts the model's store keeps: no edge pass."""
 
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        seen = []
-        real = GraphStatistics.from_graph.__func__
-        monkeypatch.setattr(
-            GraphStatistics, "from_graph", classmethod(lambda cls, graph: seen.append(graph) or real(cls, graph))
-        )
-        return seen
+    @pytest.fixture(autouse=True)
+    def no_edge_pass(self, monkeypatch):
+        # GraphStore's own label_counts is the edge pass the indexed store replaces
+        monkeypatch.setattr(GraphStore, "label_counts", lambda store: pytest.fail("an edge pass ran"))
 
     @pytest.mark.parametrize("strong", (False, True), ids=("satisfiability", "strong"))
-    def test_satisfiability(self, passes, strong):
-        # three rules, so a pass per matcher would be three per model
+    def test_satisfiability(self, strong):
         assert not check_satisfiability(RuleSet([phi7(), phi8(), phi9()]), strong=strong).satisfiable
-        assert passes and len({id(model) for model in passes}) == len(passes)
 
-    def test_implication(self, passes):
+    def test_implication(self):
         sigma = RuleSet([single_node_rule("", "x.A <= x.B", name="ab"), single_node_rule("", "x.B <= x.C", name="bc")])
         assert implies(sigma, single_node_rule("", "x.A <= x.C", name="ac"))
-        assert passes and len({id(model) for model in passes}) == len(passes)

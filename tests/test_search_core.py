@@ -43,7 +43,7 @@ from repro.graph.updates import BatchUpdate, NodePayload, UpdateGenerator, apply
 from repro.matching.candidates import MatchStatistics
 from repro.matching.incmatch import UpdatePivot
 from repro.matching.matchn import HomomorphismMatcher
-from repro.matching.plan import GraphStatistics, MatchPlan, compile_plans, first_step_candidates
+from repro.matching.plan import MatchPlan, compile_plans, first_step_candidates
 from repro.matching.search import RuleSearch
 
 from engines import new_store
@@ -237,9 +237,8 @@ def test_the_matcher_view_enumerates_the_homomorphisms(graph, rules):
     for rule in rules:
         every = {tuple(sorted(h.items())) for h in naive_reference.matches(graph, rule.pattern)}
         in_premise = {h for h in every if naive_reference.satisfies(graph, dict(h), rule.premise)}
-        statistics = GraphStatistics.from_graph(graph)
         for premise, expected in ((None, every), (rule.premise, in_premise)):
-            matcher = HomomorphismMatcher(graph, rule.pattern, premise, statistics=statistics)
+            matcher = HomomorphismMatcher(graph, rule.pattern, premise)
             stream = [tuple(sorted(match.items())) for match in matcher.matches()]
             assert set(stream) == expected, premise
             assert len(stream) == len(expected), "a match streamed twice"
@@ -425,7 +424,7 @@ def stepped_dect(graph, rules, plans, budget=None) -> Stepped:
         run.cost += scan_cost
         if run.cost_exhausted():
             break
-        stack = [WorkUnit(index, plan.order, ((plan.order[0], candidate),)) for candidate in candidates]
+        stack = [WorkUnit(index, plan.order, ((plan.order[0], candidate.id),)) for candidate in candidates]
         if len(plan.order) == 1:
             stack.reverse()  # complete seeds have no subtree: they stream in rank order
         run.drain(stack, {True: graph}, rule, plan, seen)
