@@ -35,7 +35,7 @@ from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
-from repro.matching.plan import MatchPlan, resolve_plans, seed_candidates
+from repro.matching.plan import MatchPlan, resolve_plans, step_candidates
 
 __all__ = ["iter_dect"]
 
@@ -70,8 +70,8 @@ def iter_dect(
             if not order:
                 continue
             with run.rule(rule.name):
-                candidates, scan_cost = seed_candidates(graph, plan, run.stats)
-                run.cost += scan_cost
+                candidates, scanned = step_candidates(graph.store, plan.steps[0], (), run.stats)
+                run.cost += scanned
                 if not run.cost_exhausted():
                     # the seeds are a stack: the last candidate's subtree is searched
                     # first; a single-variable pattern has no subtrees and streams in

@@ -122,9 +122,8 @@ class SerialRun(KernelRun):
         are to be expanded: the rule's search core, the bound prefix of
         ``order``, and the ΔVio direction.  A seed is searched in
         ``graph_for(introduced)`` and its findings are new against
-        ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed); each seed's
-        stack is run by :meth:`expand`, the next seed started once it is
-        empty.
+        ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed).  A seed is
+        started once the last one's subtree is drained (:meth:`expand`).
         """
         graphs = (graph_for(False), graph_for(True))
         for search, order, ids, introduced in seeds:
@@ -133,17 +132,16 @@ class SerialRun(KernelRun):
                 return
 
     def expand(self, search, introduced: bool, dedupe: tuple) -> Generator:
-        """Run ``search``'s stack until it is empty, yielding each new violation.
+        """Drain ``search``'s stack, yielding each new violation; return True if the budget stopped it.
 
         Every step is charged ``max(filtering, 1) + verification``; the budget
-        is tested after each violation and after each step, and the run
-        stops (``stop_reason`` set, the generator returns True) the moment
-        either cap is reached.
+        is tested after each violation and after each step, and the run stops
+        (``stop_reason`` set) the moment either cap is reached.
         """
         stack, step, budget = search.stack, search.step, self.budget
         while stack:
             found = step()
-            self.cost += max(search.filtering, 1) + search.verification
+            self.cost += (search.filtering or 1) + search.verification
             if found and (yield from self.emit(found, introduced, dedupe)):
                 return True
             if budget is not None and self.cost_exhausted():

@@ -198,14 +198,11 @@ class PlanStep:
     schedule's slots (:mod:`repro.matching.compiled`), in the order of
     ``unary_premise`` and ``premise_checks``; ``anchor_slots`` is
     ``anchors`` by slot — ``(anchor's slot, True for a successor view, edge
-    label)`` — so :func:`step_candidates` reads an anchor's node off the id
-    list, and ``anchor`` is that triple when it is the only one (the step
-    :meth:`~repro.matching.search.RuleSearch.step` runs inline);
-    ``label_filter`` is the label a pooled node must carry (None when the
-    pool holds only such nodes: a scan of the label index, or a wildcard);
-    ``out_labels`` / ``in_labels`` are the degree signature a scanned node
-    must cover; ``count_key`` and ``reject_keys`` are the step's scan-count
-    key and its rejection-count keys (by ``REJECT_REASONS``) in
+    label)`` — and ``anchor`` the one triple of a one-anchor step (None
+    otherwise); ``label_filter`` is the label a pooled candidate must carry
+    (None for a scan or a wildcard); ``out_labels`` / ``in_labels`` are the
+    degree signature a scanned node must cover; ``count_key`` and
+    ``reject_keys`` (by ``REJECT_REASONS``) key its counts in
     ``MatchStatistics.extra``.
     """
 
@@ -515,9 +512,7 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
                 conclusion_done = True
         strategy = "anchored" if anchors else "scan"
         label = pattern.node(variable).label
-        anchor_slots = tuple(
-            (slot_of[anchor.variable], anchor.direction == "succ", anchor.edge_label) for anchor in anchors
-        )
+        anchor_slots = tuple((slot_of[a.variable], a.direction == "succ", a.edge_label) for a in anchors)
         steps.append(
             PlanStep(
                 variable=variable,
@@ -582,13 +577,12 @@ def step_candidates(
 
     ``ids[slot]`` is the data node bound at each slot of the prefix the step
     is anchored to.  Returns ``(candidates, scanned)``: ``candidates`` are the
-    nodes (each read once) that match the step's label, unary premise
+    nodes, each read once, that match the step's label, unary premise
     literals and self-loops, in rank order; ``scanned`` is the size of the
     index read (the filtering cost the parallel cost model charges).  The
-    pool is the smallest anchor view, probed against the others, or with no
-    anchor a scan of the label index filtered by the degree signature.  A
-    step with one anchor reads that anchor's view as it is; the search runs
-    it inline (:meth:`~repro.matching.search.RuleSearch.step`).
+    pool is the smallest anchor view, probed against the others, or a scan
+    of the label index filtered by the degree signature.  The search reads a
+    one-anchor step's view itself (:meth:`~repro.matching.search.RuleSearch.step`).
 
     Billing: one ``candidates_examined`` per node drawn from the index read,
     one ``edge_checks`` per adjacency membership probe of the intersection
@@ -621,9 +615,8 @@ def step_candidates(
 def admitted(store: GraphStore, step: PlanStep, pool, scanned: int, stats: MatchStatistics) -> list[Node]:
     """Bill a step's ``scanned`` candidates; return the nodes of ``pool`` it keeps, each read once, in rank order.
 
-    A label index iterates in rank order; an anchor's view is sorted here.
-    The rejected candidates (``scanned`` less those kept) are counted by
-    reason under ``step.reject_keys``, on the rejecting branch only.
+    An anchored pool is sorted here (a label index is in rank order).  What
+    ``scanned`` lost is counted by reason under ``step.reject_keys``.
     """
     stats.candidates_examined += scanned
     extra = stats.extra
@@ -651,18 +644,10 @@ def admitted(store: GraphStore, step: PlanStep, pool, scanned: int, stats: Match
                     break
             else:
                 nodes.append(node)
-    if step.self_loops:
+    for loop_label in step.self_loops:
         # the one pattern edge no anchor covers: probe each candidate's loops in order
-        has_edge_key = store.has_edge_key
-        looped = []
-        for node in nodes:
-            for loop_label in step.self_loops:
-                stats.edge_checks += 1
-                if not has_edge_key((node.id, node.id, loop_label)):
-                    break
-            else:
-                looped.append(node)
-        nodes = looped
+        stats.edge_checks += len(nodes)
+        nodes = [node for node in nodes if store.has_edge_key((node.id, node.id, loop_label))]
     if len(nodes) != scanned:
         for key, count in zip(step.reject_keys, (by_label, by_unary, scanned - len(nodes) - by_label - by_unary)):
             if count:
@@ -677,23 +662,11 @@ def resolve_plans(graph: Graph, rule_list, plans) -> tuple["MatchPlan", ...]:
     """Resolve the compiled plans a detection kernel should execute.
 
     ``plans`` passed by the caller (the session's cache) win; otherwise
-    plans are compiled here.  Shared by all four
-    kernels.
+    plans are compiled here.  Shared by all four kernels.
     """
     if plans is not None:
         return tuple(plans)
     return compile_plans(graph, rule_list)
-
-
-def seed_candidates(graph: Graph, plan: MatchPlan, stats: MatchStatistics) -> tuple[list, float]:
-    """Return the seed candidates of a rule plus the scan cost charged for them.
-
-    Executes the first step of the plan's root order, self-loops included;
-    its scan size is the charge.  Used by the batch kernels (Dect / PDect)
-    to seed their searches.
-    """
-    candidates, scanned = step_candidates(graph.store, plan.steps[0], (), stats)
-    return candidates, float(scanned)
 
 
 def first_step_candidates(
@@ -705,7 +678,7 @@ def first_step_candidates(
     stats: MatchStatistics,
     compiled: bool = True,
 ) -> tuple[list, float]:
-    """:func:`seed_candidates` under its old signature.
+    """The first step's candidates and scan size, as the batch kernels seed a rule's search with them.
 
     ``rule`` must be the plan's rule and ``order`` its root order.
     ``use_literal_pruning`` and ``compiled`` are ignored: the premise always
@@ -713,7 +686,8 @@ def first_step_candidates(
     the end-to-end benchmark's seed-scan probe (``benchmarks/e2e/layers.py``)
     passes all of them.
     """
-    return seed_candidates(graph, plan, stats)
+    candidates, scanned = step_candidates(graph.store, plan.steps[0], (), stats)
+    return candidates, float(scanned)
 
 
 # ------------------------------------------------------------------ reporting

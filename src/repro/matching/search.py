@@ -65,7 +65,7 @@ class RuleSearch:
     """
 
     __slots__ = (
-        "rule", "plan", "stats", "graph", "ids", "slots", "stack", "order",
+        "rule", "plan", "stats", "store", "ids", "slots", "stack", "order",
         "filtering", "verification",
         "_check", "_variables", "_schedule",
     )  # fmt: skip
@@ -86,7 +86,7 @@ class RuleSearch:
         self.stats = stats
         self._check = not all_matches
         self._variables = self.rule.pattern.variables
-        self.graph: Optional[Graph] = None
+        self.store = None  # of the graph the stacked frames bind
         self.ids: list = [None] * len(self._variables)
         self.slots: list = [None] * len(self._variables)
         #: pending frames ``(depth, node id, attributes, order)``, expanded last in, first out
@@ -106,7 +106,7 @@ class RuleSearch:
         Frames carry no graph, so one seed's subtree must be drained before a
         seed over another graph starts.
         """
-        self.graph = graph
+        self.store = graph.store
         if not ids:
             self.stack.append((-1, None, None, order))
             return
@@ -120,23 +120,21 @@ class RuleSearch:
 
     def seed(self, graph: Graph, order: tuple[str, ...], nodes: Sequence[Node]) -> None:
         """Push one depth-0 frame per node of ``graph`` (first-step candidates), the last node on top."""
-        self.graph = graph
+        self.store = graph.store
         self.stack.extend([(0, node.id, node.attributes, order) for node in nodes])
 
     def step(self) -> list[Violation]:
         """Expand the top frame; return the bindings it completed that the leaf kept.
 
         Children are pushed in rank order, so they pop in descending rank and
-        the leaves of a last step come out ascending.  The candidates of a
-        step with one anchor are that anchor's view, read here; any other
-        step's come from :func:`~repro.matching.plan.step_candidates`.
-        Either way every pattern edge between the step's variable and the
-        bound prefix, its self-loops included, is enforced, and each
-        candidate arrives as its node; what is left per candidate is the
-        scheduled literals.
+        the leaves of a last step come out ascending.  A one-anchor step's
+        pool is its anchor's view, read here; any other step's candidates come
+        from :func:`~repro.matching.plan.step_candidates`.  Either way each
+        arrives as its node, every pattern edge to the bound prefix enforced:
+        what is left per candidate is the scheduled literals.
         """
         depth, node_id, attrs, order = self.stack.pop()
-        ids, slots, stats, store = self.ids, self.slots, self.stats, self.graph.store
+        ids, slots, stats, store = self.ids, self.slots, self.stats, self.store
         if depth >= 0:
             ids[depth] = node_id
             slots[depth] = attrs

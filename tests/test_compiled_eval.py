@@ -60,7 +60,7 @@ from repro.matching.plan import (
     Schedule,
     compile_plans,
     first_step_candidates,
-    seed_candidates,
+    step_candidates,
 )
 
 from engines import new_store
@@ -632,7 +632,7 @@ def test_first_step_candidates_ignores_its_pruning_argument(product_graph, heavy
     # the old signature's pruning flag no longer turns the unary premise filter off
     for rule, plan in zip(heavy_rules, compile_plans(product_graph, heavy_rules)):
         seeded_stats, passed_stats = MatchStatistics(), MatchStatistics()
-        seeded = seed_candidates(product_graph, plan, seeded_stats)
+        seeded = step_candidates(product_graph.store, plan.steps[0], (), seeded_stats)
         passed = first_step_candidates(product_graph, rule, plan, plan.order, False, passed_stats)
         assert passed == seeded
         assert _stats_tuple(passed_stats) == _stats_tuple(seeded_stats)
