@@ -7,8 +7,11 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.core.ngd import NGD, RuleSet
 from repro.core.validation import find_violations, graph_satisfies, satisfies_rule, violations_of_rule
+from repro.datasets.kb import yago_like
+from repro.datasets.rules import benchmark_rules
 from repro.detect.incdect import iter_inc_dect
 from repro.detect.observers import drain
 from repro.detect.session import Detector
@@ -16,7 +19,8 @@ from repro.expr.parser import parse_literal_set
 from repro.graph.generators import random_labeled_graph, star_graph
 from repro.graph.graph import WILDCARD, Graph
 from repro.graph.pattern import Pattern
-from repro.matching.candidates import MatchStatistics
+from repro.matching import plan as plan_module, search as search_module
+from repro.matching.candidates import REJECT_COUNT_PREFIX, MatchStatistics
 from repro.matching.incmatch import find_update_pivots
 from repro.matching.matchn import HomomorphismMatcher, assignment_for_match
 from repro.matching.plan import GraphStatistics, compile_plan, first_step_candidates
@@ -49,6 +53,57 @@ class TestCandidates:
 
     def test_unary_premise_missing_attribute_prunes(self, triangle_graph, knows_pattern):
         assert _seed_candidates(triangle_graph, knows_pattern, "x.population > 0") == []
+
+    def test_each_rejection_is_counted_by_its_reason(self, triangle_graph, knows_pattern):
+        def rejected(stats):
+            return {key.rsplit("\x1f", 1)[1]: n for key, n in stats.extra.items() if key.startswith(REJECT_COUNT_PREFIX)}
+
+        # the scan of x: b has no outgoing "knows" edge, a fails the unary literal
+        stats = MatchStatistics()
+        assert _seed_candidates(triangle_graph, knows_pattern, "x.val > 15", stats=stats) == []
+        assert stats.candidates_examined == 2 and rejected(stats) == {"edge": 1, "unary": 1}
+        # the anchored step of y: a's one lives_in neighbour is a city
+        pattern = Pattern("p", nodes=[("x", "person"), ("y", "person")], edges=[("x", "y", "lives_in")])
+        plan = compile_plan(triangle_graph, NGD.from_text(pattern, "", "", name="p"))
+        stats = MatchStatistics()
+        search = RuleSearch(plan, stats, all_matches=True)
+        search.start(triangle_graph, plan.order_for_seed(("x",)), ("a",))
+        assert search.step() == [] and (search.filtering, search.verification) == (1, 0)
+        assert rejected(stats) == {"label": 1}
+
+    def test_a_step_keeps_what_it_examined_less_what_it_rejected(self, monkeypatch):
+        # every step of a KB detection: examined − rejected (the flushed counters) = kept
+        graph = yago_like(scale=0.3)
+        rules = benchmark_rules(graph, count=12, max_diameter=3, seed=2)
+        kept: dict = {}
+
+        def counting(store, step, pool, scanned, stats):
+            nodes = real(store, step, pool, scanned, stats)
+            key = (step.count_key.split("\x1f")[1], step.variable)
+            kept[key] = kept.get(key, 0) + len(nodes)
+            return nodes
+
+        real = plan_module.admitted
+        monkeypatch.setattr(plan_module, "admitted", counting)
+        monkeypatch.setattr(search_module, "admitted", counting)
+        obs.configure()
+        try:
+            Detector(rules, engine="batch").run(graph)
+            counters = obs.metrics().snapshot()["counters"]
+        finally:
+            obs.configure()
+        left: dict = {}
+        reasons = set()
+        for name, labels, value in counters:
+            labels = dict(labels)
+            key = (labels.get("rule"), labels.get("step"))
+            if name == "repro_match_candidates_examined":
+                left[key] = left.get(key, 0) + value
+            elif name == "repro_match_candidates_rejected_total":
+                left[key] = left.get(key, 0) - value
+                reasons.add(labels["reason"])
+        assert reasons == {"label", "unary", "edge"}
+        assert {key: value for key, value in left.items() if value} == {key: n for key, n in kept.items() if n}
 
     def test_statistics_accumulate(self, triangle_graph, knows_pattern):
         stats = MatchStatistics()

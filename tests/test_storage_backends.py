@@ -17,6 +17,7 @@ import copy
 import gc
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -43,6 +44,7 @@ from repro.graph.pattern import Pattern
 from repro.graph.store import _INS, _OUTS, STORE_REGISTRY, FrozenStore, IndexedStore, make_store
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.matching.matchn import HomomorphismMatcher
+from repro.matching.plan import GraphStatistics
 
 from dict_store import DictStore
 from engines import BACKENDS, ENGINES, MUTABLE_BACKENDS, new_store
@@ -271,6 +273,7 @@ from engines import new_store
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.matching.matchn import HomomorphismMatcher
+from repro.matching.plan import GraphStatistics
 
 graph = Graph()
 for index in range(40):
@@ -540,6 +543,49 @@ def _assert_same_content(store, oracle) -> None:
         assert store.nodes_with_label(label) == oracle.nodes_with_label(label)
 
 
+def _counted_statistics(graph: Graph) -> dict:
+    """The plan statistics of ``graph`` counted from its node and edge lists, as ``GraphStatistics.to_dict`` reads."""
+    labels: dict = {}
+    for node in graph.nodes():
+        labels[node.label] = labels.get(node.label, 0) + 1
+    edge_labels: dict = {}
+    sources: dict = {}
+    targets: dict = {}
+    for edge in graph.edges():
+        edge_labels[edge.label] = edge_labels.get(edge.label, 0) + 1
+        for pairs, node_id in ((sources, edge.source), (targets, edge.target)):
+            by_edge = pairs.setdefault(graph.store.get_node(node_id).label, {})
+            by_edge[edge.label] = by_edge.get(edge.label, 0) + 1
+    return {
+        "node_count": graph.node_count(),
+        "edge_count": graph.edge_count(),
+        "label_counts": labels,
+        "edge_label_counts": edge_labels,
+        "source_pairs": sources,
+        "target_pairs": targets,
+    }
+
+
+def _assert_statistics_are_kept(graph: Graph) -> None:
+    """The store-kept statistics of ``graph`` equal a count of its lists, however the version is read.
+
+    Checked on the version itself (a past version's snapshot must not
+    materialize it), on its materialization, on a frozen copy and on a
+    pickled copy.
+    """
+    store = graph.store
+    unscanned = store._undo is not None and store._scan is None
+    kept = GraphStatistics.from_graph(graph).to_dict()
+    if unscanned:
+        assert store._scan is None, "a past version's snapshot materialized it"
+    expected = _counted_statistics(graph)
+    assert kept == expected
+    if store._undo is not None:
+        assert GraphStatistics.from_graph(Graph(store=store._materialize())).to_dict() == expected
+    assert GraphStatistics.from_graph(graph.with_backend("frozen")).to_dict() == expected
+    assert GraphStatistics.from_graph(pickle.loads(pickle.dumps(graph))).to_dict() == expected
+
+
 def _assert_same_order(store, twin) -> None:
     """Every view of ``store`` iterates in the order of ``twin``, a never-cloned deep copy."""
     for node_id in twin.node_ids():
@@ -588,7 +634,10 @@ class CloneChainMachine(RuleBasedStateMachine):
     @rule(which=which)
     def clone(self, which):
         if len(self.live) < 6:
-            self._clone(which % len(self.live))
+            which %= len(self.live)
+            self._clone(which)
+            # the cloned version is past now, and unscanned: its snapshot reads its own counts
+            _assert_statistics_are_kept(self.live[which])
 
     @rule(which=which)
     def drop(self, which):
@@ -653,6 +702,11 @@ class CloneChainMachine(RuleBasedStateMachine):
         for graph in self._each(which):
             if graph.has_node(node_id):
                 graph.set_attribute(node_id, "val", val)
+
+    @invariant()
+    def every_version_keeps_its_statistics(self):
+        for graph in self.live:
+            _assert_statistics_are_kept(graph)
 
     @invariant()
     def every_store_reads_like_its_oracles(self):
