@@ -741,8 +741,7 @@ class IndexedStore(GraphStore):
         return _LabelView(self, label)
 
     def labels(self) -> frozenset[str]:
-        labels = frozenset(self._label_index)
-        return self._materialized().labels() if self._undo is not None else labels
+        return frozenset(self._label_counts)
 
     # ------------------------------------------------------------------ edges
 
@@ -819,13 +818,7 @@ class IndexedStore(GraphStore):
         return self._materialized().edges() if self._undo is not None else iter(edges)
 
     def edge_labels(self) -> frozenset[str]:
-        adjacency = list(self._out.values())
-        if self._undo is not None:
-            return self._materialized().edge_labels()
-        labels: set[str] = set()
-        for buckets in adjacency:
-            labels.update(buckets)
-        return frozenset(labels)
+        return frozenset([label for _, label in self._source_pairs])
 
     # -------------------------------------------------------------- adjacency
 
