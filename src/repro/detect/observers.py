@@ -10,8 +10,8 @@ what they share around that stream:
 
 * :class:`ViolationEvent` — one incremental finding and its ΔVio direction;
 * :class:`DetectionBudget` — early-termination limits (``max_violations``,
-  ``max_cost``) enforced *inside* the kernels, so a capped run really does
-  less work instead of discarding surplus results;
+  ``max_cost``, a ``deadline``) enforced *inside* the kernels, so a capped
+  run really does less work instead of discarding surplus results;
 * :func:`drain` — the batch consumer that runs a kernel to its result.
 
 The :class:`~repro.detect.session.Detector` session builds the budget from
@@ -21,6 +21,7 @@ The :class:`~repro.detect.session.Detector` session builds the budget from
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
@@ -51,7 +52,10 @@ class DetectionBudget:
       emitted (for incremental runs: ΔVio⁺ and ΔVio⁻ events combined);
     * ``max_cost`` — stop once the run's cost measure (work units for the
       sequential kernels, simulated makespan for the parallel ones) reaches
-      this bound.
+      this bound;
+    * ``deadline`` — stop once ``time.monotonic()`` reaches this instant.
+      It is tested wherever ``max_cost`` is, so the run stops within one
+      search step of it (within one result poll on worker processes).
 
     A capped run reports ``stopped_early=True`` and the triggering limit in
     ``stop_reason`` on its result; the violations found up to that point are
@@ -66,6 +70,7 @@ class DetectionBudget:
 
     max_violations: Optional[int] = None
     max_cost: Optional[float] = None
+    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_violations is not None and self.max_violations < 1:
@@ -82,6 +87,10 @@ class DetectionBudget:
     def cost_exhausted(self, cost: float) -> bool:
         """Return True once the cost measure hits the cap."""
         return self.max_cost is not None and cost >= self.max_cost
+
+    def past_deadline(self) -> bool:
+        """Return True once the monotonic clock has reached the deadline."""
+        return self.deadline is not None and time.monotonic() >= self.deadline
 
 
 def drain(events: Iterator) -> object:

@@ -32,15 +32,16 @@ Execution model
   the violations found, the cost spent and the seeds finished since the
   last one.  A worker reports every ``REPORT_EVERY_SEEDS`` seeds or
   violations, and at the first seed boundary after
-  ``REPRO_WORKER_HEARTBEAT_PERIOD`` seconds without one — so a report is
-  also its heartbeat.  The stop event, the heartbeat and the fault-injection
+  ``HEARTBEAT_PERIOD_SECONDS`` without one — so a report is also its
+  heartbeat.  The stop event, the heartbeat and the fault-injection
   hooks sit in the worker's seed generator, between seeds, never inside the
   serial loop's steps.
 * **Budgets** are enforced in the parent (the only place the global
   violation count and aggregate cost exist): when a
-  :class:`~repro.detect.observers.DetectionBudget` trips, a shared Event
-  tells every worker to stop at its next report, and the run reports
-  ``stopped_early`` exactly like the simulated kernels.  A capped run does
+  :class:`~repro.detect.observers.DetectionBudget` trips — the cost after
+  a report, the deadline on every result poll — a shared Event tells every
+  worker to stop at its next report, and the run reports ``stopped_early``
+  exactly like the simulated kernels.  A capped run does
   strictly less work, not a deterministic prefix.
 
 The ``cost`` of a process run is the *aggregate* work performed, in the
@@ -51,9 +52,9 @@ every worker reads a whole image, nothing depends on the start method.
 
 **Supervision** has the seed as its unit.  The parent knows which seeds of
 a share are unfinished.  When a worker dies (its pipe closes) or stays
-silent past ``REPRO_WORKER_HEARTBEAT_TIMEOUT`` (it is killed), its unfinished
-seeds go to a replacement while ``REPRO_WORKER_RESTARTS`` lasts; a seed
-that has out-lived ``REPRO_UNIT_RETRIES`` workers is quarantined.  When the
+silent past ``HEARTBEAT_TIMEOUT_SECONDS`` (it is killed), its unfinished
+seeds go to a replacement while ``WORKER_RESTARTS`` lasts; a seed that has
+out-lived ``UNIT_RETRIES`` workers is quarantined.  When the
 restart budget is spent or seeds were quarantined, the run *degrades*: the
 parent finishes those seeds with the serial loop.  Re-executed seeds report
 some violations twice; the parent's sets absorb the duplicates.
@@ -62,7 +63,6 @@ some violations twice; the parent's sets absorb the duplicates.
 from __future__ import annotations
 
 import gc
-import math
 import multiprocessing
 import operator
 import os
@@ -91,11 +91,6 @@ from repro.testing.faults import resolve_fault_plan
 
 __all__ = [
     "EXECUTION_MODES",
-    "WORKER_RESTARTS_ENV",
-    "UNIT_RETRIES_ENV",
-    "HEARTBEAT_PERIOD_ENV",
-    "HEARTBEAT_TIMEOUT_ENV",
-    "SHUTDOWN_GRACE_ENV",
     "resolve_start_method",
     "ExecutionRuntime",
     "ProcessRun",
@@ -113,62 +108,29 @@ REPORT_EVERY_SEEDS = 1024
 RESULT_POLL_SECONDS = 0.25
 
 #: How long the parent waits for stopped workers to exit before terminating
-#: them (a worker stops at its next report).  Override with
-#: ``REPRO_SHUTDOWN_GRACE`` (the env name below).
+#: them (a worker stops at its next report).
 SHUTDOWN_GRACE_SECONDS = 10.0
-
-#: Environment override for the shutdown grace period (seconds).
-SHUTDOWN_GRACE_ENV = "REPRO_SHUTDOWN_GRACE"
 
 #: How many dead workers one run may respawn; past it, a dead worker's
 #: unfinished seeds are finished serially in the parent.
-WORKER_RESTARTS_ENV = "REPRO_WORKER_RESTARTS"
-DEFAULT_WORKER_RESTARTS = 2
+WORKER_RESTARTS = 2
 
 #: How many worker deaths one seed may out-live before it is quarantined
 #: as poison (finished serially in the parent, where a worker-killing fault
 #: cannot follow it).
-UNIT_RETRIES_ENV = "REPRO_UNIT_RETRIES"
-DEFAULT_UNIT_RETRIES = 2
+UNIT_RETRIES = 2
 
 #: A worker reports at the first seed boundary after this long without a
 #: report, even with fewer than ``REPORT_EVERY_SEEDS`` seeds to report;
-#: ``0`` disables these heartbeats.
-HEARTBEAT_PERIOD_ENV = "REPRO_WORKER_HEARTBEAT_PERIOD"
-DEFAULT_HEARTBEAT_PERIOD_SECONDS = 1.0
+#: ``0`` disables these heartbeats.  A worker receives it in its start
+#: arguments, so a spawned worker runs with the parent's value.
+HEARTBEAT_PERIOD_SECONDS = 1.0
 
 #: A live worker silent for this long is presumed wedged: the parent kills
 #: it (terminate, then SIGKILL) and recovers its seeds just like a death.
-#: Generous by default — recovery is correct either way, so a false
-#: positive only costs duplicated (deduplicated) work.
-HEARTBEAT_TIMEOUT_ENV = "REPRO_WORKER_HEARTBEAT_TIMEOUT"
-DEFAULT_HEARTBEAT_TIMEOUT_SECONDS = 30.0
-
-
-def _env_float(name: str, default: float) -> float:
-    """Read a non-negative, finite number of seconds; anything else is the default.
-
-    ``nan`` would never expire a deadline and ``inf`` would wait forever,
-    so neither may reach the supervision loops.
-    """
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if math.isfinite(value) and value >= 0.0 else default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+#: Generous — recovery is correct either way, so a false positive only
+#: costs duplicated (deduplicated) work.
+HEARTBEAT_TIMEOUT_SECONDS = 30.0
 
 
 def note_degraded_run() -> None:
@@ -181,10 +143,10 @@ def resolve_start_method() -> str:
 
     ``fork`` (zero-copy image inheritance) where the platform has it and
     the parent is single-threaded, ``spawn`` otherwise.  Forking a
-    multi-threaded parent (the detection service runs kernels on job
-    threads inside a ThreadingHTTPServer) can clone a lock held by another
-    thread and deadlock the child.  This is the one place the choice is
-    made; there is no override.  A run starts no thread of its own (its
+    multi-threaded parent (the detection service runs each kernel on the
+    ThreadingHTTPServer thread that serves its request) can clone a lock
+    held by another thread and deadlock the child.  This is the one place
+    the choice is made; there is no override.  A run starts no thread of its own (its
     channels are pipes), so back-to-back runs from one thread all fork.
     """
     if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
@@ -280,8 +242,11 @@ class _Worker:
     travel in one report: a seed the parent saw finish never runs again.
     """
 
-    def __init__(self, worker_id: int, epoch: int, runtime: ExecutionRuntime, channel, stop_event) -> None:
+    def __init__(
+        self, worker_id: int, epoch: int, runtime: ExecutionRuntime, channel, stop_event, heartbeat: float
+    ) -> None:
         self.runtime, self.channel, self.stop_event = runtime, channel, stop_event
+        self.heartbeat = heartbeat
         # incremental: every event carries its direction
         self.run = SerialRun("executor", True, None)
         plan = resolve_fault_plan()
@@ -307,8 +272,7 @@ class _Worker:
     def _seeds(self, share: Iterable[tuple[int, WorkUnit]]) -> Iterator[tuple]:
         """The serial loop's seeds for ``share``, one search per rule; reports between seeds."""
         runtime, stats, faults = self.runtime, self.run.stats, self.faults
-        finished, found = self.finished, self.found
-        heartbeat = _env_float(HEARTBEAT_PERIOD_ENV, DEFAULT_HEARTBEAT_PERIOD_SECONDS)
+        finished, found, heartbeat = self.finished, self.found, self.heartbeat
         clock, node_of = time.monotonic, operator.itemgetter(1)
         searches: dict[int, Any] = {}
         index = search = previous = None
@@ -366,7 +330,9 @@ class _Worker:
         self.last_report = time.monotonic()
 
 
-def _worker_main(worker_id: int, epoch: int, runtime: ExecutionRuntime, share, channel, stop_event) -> None:
+def _worker_main(
+    worker_id: int, epoch: int, runtime: ExecutionRuntime, share, channel, stop_event, heartbeat: float
+) -> None:
     """Entry point of one worker process (one *incarnation* of a slot).
 
     ``runtime`` is the :class:`ExecutionRuntime`, inherited (fork) or
@@ -374,13 +340,14 @@ def _worker_main(worker_id: int, epoch: int, runtime: ExecutionRuntime, share, c
     each seed this incarnation drains to its unit, and the worker drains it
     last seed first, as Dect drains a rule's candidates; ``epoch`` counts
     the slot's supervised respawns and selects the faults a
-    ``REPRO_FAULTS`` plan arms here.
+    ``REPRO_FAULTS`` plan arms here; ``heartbeat`` is the parent's
+    :data:`HEARTBEAT_PERIOD_SECONDS`.
     """
     try:
         # fresh per-worker observability state: fork children must not carry
         # the parent's samples (their dumps would double-count)
         obs.configure()
-        _Worker(worker_id, epoch, runtime, channel, stop_event).drain(reversed(share.items()))
+        _Worker(worker_id, epoch, runtime, channel, stop_event, heartbeat).drain(reversed(share.items()))
     except Exception:  # noqa: BLE001 - ship the traceback to the parent
         try:
             channel.send(("error", traceback.format_exc()))
@@ -429,7 +396,7 @@ class _Crew:
         reader, writer = self.context.Pipe(duplex=False)
         process = self.context.Process(
             target=_worker_main,
-            args=(index, epoch, self.argument, pending, writer, self.stop_event),
+            args=(index, epoch, self.argument, pending, writer, self.stop_event, HEARTBEAT_PERIOD_SECONDS),
             name=f"repro-exec-{index}",
             daemon=True,
         )
@@ -472,7 +439,7 @@ class _Crew:
     def close(self, run: "ProcessRun") -> None:
         """Stop every worker, collect the exit reports that come within the grace period, reap the rest."""
         self.stop_event.set()
-        deadline = time.monotonic() + _env_float(SHUTDOWN_GRACE_ENV, SHUTDOWN_GRACE_SECONDS)
+        deadline = time.monotonic() + SHUTDOWN_GRACE_SECONDS
         while self.slots and time.monotonic() < deadline:
             for slot, message in self.receive(min(0.1, max(0.0, deadline - time.monotonic()))):
                 if message[0] in ("exited", "died", "error"):
@@ -578,11 +545,10 @@ class ProcessRun(SerialRun):
         """Run each non-empty share on its own worker, yielding new violations.
 
         Returns the seeds no worker will finish: those of a worker that died
-        once the restart budget was spent.
+        once the restart budget was spent.  The cost budget is tested after
+        each report, the deadline also after each poll without one.
         """
-        restart_budget = max(0, _env_int(WORKER_RESTARTS_ENV, DEFAULT_WORKER_RESTARTS))
-        retry_cap = max(0, _env_int(UNIT_RETRIES_ENV, DEFAULT_UNIT_RETRIES))
-        timeout = _env_float(HEARTBEAT_TIMEOUT_ENV, DEFAULT_HEARTBEAT_TIMEOUT_SECONDS)
+        timeout = HEARTBEAT_TIMEOUT_SECONDS
         retries: dict[int, int] = {}
         leftovers: list[WorkUnit] = []
         crew: Optional[_Crew] = None
@@ -615,19 +581,21 @@ class ProcessRun(SerialRun):
                         # serial tail instead
                         if kind == "error":
                             obs.counter_inc("repro_worker_errors_total")
-                        leftovers += self._recover(crew, slot, retries, restart_budget, retry_cap)
+                        leftovers += self._recover(crew, slot, retries)
+                if self.cost_exhausted():
+                    return leftovers
                 if timeout > 0.0:
                     now = time.monotonic()
                     for slot in [slot for slot in crew.slots.values() if now - slot.last_seen > timeout]:
                         # silent past the deadline: presumed wedged, killed by the
                         # recovery; if it was merely slow, re-execution is deduplicated
-                        leftovers += self._recover(crew, slot, retries, restart_budget, retry_cap)
+                        leftovers += self._recover(crew, slot, retries)
             return leftovers
         finally:
             if crew is not None:
                 crew.close(self)
 
-    def _recover(self, crew: _Crew, slot: _Slot, retries: dict, restart_budget: int, retry_cap: int) -> list:
+    def _recover(self, crew: _Crew, slot: _Slot, retries: dict) -> list:
         """Reap a failed worker and re-run its unfinished seeds on a replacement.
 
         Returns the seeds left for the serial tail (the restart budget is spent).
@@ -636,7 +604,7 @@ class ProcessRun(SerialRun):
         reship: dict = {}
         for position, unit in slot.pending.items():
             retries[position] = retries.get(position, 0) + 1
-            if retries[position] > retry_cap:
+            if retries[position] > UNIT_RETRIES:
                 self.quarantined.append(unit)
             else:
                 reship[position] = unit
@@ -645,7 +613,7 @@ class ProcessRun(SerialRun):
             obs.counter_inc("repro_units_retried_total", None, len(slot.pending))
         if not reship:
             return []
-        if self.restarts >= restart_budget:
+        if self.restarts >= WORKER_RESTARTS:
             return list(reship.values())
         self.restarts += 1
         obs.counter_inc("repro_worker_restarts_total")

@@ -53,11 +53,17 @@ class KernelRun:
         self._trace_parent = obs.current_span()
 
     def cost_exhausted(self) -> bool:
-        """Record and return whether the cost budget is spent."""
-        if self.budget is not None and self.budget.cost_exhausted(self.cost):
+        """Record and return whether the cost budget is spent or the deadline has passed."""
+        budget = self.budget
+        if budget is None:
+            return False
+        if budget.cost_exhausted(self.cost):
             self.stop_reason = "max_cost"
-            return True
-        return False
+        elif budget.past_deadline():
+            self.stop_reason = "deadline"
+        else:
+            return False
+        return True
 
     def emit(self, violations: Iterable, introduced: bool, dedupe: tuple) -> Generator:
         """Yield the violations new against ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed).
@@ -89,7 +95,7 @@ class KernelRun:
         return dict(
             stats=self.stats,
             cost=self.cost,
-            stopped_early=self.stop_reason in ("max_violations", "max_cost"),
+            stopped_early=self.stop_reason in ("max_violations", "max_cost", "deadline"),
             stop_reason=self.stop_reason,
         )
 
@@ -136,7 +142,8 @@ class SerialRun(KernelRun):
 
         Every step is charged ``max(filtering, 1) + verification``; the budget
         is tested after each violation and after each step, and the run stops
-        (``stop_reason`` set) the moment either cap is reached.
+        (``stop_reason`` set) the moment a cap is reached or the deadline
+        has passed.
         """
         stack, step, budget = search.stack, search.step, self.budget
         while stack:

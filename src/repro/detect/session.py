@@ -36,7 +36,8 @@ Streaming and early termination are native: the kernels are generators, so
 :meth:`Detector.stream` yields each violation the moment its work unit
 completes — the one way out, which ``run`` drains — and
 :class:`~repro.detect.observers.DetectionBudget` limits (``max_violations`` /
-``max_cost``) stop the kernels mid-search rather than filtering afterwards.
+``max_cost`` / ``timeout_seconds``) stop the kernels mid-search rather than
+filtering afterwards.
 The session is the one way in: the CLI, the service and the examples all
 construct a :class:`Detector`; only the problem statements of
 :mod:`repro.core.validation` drain the batch kernel without one.
@@ -45,6 +46,7 @@ construct a :class:`Detector`; only the problem statements of
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -103,7 +105,11 @@ class DetectionOptions:
       the same answer and the same counts either way.  ``engine="auto"``
       resolves to the parallel engine whenever ``execution="processes"``
       is asked for.  Every run starts its own workers and stops them
-      before it returns.
+      before it returns;
+    * ``timeout_seconds`` — a deadline, counted from the start of each run
+      (plan compilation included) and enforced inside the kernels like the
+      other limits: the run stops with ``stop_reason="deadline"``.  A
+      session without one builds no budget for it.
 
     Every engine runs compiled :class:`~repro.matching.plan.MatchPlan`\\ s
     (cost-based variable orders, closure-compiled literal schedules) on the
@@ -117,12 +123,20 @@ class DetectionOptions:
     max_violations: Optional[int] = None
     max_cost: Optional[float] = None
     execution: str = "simulated"
+    timeout_seconds: Optional[float] = None
 
     def budget(self) -> Optional[DetectionBudget]:
-        """Return the termination budget, or None when the run is unbounded."""
-        if self.max_violations is None and self.max_cost is None:
+        """Return a run's termination budget, its deadline counted from now; None when unbounded."""
+        timeout = self.timeout_seconds
+        if self.max_violations is None and self.max_cost is None and timeout is None:
             return None
-        return DetectionBudget(max_violations=self.max_violations, max_cost=self.max_cost)
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise SessionError(f"timeout_seconds must be a finite number > 0, got {timeout}")
+        return DetectionBudget(
+            max_violations=self.max_violations,
+            max_cost=self.max_cost,
+            deadline=time.monotonic() + timeout if timeout is not None else None,
+        )
 
 
 class Detector:
@@ -384,9 +398,9 @@ class Detector:
         from repro.detect.dect import iter_dect
 
         mode = self._resolve_batch_engine()
+        budget = self.options.budget()
         if plans is None:
             plans = self.compile_plans(graph)
-        budget = self.options.budget()
         self._annotate_root(mode, graph, plans)
         if mode == "batch":
             return iter_dect(graph, self.rules, budget=budget, plans=plans)
@@ -412,12 +426,12 @@ class Detector:
         from repro.detect.incdect import iter_inc_dect
 
         mode = self._resolve_incremental_engine()
+        budget = self.options.budget()
         if plans is None and mode in ("incremental", "parallel"):
             # plans are compiled against G ⊕ ΔG when it is already
             # materialised (the service always hands it over); otherwise
             # against G — the statistics differ by at most |ΔG|
             plans = self.compile_plans(graph_after if graph_after is not None else graph)
-        budget = self.options.budget()
         self._annotate_root(mode, graph, plans)
         if mode == "incremental":
             return iter_inc_dect(
@@ -441,7 +455,7 @@ class Detector:
             raise SessionError(
                 "engine='batch' incremental detection (BatchDiff) cannot honour "
                 "a DetectionBudget: capping either full batch run would make the "
-                "diff unsound; drop max_violations/max_cost or use "
+                "diff unsound; drop max_violations/max_cost/timeout_seconds or use "
                 "engine='incremental'/'parallel'"
             )
         return self._batch_diff_events(graph, delta, graph_after, plans)

@@ -182,9 +182,10 @@ class ConflictError(ServiceError):
 class PoolSaturatedError(ServiceError):
     """The service's detection job pool has no free slot for a new stream.
 
-    Admission control, not failure: the HTTP layer maps it to ``429 Too
-    Many Requests`` with a JSON error record, and the client should retry
-    after a backoff.  See :class:`repro.service.jobs.DetectionJobPool`.
+    Admission control, not failure: raised before the request's handler
+    thread starts any detection work, it becomes ``429 Too Many Requests``
+    with a JSON error record, and the client should retry after a backoff.
+    See :class:`repro.service.jobs.DetectionJobPool`.
     """
 
     status = 429
@@ -193,10 +194,11 @@ class PoolSaturatedError(ServiceError):
 class DeadlineExceededError(ServiceError):
     """A detection request's ``timeout_seconds`` deadline elapsed.
 
-    Raised while consuming a job stream: before the first record the HTTP
-    layer maps it to ``503 Service Unavailable`` with a ``Retry-After``
-    header; after streaming has begun it becomes a terminal in-band error
-    record (the status line is already committed).
+    Raised by the request's record stream once the kernel has stopped with
+    ``stop_reason="deadline"``: before the first record the HTTP layer maps
+    it to ``503 Service Unavailable`` with a ``Retry-After`` header; after
+    streaming has begun it becomes a terminal in-band error record marked
+    retryable (the status line is already committed).
     """
 
     status = 503

@@ -843,10 +843,18 @@ class IndexedStore(GraphStore):
         return bucket.keys() if bucket is not None else _EMPTY_KEYS
 
     def out_edge_labels(self, node_id: Hashable):
-        return self._adjacency(self._out, _OUTS, node_id).keys()
+        # inline, as successors_by_label: a scan step's degree-signature
+        # filter calls this once per node of the label
+        buckets = self._out.get(node_id)
+        if self._undo is not None:
+            buckets = self._undo.get(_OUTS, node_id, buckets)
+        return buckets.keys()
 
     def in_edge_labels(self, node_id: Hashable):
-        return self._adjacency(self._in, _INS, node_id).keys()
+        buckets = self._in.get(node_id)
+        if self._undo is not None:
+            buckets = self._undo.get(_INS, node_id, buckets)
+        return buckets.keys()
 
     def out_degree(self, node_id: Hashable) -> int:
         return sum(map(len, self._adjacency(self._out, _OUTS, node_id).values()))

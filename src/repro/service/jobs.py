@@ -4,12 +4,14 @@ Two execution shapes live here, both built on the
 :class:`~repro.detect.session.Detector` session API:
 
 * **One-shot streaming jobs** (:meth:`SessionManager.stream_detection`) —
-  the HTTP handler snapshots ``(graph, version)`` from the registry, then
-  iterates the generator this module returns; each yielded record is one
-  NDJSON line.  Every request gets its *own* ``Detector`` with its own
+  the manager snapshots ``(graph, version)`` from the registry and returns
+  a generator; the HTTP handler thread holds a :class:`DetectionJobPool`
+  slot while it iterates it, and each yielded record is one NDJSON line.
+  Every request gets its *own* ``Detector`` with its own
   :class:`~repro.detect.observers.DetectionBudget`, which is the
   multi-tenant fairness mechanism: a tenant asking for ``max_cost=500``
-  cannot make the server do more than 500 work units on its behalf, no
+  cannot make the server do more than 500 work units on its behalf, and
+  one asking for ``timeout_seconds=2`` not more than two seconds of it, no
   matter what the graph looks like.
 
 * **Continuous sessions** (:class:`ContinuousSession`) — a session pins a
@@ -26,9 +28,9 @@ Two execution shapes live here, both built on the
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
-import time
+from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator, Optional
 
 from repro import obs
@@ -46,22 +48,13 @@ from repro.errors import (
     ServiceError,
 )
 from repro.service import protocol
-from repro.service.protocol import (
-    DetectRequest,
-    error_record,
-    summary_record,
-    violation_record,
-)
+from repro.service.protocol import DetectRequest, summary_record, violation_record
 from repro.service.registry import GraphRegistry, UpdateOutcome, validate_resource_name
 
-__all__ = ["ContinuousSession", "DetectionJobPool", "JobStream", "SessionManager"]
+__all__ = ["ContinuousSession", "DetectionJobPool", "SessionManager"]
 
 #: Default size of a service's detection job pool (``serve --max-jobs``).
 DEFAULT_MAX_JOBS = 8
-
-#: Records buffered between a job thread and its HTTP writer before the
-#: producer blocks (backpressure toward the detection kernel).
-JOB_QUEUE_CAPACITY = 256
 
 
 class ContinuousSession:
@@ -178,11 +171,6 @@ class ContinuousSession:
             )
             return records
 
-    def delta_count(self) -> int:
-        """Return the number of per-version deltas currently held."""
-        with self._lock:
-            return len(self.deltas)
-
     def durable_document(self) -> dict:
         """Return the session's full durable state (checkpoints + WAL open).
 
@@ -249,65 +237,21 @@ class ContinuousSession:
             return document
 
 
-class JobStream:
-    """An NDJSON record iterator plus the job metadata the handler logs.
-
-    ``job_id`` identifies the pool slot's job thread; ``trace_id`` is the
-    observability trace the detection runs under (set on every detect stream).
-    The HTTP handler surfaces both: the trace id as the ``X-Repro-Trace``
-    response header, both in the access-log line.
-    """
-
-    __slots__ = ("_iterator", "job_id", "trace_id")
-
-    def __init__(
-        self,
-        iterator: Iterator[dict],
-        job_id: Optional[str] = None,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        self._iterator = iterator
-        self.job_id = job_id
-        self.trace_id = trace_id
-
-    def __iter__(self) -> "JobStream":
-        return self
-
-    def __next__(self) -> dict:
-        return next(self._iterator)
-
-    def close(self) -> None:
-        close = getattr(self._iterator, "close", None)
-        if close is not None:
-            close()
-
-
 class DetectionJobPool:
-    """A bounded pool of detection job threads with admission control.
+    """Admission control for detection streams: at most ``max_jobs`` run at once.
 
-    One-shot detection streams used to run *on* the HTTP handler thread:
-    every connection admitted by the listener became an unbounded amount
-    of matching work.  The pool decouples the two — :meth:`run_stream`
-    admits a job only while a slot is free (429 via
-    :class:`~repro.errors.PoolSaturatedError` otherwise), runs the
-    detection generator on a pool thread, and hands the handler a bounded
-    queue to drain, so a slow client applies backpressure to its own job
-    without ever occupying more than one slot.
-
-    A job's slot is held from admission until its generator finishes (or
-    its consumer disconnects — the producer observes the cancellation
-    flag between records and winds down).  Continuous-session maintenance
-    does not go through the pool: it runs under the graph lock in version
-    order and must never be refused.
+    Each stream runs on the HTTP handler thread that serves it, inside
+    :meth:`slot`; a request that finds every slot taken is refused up front
+    (429 via :class:`~repro.errors.PoolSaturatedError`) instead of queueing
+    matching work behind the others.  Continuous-session maintenance does
+    not go through the pool: it runs under the graph lock in version order
+    and must never be refused.
     """
 
-    _SENTINEL = object()
-
-    def __init__(self, max_jobs: int = DEFAULT_MAX_JOBS, queue_capacity: int = JOB_QUEUE_CAPACITY) -> None:
+    def __init__(self, max_jobs: int = DEFAULT_MAX_JOBS) -> None:
         if max_jobs < 1:
             raise ServiceError(f"max_jobs must be >= 1, got {max_jobs}")
         self.max_jobs = max_jobs
-        self._queue_capacity = queue_capacity
         self._slots = threading.BoundedSemaphore(max_jobs)
         self._active = 0
         self._lock = threading.Lock()
@@ -318,20 +262,12 @@ class DetectionJobPool:
         with self._lock:
             return self._active
 
-    def run_stream(
-        self, records: Iterator[dict], timeout_seconds: Optional[float] = None
-    ) -> JobStream:
-        """Run ``records`` on a job thread; return the consuming iterator.
+    @contextmanager
+    def slot(self) -> Iterator[str]:
+        """Hold one slot for the enclosed block and yield its job id.
 
-        Raises :class:`PoolSaturatedError` without starting anything when
-        every slot is busy.  A mid-stream exception inside the producer is
-        converted to the protocol's ``error`` record (the HTTP status line
-        is long gone by then), matching the handler-thread behaviour.
-
-        ``timeout_seconds`` arms a per-request deadline measured from
-        admission: when it elapses the consumer raises
-        :class:`~repro.errors.DeadlineExceededError` and cancels the job
-        (the producer observes the flag between records and winds down).
+        Raises :class:`PoolSaturatedError` without waiting when every slot
+        is busy.  The slot is released when the block ends, however it ends.
         """
         if not self._slots.acquire(blocking=False):
             obs.counter_inc("repro_jobs_refused_total")
@@ -341,87 +277,16 @@ class DetectionJobPool:
             )
         with self._lock:
             self._active += 1
+            job_id = f"job-{next(self._job_ids)}"
         obs.counter_inc("repro_jobs_total")
         obs.gauge_add("repro_jobs_active", None, 1)
-        buffer: queue.Queue = queue.Queue(maxsize=self._queue_capacity)
-        cancelled = threading.Event()
-
-        def _put_until_cancelled(record: object) -> None:
-            while not cancelled.is_set():
-                try:
-                    buffer.put(record, timeout=0.1)
-                    return
-                except queue.Full:
-                    continue
-
-        def produce() -> None:
-            try:
-                for record in records:
-                    if cancelled.is_set():
-                        break
-                    _put_until_cancelled(record)
-            except Exception as exc:  # noqa: BLE001 - report in-band, never crash the pool
-                # same backpressure loop as ordinary records: a full buffer
-                # must delay the error record, not drop it — the client is
-                # owed a terminal record (summary or error) on every stream
-                _put_until_cancelled(error_record(f"{exc!r}"))
-            finally:
-                # nothing below may be skipped: the sentinel unblocks the
-                # consumer and the release frees the slot, so a close() that
-                # raises (e.g. a kernel generator failing during shutdown)
-                # must not abort this block
-                try:
-                    close = getattr(records, "close", None)
-                    if close is not None:
-                        close()
-                except Exception:  # noqa: BLE001 - shutdown failure must not leak the slot
-                    pass
-                while True:
-                    try:
-                        buffer.put(self._SENTINEL, timeout=0.1)
-                        break
-                    except queue.Full:
-                        if cancelled.is_set():
-                            break
-                        continue
-                with self._lock:
-                    self._active -= 1
-                obs.gauge_add("repro_jobs_active", None, -1)
-                self._slots.release()
-
-        job_id = f"job-{next(self._job_ids)}"
-        thread = threading.Thread(target=produce, name=f"repro-{job_id}", daemon=True)
-        thread.start()
-        deadline = (
-            time.monotonic() + timeout_seconds if timeout_seconds is not None else None
-        )
-
-        def consume() -> Iterator[dict]:
-            try:
-                while True:
-                    if deadline is None:
-                        record = buffer.get()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise DeadlineExceededError(
-                                f"detection request exceeded its timeout_seconds="
-                                f"{timeout_seconds} deadline"
-                            )
-                        try:
-                            record = buffer.get(timeout=remaining)
-                        except queue.Empty:
-                            raise DeadlineExceededError(
-                                f"detection request exceeded its timeout_seconds="
-                                f"{timeout_seconds} deadline"
-                            ) from None
-                    if record is self._SENTINEL:
-                        break
-                    yield record
-            finally:
-                cancelled.set()
-
-        return JobStream(consume(), job_id=job_id)
+        try:
+            yield job_id
+        finally:
+            with self._lock:
+                self._active -= 1
+            obs.gauge_add("repro_jobs_active", None, -1)
+            self._slots.release()
 
 
 class SessionManager:
@@ -466,7 +331,7 @@ class SessionManager:
         return min(processors or DEFAULT_PROCESSORS, protocol.usable_cpus())
 
     def batch_detector(self, request: DetectRequest, rules: RuleSet) -> Detector:
-        """Return the detector of one full detection: the request's engine and budget."""
+        """Return the detector of one full detection: the request's engine, budget and deadline."""
         processes = request.execution == "processes"
         return Detector(
             rules,
@@ -476,6 +341,7 @@ class SessionManager:
                 max_violations=request.max_violations,
                 max_cost=request.max_cost,
                 execution=request.execution,
+                timeout_seconds=request.timeout_seconds,
             ),
         )
 
@@ -547,26 +413,23 @@ class SessionManager:
 
     # -------------------------------------------------------- one-shot jobs
 
-    def stream_detection(self, graph_name: str, request: DetectRequest) -> JobStream:
-        """Return the NDJSON record stream of one budgeted detection request.
+    def stream_detection(self, graph_name: str, request: DetectRequest) -> tuple[Iterator[dict], str]:
+        """Return the NDJSON records of one budgeted detection request, and its trace id.
 
         Request validation — rule resolution and the graph snapshot —
-        happens eagerly, so a bad name still raises before any HTTP status
-        is committed.  The detection itself is then *admitted* to the
-        bounded :class:`DetectionJobPool` (429 via
-        :class:`PoolSaturatedError` when saturated) and runs on a job
-        thread, off the HTTP handler; the handler drains the returned
-        iterator.  The snapshot freezes ``(graph, version)``: concurrent
-        updates bump the registry but never affect this stream.  The final
-        record is the summary carrying ``graph_version`` and the budget
-        outcome.
+        happens here, eagerly, so a bad name raises before any HTTP status
+        is committed; the detection runs as the caller iterates the
+        generator, on the caller's thread.  The snapshot freezes ``(graph,
+        version)``: concurrent updates bump the registry but never affect
+        this stream.  The final record is the summary carrying
+        ``graph_version`` and the budget outcome; a run the request's
+        ``timeout_seconds`` stopped raises :class:`DeadlineExceededError`
+        instead.  The trace id is fixed up front, so the handler can send
+        it as ``X-Repro-Trace`` before the first record.
         """
         rules = self.resolve_rules(request)
         graph, version = self.registry.get(graph_name).snapshot()
         detector = self.batch_detector(request, rules)
-
-        # the trace id is fixed before the job starts so the HTTP handler
-        # can send it as X-Repro-Trace while the stream is still running
         trace_id = obs.new_id()
 
         def generate() -> Iterator[dict]:
@@ -578,16 +441,17 @@ class SessionManager:
                 execution=request.execution,
             ):
                 # the detector's root span parents under service.detect
-                # via the job thread's contextvar, joining this trace
+                # via this thread's contextvar, joining this trace
                 for violation in detector.stream(graph):
                     yield violation_record(violation, introduced=True)
-            yield summary_record(detector.last_result, graph_name, version)
+            result = detector.last_result
+            if result.stop_reason == "deadline":
+                raise DeadlineExceededError(
+                    f"detection request exceeded its timeout_seconds={request.timeout_seconds} deadline"
+                )
+            yield summary_record(result, graph_name, version)
 
-        stream = self.job_pool.run_stream(
-            generate(), timeout_seconds=request.timeout_seconds
-        )
-        stream.trace_id = trace_id
-        return stream
+        return generate(), trace_id
 
     # ---------------------------------------------------------------- sessions
 
@@ -596,7 +460,8 @@ class SessionManager:
 
         Budgets are refused: a truncated run (full or incremental) would
         leave the maintained violation set a strict subset of the truth,
-        and every later delta would compound the error.
+        and every later delta would compound the error.  For the same
+        reason the base run ignores ``timeout_seconds``.
 
         The initial batch run executes while *holding the graph lock*, so
         no update can slip between "snapshot the base version" and "start
@@ -612,7 +477,8 @@ class SessionManager:
         registered = self.registry.get(graph_name)
         with registered.lock:
             graph, version = registered.snapshot()
-            violations = self.batch_detector(request, rules).run(graph).violations
+            base = self.batch_detector(replace(request, timeout_seconds=None), rules)
+            violations = base.run(graph).violations
             session = ContinuousSession(
                 session_id=f"s{next(self._session_ids)}",
                 graph_name=graph_name,

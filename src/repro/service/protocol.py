@@ -42,11 +42,11 @@ every ``processes`` count, an omitted one included, to :func:`usable_cpus`.
 Admission control
 -----------------
 
-Detection streams run on a bounded job pool
-(:class:`~repro.service.jobs.DetectionJobPool`, sized by
-``serve --max-jobs N``).  When every slot is busy a new detect request is
-refused **before** any record is written, with status ``429 Too Many
-Requests`` and the standard JSON error body::
+At most ``serve --max-jobs N`` detection streams run at once, each on the
+handler thread serving it, in a slot of the
+:class:`~repro.service.jobs.DetectionJobPool`.  When every slot is busy a
+new detect request is refused **before** any record is written, with
+status ``429 Too Many Requests`` and the standard JSON error body::
 
     {"error": "detection job pool is saturated (8 jobs in flight); ..."}
 

@@ -41,13 +41,17 @@ below — 503 ``DeadlineExceededError``, 400 otherwise), any other
 change the status line any more, so the stream is terminated with an
 ``error`` record instead (see :mod:`repro.service.protocol`).
 
-Detection streams do **not** run on the HTTP handler thread: each detect
-request is admitted to a bounded :class:`~repro.service.jobs.
-DetectionJobPool` (``max_jobs`` slots, ``serve --max-jobs N``) and the
-kernel runs on a job thread while the handler drains a bounded record
-queue.  A saturated pool refuses the request up front with ``429 Too Many
-Requests`` — admission control, not failure; management endpoints and
-continuous-session maintenance never occupy slots.
+Each detection stream runs on the HTTP handler thread that serves it: the
+handler takes a slot of the bounded :class:`~repro.service.jobs.
+DetectionJobPool` (``max_jobs`` slots, ``serve --max-jobs N``), iterates
+the detection generator and writes each record as the kernel yields it, so
+a client that reads slowly slows only its own kernel.  A saturated pool
+refuses the request up front with ``429 Too Many Requests`` — admission
+control, not failure; management endpoints and continuous-session
+maintenance never occupy slots.  A request's ``timeout_seconds`` is a
+deadline inside the kernel's budget: the run stops within one search step
+of it, and its slot is free by the time the 503 (or the in-band error
+record) is sent.
 
 Responses use HTTP/1.0 framing (connection closes at end of body), which is
 what lets detection streams run without a Content-Length: the client reads
@@ -328,50 +332,43 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(persistence.checkpoint())
 
     def _stream_detect(self, name: str, params: dict[str, str], body: object) -> None:
+        """Run one detection on this thread, writing each record as the kernel yields it.
+
+        The rules and the graph snapshot are resolved before admission, so
+        an unknown name is a 404 even on a full pool.  The first record is
+        pulled before the 200 is committed: a deadline passing before it is
+        a 503, any other failure to start a 400.  Past it, a failure ends
+        the stream with an in-band ``error`` record.  Closing the generator
+        — at the end, on an error or on a failed write — stops the run
+        before the slot is released.
+        """
         request = admit_detect_request(parse_detect_request(body))
-        records = self.service.manager.stream_detection(name, request)
-        self._trace_id = records.trace_id
-        self._job_id = records.job_id
-        # pull the first record before committing the 200: a bad catalog
-        # name or unknown graph still gets a clean JSON error response
-        first = next(records, None)
-        if first is not None and first.get("type") == "error":
-            # the job thread converts kernel exceptions to in-band error
-            # records; one arriving before anything streamed means the
-            # detection failed to start — the status line is still ours
-            # to set, so report it as a proper error response
-            records.close()
-            raise ServiceError(f"detection failed to start: {first.get('error')}")
-        self.send_response(200)
-        self.send_header("Content-Type", MIME_NDJSON)
-        if self._trace_id is not None:
-            self.send_header("X-Repro-Trace", self._trace_id)
-        self.end_headers()
-        try:
-            if first is not None:
-                self.wfile.write(encode_record(first))
-                self.wfile.flush()
-            for record in records:
-                self.wfile.write(encode_record(record))
-                self.wfile.flush()
-        except OSError:
-            pass  # the client hung up mid-stream; nothing left to tell it
-        except Exception as exc:  # noqa: BLE001 - headers are sent: report in-band
+        manager = self.service.manager
+        records, self._trace_id = manager.stream_detection(name, request)
+        with manager.job_pool.slot() as job_id:
+            self._job_id = job_id
             try:
-                self.wfile.write(
-                    encode_record(
-                        error_record(
-                            f"{exc!r}", retryable=isinstance(exc, DeadlineExceededError)
-                        )
-                    )
-                )
-                self.wfile.flush()
+                try:
+                    record = next(records, None)
+                except DeadlineExceededError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - the status line is still ours to set
+                    raise ServiceError(f"detection failed to start: {exc!r}") from exc
+                self.send_response(200)
+                self.send_header("Content-Type", MIME_NDJSON)
+                self.send_header("X-Repro-Trace", self._trace_id)
+                self.end_headers()
+                while record is not None:
+                    self.wfile.write(encode_record(record))
+                    self.wfile.flush()
+                    try:
+                        record = next(records, None)
+                    except Exception as exc:  # noqa: BLE001 - headers are sent: report in-band
+                        record = error_record(f"{exc!r}", retryable=isinstance(exc, DeadlineExceededError))
             except OSError:
-                pass
-        finally:
-            # closing the consumer iterator signals the job pool to cancel
-            # the producing detection job and free its slot promptly
-            records.close()
+                pass  # the client hung up mid-stream; nothing left to tell it
+            finally:
+                records.close()
 
 
 def _decode(

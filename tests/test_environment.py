@@ -12,15 +12,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 NAME = re.compile(r"REPRO_[A-Z_]+")
 
-#: The fault-injection plan and the five supervision settings of the process backend.
-ENVIRONMENT = {
-    "REPRO_FAULTS",
-    "REPRO_WORKER_RESTARTS",
-    "REPRO_UNIT_RETRIES",
-    "REPRO_WORKER_HEARTBEAT_PERIOD",
-    "REPRO_WORKER_HEARTBEAT_TIMEOUT",
-    "REPRO_SHUTDOWN_GRACE",
-}
+#: The fault-injection plan.
+ENVIRONMENT = {"REPRO_FAULTS"}
 
 
 def test_every_repro_variable_is_known_and_documented():

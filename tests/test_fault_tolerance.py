@@ -17,20 +17,28 @@ timing races.
 from __future__ import annotations
 
 import json
+import random
 import socket
 import threading
 import time
+from http.client import HTTPConnection
 
 import pytest
 
 from repro import obs
+from repro.core.ngd import RuleSet
 from repro.datasets.kb import KBConfig, knowledge_graph
 from repro.datasets.rules import benchmark_rules
-from repro.detect import DetectionOptions, Detector
-from repro.errors import DeadlineExceededError, ReproError, ServiceError
+from repro.detect import DetectionOptions, Detector, observers
+from repro.detect.dect import iter_dect
+from repro.detect.incdect import iter_inc_dect
+from repro.detect.observers import DetectionBudget, drain
+from repro.detect.parallel import executor, iter_p_dect
+from repro.errors import ReproError, ServiceError, SessionError
+from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate, UpdateGenerator
+from repro.matching.search import RuleSearch
 from repro.service import DetectionService, ServiceClient
-from repro.service.jobs import DetectionJobPool
 from repro.service.protocol import error_record, parse_detect_request
 from repro.service.server import FAULT_TOLERANCE_COUNTERS
 from repro.storage.wal import WriteAheadLog
@@ -149,23 +157,20 @@ class TestFaultPlan:
 
 
 class TestSupervisionSettings:
-    # the heartbeat period/timeout and the shutdown grace are read through
-    # one helper; a value a deadline cannot use must never reach the loops
-    @pytest.mark.parametrize("raw", ("nan", "inf", "-inf", "-1", "soon"))
-    def test_unusable_seconds_fall_back_to_the_default(self, monkeypatch, raw):
-        from repro.detect.parallel import executor
-
-        monkeypatch.setenv(executor.SHUTDOWN_GRACE_ENV, raw)
-        assert executor._env_float(executor.SHUTDOWN_GRACE_ENV, 3.0) == 3.0
-
-    def test_finite_non_negative_seconds_are_kept(self, monkeypatch):
-        from repro.detect.parallel import executor
-
-        for raw, seconds in (("0", 0.0), ("2.5", 2.5), ("1e3", 1000.0)):
-            monkeypatch.setenv(executor.HEARTBEAT_TIMEOUT_ENV, raw)
-            assert executor._env_float(executor.HEARTBEAT_TIMEOUT_ENV, 30.0) == seconds
-        monkeypatch.delenv(executor.HEARTBEAT_TIMEOUT_ENV)
-        assert executor._env_float(executor.HEARTBEAT_TIMEOUT_ENV, 30.0) == 30.0
+    def test_a_spawned_worker_runs_with_the_parents_heartbeat_period(
+        self, kb_graph, kb_rules, serial_result, monkeypatch, force_start_method
+    ):
+        # the period travels in the worker's start arguments: with heartbeats
+        # off, a worker slowed on every seed stays silent past the timeout and
+        # is replaced; with the 1 s default it would have reported in time
+        before = fault_tolerance_counters()
+        monkeypatch.setenv(FAULTS_ENV, "slow_worker:worker=0,epoch=0,after=1,delay=0.05")
+        monkeypatch.setattr(executor, "HEARTBEAT_PERIOD_SECONDS", 0.0)
+        monkeypatch.setattr(executor, "HEARTBEAT_TIMEOUT_SECONDS", 2.5)
+        force_start_method("spawn")
+        result = Detector(kb_rules, engine="parallel", processors=2, options=_options()).run(kb_graph)
+        assert fault_tolerance_counters()["worker_restarts"] > before["worker_restarts"]
+        assert result.violations.to_json() == serial_result.violations.to_json()
 
 
 # --------------------------------------------------- crash recovery parity
@@ -194,7 +199,7 @@ class TestCrashRecoveryParity:
         assert not result.degraded
 
     def test_a_run_without_heartbeats_is_byte_identical(self, kb_graph, kb_rules, serial_result, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_PERIOD", "0")
+        monkeypatch.setattr(executor, "HEARTBEAT_PERIOD_SECONDS", 0.0)
         result = Detector(kb_rules, engine="parallel", processors=2, options=_options()).run(kb_graph)
         assert result.violations.to_json() == serial_result.violations.to_json()
         assert not result.degraded
@@ -263,7 +268,7 @@ class TestGracefulDegradation:
     ):
         before = fault_tolerance_counters()
         monkeypatch.setenv(FAULTS_ENV, "worker_death:after=2")
-        monkeypatch.setenv("REPRO_WORKER_RESTARTS", "0")
+        monkeypatch.setattr(executor, "WORKER_RESTARTS", 0)
         result = Detector(
             kb_rules, engine="parallel", processors=2, options=_options()
         ).run(kb_graph)
@@ -294,7 +299,7 @@ class TestGracefulDegradation:
         reference = Detector(kb_rules, engine="incremental").run_incremental(kb_graph, delta)
         assert reference.total_changes() > 0
         monkeypatch.setenv(FAULTS_ENV, "worker_death:after=2")
-        monkeypatch.setenv("REPRO_WORKER_RESTARTS", "0")
+        monkeypatch.setattr(executor, "WORKER_RESTARTS", 0)
         result = Detector(
             kb_rules, engine="parallel", processors=2, options=_options()
         ).run_incremental(kb_graph, delta)
@@ -306,8 +311,8 @@ class TestGracefulDegradation:
         self, kb_graph, kb_rules, serial_result, monkeypatch
     ):
         monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,epoch=0,after=2")
-        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_PERIOD", "0.2")
-        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_TIMEOUT", "2.0")
+        monkeypatch.setattr(executor, "HEARTBEAT_PERIOD_SECONDS", 0.2)
+        monkeypatch.setattr(executor, "HEARTBEAT_TIMEOUT_SECONDS", 2.0)
         result = Detector(
             kb_rules, engine="parallel", processors=2, options=_options()
         ).run(kb_graph)
@@ -318,8 +323,8 @@ class TestGracefulDegradation:
     ):
         before = fault_tolerance_counters()
         monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,epoch=0,after=2")
-        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_PERIOD", "0.2")
-        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_TIMEOUT", "2.0")
+        monkeypatch.setattr(executor, "HEARTBEAT_PERIOD_SECONDS", 0.2)
+        monkeypatch.setattr(executor, "HEARTBEAT_TIMEOUT_SECONDS", 2.0)
         force_start_method("spawn")
         result = Detector(
             kb_rules, engine="parallel", processors=2, options=_options()
@@ -334,8 +339,8 @@ class TestGracefulDegradation:
         reference = Detector(kb_rules, engine="incremental").run_incremental(kb_graph, kb_delta)
         before = fault_tolerance_counters()
         monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,epoch=0,after=2")
-        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_PERIOD", "0.2")
-        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_TIMEOUT", "2.0")
+        monkeypatch.setattr(executor, "HEARTBEAT_PERIOD_SECONDS", 0.2)
+        monkeypatch.setattr(executor, "HEARTBEAT_TIMEOUT_SECONDS", 2.0)
         result = Detector(
             kb_rules, engine="parallel", processors=2, options=_options()
         ).run_incremental(kb_graph, kb_delta)
@@ -348,7 +353,7 @@ class TestGracefulDegradation:
         # run: shutdown must escalate join -> terminate -> kill within the
         # configured grace instead of waiting on the hung worker forever
         monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,after=1")
-        monkeypatch.setenv("REPRO_SHUTDOWN_GRACE", "1.0")
+        monkeypatch.setattr(executor, "SHUTDOWN_GRACE_SECONDS", 1.0)
         started = time.monotonic()
         result = Detector(
             kb_rules,
@@ -360,33 +365,6 @@ class TestGracefulDegradation:
         assert result.stopped_early
         assert result.stop_reason == "max_cost"
         assert elapsed < 30.0
-
-    @pytest.mark.parametrize("grace", ("nan", "inf"))
-    def test_non_finite_shutdown_grace_falls_back_to_the_default(
-        self, kb_graph, kb_rules, monkeypatch, force_start_method, grace
-    ):
-        # a hung worker never exits when the budget stops the run: a nan
-        # grace would make the shutdown deadline never expire and an inf one
-        # would wait forever, so both must fall back to the (here shortened)
-        # default.  fork starts both workers at once, so worker 0 is wedged
-        # on its first seed long before worker 1's reports exhaust the budget
-        from repro.detect.parallel import executor
-
-        force_start_method("fork")
-        monkeypatch.setenv(FAULTS_ENV, "hang_worker:worker=0,after=1")
-        monkeypatch.setenv(executor.SHUTDOWN_GRACE_ENV, grace)
-        monkeypatch.setattr(executor, "SHUTDOWN_GRACE_SECONDS", 1.0)
-        outcome: dict = {}
-
-        def run() -> None:
-            detector = Detector(kb_rules, engine="parallel", processors=2, options=_options(max_cost=50.0))
-            outcome["result"] = detector.run(kb_graph)
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=30.0)
-        assert not thread.is_alive(), f"REPRO_SHUTDOWN_GRACE={grace} hung the request thread"
-        assert outcome["result"].stop_reason == "max_cost"
 
 
 # ------------------------------------------------------------- WAL faults
@@ -426,6 +404,97 @@ class TestWalFsyncFailure:
 # ------------------------------------------------------- service deadlines
 
 
+def quiet_graph(nodes: int = 2000, degree: int = 20, flagged: int = 3, seed: int = 7) -> Graph:
+    """A dense ``knows`` graph the path rule of :func:`quiet_rules` searches in full and finds nothing in.
+
+    ``flagged`` extra nodes each violate the one-node rule ``flagged`` of
+    :func:`flagged_then_quiet_rules`.
+    """
+    rng = random.Random(seed)
+    graph = Graph("quiet")
+    for index in range(nodes):
+        graph.add_node(index, "person", {"val": rng.randint(0, 100)})
+    for index in range(nodes):
+        for other in rng.sample(range(nodes), degree):
+            if other != index:
+                graph.add_edge(index, other, "knows")
+    for index in range(flagged):
+        graph.add_node(f"flagged{index}", "flagged", {"val": 1000})
+    return graph
+
+
+_PATH_RULE = {
+    "name": "path2",
+    "pattern": {
+        "name": "P",
+        "nodes": [["x", "person"], ["y", "person"], ["z", "person"]],
+        "edges": [["x", "y", "knows"], ["y", "z", "knows"]],
+    },
+    "premise": "",
+    "conclusion": "x.val <= z.val + 1000",
+}
+
+
+def quiet_rules() -> RuleSet:
+    """``x -knows-> y -knows-> z``, a rule that never fires on :func:`quiet_graph`."""
+    return RuleSet.from_dict({"name": "quiet", "rules": [_PATH_RULE]})
+
+
+def flagged_then_quiet_rules() -> RuleSet:
+    """A one-node rule every flagged node violates, then the quiet path rule."""
+    flagged = {
+        "name": "flagged",
+        "pattern": {"name": "F", "nodes": [["x", "flagged"]], "edges": []},
+        "premise": "",
+        "conclusion": "x.val <= 100",
+    }
+    return RuleSet.from_dict({"name": "flagged-then-quiet", "rules": [flagged, _PATH_RULE]})
+
+
+@pytest.fixture(scope="module")
+def quiet():
+    """The quiet graph and its rules, with the full run's result."""
+    graph, rules = quiet_graph(), quiet_rules()
+    full = Detector(rules).run(graph)
+    assert len(full.violations) == 0 and full.stats.candidates_examined > 500_000
+    return graph, rules, full
+
+
+@pytest.fixture
+def quiet_service(quiet):
+    graph, rules, _ = quiet
+    service = DetectionService(port=0)
+    service.registry.register("quiet", graph)
+    service.manager.register_catalog("quiet", rules)
+    service.manager.register_catalog("flagged-then-quiet", flagged_then_quiet_rules())
+    with service:
+        yield service
+
+
+def _post(service: DetectionService, document: dict, path: str = "/graphs/quiet/detect") -> tuple[int, dict, list[dict]]:
+    """POST one request document; return its status, headers and JSON lines."""
+    host, port = service.address
+    connection = HTTPConnection(host, port, timeout=60)
+    try:
+        connection.request("POST", path, body=json.dumps(document).encode())
+        response = connection.getresponse()
+        lines = [json.loads(line) for line in response.read().splitlines() if line.strip()]
+        return response.status, dict(response.getheaders()), lines
+    finally:
+        connection.close()
+
+
+class _Clock:
+    """A stand-in for the ``time`` module whose n-th ``monotonic()`` reading is n."""
+
+    def __init__(self) -> None:
+        self.readings = 0
+
+    def monotonic(self) -> float:
+        self.readings += 1
+        return float(self.readings)
+
+
 class TestRequestDeadlines:
     def test_timeout_seconds_round_trips(self):
         request = parse_detect_request({"catalog": "c", "timeout_seconds": 2.5})
@@ -440,44 +509,132 @@ class TestRequestDeadlines:
         assert "retryable" not in error_record("boom")
         assert error_record("boom", retryable=True)["retryable"] is True
 
-    def test_deadline_before_first_record(self):
-        pool = DetectionJobPool(max_jobs=1)
-        release = threading.Event()
+    def test_a_deadline_before_the_first_record_stops_the_kernel(self, quiet, quiet_service):
+        # the 503 is sent once the kernel has stopped: its slot is free on the
+        # very next /health, and it examined a fraction of a full run's candidates
+        _, _, full = quiet
+        before = obs.metrics().total("repro_detect_candidates_total")
+        status, headers, lines = _post(quiet_service, {"catalog": "quiet", "timeout_seconds": 0.05})
+        assert status == 503
+        assert headers["Retry-After"] == "1"
+        assert lines == [{"error": "detection request exceeded its timeout_seconds=0.05 deadline"}]
+        assert ServiceClient(quiet_service.url).health()["jobs"]["active"] == 0
+        added = obs.metrics().total("repro_detect_candidates_total") - before
+        assert 0 < added < full.stats.candidates_examined / 2
 
-        def slow():
-            release.wait(10.0)
-            yield {"type": "summary"}
+    def test_a_deadline_mid_stream_ends_with_a_retryable_error_record(self, quiet_service):
+        document = {"catalog": "flagged-then-quiet", "timeout_seconds": 0.2}
+        status, headers, lines = _post(quiet_service, document)
+        assert status == 200
+        assert [line["type"] for line in lines] == ["violation"] * 3 + ["error"]
+        assert lines[-1]["retryable"] is True
+        assert lines[-1]["error"] == (
+            "DeadlineExceededError('detection request exceeded its timeout_seconds=0.2 deadline')"
+        )
+        assert ServiceClient(quiet_service.url).health()["jobs"]["active"] == 0
 
-        stream = pool.run_stream(slow(), timeout_seconds=0.2)
-        try:
-            with pytest.raises(DeadlineExceededError):
-                next(stream)
-        finally:
-            release.set()
-            stream.close()
+    def test_a_deadline_the_run_meets_streams_to_completion(self, quiet_service):
+        rules = RuleSet(list(flagged_then_quiet_rules())[:1])
+        client = ServiceClient(quiet_service.url)
+        timed = list(client.stream_detect("quiet", rules=rules, timeout_seconds=30.0))
+        untimed = list(client.stream_detect("quiet", rules=rules))
+        assert [record["type"] for record in timed] == ["violation"] * 3 + ["summary"]
+        assert timed[-1]["stop_reason"] is None and not timed[-1]["stopped_early"]
+        assert timed[:-1] == untimed[:-1]
 
-    def test_deadline_mid_stream(self):
-        pool = DetectionJobPool(max_jobs=1)
-        release = threading.Event()
+    def test_a_session_base_run_ignores_the_timeout(self, quiet_service):
+        # the base run of a continuous session must be complete, as under a budget
+        document = {"catalog": "flagged-then-quiet", "timeout_seconds": 0.05}
+        status, _, [state] = _post(quiet_service, document, path="/graphs/quiet/sessions")
+        assert status == 201
+        assert state["violation_count"] == 3
 
-        def slow():
-            yield {"type": "violation"}
-            release.wait(10.0)
-            yield {"type": "summary"}
 
-        stream = pool.run_stream(slow(), timeout_seconds=0.3)
-        try:
-            assert next(stream)["type"] == "violation"
-            with pytest.raises(DeadlineExceededError):
-                next(stream)
-        finally:
-            release.set()
-            stream.close()
+class TestKernelDeadlines:
+    def test_options_without_a_timeout_build_no_budget(self):
+        assert DetectionOptions().budget() is None
+        started = time.monotonic()
+        budget = DetectionOptions(timeout_seconds=2.0).budget()
+        assert budget.max_cost is None and budget.max_violations is None
+        assert started + 2.0 <= budget.deadline <= time.monotonic() + 2.0
+        for timeout in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(SessionError):
+                DetectionOptions(timeout_seconds=timeout).budget()
 
-    def test_no_deadline_streams_to_completion(self):
-        pool = DetectionJobPool(max_jobs=1)
-        stream = pool.run_stream(iter([{"type": "summary"}]))
-        assert [r["type"] for r in stream] == ["summary"]
+    def test_the_deadline_is_counted_from_the_start_of_each_run(self, quiet):
+        graph, rules, _ = quiet
+        detector = Detector(rules, options=DetectionOptions(timeout_seconds=0.05))
+        time.sleep(0.1)
+        for _ in range(2):
+            result = detector.run(graph)
+            assert (result.stop_reason, result.stopped_early) == ("deadline", True)
+            # past the first-step scan of the 2,000 people: the run searched before it stopped
+            assert result.stats.candidates_examined > 2 * graph.node_count()
+
+    def test_batch_diff_refuses_a_timeout(self, quiet):
+        graph, rules, _ = quiet
+        delta = BatchUpdate().insert(0, 1, "knows")
+        detector = Detector(rules, engine="batch", options=DetectionOptions(timeout_seconds=5.0))
+        with pytest.raises(SessionError, match="timeout_seconds"):
+            detector.run_incremental(graph, delta)
+
+    def test_an_incremental_run_stops_at_the_deadline(self, quiet, monkeypatch):
+        graph, rules, _ = quiet
+        delta = BatchUpdate()
+        for source in range(0, 400, 2):
+            if not graph.has_edge(source, source + 1, "knows"):
+                delta.insert(source, source + 1, "knows")
+        full = drain(iter_inc_dect(graph, rules, delta))
+        clock = _Clock()
+        monkeypatch.setattr(observers, "time", clock)
+        result = drain(iter_inc_dect(graph, rules, delta, budget=DetectionBudget(deadline=50.0)))
+        assert (result.stop_reason, result.stopped_early) == ("deadline", True)
+        assert clock.readings == 50
+        assert result.stats.candidates_examined < full.stats.candidates_examined
+
+    def test_a_serial_run_tests_the_deadline_after_every_step(self, quiet, monkeypatch):
+        # Dect reads the clock once after the first-step scan and once after
+        # each search step, and stops at the first reading past the deadline
+        graph, rules, _ = quiet
+        clock = _Clock()
+        monkeypatch.setattr(observers, "time", clock)
+        steps = []
+        step = RuleSearch.step
+        monkeypatch.setattr(RuleSearch, "step", lambda search: steps.append(1) or step(search))
+        result = drain(iter_dect(graph, rules, budget=DetectionBudget(deadline=100.0)))
+        assert (result.stop_reason, result.stopped_early) == ("deadline", True)
+        assert clock.readings == 100
+        assert len(steps) == 99
+
+    def test_a_simulated_run_tests_the_deadline_before_every_unit(self, quiet, monkeypatch):
+        # PDect reads the clock once when seeding ends and once before each unit it pops
+        graph, rules, _ = quiet
+        clock = _Clock()
+        monkeypatch.setattr(observers, "time", clock)
+        result = drain(iter_p_dect(graph, rules, processors=4, budget=DetectionBudget(deadline=100.0)))
+        assert (result.stop_reason, result.stopped_early) == ("deadline", True)
+        assert clock.readings == 100
+        assert sum(trace.work_units_processed for trace in result.worker_traces) == 98
+
+    def test_a_process_run_stops_within_one_poll(self, quiet, monkeypatch, force_start_method):
+        # the quiet rule finds nothing, so no report wakes the parent before
+        # the workers' first heartbeat: only the result poll can see the deadline
+        graph, rules, _ = quiet
+        force_start_method("fork")
+        stops = []
+        exhausted = executor.ProcessRun.cost_exhausted
+        monkeypatch.setattr(
+            executor.ProcessRun,
+            "cost_exhausted",
+            lambda run: (exhausted(run) and not stops.append(time.monotonic())) or bool(stops),
+        )
+        deadline = time.monotonic() + 0.3
+        events = iter_p_dect(
+            graph, rules, processors=2, budget=DetectionBudget(deadline=deadline), execution="processes"
+        )
+        result = drain(events)
+        assert (result.stop_reason, result.stopped_early) == ("deadline", True)
+        assert deadline <= stops[0] <= deadline + executor.RESULT_POLL_SECONDS + 0.1
 
 
 # --------------------------------------------------------- service surface

@@ -506,22 +506,24 @@ def _get(service, path):
 
 class TestServiceObservability:
     def test_metrics_scrape_during_active_stream(self, service, client, monkeypatch):
-        # the producer is held after its first record until the mid-stream
+        # the stream is held after its first record until the mid-stream
         # scrape is done: the socket buffers swallow a whole stream, so no
         # stream length guarantees a job is still running when we look
         scraped = threading.Event()
-        pool = service.manager.job_pool
-        run_stream = pool.run_stream
+        manager = service.manager
+        stream_detection = manager.stream_detection
 
-        def held_run_stream(records, timeout_seconds=None):
+        def held_stream_detection(name, request):
+            records, trace_id = stream_detection(name, request)
+
             def held():
                 for index, record in enumerate(records):
                     yield record
                     if index == 0:
                         assert scraped.wait(timeout=30)
-            return run_stream(held(), timeout_seconds)
+            return held(), trace_id
 
-        monkeypatch.setattr(pool, "run_stream", held_run_stream)
+        monkeypatch.setattr(manager, "stream_detection", held_stream_detection)
         client.register_graph("areas", multi_area_graph(areas=300))
         records = client.stream_detect("areas", catalog="example", engine="batch")
         first = next(records)
@@ -539,9 +541,9 @@ class TestServiceObservability:
         summary = remaining[-1]
         assert summary["type"] == "summary"
         assert summary["trace_id"]
-        # post-run scrape reflects the completed work: the producer thread
-        # counts the run and drops the gauge just after handing over the final
-        # record, so poll (bounded) until every post-run line is there
+        # post-run scrape reflects the completed work; the scrape's own
+        # request line is counted once it has been answered, so poll (bounded)
+        # until every post-run line is there
         expected = (
             "repro_jobs_active 0",
             'repro_detect_runs_total{algorithm="Dect"} 1',

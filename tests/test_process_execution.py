@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.core.builtin_rules import example_rules
 from repro.datasets.figure1 import figure1_g2
 from repro.datasets.kb import KBConfig, knowledge_graph
@@ -30,7 +31,8 @@ from repro.datasets.rules import benchmark_rules
 from repro.detect import DetectionOptions, Detector
 from repro.detect.parallel.balancing import should_split_planned
 from repro.detect.parallel.executor import ExecutionRuntime
-from repro.errors import PoolSaturatedError, ServiceError, SessionError
+from repro.errors import ServiceError, SessionError
+from repro.graph.graph import Graph
 from repro.graph.updates import UpdateGenerator
 from repro.matching.plan import compile_plans
 from repro.service import DetectionService, ServiceClient, parse_detect_request
@@ -371,59 +373,103 @@ class TestSpawnedPlans:
 # ------------------------------------------------------------ service job pool
 
 
+def violating_areas(areas: int) -> Graph:
+    """Every area violates φ2 (female + male ≠ total): one violation record per area."""
+    graph = Graph("areas")
+    for index in range(areas):
+        graph.add_node(f"area{index}", "area")
+        graph.add_node(f"f{index}", "integer", {"val": 100 + index})
+        graph.add_node(f"m{index}", "integer", {"val": 200 + index})
+        graph.add_node(f"t{index}", "integer", {"val": 999})
+        graph.add_edge(f"area{index}", f"f{index}", "femalePopulation")
+        graph.add_edge(f"area{index}", f"m{index}", "malePopulation")
+        graph.add_edge(f"area{index}", f"t{index}", "populationTotal")
+    return graph
+
+
 class TestDetectionJobPool:
-    def test_admission_and_release(self):
-        pool = DetectionJobPool(max_jobs=1)
+    """A stream holds one slot of the pool while its handler thread runs it."""
+
+    @pytest.fixture
+    def service(self):
+        svc = DetectionService(port=0, max_jobs=1)
+        svc.manager.register_catalog("example", example_rules())
+        svc.registry.register("fig1", figure1_g2())
+        svc.registry.register("areas", violating_areas(2000))
+        with svc:
+            yield svc
+
+    @staticmethod
+    def hold_after_first_record(monkeypatch, manager, release: threading.Event) -> None:
+        """Make every detection stream wait for ``release`` once its first record is out."""
+        stream_detection = manager.stream_detection
+
+        def held(name, request):
+            records, trace_id = stream_detection(name, request)
+
+            def generate():
+                try:
+                    for index, record in enumerate(records):
+                        yield record
+                        if index == 0:
+                            assert release.wait(timeout=30)
+                finally:
+                    records.close()
+
+            return generate(), trace_id
+
+        monkeypatch.setattr(manager, "stream_detection", held)
+
+    def test_admission_and_release(self, service, monkeypatch):
         release = threading.Event()
-
-        def slow():
-            yield {"type": "violation"}
-            release.wait(timeout=5)
-            yield {"type": "summary"}
-
-        stream = pool.run_stream(slow())
-        assert next(stream) == {"type": "violation"}
-        with pytest.raises(PoolSaturatedError):
-            pool.run_stream(iter([]))
-        assert pool.active_jobs() == 1
+        self.hold_after_first_record(monkeypatch, service.manager, release)
+        client = ServiceClient(service.url)
+        stream = client.stream_detect("fig1", catalog="example")
+        assert next(stream)["type"] == "violation"
+        with pytest.raises(ServiceError, match="429"):
+            list(client.stream_detect("fig1", catalog="example"))
+        assert client.health()["jobs"]["active"] == 1
         release.set()
-        assert [r["type"] for r in stream] == ["summary"]
-        deadline = time.monotonic() + 5
-        while pool.active_jobs() and time.monotonic() < deadline:
+        assert [record["type"] for record in stream] == ["summary"]
+        # the slot is free before the stream's connection closes
+        assert client.health()["jobs"]["active"] == 0
+        assert client.detect("fig1", catalog="example").summary["type"] == "summary"
+
+    def test_a_client_hanging_up_stops_the_run_and_frees_its_slot(self, service, monkeypatch):
+        release = threading.Event()
+        self.hold_after_first_record(monkeypatch, service.manager, release)
+        client = ServiceClient(service.url)
+        before = obs.metrics().total("repro_detect_violations_total")
+        stream = client.stream_detect("areas", catalog="example")
+        assert next(stream)["type"] == "violation"
+        stream.close()  # hangs up: the server's next writes fail
+        release.set()
+        deadline = time.monotonic() + 10
+        while client.health()["jobs"]["active"] and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert pool.active_jobs() == 0
-        list(pool.run_stream(iter([{"type": "summary"}])))  # slot is free again
+        assert client.health()["jobs"]["active"] == 0
+        # closing the generator stopped the kernel before it found them all
+        assert obs.metrics().total("repro_detect_violations_total") - before < 2000
 
-    def test_consumer_close_cancels_producer(self):
-        pool = DetectionJobPool(max_jobs=1)
-        produced = []
+    def test_a_failure_mid_stream_ends_with_an_error_record(self, service, monkeypatch):
+        from repro.service import jobs
 
-        def endless():
-            i = 0
-            while True:
-                produced.append(i)
-                yield {"type": "violation", "i": i}
-                i += 1
+        encoded = []
+        violation_record = jobs.violation_record
 
-        stream = pool.run_stream(endless())
-        next(stream)
-        stream.close()
-        deadline = time.monotonic() + 5
-        while pool.active_jobs() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert pool.active_jobs() == 0  # slot reclaimed after cancellation
+        def failing(violation, introduced):
+            encoded.append(violation)
+            if len(encoded) == 2:
+                raise RuntimeError("kernel exploded")
+            return violation_record(violation, introduced=introduced)
 
-    def test_producer_error_becomes_error_record(self):
-        pool = DetectionJobPool(max_jobs=2)
-
-        def broken():
-            yield {"type": "violation"}
-            raise RuntimeError("kernel exploded")
-
-        records = list(pool.run_stream(broken()))
-        assert records[0]["type"] == "violation"
-        assert records[-1]["type"] == "error"
-        assert "kernel exploded" in records[-1]["error"]
+        monkeypatch.setattr(jobs, "violation_record", failing)
+        client = ServiceClient(service.url)
+        stream = client.stream_detect("areas", catalog="example")
+        assert next(stream)["type"] == "violation"
+        with pytest.raises(ServiceError, match="kernel exploded"):
+            next(stream)
+        assert client.health()["jobs"]["active"] == 0
 
     def test_rejects_invalid_size(self):
         with pytest.raises(ServiceError):

@@ -971,7 +971,7 @@ class TestRetentionWindow:
             service.registry.apply_update("g", self._update(i))
         # bounded: the registry window and the session's delta log
         assert len(service.registry.get("g").retained_versions()) <= retain
-        assert session.delta_count() <= retain
+        assert len(session.deltas) <= retain
         assert session.compacted_through == rounds + 1 - retain
         # consistent: the maintained set equals a fresh batch run
         current, version = service.registry.get("g").snapshot()
