@@ -471,7 +471,9 @@ def quiet_service(quiet):
         yield service
 
 
-def _post(service: DetectionService, document: dict, path: str = "/graphs/quiet/detect") -> tuple[int, dict, list[dict]]:
+def _post(
+    service: DetectionService, document: dict, path: str = "/graphs/quiet/detect"
+) -> tuple[int, dict, list[dict]]:
     """POST one request document; return its status, headers and JSON lines."""
     host, port = service.address
     connection = HTTPConnection(host, port, timeout=60)
@@ -524,7 +526,7 @@ class TestRequestDeadlines:
 
     def test_a_deadline_mid_stream_ends_with_a_retryable_error_record(self, quiet_service):
         document = {"catalog": "flagged-then-quiet", "timeout_seconds": 0.2}
-        status, headers, lines = _post(quiet_service, document)
+        status, _, lines = _post(quiet_service, document)
         assert status == 200
         assert [line["type"] for line in lines] == ["violation"] * 3 + ["error"]
         assert lines[-1]["retryable"] is True
@@ -617,10 +619,13 @@ class TestKernelDeadlines:
         assert sum(trace.work_units_processed for trace in result.worker_traces) == 98
 
     def test_a_process_run_stops_within_one_poll(self, quiet, monkeypatch, force_start_method):
-        # the quiet rule finds nothing, so no report wakes the parent before
-        # the workers' first heartbeat: only the result poll can see the deadline
+        # the quiet rule finds nothing, and with one worker, no heartbeat and
+        # no seed-count report, nothing wakes the parent before the worker has
+        # searched everything: only the result poll can see the deadline
         graph, rules, _ = quiet
         force_start_method("fork")
+        monkeypatch.setattr(executor, "HEARTBEAT_PERIOD_SECONDS", 0.0)
+        monkeypatch.setattr(executor, "REPORT_EVERY_SEEDS", 10**9)
         stops = []
         exhausted = executor.ProcessRun.cost_exhausted
         monkeypatch.setattr(
@@ -628,13 +633,13 @@ class TestKernelDeadlines:
             "cost_exhausted",
             lambda run: (exhausted(run) and not stops.append(time.monotonic())) or bool(stops),
         )
-        deadline = time.monotonic() + 0.3
+        deadline = time.monotonic() + 0.1
         events = iter_p_dect(
-            graph, rules, processors=2, budget=DetectionBudget(deadline=deadline), execution="processes"
+            graph, rules, processors=1, budget=DetectionBudget(deadline=deadline), execution="processes"
         )
         result = drain(events)
         assert (result.stop_reason, result.stopped_early) == ("deadline", True)
-        assert deadline <= stops[0] <= deadline + executor.RESULT_POLL_SECONDS + 0.1
+        assert deadline <= stops[0] <= deadline + executor.RESULT_POLL_SECONDS + 0.15
 
 
 # --------------------------------------------------------- service surface
