@@ -52,7 +52,7 @@ def main() -> None:
     print(f"runs:       {registry.value('repro_detect_runs_total', {'algorithm': 'Dect'}):.0f}")
     print(f"candidates: {registry.total('repro_detect_candidates_total'):.0f}")
     print(f"violations: {registry.total('repro_detect_violations_total'):.0f}")
-    # every literal runs as a closure-compiled check (ARCHITECTURE.md
+    # every literal runs as generated code (ARCHITECTURE.md
     # "Compiled evaluation"); the counter has no labels
     print(f"literal evaluations: {registry.value('repro_literal_evals_total'):.0f}")
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from typing import TypeVar
 
 __all__ = ["Frozen"]
@@ -15,12 +15,14 @@ class Frozen:
     """Refuse every attribute write after construction, and keep what is derived from the value.
 
     A subclass's ``__init__`` sets its attributes with ``vars(self).update(...)``.
-    Pickling and ``copy`` restore ``__dict__`` directly and need no hook.
+    Pickling and ``copy`` restore ``__dict__`` directly; they leave out what
+    was derived, which can always be computed again and need not pickle (a
+    rule keeps generated code there).
     """
 
     __slots__ = ()
 
-    def derived(self: F, key: str, build: Callable[[F], T]) -> T:
+    def derived(self: F, key: Hashable, build: Callable[[F], T]) -> T:
         """Return ``build(self)``, computed on the first call per ``key`` and kept.
 
         Nothing it is derived from can change, so nothing invalidates it.
@@ -29,6 +31,11 @@ class Frozen:
         if key not in memo:
             memo[key] = build(self)
         return memo[key]
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_derived", None)
+        return state
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")

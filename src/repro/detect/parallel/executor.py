@@ -20,7 +20,7 @@ Execution model
   exactly as Dect does.
 * Each **worker process** receives its share, the rules and their compiled
   plans as its process arguments — inherited under ``fork``, pickled under
-  ``spawn`` (a plan recompiles its closures on first use) — together with
+  ``spawn`` (a plan generates its schedules' code again on first use) — together with
   one read-only *image* per graph it searches (``G``, or ``N_C(ΔG)``
   before and after the update): inherited copy-on-write under ``fork``,
   spooled once and memo-loaded per process under ``spawn``
@@ -35,12 +35,13 @@ Execution model
   ``HEARTBEAT_PERIOD_SECONDS`` without one — so a report is also its
   heartbeat.  The stop event, the heartbeat and the fault-injection
   hooks sit in the worker's seed generator, between seeds, never inside the
-  serial loop's steps.
+  serial loop's steps; the stop event is read at each report and at least
+  every 64 seeds between them.
 * **Budgets** are enforced in the parent (the only place the global
   violation count and aggregate cost exist): when a
   :class:`~repro.detect.observers.DetectionBudget` trips — the cost after
   a report, the deadline on every result poll — a shared Event tells every
-  worker to stop at its next report, and the run reports ``stopped_early``
+  worker to stop within 64 seeds, and the run reports ``stopped_early``
   exactly like the simulated kernels.  A capped run does
   strictly less work, not a deterministic prefix.
 
@@ -108,7 +109,7 @@ REPORT_EVERY_SEEDS = 1024
 RESULT_POLL_SECONDS = 0.25
 
 #: How long the parent waits for stopped workers to exit before terminating
-#: them (a worker stops at its next report).
+#: them (a worker stops within 64 seeds).
 SHUTDOWN_GRACE_SECONDS = 10.0
 
 #: How many dead workers one run may respawn; past it, a dead worker's
@@ -197,10 +198,10 @@ class ExecutionRuntime:
     is ``N_C`` before ΔG, which an incremental run's deletion seeds search.
     Under ``fork`` the object itself is inherited by the children (nothing
     is pickled); under ``spawn`` each worker receives the pickled copy
-    :meth:`spooled` returns — rules and plans as they are (a plan drops its
-    closures and recompiles them on first use, so workers skip the
-    statistics pass entirely), and each image as a spool path, loaded on
-    first use.
+    :meth:`spooled` returns — rules and plans as they are (a plan pickles
+    without its schedules and a rule without its generated code, which a
+    worker generates again on first use; workers skip the statistics pass
+    entirely), and each image as a spool path, loaded on first use.
     """
 
     rules: list[NGD]
@@ -288,6 +289,9 @@ class _Worker:
                     if self.stop_event.is_set():
                         return
                     self._report()
+                elif len(finished) % 64 == 0 and self.stop_event.is_set():
+                    # a stop between reports is seen within 64 seeds
+                    return
             if faults is not None:
                 faults.on_unit()
             if unit.rule_index != index:
@@ -546,9 +550,11 @@ class ProcessRun(SerialRun):
 
         Returns the seeds no worker will finish: those of a worker that died
         once the restart budget was spent.  The cost budget is tested after
-        each report, the deadline also after each poll without one.
+        each report, the deadline also after each poll without one; no poll
+        waits past the deadline.
         """
         timeout = HEARTBEAT_TIMEOUT_SECONDS
+        deadline = self.budget.deadline if self.budget is not None else None
         retries: dict[int, int] = {}
         leftovers: list[WorkUnit] = []
         crew: Optional[_Crew] = None
@@ -558,7 +564,10 @@ class ProcessRun(SerialRun):
                 if share:
                     crew.start(index, 0, share)
             while crew.slots:
-                for slot, message in crew.receive(RESULT_POLL_SECONDS):
+                wait = RESULT_POLL_SECONDS
+                if deadline is not None:
+                    wait = max(0.0, min(wait, deadline - time.monotonic()))
+                for slot, message in crew.receive(wait):
                     slot.last_seen = time.monotonic()
                     kind = message[0]
                     if kind == "report":

@@ -112,7 +112,7 @@ class DetectionOptions:
       session without one builds no budget for it.
 
     Every engine runs compiled :class:`~repro.matching.plan.MatchPlan`\\ s
-    (cost-based variable orders, closure-compiled literal schedules) on the
+    (cost-based variable orders, generated literal schedules) on the
     one search core, each in the order it was compiled with: one plan per
     run, which IncDect runs in ``G`` and ``G ⊕ ΔG`` themselves.  Every
     engine applies Section 6.2's literal-driven pruning: a partial solution

@@ -89,8 +89,8 @@ class Comparison(enum.Enum):
 #: The comparison predicates as plain callables (``operator`` module
 #: dispatch).  One table serves :meth:`Comparison.holds`, the LP
 #: normalisation callers, and the compiled evaluator
-#: (:mod:`repro.matching.compiled`), which specialises the looked-up
-#: callable directly into its literal closures.
+#: (:mod:`repro.matching.compiled`), which folds constant literals with
+#: it.
 COMPARISON_OPS = {
     Comparison.EQ: operator.eq,
     Comparison.NE: operator.ne,

@@ -1,57 +1,70 @@
-"""Closure-compiled literals: the compiled evaluation layer.
+"""Generated literal schedules: the compiled evaluation layer.
 
 Evaluating a literal through its AST (``Literal.holds_for``) rebuilds an
 ``{(variable, attribute): value}`` assignment dict, walks the
 :class:`~repro.expr.expressions.Expression` tree through virtual
 ``evaluate`` calls, and dispatches the comparison through
-:meth:`~repro.expr.literals.Comparison.holds`.  :func:`compile_literal`
-compiles that work out of the search loop; the plan compiler
-(:meth:`~repro.matching.plan.MatchPlan.schedule_for`) calls it once per
-literal per ``(rule, order)`` and keeps the closures on the plan's steps:
+:meth:`~repro.expr.literals.Comparison.holds`.  This module generates that
+work out of the search loop as straight-line Python source.
+:func:`compile_schedule` emits every literal of one ``(rule, order)``
+schedule into one source text, calls ``compile()`` once for it, and
+returns, per step, an ``admit(attrs, stats)`` for the unary literals that
+filter its candidates and a ``prune(slots, stats)`` for the literals that
+become bound when it binds, plus the leaf ``violates(slots, stats)``:
 
 * pattern variables map to *slot indices* in plan order, so a partial
-  match becomes a flat list of attribute mappings (``slots[d]`` is the
-  ``node.attributes`` of the variable bound at depth ``d``) instead of a
-  dict keyed by variable name;
-* attribute references are pre-resolved to ``(slot, key)`` reads;
-* expressions are constant-folded and emitted as nested Python closures
-  with the comparison operator (``operator.eq`` & co.) specialised in, so
-  checking a literal is a single ``check(slots)`` call with zero AST
-  traversal;
-* the "every attribute the literal reads is present" test is free: a
-  missing attribute raises a pre-allocated
-  :class:`~repro.errors.EvaluationError` inside the closure, which the
-  literal wrapper turns into ``False`` — exactly ``holds_for``'s verdict
-  on an incomplete assignment;
-* a literal with a ``Divide`` on either side runs on exact integer ratios:
-  every sub-expression yields ``(numerator, denominator > 0)`` as plain
-  ``int``\\ s and the comparison is ``op(a * d, c * b)``, so no
-  :class:`fractions.Fraction` is built.  A leaf that reads a value whose
-  type is not exactly ``int`` (a ``bool``, ``float``, ``Fraction``,
-  string, ``None``…) hands the same slots to the literal's general
-  closure, which evaluates them as ``holds_for`` does, through
-  ``Fraction``; a literal with a constant that is neither an ``int`` nor a
-  ``Fraction`` never takes the ratio path.
+  match is a flat list of attribute mappings (``slots[d]`` is the
+  ``node.attributes`` of the variable bound at depth ``d``);
+* each ``(slot, attribute)`` a function needs is read once, with
+  ``.get(key, MISSING)``, and shared by every literal the function checks;
+* arithmetic is inline, constant subtrees are folded, and the comparison
+  operator is written out;
+* a literal that divides gets an integer-ratio branch inline: when every
+  value it reads is exactly an ``int``, each sub-expression is a
+  ``(numerator, denominator)`` pair of ints and ``a/b ⊗ c/d`` is compared
+  as ``a*d ⊗ c*b`` (with the sign of ``b*d`` where a divisor may be
+  negative), so no :class:`fractions.Fraction` is built; any other value
+  (a ``bool``, ``float``, ``Fraction``, string, ``None``…) takes the
+  general branch, which divides through ``Fraction`` as ``Divide.evaluate``
+  does.  A literal with a constant that is neither an ``int`` nor a
+  ``Fraction`` has only the general branch.
 
-A compiled check returns ``True`` iff every referenced attribute is
-present *and* evaluation raises nothing *and* the comparison holds —
-the same three-way semantics as ``Literal.holds_for`` over a complete
-assignment, which lets one closure serve premise checks (prune on
-``False``) and conclusion checks (prune on ``True``) alike.
+**Three-way verdicts.**  A literal over a missing attribute is False.  A
+literal whose evaluation raises :class:`~repro.errors.EvaluationError`
+(a zero divisor) or ``TypeError`` (dirty data) is False.  Any other
+exception (``Fraction('n/a')`` raises ``ValueError``) replays
+``Literal.holds_for`` on the values read, outside the handler, so the
+verdict or the exception is ``holds_for``'s own.  A constant subtree that
+cannot fold (division by the constant zero, ``Fraction(inf)``) makes every
+check of its literal replay ``holds_for``.  Evaluation keeps
+``Expression.evaluate``'s order, so the first exception raised is the
+same.  Billing is the search's: ``admit`` and ``prune`` charge one
+``literal_evaluations`` per check reached, at the exit they take, and the
+leaf its flat ``len(X) + len(Y)`` up front.
 
-Closures do not pickle.  :class:`~repro.matching.plan.MatchPlan` therefore
-pickles as ``(rule, statistics, order)``; ``spawn``-style worker processes
-compile the schedules again from the plan they receive, ``fork`` workers
-inherit the parent's closures for free.
+**The memo.**  The generated code depends on the rule and the order only,
+not on the graph statistics, so :mod:`repro.matching.plan` keeps it on the
+rule (``rule.derived(("schedule", order), ...)``): every plan of that rule
+object, in every ``Detector`` of the process, reuses it.  Generated
+functions do not pickle, and neither does what a value derived
+(:class:`~repro._frozen.Frozen` pickles without it); a ``spawn`` worker
+generates its schedules again from the rules it receives.
 
-Every literal a search evaluates runs through these closures; there is no
-interpreted path beside them.  ``Literal.holds_for`` stays the oracle: the
-literal-parity suite (``tests/test_compiled_eval.py``) holds every closure
-to its verdict on generated assignments, mixed-type ones included.
+Keys enter the source only through ``repr()``, and constants only through
+the module's namespace, so no attribute name or value can become code.  The
+source is compiled under a filename containing ``repro/matching/compiled``
+and registered in :mod:`linecache`, so profiles attribute its time to this
+layer and tracebacks show the generated line.  ``Literal.holds_for`` stays
+the oracle: ``tests/test_compiled_eval.py`` holds the generated code to it
+on generated assignments, mixed-type ones included.
 """
 
 from __future__ import annotations
 
+import hashlib
+import linecache
+import re
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -66,16 +79,17 @@ from repro.expr.expressions import (
     Subtract,
     TermExpression,
 )
-from repro.expr.literals import COMPARISON_OPS, Literal
+from repro.expr.literals import COMPARISON_OPS, Comparison, Literal
 
 __all__ = [
     "resolve_compiled",
     "compile_literal",
+    "compile_schedule",
 ]
 
 
 def resolve_compiled(compiled: Optional[bool] = None) -> bool:
-    """Return True: literal schedules are always closure-compiled; ``compiled`` is ignored.
+    """Return True: literal schedules are always compiled; ``compiled`` is ignored.
 
     Kept because the end-to-end benchmark's seed-scan probe still resolves
     the switch this function used to read and passes the result on.
@@ -83,106 +97,39 @@ def resolve_compiled(compiled: Optional[bool] = None) -> bool:
     return True
 
 
-# -------------------------------------------------------- expression compiler
+#: What a generated read returns for an absent attribute.
+MISSING = object()
 
-#: Sentinel distinguishing "attribute absent" from any stored value.
-_MISSING = object()
+_SYMBOLS = {
+    Comparison.EQ: "==",
+    Comparison.NE: "!=",
+    Comparison.LT: "<",
+    Comparison.LE: "<=",
+    Comparison.GT: ">",
+    Comparison.GE: ">=",
+}
+_ARITHMETIC = {Add: "+", Subtract: "-", Multiply: "*"}
+_FOLD_ERRORS = (EvaluationError, ArithmeticError, ValueError, TypeError)
+#: What a rule name may not bring into a generated filename.
+_UNSAFE = re.compile(r"[^\w.-]+")
 
-#: One pre-allocated exception per closure beats building a formatted
-#: message on every miss; the wrapper catches it immediately, so identity
-#: does not matter.  Every raise clears its traceback first: re-raising one
-#: instance otherwise chains each raise's frames onto the last.
-def _missing_error(term) -> EvaluationError:
-    return EvaluationError(f"no value for {term} in the assignment")
+
+def _divide(numerator, denominator):
+    """``Divide.evaluate`` on two values: exact through ``Fraction``; a zero divisor raises."""
+    if denominator == 0:
+        raise EvaluationError("division by zero")
+    return Fraction(numerator) / Fraction(denominator)
+
+
+def _replay(literal: Literal, pairs: tuple) -> Callable:
+    """Return ``replay(*values)``: ``literal.holds_for`` over ``pairs`` bound to ``values``."""
+    return lambda *values: literal.holds_for(dict(zip(pairs, values)))
 
 
 def _unknown_expression(expression: Expression) -> ExpressionError:
-    # neither EvaluationError nor TypeError: compile_literal must not turn
-    # an unsupported node into a constant verdict
-    return ExpressionError(f"cannot compile {type(expression).__name__}: no closure for this expression type")
-
-
-def _compile_expression(expression: Expression, slot_of, direct: bool) -> Callable:
-    """Emit a closure computing ``expression`` over a slot list.
-
-    ``slot_of`` maps pattern variables to slot indices.  With ``direct``
-    the emitted leaf reads treat the environment as a single node's
-    attribute mapping (the unary-filter form); otherwise the environment
-    is the slot list and leaves read ``env[slot][key]``.
-
-    Constant subtrees are folded here — a fold that raises propagates to
-    :func:`compile_literal`, which then evaluates the literal through
-    ``holds_for`` on every check.  Arithmetic mirrors the ``evaluate``
-    methods exactly: ints stay ints, ``Divide`` goes through
-    :class:`fractions.Fraction` and raises on a zero denominator.  This
-    is the general closure, for values of any type; a literal that
-    divides runs first on :func:`_compile_ratio`'s closures, which hand
-    every value that is not an ``int`` back to this one.  An expression
-    type without a branch raises :class:`~repro.errors.ExpressionError`.
-    """
-    if not expression.variables():
-        value = expression.evaluate({})
-        return lambda env: value
-    if isinstance(expression, TermExpression):
-        term = expression.term
-        key = term.attribute
-        error = _missing_error(term)
-        if direct:
-            def read_direct(env, _key=key, _error=error):
-                value = env.get(_key, _MISSING)
-                if value is _MISSING:
-                    raise _error.with_traceback(None)
-                return value
-            return read_direct
-        slot = slot_of[term.variable]
-        def read(env, _slot=slot, _key=key, _error=error):
-            value = env[_slot].get(_key, _MISSING)
-            if value is _MISSING:
-                raise _error.with_traceback(None)
-            return value
-        return read
-    if isinstance(expression, Add):
-        left = _compile_expression(expression.left, slot_of, direct)
-        right = _compile_expression(expression.right, slot_of, direct)
-        return lambda env: left(env) + right(env)
-    if isinstance(expression, Subtract):
-        left = _compile_expression(expression.left, slot_of, direct)
-        right = _compile_expression(expression.right, slot_of, direct)
-        return lambda env: left(env) - right(env)
-    if isinstance(expression, Multiply):
-        left = _compile_expression(expression.left, slot_of, direct)
-        right = _compile_expression(expression.right, slot_of, direct)
-        return lambda env: left(env) * right(env)
-    if isinstance(expression, Divide):
-        left = _compile_expression(expression.left, slot_of, direct)
-        right = _compile_expression(expression.right, slot_of, direct)
-        error = EvaluationError(f"division by zero while evaluating {expression}")
-        def divide(env, _error=error):
-            numerator = left(env)
-            denominator = right(env)
-            if denominator == 0:
-                raise _error.with_traceback(None)
-            return Fraction(numerator) / Fraction(denominator)
-        return divide
-    if isinstance(expression, AbsoluteValue):
-        operand = _compile_expression(expression.operand, slot_of, direct)
-        return lambda env: abs(operand(env))
-    if isinstance(expression, Negate):
-        operand = _compile_expression(expression.operand, slot_of, direct)
-        return lambda env: -operand(env)
-    raise _unknown_expression(expression)
-
-
-# ------------------------------------------------------------- ratio compiler
-
-
-class _NotInteger(Exception):
-    """A ratio closure met a value whose type is not exactly ``int``."""
-
-
-#: Raised by a ratio leaf (and, at compile time, by a constant that is
-#: neither an ``int`` nor a ``Fraction``); caught by the literal's wrapper.
-_NOT_INTEGER = _NotInteger()
+    # neither EvaluationError nor TypeError: an unsupported node must not
+    # become a constant verdict
+    return ExpressionError(f"cannot compile {type(expression).__name__}: no code for this expression type")
 
 
 def _divides(expression: Expression) -> bool:
@@ -196,205 +143,333 @@ def _divides(expression: Expression) -> bool:
     return False
 
 
-def _constant_ratio(expression: Expression) -> tuple[int, int]:
-    """Fold a variable-free expression to ``(numerator, denominator > 0)``.
+class _NotInteger(Exception):
+    """A constant that is neither an ``int`` nor a ``Fraction`` rules the integer-ratio branch out."""
 
-    Raises ``_NOT_INTEGER`` for a value that is neither an ``int`` nor a
-    ``Fraction``: a ``float`` constant makes ``holds_for`` compute in
-    floating point, which only the general closure reproduces.
-    """
+
+def _constant_ratio(expression: Expression) -> tuple[int, int]:
+    """Fold a variable-free expression to ``(numerator, denominator > 0)``, or raise ``_NotInteger``."""
     value = expression.evaluate({})
     if type(value) is int:
         return value, 1
     if type(value) is Fraction:
         return value.numerator, value.denominator
-    raise _NOT_INTEGER
+    raise _NotInteger
 
 
-def _compile_ratio(expression: Expression, slot_of, direct: bool) -> Callable:
-    """Emit a closure computing ``expression`` as an exact ratio of ints.
+def _times(left: Optional[str], right: Optional[str]) -> Optional[str]:
+    """The product of two factors, None standing for 1."""
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return f"({left} * {right})"
 
-    The closure returns ``(numerator, denominator)`` with ``denominator >
-    0``; nothing is reduced by a gcd.  It evaluates sub-expressions and
-    raises :class:`EvaluationError` (missing attribute, zero divisor) at
-    the same points, in the same order, as :func:`_compile_expression`'s
-    closure over the same values, and raises ``_NOT_INTEGER`` where it
-    reads a value of another type, before any arithmetic on it.
-    """
-    if not expression.variables():
-        pair = _constant_ratio(expression)
-        return lambda env: pair
-    if isinstance(expression, TermExpression):
-        term = expression.term
-        key = term.attribute
-        error = _missing_error(term)
-        if direct:
-            def read_direct(env, _key=key, _error=error):
-                value = env.get(_key, _MISSING)
-                if type(value) is int:
-                    return value, 1
-                if value is _MISSING:
-                    raise _error.with_traceback(None)
-                raise _NOT_INTEGER.with_traceback(None)
-            return read_direct
-        slot = slot_of[term.variable]
-        def read(env, _slot=slot, _key=key, _error=error):
-            value = env[_slot].get(_key, _MISSING)
-            if type(value) is int:
-                return value, 1
-            if value is _MISSING:
-                raise _error.with_traceback(None)
-            raise _NOT_INTEGER.with_traceback(None)
-        return read
-    if isinstance(expression, AbsoluteValue):
-        operand = _compile_ratio(expression.operand, slot_of, direct)
-        def absolute(env):
-            a, b = operand(env)
-            return abs(a), b
-        return absolute
-    if isinstance(expression, Negate):
-        operand = _compile_ratio(expression.operand, slot_of, direct)
-        def negate(env):
-            a, b = operand(env)
-            return -a, b
-        return negate
-    if not isinstance(expression, (Add, Subtract, Multiply, Divide)):
+
+class _Module:
+    """The source of one generated module and the namespace it runs in."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.namespace: dict = {"MISSING": MISSING, "EvaluationError": EvaluationError, "divide": _divide}
+
+    def bind(self, prefix: str, value) -> str:
+        """Return a new global name holding ``value``."""
+        name = f"{prefix}{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def load(self, label: str) -> dict:
+        """Compile the source once, register it in ``linecache``, run it; return its namespace."""
+        source = "\n".join(self.lines) + "\n"
+        digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
+        filename = f"<repro/matching/compiled:{_UNSAFE.sub('_', label)[:48]}:{digest}>"
+        code = compile(source, filename, "exec")
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        exec(code, self.namespace)
+        return self.namespace
+
+
+class _Function:
+    """One generated function: the reads its literals share, and its body."""
+
+    def __init__(self, module: _Module, header: str, env: str, slot_of, direct: bool) -> None:
+        self.module, self.env, self.slot_of, self.direct = module, env, slot_of, direct
+        self.lines = [header]
+        self.reads: dict = {}  # (variable, attribute) -> local name
+        self.slots: dict = {}  # slot -> local name
+        self.present: set = set()  # locals a passed literal proved present
+        self.temps = 0
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def finish(self) -> None:
+        self.module.lines.extend(self.lines)
+        self.module.lines.append("")
+
+    def _read(self, variable: str, attribute) -> str:
+        local = self.reads.get((variable, attribute))
+        if local is not None:
+            return local
+        holder = self.env
+        if not self.direct:
+            slot = self.slot_of[variable]
+            holder = self.slots.get(slot)
+            if holder is None:
+                holder = self.slots[slot] = f"s{slot}"
+                self.emit(1, f"{holder} = {self.env}[{slot}]")
+        key = repr(attribute) if type(attribute) is str else self.module.bind("A", attribute)
+        local = self.reads[(variable, attribute)] = f"v{len(self.reads)}"
+        self.emit(1, f"{local} = {holder}.get({key}, MISSING)")
+        return local
+
+    def _temp(self, expression: Optional[str], out: list) -> Optional[str]:
+        """Bind a sub-result read more than once to a name (None, standing for 1, stays None)."""
+        if expression is None or expression.isidentifier():
+            return expression
+        self.temps += 1
+        name = f"t{self.temps}"
+        out.append(f"{name} = {expression}")
+        return name
+
+    # ------------------------------------------------------------ expressions
+
+    def _general(self, expression: Expression) -> str:
+        """The source of ``expression`` as ``evaluate`` computes it, in its order."""
+        if not expression.variables():
+            return self.module.bind("K", expression.evaluate({}))
+        if isinstance(expression, TermExpression):
+            return self.reads[(expression.term.variable, expression.term.attribute)]
+        if isinstance(expression, Divide):
+            return f"divide({self._general(expression.left)}, {self._general(expression.right)})"
+        symbol = _ARITHMETIC.get(type(expression))
+        if symbol is not None:
+            return f"({self._general(expression.left)} {symbol} {self._general(expression.right)})"
+        if isinstance(expression, AbsoluteValue):
+            return f"abs({self._general(expression.operand)})"
+        if isinstance(expression, Negate):
+            return f"(-{self._general(expression.operand)})"
         raise _unknown_expression(expression)
-    left = _compile_ratio(expression.left, slot_of, direct)
-    right = _compile_ratio(expression.right, slot_of, direct)
-    if isinstance(expression, Add):
-        def add(env):
-            a, b = left(env)
-            c, d = right(env)
-            return a * d + c * b, b * d
-        return add
-    if isinstance(expression, Subtract):
-        def subtract(env):
-            a, b = left(env)
-            c, d = right(env)
-            return a * d - c * b, b * d
-        return subtract
-    if isinstance(expression, Multiply):
-        def multiply(env):
-            a, b = left(env)
-            c, d = right(env)
-            return a * c, b * d
-        return multiply
-    # Divide: (a/b) / (c/d) = (a*d) / (b*c), the sign moved to the numerator
-    error = EvaluationError(f"division by zero while evaluating {expression}")
-    def divide(env, _error=error):
-        a, b = left(env)
-        c, d = right(env)
-        if c > 0:
-            return a * d, b * c
-        if c < 0:
-            return -a * d, -b * c
-        raise _error.with_traceback(None)
-    return divide
 
+    def _ratio(self, expression: Expression, out: list, nonzero: list) -> tuple[str, Optional[str], bool]:
+        """``expression`` over ints as ``(numerator, denominator or None for 1, denominator known > 0)``.
 
-def _ratio_check(literal: Literal, slot_of, direct: bool, general: Callable) -> Callable:
-    """Compile a literal that divides into its integer-ratio check.
+        Statements that bind shared sub-results go to ``out``; every
+        divisor's numerator that must not be zero goes to ``nonzero``.
+        """
+        if not expression.variables():
+            numerator, denominator = _constant_ratio(expression)
+            return (
+                self.module.bind("K", numerator),
+                None if denominator == 1 else self.module.bind("K", denominator),
+                True,
+            )
+        if isinstance(expression, TermExpression):
+            return self.reads[(expression.term.variable, expression.term.attribute)], None, True
+        if isinstance(expression, Negate):
+            a, b, positive = self._ratio(expression.operand, out, nonzero)
+            return f"(-{a})", b, positive
+        if isinstance(expression, AbsoluteValue):
+            a, b, positive = self._ratio(expression.operand, out, nonzero)
+            if b is not None and not positive:
+                b = self._temp(f"abs({b})", out)
+            return f"abs({a})", b, True
+        if not isinstance(expression, (Add, Subtract, Multiply, Divide)):
+            raise _unknown_expression(expression)
+        a, b, left_positive = self._ratio(expression.left, out, nonzero)
+        if isinstance(expression, Divide) and not expression.right.variables():
+            p, q = _constant_ratio(expression.right)
+            if p != 0:
+                # (a/b) / (p/q) = (a*q) / (b*p), the sign of p moved into q
+                if p < 0:
+                    p, q = -p, -q
+                q_name = None if q == 1 else self.module.bind("K", q)
+                p_name = None if p == 1 else self.module.bind("K", p)
+                return _times(a, q_name), self._temp(_times(b, p_name), out), left_positive
+        c, d, right_positive = self._ratio(expression.right, out, nonzero)
+        if isinstance(expression, Divide):
+            # (a/b) / (c/d) = (a*d) / (b*c), c != 0 of unknown sign
+            c = self._temp(c, out)
+            nonzero.append(c)
+            return _times(a, d), self._temp(_times(b, c), out), False
+        positive = left_positive and right_positive
+        if isinstance(expression, Multiply):
+            return _times(a, c), self._temp(_times(b, d), out), positive
+        symbol = _ARITHMETIC[type(expression)]
+        if b is None and d is None:
+            return f"({a} {symbol} {c})", None, True
+        return f"({_times(a, d)} {symbol} {_times(c, b)})", self._temp(_times(b, d), out), positive
 
-    ``a/b ⊗ c/d`` with ``b, d > 0`` is ``a*d ⊗ c*b``.  A constant side is
-    fused into the comparison, so the check makes one closure call.  On a
-    leaf value that is not an ``int`` the check returns ``general(env)``,
-    called outside the handler so that what it raises chains to nothing.
-    Raises ``_NOT_INTEGER`` when a constant rules the ratio path out.
-    """
-    left, comparison, right = literal.left, literal.comparison, literal.right
-    if not left.variables():
-        left, comparison, right = right, comparison.flip(), left
-    op = COMPARISON_OPS[comparison]
-    compute = _compile_ratio(left, slot_of, direct)
-    if not right.variables():
-        c, d = _constant_ratio(right)
-        def check_constant(env, _op=op, _compute=compute, _c=c, _d=d, _general=general):
+    def _ratio_lines(self, literal: Literal) -> list[str]:
+        """The integer-ratio branch of ``literal``, leaving the verdict in ``ok``; raises ``_NotInteger``."""
+        out: list[str] = []
+        nonzero: list[str] = []
+        a, b, left_positive = self._ratio(literal.left, out, nonzero)
+        c, d, right_positive = self._ratio(literal.right, out, nonzero)
+        symbol = _SYMBOLS[literal.comparison]
+        left, right = _times(a, d), _times(c, b)
+        if literal.comparison in (Comparison.EQ, Comparison.NE) or (left_positive and right_positive):
+            verdict = f"ok = {left} {symbol} {right}"
+        else:
+            # b*d may be negative: a/b - c/d has the sign of (a*d - c*b) * (b*d)
+            verdict = f"ok = ({left} - {right}) * {_times(b, d)} {symbol} 0"
+        if not nonzero:
+            return out + [verdict]
+        return out + [f"if {' or '.join(f'{name} == 0' for name in nonzero)}:", "    ok = False", "else:", "    " + verdict]
+
+    # -------------------------------------------------------------- literals
+
+    def literal(self, literal: Literal) -> None:
+        """Emit the reads and the lines that leave ``literal``'s verdict in ``ok``."""
+        pairs = tuple(sorted(literal.variables()))
+        self.emit(1, f"# {str(literal)!r}")
+        values = [self._read(variable, attribute) for variable, attribute in pairs]
+        arguments = ", ".join(values)
+        try:
+            left = self._general(literal.left)
+            right = self._general(literal.right)
+        except _FOLD_ERRORS:
+            # a constant subtree that cannot fold: whether holds_for returns
+            # False or raises depends on what it evaluates first, so replay it
+            general = [f"ok = {self.module.bind('R', _replay(literal, pairs))}({arguments})"]
+        else:
+            if not pairs:
+                constants = self.module.namespace
+                try:
+                    verdict = bool(COMPARISON_OPS[literal.comparison](constants[left], constants[right]))
+                except (EvaluationError, TypeError):
+                    verdict = False
+                self.emit(1, f"ok = {verdict}")
+                return
+            general = [
+                "try:",
+                f"    ok = {left} {_SYMBOLS[literal.comparison]} {right}",
+                "except (EvaluationError, TypeError):",
+                "    ok = False",
+                "except Exception:",
+                "    ok = None",
+                "if ok is None:",
+                f"    ok = {self.module.bind('R', _replay(literal, pairs))}({arguments})",
+            ]
+        ratio = None
+        if len(general) > 1 and (_divides(literal.left) or _divides(literal.right)):
             try:
-                a, b = _compute(env)
-            except EvaluationError:
-                return False
+                ratio = self._ratio_lines(literal)
             except _NotInteger:
                 pass
-            else:
-                return _op(a * _d, _c * b)
-            return _general(env)
-        return check_constant
-    other = _compile_ratio(right, slot_of, direct)
-    def check(env, _op=op, _left=compute, _right=other, _general=general):
-        try:
-            a, b = _left(env)
-            c, d = _right(env)
-        except EvaluationError:
-            return False
-        except _NotInteger:
-            pass
+        unknown = [value for value in values if value not in self.present]
+        missing = " or ".join(f"{value} is MISSING" for value in unknown)
+        branches = []
+        if ratio is not None:
+            branches.append((f"if {' and '.join(f'type({value}) is int' for value in values)}:", ratio))
+        if unknown:
+            branches.append((f"{'elif' if branches else 'if'} {missing}:", ["ok = False"]))
+        if branches:
+            branches.append(("else:", general))
+            for head, body in branches:
+                self.emit(1, head)
+                for line in body:
+                    self.emit(2, line)
         else:
-            return _op(a * d, c * b)
-        return _general(env)
-    return check
+            for line in general:
+                self.emit(1, line)
 
-
-def _constant_check(verdict: bool) -> Callable:
-    return (lambda env: True) if verdict else (lambda env: False)
+    def passed(self, literal: Literal) -> None:
+        """Note that the code after this point runs only where ``literal`` held: its values are present."""
+        self.present.update(self.reads[pair] for pair in literal.variables())
 
 
 def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable:
-    """Compile ``literal`` into ``check(env) -> bool``.
+    """Compile ``literal`` into ``check(env) -> bool`` through the schedule generator.
 
-    The returned closure is ``True`` iff every referenced attribute is
-    present, evaluation raises neither :class:`EvaluationError` nor
-    ``TypeError`` (dirty data), and the comparison holds — i.e. exactly
-    ``literal.holds_for(assignment)`` over the assignment of the bound
-    nodes' attributes, including its implicit completeness test.  A
-    literal that divides returns :func:`_ratio_check`'s closure, which
-    hands values that are not ``int`` to the general one built here.
+    ``env`` is the slot list, or with ``direct`` one node's attribute
+    mapping.  The check is True iff every referenced attribute is present,
+    evaluation raises neither :class:`EvaluationError` nor ``TypeError``,
+    and the comparison holds — ``literal.holds_for`` over the assignment of
+    the bound nodes' attributes, its implicit completeness test included.
     """
-    op = COMPARISON_OPS[literal.comparison]
-    # Exceptions other than EvaluationError/TypeError (e.g. ValueError from
-    # Fraction('text')) escape ``holds_for`` too — but only when the
-    # assignment is *complete*; ``holds_for`` is never reached with an
-    # incomplete one, while the closures discover missing attributes lazily
-    # and could trip over dirty data first.  On a foreign exception, replay
-    # in that order: incomplete -> False, complete -> re-raise whatever
-    # ``holds_for`` raises.  The hot path pays nothing for this.
-    items = tuple(
-        (pair, (None if direct else slot_of[pair[0]]), pair[1])
-        for pair in sorted(literal.variables())
+    module = _Module()
+    function = _Function(module, "def check(env):", "env", slot_of, direct)
+    function.literal(literal)
+    function.emit(1, "return ok")
+    function.finish()
+    return module.load("literal")["check"]
+
+
+def compile_schedule(
+    name: str,
+    premise: Sequence[Literal],
+    conclusion: Sequence[Literal],
+    slot_of,
+    steps: Sequence[tuple[Sequence[int], Sequence[int], bool]],
+) -> tuple[tuple[Optional[Callable], ...], tuple[Optional[Callable], ...], Callable]:
+    """Generate one rule's schedule for one order as one module, compiled once.
+
+    ``steps[d]`` is ``(unary, checks, conclusion_bound)``: the premise
+    indices that filter step ``d``'s candidates, those checked when it
+    binds, and whether the single conclusion literal is checked then
+    (a bound conclusion that holds prunes the branch).  Returns ``(admits,
+    prunes, violates)``: per step ``admit(attrs, stats)`` (True keeps the
+    candidate) or None, per step ``prune(slots, stats)`` (True prunes) or
+    None, and the leaf ``violates(slots, stats)``, True when X holds and Y
+    does not.
+    """
+    module = _Module()
+    module.lines.append(f"# rule {name!r}")
+    admits: list[Optional[str]] = []
+    prunes: list[Optional[str]] = []
+    for depth, (unary, checks, conclusion_bound) in enumerate(steps):
+        admits.append(None)
+        if unary:
+            admits[-1] = f"admit_{depth}"
+            function = _Function(module, f"def admit_{depth}(attrs, stats):", "attrs", slot_of, True)
+            for reached, index in enumerate(unary, 1):
+                function.literal(premise[index])
+                _on_failure(function, reached, "False")
+                function.passed(premise[index])
+            function.emit(1, f"stats.literal_evaluations += {len(unary)}")
+            function.emit(1, "return True")
+            function.finish()
+        prunes.append(None)
+        if checks or conclusion_bound:
+            prunes[-1] = f"prune_{depth}"
+            function = _Function(module, f"def prune_{depth}(slots, stats):", "slots", slot_of, False)
+            for reached, index in enumerate(checks, 1):
+                function.literal(premise[index])
+                _on_failure(function, reached, "True")
+                function.passed(premise[index])
+            total = len(checks) + conclusion_bound
+            if conclusion_bound:
+                function.literal(conclusion[0])
+            function.emit(1, f"stats.literal_evaluations += {total}")
+            function.emit(1, "return ok" if conclusion_bound else "return False")
+            function.finish()
+    function = _Function(module, "def violates(slots, stats):", "slots", slot_of, False)
+    if premise or conclusion:
+        function.emit(1, f"stats.literal_evaluations += {len(premise) + len(conclusion)}")
+    for literal in premise:
+        function.literal(literal)
+        function.emit(1, "if not ok:")
+        function.emit(2, "return False")
+        function.passed(literal)
+    for literal in conclusion:
+        function.literal(literal)
+        function.emit(1, "if not ok:")
+        function.emit(2, "return True")
+        function.passed(literal)
+    function.emit(1, "return False")
+    function.finish()
+    namespace = module.load(name)
+    return (
+        tuple(None if name is None else namespace[name] for name in admits),
+        tuple(None if name is None else namespace[name] for name in prunes),
+        namespace["violates"],
     )
-    def slow(env, _literal=literal, _items=items):
-        assignment = {}
-        for pair, slot, key in _items:
-            attrs = env if slot is None else env[slot]
-            value = attrs.get(key, _MISSING)
-            if value is _MISSING:
-                return False
-            assignment[pair] = value
-        return _literal.holds_for(assignment)
-    try:
-        left = _compile_expression(literal.left, slot_of, direct)
-        right = _compile_expression(literal.right, slot_of, direct)
-    except (EvaluationError, ArithmeticError, ValueError, TypeError):
-        # a constant subtree that cannot evaluate (division by the constant
-        # zero, ``Fraction(inf)``): whether ``holds_for`` returns False or
-        # raises depends on the operands it evaluates first, so every check
-        # replays it
-        return slow
-    if not literal.variables():
-        try:
-            return _constant_check(bool(op(left(()), right(()))))
-        except (EvaluationError, TypeError):
-            return _constant_check(False)
-    def check(env, _op=op, _left=left, _right=right, _slow=slow):
-        try:
-            return bool(_op(_left(env), _right(env)))
-        except (EvaluationError, TypeError):
-            return False
-        except Exception:
-            return _slow(env)
-    if _divides(literal.left) or _divides(literal.right):
-        try:
-            return _ratio_check(literal, slot_of, direct, check)
-        except _NotInteger:
-            pass
-    return check
+
+
+def _on_failure(function: _Function, reached: int, result: str) -> None:
+    """Emit the exit of a literal that fails: bill the ``reached`` checks, return ``result``."""
+    function.emit(1, "if not ok:")
+    function.emit(2, f"stats.literal_evaluations += {reached}")
+    function.emit(2, f"return {result}")

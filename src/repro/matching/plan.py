@@ -18,9 +18,10 @@ separates *planning* from *execution*:
   (``scan`` over the label index vs ``anchored`` intersection of
   label-filtered adjacency views, smallest set first), its *literal
   schedule* (which premise literals fire at which binding depth) and those
-  literals as closures (:mod:`repro.matching.compiled`).  One plan serves
-  batch search, pivot-seeded incremental search, and the parallel work-unit
-  kernels alike; schedules are memoised;
+  literals as generated functions (:mod:`repro.matching.compiled`), kept on
+  the rule per order.  One plan serves batch search, pivot-seeded
+  incremental search, and the parallel work-unit kernels alike; schedules
+  are memoised;
 * :func:`step_candidates` is the one candidate generator: it executes a
   step's strategy against the store, for the search's steps and the batch
   kernels' seed scans alike.
@@ -47,7 +48,7 @@ from repro import obs
 from repro.core.ngd import NGD
 from repro.graph.graph import WILDCARD, Graph
 from repro.matching.candidates import REJECT_COUNT_PREFIX, REJECT_REASONS, STEP_COUNT_PREFIX, MatchStatistics
-from repro.matching.compiled import compile_literal
+from repro.matching.compiled import compile_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.graph.model import Node
@@ -193,10 +194,12 @@ class PlanStep:
     holds cannot become a violation, so the branch is pruned — Section 6.2,
     step (3)).
 
-    The step is also what runs: ``unary_checks``, ``checks`` and
-    ``conclusion_check`` are those literals closure-compiled against the
-    schedule's slots (:mod:`repro.matching.compiled`), in the order of
-    ``unary_premise`` and ``premise_checks``; ``anchor_slots`` is
+    The step is also what runs: ``admit(attrs, stats)`` checks the unary
+    literals on one candidate's attributes (True keeps it) and ``prune(slots,
+    stats)`` the premise checks, then the bound conclusion, over the slots
+    (True prunes the branch), each generated from those literals in the
+    order of ``unary_premise`` and ``premise_checks`` and None where the step
+    has none (:mod:`repro.matching.compiled`); ``anchor_slots`` is
     ``anchors`` by slot — ``(anchor's slot, True for a successor view, edge
     label)`` — and ``anchor`` the one triple of a one-anchor step (None
     otherwise); ``label_filter`` is the label a pooled candidate must carry
@@ -220,28 +223,10 @@ class PlanStep:
     anchor_slots: tuple[tuple[int, bool, str], ...]
     anchor: Optional[tuple[int, bool, str]]
     label_filter: Optional[str]
-    unary_checks: tuple[Callable, ...]
-    checks: tuple[Callable, ...]
-    conclusion_check: Optional[Callable]
+    admit: Optional[Callable]
+    prune: Optional[Callable]
     count_key: str
     reject_keys: tuple[str, ...]
-
-    def pruned(self, slots, stats: MatchStatistics) -> bool:
-        """Apply the step's bound-literal schedule; True when the branch is pruned.
-
-        Billing: one ``literal_evaluations`` per check actually reached,
-        short-circuit on the first pruning verdict.
-        """
-        for check in self.checks:
-            stats.literal_evaluations += 1
-            if not check(slots):
-                return True
-        conclusion = self.conclusion_check
-        if conclusion is not None:
-            stats.literal_evaluations += 1
-            if conclusion(slots):
-                return True
-        return False
 
     def to_dict(self) -> dict:
         """Return the JSON form used by ``repro-detect explain --format json``."""
@@ -266,32 +251,19 @@ class Schedule:
     ``steps[d]`` binds ``order[d]`` to slot ``d``; ``declared_slots`` is the
     slot of each pattern variable in declaration order, the order a
     :class:`~repro.core.violations.Violation` lists its nodes in.
+    ``violates(slots, stats)`` is the generated dependency check over a
+    complete slot list: True when X holds and Y does not, billed a flat
+    ``len(premise) + len(conclusion)`` up front regardless of where the
+    conjunctions short-circuit.
     """
 
-    __slots__ = ("order", "steps", "declared_slots", "_premise", "_conclusion", "_flat_bill")
+    __slots__ = ("order", "steps", "declared_slots", "violates")
 
-    def __init__(self, order, steps, declared_slots, premise, conclusion) -> None:
+    def __init__(self, order, steps, declared_slots, violates: Callable) -> None:
         self.order = order
         self.steps = steps
         self.declared_slots = declared_slots
-        self._premise = premise
-        self._conclusion = conclusion
-        self._flat_bill = len(premise) + len(conclusion)
-
-    def violates(self, slots, stats: MatchStatistics) -> bool:
-        """Dependency check over a complete slot list: True when X holds and Y does not.
-
-        Billing: a flat ``len(premise) + len(conclusion)`` charged up front
-        regardless of where the conjunctions short-circuit.
-        """
-        stats.literal_evaluations += self._flat_bill
-        for check in self._premise:
-            if not check(slots):
-                return False
-        for check in self._conclusion:
-            if not check(slots):
-                return True
-        return False
+        self.violates = violates
 
 
 class MatchPlan:
@@ -343,7 +315,8 @@ class MatchPlan:
         same schedule serves every work unit following ``order`` regardless
         of how many leading variables its seed already bound.  The root
         order's schedule is built with the plan, each seeded (pivot) order's
-        on its first use.
+        on its first use; the code they run is generated once per rule and
+        order, per process.
         """
         cached = self._schedules.get(order)
         if cached is None:
@@ -352,10 +325,10 @@ class MatchPlan:
         return cached
 
     def __getstate__(self):
-        # the schedules hold closures, which do not pickle: a plan pickled to
-        # a spawn worker keeps its rule, statistics and order and compiles its
-        # schedules again there; fork workers inherit this object (closures
-        # included) without pickling
+        # the schedules hold generated functions, which do not pickle: a plan
+        # pickled to a spawn worker keeps its rule, statistics and order and
+        # compiles its schedules again there; fork workers inherit this
+        # object (and the rule's generated code) without pickling
         return (self.rule, self.statistics, self.order)
 
     def __setstate__(self, state) -> None:
@@ -475,7 +448,26 @@ def _greedy_order(stats: GraphStatistics, pattern, seed: Sequence[str] = ()) -> 
 
 
 def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...]) -> Schedule:
-    """Resolve and compile every step of ``order``: strategy, anchors, literal schedule, closures."""
+    """Return the schedule of ``order``: the rule's generated steps, each estimated against ``stats``."""
+    order = tuple(order)
+    fields, declared_slots, violates = rule.derived(("schedule", order), lambda rule: _generate_schedule(rule, order))
+    pattern = rule.pattern
+    steps = tuple(
+        PlanStep(**step, estimated_candidates=_estimate(stats, pattern, step["variable"], step["anchors"]))
+        for step in fields
+    )
+    obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
+    return Schedule(order, steps, declared_slots, violates)
+
+
+def _generate_schedule(rule: NGD, order: tuple[str, ...]) -> tuple:
+    """Resolve every step of ``order`` but its estimate, and generate its literal code.
+
+    Returns ``(fields, declared_slots, violates)``: each step's
+    :class:`PlanStep` fields but ``estimated_candidates``, the slot of each
+    pattern variable in declaration order, and the leaf.  None of it reads
+    the graph statistics, so the rule keeps it per order.
+    """
     pattern = rule.pattern
     slot_of = {variable: index for index, variable in enumerate(order)}
     premise_literals = rule.premise.literals()
@@ -484,7 +476,7 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
 
     scheduled: set[int] = set()
     conclusion_done = False
-    steps: list[PlanStep] = []
+    fields: list[dict] = []
     bound: set = set()
     for variable in order:
         anchors = _anchors_for(pattern, variable, bound)
@@ -513,8 +505,8 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
         strategy = "anchored" if anchors else "scan"
         label = pattern.node(variable).label
         anchor_slots = tuple((slot_of[a.variable], a.direction == "succ", a.edge_label) for a in anchors)
-        steps.append(
-            PlanStep(
+        fields.append(
+            dict(
                 variable=variable,
                 label=label,
                 strategy=strategy,
@@ -525,30 +517,24 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
                 unary_premise=tuple(unary),
                 premise_checks=tuple(checks),
                 check_conclusion=check_conclusion,
-                estimated_candidates=_estimate(stats, pattern, variable, anchors),
                 anchor_slots=anchor_slots,
                 anchor=anchor_slots[0] if len(anchor_slots) == 1 else None,
                 label_filter=label if anchors and label != WILDCARD else None,
-                unary_checks=tuple(
-                    compile_literal(premise_literals[index], slot_of, direct=True) for index in unary
-                ),
-                checks=tuple(compile_literal(premise_literals[index], slot_of) for index in checks),
-                conclusion_check=(
-                    compile_literal(single_conclusion, slot_of) if check_conclusion else None
-                ),
                 count_key=f"{STEP_COUNT_PREFIX}{rule.name}\x1f{variable}\x1f{strategy}",
                 reject_keys=tuple(f"{REJECT_COUNT_PREFIX}{rule.name}\x1f{variable}\x1f{reason}" for reason in REJECT_REASONS),
             )
         )
         bound = now_bound
-    obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
-    return Schedule(
-        tuple(order),
-        tuple(steps),
-        tuple(slot_of[variable] for variable in pattern.variables),
-        tuple(compile_literal(literal, slot_of) for literal in premise_literals),
-        tuple(compile_literal(literal, slot_of) for literal in conclusion_literals),
+    admits, prunes, violates = compile_schedule(
+        rule.name,
+        premise_literals,
+        conclusion_literals,
+        slot_of,
+        [(step["unary_premise"], step["premise_checks"], step["check_conclusion"]) for step in fields],
     )
+    for step, admit, prune in zip(fields, admits, prunes):
+        step.update(admit=admit, prune=prune)
+    return tuple(fields), tuple(slot_of[variable] for variable in pattern.variables), violates
 
 
 def compile_plan(graph: Graph, rule: NGD) -> MatchPlan:
@@ -559,9 +545,10 @@ def compile_plan(graph: Graph, rule: NGD) -> MatchPlan:
 def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
     """Compile every rule of an iterable/RuleSet against one statistics snapshot.
 
-    Each plan's root schedule is closure-compiled here too, so closure
-    compilation is billed inside the session's ``detect.compile_plans`` span
-    rather than inside the first expansion of the search.
+    Each plan's root schedule is resolved here too (its code generated on
+    the rule's first plan in the process), so that work is billed inside the
+    session's ``detect.compile_plans`` span rather than inside the first
+    expansion of the search.
     """
     stats = GraphStatistics.from_graph(graph)
     return tuple(MatchPlan(rule, stats) for rule in rules)
@@ -626,9 +613,9 @@ def admitted(store: GraphStore, step: PlanStep, pool, scanned: int, stats: Match
         extra[step.count_key] = extra.get(step.count_key, 0) + scanned
         if step.anchor_slots and len(pool) > 1:
             pool = sorted(pool, key=store.node_rank)
-    get_node, label, unary_checks = store.get_node, step.label_filter, step.unary_checks
+    get_node, label, admit = store.get_node, step.label_filter, step.admit
     by_label = by_unary = 0
-    if label is None and not unary_checks:
+    if label is None and admit is None:
         nodes = list(map(get_node, pool))
     else:
         nodes = []
@@ -636,12 +623,8 @@ def admitted(store: GraphStore, step: PlanStep, pool, scanned: int, stats: Match
             node = get_node(node_id)
             if label is not None and node.label != label:
                 by_label += 1
-                continue
-            for check in unary_checks:
-                stats.literal_evaluations += 1
-                if not check(node.attributes):
-                    by_unary += 1
-                    break
+            elif admit is not None and not admit(node.attributes, stats):
+                by_unary += 1
             else:
                 nodes.append(node)
     for loop_label in step.self_loops:

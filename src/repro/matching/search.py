@@ -9,7 +9,7 @@ them, fire the literals that became fully bound, descend.
 candidates come from :func:`~repro.matching.plan.step_candidates`.  The
 partial match lives in two mutable lists — ``ids[d]`` the data node bound at
 position ``d`` of the order, ``slots[d]`` its attribute mapping, which the
-closure-compiled literals read — and the pending work in an explicit LIFO
+generated literal code reads — and the pending work in an explicit LIFO
 stack of *frames*
 ``(depth, node id, attributes, order)``: "bind this node at this depth, then
 run step ``depth + 1`` of the schedule of ``order``".  Nothing else is
@@ -56,8 +56,8 @@ class RuleSearch:
     with ``all_matches`` it keeps every complete binding, unchecked.  A kept
     binding comes back as a :class:`Violation` record of the rule (its
     ``mapping()`` is the match) and is billed one ``matches_emitted``.  The
-    scheduled literals run as the plan's closure-compiled schedule of the
-    order being followed.
+    scheduled literals run as the plan's generated schedule of the order
+    being followed.
 
     ``all_matches`` needs a rule without conclusion: the schedule would
     prune on Y and drop the bindings where Y holds, so such a rule raises
@@ -157,13 +157,13 @@ class RuleSearch:
             scanned = len(pool)
             candidates = admitted(store, step, pool, scanned, stats)
         last = depth + 1 == len(ids)
-        scheduled = bool(step.checks) or step.conclusion_check is not None
+        prune = step.prune
         push = self.stack.append
         found: list[Violation] = []
         expanded = 0
         for node in candidates:
             attrs = slots[depth] = node.attributes
-            if scheduled and step.pruned(slots, stats):
+            if prune is not None and prune(slots, stats):
                 continue
             expanded += 1
             if not last:

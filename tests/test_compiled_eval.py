@@ -1,32 +1,39 @@
-"""Compiled rule kernels: closure-compiled schedules against their oracles.
+"""Compiled rule kernels: generated schedules against their oracles.
 
-Three layers are covered:
+Four layers are covered:
 
 * literal-level parity — a seeded random generator produces arithmetic
   expression shapes (nested ops, division, absolute value, constants),
   graphs with missing attributes, non-numeric values and tuple node ids;
-  the compiled closure's verdict must equal ``Literal.holds_for`` on every
+  the generated check's verdict must equal ``Literal.holds_for`` on every
   sample, in both the slot-based and the ``direct`` (unary-filter) modes;
   a second generator, of literals that divide, mixes floats (nan and inf
   among them), bools, ints beyond 2**53, ``Fraction`` values and float
-  constants, so the integer-ratio closures hand over to the general ones
+  constants, so the integer-ratio branch hands over to the general one
   with the same verdict or exception type;
+* step-level parity — generated ``admit``, ``prune`` and leaf functions of
+  one to four literals each give ``holds_for`` applied in order, with the
+  short-circuit ``literal_evaluations`` bill, on mixed-type values and
+  constants that cannot fold; hostile attribute keys stay data;
 * end-to-end — on a literal-heavy workload with dirty attributes, the
   violations equal the naive reference, and ``ViolationSet``\\ s and
   ``MatchStatistics`` are identical on both store layouts, serial and
   multi-process execution, and for plans rebuilt from their document (as
   spawn workers recompile schedules from the shipped plan document);
-* machinery — ``MatchPlan`` stays picklable after compiling schedules
-  (closures are excluded from its state).
+* machinery — ``MatchPlan`` and rules stay picklable after compiling
+  schedules (generated code is excluded from their state), and the
+  generated source is attributed to ``repro/matching/compiled``.
 """
 
 from __future__ import annotations
 
 import gc
+import linecache
 import math
 import pickle
 import random
 import re
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -37,7 +44,7 @@ from repro.detect import DetectionOptions, Detector
 from repro.detect.dect import iter_dect
 from repro.detect.observers import drain
 from repro.detect.parallel.workunits import rule_search
-from repro.errors import ExpressionError
+from repro.errors import EvaluationError, ExpressionError
 from repro.expr.expressions import (
     AbsoluteValue,
     Add,
@@ -55,7 +62,7 @@ from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import compile_literal, resolve_compiled
+from repro.matching.compiled import compile_literal, compile_schedule, resolve_compiled
 from repro.matching.plan import (
     Schedule,
     compile_plans,
@@ -252,6 +259,182 @@ def test_randomized_mixed_type_parity(direct):
     assert checked == 3000
 
 
+# ------------------------------------------------------------- step parity
+
+
+#: Values a step reads: the mixed types above, numeric strings and the
+#: missing-value stand-ins dirty property graphs carry.
+_STEP_VALUES = _MIXED_VALUES + ("n/a", "7")
+#: Constant subtrees that cannot fold: the literal replays holds_for on every check.
+_UNFOLDABLE = (
+    Divide(const(1), const(0)),
+    Divide(const(2), const(math.inf)),
+    Divide(const(math.nan), const(3)),
+)
+
+
+def _step_expression(rng: random.Random, variables: list[str], depth: int):
+    if rng.random() < 0.04:
+        return rng.choice(_UNFOLDABLE)
+    return _mixed_expression(rng, variables, depth)
+
+
+def _step_literal(rng: random.Random, variables: list[str]) -> Literal:
+    left = _step_expression(rng, variables, rng.randrange(3))
+    if rng.random() < 0.4:
+        # one that holds wherever it evaluates, so later checks are reached
+        return Literal(left, Comparison.NE, const(10**6))
+    return Literal(left, rng.choice(list(Comparison)), _step_expression(rng, variables, rng.randrange(3)))
+
+
+def _step_attrs(rng: random.Random) -> dict:
+    attrs = {}
+    for name in ("b0", "b1", "b2"):
+        roll = rng.random()
+        if roll < 0.12:
+            continue  # missing attribute
+        if roll < 0.6:
+            attrs[name] = rng.choice(_STEP_VALUES)
+        else:
+            attrs[name] = rng.randint(-3, 3)  # zero divisors among them
+    return attrs
+
+
+def _reference_holds(literal: Literal, slots: list, slot_of: dict) -> bool:
+    """``holds_for`` over the bound attributes, False on an incomplete assignment."""
+    assignment = {}
+    for variable, attribute in literal.variables():
+        attrs = slots[slot_of[variable]]
+        if attribute not in attrs:
+            return False
+        assignment[(variable, attribute)] = attrs[attribute]
+    return literal.holds_for(assignment)
+
+
+def _reference_scan(literals, holds, stop_on: bool, stopped, finished) -> tuple:
+    """Check ``literals`` in order up to the first verdict ``stop_on``; return (outcome, checks reached)."""
+    reached = 0
+    try:
+        for literal in literals:
+            reached += 1
+            if bool(holds(literal)) is stop_on:
+                return ("ok", stopped), reached
+    except Exception as error:  # noqa: BLE001 - parity on exception *type*
+        return ("raise", type(error)), reached
+    return ("ok", finished), reached
+
+
+def _billed(function, *arguments) -> tuple:
+    """(outcome, literal_evaluations billed); a raise ends the run, so its bill is not compared."""
+    stats = MatchStatistics()
+    outcome = _outcome(lambda: function(*arguments, stats))
+    return outcome, None if outcome[0] == "raise" else stats.literal_evaluations
+
+
+def _bill(expected: tuple, reached: int) -> tuple:
+    return expected, None if expected[0] == "raise" else reached
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_generated_steps_keep_the_literal_semantics(seed):
+    # admit, prune and the leaf of generated steps of one to four literals:
+    # the verdict of holds_for applied in order (its exception where it
+    # raises), and one literal_evaluations per check reached (the leaf's
+    # flat bill up front)
+    rng = random.Random(0x57E9 + seed)
+    slot_of = {"x": 0, "y": 1}
+    checked = 0
+    for _ in range(120):
+        unary = [_step_literal(rng, ["x"]) for _ in range(rng.randint(1, 4))]
+        checks = [_step_literal(rng, ["x", "y"]) for _ in range(rng.randint(1, 4))]
+        conclusion = [_step_literal(rng, ["x", "y"]) for _ in range(rng.choice((1, 1, 2)))]
+        bound = len(conclusion) == 1 and rng.random() < 0.7
+        premise = unary + checks
+        steps = [
+            (tuple(range(len(unary))), (), False),
+            ((), tuple(range(len(unary), len(premise))), bound),
+        ]
+        admits, prunes, violates = compile_schedule("parity", premise, conclusion, slot_of, steps)
+        assert admits[1] is None and prunes[0] is None
+        for _ in range(5):
+            slots = [_step_attrs(rng), _step_attrs(rng)]
+            holds = lambda literal: _reference_holds(literal, slots, slot_of)  # noqa: E731
+
+            expected = _bill(*_reference_scan(unary, holds, False, False, True))
+            assert _billed(admits[0], slots[0]) == expected, (unary, slots)
+
+            expected, reached = _reference_scan(checks, holds, False, True, False)
+            if bound and expected == ("ok", False):
+                expected, more = _reference_scan(conclusion, holds, True, True, False)
+                reached += more
+            assert _billed(prunes[1], slots) == _bill(expected, reached), (checks, conclusion, slots)
+
+            expected, _ = _reference_scan(premise, holds, False, False, None)
+            if expected == ("ok", None):
+                expected, _ = _reference_scan(conclusion, holds, False, True, False)
+            assert _billed(violates, slots) == _bill(expected, len(premise) + len(conclusion)), (premise, conclusion, slots)
+            checked += 1
+    assert checked == 600
+
+
+#: An attribute key that would be code if it reached the source as text.
+_HOSTILE_KEY = "it's \"quoted\"\n__import__('os').system('exit 3')  # "
+
+
+def _generated_lines(function) -> list[str]:
+    return linecache.getlines(function.__code__.co_filename)
+
+
+def test_a_hostile_attribute_key_is_read_literally():
+    literal = Literal(Add(var("x", _HOSTILE_KEY), const(12345)), Comparison.GT, const(12350))
+    for direct, env in ((False, [{_HOSTILE_KEY: 6}]), (True, {_HOSTILE_KEY: 6})):
+        check = compile_literal(literal, {"x": 0}, direct=direct)
+        assert check(env) is True
+        assert check([{_HOSTILE_KEY: 5}] if not direct else {_HOSTILE_KEY: 5}) is False
+        # the key's text without its exact spelling is another key
+        assert check([{"it's": 6}] if not direct else {"it's": 6}) is False
+        code = [line for line in _generated_lines(check) if not line.lstrip().startswith("#")]
+        assert any(repr(_HOSTILE_KEY) in line for line in code)
+        assert not any(line.lstrip().startswith("__import__") for line in code)
+        # constants reach the code through the namespace, never as text
+        assert not any("12345" in line or "12350" in line for line in code)
+
+    # the same through a rule, a hostile rule name included
+    pattern = Pattern("H", [("x", "item"), ("y", "item")], [("x", "y", "rel")])
+    rule = NGD(
+        pattern,
+        [Literal(var("x", _HOSTILE_KEY), Comparison.GT, const(0))],
+        [Literal(var("y", _HOSTILE_KEY), Comparison.GE, var("x", _HOSTILE_KEY))],
+        name="hostile\n__import__('os')",
+    )
+    graph = Graph(name="hostile")
+    for node, value in ((0, 5), (1, 3), (2, 9)):
+        graph.add_node(node, "item", {_HOSTILE_KEY: value})
+    graph.add_edge(0, 1, "rel")
+    graph.add_edge(0, 2, "rel")
+    rules = RuleSet([rule])
+    result = _run(graph, rules)
+    assert _pairs(result.violations) == naive_reference.violations(graph, rules) == {(rule.name, (0, 1))}
+
+
+def test_generated_code_is_attributed_to_the_compiled_layer():
+    # profiles group by a path containing repro/matching/compiled, and a
+    # traceback through generated code shows its line
+    check = compile_literal(parse_literal("x.a / 2 > 0"), {"x": 0})
+    filename = check.__code__.co_filename
+    assert "repro/matching/compiled" in filename
+    assert "".join(_generated_lines(check)).startswith("def check(env):")
+    with pytest.raises(ValueError) as raised:
+        check([{"a": "n/a"}])
+    frames = traceback.extract_tb(raised.value.__traceback__)
+    generated = [frame for frame in frames if frame.filename == filename]
+    assert generated and generated[0].line.startswith("ok = R")
+
+    plan = compile_plans(_product_graph(products=20, sellers=4), _literal_heavy_rules())[0]
+    schedule = plan.schedule_for(plan.order)
+    assert "repro/matching/compiled:price-consistency:" in schedule.violates.__code__.co_filename
+
+
 def test_constant_folding_and_poisoning():
     # fully constant literal folds to its verdict
     check = compile_literal(Literal(const(3), Comparison.LT, const(5)), {})
@@ -327,7 +510,7 @@ def test_runtime_division_is_exact(text, values, expected):
 
 
 def test_an_expression_type_without_a_closure_is_refused():
-    # neither EvaluationError nor TypeError, which compile_literal would
+    # neither EvaluationError nor TypeError, which the generated code would
     # turn into a verdict
     class Square(Expression):
         def __init__(self, operand):
@@ -342,31 +525,39 @@ def test_an_expression_type_without_a_closure_is_refused():
     assert raised.type is ExpressionError
 
 
-def test_reraised_errors_keep_no_frames():
-    # the closures raise one pre-allocated exception per leaf or division
-    # (and one hand-over signal) again and again; a raise must not chain
-    # its frames onto the last one's traceback
+def _traceback_depth(error: BaseException) -> int:
+    depth, tb = 0, error.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+def test_missing_attributes_and_zero_divisors_leave_no_chained_tracebacks():
+    # a missing attribute is a test in the generated code, not an exception,
+    # and a zero divisor raises a new EvaluationError each time, caught at
+    # once: fifty rounds must leave no exception with fifty rounds of frames
     checks = [
         (compile_literal(parse_literal("x.a / x.b > y.a"), {"x": 0, "y": 1}), slots)
         for slots in (
             [{"a": 1}, {"a": 0}],  # missing x.b
-            [{"a": 1, "b": 0}, {"a": 0}],  # zero divisor
-            [{"a": 1, "b": True}, {"a": 0}],  # hand-over to the general closure
+            [{"a": 1, "b": 0}, {"a": 0}],  # zero divisor, integer-ratio branch
+            [{"a": 1.5, "b": 0}, {"a": 0}],  # zero divisor, general branch
+            [{"a": 1, "b": True}, {"a": 0}],  # the general branch
         )
     ]
     checks.append((compile_literal(parse_literal("x.a + 1 > 0"), {"x": 0}), [{}]))
     for _ in range(50):
         for check, slots in checks:
-            check(slots)
-    depths = []
-    for error in gc.get_objects():
-        if isinstance(error, Exception) and type(error).__module__ in ("repro.errors", "repro.matching.compiled"):
-            depth, tb = 0, error.__traceback__
-            while tb is not None:
-                depth, tb = depth + 1, tb.tb_next
-            depths.append(depth)
-    # chained, 50 rounds would leave 100 frames on each
-    assert depths and max(depths) < 10, max(depths)
+            assert check(slots) is (slots[0].get("b") is True)
+    live = [error for error in gc.get_objects() if isinstance(error, EvaluationError)]
+    assert all(_traceback_depth(error) < 10 for error in live)
+    # an exception that escapes (holds_for replayed on Fraction('n/a'))
+    # chains to none of the ones handled before it
+    check, slots = checks[0][0], [{"a": "n/a", "b": 2}, {"a": 0}]
+    with pytest.raises(ValueError) as raised:
+        check(slots)
+    assert raised.value.__context__ is None and raised.value.__cause__ is None
+    assert _traceback_depth(raised.value) < 10
 
 
 def test_comparison_dispatch_table_matches_enum():
@@ -502,19 +693,12 @@ def test_parallel_parity(product_graph, heavy_rules, execution):
 
 
 def test_spawn_workers_recompile_parity(heavy_rules, force_start_method):
-    # spawn workers get pickled plans without their closures (closures
-    # don't pickle); they must rebuild compiled schedules and still match
-    # byte for byte.
+    # spawn workers get pickled plans without their generated code (it
+    # does not pickle); they must generate their schedules again and still
+    # match byte for byte.
     # (string node ids: the spawn path spools graphs through JSON, which
     # does not round-trip tuple ids — a pre-existing spool limitation)
-    graph = _product_graph(seed=7, products=80, sellers=12)
-    flat = Graph(name="spawn-parity")
-    for node in graph.nodes():
-        flat.add_node("-".join(map(str, node.id)), node.label, dict(node.attributes))
-    for edge in graph.edges():
-        flat.add_edge(
-            "-".join(map(str, edge.source)), "-".join(map(str, edge.target)), edge.label
-        )
+    flat = _string_ids(_product_graph(seed=7, products=80, sellers=12))
     serial = _run(flat, heavy_rules)
     force_start_method("spawn")
     spawned = _run(flat, heavy_rules, engine="parallel", processors=2, execution="processes")
@@ -570,7 +754,7 @@ def test_matcher_seed_parity(product_graph, heavy_rules):
 
 def test_evaluation_error_accounting_parity():
     # a premise literal whose attribute is present but non-numeric raises
-    # EvaluationError/TypeError mid-candidate inside the closure: it must
+    # EvaluationError/TypeError mid-candidate inside the generated check: it must
     # bill one literal_evaluation and reject the candidate
     pattern = Pattern("Q", [("x", "item"), ("y", "item")], [("x", "y", "rel")])
     premise = LiteralSet(
@@ -608,6 +792,34 @@ def test_match_plan_pickles_after_compilation(product_graph, heavy_rules):
     assert recompiled is not schedule and recompiled.order == schedule.order
 
 
+def _string_ids(graph: Graph) -> Graph:
+    """``graph`` with its tuple node ids joined to strings (the spawn path spools graphs through JSON)."""
+    flat = Graph(name=graph.name)
+    for node in graph.nodes():
+        flat.add_node("-".join(map(str, node.id)), node.label, dict(node.attributes))
+    for edge in graph.edges():
+        flat.add_edge("-".join(map(str, edge.source)), "-".join(map(str, edge.target)), edge.label)
+    return flat
+
+
+def test_rules_pickle_without_their_generated_code(heavy_rules, force_start_method):
+    # a rule keeps its generated schedules; a pickle of it leaves them out,
+    # and a spawned worker handed the very objects Dect ran on generates
+    # its own and finds the same violations at the same bill
+    graph = _string_ids(_product_graph(seed=7, products=80, sellers=12))
+    serial = _run(graph, heavy_rules)
+    rule = heavy_rules[0]
+    assert any(key[0] == "schedule" for key in vars(rule)["_derived"])
+    clone = pickle.loads(pickle.dumps(heavy_rules))
+    assert "_derived" not in vars(clone[0]) and "_derived" not in vars(clone[0].pattern)
+    assert clone[0] == rule and "_derived" in vars(rule)
+    force_start_method("spawn")
+    spawned = _run(graph, heavy_rules, engine="parallel", processors=2, execution="processes")
+    assert spawned.violations.to_json() == serial.violations.to_json()
+    assert _stats_tuple(spawned.stats) == _stats_tuple(serial.stats)
+    assert serial.violation_count() > 0
+
+
 def test_resolve_compiled_reads_no_switch(monkeypatch):
     # the end-to-end benchmark's seed-scan probe still resolves the old
     # switch and passes it on; nothing turns compilation off any more
@@ -636,7 +848,7 @@ def test_first_step_candidates_ignores_its_pruning_argument(product_graph, heavy
         passed = first_step_candidates(product_graph, rule, plan, plan.order, False, passed_stats)
         assert passed == seeded
         assert _stats_tuple(passed_stats) == _stats_tuple(seeded_stats)
-    assert any(plan.steps[0].unary_checks for plan in compile_plans(product_graph, heavy_rules))
+    assert any(plan.steps[0].admit is not None for plan in compile_plans(product_graph, heavy_rules))
 
 
 def test_triangle_multi_anchor_parity():

@@ -641,6 +641,27 @@ class TestKernelDeadlines:
         assert (result.stop_reason, result.stopped_early) == ("deadline", True)
         assert deadline <= stops[0] <= deadline + executor.RESULT_POLL_SECONDS + 0.15
 
+    def test_process_workers_stop_between_reports(self, quiet, monkeypatch, force_start_method):
+        # two workers of about 1,000 seeds each reach no report before they
+        # finish (heartbeats off): the stop event must reach them between
+        # reports.  A full two-worker run takes 0.45-0.9 s on 2 CPUs, so a
+        # run that stops within 64 seeds of a 0.1 s deadline examines well
+        # under half the candidates
+        graph, rules, full = quiet
+        force_start_method("fork")
+        monkeypatch.setattr(executor, "HEARTBEAT_PERIOD_SECONDS", 0.0)
+        closed = []
+        close = executor._Crew.close
+        monkeypatch.setattr(executor._Crew, "close", lambda crew, run: (close(crew, run), closed.append(time.monotonic())))
+        deadline = time.monotonic() + 0.1
+        events = iter_p_dect(
+            graph, rules, processors=2, budget=DetectionBudget(deadline=deadline), execution="processes"
+        )
+        result = drain(events)
+        assert (result.stop_reason, result.stopped_early) == ("deadline", True)
+        assert result.stats.candidates_examined < full.stats.candidates_examined / 2
+        assert deadline <= closed[0] <= deadline + executor.RESULT_POLL_SECONDS + 0.2
+
 
 # --------------------------------------------------------- service surface
 

@@ -354,7 +354,7 @@ class TestPlanGuidedSplitting:
 class TestSpawnedPlans:
     def test_process_workers_accept_pickled_plans(self, kb_graph, kb_rules, tmp_path):
         # a spawn worker unpickles the runtime with its images spooled:
-        # rules and plans arrive as they are, the plans without closures
+        # rules and plans arrive as they are, without their generated code
         plans = compile_plans(kb_graph, kb_rules)
         runtime = ExecutionRuntime(rules=list(kb_rules), plans=plans, image=kb_graph)
         rebuilt = pickle.loads(pickle.dumps(runtime.spooled(str(tmp_path))))

@@ -72,7 +72,7 @@ class TestEngines:
 
     @pytest.mark.parametrize("option", ("use_planner", "compiled"))
     def test_there_is_no_pipeline_option(self, option):
-        # every run is planned and closure-compiled: no other pipeline to pick
+        # every run is planned and its literals generated: no other pipeline to pick
         with pytest.raises(TypeError):
             DetectionOptions(**{option: False})
 
