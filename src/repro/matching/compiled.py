@@ -18,7 +18,9 @@ become bound when it binds, plus the leaf ``violates(slots, stats)``:
 * each ``(slot, attribute)`` a function needs is read once, with
   ``.get(key, MISSING)``, and shared by every literal the function checks;
 * arithmetic is inline, constant subtrees are folded, and the comparison
-  operator is written out;
+  operator is written out; a literal nested deeper than ``_NESTING`` is
+  written one operation per line, in the same order, because Python's
+  parser refuses deeply nested source;
 * a literal that divides gets an integer-ratio branch inline: when every
   value it reads is exactly an ``int``, each sub-expression is a
   ``(numerator, denominator)`` pair of ints and ``a/b ⊗ c/d`` is compared
@@ -110,6 +112,10 @@ _SYMBOLS = {
 }
 _ARITHMETIC = {Add: "+", Subtract: "-", Multiply: "*"}
 _FOLD_ERRORS = (EvaluationError, ArithmeticError, ValueError, TypeError)
+#: A literal nested deeper than this is written one operation per line:
+#: Python's parser refuses source nested about 200 deep, which the rule
+#: parser and the expression API accept.
+_NESTING = 40
 #: What a rule name may not bring into a generated filename.
 _UNSAFE = re.compile(r"[^\w.-]+")
 
@@ -130,6 +136,15 @@ def _unknown_expression(expression: Expression) -> ExpressionError:
     # neither EvaluationError nor TypeError: an unsupported node must not
     # become a constant verdict
     return ExpressionError(f"cannot compile {type(expression).__name__}: no code for this expression type")
+
+
+def _height(expression: Expression) -> int:
+    """Return how many operators deep ``expression`` nests."""
+    if isinstance(expression, (AbsoluteValue, Negate)):
+        return 1 + _height(expression.operand)
+    if isinstance(expression, (Add, Subtract, Multiply, Divide)):
+        return 1 + max(_height(expression.left), _height(expression.right))
+    return 0
 
 
 def _divides(expression: Expression) -> bool:
@@ -235,22 +250,29 @@ class _Function:
 
     # ------------------------------------------------------------ expressions
 
-    def _general(self, expression: Expression) -> str:
-        """The source of ``expression`` as ``evaluate`` computes it, in its order."""
+    def _general(self, expression: Expression, out: Optional[list] = None) -> str:
+        """The source of ``expression`` as ``evaluate`` computes it, in its order.
+
+        With ``out``, every operation is bound to a name by a statement
+        appended to ``out``, children first, so the order is kept and the
+        source does not nest.
+        """
         if not expression.variables():
             return self.module.bind("K", expression.evaluate({}))
         if isinstance(expression, TermExpression):
             return self.reads[(expression.term.variable, expression.term.attribute)]
-        if isinstance(expression, Divide):
-            return f"divide({self._general(expression.left)}, {self._general(expression.right)})"
         symbol = _ARITHMETIC.get(type(expression))
-        if symbol is not None:
-            return f"({self._general(expression.left)} {symbol} {self._general(expression.right)})"
-        if isinstance(expression, AbsoluteValue):
-            return f"abs({self._general(expression.operand)})"
-        if isinstance(expression, Negate):
-            return f"(-{self._general(expression.operand)})"
-        raise _unknown_expression(expression)
+        if isinstance(expression, Divide):
+            source = f"divide({self._general(expression.left, out)}, {self._general(expression.right, out)})"
+        elif symbol is not None:
+            source = f"({self._general(expression.left, out)} {symbol} {self._general(expression.right, out)})"
+        elif isinstance(expression, AbsoluteValue):
+            source = f"abs({self._general(expression.operand, out)})"
+        elif isinstance(expression, Negate):
+            source = f"(-{self._general(expression.operand, out)})"
+        else:
+            raise _unknown_expression(expression)
+        return source if out is None else self._temp(source, out)
 
     def _ratio(self, expression: Expression, out: list, nonzero: list) -> tuple[str, Optional[str], bool]:
         """``expression`` over ints as ``(numerator, denominator or None for 1, denominator known > 0)``.
@@ -323,12 +345,14 @@ class _Function:
     def literal(self, literal: Literal) -> None:
         """Emit the reads and the lines that leave ``literal``'s verdict in ``ok``."""
         pairs = tuple(sorted(literal.variables()))
-        self.emit(1, f"# {str(literal)!r}")
+        deep = max(_height(literal.left), _height(literal.right)) > _NESTING
+        self.emit(1, f"# {'a literal nested deeper than ' + str(_NESTING) if deep else str(literal)!r}")
         values = [self._read(variable, attribute) for variable, attribute in pairs]
         arguments = ", ".join(values)
+        steps: Optional[list] = [] if deep else None
         try:
-            left = self._general(literal.left)
-            right = self._general(literal.right)
+            left = self._general(literal.left, steps)
+            right = self._general(literal.right, steps)
         except _FOLD_ERRORS:
             # a constant subtree that cannot fold: whether holds_for returns
             # False or raises depends on what it evaluates first, so replay it
@@ -344,6 +368,7 @@ class _Function:
                 return
             general = [
                 "try:",
+                *(f"    {step}" for step in steps or ()),
                 f"    ok = {left} {_SYMBOLS[literal.comparison]} {right}",
                 "except (EvaluationError, TypeError):",
                 "    ok = False",
@@ -353,7 +378,7 @@ class _Function:
                 f"    ok = {self.module.bind('R', _replay(literal, pairs))}({arguments})",
             ]
         ratio = None
-        if len(general) > 1 and (_divides(literal.left) or _divides(literal.right)):
+        if len(general) > 1 and not deep and (_divides(literal.left) or _divides(literal.right)):
             try:
                 ratio = self._ratio_lines(literal)
             except _NotInteger:

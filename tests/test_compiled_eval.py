@@ -457,6 +457,34 @@ def test_constant_folding_and_poisoning():
         check([{"a0": math.nan}])
 
 
+def _deep_sum(depth: int) -> Literal:
+    expression = var("x", "a")
+    for _ in range(depth):
+        expression = Add(expression, var("x", "b"))
+    return Literal(expression, Comparison.GT, var("y", "a"))
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        parse_literal("(" * 45 + "x.a" + " / x.b)" * 45 + " > y.a"),
+        parse_literal("(" * 230 + "x.a" + " / x.b)" * 230 + " > y.a"),
+        _deep_sum(600),
+    ],
+    ids=("divide-45", "divide-230", "sum-600"),
+)
+def test_a_literal_nested_past_the_source_limit_keeps_its_verdicts(literal):
+    # the rule parser accepts literals nested about 245 deep and the API
+    # deeper; Python's parser refuses source nested about 200 deep, so such
+    # a literal is written one operation per line, in evaluate's order
+    check = compile_literal(literal, {"x": 0, "y": 1})
+    for x in ({"a": 1, "b": 2}, {"a": 1.5, "b": 1}, {"a": 1, "b": 0}, {"a": "n/a", "b": 3}, {"a": 3, "b": "7"}, {"b": 1}):
+        slots = [x, {"a": -1}]
+        assignment = {("x", key): value for key, value in x.items()} | {("y", "a"): -1}
+        complete = len(assignment) == len(literal.variables())
+        assert _outcome(lambda: check(slots)) == _outcome(lambda: complete and literal.holds_for(assignment)), x
+
+
 def test_exact_arithmetic_division():
     # 1/3 must stay an exact Fraction on both paths: 0.333... float would
     # make (1/3)*3 == 1 fail under binary rounding
