@@ -487,8 +487,8 @@ def compile_schedule(
     function.finish()
     namespace = module.load(name)
     return (
-        tuple(None if name is None else namespace[name] for name in admits),
-        tuple(None if name is None else namespace[name] for name in prunes),
+        tuple(None if function_name is None else namespace[function_name] for function_name in admits),
+        tuple(None if function_name is None else namespace[function_name] for function_name in prunes),
         namespace["violates"],
     )
 
