@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 from typing import TypeVar
 
 __all__ = ["Frozen"]
@@ -16,13 +16,13 @@ class Frozen:
 
     A subclass's ``__init__`` sets its attributes with ``vars(self).update(...)``.
     Pickling and ``copy`` restore ``__dict__`` directly; they leave out what
-    was derived, which can always be computed again and need not pickle (a
-    rule keeps generated code there).
+    was derived, which can always be computed again (a rule set's pivot
+    index need not travel to a spawned worker).
     """
 
     __slots__ = ()
 
-    def derived(self: F, key: Hashable, build: Callable[[F], T]) -> T:
+    def derived(self: F, key: str, build: Callable[[F], T]) -> T:
         """Return ``build(self)``, computed on the first call per ``key`` and kept.
 
         Nothing it is derived from can change, so nothing invalidates it.

@@ -16,12 +16,13 @@ from __future__ import annotations
 import enum
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Optional
 
 from repro.errors import EvaluationError, ExpressionError
 from repro.expr.expressions import Assignment, Expression, as_expression
+from repro.expr.terms import Constant
 
 __all__ = ["Comparison", "COMPARISON_OPS", "Literal", "LiteralSet", "LinearConstraint"]
 
@@ -249,6 +250,7 @@ class LiteralSet:
         self._literals: tuple[Literal, ...] = tuple(literals)
         self._variables: Optional[frozenset[tuple[str, str]]] = None
         self._pattern_variables: Optional[frozenset[str]] = None
+        self._constant_types: Optional[tuple[type, ...]] = None
 
     @classmethod
     def of(cls, *literals: Literal) -> "LiteralSet":
@@ -293,6 +295,26 @@ class LiteralSet:
                 result |= literal.pattern_variables()
             self._pattern_variables = result
         return self._pattern_variables
+
+    def constant_types(self) -> tuple[type, ...]:
+        """Return the exact type of every constant, literal by literal, left to right (memoised).
+
+        Equal sets can hold constants of different types (``1``, ``1.0``,
+        ``True`` and ``Fraction(1)`` compare equal), and code generated for
+        one constant is not the code for the other: two sets that are equal
+        and agree here evaluate alike.
+        """
+        if self._constant_types is None:
+            found = []
+            stack: list = list(reversed(self._literals))
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Constant):
+                    found.append(type(node.value))
+                elif is_dataclass(node):
+                    stack.extend(getattr(node, field.name) for field in reversed(fields(node)))
+            self._constant_types = tuple(found)
+        return self._constant_types
 
     def degree(self) -> int:
         """Return the maximum degree over the literals (0 for an empty set)."""

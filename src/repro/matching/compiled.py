@@ -45,12 +45,15 @@ same.  Billing is the search's: ``admit`` and ``prune`` charge one
 leaf its flat ``len(X) + len(Y)`` up front.
 
 **The memo.**  The generated code depends on the rule and the order only,
-not on the graph statistics, so :mod:`repro.matching.plan` keeps it on the
-rule (``rule.derived(("schedule", order), ...)``): every plan of that rule
-object, in every ``Detector`` of the process, reuses it.  Generated
-functions do not pickle, and neither does what a value derived
-(:class:`~repro._frozen.Frozen` pickles without it); a ``spawn`` worker
-generates its schedules again from the rules it receives.
+not on the graph statistics, so :mod:`repro.matching.plan` keeps it in one
+process-wide table (least recently used out past ``SCHEDULES_KEPT``) keyed
+by what the code is made of: the rule's name, its pattern with the edges in
+order, its literals and the exact type of each constant (``1`` and ``1.0``
+compare equal, but ``x.a * 1`` and ``x.a * 1.0`` differ on a large int).
+Every plan of an equal rule reuses it, in every ``Detector`` of the
+process, parsed once or again.  Generated functions do not pickle and are
+not on the rule; a ``spawn`` worker generates its schedules again from the
+rules it receives.
 
 Keys enter the source only through ``repr()``, and constants only through
 the module's namespace, so no attribute name or value can become code.  The

@@ -18,10 +18,10 @@ separates *planning* from *execution*:
   (``scan`` over the label index vs ``anchored`` intersection of
   label-filtered adjacency views, smallest set first), its *literal
   schedule* (which premise literals fire at which binding depth) and those
-  literals as generated functions (:mod:`repro.matching.compiled`), kept on
-  the rule per order.  One plan serves batch search, pivot-seeded
-  incremental search, and the parallel work-unit kernels alike; schedules
-  are memoised;
+  literals as generated functions (:mod:`repro.matching.compiled`), kept
+  per rule and order for the whole process.  One plan serves batch search,
+  pivot-seeded incremental search, and the parallel work-unit kernels
+  alike; schedules are memoised;
 * :func:`step_candidates` is the one candidate generator: it executes a
   step's strategy against the store, for the search's steps and the batch
   kernels' seed scans alike.
@@ -40,6 +40,7 @@ probe one ``edge_checks``, each literal evaluation one
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
@@ -328,7 +329,7 @@ class MatchPlan:
         # the schedules hold generated functions, which do not pickle: a plan
         # pickled to a spawn worker keeps its rule, statistics and order and
         # compiles its schedules again there; fork workers inherit this
-        # object (and the rule's generated code) without pickling
+        # object (and the process's generated code) without pickling
         return (self.rule, self.statistics, self.order)
 
     def __setstate__(self, state) -> None:
@@ -447,11 +448,23 @@ def _greedy_order(stats: GraphStatistics, pattern, seed: Sequence[str] = ()) -> 
     return tuple(order)
 
 
+#: How many generated schedules the process keeps; past it, the least recently used is dropped.
+SCHEDULES_KEPT = 1024
+
+
 def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...]) -> Schedule:
     """Return the schedule of ``order``: the rule's generated steps, each estimated against ``stats``."""
     order = tuple(order)
-    fields, declared_slots, violates = rule.derived(("schedule", order), lambda rule: _generate_schedule(rule, order))
-    pattern = rule.pattern
+    pattern, premise, conclusion = rule.pattern, rule.premise, rule.conclusion
+    fields, declared_slots, violates = _generated(
+        rule.name,
+        pattern,
+        pattern.edges(),
+        premise,
+        conclusion,
+        (premise.constant_types(), conclusion.constant_types()),
+        order,
+    )
     steps = tuple(
         PlanStep(**step, estimated_candidates=_estimate(stats, pattern, step["variable"], step["anchors"]))
         for step in fields
@@ -460,18 +473,29 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
     return Schedule(order, steps, declared_slots, violates)
 
 
-def _generate_schedule(rule: NGD, order: tuple[str, ...]) -> tuple:
+@functools.lru_cache(maxsize=SCHEDULES_KEPT)
+def _generated(name, pattern, edges, premise, conclusion, constant_types, order) -> tuple:
+    """``_generate_schedule``, shared by every rule that generates the same code.
+
+    That is a rule of the same name, an equal pattern with its edges in the
+    same order (they order the anchors), equal literals and the same
+    constant types: rules parsed apart from one document, or built alike,
+    share one ``compile()`` per order.
+    """
+    return _generate_schedule(name, pattern, premise, conclusion, order)
+
+
+def _generate_schedule(name: str, pattern, premise, conclusion, order: tuple[str, ...]) -> tuple:
     """Resolve every step of ``order`` but its estimate, and generate its literal code.
 
     Returns ``(fields, declared_slots, violates)``: each step's
     :class:`PlanStep` fields but ``estimated_candidates``, the slot of each
     pattern variable in declaration order, and the leaf.  None of it reads
-    the graph statistics, so the rule keeps it per order.
+    the graph statistics, so one result serves every plan of the rule.
     """
-    pattern = rule.pattern
     slot_of = {variable: index for index, variable in enumerate(order)}
-    premise_literals = rule.premise.literals()
-    conclusion_literals = rule.conclusion.literals()
+    premise_literals = premise.literals()
+    conclusion_literals = conclusion.literals()
     single_conclusion = conclusion_literals[0] if len(conclusion_literals) == 1 else None
 
     scheduled: set[int] = set()
@@ -520,13 +544,13 @@ def _generate_schedule(rule: NGD, order: tuple[str, ...]) -> tuple:
                 anchor_slots=anchor_slots,
                 anchor=anchor_slots[0] if len(anchor_slots) == 1 else None,
                 label_filter=label if anchors and label != WILDCARD else None,
-                count_key=f"{STEP_COUNT_PREFIX}{rule.name}\x1f{variable}\x1f{strategy}",
-                reject_keys=tuple(f"{REJECT_COUNT_PREFIX}{rule.name}\x1f{variable}\x1f{reason}" for reason in REJECT_REASONS),
+                count_key=f"{STEP_COUNT_PREFIX}{name}\x1f{variable}\x1f{strategy}",
+                reject_keys=tuple(f"{REJECT_COUNT_PREFIX}{name}\x1f{variable}\x1f{reason}" for reason in REJECT_REASONS),
             )
         )
         bound = now_bound
     admits, prunes, violates = compile_schedule(
-        rule.name,
+        name,
         premise_literals,
         conclusion_literals,
         slot_of,
@@ -545,8 +569,8 @@ def compile_plan(graph: Graph, rule: NGD) -> MatchPlan:
 def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
     """Compile every rule of an iterable/RuleSet against one statistics snapshot.
 
-    Each plan's root schedule is resolved here too (its code generated on
-    the rule's first plan in the process), so that work is billed inside the
+    Each plan's root schedule is resolved here too (its code generated the
+    first time the process meets the rule), so that work is billed inside the
     session's ``detect.compile_plans`` span rather than inside the first
     expansion of the search.
     """

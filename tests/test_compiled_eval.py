@@ -64,6 +64,8 @@ from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
 from repro.matching.compiled import compile_literal, compile_schedule, resolve_compiled
 from repro.matching.plan import (
+    GraphStatistics,
+    MatchPlan,
     Schedule,
     compile_plans,
     first_step_candidates,
@@ -831,21 +833,75 @@ def _string_ids(graph: Graph) -> Graph:
 
 
 def test_rules_pickle_without_their_generated_code(heavy_rules, force_start_method):
-    # a rule keeps its generated schedules; a pickle of it leaves them out,
-    # and a spawned worker handed the very objects Dect ran on generates
-    # its own and finds the same violations at the same bill
+    # generated code lives in the process's table, not on the rule, and a
+    # pickle leaves out what a rule set derived; a spawned worker handed the
+    # very objects Dect ran on generates its own code and finds the same
+    # violations at the same bill
     graph = _string_ids(_product_graph(seed=7, products=80, sellers=12))
     serial = _run(graph, heavy_rules)
-    rule = heavy_rules[0]
-    assert any(key[0] == "schedule" for key in vars(rule)["_derived"])
+    assert heavy_rules.diameter() == 2 and "_derived" in vars(heavy_rules)
     clone = pickle.loads(pickle.dumps(heavy_rules))
-    assert "_derived" not in vars(clone[0]) and "_derived" not in vars(clone[0].pattern)
-    assert clone[0] == rule and "_derived" in vars(rule)
+    assert "_derived" not in vars(clone) and "_derived" not in vars(clone[0])
+    assert list(clone) == list(heavy_rules)
     force_start_method("spawn")
     spawned = _run(graph, heavy_rules, engine="parallel", processors=2, execution="processes")
     assert spawned.violations.to_json() == serial.violations.to_json()
     assert _stats_tuple(spawned.stats) == _stats_tuple(serial.stats)
     assert serial.violation_count() > 0
+
+
+def _generated_code(plan) -> tuple:
+    schedule = plan.schedule_for(plan.order)
+    return (schedule.violates,) + tuple((step.admit, step.prune) for step in schedule.steps)
+
+
+def test_equal_rules_made_apart_share_their_generated_code(product_graph):
+    # one compile() per (rule, order) in the process, not per rule object:
+    # a rule set parsed again, or built again alike, reuses the code
+    first, again = _literal_heavy_rules(), RuleSet.from_dict(_literal_heavy_rules().to_dict())
+    assert first[0] is not again[0] and first[0] == again[0]
+    plans = compile_plans(product_graph, first) + compile_plans(product_graph, again)
+    assert _generated_code(plans[0]) == _generated_code(plans[1])
+    # the name is in the code (the step counters carry it)
+    renamed = NGD(first[0].pattern, first[0].premise, first[0].conclusion, name="renamed")
+    other = compile_plans(product_graph, [renamed])[0]
+    assert other.schedule_for(other.order).violates is not plans[0].schedule_for(plans[0].order).violates
+    assert all("renamed" in step.count_key for step in other.steps)
+
+
+def test_rules_equal_but_for_their_constant_types_keep_their_own_code():
+    # Constant(1) == Constant(1.0), so the two rules compare equal, yet
+    # x.a * 1 is exact over a large int and x.a * 1.0 rounds it to a float
+    large = 2**53 + 1
+    pattern = Pattern("Q", [("x", "item")])
+    exact, rounded = (
+        NGD(pattern, (), [Literal(Multiply(var("x", "a"), const(one)), Comparison.EQ, const(large))], name="typed")
+        for one in (1, 1.0)
+    )
+    assert exact == rounded
+    graph = Graph(name="typed")
+    graph.add_node("n", "item", {"a": large})
+    assignment = {("x", "a"): large}
+    assert exact.conclusion.satisfied_by(assignment) and not rounded.conclusion.satisfied_by(assignment)
+    for first, second in ((exact, rounded), (rounded, exact)):
+        for rule in (first, second):
+            expected = 0 if rule.conclusion.constant_types() == (int, int) else 1
+            assert _run(graph, RuleSet([rule])).violation_count() == expected
+
+
+def test_patterns_equal_but_for_their_edge_order_keep_their_own_anchors(product_graph):
+    # a Pattern compares its edges as a set, but their order orders a
+    # step's anchors
+    edges = [("x", "y", "variant"), ("z", "y", "sells")]
+    rules = [
+        NGD(Pattern("Q", [("x", "product"), ("z", "seller"), ("y", "product")], listed), name="anchors")
+        for listed in (edges, edges[::-1])
+    ]
+    assert rules[0] == rules[1]
+    order = ("x", "z", "y")
+    anchors = [MatchPlan(rule, GraphStatistics.from_graph(product_graph), order).steps[2].anchors for rule in rules]
+    assert [anchor.variable for anchor in anchors[0]] == ["x", "z"]
+    assert [anchor.variable for anchor in anchors[1]] == ["z", "x"]
 
 
 def test_resolve_compiled_reads_no_switch(monkeypatch):
