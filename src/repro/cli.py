@@ -40,11 +40,13 @@ malformed rules), **3** — the search stopped early (``--max-violations`` /
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import signal
 import sys
 import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import Optional, Union
 
 from repro import _import_started
@@ -604,7 +606,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for name, path in _parse_name_path_specs(args.catalog, "--catalog"):
         if name not in service.manager.catalogs:
             service.manager.register_catalog(name, RuleSet.load(path))
-    with service:
+    with _stopped_by_signals() as stop, service:
         service.record_startup(import_s, ready_s=time.perf_counter() - _import_started)
         # the ready line is the contract scripts wait on (tests, CI smoke)
         print(f"repro-detect: serving on {service.url}", flush=True)
@@ -613,11 +615,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{len(service.manager.catalogs)} catalog(s); Ctrl-C to stop",
             file=sys.stderr,
         )
-        try:
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            print("repro-detect: shutting down", file=sys.stderr)
+        stop.wait()
+        print("repro-detect: shutting down", file=sys.stderr)
     return EXIT_CLEAN
+
+
+@contextlib.contextmanager
+def _stopped_by_signals() -> Iterator[threading.Event]:
+    """Yield an event that SIGINT or SIGTERM sets while the block runs.
+
+    Both get a handler, which also overrides a SIGINT the process inherited
+    as ignored (a server started with ``&`` from a script), so that either
+    signal leaves ``serve`` through its clean exit; the block is entered
+    before the ready line, so no signal sent after it is lost.
+    """
+    stop = threading.Event()
+    previous = {signum: signal.signal(signum, lambda *_: stop.set()) for signum in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        yield stop
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 # --------------------------------------------------------------------- entry

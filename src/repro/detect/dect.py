@@ -35,7 +35,7 @@ from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
-from repro.matching.plan import MatchPlan, resolve_plans, step_candidates
+from repro.matching.plan import MatchPlan, resolve_plans
 
 __all__ = ["iter_dect"]
 
@@ -70,7 +70,7 @@ def iter_dect(
             if not order:
                 continue
             with run.rule(rule.name):
-                candidates, scanned = step_candidates(graph.store, plan.steps[0], (), run.stats)
+                candidates, scanned = plan.schedule_for(order).seeds(graph.store, run.stats)
                 run.cost += scanned
                 if not run.cost_exhausted():
                     # the seeds are a stack: the last candidate's subtree is searched

@@ -61,7 +61,7 @@ _STEP_KEYS: dict[str, tuple] = {}
 def flush_step_counts(stats: MatchStatistics) -> None:
     """Emit the run's per-step candidate counters: scanned by strategy, rejected by reason.
 
-    ``step_candidates`` accumulates scan counts under
+    The generated steps accumulate scan counts under
     :data:`~repro.matching.candidates.STEP_COUNT_PREFIX` keys and rejection
     counts under :data:`~repro.matching.candidates.REJECT_COUNT_PREFIX` keys
     in ``stats.extra`` (plain dict arithmetic — registry label handling is

@@ -37,7 +37,7 @@ from repro.detect.parallel.cluster import SimulatedRun
 from repro.detect.parallel.workunits import WorkUnit
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph
-from repro.matching.plan import MatchPlan, resolve_plans, step_candidates
+from repro.matching.plan import MatchPlan, resolve_plans
 
 __all__ = ["iter_p_dect"]
 
@@ -113,7 +113,7 @@ def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
         if not order:
             continue
         before = run.attribution.before(run.stats)
-        candidates, scanned = step_candidates(graph.store, plan.steps[0], (), run.stats)
+        candidates, scanned = plan.schedule_for(order).seeds(graph.store, run.stats)
         run.attribution.after(rule.name, before, run.stats)
         run.charge_scan(len(candidates), scanned)
         unit_estimate = plan.estimated_unit_cost(1)

@@ -37,7 +37,7 @@ import sys
 import weakref
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
+from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
 from itertools import islice
 from typing import Optional, Union
 
@@ -176,6 +176,10 @@ class GraphStore(ABC):
     def get_node(self, node_id: Hashable) -> Optional[Node]:
         """Return the node or None."""
 
+    def get_nodes(self, node_ids: Collection[Hashable]) -> list[Node]:
+        """Return the nodes of ``node_ids``, all stored, in their order: ``get_node`` over a pool at once."""
+        return list(map(self.get_node, node_ids))
+
     @abstractmethod
     def has_node(self, node_id: Hashable) -> bool:
         """Return True when the id is stored."""
@@ -279,11 +283,15 @@ class GraphStore(ABC):
 
     @abstractmethod
     def successors_by_label(self, node_id: Hashable, edge_label: str):
-        """Return read-only target ids reachable over ``edge_label`` edges."""
+        """Return read-only target ids reachable over ``edge_label`` edges, iterated in rank order.
+
+        Rank order (:meth:`node_rank`) is what the matchers enumerate
+        candidates in, so a pool read from this view needs no sort.
+        """
 
     @abstractmethod
     def predecessors_by_label(self, node_id: Hashable, edge_label: str):
-        """Return read-only source ids reaching the node over ``edge_label`` edges."""
+        """Return read-only source ids reaching the node over ``edge_label`` edges, iterated in rank order."""
 
     @abstractmethod
     def out_edge_labels(self, node_id: Hashable):
@@ -450,6 +458,37 @@ def _in_rank_order(entries: dict, ranks: dict, restored: set) -> dict:
     return dict(zip(order, map(entries.__getitem__, order)))
 
 
+def _place(bucket: dict, node_id: Hashable, ranks: dict) -> None:
+    """Add ``node_id`` to an adjacency bucket in rank order: appended when it ranks last, as a new node does."""
+    rank = ranks[node_id]
+    tail = []
+    for other in reversed(bucket):
+        if ranks[other] < rank:
+            break
+        tail.append(other)
+    for other in tail:
+        del bucket[other]
+    bucket[node_id] = None
+    for other in reversed(tail):
+        bucket[other] = None
+
+
+def _order_buckets(index: dict, ranks: dict) -> None:
+    """Put every ``node -> label -> neighbours`` bucket of ``index`` in rank order, in place.
+
+    A bucket already in order is left as it is, so one a past version shares is never written.
+    """
+    rank = ranks.__getitem__
+    for buckets in index.values():
+        for bucket in buckets.values():
+            if len(bucket) > 1:
+                order = list(map(rank, bucket))
+                if order != sorted(order):
+                    ids = sorted(bucket, key=rank)
+                    bucket.clear()
+                    bucket.update(dict.fromkeys(ids))
+
+
 def _count(counts: dict, key: Hashable, change: int) -> None:
     """Add ``change`` to a count, dropping the key at 0."""
     count = counts.get(key, 0) + change
@@ -472,7 +511,10 @@ class IndexedStore(GraphStore):
       compare by pointer on the hot path;
     * adjacency is ``node -> edge_label -> {neighbour: None}``, making
       ``successors_by_label`` O(result) instead of O(degree) — the lookup the
-      matcher's candidate filtering performs per expansion step;
+      matcher's candidate filtering performs per expansion step — and every
+      bucket is kept in rank order: a write places its neighbour by rank (an
+      append, for a neighbour newer than the rest), and a bulk load orders
+      each bucket once, after its edges;
     * every read returns a live zero-copy view (a dict keys view,
       :class:`_PairsView` for ``(neighbour, label)`` pairs, :class:`_LabelView`
       for a label's ids) instead of a defensive frozenset copy;
@@ -496,6 +538,8 @@ class IndexedStore(GraphStore):
     """
 
     backend = "indexed"
+    #: True while a bulk load adds edges unordered, to order each bucket once at its end.
+    _appending = False
 
     def __init__(self) -> None:
         self._nodes: dict[Hashable, Node] = {}
@@ -707,6 +751,14 @@ class IndexedStore(GraphStore):
             return self._undo.get(_NODES, node_id, node)
         return node
 
+    def get_nodes(self, node_ids: Collection[Hashable]) -> list[Node]:
+        # the live map first, then the logs, as get_node reads them (see _UndoLog.get)
+        nodes = list(map(self._nodes.get, node_ids))
+        undo = self._undo
+        if undo is not None:
+            nodes = [undo.get(_NODES, node_id, node) for node_id, node in zip(node_ids, nodes)]
+        return nodes
+
     def has_node(self, node_id: Hashable) -> bool:
         found = node_id in self._nodes
         if self._undo is not None:
@@ -760,8 +812,13 @@ class IndexedStore(GraphStore):
         self._edge_rank[key] = self._next_edge_rank
         self._next_edge_rank += 1
         self._count_edge(source, target, label, 1)
-        self._writable_bucket(self._out, _OUTS, _OUT, source, label, log)[target] = None
-        self._writable_bucket(self._in, _INS, _IN, target, label, log)[source] = None
+        out = self._writable_bucket(self._out, _OUTS, _OUT, source, label, log)
+        into = self._writable_bucket(self._in, _INS, _IN, target, label, log)
+        if self._appending:
+            out[target] = into[source] = None
+        else:
+            _place(out, target, self._rank)
+            _place(into, source, self._rank)
 
     def remove_edge(self, key: EdgeKey) -> None:
         source, target, label = key
@@ -780,6 +837,20 @@ class IndexedStore(GraphStore):
             del bucket[neighbour]
             if not bucket:
                 del index[node_id][label]
+
+    def bulk_load(
+        self,
+        nodes: Iterable[tuple[Hashable, str, Optional[Mapping[str, object]]]],
+        edges: Iterable[EdgeKey],
+    ) -> None:
+        # the edges are appended in document order and each bucket is ordered once at the end
+        self._appending = True
+        try:
+            super().bulk_load(nodes, edges)
+        finally:
+            self._appending = False
+            _order_buckets(self._out, self._rank)
+            _order_buckets(self._in, self._rank)
 
     def _count_edge(self, source: Hashable, target: Hashable, label: str, change: int) -> None:
         """Count an edge in (or out of) the label pairs of its endpoints."""
@@ -938,9 +1009,15 @@ class IndexedStore(GraphStore):
         for node_id in self._nodes:
             if node_id not in self._rank:
                 raise GraphError(f"missing insertion rank for node {node_id!r}")
+        rank = self._rank.__getitem__
         for index in (self._out, self._in):
             if index.keys() != self._nodes.keys():
                 raise GraphError("adjacency drifted from the node set")
+            for node_id, buckets in index.items():
+                for label, bucket in buckets.items():
+                    order = list(map(rank, bucket))
+                    if order != sorted(order):
+                        raise GraphError(f"adjacency of {node_id!r} over {label!r} out of rank order")
             if sum(len(bucket) for buckets in index.values() for bucket in buckets.values()) != len(self._edges):
                 raise GraphError("adjacency holds pairs no edge accounts for")
         if self.label_counts() != GraphStore.label_counts(self):
@@ -1017,7 +1094,7 @@ class FrozenStore(IndexedStore):
             self.__dict__.pop(name, None)
 
     def _link(self) -> None:
-        """Build the adjacency maps in edge order, as ``IndexedStore.add_edge`` would.
+        """Build the adjacency maps from the edges, each bucket in rank order, as ``IndexedStore`` keeps them.
 
         Built aside and published in one update, so that two threads reading
         first each build a whole set rather than writing into one.
@@ -1027,6 +1104,8 @@ class FrozenStore(IndexedStore):
         for source, target, label in self._edges:
             out[source].setdefault(label, {})[target] = None
             inc[target].setdefault(label, {})[source] = None
+        _order_buckets(out, self._rank)
+        _order_buckets(inc, self._rank)
         self.__dict__.update(_out=out, _in=inc)
 
     def bulk_load(
@@ -1039,7 +1118,8 @@ class FrozenStore(IndexedStore):
         self._sealed = self._loading = True
         self._unlink()  # a read of the empty store may have linked it
         try:
-            super().bulk_load(nodes, edges)
+            # the build holds no adjacency to order: the first read links it
+            GraphStore.bulk_load(self, nodes, edges)
         finally:
             self._loading = False
 

@@ -3,9 +3,8 @@
 Backtracking subgraph matchers (the ``Matchn`` framework of Section 6.2)
 compute, for each pattern node ``u``, a candidate set ``C(u)`` of data nodes
 that could match ``u``, then verify and expand.  :class:`MatchStatistics`
-counts that work in the units the cost model charges; candidates are
-generated, one plan step at a time, by
-:func:`repro.matching.plan.step_candidates`.
+counts that work in the units the cost model charges; the generated steps
+of :mod:`repro.matching.compiled` bill it as they run.
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ __all__ = [
 ]
 
 #: ``MatchStatistics.extra`` key prefix for per-(rule, step, strategy)
-#: candidate-scan counts.  The match executor's candidate loop is far too hot
-#: for per-call registry traffic (label dicts + sorted key construction), so
-#: ``step_candidates`` accumulates plain-dict deltas under
+#: candidate-scan counts.  The generated steps are far too hot for per-call
+#: registry traffic, so each adds plain-dict deltas under
 #: ``"step_candidates\x1f<rule>\x1f<step>\x1f<strategy>"`` keys and the
 #: detection session flushes them to ``repro_match_candidates_examined`` once
 #: per run (:func:`repro.detect.instrument.flush_step_counts`).  ``extra``
-#: merges additively across worker processes, so the flush sees
-#: the whole run in every execution mode.
+#: merges additively across worker processes, so the flush sees the whole
+#: run in every execution mode.
 STEP_COUNT_PREFIX = "step_candidates\x1f"
 #: ``MatchStatistics.extra`` key prefix for per-(rule, step, reason) counts of
 #: examined candidates a step rejected, keyed and flushed like the scan counts

@@ -1,22 +1,22 @@
-"""Generated literal schedules: the compiled evaluation layer.
+"""Generated search steps: the compiled evaluation layer.
 
-Evaluating a literal through its AST (``Literal.holds_for``) rebuilds an
-``{(variable, attribute): value}`` assignment dict, walks the
-:class:`~repro.expr.expressions.Expression` tree through virtual
-``evaluate`` calls, and dispatches the comparison through
-:meth:`~repro.expr.literals.Comparison.holds`.  This module generates that
-work out of the search loop as straight-line Python source.
-:func:`compile_schedule` emits every literal of one ``(rule, order)``
-schedule into one source text, calls ``compile()`` once for it, and
-returns, per step, an ``admit(attrs, stats)`` for the unary literals that
-filter its candidates and a ``prune(slots, stats)`` for the literals that
-become bound when it binds, plus the leaf ``violates(slots, stats)``:
+The search core (:class:`~repro.matching.search.RuleSearch`) runs one
+``(rule, order)`` schedule as generated straight-line Python, one function
+per step (:func:`compile_schedule`).  ``expand_d(search, order)`` does all
+that step ``d`` of ``Matchn`` does (Section 6.2): it reads the candidates,
+from the anchor's adjacency view (already in rank order), an intersection
+of views or a label scan; bills them; tests each one's label, unary
+literals and self-loops; fires the literals that its binding completes;
+and pushes the frame, or finishes the binding at the leaf.  ``seeds`` is
+step 0's scan and tests for the batch kernels, and ``violates(slots,
+stats)`` the dependency X → Y over a complete slot list:
 
 * pattern variables map to *slot indices* in plan order, so a partial
   match is a flat list of attribute mappings (``slots[d]`` is the
   ``node.attributes`` of the variable bound at depth ``d``);
 * each ``(slot, attribute)`` a function needs is read once, with
-  ``.get(key, MISSING)``, and shared by every literal the function checks;
+  ``.get(key, MISSING)`` — an earlier slot's once per step, out of the
+  candidate loop — and shared by every literal the function checks;
 * arithmetic is inline, constant subtrees are folded, and the comparison
   operator is written out; a literal nested deeper than ``_NESTING`` is
   written one operation per line, in the same order, because Python's
@@ -26,10 +26,9 @@ become bound when it binds, plus the leaf ``violates(slots, stats)``:
   ``(numerator, denominator)`` pair of ints and ``a/b ⊗ c/d`` is compared
   as ``a*d ⊗ c*b`` (with the sign of ``b*d`` where a divisor may be
   negative), so no :class:`fractions.Fraction` is built; any other value
-  (a ``bool``, ``float``, ``Fraction``, string, ``None``…) takes the
-  general branch, which divides through ``Fraction`` as ``Divide.evaluate``
-  does.  A literal with a constant that is neither an ``int`` nor a
-  ``Fraction`` has only the general branch.
+  takes the general branch, which divides through ``Fraction`` as
+  ``Divide.evaluate`` does.  A literal with a constant that is neither an
+  ``int`` nor a ``Fraction`` has only the general branch.
 
 **Three-way verdicts.**  A literal over a missing attribute is False.  A
 literal whose evaluation raises :class:`~repro.errors.EvaluationError`
@@ -37,42 +36,43 @@ literal whose evaluation raises :class:`~repro.errors.EvaluationError`
 exception (``Fraction('n/a')`` raises ``ValueError``) replays
 ``Literal.holds_for`` on the values read, outside the handler, so the
 verdict or the exception is ``holds_for``'s own.  A constant subtree that
-cannot fold (division by the constant zero, ``Fraction(inf)``) makes every
-check of its literal replay ``holds_for``.  Evaluation keeps
-``Expression.evaluate``'s order, so the first exception raised is the
-same.  Billing is the search's: ``admit`` and ``prune`` charge one
-``literal_evaluations`` per check reached, at the exit they take, and the
-leaf its flat ``len(X) + len(Y)`` up front.
+cannot fold makes every check of its literal replay ``holds_for``.
+Evaluation keeps ``Expression.evaluate``'s order, so the first exception
+raised is the same.
 
-**The memo.**  The generated code depends on the rule and the order only,
-not on the graph statistics, so :mod:`repro.matching.plan` keeps it in one
-process-wide table (least recently used out past ``SCHEDULES_KEPT``) keyed
-by what the code is made of: the rule's name, its pattern with the edges in
-order, its literals and the exact type of each constant (``1`` and ``1.0``
-compare equal, but ``x.a * 1`` and ``x.a * 1.0`` differ on a large int).
-Every plan of an equal rule reuses it, in every ``Detector`` of the
-process, parsed once or again.  Generated functions do not pickle and are
-not on the rule; a ``spawn`` worker generates its schedules again from the
-rules it receives.
+**Billing** is the search's: one ``candidates_examined`` per candidate
+drawn, one ``literal_evaluations`` per check reached, the leaf's flat
+``len(X) + len(Y)``, the rejections by reason.  A step sums them in
+locals and adds them to the statistics once, after its loop.  The leaf
+does not evaluate again what the steps checked on the way down
+(``PROVEN``): all of X, and a one-literal Y, which pruned the branch where
+it held.
 
-Keys enter the source only through ``repr()``, and constants only through
-the module's namespace, so no attribute name or value can become code.  The
-source is compiled under a filename containing ``repro/matching/compiled``
-and registered in :mod:`linecache`, so profiles attribute its time to this
-layer and tracebacks show the generated line.  ``Literal.holds_for`` stays
-the oracle: ``tests/test_compiled_eval.py`` holds the generated code to it
-on generated assignments, mixed-type ones included.
+**Sharing.**  :mod:`repro.matching.plan` keeps each rule's generated
+schedule in a process-wide table keyed by what the code is made of, and
+each function's text is compiled once per process: labels, counter keys,
+rule names, slots and constants are names in the function's own
+namespace, never text, so steps of one shape share one ``compile()``.
+Attribute keys enter the source only through ``repr()``, so no key, label
+or value can become code.  Generated functions do not pickle; a ``spawn``
+worker generates its schedules again.  Each text is compiled under a
+filename ``<repro/matching/compiled:digest>`` registered in
+:mod:`linecache`, so profiles attribute its time to this layer and
+tracebacks show the generated line.  ``Literal.holds_for`` stays the
+oracle: ``tests/test_compiled_eval.py`` holds the generated code to it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import linecache
-import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from types import CodeType
 from typing import Callable, Optional
 
+from repro.core.violations import Violation
 from repro.errors import EvaluationError, ExpressionError
 from repro.expr.expressions import (
     AbsoluteValue,
@@ -85,6 +85,7 @@ from repro.expr.expressions import (
     TermExpression,
 )
 from repro.expr.literals import COMPARISON_OPS, Comparison, Literal
+from repro.graph.model import WILDCARD
 
 __all__ = [
     "resolve_compiled",
@@ -119,8 +120,6 @@ _FOLD_ERRORS = (EvaluationError, ArithmeticError, ValueError, TypeError)
 #: Python's parser refuses source nested about 200 deep, which the rule
 #: parser and the expression API accept.
 _NESTING = 40
-#: What a rule name may not bring into a generated filename.
-_UNSAFE = re.compile(r"[^\w.-]+")
 
 
 def _divide(numerator, denominator):
@@ -184,12 +183,66 @@ def _times(left: Optional[str], right: Optional[str]) -> Optional[str]:
     return f"({left} * {right})"
 
 
-class _Module:
-    """The source of one generated module and the namespace it runs in."""
+def _load(functions: Sequence["_Function"]) -> dict:
+    """Compile each function's text (once per text in the process), run it; return the functions by name.
 
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.namespace: dict = {"MISSING": MISSING, "EvaluationError": EvaluationError, "divide": _divide}
+    A text holds no label, key or constant: those are names in the
+    function's own namespace.  So functions alike but for them — steps of
+    one shape, in one rule or in rules alike — share one ``compile()``.
+    Every namespace then gets every function, so that they call each other
+    by name.
+    """
+    made = {}
+    for function in functions:
+        exec(_compiled("\n".join(function.lines) + "\n"), function.namespace)
+        made[function.name] = function.namespace.pop(function.kind)
+    for function in functions:
+        function.namespace.update(made)
+    return made
+
+
+#: How many compiled texts the process keeps; past it, the least recently used is dropped.
+TEXTS_KEPT = 1024
+
+
+@functools.lru_cache(maxsize=TEXTS_KEPT)
+def _compiled(source: str) -> CodeType:
+    """Compile ``source`` under a filename of its digest, registered in ``linecache``."""
+    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
+    filename = f"<repro/matching/compiled:{digest}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return compile(source, filename, "exec")
+
+
+class _Function:
+    """One generated function: its namespace, the reads its literals share, and its body.
+
+    A variable at slot ``current`` is read from the local ``attrs`` (one
+    candidate's attributes), any other from ``env[slot]``.
+    """
+
+    def __init__(self, functions: list, name: str, parameters: str, slot_of, env: str = "slots", current=None, attrs: str = "attrs") -> None:
+        self.name, self.slot_of, self.env, self.current, self.attrs = name, slot_of, env, current, attrs
+        functions.append(self)
+        # a step's text does not say which step it is, so that steps alike share it
+        self.kind = name.split("_")[0]
+        self.lines = [f"def {self.kind}({parameters}):"]
+        self.namespace: dict = {
+            "MISSING": MISSING,
+            "EvaluationError": EvaluationError,
+            "divide": _divide,
+            "Violation": Violation,
+            "scan_pool": scan_pool,
+            "intersect_pool": intersect_pool,
+        }
+        self.indent = 1  # the level literal code is written at
+        self.reads: dict = {}  # (variable, attribute) -> local name
+        self.slots: dict = {}  # slot -> local name
+        self.present: set = set()  # locals a passed literal proved present
+        self.temps = 0
+
+    def emit(self, depth: int, *lines: str) -> None:
+        self.lines.extend("    " * (self.indent + depth - 1) + line for line in lines)
 
     def bind(self, prefix: str, value) -> str:
         """Return a new global name holding ``value``."""
@@ -197,47 +250,17 @@ class _Module:
         self.namespace[name] = value
         return name
 
-    def load(self, label: str) -> dict:
-        """Compile the source once, register it in ``linecache``, run it; return its namespace."""
-        source = "\n".join(self.lines) + "\n"
-        digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
-        filename = f"<repro/matching/compiled:{_UNSAFE.sub('_', label)[:48]}:{digest}>"
-        code = compile(source, filename, "exec")
-        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        exec(code, self.namespace)
-        return self.namespace
-
-
-class _Function:
-    """One generated function: the reads its literals share, and its body."""
-
-    def __init__(self, module: _Module, header: str, env: str, slot_of, direct: bool) -> None:
-        self.module, self.env, self.slot_of, self.direct = module, env, slot_of, direct
-        self.lines = [header]
-        self.reads: dict = {}  # (variable, attribute) -> local name
-        self.slots: dict = {}  # slot -> local name
-        self.present: set = set()  # locals a passed literal proved present
-        self.temps = 0
-
-    def emit(self, depth: int, line: str) -> None:
-        self.lines.append("    " * depth + line)
-
-    def finish(self) -> None:
-        self.module.lines.extend(self.lines)
-        self.module.lines.append("")
-
-    def _read(self, variable: str, attribute) -> str:
+    def read(self, variable: str, attribute) -> str:
+        """Return the local holding ``variable.attribute``, read here where it was not read before."""
         local = self.reads.get((variable, attribute))
         if local is not None:
             return local
-        holder = self.env
-        if not self.direct:
-            slot = self.slot_of[variable]
-            holder = self.slots.get(slot)
-            if holder is None:
-                holder = self.slots[slot] = f"s{slot}"
-                self.emit(1, f"{holder} = {self.env}[{slot}]")
-        key = repr(attribute) if type(attribute) is str else self.module.bind("A", attribute)
+        slot = self.slot_of[variable]
+        holder = self.attrs if slot == self.current else self.slots.get(slot)
+        if holder is None:
+            holder = self.slots[slot] = f"s{slot}"
+            self.emit(1, f"{holder} = {self.env}[{slot}]")
+        key = repr(attribute) if type(attribute) is str else self.bind("A", attribute)
         local = self.reads[(variable, attribute)] = f"v{len(self.reads)}"
         self.emit(1, f"{local} = {holder}.get({key}, MISSING)")
         return local
@@ -261,7 +284,7 @@ class _Function:
         source does not nest.
         """
         if not expression.variables():
-            return self.module.bind("K", expression.evaluate({}))
+            return self.bind("K", expression.evaluate({}))
         if isinstance(expression, TermExpression):
             return self.reads[(expression.term.variable, expression.term.attribute)]
         symbol = _ARITHMETIC.get(type(expression))
@@ -286,8 +309,8 @@ class _Function:
         if not expression.variables():
             numerator, denominator = _constant_ratio(expression)
             return (
-                self.module.bind("K", numerator),
-                None if denominator == 1 else self.module.bind("K", denominator),
+                self.bind("K", numerator),
+                None if denominator == 1 else self.bind("K", denominator),
                 True,
             )
         if isinstance(expression, TermExpression):
@@ -309,8 +332,8 @@ class _Function:
                 # (a/b) / (p/q) = (a*q) / (b*p), the sign of p moved into q
                 if p < 0:
                     p, q = -p, -q
-                q_name = None if q == 1 else self.module.bind("K", q)
-                p_name = None if p == 1 else self.module.bind("K", p)
+                q_name = None if q == 1 else self.bind("K", q)
+                p_name = None if p == 1 else self.bind("K", p)
                 return _times(a, q_name), self._temp(_times(b, p_name), out), left_positive
         c, d, right_positive = self._ratio(expression.right, out, nonzero)
         if isinstance(expression, Divide):
@@ -345,12 +368,16 @@ class _Function:
 
     # -------------------------------------------------------------- literals
 
-    def literal(self, literal: Literal) -> None:
-        """Emit the reads and the lines that leave ``literal``'s verdict in ``ok``."""
+    def literal(self, literal: Literal, title: str) -> None:
+        """Emit the reads and the lines that leave ``literal``'s verdict in ``ok``.
+
+        ``title`` names the literal in a comment: its text would put its
+        constants in the source, which two rules alike but for them share.
+        """
         pairs = tuple(sorted(literal.variables()))
         deep = max(_height(literal.left), _height(literal.right)) > _NESTING
-        self.emit(1, f"# {'a literal nested deeper than ' + str(_NESTING) if deep else str(literal)!r}")
-        values = [self._read(variable, attribute) for variable, attribute in pairs]
+        self.emit(1, f"# {title}{', nested deeper than ' + str(_NESTING) if deep else ''}")
+        values = [self.read(variable, attribute) for variable, attribute in pairs]
         arguments = ", ".join(values)
         steps: Optional[list] = [] if deep else None
         try:
@@ -359,10 +386,10 @@ class _Function:
         except _FOLD_ERRORS:
             # a constant subtree that cannot fold: whether holds_for returns
             # False or raises depends on what it evaluates first, so replay it
-            general = [f"ok = {self.module.bind('R', _replay(literal, pairs))}({arguments})"]
+            general = [f"ok = {self.bind('R', _replay(literal, pairs))}({arguments})"]
         else:
             if not pairs:
-                constants = self.module.namespace
+                constants = self.namespace
                 try:
                     verdict = bool(COMPARISON_OPS[literal.comparison](constants[left], constants[right]))
                 except (EvaluationError, TypeError):
@@ -378,7 +405,7 @@ class _Function:
                 "except Exception:",
                 "    ok = None",
                 "if ok is None:",
-                f"    ok = {self.module.bind('R', _replay(literal, pairs))}({arguments})",
+                f"    ok = {self.bind('R', _replay(literal, pairs))}({arguments})",
             ]
         ratio = None
         if len(general) > 1 and not deep and (_divides(literal.left) or _divides(literal.right)):
@@ -403,6 +430,13 @@ class _Function:
             for line in general:
                 self.emit(1, line)
 
+    def check(self, literal: Literal, title: str, *failure: str) -> None:
+        """Emit ``literal``, and ``failure`` where it does not hold; the code after runs where it held."""
+        self.literal(literal, title)
+        self.emit(1, "if not ok:")
+        self.emit(2, *failure)
+        self.passed(literal)
+
     def passed(self, literal: Literal) -> None:
         """Note that the code after this point runs only where ``literal`` held: its values are present."""
         self.present.update(self.reads[pair] for pair in literal.variables())
@@ -417,87 +451,237 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
     and the comparison holds — ``literal.holds_for`` over the assignment of
     the bound nodes' attributes, its implicit completeness test included.
     """
-    module = _Module()
-    function = _Function(module, "def check(env):", "env", slot_of, direct)
-    function.literal(literal)
+    functions: list = []
+    if direct:
+        slot_of = dict.fromkeys(slot_of, 0)
+    function = _Function(functions, "check", "env", slot_of, "env", 0 if direct else None, "env")
+    function.literal(literal, "the literal")
     function.emit(1, "return ok")
-    function.finish()
-    return module.load("literal")["check"]
+    return _load(functions)["check"]
+
+
+#: What :attr:`RuleSearch.leaf <repro.matching.search.RuleSearch>` tells a last step to do with a binding:
+#: keep it unchecked, check X and Y over its slots, or take what the steps checked on the way down.
+KEEP, RECHECK, PROVEN = 0, 1, 2
+
+
+def scan_pool(store, label: str, out_labels: frozenset, in_labels: frozenset) -> tuple:
+    """The ids of ``label`` (every id for the wildcard) that cover the degree signature, and how many were scanned."""
+    pool = store.all_node_ids() if label == WILDCARD else store.nodes_with_label(label)
+    scanned = len(pool)
+    # the index is the label's, so only the degree signature remains
+    if out_labels:
+        out_of = store.out_edge_labels
+        pool = [node_id for node_id in pool if out_labels <= out_of(node_id)]
+    if in_labels:
+        into = store.in_edge_labels
+        pool = [node_id for node_id in pool if in_labels <= into(node_id)]
+    return pool, scanned
+
+
+def intersect_pool(store, anchor_slots: tuple, ids, stats) -> tuple:
+    """The ids in every anchor's view, in rank order, and the size of the smallest view, probed against the others."""
+    views = [(store.successors_by_label if f else store.predecessors_by_label)(ids[s], label) for s, f, label in anchor_slots]
+    views.sort(key=len)  # stable: the first smallest view is the base
+    base, others = views[0], views[1:]
+    stats.edge_checks += len(base) * len(others)
+    return [node_id for node_id in base if all(node_id in view for view in others)], len(base)
 
 
 def compile_schedule(
     name: str,
+    variables: Sequence[str],
     premise: Sequence[Literal],
     conclusion: Sequence[Literal],
     slot_of,
-    steps: Sequence[tuple[Sequence[int], Sequence[int], bool]],
-) -> tuple[tuple[Optional[Callable], ...], tuple[Optional[Callable], ...], Callable]:
-    """Generate one rule's schedule for one order as one module, compiled once.
+    steps: Sequence[Mapping],
+) -> tuple[tuple[Callable, ...], Optional[Callable], Callable]:
+    """Generate one rule's schedule for one order: ``(expand, seeds, violates)`` of its :class:`~repro.matching.plan.Schedule`.
 
-    ``steps[d]`` is ``(unary, checks, conclusion_bound)``: the premise
-    indices that filter step ``d``'s candidates, those checked when it
-    binds, and whether the single conclusion literal is checked then
-    (a bound conclusion that holds prunes the branch).  Returns ``(admits,
-    prunes, violates)``: per step ``admit(attrs, stats)`` (True keeps the
-    candidate) or None, per step ``prune(slots, stats)`` (True prunes) or
-    None, and the leaf ``violates(slots, stats)``, True when X holds and Y
-    does not.
+    ``steps[d]`` holds the :class:`~repro.matching.plan.PlanStep` fields of
+    step ``d`` that do not depend on the statistics.
     """
-    module = _Module()
-    module.lines.append(f"# rule {name!r}")
-    admits: list[Optional[str]] = []
-    prunes: list[Optional[str]] = []
-    for depth, (unary, checks, conclusion_bound) in enumerate(steps):
-        admits.append(None)
-        if unary:
-            admits[-1] = f"admit_{depth}"
-            function = _Function(module, f"def admit_{depth}(attrs, stats):", "attrs", slot_of, True)
-            for reached, index in enumerate(unary, 1):
-                function.literal(premise[index])
-                _on_failure(function, reached, "False")
-                function.passed(premise[index])
-            function.emit(1, f"stats.literal_evaluations += {len(unary)}")
-            function.emit(1, "return True")
-            function.finish()
-        prunes.append(None)
-        if checks or conclusion_bound:
-            prunes[-1] = f"prune_{depth}"
-            function = _Function(module, f"def prune_{depth}(slots, stats):", "slots", slot_of, False)
-            for reached, index in enumerate(checks, 1):
-                function.literal(premise[index])
-                _on_failure(function, reached, "True")
-                function.passed(premise[index])
-            total = len(checks) + conclusion_bound
-            if conclusion_bound:
-                function.literal(conclusion[0])
-            function.emit(1, f"stats.literal_evaluations += {total}")
-            function.emit(1, "return ok" if conclusion_bound else "return False")
-            function.finish()
-    function = _Function(module, "def violates(slots, stats):", "slots", slot_of, False)
+    functions: list = []
+    found = (name, tuple(variables), [slot_of[variable] for variable in variables])
+    for depth, step in enumerate(steps):
+        _expand(functions, depth, step, premise, conclusion, slot_of, depth + 1 == len(steps), found)
+    if steps:
+        function = _Function(functions, "seeds", "store, stats", slot_of, current=0)
+        _pool(function, steps[0])
+        counters = _counters(steps[0], (), False)
+        if steps[0]["unary_premise"] or steps[0]["self_loops"]:
+            function.emit(1, "nodes = []", f"{' = '.join(counters)} = 0", "for node in store.get_nodes(pool):")
+            function.indent = 2
+            _filter(function, steps[0], premise)
+            function.emit(1, "nodes.append(node)")
+            function.indent = 1
+        else:
+            function.emit(1, "nodes = store.get_nodes(pool)")
+        function.emit(1, "kept = len(nodes)")
+        _flush(function, steps[0], counters)
+        function.emit(1, "return nodes, scanned")
+    function = _Function(functions, f"expand_{len(steps)}", "search, order", slot_of)
+    function.emit(1, "search.filtering, search.verification = 1, 0")
+    function.emit(1, "if search.leaf and not violates(search.slots, search.stats):")
+    function.emit(2, "return []")
+    function.emit(1, "search.stats.matches_emitted += 1", "ids = search.ids", f"return [{_violation(function, found, None)}]")
+    function = _Function(functions, "violates", "slots, stats", slot_of)
     if premise or conclusion:
         function.emit(1, f"stats.literal_evaluations += {len(premise) + len(conclusion)}")
-    for literal in premise:
-        function.literal(literal)
-        function.emit(1, "if not ok:")
-        function.emit(2, "return False")
-        function.passed(literal)
-    for literal in conclusion:
-        function.literal(literal)
-        function.emit(1, "if not ok:")
-        function.emit(2, "return True")
-        function.passed(literal)
-    function.emit(1, "return False")
-    function.finish()
-    namespace = module.load(name)
-    return (
-        tuple(None if function_name is None else namespace[function_name] for function_name in admits),
-        tuple(None if function_name is None else namespace[function_name] for function_name in prunes),
-        namespace["violates"],
-    )
+    for index, literal in enumerate(premise):
+        function.check(literal, f"premise {index}", "return False")
+    if len(conclusion) > 1:
+        # Y of more literals, which a last step evaluates apart from X
+        function.emit(1, "return not holds(slots)")
+        function = _Function(functions, "holds", "slots", slot_of)
+    for index, literal in enumerate(conclusion):
+        function.check(literal, f"conclusion {index}", f"return {len(conclusion) == 1}")
+    function.emit(1, f"return {len(conclusion) > 1}")
+    made = _load(functions)
+    return tuple(made[f"expand_{depth}"] for depth in range(len(steps) + 1)), made.get("seeds"), made["violates"]
 
 
-def _on_failure(function: _Function, reached: int, result: str) -> None:
-    """Emit the exit of a literal that fails: bill the ``reached`` checks, return ``result``."""
-    function.emit(1, "if not ok:")
-    function.emit(2, f"stats.literal_evaluations += {reached}")
-    function.emit(2, f"return {result}")
+def _violation(function: _Function, found: tuple, depth: Optional[int]) -> str:
+    """The source of the :class:`Violation` of the binding in ``ids``, the node of slot ``depth`` being ``node``."""
+    name, variables, vector = found
+    nodes = "".join(("node.id" if slot == depth else f"ids[{slot}]") + ", " for slot in vector)
+    return f"Violation({function.bind('N', name)}, {function.bind('N', variables)}, ({nodes}))"
+
+
+def _counters(step: Mapping, later: Sequence[str], evaluates: bool) -> list[str]:
+    """The locals a step counts in: its rejections by reason, its checks, and ``later``."""
+    counters = ["by_label"] if step["anchor_slots"] and step["label"] != WILDCARD else []
+    counters += ["by_unary"] if step["unary_premise"] else []
+    counters += ["evals"] if evaluates or step["unary_premise"] else []
+    return counters + (["probes"] if step["self_loops"] else []) + list(later)
+
+
+def _filter(function: _Function, step: Mapping, premise: Sequence[Literal]) -> None:
+    """Emit, in the candidate loop, the tests that reject ``node``: label, unary literals, self-loops."""
+    if step["anchor_slots"] and step["label"] != WILDCARD:
+        function.emit(1, f"if node.label != {function.bind('L', step['label'])}:")
+        function.emit(2, "by_label += 1", "continue")
+    function.emit(1, "attrs = node.attributes")
+    for reached, index in enumerate(step["unary_premise"], 1):
+        function.check(premise[index], f"premise {index}", f"evals += {reached}", "by_unary += 1", "continue")
+    if step["unary_premise"]:
+        function.emit(1, f"evals += {len(step['unary_premise'])}")
+    for loop_label in step["self_loops"]:
+        # the one pattern edge no anchor covers: probe the candidate's loop
+        function.emit(1, "probes += 1", f"if not store.has_edge_key((node.id, node.id, {function.bind('L', loop_label)})):")
+        function.emit(2, "continue")
+
+
+def _flush(function: _Function, step: Mapping, counters: Sequence[str]) -> None:
+    """Emit, after the candidate loop, the counters' sums into ``stats`` and the rejections by reason.
+
+    What a scan's degree signature, the other anchors or a self-loop
+    dropped is rejected for an edge.
+    """
+    for counter, total in (("evals", "literal_evaluations"), ("probes", "edge_checks")):
+        if counter in counters:
+            function.emit(1, f"stats.{total} += {counter}")
+    reasons = [counter for counter in ("by_label", "by_unary") if counter in counters]
+    function.emit(1, "if kept != scanned:")
+    function.emit(2, "extra = stats.extra", " - ".join(["edge = scanned - kept", *reasons]))
+    for counter, key in zip(("by_label", "by_unary", "edge"), step["reject_keys"]):
+        if counter in reasons or counter == "edge":
+            key = function.bind("L", key)
+            function.emit(2, f"if {counter}:")
+            function.emit(3, f"extra[{key}] = extra.get({key}, 0) + {counter}")
+
+
+def _pool(function: _Function, step: Mapping) -> None:
+    """Emit the read of the step's pool into ``pool`` and the bill of the ``scanned`` candidates."""
+    anchors = step["anchor_slots"]
+    if len(anchors) == 1:
+        (slot, forward, edge_label), = anchors
+        view = "successors_by_label" if forward else "predecessors_by_label"
+        function.emit(1, f"pool = store.{view}(ids[{function.bind('K', slot)}], {function.bind('L', edge_label)})")
+        function.emit(1, "scanned = len(pool)")
+    elif anchors:
+        function.emit(1, f"pool, scanned = intersect_pool(store, {function.bind('K', anchors)}, ids, stats)")
+    else:
+        arguments = ", ".join(function.bind("K", step[field]) for field in ("label", "out_labels", "in_labels"))
+        function.emit(1, f"pool, scanned = scan_pool(store, {arguments})")
+    key = function.bind("L", step["count_key"])
+    function.emit(1, "stats.candidates_examined += scanned", "if scanned:")
+    function.emit(2, "extra = stats.extra", f"extra[{key}] = extra.get({key}, 0) + scanned")
+
+
+def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slot_of, last: bool, found: tuple) -> None:
+    """Emit ``expand_<depth>``: read the pool, filter, check and push (or finish) each candidate.
+
+    Step 0 takes its candidates from ``seeds``, filtered.
+    """
+    checks, checked = step["premise_checks"], step["check_conclusion"]
+    function = _Function(functions, f"expand_{depth}", "search, order", slot_of, current=depth)
+    reads = ["ids"] if depth or last else []
+    reads += ["slots"] if last or checks or checked else []
+    function.emit(1, f"{', '.join(reads + ['stats', 'store'])} = {', '.join(f'search.{name}' for name in reads + ['stats', 'store'])}")
+    if depth:
+        _pool(function, step)
+    else:
+        function.emit(1, "pool, scanned = seeds(store, stats)")
+    # without checks, a step expands what it keeps
+    later = (["kept", "expanded"] if checks or checked else ["kept"]) + (["matches"] if last else [])
+    evaluates = bool(checks or checked or last and (premise or conclusion))
+    counters = _counters(step, later, evaluates) if depth else later + (["evals"] if evaluates else [])
+    function.emit(1, "leaf, found = search.leaf, []" if last else "push = search.stack.append", f"{' = '.join(counters)} = 0")
+    # an earlier slot's attributes are read once per step, out of the candidate loop
+    for literal in [premise[index] for index in checks] + list(conclusion[:checked]):
+        for variable, attribute in sorted(literal.variables()):
+            if slot_of[variable] != depth:
+                function.read(variable, attribute)
+    function.emit(1, f"for node in {'store.get_nodes(pool)' if depth else 'pool'}:")
+    function.indent = 2
+    if depth:
+        _filter(function, step, premise)
+    else:
+        function.emit(1, "attrs = node.attributes")
+    function.emit(1, "kept += 1")
+    for reached, index in enumerate(checks, 1):
+        function.check(premise[index], f"premise {index}", f"evals += {reached}", "continue")
+    if checked:
+        # a bound conclusion that holds cannot become a violation
+        function.literal(conclusion[0], "conclusion 0")
+    if checks or checked:
+        function.emit(1, f"evals += {len(checks) + checked}")
+    if checked:
+        function.emit(1, "if ok:")
+        function.emit(2, "continue")
+    if "expanded" in counters:
+        function.emit(1, "expanded += 1")
+    if last:
+        _leaf(function, depth, premise, conclusion, found)
+    else:
+        function.emit(1, f"push(({function.bind('K', depth)}, node.id, attrs, order))")
+    function.indent = 1
+    if depth:
+        _flush(function, step, counters)
+    elif evaluates:
+        function.emit(1, "stats.literal_evaluations += evals")
+    function.emit(1, f"stats.expansions += {'expanded' if 'expanded' in counters else 'kept'}")
+    if last:
+        function.emit(1, "stats.matches_emitted += matches")
+    function.emit(1, "search.filtering, search.verification = scanned, kept", "return found" if last else "return []")
+
+
+def _leaf(function: _Function, depth: int, premise, conclusion, found: tuple) -> None:
+    """Emit what a last step does with a binding that passed its checks, as ``search.leaf`` says.
+
+    ``PROVEN`` evaluates only a Y of more literals (``holds``); the bill
+    stays the flat ``len(X) + len(Y)``.
+    """
+    function.emit(1, f"if leaf == {PROVEN}:")
+    if premise or conclusion:
+        function.emit(2, f"evals += {len(premise) + len(conclusion)}")
+    if not conclusion:
+        function.emit(2, "continue")  # an empty Y always holds
+    elif len(conclusion) > 1:
+        function.emit(2, f"slots[{depth}] = attrs", "if holds(slots):")
+        function.emit(3, "continue")
+    function.emit(1, "elif leaf:")
+    function.emit(2, f"slots[{depth}] = attrs", "if not violates(slots, stats):")
+    function.emit(3, "continue")
+    function.emit(1, "matches += 1", f"found.append({_violation(function, found, depth)})")

@@ -17,14 +17,12 @@ separates *planning* from *execution*:
   :class:`PlanStep` per variable, holding its candidate *strategy*
   (``scan`` over the label index vs ``anchored`` intersection of
   label-filtered adjacency views, smallest set first), its *literal
-  schedule* (which premise literals fire at which binding depth) and those
-  literals as generated functions (:mod:`repro.matching.compiled`), kept
-  per rule and order for the whole process.  One plan serves batch search,
-  pivot-seeded incremental search, and the parallel work-unit kernels
-  alike; schedules are memoised;
-* :func:`step_candidates` is the one candidate generator: it executes a
-  step's strategy against the store, for the search's steps and the batch
-  kernels' seed scans alike.
+  schedule* (which premise literals fire at which binding depth), and the
+  steps themselves as generated functions (:mod:`repro.matching.compiled`):
+  one per step that reads its candidates, tests them and descends, and one
+  for the batch kernels' seed scan, kept per rule and order for the whole
+  process.  One plan serves batch search, pivot-seeded incremental search,
+  and the parallel work-unit kernels alike; schedules are memoised.
 
 The one executor is the search core :class:`~repro.matching.search.RuleSearch`:
 the four detection kernels drive it, and ``HomomorphismMatcher`` is its view
@@ -41,19 +39,15 @@ probe one ``edge_checks``, each literal evaluation one
 from __future__ import annotations
 
 import functools
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro import obs
 from repro.core.ngd import NGD
 from repro.graph.graph import WILDCARD, Graph
 from repro.matching.candidates import REJECT_COUNT_PREFIX, REJECT_REASONS, STEP_COUNT_PREFIX, MatchStatistics
 from repro.matching.compiled import compile_schedule
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.graph.model import Node
-    from repro.graph.store import GraphStore
 
 __all__ = [
     "GraphStatistics",
@@ -63,7 +57,6 @@ __all__ = [
     "MatchPlan",
     "compile_plan",
     "compile_plans",
-    "step_candidates",
     "format_plan",
 ]
 
@@ -195,19 +188,12 @@ class PlanStep:
     holds cannot become a violation, so the branch is pruned — Section 6.2,
     step (3)).
 
-    The step is also what runs: ``admit(attrs, stats)`` checks the unary
-    literals on one candidate's attributes (True keeps it) and ``prune(slots,
-    stats)`` the premise checks, then the bound conclusion, over the slots
-    (True prunes the branch), each generated from those literals in the
-    order of ``unary_premise`` and ``premise_checks`` and None where the step
-    has none (:mod:`repro.matching.compiled`); ``anchor_slots`` is
-    ``anchors`` by slot — ``(anchor's slot, True for a successor view, edge
-    label)`` — and ``anchor`` the one triple of a one-anchor step (None
-    otherwise); ``label_filter`` is the label a pooled candidate must carry
-    (None for a scan or a wildcard); ``out_labels`` / ``in_labels`` are the
-    degree signature a scanned node must cover; ``count_key`` and
-    ``reject_keys`` (by ``REJECT_REASONS``) key its counts in
-    ``MatchStatistics.extra``.
+    What runs is generated per schedule (:attr:`Schedule.expand`), from
+    these fields: ``anchor_slots`` is ``anchors`` by slot — ``(anchor's
+    slot, True for a successor view, edge label)``; ``out_labels`` /
+    ``in_labels`` are the degree signature a scanned node must cover;
+    ``count_key`` and ``reject_keys`` (by ``REJECT_REASONS``) key its counts
+    in ``MatchStatistics.extra``.
     """
 
     variable: str
@@ -222,10 +208,6 @@ class PlanStep:
     check_conclusion: bool
     estimated_candidates: float
     anchor_slots: tuple[tuple[int, bool, str], ...]
-    anchor: Optional[tuple[int, bool, str]]
-    label_filter: Optional[str]
-    admit: Optional[Callable]
-    prune: Optional[Callable]
     count_key: str
     reject_keys: tuple[str, ...]
 
@@ -246,25 +228,26 @@ class PlanStep:
         }
 
 
-class Schedule:
-    """One rule's compiled steps for a fixed variable order, and its leaf check.
+class Schedule(NamedTuple):
+    """One rule's compiled steps for a fixed variable order, and the code that runs them.
 
-    ``steps[d]`` binds ``order[d]`` to slot ``d``; ``declared_slots`` is the
-    slot of each pattern variable in declaration order, the order a
-    :class:`~repro.core.violations.Violation` lists its nodes in.
-    ``violates(slots, stats)`` is the generated dependency check over a
-    complete slot list: True when X holds and Y does not, billed a flat
-    ``len(premise) + len(conclusion)`` up front regardless of where the
-    conjunctions short-circuit.
+    ``steps[d]`` binds ``order[d]`` to slot ``d``.  The rest is generated
+    (:func:`~repro.matching.compiled.compile_schedule`):
+    ``expand[d](search, order)`` runs step ``d`` of a
+    :class:`~repro.matching.search.RuleSearch` (``expand[len(steps)]`` the
+    leaf of a seed that bound every variable); ``seeds(store, stats)``
+    returns step 0's candidates and the size of its scan, which the batch
+    kernels seed the search with; ``violates(slots, stats)`` is the
+    dependency check over a complete slot list, True when X holds and Y does
+    not, billed a flat ``len(premise) + len(conclusion)`` up front
+    regardless of where the conjunctions short-circuit.
     """
 
-    __slots__ = ("order", "steps", "declared_slots", "violates")
-
-    def __init__(self, order, steps, declared_slots, violates: Callable) -> None:
-        self.order = order
-        self.steps = steps
-        self.declared_slots = declared_slots
-        self.violates = violates
+    order: tuple[str, ...]
+    steps: tuple[PlanStep, ...]
+    expand: tuple[Callable, ...]
+    seeds: Optional[Callable]
+    violates: Callable
 
 
 class MatchPlan:
@@ -456,109 +439,64 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
     """Return the schedule of ``order``: the rule's generated steps, each estimated against ``stats``."""
     order = tuple(order)
     pattern, premise, conclusion = rule.pattern, rule.premise, rule.conclusion
-    fields, declared_slots, violates = _generated(
-        rule.name,
-        pattern,
-        pattern.edges(),
-        premise,
-        conclusion,
-        (premise.constant_types(), conclusion.constant_types()),
-        order,
-    )
+    constant_types = (premise.constant_types(), conclusion.constant_types())
+    fields, expand, seeds, violates = _generated(rule.name, pattern, pattern.edges(), premise, conclusion, constant_types, order)
     steps = tuple(
         PlanStep(**step, estimated_candidates=_estimate(stats, pattern, step["variable"], step["anchors"]))
         for step in fields
     )
     obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
-    return Schedule(order, steps, declared_slots, violates)
+    return Schedule(order, steps, expand, seeds, violates)
 
 
 @functools.lru_cache(maxsize=SCHEDULES_KEPT)
 def _generated(name, pattern, edges, premise, conclusion, constant_types, order) -> tuple:
-    """``_generate_schedule``, shared by every rule that generates the same code.
+    """Resolve every step of ``order`` but its estimate, and generate its code.
 
-    That is a rule of the same name, an equal pattern with its edges in the
-    same order (they order the anchors), equal literals and the same
-    constant types: rules parsed apart from one document, or built alike,
-    share one ``compile()`` per order.
-    """
-    return _generate_schedule(name, pattern, premise, conclusion, order)
-
-
-def _generate_schedule(name: str, pattern, premise, conclusion, order: tuple[str, ...]) -> tuple:
-    """Resolve every step of ``order`` but its estimate, and generate its literal code.
-
-    Returns ``(fields, declared_slots, violates)``: each step's
-    :class:`PlanStep` fields but ``estimated_candidates``, the slot of each
-    pattern variable in declaration order, and the leaf.  None of it reads
-    the graph statistics, so one result serves every plan of the rule.
+    Returns ``(fields, expand, seeds, violates)``: each step's
+    :class:`PlanStep` fields but ``estimated_candidates``, and the
+    generated functions of :class:`Schedule`.  None of it reads the graph
+    statistics, so one result serves every plan of every rule that
+    generates the same code: a rule of the same name, an equal pattern with
+    its ``edges`` in the same order (they order the anchors), equal
+    literals and the same ``constant_types`` — rules parsed apart from one
+    document, or built alike.
     """
     slot_of = {variable: index for index, variable in enumerate(order)}
-    premise_literals = premise.literals()
-    conclusion_literals = conclusion.literals()
-    single_conclusion = conclusion_literals[0] if len(conclusion_literals) == 1 else None
-
+    premise_literals, conclusion_literals = premise.literals(), conclusion.literals()
+    single = conclusion_literals[0] if len(conclusion_literals) == 1 else None
     scheduled: set[int] = set()
-    conclusion_done = False
     fields: list[dict] = []
     bound: set = set()
     for variable in order:
         anchors = _anchors_for(pattern, variable, bound)
-        self_loops = tuple(
-            edge.label for edge in pattern.out_edges(variable) if edge.target == variable
-        )
-        unary: list[int] = []
-        checks: list[int] = []
-        now_bound = bound | {variable}
-        for literal_index, literal in enumerate(premise_literals):
-            if literal_index in scheduled:
-                continue
-            mentioned = literal.pattern_variables()
-            if not (mentioned <= now_bound):
-                continue
-            scheduled.add(literal_index)
-            if mentioned == frozenset({variable}):
-                unary.append(literal_index)
-            else:
-                checks.append(literal_index)
-        check_conclusion = False
-        if single_conclusion is not None and not conclusion_done:
-            if single_conclusion.pattern_variables() <= now_bound:
-                check_conclusion = True
-                conclusion_done = True
+        bound = bound | {variable}
+        # each literal fires at the step that binds the last of its variables
+        due = [index for index, literal in enumerate(premise_literals) if index not in scheduled and literal.pattern_variables() <= bound]
+        scheduled.update(due)
+        unary = tuple(index for index in due if premise_literals[index].pattern_variables() == {variable})
+        check_conclusion = single is not None and single.pattern_variables() <= bound
+        single = None if check_conclusion else single
         strategy = "anchored" if anchors else "scan"
-        label = pattern.node(variable).label
-        anchor_slots = tuple((slot_of[a.variable], a.direction == "succ", a.edge_label) for a in anchors)
         fields.append(
             dict(
                 variable=variable,
-                label=label,
+                label=pattern.node(variable).label,
                 strategy=strategy,
                 anchors=anchors,
-                self_loops=self_loops,
+                self_loops=tuple(edge.label for edge in pattern.out_edges(variable) if edge.target == variable),
                 out_labels=frozenset(edge.label for edge in pattern.out_edges(variable)),
                 in_labels=frozenset(edge.label for edge in pattern.in_edges(variable)),
-                unary_premise=tuple(unary),
-                premise_checks=tuple(checks),
+                unary_premise=unary,
+                premise_checks=tuple(index for index in due if index not in unary),
                 check_conclusion=check_conclusion,
-                anchor_slots=anchor_slots,
-                anchor=anchor_slots[0] if len(anchor_slots) == 1 else None,
-                label_filter=label if anchors and label != WILDCARD else None,
+                anchor_slots=tuple((slot_of[a.variable], a.direction == "succ", a.edge_label) for a in anchors),
                 count_key=f"{STEP_COUNT_PREFIX}{name}\x1f{variable}\x1f{strategy}",
                 reject_keys=tuple(f"{REJECT_COUNT_PREFIX}{name}\x1f{variable}\x1f{reason}" for reason in REJECT_REASONS),
             )
         )
-        bound = now_bound
-    admits, prunes, violates = compile_schedule(
-        name,
-        premise_literals,
-        conclusion_literals,
-        slot_of,
-        [(step["unary_premise"], step["premise_checks"], step["check_conclusion"]) for step in fields],
-    )
-    for step, admit, prune in zip(fields, admits, prunes):
-        step.update(admit=admit, prune=prune)
-    return tuple(fields), tuple(slot_of[variable] for variable in pattern.variables), violates
+    expand, seeds, violates = compile_schedule(name, pattern.variables, premise_literals, conclusion_literals, slot_of, fields)
+    return tuple(fields), expand, seeds, violates
 
 
 def compile_plan(graph: Graph, rule: NGD) -> MatchPlan:
@@ -576,90 +514,6 @@ def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
     """
     stats = GraphStatistics.from_graph(graph)
     return tuple(MatchPlan(rule, stats) for rule in rules)
-
-
-# ------------------------------------------------------------------- executor
-
-
-def step_candidates(
-    store: GraphStore, step: PlanStep, ids: Sequence[Hashable], stats: MatchStatistics
-) -> tuple[list[Node], int]:
-    """Generate, filter and rank-sort the candidates of one step.
-
-    ``ids[slot]`` is the data node bound at each slot of the prefix the step
-    is anchored to.  Returns ``(candidates, scanned)``: ``candidates`` are the
-    nodes, each read once, that match the step's label, unary premise
-    literals and self-loops, in rank order; ``scanned`` is the size of the
-    index read (the filtering cost the parallel cost model charges).  The
-    pool is the smallest anchor view, probed against the others, or a scan
-    of the label index filtered by the degree signature.  The search reads a
-    one-anchor step's view itself (:meth:`~repro.matching.search.RuleSearch.step`).
-
-    Billing: one ``candidates_examined`` per node drawn from the index read,
-    one ``edge_checks`` per adjacency membership probe of the intersection
-    and per self-loop probe, one ``literal_evaluations`` per unary check
-    reached (stopping at the first rejection).
-    """
-    if step.anchor_slots:
-        views = [
-            (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
-            for slot, forward, edge_label in step.anchor_slots
-        ]
-        views.sort(key=len)  # stable: the first smallest view is the base
-        base, others = views[0], views[1:]
-        scanned = len(base)
-        stats.edge_checks += scanned * len(others)
-        pool = [node_id for node_id in base if all(node_id in view for view in others)]
-    else:
-        pool = store.all_node_ids() if step.label == WILDCARD else store.nodes_with_label(step.label)
-        scanned = len(pool)
-        # the index is the label's, so only the degree signature remains
-        if step.out_labels:
-            out_of = store.out_edge_labels
-            pool = [node_id for node_id in pool if step.out_labels <= out_of(node_id)]
-        if step.in_labels:
-            into = store.in_edge_labels
-            pool = [node_id for node_id in pool if step.in_labels <= into(node_id)]
-    return admitted(store, step, pool, scanned, stats), scanned
-
-
-def admitted(store: GraphStore, step: PlanStep, pool, scanned: int, stats: MatchStatistics) -> list[Node]:
-    """Bill a step's ``scanned`` candidates; return the nodes of ``pool`` it keeps, each read once, in rank order.
-
-    An anchored pool is sorted here (a label index is in rank order).  What
-    ``scanned`` lost is counted by reason under ``step.reject_keys``.
-    """
-    stats.candidates_examined += scanned
-    extra = stats.extra
-    if scanned:
-        # plain-dict accumulation: this is the match executor's hottest loop
-        # and the registry flush happens once per run (flush_step_counts)
-        extra[step.count_key] = extra.get(step.count_key, 0) + scanned
-        if step.anchor_slots and len(pool) > 1:
-            pool = sorted(pool, key=store.node_rank)
-    get_node, label, admit = store.get_node, step.label_filter, step.admit
-    by_label = by_unary = 0
-    if label is None and admit is None:
-        nodes = list(map(get_node, pool))
-    else:
-        nodes = []
-        for node_id in pool:
-            node = get_node(node_id)
-            if label is not None and node.label != label:
-                by_label += 1
-            elif admit is not None and not admit(node.attributes, stats):
-                by_unary += 1
-            else:
-                nodes.append(node)
-    for loop_label in step.self_loops:
-        # the one pattern edge no anchor covers: probe each candidate's loops in order
-        stats.edge_checks += len(nodes)
-        nodes = [node for node in nodes if store.has_edge_key((node.id, node.id, loop_label))]
-    if len(nodes) != scanned:
-        for key, count in zip(step.reject_keys, (by_label, by_unary, scanned - len(nodes) - by_label - by_unary)):
-            if count:
-                extra[key] = extra.get(key, 0) + count
-    return nodes
 
 
 # -------------------------------------------------------------- kernel helpers
@@ -693,7 +547,7 @@ def first_step_candidates(
     the end-to-end benchmark's seed-scan probe (``benchmarks/e2e/layers.py``)
     passes all of them.
     """
-    candidates, scanned = step_candidates(graph.store, plan.steps[0], (), stats)
+    candidates, scanned = plan.schedule_for(order).seeds(graph.store, stats)
     return candidates, float(scanned)
 
 

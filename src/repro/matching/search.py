@@ -3,14 +3,13 @@
 Dect and IncDect are the same search (Section 6.2): pick the next variable
 of the matching order, generate its candidates from the bound prefix, verify
 them, fire the literals that became fully bound, descend.
-:class:`RuleSearch` is that loop written once over a compiled
-:class:`~repro.matching.plan.MatchPlan`: each step runs one
-:class:`~repro.matching.plan.PlanStep` of the schedule of its order, whose
-candidates come from :func:`~repro.matching.plan.step_candidates`.  The
-partial match lives in two mutable lists — ``ids[d]`` the data node bound at
-position ``d`` of the order, ``slots[d]`` its attribute mapping, which the
-generated literal code reads — and the pending work in an explicit LIFO
-stack of *frames*
+:class:`RuleSearch` is that loop over a compiled
+:class:`~repro.matching.plan.MatchPlan`: each step runs the generated
+function of one step of the schedule of its order
+(:attr:`~repro.matching.plan.Schedule.expand`).  The partial match lives
+in two mutable lists — ``ids[d]`` the data node bound at position ``d`` of
+the order, ``slots[d]`` its attribute mapping, which the generated code
+reads — and the pending work in an explicit LIFO stack of *frames*
 ``(depth, node id, attributes, order)``: "bind this node at this depth, then
 run step ``depth + 1`` of the schedule of ``order``".  Nothing else is
 allocated per partial match.
@@ -43,7 +42,8 @@ from repro.core.violations import Violation
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph, Node
 from repro.matching.candidates import MatchStatistics
-from repro.matching.plan import MatchPlan, admitted, step_candidates
+from repro.matching.compiled import KEEP, PROVEN, RECHECK
+from repro.matching.plan import MatchPlan
 
 __all__ = ["RuleSearch"]
 
@@ -51,13 +51,14 @@ __all__ = ["RuleSearch"]
 class RuleSearch:
     """Backtracking search over the rule of ``plan``, one step at a time.
 
-    Every complete binding reaches the leaf.  The leaf checks the rule's
-    X → Y over ``slots`` and keeps the binding when X holds and Y does not;
-    with ``all_matches`` it keeps every complete binding, unchecked.  A kept
-    binding comes back as a :class:`Violation` record of the rule (its
-    ``mapping()`` is the match) and is billed one ``matches_emitted``.  The
-    scheduled literals run as the plan's generated schedule of the order
-    being followed.
+    Every complete binding reaches the leaf.  The leaf keeps the binding
+    when X holds and Y does not; with ``all_matches`` it keeps every
+    complete binding, unchecked.  A kept binding comes back as a
+    :class:`Violation` record of the rule (its ``mapping()`` is the match)
+    and is billed one ``matches_emitted``.  ``leaf`` says how the leaf
+    decides: ``KEEP`` (``all_matches``), ``PROVEN`` when the steps checked
+    every literal of the bound path on the way down, ``RECHECK`` when a
+    seeded prefix was bound unchecked and the leaf evaluates X and Y.
 
     ``all_matches`` needs a rule without conclusion: the schedule would
     prune on Y and drop the bindings where Y holds, so such a rule raises
@@ -66,8 +67,8 @@ class RuleSearch:
 
     __slots__ = (
         "rule", "plan", "stats", "store", "ids", "slots", "stack", "order",
-        "filtering", "verification",
-        "_check", "_variables", "_schedule",
+        "filtering", "verification", "leaf",
+        "_check", "_expand",
     )  # fmt: skip
 
     def __init__(
@@ -85,10 +86,10 @@ class RuleSearch:
         self.plan = plan
         self.stats = stats
         self._check = not all_matches
-        self._variables = self.rule.pattern.variables
+        variables = len(self.rule.pattern.variables)
         self.store = None  # of the graph the stacked frames bind
-        self.ids: list = [None] * len(self._variables)
-        self.slots: list = [None] * len(self._variables)
+        self.ids: list = [None] * variables
+        self.slots: list = [None] * variables
         #: pending frames ``(depth, node id, attributes, order)``, expanded last in, first out
         self.stack: list[tuple] = []
         #: the order the last step followed (its frame's)
@@ -96,20 +97,23 @@ class RuleSearch:
         #: cost-model sizes of the last step: the index scan performed, and one
         #: unit per candidate verified
         self.filtering = self.verification = 0
+        self.leaf = KEEP
 
     def start(self, graph: Graph, order: tuple[str, ...], ids: Sequence[Hashable]) -> None:
         """Push the seed binding ``order[:len(ids)]`` to ``ids`` (nodes of ``graph``).
 
-        The bound prefix goes straight into the slot lists and the last seed
-        position becomes the frame the next :meth:`step` expands; an empty
-        seed becomes a frame that binds nothing and runs the first step.
-        Frames carry no graph, so one seed's subtree must be drained before a
-        seed over another graph starts.
+        The bound prefix goes straight into the slot lists, unchecked, and
+        the last seed position becomes the frame the next :meth:`step`
+        expands; an empty seed becomes a frame that binds nothing and runs
+        the first step.  Frames carry no graph, so one seed's subtree must be
+        drained before a seed over another graph starts.
         """
         self.store = graph.store
         if not ids:
+            self.leaf = PROVEN if self._check else KEEP
             self.stack.append((-1, None, None, order))
             return
+        self.leaf = RECHECK if self._check else KEEP
         # node ids come out of the store's own indexes, so reads skip the facade's existence checks
         get_node = graph.store.get_node
         last = len(ids) - 1
@@ -119,73 +123,29 @@ class RuleSearch:
         self.stack.append((last, ids[last], get_node(ids[last]).attributes, order))
 
     def seed(self, graph: Graph, order: tuple[str, ...], nodes: Sequence[Node]) -> None:
-        """Push one depth-0 frame per node of ``graph`` (first-step candidates), the last node on top."""
+        """Push one depth-0 frame per node of ``graph``, the last node on top.
+
+        ``nodes`` are step 0's candidates (:attr:`~repro.matching.plan.Schedule.seeds`):
+        they passed its unary literals, not the checks it runs once it binds,
+        which the leaf then evaluates where there are any.
+        """
         self.store = graph.store
+        first = self.plan.schedule_for(order).steps[0]
+        self.leaf = KEEP if not self._check else RECHECK if first.premise_checks or first.check_conclusion else PROVEN
         self.stack.extend([(0, node.id, node.attributes, order) for node in nodes])
 
     def step(self) -> list[Violation]:
         """Expand the top frame; return the bindings it completed that the leaf kept.
 
-        Children are pushed in rank order, so they pop in descending rank and
-        the leaves of a last step come out ascending.  A one-anchor step's
-        pool is its anchor's view, read here; any other step's candidates come
-        from :func:`~repro.matching.plan.step_candidates`.  Either way each
-        arrives as its node, every pattern edge to the bound prefix enforced:
-        what is left per candidate is the scheduled literals.
+        The step's generated function reads the candidates from the store's
+        rank-ordered views and pushes the children in rank order, so they pop
+        in descending rank and the leaves of a last step come out ascending.
         """
         depth, node_id, attrs, order = self.stack.pop()
-        ids, slots, stats, store = self.ids, self.slots, self.stats, self.store
         if depth >= 0:
-            ids[depth] = node_id
-            slots[depth] = attrs
-        depth += 1
+            self.ids[depth] = node_id
+            self.slots[depth] = attrs
         if order is not self.order:
-            self._follow(order)
-        if depth == len(ids):
-            # a seed can already bind every variable (a pivot covering a
-            # two-node pattern): only the leaf remains
-            self.filtering, self.verification = 1, 0
-            leaf = self._leaf()
-            return [leaf] if leaf is not None else []
-
-        step = self._schedule.steps[depth]
-        if step.anchor is None:
-            candidates, scanned = step_candidates(store, step, ids, stats)
-        else:
-            slot, forward, edge_label = step.anchor
-            pool = (store.successors_by_label if forward else store.predecessors_by_label)(ids[slot], edge_label)
-            scanned = len(pool)
-            candidates = admitted(store, step, pool, scanned, stats)
-        last = depth + 1 == len(ids)
-        prune = step.prune
-        push = self.stack.append
-        found: list[Violation] = []
-        expanded = 0
-        for node in candidates:
-            attrs = slots[depth] = node.attributes
-            if prune is not None and prune(slots, stats):
-                continue
-            expanded += 1
-            if not last:
-                push((depth, node.id, attrs, order))
-                continue
-            ids[depth] = node.id
-            leaf = self._leaf()
-            if leaf is not None:
-                found.append(leaf)
-        stats.expansions += expanded
-        self.filtering, self.verification = scanned, len(candidates)
-        return found
-
-    def _follow(self, order: tuple[str, ...]) -> None:
-        """Switch to the (memoised) schedule of ``order``."""
-        self.order = order
-        self._schedule = self.plan.schedule_for(order)
-
-    def _leaf(self) -> Optional[Violation]:
-        """Return the complete binding in ``ids`` / ``slots``, if the leaf keeps it."""
-        schedule = self._schedule
-        if self._check and not schedule.violates(self.slots, self.stats):
-            return None
-        self.stats.matches_emitted += 1
-        return Violation(self.rule.name, self._variables, tuple([self.ids[slot] for slot in schedule.declared_slots]))
+            self.order = order
+            self._expand = self.plan.schedule_for(order).expand
+        return self._expand[depth + 1](self, order)

@@ -28,9 +28,9 @@ class DictStore(GraphStore):
     This preserves the behaviour (and cost profile) of the original in-Graph
     layout: adjacency is one flat ``{(neighbour, edge_label)}`` collection per
     node and direction, every read returns a defensive copy (a ``frozenset``,
-    or for the label index a fresh dict's keys, which keep the rank order the
-    contract asks for), and label-filtered lookups scan and filter the whole
-    adjacency list.  It
+    or for the label index and a label-filtered view a fresh dict's keys,
+    which keep the rank order the contract asks for), and label-filtered
+    lookups scan, filter and sort the whole adjacency list.  It
     exists as the easy-to-audit baseline the parity suite and the storage
     benchmarks compare :class:`IndexedStore` against.
 
@@ -142,11 +142,15 @@ class DictStore(GraphStore):
     def predecessors(self, node_id: Hashable) -> frozenset[tuple[Hashable, str]]:
         return frozenset(self._in[node_id])
 
-    def successors_by_label(self, node_id: Hashable, edge_label: str) -> frozenset[Hashable]:
-        return frozenset(nbr for nbr, label in self._out[node_id] if label == edge_label)
+    def successors_by_label(self, node_id: Hashable, edge_label: str):
+        return self._ranked(nbr for nbr, label in self._out[node_id] if label == edge_label)
 
-    def predecessors_by_label(self, node_id: Hashable, edge_label: str) -> frozenset[Hashable]:
-        return frozenset(nbr for nbr, label in self._in[node_id] if label == edge_label)
+    def predecessors_by_label(self, node_id: Hashable, edge_label: str):
+        return self._ranked(nbr for nbr, label in self._in[node_id] if label == edge_label)
+
+    def _ranked(self, ids: Iterable[Hashable]):
+        """A fresh dict's keys of ``ids`` in rank order, the order the contract gives a label-filtered view."""
+        return dict.fromkeys(sorted(ids, key=self._rank.__getitem__)).keys()
 
     def out_edge_labels(self, node_id: Hashable) -> frozenset[str]:
         return frozenset(label for _, label in self._out[node_id])

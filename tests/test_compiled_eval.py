@@ -35,6 +35,7 @@ import random
 import re
 import traceback
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,14 +63,13 @@ from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import compile_literal, compile_schedule, resolve_compiled
+from repro.matching.compiled import KEEP, PROVEN, RECHECK, compile_literal, compile_schedule, resolve_compiled
 from repro.matching.plan import (
     GraphStatistics,
     MatchPlan,
     Schedule,
     compile_plans,
     first_step_candidates,
-    step_candidates,
 )
 
 from engines import new_store
@@ -326,23 +326,44 @@ def _reference_scan(literals, holds, stop_on: bool, stopped, finished) -> tuple:
     return ("ok", finished), reached
 
 
-def _billed(function, *arguments) -> tuple:
-    """(outcome, literal_evaluations billed); a raise ends the run, so its bill is not compared."""
-    stats = MatchStatistics()
-    outcome = _outcome(lambda: function(*arguments, stats))
-    return outcome, None if outcome[0] == "raise" else stats.literal_evaluations
-
-
 def _bill(expected: tuple, reached: int) -> tuple:
     return expected, None if expected[0] == "raise" else reached
 
 
+def _step_fields(anchor_slots: tuple, unary=(), checks=(), conclusion=False, out_labels=frozenset()) -> dict:
+    """The fields ``compile_schedule`` generates a step from, for a step over ``item`` nodes."""
+    keys = tuple(f"{prefix}\x1fparity\x1f{len(anchor_slots)}\x1f{reason}" for prefix, reason in (("r", "label"), ("r", "unary"), ("r", "edge")))
+    return dict(
+        label="item", anchor_slots=anchor_slots, self_loops=(), out_labels=out_labels, in_labels=frozenset(),
+        unary_premise=tuple(unary), premise_checks=tuple(checks), check_conclusion=conclusion,
+        count_key=f"c\x1fparity\x1f{len(anchor_slots)}", reject_keys=keys,
+    )  # fmt: skip
+
+
+def _step_run(thunk) -> tuple:
+    """(outcome, literal_evaluations billed) of ``thunk(stats)``; a raise ends the run, so its bill is not compared."""
+    stats = MatchStatistics()
+    outcome = _outcome(lambda: thunk(stats))
+    return outcome, None if outcome[0] == "raise" else stats.literal_evaluations
+
+
+def _expanded(expand, graph, slots, leaf):
+    """Run the generated step 1 over ``y`` with ``x`` bound; return True where the leaf keeps the binding."""
+
+    def run(stats):
+        search = SimpleNamespace(ids=["x", None], slots=[slots[0], None], stats=stats, store=graph.store, stack=[], leaf=leaf)
+        found = expand[1](search, ("x", "y"))
+        return bool(found)
+
+    return run
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_generated_steps_keep_the_literal_semantics(seed):
-    # admit, prune and the leaf of generated steps of one to four literals:
-    # the verdict of holds_for applied in order (its exception where it
-    # raises), and one literal_evaluations per check reached (the leaf's
-    # flat bill up front)
+    # the seed scan's unary literals, a step's checks and the leaf of
+    # generated steps of one to four literals: the verdict of holds_for
+    # applied in order (its exception where it raises), and one
+    # literal_evaluations per check reached (the leaf's flat bill up front)
     rng = random.Random(0x57E9 + seed)
     slot_of = {"x": 0, "y": 1}
     checked = 0
@@ -352,29 +373,43 @@ def test_generated_steps_keep_the_literal_semantics(seed):
         conclusion = [_step_literal(rng, ["x", "y"]) for _ in range(rng.choice((1, 1, 2)))]
         bound = len(conclusion) == 1 and rng.random() < 0.7
         premise = unary + checks
+        flat = len(premise) + len(conclusion)
         steps = [
-            (tuple(range(len(unary))), (), False),
-            ((), tuple(range(len(unary), len(premise))), bound),
+            _step_fields((), unary=range(len(unary)), out_labels=frozenset({"e"})),
+            _step_fields(((0, True, "e"),), checks=range(len(unary), len(premise)), conclusion=bound),
         ]
-        admits, prunes, violates = compile_schedule("parity", premise, conclusion, slot_of, steps)
-        assert admits[1] is None and prunes[0] is None
+        expand, seeds, violates = compile_schedule("parity", ("x", "y"), premise, conclusion, slot_of, steps)
         for _ in range(5):
             slots = [_step_attrs(rng), _step_attrs(rng)]
+            graph = Graph(name="step")
+            graph.add_node("x", "item", slots[0])
+            graph.add_node("y", "item", slots[1])
+            graph.add_edge("x", "y", "e")
             holds = lambda literal: _reference_holds(literal, slots, slot_of)  # noqa: E731
 
+            # y lacks the out edge the scan asks for; x passes where its unary literals hold
             expected = _bill(*_reference_scan(unary, holds, False, False, True))
-            assert _billed(admits[0], slots[0]) == expected, (unary, slots)
+            assert _step_run(lambda stats: [node.id for node in seeds(graph.store, stats)[0]] == ["x"]) == expected
 
-            expected, reached = _reference_scan(checks, holds, False, True, False)
-            if bound and expected == ("ok", False):
-                expected, more = _reference_scan(conclusion, holds, True, True, False)
+            pruned, reached = _reference_scan(checks, holds, False, True, False)
+            if bound and pruned == ("ok", False):
+                pruned, more = _reference_scan(conclusion, holds, True, True, False)
                 reached += more
-            assert _billed(prunes[1], slots) == _bill(expected, reached), (checks, conclusion, slots)
+            kept = ("ok", not pruned[1]) if pruned[0] == "ok" else pruned
+            assert _step_run(_expanded(expand, graph, slots, KEEP)) == _bill(kept, reached), (checks, conclusion, slots)
 
-            expected, _ = _reference_scan(premise, holds, False, False, None)
-            if expected == ("ok", None):
-                expected, _ = _reference_scan(conclusion, holds, False, True, False)
-            assert _billed(violates, slots) == _bill(expected, len(premise) + len(conclusion)), (premise, conclusion, slots)
+            leaf, _ = _reference_scan(premise, holds, False, False, None)
+            if leaf == ("ok", None):
+                leaf, _ = _reference_scan(conclusion, holds, False, True, False)
+            assert _step_run(lambda stats: violates(slots, stats)) == _bill(leaf, flat), (premise, conclusion, slots)
+            recheck = leaf if kept == ("ok", True) else kept
+            assert _step_run(_expanded(expand, graph, slots, RECHECK)) == _bill(recheck, reached + flat * (kept == ("ok", True)))
+
+            if bound or len(conclusion) > 1:
+                # the steps proved X on the way down, and a one-literal Y failed when bound: only a longer Y is left
+                proven = ("ok", True) if len(conclusion) == 1 else _reference_scan(conclusion, holds, False, True, False)[0]
+                proven = proven if kept == ("ok", True) else kept
+                assert _step_run(_expanded(expand, graph, slots, PROVEN)) == _bill(proven, reached + flat * (kept == ("ok", True)))
             checked += 1
     assert checked == 600
 
@@ -401,8 +436,11 @@ def test_a_hostile_attribute_key_is_read_literally():
         # constants reach the code through the namespace, never as text
         assert not any("12345" in line or "12350" in line for line in code)
 
-    # the same through a rule, a hostile rule name included
-    pattern = Pattern("H", [("x", "item"), ("y", "item")], [("x", "y", "rel")])
+    # the same through the generated steps of a rule whose name, node
+    # label and edge label are hostile too: the key reaches a step's source
+    # through repr(), the names and labels only through its namespace
+    label, edge = "item')\n__import__('os')", "rel\"\n__import__('os')"
+    pattern = Pattern("H", [("x", label), ("y", label)], [("x", "y", edge)])
     rule = NGD(
         pattern,
         [Literal(var("x", _HOSTILE_KEY), Comparison.GT, const(0))],
@@ -411,12 +449,20 @@ def test_a_hostile_attribute_key_is_read_literally():
     )
     graph = Graph(name="hostile")
     for node, value in ((0, 5), (1, 3), (2, 9)):
-        graph.add_node(node, "item", {_HOSTILE_KEY: value})
-    graph.add_edge(0, 1, "rel")
-    graph.add_edge(0, 2, "rel")
+        graph.add_node(node, label, {_HOSTILE_KEY: value})
+    graph.add_node(3, "item", {_HOSTILE_KEY: 1})
+    graph.add_edge(0, 1, edge)
+    graph.add_edge(0, 2, edge)
+    graph.add_edge(0, 3, edge)  # a label rejection
     rules = RuleSet([rule])
     result = _run(graph, rules)
     assert _pairs(result.violations) == naive_reference.violations(graph, rules) == {(rule.name, (0, 1))}
+    plan = compile_plans(graph, rules)[0]
+    schedule = plan.schedule_for(plan.order)
+    functions = (schedule.violates, schedule.seeds) + schedule.expand
+    code = [line for function in functions for line in _generated_lines(function) if not line.lstrip().startswith("#")]
+    assert any(repr(_HOSTILE_KEY) in line for line in code)
+    assert not any("__import__" in line.replace(repr(_HOSTILE_KEY), "") for line in code)
 
 
 def test_generated_code_is_attributed_to_the_compiled_layer():
@@ -434,7 +480,8 @@ def test_generated_code_is_attributed_to_the_compiled_layer():
 
     plan = compile_plans(_product_graph(products=20, sellers=4), _literal_heavy_rules())[0]
     schedule = plan.schedule_for(plan.order)
-    assert "repro/matching/compiled:price-consistency:" in schedule.violates.__code__.co_filename
+    for function in (schedule.violates, schedule.seeds) + schedule.expand:
+        assert function.__code__.co_filename.startswith("<repro/matching/compiled:")
 
 
 def test_constant_folding_and_poisoning():
@@ -852,7 +899,7 @@ def test_rules_pickle_without_their_generated_code(heavy_rules, force_start_meth
 
 def _generated_code(plan) -> tuple:
     schedule = plan.schedule_for(plan.order)
-    return (schedule.violates,) + tuple((step.admit, step.prune) for step in schedule.steps)
+    return (schedule.violates, schedule.seeds) + schedule.expand
 
 
 def test_equal_rules_made_apart_share_their_generated_code(product_graph):
@@ -928,16 +975,16 @@ def test_first_step_candidates_ignores_its_pruning_argument(product_graph, heavy
     # the old signature's pruning flag no longer turns the unary premise filter off
     for rule, plan in zip(heavy_rules, compile_plans(product_graph, heavy_rules)):
         seeded_stats, passed_stats = MatchStatistics(), MatchStatistics()
-        seeded = step_candidates(product_graph.store, plan.steps[0], (), seeded_stats)
+        seeded = plan.schedule_for(plan.order).seeds(product_graph.store, seeded_stats)
         passed = first_step_candidates(product_graph, rule, plan, plan.order, False, passed_stats)
         assert passed == seeded
         assert _stats_tuple(passed_stats) == _stats_tuple(seeded_stats)
-    assert any(plan.steps[0].admit is not None for plan in compile_plans(product_graph, heavy_rules))
+    assert any(plan.steps[0].unary_premise for plan in compile_plans(product_graph, heavy_rules))
 
 
 def test_triangle_multi_anchor_parity():
     # a genuine triangle: the last-placed variable anchors to TWO bound
-    # variables, driving the anchored probe of step_candidates through a
+    # variables, driving the anchored probe of the generated step through a
     # second view (the other workloads anchor to one variable only)
     pattern = Pattern("T", [(variable, "n") for variable in "xyz"], [("x", "y", "e"), ("y", "z", "e"), ("x", "z", "e")])
     premise = LiteralSet([Literal(var("x", "w"), Comparison.GT, const(0))])

@@ -19,7 +19,6 @@ from repro.expr.parser import parse_literal_set
 from repro.graph.generators import random_labeled_graph, star_graph
 from repro.graph.graph import WILDCARD, Graph
 from repro.graph.pattern import Pattern
-from repro.matching import plan as plan_module, search as search_module
 from repro.matching.candidates import REJECT_COUNT_PREFIX, MatchStatistics
 from repro.matching.incmatch import find_update_pivots
 from repro.matching.matchn import HomomorphismMatcher, assignment_for_match
@@ -72,20 +71,31 @@ class TestCandidates:
         assert rejected(stats) == {"label": 1}
 
     def test_a_step_keeps_what_it_examined_less_what_it_rejected(self, monkeypatch):
-        # every step of a KB detection: examined − rejected (the flushed counters) = kept
+        # every step of a KB detection: examined − rejected (the flushed
+        # counters) = kept, that is the seeds a scan hands the search and
+        # the candidates each later step verified
         graph = yago_like(scale=0.3)
         rules = benchmark_rules(graph, count=12, max_diameter=3, seed=2)
         kept: dict = {}
 
-        def counting(store, step, pool, scanned, stats):
-            nodes = real(store, step, pool, scanned, stats)
-            key = (step.count_key.split("\x1f")[1], step.variable)
-            kept[key] = kept.get(key, 0) + len(nodes)
-            return nodes
+        def count(search, variable, verified):
+            key = (search.rule.name, variable)
+            kept[key] = kept.get(key, 0) + verified
 
-        real = plan_module.admitted
-        monkeypatch.setattr(plan_module, "admitted", counting)
-        monkeypatch.setattr(search_module, "admitted", counting)
+        def seed(search, graph, order, nodes):
+            count(search, order[0], len(nodes))
+            real_seed(search, graph, order, nodes)
+
+        def step(search):
+            depth, _, _, order = search.stack[-1]
+            found = real_step(search)
+            if depth + 1 < len(order):  # not a seed that bound every variable
+                count(search, order[depth + 1], search.verification)
+            return found
+
+        real_seed, real_step = RuleSearch.seed, RuleSearch.step
+        monkeypatch.setattr(RuleSearch, "seed", seed)
+        monkeypatch.setattr(RuleSearch, "step", step)
         obs.configure()
         try:
             Detector(rules, engine="batch").run(graph)

@@ -154,6 +154,27 @@ def test_dect_equals_the_reference(graph, rules):
     assert len(stream) == len(expected), "a violation streamed twice"
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(), rule_sets(), st.data())
+def test_every_version_of_a_graph_runs_the_generated_steps_alike(graph, rules, data):
+    """Dect on a head, on the same content as a past version and as a frozen image.
+
+    The generated steps read each store's adjacency views as they come, in
+    rank order, with no sort: the violations must be the reference's, and
+    the stream order, the statistics and the cost the same on every version.
+    """
+    head = finish(iter_dect(graph, rules))
+    assert as_pairs(head[1].violations) == naive_reference.violations(graph, rules)
+    # a clone takes the maps and the new head writes them: graph reads them through its undo log
+    after = apply_update(graph, draw_batch(data.draw, graph, []))
+    assert graph.store._undo is not None
+    for version in (graph, graph.with_backend("frozen"), graph.with_backend(new_store("dict"))):
+        stream, result = finish(iter_dect(version, rules))
+        assert stream == head[0]
+        assert (result.stats, result.cost) == (head[1].stats, head[1].cost)
+    assert as_pairs(finish(iter_dect(after, rules))[1].violations) == naive_reference.violations(after, rules)
+
+
 #: the incremental kernels, each drained to its result
 INCREMENTAL_KERNELS = {
     "IncDect": lambda graph, rules, delta, after: finish(iter_inc_dect(graph, rules, delta, graph_after=after))[1],

@@ -871,6 +871,63 @@ class TestServeCli:
             code = proc.wait(timeout=30)
         assert code == 0
 
+    @pytest.mark.parametrize("durable", (False, True), ids=("memory", "data-dir"))
+    @pytest.mark.parametrize("signum", (signal.SIGINT, signal.SIGTERM), ids=("SIGINT", "SIGTERM"))
+    def test_serve_stops_on_a_signal_during_a_stream(self, tmp_path, signum, durable):
+        # started as a script's `serve ... &` starts it: SIGINT inherited as
+        # ignored.  Either signal, sent while a detect stream is open, ends
+        # the stream and the process through its clean exit, and a restart
+        # finds the state the server had
+        from test_fault_tolerance import flagged_then_quiet_rules, quiet_graph
+
+        graph = quiet_graph(nodes=1500)
+        save_graph(graph, tmp_path / "quiet.json")
+        flagged_then_quiet_rules().save(tmp_path / "rules.json")
+        command = ["serve", "--port", "0", "--quiet", "--graph", f"quiet={tmp_path / 'quiet.json'}"]
+        command += ["--catalog", f"mixed={tmp_path / 'rules.json'}"]
+        command += ["--data-dir", str(tmp_path / "data")] if durable else []
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        ignoring = "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); os.execv(sys.executable, sys.argv[1:])"
+
+        def serve() -> tuple[subprocess.Popen, ServiceClient]:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", ignoring, sys.executable, "-m", "repro.cli", *command],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )  # fmt: skip
+            ready = proc.stdout.readline().strip()
+            assert ready.startswith("repro-detect: serving on http://"), ready
+            return proc, ServiceClient(ready.split()[-1], timeout=30)
+
+        proc, client = serve()
+        try:
+            if durable:
+                edge = next(iter(graph.edges()))
+                client.post_update("quiet", BatchUpdate().delete(edge.source, edge.target, edge.label))
+            state = client.graph_info("quiet")
+            stream = client.stream_detect("quiet", catalog="mixed")
+            assert next(stream)["type"] == "violation"  # the path rule's search is still running
+            proc.send_signal(signum)
+            assert proc.wait(timeout=30) == 0
+            assert "repro-detect: shutting down" in proc.stderr.read()
+            with pytest.raises(ServiceError, match="without a summary"):
+                list(stream)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+            proc.stderr.close()
+
+        proc, client = serve()
+        try:
+            assert client.graph_info("quiet") == state
+            assert "mixed" in {catalog["name"] for catalog in client.list_rules()}
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            proc.stdout.close()
+            proc.stderr.close()
+
     @pytest.mark.parametrize("store", ("indexed", "dict", "persistent"))
     def test_serve_has_no_store_option(self, store, capsys):
         from repro.cli import main
