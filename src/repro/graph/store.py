@@ -459,7 +459,7 @@ def _in_rank_order(entries: dict, ranks: dict, restored: set) -> dict:
 
 
 def _place(bucket: dict, node_id: Hashable, ranks: dict) -> None:
-    """Add ``node_id`` to an adjacency bucket in rank order: appended when it ranks last, as a new node does."""
+    """Add ``node_id`` to an adjacency bucket in rank order, before the neighbours that rank after it."""
     rank = ranks[node_id]
     tail = []
     for other in reversed(bucket):
@@ -812,13 +812,18 @@ class IndexedStore(GraphStore):
         self._edge_rank[key] = self._next_edge_rank
         self._next_edge_rank += 1
         self._count_edge(source, target, label, 1)
+        ranks, appending = self._rank, self._appending
+        # a neighbour that ranks last, as a new node does, is appended
         out = self._writable_bucket(self._out, _OUTS, _OUT, source, label, log)
-        into = self._writable_bucket(self._in, _INS, _IN, target, label, log)
-        if self._appending:
-            out[target] = into[source] = None
+        if appending or not out or ranks[next(reversed(out))] < ranks[target]:
+            out[target] = None
         else:
-            _place(out, target, self._rank)
-            _place(into, source, self._rank)
+            _place(out, target, ranks)
+        into = self._writable_bucket(self._in, _INS, _IN, target, label, log)
+        if appending or not into or ranks[next(reversed(into))] < ranks[source]:
+            into[source] = None
+        else:
+            _place(into, source, ranks)
 
     def remove_edge(self, key: EdgeKey) -> None:
         source, target, label = key
