@@ -11,10 +11,12 @@ Four layers are covered:
   among them), bools, ints beyond 2**53, ``Fraction`` values and float
   constants, so the integer-ratio branch hands over to the general one
   with the same verdict or exception type;
-* step-level parity — generated ``admit``, ``prune`` and leaf functions of
-  one to four literals each give ``holds_for`` applied in order, with the
+* step-level parity — the generated seed scan, a step's checks and the
+  leaf (kept, re-checked or proven on the way down), over one to four
+  literals each, give ``holds_for`` applied in order, with the
   short-circuit ``literal_evaluations`` bill, on mixed-type values and
-  constants that cannot fold; hostile attribute keys stay data;
+  constants that cannot fold; hostile attribute keys, labels and rule
+  names stay data;
 * end-to-end — on a literal-heavy workload with dirty attributes, the
   violations equal the naive reference, and ``ViolationSet``\\ s and
   ``MatchStatistics`` are identical on both store layouts, serial and
@@ -332,7 +334,7 @@ def _bill(expected: tuple, reached: int) -> tuple:
 
 def _step_fields(anchor_slots: tuple, unary=(), checks=(), conclusion=False, out_labels=frozenset()) -> dict:
     """The fields ``compile_schedule`` generates a step from, for a step over ``item`` nodes."""
-    keys = tuple(f"{prefix}\x1fparity\x1f{len(anchor_slots)}\x1f{reason}" for prefix, reason in (("r", "label"), ("r", "unary"), ("r", "edge")))
+    keys = tuple(f"r\x1fparity\x1f{len(anchor_slots)}\x1f{reason}" for reason in ("label", "unary", "edge"))
     return dict(
         label="item", anchor_slots=anchor_slots, self_loops=(), out_labels=out_labels, in_labels=frozenset(),
         unary_premise=tuple(unary), premise_checks=tuple(checks), check_conclusion=conclusion,
