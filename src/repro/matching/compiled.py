@@ -629,7 +629,7 @@ def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slo
     counters = _counters(step, later, evaluates) if depth else later + (["evals"] if evaluates else [])
     function.emit(1, "leaf, found = search.leaf, []" if last else "push = search.stack.append", f"{' = '.join(counters)} = 0")
     # an earlier slot's attributes are read once per step, out of the candidate loop
-    for literal in [premise[index] for index in checks] + list(conclusion[:checked]):
+    for literal in [premise[index] for index in checks] + ([conclusion[0]] if checked else []):
         for variable, attribute in sorted(literal.variables()):
             if slot_of[variable] != depth:
                 function.read(variable, attribute)
