@@ -20,12 +20,14 @@ given in ``G`` and ``G ⊕ ΔG`` themselves: the pivots keep the search inside
 ``G_dΣ(ΔG)``, so that region is never extracted.
 
 The pivots of all of Σ come from one pass over ΔG
-(:func:`~repro.matching.incmatch.pivots_by_rule`) and seed the search core of
-:mod:`repro.matching.search` directly, drained by the loop Dect drains its
-seeds with (:class:`~repro.detect.serial.SerialRun`) and charged per step
-what the parallel kernels charge.  The reported ``cost`` is what the search
-touched — one unit per consistent pivot, node pivots included, plus the
-charged steps — in the units of the simulated parallel makespans, making
+(:func:`~repro.matching.incmatch.pivots_by_rule`), are proven where they are
+made (:func:`~repro.matching.incmatch.pivot_seeds`) and seed the search core
+of :mod:`repro.matching.search` directly, drained by the loop Dect drains
+its seeds with (:class:`~repro.detect.serial.SerialRun`) and charged per
+step what the parallel kernels charge.  The reported ``cost`` is what the
+search touched — one unit per pivot that passes ``holds_in``, refused by its
+literals or not, plus the charged steps — in the units of the simulated
+parallel makespans, making
 PIncDect's relative parallel scalability (Theorem 6) directly observable in
 the benchmarks.  The size of
 ``G_dΣ(ΔG)``, ``neighborhood_size``, is one BFS run when the result is first
@@ -52,7 +54,7 @@ from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate, apply_update
-from repro.matching.incmatch import pivots_by_rule
+from repro.matching.incmatch import pivot_seeds, pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
 
 __all__ = ["iter_inc_dect"]
@@ -76,8 +78,9 @@ def iter_inc_dect(
     its construction is not charged to the algorithm's cost (the paper
     likewise assumes the updated graph is maintained by the storage layer).
 
-    The result's ``cost`` is one unit per consistent pivot plus what each
-    search step charged.  ``neighborhood_size`` is counted in ``G ⊕ ΔG`` when
+    The result's ``cost`` is one unit per pivot that passes ``holds_in``,
+    refused by its literals or not, plus what each search step charged.
+    ``neighborhood_size`` is counted in ``G ⊕ ΔG`` when
     first read, so that snapshot must not be written in place before (a copy
     of it may be).
     """
@@ -110,15 +113,11 @@ def iter_inc_dect(
             if not pivots:
                 continue
             with run.rule(rule.name):
+                consistent, seeds = pivot_seeds(plan, pivots, graph_for, run.stats)
+                run.cost += consistent
                 search = rule_search(rule, plan, run.stats)
-                seeds = []
-                for site, ids, inserted in pivots:
-                    if not site.holds_in(graph_for(inserted).store, ids):
-                        continue
-                    run.cost += 1.0
-                    seeds.append((search, site.order(plan), ids, inserted))
                 # the pivots are a stack: the last one's subtree is searched first
-                seeds.reverse()
+                seeds = [(search, order, ids, inserted) for order, ids, inserted in reversed(seeds)]
                 yield from run.drain(seeds, graph_for, (introduced, removed))
             if run.stop_reason is not None:
                 break

@@ -53,7 +53,7 @@ from repro.errors import ExecutionError
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import multi_source_nodes_within_hops
 from repro.graph.updates import BatchUpdate, apply_update
-from repro.matching.incmatch import pivots_by_rule
+from repro.matching.incmatch import pivot_seeds, pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
 
 __all__ = ["iter_pinc_dect"]
@@ -98,8 +98,6 @@ def iter_pinc_dect(
     updated = graph_after if graph_after is not None else apply_update(graph, delta)
     plans = resolve_plans(updated, rule_list, plans)
     started = time.perf_counter()
-    units = _pivot_units(rule_set, plans, delta, graph, updated)
-    owners = [zlib.crc32(repr(unit.assignment[0][1]).encode()) % processors for unit in units]
     diameter = max(rule_set.diameter(), 1)
     touched = delta.touched_nodes()
     after_nodes = multi_source_nodes_within_hops(updated, touched, diameter)
@@ -127,9 +125,19 @@ def iter_pinc_dect(
         # by p workers, plus one broadcast round
         if neighborhood_size:
             run.cluster.charge_broadcast(0, neighborhood_size / processors, policy.latency)
-    seeds = [(owner, unit, True) for owner, unit in zip(owners, units)]
+    # each pivot made as IncDect makes its seeds, the proofs billed to the run and its rules' rows
+    graph_for = lambda inserted: updated if inserted else graph  # noqa: E731
+    seeds = []
+    for rule_index, found in enumerate(pivots_by_rule(rule_set, delta, graph, updated)):
+        before = run.attribution.before(run.stats)
+        consistent, proven = pivot_seeds(plans[rule_index], found, graph_for, run.stats)
+        if consistent:
+            run.attribution.after(rule_list[rule_index].name, before, run.stats)
+        for order, ids, inserted in proven:
+            unit = WorkUnit(rule_index, order, tuple(zip(order, ids)), inserted)
+            seeds.append((zlib.crc32(repr(ids[0]).encode()) % processors, unit, True))
     introduced, removed = ViolationSet(), ViolationSet()
-    yield from run.drain(seeds, lambda inserted: updated if inserted else graph, (introduced, removed))
+    yield from run.drain(seeds, graph_for, (introduced, removed))
     return IncrementalDetectionResult(
         delta=ViolationDelta(introduced=introduced, removed=removed),
         wall_time=time.perf_counter() - started,
@@ -139,23 +147,3 @@ def iter_pinc_dect(
         **run.outcome(),
     )
 
-
-def _pivot_units(
-    rule_set: RuleSet,
-    plans: tuple[MatchPlan, ...],
-    delta: BatchUpdate,
-    graph: Graph,
-    updated: Graph,
-) -> list[WorkUnit]:
-    """Return a work unit per consistent update pivot, rule by rule, from one pass over ΔG.
-
-    Seeded as IncDect seeds its search: the pivot's order, its endpoints,
-    and the seed's internal pattern edges probed in the graph it expands in.
-    """
-    units = []
-    for rule_index, found in enumerate(pivots_by_rule(rule_set, delta, graph, updated)):
-        for site, ids, inserted in found:
-            if site.holds_in((updated if inserted else graph).store, ids):
-                order = site.order(plans[rule_index])
-                units.append(WorkUnit(rule_index, order, tuple(zip(order, ids)), inserted))
-    return units

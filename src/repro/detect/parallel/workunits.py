@@ -14,8 +14,9 @@ the step across processors.  The step is one step of the search core
 (:class:`~repro.matching.search.RuleSearch`) the serial kernels drain without
 ever building a work unit: a unit is the form a partial match takes only
 where it has to be queued or shipped — the simulator's queues, and the
-seeds a process run hands its workers.  :func:`rule_search` is the one
-constructor of that core every kernel and :func:`expand_work_unit` share.
+seeds a process run hands its workers — and it is proven where it is made.
+:func:`rule_search` is the one constructor of that core every kernel and
+:func:`expand_work_unit` share.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def expand_work_unit(
     One :meth:`~repro.matching.search.RuleSearch.step` of the search core
     the serial kernels drain: the unit's assignment is loaded as a seed, the
     step runs, and the frames it pushed are serialised back into work units.
-    A unit that already binds every variable gets only the dependency check.
+    A unit that already binds every variable goes straight to the leaf.
     """
     search = rule_search(rule, plan, stats)
     search.start(graph, unit.order, [node for _, node in unit.assignment])

@@ -8,8 +8,9 @@ from the anchor's adjacency view (already in rank order), an intersection
 of views or a label scan; bills them; tests each one's label, unary
 literals and self-loops; fires the literals that its binding completes;
 and pushes the frame, or finishes the binding at the leaf.  ``seeds`` is
-step 0's scan and tests for the batch kernels, and ``violates(slots,
-stats)`` the dependency X → Y over a complete slot list:
+all of step 0 — scan, tests and checks — for the batch kernels, and
+``prove(slots, stats, bound)`` the literals of the first ``bound`` steps
+over a bound prefix, which the update pivots are proven with:
 
 * pattern variables map to *slot indices* in plan order, so a partial
   match is a flat list of attribute mappings (``slots[d]`` is the
@@ -43,10 +44,10 @@ raised is the same.
 **Billing** is the search's: one ``candidates_examined`` per candidate
 drawn, one ``literal_evaluations`` per check reached, the leaf's flat
 ``len(X) + len(Y)``, the rejections by reason.  A step sums them in
-locals and adds them to the statistics once, after its loop.  The leaf
-does not evaluate again what the steps checked on the way down
-(``PROVEN``): all of X, and a one-literal Y, which pruned the branch where
-it held.
+locals and adds them to the statistics once, after its loop.  Every seed
+is proven where it is made, so the leaf does not evaluate again what was
+checked on the way down (``PROVEN``): all of X, and a one-literal Y, which
+pruned the branch where it held.
 
 **Sharing.**  :mod:`repro.matching.plan` keeps each rule's generated
 schedule in a process-wide table keyed by what the code is made of, and
@@ -461,8 +462,8 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
 
 
 #: What :attr:`RuleSearch.leaf <repro.matching.search.RuleSearch>` tells a last step to do with a binding:
-#: keep it unchecked, check X and Y over its slots, or take what the steps checked on the way down.
-KEEP, RECHECK, PROVEN = 0, 1, 2
+#: keep it unchecked, or take what the steps checked on the way down.
+KEEP, PROVEN = 0, 1
 
 
 def scan_pool(store, label: str, out_labels: frozenset, in_labels: frozenset) -> tuple:
@@ -496,7 +497,7 @@ def compile_schedule(
     slot_of,
     steps: Sequence[Mapping],
 ) -> tuple[tuple[Callable, ...], Optional[Callable], Callable]:
-    """Generate one rule's schedule for one order: ``(expand, seeds, violates)`` of its :class:`~repro.matching.plan.Schedule`.
+    """Generate one rule's schedule for one order: ``(expand, seeds, prove)`` of its :class:`~repro.matching.plan.Schedule`.
 
     ``steps[d]`` holds the :class:`~repro.matching.plan.PlanStep` fields of
     step ``d`` that do not depend on the statistics.
@@ -506,39 +507,49 @@ def compile_schedule(
     for depth, step in enumerate(steps):
         _expand(functions, depth, step, premise, conclusion, slot_of, depth + 1 == len(steps), found)
     if steps:
-        function = _Function(functions, "seeds", "store, stats", slot_of, current=0)
-        _pool(function, steps[0])
-        counters = _counters(steps[0], (), False)
-        if steps[0]["unary_premise"] or steps[0]["self_loops"]:
-            function.emit(1, "nodes = []", f"{' = '.join(counters)} = 0", "for node in store.get_nodes(pool):")
-            function.indent = 2
-            _filter(function, steps[0], premise)
-            function.emit(1, "nodes.append(node)")
-            function.indent = 1
-        else:
-            function.emit(1, "nodes = store.get_nodes(pool)")
-        function.emit(1, "kept = len(nodes)")
-        _flush(function, steps[0], counters)
-        function.emit(1, "return nodes, scanned")
+        _expand(functions, 0, steps[0], premise, conclusion, slot_of, False, found, seeds=True)
+    flat = len(premise) + len(conclusion)
     function = _Function(functions, f"expand_{len(steps)}", "search, order", slot_of)
-    function.emit(1, "search.filtering, search.verification = 1, 0")
-    function.emit(1, "if search.leaf and not violates(search.slots, search.stats):")
-    function.emit(2, "return []")
-    function.emit(1, "search.stats.matches_emitted += 1", "ids = search.ids", f"return [{_violation(function, found, None)}]")
-    function = _Function(functions, "violates", "slots, stats", slot_of)
-    if premise or conclusion:
-        function.emit(1, f"stats.literal_evaluations += {len(premise) + len(conclusion)}")
-    for index, literal in enumerate(premise):
-        function.check(literal, f"premise {index}", "return False")
+    function.emit(1, "search.filtering, search.verification = 1, 0", "stats = search.stats", "if search.leaf:")
+    function.emit(2, f"stats.literal_evaluations += {flat}" if flat else "pass")
+    if not conclusion:
+        function.emit(2, "return []")  # an empty Y always holds
+    elif len(conclusion) > 1:
+        function.emit(2, "if holds(search.slots):")
+        function.emit(3, "return []")
+    function.emit(1, "stats.matches_emitted += 1", "ids = search.ids", f"return [{_violation(function, found, None)}]")
+    _prove(functions, steps, premise, conclusion, slot_of)
     if len(conclusion) > 1:
-        # Y of more literals, which a last step evaluates apart from X
-        function.emit(1, "return not holds(slots)")
+        # Y of more literals, which the leaf evaluates apart from X
         function = _Function(functions, "holds", "slots", slot_of)
-    for index, literal in enumerate(conclusion):
-        function.check(literal, f"conclusion {index}", f"return {len(conclusion) == 1}")
-    function.emit(1, f"return {len(conclusion) > 1}")
+        for index, literal in enumerate(conclusion):
+            function.check(literal, f"conclusion {index}", "return False")
+        function.emit(1, "return True")
     made = _load(functions)
-    return tuple(made[f"expand_{depth}"] for depth in range(len(steps) + 1)), made.get("seeds"), made["violates"]
+    return tuple(made[f"expand_{depth}"] for depth in range(len(steps) + 1)), made.get("seeds"), made["prove"]
+
+
+def _prove(functions: list, steps: Sequence[Mapping], premise, conclusion, slot_of) -> None:
+    """Emit ``prove(slots, stats, bound)``: True when no literal of the first ``bound`` steps refuses the binding.
+
+    Each step's literals in the order it checks them, one
+    ``literal_evaluations`` each: unary, premise checks, and a bound
+    one-literal Y, which refuses the binding where it holds.
+    """
+    function = _Function(functions, "prove", "slots, stats, bound", slot_of)
+    for depth, step in enumerate(steps):
+        if depth:
+            function.emit(1, f"if bound == {depth}:")
+            function.emit(2, "return True")
+        for index in step["unary_premise"] + step["premise_checks"]:
+            function.emit(1, "stats.literal_evaluations += 1")
+            function.check(premise[index], f"premise {index}", "return False")
+        if step["check_conclusion"]:
+            function.emit(1, "stats.literal_evaluations += 1")
+            function.literal(conclusion[0], "conclusion 0")
+            function.emit(1, "if ok:")
+            function.emit(2, "return False")
+    function.emit(1, "return True")
 
 
 def _violation(function: _Function, found: tuple, depth: Optional[int]) -> str:
@@ -609,62 +620,56 @@ def _pool(function: _Function, step: Mapping) -> None:
     function.emit(2, "extra = stats.extra", f"extra[{key}] = extra.get({key}, 0) + scanned")
 
 
-def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slot_of, last: bool, found: tuple) -> None:
+def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slot_of, last: bool, found: tuple, seeds: bool = False) -> None:
     """Emit ``expand_<depth>``: read the pool, filter, check and push (or finish) each candidate.
 
-    Step 0 takes its candidates from ``seeds``, filtered.
+    With ``seeds``, emit step 0 as ``seeds(store, stats)``, which returns the nodes that pass and the scan's size.
     """
     checks, checked = step["premise_checks"], step["check_conclusion"]
-    function = _Function(functions, f"expand_{depth}", "search, order", slot_of, current=depth)
-    reads = ["ids"] if depth or last else []
-    reads += ["slots"] if last or checks or checked else []
-    function.emit(1, f"{', '.join(reads + ['stats', 'store'])} = {', '.join(f'search.{name}' for name in reads + ['stats', 'store'])}")
-    if depth:
-        _pool(function, step)
-    else:
-        function.emit(1, "pool, scanned = seeds(store, stats)")
+    leaf = last and not seeds
+    function = _Function(functions, "seeds" if seeds else f"expand_{depth}", "store, stats" if seeds else "search, order", slot_of, current=depth)
+    literals = [premise[index] for index in checks] + ([conclusion[0]] if checked else [])
+    earlier = [pair for literal in literals for pair in sorted(literal.variables()) if slot_of[pair[0]] != depth]
+    if not seeds:
+        reads = (["ids"] if step["anchor_slots"] or leaf else []) + (["slots"] if leaf or earlier else [])
+        function.emit(1, f"{', '.join(reads + ['stats', 'store'])} = {', '.join(f'search.{name}' for name in reads + ['stats', 'store'])}")
+    _pool(function, step)
     # without checks, a step expands what it keeps
-    later = (["kept", "expanded"] if checks or checked else ["kept"]) + (["matches"] if last else [])
-    evaluates = bool(checks or checked or last and (premise or conclusion))
-    counters = _counters(step, later, evaluates) if depth else later + (["evals"] if evaluates else [])
-    function.emit(1, "leaf, found = search.leaf, []" if last else "push = search.stack.append", f"{' = '.join(counters)} = 0")
+    later = ["kept"] + (["expanded"] if literals and not seeds else []) + (["matches"] if leaf else [])
+    counters = _counters(step, later, bool(literals or leaf and (premise or conclusion)))
+    function.emit(1, "nodes = []" if seeds else "leaf, found = search.leaf, []" if leaf else "push = search.stack.append", f"{' = '.join(counters)} = 0")
     # an earlier slot's attributes are read once per step, out of the candidate loop
-    for literal in [premise[index] for index in checks] + ([conclusion[0]] if checked else []):
-        for variable, attribute in sorted(literal.variables()):
-            if slot_of[variable] != depth:
-                function.read(variable, attribute)
-    function.emit(1, f"for node in {'store.get_nodes(pool)' if depth else 'pool'}:")
+    for variable, attribute in earlier:
+        function.read(variable, attribute)
+    function.emit(1, "for node in store.get_nodes(pool):")
     function.indent = 2
-    if depth:
-        _filter(function, step, premise)
-    else:
-        function.emit(1, "attrs = node.attributes")
+    _filter(function, step, premise)
     function.emit(1, "kept += 1")
     for reached, index in enumerate(checks, 1):
         function.check(premise[index], f"premise {index}", f"evals += {reached}", "continue")
     if checked:
         # a bound conclusion that holds cannot become a violation
         function.literal(conclusion[0], "conclusion 0")
-    if checks or checked:
-        function.emit(1, f"evals += {len(checks) + checked}")
+    if literals:
+        function.emit(1, f"evals += {len(literals)}")
     if checked:
         function.emit(1, "if ok:")
         function.emit(2, "continue")
     if "expanded" in counters:
         function.emit(1, "expanded += 1")
-    if last:
+    if seeds:
+        function.emit(1, "nodes.append(node)")
+    elif leaf:
         _leaf(function, depth, premise, conclusion, found)
     else:
         function.emit(1, f"push(({function.bind('K', depth)}, node.id, attrs, order))")
     function.indent = 1
-    if depth:
-        _flush(function, step, counters)
-    elif evaluates:
-        function.emit(1, "stats.literal_evaluations += evals")
-    function.emit(1, f"stats.expansions += {'expanded' if 'expanded' in counters else 'kept'}")
-    if last:
-        function.emit(1, "stats.matches_emitted += matches")
-    function.emit(1, "search.filtering, search.verification = scanned, kept", "return found" if last else "return []")
+    _flush(function, step, counters)
+    if seeds:
+        function.emit(1, "return nodes, scanned")
+        return
+    function.emit(1, f"stats.expansions += {'expanded' if 'expanded' in counters else 'kept'}", *(["stats.matches_emitted += matches"] if leaf else []))
+    function.emit(1, "search.filtering, search.verification = scanned, kept", "return found" if leaf else "return []")
 
 
 def _leaf(function: _Function, depth: int, premise, conclusion, found: tuple) -> None:
@@ -673,7 +678,7 @@ def _leaf(function: _Function, depth: int, premise, conclusion, found: tuple) ->
     ``PROVEN`` evaluates only a Y of more literals (``holds``); the bill
     stays the flat ``len(X) + len(Y)``.
     """
-    function.emit(1, f"if leaf == {PROVEN}:")
+    function.emit(1, "if leaf:")
     if premise or conclusion:
         function.emit(2, f"evals += {len(premise) + len(conclusion)}")
     if not conclusion:
@@ -681,7 +686,4 @@ def _leaf(function: _Function, depth: int, premise, conclusion, found: tuple) ->
     elif len(conclusion) > 1:
         function.emit(2, f"slots[{depth}] = attrs", "if holds(slots):")
         function.emit(3, "continue")
-    function.emit(1, "elif leaf:")
-    function.emit(2, f"slots[{depth}] = attrs", "if not violates(slots, stats):")
-    function.emit(3, "continue")
     function.emit(1, "matches += 1", f"found.append({_violation(function, found, depth)})")

@@ -28,7 +28,9 @@ each edge label to every place an updated edge with that label can land in
 can land (a rule and a :class:`NodeSite`).  The sites are kept per pattern
 and the index per rule set, each built once; :func:`pivots_by_rule` walks
 ΔG's endpoint labels against it.  :func:`find_update_pivots` is the same
-walk over a one-rule index.
+walk over a one-rule index.  :func:`pivot_seeds`, with which IncDect and
+PIncDect make their seeds, keeps only the pivots that their literals do not
+refuse, so every search starts from a proven prefix.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.graph.updates import BatchUpdate, UnitUpdate
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.graph.store import GraphStore
+    from repro.matching.candidates import MatchStatistics
     from repro.matching.plan import MatchPlan
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "UpdatePivot",
     "find_update_pivots",
     "pivot_index",
+    "pivot_seeds",
     "pivots_by_rule",
 ]
 
@@ -118,10 +122,6 @@ class PivotSite:
                 return False
         return True
 
-    def order(self, plan: "MatchPlan") -> tuple[str, ...]:
-        """Return the variable order a pivot's search follows: the plan's cost-based order, seed first."""
-        return plan.order_for_seed(self.seed)
-
 
 class NodeSite:
     """One place a node that ΔG introduces can land in a pattern: a component with no edge.
@@ -142,10 +142,6 @@ class NodeSite:
     def holds_in(self, store: "GraphStore", ids: Sequence[Hashable]) -> bool:
         """Return True: a node pivot binds no pattern edge."""
         return True
-
-    def order(self, plan: "MatchPlan") -> tuple[str, ...]:
-        """Return the variable order a pivot's search follows: the plan's cost-based order, seed first."""
-        return plan.order_for_seed(self.seed)
 
 
 #: A pivot index: edge label -> the places an updated edge with it lands, and
@@ -246,3 +242,17 @@ def find_update_pivots(
     """Return every pivot of ``rule`` triggered by ``delta``: :func:`pivots_by_rule` for one rule."""
     (found,) = pivots_by_rule((rule,), delta, graph_before, graph_after)
     return [UpdatePivot(rule.name, site.seed, ids, inserted) for site, ids, inserted in found]
+
+
+def pivot_seeds(plan: "MatchPlan", pivots, graph_for, stats: "MatchStatistics") -> tuple[int, list[tuple]]:
+    """Return how many of one rule's ``pivots`` pass ``holds_in`` in ``graph_for(from insertion)``, and the
+    ``(order, ids, from insertion)`` seeds of those ``Schedule.prove`` passes (billed to ``stats``), in pivot order."""
+    consistent, seeds = 0, []
+    for site, ids, inserted in pivots:
+        store = graph_for(inserted).store
+        if site.holds_in(store, ids):
+            consistent += 1
+            order = plan.order_for_seed(site.seed)
+            if plan.schedule_for(order).prove([store.get_node(node).attributes for node in ids], stats, len(ids)):
+                seeds.append((order, ids, inserted))
+    return consistent, seeds

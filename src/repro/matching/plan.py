@@ -19,9 +19,10 @@ separates *planning* from *execution*:
   label-filtered adjacency views, smallest set first), its *literal
   schedule* (which premise literals fire at which binding depth), and the
   steps themselves as generated functions (:mod:`repro.matching.compiled`):
-  one per step that reads its candidates, tests them and descends, and one
-  for the batch kernels' seed scan, kept per rule and order for the whole
-  process.  One plan serves batch search, pivot-seeded incremental search,
+  one per step that reads its candidates, tests them and descends, one for
+  the batch kernels' seed scan (all of step 0) and one that proves a
+  pivot's prefix, kept per rule and order for the whole process.  One plan
+  serves batch search, pivot-seeded incremental search,
   and the parallel work-unit kernels alike; schedules are memoised.
 
 The one executor is the search core :class:`~repro.matching.search.RuleSearch`:
@@ -236,18 +237,17 @@ class Schedule(NamedTuple):
     ``expand[d](search, order)`` runs step ``d`` of a
     :class:`~repro.matching.search.RuleSearch` (``expand[len(steps)]`` the
     leaf of a seed that bound every variable); ``seeds(store, stats)``
-    returns step 0's candidates and the size of its scan, which the batch
-    kernels seed the search with; ``violates(slots, stats)`` is the
-    dependency check over a complete slot list, True when X holds and Y does
-    not, billed a flat ``len(premise) + len(conclusion)`` up front
-    regardless of where the conjunctions short-circuit.
+    runs all of step 0 and returns the nodes that pass and the size of its
+    scan, which the batch kernels seed the search with; ``prove(slots,
+    stats, bound)`` is True when no literal of the first ``bound`` steps
+    refuses a bound prefix, which the pivots are made with.
     """
 
     order: tuple[str, ...]
     steps: tuple[PlanStep, ...]
     expand: tuple[Callable, ...]
     seeds: Optional[Callable]
-    violates: Callable
+    prove: Callable
 
 
 class MatchPlan:
@@ -440,20 +440,20 @@ def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...])
     order = tuple(order)
     pattern, premise, conclusion = rule.pattern, rule.premise, rule.conclusion
     constant_types = (premise.constant_types(), conclusion.constant_types())
-    fields, expand, seeds, violates = _generated(rule.name, pattern, pattern.edges(), premise, conclusion, constant_types, order)
+    fields, expand, seeds, prove = _generated(rule.name, pattern, pattern.edges(), premise, conclusion, constant_types, order)
     steps = tuple(
         PlanStep(**step, estimated_candidates=_estimate(stats, pattern, step["variable"], step["anchors"]))
         for step in fields
     )
     obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
-    return Schedule(order, steps, expand, seeds, violates)
+    return Schedule(order, steps, expand, seeds, prove)
 
 
 @functools.lru_cache(maxsize=SCHEDULES_KEPT)
 def _generated(name, pattern, edges, premise, conclusion, constant_types, order) -> tuple:
     """Resolve every step of ``order`` but its estimate, and generate its code.
 
-    Returns ``(fields, expand, seeds, violates)``: each step's
+    Returns ``(fields, expand, seeds, prove)``: each step's
     :class:`PlanStep` fields but ``estimated_candidates``, and the
     generated functions of :class:`Schedule`.  None of it reads the graph
     statistics, so one result serves every plan of every rule that
@@ -495,8 +495,8 @@ def _generated(name, pattern, edges, premise, conclusion, constant_types, order)
                 reject_keys=tuple(f"{REJECT_COUNT_PREFIX}{name}\x1f{variable}\x1f{reason}" for reason in REJECT_REASONS),
             )
         )
-    expand, seeds, violates = compile_schedule(name, pattern.variables, premise_literals, conclusion_literals, slot_of, fields)
-    return tuple(fields), expand, seeds, violates
+    expand, seeds, prove = compile_schedule(name, pattern.variables, premise_literals, conclusion_literals, slot_of, fields)
+    return tuple(fields), expand, seeds, prove
 
 
 def compile_plan(graph: Graph, rule: NGD) -> MatchPlan:

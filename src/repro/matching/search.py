@@ -21,7 +21,10 @@ LIFO, so everything pushed after the parent was expanded is gone before the
 parent's next child comes up.  A frame carries its order because one rule's
 frames need not share one: IncDect seeds each pivot on an order that starts
 with the pivot's variables (:meth:`~repro.matching.plan.MatchPlan.order_for_seed`),
-and a step follows its frame's order as compiled.
+and a step follows its frame's order as compiled.  Every seed is proven
+where it is made — by a step, by step 0's ``seeds``, or by
+:func:`~repro.matching.incmatch.pivot_seeds` — so every search ends in one
+leaf, which evaluates nothing checked on the way down.
 
 The serial kernels and the process backend's workers drain the stack
 (:class:`~repro.detect.serial.SerialRun`); the cluster simulator runs the
@@ -42,7 +45,7 @@ from repro.core.violations import Violation
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph, Node
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import KEEP, PROVEN, RECHECK
+from repro.matching.compiled import KEEP, PROVEN
 from repro.matching.plan import MatchPlan
 
 __all__ = ["RuleSearch"]
@@ -56,9 +59,9 @@ class RuleSearch:
     complete binding, unchecked.  A kept binding comes back as a
     :class:`Violation` record of the rule (its ``mapping()`` is the match)
     and is billed one ``matches_emitted``.  ``leaf`` says how the leaf
-    decides: ``KEEP`` (``all_matches``), ``PROVEN`` when the steps checked
-    every literal of the bound path on the way down, ``RECHECK`` when a
-    seeded prefix was bound unchecked and the leaf evaluates X and Y.
+    decides: ``KEEP`` (``all_matches``), or ``PROVEN``: every literal of
+    the bound path was checked on the way down, and only a Y of more
+    literals is left.
 
     ``all_matches`` needs a rule without conclusion: the schedule would
     prune on Y and drop the bindings where Y holds, so such a rule raises
@@ -67,8 +70,7 @@ class RuleSearch:
 
     __slots__ = (
         "rule", "plan", "stats", "store", "ids", "slots", "stack", "order",
-        "filtering", "verification", "leaf",
-        "_check", "_expand",
+        "filtering", "verification", "leaf", "_expand",
     )  # fmt: skip
 
     def __init__(
@@ -85,7 +87,6 @@ class RuleSearch:
         self.rule: NGD = plan.rule
         self.plan = plan
         self.stats = stats
-        self._check = not all_matches
         variables = len(self.rule.pattern.variables)
         self.store = None  # of the graph the stacked frames bind
         self.ids: list = [None] * variables
@@ -97,23 +98,23 @@ class RuleSearch:
         #: cost-model sizes of the last step: the index scan performed, and one
         #: unit per candidate verified
         self.filtering = self.verification = 0
-        self.leaf = KEEP
+        self.leaf = KEEP if all_matches else PROVEN
 
     def start(self, graph: Graph, order: tuple[str, ...], ids: Sequence[Hashable]) -> None:
         """Push the seed binding ``order[:len(ids)]`` to ``ids`` (nodes of ``graph``).
 
-        The bound prefix goes straight into the slot lists, unchecked, and
-        the last seed position becomes the frame the next :meth:`step`
-        expands; an empty seed becomes a frame that binds nothing and runs
-        the first step.  Frames carry no graph, so one seed's subtree must be
-        drained before a seed over another graph starts.
+        Precondition: the prefix is proven — its pattern edges are edges of
+        ``graph`` and no literal of its steps refuses it.  It goes straight
+        into the slot lists, and the last seed position becomes the frame
+        the next :meth:`step` expands; an empty seed becomes a frame that
+        binds nothing and runs the first step.  Frames carry no graph, so
+        one seed's subtree must be drained before a seed over another graph
+        starts.
         """
         self.store = graph.store
         if not ids:
-            self.leaf = PROVEN if self._check else KEEP
             self.stack.append((-1, None, None, order))
             return
-        self.leaf = RECHECK if self._check else KEEP
         # node ids come out of the store's own indexes, so reads skip the facade's existence checks
         get_node = graph.store.get_node
         last = len(ids) - 1
@@ -125,13 +126,10 @@ class RuleSearch:
     def seed(self, graph: Graph, order: tuple[str, ...], nodes: Sequence[Node]) -> None:
         """Push one depth-0 frame per node of ``graph``, the last node on top.
 
-        ``nodes`` are step 0's candidates (:attr:`~repro.matching.plan.Schedule.seeds`):
-        they passed its unary literals, not the checks it runs once it binds,
-        which the leaf then evaluates where there are any.
+        Precondition: ``nodes`` passed all of step 0 of ``order``, as
+        :attr:`~repro.matching.plan.Schedule.seeds` returns them.
         """
         self.store = graph.store
-        first = self.plan.schedule_for(order).steps[0]
-        self.leaf = KEEP if not self._check else RECHECK if first.premise_checks or first.check_conclusion else PROVEN
         self.stack.extend([(0, node.id, node.attributes, order) for node in nodes])
 
     def step(self) -> list[Violation]:

@@ -32,7 +32,7 @@ from repro.matching.candidates import STEP_COUNT_PREFIX
 GOLDEN = Path(__file__).parent / "data" / "budget_stops.json"
 STAT_FIELDS = ("candidates_examined", "expansions", "edge_checks", "literal_evaluations", "matches_emitted")
 
-#: (input, engine, max_cost caps): a full run costs 7 (G2), 1699 (KB) and 270 (KB, ΔG)
+#: (input, engine, max_cost caps): a full run costs 7 (G2), 1699 (KB) and 242 (KB, ΔG)
 INPUTS = (("g2", "batch", (2, 4, 6)), ("kb", "batch", (200, 800, 1500)), ("kb", "incremental", (30, 120, 240)))
 
 

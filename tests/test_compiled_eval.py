@@ -65,7 +65,7 @@ from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import KEEP, PROVEN, RECHECK, compile_literal, compile_schedule, resolve_compiled
+from repro.matching.compiled import KEEP, PROVEN, compile_literal, compile_schedule, resolve_compiled
 from repro.matching.plan import (
     GraphStatistics,
     MatchPlan,
@@ -360,12 +360,25 @@ def _expanded(expand, graph, slots, leaf):
     return run
 
 
+def _seeded_leaf(expand, prove, slots):
+    """Prove the binding of both variables, then run the leaf of a seed that bound them; True where it keeps it."""
+
+    def run(stats):
+        if not prove(slots, stats, 2):
+            return False
+        search = SimpleNamespace(ids=["x", "y"], slots=list(slots), stats=stats, leaf=PROVEN)
+        return bool(expand[2](search, ("x", "y")))
+
+    return run
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_generated_steps_keep_the_literal_semantics(seed):
-    # the seed scan's unary literals, a step's checks and the leaf of
-    # generated steps of one to four literals: the verdict of holds_for
-    # applied in order (its exception where it raises), and one
-    # literal_evaluations per check reached (the leaf's flat bill up front)
+    # the seed scan's unary literals, a step's checks, the proof of a bound
+    # prefix and the leaf of generated steps of one to four literals: the
+    # verdict of holds_for applied in order (its exception where it
+    # raises), and one literal_evaluations per check reached (the leaf's
+    # flat bill up front)
     rng = random.Random(0x57E9 + seed)
     slot_of = {"x": 0, "y": 1}
     checked = 0
@@ -380,7 +393,7 @@ def test_generated_steps_keep_the_literal_semantics(seed):
             _step_fields((), unary=range(len(unary)), out_labels=frozenset({"e"})),
             _step_fields(((0, True, "e"),), checks=range(len(unary), len(premise)), conclusion=bound),
         ]
-        expand, seeds, violates = compile_schedule("parity", ("x", "y"), premise, conclusion, slot_of, steps)
+        expand, seeds, prove = compile_schedule("parity", ("x", "y"), premise, conclusion, slot_of, steps)
         for _ in range(5):
             slots = [_step_attrs(rng), _step_attrs(rng)]
             graph = Graph(name="step")
@@ -392,6 +405,8 @@ def test_generated_steps_keep_the_literal_semantics(seed):
             # y lacks the out edge the scan asks for; x passes where its unary literals hold
             expected = _bill(*_reference_scan(unary, holds, False, False, True))
             assert _step_run(lambda stats: [node.id for node in seeds(graph.store, stats)[0]] == ["x"]) == expected
+            # a prefix that binds x alone is proven against step 0's literals, as the scan tests x
+            assert _step_run(lambda stats: prove(slots, stats, 1)) == expected
 
             pruned, reached = _reference_scan(checks, holds, False, True, False)
             if bound and pruned == ("ok", False):
@@ -400,18 +415,23 @@ def test_generated_steps_keep_the_literal_semantics(seed):
             kept = ("ok", not pruned[1]) if pruned[0] == "ok" else pruned
             assert _step_run(_expanded(expand, graph, slots, KEEP)) == _bill(kept, reached), (checks, conclusion, slots)
 
-            leaf, _ = _reference_scan(premise, holds, False, False, None)
-            if leaf == ("ok", None):
-                leaf, _ = _reference_scan(conclusion, holds, False, True, False)
-            assert _step_run(lambda stats: violates(slots, stats)) == _bill(leaf, flat), (premise, conclusion, slots)
-            recheck = leaf if kept == ("ok", True) else kept
-            assert _step_run(_expanded(expand, graph, slots, RECHECK)) == _bill(recheck, reached + flat * (kept == ("ok", True)))
+            # a prefix that binds both: X in order, then a bound one-literal Y, which refuses it where it holds
+            proof, proof_reached = _reference_scan(premise, holds, False, False, True)
+            if bound and proof == ("ok", True):
+                proof, more = _reference_scan(conclusion, holds, True, False, True)
+                proof_reached += more
+            assert _step_run(lambda stats: prove(slots, stats, 2)) == _bill(proof, proof_reached), (premise, conclusion, slots)
 
             if bound or len(conclusion) > 1:
                 # the steps proved X on the way down, and a one-literal Y failed when bound: only a longer Y is left
                 proven = ("ok", True) if len(conclusion) == 1 else _reference_scan(conclusion, holds, False, True, False)[0]
                 proven = proven if kept == ("ok", True) else kept
                 assert _step_run(_expanded(expand, graph, slots, PROVEN)) == _bill(proven, reached + flat * (kept == ("ok", True)))
+                # a seed that binds both goes straight to the leaf once proven: X → Y as holds_for decides it
+                leaf, _ = _reference_scan(premise, holds, False, False, None)
+                if leaf == ("ok", None):
+                    leaf, _ = _reference_scan(conclusion, holds, False, True, False)
+                assert _step_run(_seeded_leaf(expand, prove, slots)) == _bill(leaf, proof_reached + flat * (proof == ("ok", True)))
             checked += 1
     assert checked == 600
 
@@ -461,7 +481,7 @@ def test_a_hostile_attribute_key_is_read_literally():
     assert _pairs(result.violations) == naive_reference.violations(graph, rules) == {(rule.name, (0, 1))}
     plan = compile_plans(graph, rules)[0]
     schedule = plan.schedule_for(plan.order)
-    functions = (schedule.violates, schedule.seeds) + schedule.expand
+    functions = (schedule.prove, schedule.seeds) + schedule.expand
     code = [line for function in functions for line in _generated_lines(function) if not line.lstrip().startswith("#")]
     assert any(repr(_HOSTILE_KEY) in line for line in code)
     assert not any("__import__" in line.replace(repr(_HOSTILE_KEY), "") for line in code)
@@ -482,7 +502,7 @@ def test_generated_code_is_attributed_to_the_compiled_layer():
 
     plan = compile_plans(_product_graph(products=20, sellers=4), _literal_heavy_rules())[0]
     schedule = plan.schedule_for(plan.order)
-    for function in (schedule.violates, schedule.seeds) + schedule.expand:
+    for function in (schedule.prove, schedule.seeds) + schedule.expand:
         assert function.__code__.co_filename.startswith("<repro/matching/compiled:")
 
 
@@ -901,7 +921,7 @@ def test_rules_pickle_without_their_generated_code(heavy_rules, force_start_meth
 
 def _generated_code(plan) -> tuple:
     schedule = plan.schedule_for(plan.order)
-    return (schedule.violates, schedule.seeds) + schedule.expand
+    return (schedule.prove, schedule.seeds) + schedule.expand
 
 
 def test_equal_rules_made_apart_share_their_generated_code(product_graph):
@@ -914,7 +934,7 @@ def test_equal_rules_made_apart_share_their_generated_code(product_graph):
     # the name is in the code (the step counters carry it)
     renamed = NGD(first[0].pattern, first[0].premise, first[0].conclusion, name="renamed")
     other = compile_plans(product_graph, [renamed])[0]
-    assert other.schedule_for(other.order).violates is not plans[0].schedule_for(plans[0].order).violates
+    assert other.schedule_for(other.order).prove is not plans[0].schedule_for(plans[0].order).prove
     assert all("renamed" in step.count_key for step in other.steps)
 
 

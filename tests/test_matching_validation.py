@@ -248,7 +248,7 @@ class TestHomomorphismMatcher:
         assert drained(["c"]) == []  # c has no lives_in edge to extend along
 
     def test_match_violates_dependency(self, triangle_graph, knows_rule):
-        # the leaf's X -> Y check over the slots of a complete binding
+        # X -> Y over a complete binding: proven where it is made, then the leaf of a seed that bound it
         plan = compile_plan(triangle_graph, knows_rule)
         schedule = plan.schedule_for(plan.order)
         stats = MatchStatistics()
@@ -256,9 +256,13 @@ class TestHomomorphismMatcher:
         def slots(match):
             return [triangle_graph.node(match[variable]).attributes for variable in plan.order]
 
-        assert schedule.violates(slots({"x": "a", "y": "b"}), stats)  # 10 >= 20 fails
-        assert not schedule.violates(slots({"x": "b", "y": "a"}), stats)  # 20 >= 10 holds
+        assert schedule.prove(slots({"x": "a", "y": "b"}), stats, 2)  # 10 >= 20 fails: nothing refuses it
+        assert not schedule.prove(slots({"x": "b", "y": "a"}), stats, 2)  # 20 >= 10 holds: refused
         assert stats.literal_evaluations == 2
+        search = RuleSearch(plan, stats)
+        search.start(triangle_graph, plan.order, [{"x": "a", "y": "b"}[variable] for variable in plan.order])
+        assert [violation.mapping() for violation in search.step()] == [{"x": "a", "y": "b"}]
+        assert stats.literal_evaluations == 3  # the leaf's flat bill
 
 
 class TestValidation:

@@ -145,7 +145,7 @@ class TestWorkUnits:
         edge = rule.pattern.edges()[0]
         site = PivotSite(rule.pattern, edge)
         assert site.ids(EdgeInsertion("s", "t", edge.label)) == (("s",) if site.loop else ("s", "t"))
-        order = site.order(compile_plan(Graph(), rule))
+        order = compile_plan(Graph(), rule).order_for_seed(site.seed)
         assert order[: len(site.seed)] == site.seed and sorted(order) == sorted(rule.pattern.variables)
 
     def test_expand_respects_labels_and_edges(self, triangle_graph, knows_rule):

@@ -79,9 +79,13 @@ def graphs(draw, max_nodes: int = 6, max_edges: int = 12):
 
 @st.composite
 def literals(draw, variables):
-    left = var(draw(st.sampled_from(variables)))
+    """A literal over one or two of ``variables``, or now and then over none: a constant verdict, which step 0 checks."""
     shift = const(draw(st.integers(min_value=-2, max_value=2)))
-    right = draw(st.one_of(st.just(shift), st.sampled_from(variables).map(lambda v: Add(var(v), shift))))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        left, right = const(draw(st.integers(min_value=-2, max_value=2))), shift
+    else:
+        left = var(draw(st.sampled_from(variables)))
+        right = draw(st.one_of(st.just(shift), st.sampled_from(variables).map(lambda v: Add(var(v), shift))))
     return Literal(left, draw(st.sampled_from(list(Comparison))), right)
 
 
@@ -90,7 +94,9 @@ def rule_sets(draw):
     """One to three rules of one to four variables.
 
     Cycles, self-loops, wildcards and variables that no pattern edge touches
-    are all included; an edge drawn twice is kept once.
+    are all included; an edge drawn twice is kept once.  Literals without a
+    variable, and conclusions of one literal over one variable, put checks
+    on step 0 and make pivots that their own literals refuse.
     """
     rules = []
     for index in range(draw(st.integers(min_value=1, max_value=3))):
@@ -99,7 +105,12 @@ def rule_sets(draw):
         edge = st.tuples(st.sampled_from(variables), st.sampled_from(variables), st.sampled_from(EDGE_LABELS))
         pattern = Pattern(f"q{index}", nodes, draw(st.lists(edge, max_size=5)))
         premise = draw(st.lists(literals(variables), max_size=2))
-        conclusion = draw(st.lists(literals(variables), min_size=1, max_size=2))
+        conclusion = draw(
+            st.one_of(
+                st.lists(literals(variables), min_size=1, max_size=2),
+                st.sampled_from(variables).flatmap(lambda v: literals([v])).map(lambda literal: [literal]),
+            )
+        )
         rules.append(NGD(pattern, premise, conclusion, name=f"r{index}"))
     return RuleSet(rules)
 
@@ -230,6 +241,84 @@ def test_the_papers_one_node_rules_see_every_node_that_delta_introduces():
     for kernel, run in INCREMENTAL_KERNELS.items():
         result = run(graph, rules, delta, after)
         assert (as_pairs(result.delta.introduced), as_pairs(result.delta.removed)) == (expected, set()), kernel
+
+
+def refused_pivot(case: str) -> tuple:
+    """``(graph, rules, ΔG)`` whose one consistent pivot its own literals refuse.
+
+    ``premise``: a two-variable rule whose edge pivot binds both ends, with
+    ``x.a > 5`` false.  ``conclusion``: a one-node rule whose node pivot
+    holds its one-literal Y.
+    """
+    graph = Graph("refused")
+    graph.add_node(0, "item", {"a": 3, "b": 0})
+    graph.add_node(1, "item", {"a": 7, "b": 0})
+    if case == "premise":
+        pattern = Pattern("pair", [("x", "item"), ("y", "item")], [("x", "y", "p")])
+        rules = RuleSet([NGD.from_text(pattern, "x.a > 5", "y.b = 1", name="pair")])
+        return graph, rules, BatchUpdate().insert(0, 1, "p")
+    rules = RuleSet([NGD.from_text(Pattern("one", [("x", "item")]), "", "x.a = 1", name="one")])
+    return graph, rules, BatchUpdate().insert(0, "n", "p", target_payload=NodePayload("item", {"a": 1}))
+
+
+@pytest.mark.parametrize("case", ("premise", "conclusion"))
+def test_a_pivot_its_own_literals_refuse_steps_no_frame(case, force_start_method):
+    """IncDect, simulated and process PIncDect prove the pivot where they make it, and search nothing from it."""
+    graph, rules, delta = refused_pivot(case)
+    after = apply_update(graph, delta)
+    assert naive_reference.violations(after, rules) == naive_reference.violations(graph, rules), "ΔVio is empty"
+    incdect = finish(iter_inc_dect(graph, rules, delta, graph_after=after))[1]
+    assert incdect.cost == 1.0, "the run costs the pivot's unit, and no step"
+    force_start_method("fork")
+    simulated, processes = (
+        finish(iter_pinc_dect(graph, rules, delta, processors=2, graph_after=after, execution=execution))[1]
+        for execution in ("simulated", "processes")
+    )
+    for result in (incdect, simulated, processes):
+        assert result.delta.total_changes() == 0
+        assert (result.stats.candidates_examined, result.stats.expansions, result.stats.matches_emitted) == (0, 0, 0)
+        assert result.stats.literal_evaluations == 1, "the proof reached one literal"
+    for result in (simulated, processes):
+        assert sum(trace.work_units_processed for trace in result.worker_traces) == 0, result.algorithm
+    assert processes.cost == processes.neighborhood_size, "only the neighbourhood's extraction is charged"
+
+
+def step_zero_rules() -> RuleSet:
+    """Rules that check on step 0: a one-literal Y over the one variable (the shape of φ6–φ8), and X without a variable."""
+    pair = Pattern("pair", [("x", "item"), ("y", "item")], [("x", "y", "p")])
+    return RuleSet(
+        [
+            NGD.from_text(Pattern("one", [("x", "item")]), "", "x.a = 1", name="one"),
+            NGD.from_text(pair, "1 < 2", "x.a <= y.a", name="always"),
+            NGD.from_text(pair, "2 < 1", "x.a <= y.a", name="never"),
+        ]
+    )
+
+
+def test_step_zero_checks_run_where_the_seeds_are_made():
+    """``seeds()`` keeps only the nodes that can still violate; Dect and simulated PDect find the reference's violations."""
+    graph = Graph("items")
+    for node_id, value in enumerate((1, 0, 1, 2, None, 1)):
+        graph.add_node(node_id, "item", {} if value is None else {"a": value})
+    for source, target in ((0, 1), (1, 2), (3, 0), (4, 3), (5, 5)):
+        graph.add_edge(source, target, "p")
+    rules = step_zero_rules()
+    plans = compile_plans(graph, rules)
+    seeded = {}
+    for rule, plan in zip(rules, plans):
+        nodes, scanned = plan.schedule_for(plan.order).seeds(graph.store, MatchStatistics())
+        seeded[rule.name] = sorted(node.id for node in nodes)
+    # Y holds on 0, 2 and 5: only 1, 3 and 4 (no a) can violate it
+    assert seeded["one"] == [1, 3, 4]
+    assert seeded["never"] == []
+    assert seeded["always"] == sorted(set(seeded["always"])) and len(seeded["always"]) == 5
+    expected = naive_reference.violations(graph, rules)
+    assert {nodes for name, nodes in expected if name == "one"} == {(1,), (3,), (4,)}
+    dect = finish(iter_dect(graph, rules, plans=plans))[1]
+    pdect = Detector(rules, engine="parallel", processors=3).run(graph, plans=plans)
+    assert as_pairs(dect.violations) == as_pairs(pdect.violations) == expected
+    # every seed of the one-node rule is a violation: none is stepped only to be refused at the leaf
+    assert dect.stats.matches_emitted == len(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -499,6 +588,12 @@ def pivot_unit(index: int, rule: NGD, pivot: UpdatePivot, plan, graph: Graph):
     return WorkUnit(index, order, tuple((variable, seed[variable]) for variable in order if variable in seed), pivot.from_insertion)
 
 
+def proven(unit: WorkUnit, plan, graph: Graph, stats: MatchStatistics) -> bool:
+    """Whether no literal of the steps ``unit`` binds refuses it: the schedule's proof, billed to ``stats``."""
+    slots = [graph.node(node).attributes for _, node in unit.assignment]
+    return plan.schedule_for(unit.order).prove(slots, stats, unit.depth())
+
+
 def stepped_inc_dect(graph, after, rules, delta, plans, budget=None) -> Stepped:
     run = Stepped(budget)
     graphs, seen = {True: after, False: graph}, {True: set(), False: set()}
@@ -509,8 +604,10 @@ def stepped_inc_dect(graph, after, rules, delta, plans, budget=None) -> Stepped:
         for pivot in pivots_by_definition(rule, delta, graph, after):
             unit = pivot_unit(index, rule, pivot, plan, graphs[pivot.from_insertion])
             if unit is not None:
+                # a consistent pivot costs its unit, refused by its literals or not
                 run.cost += 1.0
-                stack.append(unit)
+                if proven(unit, plan, graphs[pivot.from_insertion], run.stats):
+                    stack.append(unit)
         run.drain(stack, graphs, rule, plan, seen)
         if run.stop_reason is not None:
             break
