@@ -9,8 +9,8 @@ of views or a label scan; bills them; tests each one's label, unary
 literals and self-loops; fires the literals that its binding completes;
 and pushes the frame, or finishes the binding at the leaf.  ``seeds`` is
 all of step 0 — scan, tests and checks — for the batch kernels, and
-``prove(slots, stats, bound)`` the literals of the first ``bound`` steps
-over a bound prefix, which the update pivots are proven with:
+``prove(store, ids, stats)`` the literals of the steps a bound prefix
+binds, which the update pivots are proven with:
 
 * pattern variables map to *slot indices* in plan order, so a partial
   match is a flat list of attribute mappings (``slots[d]`` is the
@@ -219,10 +219,10 @@ class _Function:
     """One generated function: its namespace, the reads its literals share, and its body.
 
     A variable at slot ``current`` is read from the local ``attrs`` (one
-    candidate's attributes), any other from ``env[slot]``.
+    candidate's attributes), any other from ``env.format(slot)``.
     """
 
-    def __init__(self, functions: list, name: str, parameters: str, slot_of, env: str = "slots", current=None, attrs: str = "attrs") -> None:
+    def __init__(self, functions: list, name: str, parameters: str, slot_of, env: str = "slots[{}]", current=None, attrs: str = "attrs") -> None:
         self.name, self.slot_of, self.env, self.current, self.attrs = name, slot_of, env, current, attrs
         functions.append(self)
         # a step's text does not say which step it is, so that steps alike share it
@@ -260,7 +260,7 @@ class _Function:
         holder = self.attrs if slot == self.current else self.slots.get(slot)
         if holder is None:
             holder = self.slots[slot] = f"s{slot}"
-            self.emit(1, f"{holder} = {self.env}[{slot}]")
+            self.emit(1, f"{holder} = {self.env.format(slot)}")
         key = repr(attribute) if type(attribute) is str else self.bind("A", attribute)
         local = self.reads[(variable, attribute)] = f"v{len(self.reads)}"
         self.emit(1, f"{local} = {holder}.get({key}, MISSING)")
@@ -455,7 +455,7 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
     functions: list = []
     if direct:
         slot_of = dict.fromkeys(slot_of, 0)
-    function = _Function(functions, "check", "env", slot_of, "env", 0 if direct else None, "env")
+    function = _Function(functions, "check", "env", slot_of, "env[{}]", 0 if direct else None, "env")
     function.literal(literal, "the literal")
     function.emit(1, "return ok")
     return _load(functions)["check"]
@@ -530,13 +530,13 @@ def compile_schedule(
 
 
 def _prove(functions: list, steps: Sequence[Mapping], premise, conclusion, slot_of) -> None:
-    """Emit ``prove(slots, stats, bound)``: True when no literal of the first ``bound`` steps refuses the binding.
+    """Emit ``prove(store, ids, stats)``: True when no literal of the steps ``ids`` binds refuses the binding.
 
-    Each step's literals in the order it checks them, one
-    ``literal_evaluations`` each: unary, premise checks, and a bound
-    one-literal Y, which refuses the binding where it holds.
+    The literals as the steps check them (a bound one-literal Y refuses where it holds), one
+    ``literal_evaluations`` each; a node is read where a literal first needs it.
     """
-    function = _Function(functions, "prove", "slots, stats, bound", slot_of)
+    function = _Function(functions, "prove", "store, ids, stats", slot_of, "get_node(ids[{}]).attributes")
+    function.emit(1, "get_node, bound = store.get_node, len(ids)")
     for depth, step in enumerate(steps):
         if depth:
             function.emit(1, f"if bound == {depth}:")

@@ -253,6 +253,6 @@ def pivot_seeds(plan: "MatchPlan", pivots, graph_for, stats: "MatchStatistics") 
         if site.holds_in(store, ids):
             consistent += 1
             order = plan.order_for_seed(site.seed)
-            if plan.schedule_for(order).prove([store.get_node(node).attributes for node in ids], stats, len(ids)):
+            if plan.schedule_for(order).prove(store, ids, stats):
                 seeds.append((order, ids, inserted))
     return consistent, seeds

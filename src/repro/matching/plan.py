@@ -238,9 +238,9 @@ class Schedule(NamedTuple):
     :class:`~repro.matching.search.RuleSearch` (``expand[len(steps)]`` the
     leaf of a seed that bound every variable); ``seeds(store, stats)``
     runs all of step 0 and returns the nodes that pass and the size of its
-    scan, which the batch kernels seed the search with; ``prove(slots,
-    stats, bound)`` is True when no literal of the first ``bound`` steps
-    refuses a bound prefix, which the pivots are made with.
+    scan, which the batch kernels seed the search with; ``prove(store, ids,
+    stats)`` is True when no literal of the steps a prefix ``ids`` binds
+    refuses it, which the pivots are made with.
     """
 
     order: tuple[str, ...]

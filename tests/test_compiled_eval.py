@@ -360,11 +360,11 @@ def _expanded(expand, graph, slots, leaf):
     return run
 
 
-def _seeded_leaf(expand, prove, slots):
+def _seeded_leaf(expand, prove, graph, slots):
     """Prove the binding of both variables, then run the leaf of a seed that bound them; True where it keeps it."""
 
     def run(stats):
-        if not prove(slots, stats, 2):
+        if not prove(graph.store, ["x", "y"], stats):
             return False
         search = SimpleNamespace(ids=["x", "y"], slots=list(slots), stats=stats, leaf=PROVEN)
         return bool(expand[2](search, ("x", "y")))
@@ -406,7 +406,7 @@ def test_generated_steps_keep_the_literal_semantics(seed):
             expected = _bill(*_reference_scan(unary, holds, False, False, True))
             assert _step_run(lambda stats: [node.id for node in seeds(graph.store, stats)[0]] == ["x"]) == expected
             # a prefix that binds x alone is proven against step 0's literals, as the scan tests x
-            assert _step_run(lambda stats: prove(slots, stats, 1)) == expected
+            assert _step_run(lambda stats: prove(graph.store, ["x"], stats)) == expected
 
             pruned, reached = _reference_scan(checks, holds, False, True, False)
             if bound and pruned == ("ok", False):
@@ -420,7 +420,7 @@ def test_generated_steps_keep_the_literal_semantics(seed):
             if bound and proof == ("ok", True):
                 proof, more = _reference_scan(conclusion, holds, True, False, True)
                 proof_reached += more
-            assert _step_run(lambda stats: prove(slots, stats, 2)) == _bill(proof, proof_reached), (premise, conclusion, slots)
+            assert _step_run(lambda stats: prove(graph.store, ["x", "y"], stats)) == _bill(proof, proof_reached), (premise, conclusion, slots)
 
             if bound or len(conclusion) > 1:
                 # the steps proved X on the way down, and a one-literal Y failed when bound: only a longer Y is left
@@ -431,7 +431,7 @@ def test_generated_steps_keep_the_literal_semantics(seed):
                 leaf, _ = _reference_scan(premise, holds, False, False, None)
                 if leaf == ("ok", None):
                     leaf, _ = _reference_scan(conclusion, holds, False, True, False)
-                assert _step_run(_seeded_leaf(expand, prove, slots)) == _bill(leaf, proof_reached + flat * (proof == ("ok", True)))
+                assert _step_run(_seeded_leaf(expand, prove, graph, slots)) == _bill(leaf, proof_reached + flat * (proof == ("ok", True)))
             checked += 1
     assert checked == 600
 

@@ -253,14 +253,14 @@ class TestHomomorphismMatcher:
         schedule = plan.schedule_for(plan.order)
         stats = MatchStatistics()
 
-        def slots(match):
-            return [triangle_graph.node(match[variable]).attributes for variable in plan.order]
+        def ids(match):
+            return [match[variable] for variable in plan.order]
 
-        assert schedule.prove(slots({"x": "a", "y": "b"}), stats, 2)  # 10 >= 20 fails: nothing refuses it
-        assert not schedule.prove(slots({"x": "b", "y": "a"}), stats, 2)  # 20 >= 10 holds: refused
+        assert schedule.prove(triangle_graph.store, ids({"x": "a", "y": "b"}), stats)  # 10 >= 20 fails: nothing refuses it
+        assert not schedule.prove(triangle_graph.store, ids({"x": "b", "y": "a"}), stats)  # 20 >= 10 holds: refused
         assert stats.literal_evaluations == 2
         search = RuleSearch(plan, stats)
-        search.start(triangle_graph, plan.order, [{"x": "a", "y": "b"}[variable] for variable in plan.order])
+        search.start(triangle_graph, plan.order, ids({"x": "a", "y": "b"}))
         assert [violation.mapping() for violation in search.step()] == [{"x": "a", "y": "b"}]
         assert stats.literal_evaluations == 3  # the leaf's flat bill
 

@@ -590,8 +590,7 @@ def pivot_unit(index: int, rule: NGD, pivot: UpdatePivot, plan, graph: Graph):
 
 def proven(unit: WorkUnit, plan, graph: Graph, stats: MatchStatistics) -> bool:
     """Whether no literal of the steps ``unit`` binds refuses it: the schedule's proof, billed to ``stats``."""
-    slots = [graph.node(node).attributes for _, node in unit.assignment]
-    return plan.schedule_for(unit.order).prove(slots, stats, unit.depth())
+    return plan.schedule_for(unit.order).prove(graph.store, [node for _, node in unit.assignment], stats)
 
 
 def stepped_inc_dect(graph, after, rules, delta, plans, budget=None) -> Stepped:
