@@ -32,10 +32,11 @@ from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationSet
 from repro.detect.base import DetectionResult
 from repro.detect.observers import DetectionBudget
-from repro.detect.parallel.workunits import rule_search
+from repro.detect.parallel.workunits import first_step_seeds
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.matching.plan import MatchPlan, resolve_plans
+from repro.matching.search import RuleSearch
 
 __all__ = ["iter_dect"]
 
@@ -57,28 +58,21 @@ def iter_dect(
     rule's search follows its plan's root order as compiled.
     """
     rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
-    rule_list = list(rule_set)
-    plans = resolve_plans(graph, rule_list, plans)
+    plans = resolve_plans(graph, list(rule_set), plans)
     started = time.perf_counter()
     violations = ViolationSet()
     run = SerialRun("Dect", False, budget)
 
     try:
-        for rule_index, rule in enumerate(rule_list):
-            plan = plans[rule_index]
+        for plan in plans:
             order = plan.order
             if not order:
                 continue
-            with run.rule(rule.name):
-                candidates, scanned = plan.schedule_for(order).seeds(graph.store, run.stats)
+            with run.rule(plan.rule.name):
+                candidates, scanned = first_step_seeds(graph, plan, run.stats)
                 run.cost += scanned
                 if not run.cost_exhausted():
-                    # the seeds are a stack: the last candidate's subtree is searched
-                    # first; a single-variable pattern has no subtrees and streams in
-                    # rank order
-                    if len(order) == 1:
-                        candidates.reverse()
-                    search = rule_search(rule, plan, run.stats)
+                    search = RuleSearch(plan, run.stats)
                     search.seed(graph, order, candidates)
                     yield from run.expand(search, True, (violations, violations))
             if run.stop_reason is not None:

@@ -50,12 +50,12 @@ from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.detect.base import IncrementalDetectionResult
 from repro.detect.observers import DetectionBudget, ViolationEvent
-from repro.detect.parallel.workunits import rule_search
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate, apply_update
 from repro.matching.incmatch import pivot_seeds, pivots_by_rule
 from repro.matching.plan import MatchPlan, resolve_plans
+from repro.matching.search import RuleSearch
 
 __all__ = ["iter_inc_dect"]
 
@@ -85,14 +85,13 @@ def iter_inc_dect(
     of it may be).
     """
     rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
-    rule_list = list(rule_set)
     started = time.perf_counter()
 
     updated = graph_after if graph_after is not None else apply_update(graph, delta)
 
     # one plan per rule serves both expansion directions (the statistics of
     # G and G ⊕ ΔG differ by at most |ΔG|, well within estimate noise)
-    plans = resolve_plans(updated, rule_list, plans)
+    plans = resolve_plans(updated, list(rule_set), plans)
 
     introduced = ViolationSet()
     removed = ViolationSet()
@@ -105,17 +104,15 @@ def iter_inc_dect(
         return updated if inserted else graph
 
     try:
-        for rule_index, rule in enumerate(rule_list):
-            plan = plans[rule_index]
+        for plan, pivots in zip(plans, pivots_of):
             if run.cost_exhausted():
                 break
-            pivots = pivots_of[rule_index]
             if not pivots:
                 continue
-            with run.rule(rule.name):
+            with run.rule(plan.rule.name):
                 consistent, seeds = pivot_seeds(plan, pivots, graph_for, run.stats)
                 run.cost += consistent
-                search = rule_search(rule, plan, run.stats)
+                search = RuleSearch(plan, run.stats)
                 # the pivots are a stack: the last one's subtree is searched first
                 seeds = [(search, order, ids, inserted) for order, ids, inserted in reversed(seeds)]
                 yield from run.drain(seeds, graph_for, (introduced, removed))

@@ -115,17 +115,6 @@ class ClusterSimulator:
         """Return the simulated parallel running time (maximum worker clock)."""
         return max(worker.clock for worker in self._workers)
 
-    def global_time(self) -> float:
-        """Return a global-progress proxy: the maximum worker clock.
-
-        Periodic activities (workload monitoring at interval ``intvl``) are
-        triggered off this value.  Elapsed wall-clock time in the real system
-        is governed by whichever worker is busiest, so the maximum clock is
-        the faithful proxy; a minimum would freeze as soon as one worker goes
-        idle and a mean would slow the monitoring down as processors are added.
-        """
-        return max(worker.clock for worker in self._workers)
-
     # ----------------------------------------------------------------- queues
 
     def enqueue(self, worker: int, unit: object) -> None:
@@ -192,16 +181,15 @@ class ClusterSimulator:
 class SimulatedRun(KernelRun):
     """One parallel kernel run on a :class:`ClusterSimulator`: its clocks, its loop, what it emitted.
 
-    The run's ``cost`` is the makespan.  ``rules`` and ``plans`` are what a
-    work unit is expanded with; every expansion's statistics go
-    to ``stats``, and to its rule's row of the run's attribution.
+    The run's ``cost`` is the makespan.  A work unit is expanded with the
+    plan at its rule index; every expansion's statistics go to ``stats``,
+    and to its rule's row of the run's attribution.
     """
 
     def __init__(
         self,
         algorithm: str,
         incremental: bool,
-        rules,
         plans,
         processors: int,
         policy: BalancingPolicy,
@@ -209,7 +197,7 @@ class SimulatedRun(KernelRun):
     ) -> None:
         super().__init__(algorithm, incremental, budget)
         self.cluster = ClusterSimulator(processors, policy.latency)
-        self.rules, self.plans = rules, plans
+        self.plans = plans
         self.processors, self.policy = processors, policy
 
     @property
@@ -262,8 +250,10 @@ class SimulatedRun(KernelRun):
         while cluster.has_pending_work():
             if self.cost_exhausted():
                 return
-            if policy.enable_rebalancing and cluster.global_time() - last_balance >= policy.interval:
-                last_balance = cluster.global_time()
+            # monitoring at interval intvl runs off the makespan: elapsed time in the real system is the
+            # busiest worker's; a minimum would freeze once one worker idles, a mean slow down as p grows
+            if policy.enable_rebalancing and cluster.makespan() - last_balance >= policy.interval:
+                last_balance = cluster.makespan()
                 self._rebalance(work_done / units_done if units_done else 0.0)
             worker = cluster.next_busy_worker()
             unit: WorkUnit = cluster.pop_unit(worker)
@@ -322,8 +312,8 @@ class SimulatedRun(KernelRun):
             cluster.charge(worker_index, policy.latency)
 
     def _expand(self, unit: WorkUnit, graph_for):
-        rule, plan, stats = self.rules[unit.rule_index], self.plans[unit.rule_index], self.stats
+        plan, stats = self.plans[unit.rule_index], self.stats
         before = self.attribution.before(stats)
-        outcome = expand_work_unit(graph_for(unit.from_insertion), rule, unit, stats, plan)
-        self.attribution.after(rule.name, before, stats)
+        outcome = expand_work_unit(graph_for(unit.from_insertion), unit, stats, plan)
+        self.attribution.after(plan.rule.name, before, stats)
         return outcome

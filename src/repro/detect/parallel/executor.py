@@ -18,8 +18,8 @@ Execution model
   PIncDect's are the update pivots, on the worker a crc32 of the updated
   edge's source names.  The parent runs PDect's first-step scans itself,
   exactly as Dect does.
-* Each **worker process** receives its share, the rules and their compiled
-  plans as its process arguments — inherited under ``fork``, pickled under
+* Each **worker process** receives its share and the compiled plans (each
+  carrying its rule) as its process arguments — inherited under ``fork``, pickled under
   ``spawn`` (a plan generates its schedules' code again on first use) — together with
   one read-only *image* per graph it searches (``G``, or ``N_C(ΔG)``
   before and after the update): inherited copy-on-write under ``fork``,
@@ -80,14 +80,14 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro import obs
-from repro.core.ngd import NGD
 from repro.detect.base import EXECUTION_MODES, WorkerTrace
 from repro.detect.observers import DetectionBudget
-from repro.detect.parallel.workunits import WorkUnit, rule_search
+from repro.detect.parallel.workunits import WorkUnit
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.graph.io import load_graph, save_graph
 from repro.matching.plan import MatchPlan
+from repro.matching.search import RuleSearch
 from repro.testing.faults import resolve_fault_plan
 
 __all__ = [
@@ -191,20 +191,19 @@ def clear_loaded_images() -> None:
 
 @dataclass
 class ExecutionRuntime:
-    """Everything a worker needs to drain seeds: rules, plans, graph images.
+    """Everything a worker needs to drain seeds: the plans (each carrying its rule) and the graph images.
 
     Built once per run in the parent.  ``image`` is the graph an insertion
     (or batch) seed searches (``G``, or ``N_C`` after ΔG); ``before_image``
     is ``N_C`` before ΔG, which an incremental run's deletion seeds search.
     Under ``fork`` the object itself is inherited by the children (nothing
     is pickled); under ``spawn`` each worker receives the pickled copy
-    :meth:`spooled` returns — rules and plans as they are (a plan pickles
+    :meth:`spooled` returns — the plans as they are (a plan pickles
     without its schedules and a rule without its generated code, which a
     worker generates again on first use; workers skip the statistics pass
     entirely), and each image as a spool path, loaded on first use.
     """
 
-    rules: list[NGD]
     plans: tuple[MatchPlan, ...]
     image: Union[Graph, str]
     before_image: Union[Graph, str, None] = None
@@ -298,8 +297,7 @@ class _Worker:
                 index = unit.rule_index
                 search = searches.get(index)
                 if search is None:
-                    rule, plan = runtime.rules[index], runtime.plans[index]
-                    search = searches[index] = rule_search(rule, plan, stats)
+                    search = searches[index] = RuleSearch(runtime.plans[index], stats)
                 self._attribute(search)
             previous = position
             yield search, unit.order, list(map(node_of, unit.assignment)), unit.from_insertion
@@ -310,7 +308,7 @@ class _Worker:
         """Close the open search's stretch of statistics in its rule's row and open ``search``'s."""
         attribution, stats = self.run.attribution, self.run.stats
         if self.open_search is not None:
-            attribution.after(self.open_search.rule.name, self.open_stats, stats)
+            attribution.after(self.open_search.plan.rule.name, self.open_stats, stats)
         self.open_search, self.open_stats = search, attribution.before(stats)
 
     def _ship(self) -> Optional[dict]:
@@ -474,7 +472,6 @@ class ProcessRun(SerialRun):
         self,
         algorithm: str,
         incremental: bool,
-        rules: Sequence[NGD],
         plans: Sequence[MatchPlan],
         processors: int,
         budget: Optional[DetectionBudget],
@@ -482,7 +479,7 @@ class ProcessRun(SerialRun):
         base_cost: float = 0.0,
     ) -> None:
         super().__init__(algorithm, incremental, budget)
-        self.rules, self.plans = rules, plans
+        self.plans = plans
         self.processors, self.images = processors, images
         self.cost = base_cost
         self.worker_traces = [WorkerTrace(worker=index) for index in range(processors)]
@@ -498,7 +495,7 @@ class ProcessRun(SerialRun):
 
     def runtime(self) -> ExecutionRuntime:
         """What every worker of this run searches with."""
-        return ExecutionRuntime(list(self.rules), tuple(self.plans), *self.images)
+        return ExecutionRuntime(tuple(self.plans), *self.images)
 
     def charge_scan(self, candidates: int, scanned: float) -> None:
         """Charge a first-step scan the parent ran: its size, as Dect charges it."""
@@ -646,6 +643,5 @@ class ProcessRun(SerialRun):
         for unit in reversed(list(dict.fromkeys(units))):
             index = unit.rule_index
             if index not in searches:
-                rule, plan = self.rules[index], self.plans[index]
-                searches[index] = rule_search(rule, plan, self.stats)
+                searches[index] = RuleSearch(self.plans[index], self.stats)
             yield searches[index], unit.order, [node for _, node in unit.assignment], unit.from_insertion

@@ -34,7 +34,7 @@ from repro.detect.base import EXECUTION_MODES, DetectionResult
 from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.balancing import BalancingPolicy
 from repro.detect.parallel.cluster import SimulatedRun
-from repro.detect.parallel.workunits import WorkUnit
+from repro.detect.parallel.workunits import WorkUnit, first_step_seeds
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph
 from repro.matching.plan import MatchPlan, resolve_plans
@@ -72,16 +72,15 @@ def iter_p_dect(
         raise ExecutionError(
             f"unknown execution mode {execution!r}; expected 'simulated' or 'processes'"
         )
-    rule_list = list(rules if isinstance(rules, RuleSet) else RuleSet(rules))
-    plans = resolve_plans(graph, rule_list, plans)
+    plans = resolve_plans(graph, list(rules if isinstance(rules, RuleSet) else RuleSet(rules)), plans)
     policy = policy if policy is not None else BalancingPolicy.hybrid()
     started = time.perf_counter()
     if execution == "processes":
         from repro.detect.parallel.executor import ProcessRun
 
-        run = ProcessRun("PDect", False, rule_list, plans, processors, budget, images=(graph, None))
+        run = ProcessRun("PDect", False, plans, processors, budget, images=(graph, None))
     else:
-        run = SimulatedRun("PDect", False, rule_list, plans, processors, policy, budget)
+        run = SimulatedRun("PDect", False, plans, processors, policy, budget)
     violations = ViolationSet()
     yield from run.drain(_candidate_seeds(run, graph), lambda _: graph, (violations, violations))
     return DetectionResult(
@@ -107,14 +106,13 @@ def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
     # (estimated pending work, processor): the heap's head is the least-loaded processor, lowest index first
     loads = [(0.0, index) for index in range(processors)]
     position = 0
-    for rule_index, rule in enumerate(run.rules):
-        plan = run.plans[rule_index]
+    for rule_index, plan in enumerate(run.plans):
         order = plan.order
         if not order:
             continue
         before = run.attribution.before(run.stats)
-        candidates, scanned = plan.schedule_for(order).seeds(graph.store, run.stats)
-        run.attribution.after(rule.name, before, run.stats)
+        candidates, scanned = first_step_seeds(graph, plan, run.stats)
+        run.attribution.after(plan.rule.name, before, run.stats)
         run.charge_scan(len(candidates), scanned)
         unit_estimate = plan.estimated_unit_cost(1)
         for candidate in candidates:

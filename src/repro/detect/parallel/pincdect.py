@@ -93,10 +93,9 @@ def iter_pinc_dect(
             f"unknown execution mode {execution!r}; expected 'simulated' or 'processes'"
         )
     rule_set = rules if isinstance(rules, RuleSet) else RuleSet(rules)
-    rule_list = list(rule_set)
     policy = policy if policy is not None else BalancingPolicy.hybrid()
     updated = graph_after if graph_after is not None else apply_update(graph, delta)
-    plans = resolve_plans(updated, rule_list, plans)
+    plans = resolve_plans(updated, list(rule_set), plans)
     started = time.perf_counter()
     diameter = max(rule_set.diameter(), 1)
     touched = delta.touched_nodes()
@@ -106,7 +105,7 @@ def iter_pinc_dect(
     if execution == "processes":
         from repro.detect.parallel.executor import ProcessRun
 
-        if all(rule.pattern.is_connected() for rule in rule_list):
+        if all(plan.rule.pattern.is_connected() for plan in plans):
             before_nodes = multi_source_nodes_within_hops(graph, touched, diameter)
             images = (
                 updated.induced_subgraph(after_nodes, name=f"{updated.name}[N_C]"),
@@ -116,11 +115,11 @@ def iter_pinc_dect(
             images = (updated, graph)
         # extraction and replication of N_C(ΔG, Σ) is charged to the run's aggregate cost
         run = ProcessRun(
-            algorithm, True, rule_list, plans, processors, budget,
+            algorithm, True, plans, processors, budget,
             images=images, base_cost=float(neighborhood_size),
         )
     else:
-        run = SimulatedRun(algorithm, True, rule_list, plans, processors, policy, budget)
+        run = SimulatedRun(algorithm, True, plans, processors, policy, budget)
         # extraction and replication of N_C(ΔG, Σ): O(|G_dΣ(ΔG)|) work shared
         # by p workers, plus one broadcast round
         if neighborhood_size:
@@ -132,7 +131,7 @@ def iter_pinc_dect(
         before = run.attribution.before(run.stats)
         consistent, proven = pivot_seeds(plans[rule_index], found, graph_for, run.stats)
         if consistent:
-            run.attribution.after(rule_list[rule_index].name, before, run.stats)
+            run.attribution.after(plans[rule_index].rule.name, before, run.stats)
         for order, ids, inserted in proven:
             unit = WorkUnit(rule_index, order, tuple(zip(order, ids)), inserted)
             seeds.append((zlib.crc32(repr(ids[0]).encode()) % processors, unit, True))

@@ -14,9 +14,11 @@ the step across processors.  The step is one step of the search core
 (:class:`~repro.matching.search.RuleSearch`) the serial kernels drain without
 ever building a work unit: a unit is the form a partial match takes only
 where it has to be queued or shipped — the simulator's queues, and the
-seeds a process run hands its workers — and it is proven where it is made.
-:func:`rule_search` is the one constructor of that core every kernel and
-:func:`expand_work_unit` share.
+seeds a process run hands its workers — and it is proven where it is made,
+so it binds at least one variable.  A unit names its rule by index; the
+plan at that index carries the rule.  The batch seeds all come from
+:func:`first_step_seeds`: Dect pushes them as frames, PDect writes each
+down as a unit.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.core.ngd import NGD
 from repro.core.violations import Violation
-from repro.errors import ExecutionError
 from repro.graph.graph import Graph
 from repro.matching.candidates import MatchStatistics
 from repro.matching.search import RuleSearch
@@ -39,7 +39,7 @@ __all__ = [
     "WorkUnit",
     "ExpansionOutcome",
     "expand_work_unit",
-    "rule_search",
+    "first_step_seeds",
 ]
 
 
@@ -66,34 +66,20 @@ class ExpansionOutcome:
     verification_adjacency: int
 
 
-def rule_search(rule: NGD, plan: "MatchPlan", stats: MatchStatistics) -> RuleSearch:
-    """Return the search core for the violations of ``rule``, run over ``plan``.
-
-    The kernels take rules and plans from separate arguments (``plans=`` is
-    caller-supplied), and a plan's literal schedule indexes its own rule's
-    literals, so the pairing is checked here: ``plan`` must have been
-    compiled for this very rule object.
-    """
-    if plan.rule is not rule:
-        raise ExecutionError(f"the plan of rule {plan.rule.name!r} cannot run rule {rule.name!r}")
-    return RuleSearch(plan, stats)
+def first_step_seeds(graph: Graph, plan: "MatchPlan", stats: MatchStatistics) -> tuple[list, int]:
+    """The nodes of ``graph`` that pass all of step 0 of ``plan``'s root order, and the size of its scan."""
+    return plan.schedule_for(plan.order).seeds(graph.store, stats)
 
 
-def expand_work_unit(
-    graph: Graph,
-    rule: NGD,
-    unit: WorkUnit,
-    stats: MatchStatistics,
-    plan: "MatchPlan",
-) -> ExpansionOutcome:
-    """Expand ``unit`` by matching its next pattern variable.
+def expand_work_unit(graph: Graph, unit: WorkUnit, stats: MatchStatistics, plan: "MatchPlan") -> ExpansionOutcome:
+    """Expand ``unit`` by matching its next pattern variable, with the search of ``plan``'s rule.
 
     One :meth:`~repro.matching.search.RuleSearch.step` of the search core
     the serial kernels drain: the unit's assignment is loaded as a seed, the
     step runs, and the frames it pushed are serialised back into work units.
     A unit that already binds every variable goes straight to the leaf.
     """
-    search = rule_search(rule, plan, stats)
+    search = RuleSearch(plan, stats)
     search.start(graph, unit.order, [node for _, node in unit.assignment])
     violations = search.step()
     new_units = [

@@ -42,12 +42,12 @@ Evaluation keeps ``Expression.evaluate``'s order, so the first exception
 raised is the same.
 
 **Billing** is the search's: one ``candidates_examined`` per candidate
-drawn, one ``literal_evaluations`` per check reached, the leaf's flat
-``len(X) + len(Y)``, the rejections by reason.  A step sums them in
-locals and adds them to the statistics once, after its loop.  Every seed
-is proven where it is made, so the leaf does not evaluate again what was
-checked on the way down (``PROVEN``): all of X, and a one-literal Y, which
-pruned the branch where it held.
+drawn, one ``literal_evaluations`` per check reached, the rejections by
+reason, the leaf's flat ``len(X) + len(Y)``.  A step sums them in locals
+and adds them to the statistics once, after its loop.  Every seed is proven
+where it is made, so the one leaf does not evaluate again what was checked
+on the way down: all of X, and a one-literal Y, which pruned the branch
+where it held.
 
 **Sharing.**  :mod:`repro.matching.plan` keeps each rule's generated
 schedule in a process-wide table keyed by what the code is made of, and
@@ -461,11 +461,6 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
     return _load(functions)["check"]
 
 
-#: What :attr:`RuleSearch.leaf <repro.matching.search.RuleSearch>` tells a last step to do with a binding:
-#: keep it unchecked, or take what the steps checked on the way down.
-KEEP, PROVEN = 0, 1
-
-
 def scan_pool(store, label: str, out_labels: frozenset, in_labels: frozenset) -> tuple:
     """The ids of ``label`` (every id for the wildcard) that cover the degree signature, and how many were scanned."""
     pool = store.all_node_ids() if label == WILDCARD else store.nodes_with_label(label)
@@ -500,24 +495,26 @@ def compile_schedule(
     """Generate one rule's schedule for one order: ``(expand, seeds, prove)`` of its :class:`~repro.matching.plan.Schedule`.
 
     ``steps[d]`` holds the :class:`~repro.matching.plan.PlanStep` fields of
-    step ``d`` that do not depend on the statistics.
+    step ``d`` that do not depend on the statistics.  Step 0 is generated
+    as ``seeds`` only: every search starts from a seed that binds it.
     """
     functions: list = []
     found = (name, tuple(variables), [slot_of[variable] for variable in variables])
-    for depth, step in enumerate(steps):
-        _expand(functions, depth, step, premise, conclusion, slot_of, depth + 1 == len(steps), found)
     if steps:
         _expand(functions, 0, steps[0], premise, conclusion, slot_of, False, found, seeds=True)
-    flat = len(premise) + len(conclusion)
+    for depth in range(1, len(steps)):
+        _expand(functions, depth, steps[depth], premise, conclusion, slot_of, depth + 1 == len(steps), found)
+    # the leaf of a seed that bound every variable
     function = _Function(functions, f"expand_{len(steps)}", "search, order", slot_of)
-    function.emit(1, "search.filtering, search.verification = 1, 0", "stats = search.stats", "if search.leaf:")
-    function.emit(2, f"stats.literal_evaluations += {flat}" if flat else "pass")
+    function.emit(1, "search.filtering, search.verification = 1, 0")
+    if premise or conclusion:
+        function.emit(1, f"search.stats.literal_evaluations += {len(premise) + len(conclusion)}")
     if not conclusion:
-        function.emit(2, "return []")  # an empty Y always holds
+        function.emit(1, "return []")  # an empty Y always holds
     elif len(conclusion) > 1:
-        function.emit(2, "if holds(search.slots):")
-        function.emit(3, "return []")
-    function.emit(1, "stats.matches_emitted += 1", "ids = search.ids", f"return [{_violation(function, found, None)}]")
+        function.emit(1, "if holds(search.slots):")
+        function.emit(2, "return []")
+    function.emit(1, "search.stats.matches_emitted += 1", "ids = search.ids", f"return [{_violation(function, found, None)}]")
     _prove(functions, steps, premise, conclusion, slot_of)
     if len(conclusion) > 1:
         # Y of more literals, which the leaf evaluates apart from X
@@ -526,7 +523,7 @@ def compile_schedule(
             function.check(literal, f"conclusion {index}", "return False")
         function.emit(1, "return True")
     made = _load(functions)
-    return tuple(made[f"expand_{depth}"] for depth in range(len(steps) + 1)), made.get("seeds"), made["prove"]
+    return tuple(made[f"expand_{depth}"] for depth in range(1, len(steps) + 1)), made.get("seeds"), made["prove"]
 
 
 def _prove(functions: list, steps: Sequence[Mapping], premise, conclusion, slot_of) -> None:
@@ -637,7 +634,7 @@ def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slo
     # without checks, a step expands what it keeps
     later = ["kept"] + (["expanded"] if literals and not seeds else []) + (["matches"] if leaf else [])
     counters = _counters(step, later, bool(literals or leaf and (premise or conclusion)))
-    function.emit(1, "nodes = []" if seeds else "leaf, found = search.leaf, []" if leaf else "push = search.stack.append", f"{' = '.join(counters)} = 0")
+    function.emit(1, "nodes = []" if seeds else "found = []" if leaf else "push = search.stack.append", f"{' = '.join(counters)} = 0")
     # an earlier slot's attributes are read once per step, out of the candidate loop
     for variable, attribute in earlier:
         function.read(variable, attribute)
@@ -673,17 +670,16 @@ def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slo
 
 
 def _leaf(function: _Function, depth: int, premise, conclusion, found: tuple) -> None:
-    """Emit what a last step does with a binding that passed its checks, as ``search.leaf`` says.
+    """Emit what a last step does with a binding that passed its checks: keep it where Y does not hold.
 
-    ``PROVEN`` evaluates only a Y of more literals (``holds``); the bill
-    stays the flat ``len(X) + len(Y)``.
+    The steps checked X and a one-literal Y, so only a Y of more literals is
+    evaluated here (``holds``); the bill is the flat ``len(X) + len(Y)``.
     """
-    function.emit(1, "if leaf:")
     if premise or conclusion:
-        function.emit(2, f"evals += {len(premise) + len(conclusion)}")
+        function.emit(1, f"evals += {len(premise) + len(conclusion)}")
     if not conclusion:
-        function.emit(2, "continue")  # an empty Y always holds
+        function.emit(1, "continue")  # an empty Y always holds
     elif len(conclusion) > 1:
-        function.emit(2, f"slots[{depth}] = attrs", "if holds(slots):")
-        function.emit(3, "continue")
+        function.emit(1, f"slots[{depth}] = attrs", "if holds(slots):")
+        function.emit(2, "continue")
     function.emit(1, "matches += 1", f"found.append({_violation(function, found, depth)})")

@@ -6,9 +6,11 @@ partial solution ``M`` one pattern node at a time, checking edge consistency
 against the already-matched nodes, and backtracking when a branch dies.  The
 detection kernels run that framework as :class:`~repro.matching.search.
 RuleSearch`; :class:`HomomorphismMatcher` is the same search for callers that
-want the matches themselves (discovery, satisfiability, aggregates): it
-compiles a plan for the pattern and its premise and drains the core with a
-leaf that keeps every complete binding.
+want the matches themselves (discovery, satisfiability, aggregates).  The
+matches of ``Q[x̄](X)`` are exactly the violations of ``Q[x̄](X → false)``,
+so the matcher compiles that rule, with ``false`` the variable-free literal
+``0 = 1``, seeds the core with its schedule's ``seeds()`` as Dect does, and
+keeps what the one leaf emits.
 
 Matches follow homomorphism semantics (two pattern variables may map to the
 same data node) and are yielded lazily as ``{variable: node_id}``
@@ -22,7 +24,7 @@ from typing import Optional
 
 from repro.core.ngd import NGD
 from repro.expr.expressions import Assignment
-from repro.expr.literals import LiteralSet
+from repro.expr.literals import Literal, LiteralSet
 from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.matching.candidates import MatchStatistics
@@ -72,13 +74,21 @@ class HomomorphismMatcher:
     ) -> None:
         self.graph = graph
         self.stats = stats if stats is not None else MatchStatistics()
-        rule = NGD(pattern, premise or (), name=pattern.name, allow_nonlinear=True)
+        never = Literal.build(0, "=", 1)
+        rule = NGD(pattern, premise or (), (never,), name=pattern.name, allow_nonlinear=True)
         self.plan = compile_plan(graph, rule)
 
     def matches(self) -> Iterator[dict[str, Hashable]]:
         """Yield every match, depth-first in the plan's order."""
-        search = RuleSearch(self.plan, self.stats, all_matches=True)
-        search.start(self.graph, self.plan.order, ())
+        order = self.plan.order
+        if not order:
+            # the empty pattern's one match binds nothing: kept where X holds
+            if self.plan.rule.premise.satisfied_by({}):
+                yield {}
+            return
+        search = RuleSearch(self.plan, self.stats)
+        nodes, _ = self.plan.schedule_for(order).seeds(self.graph.store, self.stats)
+        search.seed(self.graph, order, nodes)
         while search.stack:
             for leaf in search.step():
                 yield leaf.mapping()

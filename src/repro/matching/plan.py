@@ -28,7 +28,7 @@ separates *planning* from *execution*:
 The one executor is the search core :class:`~repro.matching.search.RuleSearch`:
 the four detection kernels drive it, and ``HomomorphismMatcher`` is its view
 for callers that want matches rather than violations.  Every search runs a
-plan.
+plan, and a plan carries its rule, so a kernel keeps plans only.
 
 Cost accounting is uniform across strategies: every node drawn from an index
 and examined is billed one ``candidates_examined``, each adjacency membership
@@ -46,6 +46,7 @@ from typing import Callable, NamedTuple, Optional
 
 from repro import obs
 from repro.core.ngd import NGD
+from repro.errors import ExecutionError
 from repro.graph.graph import WILDCARD, Graph
 from repro.matching.candidates import REJECT_COUNT_PREFIX, REJECT_REASONS, STEP_COUNT_PREFIX, MatchStatistics
 from repro.matching.compiled import compile_schedule
@@ -234,13 +235,14 @@ class Schedule(NamedTuple):
 
     ``steps[d]`` binds ``order[d]`` to slot ``d``.  The rest is generated
     (:func:`~repro.matching.compiled.compile_schedule`):
-    ``expand[d](search, order)`` runs step ``d`` of a
-    :class:`~repro.matching.search.RuleSearch` (``expand[len(steps)]`` the
-    leaf of a seed that bound every variable); ``seeds(store, stats)``
-    runs all of step 0 and returns the nodes that pass and the size of its
-    scan, which the batch kernels seed the search with; ``prove(store, ids,
-    stats)`` is True when no literal of the steps a prefix ``ids`` binds
-    refuses it, which the pivots are made with.
+    ``seeds(store, stats)`` runs all of step 0 and returns the nodes that
+    pass and the size of its scan, which the batch kernels and the matcher
+    seed the search with; ``prove(store, ids, stats)`` is True when no
+    literal of the steps a prefix ``ids`` binds refuses it, which the
+    pivots are made with; ``expand[d](search, order)`` expands a
+    :class:`~repro.matching.search.RuleSearch` frame that bound slot ``d``:
+    it runs step ``d + 1`` (``expand[len(steps) - 1]`` is the leaf of a
+    seed that bound every variable).
     """
 
     order: tuple[str, ...]
@@ -520,14 +522,24 @@ def compile_plans(graph: Graph, rules) -> tuple[MatchPlan, ...]:
 
 
 def resolve_plans(graph: Graph, rule_list, plans) -> tuple["MatchPlan", ...]:
-    """Resolve the compiled plans a detection kernel should execute.
+    """Resolve the compiled plans a detection kernel should execute, one per rule of ``rule_list``.
 
     ``plans`` passed by the caller (the session's cache) win; otherwise
-    plans are compiled here.  Shared by all four kernels.
+    plans are compiled here.  Shared by all four kernels, which from here on
+    keep the plans only.  A plan's literal schedule indexes its own rule's
+    literals, so each passed plan must have been compiled for its very rule
+    object: an equal rule is not enough, and any other pairing raises
+    :class:`~repro.errors.ExecutionError`.
     """
-    if plans is not None:
-        return tuple(plans)
-    return compile_plans(graph, rule_list)
+    if plans is None:
+        return compile_plans(graph, rule_list)
+    plans = tuple(plans)
+    if len(plans) != len(rule_list):
+        raise ExecutionError(f"{len(plans)} plans were passed for {len(rule_list)} rules")
+    for plan, rule in zip(plans, rule_list):
+        if plan.rule is not rule:
+            raise ExecutionError(f"the plan of rule {plan.rule.name!r} cannot run rule {rule.name!r}")
+    return plans
 
 
 def first_step_candidates(

@@ -18,7 +18,8 @@ allocated per partial match.
 ``ids[:d]`` / ``slots[:d]`` still hold its parent's path: a frame writes
 position ``d`` only, its descendants positions ``> d`` only, and the stack is
 LIFO, so everything pushed after the parent was expanded is gone before the
-parent's next child comes up.  A frame carries its order because one rule's
+parent's next child comes up.  A seed binds at least one variable, so every
+frame writes its position.  A frame carries its order because one rule's
 frames need not share one: IncDect seeds each pivot on an order that starts
 with the pivot's variables (:meth:`~repro.matching.plan.MatchPlan.order_for_seed`),
 and a step follows its frame's order as compiled.  Every seed is proven
@@ -26,13 +27,14 @@ where it is made — by a step, by step 0's ``seeds``, or by
 :func:`~repro.matching.incmatch.pivot_seeds` — so every search ends in one
 leaf, which evaluates nothing checked on the way down.
 
+``RuleSearch(plan, stats)`` is the whole API: the plan carries its rule.
 The serial kernels and the process backend's workers drain the stack
 (:class:`~repro.detect.serial.SerialRun`); the cluster simulator runs the
 same :meth:`RuleSearch.step` one work unit at a time through
 :func:`~repro.detect.parallel.workunits.expand_work_unit`; and
-:class:`~repro.matching.matchn.HomomorphismMatcher` drains it with a leaf
-that keeps every complete binding, for the callers that want matches rather
-than violations (discovery, satisfiability, aggregates).
+:class:`~repro.matching.matchn.HomomorphismMatcher`, for the callers that
+want matches rather than violations (discovery, satisfiability,
+aggregates), drains the violations of ``Q[x̄](X → false)``.
 """
 
 from __future__ import annotations
@@ -40,54 +42,33 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from typing import Optional
 
-from repro.core.ngd import NGD
 from repro.core.violations import Violation
-from repro.errors import ExecutionError
 from repro.graph.graph import Graph, Node
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import KEEP, PROVEN
 from repro.matching.plan import MatchPlan
 
 __all__ = ["RuleSearch"]
 
 
 class RuleSearch:
-    """Backtracking search over the rule of ``plan``, one step at a time.
+    """Backtracking search for the violations of the rule of ``plan``, one step at a time.
 
-    Every complete binding reaches the leaf.  The leaf keeps the binding
-    when X holds and Y does not; with ``all_matches`` it keeps every
-    complete binding, unchecked.  A kept binding comes back as a
-    :class:`Violation` record of the rule (its ``mapping()`` is the match)
-    and is billed one ``matches_emitted``.  ``leaf`` says how the leaf
-    decides: ``KEEP`` (``all_matches``), or ``PROVEN``: every literal of
-    the bound path was checked on the way down, and only a Y of more
-    literals is left.
-
-    ``all_matches`` needs a rule without conclusion: the schedule would
-    prune on Y and drop the bindings where Y holds, so such a rule raises
-    :class:`ExecutionError`.
+    Every complete binding reaches the one leaf.  Every literal of X, and a
+    one-literal Y, was checked on the way down, so the leaf evaluates only a
+    Y of more literals, and keeps the binding where Y does not hold.  A kept
+    binding comes back as a :class:`Violation` record of the rule (its
+    ``mapping()`` is the match) and is billed one ``matches_emitted``.
     """
 
     __slots__ = (
-        "rule", "plan", "stats", "store", "ids", "slots", "stack", "order",
-        "filtering", "verification", "leaf", "_expand",
+        "plan", "stats", "store", "ids", "slots", "stack", "order",
+        "filtering", "verification", "_expand",
     )  # fmt: skip
 
-    def __init__(
-        self,
-        plan: MatchPlan,
-        stats: MatchStatistics,
-        all_matches: bool = False,
-    ) -> None:
-        if all_matches and plan.rule.conclusion:
-            raise ExecutionError(
-                f"all_matches keeps every binding, but rule {plan.rule.name!r} has a conclusion "
-                "the schedule would prune on; match its pattern and premise instead"
-            )
-        self.rule: NGD = plan.rule
+    def __init__(self, plan: MatchPlan, stats: MatchStatistics) -> None:
         self.plan = plan
         self.stats = stats
-        variables = len(self.rule.pattern.variables)
+        variables = len(plan.rule.pattern.variables)
         self.store = None  # of the graph the stacked frames bind
         self.ids: list = [None] * variables
         self.slots: list = [None] * variables
@@ -98,23 +79,17 @@ class RuleSearch:
         #: cost-model sizes of the last step: the index scan performed, and one
         #: unit per candidate verified
         self.filtering = self.verification = 0
-        self.leaf = KEEP if all_matches else PROVEN
 
     def start(self, graph: Graph, order: tuple[str, ...], ids: Sequence[Hashable]) -> None:
-        """Push the seed binding ``order[:len(ids)]`` to ``ids`` (nodes of ``graph``).
+        """Push the seed binding ``order[:len(ids)]`` to ``ids`` (nodes of ``graph``, at least one).
 
         Precondition: the prefix is proven — its pattern edges are edges of
         ``graph`` and no literal of its steps refuses it.  It goes straight
         into the slot lists, and the last seed position becomes the frame
-        the next :meth:`step` expands; an empty seed becomes a frame that
-        binds nothing and runs the first step.  Frames carry no graph, so
-        one seed's subtree must be drained before a seed over another graph
-        starts.
+        the next :meth:`step` expands.  Frames carry no graph, so one seed's
+        subtree must be drained before a seed over another graph starts.
         """
         self.store = graph.store
-        if not ids:
-            self.stack.append((-1, None, None, order))
-            return
         # node ids come out of the store's own indexes, so reads skip the facade's existence checks
         get_node = graph.store.get_node
         last = len(ids) - 1
@@ -124,13 +99,19 @@ class RuleSearch:
         self.stack.append((last, ids[last], get_node(ids[last]).attributes, order))
 
     def seed(self, graph: Graph, order: tuple[str, ...], nodes: Sequence[Node]) -> None:
-        """Push one depth-0 frame per node of ``graph``, the last node on top.
+        """Push one depth-0 frame per node of ``graph``.
 
         Precondition: ``nodes`` passed all of step 0 of ``order``, as
-        :attr:`~repro.matching.plan.Schedule.seeds` returns them.
+        :attr:`~repro.matching.plan.Schedule.seeds` returns them.  The last
+        node goes on top, so its subtree is searched first; a single-variable
+        order has no subtrees, and its nodes go on in reverse, so that its
+        leaves stream in rank order.
         """
         self.store = graph.store
-        self.stack.extend([(0, node.id, node.attributes, order) for node in nodes])
+        frames = [(0, node.id, node.attributes, order) for node in nodes]
+        if len(order) == 1:
+            frames.reverse()
+        self.stack.extend(frames)
 
     def step(self) -> list[Violation]:
         """Expand the top frame; return the bindings it completed that the leaf kept.
@@ -140,10 +121,9 @@ class RuleSearch:
         in descending rank and the leaves of a last step come out ascending.
         """
         depth, node_id, attrs, order = self.stack.pop()
-        if depth >= 0:
-            self.ids[depth] = node_id
-            self.slots[depth] = attrs
+        self.ids[depth] = node_id
+        self.slots[depth] = attrs
         if order is not self.order:
             self.order = order
             self._expand = self.plan.schedule_for(order).expand
-        return self._expand[depth + 1](self, order)
+        return self._expand[depth](self, order)

@@ -44,9 +44,6 @@ import pytest
 import naive_reference
 from repro.core.ngd import NGD, RuleSet
 from repro.detect import DetectionOptions, Detector
-from repro.detect.dect import iter_dect
-from repro.detect.observers import drain
-from repro.detect.parallel.workunits import rule_search
 from repro.errors import EvaluationError, ExpressionError
 from repro.expr.expressions import (
     AbsoluteValue,
@@ -65,7 +62,7 @@ from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.graph.updates import BatchUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.candidates import MatchStatistics
-from repro.matching.compiled import KEEP, PROVEN, compile_literal, compile_schedule, resolve_compiled
+from repro.matching.compiled import compile_literal, compile_schedule, resolve_compiled
 from repro.matching.plan import (
     GraphStatistics,
     MatchPlan,
@@ -349,12 +346,12 @@ def _step_run(thunk) -> tuple:
     return outcome, None if outcome[0] == "raise" else stats.literal_evaluations
 
 
-def _expanded(expand, graph, slots, leaf):
+def _expanded(expand, graph, slots):
     """Run the generated step 1 over ``y`` with ``x`` bound; return True where the leaf keeps the binding."""
 
     def run(stats):
-        search = SimpleNamespace(ids=["x", None], slots=[slots[0], None], stats=stats, store=graph.store, stack=[], leaf=leaf)
-        found = expand[1](search, ("x", "y"))
+        search = SimpleNamespace(ids=["x", None], slots=[slots[0], None], stats=stats, store=graph.store, stack=[])
+        found = expand[0](search, ("x", "y"))
         return bool(found)
 
     return run
@@ -366,8 +363,8 @@ def _seeded_leaf(expand, prove, graph, slots):
     def run(stats):
         if not prove(graph.store, ["x", "y"], stats):
             return False
-        search = SimpleNamespace(ids=["x", "y"], slots=list(slots), stats=stats, leaf=PROVEN)
-        return bool(expand[2](search, ("x", "y")))
+        search = SimpleNamespace(ids=["x", "y"], slots=list(slots), stats=stats)
+        return bool(expand[1](search, ("x", "y")))
 
     return run
 
@@ -386,7 +383,8 @@ def test_generated_steps_keep_the_literal_semantics(seed):
         unary = [_step_literal(rng, ["x"]) for _ in range(rng.randint(1, 4))]
         checks = [_step_literal(rng, ["x", "y"]) for _ in range(rng.randint(1, 4))]
         conclusion = [_step_literal(rng, ["x", "y"]) for _ in range(rng.choice((1, 1, 2)))]
-        bound = len(conclusion) == 1 and rng.random() < 0.7
+        # a one-literal Y is checked where it is bound, as the planner schedules it
+        bound = len(conclusion) == 1
         premise = unary + checks
         flat = len(premise) + len(conclusion)
         steps = [
@@ -413,7 +411,6 @@ def test_generated_steps_keep_the_literal_semantics(seed):
                 pruned, more = _reference_scan(conclusion, holds, True, True, False)
                 reached += more
             kept = ("ok", not pruned[1]) if pruned[0] == "ok" else pruned
-            assert _step_run(_expanded(expand, graph, slots, KEEP)) == _bill(kept, reached), (checks, conclusion, slots)
 
             # a prefix that binds both: X in order, then a bound one-literal Y, which refuses it where it holds
             proof, proof_reached = _reference_scan(premise, holds, False, False, True)
@@ -422,16 +419,15 @@ def test_generated_steps_keep_the_literal_semantics(seed):
                 proof_reached += more
             assert _step_run(lambda stats: prove(graph.store, ["x", "y"], stats)) == _bill(proof, proof_reached), (premise, conclusion, slots)
 
-            if bound or len(conclusion) > 1:
-                # the steps proved X on the way down, and a one-literal Y failed when bound: only a longer Y is left
-                proven = ("ok", True) if len(conclusion) == 1 else _reference_scan(conclusion, holds, False, True, False)[0]
-                proven = proven if kept == ("ok", True) else kept
-                assert _step_run(_expanded(expand, graph, slots, PROVEN)) == _bill(proven, reached + flat * (kept == ("ok", True)))
-                # a seed that binds both goes straight to the leaf once proven: X → Y as holds_for decides it
-                leaf, _ = _reference_scan(premise, holds, False, False, None)
-                if leaf == ("ok", None):
-                    leaf, _ = _reference_scan(conclusion, holds, False, True, False)
-                assert _step_run(_seeded_leaf(expand, prove, graph, slots)) == _bill(leaf, proof_reached + flat * (proof == ("ok", True)))
+            # the steps proved X on the way down, and a one-literal Y failed when bound: only a longer Y is left
+            proven = ("ok", True) if bound else _reference_scan(conclusion, holds, False, True, False)[0]
+            proven = proven if kept == ("ok", True) else kept
+            assert _step_run(_expanded(expand, graph, slots)) == _bill(proven, reached + flat * (kept == ("ok", True)))
+            # a seed that binds both goes straight to the leaf once proven: X → Y as holds_for decides it
+            leaf, _ = _reference_scan(premise, holds, False, False, None)
+            if leaf == ("ok", None):
+                leaf, _ = _reference_scan(conclusion, holds, False, True, False)
+            assert _step_run(_seeded_leaf(expand, prove, graph, slots)) == _bill(leaf, proof_reached + flat * (proof == ("ok", True)))
             checked += 1
     assert checked == 600
 
@@ -824,28 +820,6 @@ def test_incremental_parity(product_graph, heavy_rules):
         result = detector.run_incremental(product_graph, delta)
         results[engine] = (result.delta.introduced.to_json(), result.delta.removed.to_json())
     assert len(set(results.values())) == 1
-
-
-def test_matcher_seed_parity(product_graph, heavy_rules):
-    # Dect seeds the core once per first-step candidate; the matcher view
-    # starts it on the empty seed and lets the first step find them.  Both
-    # must reach the same leaves at the same literal and edge bill.
-    plans = compile_plans(product_graph, heavy_rules)
-    seeded = drain(iter_dect(product_graph, heavy_rules, plans=plans))
-    stats = MatchStatistics()
-    found = []
-    for rule, plan in zip(heavy_rules, plans):
-        search = rule_search(rule, plan, stats)
-        search.start(product_graph, plan.order, ())
-        while search.stack:
-            found.extend(search.step())
-    assert set(found) == set(seeded.violations)
-    assert len(found) == len(seeded.violations) > 0
-    assert (stats.literal_evaluations, stats.edge_checks, stats.matches_emitted) == (
-        seeded.stats.literal_evaluations,
-        seeded.stats.edge_checks,
-        seeded.stats.matches_emitted,
-    )
 
 
 # --------------------------------------------------------------- accounting

@@ -263,8 +263,9 @@ class TestPlannerWins:
             backwards = tuple(reversed(plan.order))
             reordered += backwards != plan.order
             pinned = MatchPlan(plan.rule, plan.statistics, backwards)
-            search = RuleSearch(pinned, MatchStatistics(), all_matches=True)
-            search.start(graph, pinned.order, ())
+            search = RuleSearch(pinned, MatchStatistics())
+            seeds, _ = pinned.schedule_for(pinned.order).seeds(graph.store, search.stats)
+            search.seed(graph, pinned.order, seeds)
             reached = set()
             while search.stack:
                 reached.update(tuple(sorted(leaf.mapping().items())) for leaf in search.step())

@@ -65,7 +65,7 @@ class TestCandidates:
         pattern = Pattern("p", nodes=[("x", "person"), ("y", "person")], edges=[("x", "y", "lives_in")])
         plan = compile_plan(triangle_graph, NGD.from_text(pattern, "", "", name="p"))
         stats = MatchStatistics()
-        search = RuleSearch(plan, stats, all_matches=True)
+        search = RuleSearch(plan, stats)
         search.start(triangle_graph, plan.order_for_seed(("x",)), ("a",))
         assert search.step() == [] and (search.filtering, search.verification) == (1, 0)
         assert rejected(stats) == {"label": 1}
@@ -79,7 +79,7 @@ class TestCandidates:
         kept: dict = {}
 
         def count(search, variable, verified):
-            key = (search.rule.name, variable)
+            key = (search.plan.rule.name, variable)
             kept[key] = kept.get(key, 0) + verified
 
         def seed(search, graph, order, nodes):
@@ -229,13 +229,14 @@ class TestHomomorphismMatcher:
         assert list(matcher.matches()) == [{"x": "a", "y": "b"}]
 
     def test_seeded_search(self, triangle_graph):
-        # the incremental kernels start the core on a bound prefix (a pivot)
+        # the incremental kernels start the core on a bound prefix (a pivot);
+        # the matcher's rule, X → false, keeps every binding it completes
         pattern = Pattern(
             "p", nodes=[("x", "person"), ("y", "city")], edges=[("x", "y", "lives_in")]
         )
-        plan = compile_plan(triangle_graph, NGD.from_text(pattern, "", "", name="p"))
+        plan = HomomorphismMatcher(triangle_graph, pattern).plan
         order = plan.order_for_seed(("x",))
-        search = RuleSearch(plan, MatchStatistics(), all_matches=True)
+        search = RuleSearch(plan, MatchStatistics())
 
         def drained(seed):
             search.start(triangle_graph, order, seed)

@@ -64,7 +64,6 @@ class TestClusterSimulator:
         cluster.charge(0, 10)
         cluster.charge(1, 4)
         assert cluster.makespan() == 10
-        assert cluster.global_time() == 10
 
     def test_broadcast_charges_all_and_origin_extra(self):
         cluster = ClusterSimulator(4, latency=5)
@@ -150,17 +149,13 @@ class TestWorkUnits:
 
     def test_expand_respects_labels_and_edges(self, triangle_graph, knows_rule):
         unit = WorkUnit(0, order=("x", "y"), assignment=(("x", "a"),))
-        outcome = expand_work_unit(
-            triangle_graph, knows_rule, unit, MatchStatistics(), compile_plan(triangle_graph, knows_rule)
-        )
+        outcome = expand_work_unit(triangle_graph, unit, MatchStatistics(), compile_plan(triangle_graph, knows_rule))
         assert outcome.new_units == []  # the only extension completes the match
         assert len(outcome.violations) == 1
 
     def test_expand_complete_unit_checks_violation(self, triangle_graph, knows_rule):
         unit = WorkUnit(0, order=("x", "y"), assignment=(("x", "a"), ("y", "b")))
-        outcome = expand_work_unit(
-            triangle_graph, knows_rule, unit, MatchStatistics(), compile_plan(triangle_graph, knows_rule)
-        )
+        outcome = expand_work_unit(triangle_graph, unit, MatchStatistics(), compile_plan(triangle_graph, knows_rule))
         assert len(outcome.violations) == 1
 
     def test_pivot_site_checks_the_edges_inside_its_seed(self, triangle_graph, knows_rule):

@@ -354,13 +354,12 @@ class TestPlanGuidedSplitting:
 class TestSpawnedPlans:
     def test_process_workers_accept_pickled_plans(self, kb_graph, kb_rules, tmp_path):
         # a spawn worker unpickles the runtime with its images spooled:
-        # rules and plans arrive as they are, without their generated code
+        # the plans arrive as they are, each with its rule, without their generated code
         plans = compile_plans(kb_graph, kb_rules)
-        runtime = ExecutionRuntime(rules=list(kb_rules), plans=plans, image=kb_graph)
+        runtime = ExecutionRuntime(plans=plans, image=kb_graph)
         rebuilt = pickle.loads(pickle.dumps(runtime.spooled(str(tmp_path))))
         assert [p.order for p in rebuilt.plans] == [p.order for p in plans]
-        assert [r.name for r in rebuilt.rules] == [r.name for r in kb_rules]
-        assert all(plan.rule is rule for plan, rule in zip(rebuilt.plans, rebuilt.rules))
+        assert [p.rule for p in rebuilt.plans] == list(kb_rules)
         assert rebuilt.image == str(tmp_path / "image.json")
 
     def test_spawn_start_method_parity(self, kb_graph, kb_rules, force_start_method):

@@ -9,8 +9,8 @@ Two layers:
   ``Vio(Σ, G ⊕ ΔG) = Vio(Σ, G) ⊕ ΔVio`` along an update stream whose
   batches bring new nodes, for simulated PIncDect too — and so must the
   core's matcher view (``HomomorphismMatcher``), which
-  enumerates homomorphisms rather than violations; over one plan, the core's
-  two leaves split the same bindings;
+  enumerates homomorphisms as the violations of ``X → false``; and plans
+  run only the rules they were compiled for, on every kernel;
 * a lock-step check: draining the core gives exactly what stepping
   :func:`~repro.detect.parallel.workunits.expand_work_unit` one work unit at
   a time over the same plans gives — statistics, cost, the order violations
@@ -18,8 +18,6 @@ Two layers:
 """
 
 from __future__ import annotations
-
-import importlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +30,11 @@ from repro.detect.dect import iter_dect
 from repro.detect.incdect import iter_inc_dect
 from repro.detect.observers import DetectionBudget
 from repro.detect.parallel.pincdect import iter_pinc_dect
-from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, rule_search
-from repro.detect.session import PLAN_DRIFT_TOLERANCE, Detector
+from repro.detect.parallel.balancing import BalancingPolicy
+from repro.detect.parallel.cluster import SimulatedRun
+from repro.detect.parallel.pdect import _candidate_seeds, iter_p_dect
+from repro.detect.parallel.workunits import WorkUnit, expand_work_unit
+from repro.detect.session import PLAN_DRIFT_TOLERANCE, DetectionOptions, Detector
 from repro.errors import ExecutionError
 from repro.expr.expressions import Add, const, var
 from repro.expr.literals import Comparison, Literal
@@ -44,7 +45,6 @@ from repro.matching.candidates import MatchStatistics
 from repro.matching.incmatch import UpdatePivot
 from repro.matching.matchn import HomomorphismMatcher
 from repro.matching.plan import MatchPlan, compile_plans, first_step_candidates
-from repro.matching.search import RuleSearch
 
 from engines import new_store
 from hub_workload import correlated_hub_graph, hub_rules as build_hub_rules
@@ -295,13 +295,19 @@ def step_zero_rules() -> RuleSet:
     )
 
 
-def test_step_zero_checks_run_where_the_seeds_are_made():
-    """``seeds()`` keeps only the nodes that can still violate; Dect and simulated PDect find the reference's violations."""
+def step_zero_graph() -> Graph:
+    """Six items, the fifth without ``a``; every item but 2 has one ``p`` successor."""
     graph = Graph("items")
     for node_id, value in enumerate((1, 0, 1, 2, None, 1)):
         graph.add_node(node_id, "item", {} if value is None else {"a": value})
     for source, target in ((0, 1), (1, 2), (3, 0), (4, 3), (5, 5)):
         graph.add_edge(source, target, "p")
+    return graph
+
+
+def test_step_zero_checks_run_where_the_seeds_are_made():
+    """``seeds()`` keeps only the nodes that can still violate; Dect and simulated PDect find the reference's violations."""
+    graph = step_zero_graph()
     rules = step_zero_rules()
     plans = compile_plans(graph, rules)
     seeded = {}
@@ -319,6 +325,29 @@ def test_step_zero_checks_run_where_the_seeds_are_made():
     assert as_pairs(dect.violations) == as_pairs(pdect.violations) == expected
     # every seed of the one-node rule is a violation: none is stepped only to be refused at the leaf
     assert dect.stats.matches_emitted == len(expected)
+
+
+def test_a_seed_that_step_zero_refuses_costs_only_its_scan():
+    """What every kernel pays equals what the kept seeds alone give: a refused node is scanned, never searched."""
+    graph = step_zero_graph()
+    rules = step_zero_rules()
+    # the nodes step 0 keeps, by the rules' literals: the one-node rule's Y holds on 0, 2 and 5, the pair
+    # rule "always" keeps every item with a p successor (its X holds), and "never"'s X refuses every item
+    kept = {"one": [1, 3, 4], "always": [0, 1, 3, 4, 5], "never": []}
+    scans = 6 * len(rules)  # each rule scans the six items once
+    # a kept one-node seed is one step to the leaf; a kept pair seed one step that draws and verifies its
+    # one successor, max(1, 1) + 1
+    cost = scans + 1 * len(kept["one"]) + 2 * len(kept["always"])
+    dect = finish(iter_dect(graph, rules))[1]
+    assert (dect.cost, dect.stats.candidates_examined) == (cost, scans + len(kept["always"]))
+    # simulated PDect places one unit per kept seed
+    plans = compile_plans(graph, rules)
+    run = SimulatedRun("PDect", False, plans, 3, BalancingPolicy.hybrid(), None)
+    placed = [(plans[unit.rule_index].rule.name, node) for _, unit, _ in _candidate_seeds(run, graph) for _, node in unit.assignment]
+    assert sorted(placed) == sorted((name, node) for name, nodes in kept.items() for node in nodes)
+    # process PDect's aggregate cost is Dect's
+    processes = Detector(rules, engine="parallel", processors=2, options=DetectionOptions(execution="processes"))
+    assert processes.run(graph).cost == cost
 
 
 @settings(max_examples=100, deadline=None)
@@ -416,47 +445,33 @@ def test_a_pattern_self_loop_pivots_on_data_self_loops_only():
     assert as_pairs(result.delta.introduced) == {("loop", (1, 1))}
 
 
-def leaves(search: RuleSearch, graph: Graph, order) -> list[tuple]:
-    """Drain ``search`` from the empty seed; the bindings its leaf kept, as ``h(x̄)``."""
-    search.start(graph, order, ())
-    kept = []
-    while search.stack:
-        kept.extend(violation.nodes for violation in search.step())
-    return kept
-
-
-def pattern_only(rule: NGD) -> NGD:
-    """``rule``'s pattern alone: the rule the match leaf runs for a matcher view given no premise."""
-    return NGD(rule.pattern, (), name=rule.name, allow_nonlinear=True)
-
-
 @pytest.mark.parametrize("store", STORES)
-def test_the_two_leaves_split_the_same_bindings(store):
-    """Over one pattern, the match leaf keeps every homomorphism and the violation leaf those that fail X → Y."""
+def test_matches_are_the_violations_of_x_implies_false(store):
+    """Over one pattern, the matcher keeps every homomorphism, and Dect the ones that fail X → Y."""
     base = figure1_g2()
     graph = base.with_backend(new_store(store))
     rules = example_rules()
-    for rule, plan, match_plan in zip(
-        rules, compile_plans(graph, rules), compile_plans(graph, [pattern_only(rule) for rule in rules])
-    ):
+    dect = finish(iter_dect(graph, rules))[1]
+    for rule in rules:
         every = [h for h in naive_reference.matches(base, rule.pattern)]
+        stats = MatchStatistics()
+        matcher = HomomorphismMatcher(graph, rule.pattern, stats=stats)
+        assert list(matcher.plan.rule.conclusion) == [Literal(const(0), Comparison.EQ, const(1))]
+        kept = [tuple(sorted(h.items())) for h in matcher.matches()]
+        assert sorted(kept, key=repr) == sorted((tuple(sorted(h.items())) for h in every), key=repr), rule.name
+        assert stats.matches_emitted == len(every)
         failing = {
             tuple(h[variable] for variable in rule.pattern.variables)
             for h in every
             if naive_reference.satisfies(base, h, rule.premise) and not naive_reference.satisfies(base, h, rule.conclusion)
         }
-        stats = MatchStatistics()
-        kept = leaves(RuleSearch(match_plan, stats, all_matches=True), graph, match_plan.order)
-        assert sorted(kept, key=repr) == sorted((tuple(h[v] for v in rule.pattern.variables) for h in every), key=repr)
-        assert stats.matches_emitted == len(every) and stats.literal_evaluations == 0, "the match leaf reads no literal"
-        violating = leaves(rule_search(rule, plan, MatchStatistics()), graph, plan.order)
-        assert set(violating) == failing and len(violating) == len(failing), rule.name
+        assert {v.nodes for v in dect.violations if v.rule == rule.name} == failing, rule.name
     assert any(naive_reference.violations(base, rules))
 
 
 @pytest.mark.parametrize("store", STORES)
-def test_the_match_leaf_refuses_a_rule_with_a_conclusion(store):
-    """The schedule of a rule with a conclusion prunes on Y: the match leaf would drop bindings."""
+def test_the_matcher_keeps_the_bindings_where_a_rules_conclusion_holds(store):
+    """The matcher runs a rule's pattern and premise under Y = false, so no binding is pruned on the rule's Y."""
     graph = Graph("pairs", store=new_store(store))
     for node_id, val in enumerate((1, 2, 3)):
         graph.add_node(node_id, "a", {"val": val})
@@ -464,30 +479,54 @@ def test_the_match_leaf_refuses_a_rule_with_a_conclusion(store):
         graph.add_edge(source, target, "p")
     pattern = Pattern("pair", [("x", "a"), ("y", "a")], [("x", "y", "p")])
     rule = NGD.from_text(pattern, "", "x.val < y.val", name="ascending")
-    with pytest.raises(ExecutionError, match="conclusion"):
-        RuleSearch(compile_plans(graph, [rule])[0], MatchStatistics(), all_matches=True)
-    # the pattern and premise alone keep every binding, the two where Y holds included
-    plan = compile_plans(graph, [pattern_only(rule)])[0]
-    kept = leaves(RuleSearch(plan, MatchStatistics(), all_matches=True), graph, plan.order)
+    # Y holds on two of the three bindings: only (2, 0) violates
+    assert as_pairs(finish(iter_dect(graph, RuleSet([rule])))[1].violations) == {("ascending", (2, 0))}
+    kept = [(h["x"], h["y"]) for h in HomomorphismMatcher(graph, rule.pattern, rule.premise).matches()]
     assert sorted(kept) == [(0, 1), (1, 2), (2, 0)]
 
 
-def test_a_plan_runs_only_the_rule_it_was_compiled_for():
+def test_an_empty_pattern_has_one_match_where_its_premise_holds():
     graph = figure1_g2()
-    first, second = list(example_rules())[:2]
-    plan = compile_plans(graph, [first])[0]
-    assert rule_search(first, plan, MatchStatistics()).rule is first
+    empty = Pattern("empty", [])
+    assert list(HomomorphismMatcher(graph, empty).matches()) == [{}]
+    assert list(HomomorphismMatcher(graph, empty, NGD.from_text(empty, "1 < 2", "").premise).matches()) == [{}]
+    assert list(HomomorphismMatcher(graph, empty, NGD.from_text(empty, "2 < 1", "").premise).matches()) == []
+
+
+KERNELS = {
+    "Dect": lambda graph, rules, plans, delta: finish(iter_dect(graph, rules, plans=plans)),
+    "IncDect": lambda graph, rules, plans, delta: finish(iter_inc_dect(graph, rules, delta, plans=plans)),
+    "PDect": lambda graph, rules, plans, delta: finish(iter_p_dect(graph, rules, processors=2, plans=plans)),
+    "PIncDect": lambda graph, rules, plans, delta: finish(iter_pinc_dect(graph, rules, delta, processors=2, plans=plans)),
+    "PDect/processes": lambda graph, rules, plans, delta: finish(
+        iter_p_dect(graph, rules, processors=2, plans=plans, execution="processes")
+    ),
+    "PIncDect/processes": lambda graph, rules, plans, delta: finish(
+        iter_pinc_dect(graph, rules, delta, processors=2, plans=plans, execution="processes")
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_plan_runs_only_the_rule_it_was_compiled_for(kernel):
+    """Each kernel checks its plans once, before it searches: plans of other rules, or of equal ones, raise."""
+    graph = figure1_g2()
+    rules = list(example_rules())
+    first, second = rules[:2]
+    # an update no rule has a pivot for: the check must not wait for a search
+    delta = BatchUpdate().insert(next(iter(graph.node_ids())), next(iter(graph.node_ids())), "no-such-label")
+    run = KERNELS[kernel]
+    plans = compile_plans(graph, [first])
+    run(graph, [first], plans, delta)
     with pytest.raises(ExecutionError):
-        rule_search(second, plan, MatchStatistics())
+        run(graph, [second], plans, delta)
     # an equal rule is not the rule: the schedule indexes that object's literals
     twin = NGD(first.pattern, first.premise, first.conclusion, name=first.name)
+    assert twin == first
     with pytest.raises(ExecutionError):
-        rule_search(twin, plan, MatchStatistics())
-
-
-def test_every_kernel_builds_its_core_through_one_constructor():
-    for name in ("repro.detect.dect", "repro.detect.incdect"):
-        assert importlib.import_module(name).rule_search is rule_search, name
+        run(graph, [twin], plans, delta)
+    with pytest.raises(ExecutionError):
+        run(graph, rules[:2], plans, delta)
 
 
 # ------------------------------------------- (b) the core against its own steps
@@ -508,11 +547,11 @@ class Stepped:
             self.stop_reason = "max_cost"
         return self.stop_reason is not None
 
-    def drain(self, stack, graphs, rule, plan, seen) -> None:
+    def drain(self, stack, graphs, plan, seen) -> None:
         """``graphs`` and ``seen`` are indexed by a unit's ``from_insertion``."""
         while stack and self.stop_reason is None:
             unit = stack.pop()
-            outcome = expand_work_unit(graphs[unit.from_insertion], rule, unit, self.stats, plan=plan)
+            outcome = expand_work_unit(graphs[unit.from_insertion], unit, self.stats, plan=plan)
             self.cost += max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
             stack.extend(outcome.new_units)
             for violation in outcome.violations:
@@ -537,7 +576,7 @@ def stepped_dect(graph, rules, plans, budget=None) -> Stepped:
         stack = [WorkUnit(index, plan.order, ((plan.order[0], candidate.id),)) for candidate in candidates]
         if len(plan.order) == 1:
             stack.reverse()  # complete seeds have no subtree: they stream in rank order
-        run.drain(stack, {True: graph}, rule, plan, seen)
+        run.drain(stack, {True: graph}, plan, seen)
         if run.stop_reason is not None:
             break
     return run
@@ -607,7 +646,7 @@ def stepped_inc_dect(graph, after, rules, delta, plans, budget=None) -> Stepped:
                 run.cost += 1.0
                 if proven(unit, plan, graphs[pivot.from_insertion], run.stats):
                     stack.append(unit)
-        run.drain(stack, graphs, rule, plan, seen)
+        run.drain(stack, graphs, plan, seen)
         if run.stop_reason is not None:
             break
     return run

@@ -111,7 +111,6 @@ class TestRuntimePayload:
         rules = list(example_rules())
         before = kb.induced_subgraph(list(kb.node_ids())[:30])
         runtime = ExecutionRuntime(
-            rules=rules,
             plans=compile_plans(kb, rules),
             image=kb,
             before_image=before,
@@ -132,9 +131,7 @@ class TestRuntimePayload:
 
     def test_a_batch_runtime_serves_every_unit_from_its_one_image(self, kb, tmp_path):
         rules = list(example_rules())
-        runtime = ExecutionRuntime(
-            rules=rules, plans=compile_plans(kb, rules), image=kb
-        )
+        runtime = ExecutionRuntime(plans=compile_plans(kb, rules), image=kb)
         spooled = runtime.spooled(str(tmp_path))
         assert spooled.before_image is None
         assert [entry.name for entry in tmp_path.iterdir()] == ["image.json"]
