@@ -43,11 +43,12 @@ raised is the same.
 
 **Billing** is the search's: one ``candidates_examined`` per candidate
 drawn, one ``literal_evaluations`` per check reached, the rejections by
-reason, the leaf's flat ``len(X) + len(Y)``.  A step sums them in locals
-and adds them to the statistics once, after its loop.  Every seed is proven
-where it is made, so the one leaf does not evaluate again what was checked
-on the way down: all of X, and a one-literal Y, which pruned the branch
-where it held.
+reason.  A step sums them in locals and adds them to the statistics once,
+after its loop.  Every seed is proven where it is made, so the one leaf
+does not evaluate again what was checked on the way down — all of X, and
+a one-literal Y, which pruned the branch where it held — and bills only
+the literals of a longer Y that it reaches (``holds``).  Each literal is
+billed once per binding that reaches it.
 
 **Sharing.**  :mod:`repro.matching.plan` keeps each rule's generated
 schedule in a process-wide table keyed by what the code is made of, and
@@ -507,19 +508,18 @@ def compile_schedule(
     # the leaf of a seed that bound every variable
     function = _Function(functions, f"expand_{len(steps)}", "search, order", slot_of)
     function.emit(1, "search.filtering, search.verification = 1, 0")
-    if premise or conclusion:
-        function.emit(1, f"search.stats.literal_evaluations += {len(premise) + len(conclusion)}")
     if not conclusion:
         function.emit(1, "return []")  # an empty Y always holds
     elif len(conclusion) > 1:
-        function.emit(1, "if holds(search.slots):")
+        function.emit(1, "if holds(search.slots, search.stats):")
         function.emit(2, "return []")
     function.emit(1, "search.stats.matches_emitted += 1", "ids = search.ids", f"return [{_violation(function, found, None)}]")
     _prove(functions, steps, premise, conclusion, slot_of)
     if len(conclusion) > 1:
-        # Y of more literals, which the leaf evaluates apart from X
-        function = _Function(functions, "holds", "slots", slot_of)
+        # Y of more literals, which the leaf evaluates apart from X, one literal_evaluations per literal reached
+        function = _Function(functions, "holds", "slots, stats", slot_of)
         for index, literal in enumerate(conclusion):
+            function.emit(1, "stats.literal_evaluations += 1")
             function.check(literal, f"conclusion {index}", "return False")
         function.emit(1, "return True")
     made = _load(functions)
@@ -633,7 +633,7 @@ def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slo
     _pool(function, step)
     # without checks, a step expands what it keeps
     later = ["kept"] + (["expanded"] if literals and not seeds else []) + (["matches"] if leaf else [])
-    counters = _counters(step, later, bool(literals or leaf and (premise or conclusion)))
+    counters = _counters(step, later, bool(literals))
     function.emit(1, "nodes = []" if seeds else "found = []" if leaf else "push = search.stack.append", f"{' = '.join(counters)} = 0")
     # an earlier slot's attributes are read once per step, out of the candidate loop
     for variable, attribute in earlier:
@@ -657,7 +657,7 @@ def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slo
     if seeds:
         function.emit(1, "nodes.append(node)")
     elif leaf:
-        _leaf(function, depth, premise, conclusion, found)
+        _leaf(function, depth, conclusion, found)
     else:
         function.emit(1, f"push(({function.bind('K', depth)}, node.id, attrs, order))")
     function.indent = 1
@@ -669,17 +669,15 @@ def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slo
     function.emit(1, "search.filtering, search.verification = scanned, kept", "return found" if leaf else "return []")
 
 
-def _leaf(function: _Function, depth: int, premise, conclusion, found: tuple) -> None:
+def _leaf(function: _Function, depth: int, conclusion, found: tuple) -> None:
     """Emit what a last step does with a binding that passed its checks: keep it where Y does not hold.
 
     The steps checked X and a one-literal Y, so only a Y of more literals is
-    evaluated here (``holds``); the bill is the flat ``len(X) + len(Y)``.
+    evaluated here (``holds``, which bills the literals it reaches).
     """
-    if premise or conclusion:
-        function.emit(1, f"evals += {len(premise) + len(conclusion)}")
     if not conclusion:
         function.emit(1, "continue")  # an empty Y always holds
     elif len(conclusion) > 1:
-        function.emit(1, f"slots[{depth}] = attrs", "if holds(slots):")
+        function.emit(1, f"slots[{depth}] = attrs", "if holds(slots, stats):")
         function.emit(2, "continue")
     function.emit(1, "matches += 1", f"found.append({_violation(function, found, depth)})")

@@ -374,8 +374,8 @@ def test_generated_steps_keep_the_literal_semantics(seed):
     # the seed scan's unary literals, a step's checks, the proof of a bound
     # prefix and the leaf of generated steps of one to four literals: the
     # verdict of holds_for applied in order (its exception where it
-    # raises), and one literal_evaluations per check reached (the leaf's
-    # flat bill up front)
+    # raises), and one literal_evaluations per check reached, each literal
+    # billed once per binding
     rng = random.Random(0x57E9 + seed)
     slot_of = {"x": 0, "y": 1}
     checked = 0
@@ -386,7 +386,6 @@ def test_generated_steps_keep_the_literal_semantics(seed):
         # a one-literal Y is checked where it is bound, as the planner schedules it
         bound = len(conclusion) == 1
         premise = unary + checks
-        flat = len(premise) + len(conclusion)
         steps = [
             _step_fields((), unary=range(len(unary)), out_labels=frozenset({"e"})),
             _step_fields(((0, True, "e"),), checks=range(len(unary), len(premise)), conclusion=bound),
@@ -419,15 +418,19 @@ def test_generated_steps_keep_the_literal_semantics(seed):
                 proof_reached += more
             assert _step_run(lambda stats: prove(graph.store, ["x", "y"], stats)) == _bill(proof, proof_reached), (premise, conclusion, slots)
 
-            # the steps proved X on the way down, and a one-literal Y failed when bound: only a longer Y is left
-            proven = ("ok", True) if bound else _reference_scan(conclusion, holds, False, True, False)[0]
-            proven = proven if kept == ("ok", True) else kept
-            assert _step_run(_expanded(expand, graph, slots)) == _bill(proven, reached + flat * (kept == ("ok", True)))
+            # the steps proved X on the way down, and a one-literal Y failed when bound: only a longer Y is
+            # left, billed as far as the leaf evaluates it
+            longer = _reference_scan(conclusion, holds, False, True, False)
+            proven, rest = (("ok", True), 0) if bound else longer
+            if kept != ("ok", True):
+                proven, rest = kept, 0
+            assert _step_run(_expanded(expand, graph, slots)) == _bill(proven, reached + rest)
             # a seed that binds both goes straight to the leaf once proven: X → Y as holds_for decides it
             leaf, _ = _reference_scan(premise, holds, False, False, None)
             if leaf == ("ok", None):
                 leaf, _ = _reference_scan(conclusion, holds, False, True, False)
-            assert _step_run(_seeded_leaf(expand, prove, graph, slots)) == _bill(leaf, proof_reached + flat * (proof == ("ok", True)))
+            rest = longer[1] if proof == ("ok", True) and not bound else 0
+            assert _step_run(_seeded_leaf(expand, prove, graph, slots)) == _bill(leaf, proof_reached + rest)
             checked += 1
     assert checked == 600
 
