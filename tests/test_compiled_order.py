@@ -38,7 +38,7 @@ def test_a_default_run_bills_the_compiled_order(hub_graph, rules):
     result = Detector(rules, engine="batch").run(hub_graph)
     # the order the statistics choose expands every a-node before the
     # near-empty b step prunes
-    assert result.stats.total_operations() == 15_900
+    assert result.stats.total_operations() == 15_750
     assert len(result.violations) == 75
 
 
@@ -49,7 +49,7 @@ def test_every_engine_and_backend_bills_the_compiled_order(hub_graph, rules, eng
     result = Detector(rules, engine=engine, processors=processors).run(hub_graph.with_backend(new_store(backend)))
     assert result.violations.to_json() == reference.violations.to_json()
     assert result.stats == reference.stats
-    assert result.stats.total_operations() == 15_900
+    assert result.stats.total_operations() == 15_750
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def test_a_pinned_plan_runs_its_order(hub_graph, rules, pinned_plan):
 
     handed = Detector(rules, engine="batch").run(hub_graph, plans=(pinned_plan,))
     default = Detector(rules, engine="batch").run(hub_graph)
-    assert (handed.cost, handed.stats.total_operations()) == (2695.0, 5395)
+    assert (handed.cost, handed.stats.total_operations()) == (2695.0, 5245)
     assert handed.violations.to_json() == default.violations.to_json()
     assert handed.stats.total_operations() < default.stats.total_operations()
 
@@ -83,7 +83,7 @@ def test_a_pinned_plan_updates_like_the_batch_diff(hub_graph, rules, pinned_plan
     oracle = Detector(rules, engine="batch").run_incremental(graph, delta)
     assert (len(handed.delta.introduced), len(handed.delta.removed)) == (3, 3)
     assert handed.delta == oracle.delta
-    assert (handed.cost, handed.stats.total_operations()) == (cost, 38)
+    assert (handed.cost, handed.stats.total_operations()) == (cost, 26)
 
 
 @pytest.mark.parametrize("method", ("fork", "spawn"))
@@ -96,7 +96,7 @@ def test_a_pinned_plan_ships_to_process_workers(hub_graph, rules, pinned_plan, f
     ).run(hub_graph, plans=(pinned_plan,))
     assert processes.violations.to_json() == serial.violations.to_json()
     assert (processes.cost, processes.stats) == (serial.cost, serial.stats)
-    assert processes.stats.total_operations() == 5395
+    assert processes.stats.total_operations() == 5245
 
 
 @pytest.mark.parametrize("option", ["adaptive", "restrict_to_neighborhood"])
