@@ -19,8 +19,9 @@ Execution model
   edge's source names.  The parent runs PDect's first-step scans itself,
   exactly as Dect does.
 * Each **worker process** receives its share and the compiled plans (each
-  carrying its rule) as its process arguments — inherited under ``fork``, pickled under
-  ``spawn`` (a plan generates its schedules' code again on first use) — together with
+  carrying its rule) as its process arguments — inherited under ``fork``,
+  pickled under ``spawn`` (a plan generates its schedules' code again on
+  first use) — together with
   one read-only *image* per graph it searches (``G``, or ``N_C(ΔG)``
   before and after the update): inherited copy-on-write under ``fork``,
   spooled once and memo-loaded per process under ``spawn``

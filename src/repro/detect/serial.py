@@ -1,8 +1,9 @@
 """The serial drain loop: how Dect and IncDect advance one search, step by step.
 
-Both kernels seed a rule's search (:class:`~repro.matching.search.RuleSearch`,
-built from the rule's plan alone), expand it depth-first, deduplicate what it finds, charge the
-cost model, test the budget and attribute the work to the rule.  They differ
+Both kernels seed a rule's search (:class:`~repro.matching.search.
+RuleSearch`, built from the rule's plan alone), expand it depth-first,
+deduplicate what it finds, charge the cost model, test the budget and
+attribute the work to the rule.  They differ
 only in where the seeds come from and which graph a seed is searched in, so
 the rest lives here, once.  A degraded process run
 (:class:`~repro.detect.parallel.executor.ProcessRun`, a :class:`SerialRun`)

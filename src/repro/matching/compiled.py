@@ -8,9 +8,11 @@ from the anchor's adjacency view (already in rank order), an intersection
 of views or a label scan; bills them; tests each one's label, unary
 literals and self-loops; fires the literals that its binding completes;
 and pushes the frame, or finishes the binding at the leaf.  ``seeds`` is
-all of step 0 — scan, tests and checks — for the batch kernels, and
-``prove(store, ids, stats)`` the literals of the steps a bound prefix
-binds, which the update pivots are proven with:
+all of step 0 — scan, tests and checks — and the only form step 0 has: the
+batch kernels and the matcher seed the search with it, since no search
+starts from an empty seed.  ``prove(store, ids, stats)`` checks the
+literals of the steps a bound prefix binds, which the update pivots are
+proven with:
 
 * pattern variables map to *slot indices* in plan order, so a partial
   match is a flat list of attribute mappings (``slots[d]`` is the

@@ -284,10 +284,8 @@ class MatchPlan:
         self.steps: tuple[PlanStep, ...] = self.schedule_for(self.order).steps
 
     def order_for_seed(self, seed: Sequence[str]) -> tuple[str, ...]:
-        """Return a cost-based order starting with ``seed`` (in the given order)."""
+        """Return a cost-based order starting with ``seed`` (in the given order, at least one variable)."""
         key = tuple(seed)
-        if not key:
-            return self.order
         cached = self._seed_orders.get(key)
         if cached is None:
             cached = _greedy_order(self.statistics, self.rule.pattern, key)

@@ -19,6 +19,8 @@ Two layers:
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,7 @@ from repro.matching.candidates import MatchStatistics
 from repro.matching.incmatch import UpdatePivot
 from repro.matching.matchn import HomomorphismMatcher
 from repro.matching.plan import MatchPlan, compile_plans, first_step_candidates
+from repro.matching.search import RuleSearch
 
 from engines import new_store
 from hub_workload import correlated_hub_graph, hub_rules as build_hub_rules
@@ -507,26 +510,29 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_a_plan_runs_only_the_rule_it_was_compiled_for(kernel):
+def test_a_plan_runs_only_the_rule_it_was_compiled_for():
     """Each kernel checks its plans once, before it searches: plans of other rules, or of equal ones, raise."""
     graph = figure1_g2()
     rules = list(example_rules())
     first, second = rules[:2]
-    # an update no rule has a pivot for: the check must not wait for a search
-    delta = BatchUpdate().insert(next(iter(graph.node_ids())), next(iter(graph.node_ids())), "no-such-label")
-    run = KERNELS[kernel]
-    plans = compile_plans(graph, [first])
-    run(graph, [first], plans, delta)
-    with pytest.raises(ExecutionError):
-        run(graph, [second], plans, delta)
     # an equal rule is not the rule: the schedule indexes that object's literals
     twin = NGD(first.pattern, first.premise, first.conclusion, name=first.name)
     assert twin == first
-    with pytest.raises(ExecutionError):
-        run(graph, [twin], plans, delta)
-    with pytest.raises(ExecutionError):
-        run(graph, rules[:2], plans, delta)
+    # an update no rule has a pivot for: the check must not wait for a search
+    delta = BatchUpdate().insert(next(iter(graph.node_ids())), next(iter(graph.node_ids())), "no-such-label")
+    plans = compile_plans(graph, [first])
+    for kernel, run in KERNELS.items():
+        run(graph, [first], plans, delta)
+        for wrong in ([second], [twin], rules[:2]):
+            with pytest.raises(ExecutionError):
+                run(graph, wrong, plans, delta)
+                pytest.fail(f"{kernel} ran the plan of {first.name} for {[rule.name for rule in wrong]}")
+
+
+def test_every_kernel_builds_its_core_through_one_constructor():
+    """``RuleSearch(plan, stats)`` is the whole search API: the kernels and the work-unit bridge build it from a plan."""
+    for name in ("repro.detect.dect", "repro.detect.incdect", "repro.detect.parallel.workunits", "repro.detect.parallel.executor"):
+        assert importlib.import_module(name).RuleSearch is RuleSearch, name
 
 
 # ------------------------------------------- (b) the core against its own steps
