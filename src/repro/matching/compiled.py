@@ -505,17 +505,17 @@ def compile_schedule(
     found = (name, tuple(variables), [slot_of[variable] for variable in variables])
     if steps:
         _expand(functions, 0, steps[0], premise, conclusion, slot_of, False, found, seeds=True)
-    for depth in range(1, len(steps)):
-        _expand(functions, depth, steps[depth], premise, conclusion, slot_of, depth + 1 == len(steps), found)
-    # the leaf of a seed that bound every variable
-    function = _Function(functions, f"expand_{len(steps)}", "search, order", slot_of)
-    function.emit(1, "search.filtering, search.verification = 1, 0")
-    if not conclusion:
-        function.emit(1, "return []")  # an empty Y always holds
-    elif len(conclusion) > 1:
-        function.emit(1, "if holds(search.slots, search.stats):")
-        function.emit(2, "return []")
-    function.emit(1, "search.stats.matches_emitted += 1", "ids = search.ids", f"return [{_violation(function, found, None)}]")
+        for depth in range(1, len(steps)):
+            _expand(functions, depth, steps[depth], premise, conclusion, slot_of, depth + 1 == len(steps), found)
+        # the leaf of a seed that bound every variable
+        function = _Function(functions, f"expand_{len(steps)}", "search, order", slot_of)
+        function.emit(1, "search.filtering, search.verification = 1, 0")
+        if not conclusion:
+            function.emit(1, "return []")  # an empty Y always holds
+        elif len(conclusion) > 1:
+            function.emit(1, "if holds(search.slots, search.stats):")
+            function.emit(2, "return []")
+        function.emit(1, "search.stats.matches_emitted += 1", "ids = search.ids", f"return [{_violation(function, found, None)}]")
     _prove(functions, steps, premise, conclusion, slot_of)
     if len(conclusion) > 1:
         # Y of more literals, which the leaf evaluates apart from X, one literal_evaluations per literal reached
