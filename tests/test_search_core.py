@@ -463,6 +463,8 @@ def test_matches_are_the_violations_of_x_implies_false(store):
         kept = [tuple(sorted(h.items())) for h in matcher.matches()]
         assert sorted(kept, key=repr) == sorted((tuple(sorted(h.items())) for h in every), key=repr), rule.name
         assert stats.matches_emitted == len(every)
+        as_false = finish(iter_dect(graph, RuleSet([matcher.plan.rule])))[1].violations
+        assert sorted(tuple(sorted(v.mapping().items())) for v in as_false) == sorted(kept), "Dect on X → false"
         failing = {
             tuple(h[variable] for variable in rule.pattern.variables)
             for h in every
