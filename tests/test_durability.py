@@ -549,6 +549,37 @@ class TestInProcessRecovery:
             new_sid = c2.create_session("areas", catalog="mine")["session"]
             assert new_sid != sid
 
+    def test_a_legacy_data_dir_recovers_to_its_acknowledged_state(self, tmp_path):
+        """A data dir in the older format: a multi-image checkpoint, ``session_delta`` records.
+
+        ``tests/data/legacy_data_dir`` was written by ``serve --retain-versions 2``
+        of that format: register ``areas`` and the ``mine`` catalog, open a
+        session, apply ``_update(0..3)``, checkpoint, apply ``_update(4..6)``,
+        kill -9.  Its checkpoint names the images of versions 4 and 5, and
+        its WAL suffix holds an ``update`` and a ``session_delta`` record per
+        update.  ``legacy_data_dir.acked.json`` holds what the server
+        acknowledged before the kill.
+        """
+        fixture = Path(__file__).resolve().parent / "data"
+        acked = json.loads((fixture / "legacy_data_dir.acked.json").read_text(encoding="utf-8"))
+        data_dir = tmp_path / "data"
+        shutil.copytree(fixture / "legacy_data_dir", data_dir)
+        registry = json.loads(
+            (data_dir / "checkpoints" / "ckpt-1" / "registry.json").read_text(encoding="utf-8")
+        )
+        assert sorted(registry["graphs"][0]["images"]) == ["4", "5"], "precondition: two images"
+        with WriteAheadLog(data_dir / "wal.log", start_lsn=14) as wal:
+            kinds = [record["type"] for record in wal.records()]
+        assert kinds.count("session_delta") == 3, "precondition: session_delta records"
+
+        recovered = DetectionService(port=0, data_dir=str(data_dir), retain_versions=2)
+        with recovered:
+            client = ServiceClient(recovered.url)
+            sid = acked["session"]
+            assert client.graph_info("areas") == acked["graph"]
+            assert client.session_state(sid) == acked["state"]
+            assert client.session_deltas(sid, since=1) == acked["deltas"]
+
     def test_retention_window_and_squashed_deltas_round_trip(self, tmp_path):
         data_dir = tmp_path / "data"
         crashed = DetectionService(
