@@ -36,7 +36,7 @@ from repro.detect.parallel.workunits import first_step_seeds
 from repro.detect.serial import SerialRun
 from repro.graph.graph import Graph
 from repro.matching.plan import MatchPlan, resolve_plans
-from repro.matching.search import RuleSearch
+from repro.matching.search import RuleSearch, empty_match
 
 __all__ = ["iter_dect"]
 
@@ -61,20 +61,22 @@ def iter_dect(
     plans = resolve_plans(graph, list(rule_set), plans)
     started = time.perf_counter()
     violations = ViolationSet()
+    dedupe = (violations, violations)
     run = SerialRun("Dect", False, budget)
 
     try:
         for plan in plans:
             order = plan.order
-            if not order:
-                continue
             with run.rule(plan.rule.name):
-                candidates, scanned = first_step_seeds(graph, plan, run.stats)
-                run.cost += scanned
-                if not run.cost_exhausted():
-                    search = RuleSearch(plan, run.stats)
-                    search.seed(graph, order, candidates)
-                    yield from run.expand(search, True, (violations, violations))
+                if not order:
+                    yield from run.emit(empty_match(plan, run.stats), True, dedupe)
+                else:
+                    candidates, scanned = first_step_seeds(graph, plan, run.stats)
+                    run.cost += scanned
+                    if not run.cost_exhausted():
+                        search = RuleSearch(plan, run.stats)
+                        search.seed(graph, order, candidates)
+                        yield from run.expand(search, True, dedupe)
             if run.stop_reason is not None:
                 break
     finally:

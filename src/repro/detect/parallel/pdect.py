@@ -38,6 +38,7 @@ from repro.detect.parallel.workunits import WorkUnit, first_step_seeds
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph
 from repro.matching.plan import MatchPlan, resolve_plans
+from repro.matching.search import empty_match
 
 __all__ = ["iter_p_dect"]
 
@@ -82,7 +83,9 @@ def iter_p_dect(
     else:
         run = SimulatedRun("PDect", False, plans, processors, policy, budget)
     violations = ViolationSet()
-    yield from run.drain(_candidate_seeds(run, graph), lambda _: graph, (violations, violations))
+    dedupe = (violations, violations)
+    stopped = yield from run.emit(_empty_matches(run), True, dedupe)
+    yield from run.drain(() if stopped else _candidate_seeds(run, graph), lambda _: graph, dedupe)
     return DetectionResult(
         violations=violations,
         wall_time=time.perf_counter() - started,
@@ -90,6 +93,17 @@ def iter_p_dect(
         algorithm="PDect",
         **run.outcome(),
     )
+
+
+def _empty_matches(run) -> list[Violation]:
+    """The violations of the rules without variables (:func:`~repro.matching.search.empty_match`), each billed to its rule."""
+    found: list[Violation] = []
+    for plan in run.plans:
+        if not plan.order:
+            before = run.attribution.before(run.stats)
+            found += empty_match(plan, run.stats)
+            run.attribution.after(plan.rule.name, before, run.stats)
+    return found
 
 
 def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:

@@ -10,7 +10,8 @@ want the matches themselves (discovery, satisfiability, aggregates).  The
 matches of ``Q[x̄](X)`` are exactly the violations of ``Q[x̄](X → false)``,
 so the matcher compiles that rule, with ``false`` the variable-free literal
 ``0 = 1``, seeds the core with its schedule's ``seeds()`` as Dect does, and
-keeps what the one leaf emits.
+keeps what the one leaf emits; a pattern without variables has the one
+empty match where X holds (:func:`~repro.matching.search.empty_match`).
 
 Matches follow homomorphism semantics (two pattern variables may map to the
 same data node) and are yielded lazily as ``{variable: node_id}``
@@ -29,7 +30,7 @@ from repro.graph.graph import Graph
 from repro.graph.pattern import Pattern
 from repro.matching.candidates import MatchStatistics
 from repro.matching.plan import compile_plan
-from repro.matching.search import RuleSearch
+from repro.matching.search import RuleSearch, empty_match
 
 __all__ = ["HomomorphismMatcher", "assignment_for_match"]
 
@@ -80,15 +81,13 @@ class HomomorphismMatcher:
 
     def matches(self) -> Iterator[dict[str, Hashable]]:
         """Yield every match, depth-first in the plan's order."""
+        for leaf in empty_match(self.plan, self.stats):
+            yield leaf.mapping()
         order = self.plan.order
-        if not order:
-            # the empty pattern's one match binds nothing: kept where X holds
-            if self.plan.rule.premise.satisfied_by({}):
-                yield {}
-            return
         search = RuleSearch(self.plan, self.stats)
-        nodes, _ = self.plan.schedule_for(order).seeds(self.graph.store, self.stats)
-        search.seed(self.graph, order, nodes)
+        if order:
+            nodes, _ = self.plan.schedule_for(order).seeds(self.graph.store, self.stats)
+            search.seed(self.graph, order, nodes)
         while search.stack:
             for leaf in search.step():
                 yield leaf.mapping()

@@ -34,7 +34,9 @@ same :meth:`RuleSearch.step` one work unit at a time through
 :func:`~repro.detect.parallel.workunits.expand_work_unit`; and
 :class:`~repro.matching.matchn.HomomorphismMatcher`, for the callers that
 want matches rather than violations (discovery, satisfiability,
-aggregates), drains the violations of ``Q[x̄](X → false)``.
+aggregates), drains the violations of ``Q[x̄](X → false)``.  A pattern
+without variables is never searched: :func:`empty_match` decides its one
+match for every kernel and the matcher.
 """
 
 from __future__ import annotations
@@ -47,7 +49,21 @@ from repro.graph.graph import Graph, Node
 from repro.matching.candidates import MatchStatistics
 from repro.matching.plan import MatchPlan
 
-__all__ = ["RuleSearch"]
+__all__ = ["RuleSearch", "empty_match"]
+
+
+def empty_match(plan: MatchPlan, stats: MatchStatistics) -> list[Violation]:
+    """The violations of the one match of a pattern without variables, the empty binding.
+
+    Nothing is seeded or searched: the rule is violated where X holds and Y
+    does not, and a kept match is billed one ``matches_emitted``, as the
+    leaf bills one.  A pattern with variables has no empty match.
+    """
+    rule = plan.rule
+    if plan.order or not rule.premise.satisfied_by({}) or rule.conclusion.satisfied_by({}):
+        return []
+    stats.matches_emitted += 1
+    return [Violation(rule.name, (), ())]
 
 
 class RuleSearch:

@@ -498,6 +498,36 @@ def test_an_empty_pattern_has_one_match_where_its_premise_holds():
     assert list(HomomorphismMatcher(graph, empty, NGD.from_text(empty, "2 < 1", "").premise).matches()) == []
 
 
+@pytest.mark.parametrize("premise", ["1 < 2", "2 < 1"])
+@pytest.mark.parametrize("conclusion", ["1 < 2", "2 < 1"])
+def test_a_rule_without_variables_is_reported_as_the_reference_reports_it(premise, conclusion, force_start_method):
+    """``Q[](X → Y)`` has one match, the empty one: a violation exactly where X holds and Y does not."""
+    force_start_method("fork")
+    graph = figure1_g2()
+    rule = NGD.from_text(Pattern("e", []), premise, conclusion)
+    rules = RuleSet([rule, *example_rules()])
+    expected = naive_reference.violations(graph, rules)
+    assert (("ngd_e", ()) in expected) == (premise == "1 < 2" and conclusion == "2 < 1")
+    for name, kernel in (
+        ("Dect", lambda budget: iter_dect(graph, rules, budget=budget)),
+        ("PDect", lambda budget: iter_p_dect(graph, rules, processors=2, budget=budget)),
+        ("PDect/processes", lambda budget: iter_p_dect(graph, rules, processors=2, budget=budget, execution="processes")),
+    ):
+        stream, result = finish(kernel(None))
+        assert as_pairs(result.violations) == as_pairs(stream) == expected, name
+        # the empty match goes through the run's emit: the violation budget stops on it
+        stream, result = finish(kernel(DetectionBudget(max_violations=1)))
+        assert len(stream) == 1 and result.stop_reason == "max_violations", name
+        if ("ngd_e", ()) in expected:
+            assert as_pairs(stream) == {("ngd_e", ())}, name
+    kept = {
+        (rule.name, tuple(h[variable] for variable in rule.pattern.variables))
+        for h in HomomorphismMatcher(graph, rule.pattern, rule.premise).matches()
+        if not naive_reference.satisfies(graph, h, rule.conclusion)
+    }
+    assert kept == {pair for pair in expected if pair[0] == rule.name}
+
+
 KERNELS = {
     "Dect": lambda graph, rules, plans, delta: finish(iter_dect(graph, rules, plans=plans)),
     "IncDect": lambda graph, rules, plans, delta: finish(iter_inc_dect(graph, rules, delta, plans=plans)),
