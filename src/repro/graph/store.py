@@ -971,7 +971,7 @@ class IndexedStore(GraphStore):
         if superseded is not None:
             superseded.newer = log
             log.backlog = superseded.backlog + sum(map(len, superseded.entries))
-        other = IndexedStore.__new__(IndexedStore)
+        other = type(self).__new__(type(self))
         vars(other).update(vars(self))  # the live maps and the rank counters
         other._copy_counts(self)
         other._log = weakref.ref(log)

@@ -154,14 +154,6 @@ class BatchUpdate:
         """Return ΔG⁻, the edge deletions in batch order."""
         return tuple(u for u in self._updates if isinstance(u, EdgeDeletion))
 
-    def inserted_edge_keys(self) -> frozenset[tuple[Hashable, Hashable, str]]:
-        """Return the ``(source, target, label)`` keys of all insertions."""
-        return frozenset(u.edge_key() for u in self.insertions)
-
-    def deleted_edge_keys(self) -> frozenset[tuple[Hashable, Hashable, str]]:
-        """Return the ``(source, target, label)`` keys of all deletions."""
-        return frozenset(u.edge_key() for u in self.deletions)
-
     def touched_nodes(self) -> frozenset[Hashable]:
         """Return every node id that appears as an endpoint of some unit update."""
         nodes: set[Hashable] = set()
@@ -197,14 +189,6 @@ class BatchUpdate:
         self._endpoint_labels = (weakref.ref(before), weakref.ref(after), resolved)
         return resolved
 
-    def insertion_deletion_ratio(self) -> float:
-        """Return γ = |ΔG⁺| / |ΔG⁻| (``inf`` when there are no deletions)."""
-        inserts = len(self.insertions)
-        deletes = len(self.deletions)
-        if deletes == 0:
-            return float("inf") if inserts else 0.0
-        return inserts / deletes
-
     def reversed(self) -> "BatchUpdate":
         """Return the inverse batch (insertions become deletions and vice versa).
 
@@ -223,7 +207,7 @@ class BatchUpdate:
         return f"BatchUpdate(+{len(self.insertions)}, -{len(self.deletions)})"
 
 
-def apply_update(graph: Graph, delta: BatchUpdate, in_place: bool = False) -> Graph:
+def apply_update(graph: Graph, delta: BatchUpdate) -> Graph:
     """Return ``G ⊕ ΔG``.
 
     Insertions create missing endpoint nodes using their payloads (wildcard
@@ -231,17 +215,17 @@ def apply_update(graph: Graph, delta: BatchUpdate, in_place: bool = False) -> Gr
     is absent, or inserting one that is present, raises :class:`UpdateError`
     — silently ignoring either would let experiment drivers measure the
     wrong workload.  The whole of ΔG is checked against ``graph`` before the
-    first write, so a ΔG that raises leaves ``graph`` as it was, in place or
-    not, and a rejected copy is never taken.
+    first write, so a ΔG that raises leaves ``graph`` as it was, and a
+    rejected copy is never taken.
 
-    When ``in_place`` is False the update is applied to :meth:`Graph.copy` of
-    the graph (same storage backend) and ``graph`` itself is never written.
-    On the indexed engine the copy is O(1) — it takes the maps, and ``graph``
-    reads them through an undo log that each write extends by the old value
-    it replaces — so building ``G ⊕ ΔG`` costs what ΔG touches, not |G|.
+    The update is applied to :meth:`Graph.copy` of the graph (same storage
+    backend) and ``graph`` itself is never written.  On the indexed engine
+    the copy is O(1) — it takes the maps, and ``graph`` reads them through
+    an undo log that each write extends by the old value it replaces — so
+    building ``G ⊕ ΔG`` costs what ΔG touches, not |G|.
     """
     _check_update(graph, delta)
-    target = graph if in_place else graph.copy()
+    target = graph.copy()
     store = target.store  # ΔG is checked: the edge writes skip the facade's checks
     for update in delta:
         if isinstance(update, EdgeInsertion):

@@ -31,16 +31,12 @@ class TestBatchUpdate:
         assert len(batch) == 2
         assert len(batch.insertions) == 1
         assert len(batch.deletions) == 1
-        assert batch.inserted_edge_keys() == frozenset({("a", "b", "e")})
-        assert batch.deleted_edge_keys() == frozenset({("c", "d", "e")})
+        assert batch.insertions[0].edge_key() == ("a", "b", "e")
+        assert batch.deletions[0].edge_key() == ("c", "d", "e")
 
     def test_touched_nodes(self):
         batch = BatchUpdate().insert("a", "b", "e").delete("c", "d", "e")
         assert batch.touched_nodes() == frozenset({"a", "b", "c", "d"})
-
-    def test_insertion_deletion_ratio(self):
-        batch = BatchUpdate().insert("a", "b", "e").insert("a", "c", "e").delete("a", "d", "e")
-        assert batch.insertion_deletion_ratio() == pytest.approx(2.0)
 
     def test_reversed_roundtrip(self, triangle_graph):
         batch = BatchUpdate().delete("a", "b", "knows")
@@ -56,11 +52,12 @@ class TestBatchUpdate:
         assert updated.node("acme").attribute("val") == 7
         assert not triangle_graph.has_node("acme")  # original untouched
 
-    def test_apply_in_place(self, triangle_graph):
+    def test_apply_deletion_returns_the_updated_graph(self, triangle_graph):
         batch = BatchUpdate().delete("a", "b", "knows")
-        result = apply_update(triangle_graph, batch, in_place=True)
-        assert result is triangle_graph
-        assert not triangle_graph.has_edge("a", "b", "knows")
+        result = apply_update(triangle_graph, batch)
+        assert result is not triangle_graph
+        assert not result.has_edge("a", "b", "knows")
+        assert triangle_graph.has_edge("a", "b", "knows")  # original untouched
 
     def test_duplicate_insertion_rejected(self, triangle_graph):
         batch = BatchUpdate().insert("a", "b", "knows")

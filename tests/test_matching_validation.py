@@ -386,7 +386,8 @@ class TestIncrementalMatching:
         loop = next(iter(plain.node_ids()))
         delta.insert(loop, loop, sorted(plain.edge_labels())[0])
         before = plain.with_backend(_CountingStore())
-        after = apply_update(plain.with_backend(_CountingStore()), delta, in_place=True)
+        after = apply_update(plain.with_backend(_CountingStore()), delta)
+        assert isinstance(after.store, _CountingStore)
         rules = _pivot_rules(plain, rule_count)
         _CountingStore.lookups = 0
         pivots = [find_update_pivots(rule, delta, before, after) for rule in rules]
