@@ -322,8 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="snapshot GC: keep the last K graph snapshots addressable and "
-        "squash session deltas older than the window (default: unbounded)",
+        help="squash each session's deltas older than the last K versions "
+        "into one net delta; K >= 1 (default: keep every delta)",
     )
     serve_parser.add_argument(
         "--max-jobs",

@@ -292,9 +292,9 @@ class DetectionJobPool:
 class SessionManager:
     """Runs detection jobs and owns the continuous sessions of a service.
 
-    ``retain_versions`` (matching the registry's snapshot window) bounds the
-    per-session delta logs: after each advance, deltas older than the last K
-    versions are squashed into one net delta.
+    ``retain_versions`` bounds the per-session delta logs: after each
+    advance, deltas older than the last K versions are squashed into one
+    net delta.
     """
 
     def __init__(
@@ -304,6 +304,8 @@ class SessionManager:
         retain_versions: Optional[int] = None,
         job_pool: Optional[DetectionJobPool] = None,
     ) -> None:
+        if retain_versions is not None and retain_versions < 1:
+            raise ServiceError(f"retain_versions must be >= 1, got {retain_versions}")
         self.registry = registry
         self.retain_versions = retain_versions
         self.job_pool = job_pool if job_pool is not None else DetectionJobPool()

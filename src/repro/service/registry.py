@@ -3,8 +3,8 @@
 The service treats every registered graph as an *immutable snapshot chain*:
 ``POST /graphs/{name}/updates`` never mutates the current graph object in
 place — it builds ``G ⊕ ΔG`` on an O(1) clone
-(:func:`repro.graph.updates.apply_update` with ``in_place=False``), bumps
-the monotonic version, and swaps the reference, all under the graph's lock.
+(:func:`repro.graph.updates.apply_update`), bumps the monotonic version,
+and swaps the reference, all under the graph's lock.
 The clone takes the maps and becomes the head; the version it supersedes
 becomes a past version that reads them through an undo log, in which the
 head records every value before it overwrites it, and the head never
@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from repro.errors import ConflictError, NotFoundError, ServiceError
 from repro.graph.graph import Graph
@@ -36,7 +36,6 @@ __all__ = [
     "RegisteredGraph",
     "GraphRegistry",
     "UpdateOutcome",
-    "registry_from_specs",
     "validate_resource_name",
 ]
 
@@ -65,7 +64,6 @@ class UpdateOutcome:
     delta: BatchUpdate
     graph_before: Graph
     graph_after: Graph
-    applied: int
 
 
 #: Listener signature: called inside the graph lock after a version bump.
@@ -79,54 +77,18 @@ class RegisteredGraph:
     accepted batch update.  ``graph`` always points at the snapshot for the
     current version; older snapshots stay alive for as long as some
     detection job or session still holds a reference.
-
-    ``retain_versions`` optionally keeps a bounded window of recent
-    snapshots addressable by version (:meth:`snapshot_at`): the last K
-    versions are pinned, anything older is dropped from the window on each
-    update — the registry's snapshot GC.  With the default ``None`` no
-    history is pinned at all (exactly the pre-GC behaviour: old snapshots
-    survive only through outstanding references).
     """
 
-    def __init__(self, name: str, graph: Graph, retain_versions: Optional[int] = None) -> None:
-        if retain_versions is not None and retain_versions < 1:
-            raise ServiceError(f"retain_versions must be >= 1, got {retain_versions}")
+    def __init__(self, name: str, graph: Graph) -> None:
         self.name = name
         self.graph = graph
         self.version = 1
-        self.retain_versions = retain_versions
         self.lock = threading.RLock()
-        self._snapshots: dict[int, Graph] = {1: graph} if retain_versions else {}
 
     def snapshot(self) -> tuple[Graph, int]:
         """Return the current ``(graph, version)`` pair atomically."""
         with self.lock:
             return self.graph, self.version
-
-    def snapshot_at(self, version: int) -> Graph:
-        """Return a retained snapshot by version, or raise :class:`ServiceError`."""
-        with self.lock:
-            try:
-                return self._snapshots[version]
-            except KeyError:
-                raise ServiceError(
-                    f"graph {self.name!r} has no retained snapshot for version {version} "
-                    f"(retained: {sorted(self._snapshots) or 'none'})"
-                ) from None
-
-    def retained_versions(self) -> list[int]:
-        """Return the versions currently pinned by the retention window."""
-        with self.lock:
-            return sorted(self._snapshots)
-
-    def _record_snapshot(self, version: int, graph: Graph) -> None:
-        """Pin a new snapshot and drop the ones that fell out of the window."""
-        if not self.retain_versions:
-            return
-        self._snapshots[version] = graph
-        cutoff = version - self.retain_versions
-        for old_version in [v for v in self._snapshots if v <= cutoff]:
-            del self._snapshots[old_version]
 
     def info(self) -> dict:
         """Return the JSON description served by ``GET /graphs/{name}``."""
@@ -141,17 +103,12 @@ class RegisteredGraph:
 
 
 class GraphRegistry:
-    """Thread-safe name → :class:`RegisteredGraph` map with update fan-out.
+    """Thread-safe name → :class:`RegisteredGraph` map with update fan-out."""
 
-    ``retain_versions`` is handed to every registered graph: keep the last K
-    snapshots addressable (and GC older ones); ``None`` pins no history.
-    """
-
-    def __init__(self, retain_versions: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._graphs: dict[str, RegisteredGraph] = {}
         self._lock = threading.Lock()
         self._listeners: list[UpdateListener] = []
-        self.retain_versions = retain_versions
         #: Durability hook (duck-typed to avoid a storage-layer import): when
         #: set, ``record_graph_registered`` is called for every successful
         #: registration before the caller sees it — the WAL's
@@ -171,33 +128,25 @@ class GraphRegistry:
         with self._lock:
             if name in self._graphs:
                 raise ConflictError(f"graph {name!r} is already registered")
-            registered = RegisteredGraph(name, graph, retain_versions=self.retain_versions)
+            registered = RegisteredGraph(name, graph)
             self._graphs[name] = registered
         if self.journal is not None:
             self.journal.record_graph_registered(registered)
         return registered
 
-    def restore(
-        self,
-        name: str,
-        graph: Graph,
-        version: int,
-        snapshots: Optional[dict[int, Graph]] = None,
-    ) -> RegisteredGraph:
+    def restore(self, name: str, graph: Graph, version: int) -> RegisteredGraph:
         """Re-register a graph at a recovered version (recovery only).
 
         Unlike :meth:`register` this places the graph at an arbitrary
-        version with an explicit retained-snapshot window, and never
-        journals — the caller is replaying state that is already durable.
+        version and never journals — the caller is replaying state that is
+        already durable.
         """
         validate_resource_name(name, "graph")
         with self._lock:
             if name in self._graphs:
                 raise ConflictError(f"graph {name!r} is already registered")
-            registered = RegisteredGraph(name, graph, retain_versions=self.retain_versions)
+            registered = RegisteredGraph(name, graph)
             registered.version = version
-            if self.retain_versions:
-                registered._snapshots = dict(snapshots) if snapshots else {version: graph}
             self._graphs[name] = registered
             return registered
 
@@ -247,14 +196,12 @@ class GraphRegistry:
             graph_after = apply_update(graph_before, delta)
             registered.graph = graph_after
             registered.version += 1
-            registered._record_snapshot(registered.version, graph_after)
             outcome = UpdateOutcome(
                 name=name,
                 version=registered.version,
                 delta=delta,
                 graph_before=graph_before,
                 graph_after=graph_after,
-                applied=len(delta),
             )
             for listener in self._listeners:
                 listener(outcome)
@@ -266,10 +213,3 @@ class GraphRegistry:
         """Return ``RegisteredGraph.info()`` for every graph, name-sorted."""
         return [self.get(name).info() for name in self.names()]
 
-
-def registry_from_specs(specs: Iterable[tuple[str, str]]) -> GraphRegistry:
-    """Build a registry from ``(name, path)`` pairs (the CLI's ``--graph name=path``)."""
-    registry = GraphRegistry()
-    for name, path in specs:
-        registry.register_file(name, path)
-    return registry

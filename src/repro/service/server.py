@@ -283,7 +283,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             {
                 "graph": outcome.name,
                 "version": outcome.version,
-                "applied": outcome.applied,
+                "applied": len(outcome.delta),
                 "sessions_advanced": sum(
                     1
                     for s in self.service.manager.describe_sessions()
@@ -465,19 +465,7 @@ class DetectionService:
         checkpoint_every: Optional[int] = None,
         access_log: bool = False,
     ) -> None:
-        if registry is not None and retain_versions is not None:
-            # a caller-supplied registry carries its own retention window; a
-            # mismatched retain_versions here would silently no-op the
-            # snapshot half of the GC while the session half still compacts
-            if registry.retain_versions != retain_versions:
-                raise ServiceError(
-                    f"retain_versions={retain_versions} conflicts with the supplied "
-                    f"registry's retain_versions={registry.retain_versions}; construct "
-                    "the registry with GraphRegistry(retain_versions=...) instead"
-                )
-        self.registry = (
-            registry if registry is not None else GraphRegistry(retain_versions=retain_versions)
-        )
+        self.registry = registry if registry is not None else GraphRegistry()
         self.manager = SessionManager(
             self.registry,
             retain_versions=retain_versions,

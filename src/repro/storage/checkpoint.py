@@ -9,7 +9,7 @@ A ``--data-dir`` given to ``repro-detect serve`` has this shape::
       checkpoints/
         ckpt-3/
           registry.json      # graphs, catalogs, sessions (one document)
-          <graph>-v<k>.json  # one graph image per retained version
+          <graph>-v<k>.json  # one image per graph, at its current version k
 
 The manifest is the recovery root and is always written atomically
 (:func:`repro.graph.io.atomic_write_json`): a crash mid-checkpoint leaves
@@ -17,7 +17,9 @@ the previous manifest pointing at the previous complete checkpoint, and
 the stale half-written ``ckpt-N`` directory is garbage-collected on the
 next successful checkpoint.  Only after the manifest rename does the WAL
 prefix get truncated — the invariant is ``checkpoint ⊕ WAL suffix ==
-current state`` at every instant.
+current state`` at every instant.  A checkpoint written by an older server
+may name several images of one graph; recovery loads only the image of the
+graph's recorded version.
 
 This module knows nothing about the service layer; it deals purely in
 paths and JSON documents.  :mod:`repro.storage.manager` assembles the

@@ -9,30 +9,31 @@ service objects (:class:`~repro.service.registry.GraphRegistry`,
 **Journaling (ack-implies-logged).**  After recovery the manager attaches
 itself as the registry's and session manager's ``journal`` and as a
 registry update listener.  Every state transition is then appended to the
-WAL *before* the mutating call returns to the HTTP handler — an update and
-the per-session :class:`ViolationDelta` records it produced land in one
-``append_many`` inside the graph's lock, so a client that saw a 200 will
-see the same state after ``kill -9`` + restart.
+WAL *before* the mutating call returns to the HTTP handler — an update's
+record inside the graph's lock, so a client that saw a 200 will see the
+same state after ``kill -9`` + restart.  A session's ΔVio is not logged:
+replaying the update recomputes it.
 
-**Checkpointing.**  :meth:`checkpoint` captures each graph together with
-its continuous sessions *under that graph's lock* (the pair is mutually
-consistent by construction), writes one ``ckpt-<n>`` directory, atomically
-swings ``MANIFEST.json`` at it, and only then truncates the WAL prefix and
+**Checkpointing.**  :meth:`checkpoint` captures each graph's current
+image with its continuous sessions *under that graph's lock* (the pair is
+mutually consistent by construction), writes one ``ckpt-<n>`` directory,
+atomically swings ``MANIFEST.json`` at it, and only then truncates the WAL prefix and
 prunes older checkpoints.  The cut LSN is read *before* capture, so any
 record between cut and capture is re-delivered on replay and skipped by
 the idempotence rules below.  ``checkpoint_every`` drives automatic
 checkpoints from the update path; ``POST /admin/checkpoint`` forces one.
 
 **Recovery.**  :meth:`recover` loads the manifest's checkpoint (catalogs,
-graphs at their recorded versions with their retained snapshot windows,
-sessions rebuilt from their durable documents) and replays the WAL suffix.
-Replay is idempotent: a registration whose name already exists is skipped,
-an ``update`` record at or below the graph's version is skipped, and a
-replayed update routes through ``registry.apply_update`` so the (already
-registered) session-manager listener recomputes each session's delta with
-the same deterministic incremental kernel that produced it live.  Only
-after replay does the manager attach its journal hooks — recovered state
-is never re-logged.
+each graph's image at its recorded version, sessions rebuilt from their
+durable documents) and replays the WAL suffix.  Replay is idempotent: a
+registration whose name already exists is skipped, an ``update`` record at
+or below the graph's version is skipped, and a replayed update routes
+through ``registry.apply_update`` so the (already registered)
+session-manager listener recomputes each session's delta with the same
+deterministic incremental kernel that produced it live; a record of an
+unknown type (an older writer's ``session_delta``) is ignored.  Only after
+replay does the manager attach its journal hooks — recovered state is
+never re-logged.
 """
 
 from __future__ import annotations
@@ -173,35 +174,21 @@ class PersistenceManager:
             self.wal.append(payload)
 
     def _journal_update(self, outcome: "UpdateOutcome") -> None:
-        """Registry listener: log an update + the deltas it produced.
+        """Registry listener: log an update.
 
         Registered *after* the session manager's listener, so every
         session of the graph has already advanced to ``outcome.version``
-        when this runs; the whole group lands under one fsync.  Runs
-        inside the graph's lock — the ack the HTTP handler sends cannot
-        overtake the log.
+        when this runs.  Runs inside the graph's lock — the ack the HTTP
+        handler sends cannot overtake the log.
         """
-        records = [
+        self._append(
             {
                 "type": "update",
                 "graph": outcome.name,
                 "version": outcome.version,
                 "delta": update_to_list(outcome.delta),
             }
-        ]
-        for session in self.manager.sessions_for(outcome.name):
-            delta = session.deltas.get(outcome.version)
-            if session.current_version == outcome.version and delta is not None:
-                records.append(
-                    {
-                        "type": "session_delta",
-                        "session": session.session_id,
-                        "version": outcome.version,
-                        "delta": delta.to_dict(),
-                    }
-                )
-        with self._wal_lock:
-            self.wal.append_many(records)
+        )
         self._updates_since_checkpoint += 1
 
     # ----------------------------------------------------------- checkpoint
@@ -235,17 +222,8 @@ class PersistenceManager:
                     # capture the graph AND its sessions under one lock
                     # acquisition: the pair is a consistent cut (sessions
                     # always sit exactly at the graph's version)
-                    versions = registered.retained_versions() or [registered.version]
-                    images: dict[str, str] = {}
-                    for version in versions:
-                        snapshot = (
-                            registered.graph
-                            if version == registered.version
-                            else registered.snapshot_at(version)
-                        )
-                        filename = f"{graph_name}-v{version}.json"
-                        save_graph(snapshot, directory / filename, atomic=True)
-                        images[str(version)] = filename
+                    filename = f"{graph_name}-v{registered.version}.json"
+                    save_graph(registered.graph, directory / filename, atomic=True)
                     sessions = [
                         session.durable_document()
                         for session in self.manager.sessions_for(graph_name)
@@ -254,7 +232,7 @@ class PersistenceManager:
                         {
                             "name": graph_name,
                             "version": registered.version,
-                            "images": images,
+                            "images": {str(registered.version): filename},
                             "sessions": sessions,
                         }
                     )
@@ -289,15 +267,11 @@ class PersistenceManager:
             self.manager.register_catalog(catalog_name, RuleSet.from_dict(rules_doc))
         for graph_doc in document.get("graphs") or []:
             # a "store" key (written by servers that took --store) is ignored:
-            # a served graph takes updates, so it goes on the mutable engine
-            snapshots = {
-                int(version): load_graph(directory / filename)
-                for version, filename in graph_doc["images"].items()
-            }
-            current = snapshots[graph_doc["version"]]
-            self.registry.restore(
-                graph_doc["name"], current, graph_doc["version"], snapshots=snapshots
-            )
+            # a served graph takes updates, so it goes on the mutable engine;
+            # of several images (older servers) only the current one is read
+            version = graph_doc["version"]
+            graph = load_graph(directory / graph_doc["images"][str(version)])
+            self.registry.restore(graph_doc["name"], graph, version)
             for session_doc in graph_doc.get("sessions") or []:
                 self._restore_session(session_doc)
 
@@ -368,23 +342,14 @@ class PersistenceManager:
                 self._restore_session(record)
             except ConflictError:
                 pass  # the checkpoint captured this session after its open record was cut
-        elif kind == "session_delta":
-            # belt-and-braces: normally redundant (the update replay above
-            # recomputed it); applies only if a session somehow sits one
-            # version behind a graph the checkpoint already advanced
-            try:
-                session = self.manager.session(record["session"])
-            except ServiceError:
-                return
-            if session.current_version == record["version"] - 1:
-                session.advance(record["version"], ViolationDelta.from_dict(record["delta"]))
         elif kind == "session_close":
             try:
                 self.manager.close_session(record["session"])
             except ServiceError:
                 pass  # never checkpointed — the open record was truncated too
         # unknown record types are ignored: a newer writer's log must not
-        # brick an older reader that can still serve the state it knows
+        # brick an older reader that can still serve the state it knows, and
+        # an older writer's session_delta is recomputed by its update's replay
 
     # ------------------------------------------------------------- reporting
 

@@ -2,8 +2,7 @@
 
 Every accepted mutation of service state — graph registration, an applied
 ``POST /graphs/{name}/updates`` batch, catalog registration, continuous
-session lifecycle and their per-version :class:`ViolationDelta` records —
-is appended here *before* the client sees an acknowledgement.  Recovery
+session lifecycle — is appended here *before* the client sees an acknowledgement.  Recovery
 (:mod:`repro.storage.manager`) replays the suffix of this log on top of
 the latest checkpoint, so the ack-implies-logged invariant is what makes
 ``kill -9`` safe.
@@ -151,9 +150,8 @@ class WriteAheadLog:
         """Durably append several records under a single flush+fsync.
 
         The batch is atomic in the torn-tail sense only for its final
-        record; callers group records that must land together (an update
-        and the session deltas it produced) and rely on idempotent replay
-        for the prefix.  Returns the last LSN written.
+        record; callers rely on idempotent replay for the prefix.  Returns
+        the last LSN written.
         """
         if not payloads:
             return self._last_lsn

@@ -209,7 +209,7 @@ class TestRegistry:
         outcome = registry.apply_update("g", BatchUpdate().delete("area0", "t0", "populationTotal"))
         after, v2 = registry.get("g").snapshot()
         assert (v1, v2) == (1, 2)
-        assert outcome.version == 2 and outcome.applied == 1
+        assert outcome.version == 2 and len(outcome.delta) == 1
         # the old snapshot object is untouched (version isolation)
         assert before.has_edge("area0", "t0", "populationTotal")
         assert not after.has_edge("area0", "t0", "populationTotal")
@@ -937,16 +937,12 @@ class TestServeCli:
 
     def test_a_served_graph_lives_on_the_mutable_engine(self, tmp_path, client):
         """A served graph takes updates: files, uploads and the service take no engine name."""
-        from repro.service.registry import registry_from_specs
-
         path = tmp_path / "areas.json"
         save_graph(multi_area_graph(2), path)
-        registry = registry_from_specs([("areas", str(path))])
-        assert registry.get("areas").info()["store"] == "indexed"
+        registry = GraphRegistry()
+        assert registry.register_file("areas", str(path)).info()["store"] == "indexed"
         with pytest.raises(TypeError):
             registry.register_file("again", str(path), store="frozen")
-        with pytest.raises(TypeError):
-            registry_from_specs([("areas", str(path))], store="frozen")
         with pytest.raises(TypeError):
             DetectionService(port=0, store="indexed")
         assert client.register_graph("uploaded", multi_area_graph(1))["store"] == "indexed"
@@ -970,48 +966,42 @@ class TestRetentionWindow:
             )
         )
 
-    def test_registry_retains_bounded_snapshot_window(self):
-        registry = GraphRegistry(retain_versions=3)
-        registry.register("g", multi_area_graph(2))
-        registered = registry.get("g")
-        assert registered.retained_versions() == [1]
-        for i in range(8):
-            registry.apply_update("g", self._update(i))
-        versions = registered.retained_versions()
-        assert len(versions) == 3
-        assert versions == [7, 8, 9]
-        # retained snapshots are addressable, GC'd ones refuse
-        assert registered.snapshot_at(9) is registered.snapshot()[0]
-        with pytest.raises(ServiceError, match="no retained snapshot"):
-            registered.snapshot_at(2)
-
     def test_retained_snapshots_keep_their_own_content_as_versions_pile_up(self):
-        """Each pinned snapshot shares buckets with its neighbours in the chain and
+        """Each held snapshot shares buckets with its neighbours in the chain and
         must still read exactly as it did when it was the current version."""
-        registry = GraphRegistry(retain_versions=3)
+        registry = GraphRegistry()
         registry.register("g", multi_area_graph(2))
         registered = registry.get("g")
         oracle = multi_area_graph(2).with_backend(DictStore())
         reference = {1: graph_to_dict(oracle)}
+        held = {1: registered.snapshot()[0]}
         for i in range(8):
             registry.apply_update("g", self._update(i))
-            apply_update(oracle, self._update(i), in_place=True)
-            reference[registered.version] = graph_to_dict(oracle)
-            for version in registered.retained_versions():
-                retained = registered.snapshot_at(version)
-                assert graph_to_dict(retained) == reference[version]
-                retained.validate_consistency()
-        assert registered.retained_versions() == [7, 8, 9]
+            oracle = apply_update(oracle, self._update(i))
+            graph, version = registered.snapshot()
+            reference[version] = graph_to_dict(oracle)
+            held[version] = graph
+            held = {v: g for v, g in held.items() if v > version - 3}
+            for held_version, snapshot in held.items():
+                assert graph_to_dict(snapshot) == reference[held_version]
+                snapshot.validate_consistency()
+        assert sorted(held) == [7, 8, 9]
         violations = {
-            version: len(Detector(example_rules()).run(registered.snapshot_at(version)).violations)
-            for version in registered.retained_versions()
+            version: len(Detector(example_rules()).run(snapshot).violations)
+            for version, snapshot in held.items()
         }
         # t0 (999, violating) and t0x (a bare node, no value) alternate as area0's total
         assert violations == {7: 2, 8: 1, 9: 2}
 
     def test_invalid_retention_window_rejected(self):
         with pytest.raises(ServiceError, match="retain_versions"):
-            GraphRegistry(retain_versions=0).register("g", multi_area_graph(1))
+            DetectionService(port=0, retain_versions=0)
+
+    def test_serve_refuses_an_empty_retention_window_at_start(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--port", "0", "--retain-versions", "0"]) == 2
+        assert "retain_versions must be >= 1" in capsys.readouterr().err
 
     def test_long_update_loop_holds_bounded_deltas_and_consistent_state(self):
         """The GC acceptance test: a long-running update loop stays bounded
@@ -1026,8 +1016,7 @@ class TestRetentionWindow:
         rounds = 12
         for i in range(rounds):
             service.registry.apply_update("g", self._update(i))
-        # bounded: the registry window and the session's delta log
-        assert len(service.registry.get("g").retained_versions()) <= retain
+        # bounded: the session's delta log
         assert len(session.deltas) <= retain
         assert session.compacted_through == rounds + 1 - retain
         # consistent: the maintained set equals a fresh batch run
@@ -1125,12 +1114,3 @@ class TestCompactionCatchUpSafety:
         assert rebuilt.to_json() == expected.to_json()
         tail_records = session.deltas_since(session.compacted_through)
         assert all("squashed" not in r for r in tail_records)
-
-    def test_service_rejects_conflicting_registry_retention(self):
-        registry = GraphRegistry()  # no retention window of its own
-        with pytest.raises(ServiceError, match="conflicts with the supplied registry"):
-            DetectionService(port=0, registry=registry, retain_versions=3)
-        # matching windows are accepted
-        matching = GraphRegistry(retain_versions=3)
-        service = DetectionService(port=0, registry=matching, retain_versions=3)
-        assert service.manager.retain_versions == 3
