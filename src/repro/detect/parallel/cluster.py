@@ -103,14 +103,6 @@ class ClusterSimulator:
         self._workers[origin].trace.messages_sent += self.processors
         self.total_messages += self.processors
 
-    def charge_message(self, origin: int, destination: int) -> None:
-        """Charge a point-to-point message of latency ``C`` to both endpoints."""
-        for index in (origin, destination):
-            self._workers[index].clock += self.latency
-            self._workers[index].trace.busy_time += self.latency
-        self._workers[origin].trace.messages_sent += 1
-        self.total_messages += 1
-
     def makespan(self) -> float:
         """Return the simulated parallel running time (maximum worker clock)."""
         return max(worker.clock for worker in self._workers)
@@ -134,17 +126,15 @@ class ClusterSimulator:
         target.trace.work_units_processed += 1
         return target.queue.pop()
 
-    def move_units(self, origin: int, destination: int, count: int, charge: bool = True) -> int:
+    def move_units(self, origin: int, destination: int, count: int) -> int:
         """Move up to ``count`` pending units from ``origin`` to ``destination``.
 
         Moved units come from the back of the origin queue — the most recently
         generated partial solutions, i.e. the batch that just made the queue
         skewed — so a straggler sheds exactly the work that piled up on it.
-        Returns the number actually moved.  With ``charge`` the
-        reassignment is billed as one message; callers batching several moves
-        in one balancing round pass ``charge=False`` and charge each
-        participant once via :meth:`charge` (unit shipping is pipelined in the
-        real system, so the latency is paid per round, not per destination).
+        Returns the number actually moved.  A move counts one message and
+        charges no clock: a balancing round ships its moves pipelined and
+        charges each participant its latency once via :meth:`charge`.
         """
         source = self._workers[origin]
         target = self._workers[destination]
@@ -155,11 +145,8 @@ class ClusterSimulator:
         if moved:
             source.trace.units_shed += moved
             target.trace.units_received += moved
-            if charge:
-                self.charge_message(origin, destination)
-            else:
-                source.trace.messages_sent += 1
-                self.total_messages += 1
+            source.trace.messages_sent += 1
+            self.total_messages += 1
         return moved
 
     def next_busy_worker(self) -> int | None:
@@ -304,7 +291,7 @@ class SimulatedRun(KernelRun):
             return
         participants: set[int] = set()
         for origin, destination, count in moves:
-            if cluster.move_units(origin, destination, count, charge=False):
+            if cluster.move_units(origin, destination, count):
                 participants.add(origin)
                 participants.add(destination)
                 obs.counter_inc("repro_executor_steals_total", {"mode": "simulated"}, count)

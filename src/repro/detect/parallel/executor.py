@@ -24,7 +24,7 @@ Execution model
   first use) — together with
   one read-only *image* per graph it searches (``G``, or ``N_C(ΔG)``
   before and after the update): inherited copy-on-write under ``fork``,
-  spooled once and memo-loaded per process under ``spawn``
+  spooled once and loaded on first use under ``spawn``
   (:func:`resolve_start_method` picks).  It keeps one :class:`~repro.matching.search.RuleSearch` per rule
   and drains its seeds last first, as Dect drains a rule's candidates.
   Nothing travels from the parent to a worker after it starts: shares are
@@ -98,7 +98,6 @@ __all__ = [
     "ProcessRun",
     "spool_image",
     "load_spooled",
-    "clear_loaded_images",
     "note_degraded_run",
 ]
 
@@ -158,12 +157,6 @@ def resolve_start_method() -> str:
 
 # ------------------------------------------------------------- graph images
 
-#: Per-process memo of spooled images: resolved path -> Graph.  A worker
-#: consults it before touching the disk, so each image is deserialized at
-#: most once per process.  A spool path names one image for its whole life
-#: (a fresh tempdir per run), so the memo needs no invalidation.
-_LOADED_IMAGES: dict[str, Graph] = {}
-
 
 def spool_image(graph: Graph, path: Union[str, Path]) -> str:
     """Write one read-only image to ``path`` (the graph/io JSON format) and return the path."""
@@ -173,18 +166,8 @@ def spool_image(graph: Graph, path: Union[str, Path]) -> str:
 
 
 def load_spooled(path: Union[str, Path]) -> Graph:
-    """Load a spooled image onto the frozen engine, memoized per process (see ``_LOADED_IMAGES``)."""
-    key = str(Path(path).resolve())
-    cached = _LOADED_IMAGES.get(key)
-    if cached is None:
-        cached = load_graph(path, store="frozen")
-        _LOADED_IMAGES[key] = cached
-    return cached
-
-
-def clear_loaded_images() -> None:
-    """Drop every memoized image (tests re-spooling to the same paths)."""
-    _LOADED_IMAGES.clear()
+    """Load a spooled image onto the frozen engine."""
+    return load_graph(path, store="frozen")
 
 
 # ---------------------------------------------------------------- worker side

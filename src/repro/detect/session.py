@@ -23,9 +23,8 @@ Engines
     Pick per call: one processor → the sequential kernels (Dect / IncDect);
     ``processors > 1`` → the simulated-cluster kernels (PDect / PIncDect).
 ``"batch"``
-    Always the batch kernel.  ``run_incremental`` computes ΔVio the
-    ground-truth way — two full batch runs diffed — which is exactly the
-    oracle the incremental algorithms are tested against.
+    The batch kernel; supports only ``run`` / ``stream`` (it has no ΔG to
+    localise around).
 ``"incremental"``
     The update-driven kernel; supports only ``run_incremental`` /
     ``stream_incremental`` (a full run has no ΔG to localise around).
@@ -54,14 +53,14 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.core.ngd import NGD, RuleSet
-from repro.core.violations import Violation, ViolationDelta
+from repro.core.violations import Violation
 from repro.detect.base import EXECUTION_MODES, DetectionResult, IncrementalDetectionResult
 from repro.detect.instrument import flush_step_counts
 from repro.detect.observers import DetectionBudget, ViolationEvent, drain
 from repro.detect.parallel.balancing import BalancingPolicy
 from repro.errors import SessionError
 from repro.graph.graph import Graph
-from repro.graph.updates import BatchUpdate, apply_update
+from repro.graph.updates import BatchUpdate
 from repro.matching.plan import MatchPlan, compile_plans
 
 __all__ = ["DetectionOptions", "Detector", "ENGINES", "EXECUTION_MODES"]
@@ -91,11 +90,7 @@ class DetectionOptions:
     * ``policy`` — the :class:`BalancingPolicy` of the simulated cluster
       (parallel engines only; default: hybrid splitting + rebalancing);
     * ``max_violations`` / ``max_cost`` — early-termination budget, enforced
-      inside the kernels (see :class:`DetectionBudget`).  The one mode that
-      cannot honour a budget is ``engine="batch"`` incremental detection
-      (the BatchDiff oracle: a capped batch run would make the diff
-      unsound); a session configured that way raises :class:`SessionError`
-      rather than silently running unbounded;
+      inside the kernels (see :class:`DetectionBudget`);
     * ``execution`` — how the parallel engine runs: ``"simulated"`` (the
       deterministic cluster simulator, cost = makespan) or ``"processes"``
       (real OS worker processes, each reading one image of the graph it
@@ -232,6 +227,12 @@ class Detector:
         return self.engine
 
     def _resolve_incremental_engine(self) -> str:
+        if self.engine == "batch":
+            raise SessionError(
+                "engine='batch' performs full runs only; call run(graph) or "
+                "construct the Detector with engine='auto'/'incremental' for "
+                "update-driven detection"
+            )
         if self.engine == "auto":
             if self.options.execution == "processes":
                 return "parallel"
@@ -427,7 +428,7 @@ class Detector:
 
         mode = self._resolve_incremental_engine()
         budget = self.options.budget()
-        if plans is None and mode in ("incremental", "parallel"):
+        if plans is None:
             # plans are compiled against G ⊕ ΔG when it is already
             # materialised (the service always hands it over); otherwise
             # against G — the statistics differ by at most |ΔG|
@@ -437,70 +438,16 @@ class Detector:
             return iter_inc_dect(
                 graph, self.rules, delta, graph_after=graph_after, budget=budget, plans=plans
             )
-        if mode == "parallel":
-            from repro.detect.parallel.pincdect import iter_pinc_dect
+        from repro.detect.parallel.pincdect import iter_pinc_dect
 
-            return iter_pinc_dect(
-                graph,
-                self.rules,
-                delta,
-                processors=self._effective_processors(),
-                policy=self.options.policy,
-                graph_after=graph_after,
-                budget=budget,
-                plans=plans,
-                execution=self.options.execution,
-            )
-        if budget is not None:
-            raise SessionError(
-                "engine='batch' incremental detection (BatchDiff) cannot honour "
-                "a DetectionBudget: capping either full batch run would make the "
-                "diff unsound; drop max_violations/max_cost/timeout_seconds or use "
-                "engine='incremental'/'parallel'"
-            )
-        return self._batch_diff_events(graph, delta, graph_after, plans)
-
-    def _batch_diff_events(
-        self,
-        graph: Graph,
-        delta: BatchUpdate,
-        graph_after: Optional[Graph],
-        plans: Optional[Sequence[MatchPlan]] = None,
-    ) -> Iterator[ViolationEvent]:
-        """Ground-truth incremental mode for ``engine="batch"``.
-
-        Runs the batch kernel on ``G`` and ``G ⊕ ΔG`` and diffs the two
-        violation sets — exactly the oracle the incremental algorithms are
-        validated against in the tests.  Budgets are rejected upstream in
-        :meth:`_incremental_events` (a capped batch run would make the diff
-        unsound); events stream only after the second run completes.  Each
-        batch run receives its own plans (explicit ``plans`` serve both
-        graphs).
-        """
-        from repro.detect.dect import iter_dect
-
-        started = time.perf_counter()
-        updated = graph_after if graph_after is not None else apply_update(graph, delta)
-        if plans is None:
-            before_plans = self.compile_plans(graph)
-            after_plans = self.compile_plans(updated)
-        else:
-            before_plans = after_plans = plans
-        before = drain(iter_dect(graph, self.rules, plans=before_plans))
-        after = drain(iter_dect(updated, self.rules, plans=after_plans))
-        violation_delta = ViolationDelta.from_sets(before.violations, after.violations)
-        stats = before.stats
-        stats.merge(after.stats)
-        result = IncrementalDetectionResult(
-            delta=violation_delta,
-            stats=stats,
-            wall_time=time.perf_counter() - started,
-            cost=before.cost + after.cost,
-            processors=1,
-            algorithm="BatchDiff",
+        return iter_pinc_dect(
+            graph,
+            self.rules,
+            delta,
+            processors=self._effective_processors(),
+            policy=self.options.policy,
+            graph_after=graph_after,
+            budget=budget,
+            plans=plans,
+            execution=self.options.execution,
         )
-        for violation in sorted(violation_delta.introduced, key=str):
-            yield ViolationEvent(violation, introduced=True)
-        for violation in sorted(violation_delta.removed, key=str):
-            yield ViolationEvent(violation, introduced=False)
-        return result

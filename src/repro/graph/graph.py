@@ -109,13 +109,6 @@ class Graph:
         self._store.add_node(node)
         return self._store.get_node(node_id)  # engines may intern the label
 
-    def ensure_node(self, node_id: Hashable, label: str = WILDCARD) -> Node:
-        """Return the node, creating it with ``label`` and no attributes if missing."""
-        existing = self._store.get_node(node_id)
-        if existing is not None:
-            return existing
-        return self.add_node(node_id, label)
-
     def node(self, node_id: Hashable) -> Node:
         """Return the node with id ``node_id`` or raise :class:`NodeNotFound`."""
         node = self._store.get_node(node_id)

@@ -1,8 +1,8 @@
 """Graph (de)serialisation.
 
 Real deployments load knowledge graphs from dumps; this module provides a
-small, dependency-free JSON format plus a tab-separated edge-list format so
-examples and experiments can persist graphs and batch updates.
+small, dependency-free JSON format so examples and experiments can persist
+graphs and batch updates.
 
 JSON document shape::
 
@@ -37,8 +37,6 @@ __all__ = [
     "load_json_document",
     "save_update",
     "load_update",
-    "write_edge_list",
-    "read_edge_list",
 ]
 
 PathLike = Union[str, Path]
@@ -183,44 +181,3 @@ def load_update(path: PathLike) -> BatchUpdate:
     """Load a batch update previously written by :func:`save_update`."""
     with open(path, "r", encoding="utf-8") as handle:
         return update_from_list(json.load(handle))
-
-
-def write_edge_list(graph: Graph, path: PathLike) -> None:
-    """Write a tab-separated edge list: ``source \\t edge_label \\t target`` per line.
-
-    Node labels and attributes are written in a companion header section of
-    the form ``# node <id> <label> <json attributes>`` so the file round-trips.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# graph {graph.name}\n")
-        for node in graph.nodes():
-            handle.write(
-                "# node\t{}\t{}\t{}\n".format(node.id, node.label, json.dumps(dict(node.attributes), default=str))
-            )
-        for edge in graph.edges():
-            handle.write(f"{edge.source}\t{edge.label}\t{edge.target}\n")
-
-
-def read_edge_list(path: PathLike, store: StoreSpec = None) -> Graph:
-    """Read a graph written by :func:`write_edge_list`."""
-    graph = Graph(store=store)
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# graph "):
-                graph.name = line[len("# graph "):]
-                continue
-            if line.startswith("# node\t"):
-                _, node_id, label, attributes = line.split("\t", 3)
-                graph.add_node(node_id, label, json.loads(attributes))
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphError(f"malformed edge-list line: {line!r}")
-            source, label, target = parts
-            graph.ensure_node(source)
-            graph.ensure_node(target)
-            graph.add_edge(source, target, label)
-    return graph

@@ -309,37 +309,26 @@ class GraphStore(ABC):
     def in_degree(self, node_id: Hashable) -> int:
         """Return the number of incoming edges."""
 
+    @abstractmethod
     def neighbours_of(self, node_ids: Iterable[Hashable]) -> set[Hashable]:
         """Return the union of the ids adjacent to any of ``node_ids`` (all stored).
 
         One BFS level of the neighbourhood extraction, direction and labels
-        ignored; backends override it to walk their adjacency layout directly,
-        building one set per level instead of one per node.
+        ignored, built as one set per level instead of one per node.
         """
-        ids: set[Hashable] = set()
-        for node_id in node_ids:
-            ids.update(nbr for nbr, _ in self.successors(node_id))
-            ids.update(nbr for nbr, _ in self.predecessors(node_id))
-        return ids
 
     def neighbour_ids(self, node_id: Hashable) -> frozenset[Hashable]:
         """Return ids adjacent to the node, ignoring direction and labels."""
         return frozenset(self.neighbours_of((node_id,)))
 
+    @abstractmethod
     def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
         """Yield every stored edge with both endpoints in ``wanted``.
 
         Walks the adjacency of the wanted nodes (O(sum of their degrees))
-        instead of scanning all of E; nodes are visited in rank order so the
-        emission order is deterministic.
+        instead of scanning all of E, visiting the nodes in rank order so
+        the emission order is deterministic.
         """
-        ordered = sorted(wanted, key=self.node_rank)
-        for node_id in ordered:
-            for target, label in self.successors(node_id):
-                if target in wanted:
-                    edge = self.get_edge((node_id, target, label))
-                    if edge is not None:
-                        yield edge
 
     # ------------------------------------------------------------- bulk build
 

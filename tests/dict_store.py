@@ -172,9 +172,8 @@ class DictStore(GraphStore):
         return ids
 
     def edges_between(self, wanted: AbstractSet) -> Iterator[Edge]:
-        # walk the insertion-ordered adjacency dicts directly: the inherited
-        # default would iterate the frozenset copies successors() returns,
-        # whose order is hash-dependent
+        # walk the insertion-ordered adjacency dicts directly, not the
+        # frozenset copies successors() returns, whose order is hash-dependent
         edges = self._edges
         for node_id in sorted(wanted, key=self._rank.__getitem__):
             for target, label in self._out[node_id]:

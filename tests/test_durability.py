@@ -454,8 +454,9 @@ class TestInProcessRecovery:
             client.post_update("areas", _update(0))
             client.checkpoint()
             logged = service.manager.create_session("areas", parse_detect_request(request))
-            for i in range(1, 4):
-                client.post_update("areas", _update(i))
+            # one update past the checkpoint is one delta for recovery to
+            # replay in each session; each costs a spawned run per session
+            client.post_update("areas", _update(1))
             sids = (opened.session_id, logged.session_id)
             acked = {sid: (client.session_state(sid), client.session_deltas(sid, since=1)) for sid in sids}
         finally:
@@ -477,7 +478,7 @@ class TestInProcessRecovery:
             assert {recovered.manager.session(sid).detector.processors for sid in sids} == {1}
             with pytest.raises(ServiceError, match="CPUs"):
                 c2.detect("areas", catalog="mine", processors=2, execution="processes")
-            reply = c2.post_update("areas", _update(4))
+            reply = c2.post_update("areas", _update(2))
             assert reply["sessions_advanced"] == 2
 
     @pytest.mark.parametrize("where", ("wal", "checkpoint"))

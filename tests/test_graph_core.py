@@ -53,13 +53,6 @@ class TestGraphNodes:
         with pytest.raises(NodeNotFound):
             graph.node("ghost")
 
-    def test_ensure_node_creates_once(self):
-        graph = Graph()
-        first = graph.ensure_node("a", "person")
-        second = graph.ensure_node("a")
-        assert first == second
-        assert graph.node_count() == 1
-
     def test_label_index(self):
         graph = Graph()
         graph.add_node("a", "person")

@@ -11,10 +11,8 @@ from repro.graph.io import (
     graph_to_dict,
     load_graph,
     load_update,
-    read_edge_list,
     save_graph,
     save_update,
-    write_edge_list,
 )
 from repro.graph.neighborhood import (
     d_neighbor,
@@ -180,13 +178,6 @@ class TestGraphIO:
         assert len(restored) == 2
         assert isinstance(list(restored)[0], EdgeInsertion)
         assert isinstance(list(restored)[1], EdgeDeletion)
-
-    def test_edge_list_roundtrip(self, triangle_graph, tmp_path):
-        path = tmp_path / "graph.tsv"
-        write_edge_list(triangle_graph, path)
-        restored = read_edge_list(path)
-        assert restored.node_count() == triangle_graph.node_count()
-        assert restored.edge_count() == triangle_graph.edge_count()
 
     def test_graph_from_dict_requires_keys(self):
         with pytest.raises(GraphError):

@@ -3,8 +3,7 @@
 For every dataset rule set, both storage layouts (the shipped engine and
 the ``dict`` oracle of ``tests/engines.py``) and every kernel, planned detection yields **byte-identical** ``ViolationSet``s and
 deterministic costs: against the naive reference where the graph is small
-enough, against the dict oracle across backends, and against the batch-diff
-oracle for ΔVio.
+enough (ΔVio included), and against the dict oracle across backends.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ from engines import new_store
 BACKENDS = ("dict", "indexed")
 
 
-def _kb_graph(store=None) -> Graph:
+def _kb_graph(store=None, entities: int = 90) -> Graph:
     config = KBConfig(
         name="plans",
-        num_entities=90,
+        num_entities=entities,
         num_entity_types=4,
         num_value_relations=3,
         num_link_relations=3,
@@ -187,8 +186,18 @@ class TestPlannerOracleParity:
         assert result.stats.total_operations() == reference.stats.total_operations()
 
 
+def _reference_delta(rules, before: Graph, after: Graph) -> tuple[set, set]:
+    """ΔVio by the definition: the naive reference's ``Vio`` after minus before, and before minus after."""
+    old, new = naive_reference.violations(before, rules), naive_reference.violations(after, rules)
+    return new - old, old - new
+
+
+def _pairs(result) -> tuple[set, set]:
+    return tuple({(v.rule, v.nodes) for v in side} for side in (result.introduced(), result.removed()))
+
+
 class TestIncrementalPlannerParity:
-    """Planned ΔVio against the batch-diff oracle."""
+    """Planned ΔVio against the naive reference."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("engine,processors", [("incremental", None), ("parallel", 4)])
@@ -200,12 +209,10 @@ class TestIncrementalPlannerParity:
         planned = _detector(rules, engine=engine, processors=processors).run_incremental(
             base, delta, graph_after=updated
         )
-        oracle = _detector(rules, engine="batch").run_incremental(base, delta, graph_after=updated)
-        assert planned.introduced().to_json() == oracle.introduced().to_json()
-        assert planned.removed().to_json() == oracle.removed().to_json()
+        assert _pairs(planned) == _reference_delta(rules, base, updated)
 
     @pytest.mark.parametrize("engine,processors", [("incremental", None), ("parallel", 4)])
-    def test_plans_compiled_before_the_update_match_batch_diff(self, engine, processors):
+    def test_plans_compiled_before_the_update_match_the_reference(self, engine, processors):
         # a continuous session hands back the plans it compiled on G; the
         # update runs them over G ⊕ ΔG as they are
         base = _kb_graph()
@@ -213,10 +220,8 @@ class TestIncrementalPlannerParity:
         delta = UpdateGenerator(seed=1).generate(base, size=max(1, base.edge_count() // 10))
         plans = compile_plans(base, rules)
         planned = _detector(rules, engine=engine, processors=processors).run_incremental(base, delta, plans=plans)
-        oracle = _detector(rules, engine="batch").run_incremental(base, delta)
         assert planned.delta.total_changes() > 0
-        assert planned.introduced().to_json() == oracle.introduced().to_json()
-        assert planned.removed().to_json() == oracle.removed().to_json()
+        assert _pairs(planned) == _reference_delta(rules, base, apply_update(base, delta))
 
 
 # ----------------------------------------------------------- planner benefits
@@ -250,8 +255,13 @@ class TestPlannerWins:
         assert ratio >= 1.5, f"planned ordering only {ratio:.2f}x better"
 
     def test_matcher_executes_plan_directly(self):
-        """The matcher view runs the cost-based plan of its pattern and premise."""
-        graph = _kb_graph()
+        """The matcher view runs the cost-based plan of its pattern and premise.
+
+        On 30 entities every rule still has a match; the reversed order of
+        the three-value rule binds its values as a cross product, which at
+        90 entities took seconds.
+        """
+        graph = _kb_graph(entities=30)
         reordered = 0
         for rule in _kb_rules(graph):
             matcher = HomomorphismMatcher(graph, rule.pattern, rule.premise)

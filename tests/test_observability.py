@@ -298,7 +298,7 @@ class TestDetectorTraces:
         assert registry.value("repro_literal_evals_total") == result.stats.literal_evaluations > 0
 
     def test_incremental_run_is_traced(self, g2, figure1_rules, delta):
-        result = Detector(figure1_rules, engine="batch").run_incremental(g2, delta)
+        result = Detector(figure1_rules, engine="incremental").run_incremental(g2, delta)
         assert result.trace_id is not None
         names = {
             span["name"] for span in obs.traces() if span["trace_id"] == result.trace_id

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ngd import NGD, RuleSet
 from repro.core.validation import find_violations
-from repro.core.violations import ViolationDelta
-from repro.detect import Detector
 from repro.expr.expressions import Add, Divide, Multiply, Subtract, const, var
 from repro.expr.literals import Comparison, Literal
 from repro.expr.parser import parse_expression
@@ -17,7 +15,7 @@ from repro.graph.graph import Graph
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.neighborhood import multi_source_nodes_within_hops, nodes_within_hops
 from repro.graph.pattern import Pattern
-from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
+from repro.graph.updates import BatchUpdate, apply_update
 
 
 # ----------------------------------------------------------------- strategies
@@ -155,17 +153,6 @@ def test_linear_constraint_normal_form_preserves_truth(left, right, x_value, y_v
 
 # --------------------------------------------------------- detection invariants
 
-
-@st.composite
-def graphs_and_updates(draw):
-    graph = draw(small_graphs(max_nodes=7, max_edges=12))
-    generator = UpdateGenerator(seed=draw(st.integers(min_value=0, max_value=1000)))
-    size = draw(st.integers(min_value=0, max_value=8))
-    ratio = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    delta = generator.generate(graph, size, insert_ratio=ratio)
-    return graph, delta
-
-
 _RULE = NGD.from_text(
     Pattern(
         "hyp_rule", nodes=[("x", "person"), ("y", "person")], edges=[("x", "y", "knows")]
@@ -174,17 +161,6 @@ _RULE = NGD.from_text(
     "x.val <= y.val",
     name="hyp_order",
 )
-
-
-@settings(max_examples=50, deadline=None)
-@given(graphs_and_updates())
-def test_incremental_detection_matches_recomputation(data):
-    graph, delta = data
-    rules = RuleSet([_RULE])
-    before = find_violations(graph, rules)
-    after = find_violations(apply_update(graph, delta), rules)
-    expected = ViolationDelta.from_sets(before, after)
-    assert Detector(rules, engine="incremental").run_incremental(graph, delta).delta == expected
 
 
 @settings(max_examples=40, deadline=None)

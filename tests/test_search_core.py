@@ -2,15 +2,15 @@
 
 Two layers:
 
-* a differential over generated graphs, rules and ΔG batches: the serial
-  kernels (Dect and IncDect, both thin drivers over
-  :class:`~repro.matching.search.RuleSearch`) must equal the naive reference
-  of :mod:`naive_reference` — ``Vio(Σ, G)``, and
-  ``Vio(Σ, G ⊕ ΔG) = Vio(Σ, G) ⊕ ΔVio`` along an update stream whose
-  batches bring new nodes, for simulated PIncDect too — and so must the
-  core's matcher view (``HomomorphismMatcher``), which
-  enumerates homomorphisms as the violations of ``X → false``; and plans
-  run only the rules they were compiled for, on every kernel;
+* a differential over generated graphs, rules and ΔG batches: every
+  version of a graph runs the generated steps alike and as the naive
+  reference of :mod:`naive_reference` says; a session that keeps its plans
+  maintains the reference; the core's matcher view
+  (``HomomorphismMatcher``) enumerates homomorphisms as the violations of
+  ``X → false``; and plans run only the rules they were compiled for, on
+  every kernel.  The strategies here (``graphs``, ``rule_sets``,
+  ``draw_batch``) also draw the inputs of :mod:`test_one_oracle`, which
+  holds every kernel, backend and the service to the reference;
 * a lock-step check: draining the core gives exactly what stepping
   :func:`~repro.detect.parallel.workunits.expand_work_unit` one work unit at
   a time over the same plans gives — statistics, cost, the order violations
@@ -159,15 +159,6 @@ def finish(events):
 # ------------------------------------------------ (a) against the specification
 
 
-@settings(max_examples=200, deadline=None)
-@given(graphs(), rule_sets())
-def test_dect_equals_the_reference(graph, rules):
-    expected = naive_reference.violations(graph, rules)
-    stream, result = finish(iter_dect(graph, rules))
-    assert as_pairs(result.violations) == expected
-    assert len(stream) == len(expected), "a violation streamed twice"
-
-
 @settings(max_examples=150, deadline=None)
 @given(graphs(), rule_sets(), st.data())
 def test_every_version_of_a_graph_runs_the_generated_steps_alike(graph, rules, data):
@@ -196,27 +187,6 @@ INCREMENTAL_KERNELS = {
         iter_pinc_dect(graph, rules, delta, processors=3, graph_after=after)
     )[1],
 }
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs(), rule_sets(), st.data())
-def test_incdect_maintains_the_reference_along_an_update_stream(graph, rules, data):
-    """IncDect and simulated PIncDect, on ΔG batches that bring new nodes."""
-    fresh: list = []
-    maintained = dict.fromkeys(INCREMENTAL_KERNELS, finish(iter_dect(graph, rules))[1].violations)
-    for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="batches")):
-        delta = draw_batch(data.draw, graph, fresh)
-        after = apply_update(graph, delta)
-        before_reference = naive_reference.violations(graph, rules)
-        after_reference = naive_reference.violations(after, rules)
-        for kernel, run in INCREMENTAL_KERNELS.items():
-            result = run(graph, rules, delta, after)
-            # ΔVio is exact, not merely sufficient: nothing reported that did not change
-            assert as_pairs(result.delta.introduced) == after_reference - before_reference, kernel
-            assert as_pairs(result.delta.removed) == before_reference - after_reference, kernel
-            maintained[kernel] = maintained[kernel].apply_delta(result.delta)
-            assert as_pairs(maintained[kernel]) == after_reference, kernel
-        graph = after
 
 
 def test_the_papers_one_node_rules_see_every_node_that_delta_introduces():

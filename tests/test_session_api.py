@@ -52,6 +52,14 @@ class TestEngines:
         with pytest.raises(SessionError):
             detector.run(figure1_g2())
 
+    def test_batch_engine_refuses_incremental_run(self):
+        detector = Detector(example_rules(), engine="batch")
+        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
+        with pytest.raises(SessionError, match="full runs only"):
+            detector.run_incremental(figure1_g2(), delta)
+        with pytest.raises(SessionError, match="full runs only"):
+            list(detector.stream_incremental(figure1_g2(), delta))
+
     def test_auto_engine_selects_parallel_with_processors(self):
         graph = figure1_g2()
         result = Detector(example_rules(), processors=4).run(graph)
@@ -302,32 +310,3 @@ class TestBudgets:
         full = Detector(example_rules()).run_incremental(graph, delta)
         assert full.total_changes() == 6
         assert capped.cost < full.cost
-
-
-class TestBatchDiffMode:
-    def test_engine_batch_run_incremental_matches_inc_dect(self):
-        graph = figure1_g2()
-        rules = example_rules()
-        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
-        oracle = Detector(rules, engine="batch").run_incremental(graph, delta)
-        incremental = Detector(rules, engine="incremental").run_incremental(graph, delta)
-        assert oracle.delta == incremental.delta
-        assert oracle.algorithm == "BatchDiff"
-
-    def test_batch_diff_streams_after_completion(self):
-        graph = _many_violations_graph(copies=3)
-        delta = BatchUpdate().delete("area0", "area0/t", "populationTotal")
-        events = list(Detector(example_rules(), engine="batch").stream_incremental(graph, delta))
-        assert len(events) == 1
-        assert events[0].introduced is False
-
-    def test_batch_diff_rejects_budgets(self):
-        # a capped batch run would make the diff unsound — refuse loudly
-        graph = figure1_g2()
-        delta = BatchUpdate().delete("Bhonpur", "total", "populationTotal")
-        detector = Detector(
-            example_rules(), engine="batch", options=DetectionOptions(max_violations=1)
-        )
-        assert detector.run(graph).stopped_early  # full runs still honour budgets
-        with pytest.raises(SessionError):
-            detector.run_incremental(graph, delta)

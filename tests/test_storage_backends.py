@@ -612,6 +612,9 @@ class CloneChainMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
+        # ``drop`` collects the cycles a forgotten version leaves; frozen, the
+        # rest of the test process's heap is not walked by each collection
+        gc.freeze()
         parent = Graph("cow", store="indexed")
         for index in range(6):
             parent.add_node(index, _COW_NODE_LABELS[index % 3], {"val": index})
@@ -706,6 +709,9 @@ class CloneChainMachine(RuleBasedStateMachine):
         for graph in self._each(which):
             if graph.has_node(node_id):
                 graph.set_attribute(node_id, "val", val)
+
+    def teardown(self):
+        gc.unfreeze()
 
     @invariant()
     def every_version_keeps_its_statistics(self):

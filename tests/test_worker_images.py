@@ -25,7 +25,6 @@ from repro.datasets.rules import benchmark_rules
 from repro.detect import DetectionOptions, Detector
 from repro.detect.parallel.executor import (
     ExecutionRuntime,
-    clear_loaded_images,
     load_spooled,
     spool_image,
 )
@@ -62,22 +61,12 @@ def _same_content(left, right) -> bool:
 class TestSpool:
     def test_spool_and_load_round_trip(self, kb, tmp_path):
         path = spool_image(kb, tmp_path / "image.json")
-        clear_loaded_images()
         loaded = load_spooled(path)
         assert _same_content(loaded, kb)
         assert loaded.node_count() == kb.node_count()
 
-    def test_spooled_images_memoize_per_process(self, kb, tmp_path):
-        path = spool_image(kb, tmp_path / "image.json")
-        clear_loaded_images()
-        first = load_spooled(path)
-        assert load_spooled(str(tmp_path / "." / "image.json")) is first
-        clear_loaded_images()
-        assert load_spooled(path) is not first
-
     def test_loaded_images_are_frozen_read_only(self, kb, tmp_path):
         path = spool_image(kb, tmp_path / "image.json")
-        clear_loaded_images()
         image = load_spooled(path)
         assert image.store_backend == "frozen"
         with pytest.raises(GraphError):
@@ -89,21 +78,15 @@ class TestSpool:
 
     def test_empty_graph_round_trips(self, tmp_path):
         path = spool_image(Graph("empty"), tmp_path / "image.json")
-        clear_loaded_images()
         image = load_spooled(path)
         assert image.node_count() == 0
         assert image.store_backend == "frozen"
 
-    def test_a_foreign_file_is_refused_and_not_memoized(self, kb, tmp_path):
+    def test_a_foreign_file_is_refused(self, tmp_path):
         target = tmp_path / "image.json"
         target.write_text('{"hello": "world"}', encoding="utf-8")
-        clear_loaded_images()
         with pytest.raises(GraphError):
             load_spooled(target)
-        target.unlink()
-        spool_image(kb, target)
-        # the failed load left nothing in the memo to shadow the real image
-        assert load_spooled(target).node_count() == kb.node_count()
 
 
 class TestRuntimePayload:
@@ -119,7 +102,6 @@ class TestRuntimePayload:
         assert sorted(entry.name for entry in tmp_path.iterdir()) == ["before.json", "image.json"]
         # the parent's runtime keeps its graphs
         assert (runtime.image, runtime.before_image) == (kb, before)
-        clear_loaded_images()
         rebuilt = pickle.loads(pickle.dumps(spooled))
         assert [plan.order for plan in rebuilt.plans] == [plan.order for plan in runtime.plans]
         after_image = rebuilt.graph_for(True)
