@@ -5,7 +5,8 @@ The paper defines correctness twice: ``Vio(Σ, G)``, and
 definitions as written.  This module draws G, Σ and a stream of ΔG batches
 that bring new nodes (the strategies of :mod:`test_search_core`) and holds
 every way the library runs a detection to that reference — ``Vio`` after
-each version, and ΔVio, exactly, for each update:
+each version for the full kernels, and ΔVio, exactly, for each update for
+the incremental ones:
 
 * Dect and IncDect;
 * simulated PDect and PIncDect at p ∈ {1, 3}, under every
@@ -19,11 +20,16 @@ each version, and ΔVio, exactly, for each update:
 * a continuous session and a one-shot detect stream over HTTP, on an
   in-process :class:`DetectionService` with inline rules.
 
-The example counts share one budget of about 15 s on 2 CPUs.  The in-process
-legs cost milliseconds an example and take the most.  A forked run costs
-tens of milliseconds, a spawned one a few hundred (each worker starts an
-interpreter and imports the package), and a killed worker's replacement
-doubles that; an HTTP example costs a request per update and per version.
+Each algorithm under each configuration is a test of its own, so a failure
+names the one that broke.  The example counts share one budget of about
+23 s on 2 CPUs.  An in-process example costs milliseconds, most of them
+spent drawing the input and running the reference, and each test draws its
+own: the serial kernels, which every other configuration is built on, take
+100 each, and the sixteen simulated ones 25 each (400 inputs between them).
+A forked run costs tens of milliseconds, a spawned one a few hundred (each
+worker starts an interpreter and imports the package), and a killed
+worker's replacement doubles that; an HTTP example costs a request per
+update and per version.
 """
 
 from __future__ import annotations
@@ -57,6 +63,16 @@ POLICIES = {
     )
 }
 
+#: id → ``(processors, options, examples)``: the serial kernels, then the
+#: simulated ones at p ∈ {1, 3} under each policy
+CONFIGURATIONS = {
+    "serial": (None, {}, 100),
+    **{
+        f"p{processors}-{name}": (processors, {"policy": policy}, 25)
+        for processors, (name, policy) in itertools.product((1, 3), POLICIES.items())
+    },
+}
+
 WORKER_DEATH = "worker_death:worker=0,epoch=0,after=1"
 
 
@@ -73,22 +89,25 @@ def draw_versions(data) -> tuple:
     return rules, drawn
 
 
-def hold_to_the_reference(drawn, full, incremental, name: str) -> None:
-    """Check one configuration along the drawn versions.
+def reference_set(rules, pairs) -> ViolationSet:
+    """The reference's ``{(rule name, h(x̄))}`` as a :class:`ViolationSet`."""
+    variables = {rule.name: tuple(rule.pattern.variables) for rule in rules}
+    return ViolationSet(Violation(rule, variables[rule], nodes) for rule, nodes in pairs)
 
-    ``full(G)`` returns ``(streamed violations, result)``;
-    ``incremental(G, ΔG, G ⊕ ΔG)`` returns the incremental result.
-    """
-    maintained = None
-    for index, (graph, delta, expected) in enumerate(drawn):
+
+def hold_full_to_the_reference(drawn, full, name: str) -> None:
+    """``full(G)`` returns ``(streamed violations, result)``: Vio of every version."""
+    for graph, _, expected in drawn:
         stream, result = full(graph)
         assert as_pairs(result.violations) == expected, name
         assert len(stream) == len(expected), f"{name}: a violation streamed twice"
-        if delta is None:
-            maintained = result.violations
-            continue
-        before, _, previous = drawn[index - 1]
-        changed = incremental(before, delta, graph)
+
+
+def hold_incremental_to_the_reference(rules, drawn, incremental, name: str) -> None:
+    """``incremental(G, ΔG, G ⊕ ΔG)`` returns the result: ΔVio of every update."""
+    maintained = reference_set(rules, drawn[0][2])
+    for (before, _, previous), (after, delta, expected) in itertools.pairwise(drawn):
+        changed = incremental(before, delta, after)
         # ΔVio is exact, not merely sufficient: nothing reported that did not change
         assert as_pairs(changed.delta.introduced) == expected - previous, name
         assert as_pairs(changed.delta.removed) == previous - expected, name
@@ -96,35 +115,66 @@ def hold_to_the_reference(drawn, full, incremental, name: str) -> None:
         assert as_pairs(maintained) == expected, name
 
 
-def session_legs(rules, processors=None, **options) -> tuple:
-    """``(full, incremental)`` of one :class:`Detector` per kind, each kept across the versions."""
-    batch_engine = "batch" if processors is None else "parallel"
-    incremental_engine = "incremental" if processors is None else "parallel"
-    options = DetectionOptions(**options)
-    batch = Detector(rules, engine=batch_engine, processors=processors, options=options)
-    updates = Detector(rules, engine=incremental_engine, processors=processors, options=options)
+def full_leg(rules, processors=None, **options):
+    """``full(G)`` of one batch (p = None) or parallel detector kept across the versions."""
+    detector = Detector(
+        rules,
+        engine="batch" if processors is None else "parallel",
+        processors=processors,
+        options=DetectionOptions(**options),
+    )
 
     def full(graph):
-        stream = list(batch.stream(graph))
-        return stream, batch.last_result
+        stream = list(detector.stream(graph))
+        return stream, detector.last_result
+
+    return full
+
+
+def incremental_leg(rules, processors=None, **options):
+    """``incremental(G, ΔG, G ⊕ ΔG)`` of one incremental or parallel detector kept across the updates."""
+    detector = Detector(
+        rules,
+        engine="incremental" if processors is None else "parallel",
+        processors=processors,
+        options=DetectionOptions(**options),
+    )
 
     def incremental(before, delta, after):
-        return updates.run_incremental(before, delta, graph_after=after)
+        return detector.run_incremental(before, delta, graph_after=after)
 
-    return full, incremental
+    return incremental
 
 
 # --------------------------------------------------------- in-process kernels
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_serial_and_simulated_kernels_equal_the_reference(data):
-    rules, drawn = draw_versions(data)
-    hold_to_the_reference(drawn, *session_legs(rules), "Dect/IncDect")
-    for processors, (name, policy) in itertools.product((1, 3), POLICIES.items()):
-        legs = session_legs(rules, processors, policy=policy)
-        hold_to_the_reference(drawn, *legs, f"PDect/PIncDect p={processors} {name}")
+@pytest.mark.parametrize("configuration", tuple(CONFIGURATIONS))
+def test_full_kernels_equal_the_reference(configuration):
+    processors, options, examples = CONFIGURATIONS[configuration]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.data())
+    def run(data):
+        rules, drawn = draw_versions(data)
+        full = full_leg(rules, processors, **options)
+        hold_full_to_the_reference(drawn, full, f"Dect/PDect {configuration}")
+
+    run()
+
+
+@pytest.mark.parametrize("configuration", tuple(CONFIGURATIONS))
+def test_incremental_kernels_maintain_the_reference(configuration):
+    processors, options, examples = CONFIGURATIONS[configuration]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.data())
+    def run(data):
+        rules, drawn = draw_versions(data)
+        incremental = incremental_leg(rules, processors, **options)
+        hold_incremental_to_the_reference(rules, drawn, incremental, f"IncDect/PIncDect {configuration}")
+
+    run()
 
 
 # ------------------------------------------------------------ process backend
@@ -132,48 +182,85 @@ def test_serial_and_simulated_kernels_equal_the_reference(data):
 #: examples per start method; a spawned example starts two interpreters per run
 PROCESS_EXAMPLES = {"fork": 25, "spawn": 3}
 
+process_configurations = pytest.mark.parametrize(
+    ("method", "faults"),
+    [
+        pytest.param(method, faults, id=f"{method}-{kind}")
+        for method in PROCESS_EXAMPLES
+        for kind, faults in (("clean", None), ("worker_death", WORKER_DEATH))
+    ],
+)
 
-@pytest.mark.parametrize("faults", (None, WORKER_DEATH), ids=("clean", "worker_death"))
-@pytest.mark.parametrize("method", tuple(PROCESS_EXAMPLES))
-def test_process_kernels_equal_the_reference(method, faults, force_start_method, monkeypatch):
+
+@pytest.fixture
+def supervise(method, faults, force_start_method, monkeypatch):
+    """Start processes by ``method``, with ``faults`` armed; return the check of a run.
+
+    ``supervise(result, serial)`` holds a process run to the serial kernel's
+    run on the same input: the same work counts (every seed searched once,
+    none lost with a dead worker), not degraded, and — under a fault plan — a
+    restart exactly when worker 0 had seeds.
+    """
     force_start_method(method)
     if faults is not None:
         monkeypatch.setenv(FAULTS_ENV, faults)
+    restarts = [obs.metrics().total("repro_worker_restarts_total")]
 
+    def check(result, serial) -> None:
+        assert result.stats == serial.stats
+        assert not result.degraded
+        if faults is not None:
+            before, restarts[0] = restarts[0], obs.metrics().total("repro_worker_restarts_total")
+            assert (restarts[0] > before) == (result.worker_traces[0].work_units_processed > 0)
+
+    return check
+
+
+@process_configurations
+def test_process_pdect_equals_the_reference(method, faults, supervise):
     @settings(max_examples=PROCESS_EXAMPLES[method], deadline=None)
     @given(st.data())
     def run(data):
         rules, drawn = draw_versions(data)
-        serial_full, serial_incremental = session_legs(rules)
-        full, incremental = session_legs(rules, 2, execution="processes")
-        restarts = [obs.metrics().total("repro_worker_restarts_total")]
-
-        def supervised(result, serial) -> None:
-            # the serial kernels' counts: every seed searched once, none lost with the dead worker
-            assert result.stats == serial.stats
-            assert not result.degraded
-            if faults is not None:
-                before, restarts[0] = restarts[0], obs.metrics().total("repro_worker_restarts_total")
-                assert (restarts[0] > before) == (result.worker_traces[0].work_units_processed > 0)
+        serial_full = full_leg(rules)
+        full = full_leg(rules, 2, execution="processes")
 
         def checked_full(graph):
             stream, result = full(graph)
             serial = serial_full(graph)[1]
             assert result.cost == serial.cost
-            supervised(result, serial)
+            supervise(result, serial)
             return stream, result
+
+        hold_full_to_the_reference(drawn, checked_full, f"PDect processes/{method}")
+
+    run()
+
+
+@process_configurations
+def test_process_pincdect_maintains_the_reference(method, faults, supervise):
+    @settings(max_examples=PROCESS_EXAMPLES[method], deadline=None)
+    @given(st.data())
+    def run(data):
+        rules, drawn = draw_versions(data)
+        serial_incremental = incremental_leg(rules)
+        incremental = incremental_leg(rules, 2, execution="processes")
 
         def checked_incremental(before, delta, after):
             result = incremental(before, delta, after)
-            supervised(result, serial_incremental(before, delta, after))
+            supervise(result, serial_incremental(before, delta, after))
             return result
 
-        hold_to_the_reference(drawn, checked_full, checked_incremental, f"processes/{method}")
+        hold_incremental_to_the_reference(rules, drawn, checked_incremental, f"PIncDect processes/{method}")
 
     run()
 
 
 # ------------------------------------------------------------------- service
+
+HTTP_EXAMPLES = 20
+
+_graph_names = itertools.count()
 
 
 @pytest.fixture(scope="module")
@@ -182,15 +269,19 @@ def client():
         yield ServiceClient(service.url)
 
 
-def test_a_session_and_a_detect_stream_over_http_equal_the_reference(client):
-    names = itertools.count()
+def register(client, graph) -> str:
+    """Register ``graph`` under a name no other example used; return the name."""
+    name = f"drawn{next(_graph_names)}"
+    client.register_graph(name, graph)
+    return name
 
-    @settings(max_examples=20, deadline=None)
+
+def test_a_session_over_http_maintains_the_reference(client):
+    @settings(max_examples=HTTP_EXAMPLES, deadline=None)
     @given(st.data())
     def run(data):
         rules, drawn = draw_versions(data)
-        name = f"drawn{next(names)}"
-        client.register_graph(name, drawn[0][0])
+        name = register(client, drawn[0][0])
         session = client.create_session(name, rules=rules)["session"]
         try:
             for version, (_, delta, expected) in enumerate(drawn, start=1):
@@ -205,11 +296,24 @@ def test_a_session_and_a_detect_stream_over_http_equal_the_reference(client):
                 state = client.session_state(session)
                 assert state["current_version"] == version
                 assert as_pairs(ViolationSet.from_dict(state)) == expected
-                records = list(client.stream_detect(name, rules=rules))
-                found = [Violation.from_dict(r) for r in records if r["type"] == "violation"]
-                assert records[-1]["graph_version"] == version
-                assert as_pairs(found) == expected and len(found) == len(expected)
         finally:
             client.close_session(session)
+
+    run()
+
+
+def test_a_detect_stream_over_http_equals_the_reference(client):
+    @settings(max_examples=HTTP_EXAMPLES, deadline=None)
+    @given(st.data())
+    def run(data):
+        rules, drawn = draw_versions(data)
+        name = register(client, drawn[0][0])
+        for version, (_, delta, expected) in enumerate(drawn, start=1):
+            if delta is not None:
+                assert client.post_update(name, delta)["version"] == version
+            records = list(client.stream_detect(name, rules=rules))
+            found = [Violation.from_dict(r) for r in records if r["type"] == "violation"]
+            assert records[-1]["graph_version"] == version
+            assert as_pairs(found) == expected and len(found) == len(expected)
 
     run()

@@ -41,7 +41,7 @@ from repro.graph.neighborhood import (
     update_neighborhood,
 )
 from repro.graph.pattern import Pattern
-from repro.graph.store import _INS, _OUTS, STORE_REGISTRY, FrozenStore, IndexedStore, make_store
+from repro.graph.store import _INS, _OUTS, STORE_REGISTRY, FrozenStore, GraphStore, IndexedStore, make_store
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
 from repro.matching.matchn import HomomorphismMatcher
 from repro.matching.plan import GraphStatistics
@@ -77,6 +77,11 @@ class TestStoreSelection:
         for name in ("DictStore", "default_store_name"):
             assert name not in repro.graph.__all__
             assert not hasattr(repro.graph, name) and not hasattr(repro.graph.store, name)
+
+    def test_every_store_brings_its_own_adjacency_reads(self):
+        # one BFS level and the induced edges are each layout's own walk: the
+        # base class has no slow fallback that a store could inherit unseen
+        assert {"neighbours_of", "edges_between"} <= GraphStore.__abstractmethods__
 
     def test_store_instance_is_used_as_is(self):
         store = DictStore()

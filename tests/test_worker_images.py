@@ -82,6 +82,14 @@ class TestSpool:
         assert image.node_count() == 0
         assert image.store_backend == "frozen"
 
+    def test_each_load_reads_the_file(self, kb, tmp_path):
+        # a plain load keeps nothing per process: the runtime keeps what it loaded
+        path = spool_image(kb, tmp_path / "image.json")
+        first = load_spooled(path)
+        spool_image(Graph("empty"), path)
+        assert load_spooled(path).node_count() == 0
+        assert first.node_count() == kb.node_count()
+
     def test_a_foreign_file_is_refused(self, tmp_path):
         target = tmp_path / "image.json"
         target.write_text('{"hello": "world"}', encoding="utf-8")
