@@ -37,7 +37,7 @@ import sys
 import weakref
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
 from itertools import islice
 from typing import Optional, Union
 
@@ -136,6 +136,45 @@ class _LabelView(AbstractSet):
         return f"LabelView({self._label!r}, {list(self)!r})"
 
 
+class _ViaMethods:
+    """A direction of :meth:`GraphStore.reader` through the store's methods: ``reader[node].get(label, default)``."""
+
+    __slots__ = ("_view", "_labels", "_node")
+
+    def __init__(self, view, labels, node: Hashable = None) -> None:
+        self._view, self._labels, self._node = view, labels, node
+
+    def __getitem__(self, node_id: Hashable) -> "_ViaMethods":
+        return _ViaMethods(self._view, self._labels, node_id)
+
+    def get(self, label: str, default=None):
+        return self._view(self._node, label)
+
+    def keys(self):
+        return self._labels(self._node)
+
+
+class _PastMap:
+    """A live map of an :class:`IndexedStore` as a past version holds it: ``past[key]`` is its value there, or None."""
+
+    __slots__ = ("_live", "_undo", "_slot")
+
+    def __init__(self, live: dict, undo: "_UndoLog", slot: int) -> None:
+        self._live, self._undo, self._slot = live, undo, slot
+
+    def __getitem__(self, key: Hashable):
+        # _UndoLog.get written out, so that a search's read is one call: the live map first, then the logs
+        value = self._live.get(key)
+        log, slot = self._undo, self._slot
+        while log is not None:
+            entries = log.entries[slot]
+            if key in entries:
+                value = entries[key]
+                return None if value is _ABSENT else value
+            log = log.newer
+        return value
+
+
 class GraphStore(ABC):
     """Storage contract shared by every graph backend.
 
@@ -176,9 +215,26 @@ class GraphStore(ABC):
     def get_node(self, node_id: Hashable) -> Optional[Node]:
         """Return the node or None."""
 
-    def get_nodes(self, node_ids: Collection[Hashable]) -> list[Node]:
-        """Return the nodes of ``node_ids``, all stored, in their order: ``get_node`` over a pool at once."""
-        return list(map(self.get_node, node_ids))
+    #: The undo log of a past version (:class:`IndexedStore`); a store without versions is never past.
+    _undo = None
+
+    def reader(self) -> tuple:
+        """Return ``(undo, out, into, node_of)``, what a search reads this version through.
+
+        ``out[node][edge_label]`` and ``into[node][edge_label]`` are the
+        node's neighbours over that label, in rank order (read with
+        ``.get(edge_label, default)``; ``.keys()`` are its edge labels), and
+        ``node_of(id)`` is the node.  ``undo`` is ``_undo`` as it was read:
+        the readers hold while ``store._undo is undo``.  This default goes
+        through the label-filtered methods, one call per read;
+        :class:`IndexedStore` hands out its maps.
+        """
+        return (
+            None,
+            _ViaMethods(self.successors_by_label, self.out_edge_labels),
+            _ViaMethods(self.predecessors_by_label, self.in_edge_labels),
+            self.get_node,
+        )
 
     @abstractmethod
     def has_node(self, node_id: Hashable) -> bool:
@@ -519,7 +575,14 @@ class IndexedStore(GraphStore):
     * it counts nodes per label and edges per ``(source label, edge label)``
       and ``(target label, edge label)`` as it is written, so
       :meth:`label_counts` reads no node or edge.  A clone copies these
-      small maps for the new head, and the past version keeps its own.
+      small maps for the new head, and the past version keeps its own;
+    * a search reads through :meth:`reader`, bound once per search: the head
+      hands out its live ``_out`` / ``_in`` maps and ``_nodes.get``, a past
+      version readers over its undo log (``_PastMap``).  Live maps are this version's only
+      while it is the head: a clone (in any thread) makes the head's next
+      writes land in them.  So a step tests ``store._undo is undo`` after
+      its reads, and a clone since the binding makes it bind again and read
+      the past version's readers.
 
     All inner collections are insertion-ordered, so iteration order — and
     therefore match enumeration order — is deterministic across runs
@@ -740,14 +803,6 @@ class IndexedStore(GraphStore):
             return self._undo.get(_NODES, node_id, node)
         return node
 
-    def get_nodes(self, node_ids: Collection[Hashable]) -> list[Node]:
-        # the live map first, then the logs, as get_node reads them (see _UndoLog.get)
-        nodes = list(map(self._nodes.get, node_ids))
-        undo = self._undo
-        if undo is not None:
-            nodes = [undo.get(_NODES, node_id, node) for node_id, node in zip(node_ids, nodes)]
-        return nodes
-
     def has_node(self, node_id: Hashable) -> bool:
         found = node_id in self._nodes
         if self._undo is not None:
@@ -780,6 +835,13 @@ class IndexedStore(GraphStore):
 
     def nodes_with_label(self, label: str) -> _LabelView:
         return _LabelView(self, label)
+
+    def reader(self) -> tuple:
+        # _undo is read first: the head's maps stay this version's until a clone sets it
+        undo = self._undo
+        if undo is None:
+            return None, self._out, self._in, self._nodes.get
+        return undo, _PastMap(self._out, undo, _OUTS), _PastMap(self._in, undo, _INS), _PastMap(self._nodes, undo, _NODES).__getitem__
 
     def labels(self) -> frozenset[str]:
         return frozenset(self._label_counts)
@@ -908,8 +970,6 @@ class IndexedStore(GraphStore):
         return bucket.keys() if bucket is not None else _EMPTY_KEYS
 
     def out_edge_labels(self, node_id: Hashable):
-        # inline, as successors_by_label: a scan step's degree-signature
-        # filter calls this once per node of the label
         buckets = self._out.get(node_id)
         if self._undo is not None:
             buckets = self._undo.get(_OUTS, node_id, buckets)

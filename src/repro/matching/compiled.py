@@ -43,6 +43,21 @@ cannot fold makes every check of its literal replay ``holds_for``.
 Evaluation keeps ``Expression.evaluate``'s order, so the first exception
 raised is the same.
 
+**Reads.**  A step reads the store through the reader its search bound
+(``search.reader``, :meth:`~repro.graph.store.GraphStore.reader`):
+``out[id].get(label, EMPTY)`` is an anchor's bucket, already in rank order,
+and ``map(node_of, bucket)`` its nodes.  On a head these are the store's own
+dicts, so a frame costs no Python call to the store; a past version hands
+out readers over its undo log.  All of a step's reads come before it bills
+or pushes anything, and one test follows them, ``store._undo is undo``: a
+clone since the binding (while the search was suspended, or in another
+thread mid-step) lets the head's next writes into the maps just read, so
+the step binds again (:meth:`~repro.matching.search.RuleSearch.bind`) and
+reads the past version the store now is.  ``seeds`` takes its reader from
+the store, and :func:`scan_pool` keeps a run's label scans, so the rules
+that scan one label with one degree signature read it once; each is still
+billed its whole scan.
+
 **Billing** is the search's: one ``candidates_examined`` per candidate
 drawn, one ``literal_evaluations`` per check reached, the rejections by
 reason.  A step sums them in locals and adds them to the statistics once,
@@ -109,6 +124,8 @@ def resolve_compiled(compiled: Optional[bool] = None) -> bool:
 
 #: What a generated read returns for an absent attribute.
 MISSING = object()
+#: The bucket of an edge label a node has none of.
+EMPTY = ()
 
 _SYMBOLS = {
     Comparison.EQ: "==",
@@ -233,6 +250,7 @@ class _Function:
         self.lines = [f"def {self.kind}({parameters}):"]
         self.namespace: dict = {
             "MISSING": MISSING,
+            "EMPTY": EMPTY,
             "EvaluationError": EvaluationError,
             "divide": _divide,
             "Violation": Violation,
@@ -464,27 +482,37 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
     return _load(functions)["check"]
 
 
-def scan_pool(store, label: str, out_labels: frozenset, in_labels: frozenset) -> tuple:
-    """The ids of ``label`` (every id for the wildcard) that cover the degree signature, and how many were scanned."""
-    pool = store.all_node_ids() if label == WILDCARD else store.nodes_with_label(label)
-    scanned = len(pool)
-    # the index is the label's, so only the degree signature remains
-    if out_labels:
-        out_of = store.out_edge_labels
-        pool = [node_id for node_id in pool if out_labels <= out_of(node_id)]
-    if in_labels:
-        into = store.in_edge_labels
-        pool = [node_id for node_id in pool if in_labels <= into(node_id)]
-    return pool, scanned
+def scan_pool(store, reader: tuple, label: str, out_labels: frozenset, in_labels: frozenset, scans: Optional[dict]) -> tuple:
+    """The nodes of ``label`` (every node for the wildcard) that cover the degree signature, and how many were scanned.
+
+    Read through ``reader`` (``store.reader()``).  ``scans``, where given,
+    keeps the answer per signature and per reader's version, so that the
+    rules of one run that scan alike read the label once.
+    """
+    key = (reader[0], label, out_labels, in_labels)
+    found = scans.get(key) if scans is not None else None
+    if found is None:
+        _, out, into, node_of = reader
+        pool = store.all_node_ids() if label == WILDCARD else store.nodes_with_label(label)
+        scanned = len(pool)
+        # the index is the label's, so only the degree signature remains
+        if out_labels:
+            pool = [node_id for node_id in pool if out_labels <= out[node_id].keys()]
+        if in_labels:
+            pool = [node_id for node_id in pool if in_labels <= into[node_id].keys()]
+        found = list(map(node_of, pool)), scanned
+        if scans is not None:
+            scans[key] = found
+    return found
 
 
-def intersect_pool(store, anchor_slots: tuple, ids, stats) -> tuple:
-    """The ids in every anchor's view, in rank order, and the size of the smallest view, probed against the others."""
-    views = [(store.successors_by_label if f else store.predecessors_by_label)(ids[s], label) for s, f, label in anchor_slots]
+def intersect_pool(reader: tuple, anchor_slots: tuple, ids) -> tuple:
+    """The nodes in every anchor's bucket, in rank order, and the size of the smallest bucket, probed against the others."""
+    _, out, into, node_of = reader
+    views = [(out if forward else into)[ids[slot]].get(label, EMPTY) for slot, forward, label in anchor_slots]
     views.sort(key=len)  # stable: the first smallest view is the base
     base, others = views[0], views[1:]
-    stats.edge_checks += len(base) * len(others)
-    return [node_id for node_id in base if all(node_id in view for view in others)], len(base)
+    return [node_of(node_id) for node_id in base if all(node_id in view for view in others)], len(base)
 
 
 def compile_schedule(
@@ -601,19 +629,35 @@ def _flush(function: _Function, step: Mapping, counters: Sequence[str]) -> None:
             function.emit(3, f"extra[{key}] = extra.get({key}, 0) + {counter}")
 
 
-def _pool(function: _Function, step: Mapping) -> None:
-    """Emit the read of the step's pool into ``pool`` and the bill of the ``scanned`` candidates."""
+def _pool(function: _Function, step: Mapping, seeds: bool) -> None:
+    """Emit the read of the step's candidate nodes into ``pool`` and the bill of the ``scanned`` ones.
+
+    The reads go through the search's reader (``seeds``: the store's), then
+    ``store._undo`` is tested once: where it is not what the reader was
+    taken under, a clone may have let the head's writes into what was read
+    (a node the head then removed raises ``KeyError``), and the step binds
+    again and reads again, before it has billed or pushed anything.
+    """
     anchors = step["anchor_slots"]
     if len(anchors) == 1:
         (slot, forward, edge_label), = anchors
-        view = "successors_by_label" if forward else "predecessors_by_label"
-        function.emit(1, f"pool = store.{view}(ids[{function.bind('K', slot)}], {function.bind('L', edge_label)})")
-        function.emit(1, "scanned = len(pool)")
+        reads = [f"pool = list(map(node_of, {'out' if forward else 'into'}[ids[{function.bind('K', slot)}]].get({function.bind('L', edge_label)}, EMPTY)))"]
     elif anchors:
-        function.emit(1, f"pool, scanned = intersect_pool(store, {function.bind('K', anchors)}, ids, stats)")
+        reads = [f"pool, scanned = intersect_pool(reader, {function.bind('K', anchors)}, ids)"]
     else:
         arguments = ", ".join(function.bind("K", step[field]) for field in ("label", "out_labels", "in_labels"))
-        function.emit(1, f"pool, scanned = scan_pool(store, {arguments})")
+        reads = [f"pool, scanned = scan_pool(store, reader, {arguments}, {'scans' if seeds else 'None'})"]
+    unpack = "undo, out, into, node_of = reader"
+    function.emit(1, f"reader = {'store.reader()' if seeds else 'search.reader'}", unpack, "try:")
+    function.emit(2, *reads)
+    function.emit(1, "except LookupError:")
+    function.emit(2, "undo = MISSING")
+    function.emit(1, "if store._undo is not undo:")
+    function.emit(2, f"reader = {'store.reader()' if seeds else 'search.bind(store)'}", unpack, *reads)
+    if len(anchors) == 1:
+        function.emit(1, "scanned = len(pool)")
+    elif anchors:
+        function.emit(1, f"stats.edge_checks += scanned * {len(anchors) - 1}")
     key = function.bind("L", step["count_key"])
     function.emit(1, "stats.candidates_examined += scanned", "if scanned:")
     function.emit(2, "extra = stats.extra", f"extra[{key}] = extra.get({key}, 0) + scanned")
@@ -622,17 +666,17 @@ def _pool(function: _Function, step: Mapping) -> None:
 def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slot_of, last: bool, found: tuple, seeds: bool = False) -> None:
     """Emit ``expand_<depth>``: read the pool, filter, check and push (or finish) each candidate.
 
-    With ``seeds``, emit step 0 as ``seeds(store, stats)``, which returns the nodes that pass and the scan's size.
+    With ``seeds``, emit step 0 as ``seeds(store, stats, scans=None)``, which returns the nodes that pass and the scan's size.
     """
     checks, checked = step["premise_checks"], step["check_conclusion"]
     leaf = last and not seeds
-    function = _Function(functions, "seeds" if seeds else f"expand_{depth}", "store, stats" if seeds else "search, order", slot_of, current=depth)
+    function = _Function(functions, "seeds" if seeds else f"expand_{depth}", "store, stats, scans=None" if seeds else "search, order", slot_of, current=depth)
     literals = [premise[index] for index in checks] + ([conclusion[0]] if checked else [])
     earlier = [pair for literal in literals for pair in sorted(literal.variables()) if slot_of[pair[0]] != depth]
     if not seeds:
         reads = (["ids"] if step["anchor_slots"] or leaf else []) + (["slots"] if leaf or earlier else [])
         function.emit(1, f"{', '.join(reads + ['stats', 'store'])} = {', '.join(f'search.{name}' for name in reads + ['stats', 'store'])}")
-    _pool(function, step)
+    _pool(function, step, seeds)
     # without checks, a step expands what it keeps
     later = ["kept"] + (["expanded"] if literals and not seeds else []) + (["matches"] if leaf else [])
     counters = _counters(step, later, bool(literals))
@@ -640,7 +684,7 @@ def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slo
     # an earlier slot's attributes are read once per step, out of the candidate loop
     for variable, attribute in earlier:
         function.read(variable, attribute)
-    function.emit(1, "for node in store.get_nodes(pool):")
+    function.emit(1, "for node in pool:")
     function.indent = 2
     _filter(function, step, premise)
     function.emit(1, "kept += 1")

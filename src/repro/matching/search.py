@@ -27,10 +27,19 @@ where it is made — by a step, by step 0's ``seeds``, or by
 :func:`~repro.matching.incmatch.pivot_seeds` — so every search ends in one
 leaf, which evaluates nothing checked on the way down.
 
+**Reads.**  A search binds the store of the graph it is seeded on once
+(:meth:`RuleSearch.bind`, kept in ``reader``), and the generated steps read
+the adjacency buckets and the nodes through that binding, not through a
+store method per frame.  A binding is good while ``store._undo`` is what it
+was taken under; each step tests that once, after its reads and before its
+first effect, and binds again where a clone made the maps it read the next
+version's (:mod:`repro.matching.compiled`).
+
 ``RuleSearch(plan, stats)`` is the whole API: the plan carries its rule.
-The serial kernels and the process backend's workers drain the stack
-(:class:`~repro.detect.serial.SerialRun`); the cluster simulator runs the
-same :meth:`RuleSearch.step` one work unit at a time through
+The serial kernels and the process backend's workers drain the stack in
+:meth:`SerialRun.expand <repro.detect.serial.SerialRun.expand>`, whose loop
+does what :meth:`RuleSearch.step` does (pop, bind, dispatch) inline; the
+cluster simulator runs :meth:`RuleSearch.step` one work unit at a time through
 :func:`~repro.detect.parallel.workunits.expand_work_unit`; and
 :class:`~repro.matching.matchn.HomomorphismMatcher`, for the callers that
 want matches rather than violations (discovery, satisfiability,
@@ -77,7 +86,7 @@ class RuleSearch:
     """
 
     __slots__ = (
-        "plan", "stats", "store", "ids", "slots", "stack", "order",
+        "plan", "stats", "store", "reader", "ids", "slots", "stack", "order",
         "filtering", "verification", "_expand",
     )  # fmt: skip
 
@@ -86,12 +95,15 @@ class RuleSearch:
         self.stats = stats
         variables = len(plan.rule.pattern.variables)
         self.store = None  # of the graph the stacked frames bind
+        #: what the steps read ``store`` through (:meth:`bind`)
+        self.reader: Optional[tuple] = None
         self.ids: list = [None] * variables
         self.slots: list = [None] * variables
         #: pending frames ``(depth, node id, attributes, order)``, expanded last in, first out
         self.stack: list[tuple] = []
-        #: the order the last step followed (its frame's)
+        #: the order the last step followed (its frame's), and its schedule's steps
         self.order: Optional[tuple[str, ...]] = None
+        self._expand: Optional[tuple] = None
         #: cost-model sizes of the last step: the index scan performed, and one
         #: unit per candidate verified
         self.filtering = self.verification = 0
@@ -105,7 +117,8 @@ class RuleSearch:
         the next :meth:`step` expands.  Frames carry no graph, so one seed's
         subtree must be drained before a seed over another graph starts.
         """
-        self.store = graph.store
+        if graph.store is not self.store:
+            self.bind(graph.store)
         # node ids come out of the store's own indexes, so reads skip the facade's existence checks
         get_node = graph.store.get_node
         last = len(ids) - 1
@@ -123,11 +136,22 @@ class RuleSearch:
         order has no subtrees, and its nodes go on in reverse, so that its
         leaves stream in rank order.
         """
-        self.store = graph.store
+        if graph.store is not self.store:
+            self.bind(graph.store)
         frames = [(0, node.id, node.attributes, order) for node in nodes]
         if len(order) == 1:
             frames.reverse()
         self.stack.extend(frames)
+
+    def bind(self, store) -> tuple:
+        """Read ``store`` from here on, through the reader it hands out now; return that reader.
+
+        A step tests the binding after its reads (``store._undo is
+        reader[0]``) and binds again where a clone made it stale.
+        """
+        self.store = store
+        self.reader = reader = store.reader()
+        return reader
 
     def step(self) -> list[Violation]:
         """Expand the top frame; return the bindings it completed that the leaf kept.

@@ -350,7 +350,9 @@ def _expanded(expand, graph, slots):
     """Run the generated step 1 over ``y`` with ``x`` bound; return True where the leaf keeps the binding."""
 
     def run(stats):
-        search = SimpleNamespace(ids=["x", None], slots=[slots[0], None], stats=stats, store=graph.store, stack=[])
+        search = SimpleNamespace(
+            ids=["x", None], slots=[slots[0], None], stats=stats, store=graph.store, reader=graph.store.reader(), stack=[]
+        )
         found = expand[0](search, ("x", "y"))
         return bool(found)
 

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_reference
-from repro.core.builtin_rules import example_rules, phi5, phi6, phi7, phi8, phi9
+from repro.core.builtin_rules import example_rules, phi2, phi5, phi6, phi7, phi8, phi9
 from repro.core.ngd import NGD, RuleSet
 from repro.datasets.figure1 import figure1_g2
 from repro.detect.dect import iter_dect
@@ -178,6 +178,65 @@ def test_every_version_of_a_graph_runs_the_generated_steps_alike(graph, rules, d
         assert stream == head[0]
         assert (result.stats, result.cost) == (head[1].stats, head[1].cost)
     assert as_pairs(finish(iter_dect(after, rules))[1].violations) == naive_reference.violations(after, rules)
+
+
+def _areas(count: int) -> Graph:
+    """``count`` areas, each of whose population edges φ2 finds inconsistent."""
+    graph = Graph("areas")
+    for i in range(count):
+        graph.add_node(f"area{i}", "area")
+        for kind, value in (("female", 100 + i), ("male", 200 + i), ("total", 999)):
+            graph.add_node(f"{kind}{i}", "integer", {"val": value})
+        graph.add_edge(f"area{i}", f"female{i}", "femalePopulation")
+        graph.add_edge(f"area{i}", f"male{i}", "malePopulation")
+        graph.add_edge(f"area{i}", f"total{i}", "populationTotal")
+    return graph
+
+
+def _repair(i: int, round_: int = 0) -> BatchUpdate:
+    """Move area ``i``'s total onto a new node that makes it consistent."""
+    old = f"total{i}" if not round_ else f"total{i}-{round_ - 1}"
+    return (
+        BatchUpdate()
+        .delete(f"area{i}", old, "populationTotal")
+        .insert(f"area{i}", f"total{i}-{round_}", "populationTotal", target_payload=NodePayload("integer", {"val": 300 + 2 * i}))
+    )
+
+
+def test_a_suspended_matcher_yields_the_matches_of_the_version_it_started_on():
+    """A search binds its store's maps; a clone while it is suspended makes them the next version's."""
+    graph = _areas(12)
+    pattern = Pattern("total", [("x", "area"), ("y", "integer")], [("x", "y", "populationTotal")])
+    expected = list(HomomorphismMatcher(graph, pattern).matches())
+    matches = HomomorphismMatcher(graph, pattern).matches()
+    first = next(matches)
+    delta = BatchUpdate()
+    for i in range(12):
+        if first["x"] != f"area{i}":
+            delta.extend(_repair(i))
+    after = apply_update(graph, delta)
+    assert graph.store._undo is not None
+    assert [first, *matches] == expected
+    assert len(list(HomomorphismMatcher(after, pattern).matches())) == 12
+
+
+def test_a_suspended_dect_stream_outlives_the_maps_the_head_leaves():
+    """Enough versions pile up on a suspended stream's graph that the head moves to maps of its own."""
+    areas = 24
+    graph = _areas(areas)
+    rules = RuleSet([phi2()])
+    expected = frozenset(Detector(rules).run(graph).violations)
+    assert len(expected) == areas
+    stream = Detector(rules).stream(graph)
+    first = next(stream)
+    latest, rounds = graph, 0
+    while latest.store._out is graph.store._out:  # until the head copies the maps the versions share
+        latest = apply_update(latest, _repair(rounds % areas, rounds // areas))
+        rounds += 1
+    assert rounds > 1
+    assert frozenset([first, *stream]) == expected
+    assert len(Detector(rules).run(latest).violations) < areas
+    graph.validate_consistency()
 
 
 #: the incremental kernels, each drained to its result
