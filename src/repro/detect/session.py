@@ -360,7 +360,10 @@ class Detector:
         if result.stats.literal_evaluations:
             obs.counter_inc("repro_literal_evals_total", None, result.stats.literal_evaluations)
         estimate = root.attributes.get("plan_estimate")
-        if isinstance(estimate, (int, float)) and estimate > 0:
+        # a simulated parallel run's cost is its makespan, latency terms
+        # included: not in the planner's work units, so not compared with them
+        simulated = bool(result.worker_traces) and self.options.execution == "simulated"
+        if not simulated and isinstance(estimate, (int, float)) and estimate > 0:
             ratio = result.cost / estimate
             root.set(cost_ratio=round(ratio, 3))
             if ratio >= DEFAULT_SLOW_PLAN_RATIO:

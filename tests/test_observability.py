@@ -312,6 +312,14 @@ class TestDetectorTraces:
         assert any("slow plan" in message for message in caplog.messages)
         assert obs.metrics().total("repro_slow_plans_total") == 1.0
 
+    def test_a_simulated_makespan_is_not_a_slow_plan(self, g2, figure1_rules, caplog):
+        # the makespan carries the scan broadcast's latency C = 60, which no planner estimate counts
+        with caplog.at_level("WARNING", logger="repro.detect.slowplan"):
+            result = Detector(figure1_rules, engine="parallel", processors=2).run(g2)
+        assert result.worker_traces and result.cost >= 60
+        assert not caplog.messages
+        assert obs.metrics().total("repro_slow_plans_total") == 0.0
+
 
 # ----------------------------------------------- observe-never-steer parity
 
