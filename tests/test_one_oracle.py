@@ -16,7 +16,9 @@ the incremental ones:
   0 killed at its first seed (``REPRO_FAULTS``): the answer is the same, the
   run is not degraded, the dead worker is replaced whenever it had seeds,
   and every seed is searched once — the work counts are the serial
-  kernels';
+  kernels'.  Each first runs a pinned input whose every run seeds both
+  workers (:func:`pinned_versions`), so every process id searches on a
+  worker;
 * a continuous session and a one-shot detect stream over HTTP, on an
   in-process :class:`DetectionService` with inline rules.
 
@@ -42,9 +44,14 @@ from hypothesis import given, settings, strategies as st
 
 import naive_reference
 from repro import obs
+from repro.core.ngd import NGD, RuleSet
 from repro.core.violations import Violation, ViolationDelta, ViolationSet
 from repro.detect import BalancingPolicy, DetectionOptions, Detector
-from repro.graph.updates import apply_update
+from repro.expr.expressions import var
+from repro.expr.literals import Comparison, Literal
+from repro.graph.graph import Graph
+from repro.graph.pattern import Pattern
+from repro.graph.updates import BatchUpdate, apply_update
 from repro.service import DetectionService, ServiceClient
 from repro.testing.faults import FAULTS_ENV
 
@@ -84,6 +91,30 @@ def draw_versions(data) -> tuple:
     drawn = [(graph, None, naive_reference.violations(graph, rules))]
     for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="batches")):
         delta = draw_batch(data.draw, graph, fresh)
+        graph = apply_update(graph, delta)
+        drawn.append((graph, delta, naive_reference.violations(graph, rules)))
+    return rules, drawn
+
+
+def pinned_versions() -> tuple:
+    """Σ and three versions of a ring of six nodes, each of whose runs at p = 2 seeds both workers.
+
+    A drawn input often gives a process run no seed at all, and then no
+    worker searches: every process test runs this one first.  Each ΔG
+    inserts two edges and deletes two whose binding violates r0 (a pivot
+    whose one-literal Y holds is refused where it is made).
+    """
+    graph = Graph("ring")
+    for node_id in range(6):
+        graph.add_node(node_id, "a", {"val": node_id % 3})
+    for node_id in range(6):
+        graph.add_edge(node_id, (node_id + 1) % 6, "p")
+    rules = RuleSet([NGD(Pattern("q0", [("x0", "a"), ("x1", "a")], [("x0", "x1", "p")]), [], [Literal(var("x0"), Comparison.LE, var("x1"))], name="r0")])
+    drawn = [(graph, None, naive_reference.violations(graph, rules))]
+    for delta in (
+        BatchUpdate().delete(0, 1, "p").delete(3, 4, "p").insert(1, 3, "p").insert(4, 0, "p"),
+        BatchUpdate().delete(2, 3, "p").delete(5, 0, "p").insert(2, 0, "p").insert(5, 3, "p"),
+    ):
         graph = apply_update(graph, delta)
         drawn.append((graph, delta, naive_reference.violations(graph, rules)))
     return rules, drawn
@@ -216,44 +247,61 @@ def supervise(method, faults, force_start_method, monkeypatch):
     return check
 
 
-@process_configurations
-def test_process_pdect_equals_the_reference(method, faults, supervise):
+def on_workers(check, method: str) -> None:
+    """Run ``check(rules, drawn)`` on the pinned versions, then on drawn ones.
+
+    ``check`` returns the seeds each worker searched, per run; on the pinned
+    versions every worker of every run must have searched some.
+    """
+    worked = check(*pinned_versions())
+    assert worked and all(all(seeds) for seeds in worked), worked
+
     @settings(max_examples=PROCESS_EXAMPLES[method], deadline=None)
     @given(st.data())
     def run(data):
-        rules, drawn = draw_versions(data)
+        check(*draw_versions(data))
+
+    run()
+
+
+@process_configurations
+def test_process_pdect_equals_the_reference(method, faults, supervise):
+    def check(rules, drawn) -> list:
         serial_full = full_leg(rules)
         full = full_leg(rules, 2, execution="processes")
+        worked = []
 
         def checked_full(graph):
             stream, result = full(graph)
             serial = serial_full(graph)[1]
             assert result.cost == serial.cost
             supervise(result, serial)
+            worked.append([trace.work_units_processed for trace in result.worker_traces])
             return stream, result
 
         hold_full_to_the_reference(drawn, checked_full, f"PDect processes/{method}")
+        return worked
 
-    run()
+    on_workers(check, method)
 
 
 @process_configurations
 def test_process_pincdect_maintains_the_reference(method, faults, supervise):
-    @settings(max_examples=PROCESS_EXAMPLES[method], deadline=None)
-    @given(st.data())
-    def run(data):
-        rules, drawn = draw_versions(data)
+    def check(rules, drawn) -> list:
         serial_incremental = incremental_leg(rules)
         incremental = incremental_leg(rules, 2, execution="processes")
+        worked = []
 
         def checked_incremental(before, delta, after):
             result = incremental(before, delta, after)
             supervise(result, serial_incremental(before, delta, after))
+            worked.append([trace.work_units_processed for trace in result.worker_traces])
             return result
 
         hold_incremental_to_the_reference(rules, drawn, checked_incremental, f"PIncDect processes/{method}")
+        return worked
 
-    run()
+    on_workers(check, method)
 
 
 # ------------------------------------------------------------------- service
