@@ -63,7 +63,6 @@ def iter_dect(
     violations = ViolationSet()
     dedupe = (violations, violations)
     run = SerialRun("Dect", False, budget)
-    scans: dict = {}  # the label scans of this run, shared by the rules that scan alike
 
     try:
         for plan in plans:
@@ -72,7 +71,7 @@ def iter_dect(
                 if not order:
                     yield from run.emit(empty_match(plan, run.stats), True, dedupe)
                 else:
-                    candidates, scanned = first_step_seeds(graph, plan, run.stats, scans)
+                    candidates, scanned = first_step_seeds(graph, plan, run.stats)
                     run.cost += scanned
                     if not run.cost_exhausted():
                         search = RuleSearch(plan, run.stats)

@@ -120,13 +120,12 @@ def _candidate_seeds(run, graph: Graph) -> Iterator[tuple[int, WorkUnit, bool]]:
     # (estimated pending work, processor): the heap's head is the least-loaded processor, lowest index first
     loads = [(0.0, index) for index in range(processors)]
     position = 0
-    scans: dict = {}
     for rule_index, plan in enumerate(run.plans):
         order = plan.order
         if not order:
             continue
         before = run.attribution.before(run.stats)
-        candidates, scanned = first_step_seeds(graph, plan, run.stats, scans)
+        candidates, scanned = first_step_seeds(graph, plan, run.stats)
         run.attribution.after(plan.rule.name, before, run.stats)
         run.charge_scan(len(candidates), scanned)
         unit_estimate = plan.estimated_unit_cost(1)

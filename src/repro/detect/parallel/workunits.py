@@ -66,14 +66,9 @@ class ExpansionOutcome:
     verification_adjacency: int
 
 
-def first_step_seeds(graph: Graph, plan: "MatchPlan", stats: MatchStatistics, scans: dict) -> tuple[list, int]:
-    """The nodes of ``graph`` that pass all of step 0 of ``plan``'s root order, and the size of its scan.
-
-    ``scans`` is the run's memo of label scans over ``graph``
-    (:func:`~repro.matching.compiled.scan_pool`): each rule is billed its
-    whole scan, and the label is read once per signature.
-    """
-    return plan.schedule_for(plan.order).seeds(graph.store, stats, scans)
+def first_step_seeds(graph: Graph, plan: "MatchPlan", stats: MatchStatistics) -> tuple[list, int]:
+    """The nodes of ``graph`` that pass all of step 0 of ``plan``'s root order, and the size of its scan."""
+    return plan.schedule_for(plan.order).seeds(graph.store, stats)
 
 
 def expand_work_unit(graph: Graph, unit: WorkUnit, stats: MatchStatistics, plan: "MatchPlan") -> ExpansionOutcome:

@@ -3,14 +3,12 @@
 Both kernels seed a rule's search (:class:`~repro.matching.search.
 RuleSearch`, built from the rule's plan alone), expand it depth-first,
 deduplicate what it finds, charge the cost model, test the budget and
-attribute the work to the rule.  The depth-first loop lives here:
-:meth:`SerialRun.expand` pops each frame, binds its node and calls the
-generated step of its order itself, with the run's cost in a local, so a
-frame costs no call to :meth:`~repro.matching.search.RuleSearch.step`
-(which the simulator and the matcher keep as their unit).  The steps read
-the store through the search's binding and test it once each
-(:mod:`repro.matching.compiled`), so the loop holds no version check.  They differ
-only in where the seeds come from and which graph a seed is searched in, so
+attribute the work to the rule.  The loop, :meth:`SerialRun.expand`, calls
+:meth:`~repro.matching.search.RuleSearch.step` once per frame, as the
+simulator and the matcher do; the step's generated function reads the
+store's buckets through the search's binding and tests that binding once
+(:mod:`repro.matching.compiled`), so the loop holds no version check.  They
+differ only in where the seeds come from and which graph a seed is searched in, so
 the rest lives here, once.  A degraded process run
 (:class:`~repro.detect.parallel.executor.ProcessRun`, a :class:`SerialRun`)
 finishes the units its workers could not on this loop too.  The parallel
@@ -147,37 +145,17 @@ class SerialRun(KernelRun):
     def expand(self, search, introduced: bool, dedupe: tuple) -> Generator:
         """Drain ``search``'s stack, yielding each new violation; return True if the budget stopped it.
 
-        Every step is charged ``max(filtering, 1) + verification``, summed in
-        a local and stored before a yield, a budget test or an exit; the budget is tested
-        after each violation and after each step, and the run stops
+        Every step is charged ``max(filtering, 1) + verification``; the budget
+        is tested after each violation and after each step, and the run stops
         (``stop_reason`` set) the moment a cap is reached or the deadline
-        has passed.  The loop does what :meth:`~repro.matching.search.
-        RuleSearch.step` does for the simulator and the matcher (pop, bind,
-        dispatch) without a call per frame.
+        has passed.
         """
-        stack, ids, slots, budget = search.stack, search.ids, search.slots, self.budget
-        # the search's dispatch, kept across its seeds as RuleSearch.step keeps it
-        pop, order, steps, cost = stack.pop, search.order, search._expand, self.cost
-        try:
-            while stack:
-                # RuleSearch.step, inline: pop a frame, bind its node, run the step of its order
-                depth, node_id, attrs, frame_order = pop()
-                ids[depth] = node_id
-                slots[depth] = attrs
-                if frame_order is not order:
-                    order = frame_order
-                    steps = search.plan.schedule_for(order).expand
-                found = steps[depth](search, order)
-                cost += (search.filtering or 1) + search.verification
-                if found:
-                    self.cost = cost
-                    if (yield from self.emit(found, introduced, dedupe)):
-                        return True
-                if budget is not None:
-                    self.cost = cost
-                    if self.cost_exhausted():
-                        return True
-        finally:
-            self.cost = cost
-            search.order, search._expand = order, steps
+        stack, step, budget = search.stack, search.step, self.budget
+        while stack:
+            found = step()
+            self.cost += (search.filtering or 1) + search.verification
+            if found and (yield from self.emit(found, introduced, dedupe)):
+                return True
+            if budget is not None and self.cost_exhausted():
+                return True
         return False

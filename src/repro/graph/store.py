@@ -215,19 +215,20 @@ class GraphStore(ABC):
     def get_node(self, node_id: Hashable) -> Optional[Node]:
         """Return the node or None."""
 
-    #: The undo log of a past version (:class:`IndexedStore`); a store without versions is never past.
-    _undo = None
+    #: What :meth:`reader` hands out is good while this is the object it came
+    #: with (:class:`IndexedStore` replaces it); a store without versions keeps None.
+    _stamp = None
 
     def reader(self) -> tuple:
-        """Return ``(undo, out, into, node_of)``, what a search reads this version through.
+        """Return ``(stamp, out, into, node_of)``, what a search reads this version through.
 
         ``out[node][edge_label]`` and ``into[node][edge_label]`` are the
         node's neighbours over that label, in rank order (read with
         ``.get(edge_label, default)``; ``.keys()`` are its edge labels), and
-        ``node_of(id)`` is the node.  ``undo`` is ``_undo`` as it was read:
-        the readers hold while ``store._undo is undo``.  This default goes
-        through the label-filtered methods, one call per read;
-        :class:`IndexedStore` hands out its maps.
+        ``node_of(id)`` is the node.  The readers hold while
+        ``store._stamp is stamp``.  This default goes through the
+        label-filtered methods, one call per read; :class:`IndexedStore`
+        hands out its maps.
         """
         return (
             None,
@@ -578,11 +579,12 @@ class IndexedStore(GraphStore):
       small maps for the new head, and the past version keeps its own;
     * a search reads through :meth:`reader`, bound once per search: the head
       hands out its live ``_out`` / ``_in`` maps and ``_nodes.get``, a past
-      version readers over its undo log (``_PastMap``).  Live maps are this version's only
-      while it is the head: a clone (in any thread) makes the head's next
-      writes land in them.  So a step tests ``store._undo is undo`` after
-      its reads, and a clone since the binding makes it bind again and read
-      the past version's readers.
+      version readers over its undo log (``_PastMap``), each with the
+      store's ``_stamp``.  Live maps are this version's only while it is the
+      head: a clone (in any thread) makes the next head's writes land in
+      them, and so replaces the stamp, as does the materialization of a past
+      version, whose maps become its own.  A step tests ``store._stamp is
+      stamp`` after its reads, and where the stamp moved it binds again.
 
     All inner collections are insertion-ordered, so iteration order — and
     therefore match enumeration order — is deterministic across runs
@@ -620,6 +622,8 @@ class IndexedStore(GraphStore):
         self._private: Optional[tuple[set, set, set, set]] = None
         # A past version's materialization, read by its full scans.
         self._scan: Optional[IndexedStore] = None
+        # Replaced whenever the maps reader() hands out stop being this version's.
+        self._stamp = object()
 
     # ------------------------------------------------------------ versions
 
@@ -627,6 +631,7 @@ class IndexedStore(GraphStore):
         """Prepare a write: materialize a past version; return the log that keeps old values."""
         if self._undo is not None:
             vars(self).update(vars(self._materialized()))
+            self._stamp = object()  # what a search bound before is another head's now
         if self._log is None:
             return None
         log = self._log()
@@ -837,11 +842,11 @@ class IndexedStore(GraphStore):
         return _LabelView(self, label)
 
     def reader(self) -> tuple:
-        # _undo is read first: the head's maps stay this version's until a clone sets it
-        undo = self._undo
+        # the stamp is read first: a clone sets _undo before it replaces the stamp
+        stamp, undo = self._stamp, self._undo
         if undo is None:
-            return None, self._out, self._in, self._nodes.get
-        return undo, _PastMap(self._out, undo, _OUTS), _PastMap(self._in, undo, _INS), _PastMap(self._nodes, undo, _NODES).__getitem__
+            return stamp, self._out, self._in, self._nodes.get
+        return stamp, _PastMap(self._out, undo, _OUTS), _PastMap(self._in, undo, _INS), _PastMap(self._nodes, undo, _NODES).__getitem__
 
     def labels(self) -> frozenset[str]:
         return frozenset(self._label_counts)
@@ -1025,8 +1030,9 @@ class IndexedStore(GraphStore):
         other._copy_counts(self)
         other._log = weakref.ref(log)
         other._private = (set(), set(), set(), set())
-        # past from here on: set before the head's first write
+        # past from here on: set before the head's first write, the stamp after _undo (see reader)
         self._undo = log
+        self._stamp = object()
         self._log = self._private = None
         return other
 

@@ -49,14 +49,14 @@ raised is the same.
 and ``map(node_of, bucket)`` its nodes.  On a head these are the store's own
 dicts, so a frame costs no Python call to the store; a past version hands
 out readers over its undo log.  All of a step's reads come before it bills
-or pushes anything, and one test follows them, ``store._undo is undo``: a
-clone since the binding (while the search was suspended, or in another
-thread mid-step) lets the head's next writes into the maps just read, so
-the step binds again (:meth:`~repro.matching.search.RuleSearch.bind`) and
-reads the past version the store now is.  ``seeds`` takes its reader from
-the store, and :func:`scan_pool` keeps a run's label scans, so the rules
-that scan one label with one degree signature read it once; each is still
-billed its whole scan.
+or pushes anything, and one test follows them, ``store._stamp is stamp``:
+a clone since the binding (while the search was suspended, or in another
+thread mid-step) lets the next head's writes into the maps just read, and a
+write to a past version gives it maps of its own; either replaces the
+store's stamp, so the step binds again
+(:meth:`~repro.matching.search.RuleSearch.bind`) and runs itself again from
+the top, reading the version the store now is.  ``seeds`` takes its reader from
+the store.
 
 **Billing** is the search's: one ``candidates_examined`` per candidate
 drawn, one ``literal_evaluations`` per check reached, the rejections by
@@ -211,12 +211,12 @@ def _load(functions: Sequence["_Function"]) -> dict:
     function's own namespace.  So functions alike but for them — steps of
     one shape, in one rule or in rules alike — share one ``compile()``.
     Every namespace then gets every function, so that they call each other
-    by name.
+    by name, and its own function as ``again``.
     """
     made = {}
     for function in functions:
         exec(_compiled("\n".join(function.lines) + "\n"), function.namespace)
-        made[function.name] = function.namespace.pop(function.kind)
+        made[function.name] = function.namespace["again"] = function.namespace.pop(function.kind)
     for function in functions:
         function.namespace.update(made)
     return made
@@ -482,28 +482,20 @@ def compile_literal(literal: Literal, slot_of, direct: bool = False) -> Callable
     return _load(functions)["check"]
 
 
-def scan_pool(store, reader: tuple, label: str, out_labels: frozenset, in_labels: frozenset, scans: Optional[dict]) -> tuple:
+def scan_pool(store, reader: tuple, label: str, out_labels: frozenset, in_labels: frozenset) -> tuple:
     """The nodes of ``label`` (every node for the wildcard) that cover the degree signature, and how many were scanned.
 
-    Read through ``reader`` (``store.reader()``).  ``scans``, where given,
-    keeps the answer per signature and per reader's version, so that the
-    rules of one run that scan alike read the label once.
+    Read through ``reader`` (``store.reader()``).
     """
-    key = (reader[0], label, out_labels, in_labels)
-    found = scans.get(key) if scans is not None else None
-    if found is None:
-        _, out, into, node_of = reader
-        pool = store.all_node_ids() if label == WILDCARD else store.nodes_with_label(label)
-        scanned = len(pool)
-        # the index is the label's, so only the degree signature remains
-        if out_labels:
-            pool = [node_id for node_id in pool if out_labels <= out[node_id].keys()]
-        if in_labels:
-            pool = [node_id for node_id in pool if in_labels <= into[node_id].keys()]
-        found = list(map(node_of, pool)), scanned
-        if scans is not None:
-            scans[key] = found
-    return found
+    _, out, into, node_of = reader
+    pool = store.all_node_ids() if label == WILDCARD else store.nodes_with_label(label)
+    scanned = len(pool)
+    # the index is the label's, so only the degree signature remains
+    if out_labels:
+        pool = [node_id for node_id in pool if out_labels <= out[node_id].keys()]
+    if in_labels:
+        pool = [node_id for node_id in pool if in_labels <= into[node_id].keys()]
+    return list(map(node_of, pool)), scanned
 
 
 def intersect_pool(reader: tuple, anchor_slots: tuple, ids) -> tuple:
@@ -633,27 +625,30 @@ def _pool(function: _Function, step: Mapping, seeds: bool) -> None:
     """Emit the read of the step's candidate nodes into ``pool`` and the bill of the ``scanned`` ones.
 
     The reads go through the search's reader (``seeds``: the store's), then
-    ``store._undo`` is tested once: where it is not what the reader was
-    taken under, a clone may have let the head's writes into what was read
-    (a node the head then removed raises ``KeyError``), and the step binds
-    again and reads again, before it has billed or pushed anything.
+    ``store._stamp`` is tested once: where it is not the reader's, the maps
+    read may be another version's now (a node the head then removed raises
+    ``KeyError``), and the step binds again and runs ``again``, itself, from
+    the top: it has billed and pushed nothing yet.
     """
     anchors = step["anchor_slots"]
     if len(anchors) == 1:
         (slot, forward, edge_label), = anchors
-        reads = [f"pool = list(map(node_of, {'out' if forward else 'into'}[ids[{function.bind('K', slot)}]].get({function.bind('L', edge_label)}, EMPTY)))"]
+        read = f"pool = list(map(node_of, {'out' if forward else 'into'}[ids[{function.bind('K', slot)}]].get({function.bind('L', edge_label)}, EMPTY)))"
     elif anchors:
-        reads = [f"pool, scanned = intersect_pool(reader, {function.bind('K', anchors)}, ids)"]
+        read = f"pool, scanned = intersect_pool(reader, {function.bind('K', anchors)}, ids)"
     else:
         arguments = ", ".join(function.bind("K", step[field]) for field in ("label", "out_labels", "in_labels"))
-        reads = [f"pool, scanned = scan_pool(store, reader, {arguments}, {'scans' if seeds else 'None'})"]
-    unpack = "undo, out, into, node_of = reader"
-    function.emit(1, f"reader = {'store.reader()' if seeds else 'search.reader'}", unpack, "try:")
-    function.emit(2, *reads)
+        read = f"pool, scanned = scan_pool(store, reader, {arguments})"
+    function.emit(1, f"stamp, out, into, node_of = reader = {'store.reader()' if seeds else 'search.reader'}", "try:")
+    function.emit(2, read)
     function.emit(1, "except LookupError:")
-    function.emit(2, "undo = MISSING")
-    function.emit(1, "if store._undo is not undo:")
-    function.emit(2, f"reader = {'store.reader()' if seeds else 'search.bind(store)'}", unpack, *reads)
+    function.emit(2, "if store._stamp is stamp:")
+    function.emit(3, "raise")
+    function.emit(1, "if store._stamp is not stamp:")
+    if seeds:
+        function.emit(2, "return again(store, stats)")
+    else:
+        function.emit(2, "search.bind(store)", "return again(search, order)")
     if len(anchors) == 1:
         function.emit(1, "scanned = len(pool)")
     elif anchors:
@@ -666,11 +661,11 @@ def _pool(function: _Function, step: Mapping, seeds: bool) -> None:
 def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slot_of, last: bool, found: tuple, seeds: bool = False) -> None:
     """Emit ``expand_<depth>``: read the pool, filter, check and push (or finish) each candidate.
 
-    With ``seeds``, emit step 0 as ``seeds(store, stats, scans=None)``, which returns the nodes that pass and the scan's size.
+    With ``seeds``, emit step 0 as ``seeds(store, stats)``, which returns the nodes that pass and the scan's size.
     """
     checks, checked = step["premise_checks"], step["check_conclusion"]
     leaf = last and not seeds
-    function = _Function(functions, "seeds" if seeds else f"expand_{depth}", "store, stats, scans=None" if seeds else "search, order", slot_of, current=depth)
+    function = _Function(functions, "seeds" if seeds else f"expand_{depth}", "store, stats" if seeds else "search, order", slot_of, current=depth)
     literals = [premise[index] for index in checks] + ([conclusion[0]] if checked else [])
     earlier = [pair for literal in literals for pair in sorted(literal.variables()) if slot_of[pair[0]] != depth]
     if not seeds:

@@ -235,10 +235,9 @@ class Schedule(NamedTuple):
 
     ``steps[d]`` binds ``order[d]`` to slot ``d``.  The rest is generated
     (:func:`~repro.matching.compiled.compile_schedule`):
-    ``seeds(store, stats, scans=None)`` runs all of step 0 and returns the
-    nodes that pass and the size of its scan, which the batch kernels and
-    the matcher seed the search with (``scans`` is a run's memo of label
-    scans, :func:`~repro.matching.compiled.scan_pool`); ``prove(store, ids, stats)`` is True when no
+    ``seeds(store, stats)`` runs all of step 0 and returns the nodes that
+    pass and the size of its scan, which the batch kernels and the matcher
+    seed the search with; ``prove(store, ids, stats)`` is True when no
     literal of the steps a prefix ``ids`` binds refuses it, which the
     pivots are made with; ``expand[d](search, order)`` expands a
     :class:`~repro.matching.search.RuleSearch` frame that bound slot ``d``:

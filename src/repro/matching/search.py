@@ -30,16 +30,16 @@ leaf, which evaluates nothing checked on the way down.
 **Reads.**  A search binds the store of the graph it is seeded on once
 (:meth:`RuleSearch.bind`, kept in ``reader``), and the generated steps read
 the adjacency buckets and the nodes through that binding, not through a
-store method per frame.  A binding is good while ``store._undo`` is what it
-was taken under; each step tests that once, after its reads and before its
-first effect, and binds again where a clone made the maps it read the next
-version's (:mod:`repro.matching.compiled`).
+store method per frame.  A binding is good while ``store._stamp`` is the
+stamp it was taken with; each step tests that once, after its reads and
+before its first effect, and binds again and runs itself again where the
+store replaced its stamp, as a clone or a write to a past version does
+(:mod:`repro.matching.compiled`).
 
 ``RuleSearch(plan, stats)`` is the whole API: the plan carries its rule.
-The serial kernels and the process backend's workers drain the stack in
-:meth:`SerialRun.expand <repro.detect.serial.SerialRun.expand>`, whose loop
-does what :meth:`RuleSearch.step` does (pop, bind, dispatch) inline; the
-cluster simulator runs :meth:`RuleSearch.step` one work unit at a time through
+The serial kernels and the process backend's workers drain the stack
+(:class:`~repro.detect.serial.SerialRun`); the cluster simulator runs the
+same :meth:`RuleSearch.step` one work unit at a time through
 :func:`~repro.detect.parallel.workunits.expand_work_unit`; and
 :class:`~repro.matching.matchn.HomomorphismMatcher`, for the callers that
 want matches rather than violations (discovery, satisfiability,
@@ -101,9 +101,8 @@ class RuleSearch:
         self.slots: list = [None] * variables
         #: pending frames ``(depth, node id, attributes, order)``, expanded last in, first out
         self.stack: list[tuple] = []
-        #: the order the last step followed (its frame's), and its schedule's steps
+        #: the order the last step followed (its frame's)
         self.order: Optional[tuple[str, ...]] = None
-        self._expand: Optional[tuple] = None
         #: cost-model sizes of the last step: the index scan performed, and one
         #: unit per candidate verified
         self.filtering = self.verification = 0
@@ -143,15 +142,14 @@ class RuleSearch:
             frames.reverse()
         self.stack.extend(frames)
 
-    def bind(self, store) -> tuple:
-        """Read ``store`` from here on, through the reader it hands out now; return that reader.
+    def bind(self, store) -> None:
+        """Read ``store`` from here on, through the reader it hands out now.
 
-        A step tests the binding after its reads (``store._undo is
-        reader[0]``) and binds again where a clone made it stale.
+        A step tests the binding after its reads (``store._stamp is
+        reader[0]``) and binds again where the store replaced its stamp.
         """
         self.store = store
-        self.reader = reader = store.reader()
-        return reader
+        self.reader = store.reader()
 
     def step(self) -> list[Violation]:
         """Expand the top frame; return the bindings it completed that the leaf kept.

@@ -220,6 +220,23 @@ def test_a_suspended_matcher_yields_the_matches_of_the_version_it_started_on():
     assert len(list(HomomorphismMatcher(after, pattern).matches())) == 12
 
 
+def test_a_suspended_matcher_reads_its_graph_after_a_write_makes_it_a_head_again():
+    """A write to a past version gives it maps of its own, no longer the ones the head writes."""
+    graph = _areas(12)
+    pattern = Pattern("total", [("x", "area"), ("y", "integer")], [("x", "y", "populationTotal")])
+    expected = list(HomomorphismMatcher(graph, pattern).matches())
+    matches = HomomorphismMatcher(graph, pattern).matches()
+    first = next(matches)  # bound while the graph was the head
+    head = graph.copy()
+    for i in range(12):
+        if first["x"] != f"area{i}":
+            head.remove_edge(f"area{i}", f"total{i}", "populationTotal")
+    graph.add_node("area12", "area")  # materializes the past version: it is a head again
+    assert graph.store._undo is None
+    assert [first, *matches] == expected
+    assert len(list(HomomorphismMatcher(head, pattern).matches())) == 1
+
+
 def test_a_suspended_dect_stream_outlives_the_maps_the_head_leaves():
     """Enough versions pile up on a suspended stream's graph that the head moves to maps of its own."""
     areas = 24
