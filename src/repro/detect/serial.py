@@ -3,10 +3,12 @@
 Both kernels seed a rule's search (:class:`~repro.matching.search.
 RuleSearch`, built from the rule's plan alone), expand it depth-first,
 deduplicate what it finds, charge the cost model, test the budget and
-attribute the work to the rule.  The loop, :meth:`SerialRun.expand`, calls
-:meth:`~repro.matching.search.RuleSearch.step` once per frame, as the
-simulator and the matcher do; the step's generated function reads the
-store's buckets through the search's binding and tests that binding once
+attribute the work to the rule.  The depth-first loop lives here:
+:meth:`SerialRun.expand` pops each frame, binds its node and calls the
+generated step of its order itself, with the run's cost in a local, so a
+frame costs no call to :meth:`~repro.matching.search.RuleSearch.step`
+(which the simulator and the matcher keep as their unit).  The steps read
+the store's buckets through the search's binding and test it once each
 (:mod:`repro.matching.compiled`), so the loop holds no version check.  They
 differ only in where the seeds come from and which graph a seed is searched in, so
 the rest lives here, once.  A degraded process run
@@ -145,17 +147,35 @@ class SerialRun(KernelRun):
     def expand(self, search, introduced: bool, dedupe: tuple) -> Generator:
         """Drain ``search``'s stack, yielding each new violation; return True if the budget stopped it.
 
-        Every step is charged ``max(filtering, 1) + verification``; the budget
-        is tested after each violation and after each step, and the run stops
+        Every step is charged ``max(filtering, 1) + verification``, summed in
+        a local and stored before a yield, a budget test or an exit; the budget is tested
+        after each violation and after each step, and the run stops
         (``stop_reason`` set) the moment a cap is reached or the deadline
-        has passed.
+        has passed.  The loop pops, binds and dispatches each frame as
+        :meth:`~repro.matching.search.RuleSearch.step` does, without a call
+        per frame.
         """
-        stack, step, budget = search.stack, search.step, self.budget
-        while stack:
-            found = step()
-            self.cost += (search.filtering or 1) + search.verification
-            if found and (yield from self.emit(found, introduced, dedupe)):
-                return True
-            if budget is not None and self.cost_exhausted():
-                return True
+        stack, ids, slots, budget = search.stack, search.ids, search.slots, self.budget
+        pop, schedule_for, cost = stack.pop, search.plan.schedule_for, self.cost
+        order = steps = None
+        try:
+            while stack:
+                depth, node_id, attrs, frame_order = pop()
+                ids[depth] = node_id
+                slots[depth] = attrs
+                if frame_order is not order:
+                    order = frame_order
+                    steps = schedule_for(order).expand
+                found = steps[depth](search, order)
+                cost += (search.filtering or 1) + search.verification
+                if found:
+                    self.cost = cost
+                    if (yield from self.emit(found, introduced, dedupe)):
+                        return True
+                if budget is not None:
+                    self.cost = cost
+                    if self.cost_exhausted():
+                        return True
+        finally:
+            self.cost = cost
         return False

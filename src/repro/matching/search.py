@@ -37,9 +37,10 @@ store replaced its stamp, as a clone or a write to a past version does
 (:mod:`repro.matching.compiled`).
 
 ``RuleSearch(plan, stats)`` is the whole API: the plan carries its rule.
-The serial kernels and the process backend's workers drain the stack
-(:class:`~repro.detect.serial.SerialRun`); the cluster simulator runs the
-same :meth:`RuleSearch.step` one work unit at a time through
+The serial kernels and the process backend's workers drain the stack in
+:meth:`SerialRun.expand <repro.detect.serial.SerialRun.expand>`, whose loop
+does what :meth:`RuleSearch.step` does (pop, bind, dispatch) inline; the
+cluster simulator runs :meth:`RuleSearch.step` one work unit at a time through
 :func:`~repro.detect.parallel.workunits.expand_work_unit`; and
 :class:`~repro.matching.matchn.HomomorphismMatcher`, for the callers that
 want matches rather than violations (discovery, satisfiability,
@@ -157,6 +158,8 @@ class RuleSearch:
         The step's generated function reads the candidates from the store's
         rank-ordered views and pushes the children in rank order, so they pop
         in descending rank and the leaves of a last step come out ascending.
+        :meth:`SerialRun.expand <repro.detect.serial.SerialRun.expand>` runs
+        these lines inline: a change here goes there too.
         """
         depth, node_id, attrs, order = self.stack.pop()
         self.ids[depth] = node_id

@@ -37,7 +37,6 @@ from repro.detect.parallel import executor, iter_p_dect
 from repro.errors import ReproError, ServiceError, SessionError
 from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate, UpdateGenerator
-from repro.matching.search import RuleSearch
 from repro.service import DetectionService, ServiceClient
 from repro.service.protocol import error_record, parse_detect_request
 from repro.service.server import FAULT_TOLERANCE_COUNTERS
@@ -591,15 +590,14 @@ class TestKernelDeadlines:
         assert clock.readings == 50
         assert result.stats.candidates_examined < full.stats.candidates_examined
 
-    def test_a_serial_run_tests_the_deadline_after_every_step(self, quiet, monkeypatch):
+    def test_a_serial_run_tests_the_deadline_after_every_step(self, quiet, monkeypatch, hook_steps):
         # Dect reads the clock once after the first-step scan and once after
         # each search step, and stops at the first reading past the deadline
         graph, rules, _ = quiet
         clock = _Clock()
         monkeypatch.setattr(observers, "time", clock)
         steps = []
-        step = RuleSearch.step
-        monkeypatch.setattr(RuleSearch, "step", lambda search: steps.append(1) or step(search))
+        hook_steps(lambda search, order, depth: steps.append(1))
         result = drain(iter_dect(graph, rules, budget=DetectionBudget(deadline=100.0)))
         assert (result.stop_reason, result.stopped_early) == ("deadline", True)
         assert clock.readings == 100

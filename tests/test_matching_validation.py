@@ -70,7 +70,7 @@ class TestCandidates:
         assert search.step() == [] and (search.filtering, search.verification) == (1, 0)
         assert rejected(stats) == {"label": 1}
 
-    def test_a_step_keeps_what_it_examined_less_what_it_rejected(self, monkeypatch):
+    def test_a_step_keeps_what_it_examined_less_what_it_rejected(self, monkeypatch, hook_steps):
         # every step of a KB detection: examined − rejected (the flushed
         # counters) = kept, that is the seeds a scan hands the search and
         # the candidates each later step verified
@@ -86,16 +86,13 @@ class TestCandidates:
             count(search, order[0], len(nodes))
             real_seed(search, graph, order, nodes)
 
-        def step(search):
-            depth, _, _, order = search.stack[-1]
-            found = real_step(search)
+        def step(search, order, depth):
             if depth + 1 < len(order):  # not a seed that bound every variable
                 count(search, order[depth + 1], search.verification)
-            return found
 
-        real_seed, real_step = RuleSearch.seed, RuleSearch.step
+        real_seed = RuleSearch.seed
         monkeypatch.setattr(RuleSearch, "seed", seed)
-        monkeypatch.setattr(RuleSearch, "step", step)
+        hook_steps(step)
         obs.configure()
         try:
             Detector(rules, engine="batch").run(graph)
