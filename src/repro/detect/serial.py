@@ -156,8 +156,8 @@ class SerialRun(KernelRun):
         per frame.
         """
         stack, ids, slots, budget = search.stack, search.ids, search.slots, self.budget
-        pop, schedule_for, cost = stack.pop, search.plan.schedule_for, self.cost
-        order = steps = None
+        # the search's dispatch, kept across its seeds as RuleSearch.step keeps it
+        pop, order, steps, cost = stack.pop, search.order, search.steps, self.cost
         try:
             while stack:
                 depth, node_id, attrs, frame_order = pop()
@@ -165,7 +165,7 @@ class SerialRun(KernelRun):
                 slots[depth] = attrs
                 if frame_order is not order:
                     order = frame_order
-                    steps = schedule_for(order).expand
+                    steps = search.plan.schedule_for(order).expand
                 found = steps[depth](search, order)
                 cost += (search.filtering or 1) + search.verification
                 if found:
@@ -178,4 +178,5 @@ class SerialRun(KernelRun):
                         return True
         finally:
             self.cost = cost
+            search.order, search.steps = order, steps
         return False

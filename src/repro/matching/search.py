@@ -88,7 +88,7 @@ class RuleSearch:
 
     __slots__ = (
         "plan", "stats", "store", "reader", "ids", "slots", "stack", "order",
-        "filtering", "verification", "_expand",
+        "filtering", "verification", "steps",
     )  # fmt: skip
 
     def __init__(self, plan: MatchPlan, stats: MatchStatistics) -> None:
@@ -102,8 +102,10 @@ class RuleSearch:
         self.slots: list = [None] * variables
         #: pending frames ``(depth, node id, attributes, order)``, expanded last in, first out
         self.stack: list[tuple] = []
-        #: the order the last step followed (its frame's)
+        #: the order the last step followed (its frame's), and its schedule's
+        #: steps: the dispatch every loop over this search keeps
         self.order: Optional[tuple[str, ...]] = None
+        self.steps: Optional[tuple] = None
         #: cost-model sizes of the last step: the index scan performed, and one
         #: unit per candidate verified
         self.filtering = self.verification = 0
@@ -166,5 +168,5 @@ class RuleSearch:
         self.slots[depth] = attrs
         if order is not self.order:
             self.order = order
-            self._expand = self.plan.schedule_for(order).expand
-        return self._expand[depth](self, order)
+            self.steps = self.plan.schedule_for(order).expand
+        return self.steps[depth](self, order)
