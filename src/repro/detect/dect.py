@@ -6,10 +6,10 @@ The paper uses (an NGD extension of) the batch GFD detection algorithm of
 the rule's pattern in the whole graph and keeps those that violate the
 attribute dependency.
 
-The search itself is the core of :mod:`repro.matching.search`, seeded with
-the first-step candidates of each rule and drained depth-first by
-:class:`~repro.detect.serial.SerialRun` — the loop IncDect drains its update
-pivots with.  A step is charged what the parallel kernels charge for the same
+The search itself is the core of :mod:`repro.matching.search`: the
+first-step candidates of each rule go to the rule's generated driver of
+depth 0, through :class:`~repro.detect.serial.SerialRun` — the drain IncDect
+searches its update pivots with.  A step is charged what the parallel kernels charge for the same
 step (the simulator runs it through :func:`~repro.detect.parallel.workunits.
 expand_work_unit`), so the reported ``cost`` is in the same units as the
 simulated parallel makespans and the speedups of Figures 4(a)–(l) are
@@ -75,8 +75,7 @@ def iter_dect(
                     run.cost += scanned
                     if not run.cost_exhausted():
                         search = RuleSearch(plan, run.stats)
-                        search.seed(graph, order, candidates)
-                        yield from run.expand(search, True, dedupe)
+                        yield from search.drive(run, graph, order, (), candidates, True, dedupe)
             if run.stop_reason is not None:
                 break
     finally:

@@ -22,9 +22,10 @@ given in ``G`` and ``G ⊕ ΔG`` themselves: the pivots keep the search inside
 The pivots of all of Σ come from one pass over ΔG
 (:func:`~repro.matching.incmatch.pivots_by_rule`), are proven where they are
 made (:func:`~repro.matching.incmatch.pivot_seeds`) and seed the search core
-of :mod:`repro.matching.search` directly, drained by the loop Dect drains
-its seeds with (:class:`~repro.detect.serial.SerialRun`) and charged per
-step what the parallel kernels charge.  The reported ``cost`` is what the
+of :mod:`repro.matching.search` directly, each searched by the generated
+driver of the depth its prefix reaches, through the drain Dect searches its
+seeds with (:class:`~repro.detect.serial.SerialRun`), and charged per step
+what the parallel kernels charge.  The reported ``cost`` is what the
 search touched — one unit per pivot that passes ``holds_in``, refused by its
 literals or not, plus the charged steps — in the units of the simulated
 parallel makespans, making

@@ -11,13 +11,14 @@ it is expanded against).
 and reports the sizes the cost model needs (the index scan for filtering,
 one unit per verified candidate) so the scheduler can decide whether to split
 the step across processors.  The step is one step of the search core
-(:class:`~repro.matching.search.RuleSearch`) the serial kernels drain without
-ever building a work unit: a unit is the form a partial match takes only
+(:meth:`~repro.matching.search.RuleSearch.step`), of the same generated
+text the serial kernels' drivers run without ever building a work unit: a
+unit is the form a partial match takes only
 where it has to be queued or shipped — the simulator's queues, and the
 seeds a process run hands its workers — and it is proven where it is made,
 so it binds at least one variable.  A unit names its rule by index; the
 plan at that index carries the rule.  The batch seeds all come from
-:func:`first_step_seeds`: Dect pushes them as frames, PDect writes each
+:func:`first_step_seeds`: Dect hands them to its driver, PDect writes each
 down as a unit.
 """
 
@@ -75,7 +76,7 @@ def expand_work_unit(graph: Graph, unit: WorkUnit, stats: MatchStatistics, plan:
     """Expand ``unit`` by matching its next pattern variable, with the search of ``plan``'s rule.
 
     One :meth:`~repro.matching.search.RuleSearch.step` of the search core
-    the serial kernels drain: the unit's assignment is loaded as a seed, the
+    the serial kernels run: the unit's assignment is loaded as a seed, the
     step runs, and the frames it pushed are serialised back into work units.
     A unit that already binds every variable goes straight to the leaf.
     """

@@ -1,23 +1,25 @@
-"""The serial drain loop: how Dect and IncDect advance one search, step by step.
+"""The serial drain: how Dect and IncDect search one seed's subtree after another.
 
 Both kernels seed a rule's search (:class:`~repro.matching.search.
-RuleSearch`, built from the rule's plan alone), expand it depth-first,
+RuleSearch`, built from the rule's plan alone), search it depth-first,
 deduplicate what it finds, charge the cost model, test the budget and
-attribute the work to the rule.  The depth-first loop lives here:
-:meth:`SerialRun.expand` pops each frame, binds its node and calls the
-generated step of its order itself, with the run's cost in a local, so a
-frame costs no call to :meth:`~repro.matching.search.RuleSearch.step`
-(which the simulator and the matcher keep as their unit).  The steps read
-the store's buckets through the search's binding and test it once each
-(:mod:`repro.matching.compiled`), so the loop holds no version check.  They
-differ only in where the seeds come from and which graph a seed is searched in, so
-the rest lives here, once.  A degraded process run
+attribute the work to the rule.  The search itself is the rule's
+generated driver (:meth:`~repro.matching.search.RuleSearch.drive`), whose
+nested loops run the steps, charge each to the run's ``cost``, test the
+run's budget after each and emit the violations of each leaf step through
+:meth:`KernelRun.emit`; there is no frame loop here.  Dect hands a rule's
+seeds to its driver of depth 0, and :meth:`SerialRun.drain` hands one
+proven prefix at a time (IncDect's pivots) to the driver of the depth it
+reaches.  The kernels differ only in where the seeds come from and which graph a
+seed is searched in, so the rest lives here, once.  A degraded process run
 (:class:`~repro.detect.parallel.executor.ProcessRun`, a :class:`SerialRun`)
-finishes the units its workers could not on this loop too.  The parallel
-backends have one loop each, of the same ``drain(seeds, graph_for,
-dedupe)`` shape: :class:`~repro.detect.parallel.cluster.SimulatedRun` and
-``ProcessRun``.  All three share :class:`KernelRun`: what a run has emitted,
-its budget tests, its emit step and its rule attribution.
+finishes the units its workers could not on this drain too, and each
+worker drains its share on one.  The parallel backends have one loop
+each, of the same ``drain(seeds, graph_for, dedupe)`` shape:
+:class:`~repro.detect.parallel.cluster.SimulatedRun` steps work units one
+at a time, and ``ProcessRun`` maps seeds over workers.  All three share
+:class:`KernelRun`: what a run has emitted, its budget tests, its emit
+step and its rule attribution.
 """
 
 from __future__ import annotations
@@ -129,54 +131,19 @@ class SerialRun(KernelRun):
         )
 
     def drain(self, seeds: Iterable[tuple], graph_for, dedupe: tuple) -> Iterator:
-        """Expand every seed's subtree depth-first, yielding each new violation.
+        """Search every seed's subtree depth-first, yielding each new violation.
 
         ``seeds`` are ``(search, order, ids, introduced)`` in the order they
-        are to be expanded: the rule's search core, the bound prefix of
+        are to be searched: the rule's search core, the bound prefix of
         ``order``, and the ΔVio direction.  A seed is searched in
         ``graph_for(introduced)`` and its findings are new against
         ``dedupe[0]`` (introduced) or ``dedupe[1]`` (removed).  A seed is
-        started once the last one's subtree is drained (:meth:`expand`).
+        started once the last one's subtree is drained, each by the driver
+        of the depth its prefix reaches (:meth:`~repro.matching.search.RuleSearch.drive`).
         """
         graphs = (graph_for(False), graph_for(True))
         for search, order, ids, introduced in seeds:
-            search.start(graphs[introduced], order, ids)
-            if (yield from self.expand(search, introduced, dedupe)):
+            graph = graphs[introduced]
+            node = graph.store.get_node(ids[-1])
+            if (yield from search.drive(self, graph, order, ids[:-1], (node,), introduced, dedupe)):
                 return
-
-    def expand(self, search, introduced: bool, dedupe: tuple) -> Generator:
-        """Drain ``search``'s stack, yielding each new violation; return True if the budget stopped it.
-
-        Every step is charged ``max(filtering, 1) + verification``, summed in
-        a local and stored before a yield, a budget test or an exit; the budget is tested
-        after each violation and after each step, and the run stops
-        (``stop_reason`` set) the moment a cap is reached or the deadline
-        has passed.  The loop pops, binds and dispatches each frame as
-        :meth:`~repro.matching.search.RuleSearch.step` does, without a call
-        per frame.
-        """
-        stack, ids, slots, budget = search.stack, search.ids, search.slots, self.budget
-        # the search's dispatch, kept across its seeds as RuleSearch.step keeps it
-        pop, order, steps, cost = stack.pop, search.order, search.steps, self.cost
-        try:
-            while stack:
-                depth, node_id, attrs, frame_order = pop()
-                ids[depth] = node_id
-                slots[depth] = attrs
-                if frame_order is not order:
-                    order = frame_order
-                    steps = search.plan.schedule_for(order).expand
-                found = steps[depth](search, order)
-                cost += (search.filtering or 1) + search.verification
-                if found:
-                    self.cost = cost
-                    if (yield from self.emit(found, introduced, dedupe)):
-                        return True
-                if budget is not None:
-                    self.cost = cost
-                    if self.cost_exhausted():
-                        return True
-        finally:
-            self.cost = cost
-            search.order, search.steps = order, steps
-        return False

@@ -1,18 +1,40 @@
-"""Generated search steps: the compiled evaluation layer.
+"""Generated search steps and drivers: the compiled evaluation layer.
 
 The search core (:class:`~repro.matching.search.RuleSearch`) runs one
-``(rule, order)`` schedule as generated straight-line Python, one function
-per step (:func:`compile_schedule`).  ``expand_d(search, order)`` does all
-that step ``d`` of ``Matchn`` does (Section 6.2): it reads the candidates,
-from the anchor's adjacency view (already in rank order), an intersection
-of views or a label scan; bills them; tests each one's label, unary
+``(rule, order)`` schedule as generated straight-line Python
+(:func:`compile_schedule`).  One emitter writes the text of a step
+(:func:`_step`): step ``d`` of ``Matchn`` (Section 6.2) reads the
+candidates, from the anchor's adjacency view (already in rank order), an
+intersection of views or a label scan; tests each one's label, unary
 literals and self-loops; fires the literals that its binding completes;
-and pushes the frame, or finishes the binding at the leaf.  ``seeds`` is
-all of step 0 — scan, tests and checks — and the only form step 0 has: the
-batch kernels and the matcher seed the search with it, since no search
-starts from an empty seed.  ``prove(store, ids, stats)`` checks the
-literals of the steps a bound prefix binds, which the update pivots are
-proven with:
+and keeps the candidate, or finishes the binding at the leaf; then bills
+what it did.  That text is assembled two ways:
+
+* **the step**, one function per step: ``expand_d(search, order)`` runs
+  step ``d + 1`` of a frame that bound slot ``d``, pushes a frame per kept
+  candidate and bills ``stats`` directly; ``seeds(store, stats)`` is all of
+  step 0 — scan, tests and checks — and the only form step 0 has, which
+  the batch kernels and the matcher seed the search with, since no search
+  starts from an empty seed.  The simulator's work units and the matcher
+  run these, one frame at a time;
+* **the driver**, one generator per entry depth, generated on its first
+  use (:attr:`~repro.matching.plan.Schedule.drivers`):
+  ``drive(search, run, nodes, introduced, dedupe)`` runs the whole
+  subtree of each of ``nodes`` bound at its slot as nested ``for`` loops,
+  one level per step, and descends into each level's kept candidates last
+  first, so it bills, finds and tests the budget in the order a stack of
+  frames does.  A level sums its bills in the driver's locals and adds
+  ``(scanned or 1) + kept`` to a local cost, and tests the budget after
+  each step; a leaf level yields the violations it found through the
+  run's ``emit``.  The sums go to ``stats`` and the cost to ``run.cost``
+  before each emit, before each budget test (the cost) and on every exit,
+  in a ``finally``, so a closed driver leaves exact counts.  A driver nests at most ``_LEVELS`` levels; a deeper
+  pattern continues in the driver of the depth reached, entered with each
+  level's kept candidates.  The serial kernels and the process workers
+  run the drivers.
+
+``prove(store, ids, stats)`` checks the literals of the steps a bound
+prefix binds, which the update pivots are proven with.  In all of them:
 
 * pattern variables map to *slot indices* in plan order, so a partial
   match is a flat list of attribute mappings (``slots[d]`` is the
@@ -47,21 +69,22 @@ raised is the same.
 (``search.reader``, :meth:`~repro.graph.store.GraphStore.reader`):
 ``out[id].get(label, EMPTY)`` is an anchor's bucket, already in rank order,
 and ``map(node_of, bucket)`` its nodes.  On a head these are the store's own
-dicts, so a frame costs no Python call to the store; a past version hands
+dicts, so a step costs no Python call to the store; a past version hands
 out readers over its undo log.  All of a step's reads come before it bills
-or pushes anything, and one test follows them, ``store._stamp is stamp``:
+or keeps anything, and one test follows them, ``store._stamp is stamp``:
 a clone since the binding (while the search was suspended, or in another
 thread mid-step) lets the next head's writes into the maps just read, and a
 write to a past version gives it maps of its own; either replaces the
 store's stamp, so the step binds again
-(:meth:`~repro.matching.search.RuleSearch.bind`) and runs itself again from
-the top, reading the version the store now is.  ``seeds`` takes its reader from
-the store.
+(:meth:`~repro.matching.search.RuleSearch.bind`) and reads again, the
+version the store now is.  A driver holds the reader in locals from its
+start and re-binds them there; ``seeds`` takes its reader from the store.
 
 **Billing** is the search's: one ``candidates_examined`` per candidate
 drawn, one ``literal_evaluations`` per check reached, the rejections by
-reason.  A step sums them in locals and adds them to the statistics once,
-after its loop.  Every seed is proven where it is made, so the one leaf
+reason.  A step counts in locals and bills once, after its loop: a step
+function into the statistics, a driver level into the driver's sums.
+Every seed is proven where it is made, so the one leaf
 does not evaluate again what was checked on the way down — all of X, and
 a one-literal Y, which pruned the branch where it held — and bills only
 the literals of a longer Y that it reaches (``holds``).  Each literal is
@@ -204,19 +227,19 @@ def _times(left: Optional[str], right: Optional[str]) -> Optional[str]:
     return f"({left} * {right})"
 
 
-def _load(functions: Sequence["_Function"]) -> dict:
+def _load(functions: Sequence["_Function"], shared: Optional[Mapping] = None) -> dict:
     """Compile each function's text (once per text in the process), run it; return the functions by name.
 
     A text holds no label, key or constant: those are names in the
     function's own namespace.  So functions alike but for them — steps of
     one shape, in one rule or in rules alike — share one ``compile()``.
-    Every namespace then gets every function, so that they call each other
-    by name, and its own function as ``again``.
+    Every namespace then gets every function and ``shared``, so that they
+    call each other by name.
     """
-    made = {}
+    made = dict(shared or {})
     for function in functions:
         exec(_compiled("\n".join(function.lines) + "\n"), function.namespace)
-        made[function.name] = function.namespace["again"] = function.namespace.pop(function.kind)
+        made[function.name] = function.namespace.pop(function.kind)
     for function in functions:
         function.namespace.update(made)
     return made
@@ -262,6 +285,11 @@ class _Function:
         self.slots: dict = {}  # slot -> local name
         self.present: set = set()  # locals a passed literal proved present
         self.temps = 0
+
+    def level(self, depth: int) -> None:
+        """Write step ``depth`` from here on: its candidate is ``attrs``, and no earlier step's read is reused."""
+        self.current = depth
+        self.reads, self.slots, self.present = {}, {}, set()
 
     def emit(self, depth: int, *lines: str) -> None:
         self.lines.extend("    " * (self.indent + depth - 1) + line for line in lines)
@@ -507,6 +535,29 @@ def intersect_pool(reader: tuple, anchor_slots: tuple, ids) -> tuple:
     return [node_of(node_id) for node_id in base if all(node_id in view for view in others)], len(base)
 
 
+#: A driver runs at most this many levels as nested loops; a deeper one
+#: continues in the driver of the depth it reached.  CPython refuses a
+#: function with more than 20 statically nested blocks (loops, ``try``
+#: bodies and handlers), and a driver of L levels nests L + 4 at its
+#: deepest: its ``try``, its entry loop, a descent loop per level past the
+#: first, the last level's candidate loop and a literal's ``try`` and handler.
+_LEVELS = 12
+
+
+class _Drivers(dict):
+    """A schedule's drivers by entry depth, each generated on its first use (:func:`compile_schedule`)."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, depth: int) -> Callable:
+        driver = self[depth] = self.make(self, depth)
+        return driver
+
+
 def compile_schedule(
     name: str,
     variables: Sequence[str],
@@ -514,19 +565,20 @@ def compile_schedule(
     conclusion: Sequence[Literal],
     slot_of,
     steps: Sequence[Mapping],
-) -> tuple[tuple[Callable, ...], Optional[Callable], Callable]:
-    """Generate one rule's schedule for one order: ``(expand, seeds, prove)`` of its :class:`~repro.matching.plan.Schedule`.
+) -> tuple[tuple[Callable, ...], Optional[Callable], Callable, _Drivers]:
+    """Generate one rule's schedule for one order: ``(expand, seeds, prove, drivers)`` of its :class:`~repro.matching.plan.Schedule`.
 
     ``steps[d]`` holds the :class:`~repro.matching.plan.PlanStep` fields of
     step ``d`` that do not depend on the statistics.  Step 0 is generated
-    as ``seeds`` only: every search starts from a seed that binds it.
+    as ``seeds`` only: every search starts from a seed that binds it.  The
+    drivers are generated on first use of each entry depth.
     """
     functions: list = []
     found = (name, tuple(variables), [slot_of[variable] for variable in variables])
     if steps:
-        _expand(functions, 0, steps[0], premise, conclusion, slot_of, False, found, seeds=True)
+        _step_function(functions, 0, steps[0], premise, conclusion, slot_of, found, seeds=True)
         for depth in range(1, len(steps)):
-            _expand(functions, depth, steps[depth], premise, conclusion, slot_of, depth + 1 == len(steps), found)
+            _step_function(functions, depth, steps[depth], premise, conclusion, slot_of, found)
         # the leaf of a seed that bound every variable
         function = _Function(functions, f"expand_{len(steps)}", "search, order", slot_of)
         function.emit(1, "search.filtering, search.verification = 1, 0")
@@ -545,7 +597,9 @@ def compile_schedule(
             function.check(literal, f"conclusion {index}", "return False")
         function.emit(1, "return True")
     made = _load(functions)
-    return tuple(made[f"expand_{depth}"] for depth in range(1, len(steps) + 1)), made.get("seeds"), made["prove"]
+    shared = {"holds": made["holds"]} if "holds" in made else {}
+    drivers = _Drivers(functools.partial(_driver, found, premise, conclusion, slot_of, steps, shared))
+    return tuple(made[f"expand_{depth}"] for depth in range(1, len(steps) + 1)), made.get("seeds"), made["prove"], drivers
 
 
 def _prove(functions: list, steps: Sequence[Mapping], premise, conclusion, slot_of) -> None:
@@ -602,33 +656,71 @@ def _filter(function: _Function, step: Mapping, premise: Sequence[Literal]) -> N
         function.emit(2, "continue")
 
 
-def _flush(function: _Function, step: Mapping, counters: Sequence[str]) -> None:
-    """Emit, after the candidate loop, the counters' sums into ``stats`` and the rejections by reason.
+def _counts(function: _Function, step: Mapping, scanned: str, kept: str, label: Optional[str], unary: Optional[str]) -> list[str]:
+    """The lines that add the ``scanned`` candidates to the step's count key, and what it did not keep to its rejections.
 
     What a scan's degree signature, the other anchors or a self-loop
-    dropped is rejected for an edge.
+    dropped (``scanned - kept`` less the other reasons) is rejected for an edge.
     """
+    count = function.bind("L", step["count_key"])
+    reasons = [(counter, key) for counter, key in zip((label, unary), step["reject_keys"]) if counter]
+    lines = [
+        f"if {scanned}:",
+        "    extra = stats.extra",
+        f"    extra[{count}] = extra.get({count}, 0) + {scanned}",
+        f"    if {kept} != {scanned}:",
+        f"        edge = {' - '.join([scanned, kept] + [counter for counter, _ in reasons])}",
+    ]
+    for counter, key in reasons + [("edge", step["reject_keys"][2])]:
+        key = function.bind("L", key)
+        lines += [f"        if {counter}:", f"            extra[{key}] = extra.get({key}, 0) + {counter}"]
+    return lines
+
+
+def _bill(function: _Function, depth: int, step: Mapping, counters: Sequence[str], mode: str) -> None:
+    """Emit, after the candidate loop, the step's bills: into ``stats``, or a driver's sums and its ``cost``."""
+    if mode == "driver":
+        function.emit(1, f"n_scanned{depth} += scanned", f"n_kept{depth} += kept")
+        for counter, total in _SUMS:
+            if counter in counters:
+                function.emit(1, f"{total}{depth if counter in _PER_LEVEL else ''} += {counter}")
+        function.emit(1, "cost += (scanned or 1) + kept")
+        return
+    anchors = len(step["anchor_slots"])
+    function.emit(1, "stats.candidates_examined += scanned")
+    if anchors > 1:
+        function.emit(1, f"stats.edge_checks += scanned * {anchors - 1}")
     for counter, total in (("evals", "literal_evaluations"), ("probes", "edge_checks")):
         if counter in counters:
             function.emit(1, f"stats.{total} += {counter}")
-    reasons = [counter for counter in ("by_label", "by_unary") if counter in counters]
-    function.emit(1, "if kept != scanned:")
-    function.emit(2, "extra = stats.extra", " - ".join(["edge = scanned - kept", *reasons]))
-    for counter, key in zip(("by_label", "by_unary", "edge"), step["reject_keys"]):
-        if counter in reasons or counter == "edge":
-            key = function.bind("L", key)
-            function.emit(2, f"if {counter}:")
-            function.emit(3, f"extra[{key}] = extra.get({key}, 0) + {counter}")
+    if mode == "step":
+        function.emit(1, f"stats.expansions += {'expanded' if 'expanded' in counters else 'kept'}")
+        if "matches" in counters:
+            function.emit(1, "stats.matches_emitted += matches")
+    function.emit(1, *_counts(function, step, "scanned", "kept", *(c if c in counters else None for c in ("by_label", "by_unary"))))
 
 
-def _pool(function: _Function, step: Mapping, seeds: bool) -> None:
-    """Emit the read of the step's candidate nodes into ``pool`` and the bill of the ``scanned`` ones.
+#: A step's counter -> the driver's local it is summed in; the per-level ones end in the level's depth.
+_SUMS = (
+    ("by_label", "n_label"),
+    ("by_unary", "n_unary"),
+    ("expanded", "n_expanded"),
+    ("evals", "n_evals"),
+    ("probes", "n_probes"),
+    ("matches", "n_matches"),
+)
+_PER_LEVEL = ("by_label", "by_unary", "expanded")
 
-    The reads go through the search's reader (``seeds``: the store's), then
-    ``store._stamp`` is tested once: where it is not the reader's, the maps
-    read may be another version's now (a node the head then removed raises
-    ``KeyError``), and the step binds again and runs ``again``, itself, from
-    the top: it has billed and pushed nothing yet.
+
+def _pool(function: _Function, step: Mapping, mode: str) -> None:
+    """Emit the read of the step's candidate nodes into ``pool``, and ``scanned``.
+
+    The reads go through the search's reader (``seeds``: the store's),
+    then ``store._stamp`` is tested once: where it is not the reader's, the
+    maps read may be another version's now (a node the head then removed
+    raises ``KeyError``), and the step binds again and reads again: it has
+    billed and pushed nothing yet.  A driver holds its reader in locals
+    from its start, and each level reads through them.
     """
     anchors = step["anchor_slots"]
     if len(anchors) == 1:
@@ -639,48 +731,49 @@ def _pool(function: _Function, step: Mapping, seeds: bool) -> None:
     else:
         arguments = ", ".join(function.bind("K", step[field]) for field in ("label", "out_labels", "in_labels"))
         read = f"pool, scanned = scan_pool(store, reader, {arguments})"
-    function.emit(1, f"stamp, out, into, node_of = reader = {'store.reader()' if seeds else 'search.reader'}", "try:")
-    function.emit(2, read)
-    function.emit(1, "except LookupError:")
-    function.emit(2, "if store._stamp is stamp:")
-    function.emit(3, "raise")
-    function.emit(1, "if store._stamp is not stamp:")
-    if seeds:
-        function.emit(2, "return again(store, stats)")
-    else:
-        function.emit(2, "search.bind(store)", "return again(search, order)")
+    rebind = "reader = store.reader()" if mode == "seeds" else "reader = search.reader"
+    if mode != "driver":
+        function.emit(1, f"stamp, out, into, node_of = {rebind}")
+    function.emit(1, "while True:")
+    function.emit(2, "try:")
+    function.emit(3, read)
+    function.emit(2, "except LookupError:")
+    function.emit(3, "if store._stamp is stamp:")
+    function.emit(4, "raise")
+    function.emit(2, "else:")
+    function.emit(3, "if store._stamp is stamp:")
+    function.emit(4, "break")
+    function.emit(2, *([] if mode == "seeds" else ["search.bind(store)"]), f"stamp, out, into, node_of = {rebind}")
     if len(anchors) == 1:
         function.emit(1, "scanned = len(pool)")
-    elif anchors:
-        function.emit(1, f"stats.edge_checks += scanned * {len(anchors) - 1}")
-    key = function.bind("L", step["count_key"])
-    function.emit(1, "stats.candidates_examined += scanned", "if scanned:")
-    function.emit(2, "extra = stats.extra", f"extra[{key}] = extra.get({key}, 0) + scanned")
 
 
-def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slot_of, last: bool, found: tuple, seeds: bool = False) -> None:
-    """Emit ``expand_<depth>``: read the pool, filter, check and push (or finish) each candidate.
+def _step(function: _Function, depth: int, step: Mapping, premise, conclusion, slot_of, found: tuple, mode: str, leaf: bool) -> list[str]:
+    """Emit step ``depth``: read the pool, filter and check each candidate, keep (or finish) it, bill the step.
 
-    With ``seeds``, emit step 0 as ``seeds(store, stats)``, which returns the nodes that pass and the scan's size.
+    The one emitter of a step's text, for every assembly: ``mode``
+    ``"seeds"`` keeps the nodes that pass (step 0), ``"step"`` pushes a
+    frame per node, ``"driver"`` collects them in ``kept_nodes`` for its
+    next level.  A ``leaf`` step finishes each binding instead.  Returns
+    the step's counters.
     """
     checks, checked = step["premise_checks"], step["check_conclusion"]
-    leaf = last and not seeds
-    function = _Function(functions, "seeds" if seeds else f"expand_{depth}", "store, stats" if seeds else "search, order", slot_of, current=depth)
     literals = [premise[index] for index in checks] + ([conclusion[0]] if checked else [])
     earlier = [pair for literal in literals for pair in sorted(literal.variables()) if slot_of[pair[0]] != depth]
-    if not seeds:
+    if mode == "step":
         reads = (["ids"] if step["anchor_slots"] or leaf else []) + (["slots"] if leaf or earlier else [])
         function.emit(1, f"{', '.join(reads + ['stats', 'store'])} = {', '.join(f'search.{name}' for name in reads + ['stats', 'store'])}")
-    _pool(function, step, seeds)
+    _pool(function, step, mode)
     # without checks, a step expands what it keeps
-    later = ["kept"] + (["expanded"] if literals and not seeds else []) + (["matches"] if leaf else [])
+    later = ["kept"] + (["expanded"] if literals and mode != "seeds" else []) + (["matches"] if leaf else [])
     counters = _counters(step, later, bool(literals))
-    function.emit(1, "nodes = []" if seeds else "found = []" if leaf else "push = search.stack.append", f"{' = '.join(counters)} = 0")
+    keep = "found = []" if leaf else {"seeds": "nodes = []", "step": "push = search.stack.append", "driver": "kept_nodes = []"}[mode]
+    function.emit(1, keep, f"{' = '.join(counters)} = 0")
     # an earlier slot's attributes are read once per step, out of the candidate loop
     for variable, attribute in earlier:
         function.read(variable, attribute)
     function.emit(1, "for node in pool:")
-    function.indent = 2
+    function.indent += 1
     _filter(function, step, premise)
     function.emit(1, "kept += 1")
     for reached, index in enumerate(checks, 1):
@@ -695,19 +788,165 @@ def _expand(functions: list, depth: int, step: Mapping, premise, conclusion, slo
         function.emit(2, "continue")
     if "expanded" in counters:
         function.emit(1, "expanded += 1")
-    if seeds:
-        function.emit(1, "nodes.append(node)")
-    elif leaf:
+    if leaf:
         _leaf(function, depth, conclusion, found)
-    else:
+    elif mode == "seeds":
+        function.emit(1, "nodes.append(node)")
+    elif mode == "step":
         function.emit(1, f"push(({function.bind('K', depth)}, node.id, attrs, order))")
-    function.indent = 1
-    _flush(function, step, counters)
+    else:
+        function.emit(1, "kept_nodes.append(node)")
+    function.indent -= 1
+    _bill(function, depth, step, counters, mode)
+    return counters
+
+
+def _step_function(functions: list, depth: int, step: Mapping, premise, conclusion, slot_of, found: tuple, seeds: bool = False) -> None:
+    """Emit ``expand_<depth>(search, order)``, which runs step ``depth`` of a frame, or with ``seeds`` step 0 as ``seeds(store, stats)``.
+
+    ``seeds`` returns the nodes that pass and the scan's size; a step
+    pushes its frames, or returns the violations it finished.
+    """
+    leaf = not seeds and depth + 1 == len(slot_of)
     if seeds:
+        function = _Function(functions, "seeds", "store, stats", slot_of, current=depth)
+        _step(function, depth, step, premise, conclusion, slot_of, found, "seeds", False)
         function.emit(1, "return nodes, scanned")
         return
-    function.emit(1, f"stats.expansions += {'expanded' if 'expanded' in counters else 'kept'}", *(["stats.matches_emitted += matches"] if leaf else []))
+    function = _Function(functions, f"expand_{depth}", "search, order", slot_of, current=depth)
+    _step(function, depth, step, premise, conclusion, slot_of, found, "step", leaf)
     function.emit(1, "search.filtering, search.verification = scanned, kept", "return found" if leaf else "return []")
+
+
+def _driver(found: tuple, premise, conclusion, slot_of, steps: Sequence[Mapping], shared: Mapping, drivers: _Drivers, entry: int) -> Callable:
+    """Generate ``drive(search, run, nodes, introduced, dedupe)``: the subtree of each of ``nodes`` bound at slot ``entry``, as nested loops.
+
+    Each level is step ``d`` as :func:`_step` writes it, kept nodes
+    gathered, then billed: its sums stay in locals and ``cost += (scanned
+    or 1) + kept``, and the budget is tested; then it descends into the
+    kept nodes last first, so the order of the bills, the violations and
+    the budget tests is that of a stack of frames.  A leaf level emits the
+    violations it found through ``run.emit(found, introduced, dedupe)``.
+    The sums and the cost go to ``stats`` and ``run.cost`` before each
+    emit, each budget test (the cost) and every exit.  Past ``_LEVELS``
+    levels the driver of the depth reached takes each level's kept nodes.
+    Returns True where the budget stopped it.
+    """
+    functions: list = []
+    last = len(steps) - 1
+    deepest = min(last, entry + _LEVELS)
+    function = _Function(functions, f"drive_{entry}", "search, run, nodes, introduced, dedupe", slot_of)
+    settle: list = []
+    levels: list = []  # (depth, step, counters) of each level this driver runs
+
+    def budget_test() -> None:
+        function.emit(1, "if budget is not None:")
+        function.emit(2, "run.cost = cost", "if run.cost_exhausted():")
+        function.emit(3, "return True")
+
+    def bills() -> list[str]:
+        # every level is written by the first yield: settle once, at every exit alike
+        if not settle:
+            settle.extend(_settle(function, levels, bool(conclusion) and deepest == last))
+        return settle
+
+    function.indent = 2
+    function.emit(1, f"for node in {'nodes' if entry == last else 'reversed(nodes)'}:")
+    function.indent = 3
+    slot = function.bind("K", entry)
+    function.emit(1, f"ids[{slot}] = node.id", f"slots[{slot}] = node.attributes")
+    if entry == last:
+        # the leaf of a seed that bound every variable
+        function.emit(1, "cost += 1")
+        if conclusion:
+            if len(conclusion) > 1:
+                function.emit(1, "if not holds(slots, stats):")
+                function.indent += 1
+            function.emit(1, "n_matches += 1", *bills(), f"if (yield from run.emit([{_violation(function, found, None)}], introduced, dedupe)):")
+            function.emit(2, "return True")
+            function.indent = 3
+        budget_test()
+    for depth in range(entry + 1, deepest + 1):
+        function.level(depth)
+        levels.append((depth, steps[depth], _step(function, depth, steps[depth], premise, conclusion, slot_of, found, "driver", depth == last)))
+        if depth == last:
+            function.emit(1, "if found:")
+            function.emit(2, *bills(), "if (yield from run.emit(found, introduced, dedupe)):")
+            function.emit(3, "return True")
+        budget_test()
+        if depth == last:
+            break
+        if depth == deepest:
+            # the levels past this driver's: the next one takes these nodes, its sums its own
+            function.emit(1, *bills(), "try:")
+            function.emit(2, f"stopped = yield from {function.bind('D', drivers)}[{function.bind('K', depth)}](search, run, kept_nodes, introduced, dedupe)")
+            function.emit(1, "finally:")
+            function.emit(2, "cost = run.cost")
+            function.emit(1, "if stopped:")
+            function.emit(2, "return True")
+            break
+        function.emit(1, "for node in reversed(kept_nodes):")
+        function.indent += 1
+        slot = function.bind("K", depth)
+        function.emit(1, f"ids[{slot}] = node.id", f"slots[{slot}] = node.attributes")
+    function.indent = 1
+    function.emit(1, "finally:")
+    function.emit(2, *bills())
+    sums = _sums(levels, bool(conclusion) and deepest == last)
+    function.lines[1:1] = [
+        "    " + line
+        for line in (
+            # the leaf of a seed that bound every variable reads no store
+            *(["ids, slots, stats = search.ids, search.slots, search.stats"] if entry == last else [
+                "ids, slots, stats, store = search.ids, search.slots, search.stats, search.store",
+                "stamp, out, into, node_of = reader = search.reader",
+            ]),
+            "budget, cost = run.budget, run.cost",
+            *([f"{' = '.join(sums)} = 0"] if sums else []),
+            "try:",
+        )
+    ]
+    return _load(functions, shared)[function.name]
+
+
+def _sums(levels: Sequence[tuple], matches: bool) -> list[str]:
+    """The locals a driver sums its levels' bills in."""
+    sums = []
+    for depth, _, counters in levels:
+        sums += [f"n_scanned{depth}", f"n_kept{depth}"]
+        sums += [f"{total}{depth}" for counter, total in _SUMS if counter in _PER_LEVEL and counter in counters]
+    return sums + [
+        total
+        for counter, total in _SUMS
+        if counter not in _PER_LEVEL and (any(counter in counters for *_, counters in levels) or (counter == "matches" and matches))
+    ]
+
+
+def _settle(function: _Function, levels: Sequence[tuple], matches: bool) -> list[str]:
+    """The lines that add a driver's sums to ``stats`` and its cost to ``run.cost``, and zero the sums."""
+    lines = []
+    if levels:
+        lines.append("stats.candidates_examined += " + " + ".join(f"n_scanned{depth}" for depth, *_ in levels))
+        lines.append(
+            "stats.expansions += "
+            + " + ".join(f"n_expanded{depth}" if "expanded" in counters else f"n_kept{depth}" for depth, _, counters in levels)
+        )
+        edges = ["n_probes"] if any("probes" in counters for *_, counters in levels) else []
+        edges += [f"n_scanned{depth} * {len(step['anchor_slots']) - 1}" for depth, step, _ in levels if len(step["anchor_slots"]) > 1]
+        if edges:
+            lines.append("stats.edge_checks += " + " + ".join(edges))
+        if any("evals" in counters for *_, counters in levels):
+            lines.append("stats.literal_evaluations += n_evals")
+    sums = _sums(levels, matches)
+    if "n_matches" in sums:
+        lines.append("stats.matches_emitted += n_matches")
+    for depth, step, counters in levels:
+        label, unary = (f"{total}{depth}" if counter in counters else None for counter, total in _SUMS[:2])
+        lines += _counts(function, step, f"n_scanned{depth}", f"n_kept{depth}", label, unary)
+    lines.append("run.cost = cost")
+    if sums:
+        lines.append(f"{' = '.join(sums)} = 0")
+    return lines
 
 
 def _leaf(function: _Function, depth: int, conclusion, found: tuple) -> None:

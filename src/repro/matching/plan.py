@@ -21,7 +21,10 @@ separates *planning* from *execution*:
   steps themselves as generated functions (:mod:`repro.matching.compiled`):
   one per step that reads its candidates, tests them and descends, one for
   the batch kernels' seed scan (all of step 0) and one that proves a
-  pivot's prefix, kept per rule and order for the whole process.  One plan
+  pivot's prefix, kept per rule and order for the whole process, and a
+  driver per entry depth, generated on its first use, that searches a
+  whole subtree.  The greedy order estimates each step as it picks it, and
+  the root schedule takes those estimates.  One plan
   serves batch search, pivot-seeded incremental search,
   and the parallel work-unit kernels alike; schedules are memoised.
 
@@ -242,7 +245,10 @@ class Schedule(NamedTuple):
     pivots are made with; ``expand[d](search, order)`` expands a
     :class:`~repro.matching.search.RuleSearch` frame that bound slot ``d``:
     it runs step ``d + 1`` (``expand[len(steps) - 1]`` is the leaf of a
-    seed that bound every variable).
+    seed that bound every variable); ``drivers[d](search, run, nodes)``
+    searches the whole subtree of each of ``nodes`` bound at slot ``d``,
+    generated on the first use of each ``d`` and shared by every schedule
+    of the same code.
     """
 
     order: tuple[str, ...]
@@ -250,6 +256,7 @@ class Schedule(NamedTuple):
     expand: tuple[Callable, ...]
     seeds: Optional[Callable]
     prove: Callable
+    drivers: Mapping[int, Callable]
 
 
 class MatchPlan:
@@ -278,9 +285,13 @@ class MatchPlan:
         self._schedules: dict[tuple[str, ...], Schedule] = {}
         self._seed_orders: dict[tuple[str, ...], tuple[str, ...]] = {}
         #: the root variable order
-        self.order: tuple[str, ...] = (
-            _greedy_order(statistics, rule.pattern) if order is None else tuple(order)
-        )
+        self.order: tuple[str, ...]
+        if order is None:
+            self.order, estimates = _greedy_order(statistics, rule.pattern)
+            # the greedy order estimated each of its steps as the schedule does
+            self._schedules[self.order] = _compile_schedule(statistics, rule, self.order, estimates)
+        else:
+            self.order = tuple(order)
         self.steps: tuple[PlanStep, ...] = self.schedule_for(self.order).steps
 
     def order_for_seed(self, seed: Sequence[str]) -> tuple[str, ...]:
@@ -288,7 +299,7 @@ class MatchPlan:
         key = tuple(seed)
         cached = self._seed_orders.get(key)
         if cached is None:
-            cached = _greedy_order(self.statistics, self.rule.pattern, key)
+            cached, _ = _greedy_order(self.statistics, self.rule.pattern, key)
             self._seed_orders[key] = cached
         return cached
 
@@ -397,63 +408,81 @@ def _estimate(stats: GraphStatistics, pattern, variable: str, anchors: tuple[Anc
     return min(label_cardinality, fan)
 
 
-def _greedy_order(stats: GraphStatistics, pattern, seed: Sequence[str] = ()) -> tuple[str, ...]:
-    """Choose a variable order greedily by estimated candidate cardinality.
+def _greedy_order(stats: GraphStatistics, pattern, seed: Sequence[str] = ()) -> tuple[tuple[str, ...], tuple]:
+    """Choose a variable order greedily by estimated candidate cardinality; return it and each step's estimate.
 
-    Ties break on pattern-variable declaration index, so the order is a
+    Each round binds the unbound variable of least estimate among those
+    with a pattern edge to a bound one (any unbound one where none has),
+    ties broken on pattern-variable declaration index, so the order is a
     deterministic pure function of (statistics, pattern, seed) and identical
-    on every storage backend.
+    on every storage backend.  The estimates are :func:`_estimate`'s, kept
+    up to date as each variable binds: its edges anchor its unbound
+    neighbours, whose least fan they may lower.  A seed variable's estimate
+    is None.
     """
     variables = pattern.variables
-    index = {variable: position for position, variable in enumerate(variables)}
+    labels = {variable: pattern.node(variable).label for variable in variables}
+    # each unbound variable's (unanchored, estimate, declaration index): the least is bound next
+    scores = {
+        variable: (True, float(stats.label_cardinality(labels[variable])), index)
+        for index, variable in enumerate(variables)
+    }
     order: list[str] = []
-    bound: set = set()
+    estimates: list = []
+
+    def bind(variable: str, estimate) -> None:
+        del scores[variable]
+        order.append(variable)
+        estimates.append(estimate)
+        for edges, end, direction in ((pattern.out_edges(variable), "target", "succ"), (pattern.in_edges(variable), "source", "pred")):
+            for edge in edges:
+                other = getattr(edge, end)
+                if other in scores:
+                    _, least, index = scores[other]
+                    fan = stats.anchored_fan(labels[variable], edge.label, direction, labels[other])
+                    scores[other] = (False, min(least, fan), index)
+
     for variable in seed:
-        if variable not in bound:
-            order.append(variable)
-            bound.add(variable)
-    while len(order) < len(variables):
-        frontier = [
-            variable
-            for variable in variables
-            if variable not in bound and _anchors_for(pattern, variable, bound)
-        ]
-        pool = frontier if frontier else [v for v in variables if v not in bound]
-        best = min(
-            pool,
-            key=lambda v: (
-                _estimate(stats, pattern, v, _anchors_for(pattern, v, bound)),
-                index[v],
-            ),
-        )
-        order.append(best)
-        bound.add(best)
-    return tuple(order)
+        if variable in scores:
+            bind(variable, None)
+    while scores:
+        _, estimate, index = min(scores.values())
+        bind(variables[index], estimate)
+    return tuple(order), tuple(estimates)
 
 
 #: How many generated schedules the process keeps; past it, the least recently used is dropped.
 SCHEDULES_KEPT = 1024
 
 
-def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...]) -> Schedule:
-    """Return the schedule of ``order``: the rule's generated steps, each estimated against ``stats``."""
+def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...], estimates: Sequence = ()) -> Schedule:
+    """Return the schedule of ``order``: the rule's generated steps, each estimated against ``stats``.
+
+    ``estimates`` are steps' estimates the greedy order already made
+    (:func:`_greedy_order`); a step without one (None, or past their end) is
+    estimated here.
+    """
     order = tuple(order)
     pattern, premise, conclusion = rule.pattern, rule.premise, rule.conclusion
     constant_types = (premise.constant_types(), conclusion.constant_types())
-    fields, expand, seeds, prove = _generated(rule.name, pattern, pattern.edges(), premise, conclusion, constant_types, order)
+    fields, expand, seeds, prove, drivers = _generated(rule.name, pattern, pattern.edges(), premise, conclusion, constant_types, order)
+    estimates = tuple(estimates) + (None,) * (len(fields) - len(estimates))
     steps = tuple(
-        PlanStep(**step, estimated_candidates=_estimate(stats, pattern, step["variable"], step["anchors"]))
-        for step in fields
+        PlanStep(
+            **step,
+            estimated_candidates=_estimate(stats, pattern, step["variable"], step["anchors"]) if estimate is None else estimate,
+        )
+        for step, estimate in zip(fields, estimates)
     )
     obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
-    return Schedule(order, steps, expand, seeds, prove)
+    return Schedule(order, steps, expand, seeds, prove, drivers)
 
 
 @functools.lru_cache(maxsize=SCHEDULES_KEPT)
 def _generated(name, pattern, edges, premise, conclusion, constant_types, order) -> tuple:
     """Resolve every step of ``order`` but its estimate, and generate its code.
 
-    Returns ``(fields, expand, seeds, prove)``: each step's
+    Returns ``(fields, expand, seeds, prove, drivers)``: each step's
     :class:`PlanStep` fields but ``estimated_candidates``, and the
     generated functions of :class:`Schedule`.  None of it reads the graph
     statistics, so one result serves every plan of every rule that
@@ -495,8 +524,8 @@ def _generated(name, pattern, edges, premise, conclusion, constant_types, order)
                 reject_keys=tuple(f"{REJECT_COUNT_PREFIX}{name}\x1f{variable}\x1f{reason}" for reason in REJECT_REASONS),
             )
         )
-    expand, seeds, prove = compile_schedule(name, pattern.variables, premise_literals, conclusion_literals, slot_of, fields)
-    return tuple(fields), expand, seeds, prove
+    expand, seeds, prove, drivers = compile_schedule(name, pattern.variables, premise_literals, conclusion_literals, slot_of, fields)
+    return tuple(fields), expand, seeds, prove, drivers
 
 
 def compile_plan(graph: Graph, rule: NGD) -> MatchPlan:

@@ -3,55 +3,66 @@
 Dect and IncDect are the same search (Section 6.2): pick the next variable
 of the matching order, generate its candidates from the bound prefix, verify
 them, fire the literals that became fully bound, descend.
-:class:`RuleSearch` is that loop over a compiled
-:class:`~repro.matching.plan.MatchPlan`: each step runs the generated
-function of one step of the schedule of its order
-(:attr:`~repro.matching.plan.Schedule.expand`).  The partial match lives
-in two mutable lists — ``ids[d]`` the data node bound at position ``d`` of
-the order, ``slots[d]`` its attribute mapping, which the generated code
-reads — and the pending work in an explicit LIFO stack of *frames*
-``(depth, node id, attributes, order)``: "bind this node at this depth, then
-run step ``depth + 1`` of the schedule of ``order``".  Nothing else is
-allocated per partial match.
+:class:`RuleSearch` is that search over a compiled
+:class:`~repro.matching.plan.MatchPlan`, in one of two generated forms of
+the schedule of an order (:mod:`repro.matching.compiled`).  The partial
+match lives in two mutable lists — ``ids[d]`` the data node bound at
+position ``d`` of the order, ``slots[d]`` its attribute mapping, which the
+generated code reads.  Nothing else is allocated per partial match but the
+list of candidates a step keeps.
 
-**The slot-prefix invariant.**  When a frame of depth ``d`` is popped,
-``ids[:d]`` / ``slots[:d]`` still hold its parent's path: a frame writes
-position ``d`` only, its descendants positions ``> d`` only, and the stack is
-LIFO, so everything pushed after the parent was expanded is gone before the
-parent's next child comes up.  A seed binds at least one variable, so every
-frame writes its position.  A frame carries its order because one rule's
-frames need not share one: IncDect seeds each pivot on an order that starts
-with the pivot's variables (:meth:`~repro.matching.plan.MatchPlan.order_for_seed`),
-and a step follows its frame's order as compiled.  Every seed is proven
-where it is made — by a step, by step 0's ``seeds``, or by
+* **Drivers** (:meth:`RuleSearch.drive`,
+  :attr:`~repro.matching.plan.Schedule.drivers`): a generator that
+  searches the whole subtree of each node it is handed as nested loops,
+  one level per step, each level's kept candidates descended into last
+  first.  The serial kernels run them: Dect hands a rule's seeds to the
+  driver of depth 0, and IncDect, a degraded process run and the process
+  workers hand each pivot or unit to the driver of the depth its prefix
+  reaches (:meth:`SerialRun.drain <repro.detect.serial.SerialRun.drain>`).
+* **Steps** (:meth:`RuleSearch.step`,
+  :attr:`~repro.matching.plan.Schedule.expand`): the pending work in an
+  explicit LIFO stack of *frames* ``(depth, node id, attributes,
+  order)``: "bind this node at this depth, then run step ``depth + 1`` of
+  the schedule of ``order``", one step per call.  The cluster simulator
+  runs one work unit at a time this way, through
+  :func:`~repro.detect.parallel.workunits.expand_work_unit`, and
+  :class:`~repro.matching.matchn.HomomorphismMatcher`, for the callers that
+  want matches rather than violations (discovery, satisfiability,
+  aggregates), drains the violations of ``Q[x̄](X → false)``.
+
+Both search a subtree in the same order and bill it alike: the tests hold
+the drivers to a stack of frames stepped one at a time.
+
+**The slot-prefix invariant.**  When a frame of depth ``d`` is popped, or a
+driver's level ``d`` binds its next candidate, ``ids[:d]`` / ``slots[:d]``
+still hold its parent's path: a binding writes position ``d`` only, its
+descendants positions ``> d`` only, and the search is depth-first, so
+every descendant of a candidate is done before its next sibling comes up.
+A seed binds at least one variable, so every frame writes its position.
+One rule's searches need not share one order: IncDect seeds each pivot on
+an order that starts with the pivot's variables
+(:meth:`~repro.matching.plan.MatchPlan.order_for_seed`), and a frame
+carries its order, which its step follows as compiled.  Every seed is
+proven where it is made — by a step, by step 0's ``seeds``, or by
 :func:`~repro.matching.incmatch.pivot_seeds` — so every search ends in one
 leaf, which evaluates nothing checked on the way down.
 
 **Reads.**  A search binds the store of the graph it is seeded on once
-(:meth:`RuleSearch.bind`, kept in ``reader``), and the generated steps read
+(:meth:`RuleSearch.bind`, kept in ``reader``), and the generated code reads
 the adjacency buckets and the nodes through that binding, not through a
-store method per frame.  A binding is good while ``store._stamp`` is the
+store method per step.  A binding is good while ``store._stamp`` is the
 stamp it was taken with; each step tests that once, after its reads and
-before its first effect, and binds again and runs itself again where the
-store replaced its stamp, as a clone or a write to a past version does
-(:mod:`repro.matching.compiled`).
+before its first effect, and binds again and reads again where the
+store replaced its stamp, as a clone or a write to a past version does.
 
-``RuleSearch(plan, stats)`` is the whole API: the plan carries its rule.
-The serial kernels and the process backend's workers drain the stack in
-:meth:`SerialRun.expand <repro.detect.serial.SerialRun.expand>`, whose loop
-does what :meth:`RuleSearch.step` does (pop, bind, dispatch) inline; the
-cluster simulator runs :meth:`RuleSearch.step` one work unit at a time through
-:func:`~repro.detect.parallel.workunits.expand_work_unit`; and
-:class:`~repro.matching.matchn.HomomorphismMatcher`, for the callers that
-want matches rather than violations (discovery, satisfiability,
-aggregates), drains the violations of ``Q[x̄](X → false)``.  A pattern
-without variables is never searched: :func:`empty_match` decides its one
-match for every kernel and the matcher.
+``RuleSearch(plan, stats)`` is the whole API: the plan carries its rule.  A
+pattern without variables is never searched: :func:`empty_match` decides
+its one match for every kernel and the matcher.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Generator, Hashable, Sequence
 from typing import Optional
 
 from repro.core.violations import Violation
@@ -87,8 +98,8 @@ class RuleSearch:
     """
 
     __slots__ = (
-        "plan", "stats", "store", "reader", "ids", "slots", "stack", "order",
-        "filtering", "verification", "steps",
+        "plan", "stats", "store", "reader", "ids", "slots", "stack",
+        "filtering", "verification", "_order", "_schedule",
     )  # fmt: skip
 
     def __init__(self, plan: MatchPlan, stats: MatchStatistics) -> None:
@@ -102,13 +113,12 @@ class RuleSearch:
         self.slots: list = [None] * variables
         #: pending frames ``(depth, node id, attributes, order)``, expanded last in, first out
         self.stack: list[tuple] = []
-        #: the order the last step followed (its frame's), and its schedule's
-        #: steps: the dispatch every loop over this search keeps
-        self.order: Optional[tuple[str, ...]] = None
-        self.steps: Optional[tuple] = None
         #: cost-model sizes of the last step: the index scan performed, and one
         #: unit per candidate verified
         self.filtering = self.verification = 0
+        #: the order the last step or driver followed, and its schedule
+        self._order: Optional[tuple[str, ...]] = None
+        self._schedule = None
 
     def start(self, graph: Graph, order: tuple[str, ...], ids: Sequence[Hashable]) -> None:
         """Push the seed binding ``order[:len(ids)]`` to ``ids`` (nodes of ``graph``, at least one).
@@ -119,15 +129,9 @@ class RuleSearch:
         the next :meth:`step` expands.  Frames carry no graph, so one seed's
         subtree must be drained before a seed over another graph starts.
         """
-        if graph.store is not self.store:
-            self.bind(graph.store)
-        # node ids come out of the store's own indexes, so reads skip the facade's existence checks
-        get_node = graph.store.get_node
         last = len(ids) - 1
-        for slot in range(last):
-            self.ids[slot] = ids[slot]
-            self.slots[slot] = get_node(ids[slot]).attributes
-        self.stack.append((last, ids[last], get_node(ids[last]).attributes, order))
+        self._bind_prefix(graph, ids[:last])
+        self.stack.append((last, ids[last], graph.store.get_node(ids[last]).attributes, order))
 
     def seed(self, graph: Graph, order: tuple[str, ...], nodes: Sequence[Node]) -> None:
         """Push one depth-0 frame per node of ``graph``.
@@ -138,12 +142,41 @@ class RuleSearch:
         order has no subtrees, and its nodes go on in reverse, so that its
         leaves stream in rank order.
         """
-        if graph.store is not self.store:
-            self.bind(graph.store)
+        self._bind_prefix(graph, ())
         frames = [(0, node.id, node.attributes, order) for node in nodes]
         if len(order) == 1:
             frames.reverse()
         self.stack.extend(frames)
+
+    def drive(
+        self, run, graph: Graph, order: tuple[str, ...], prefix: Sequence[Hashable], nodes: Sequence[Node], introduced: bool, dedupe: tuple
+    ) -> Generator:
+        """Return the driver that searches the subtree of each of ``nodes``, bound after ``prefix``.
+
+        ``prefix`` binds ``order[:len(prefix)]`` (node ids of ``graph``) and
+        ``nodes`` are candidates of the next position, each proven with it,
+        as :meth:`start` and :meth:`seed` take them: the driver
+        (:attr:`~repro.matching.plan.Schedule.drivers`) searches them in the
+        order this search's frames would pop, charges ``run.cost``, tests
+        ``run``'s budget and yields what ``run.emit(found, introduced,
+        dedupe)`` yields of each leaf step's violations; it returns True
+        where a budget stopped it.  No frame is pushed.
+        """
+        self._bind_prefix(graph, prefix)
+        if order is not self._order:
+            self._order, self._schedule = order, self.plan.schedule_for(order)
+        return self._schedule.drivers[len(prefix)](self, run, nodes, introduced, dedupe)
+
+    def _bind_prefix(self, graph: Graph, prefix: Sequence[Hashable]) -> None:
+        """Read ``graph``'s store from here on, and bind slot ``d`` of the slot lists to ``prefix[d]``."""
+        store = graph.store
+        if store is not self.store:
+            self.bind(store)
+        # node ids come out of the store's own indexes, so reads skip the facade's existence checks
+        get_node = store.get_node
+        for slot, node_id in enumerate(prefix):
+            self.ids[slot] = node_id
+            self.slots[slot] = get_node(node_id).attributes
 
     def bind(self, store) -> None:
         """Read ``store`` from here on, through the reader it hands out now.
@@ -160,13 +193,10 @@ class RuleSearch:
         The step's generated function reads the candidates from the store's
         rank-ordered views and pushes the children in rank order, so they pop
         in descending rank and the leaves of a last step come out ascending.
-        :meth:`SerialRun.expand <repro.detect.serial.SerialRun.expand>` runs
-        these lines inline: a change here goes there too.
         """
         depth, node_id, attrs, order = self.stack.pop()
         self.ids[depth] = node_id
         self.slots[depth] = attrs
-        if order is not self.order:
-            self.order = order
-            self.steps = self.plan.schedule_for(order).expand
-        return self.steps[depth](self, order)
+        if order is not self._order:
+            self._order, self._schedule = order, self.plan.schedule_for(order)
+        return self._schedule.expand[depth](self, order)

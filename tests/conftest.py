@@ -99,34 +99,3 @@ def force_start_method(monkeypatch):
         monkeypatch.setattr(executor, "resolve_start_method", lambda: method)
 
     return force
-
-
-@pytest.fixture
-def hook_steps(monkeypatch):
-    """Return ``install(hook)``, which calls ``hook(search, order, depth)`` after every generated search step.
-
-    The serial loop dispatches the generated steps itself, without
-    :meth:`~repro.matching.search.RuleSearch.step`, so the hook wraps the
-    steps each schedule hands out: ``depth`` is the slot the expanded frame
-    bound.
-    """
-    from repro.matching.plan import MatchPlan
-
-    real = MatchPlan.schedule_for
-
-    def hooked(expand, depth, hook):
-        def step(search, order):
-            found = expand(search, order)
-            hook(search, order, depth)
-            return found
-
-        return step
-
-    def install(hook) -> None:
-        def schedule_for(plan, order):
-            schedule = real(plan, order)
-            return schedule._replace(expand=tuple(hooked(expand, depth, hook) for depth, expand in enumerate(schedule.expand)))
-
-        monkeypatch.setattr(MatchPlan, "schedule_for", schedule_for)
-
-    return install

@@ -392,7 +392,7 @@ def test_generated_steps_keep_the_literal_semantics(seed):
             _step_fields((), unary=range(len(unary)), out_labels=frozenset({"e"})),
             _step_fields(((0, True, "e"),), checks=range(len(unary), len(premise)), conclusion=bound),
         ]
-        expand, seeds, prove = compile_schedule("parity", ("x", "y"), premise, conclusion, slot_of, steps)
+        expand, seeds, prove, _ = compile_schedule("parity", ("x", "y"), premise, conclusion, slot_of, steps)
         for _ in range(5):
             slots = [_step_attrs(rng), _step_attrs(rng)]
             graph = Graph(name="step")

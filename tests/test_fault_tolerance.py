@@ -34,9 +34,12 @@ from repro.detect.dect import iter_dect
 from repro.detect.incdect import iter_inc_dect
 from repro.detect.observers import DetectionBudget, drain
 from repro.detect.parallel import executor, iter_p_dect
+from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, first_step_seeds
 from repro.errors import ReproError, ServiceError, SessionError
 from repro.graph.graph import Graph
 from repro.graph.updates import BatchUpdate, UpdateGenerator
+from repro.matching.candidates import MatchStatistics
+from repro.matching.plan import compile_plans
 from repro.service import DetectionService, ServiceClient
 from repro.service.protocol import error_record, parse_detect_request
 from repro.service.server import FAULT_TOLERANCE_COUNTERS
@@ -590,18 +593,29 @@ class TestKernelDeadlines:
         assert clock.readings == 50
         assert result.stats.candidates_examined < full.stats.candidates_examined
 
-    def test_a_serial_run_tests_the_deadline_after_every_step(self, quiet, monkeypatch, hook_steps):
+    def test_a_serial_run_tests_the_deadline_after_every_step(self, quiet, monkeypatch):
         # Dect reads the clock once after the first-step scan and once after
-        # each search step, and stops at the first reading past the deadline
+        # each search step, and stops at the first reading past the deadline:
+        # what it billed is what the first 99 steps of its frame order bill,
+        # stepped one work unit at a time on the same plan
         graph, rules, _ = quiet
         clock = _Clock()
         monkeypatch.setattr(observers, "time", clock)
-        steps = []
-        hook_steps(lambda search, order, depth: steps.append(1))
         result = drain(iter_dect(graph, rules, budget=DetectionBudget(deadline=100.0)))
         assert (result.stop_reason, result.stopped_early) == ("deadline", True)
         assert clock.readings == 100
-        assert len(steps) == 99
+        (plan,) = compile_plans(graph, rules)
+        stepped = MatchStatistics()
+        seeds, cost = first_step_seeds(graph, plan, stepped)
+        units = [WorkUnit(0, plan.order, ((plan.order[0], node.id),)) for node in seeds]
+        steps = 0
+        # every person knows someone, so each step bills something
+        while stepped != result.stats:
+            outcome = expand_work_unit(graph, units.pop(), stepped, plan)
+            units += outcome.new_units
+            cost += max(outcome.filtering_adjacency, 1) + outcome.verification_adjacency
+            steps += 1
+        assert steps == 99 and cost == result.cost
 
     def test_a_simulated_run_tests_the_deadline_before_every_unit(self, quiet, monkeypatch):
         # PDect reads the clock once when seeding ends and once before each unit it pops

@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import naive_reference
 from repro.core.builtin_rules import example_rules
@@ -30,6 +31,7 @@ from repro.matching.matchn import HomomorphismMatcher
 from repro.matching.plan import (
     GraphStatistics,
     MatchPlan,
+    _greedy_order,
     compile_plan,
     compile_plans,
     format_plan,
@@ -122,6 +124,58 @@ class TestPlanCompiler:
             assert plan.rule.pattern.neighbours(order[index]) & set(order[:index])
         schedule = plan.schedule_for(order)
         assert tuple(step.variable for step in schedule.steps) == order
+
+    def test_the_greedy_order_is_the_plain_greedy_rule(self):
+        # each round binds the unbound variable of least estimate among those
+        # with a pattern edge to a bound one (any, where none has), ties to
+        # the first declared; the estimate is the label's cardinality, or
+        # less, the least anchored fan
+        def estimate(stats, pattern, variable, bound):
+            label = pattern.node(variable).label
+            fans = [
+                stats.anchored_fan(pattern.node(other).label, edge.label, direction, label)
+                for edges, end, direction in ((pattern.out_edges(variable), "target", "pred"), (pattern.in_edges(variable), "source", "succ"))
+                for edge in edges
+                for other in [getattr(edge, end)]
+                if other in bound and other != variable
+            ]
+            return min([stats.label_cardinality(label)] + fans), bool(fans)
+
+        def reference(stats, pattern, seed):
+            order, estimates = list(dict.fromkeys(seed)), [None] * len(dict.fromkeys(seed))
+            while len(order) < len(pattern.variables):
+                unbound = [v for v in pattern.variables if v not in order]
+                scored = {v: estimate(stats, pattern, v, set(order)) for v in unbound}
+                pool = [v for v in unbound if scored[v][1]] or unbound
+                best = min(pool, key=lambda v: (scored[v][0], pattern.variables.index(v)))
+                order.append(best)
+                estimates.append(scored[best][0])
+            return tuple(order), tuple(estimates)
+
+        labels, edge_labels = ("a", "b", WILDCARD), ("p", "q")
+        counts = st.integers(min_value=0, max_value=4)
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.data())
+        def run(data):
+            size = data.draw(st.integers(min_value=1, max_value=6))
+            variables = [f"v{index}" for index in range(size)]
+            nodes = [(variable, data.draw(st.sampled_from(labels))) for variable in variables]
+            edge = st.tuples(st.sampled_from(variables), st.sampled_from(variables), st.sampled_from(edge_labels))
+            pattern = Pattern("g", nodes, data.draw(st.lists(edge, max_size=8)))
+            pairs = st.dictionaries(st.sampled_from(labels[:2]), st.dictionaries(st.sampled_from(edge_labels), counts))
+            stats = GraphStatistics(
+                node_count=data.draw(counts),
+                edge_count=data.draw(counts),
+                label_counts=data.draw(st.dictionaries(st.sampled_from(labels[:2]), counts)),
+                edge_label_counts=data.draw(st.dictionaries(st.sampled_from(edge_labels), counts)),
+                source_pairs=data.draw(pairs),
+                target_pairs=data.draw(pairs),
+            )
+            seed = tuple(data.draw(st.lists(st.sampled_from(variables), max_size=2)))
+            assert _greedy_order(stats, pattern, seed) == reference(stats, pattern, seed)
+
+        run()
 
     def test_statistics_snapshot(self):
         graph = figure1_g2()

@@ -14,6 +14,7 @@ from repro.datasets.kb import yago_like
 from repro.datasets.rules import benchmark_rules
 from repro.detect.incdect import iter_inc_dect
 from repro.detect.observers import drain
+from repro.detect.parallel.workunits import WorkUnit, expand_work_unit, first_step_seeds
 from repro.detect.session import Detector
 from repro.expr.parser import parse_literal_set
 from repro.graph.generators import random_labeled_graph, star_graph
@@ -22,7 +23,7 @@ from repro.graph.pattern import Pattern
 from repro.matching.candidates import REJECT_COUNT_PREFIX, MatchStatistics
 from repro.matching.incmatch import find_update_pivots
 from repro.matching.matchn import HomomorphismMatcher, assignment_for_match
-from repro.matching.plan import GraphStatistics, compile_plan, first_step_candidates
+from repro.matching.plan import GraphStatistics, compile_plan, compile_plans, first_step_candidates
 from repro.matching.search import RuleSearch
 from repro.graph.store import GraphStore, IndexedStore
 from repro.graph.updates import BatchUpdate, UpdateGenerator, apply_update
@@ -70,29 +71,31 @@ class TestCandidates:
         assert search.step() == [] and (search.filtering, search.verification) == (1, 0)
         assert rejected(stats) == {"label": 1}
 
-    def test_a_step_keeps_what_it_examined_less_what_it_rejected(self, monkeypatch, hook_steps):
+    def test_a_step_keeps_what_it_examined_less_what_it_rejected(self):
         # every step of a KB detection: examined − rejected (the flushed
         # counters) = kept, that is the seeds a scan hands the search and
-        # the candidates each later step verified
+        # the candidates each later step verified, as stepping every work
+        # unit of the same plans one at a time counts them
         graph = yago_like(scale=0.3)
         rules = benchmark_rules(graph, count=12, max_diameter=3, seed=2)
         kept: dict = {}
 
-        def count(search, variable, verified):
-            key = (search.plan.rule.name, variable)
+        def count(plan, variable, verified):
+            key = (plan.rule.name, variable)
             kept[key] = kept.get(key, 0) + verified
 
-        def seed(search, graph, order, nodes):
-            count(search, order[0], len(nodes))
-            real_seed(search, graph, order, nodes)
-
-        def step(search, order, depth):
-            if depth + 1 < len(order):  # not a seed that bound every variable
-                count(search, order[depth + 1], search.verification)
-
-        real_seed = RuleSearch.seed
-        monkeypatch.setattr(RuleSearch, "seed", seed)
-        hook_steps(step)
+        for index, plan in enumerate(compile_plans(graph, rules)):
+            if not plan.order:
+                continue
+            seeds, _ = first_step_seeds(graph, plan, MatchStatistics())
+            count(plan, plan.order[0], len(seeds))
+            units = [WorkUnit(index, plan.order, ((plan.order[0], node.id),)) for node in seeds]
+            while units:
+                unit = units.pop()
+                outcome = expand_work_unit(graph, unit, MatchStatistics(), plan)
+                if unit.depth() < len(plan.order):  # not a seed that bound every variable
+                    count(plan, plan.order[unit.depth()], outcome.verification_adjacency)
+                units += outcome.new_units
         obs.configure()
         try:
             Detector(rules, engine="batch").run(graph)
