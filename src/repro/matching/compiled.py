@@ -835,6 +835,8 @@ def _driver(found: tuple, premise, conclusion, slot_of, steps: Sequence[Mapping]
     functions: list = []
     last = len(steps) - 1
     deepest = min(last, entry + _LEVELS)
+    # the leaf of a seed that bound every variable counts its matches in the driver's own sum
+    seed_leaf = entry == last and bool(conclusion)
     function = _Function(functions, f"drive_{entry}", "search, run, nodes, introduced, dedupe", slot_of)
     settle: list = []
     levels: list = []  # (depth, step, counters) of each level this driver runs
@@ -847,7 +849,7 @@ def _driver(found: tuple, premise, conclusion, slot_of, steps: Sequence[Mapping]
     def bills() -> list[str]:
         # every level is written by the first yield: settle once, at every exit alike
         if not settle:
-            settle.extend(_settle(function, levels, bool(conclusion) and deepest == last))
+            settle.extend(_settle(function, levels, seed_leaf))
         return settle
 
     function.indent = 2
@@ -892,7 +894,7 @@ def _driver(found: tuple, premise, conclusion, slot_of, steps: Sequence[Mapping]
     function.indent = 1
     function.emit(1, "finally:")
     function.emit(2, *bills())
-    sums = _sums(levels, bool(conclusion) and deepest == last)
+    sums = _sums(levels, seed_leaf)
     function.lines[1:1] = [
         "    " + line
         for line in (
@@ -910,7 +912,7 @@ def _driver(found: tuple, premise, conclusion, slot_of, steps: Sequence[Mapping]
 
 
 def _sums(levels: Sequence[tuple], matches: bool) -> list[str]:
-    """The locals a driver sums its levels' bills in."""
+    """The locals a driver sums its levels' bills in, and ``n_matches`` where ``matches``."""
     sums = []
     for depth, _, counters in levels:
         sums += [f"n_scanned{depth}", f"n_kept{depth}"]

@@ -245,10 +245,10 @@ class Schedule(NamedTuple):
     pivots are made with; ``expand[d](search, order)`` expands a
     :class:`~repro.matching.search.RuleSearch` frame that bound slot ``d``:
     it runs step ``d + 1`` (``expand[len(steps) - 1]`` is the leaf of a
-    seed that bound every variable); ``drivers[d](search, run, nodes)``
-    searches the whole subtree of each of ``nodes`` bound at slot ``d``,
-    generated on the first use of each ``d`` and shared by every schedule
-    of the same code.
+    seed that bound every variable); ``drivers[d](search, run, nodes,
+    introduced, dedupe)`` searches the whole subtree of each of ``nodes``
+    bound at slot ``d``, generated on the first use of each ``d`` and
+    shared by every schedule of the same code.
     """
 
     order: tuple[str, ...]
@@ -458,22 +458,16 @@ SCHEDULES_KEPT = 1024
 def _compile_schedule(stats: GraphStatistics, rule: NGD, order: tuple[str, ...], estimates: Sequence = ()) -> Schedule:
     """Return the schedule of ``order``: the rule's generated steps, each estimated against ``stats``.
 
-    ``estimates`` are steps' estimates the greedy order already made
-    (:func:`_greedy_order`); a step without one (None, or past their end) is
+    ``estimates``, where given, are each step's estimate as the greedy
+    order made it (:func:`_greedy_order`); without them each step is
     estimated here.
     """
     order = tuple(order)
     pattern, premise, conclusion = rule.pattern, rule.premise, rule.conclusion
     constant_types = (premise.constant_types(), conclusion.constant_types())
     fields, expand, seeds, prove, drivers = _generated(rule.name, pattern, pattern.edges(), premise, conclusion, constant_types, order)
-    estimates = tuple(estimates) + (None,) * (len(fields) - len(estimates))
-    steps = tuple(
-        PlanStep(
-            **step,
-            estimated_candidates=_estimate(stats, pattern, step["variable"], step["anchors"]) if estimate is None else estimate,
-        )
-        for step, estimate in zip(fields, estimates)
-    )
+    estimates = estimates or [_estimate(stats, pattern, step["variable"], step["anchors"]) for step in fields]
+    steps = tuple(PlanStep(**step, estimated_candidates=estimate) for step, estimate in zip(fields, estimates))
     obs.counter_inc("repro_compiled_schedules_total", {"rule": rule.name})
     return Schedule(order, steps, expand, seeds, prove, drivers)
 
